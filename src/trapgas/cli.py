@@ -19,8 +19,8 @@ import io
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -97,6 +97,11 @@ _SCHEMA = {
         "path": (str, ""),
     },
 }
+
+
+# integer keys and their smallest admissible value
+_INT_FLOORS = {"truncation.l_max": 0, "truncation.n_max": 1, "truncation.n0": 1,
+               "grid.x_count": 0, "grid.tau_count": 0, "grid.sep_count": 0}
 
 
 @dataclass
@@ -177,6 +182,15 @@ def load_config(path: str | None) -> RunConfig:
         raise ConfigError(f"output.format must be 'csv' or 'json', got {values['output.format']!r}")
     if not (0 < values["regime.r_lo"] < values["regime.r_hi"]):
         raise ConfigError("regime thresholds must satisfy 0 < r_lo < r_hi")
+    if not (math.isfinite(values["truncation.tol"]) and values["truncation.tol"] > 0):
+        raise ConfigError(f"truncation.tol must be positive and finite, got {values['truncation.tol']!r}")
+    if not (math.isfinite(values["truncation.min_dtau"]) and values["truncation.min_dtau"] >= 0):
+        raise ConfigError(f"truncation.min_dtau must be >= 0 and finite, got {values['truncation.min_dtau']!r}")
+    for key, least in _INT_FLOORS.items():
+        if values[key] < least:
+            raise ConfigError(f"{key} must be >= {least}, got {values[key]}")
+    if values["grid.sep_spacing"] == "log" and not values["grid.sep_min"] > 0:
+        raise ConfigError(f"grid.sep_min must be > 0 under grid.sep_spacing = log, got {values['grid.sep_min']!r}")
     try:
         values["grid.omegas"] = [float(s) for s in str(values["grid.omega_list"]).split(",") if s.strip()]
     except ValueError as exc:
@@ -231,13 +245,6 @@ def write_table(out, fmt: str, cfg: RunConfig, columns: list, rows: list, extra_
         out.write("\n")
 
 
-def _map_rows(fn, items, threads: int):
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
-
-
 # ----------------------------------------------------------------------------
 # subcommands
 # ----------------------------------------------------------------------------
@@ -245,7 +252,7 @@ def _map_rows(fn, items, threads: int):
 
 def cmd_density(cfg: RunConfig, args) -> tuple:
     d = cfg.scales
-    xs = np.linspace(cfg["grid.x_min"], cfg["grid.x_max"], cfg["grid.x_count"]) if cfg["grid.x_count"] > 0 else []
+    xs = np.linspace(cfg["grid.x_min"], cfg["grid.x_max"], cfg["grid.x_count"])
     rows = [(float(x), rho_tf(float(x), cfg.params, d)) for x in xs]
     return ["x", "rho_tf"], rows, {}
 
@@ -264,6 +271,10 @@ def cmd_spectrum(cfg: RunConfig, args) -> tuple:
     return ["n", "E_n", "dE", "dE_expansion", "status"], rows, {}
 
 
+# evaluation failures reported in a row's status; anything else aborts the run
+_ROW_ERRORS = (RegimeError, DomainError, AccuracyError, ConsistencyError)
+
+
 def _green_row(x1, tau1, x2, tau2, gv, regime_tag, status="ok"):
     if gv is None:
         return (x1, tau1, x2, tau2, None, None, "", None, regime_tag, None, False, status)
@@ -278,85 +289,88 @@ def _green_row(x1, tau1, x2, tau2, gv, regime_tag, status="ok"):
     )
 
 
+def _error_row(x1, tau1, x2, tau2, method, regime_tag, exc):
+    return (x1, tau1, x2, tau2, None, None, method, None, regime_tag, None, False, f"{type(exc).__name__}: {exc}")
+
+
+def _lowt_control(cfg: RunConfig) -> LowTControl:
+    return LowTControl(n0=cfg["truncation.n0"], min_dtau=cfg["truncation.min_dtau"])
+
+
+def _green_evaluator(mode, regime, cfg: RunConfig, p, d):
+    """G(x1, tau1; x2, tau2) of one per-point mode, with its regime choice and
+    controls resolved once per table; None where the regime has no asymptotic
+    form."""
+    if mode == "homog-series":
+        ctl = HomogSeriesControl(cfg["truncation.l_max"], cfg["truncation.n_max"], cfg["truncation.tail_mode"])
+        return partial(homog_series, p=p, d=d, ctl=ctl)
+    if mode == "trapped-series":
+        return partial(lowT_legendre_series, p=p, d=d, ctl=_lowt_control(cfg))
+    if mode == "homog-asympt":
+        form = {Regime.HIGH_T: homog_asymptotic_highT, Regime.LOW_T: homog_asymptotic_lowT}.get(regime)
+        return form and partial(form, p=p, d=d)
+    if mode == "trapped-asympt":
+        if regime is Regime.HIGH_T:
+            return partial(asympt_green_highT, p=p, d=d, r_lo=cfg["regime.r_lo"])
+        if regime is Regime.LOW_T:
+            return partial(asympt_green_lowT, p=p, d=d, ctl=_lowt_control(cfg), r_hi=cfg["regime.r_hi"])
+        return None
+    raise ConfigError(f"unknown green mode {mode!r}")
+
+
 def cmd_green(cfg: RunConfig, args) -> tuple:
     p, d = cfg.params, cfg.scales
-    regime_tag = classify_regime(d, cfg["regime.r_lo"], cfg["regime.r_hi"]).value
+    mode = args.mode
+    regime = classify_regime(d, cfg["regime.r_lo"], cfg["regime.r_hi"])
+    regime_tag = regime.value
     columns = ["x1", "tau1", "x2", "tau2", "G_re", "G_im", "method", "trunc_err", "regime", "window_slack", "const_free", "status"]
     x1 = cfg["grid.x_ref"]
     tau1 = cfg["grid.tau_ref"]
-    xs = np.linspace(cfg["grid.x_min"], cfg["grid.x_max"], cfg["grid.x_count"])
+    xs = [float(x) for x in np.linspace(cfg["grid.x_min"], cfg["grid.x_max"], cfg["grid.x_count"])]
+    extra = {"mode": mode}
+
+    if mode == "oracle":
+        rows = []
+        for omega in cfg["grid.omegas"]:
+            sol = fdm_spectral_solve(omega, x1, p, d, FdmGrid(N=10_000))
+            shift = 0.0
+            if omega == 0.0 and xs:
+                # align the mean-zero gauge with the closed-form convention
+                anchor = xs[0]
+                shift = closed_form_zero_mode(anchor, sol.x_source, p, d) * p.beta - float(sol.interp(anchor))
+            rows.extend(
+                (x1, tau1, x2, tau1, float(sol.interp(x2)) + shift, 0.0, "oracle", sol.disc_error_est,
+                 regime_tag, None, False, "ok")
+                for x2 in xs
+            )
+        return columns, rows, extra
+
+    if mode == "trapped-spectral":
+        def spectral_row(omega, x2):
+            try:
+                sd = spectral_density(omega, x2, x1, p, d, tol=cfg["truncation.tol"])
+            except _ROW_ERRORS as exc:
+                return _error_row(x1, tau1, x2, tau1, mode, regime_tag, exc)
+            return (x1, tau1, x2, tau1, sd.re_part, sd.im_part, mode, sd.err_bound, regime_tag, None, False, "ok")
+
+        return columns, [spectral_row(omega, x2) for omega in cfg["grid.omegas"] for x2 in xs], extra
+
+    evaluate = _green_evaluator(mode, regime, cfg, p, d)
+
+    def point_row(x2, tau2):
+        if evaluate is None:
+            return _green_row(x1, tau1, x2, tau2, None, regime_tag, "intermediate-regime: no asymptotic form")
+        try:
+            return _green_row(x1, tau1, x2, tau2, evaluate(x1, tau1, x2, tau2), regime_tag)
+        except _ROW_ERRORS as exc:
+            return _error_row(x1, tau1, x2, tau2, mode, regime_tag, exc)
+
     taus = (
         np.linspace(cfg["grid.tau_min"], cfg["grid.tau_max"], cfg["grid.tau_count"])
         if cfg["grid.tau_count"] > 1
-        else np.array([cfg["grid.tau_ref"]])
+        else [tau1]
     )
-    extra = {"mode": args.mode}
-    mode = args.mode
-
-    if mode in ("trapped-spectral", "oracle"):
-        rows = []
-        for omega in cfg["grid.omegas"]:
-            if mode == "trapped-spectral":
-                def eval_point(x2, omega=omega):
-                    try:
-                        sd = spectral_density(omega, float(x2), x1, p, d, tol=cfg["truncation.tol"])
-                        return (x1, tau1, float(x2), tau1, sd.re_part, sd.im_part, "trapped-spectral",
-                                sd.err_bound, regime_tag, None, False, "ok")
-                    except TrapGasError as exc:
-                        return (x1, tau1, float(x2), tau1, None, None, "trapped-spectral", None,
-                                regime_tag, None, False, f"{type(exc).__name__}: {exc}")
-                rows.extend(_map_rows(eval_point, xs, args.threads))
-            else:
-                sol = fdm_spectral_solve(omega, x1, p, d, FdmGrid(N=10_000))
-                shift = 0.0
-                if omega == 0.0:
-                    # align the mean-zero gauge with the closed-form convention
-                    anchor = float(xs[0])
-                    shift = closed_form_zero_mode(anchor, sol.x_source, p, d) * p.beta - float(sol.interp(anchor))
-                for x2 in xs:
-                    val = float(sol.interp(float(x2))) + shift
-                    rows.append((x1, tau1, float(x2), tau1, val, 0.0, "oracle", sol.disc_error_est,
-                                 regime_tag, None, False, "ok"))
-        return columns, rows, extra
-
-    def eval_pair(point):
-        x2, tau2 = point
-        try:
-            if mode == "homog-series":
-                ctl = HomogSeriesControl(cfg["truncation.l_max"], cfg["truncation.n_max"], cfg["truncation.tail_mode"])
-                gv = homog_series(x1, tau1, float(x2), float(tau2), p, d, ctl)
-            elif mode == "homog-asympt":
-                regime = classify_regime(d, cfg["regime.r_lo"], cfg["regime.r_hi"])
-                if regime is Regime.HIGH_T:
-                    gv = homog_asymptotic_highT(x1, tau1, float(x2), float(tau2), p, d)
-                elif regime is Regime.LOW_T:
-                    gv = homog_asymptotic_lowT(x1, tau1, float(x2), float(tau2), p, d)
-                else:
-                    return _green_row(x1, tau1, float(x2), float(tau2), None, regime_tag,
-                                      "intermediate-regime: no asymptotic form")
-            elif mode == "trapped-series":
-                ctl = LowTControl(n0=cfg["truncation.n0"], min_dtau=cfg["truncation.min_dtau"])
-                gv = lowT_legendre_series(x1, tau1, float(x2), float(tau2), p, d, ctl)
-            elif mode == "trapped-asympt":
-                regime = classify_regime(d, cfg["regime.r_lo"], cfg["regime.r_hi"])
-                if regime is Regime.HIGH_T:
-                    gv = asympt_green_highT(x1, tau1, float(x2), float(tau2), p, d, r_lo=cfg["regime.r_lo"])
-                elif regime is Regime.LOW_T:
-                    ctl = LowTControl(n0=cfg["truncation.n0"], min_dtau=cfg["truncation.min_dtau"])
-                    gv = asympt_green_lowT(x1, tau1, float(x2), float(tau2), p, d, ctl, r_hi=cfg["regime.r_hi"])
-                else:
-                    return _green_row(x1, tau1, float(x2), float(tau2), None, regime_tag,
-                                      "intermediate-regime: no asymptotic form")
-            else:
-                raise ConfigError(f"unknown green mode {mode!r}")
-            return _green_row(x1, tau1, float(x2), float(tau2), gv, regime_tag)
-        except (RegimeError, DomainError, AccuracyError, ConsistencyError) as exc:
-            return (x1, tau1, float(x2), float(tau2), None, None, mode, None, regime_tag, None, False,
-                    f"{type(exc).__name__}: {exc}")
-
-    points = [(x2, tau2) for tau2 in taus for x2 in xs]
-    rows = _map_rows(eval_pair, points, args.threads)
-    return columns, rows, extra
+    return columns, [point_row(x2, float(tau2)) for tau2 in taus for x2 in xs], extra
 
 
 def _correlator_value(mode, q: CorrelatorQuery, cfg: RunConfig, p, d):
@@ -365,52 +379,50 @@ def _correlator_value(mode, q: CorrelatorQuery, cfg: RunConfig, p, d):
             raise DomainError("closed-form correlator is equal-time; set grid.dtau = 0")
         return gamma_d1_exact(q.x1, q.x2, p, d), "closed-form"
     if mode == "series":
-        ctl = LowTControl(n0=cfg["truncation.n0"], min_dtau=cfg["truncation.min_dtau"])
+        # both orders: the series rounds differently when its arguments swap
+        ctl = _lowt_control(cfg)
         g12 = lowT_legendre_series(q.x1, q.tau1, q.x2, q.tau2, p, d, ctl)
         g21 = lowT_legendre_series(q.x2, q.tau2, q.x1, q.tau1, p, d, ctl)
         return gamma_from_green(q, g12, g21, p, d), "series"
     if mode == "spectral":
-        l_max = cfg["truncation.l_max"]
-        g12 = matsubara_assemble(q.x1, q.tau1, q.x2, q.tau2, p, d, l_max)
-        g21 = matsubara_assemble(q.x2, q.tau2, q.x1, q.tau1, p, d, l_max)
-        return gamma_from_green(q, g12, g21, p, d), "spectral"
-    if mode == "asymptotic-auto":
+        method = "spectral"
+    elif mode == "asymptotic-auto":
         try:
             return gamma_trapped_asymptotic(q, p, d, form="auto",
                                             r_lo=cfg["regime.r_lo"], r_hi=cfg["regime.r_hi"]), "asymptotic-auto"
         except RegimeError:
-            l_max = cfg["truncation.l_max"]
-            g12 = matsubara_assemble(q.x1, q.tau1, q.x2, q.tau2, p, d, l_max)
-            g21 = matsubara_assemble(q.x2, q.tau2, q.x1, q.tau1, p, d, l_max)
-            return gamma_from_green(q, g12, g21, p, d), "asymptotic-auto:fallback-spectral"
-    raise ConfigError(f"unknown correlator mode {mode!r}")
+            method = "asymptotic-auto:fallback-spectral"
+    else:
+        raise ConfigError(f"unknown correlator mode {mode!r}")
+    # the assembly is bitwise symmetric under swapping its two points, so one
+    # value serves as both G(1;2) and G(2;1)
+    g = matsubara_assemble(q.x1, q.tau1, q.x2, q.tau2, p, d, cfg["truncation.l_max"])
+    return gamma_from_green(q, g, g, p, d), method
 
 
 def _sep_grid(cfg: RunConfig) -> np.ndarray:
     lo, hi, count = cfg["grid.sep_min"], cfg["grid.sep_max"], cfg["grid.sep_count"]
-    if count < 1:
-        return np.array([])
     if cfg["grid.sep_spacing"] == "log":
         return np.geomspace(lo, hi, count)
     return np.linspace(lo, hi, count)
 
 
-def cmd_correlator(cfg: RunConfig, args) -> tuple:
-    p, d = cfg.params, cfg.scales
-    columns = ["x1", "tau1", "x2", "tau2", "S", "gamma", "theta_S", "xi_S", "method", "window_slack", "status"]
+def _correlator_queries(cfg: RunConfig, mode) -> list:
+    """Pairs (S + sep/2, tau_ref + dtau; S - sep/2, tau_ref) over the separation grid."""
     s_center = cfg["grid.s_center"]
     tau_ref = cfg["grid.tau_ref"]
     dtau = cfg["grid.dtau"]
-    seps = _sep_grid(cfg)
+    return [
+        CorrelatorQuery(s_center + sep / 2.0, tau_ref + dtau, s_center - sep / 2.0, tau_ref, method=mode)
+        for sep in map(float, _sep_grid(cfg))
+    ]
 
-    def eval_sep(sep):
-        q = CorrelatorQuery(
-            x1=s_center + float(sep) / 2.0,
-            tau1=tau_ref + dtau,
-            x2=s_center - float(sep) / 2.0,
-            tau2=tau_ref,
-            method=args.mode,
-        )
+
+def cmd_correlator(cfg: RunConfig, args) -> tuple:
+    p, d = cfg.params, cfg.scales
+    columns = ["x1", "tau1", "x2", "tau2", "S", "gamma", "theta_S", "xi_S", "method", "window_slack", "status"]
+
+    def row(q):
         try:
             theta_s = theta_at(q.S, p, d)
             xi_s = xi_at(q.S, p, d)
@@ -419,22 +431,18 @@ def cmd_correlator(cfg: RunConfig, args) -> tuple:
                 return (q.x1, q.tau1, q.x2, q.tau2, q.S, None, theta_s, xi_s, method, None, "divergent")
             slack = abs(q.dx) / max(abs(q.S), 1e-300)
             return (q.x1, q.tau1, q.x2, q.tau2, q.S, gamma, theta_s, xi_s, method, slack, "ok")
-        except (RegimeError, DomainError, AccuracyError, ConsistencyError) as exc:
+        except _ROW_ERRORS as exc:
             return (q.x1, q.tau1, q.x2, q.tau2, q.S, None, None, None, args.mode, None,
                     f"{type(exc).__name__}: {exc}")
 
-    rows = _map_rows(eval_sep, seps, args.threads)
-    return columns, rows, {"mode": args.mode}
+    return columns, [row(q) for q in _correlator_queries(cfg, args.mode)], {"mode": args.mode}
 
 
 def cmd_exponent(cfg: RunConfig, args) -> tuple:
     p, d = cfg.params, cfg.scales
     s_center = cfg["grid.s_center"]
-    tau_ref = cfg["grid.tau_ref"]
-    dtau = cfg["grid.dtau"]
     seps, gammas, rhos = [], [], []
-    for sep in _sep_grid(cfg):
-        q = CorrelatorQuery(s_center + sep / 2.0, tau_ref + dtau, s_center - sep / 2.0, tau_ref, method=args.mode)
+    for q in _correlator_queries(cfg, args.mode):
         try:
             gamma, _ = _correlator_value(args.mode, q, cfg, p, d)
         except TrapGasError:
@@ -511,7 +519,6 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", default=None, help="INI config document")
         sp.add_argument("--out", default=None, help="output path (default stdout)")
         sp.add_argument("--format", default=None, choices=("csv", "json"), help="override output.format")
-        sp.add_argument("--threads", type=int, default=1, help="row-evaluation threads")
 
     sp = sub.add_parser("density", help="Thomas-Fermi density table")
     common(sp)

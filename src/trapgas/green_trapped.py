@@ -35,7 +35,7 @@ from .errors import AccuracyError, DomainError, RegimeError
 from .green_homogeneous import GreenValue, log_2sinh_abs
 from .legendre import (
     Degree,
-    Scaled,
+    _connection_bracket,
     _cos_pi_scaled,
     _exp_i_pi_nu_scaled,
     _sin_pi_scaled,
@@ -168,12 +168,8 @@ def spectral_density(
     err = e1 + e2 + e3 + e4
     sin_pi = _sin_pi_scaled(nu)
     cos_pi = _cos_pi_scaled(nu)
-
-    def q_of(p_plus: Scaled, p_minus: Scaled) -> Scaled:
-        return p_plus.mul(cos_pi).add(p_minus.times(-1.0)).div(sin_pi).times(math.pi / 2.0)
-
-    q_u = q_of(p_u, p_mu)
-    q_up = q_of(p_up, p_mup)
+    q_u = _connection_bracket(p_u, p_mu, cos_pi, sin_pi)
+    q_up = _connection_bracket(p_up, p_mup, cos_pi, sin_pi)
 
     # full value through the cancellation-free product factorization, with the
     # W brackets assembled from the four cached P evaluations
@@ -181,12 +177,9 @@ def spectral_density(
         pg, pmg, pl, pml = p_u, p_mu, p_up, p_mup
     else:
         pg, pmg, pl, pml = p_up, p_mup, p_u, p_mu
-
-    def w_of(p_plus: Scaled, p_minus: Scaled, sign: int) -> Scaled:
-        phase = _exp_i_pi_nu_scaled(nu, sign)
-        return p_plus.mul(phase).add(p_minus.times(-1.0)).div(sin_pi).times(math.pi / 2.0)
-
-    total = w_of(pl, pml, +1).mul(w_of(pg, pmg, -1)).times(-1j * 2.0 * k / math.pi).to_complex()
+    w_plus = _connection_bracket(pl, pml, _exp_i_pi_nu_scaled(nu, +1), sin_pi)
+    w_minus = _connection_bracket(pg, pmg, _exp_i_pi_nu_scaled(nu, -1), sin_pi)
+    total = w_plus.mul(w_minus).times(-1j * 2.0 * k / math.pi).to_complex()
 
     # diagnostic brackets (may overflow for large conical degree)
     eps_sign = 0.0 if x == xp else math.copysign(1.0, x - xp)

@@ -20,8 +20,9 @@ three-term recurrence.
 
 Conical P_nu grows like exp(mu * arccos u), which overflows float64 well
 inside the Matsubara range, so the module keeps an internal scaled
-representation (mantissa, log-scale) and exposes it to the Green-function
-code through ``w_bracket_scaled``; the public ``legendre_pair`` returns plain
+representation (mantissa, log-scale).  The Green-function code combines
+scaled ``p_scaled`` values through the private connection bracket and
+converts only its final products; the public ``legendre_pair`` returns plain
 complex values and is meant for moderate degrees.
 """
 
@@ -268,31 +269,15 @@ def p_scaled(nu: complex, u: float, tol: float = 1e-15, max_terms: int = _MAX_TE
     )
 
 
-def q_scaled(nu: complex, u: float, tol: float = 1e-15, max_terms: int = _MAX_TERMS_DEFAULT):
-    """Q_nu(u) as (Scaled, terms, err) by the connection formula, non-integer nu."""
-    p_u, t1, e1 = p_scaled(nu, u, tol, max_terms)
-    p_mu, t2, e2 = p_scaled(nu, -u, tol, max_terms)
-    num = p_u.mul(_cos_pi_scaled(nu)).add(p_mu.times(-1.0))
-    val = num.div(_sin_pi_scaled(nu)).times(math.pi / 2.0)
-    return val, t1 + t2, e1 + e2
+def _connection_bracket(p_u: Scaled, p_mu: Scaled, phase: Scaled, sin_pi: Scaled) -> Scaled:
+    """(pi/2) [phase * P_nu(u) - P_nu(-u)] / sin(pi nu) from P_nu(+-u).
 
-
-def w_bracket_scaled(nu: complex, u: float, sign: int, tol: float = 1e-15, max_terms: int = _MAX_TERMS_DEFAULT):
-    """Scaled evaluation of Q_nu(u) + sign * i*(pi/2) P_nu(u), cancellation-free.
-
-    Uses the identity
-
-        Q_nu +- i (pi/2) P_nu = (pi/2) [e^{+-i pi nu} P_nu(u) - P_nu(-u)] / sin(pi nu),
-
-    in which the two terms carry orthogonal complex phases for conical nu, so
-    the combination never suffers the exp(-2 pi mu) cancellation that the
-    naive sum Q + i(pi/2)P exhibits at large mu.
+    phase = cos(pi nu) gives Q_nu(u) by the connection formula; phase =
+    e^{+-i pi nu} gives the bracket Q_nu(u) +- i (pi/2) P_nu(u), whose two
+    terms carry orthogonal complex phases for conical nu, so it never suffers
+    the exp(-2 pi mu) cancellation of the naive sum Q + i (pi/2) P at large mu.
     """
-    p_u, t1, e1 = p_scaled(nu, u, tol, max_terms)
-    p_mu, t2, e2 = p_scaled(nu, -u, tol, max_terms)
-    num = p_u.mul(_exp_i_pi_nu_scaled(nu, sign)).add(p_mu.times(-1.0))
-    val = num.div(_sin_pi_scaled(nu)).times(math.pi / 2.0)
-    return val, t1 + t2, e1 + e2
+    return p_u.mul(phase).add(p_mu.times(-1.0)).div(sin_pi).times(math.pi / 2.0)
 
 
 # ----------------------------------------------------------------------------
@@ -349,14 +334,15 @@ def legendre_pair(nu, u: float, tol: float = 1e-13, max_terms: int = _MAX_TERMS_
             err_bound=0.0,
         )
     p_u, t1, e1 = p_scaled(deg.nu, u, tol, max_terms)
-    q_u, t2, e2 = q_scaled(deg.nu, u, tol, max_terms)
+    p_mu, t2, e2 = p_scaled(deg.nu, -u, tol, max_terms)
+    q_u = _connection_bracket(p_u, p_mu, _cos_pi_scaled(deg.nu), _sin_pi_scaled(deg.nu))
     return LegendrePair(
         p=p_u.to_complex(),
         q=q_u.to_complex(),
         u=u,
         nu=deg,
         terms=t1 + t2,
-        err_bound=e1 + e2,
+        err_bound=e1 + (e1 + e2),  # bound on P plus bound on Q, which uses both series
     )
 
 

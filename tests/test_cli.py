@@ -4,9 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from trapgas import PhysicalParams, derive_scales, rho_tf, theta_at
-from trapgas.cli import load_config, main
+from trapgas import CorrelatorQuery, PhysicalParams, derive_scales, gamma_from_green, matsubara_assemble, rho_tf, theta_at
+from trapgas.cli import CORRELATOR_MODES, GREEN_MODES, load_config, main
 from trapgas.errors import ConfigError
+
+GREEN_COLUMNS = ["x1", "tau1", "x2", "tau2", "G_re", "G_im", "method", "trunc_err", "regime", "window_slack", "const_free", "status"]
+CORRELATOR_COLUMNS = ["x1", "tau1", "x2", "tau2", "S", "gamma", "theta_S", "xi_S", "method", "window_slack", "status"]
 
 
 def write_config(tmp_path, text, name="run.ini"):
@@ -64,6 +67,36 @@ class TestConfig:
         assert cfg.params.beta == 2.5
         assert cfg["truncation.l_max"] == 7
         assert cfg["grid.omegas"] == [0.0, 6.28]
+
+    @pytest.mark.parametrize(
+        "key, text",
+        [
+            ("truncation.tol", "-1"),
+            ("truncation.tol", "0"),
+            ("truncation.tol", "nan"),
+            ("truncation.tol", "inf"),
+            ("truncation.l_max", "-1"),
+            ("truncation.n_max", "0"),
+            ("truncation.n0", "0"),
+            ("truncation.min_dtau", "-0.1"),
+            ("truncation.min_dtau", "nan"),
+            ("grid.x_count", "-3"),
+            ("grid.tau_count", "-1"),
+            ("grid.sep_count", "-1"),
+            ("grid.sep_min", "0"),  # under the default log spacing
+            ("grid.sep_min", "-0.5"),
+        ],
+    )
+    def test_bad_truncation_or_grid_value_names_key(self, tmp_path, key, text):
+        section, name = key.split(".")
+        path = write_config(tmp_path, f"[{section}]\n{name} = {text}\n")
+        with pytest.raises(ConfigError, match=key):
+            load_config(path)
+
+    def test_bad_tol_exits_with_config_error(self, tmp_path, capsys):
+        path = write_config(tmp_path, "[truncation]\ntol = -1\n[grid]\nx_count = 3\nomega_list = 6.28\n")
+        assert main(["green", "--mode", "trapped-spectral", "--config", path]) == 2
+        assert "truncation.tol" in capsys.readouterr().err
 
 
 class TestDensityCommand:
@@ -137,13 +170,6 @@ class TestGreenCommand:
         assert main(["green", "--mode", "homog-series", "--config", cfg, "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
-    def test_threads_do_not_change_output(self, tmp_path):
-        cfg = write_config(tmp_path, "[grid]\nx_count = 9\n")
-        out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        assert main(["green", "--mode", "homog-series", "--config", cfg, "--out", str(out1)]) == 0
-        assert main(["green", "--mode", "homog-series", "--config", cfg, "--out", str(out2), "--threads", "4"]) == 0
-        assert out1.read_bytes() == out2.read_bytes()
-
     def test_trapped_spectral_blocks_per_frequency(self, tmp_path):
         cfg = write_config(
             tmp_path,
@@ -171,6 +197,13 @@ class TestGreenCommand:
             do = g_o[blk] - g_o[blk].flat[0]
             scale = np.max(np.abs(ds))
             assert np.max(np.abs(ds - do)) < 1e-3 * scale
+
+    def test_oracle_empty_grid_header_only(self, tmp_path):
+        cfg = write_config(tmp_path, "[grid]\nx_count = 0\n")
+        out = tmp_path / "oracle.csv"
+        assert main(["green", "--mode", "oracle", "--config", cfg, "--out", str(out)]) == 0
+        _, header, rows = read_csv(str(out))
+        assert header == GREEN_COLUMNS and rows == []
 
     def test_trapped_asympt_intermediate_regime_status(self, tmp_path):
         cfg = write_config(tmp_path, "[grid]\nx_count = 3\n")
@@ -223,6 +256,45 @@ class TestCorrelatorCommand:
         assert payload["columns"][:6] == ["x1", "tau1", "x2", "tau2", "S", "gamma"]
         assert len(payload["rows"]) == 9
         assert all(len(r) == len(payload["columns"]) for r in payload["rows"])
+
+    def test_spectral_row_equals_symmetrized_pair(self, tmp_path):
+        # the table evaluates G once; it must equal the explicit G(1;2), G(2;1) pair
+        cfg = write_config(
+            tmp_path,
+            "[params]\nbeta = 2.5\n[truncation]\nl_max = 6\n[grid]\ns_center = 0.35\nsep_count = 3\ndtau = 0.3\n",
+        )
+        out = tmp_path / "corr.csv"
+        assert main(["correlator", "--mode", "spectral", "--config", cfg, "--out", str(out)]) == 0
+        _, header, rows = read_csv(str(out))
+        p = PhysicalParams(m=1, g=1, Omega=1, Lambda=1, beta=2.5)
+        d = derive_scales(p)
+        for cells in rows:
+            row = dict(zip(header, cells))
+            x1, tau1, x2, tau2 = (float(row[k]) for k in ("x1", "tau1", "x2", "tau2"))
+            g12 = matsubara_assemble(x1, tau1, x2, tau2, p, d, 6)
+            g21 = matsubara_assemble(x2, tau2, x1, tau1, p, d, 6)
+            gamma = gamma_from_green(CorrelatorQuery(x1, tau1, x2, tau2, method="spectral"), g12, g21, p, d)
+            assert row["status"] == "ok" and row["gamma"] == "%.17g" % gamma
+
+
+@pytest.mark.parametrize("beta", [0.05 * math.sqrt(2.0), 1.0, 100.0 * math.sqrt(2.0)])
+@pytest.mark.parametrize(
+    "command, mode, columns",
+    [("green", m, GREEN_COLUMNS) for m in GREEN_MODES] + [("correlator", m, CORRELATOR_COLUMNS) for m in CORRELATOR_MODES],
+)
+def test_every_mode_runs_byte_identically(tmp_path, command, mode, columns, beta):
+    cfg = write_config(
+        tmp_path,
+        f"[params]\nbeta = {beta!r}\n[truncation]\nl_max = 4\n"
+        f"[grid]\nx_count = 3\nsep_count = 3\ndtau = {0.01 * beta!r}\nomega_list = 0, 6.283185307179586\n",
+    )
+    outs = [tmp_path / "a.csv", tmp_path / "b.csv"]
+    for out in outs:
+        assert main([command, "--mode", mode, "--config", cfg, "--out", str(out)]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    _, header, rows = read_csv(str(outs[0]))
+    assert header == columns
+    assert rows and all(len(r) == len(columns) for r in rows)
 
 
 class TestExponentCommand:

@@ -158,6 +158,18 @@ class TestMatsubaraAssemble:
         with pytest.raises(AccuracyError):
             matsubara_assemble(0.3, 0.2, 0.3, 0.2, p, d, l_max=4)
 
+    @pytest.mark.parametrize("beta", [0.05 * math.sqrt(2.0), 1.0, 100.0 * math.sqrt(2.0)])
+    def test_bitwise_symmetric_under_argument_swap(self, beta):
+        # correlator tables evaluate one assembly for both G(1;2) and G(2;1)
+        p, d = setup_params(beta=beta)
+        for x, xp in ((0.45, 0.31), (-0.2, 0.6), (0.9, -0.05)):  # off-centre midpoints
+            for dtau in (0.0, 0.13 * beta, -0.4 * beta):
+                if x == xp and dtau == 0.0:
+                    continue
+                g12 = matsubara_assemble(x, 0.07 + dtau, xp, 0.07, p, d, l_max=12)
+                g21 = matsubara_assemble(xp, 0.07, x, 0.07 + dtau, p, d, l_max=12)
+                assert g12.value == g21.value
+
     def test_truncation_estimate_decays(self):
         p, d = setup_params()
         est = [matsubara_assemble(0.4, 0.1, 0.1, 0.0, p, d, l_max=l).trunc_err for l in (2, 6, 12)]

@@ -19,7 +19,13 @@ from trapgas import (
     p_poly_table,
     wronskian_check,
 )
-from trapgas.legendre import legendre_ode_residual, p_scaled, w_bracket_scaled
+from trapgas.legendre import (
+    _connection_bracket,
+    _exp_i_pi_nu_scaled,
+    _sin_pi_scaled,
+    legendre_ode_residual,
+    p_scaled,
+)
 
 mp.mp.dps = 30
 
@@ -225,10 +231,13 @@ class TestWronskian:
 class TestScaledInternals:
     def test_w_bracket_matches_naive_combination(self):
         nu = -0.5 + 1.5j
+        sin_pi = _sin_pi_scaled(nu)
         for u in (-0.5, 0.2, 0.7):
             pair = legendre_pair(nu, u, tol=1e-14)
+            p_u, _, _ = p_scaled(nu, u)
+            p_mu, _, _ = p_scaled(nu, -u)
             for sign in (+1, -1):
-                w, _, _ = w_bracket_scaled(nu, u, sign)
+                w = _connection_bracket(p_u, p_mu, _exp_i_pi_nu_scaled(nu, sign), sin_pi)
                 naive = pair.q + sign * 1j * (math.pi / 2.0) * pair.p
                 assert abs(w.to_complex() - naive) < 1e-10 * max(1.0, abs(naive))
 
