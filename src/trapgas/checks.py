@@ -25,6 +25,7 @@ from .correlator import (
     theta_at,
     theta_homogeneous,
 )
+from .errors import ConfigError
 from .green_homogeneous import (
     GreenValue,
     HomogSeriesControl,
@@ -54,12 +55,23 @@ _EPS = np.finfo(float).eps
 
 @dataclass(frozen=True)
 class CheckResult:
+    """One check's figure of merit against its tolerance.
+
+    ``conditions_met`` holds the check's requirements other than
+    ``value < tol``; ``passed`` needs both, so replacing ``tol`` re-decides
+    pass/fail without dropping them.
+    """
+
     name: str
     value: float
     tol: float
-    passed: bool
     seconds: float
     detail: str
+    conditions_met: bool = True
+
+    @property
+    def passed(self) -> bool:
+        return bool(self.value < self.tol and self.conditions_met)
 
 
 def _unit_setup():
@@ -85,7 +97,6 @@ def check_zero_mode_identity(tol: float = 1e-10) -> CheckResult:
         name="01-zero-mode-identity",
         value=worst,
         tol=tol,
-        passed=worst < tol,
         seconds=time.perf_counter() - t0,
         detail="max relative deviation over 200 random interior pairs",
     )
@@ -149,7 +160,7 @@ def check_ode_residual_and_jump(tol: float = 1e-6) -> CheckResult:
         name="02-ode-residual-and-jump",
         value=value,
         tol=tol,
-        passed=(value < tol) and jump_ok,
+        conditions_met=jump_ok,
         seconds=time.perf_counter() - t0,
         detail=(
             f"max residual/|G| over omega in {{0, 2pi, 10pi}}/beta; jump err(h)={err_h:.3e}, "
@@ -181,7 +192,6 @@ def check_oracle_equivalence(tol: float = 1e-3) -> CheckResult:
         name="03-oracle-equivalence",
         value=worst,
         tol=tol,
-        passed=worst < tol,
         seconds=time.perf_counter() - t0,
         detail="max relative green_difference deviation, FDM (N=10^4) vs Legendre closed form",
     )
@@ -200,7 +210,6 @@ def check_eigenvalue_law(tol: float = 1e-4) -> CheckResult:
         name="04-eigenvalue-law",
         value=worst,
         tol=tol,
-        passed=worst < tol,
         seconds=time.perf_counter() - t0,
         detail="max relative eigenvalue error for n <= 20 after Richardson (N=2000/4000)",
     )
@@ -218,7 +227,6 @@ def check_frequency_sum(tol: float = 1e-6) -> CheckResult:
         name="05-frequency-sum-identity",
         value=worst,
         tol=tol,
-        passed=worst < tol,
         seconds=time.perf_counter() - t0,
         detail="max |partial sum - Bernoulli closed form| over theta in {0, 0.1, 0.5}",
     )
@@ -249,7 +257,6 @@ def check_homog_regime_match(tol: float = 0.02) -> CheckResult:
         name="06-homog-regime-match",
         value=worst,
         tol=tol,
-        passed=worst < tol,
         seconds=time.perf_counter() - t0,
         detail="max relative difference-mode deviation, series vs closed form (lambda_T/R_c = 0.05)",
     )
@@ -285,7 +292,6 @@ def check_trapped_highT_match(tol: float = 0.05) -> CheckResult:
         name="07-trapped-highT-match",
         value=worst,
         tol=tol,
-        passed=worst < tol,
         seconds=time.perf_counter() - t0,
         detail=f"max relative difference-mode deviation, assembly (l_max={l_max}) vs sinh form",
     )
@@ -325,7 +331,7 @@ def check_trapped_lowT_match(tol: float = 0.10) -> CheckResult:
         name="08-trapped-lowT-match",
         value=worst,
         tol=tol,
-        passed=(worst < tol) and (drift < 0.02),
+        conditions_met=drift < 0.02,
         seconds=time.perf_counter() - t0,
         detail=f"difference-mode deviation vs leading log; n0 doubling drift = {drift:.3e} (< 0.02 required)",
     )
@@ -357,7 +363,7 @@ def check_exponent_extraction(tol: float = 0.05) -> CheckResult:
     rho_s = rho_tf(s_point, p2, d2)
     for dt in dtaus:
         gval = lowT_legendre_series(s_point, dt, s_point, 0.0, p2, d2, ctl)
-        q = CorrelatorQuery(s_point, dt, s_point, 0.0, method="series")
+        q = CorrelatorQuery(s_point, dt, s_point, 0.0)
         gam2.append(gamma_from_green(q, gval, gval, p2, d2))
     fit_s = extract_exponent(hv * dtaus, gam2, rho_products=np.full(len(dtaus), rho_s))
     inv_theta_s_true = 1.0 / theta_at(s_point, p2, d2)
@@ -368,7 +374,7 @@ def check_exponent_extraction(tol: float = 0.05) -> CheckResult:
     d_hi = derive_scales(p_hi)
     p_lo = PhysicalParams(m=1.0, g=1.0, Omega=1.0, Lambda=1.0, beta=100.0 * math.sqrt(2.0))
     d_lo = derive_scales(p_lo)
-    q = CorrelatorQuery(0.2515, 0.0, 0.2485, 0.0, method="asymptotic-auto")
+    q = CorrelatorQuery(0.2515, 0.0, 0.2485, 0.0)
     v_hi = gamma_trapped_asymptotic(q, p_hi, d_hi, form="auto")
     v_lo = gamma_trapped_asymptotic(q, p_lo, d_lo, form="auto")
     bit_identical = (v_hi == v_lo)
@@ -378,7 +384,7 @@ def check_exponent_extraction(tol: float = 0.05) -> CheckResult:
         name="09-exponent-extraction",
         value=worst,
         tol=tol,
-        passed=(worst < tol) and bit_identical,
+        conditions_met=bit_identical,
         seconds=time.perf_counter() - t0,
         detail=(
             f"1/theta fit err = {err_hom:.3e}, 1/theta(S) fit err = {err_s:.3e}, "
@@ -438,7 +444,7 @@ def check_symmetry_positivity(tol: float = 1e-9) -> CheckResult:
                 total_21 += np.exp(-1j * sign * om * tau) * re_21
         sym = 0.5 * (total_12 + total_21) / p.beta
         worst_imag = max(worst_imag, abs(sym.imag))
-        q = CorrelatorQuery(x1, tau, x2, 0.0, method="spectral")
+        q = CorrelatorQuery(x1, tau, x2, 0.0)
         gam = gamma_from_green(q, total_12 / p.beta, total_21 / p.beta, p, d)
         if not (gam > 0.0):
             failures.append(f"trial {trial}: assembled-route Gamma not positive")
@@ -446,7 +452,7 @@ def check_symmetry_positivity(tol: float = 1e-9) -> CheckResult:
         name="10-symmetry-positivity",
         value=worst_imag,
         tol=tol,
-        passed=(worst_imag < tol) and not failures,
+        conditions_met=not failures,
         seconds=time.perf_counter() - t0,
         detail="; ".join(failures) if failures else "12 randomized trials clean",
     )
@@ -484,7 +490,7 @@ def check_wronskian_conical(tol: float = 1e-6) -> CheckResult:
         name="11-wronskian-conical-reality",
         value=worst,
         tol=tol,
-        passed=(worst < tol) and (worst_imag < 1e-8),
+        conditions_met=worst_imag < 1e-8,
         seconds=time.perf_counter() - t0,
         detail=(
             "max Wronskian residual normalized by the product scale; "
@@ -510,13 +516,15 @@ CHECKS = [
 
 def run_all(tol_overrides: dict | None = None) -> list:
     """Run every check; tol_overrides maps check names to replacement
-    tolerances (pass/fail is re-evaluated against the override)."""
-    overrides = tol_overrides or {}
+    tolerances.  An override replaces only the tolerance: each check's other
+    conditions still decide pass/fail.  A name that matches no check raises
+    ConfigError."""
+    overrides = dict(tol_overrides or {})
     results = []
     for fn in CHECKS:
         res = fn()
-        if res.name in overrides:
-            tol = float(overrides[res.name])
-            res = replace(res, tol=tol, passed=res.value < tol)
-        results.append(replace(res, value=float(res.value), passed=bool(res.passed)))
+        tol = float(overrides.pop(res.name, res.tol))
+        results.append(replace(res, value=float(res.value), tol=tol))
+    if overrides:
+        raise ConfigError(f"unknown check name(s) in overrides: {', '.join(sorted(overrides))}")
     return results

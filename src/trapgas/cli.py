@@ -27,6 +27,7 @@ import numpy as np
 from . import __version__
 from .checks import run_all
 from .correlator import (
+    MIN_FIT_SAMPLES,
     CorrelatorQuery,
     exponent_report,
     gamma_d1_exact,
@@ -35,7 +36,7 @@ from .correlator import (
     theta_at,
     xi_at,
 )
-from .errors import AccuracyError, ConfigError, ConsistencyError, DomainError, RegimeError, TrapGasError
+from .errors import AccuracyError, ConfigError, ConsistencyError, DataError, DomainError, RegimeError, TrapGasError
 from .green_homogeneous import HomogSeriesControl, homog_asymptotic_highT, homog_asymptotic_lowT, homog_series
 from .green_trapped import (
     LowTControl,
@@ -407,13 +408,13 @@ def _sep_grid(cfg: RunConfig) -> np.ndarray:
     return np.linspace(lo, hi, count)
 
 
-def _correlator_queries(cfg: RunConfig, mode) -> list:
+def _correlator_queries(cfg: RunConfig) -> list:
     """Pairs (S + sep/2, tau_ref + dtau; S - sep/2, tau_ref) over the separation grid."""
     s_center = cfg["grid.s_center"]
     tau_ref = cfg["grid.tau_ref"]
     dtau = cfg["grid.dtau"]
     return [
-        CorrelatorQuery(s_center + sep / 2.0, tau_ref + dtau, s_center - sep / 2.0, tau_ref, method=mode)
+        CorrelatorQuery(s_center + sep / 2.0, tau_ref + dtau, s_center - sep / 2.0, tau_ref)
         for sep in map(float, _sep_grid(cfg))
     ]
 
@@ -435,24 +436,32 @@ def cmd_correlator(cfg: RunConfig, args) -> tuple:
             return (q.x1, q.tau1, q.x2, q.tau2, q.S, None, None, None, args.mode, None,
                     f"{type(exc).__name__}: {exc}")
 
-    return columns, [row(q) for q in _correlator_queries(cfg, args.mode)], {"mode": args.mode}
+    return columns, [row(q) for q in _correlator_queries(cfg)], {"mode": args.mode}
 
 
 def cmd_exponent(cfg: RunConfig, args) -> tuple:
     p, d = cfg.params, cfg.scales
     s_center = cfg["grid.s_center"]
     seps, gammas, rhos = [], [], []
-    for q in _correlator_queries(cfg, args.mode):
+    skipped = []  # the reason each row left out of the fit was dropped
+    for q in _correlator_queries(cfg):
         try:
             gamma, _ = _correlator_value(args.mode, q, cfg, p, d)
-        except TrapGasError:
+        except TrapGasError as exc:
+            skipped.append(f"{type(exc).__name__}: {exc}")
             continue
         if not math.isfinite(gamma) or gamma <= 0:
+            skipped.append(f"gamma = {gamma!r}")
             continue
         hv = p.hbar * d.v
         seps.append(abs(complex(abs(q.dx), hv * q.dtau)))
         gammas.append(gamma)
         rhos.append(math.sqrt(rho_tf(q.x1, p, d) * rho_tf(q.x2, p, d)))
+    if skipped and len(seps) < MIN_FIT_SAMPLES:
+        raise DataError(
+            f"need at least {MIN_FIT_SAMPLES} samples, got {len(seps)}; {len(skipped)} rows skipped "
+            f"(first: {skipped[0]})"
+        )
     report = exponent_report(s_center, seps, gammas, rhos, p, d)
     fit = report.fit
     rel_dev = abs(fit.inv_theta - 1.0 / report.theta_S) * report.theta_S

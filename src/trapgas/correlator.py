@@ -23,6 +23,10 @@ from .green_homogeneous import GreenValue, log_2sin_abs, log_2sinh_abs
 from .model import DerivedScales, PhysicalParams, Regime, classify_regime, rho_tf
 
 BOUNDARY_MARGIN = 1e-6
+# largest relative imaginary residual of a symmetrized Green value
+IMAG_TOL = 1e-9
+# fewest Gamma samples a power-law fit accepts
+MIN_FIT_SAMPLES = 8
 
 __all__ = [
     "CorrelatorQuery",
@@ -55,7 +59,6 @@ class CorrelatorQuery:
     tau1: float
     x2: float
     tau2: float
-    method: str = "closed-form"  # series | spectral | asymptotic-auto | closed-form
 
     @property
     def S(self) -> float:
@@ -135,11 +138,10 @@ def gamma_from_green(
     g21,
     p: PhysicalParams,
     d: DerivedScales,
-    imag_tol: float = 1e-9,
 ) -> float:
     """Gamma from a symmetrized pair of Green values of one method.
 
-    The symmetrized Green value must be real up to ``imag_tol`` (scaled by its
+    The symmetrized Green value must be real up to ``IMAG_TOL`` (scaled by its
     magnitude); a larger residual means the two inputs were produced
     inconsistently.
     """
@@ -149,9 +151,9 @@ def gamma_from_green(
         raise ConsistencyError(f"gamma_from_green mixes methods {g12.method!r} and {g21.method!r}")
     sym = 0.5 * (v12 + v21)
     residual = abs(sym.imag)
-    if residual > imag_tol * max(1.0, abs(sym.real)):
+    if residual > IMAG_TOL * max(1.0, abs(sym.real)):
         raise ConsistencyError(
-            f"symmetrized Green value has imaginary residual {residual:.3e} above tolerance {imag_tol:g}"
+            f"symmetrized Green value has imaginary residual {residual:.3e} above tolerance {IMAG_TOL:g}"
         )
     return _sqrt_rho_pair(q.x1, q.x2, p, d) * math.exp(-sym.real)
 
@@ -398,7 +400,7 @@ def coherence_multidim(x1, x2, dim: int, p: PhysicalParams, d: DerivedScales) ->
     return CoherenceValue(gamma, green, dim, sep)
 
 
-def extract_exponent(separations, gammas, rho_products=None, min_samples: int = 8) -> FitResult:
+def extract_exponent(separations, gammas, rho_products=None) -> FitResult:
     """Least-squares power-law exponent from Gamma samples.
 
     Fits ln(Gamma / sqrt(rho rho')) = intercept - (1/theta) ln|dx| and returns
@@ -411,8 +413,8 @@ def extract_exponent(separations, gammas, rho_products=None, min_samples: int = 
     rp = np.asarray(rho_products, dtype=float)
     if sep.shape != gam.shape or sep.shape != rp.shape:
         raise DataError("separations, gammas and rho_products must have matching shapes")
-    if sep.size < min_samples:
-        raise DataError(f"need at least {min_samples} samples, got {sep.size}")
+    if sep.size < MIN_FIT_SAMPLES:
+        raise DataError(f"need at least {MIN_FIT_SAMPLES} samples, got {sep.size}")
     if np.any(gam <= 0.0) or np.any(sep <= 0.0) or np.any(rp <= 0.0):
         raise DataError("all separations, Gamma samples and density products must be positive")
     xs = np.log(sep)

@@ -144,7 +144,7 @@ def homog_series(
     e_k = hv * (math.pi / d.R_c) * n_arr
 
     warning = None
-    if dx == 0.0 and dtau == 0.0 and ctl.tail_mode == "none":
+    if dx == 0.0 and dtau % p.beta == 0.0:
         warning = "coincident arguments: series is log-divergent, value is cutoff-dependent"
 
     # k = 0 frequency line

@@ -19,10 +19,10 @@ evaluated through the stable product factorization
     G_omega = -i (2K/pi) * W_plus(u_<) * W_minus(u_>),
     W_pm(u) = Q_nu(u) +- i (pi/2) P_nu(u),
 
-with the W brackets computed cancellation-free in scaled arithmetic.  The
-real part of the full value is the physical (real, symmetric) spectral
-density that enters the Matsubara assembly; the smooth component's extra
-content is reported but excluded from correlators.
+with the W brackets computed cancellation-free in scaled arithmetic; the two
+components are never formed separately.  The real part of the full value is
+the physical (real, symmetric) spectral density that enters the Matsubara
+assembly; the imaginary part is reported but excluded from correlators.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from .green_homogeneous import GreenValue, log_2sinh_abs
 from .legendre import (
     Degree,
     _connection_bracket,
-    _cos_pi_scaled,
     _exp_i_pi_nu_scaled,
     _sin_pi_scaled,
     nu_from_omega,
@@ -70,10 +69,7 @@ class SpectralDensity:
     """G_omega(x, x') at one Matsubara frequency.
 
     ``re_part``/``im_part`` are the real and imaginary parts of the full
-    density.  ``jump_bracket`` and ``smooth_bracket`` are the two closed-form
-    components (complex for conical degree; diagnostics only, they may
-    overflow to inf at large alpha*omega even though the full value stays
-    finite).
+    density.
     """
 
     omega: float
@@ -82,8 +78,6 @@ class SpectralDensity:
     xp: float
     re_part: float
     im_part: float
-    jump_bracket: complex
-    smooth_bracket: complex
     err_bound: float
 
     @property
@@ -96,30 +90,22 @@ class LowTControl:
     """Controls for the low-temperature Legendre series.
 
     n0        crossover index below which exact polynomials are used
-    n_max     cutoff for brute-force reference summations
-    u_star    optional cap on the measured smallness parameter u_*
     min_dtau  minimum |tau - tau'| / beta before an accuracy warning
-    variant   phase convention of the asymptotic polynomial form
     """
 
     n0: int = 20
-    n_max: int = 200_000
-    u_star: float | None = None
     min_dtau: float = 1e-3
-    variant: str = "integer"
 
     def __post_init__(self):
         if self.n0 < 1:
             raise DomainError("n0 must be >= 1")
-        if self.variant not in ("integer", "half"):
-            raise DomainError(f"variant must be 'integer' or 'half', got {self.variant!r}")
 
 
-def _clamped_u(x: float, d: DerivedScales, eps: float) -> float:
+def _clamped_u(x: float, d: DerivedScales) -> float:
     u = x / d.R_c
-    if abs(u) > 1.0 - eps:
+    if abs(u) > 1.0 - BOUNDARY_EPS:
         raise DomainError(
-            f"|x|/R_c = {abs(u):.9g} exceeds the boundary clamp 1 - {eps:g}; "
+            f"|x|/R_c = {abs(u):.9g} exceeds the boundary clamp 1 - {BOUNDARY_EPS:g}; "
             "trapped evaluations require interior points"
         )
     return u
@@ -136,11 +122,10 @@ def spectral_density(
     p: PhysicalParams,
     d: DerivedScales,
     tol: float = 1e-13,
-    boundary_eps: float = BOUNDARY_EPS,
 ) -> SpectralDensity:
     """Evaluate the closed-form spectral density at one Matsubara frequency."""
-    u = _clamped_u(x, d, boundary_eps)
-    up = _clamped_u(xp, d, boundary_eps)
+    u = _clamped_u(x, d)
+    up = _clamped_u(xp, d)
     deg = nu_from_omega(omega, d)
     k = _k_coeff(p, d)
 
@@ -155,8 +140,6 @@ def spectral_density(
             xp=xp,
             re_part=jump,
             im_part=smooth,
-            jump_bracket=complex(jump),
-            smooth_bracket=complex(smooth),
             err_bound=0.0,
         )
 
@@ -167,9 +150,6 @@ def spectral_density(
     p_mup, t4, e4 = p_scaled(nu, -up, tol)
     err = e1 + e2 + e3 + e4
     sin_pi = _sin_pi_scaled(nu)
-    cos_pi = _cos_pi_scaled(nu)
-    q_u = _connection_bracket(p_u, p_mu, cos_pi, sin_pi)
-    q_up = _connection_bracket(p_up, p_mup, cos_pi, sin_pi)
 
     # full value through the cancellation-free product factorization, with the
     # W brackets assembled from the four cached P evaluations
@@ -180,13 +160,6 @@ def spectral_density(
     w_plus = _connection_bracket(pl, pml, _exp_i_pi_nu_scaled(nu, +1), sin_pi)
     w_minus = _connection_bracket(pg, pmg, _exp_i_pi_nu_scaled(nu, -1), sin_pi)
     total = w_plus.mul(w_minus).times(-1j * 2.0 * k / math.pi).to_complex()
-
-    # diagnostic brackets (may overflow for large conical degree)
-    eps_sign = 0.0 if x == xp else math.copysign(1.0, x - xp)
-    jump = q_u.mul(p_up).add(q_up.mul(p_u).times(-1.0)).times(k * eps_sign).to_complex()
-    smooth = (
-        q_u.mul(q_up).times(2.0 / math.pi).add(p_u.mul(p_up).times(math.pi / 2.0)).times(-k).to_complex()
-    )
     return SpectralDensity(
         omega=float(omega),
         nu=deg,
@@ -194,8 +167,6 @@ def spectral_density(
         xp=xp,
         re_part=total.real,
         im_part=total.imag,
-        jump_bracket=jump,
-        smooth_bracket=smooth,
         err_bound=err,
     )
 
@@ -285,36 +256,28 @@ def _u_star(dx: float, dtau: float, p: PhysicalParams, d: DerivedScales) -> floa
     return abs(complex(abs(dx), p.hbar * d.v * dtau)) / d.R_c
 
 
-def _gate_lowT(n0: int, u_star: float, ctl: LowTControl):
+def _gate_lowT(n0: int, u_star: float):
     failures = []
     if n0 < 5:
         failures.append(f"n0 >= 5 violated (n0 = {n0})")
     if n0 * u_star >= 1.0:
         failures.append(f"n0 * u_* < 1 violated (n0 * u_* = {n0 * u_star:.4g})")
-    if ctl.u_star is not None and u_star > ctl.u_star:
-        failures.append(f"u_* <= {ctl.u_star} violated (u_* = {u_star:.4g})")
     if failures:
         raise RegimeError("low-temperature validity gate failed: " + "; ".join(failures))
 
 
-def _geometric_tail(t: float, theta: float, theta_p: float, variant: str) -> float:
+def _geometric_tail(t: float, theta: float, theta_p: float) -> float:
     """sum_{n>=1} t^n Pbar_n(cos theta) Pbar_n(cos theta') in closed form.
 
-    Pbar products reduce to cos(n dtheta) and sin(n (theta+theta')) series
-    (phases shifted by (theta +- theta')/2 for the 'half' variant), each
-    summable through ln(1 - t e^{i phi}).
+    Pbar is the integer-phase asymptotic polynomial; the products reduce to
+    cos(n dtheta) and sin(n (theta+theta')) series, each summable through
+    ln(1 - t e^{i phi}).
     """
     d_th = theta - theta_p
     s_th = theta + theta_p
     amp = 1.0 / (math.pi * math.sqrt(math.sin(theta) * math.sin(theta_p)))
-    log_d = cmath.log(1.0 - t * cmath.exp(1j * d_th))
-    log_s = cmath.log(1.0 - t * cmath.exp(1j * s_th))
-    if variant == "integer":
-        cos_sum = -log_d.real
-        sin_sum = -log_s.imag
-    else:
-        cos_sum = (-cmath.exp(1j * d_th / 2.0) * log_d).real
-        sin_sum = (-cmath.exp(1j * s_th / 2.0) * log_s).imag
+    cos_sum = -cmath.log(1.0 - t * cmath.exp(1j * d_th)).real
+    sin_sum = -cmath.log(1.0 - t * cmath.exp(1j * s_th)).imag
     return amp * (cos_sum + sin_sum)
 
 
@@ -326,7 +289,6 @@ def lowT_legendre_series(
     p: PhysicalParams,
     d: DerivedScales,
     ctl: LowTControl = LowTControl(),
-    boundary_eps: float = BOUNDARY_EPS,
 ) -> GreenValue:
     """Frequency-summed Green function for beta E_n >> 1 (low temperature).
 
@@ -335,8 +297,8 @@ def lowT_legendre_series(
     asymptotic polynomial form; the (omega, n) = (0, 0) term is omitted as
     the series regularization.  Requires tau != tau' for convergence.
     """
-    u = _clamped_u(x, d, boundary_eps)
-    up = _clamped_u(xp, d, boundary_eps)
+    u = _clamped_u(x, d)
+    up = _clamped_u(xp, d)
     dtau = abs(tau - taup)
     if dtau == 0.0:
         raise DomainError("lowT_legendre_series requires tau != tau'")
@@ -350,7 +312,7 @@ def lowT_legendre_series(
             f"(regime_ratio = {d.regime_ratio:.3g})"
         )
     u_star = _u_star(x - xp, dtau, p, d)
-    _gate_lowT(ctl.n0, u_star, ctl)
+    _gate_lowT(ctl.n0, u_star)
 
     warning = None
     if dtau < ctl.min_dtau * p.beta:
@@ -375,20 +337,20 @@ def lowT_legendre_series(
         w_n = (n + 0.5) / root
         exact = w_n * pn_u[n] * pn_up[n] * math.exp(-root * dtau / d.alpha)
         approx = (
-            p_poly_asymptotic(n, theta, ctl.variant)
-            * p_poly_asymptotic(n, theta_p, ctl.variant)
+            p_poly_asymptotic(n, theta, "integer")
+            * p_poly_asymptotic(n, theta_p, "integer")
             * math.exp(-(n + 0.5) * dtau / d.alpha)
         )
         corr += exact - approx
     corr *= -p.g / (2.0 * hv)
 
-    tail = -(p.g / (2.0 * hv)) * math.exp(-dtau / (2.0 * d.alpha)) * _geometric_tail(t, theta, theta_p, ctl.variant)
+    tail = -(p.g / (2.0 * hv)) * math.exp(-dtau / (2.0 * d.alpha)) * _geometric_tail(t, theta, theta_p)
 
     return GreenValue(
         value=complex(bracket + corr + tail),
         method="trapped-lowT-series",
         warning=warning,
-        meta={"n0": ctl.n0, "u_star": u_star, "t": t, "variant": ctl.variant},
+        meta={"n0": ctl.n0, "u_star": u_star, "t": t},
     )
 
 
@@ -447,20 +409,19 @@ def asympt_spectral_highT(
     xp: float,
     p: PhysicalParams,
     d: DerivedScales,
-    S: float | None = None,
-    min_alpha_omega: float = 5.0,
-    window_factor: float = 0.5,
 ) -> float:
     """Large-|omega| spectral density in the quasi-homogeneous window.
 
-    -(Lambda / (2 hbar v rho_TF(S))) * exp(-|omega||dx|/(hbar v)) / |omega|.
+    -(Lambda / (2 hbar v rho_TF(S))) * exp(-|omega||dx|/(hbar v)) / |omega|,
+    with S the midpoint; requires alpha|omega| >= 5 and the window at factor
+    0.5.
     """
-    if d.alpha * abs(omega) < min_alpha_omega:
+    if d.alpha * abs(omega) < 5.0:
         raise RegimeError(
-            f"alpha|omega| >= {min_alpha_omega:g} violated (alpha|omega| = {d.alpha * abs(omega):.3g})"
+            f"alpha|omega| >= 5 violated (alpha|omega| = {d.alpha * abs(omega):.3g})"
         )
-    s_half = 0.5 * (x + xp) if S is None else S
-    _window_quasihom(x, xp, p, d, window_factor)
+    s_half = 0.5 * (x + xp)
+    _window_quasihom(x, xp, p, d, 0.5)
     hv = p.hbar * d.v
     return -(p.Lambda / (2.0 * hv * rho_tf(s_half, p, d))) * math.exp(-abs(omega) * abs(x - xp) / hv) / abs(omega)
 
@@ -535,7 +496,7 @@ def asympt_green_lowT(
             const_free=True,
             warning="log divergence at coincident arguments",
         )
-    _gate_lowT(ctl.n0, u_star, ctl)
+    _gate_lowT(ctl.n0, u_star)
     s_half = 0.5 * (x + xp)
     hv = p.hbar * d.v
     value = -(p.Lambda / (2.0 * math.pi * hv * rho_tf(s_half, p, d))) * math.log(1.0 / u_star)

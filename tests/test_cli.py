@@ -7,6 +7,7 @@ import pytest
 from trapgas import CorrelatorQuery, PhysicalParams, derive_scales, gamma_from_green, matsubara_assemble, rho_tf, theta_at
 from trapgas.cli import CORRELATOR_MODES, GREEN_MODES, load_config, main
 from trapgas.errors import ConfigError
+from trapgas.green_trapped import lowT_n0_drift
 
 GREEN_COLUMNS = ["x1", "tau1", "x2", "tau2", "G_re", "G_im", "method", "trunc_err", "regime", "window_slack", "const_free", "status"]
 CORRELATOR_COLUMNS = ["x1", "tau1", "x2", "tau2", "S", "gamma", "theta_S", "xi_S", "method", "window_slack", "status"]
@@ -150,18 +151,19 @@ class TestSpectrumCommand:
 
 class TestGreenCommand:
     def test_homog_series_coincident_row_divergent(self, tmp_path):
-        cfg = write_config(
-            tmp_path,
-            "[truncation]\nl_max = 8\nn_max = 8\ntail_mode = none\n"
-            "[grid]\nx_ref = 0.0\ntau_ref = 0.0\nx_min = 0.0\nx_max = 0.4\nx_count = 2\n",
-        )
-        out = tmp_path / "green.csv"
-        assert main(["green", "--mode", "homog-series", "--config", cfg, "--out", str(out)]) == 0
-        _, header, rows = read_csv(str(out))
-        assert header[:6] == ["x1", "tau1", "x2", "tau2", "G_re", "G_im"]
-        status = {r[2]: r[-1] for r in rows}
-        assert status["0"] == "divergent"
-        assert status[[k for k in status if k != "0"][0]] == "ok"
+        for tail_mode in ("tail_mode = none\n", ""):  # explicit "none", then the default
+            cfg = write_config(
+                tmp_path,
+                f"[truncation]\nl_max = 8\nn_max = 8\n{tail_mode}"
+                "[grid]\nx_ref = 0.0\ntau_ref = 0.0\nx_min = 0.0\nx_max = 0.4\nx_count = 2\n",
+            )
+            out = tmp_path / "green.csv"
+            assert main(["green", "--mode", "homog-series", "--config", cfg, "--out", str(out)]) == 0
+            _, header, rows = read_csv(str(out))
+            assert header[:6] == ["x1", "tau1", "x2", "tau2", "G_re", "G_im"]
+            status = {r[2]: r[-1] for r in rows}
+            assert status["0"] == "divergent"
+            assert status[[k for k in status if k != "0"][0]] == "ok"
 
     def test_determinism_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path, "[grid]\nx_count = 7\n")
@@ -273,7 +275,7 @@ class TestCorrelatorCommand:
             x1, tau1, x2, tau2 = (float(row[k]) for k in ("x1", "tau1", "x2", "tau2"))
             g12 = matsubara_assemble(x1, tau1, x2, tau2, p, d, 6)
             g21 = matsubara_assemble(x2, tau2, x1, tau1, p, d, 6)
-            gamma = gamma_from_green(CorrelatorQuery(x1, tau1, x2, tau2, method="spectral"), g12, g21, p, d)
+            gamma = gamma_from_green(CorrelatorQuery(x1, tau1, x2, tau2), g12, g21, p, d)
             assert row["status"] == "ok" and row["gamma"] == "%.17g" % gamma
 
 
@@ -313,6 +315,21 @@ class TestExponentCommand:
         row = dict(zip(header, rows[0]))
         assert abs(float(row["rel_dev_vs_theta_S"])) < 0.05
 
+    @pytest.mark.parametrize(
+        "mode, grid, cause",
+        [
+            ("series", "", "DomainError: lowT_legendre_series requires tau != tau'"),
+            ("closed-form", "[grid]\ndtau = 0.1\n", "DomainError: closed-form correlator is equal-time"),
+        ],
+        ids=["series-equal-time", "closed-form-dtau"],
+    )
+    def test_too_few_rows_names_the_skipped_cause(self, tmp_path, capsys, mode, grid, cause):
+        cfg = write_config(tmp_path, grid)
+        assert main(["exponent", "--mode", mode, "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "need at least 8 samples, got 0" in err
+        assert "9 rows skipped" in err and cause in err
+
 
 class TestValidateCommand:
     def test_tightened_tolerance_fails_controlled(self, tmp_path, capsys):
@@ -332,6 +349,28 @@ class TestValidateCommand:
 
     def test_bad_override_is_config_error(self, capsys):
         assert main(["validate", "--override", "nonsense"]) == 2
+
+    def test_unknown_override_name_rejected(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        assert main(["validate", "--out", str(out), "--override", "3-oracle-equivalence=1e-15"]) == 2
+        assert "3-oracle-equivalence" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_override_keeps_the_other_conditions(self, tmp_path, monkeypatch):
+        # check 08 also requires an n0-doubling drift below 0.02; raising its
+        # tolerance must not waive that
+        from trapgas import checks
+
+        def drifting(*args, **kwargs):
+            g1, g2, _ = lowT_n0_drift(*args, **kwargs)
+            return g1, g2, 1.0
+
+        monkeypatch.setattr(checks, "lowT_n0_drift", drifting)
+        out = tmp_path / "report.json"
+        for override in ([], ["--override", "08-trapped-lowT-match=1.0"]):
+            assert main(["validate", "--out", str(out), *override]) == 3
+            by_name = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+            assert by_name["08-trapped-lowT-match"]["passed"] is False
 
     def test_report_values_stable_across_runs(self):
         from trapgas.checks import check_zero_mode_identity, check_homog_regime_match

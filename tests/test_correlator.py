@@ -263,7 +263,7 @@ class TestTrappedAsymptoticCorrelator:
         s_half = 0.2 * d.R_c
 
         def gamma_pair(dx):
-            q = CorrelatorQuery(s_half + dx / 2, 0.0, s_half - dx / 2, 0.0, method="spectral")
+            q = CorrelatorQuery(s_half + dx / 2, 0.0, s_half - dx / 2, 0.0)
             g12 = matsubara_assemble(q.x1, q.tau1, q.x2, q.tau2, p, d, l_max=14)
             g21 = matsubara_assemble(q.x2, q.tau2, q.x1, q.tau1, p, d, l_max=14)
             assembled = gamma_from_green(q, g12, g21, p, d)

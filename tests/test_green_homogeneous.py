@@ -79,9 +79,14 @@ class TestHomogSeries:
         assert abs(closed - brute) < 1e-8 * max(1.0, abs(closed))
 
     def test_coincident_arguments_flagged(self):
+        # the Bernoulli tail resums only the k=0 line; the double block still
+        # diverges with the cutoffs, so both tail modes flag the value
         p, d = setup_params()
-        g = homog_series(0.2, 0.1, 0.2, 0.1, p, d, HomogSeriesControl(l_max=8, n_max=8, tail_mode="none"))
-        assert g.divergent and g.warning is not None
+        for mode in ("none", "bernoulli"):
+            for tau in (0.5, 0.5 + p.beta):
+                ctl = HomogSeriesControl(l_max=8, n_max=8, tail_mode=mode)
+                g = homog_series(0.2, tau, 0.2, 0.5, p, d, ctl)
+                assert g.divergent and g.warning is not None
 
     def test_truncation_estimate_shrinks_with_cutoffs(self):
         p, d = setup_params()
