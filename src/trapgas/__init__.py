@@ -56,7 +56,6 @@ from .green_trapped import (
     spectral_density,
 )
 from .legendre import (
-    Degree,
     LegendrePair,
     legendre_pair,
     nu_from_omega,

@@ -245,12 +245,14 @@ def homog_asymptotic_lowT(
 def green_difference(evaluate, pair_a: SpacetimePair, pair_b: SpacetimePair) -> GreenDifference:
     """G(pair_a) - G(pair_b) under one evaluator; additive constants cancel.
 
-    ``evaluate`` maps a :class:`SpacetimePair` to a :class:`GreenValue`.  Both
-    evaluations must come back tagged with the same method, otherwise the
-    difference would silently mix conventions.
+    ``evaluate(x, tau, xp, taup)`` returns a :class:`GreenValue`, like the
+    Green functions themselves with their remaining arguments bound (e.g.
+    ``partial(homog_series, p=p, d=d, ctl=ctl)``).  Both evaluations must come
+    back tagged with the same method, otherwise the difference would silently
+    mix conventions.
     """
-    ga = evaluate(pair_a)
-    gb = evaluate(pair_b)
+    ga = evaluate(pair_a.x, pair_a.tau, pair_a.xp, pair_a.taup)
+    gb = evaluate(pair_b.x, pair_b.tau, pair_b.xp, pair_b.taup)
     if ga.method != gb.method:
         raise UsageError(f"green_difference mixes methods {ga.method!r} and {gb.method!r}")
     if ga.divergent or gb.divergent:

@@ -34,7 +34,6 @@ from dataclasses import dataclass, replace
 from .errors import AccuracyError, DomainError, RegimeError
 from .green_homogeneous import GreenValue, log_2sinh_abs
 from .legendre import (
-    Degree,
     _connection_bracket,
     _exp_i_pi_nu_scaled,
     _sin_pi_scaled,
@@ -73,7 +72,7 @@ class SpectralDensity:
     """
 
     omega: float
-    nu: Degree
+    nu: complex
     x: float
     xp: float
     re_part: float
@@ -126,16 +125,16 @@ def spectral_density(
     """Evaluate the closed-form spectral density at one Matsubara frequency."""
     u = _clamped_u(x, d)
     up = _clamped_u(xp, d)
-    deg = nu_from_omega(omega, d)
+    nu = nu_from_omega(omega, d)
     k = _k_coeff(p, d)
 
-    if deg.nu == 0:  # omega = 0: integer degree, closed elementary forms
+    if nu == 0:  # omega = 0: integer degree, closed elementary forms
         au, aup = math.atanh(u), math.atanh(up)
         jump = k * abs(au - aup)
         smooth = -k * ((2.0 / math.pi) * au * aup + math.pi / 2.0)
         return SpectralDensity(
             omega=float(omega),
-            nu=deg,
+            nu=nu,
             x=x,
             xp=xp,
             re_part=jump,
@@ -143,7 +142,6 @@ def spectral_density(
             err_bound=0.0,
         )
 
-    nu = deg.nu
     p_u, t1, e1 = p_scaled(nu, u, tol)
     p_mu, t2, e2 = p_scaled(nu, -u, tol)
     p_up, t3, e3 = p_scaled(nu, up, tol)
@@ -162,7 +160,7 @@ def spectral_density(
     total = w_plus.mul(w_minus).times(-1j * 2.0 * k / math.pi).to_complex()
     return SpectralDensity(
         omega=float(omega),
-        nu=deg,
+        nu=nu,
         x=x,
         xp=xp,
         re_part=total.real,

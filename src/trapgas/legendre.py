@@ -38,7 +38,6 @@ from .errors import AccuracyError, DomainError
 from .model import DerivedScales
 
 __all__ = [
-    "Degree",
     "LegendrePair",
     "p_poly",
     "p_poly_table",
@@ -55,32 +54,13 @@ _RESCALE_THRESHOLD = 1e250
 
 
 @dataclass(frozen=True)
-class Degree:
-    """Degree of a Legendre function, with a record of where it came from."""
-
-    nu: complex
-    origin: str = "explicit"  # "integer" | "from_omega" | "explicit"
-    omega: float | None = None
-
-    @classmethod
-    def from_integer(cls, n: int) -> "Degree":
-        if n != int(n) or n < 0:
-            raise DomainError(f"integer degree must be >= 0, got {n!r}")
-        return cls(nu=complex(int(n)), origin="integer")
-
-    @property
-    def is_integer(self) -> bool:
-        return self.nu.imag == 0.0 and self.nu.real == round(self.nu.real) and self.nu.real >= 0
-
-
-@dataclass(frozen=True)
 class LegendrePair:
     """P_nu(u) and Q_nu(u) at one point, with convergence bookkeeping."""
 
     p: complex
     q: complex
     u: float
-    nu: Degree
+    nu: complex
     terms: int
     err_bound: float
 
@@ -299,48 +279,52 @@ def _q_integer(n: int, u: float) -> float:
     return qm0
 
 
-def nu_from_omega(omega: float, d: DerivedScales) -> Degree:
+def nu_from_omega(omega: float, d: DerivedScales) -> complex:
     """Degree nu = -1/2 + sqrt(1/4 - alpha^2 omega^2), principal branch.
 
     The branch is continuous from omega = 0 (where nu = 0); for
     alpha|omega| > 1/2 the square root is +i*sqrt(alpha^2 omega^2 - 1/4), so
-    Re(nu) = -1/2 on the conical line.
+    Re(nu) = -1/2 on the conical line.  On the real branch the degree comes
+    back as a float, which the series in ``p_scaled`` sums in real arithmetic.
     """
     disc = 0.25 - (d.alpha * omega) ** 2
     root = math.sqrt(disc) if disc >= 0.0 else 1j * math.sqrt(-disc)
-    return Degree(nu=-0.5 + root, origin="from_omega", omega=float(omega))
+    return -0.5 + root
 
 
-def legendre_pair(nu, u: float, tol: float = 1e-13, max_terms: int = _MAX_TERMS_DEFAULT) -> LegendrePair:
+def _is_integer(nu: complex) -> bool:
+    return nu.imag == 0.0 and nu.real == round(nu.real) and nu.real >= 0
+
+
+def legendre_pair(nu: complex, u: float, tol: float = 1e-13, max_terms: int = _MAX_TERMS_DEFAULT) -> LegendrePair:
     """Evaluate P_nu(u) and Q_nu(u) for u strictly inside (-1, 1).
 
-    ``nu`` may be a :class:`Degree` or a plain complex/real number.  Integer
-    degrees take the closed-form/recurrence path; everything else goes
-    through the hypergeometric series and the connection formula.
+    Integer degrees take the closed-form/recurrence path; everything else
+    goes through the hypergeometric series and the connection formula.
     """
-    deg = nu if isinstance(nu, Degree) else Degree(nu=complex(nu))
+    nu = complex(nu)
     if not (-1.0 < u < 1.0):
         raise DomainError(f"legendre_pair argument must lie strictly inside (-1, 1), got {u}")
     if tol <= 0:
         raise DomainError(f"tolerance must be positive, got {tol}")
-    if deg.is_integer:
-        n = int(deg.nu.real)
+    if _is_integer(nu):
+        n = int(nu.real)
         return LegendrePair(
             p=complex(p_poly(n, u)),
             q=complex(_q_integer(n, u)),
             u=u,
-            nu=deg,
+            nu=nu,
             terms=n + 1,
             err_bound=0.0,
         )
-    p_u, t1, e1 = p_scaled(deg.nu, u, tol, max_terms)
-    p_mu, t2, e2 = p_scaled(deg.nu, -u, tol, max_terms)
-    q_u = _connection_bracket(p_u, p_mu, _cos_pi_scaled(deg.nu), _sin_pi_scaled(deg.nu))
+    p_u, t1, e1 = p_scaled(nu, u, tol, max_terms)
+    p_mu, t2, e2 = p_scaled(nu, -u, tol, max_terms)
+    q_u = _connection_bracket(p_u, p_mu, _cos_pi_scaled(nu), _sin_pi_scaled(nu))
     return LegendrePair(
         p=p_u.to_complex(),
         q=q_u.to_complex(),
         u=u,
-        nu=deg,
+        nu=nu,
         terms=t1 + t2,
         err_bound=e1 + (e1 + e2),  # bound on P plus bound on Q, which uses both series
     )

@@ -372,9 +372,27 @@ class TestValidateCommand:
             by_name = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
             assert by_name["08-trapped-lowT-match"]["passed"] is False
 
-    def test_report_values_stable_across_runs(self):
-        from trapgas.checks import check_zero_mode_identity, check_homog_regime_match
+    @pytest.mark.parametrize(
+        "override",
+        ["3-oracle-equivalence=1e-15", *(f"03-oracle-equivalence={t}" for t in ("nan", "inf", "-1", "0"))],
+        ids=["unknown-name", "nan", "inf", "negative", "zero"],
+    )
+    def test_bad_override_rejected_before_any_check_runs(self, tmp_path, capsys, monkeypatch, override):
+        # check 01 runs first and calls spectral_density
+        from trapgas import checks
 
-        for fn in (check_zero_mode_identity, check_homog_regime_match):
-            a, b = fn(), fn()
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("a check ran before the overrides were validated")
+
+        monkeypatch.setattr(checks, "spectral_density", must_not_run)
+        out = tmp_path / "report.json"
+        assert main(["validate", "--out", str(out), "--override", override]) == 2
+        assert override.split("=")[0] in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_report_values_stable_across_runs(self):
+        from trapgas.checks import run_check
+
+        for name in ("01-zero-mode-identity", "06-homog-regime-match"):
+            a, b = run_check(name), run_check(name)
             assert a.value == b.value and a.passed == b.passed

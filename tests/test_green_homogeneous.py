@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -161,7 +162,7 @@ class TestGreenDifference:
         p, d = setup_params()
         ctl = HomogSeriesControl(l_max=16, n_max=32)
         pair = SpacetimePair(0.3, 0.2, -0.1, 0.0)
-        diff = green_difference(lambda q: homog_series(q.x, q.tau, q.xp, q.taup, p, d, ctl), pair, pair)
+        diff = green_difference(partial(homog_series, p=p, d=d, ctl=ctl), pair, pair)
         assert diff.value == 0.0
 
     def test_method_mismatch_rejected(self):
@@ -169,11 +170,11 @@ class TestGreenDifference:
         ctl = HomogSeriesControl(l_max=8, n_max=8)
         toggle = {"n": 0}
 
-        def alternating(q):
+        def alternating(x, tau, xp, taup):
             toggle["n"] += 1
             if toggle["n"] % 2:
-                return homog_series(q.x, q.tau, q.xp, q.taup, p, d, ctl)
-            return homog_asymptotic_highT(q.x, q.tau, q.xp, q.taup, p, d)
+                return homog_series(x, tau, xp, taup, p, d, ctl)
+            return homog_asymptotic_highT(x, tau, xp, taup, p, d)
 
         with pytest.raises(UsageError):
             green_difference(alternating, SpacetimePair(0.3, 0.2, -0.1, 0.0), SpacetimePair(0.4, 0.1, 0.0, 0.0))
@@ -185,13 +186,12 @@ class TestGreenDifference:
         diffs = {}
         for mode in ("none", "bernoulli"):
             ctl = HomogSeriesControl(l_max=512, n_max=512, tail_mode=mode)
-            f = lambda q, c=ctl: homog_series(q.x, q.tau, q.xp, q.taup, p, d, c)
-            diffs[mode] = green_difference(f, pair_a, pair_b)
+            diffs[mode] = green_difference(partial(homog_series, p=p, d=d, ctl=ctl), pair_a, pair_b)
         budget = diffs["none"].trunc_err + diffs["bernoulli"].trunc_err
         assert abs(diffs["none"].value - diffs["bernoulli"].value) <= budget
 
     def test_divergent_endpoint_rejected(self):
         p, d = setup_params()
-        f = lambda q: homog_asymptotic_highT(q.x, q.tau, q.xp, q.taup, p, d)
+        f = partial(homog_asymptotic_highT, p=p, d=d)
         with pytest.raises(UsageError):
             green_difference(f, SpacetimePair(0.1, 0.0, 0.1, 0.0), SpacetimePair(0.3, 0.0, 0.0, 0.0))
