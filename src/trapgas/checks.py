@@ -319,8 +319,8 @@ def check_exponent_extraction():
     p_lo = PhysicalParams(m=1.0, g=1.0, Omega=1.0, Lambda=1.0, beta=100.0 * math.sqrt(2.0))
     d_lo = derive_scales(p_lo)
     q = CorrelatorQuery(0.2515, 0.0, 0.2485, 0.0)
-    v_hi = gamma_trapped_asymptotic(q, p_hi, d_hi, form="auto")
-    v_lo = gamma_trapped_asymptotic(q, p_lo, d_lo, form="auto")
+    v_hi = gamma_trapped_asymptotic(q, p_hi, d_hi)
+    v_lo = gamma_trapped_asymptotic(q, p_lo, d_lo)
     bit_identical = (v_hi == v_lo)
 
     detail = (

@@ -47,7 +47,17 @@ from .green_trapped import (
     matsubara_assemble,
     spectral_density,
 )
-from .model import PhysicalParams, Regime, classify_regime, derive_scales, energy_level, level_spacing_expansion, rho_tf
+from .model import (
+    DEFAULT_R_HI,
+    DEFAULT_R_LO,
+    PhysicalParams,
+    Regime,
+    classify_regime,
+    derive_scales,
+    energy_level,
+    level_spacing_expansion,
+    rho_tf,
+)
 from .oracle import FdmGrid, fdm_spectral_solve
 
 GREEN_MODES = ("homog-series", "homog-asympt", "trapped-spectral", "trapped-series", "trapped-asympt", "oracle")
@@ -73,8 +83,8 @@ _SCHEMA = {
         "min_dtau": (float, 1e-3),
     },
     "regime": {
-        "r_lo": (float, 0.1),
-        "r_hi": (float, 10.0),
+        "r_lo": (float, DEFAULT_R_LO),
+        "r_hi": (float, DEFAULT_R_HI),
     },
     "grid": {
         "x_ref": (float, None),
@@ -175,6 +185,11 @@ def load_config(path: str | None) -> RunConfig:
         if values[key] is None:
             values[key] = val
 
+    for section in ("truncation", "regime", "grid"):
+        for key, (kind, _) in _SCHEMA[section].items():
+            name = f"{section}.{key}"
+            if kind is float and not math.isfinite(values[name]):
+                raise ConfigError(f"{name} must be finite, got {values[name]!r}")
     if values["truncation.tail_mode"] not in ("none", "bernoulli"):
         raise ConfigError(f"truncation.tail_mode must be 'none' or 'bernoulli', got {values['truncation.tail_mode']!r}")
     if values["grid.sep_spacing"] not in ("log", "linear"):
@@ -183,10 +198,10 @@ def load_config(path: str | None) -> RunConfig:
         raise ConfigError(f"output.format must be 'csv' or 'json', got {values['output.format']!r}")
     if not (0 < values["regime.r_lo"] < values["regime.r_hi"]):
         raise ConfigError("regime thresholds must satisfy 0 < r_lo < r_hi")
-    if not (math.isfinite(values["truncation.tol"]) and values["truncation.tol"] > 0):
-        raise ConfigError(f"truncation.tol must be positive and finite, got {values['truncation.tol']!r}")
-    if not (math.isfinite(values["truncation.min_dtau"]) and values["truncation.min_dtau"] >= 0):
-        raise ConfigError(f"truncation.min_dtau must be >= 0 and finite, got {values['truncation.min_dtau']!r}")
+    if not values["truncation.tol"] > 0:
+        raise ConfigError(f"truncation.tol must be positive, got {values['truncation.tol']!r}")
+    if not values["truncation.min_dtau"] >= 0:
+        raise ConfigError(f"truncation.min_dtau must be >= 0, got {values['truncation.min_dtau']!r}")
     for key, least in _INT_FLOORS.items():
         if values[key] < least:
             raise ConfigError(f"{key} must be >= {least}, got {values[key]}")
@@ -196,6 +211,8 @@ def load_config(path: str | None) -> RunConfig:
         values["grid.omegas"] = [float(s) for s in str(values["grid.omega_list"]).split(",") if s.strip()]
     except ValueError as exc:
         raise ConfigError(f"grid.omega_list: cannot parse {values['grid.omega_list']!r}") from exc
+    if not all(map(math.isfinite, values["grid.omegas"])):
+        raise ConfigError(f"grid.omega_list entries must be finite, got {values['grid.omega_list']!r}")
     return RunConfig(params=params, values=values)
 
 
@@ -389,8 +406,7 @@ def _correlator_value(mode, q: CorrelatorQuery, cfg: RunConfig, p, d):
         method = "spectral"
     elif mode == "asymptotic-auto":
         try:
-            return gamma_trapped_asymptotic(q, p, d, form="auto",
-                                            r_lo=cfg["regime.r_lo"], r_hi=cfg["regime.r_hi"]), "asymptotic-auto"
+            return gamma_trapped_asymptotic(q, p, d, cfg["regime.r_lo"], cfg["regime.r_hi"]), "asymptotic-auto"
         except RegimeError:
             method = "asymptotic-auto:fallback-spectral"
     else:

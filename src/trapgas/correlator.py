@@ -20,9 +20,12 @@ import numpy as np
 
 from .errors import ConsistencyError, DataError, DomainError, RegimeError
 from .green_homogeneous import GreenValue, log_2sin_abs, log_2sinh_abs
-from .model import DerivedScales, PhysicalParams, Regime, classify_regime, rho_tf
+from .green_trapped import _window_quasihom
+from .model import DEFAULT_R_HI, DEFAULT_R_LO, DerivedScales, PhysicalParams, Regime, classify_regime, rho_tf
 
-BOUNDARY_MARGIN = 1e-6
+# the factor that turns each strong inequality "a << b" of an asymptotic
+# window into a <= WINDOW_FACTOR * b
+WINDOW_FACTOR = 0.1
 # largest relative imaginary residual of a symmetrized Green value
 IMAG_TOL = 1e-9
 # fewest Gamma samples a power-law fit accepts
@@ -41,7 +44,6 @@ __all__ = [
     "gamma_d1_quasihom",
     "gamma_homog",
     "gamma_trapped_asymptotic",
-    "trapped_window_ratios",
     "coherence_multidim",
     "extract_exponent",
     "exponent_report",
@@ -174,23 +176,16 @@ def gamma_d1_exact(x1: float, x2: float, p: PhysicalParams, d: DerivedScales) ->
     return _sqrt_rho_pair(x1, x2, p, d) * (num / den) ** expo
 
 
-def gamma_d1_quasihom(
-    x1: float, x2: float, p: PhysicalParams, d: DerivedScales, window_factor: float = 0.1
-) -> float:
+def gamma_d1_quasihom(x1: float, x2: float, p: PhysicalParams, d: DerivedScales) -> float:
     """Quasi-homogeneous limit of the equal-time correlator.
 
     sqrt(rho rho') * exp(-Lambda |dx| / (2 beta hbar^2 v^2 rho_TF(S))); the
-    decay rate is 1/xi(S).
+    decay rate is 1/xi(S).  Raises RegimeError outside the quasi-homogeneous
+    window ``_window_quasihom`` at ``WINDOW_FACTOR``.
     """
+    _window_quasihom(x1, x2, p, d, WINDOW_FACTOR)
     dx = abs(x1 - x2)
     s_half = 0.5 * (x1 + x2)
-    failures = []
-    if dx > window_factor * d.R_c:
-        failures.append(f"|dx| << R_c violated (|dx|/R_c = {dx / d.R_c:.3g})")
-    if dx > window_factor * abs(s_half):
-        failures.append(f"|dx| << |S| violated (|dx|/|S| = {dx / max(abs(s_half), 1e-300):.3g})")
-    if failures:
-        raise RegimeError("quasi-homogeneous window failed: " + "; ".join(failures))
     rate = p.Lambda / (2.0 * p.beta * (p.hbar * d.v) ** 2 * rho_tf(s_half, p, d))
     return _sqrt_rho_pair(x1, x2, p, d) * math.exp(-rate * dx)
 
@@ -239,25 +234,6 @@ def gamma_homog(
     return rho0 * base ** (-1.0 / theta)
 
 
-def trapped_window_ratios(q: CorrelatorQuery, p: PhysicalParams, d: DerivedScales) -> dict:
-    """Dimensionless ratios entering the asymptotic window checks."""
-    hv = p.hbar * d.v
-    zeta = abs(complex(abs(q.dx), hv * q.dtau))
-    rho_s = rho_tf(q.S, p, d)
-    rho_var = (
-        abs(rho_tf(q.x1, p, d) - rho_tf(q.x2, p, d)) / rho_s if rho_s > 0.0 else math.inf
-    )
-    return {
-        "dx_over_lambdaT": abs(q.dx) / d.lambda_T,
-        "dtau_over_beta": abs(q.dtau) / p.beta,
-        "lambdaT_over_Rc": d.lambda_T / d.R_c,
-        "zeta_over_Rc": zeta / d.R_c,
-        "dx_over_Rc": abs(q.dx) / d.R_c,
-        "S_over_Rc": abs(q.S) / d.R_c,
-        "rho_variation": rho_var,
-    }
-
-
 def _power_law_gamma(q: CorrelatorQuery, p: PhysicalParams, d: DerivedScales) -> float:
     """Shared power-law form: both temperature limits dispatch here, so their
     values coincide bit-for-bit for identical inputs."""
@@ -268,98 +244,62 @@ def _power_law_gamma(q: CorrelatorQuery, p: PhysicalParams, d: DerivedScales) ->
     return _sqrt_rho_pair(q.x1, q.x2, p, d) * zeta ** (-1.0 / theta_at(q.S, p, d))
 
 
+def _exponential_gamma(q: CorrelatorQuery, p: PhysicalParams, d: DerivedScales) -> float:
+    """High-temperature exponential decay exp(-|zeta| / xi(S))."""
+    hv = p.hbar * d.v
+    zeta = abs(complex(abs(q.dx), hv * q.dtau))
+    return _sqrt_rho_pair(q.x1, q.x2, p, d) * math.exp(-zeta / xi_at(q.S, p, d))
+
+
+def _sinh_gamma(q: CorrelatorQuery, p: PhysicalParams, d: DerivedScales) -> float:
+    """High-temperature sinh power law |sinh(pi zeta / lambda_T)|^(-1/theta(S))."""
+    hv = p.hbar * d.v
+    base = _abs_sinh((math.pi / (p.hbar * p.beta * d.v)) * complex(abs(q.dx), hv * q.dtau))
+    if base == 0.0:
+        return math.inf
+    return _sqrt_rho_pair(q.x1, q.x2, p, d) * base ** (-1.0 / theta_at(q.S, p, d))
+
+
 def gamma_trapped_asymptotic(
     q: CorrelatorQuery,
     p: PhysicalParams,
     d: DerivedScales,
-    form: str = "auto",
-    window_factor: float = 0.1,
-    r_lo: float = 0.1,
-    r_hi: float = 10.0,
+    r_lo: float = DEFAULT_R_LO,
+    r_hi: float = DEFAULT_R_HI,
 ) -> float:
-    """Trapped correlator from the regime-dispatched asymptotic closed forms.
+    """Trapped correlator from the first asymptotic closed form whose window
+    holds, with "<<" read as a factor ``WINDOW_FACTOR``.
 
-    form = "sinh"         high-T sinh power law (quasi-homogeneous window)
-    form = "exponential"  high-T exponential decay with xi(S)
-    form = "power"        short-separation power law; the high- and
-                          low-temperature final estimates coincide and share
-                          one implementation
-    form = "auto"         pick by regime and window checks; raise RegimeError
-                          naming the failed inequalities when nothing applies
+    high T   power law    |dx|/lambda_T, dtau/beta << 1 << R_c/lambda_T
+             exponential  1 << |dx|/lambda_T, |dx| << R_c
+             sinh         the quasi-homogeneous window ``_window_quasihom``
+    low T    power law    |zeta|/R_c << 1
+
+    Raises DomainError when the midpoint lies outside the condensate, and
+    RegimeError naming the failed inequalities when no form applies.
     """
-    ratios = trapped_window_ratios(q, p, d)
-    theta_s = theta_at(q.S, p, d)
-    hv = p.hbar * d.v
-
-    def quasihom_ok():
-        return (
-            ratios["rho_variation"] <= window_factor
-            and ratios["dx_over_Rc"] <= window_factor
-            and ratios["S_over_Rc"] <= 1.0 - BOUNDARY_MARGIN
-        )
-
-    def window_exponential_ok():
-        # 1 << |dx|/lambda_T << R_c/lambda_T
-        return ratios["dx_over_lambdaT"] >= 1.0 / window_factor and abs(q.dx) <= window_factor * d.R_c
-
-    def window_power_ok():
-        # |dx|/lambda_T, dtau/beta << 1 << R_c/lambda_T
-        return (
-            ratios["dx_over_lambdaT"] <= window_factor
-            and ratios["dtau_over_beta"] <= window_factor
-            and d.R_c / d.lambda_T >= 1.0 / window_factor
-        )
-
-    def lowT_gate_ok():
-        return ratios["zeta_over_Rc"] < window_factor
-
-    if form == "sinh":
-        if not quasihom_ok():
-            raise RegimeError(
-                "sinh form requires the quasi-homogeneous window: "
-                f"density variation = {ratios['rho_variation']:.3g}, |dx|/R_c = {ratios['dx_over_Rc']:.3g}"
-            )
-        base = _abs_sinh((math.pi / (p.hbar * p.beta * d.v)) * complex(abs(q.dx), hv * q.dtau))
-        if base == 0.0:
-            return math.inf
-        return _sqrt_rho_pair(q.x1, q.x2, p, d) * base ** (-1.0 / theta_s)
-    if form == "exponential":
-        if not window_exponential_ok():
-            raise RegimeError(
-                "exponential form requires 1 << |dx|/lambda_T << R_c/lambda_T: "
-                f"|dx|/lambda_T = {ratios['dx_over_lambdaT']:.3g}, |dx|/R_c = {ratios['dx_over_Rc']:.3g}"
-            )
-        zeta = abs(complex(abs(q.dx), hv * q.dtau))
-        return _sqrt_rho_pair(q.x1, q.x2, p, d) * math.exp(-zeta / xi_at(q.S, p, d))
-    if form == "power":
-        if not (window_power_ok() or lowT_gate_ok()):
-            raise RegimeError(
-                "power-law form requires |dx|/lambda_T << 1 and dtau/beta << 1 (high T) "
-                f"or |zeta|/R_c << 1 (low T): ratios {ratios}"
-            )
-        return _power_law_gamma(q, p, d)
-    if form == "auto":
-        regime = classify_regime(d, r_lo, r_hi)
-        if regime is Regime.HIGH_T:
-            if window_power_ok():
-                return _power_law_gamma(q, p, d)
-            if window_exponential_ok():
-                return gamma_trapped_asymptotic(q, p, d, "exponential", window_factor, r_lo, r_hi)
-            if quasihom_ok():
-                return gamma_trapped_asymptotic(q, p, d, "sinh", window_factor, r_lo, r_hi)
-            raise RegimeError(
-                f"no high-temperature window applies: ratios {ratios} against factor {window_factor}"
-            )
-        if regime is Regime.LOW_T:
-            if lowT_gate_ok():
-                return _power_law_gamma(q, p, d)
-            raise RegimeError(
-                f"low-temperature gate |zeta|/R_c << 1 failed (got {ratios['zeta_over_Rc']:.3g})"
-            )
-        raise RegimeError(
-            f"intermediate regime (beta/alpha = {d.regime_ratio:.3g}): no asymptotic form applies"
-        )
-    raise DomainError(f"unknown form {form!r}")
+    theta_at(q.S, p, d)  # a midpoint outside the condensate is a domain error, not a regime one
+    regime = classify_regime(d, r_lo, r_hi)
+    if regime is Regime.HIGH_T:
+        dx_over_lambda = abs(q.dx) / d.lambda_T
+        if (
+            dx_over_lambda <= WINDOW_FACTOR
+            and abs(q.dtau) / p.beta <= WINDOW_FACTOR
+            and d.R_c / d.lambda_T >= 1.0 / WINDOW_FACTOR
+        ):
+            return _power_law_gamma(q, p, d)
+        if dx_over_lambda >= 1.0 / WINDOW_FACTOR and abs(q.dx) <= WINDOW_FACTOR * d.R_c:
+            return _exponential_gamma(q, p, d)
+        _window_quasihom(q.x1, q.x2, p, d, WINDOW_FACTOR)
+        return _sinh_gamma(q, p, d)
+    if regime is Regime.LOW_T:
+        zeta_over_rc = abs(complex(abs(q.dx), p.hbar * d.v * q.dtau)) / d.R_c
+        if zeta_over_rc < WINDOW_FACTOR:
+            return _power_law_gamma(q, p, d)
+        raise RegimeError(f"low-temperature gate |zeta|/R_c << 1 failed (got {zeta_over_rc:.3g})")
+    raise RegimeError(
+        f"intermediate regime (beta/alpha = {d.regime_ratio:.3g}): no asymptotic form applies"
+    )
 
 
 def coherence_multidim(x1, x2, dim: int, p: PhysicalParams, d: DerivedScales) -> CoherenceValue:

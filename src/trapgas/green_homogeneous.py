@@ -182,6 +182,18 @@ def homog_series(
     )
 
 
+def _log_divergence(method: str) -> GreenValue:
+    """Marker returned by a closed form at coincident arguments, where its
+    logarithm diverges."""
+    return GreenValue(
+        value=complex(-math.inf),
+        method=method,
+        divergent=True,
+        const_free=True,
+        warning="log divergence at coincident arguments",
+    )
+
+
 def _check_window(dx: float, dtau: float, p: PhysicalParams, d: DerivedScales):
     if abs(dx) > 2.0 * d.R_c:
         raise DomainError(f"|x - x'| = {abs(dx)} exceeds the asymptotic window bound 2 R_c = {2 * d.R_c}")
@@ -204,13 +216,7 @@ def homog_asymptotic_highT(
     z = (math.pi / (p.hbar * p.beta * d.v)) * complex(abs(dx), hv * dtau)
     log_term = log_2sinh_abs(z)
     if math.isinf(log_term):
-        return GreenValue(
-            value=complex(-math.inf),
-            method="homog-asympt-highT",
-            divergent=True,
-            const_free=True,
-            warning="log divergence at coincident arguments",
-        )
+        return _log_divergence("homog-asympt-highT")
     value = (p.g / (2.0 * math.pi * hv)) * log_term - (p.g / (4.0 * p.beta * d.R_c)) * dx**2 / hv**2
     return GreenValue(value=complex(value), method="homog-asympt-highT", const_free=True)
 
@@ -231,13 +237,7 @@ def homog_asymptotic_lowT(
     z = (math.pi / (2.0 * d.R_c)) * complex(abs(dx), hv * dtau)
     log_term = log_2sin_abs(z)
     if math.isinf(log_term):
-        return GreenValue(
-            value=complex(-math.inf),
-            method="homog-asympt-lowT",
-            divergent=True,
-            const_free=True,
-            warning="log divergence at coincident arguments",
-        )
+        return _log_divergence("homog-asympt-lowT")
     value = (p.g / (2.0 * math.pi * hv)) * log_term - (p.g / (4.0 * p.beta * d.R_c)) * dtau**2
     return GreenValue(value=complex(value), method="homog-asympt-lowT", const_free=True)
 

@@ -32,17 +32,16 @@ import math
 from dataclasses import dataclass, replace
 
 from .errors import AccuracyError, DomainError, RegimeError
-from .green_homogeneous import GreenValue, log_2sinh_abs
+from .green_homogeneous import GreenValue, _log_divergence, log_2sinh_abs
 from .legendre import (
     _connection_bracket,
     _exp_i_pi_nu_scaled,
     _sin_pi_scaled,
     nu_from_omega,
-    p_poly_asymptotic,
     p_poly_table,
     p_scaled,
 )
-from .model import DerivedScales, PhysicalParams, rho_tf
+from .model import DEFAULT_R_HI, DEFAULT_R_LO, DerivedScales, PhysicalParams, rho_tf
 
 __all__ = [
     "BOUNDARY_EPS",
@@ -264,10 +263,19 @@ def _gate_lowT(n0: int, u_star: float):
         raise RegimeError("low-temperature validity gate failed: " + "; ".join(failures))
 
 
+def _p_poly_integer_phase(n: int, theta: float) -> float:
+    """Pbar_n(cos theta): the large-n form of P_n(cos theta) with the phase
+    n theta - pi/4, i.e. ``p_poly_asymptotic`` with n + 1/2 replaced by n in
+    the phase, which ``_geometric_tail`` resums in closed form."""
+    amp = math.sqrt(2.0 / (math.pi * n * math.sin(theta)))
+    phase = float(n) * theta - math.pi / 4.0
+    return amp * math.cos(phase)
+
+
 def _geometric_tail(t: float, theta: float, theta_p: float) -> float:
     """sum_{n>=1} t^n Pbar_n(cos theta) Pbar_n(cos theta') in closed form.
 
-    Pbar is the integer-phase asymptotic polynomial; the products reduce to
+    Pbar is ``_p_poly_integer_phase``; the products reduce to
     cos(n dtheta) and sin(n (theta+theta')) series, each summable through
     ln(1 - t e^{i phi}).
     """
@@ -335,8 +343,8 @@ def lowT_legendre_series(
         w_n = (n + 0.5) / root
         exact = w_n * pn_u[n] * pn_up[n] * math.exp(-root * dtau / d.alpha)
         approx = (
-            p_poly_asymptotic(n, theta, "integer")
-            * p_poly_asymptotic(n, theta_p, "integer")
+            _p_poly_integer_phase(n, theta)
+            * _p_poly_integer_phase(n, theta_p)
             * math.exp(-(n + 0.5) * dtau / d.alpha)
         )
         corr += exact - approx
@@ -431,7 +439,7 @@ def asympt_green_highT(
     taup: float,
     p: PhysicalParams,
     d: DerivedScales,
-    r_lo: float = 0.1,
+    r_lo: float = DEFAULT_R_LO,
     window_factor: float = 0.5,
 ) -> GreenValue:
     """High-temperature assembled Green function, up to an additive constant.
@@ -450,13 +458,7 @@ def asympt_green_highT(
     z = (math.pi / (p.hbar * p.beta * d.v)) * complex(abs(dx), hv * dtau)
     log_term = log_2sinh_abs(z)
     if math.isinf(log_term):
-        return GreenValue(
-            value=complex(-math.inf),
-            method="trapped-asympt-highT",
-            divergent=True,
-            const_free=True,
-            warning="log divergence at coincident arguments",
-        )
+        return _log_divergence("trapped-asympt-highT")
     value = p.Lambda / (2.0 * math.pi * hv * rho_tf(s_half, p, d)) * log_term
     return GreenValue(
         value=complex(value),
@@ -474,7 +476,7 @@ def asympt_green_lowT(
     p: PhysicalParams,
     d: DerivedScales,
     ctl: LowTControl = LowTControl(),
-    r_hi: float = 10.0,
+    r_hi: float = DEFAULT_R_HI,
 ) -> GreenValue:
     """Low-temperature leading logarithm, up to an additive constant.
 
@@ -487,13 +489,7 @@ def asympt_green_lowT(
     dtau = abs(tau - taup)
     u_star = _u_star(dx, dtau, p, d)
     if u_star == 0.0:
-        return GreenValue(
-            value=complex(-math.inf),
-            method="trapped-asympt-lowT",
-            divergent=True,
-            const_free=True,
-            warning="log divergence at coincident arguments",
-        )
+        return _log_divergence("trapped-asympt-lowT")
     _gate_lowT(ctl.n0, u_star)
     s_half = 0.5 * (x + xp)
     hv = p.hbar * d.v

@@ -172,22 +172,16 @@ def p_poly_table(n_max: int, u: float) -> np.ndarray:
     return out
 
 
-def p_poly_asymptotic(n: int, theta: float, variant: str = "half") -> float:
-    """Large-n oscillatory form of P_n(cos theta) away from the poles.
-
-    variant="half" uses the phase (n + 1/2)*theta - pi/4; variant="integer"
-    replaces n + 1/2 by n in the phase, which is the more convenient choice
-    when the asymptotic form feeds a geometric tail resummation.
-    """
+def p_poly_asymptotic(n: int, theta: float) -> float:
+    """Large-n oscillatory form of P_n(cos theta) away from the poles, with
+    the phase (n + 1/2)*theta - pi/4."""
     if n != int(n) or n < 1:
         raise DomainError(f"asymptotic form needs integer n >= 1, got {n!r}")
     if not (0.0 < theta < math.pi):
         raise DomainError(f"theta must lie strictly inside (0, pi), got {theta}")
-    if variant not in ("half", "integer"):
-        raise DomainError(f"variant must be 'half' or 'integer', got {variant!r}")
     n = int(n)
     amp = math.sqrt(2.0 / (math.pi * n * math.sin(theta)))
-    phase = (n + 0.5 if variant == "half" else float(n)) * theta - math.pi / 4.0
+    phase = (n + 0.5) * theta - math.pi / 4.0
     return amp * math.cos(phase)
 
 
@@ -207,6 +201,8 @@ def p_scaled(nu: complex, u: float, tol: float = 1e-15, max_terms: int = _MAX_TE
     """
     if not (-1.0 < u <= 1.0):
         raise DomainError(f"p_scaled argument must lie in (-1, 1], got {u}")
+    if not 0.0 < tol < math.inf:
+        raise DomainError(f"tolerance must be positive and finite, got {tol}")
     z = 0.5 * (1.0 - u)
     if z == 0.0:
         return Scaled(1.0 + 0j, 0.0), 1, 0.0
@@ -305,8 +301,8 @@ def legendre_pair(nu: complex, u: float, tol: float = 1e-13, max_terms: int = _M
     nu = complex(nu)
     if not (-1.0 < u < 1.0):
         raise DomainError(f"legendre_pair argument must lie strictly inside (-1, 1), got {u}")
-    if tol <= 0:
-        raise DomainError(f"tolerance must be positive, got {tol}")
+    if not 0.0 < tol < math.inf:
+        raise DomainError(f"tolerance must be positive and finite, got {tol}")
     if _is_integer(nu):
         n = int(nu.real)
         return LegendrePair(

@@ -94,6 +94,21 @@ class TestConfig:
         with pytest.raises(ConfigError, match=key):
             load_config(path)
 
+    @pytest.mark.parametrize("text", ["nan", "inf"])
+    @pytest.mark.parametrize(
+        "key",
+        [
+            "truncation.tol", "truncation.min_dtau", "regime.r_lo", "regime.r_hi",
+            "grid.x_ref", "grid.tau_ref", "grid.x_min", "grid.x_max", "grid.tau_min", "grid.tau_max",
+            "grid.sep_min", "grid.sep_max", "grid.s_center", "grid.dtau", "grid.omega_list",
+        ],
+    )
+    def test_non_finite_value_exits_naming_key(self, tmp_path, capsys, key, text):
+        section, name = key.split(".")
+        path = write_config(tmp_path, f"[{section}]\n{name} = {text}\n")
+        assert main(["density", "--config", path]) == 2
+        assert key in capsys.readouterr().err
+
     def test_bad_tol_exits_with_config_error(self, tmp_path, capsys):
         path = write_config(tmp_path, "[truncation]\ntol = -1\n[grid]\nx_count = 3\nomega_list = 6.28\n")
         assert main(["green", "--mode", "trapped-spectral", "--config", path]) == 2
@@ -258,6 +273,28 @@ class TestCorrelatorCommand:
         assert payload["columns"][:6] == ["x1", "tau1", "x2", "tau2", "S", "gamma"]
         assert len(payload["rows"]) == 9
         assert all(len(r) == len(payload["columns"]) for r in payload["rows"])
+
+    def test_asymptotic_auto_falls_back_to_spectral_outside_windows(self, tmp_path):
+        # the default beta/alpha is intermediate: no closed form applies, so
+        # every row comes from the spectral route, bit for bit
+        cfg = write_config(tmp_path, "[truncation]\nl_max = 4\n[grid]\nsep_count = 3\n")
+        tables = {}
+        for mode in ("asymptotic-auto", "spectral"):
+            out = tmp_path / f"{mode}.csv"
+            assert main(["correlator", "--mode", mode, "--config", cfg, "--out", str(out)]) == 0
+            _, header, tables[mode] = read_csv(str(out))
+        col = {name: i for i, name in enumerate(header)}
+        assert [r[col["method"]] for r in tables["asymptotic-auto"]] == ["asymptotic-auto:fallback-spectral"] * 3
+        gammas = {mode: [r[col["gamma"]] for r in rows] for mode, rows in tables.items()}
+        assert all(gammas["spectral"]) and gammas["asymptotic-auto"] == gammas["spectral"]
+
+    def test_asymptotic_auto_rows_in_window(self, tmp_path):
+        # beta/alpha = 0.05 and |dx| <= 0.05 R_c: inside the high-T windows
+        cfg = write_config(tmp_path, f"[params]\nbeta = {0.05 * math.sqrt(2.0)!r}\n[grid]\nsep_max = 0.07\nsep_count = 3\n")
+        out = tmp_path / "auto.csv"
+        assert main(["correlator", "--mode", "asymptotic-auto", "--config", cfg, "--out", str(out)]) == 0
+        _, header, rows = read_csv(str(out))
+        assert [(r[header.index("method")], r[header.index("status")]) for r in rows] == [("asymptotic-auto", "ok")] * 3
 
     def test_spectral_row_equals_symmetrized_pair(self, tmp_path):
         # the table evaluates G once; it must equal the explicit G(1;2), G(2;1) pair

@@ -27,6 +27,7 @@ from trapgas import (
     theta_homogeneous,
     xi_at,
 )
+from trapgas.correlator import _exponential_gamma, _power_law_gamma, _sinh_gamma
 
 
 def setup_params(**over):
@@ -171,6 +172,13 @@ class TestQuasihomCorrelator:
         with pytest.raises(RegimeError):
             gamma_d1_quasihom(0.5 * d.R_c, -0.5 * d.R_c, p, d)
 
+    def test_accepted_at_trap_centre(self):
+        # S = 0 is where the background is flattest and the form most accurate
+        p, d = setup_params()
+        dx = 0.02 * d.R_c
+        approx = gamma_d1_quasihom(dx / 2.0, -dx / 2.0, p, d)
+        assert_allclose(approx, gamma_d1_exact(dx / 2.0, -dx / 2.0, p, d), rtol=1e-6)
+
 
 class TestHomogeneousCorrelator:
     def test_exponent_value(self):
@@ -217,8 +225,8 @@ class TestTrappedAsymptoticCorrelator:
         q = CorrelatorQuery(0.2515, 0.0, 0.2485, 0.0)
         p_hi, d_hi = setup_params(beta=0.05 * math.sqrt(2.0))
         p_lo, d_lo = setup_params(beta=100.0 * math.sqrt(2.0))
-        v_hi = gamma_trapped_asymptotic(q, p_hi, d_hi, form="auto")
-        v_lo = gamma_trapped_asymptotic(q, p_lo, d_lo, form="auto")
+        v_hi = gamma_trapped_asymptotic(q, p_hi, d_hi)
+        v_lo = gamma_trapped_asymptotic(q, p_lo, d_lo)
         assert v_hi == v_lo
 
     def test_exponential_form_rate(self):
@@ -228,7 +236,7 @@ class TestTrappedAsymptoticCorrelator:
         s_half = 0.2 * d.R_c
         dx = 15.0 * d.lambda_T
         q = CorrelatorQuery(s_half + dx / 2, 0.0, s_half - dx / 2, 0.0)
-        gamma = gamma_trapped_asymptotic(q, p, d, form="exponential")
+        gamma = gamma_trapped_asymptotic(q, p, d)
         pref = math.sqrt(rho_tf(q.x1, p, d) * rho_tf(q.x2, p, d))
         assert_allclose(gamma, pref * math.exp(-dx / xi_at(s_half, p, d)), rtol=1e-12)
 
@@ -237,22 +245,60 @@ class TestTrappedAsymptoticCorrelator:
         s_half = 0.1 * d.R_c
         dx = 1e-3 * d.lambda_T
         q = CorrelatorQuery(s_half + dx / 2, 0.0, s_half - dx / 2, 0.0)
-        g_sinh = gamma_trapped_asymptotic(q, p, d, form="sinh")
-        g_pow = gamma_trapped_asymptotic(q, p, d, form="power")
+        g_sinh = _sinh_gamma(q, p, d)
+        g_pow = _power_law_gamma(q, p, d)
         theta_s = theta_at(s_half, p, d)
         assert_allclose(g_sinh / g_pow, (math.pi / d.lambda_T) ** (-1.0 / theta_s), rtol=1e-5)
+
+    @pytest.mark.parametrize(
+        "beta_over_alpha, dx_over_rc, dtau_over_beta, form",
+        [
+            (0.05, 0.0025, 0.0, _power_law_gamma),  # high T: |dx|/lambda_T = 0.05
+            (0.005, 0.075, 0.0, _exponential_gamma),  # high T: |dx|/lambda_T = 15
+            (0.05, 0.05, 0.0, _sinh_gamma),  # high T: |dx|/lambda_T = 1
+            (0.05, 0.0025, 0.3, _sinh_gamma),  # high T: dtau/beta = 0.3 leaves the power window
+            (100.0, 0.01, 0.0, _power_law_gamma),  # low T: |zeta|/R_c = 0.01
+        ],
+    )
+    def test_dispatch_branch_equals_its_form(self, beta_over_alpha, dx_over_rc, dtau_over_beta, form):
+        p, d = setup_params(beta=beta_over_alpha * math.sqrt(2.0))
+        s_half, dx = 0.2 * d.R_c, dx_over_rc * d.R_c
+        q = CorrelatorQuery(s_half + dx / 2, dtau_over_beta * p.beta, s_half - dx / 2, 0.0)
+        value = gamma_trapped_asymptotic(q, p, d)
+        assert value == form(q, p, d)
+        others = {_power_law_gamma, _exponential_gamma, _sinh_gamma} - {form}
+        assert all(value != other(q, p, d) for other in others)
+
+    @pytest.mark.parametrize(
+        "beta_over_alpha, x1_over_rc, x2_over_rc, match",
+        [
+            (0.05, 0.9, -0.9, "quasi-homogeneous window failed"),  # no high-T window
+            (100.0, 0.3, 0.1, "low-temperature gate"),
+        ],
+    )
+    def test_no_window_raises_regime_error(self, beta_over_alpha, x1_over_rc, x2_over_rc, match):
+        p, d = setup_params(beta=beta_over_alpha * math.sqrt(2.0))
+        q = CorrelatorQuery(x1_over_rc * d.R_c, 0.0, x2_over_rc * d.R_c, 0.0)
+        with pytest.raises(RegimeError, match=match):
+            gamma_trapped_asymptotic(q, p, d)
+
+    def test_midpoint_outside_condensate_is_domain_error(self):
+        p, d = setup_params()  # intermediate: no form applies either way
+        q = CorrelatorQuery(1.2 * d.R_c, 0.0, 1.1 * d.R_c, 0.0)
+        with pytest.raises(DomainError, match="outside the condensate"):
+            gamma_trapped_asymptotic(q, p, d)
 
     def test_auto_dispatch_regime_errors(self):
         p, d = setup_params()  # intermediate regime
         q = CorrelatorQuery(0.3, 0.0, 0.1, 0.0)
         with pytest.raises(RegimeError, match="intermediate"):
-            gamma_trapped_asymptotic(q, p, d, form="auto")
+            gamma_trapped_asymptotic(q, p, d)
 
     def test_window_violations_named(self):
         p, d = setup_params(beta=0.05 * math.sqrt(2.0))
         q = CorrelatorQuery(0.9 * d.R_c, 0.0, -0.9 * d.R_c, 0.0)
         with pytest.raises(RegimeError):
-            gamma_trapped_asymptotic(q, p, d, form="sinh")
+            gamma_trapped_asymptotic(q, p, d)
 
     def test_assembled_route_reproduces_sinh_form_ratios(self):
         # Gamma from assembled Green values against the sinh closed form, in
@@ -267,7 +313,7 @@ class TestTrappedAsymptoticCorrelator:
             g12 = matsubara_assemble(q.x1, q.tau1, q.x2, q.tau2, p, d, l_max=14)
             g21 = matsubara_assemble(q.x2, q.tau2, q.x1, q.tau1, p, d, l_max=14)
             assembled = gamma_from_green(q, g12, g21, p, d)
-            closed = gamma_trapped_asymptotic(q, p, d, form="sinh", window_factor=0.5)
+            closed = _sinh_gamma(q, p, d)
             return assembled, closed
 
         a1, c1 = gamma_pair(0.8 * d.lambda_T)
@@ -351,7 +397,7 @@ class TestExtractExponent:
         gammas, rhos = [], []
         for sep in seps:
             q = CorrelatorQuery(s_half + sep / 2, 0.0, s_half - sep / 2, 0.0)
-            gammas.append(gamma_trapped_asymptotic(q, p, d, form="power"))
+            gammas.append(gamma_trapped_asymptotic(q, p, d))
             rhos.append(math.sqrt(rho_tf(q.x1, p, d) * rho_tf(q.x2, p, d)))
         rep = exponent_report(s_half, seps, gammas, rhos, p, d)
         assert_allclose(rep.fit.inv_theta, 1.0 / rep.theta_S, rtol=1e-6)

@@ -27,7 +27,7 @@ from trapgas import (
     spectral_density,
 )
 from trapgas.green_homogeneous import log_2sinh_abs
-from trapgas.legendre import p_poly_asymptotic
+from trapgas.green_trapped import _p_poly_integer_phase
 from trapgas.oracle import brute_legendre_tail
 
 
@@ -98,6 +98,12 @@ class TestSpectralDensity:
         p, d = setup_params()
         with pytest.raises(DomainError):
             spectral_density(0.0, d.R_c * (1.0 - 1e-9), 0.0, p, d)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf])
+    def test_non_finite_tolerance_rejected(self, tol):
+        p, d = unit_radius_params()
+        with pytest.raises(DomainError, match="tolerance"):
+            spectral_density(20.0 * math.pi, 0.3, -0.9, p, d, tol=tol)
 
     def test_value_stays_finite_at_large_degree(self):
         p, d = setup_params(beta=0.05 * math.sqrt(2.0))
@@ -212,8 +218,8 @@ class TestLowTSeries:
             root = math.sqrt(n * (n + 1.0))
             corr += (n + 0.5) / root * pn_u[n] * pn_up[n] * math.exp(-root * dtau / d.alpha)
             corr -= (
-                p_poly_asymptotic(n, theta, "integer")
-                * p_poly_asymptotic(n, theta_p, "integer")
+                _p_poly_integer_phase(n, theta)
+                * _p_poly_integer_phase(n, theta_p)
                 * math.exp(-(n + 0.5) * dtau / d.alpha)
             )
         resummed = (
@@ -231,7 +237,7 @@ class TestLowTSeries:
         t = math.exp(-dtau / d.alpha)
         direct = 0.0
         for n in range(1, 20_000):
-            direct += t**n * p_poly_asymptotic(n, theta, "integer") * p_poly_asymptotic(n, theta_p, "integer")
+            direct += t**n * _p_poly_integer_phase(n, theta) * _p_poly_integer_phase(n, theta_p)
         from trapgas.green_trapped import _geometric_tail
 
         closed = _geometric_tail(t, theta, theta_p)

@@ -18,6 +18,7 @@ from trapgas import (
     p_poly_table,
     wronskian_check,
 )
+from trapgas.green_trapped import _p_poly_integer_phase
 from trapgas.legendre import (
     _connection_bracket,
     _exp_i_pi_nu_scaled,
@@ -87,8 +88,8 @@ class TestAsymptoticPolynomial:
         assert all(b < a for a, b in zip(amps, amps[1:]))
 
     def test_variants_differ_by_phase(self):
-        half = p_poly_asymptotic(10, 0.7, variant="half")
-        integer = p_poly_asymptotic(10, 0.7, variant="integer")
+        half = p_poly_asymptotic(10, 0.7)
+        integer = _p_poly_integer_phase(10, 0.7)
         assert half != integer
 
     def test_endpoints_rejected(self):
@@ -166,6 +167,11 @@ class TestLegendrePairValues:
             legendre_pair(0.5, -1.2)
         with pytest.raises(DomainError):
             legendre_pair(0.5, 0.3, tol=0.0)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf])
+    def test_non_finite_tolerance_rejected_before_any_term(self, tol):
+        with pytest.raises(DomainError, match="tolerance"):
+            legendre_pair(-0.5 + 20j, -0.9, tol=tol)
 
     def test_nonconvergence_raises_accuracy_error(self):
         with pytest.raises(AccuracyError) as err:
