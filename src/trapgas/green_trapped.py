@@ -12,17 +12,17 @@ nu(omega) = -1/2 + sqrt(1/4 - alpha^2 omega^2):
     smooth component  -K [ (2/pi) Q_nu(u) Q_nu(u') + (pi/2) P_nu(u) P_nu(u') ]
 
 with u = x/R_c, K = g R_c / (2 hbar^2 v^2), the full density being
-(jump) + i*(smooth).  For conical degrees the two components are complex
-individually and cancel almost completely in the sum, so the full value is
-evaluated through the stable product factorization
-
-    G_omega = -i (2K/pi) * W_plus(u_<) * W_minus(u_>),
-    W_pm(u) = Q_nu(u) +- i (pi/2) P_nu(u),
-
-with the W brackets computed cancellation-free in scaled arithmetic; the two
-components are never formed separately.  The real part of the full value is
-the physical (real, symmetric) spectral density that enters the Matsubara
-assembly; the imaginary part is reported but excluded from correlators.
+(jump) + i*(smooth) = -i (2K/pi) W_plus(u_<) W_minus(u_>), W_pm(u) = Q_nu(u)
++- i (pi/2) P_nu(u).  For conical degrees the two components are complex
+individually and cancel almost completely in the sum, so they are never
+formed: through the connection formula and the real closed-form phases
+sin(pi nu) = -cosh(pi mu), e^{+-i pi nu} = -+i e^{-+pi mu} of the conical
+line nu = -1/2 + i mu, the real and imaginary parts of the full value are
+cancellation-free real combinations of the positive P_nu(+-u_<),
+P_nu(+-u_>).  The real part is the physical (real, symmetric) spectral
+density that enters the Matsubara assembly, which sums all its frequencies
+in one batched pass of the series kernel; the imaginary part is reported but
+excluded from correlators.
 """
 
 from __future__ import annotations
@@ -31,16 +31,11 @@ import cmath
 import math
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .errors import AccuracyError, DomainError, RegimeError
 from .green_homogeneous import GreenValue, _log_divergence, log_2sinh_abs
-from .legendre import (
-    _connection_bracket,
-    _exp_i_pi_nu_scaled,
-    _sin_pi_scaled,
-    nu_from_omega,
-    p_poly_table,
-    p_scaled,
-)
+from .legendre import _exp_split, _log_cosh_pi, _p_series, nu_from_omega, p_poly_table
 from .model import DEFAULT_R_HI, DEFAULT_R_LO, DerivedScales, PhysicalParams, rho_tf
 
 __all__ = [
@@ -67,7 +62,7 @@ class SpectralDensity:
     """G_omega(x, x') at one Matsubara frequency.
 
     ``re_part``/``im_part`` are the real and imaginary parts of the full
-    density.
+    density; ``terms`` counts the hypergeometric series terms it summed.
     """
 
     omega: float
@@ -77,6 +72,7 @@ class SpectralDensity:
     re_part: float
     im_part: float
     err_bound: float
+    terms: int = 0
 
     @property
     def value(self) -> complex:
@@ -113,6 +109,57 @@ def _k_coeff(p: PhysicalParams, d: DerivedScales) -> float:
     return p.g * d.R_c / (2.0 * (p.hbar * d.v) ** 2)
 
 
+def _zero_mode_parts(u: float, up: float, k: float) -> tuple:
+    """(re_part, im_part) of G_0, whose degree nu = 0 has closed elementary forms."""
+    au, aup = math.atanh(u), math.atanh(up)
+    return k * abs(au - aup), -k * ((2.0 / math.pi) * au * aup + math.pi / 2.0)
+
+
+def _density_parts(omegas: np.ndarray, u: float, up: float, d: DerivedScales, k: float, tol: float) -> tuple:
+    """re_part, im_part, series terms and error bound of G_omega(x, x') for
+    each nonzero omega of the 1-D array ``omegas``, by the real closed form.
+
+    With lambda = (alpha omega)^2, P_<(+-) = P_nu(+-u_<), P_>(+-) =
+    P_nu(+-u_>) and C = (2K/pi)(pi/2)^2:
+
+      conical line, lambda > 1/4 and nu = -1/2 + i mu:
+        re = C [e^{-pi mu} P_<(+) P_>(-) - e^{pi mu} P_<(-) P_>(+)] / cosh^2(pi mu)
+        im = -C [P_<(-) P_>(-) + P_<(+) P_>(+)] / cosh^2(pi mu)
+      real branch, lambda <= 1/4:
+        re = C [P_>(+) P_<(-) - P_<(+) P_>(-)] / sin(pi nu)
+        im = -C [q_< q_> + P_<(+) P_>(+)],  q = (2/pi) Q_nu(u) = [cos(pi nu) P_nu(u) - P_nu(-u)] / sin(pi nu)
+
+    Conical products are formed from mantissas and powers of two, so neither
+    the exp(pi mu) growth of P nor cosh(pi mu) overflows.
+    """
+    lam = (d.alpha * omegas) ** 2
+    lo, hi = (u, up) if u <= up else (up, u)
+    (m_lo, e_lo, t1, r1), (m_mlo, e_mlo, t2, r2), (m_hi, e_hi, t3, r3), (m_mhi, e_mhi, t4, r4) = (
+        _p_series(lam, v, tol) for v in (lo, -lo, hi, -hi)
+    )
+    c = k * math.pi / 2.0
+    re, im = np.empty(lam.size), np.empty(lam.size)
+    con = lam > 0.25
+    mu = np.sqrt(lam[con] - 0.25)
+    log_cosh2 = 2.0 * _log_cosh_pi(mu)
+    (ma, ea), (mb, eb), (m0, e0) = (_exp_split(x) for x in (-np.pi * mu - log_cosh2, np.pi * mu - log_cosh2, -log_cosh2))
+    re[con] = c * (np.ldexp(ma * m_lo[con] * m_mhi[con], ea + e_lo[con] + e_mhi[con])
+                   - np.ldexp(mb * m_mlo[con] * m_hi[con], eb + e_mlo[con] + e_hi[con]))
+    im[con] = -c * (np.ldexp(m0 * m_mlo[con] * m_mhi[con], e0 + e_mlo[con] + e_mhi[con])
+                    + np.ldexp(m0 * m_lo[con] * m_hi[con], e0 + e_lo[con] + e_hi[con]))
+    real = ~con
+    lam_r = lam[real]
+    neg_nu = lam_r / (0.5 + np.sqrt(0.25 - lam_r))  # -nu, free of the cancellation in -1/2 + sqrt(1/4 - lambda)
+    sin_pi_nu, cos_pi_nu = -np.sin(np.pi * neg_nu), np.cos(np.pi * neg_nu)
+    p_lo, p_mlo, p_hi, p_mhi = (np.ldexp(m[real], e[real]) for m, e in
+                                ((m_lo, e_lo), (m_mlo, e_mlo), (m_hi, e_hi), (m_mhi, e_mhi)))
+    q_lo = (cos_pi_nu * p_lo - p_mlo) / sin_pi_nu
+    q_hi = (cos_pi_nu * p_hi - p_mhi) / sin_pi_nu
+    re[real] = c * (p_hi * p_mlo - p_lo * p_mhi) / sin_pi_nu
+    im[real] = -c * (q_lo * q_hi + p_lo * p_hi)
+    return re, im, t1 + t2 + t3 + t4, r1 + r2 + r3 + r4
+
+
 def spectral_density(
     omega: float,
     x: float,
@@ -126,46 +173,10 @@ def spectral_density(
     up = _clamped_u(xp, d)
     nu = nu_from_omega(omega, d)
     k = _k_coeff(p, d)
-
     if nu == 0:  # omega = 0: integer degree, closed elementary forms
-        au, aup = math.atanh(u), math.atanh(up)
-        jump = k * abs(au - aup)
-        smooth = -k * ((2.0 / math.pi) * au * aup + math.pi / 2.0)
-        return SpectralDensity(
-            omega=float(omega),
-            nu=nu,
-            x=x,
-            xp=xp,
-            re_part=jump,
-            im_part=smooth,
-            err_bound=0.0,
-        )
-
-    p_u, t1, e1 = p_scaled(nu, u, tol)
-    p_mu, t2, e2 = p_scaled(nu, -u, tol)
-    p_up, t3, e3 = p_scaled(nu, up, tol)
-    p_mup, t4, e4 = p_scaled(nu, -up, tol)
-    err = e1 + e2 + e3 + e4
-    sin_pi = _sin_pi_scaled(nu)
-
-    # full value through the cancellation-free product factorization, with the
-    # W brackets assembled from the four cached P evaluations
-    if u >= up:
-        pg, pmg, pl, pml = p_u, p_mu, p_up, p_mup
-    else:
-        pg, pmg, pl, pml = p_up, p_mup, p_u, p_mu
-    w_plus = _connection_bracket(pl, pml, _exp_i_pi_nu_scaled(nu, +1), sin_pi)
-    w_minus = _connection_bracket(pg, pmg, _exp_i_pi_nu_scaled(nu, -1), sin_pi)
-    total = w_plus.mul(w_minus).times(-1j * 2.0 * k / math.pi).to_complex()
-    return SpectralDensity(
-        omega=float(omega),
-        nu=nu,
-        x=x,
-        xp=xp,
-        re_part=total.real,
-        im_part=total.imag,
-        err_bound=err,
-    )
+        return SpectralDensity(float(omega), nu, x, xp, *_zero_mode_parts(u, up, k), err_bound=0.0)
+    re, im, terms, err = _density_parts(np.array([float(omega)]), u, up, d, k, tol)
+    return SpectralDensity(float(omega), nu, x, xp, float(re[0]), float(im[0]), float(err[0]), int(terms[0]))
 
 
 def closed_form_zero_mode(x: float, xp: float, p: PhysicalParams, d: DerivedScales) -> float:
@@ -203,8 +214,11 @@ def matsubara_assemble(
 
     The zero mode is kept (finite for the trap).  The physical real spectral
     densities are even in omega, so folding +-l gives an exactly real value:
-    (1/beta) [G_0 + 2 sum_{l>=1} cos(omega_l dtau) Re G_omega].  Truncation is
-    estimated from the large-omega envelope exp(-|omega||dx|/hbar v)/|omega|.
+    (1/beta) [G_0 + 2 sum_{l>=1} cos(omega_l dtau) Re G_omega].  All l_max
+    frequencies are evaluated in one batched pass of the series kernel.
+    Truncation is estimated from the large-omega envelope
+    exp(-|omega||dx|/hbar v)/|omega|.  ``meta`` carries the series terms
+    summed and the frequencies used, the zero mode included.
     """
     if l_max < 0:
         raise DomainError("l_max must be >= 0")
@@ -215,13 +229,15 @@ def matsubara_assemble(
             "matsubara_assemble at coincident points: frequency series is log-divergent",
             achieved=math.inf,
         )
-    total = spectral_density(0.0, x, xp, p, d, tol).re_part
-    err = 0.0
-    for l in range(1, l_max + 1):
-        omega = 2.0 * math.pi * l / p.beta
-        sd = spectral_density(omega, x, xp, p, d, tol)
-        total += 2.0 * math.cos(omega * dtau) * sd.re_part
-        err += 2.0 * sd.err_bound
+    u = _clamped_u(x, d)
+    up = _clamped_u(xp, d)
+    k = _k_coeff(p, d)
+    omegas = 2.0 * math.pi * np.arange(1, l_max + 1) / p.beta
+    re, _, terms, errs = _density_parts(omegas, u, up, d, k, tol)
+    # cos is even: |dtau| and the exactly rounded fsum keep the value bitwise
+    # symmetric under swapping the two points
+    total = _zero_mode_parts(u, up, k)[0] + 2.0 * math.fsum(np.cos(omegas * abs(dtau)) * re)
+    err = 2.0 * float(np.sum(errs))
 
     hv = p.hbar * d.v
     s_half = 0.5 * (x + xp)
@@ -240,7 +256,7 @@ def matsubara_assemble(
         method="trapped-assembled",
         trunc_err=trunc + err,
         warning=warning,
-        meta={"l_max": l_max, "S": s_half},
+        meta={"l_max": l_max, "S": s_half, "terms": int(np.sum(terms)), "frequencies": l_max + 1},
     )
 
 

@@ -5,30 +5,27 @@ The trapped-gas spectral problem needs P_nu and Q_nu on the cut for degrees
     nu = -1/2 + sqrt(1/4 - alpha^2 omega^2)    (principal branch),
 
 which is a negative real in (-1/2, 0] for small |omega| and a conical degree
--1/2 + i*mu for alpha|omega| > 1/2.  P_nu is evaluated through the Gauss
-hypergeometric series
+-1/2 + i*mu for alpha|omega| > 1/2.  Both have a real lambda = -nu(nu+1) =
+alpha^2 omega^2 >= 0, and P_nu is the real Gauss hypergeometric series
 
-    P_nu(u) = 2F1(-nu, nu+1; 1; (1-u)/2),
+    P_nu(u) = 2F1(-nu, nu+1; 1; z),   z = (1-u)/2,
 
-whose terms are nonnegative for the degrees above, so the summation is
-cancellation-free.  Q_nu comes from the connection formula
+whose term ratio (j(j+1) + lambda) z/(j+1)^2 is positive for every Matsubara
+degree, so the summation is cancellation-free.  The kernel ``_p_series`` sums
+it for a whole vector of lambda at one u and returns P_nu as a mantissa and
+a power of two: conical P_nu grows like exp(mu * arccos u), which overflows
+float64 well inside the Matsubara range.  Q_nu comes from the connection
+formula
 
     Q_nu(u) = pi/(2 sin(pi nu)) * [cos(pi nu) P_nu(u) - P_nu(-u)],
 
-with the integer-degree limit handled by closed forms and the standard
-three-term recurrence.
-
-Conical P_nu grows like exp(mu * arccos u), which overflows float64 well
-inside the Matsubara range, so the module keeps an internal scaled
-representation (mantissa, log-scale).  The Green-function code combines
-scaled ``p_scaled`` values through the private connection bracket and
-converts only its final products; the public ``legendre_pair`` returns plain
-complex values and is meant for moderate degrees.
+whose phases are real closed forms on the conical line, sin(pi nu) =
+-cosh(pi mu) and cos(pi nu) = i sinh(pi mu).  Integer degrees use closed
+forms and the standard three-term recurrence.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -50,7 +47,10 @@ __all__ = [
 
 _MAX_TERMS_DEFAULT = 500_000
 _CHUNK = 128
-_RESCALE_THRESHOLD = 1e250
+# rows summed together, so that one [rows x _CHUNK] float64 temporary stays at
+# 128 KiB: at 256 KiB the series ran no faster and peak memory rose by 0.5 MiB
+_MAX_ROWS = 128 * 1024 // (8 * _CHUNK)
+_LN2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -63,77 +63,6 @@ class LegendrePair:
     nu: complex
     terms: int
     err_bound: float
-
-
-# ----------------------------------------------------------------------------
-# scaled-number helpers: value = mant * exp(log_scale)
-# ----------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Scaled:
-    mant: complex
-    log_scale: float
-
-    def to_complex(self) -> complex:
-        # inf only when the represented number genuinely overflows; the
-        # conversion goes through (phase, magnitude) so a huge log_scale with
-        # a tiny mantissa stays exact
-        if self.mant == 0:
-            return 0j
-        mag = self.log_scale + math.log(abs(self.mant))
-        if mag > 709.0:
-            return complex(math.inf, math.inf)
-        return (self.mant / abs(self.mant)) * math.exp(mag)
-
-    def mul(self, other: "Scaled") -> "Scaled":
-        return Scaled(self.mant * other.mant, self.log_scale + other.log_scale)
-
-    def times(self, c: complex) -> "Scaled":
-        return Scaled(self.mant * c, self.log_scale)
-
-    def add(self, other: "Scaled") -> "Scaled":
-        if self.mant == 0:
-            return other
-        if other.mant == 0:
-            return self
-        top = max(self.log_scale, other.log_scale)
-        return Scaled(
-            self.mant * math.exp(self.log_scale - top) + other.mant * math.exp(other.log_scale - top),
-            top,
-        )
-
-    def div(self, other: "Scaled") -> "Scaled":
-        return Scaled(self.mant / other.mant, self.log_scale - other.log_scale)
-
-
-def _sin_pi_scaled(nu: complex) -> Scaled:
-    """sin(pi*nu) stable against overflow of cosh(pi*Im nu)."""
-    a, b = nu.real, nu.imag
-    if b == 0.0:
-        return Scaled(complex(math.sin(math.pi * a)), 0.0)
-    lb = math.pi * abs(b)
-    sb = 1.0 if b > 0 else -1.0
-    damp = math.exp(-2.0 * lb)
-    mant = 0.5 * complex(math.sin(math.pi * a) * (1.0 + damp), math.cos(math.pi * a) * sb * (1.0 - damp))
-    return Scaled(mant, lb)
-
-
-def _cos_pi_scaled(nu: complex) -> Scaled:
-    a, b = nu.real, nu.imag
-    if b == 0.0:
-        return Scaled(complex(math.cos(math.pi * a)), 0.0)
-    lb = math.pi * abs(b)
-    sb = 1.0 if b > 0 else -1.0
-    damp = math.exp(-2.0 * lb)
-    mant = 0.5 * complex(math.cos(math.pi * a) * (1.0 + damp), -math.sin(math.pi * a) * sb * (1.0 - damp))
-    return Scaled(mant, lb)
-
-
-def _exp_i_pi_nu_scaled(nu: complex, sign: int) -> Scaled:
-    """exp(sign * i * pi * nu) as a scaled number."""
-    a, b = nu.real, nu.imag
-    return Scaled(cmath.exp(1j * sign * math.pi * a), -sign * math.pi * b)
 
 
 # ----------------------------------------------------------------------------
@@ -190,70 +119,96 @@ def p_poly_asymptotic(n: int, theta: float) -> float:
 # ----------------------------------------------------------------------------
 
 
-def p_scaled(nu: complex, u: float, tol: float = 1e-15, max_terms: int = _MAX_TERMS_DEFAULT):
-    """P_nu(u) as (Scaled, terms_used, err_bound) via the 2F1 series at (1-u)/2.
+def _p_series(lam, u: float, tol: float, max_terms: int = _MAX_TERMS_DEFAULT):
+    """P_nu(u) = mant * 2**exp2, the terms summed and the relative error
+    bound, one row for each lambda = -nu(nu+1) of the 1-D array ``lam``.
 
-    Terms are accumulated as (log magnitude, unit phase) pairs, so the sweep
-    never overflows even when the conical degree drives individual terms to
-    exp(hundreds).  The series converges for u in (-1, 1]; convergence
-    degenerates as u -> -1 where P_nu has its logarithmic singularity.
-    Raises AccuracyError (carrying the reached bound) if max_terms runs out.
+    Each term ratio (j(j+1) + lambda) z/(j+1)^2 is split by frexp: the
+    running product of the mantissas carries a term's digits and sign, the
+    running sum of the powers of two is exact, so no term overflows and none
+    is rounded through a logarithm.  All rows are summed in blocks of _CHUNK
+    terms; a row stops after the first block whose last term is below tol
+    times the partial sum while the ratio is below 1, that term's geometric
+    tail bounding the error.  A row still open after max_terms terms raises
+    AccuracyError.
     """
     if not (-1.0 < u <= 1.0):
-        raise DomainError(f"p_scaled argument must lie in (-1, 1], got {u}")
+        raise DomainError(f"P_nu argument must lie in (-1, 1], got {u}")
     if not 0.0 < tol < math.inf:
         raise DomainError(f"tolerance must be positive and finite, got {tol}")
+    if max_terms < 1:
+        raise DomainError(f"max_terms must be >= 1, got {max_terms}")
+    lam = np.asarray(lam, dtype=float)
+    n = lam.size
+    mant, exp2 = np.ones(n), np.zeros(n, dtype=np.int64)
+    terms, err = np.ones(n, dtype=np.int64), np.zeros(n)
     z = 0.5 * (1.0 - u)
-    if z == 0.0:
-        return Scaled(1.0 + 0j, 0.0), 1, 0.0
-    acc_mant = 1.0 + 0j
-    acc_log = 0.0
-    term_log = 0.0
-    term_phase = 1.0 + 0j
-    s = 0
-    while s < max_terms:
-        block = min(_CHUNK, max_terms - s)
-        j = np.arange(s, s + block, dtype=float)
-        ratios = (j - nu) * (j + nu + 1.0) * (z / (j + 1.0) ** 2)
-        mags = np.abs(ratios)
-        with np.errstate(divide="ignore"):
-            logs = np.log(np.where(mags > 0.0, mags, 1.0))
-        logs[mags == 0.0] = -math.inf  # terminating (polynomial) series
-        phases = np.where(mags > 0.0, ratios / np.where(mags > 0.0, mags, 1.0), 0.0)
-        cum_logs = term_log + np.cumsum(logs)
-        cum_phases = term_phase * np.cumprod(phases)
-        top = max(acc_log, float(np.max(cum_logs)))
-        with np.errstate(under="ignore"):
-            acc_mant = acc_mant * math.exp(min(acc_log - top, 0.0)) + complex(
-                np.sum(cum_phases * np.exp(cum_logs - top))
-            )
-        acc_log = top
-        term_log = float(cum_logs[-1])
-        term_phase = complex(cum_phases[-1])
-        s += block
-        last_ratio = float(mags[-1])
-        acc_abs_log = acc_log + math.log(max(abs(acc_mant), 1e-300))
-        if term_log < math.log(tol) + acc_abs_log and last_ratio < 0.9999:
-            err = math.exp(term_log - acc_abs_log) * last_ratio / max(1e-300, 1.0 - last_ratio)
-            return Scaled(acc_mant, acc_log), s, err
-    achieved = math.exp(min(term_log - acc_log - math.log(max(abs(acc_mant), 1e-300)), 700.0))
+    for first in range(0, n, _MAX_ROWS):
+        rows = np.arange(first, min(n, first + _MAX_ROWS))
+        lam_r = lam[rows, None]
+        acc_m, acc_e = np.ones(rows.size), np.zeros(rows.size, dtype=np.int64)  # partial sum
+        term_m, term_e = np.ones(rows.size), np.zeros(rows.size, dtype=np.int64)  # last term
+        s = 0
+        while s < max_terms:
+            block = min(_CHUNK, max_terms - s)
+            j = np.arange(s, s + block, dtype=float)
+            ratios = j * (j + 1.0) + lam_r
+            ratios *= z / (j + 1.0) ** 2
+            last_ratio = np.abs(ratios[:, -1])
+            # in place, so that only two [rows x block] temporaries are alive
+            cum_m, cum_e = np.frexp(ratios, out=(ratios, None))
+            np.cumprod(cum_m, axis=1, out=cum_m)
+            cum_m *= term_m[:, None]
+            np.cumsum(cum_e, axis=1, out=cum_e)  # int32: exponents stay far below 2**31
+            cum_e += term_e[:, None]
+            term_m, shift = np.frexp(cum_m[:, -1])
+            term_e = cum_e[:, -1] + shift
+            top = np.maximum(acc_e, cum_e.max(axis=1))
+            cum_e -= top[:, None]
+            acc_m, shift = np.frexp(np.ldexp(acc_m, acc_e - top) + np.ldexp(cum_m, cum_e, out=cum_m).sum(axis=1))
+            acc_e = top + shift
+            s += block
+            term_abs = np.abs(np.ldexp(term_m, term_e - acc_e))  # |last term| / 2**acc_e
+            done = (term_abs < tol * np.abs(acc_m)) & (last_ratio < 0.9999)
+            if done.any():
+                out = rows[done]
+                mant[out] = acc_m[done]
+                exp2[out] = acc_e[done]
+                terms[out] = s
+                rel_term, ratio = term_abs[done] / np.abs(acc_m[done]), last_ratio[done]
+                err[out] = rel_term * ratio / np.maximum(1e-300, 1.0 - ratio)
+                if done.all():
+                    break
+                keep = ~done
+                rows, lam_r, acc_m, acc_e = rows[keep], lam_r[keep], acc_m[keep], acc_e[keep]
+                term_m, term_e, term_abs, last_ratio = term_m[keep], term_e[keep], term_abs[keep], last_ratio[keep]
+        else:  # max_terms reached with rows still open
+            _raise_series_cap(lam_r[:, 0], u, z, tol, s, term_abs / np.abs(acc_m), last_ratio)
+    return mant, exp2, terms, err
+
+
+def _exp_split(log_x):
+    """exp(log_x) as (mant, exp2) with mant in [1, 2), where exp(log_x) itself
+    would overflow or underflow."""
+    e = np.floor(np.asarray(log_x) / _LN2)
+    return np.exp(log_x - e * _LN2), e.astype(np.int64)
+
+
+def _raise_series_cap(lam_open, u, z, tol, used, rel_term, last_ratio):
+    """AccuracyError for the first row still open at the term cap, naming its cause."""
+    lam, ratio, achieved = float(lam_open[0]), float(last_ratio[0]), float(rel_term[0])
+    if ratio >= 1.0:
+        cause = (f"the terms are still growing (ratio {ratio:.6g}): at this degree they peak near "
+                 f"j = sqrt(lambda z/(1-z)) = {math.sqrt(max(lam, 0.0) * z / (1.0 - z)):.4g}")
+    else:
+        cause = f"the terms decay at ratio {ratio:.6g} per term, which tends to z as j grows"
+        cause += "; u is close to -1, where P_nu has its logarithmic singularity" if z > 0.99 else ""
     raise AccuracyError(
-        f"hypergeometric series for P_nu(u) did not reach tol={tol} within "
-        f"{max_terms} terms at nu={nu}, u={u} (argument too close to -1); "
-        f"achieved relative bound {achieved:.3e}",
+        f"hypergeometric series for P_nu(u) reached the {used}-term cap at lambda = -nu(nu+1) = {lam:.6g}, "
+        f"u = {u!r}, z = (1-u)/2 = {z:.6g} ({lam_open.size} open rows): relative bound {achieved:.3e} "
+        f"> tol = {tol:g}; {cause}",
         achieved=achieved,
     )
-
-
-def _connection_bracket(p_u: Scaled, p_mu: Scaled, phase: Scaled, sin_pi: Scaled) -> Scaled:
-    """(pi/2) [phase * P_nu(u) - P_nu(-u)] / sin(pi nu) from P_nu(+-u).
-
-    phase = cos(pi nu) gives Q_nu(u) by the connection formula; phase =
-    e^{+-i pi nu} gives the bracket Q_nu(u) +- i (pi/2) P_nu(u), whose two
-    terms carry orthogonal complex phases for conical nu, so it never suffers
-    the exp(-2 pi mu) cancellation of the naive sum Q + i (pi/2) P at large mu.
-    """
-    return p_u.mul(phase).add(p_mu.times(-1.0)).div(sin_pi).times(math.pi / 2.0)
 
 
 # ----------------------------------------------------------------------------
@@ -281,7 +236,7 @@ def nu_from_omega(omega: float, d: DerivedScales) -> complex:
     The branch is continuous from omega = 0 (where nu = 0); for
     alpha|omega| > 1/2 the square root is +i*sqrt(alpha^2 omega^2 - 1/4), so
     Re(nu) = -1/2 on the conical line.  On the real branch the degree comes
-    back as a float, which the series in ``p_scaled`` sums in real arithmetic.
+    back as a float.
     """
     disc = 0.25 - (d.alpha * omega) ** 2
     root = math.sqrt(disc) if disc >= 0.0 else 1j * math.sqrt(-disc)
@@ -292,11 +247,23 @@ def _is_integer(nu: complex) -> bool:
     return nu.imag == 0.0 and nu.real == round(nu.real) and nu.real >= 0
 
 
+def _log_cosh_pi(mu):
+    """log cosh(pi mu), finite where cosh(pi mu) itself overflows (mu > 226)."""
+    a = np.pi * np.abs(mu)
+    return a + np.log1p(np.exp(-2.0 * a)) - _LN2
+
+
 def legendre_pair(nu: complex, u: float, tol: float = 1e-13, max_terms: int = _MAX_TERMS_DEFAULT) -> LegendrePair:
     """Evaluate P_nu(u) and Q_nu(u) for u strictly inside (-1, 1).
 
-    Integer degrees take the closed-form/recurrence path; everything else
-    goes through the hypergeometric series and the connection formula.
+    Integer degrees take the closed-form/recurrence path.  Real and conical
+    degrees -1/2 + i mu, the ones with real nu(nu+1), go through the series
+    and the connection formula, on the conical line
+
+        Q_nu(u) = (pi/2) [P_nu(-u)/cosh(pi mu) - i tanh(pi mu) P_nu(u)]
+
+    with 1/cosh(pi mu) as mantissa and power of two; other degrees raise
+    DomainError.
     """
     nu = complex(nu)
     if not (-1.0 < u < 1.0):
@@ -313,16 +280,32 @@ def legendre_pair(nu: complex, u: float, tol: float = 1e-13, max_terms: int = _M
             terms=n + 1,
             err_bound=0.0,
         )
-    p_u, t1, e1 = p_scaled(nu, u, tol, max_terms)
-    p_mu, t2, e2 = p_scaled(nu, -u, tol, max_terms)
-    q_u = _connection_bracket(p_u, p_mu, _cos_pi_scaled(nu), _sin_pi_scaled(nu))
+    conical = nu.imag != 0.0
+    if conical and nu.real != -0.5:
+        raise DomainError(
+            f"degree nu = {nu} has non-real nu(nu+1); legendre_pair takes real degrees "
+            "and conical degrees -1/2 + i mu"
+        )
+    mu = nu.imag
+    lam = np.array([0.25 + mu * mu if conical else -nu.real * (nu.real + 1.0)])
+    (m_u, e_u, t_u, err_u), (m_mu, e_mu, t_mu, err_mu) = (_p_series(lam, v, tol, max_terms) for v in (u, -u))
+    p_u = float(np.ldexp(m_u, e_u)[0])
+    if conical:
+        m_k, e_k = _exp_split(-_log_cosh_pi(mu))  # 1/cosh(pi mu)
+        q = complex(
+            (math.pi / 2.0) * float(np.ldexp(m_mu * m_k, e_mu + e_k)[0]),
+            -(math.pi / 2.0) * math.tanh(math.pi * mu) * p_u,
+        )
+    else:
+        p_mu, a = float(np.ldexp(m_mu, e_mu)[0]), math.pi * nu.real
+        q = complex((math.pi / 2.0) * (math.cos(a) * p_u - p_mu) / math.sin(a))
     return LegendrePair(
-        p=p_u.to_complex(),
-        q=q_u.to_complex(),
+        p=complex(p_u),
+        q=q,
         u=u,
         nu=nu,
-        terms=t1 + t2,
-        err_bound=e1 + (e1 + e2),  # bound on P plus bound on Q, which uses both series
+        terms=int(t_u[0] + t_mu[0]),
+        err_bound=float(err_u[0] + (err_u[0] + err_mu[0])),  # bound on P plus bound on Q, which uses both series
     )
 
 

@@ -1,6 +1,7 @@
 import math
 from functools import partial
 
+import mpmath as mp
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -105,6 +106,51 @@ class TestSpectralDensity:
         with pytest.raises(DomainError, match="tolerance"):
             spectral_density(20.0 * math.pi, 0.3, -0.9, p, d, tol=tol)
 
+    @pytest.mark.parametrize("lam", [0.1, 0.25 + 0.8**2, 0.25 + 3.0**2, 0.25 + 9.0**2])
+    def test_parts_match_mpmath_w_bracket_product(self, lam):
+        # G = -i (2K/pi) W_+(u_<) W_-(u_>), W_pm = Q_nu +- i (pi/2) P_nu, at 60
+        # digits: the real closed form against the product it replaces, on the
+        # real branch (lambda = 0.1) and on the conical line
+        p, d = unit_radius_params()
+        omega = math.sqrt(lam) / d.alpha
+        k = p.g * d.R_c / (2.0 * (p.hbar * d.v) ** 2)
+        with mp.workdps(60):
+            nu = -0.5 + mp.sqrt(mp.mpf(0.25) - mp.mpf(d.alpha * omega) ** 2)
+
+            def w(u, sign):
+                return mp.legenq(nu, 0, u, type=2) + sign * 1j * (mp.pi / 2) * mp.legenp(nu, 0, u, type=2)
+
+            for x, xp in ((0.3, -0.2), (0.65, 0.7), (-0.5, -0.8)):
+                sd = spectral_density(omega, x, xp, p, d, tol=1e-15)
+                lo, hi = sorted((x / d.R_c, xp / d.R_c))
+                ref = -1j * (2 * k / mp.pi) * w(lo, +1) * w(hi, -1)
+                assert abs(sd.re_part - float(mp.re(ref))) < 1e-13 * abs(float(mp.re(ref)))
+                assert abs(sd.im_part - float(mp.im(ref))) < 1e-12 * abs(float(mp.im(ref)))
+
+    def test_conical_im_part_is_the_true_value_at_large_degree(self):
+        # at omega = 20 pi the true Im G sits some 80 decades below Re G, far
+        # below its rounding; the closed form in 30-digit arithmetic is the reference
+        p, d = unit_radius_params()
+        omega = 20.0 * math.pi
+        sd = spectral_density(omega, 0.3, -0.4, p, d)
+        k = p.g * d.R_c / (2.0 * (p.hbar * d.v) ** 2)
+        mu = mp.sqrt(mp.mpf(d.alpha * omega) ** 2 - mp.mpf(0.25))
+        nu = -0.5 + 1j * mu
+
+        def pp(u):
+            return mp.re(mp.legenp(nu, 0, u, type=2))
+
+        lo, hi = -0.4 / d.R_c, 0.3 / d.R_c
+        ref = -(2 * k / mp.pi) * (mp.pi / 2) ** 2 * (pp(-lo) * pp(-hi) + pp(lo) * pp(hi)) / mp.cosh(mp.pi * mu) ** 2
+        assert abs(float(ref)) < 1e-50 * abs(sd.re_part)
+        assert abs(sd.im_part - float(ref)) < 1e-11 * abs(float(ref))
+
+    def test_terms_are_counted(self):
+        p, d = setup_params()
+        assert spectral_density(0.0, 0.3, 0.1, p, d).terms == 0
+        sd = spectral_density(2.0 * math.pi, 0.3, 0.1, p, d)
+        assert sd.terms > 0 and sd.terms % 128 == 0
+
     def test_value_stays_finite_at_large_degree(self):
         p, d = setup_params(beta=0.05 * math.sqrt(2.0))
         omega = 10.0 * math.pi / p.beta  # alpha*omega ~ 2800
@@ -172,6 +218,20 @@ class TestMatsubaraAssemble:
                 g12 = matsubara_assemble(x, 0.07 + dtau, xp, 0.07, p, d, l_max=12)
                 g21 = matsubara_assemble(xp, 0.07, x, 0.07 + dtau, p, d, l_max=12)
                 assert g12.value == g21.value
+
+    @pytest.mark.parametrize("beta", [0.05 * math.sqrt(2.0), 1.0, 100.0 * math.sqrt(2.0)])
+    def test_matches_fold_of_spectral_densities(self, beta):
+        # the batched pass against one spectral_density call per frequency;
+        # at beta = 100 sqrt(2) the first frequencies lie on the real branch
+        p, d = setup_params(beta=beta)
+        l_max = 40
+        for x, xp, dtau in ((0.45, 0.31, 0.0), (-0.2, 0.6, 0.13 * beta), (0.3, 0.1, -0.4 * beta)):
+            g = matsubara_assemble(x, dtau, xp, 0.0, p, d, l_max=l_max)
+            sds = [spectral_density(2.0 * math.pi * l / beta, x, xp, p, d) for l in range(l_max + 1)]
+            fold = sds[0].re_part + sum(2.0 * math.cos(sd.omega * dtau) * sd.re_part for sd in sds[1:])
+            assert abs(g.value.real - fold / beta) <= 1e-14 * abs(fold / beta)
+            assert g.meta["terms"] == sum(sd.terms for sd in sds)
+            assert g.meta["frequencies"] == l_max + 1
 
     def test_truncation_estimate_decays(self):
         p, d = setup_params()

@@ -1,9 +1,12 @@
+import cmath
 import math
 from math import comb
 
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from trapgas import (
@@ -19,13 +22,7 @@ from trapgas import (
     wronskian_check,
 )
 from trapgas.green_trapped import _p_poly_integer_phase
-from trapgas.legendre import (
-    _connection_bracket,
-    _exp_i_pi_nu_scaled,
-    _sin_pi_scaled,
-    legendre_ode_residual,
-    p_scaled,
-)
+from trapgas.legendre import _p_series, legendre_ode_residual
 
 mp.mp.dps = 30
 
@@ -174,9 +171,28 @@ class TestLegendrePairValues:
             legendre_pair(-0.5 + 20j, -0.9, tol=tol)
 
     def test_nonconvergence_raises_accuracy_error(self):
+        # nu = -1/2 + 0.8i, lambda = 1/4 + 0.8^2
         with pytest.raises(AccuracyError) as err:
-            p_scaled(-0.5 + 0.8j, -1.0 + 1e-12, tol=1e-15, max_terms=2000)
-        assert math.isfinite(err.value.achieved) or err.value.achieved > 0
+            _p_series(np.array([0.89]), -1.0 + 1e-12, tol=1e-15, max_terms=2000)
+        assert math.isfinite(err.value.achieved) and err.value.achieved > 1e-15
+        message = str(err.value)
+        for part in ("2000-term cap", "lambda = -nu(nu+1) = 0.89", "z = (1-u)/2 = 1", "close to -1"):
+            assert part in message
+
+    def test_large_degree_cap_names_growth_not_the_endpoint(self):
+        # at u = 0.3 the terms of lambda = 1e8 peak near j = 7 338, past the cap
+        with pytest.raises(AccuracyError) as err:
+            _p_series(np.array([1e8]), 0.3, tol=1e-13, max_terms=1000)
+        message = str(err.value)
+        for part in ("1000-term cap", "lambda = -nu(nu+1) = 1e+08", "u = 0.3", "z = (1-u)/2 = 0.35", "still growing",
+                     "peak near j = sqrt(lambda z/(1-z)) = 7338"):
+            assert part in message
+        assert "close to -1" not in message
+        assert err.value.achieved > 1e-13
+
+    def test_non_real_lambda_rejected(self):
+        with pytest.raises(DomainError, match=r"nu = \(0\.3\+0\.2j\) has non-real nu\(nu\+1\)"):
+            legendre_pair(0.3 + 0.2j, 0.1)
 
     def test_reports_terms_and_error_bound(self):
         pair = legendre_pair(-0.5 + 0.8j, 0.3, tol=1e-13)
@@ -227,29 +243,105 @@ class TestWronskian:
             wronskian_check(0, 0.999999, h=0.1)
 
 
-class TestScaledInternals:
-    def test_w_bracket_matches_naive_combination(self):
+def _mp_p(lam, u):
+    """P_nu(u) at 30 digits for lambda = -nu(nu+1).
+
+    mpmath.legenp is the oracle.  For lambda near 1e5 it raises NoConvergence
+    for z = (1-u)/2 near 0.75; there the 2F1 series is summed term by term
+    in 30-digit arithmetic instead.
+    """
+    nu = -0.5 + mp.sqrt(mp.mpf(0.25) - lam)
+    try:
+        return mp.re(mp.legenp(nu, 0, u, type=2))
+    except mp.libmp.NoConvergence:
+        z = (1 - mp.mpf(u)) / 2
+        term = value = mp.mpf(1)
+        j = 0
+        while abs(term) > mp.mpf(10) ** -32 * abs(value) or j * j < lam * z / (1 - z):
+            term *= (j * (j + 1) + mp.mpf(lam)) * z / (j + 1) ** 2
+            value += term
+            j += 1
+        return value
+
+
+def _p_value(mant, exp2, i=0):
+    """Row i of the kernel's P = mant * 2**exp2, exactly, as an mpf."""
+    return mp.ldexp(mp.mpf(float(mant[i])), int(exp2[i]))
+
+
+class TestSeriesKernel:
+    @settings(max_examples=60, deadline=None)
+    @given(log10_lam=st.floats(-3.0, 5.0), u=st.floats(-0.95, 0.95))
+    def test_matsubara_degrees_against_mpmath(self, log10_lam, u):
+        # every Matsubara degree has lambda = (alpha omega)^2 >= 0
+        lam = 10.0**log10_lam
+        mant, exp2, terms, err = _p_series(np.array([lam]), u, tol=1e-15)
+        ref = _mp_p(lam, u)
+        # 1e-12 relative in P keeps a product of four well inside the 1e-10
+        # the spectral route is held to
+        assert abs(_p_value(mant, exp2) / ref - 1) <= 1e-12 + err[0]
+        assert 0.5 <= mant[0] < 1.0
+        assert terms[0] % 128 == 0
+
+    @settings(max_examples=40, deadline=None)
+    @given(nu=st.sampled_from([0.5, 2.5, -0.3]), u=st.floats(-0.95, 0.95))
+    def test_real_degrees_track_the_term_sign(self, nu, u):
+        # lambda = -0.75 and -8.75 give negative leading ratios
+        lam = -nu * (nu + 1.0)
+        mant, exp2, _, err = _p_series(np.array([lam]), u, tol=1e-15)
+        ref = mp.legenp(nu, 0, u, type=2)
+        assert abs(_p_value(mant, exp2) - ref) <= 1e-13 * max(1.0, abs(ref)) + err[0] * abs(ref)
+
+    def test_batch_rows_equal_single_rows(self):
+        # 300 rows cross the 256-row block cap; each row is summed on its own
+        lam = np.geomspace(1e-3, 1e6, 300)
+        batch = _p_series(lam, -0.4, tol=1e-13)
+        for i in (0, 17, 255, 256, 299):
+            single = _p_series(lam[i:i + 1], -0.4, tol=1e-13)
+            for b, s in zip(batch, single):
+                assert b[i] == s[0]
+
+    def test_polynomial_degree_terminates(self):
+        # lambda = -n(n+1): the series ends after n + 1 terms, P = P_n
+        mant, exp2, terms, err = _p_series(np.array([-6.0, -12.0]), 0.3, tol=1e-15)
+        assert_allclose(np.ldexp(mant, exp2), [p_poly(2, 0.3), p_poly(3, 0.3)], rtol=1e-14)
+        assert err.tolist() == [0.0, 0.0]
+        assert terms.tolist() == [128, 128]
+
+    def test_conical_q_matches_connection_formula(self):
+        # legendre_pair's closed-form phases against the connection formula
+        # in plain complex arithmetic, from the kernel's P(+-u)
         nu = -0.5 + 1.5j
-        sin_pi = _sin_pi_scaled(nu)
+        lam = np.array([0.25 + 1.5**2])
         for u in (-0.5, 0.2, 0.7):
             pair = legendre_pair(nu, u, tol=1e-14)
-            p_u, _, _ = p_scaled(nu, u)
-            p_mu, _, _ = p_scaled(nu, -u)
-            for sign in (+1, -1):
-                w = _connection_bracket(p_u, p_mu, _exp_i_pi_nu_scaled(nu, sign), sin_pi)
-                naive = pair.q + sign * 1j * (math.pi / 2.0) * pair.p
-                assert abs(w.to_complex() - naive) < 1e-10 * max(1.0, abs(naive))
+            p_u, p_mu = (float(np.ldexp(*_p_series(lam, v, tol=1e-14)[:2])[0]) for v in (u, -u))
+            naive_q = math.pi / (2.0 * cmath.sin(math.pi * nu)) * (cmath.cos(math.pi * nu) * p_u - p_mu)
+            assert pair.p == p_u
+            assert abs(pair.q - naive_q) < 1e-13 * abs(naive_q)
 
     def test_large_degree_log_magnitude(self):
         # P_{-1/2+i mu}(cos theta) ~ exp(mu theta)/sqrt(2 pi mu sin theta)
         mu = 300.0
         theta = 1.1
-        sc, _, _ = p_scaled(-0.5 + 1j * mu, math.cos(theta))
-        log_mag = sc.log_scale + math.log(abs(sc.mant))
+        mant, exp2, _, _ = _p_series(np.array([0.25 + mu * mu]), math.cos(theta), tol=1e-15)
+        log_p = math.log(mant[0]) + exp2[0] * math.log(2.0)
         expected = mu * theta - 0.5 * math.log(2.0 * math.pi * mu * math.sin(theta))
-        assert abs(log_mag - expected) < 0.01 * abs(expected)
+        assert mant[0] > 0.0
+        assert abs(log_p - expected) < 0.01 * abs(expected)
 
-    def test_scaled_p_matches_plain_at_moderate_degree(self):
-        sc, _, _ = p_scaled(-0.5 + 5j, -0.7)
+    def test_pair_finite_where_cosh_pi_mu_overflows(self):
+        # cosh(300 pi) overflows float64; Re Q ~ exp(-mu theta) stays tiny and finite
+        mu = 300.0
+        theta = 1.1
+        with pytest.raises(OverflowError):
+            math.cosh(math.pi * mu)
+        pair = legendre_pair(-0.5 + 1j * mu, math.cos(theta))
+        assert all(math.isfinite(v) for v in (pair.p.real, pair.q.real, pair.q.imag))
+        assert 0.0 < pair.q.real < 1e-100
+        assert pair.q.imag == pytest.approx(-(math.pi / 2.0) * pair.p.real, rel=1e-15)
+
+    def test_p_matches_plain_at_moderate_degree(self):
+        mant, exp2, _, _ = _p_series(np.array([0.25 + 25.0]), -0.7, tol=1e-15)
         ref = complex(mp.legenp(-0.5 + 5j, 0, -0.7, type=2))
-        assert abs(sc.to_complex() - ref) < 1e-10 * abs(ref)
+        assert abs(np.ldexp(mant[0], exp2[0]) - ref) < 1e-10 * abs(ref)
