@@ -25,7 +25,6 @@ from .correlator import (
 from .errors import (
     AccuracyError,
     ConfigError,
-    ConsistencyError,
     DataError,
     DomainError,
     RegimeError,

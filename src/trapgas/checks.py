@@ -48,7 +48,7 @@ from .green_trapped import (
     matsubara_assemble,
     spectral_density,
 )
-from .legendre import legendre_pair
+from .legendre import wronskian_check
 from .model import PhysicalParams, derive_scales, rho_tf
 from .oracle import FdmGrid, brute_frequency_sum, fdm_eigensolve_richardson, fdm_spectral_solve
 
@@ -308,7 +308,7 @@ def check_exponent_extraction():
     for dt in dtaus:
         gval = lowT_legendre_series(s_point, dt, s_point, 0.0, p2, d2, ctl)
         q = CorrelatorQuery(s_point, dt, s_point, 0.0)
-        gam2.append(gamma_from_green(q, gval, gval, p2, d2))
+        gam2.append(gamma_from_green(q, gval, p2, d2))
     fit_s = extract_exponent(hv * dtaus, gam2, rho_products=np.full(len(dtaus), rho_s))
     inv_theta_s_true = 1.0 / theta_at(s_point, p2, d2)
     err_s = abs(fit_s.inv_theta - inv_theta_s_true) / inv_theta_s_true
@@ -331,10 +331,17 @@ def check_exponent_extraction():
 
 
 def check_symmetry_positivity():
-    """Randomized symmetry/positivity battery; the reported value is the
-    symmetrized-Green imaginary residual (the tightest of the properties)."""
+    """Randomized symmetry/positivity battery over 12 random parameter sets.
+
+    The figure is the largest relative deviation of the batched Matsubara
+    assembly from its definition, the fold (1/beta) [G_0 + 2 sum_l
+    cos(omega_l tau) G_omega_l] of per-frequency spectral densities.  The
+    conditions are rho_TF parity, support and normalization, symmetry and
+    positivity of the closed-form Gamma, bitwise symmetry of the assembly
+    under swapping its two points, and a positive Gamma from it.
+    """
     rng = np.random.default_rng(777)
-    worst_imag = 0.0
+    worst = 0.0
     failures = []
     for trial in range(12):
         p = PhysicalParams(
@@ -367,58 +374,27 @@ def check_symmetry_positivity():
         if not (ga > 0.0) or ga != gb:
             failures.append(f"trial {trial}: closed-form Gamma symmetry/positivity broken")
 
-        # symmetrized assembled Green value: complex assembly, +-l folding
+        # assembled route against its fold, swap symmetry and positivity
         l_max = 6
-        total_12 = complex(spectral_density(0.0, x1, x2, p, d).re_part)
-        total_21 = complex(spectral_density(0.0, x2, x1, p, d).re_part)
-        for l in range(1, l_max + 1):
-            om = 2.0 * math.pi * l / p.beta
-            re_12 = spectral_density(om, x1, x2, p, d).re_part
-            re_21 = spectral_density(om, x2, x1, p, d).re_part
-            for sign in (+1.0, -1.0):
-                total_12 += np.exp(1j * sign * om * tau) * re_12
-                total_21 += np.exp(-1j * sign * om * tau) * re_21
-        sym = 0.5 * (total_12 + total_21) / p.beta
-        worst_imag = max(worst_imag, abs(sym.imag))
-        q = CorrelatorQuery(x1, tau, x2, 0.0)
-        gam = gamma_from_green(q, total_12 / p.beta, total_21 / p.beta, p, d)
-        if not (gam > 0.0):
+        sds = [spectral_density(2.0 * math.pi * l / p.beta, x1, x2, p, d) for l in range(l_max + 1)]
+        fold = (sds[0].re_part + 2.0 * sum(math.cos(sd.omega * tau) * sd.re_part for sd in sds[1:])) / p.beta
+        g12 = matsubara_assemble(x1, tau, x2, 0.0, p, d, l_max)
+        g21 = matsubara_assemble(x2, 0.0, x1, tau, p, d, l_max)
+        worst = max(worst, abs(g12.value - fold) / max(abs(fold), 1e-300))
+        if g12.value != g21.value:
+            failures.append(f"trial {trial}: assembly not symmetric under swapping its points")
+        if not (gamma_from_green(CorrelatorQuery(x1, tau, x2, 0.0), g12, p, d) > 0.0):
             failures.append(f"trial {trial}: assembled-route Gamma not positive")
-    return worst_imag, "; ".join(failures) if failures else "12 randomized trials clean", not failures
+    detail = "max relative deviation of the assembly from its spectral-density fold; "
+    return worst, detail + ("; ".join(failures) or "12 randomized trials clean"), not failures
 
 
 def check_wronskian_conical():
-    """Wronskian normalization and reality of conical P across the degree set.
-
-    The residual is normalized by the magnitude of the Wronskian's
-    constituent products: at nu = -1/2 + 5i toward u -> -1 the products
-    P Q' and P' Q reach ~1e12 while their difference is O(1), so an absolute
-    FD residual is ill-conditioned there in double precision; the normalized
-    residual measures exactly the relative consistency of the pair.
-    """
+    """Normalized Wronskian residual of the Legendre pair, ``wronskian_check``,
+    over integer and conical degrees and 17 points in (-1, 1)."""
     degrees = [0.0, 1.0, 3.0, -0.5 + 0.8j, -0.5 + 5.0j]
-    us = np.linspace(-0.94, 0.94, 17)
-    worst = 0.0
-    worst_imag = 0.0
-    for nu in degrees:
-        for u_arr in us:
-            u = float(u_arr)
-            h = 1e-5 * (1.0 - u * u)
-            hi = legendre_pair(nu, u + h)
-            lo = legendre_pair(nu, u - h)
-            mid = legendre_pair(nu, u)
-            dp = (hi.p - lo.p) / (2.0 * h)
-            dq = (hi.q - lo.q) / (2.0 * h)
-            resid = abs(mid.p * dq - dp * mid.q - 1.0 / (1.0 - u * u))
-            scale = max(1.0, abs(mid.p * dq), abs(dp * mid.q))
-            worst = max(worst, resid / scale)
-            if isinstance(nu, complex) and nu.imag != 0.0:
-                worst_imag = max(worst_imag, abs(mid.p.imag))
-    detail = (
-        "max Wronskian residual normalized by the product scale; "
-        f"max |Im P_conical| = {worst_imag:.2e} (< 1e-8 required)"
-    )
-    return worst, detail, worst_imag < 1e-8
+    worst = max(wronskian_check(nu, float(u)) for nu in degrees for u in np.linspace(-0.94, 0.94, 17))
+    return worst, "max Wronskian residual normalized by the product scale, 5 degrees x 17 points", True
 
 
 # name -> (check, pinned tolerance), in report order

@@ -36,7 +36,7 @@ from .correlator import (
     theta_at,
     xi_at,
 )
-from .errors import AccuracyError, ConfigError, ConsistencyError, DataError, DomainError, RegimeError, TrapGasError
+from .errors import AccuracyError, ConfigError, DataError, DomainError, RegimeError, TrapGasError
 from .green_homogeneous import HomogSeriesControl, homog_asymptotic_highT, homog_asymptotic_lowT, homog_series
 from .green_trapped import (
     LowTControl,
@@ -290,7 +290,7 @@ def cmd_spectrum(cfg: RunConfig, args) -> tuple:
 
 
 # evaluation failures reported in a row's status; anything else aborts the run
-_ROW_ERRORS = (RegimeError, DomainError, AccuracyError, ConsistencyError)
+_ROW_ERRORS = (RegimeError, DomainError, AccuracyError)
 
 
 def _green_row(x1, tau1, x2, tau2, gv, regime_tag, status="ok"):
@@ -301,7 +301,7 @@ def _green_row(x1, tau1, x2, tau2, gv, regime_tag, status="ok"):
         return (x1, tau1, x2, tau2, None, None, gv.method, gv.trunc_err, regime_tag, slack, gv.const_free, "divergent")
     return (
         x1, tau1, x2, tau2,
-        gv.value.real, gv.value.imag,
+        gv.value, 0.0,
         gv.method, gv.trunc_err, regime_tag, slack, gv.const_free,
         status if gv.warning is None else f"warning: {gv.warning}",
     )
@@ -396,25 +396,19 @@ def _correlator_value(mode, q: CorrelatorQuery, cfg: RunConfig, p, d):
         if q.tau1 != q.tau2:
             raise DomainError("closed-form correlator is equal-time; set grid.dtau = 0")
         return gamma_d1_exact(q.x1, q.x2, p, d), "closed-form"
-    if mode == "series":
-        # both orders: the series rounds differently when its arguments swap
-        ctl = _lowt_control(cfg)
-        g12 = lowT_legendre_series(q.x1, q.tau1, q.x2, q.tau2, p, d, ctl)
-        g21 = lowT_legendre_series(q.x2, q.tau2, q.x1, q.tau1, p, d, ctl)
-        return gamma_from_green(q, g12, g21, p, d), "series"
-    if mode == "spectral":
-        method = "spectral"
-    elif mode == "asymptotic-auto":
+    method = mode
+    if mode == "asymptotic-auto":
         try:
-            return gamma_trapped_asymptotic(q, p, d, cfg["regime.r_lo"], cfg["regime.r_hi"]), "asymptotic-auto"
+            return gamma_trapped_asymptotic(q, p, d, cfg["regime.r_lo"], cfg["regime.r_hi"]), mode
         except RegimeError:
             method = "asymptotic-auto:fallback-spectral"
+    if mode == "series":
+        g = lowT_legendre_series(q.x1, q.tau1, q.x2, q.tau2, p, d, _lowt_control(cfg))
+    elif mode in ("spectral", "asymptotic-auto"):
+        g = matsubara_assemble(q.x1, q.tau1, q.x2, q.tau2, p, d, cfg["truncation.l_max"])
     else:
         raise ConfigError(f"unknown correlator mode {mode!r}")
-    # the assembly is bitwise symmetric under swapping its two points, so one
-    # value serves as both G(1;2) and G(2;1)
-    g = matsubara_assemble(q.x1, q.tau1, q.x2, q.tau2, p, d, cfg["truncation.l_max"])
-    return gamma_from_green(q, g, g, p, d), method
+    return gamma_from_green(q, g, p, d), method
 
 
 def _sep_grid(cfg: RunConfig) -> np.ndarray:
@@ -437,7 +431,7 @@ def _correlator_queries(cfg: RunConfig) -> list:
 
 def cmd_correlator(cfg: RunConfig, args) -> tuple:
     p, d = cfg.params, cfg.scales
-    columns = ["x1", "tau1", "x2", "tau2", "S", "gamma", "theta_S", "xi_S", "method", "window_slack", "status"]
+    columns = ["x1", "tau1", "x2", "tau2", "S", "gamma", "theta_S", "xi_S", "method", "status"]
 
     def row(q):
         try:
@@ -445,12 +439,10 @@ def cmd_correlator(cfg: RunConfig, args) -> tuple:
             xi_s = xi_at(q.S, p, d)
             gamma, method = _correlator_value(args.mode, q, cfg, p, d)
             if math.isinf(gamma):
-                return (q.x1, q.tau1, q.x2, q.tau2, q.S, None, theta_s, xi_s, method, None, "divergent")
-            slack = abs(q.dx) / max(abs(q.S), 1e-300)
-            return (q.x1, q.tau1, q.x2, q.tau2, q.S, gamma, theta_s, xi_s, method, slack, "ok")
+                return (q.x1, q.tau1, q.x2, q.tau2, q.S, None, theta_s, xi_s, method, "divergent")
+            return (q.x1, q.tau1, q.x2, q.tau2, q.S, gamma, theta_s, xi_s, method, "ok")
         except _ROW_ERRORS as exc:
-            return (q.x1, q.tau1, q.x2, q.tau2, q.S, None, None, None, args.mode, None,
-                    f"{type(exc).__name__}: {exc}")
+            return (q.x1, q.tau1, q.x2, q.tau2, q.S, None, None, None, args.mode, f"{type(exc).__name__}: {exc}")
 
     return columns, [row(q) for q in _correlator_queries(cfg)], {"mode": args.mode}
 

@@ -2,11 +2,13 @@
 
 The correlator is assembled from Green values as
 
-    Gamma = sqrt(rho_TF(x1) rho_TF(x2)) * exp(-(G(1;2) + G(2;1))/2),
+    Gamma = sqrt(rho_TF(x1) rho_TF(x2)) * exp(-G),
 
-with the Thomas-Fermi density standing in for the renormalized densities of
-the prefactor.  All power-law exponents derive from the single stored
-quantity theta: homogeneous theta = 2 pi hbar v / g, trapped
+the paper's exp(-(G(1;2) + G(2;1))/2) with G = G(1;2) = G(2;1): every route
+returns a real Green value that is symmetric in its two points by
+construction.  The Thomas-Fermi density stands in for the renormalized
+densities of the prefactor.  All power-law exponents derive from the single
+stored quantity theta: homogeneous theta = 2 pi hbar v / g, trapped
 theta(S) = 2 pi hbar rho_TF(S) / (m v), correlation length
 xi(S) = (hbar beta v / pi) theta(S).
 """
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConsistencyError, DataError, DomainError, RegimeError
+from .errors import DataError, DomainError, RegimeError
 from .green_homogeneous import GreenValue, log_2sin_abs, log_2sinh_abs
 from .green_trapped import _window_quasihom
 from .model import DEFAULT_R_HI, DEFAULT_R_LO, DerivedScales, PhysicalParams, Regime, classify_regime, rho_tf
@@ -26,8 +28,6 @@ from .model import DEFAULT_R_HI, DEFAULT_R_LO, DerivedScales, PhysicalParams, Re
 # the factor that turns each strong inequality "a << b" of an asymptotic
 # window into a <= WINDOW_FACTOR * b
 WINDOW_FACTOR = 0.1
-# largest relative imaginary residual of a symmetrized Green value
-IMAG_TOL = 1e-9
 # fewest Gamma samples a power-law fit accepts
 MIN_FIT_SAMPLES = 8
 
@@ -134,30 +134,10 @@ def _sqrt_rho_pair(x1: float, x2: float, p: PhysicalParams, d: DerivedScales) ->
     return math.sqrt(r1 * r2)
 
 
-def gamma_from_green(
-    q: CorrelatorQuery,
-    g12,
-    g21,
-    p: PhysicalParams,
-    d: DerivedScales,
-) -> float:
-    """Gamma from a symmetrized pair of Green values of one method.
-
-    The symmetrized Green value must be real up to ``IMAG_TOL`` (scaled by its
-    magnitude); a larger residual means the two inputs were produced
-    inconsistently.
-    """
-    v12 = g12.value if isinstance(g12, GreenValue) else complex(g12)
-    v21 = g21.value if isinstance(g21, GreenValue) else complex(g21)
-    if isinstance(g12, GreenValue) and isinstance(g21, GreenValue) and g12.method != g21.method:
-        raise ConsistencyError(f"gamma_from_green mixes methods {g12.method!r} and {g21.method!r}")
-    sym = 0.5 * (v12 + v21)
-    residual = abs(sym.imag)
-    if residual > IMAG_TOL * max(1.0, abs(sym.real)):
-        raise ConsistencyError(
-            f"symmetrized Green value has imaginary residual {residual:.3e} above tolerance {IMAG_TOL:g}"
-        )
-    return _sqrt_rho_pair(q.x1, q.x2, p, d) * math.exp(-sym.real)
+def gamma_from_green(q: CorrelatorQuery, g: GreenValue, p: PhysicalParams, d: DerivedScales) -> float:
+    """Gamma = sqrt(rho_TF(x1) rho_TF(x2)) exp(-G) from the Green value
+    ``g`` of the pair ``q``."""
+    return _sqrt_rho_pair(q.x1, q.x2, p, d) * math.exp(-g.value)
 
 
 def gamma_d1_exact(x1: float, x2: float, p: PhysicalParams, d: DerivedScales) -> float:

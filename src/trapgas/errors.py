@@ -38,9 +38,5 @@ class AccuracyError(TrapGasError, RuntimeError):
         self.achieved = achieved
 
 
-class ConsistencyError(TrapGasError, RuntimeError):
-    """A cross-check that should hold by construction failed."""
-
-
 class DataError(TrapGasError, ValueError):
     """Input data unsuitable for a fit or reduction."""

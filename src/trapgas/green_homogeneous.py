@@ -59,9 +59,14 @@ class HomogSeriesControl:
 
 @dataclass(frozen=True)
 class GreenValue:
-    """A Green-function value plus evaluation metadata."""
+    """A Green-function value plus evaluation metadata.
 
-    value: complex
+    ``value`` is the real phase correlator G(1;2).  Every route returns it
+    symmetric under swapping its two spacetime points, so it also stands for
+    G(2;1).
+    """
+
+    value: float
     method: str
     trunc_err: float = 0.0
     divergent: bool = False
@@ -95,7 +100,6 @@ class GreenDifference:
     value: float
     trunc_err: float
     method: str
-    imag_residual: float
 
 
 def log_2sinh_abs(z: complex) -> float:
@@ -173,7 +177,7 @@ def homog_series(
 
     value = pref * (line_k0 + line_w0 + block)
     return GreenValue(
-        value=complex(value),
+        value=value,
         method="homog-series",
         trunc_err=trunc,
         divergent=(warning is not None),
@@ -186,7 +190,7 @@ def _log_divergence(method: str) -> GreenValue:
     """Marker returned by a closed form at coincident arguments, where its
     logarithm diverges."""
     return GreenValue(
-        value=complex(-math.inf),
+        value=-math.inf,
         method=method,
         divergent=True,
         const_free=True,
@@ -218,7 +222,7 @@ def homog_asymptotic_highT(
     if math.isinf(log_term):
         return _log_divergence("homog-asympt-highT")
     value = (p.g / (2.0 * math.pi * hv)) * log_term - (p.g / (4.0 * p.beta * d.R_c)) * dx**2 / hv**2
-    return GreenValue(value=complex(value), method="homog-asympt-highT", const_free=True)
+    return GreenValue(value=value, method="homog-asympt-highT", const_free=True)
 
 
 def homog_asymptotic_lowT(
@@ -239,11 +243,14 @@ def homog_asymptotic_lowT(
     if math.isinf(log_term):
         return _log_divergence("homog-asympt-lowT")
     value = (p.g / (2.0 * math.pi * hv)) * log_term - (p.g / (4.0 * p.beta * d.R_c)) * dtau**2
-    return GreenValue(value=complex(value), method="homog-asympt-lowT", const_free=True)
+    return GreenValue(value=value, method="homog-asympt-lowT", const_free=True)
 
 
 def green_difference(evaluate, pair_a: SpacetimePair, pair_b: SpacetimePair) -> GreenDifference:
     """G(pair_a) - G(pair_b) under one evaluator; additive constants cancel.
+
+    The difference of two real Green values is real; its truncation error is
+    the sum of the two endpoints' estimates.
 
     ``evaluate(x, tau, xp, taup)`` returns a :class:`GreenValue`, like the
     Green functions themselves with their remaining arguments bound (e.g.
@@ -257,10 +264,4 @@ def green_difference(evaluate, pair_a: SpacetimePair, pair_b: SpacetimePair) -> 
         raise UsageError(f"green_difference mixes methods {ga.method!r} and {gb.method!r}")
     if ga.divergent or gb.divergent:
         raise UsageError("green_difference got a divergent endpoint; pick separated arguments")
-    diff = ga.value - gb.value
-    return GreenDifference(
-        value=float(diff.real),
-        trunc_err=ga.trunc_err + gb.trunc_err,
-        method=ga.method,
-        imag_residual=abs(diff.imag),
-    )
+    return GreenDifference(value=ga.value - gb.value, trunc_err=ga.trunc_err + gb.trunc_err, method=ga.method)

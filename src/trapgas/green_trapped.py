@@ -62,7 +62,8 @@ class SpectralDensity:
     """G_omega(x, x') at one Matsubara frequency.
 
     ``re_part``/``im_part`` are the real and imaginary parts of the full
-    density; ``terms`` counts the hypergeometric series terms it summed.
+    density; ``err_bound`` is an absolute bound on the series error of
+    ``re_part``; ``terms`` counts the hypergeometric series terms it summed.
     """
 
     omega: float
@@ -116,8 +117,9 @@ def _zero_mode_parts(u: float, up: float, k: float) -> tuple:
 
 
 def _density_parts(omegas: np.ndarray, u: float, up: float, d: DerivedScales, k: float, tol: float) -> tuple:
-    """re_part, im_part, series terms and error bound of G_omega(x, x') for
-    each nonzero omega of the 1-D array ``omegas``, by the real closed form.
+    """re_part, im_part, series terms and absolute error bound of re_part of
+    G_omega(x, x') for each nonzero omega of the 1-D array ``omegas``, by the
+    real closed form.
 
     With lambda = (alpha omega)^2, P_<(+-) = P_nu(+-u_<), P_>(+-) =
     P_nu(+-u_>) and C = (2K/pi)(pi/2)^2:
@@ -130,7 +132,10 @@ def _density_parts(omegas: np.ndarray, u: float, up: float, d: DerivedScales, k:
         im = -C [q_< q_> + P_<(+) P_>(+)],  q = (2/pi) Q_nu(u) = [cos(pi nu) P_nu(u) - P_nu(-u)] / sin(pi nu)
 
     Conical products are formed from mantissas and powers of two, so neither
-    the exp(pi mu) growth of P nor cosh(pi mu) overflows.
+    the exp(pi mu) growth of P nor cosh(pi mu) overflows.  Each P series
+    carries a relative bound r; the bound on re weights the two relative bounds
+    of each product by that product's magnitude, e.g. on the conical line
+    C [|A| (r(u_<) + r(-u_>)) + |B| (r(-u_<) + r(u_>))] for re = C (A - B).
     """
     lam = (d.alpha * omegas) ** 2
     lo, hi = (u, up) if u <= up else (up, u)
@@ -138,13 +143,15 @@ def _density_parts(omegas: np.ndarray, u: float, up: float, d: DerivedScales, k:
         _p_series(lam, v, tol) for v in (lo, -lo, hi, -hi)
     )
     c = k * math.pi / 2.0
-    re, im = np.empty(lam.size), np.empty(lam.size)
+    re, im, err = np.empty(lam.size), np.empty(lam.size), np.empty(lam.size)
     con = lam > 0.25
     mu = np.sqrt(lam[con] - 0.25)
     log_cosh2 = 2.0 * _log_cosh_pi(mu)
     (ma, ea), (mb, eb), (m0, e0) = (_exp_split(x) for x in (-np.pi * mu - log_cosh2, np.pi * mu - log_cosh2, -log_cosh2))
-    re[con] = c * (np.ldexp(ma * m_lo[con] * m_mhi[con], ea + e_lo[con] + e_mhi[con])
-                   - np.ldexp(mb * m_mlo[con] * m_hi[con], eb + e_mlo[con] + e_hi[con]))
+    a = np.ldexp(ma * m_lo[con] * m_mhi[con], ea + e_lo[con] + e_mhi[con])
+    b = np.ldexp(mb * m_mlo[con] * m_hi[con], eb + e_mlo[con] + e_hi[con])
+    re[con] = c * (a - b)
+    err[con] = c * (np.abs(a) * (r1[con] + r4[con]) + np.abs(b) * (r2[con] + r3[con]))
     im[con] = -c * (np.ldexp(m0 * m_mlo[con] * m_mhi[con], e0 + e_mlo[con] + e_mhi[con])
                     + np.ldexp(m0 * m_lo[con] * m_hi[con], e0 + e_lo[con] + e_hi[con]))
     real = ~con
@@ -157,7 +164,9 @@ def _density_parts(omegas: np.ndarray, u: float, up: float, d: DerivedScales, k:
     q_hi = (cos_pi_nu * p_hi - p_mhi) / sin_pi_nu
     re[real] = c * (p_hi * p_mlo - p_lo * p_mhi) / sin_pi_nu
     im[real] = -c * (q_lo * q_hi + p_lo * p_hi)
-    return re, im, t1 + t2 + t3 + t4, r1 + r2 + r3 + r4
+    err[real] = c * (np.abs(p_hi * p_mlo) * (r3[real] + r2[real])
+                     + np.abs(p_lo * p_mhi) * (r1[real] + r4[real])) / np.abs(sin_pi_nu)
+    return re, im, t1 + t2 + t3 + t4, err
 
 
 def spectral_density(
@@ -216,9 +225,10 @@ def matsubara_assemble(
     densities are even in omega, so folding +-l gives an exactly real value:
     (1/beta) [G_0 + 2 sum_{l>=1} cos(omega_l dtau) Re G_omega].  All l_max
     frequencies are evaluated in one batched pass of the series kernel.
-    Truncation is estimated from the large-omega envelope
-    exp(-|omega||dx|/hbar v)/|omega|.  ``meta`` carries the series terms
-    summed and the frequencies used, the zero mode included.
+    ``trunc_err`` adds the frequency cutoff, estimated from the large-omega
+    envelope exp(-|omega||dx|/hbar v)/|omega|, to the densities' own absolute
+    error bounds.  ``meta`` carries the series terms summed and the
+    frequencies used, the zero mode included.
     """
     if l_max < 0:
         raise DomainError("l_max must be >= 0")
@@ -237,7 +247,7 @@ def matsubara_assemble(
     # cos is even: |dtau| and the exactly rounded fsum keep the value bitwise
     # symmetric under swapping the two points
     total = _zero_mode_parts(u, up, k)[0] + 2.0 * math.fsum(np.cos(omegas * abs(dtau)) * re)
-    err = 2.0 * float(np.sum(errs))
+    err = 2.0 * float(np.sum(errs)) / p.beta
 
     hv = p.hbar * d.v
     s_half = 0.5 * (x + xp)
@@ -252,7 +262,7 @@ def matsubara_assemble(
         trunc = first_omitted
         warning = "dx = 0: oscillatory frequency tail, truncation estimate is first omitted term"
     return GreenValue(
-        value=complex(total / p.beta),
+        value=total / p.beta,
         method="trapped-assembled",
         trunc_err=trunc + err,
         warning=warning,
@@ -357,7 +367,8 @@ def lowT_legendre_series(
     for n in range(1, ctl.n0 + 1):
         root = math.sqrt(n * (n + 1.0))
         w_n = (n + 0.5) / root
-        exact = w_n * pn_u[n] * pn_up[n] * math.exp(-root * dtau / d.alpha)
+        # P_n(u) P_n(u') first, so that the value is bitwise symmetric in u, u'
+        exact = w_n * (pn_u[n] * pn_up[n]) * math.exp(-root * dtau / d.alpha)
         approx = (
             _p_poly_integer_phase(n, theta)
             * _p_poly_integer_phase(n, theta_p)
@@ -369,7 +380,7 @@ def lowT_legendre_series(
     tail = -(p.g / (2.0 * hv)) * math.exp(-dtau / (2.0 * d.alpha)) * _geometric_tail(t, theta, theta_p)
 
     return GreenValue(
-        value=complex(bracket + corr + tail),
+        value=float(bracket + corr + tail),
         method="trapped-lowT-series",
         warning=warning,
         meta={"n0": ctl.n0, "u_star": u_star, "t": t},
@@ -392,7 +403,7 @@ def lowT_n0_drift(
     """
     g1 = lowT_legendre_series(x, tau, xp, taup, p, d, ctl)
     g2 = lowT_legendre_series(x, tau, xp, taup, p, d, replace(ctl, n0=2 * ctl.n0))
-    v1, v2 = g1.value.real, g2.value.real
+    v1, v2 = g1.value, g2.value
     drift = abs(v2 - v1) / max(abs(v1), abs(v2), 1e-300)
     return g1, g2, drift
 
@@ -477,7 +488,7 @@ def asympt_green_highT(
         return _log_divergence("trapped-asympt-highT")
     value = p.Lambda / (2.0 * math.pi * hv * rho_tf(s_half, p, d)) * log_term
     return GreenValue(
-        value=complex(value),
+        value=value,
         method="trapped-asympt-highT",
         const_free=True,
         meta={"window_slack": slack, "S": s_half},
@@ -511,7 +522,7 @@ def asympt_green_lowT(
     hv = p.hbar * d.v
     value = -(p.Lambda / (2.0 * math.pi * hv * rho_tf(s_half, p, d))) * math.log(1.0 / u_star)
     return GreenValue(
-        value=complex(value),
+        value=value,
         method="trapped-asympt-lowT",
         const_free=True,
         meta={"u_star": u_star, "S": s_half, "n0": ctl.n0},

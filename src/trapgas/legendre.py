@@ -310,10 +310,16 @@ def legendre_pair(nu: complex, u: float, tol: float = 1e-13, max_terms: int = _M
 
 
 def wronskian_check(nu, u: float, h: float | None = None, tol: float = 1e-13) -> float:
-    """|P Q' - P' Q - 1/(1-u^2)| with derivatives by central differences.
+    """|P Q' - P' Q - 1/(1-u^2)| / max(1, |P Q'|, |P' Q|), with derivatives
+    by central differences.
 
     The analytic Wronskian of the pair is 1/(1-u^2) for every degree; the
-    returned residual is a self-test of the evaluation routines.
+    returned residual is a self-test of the evaluation routines.  It is
+    normalized by the magnitude of the Wronskian's constituent products: at
+    nu = -1/2 + 5i toward u -> -1 the products P Q' and P' Q reach ~1e12
+    while their difference is O(1), so an absolute finite-difference residual
+    is ill-conditioned there in double precision; the normalized residual
+    measures the relative consistency of the pair.
     """
     if h is None:
         h = 1e-5 * (1.0 - u * u)
@@ -324,8 +330,8 @@ def wronskian_check(nu, u: float, h: float | None = None, tol: float = 1e-13) ->
     mid = legendre_pair(nu, u, tol=tol)
     dp = (hi.p - lo.p) / (2.0 * h)
     dq = (hi.q - lo.q) / (2.0 * h)
-    wronskian = mid.p * dq - dp * mid.q
-    return abs(wronskian - 1.0 / (1.0 - u * u))
+    pdq, dpq = mid.p * dq, dp * mid.q
+    return abs(pdq - dpq - 1.0 / (1.0 - u * u)) / max(1.0, abs(pdq), abs(dpq))
 
 
 def legendre_ode_residual(y, nu: complex, u: float, h: float = 1e-4) -> complex:

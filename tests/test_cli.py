@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -10,7 +11,7 @@ from trapgas.errors import ConfigError
 from trapgas.green_trapped import lowT_n0_drift
 
 GREEN_COLUMNS = ["x1", "tau1", "x2", "tau2", "G_re", "G_im", "method", "trunc_err", "regime", "window_slack", "const_free", "status"]
-CORRELATOR_COLUMNS = ["x1", "tau1", "x2", "tau2", "S", "gamma", "theta_S", "xi_S", "method", "window_slack", "status"]
+CORRELATOR_COLUMNS = ["x1", "tau1", "x2", "tau2", "S", "gamma", "theta_S", "xi_S", "method", "status"]
 
 
 def write_config(tmp_path, text, name="run.ini"):
@@ -197,6 +198,19 @@ class TestGreenCommand:
         _, header, rows = read_csv(str(out))
         assert len(rows) == 6  # one block of 3 per frequency
 
+    def test_trapped_spectral_trunc_err_is_absolute(self, tmp_path):
+        # trunc_err bounds |G_re|'s series error, so it scales with G_re: at
+        # omega = 20 pi, G_re spans 1e-42 to 1e-6 across the default grid.
+        # omega = 0.2 lies on the real branch (alpha omega < 1/2).
+        cfg = write_config(tmp_path, "[grid]\nomega_list = 0.2, 62.83185307179586\n")
+        out = tmp_path / "spectral.csv"
+        assert main(["green", "--mode", "trapped-spectral", "--config", cfg, "--out", str(out)]) == 0
+        _, header, rows = read_csv(str(out))
+        g_re, trunc = header.index("G_re"), header.index("trunc_err")
+        assert len(rows) == 82 and all(r[-1] == "ok" for r in rows)
+        for r in rows:
+            assert 0.0 <= float(r[trunc]) <= 1e-9 * abs(float(r[g_re]))
+
     def test_oracle_matches_spectral_on_same_grid(self, tmp_path):
         grid = "[grid]\nx_ref = 0.1\nx_min = -0.6\nx_max = 0.6\nx_count = 5\nomega_list = 0, 6.283185307179586\n"
         cfg = write_config(tmp_path, grid)
@@ -247,7 +261,7 @@ class TestCorrelatorCommand:
         out = tmp_path / "corr.csv"
         assert main(["correlator", "--mode", "closed-form", "--config", cfg, "--out", str(out)]) == 0
         _, header, rows = read_csv(str(out))
-        assert header == ["x1", "tau1", "x2", "tau2", "S", "gamma", "theta_S", "xi_S", "method", "window_slack", "status"]
+        assert header == CORRELATOR_COLUMNS
         p = PhysicalParams(m=1, g=1, Omega=1, Lambda=1, beta=1)
         d = derive_scales(p)
         # zero-separation row reduces to the density at the midpoint
@@ -297,7 +311,8 @@ class TestCorrelatorCommand:
         assert [(r[header.index("method")], r[header.index("status")]) for r in rows] == [("asymptotic-auto", "ok")] * 3
 
     def test_spectral_row_equals_symmetrized_pair(self, tmp_path):
-        # the table evaluates G once; it must equal the explicit G(1;2), G(2;1) pair
+        # the table evaluates G once, which stands for both G(1;2) and G(2;1):
+        # the two orders must agree bitwise and reproduce the row
         cfg = write_config(
             tmp_path,
             "[params]\nbeta = 2.5\n[truncation]\nl_max = 6\n[grid]\ns_center = 0.35\nsep_count = 3\ndtau = 0.3\n",
@@ -312,7 +327,8 @@ class TestCorrelatorCommand:
             x1, tau1, x2, tau2 = (float(row[k]) for k in ("x1", "tau1", "x2", "tau2"))
             g12 = matsubara_assemble(x1, tau1, x2, tau2, p, d, 6)
             g21 = matsubara_assemble(x2, tau2, x1, tau1, p, d, 6)
-            gamma = gamma_from_green(CorrelatorQuery(x1, tau1, x2, tau2), g12, g21, p, d)
+            assert g12.value == g21.value
+            gamma = gamma_from_green(CorrelatorQuery(x1, tau1, x2, tau2), g12, p, d)
             assert row["status"] == "ok" and row["gamma"] == "%.17g" % gamma
 
 
@@ -426,6 +442,32 @@ class TestValidateCommand:
         assert main(["validate", "--out", str(out), "--override", override]) == 2
         assert override.split("=")[0] in capsys.readouterr().err
         assert not out.exists()
+
+    def test_check_10_fails_on_a_wrong_assembly(self, monkeypatch):
+        # the figure is the assembly's deviation from its spectral-density fold
+        from trapgas import checks
+
+        def off_by_1e_6(*args, **kwargs):
+            g = matsubara_assemble(*args, **kwargs)
+            return dataclasses.replace(g, value=g.value * (1.0 + 1e-6))
+
+        monkeypatch.setattr(checks, "matsubara_assemble", off_by_1e_6)
+        result = checks.run_check("10-symmetry-positivity")
+        assert not result.passed and result.value > 1e-7 and result.conditions_met
+
+    def test_check_10_fails_on_an_asymmetric_assembly(self, monkeypatch):
+        # one ulp between the two point orders: the figure stays tiny, the
+        # swap condition fails
+        from trapgas import checks
+
+        def asymmetric(x, tau, xp, taup, *args, **kwargs):
+            g = matsubara_assemble(x, tau, xp, taup, *args, **kwargs)
+            return dataclasses.replace(g, value=math.nextafter(g.value, math.inf)) if x < xp else g
+
+        monkeypatch.setattr(checks, "matsubara_assemble", asymmetric)
+        result = checks.run_check("10-symmetry-positivity")
+        assert not result.passed and result.value < result.tol and not result.conditions_met
+        assert "not symmetric" in result.detail
 
     def test_report_values_stable_across_runs(self):
         from trapgas.checks import run_check

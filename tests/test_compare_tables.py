@@ -1,0 +1,38 @@
+"""Smoke test of ``tools/compare_tables.py``, the table byte-compare harness:
+its low-temperature block must reach ok ``series`` rows, which the mode
+matrix alone never produces."""
+
+import importlib.util
+import json
+import os
+
+from trapgas import PhysicalParams, derive_scales
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _harness():
+    spec = importlib.util.spec_from_file_location("compare_tables", os.path.join(ROOT, "tools", "compare_tables.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_low_temperature_block_reaches_ok_series_rows(tmp_path, capsys):
+    harness = _harness()
+    r_c = derive_scales(PhysicalParams(m=1.0, g=1.0, Omega=1.0, Lambda=1.0, beta=1.0)).R_c
+    records = harness.run_invocations(harness.lowt_invocations(r_c), formats=("csv",))
+    assert len(records) == 81
+    ok_rows = {"correlator": 0, "green": 0}
+    for name, rec in records.items():
+        command = name.split("-")[1]
+        if command in ok_rows:
+            columns, rows = harness.parse_table(rec["stdout"])
+            ok_rows[command] += sum(r[columns.index("status")] == "ok" for r in rows)
+    assert ok_rows["correlator"] > 0 and ok_rows["green"] > 0
+
+    # a run compared with itself is identical
+    path = tmp_path / "a.json"
+    path.write_text(json.dumps(records))
+    assert harness.main(["diff", str(path), str(path)]) == 0
+    assert capsys.readouterr().out.startswith("81 of 81 invocations identical")

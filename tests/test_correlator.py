@@ -5,7 +5,6 @@ import pytest
 from numpy.testing import assert_allclose
 
 from trapgas import (
-    ConsistencyError,
     CorrelatorQuery,
     DataError,
     DomainError,
@@ -76,35 +75,21 @@ class TestGammaFromGreen:
     def test_zero_green_gives_density(self):
         p, d = setup_params()
         q = CorrelatorQuery(0.3, 0.1, 0.3, 0.1)
-        assert_allclose(gamma_from_green(q, 0j, 0j, p, d), rho_tf(0.3, p, d), rtol=1e-14)
+        assert_allclose(gamma_from_green(q, GreenValue(0.0, "test"), p, d), rho_tf(0.3, p, d), rtol=1e-14)
 
     def test_positive_and_bounded_by_density_product(self):
         p, d = setup_params()
         q = CorrelatorQuery(0.3, 0.0, -0.2, 0.0)
         bound = math.sqrt(rho_tf(0.3, p, d) * rho_tf(-0.2, p, d))
         for g_val in (0.1, 0.5, 2.0):
-            gamma = gamma_from_green(q, complex(g_val), complex(g_val), p, d)
+            gamma = gamma_from_green(q, GreenValue(g_val, "test"), p, d)
             assert 0.0 < gamma <= bound
-
-    def test_imaginary_residual_rejected(self):
-        p, d = setup_params()
-        q = CorrelatorQuery(0.3, 0.0, -0.2, 0.0)
-        with pytest.raises(ConsistencyError):
-            gamma_from_green(q, complex(0.1, 1e-3), complex(0.1, 1e-3), p, d)
-
-    def test_method_mismatch_rejected(self):
-        p, d = setup_params()
-        q = CorrelatorQuery(0.3, 0.0, -0.2, 0.0)
-        g1 = GreenValue(value=0.1 + 0j, method="a")
-        g2 = GreenValue(value=0.1 + 0j, method="b")
-        with pytest.raises(ConsistencyError):
-            gamma_from_green(q, g1, g2, p, d)
 
     def test_boundary_points_rejected(self):
         p, d = setup_params()
         q = CorrelatorQuery(1.5 * d.R_c, 0.0, 0.0, 0.0)
         with pytest.raises(DomainError):
-            gamma_from_green(q, 0j, 0j, p, d)
+            gamma_from_green(q, GreenValue(0.0, "test"), p, d)
 
 
 class TestClosedFormCorrelator:
@@ -127,7 +112,7 @@ class TestClosedFormCorrelator:
         p, d = setup_params(beta=0.7)
         q = CorrelatorQuery(0.35, 0.0, 0.1, 0.0)
         g = closed_form_zero_mode(q.x1, q.x2, p, d)
-        via_green = gamma_from_green(q, complex(g), complex(g), p, d)
+        via_green = gamma_from_green(q, GreenValue(g, "closed-form-zero-mode"), p, d)
         assert_allclose(via_green, gamma_d1_exact(q.x1, q.x2, p, d), rtol=1e-12)
 
     def test_bracket_domain_error(self):
@@ -310,9 +295,8 @@ class TestTrappedAsymptoticCorrelator:
 
         def gamma_pair(dx):
             q = CorrelatorQuery(s_half + dx / 2, 0.0, s_half - dx / 2, 0.0)
-            g12 = matsubara_assemble(q.x1, q.tau1, q.x2, q.tau2, p, d, l_max=14)
-            g21 = matsubara_assemble(q.x2, q.tau2, q.x1, q.tau1, p, d, l_max=14)
-            assembled = gamma_from_green(q, g12, g21, p, d)
+            g = matsubara_assemble(q.x1, q.tau1, q.x2, q.tau2, p, d, l_max=14)
+            assembled = gamma_from_green(q, g, p, d)
             closed = _sinh_gamma(q, p, d)
             return assembled, closed
 

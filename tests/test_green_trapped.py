@@ -320,6 +320,25 @@ class TestLowTSeries:
         with pytest.raises(DomainError):
             lowT_legendre_series(0.1, 0.5, 0.0, 0.5, p, d)
 
+    @pytest.mark.parametrize("ratio", [20.0, 100.0, 1000.0])
+    def test_bitwise_symmetric_under_argument_swap(self, ratio):
+        # correlator tables evaluate the series once for both G(1;2) and
+        # G(2;1); the pairs (0.21, 0.19) R_c at dtau = 0.005 and (0.31, 0.29) R_c
+        # at dtau = 0.003 round differently under the swap unless the mode sum
+        # forms P_n(u) P_n(u') before weighting it
+        p, d = self._lowT(ratio)
+        for s_half in (-0.5, -0.2, 0.0, 0.2, 0.3, 0.45):
+            for sep in (0.002, 0.005, 0.01, 0.02, 0.03):
+                for dtau in (0.001, 0.003, 0.005, 0.01, 0.02):
+                    x, xp = (s_half + sep / 2.0) * d.R_c, (s_half - sep / 2.0) * d.R_c
+                    g12 = lowT_legendre_series(x, 0.07 + dtau, xp, 0.07, p, d)
+                    g21 = lowT_legendre_series(xp, 0.07, x, 0.07 + dtau, p, d)
+                    assert g12.value == g21.value
+        for x, xp, dtau in ((0.21, 0.19, 0.005), (0.31, 0.29, 0.003)):
+            g12 = lowT_legendre_series(x * d.R_c, dtau, xp * d.R_c, 0.0, p, d)
+            g21 = lowT_legendre_series(xp * d.R_c, 0.0, x * d.R_c, dtau, p, d)
+            assert g12.value == g21.value
+
     def test_min_dtau_warning(self):
         p, d = self._lowT()
         ctl = LowTControl(n0=10, min_dtau=1e-2)
@@ -340,7 +359,7 @@ class TestLowTSeries:
         p, d = self._lowT()
         ctl = LowTControl(n0=20, min_dtau=1e-6)
         dtau = 0.004 * d.alpha
-        val = lowT_legendre_series(0.0, dtau, 0.0, 0.0, p, d, ctl).value.real
+        val = lowT_legendre_series(0.0, dtau, 0.0, 0.0, p, d, ctl).value
         tau_hat = dtau / p.beta
         bracket = -(p.g * p.beta / (4.0 * d.R_c)) * ((0.5 - tau_hat) ** 2 - 1.0 / 12.0)
         # mode sum is strictly negative for x = x' (squared polynomials)
