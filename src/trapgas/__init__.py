@@ -52,6 +52,7 @@ from .green_trapped import (
     lowT_legendre_series,
     lowT_n0_drift,
     matsubara_assemble,
+    spectral_densities,
     spectral_density,
 )
 from .legendre import (

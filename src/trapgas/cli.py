@@ -45,7 +45,7 @@ from .green_trapped import (
     closed_form_zero_mode,
     lowT_legendre_series,
     matsubara_assemble,
-    spectral_density,
+    spectral_densities,
 )
 from .model import (
     DEFAULT_R_HI,
@@ -364,14 +364,16 @@ def cmd_green(cfg: RunConfig, args) -> tuple:
         return columns, rows, extra
 
     if mode == "trapped-spectral":
-        def spectral_row(omega, x2):
-            try:
-                sd = spectral_density(omega, x2, x1, p, d, tol=cfg["truncation.tol"])
-            except _ROW_ERRORS as exc:
-                return _error_row(x1, tau1, x2, tau1, mode, regime_tag, exc)
+        def spectral_row(x2, sd):
+            if isinstance(sd, _ROW_ERRORS):
+                return _error_row(x1, tau1, x2, tau1, mode, regime_tag, sd)
             return (x1, tau1, x2, tau1, sd.re_part, sd.im_part, mode, sd.err_bound, regime_tag, None, False, "ok")
 
-        return columns, [spectral_row(omega, x2) for omega in cfg["grid.omegas"] for x2 in xs], extra
+        return columns, [
+            spectral_row(x2, sd)
+            for omega in cfg["grid.omegas"]
+            for x2, sd in zip(xs, spectral_densities(omega, xs, x1, p, d, tol=cfg["truncation.tol"]))
+        ], extra
 
     evaluate = _green_evaluator(mode, regime, cfg, p, d)
 

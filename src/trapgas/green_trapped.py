@@ -33,7 +33,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import AccuracyError, DomainError, RegimeError
+from .errors import AccuracyError, DomainError, RegimeError, TrapGasError
 from .green_homogeneous import GreenValue, _log_divergence, log_2sinh_abs
 from .legendre import _exp_split, _log_cosh_pi, _p_series, nu_from_omega, p_poly_table
 from .model import DEFAULT_R_HI, DEFAULT_R_LO, DerivedScales, PhysicalParams, rho_tf
@@ -43,6 +43,7 @@ __all__ = [
     "SpectralDensity",
     "LowTControl",
     "spectral_density",
+    "spectral_densities",
     "closed_form_zero_mode",
     "matsubara_assemble",
     "lowT_legendre_series",
@@ -116,10 +117,10 @@ def _zero_mode_parts(u: float, up: float, k: float) -> tuple:
     return k * abs(au - aup), -k * ((2.0 / math.pi) * au * aup + math.pi / 2.0)
 
 
-def _density_parts(omegas: np.ndarray, u: float, up: float, d: DerivedScales, k: float, tol: float) -> tuple:
+def _density_parts(omegas, us, ups, d: DerivedScales, k: float, tol: float) -> tuple:
     """re_part, im_part, series terms and absolute error bound of re_part of
-    G_omega(x, x') for each nonzero omega of the 1-D array ``omegas``, by the
-    real closed form.
+    G_omega(x, x') for each row (omega, u, u') of the broadcast 1-D arrays
+    ``omegas``, ``us``, ``ups``, with omega nonzero, by the real closed form.
 
     With lambda = (alpha omega)^2, P_<(+-) = P_nu(+-u_<), P_>(+-) =
     P_nu(+-u_>) and C = (2K/pi)(pi/2)^2:
@@ -131,19 +132,32 @@ def _density_parts(omegas: np.ndarray, u: float, up: float, d: DerivedScales, k:
         re = C [P_>(+) P_<(-) - P_<(+) P_>(-)] / sin(pi nu)
         im = -C [q_< q_> + P_<(+) P_>(+)],  q = (2/pi) Q_nu(u) = [cos(pi nu) P_nu(u) - P_nu(-u)] / sin(pi nu)
 
-    Conical products are formed from mantissas and powers of two, so neither
-    the exp(pi mu) growth of P nor cosh(pi mu) overflows.  Each P series
-    carries a relative bound r; the bound on re weights the two relative bounds
-    of each product by that product's magnitude, e.g. on the conical line
+    The rows ask for 4 series each; the distinct (lambda, u) pairs among
+    them, ordered by u and then by lambda, are summed in one call of the
+    kernel, so a P_nu(+-u) that several rows share is summed once.  Conical
+    products are formed from mantissas and powers of two, so neither the
+    exp(pi mu) growth of P nor cosh(pi mu) overflows.  Each P series carries
+    a relative bound r; the bound on re weights the two relative bounds of
+    each product by that product's magnitude, e.g. on the conical line
     C [|A| (r(u_<) + r(-u_>)) + |B| (r(-u_<) + r(u_>))] for re = C (A - B).
     """
+    omegas, us, ups = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (omegas, us, ups)))
     lam = (d.alpha * omegas) ** 2
-    lo, hi = (u, up) if u <= up else (up, u)
+    lo, hi = np.minimum(us, ups), np.maximum(us, ups)
+    pair_lam, pair_u = np.tile(lam, 4), np.concatenate([lo, -lo, hi, -hi])
+    order = np.lexsort((pair_lam, pair_u))
+    sorted_lam, sorted_u = pair_lam[order], pair_u[order]
+    first = np.ones(order.size, dtype=bool)
+    first[1:] = (sorted_lam[1:] != sorted_lam[:-1]) | (sorted_u[1:] != sorted_u[:-1])
+    which = np.empty(order.size, dtype=np.int64)
+    which[order] = np.cumsum(first) - 1  # the distinct pair each requested pair is
+    series = _p_series(sorted_lam[first], sorted_u[first], tol)
+    n = lam.size
     (m_lo, e_lo, t1, r1), (m_mlo, e_mlo, t2, r2), (m_hi, e_hi, t3, r3), (m_mhi, e_mhi, t4, r4) = (
-        _p_series(lam, v, tol) for v in (lo, -lo, hi, -hi)
+        tuple(a[which[i * n:(i + 1) * n]] for a in series) for i in range(4)
     )
     c = k * math.pi / 2.0
-    re, im, err = np.empty(lam.size), np.empty(lam.size), np.empty(lam.size)
+    re, im, err = np.empty(n), np.empty(n), np.empty(n)
     con = lam > 0.25
     mu = np.sqrt(lam[con] - 0.25)
     log_cosh2 = 2.0 * _log_cosh_pi(mu)
@@ -178,14 +192,59 @@ def spectral_density(
     tol: float = 1e-13,
 ) -> SpectralDensity:
     """Evaluate the closed-form spectral density at one Matsubara frequency."""
-    u = _clamped_u(x, d)
-    up = _clamped_u(xp, d)
+    (sd,) = spectral_densities(omega, [x], xp, p, d, tol)
+    if isinstance(sd, TrapGasError):
+        raise sd
+    return sd
+
+
+def spectral_densities(
+    omega: float,
+    xs,
+    xp: float,
+    p: PhysicalParams,
+    d: DerivedScales,
+    tol: float = 1e-13,
+) -> list:
+    """``spectral_density(omega, x, xp)`` at every x of ``xs``, the series of
+    all points summed in one pass of the kernel.
+
+    Entry i is the SpectralDensity at xs[i], or the DomainError or
+    AccuracyError that ``spectral_density`` raises there; each is the one the
+    single point gives, bitwise and word for word.  A point beyond the
+    boundary clamp is set aside before the pass; if the pass fails, the
+    points are evaluated one by one, so that only a failing point carries
+    the error.
+    """
     nu = nu_from_omega(omega, d)
     k = _k_coeff(p, d)
+    out, points = [], []
+    for i, x in enumerate(xs):
+        try:
+            out.append((_clamped_u(x, d), _clamped_u(xp, d)))
+            points.append(i)
+        except DomainError as exc:
+            out.append(exc)
     if nu == 0:  # omega = 0: integer degree, closed elementary forms
-        return SpectralDensity(float(omega), nu, x, xp, *_zero_mode_parts(u, up, k), err_bound=0.0)
-    re, im, terms, err = _density_parts(np.array([float(omega)]), u, up, d, k, tol)
-    return SpectralDensity(float(omega), nu, x, xp, float(re[0]), float(im[0]), float(err[0]), int(terms[0]))
+        for i in points:
+            out[i] = SpectralDensity(float(omega), nu, xs[i], xp, *_zero_mode_parts(*out[i], k), err_bound=0.0)
+        return out
+    if not points:
+        return out
+    us, ups = np.array([out[i] for i in points]).T
+    try:
+        re, im, terms, err = _density_parts(float(omega), us, ups, d, k, tol)
+    except (AccuracyError, DomainError) as exc:
+        if len(points) == 1:
+            out[points[0]] = exc
+        else:
+            for i in points:
+                (out[i],) = spectral_densities(omega, [xs[i]], xp, p, d, tol)
+        return out
+    for row, i in enumerate(points):
+        out[i] = SpectralDensity(float(omega), nu, xs[i], xp, float(re[row]), float(im[row]), float(err[row]),
+                                 int(terms[row]))
+    return out
 
 
 def closed_form_zero_mode(x: float, xp: float, p: PhysicalParams, d: DerivedScales) -> float:

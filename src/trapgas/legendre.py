@@ -12,7 +12,7 @@ alpha^2 omega^2 >= 0, and P_nu is the real Gauss hypergeometric series
 
 whose term ratio (j(j+1) + lambda) z/(j+1)^2 is positive for every Matsubara
 degree, so the summation is cancellation-free.  The kernel ``_p_series`` sums
-it for a whole vector of lambda at one u and returns P_nu as a mantissa and
+it for a whole vector of (lambda, u) rows and returns P_nu as a mantissa and
 a power of two: conical P_nu grows like exp(mu * arccos u), which overflows
 float64 well inside the Matsubara range.  Q_nu comes from the connection
 formula
@@ -119,41 +119,53 @@ def p_poly_asymptotic(n: int, theta: float) -> float:
 # ----------------------------------------------------------------------------
 
 
-def _p_series(lam, u: float, tol: float, max_terms: int = _MAX_TERMS_DEFAULT):
+def _p_series(lam, u, tol: float, max_terms: int = _MAX_TERMS_DEFAULT):
     """P_nu(u) = mant * 2**exp2, the terms summed and the relative error
-    bound, one row for each lambda = -nu(nu+1) of the 1-D array ``lam``.
+    bound, one row for each lambda = -nu(nu+1) of the 1-D array ``lam``, at
+    the matching entry of ``u``: one argument for every row, or a 1-D array
+    of one argument per row.
 
-    Each term ratio (j(j+1) + lambda) z/(j+1)^2 is split by frexp: the
-    running product of the mantissas carries a term's digits and sign, the
-    running sum of the powers of two is exact, so no term overflows and none
-    is rounded through a logarithm.  All rows are summed in blocks of _CHUNK
-    terms; a row stops after the first block whose last term is below tol
-    times the partial sum while the ratio is below 1, that term's geometric
-    tail bounding the error.  A row still open after max_terms terms raises
-    AccuracyError.
+    Each term ratio (j(j+1) + lambda) z/(j+1)^2, z = (1-u)/2, is split by
+    frexp: the running product of the mantissas carries a term's digits and
+    sign, the running sum of the powers of two is exact, so no term overflows
+    and none is rounded through a logarithm.  Groups of up to _MAX_ROWS rows
+    are summed together in blocks of _CHUNK terms, every row on its own, so a
+    row's result does not depend on the rows beside it; a row stops after the
+    first block whose last term is below tol times the partial sum while the
+    ratio is below 1, that term's geometric tail bounding the error.  A row
+    still open after max_terms terms raises AccuracyError.
     """
-    if not (-1.0 < u <= 1.0):
-        raise DomainError(f"P_nu argument must lie in (-1, 1], got {u}")
+    lam = np.asarray(lam, dtype=float)
+    u = np.broadcast_to(np.asarray(u, dtype=float), lam.shape)
+    outside = ~((-1.0 < u) & (u <= 1.0))
+    if outside.any():
+        raise DomainError(f"P_nu argument must lie in (-1, 1], got {float(u[outside][0])}")
     if not 0.0 < tol < math.inf:
         raise DomainError(f"tolerance must be positive and finite, got {tol}")
     if max_terms < 1:
         raise DomainError(f"max_terms must be >= 1, got {max_terms}")
-    lam = np.asarray(lam, dtype=float)
     n = lam.size
     mant, exp2 = np.ones(n), np.zeros(n, dtype=np.int64)
     terms, err = np.ones(n, dtype=np.int64), np.zeros(n)
     z = 0.5 * (1.0 - u)
     for first in range(0, n, _MAX_ROWS):
         rows = np.arange(first, min(n, first + _MAX_ROWS))
-        lam_r = lam[rows, None]
+        lam_r, z_r = lam[rows, None], z[rows, None]
+        # a z or lambda that the whole group shares is kept once, so that the
+        # ratios form one [rows x block] temporary, not two
+        if z_r.min() == z_r.max():
+            z_r = z_r[:1]
+        elif lam_r.min() == lam_r.max():
+            lam_r = lam_r[:1]
         acc_m, acc_e = np.ones(rows.size), np.zeros(rows.size, dtype=np.int64)  # partial sum
         term_m, term_e = np.ones(rows.size), np.zeros(rows.size, dtype=np.int64)  # last term
         s = 0
         while s < max_terms:
             block = min(_CHUNK, max_terms - s)
             j = np.arange(s, s + block, dtype=float)
-            ratios = j * (j + 1.0) + lam_r
-            ratios *= z / (j + 1.0) ** 2
+            shift = j * (j + 1.0) + lam_r
+            scale = z_r / (j + 1.0) ** 2
+            ratios = np.multiply(shift, scale, out=scale if shift.shape[0] == 1 else shift)
             last_ratio = np.abs(ratios[:, -1])
             # in place, so that only two [rows x block] temporaries are alive
             cum_m, cum_e = np.frexp(ratios, out=(ratios, None))
@@ -180,10 +192,14 @@ def _p_series(lam, u: float, tol: float, max_terms: int = _MAX_TERMS_DEFAULT):
                 if done.all():
                     break
                 keep = ~done
-                rows, lam_r, acc_m, acc_e = rows[keep], lam_r[keep], acc_m[keep], acc_e[keep]
+                rows, acc_m, acc_e = rows[keep], acc_m[keep], acc_e[keep]
+                if lam_r.shape[0] > 1:
+                    lam_r = lam_r[keep]
+                if z_r.shape[0] > 1:
+                    z_r = z_r[keep]
                 term_m, term_e, term_abs, last_ratio = term_m[keep], term_e[keep], term_abs[keep], last_ratio[keep]
         else:  # max_terms reached with rows still open
-            _raise_series_cap(lam_r[:, 0], u, z, tol, s, term_abs / np.abs(acc_m), last_ratio)
+            _raise_series_cap(lam[rows], u[rows], z[rows], tol, s, term_abs / np.abs(acc_m), last_ratio)
     return mant, exp2, terms, err
 
 
@@ -194,9 +210,11 @@ def _exp_split(log_x):
     return np.exp(log_x - e * _LN2), e.astype(np.int64)
 
 
-def _raise_series_cap(lam_open, u, z, tol, used, rel_term, last_ratio):
-    """AccuracyError for the first row still open at the term cap, naming its cause."""
+def _raise_series_cap(lam_open, u_open, z_open, tol, used, rel_term, last_ratio):
+    """AccuracyError for the first row still open at the term cap, naming its
+    own lambda, u and z and the cause."""
     lam, ratio, achieved = float(lam_open[0]), float(last_ratio[0]), float(rel_term[0])
+    u, z = float(u_open[0]), float(z_open[0])
     if ratio >= 1.0:
         cause = (f"the terms are still growing (ratio {ratio:.6g}): at this degree they peak near "
                  f"j = sqrt(lambda z/(1-z)) = {math.sqrt(max(lam, 0.0) * z / (1.0 - z)):.4g}")
@@ -287,25 +305,25 @@ def legendre_pair(nu: complex, u: float, tol: float = 1e-13, max_terms: int = _M
             "and conical degrees -1/2 + i mu"
         )
     mu = nu.imag
-    lam = np.array([0.25 + mu * mu if conical else -nu.real * (nu.real + 1.0)])
-    (m_u, e_u, t_u, err_u), (m_mu, e_mu, t_mu, err_mu) = (_p_series(lam, v, tol, max_terms) for v in (u, -u))
-    p_u = float(np.ldexp(m_u, e_u)[0])
+    lam = 0.25 + mu * mu if conical else -nu.real * (nu.real + 1.0)
+    mant, exp2, terms, err = _p_series(np.array([lam, lam]), np.array([u, -u]), tol, max_terms)  # P_nu(u), P_nu(-u)
+    p_u = float(np.ldexp(mant[0], exp2[0]))
     if conical:
         m_k, e_k = _exp_split(-_log_cosh_pi(mu))  # 1/cosh(pi mu)
         q = complex(
-            (math.pi / 2.0) * float(np.ldexp(m_mu * m_k, e_mu + e_k)[0]),
+            (math.pi / 2.0) * float(np.ldexp(mant[1] * m_k, exp2[1] + e_k)),
             -(math.pi / 2.0) * math.tanh(math.pi * mu) * p_u,
         )
     else:
-        p_mu, a = float(np.ldexp(m_mu, e_mu)[0]), math.pi * nu.real
+        p_mu, a = float(np.ldexp(mant[1], exp2[1])), math.pi * nu.real
         q = complex((math.pi / 2.0) * (math.cos(a) * p_u - p_mu) / math.sin(a))
     return LegendrePair(
         p=complex(p_u),
         q=q,
         u=u,
         nu=nu,
-        terms=int(t_u[0] + t_mu[0]),
-        err_bound=float(err_u[0] + (err_u[0] + err_mu[0])),  # bound on P plus bound on Q, which uses both series
+        terms=int(terms[0] + terms[1]),
+        err_bound=float(err[0] + (err[0] + err[1])),  # bound on P plus bound on Q, which uses both series
     )
 
 

@@ -1,6 +1,7 @@
 """Smoke test of ``tools/compare_tables.py``, the table byte-compare harness:
 its low-temperature block must reach ok ``series`` rows, which the mode
-matrix alone never produces."""
+matrix alone never produces, and its ``trapped-spectral`` block must reach
+both ok rows and the error rows of clamped and capped points."""
 
 import importlib.util
 import json
@@ -36,3 +37,18 @@ def test_low_temperature_block_reaches_ok_series_rows(tmp_path, capsys):
     path.write_text(json.dumps(records))
     assert harness.main(["diff", str(path), str(path)]) == 0
     assert capsys.readouterr().out.startswith("81 of 81 invocations identical")
+
+
+def test_spectral_block_reaches_ok_and_error_rows():
+    harness = _harness()
+    r_c = derive_scales(PhysicalParams(m=1.0, g=1.0, Omega=1.0, Lambda=1.0, beta=1.0)).R_c
+    records = harness.run_invocations(harness.spectral_invocations(r_c), formats=("csv",))
+    assert len(records) == 3
+    statuses = []
+    for rec in records.values():
+        assert rec["code"] == 0
+        columns, rows = harness.parse_table(rec["stdout"])
+        statuses += [r[columns.index("status")] for r in rows]
+    assert statuses.count("ok") == 2 * 5 * 81 + 15
+    assert sum(s.startswith("DomainError") for s in statuses) == 2
+    assert sum(s.startswith("AccuracyError") for s in statuses) == 1

@@ -1,5 +1,6 @@
 import math
 from functools import partial
+from types import SimpleNamespace
 
 import mpmath as mp
 import numpy as np
@@ -17,6 +18,7 @@ from trapgas import (
     asympt_green_highT,
     asympt_green_lowT,
     asympt_spectral_highT,
+    classify_regime,
     closed_form_zero_mode,
     derive_scales,
     green_difference,
@@ -25,8 +27,10 @@ from trapgas import (
     lowT_n0_drift,
     matsubara_assemble,
     rho_tf,
+    spectral_densities,
     spectral_density,
 )
+from trapgas.cli import cmd_green, load_config
 from trapgas.green_homogeneous import log_2sinh_abs
 from trapgas.green_trapped import _p_poly_integer_phase
 from trapgas.oracle import brute_legendre_tail
@@ -156,6 +160,84 @@ class TestSpectralDensity:
         omega = 10.0 * math.pi / p.beta  # alpha*omega ~ 2800
         sd = spectral_density(omega, 0.31, 0.3, p, d)
         assert math.isfinite(sd.re_part)
+
+
+def _per_point(omega, xs, xp, p, d, tol):
+    """spectral_density at each x, or the exception it raises there."""
+    out = []
+    for x in xs:
+        try:
+            out.append(spectral_density(omega, x, xp, p, d, tol))
+        except (AccuracyError, DomainError) as exc:
+            out.append(exc)
+    return out
+
+
+class TestSpectralDensities:
+    """The batched table route against one spectral_density call per point."""
+
+    @staticmethod
+    def assert_same(batch, single):
+        assert len(batch) == len(single)
+        for b, s in zip(batch, single):
+            if isinstance(s, Exception):
+                assert type(b) is type(s) and str(b) == str(s)
+            else:
+                assert (b.re_part, b.im_part, b.err_bound, b.terms) == (s.re_part, s.im_part, s.err_bound, s.terms)
+                assert (b.omega, b.nu, b.x, b.xp) == (s.omega, s.nu, s.x, s.xp)
+
+    @pytest.mark.parametrize("omega", [0.0, 2.0 * math.pi, 20.0 * math.pi, 200.0 * math.pi])
+    def test_sweep_geometry_equals_single_points(self, omega):
+        # 81 points over +-0.995 R_c with x_ref = 0.1 R_c: the symmetric grid
+        # makes +u of one point the -u of its mirror
+        p, d = setup_params()
+        xs = [float(x) for x in np.linspace(-0.995 * d.R_c, 0.995 * d.R_c, 81)]
+        xp = 0.1 * d.R_c
+        self.assert_same(spectral_densities(omega, xs, xp, p, d, 1e-12), _per_point(omega, xs, xp, p, d, 1e-12))
+
+    def test_large_degree_subgrid_equals_single_points(self):
+        p, d = setup_params()
+        xs = [float(x) for x in np.linspace(-0.995 * d.R_c, 0.995 * d.R_c, 81)[::10]]
+        assert xs[0] == -0.995 * d.R_c and xs[-1] == 0.995 * d.R_c and len(xs) == 9
+        args = (2000.0 * math.pi, xs, 0.1 * d.R_c, p, d, 1e-12)
+        self.assert_same(spectral_densities(*args), _per_point(*args))
+
+    def test_clamped_and_capped_points_keep_their_own_errors(self):
+        # x = R_c lies beyond the clamp; at x = 0.99999 R_c the series of
+        # P_nu(-u) reaches the 500 000-term cap at omega = 2 pi
+        p, d = setup_params()
+        xs = [-0.6 * d.R_c, d.R_c, 0.3 * d.R_c, 0.99999 * d.R_c, 0.9 * d.R_c]
+        for omega in (0.0, 2.0 * math.pi):
+            batch = spectral_densities(omega, xs, 0.1 * d.R_c, p, d, 1e-12)
+            self.assert_same(batch, _per_point(omega, xs, 0.1 * d.R_c, p, d, 1e-12))
+            assert isinstance(batch[1], DomainError)
+            assert isinstance(batch[3], AccuracyError) if omega else not isinstance(batch[3], Exception)
+        assert "(1 open rows)" in str(batch[3])
+        assert not any(isinstance(b, Exception) for b in batch[::2])
+
+    def test_green_table_rows_equal_the_per_point_path(self, tmp_path):
+        # the rows trapped-spectral printed from one spectral_density call per point
+        p, d = setup_params()
+        ini = tmp_path / "grid.ini"
+        ini.write_text(f"[grid]\nomega_list = 0, {2.0 * math.pi!r}\nx_ref = {0.1 * d.R_c!r}\n"
+                       f"x_min = {-d.R_c!r}\nx_max = {0.99999 * d.R_c!r}\nx_count = 9\n")
+        cfg = load_config(str(ini))
+        _, rows, _ = cmd_green(cfg, SimpleNamespace(mode="trapped-spectral"))
+        xs = [float(x) for x in np.linspace(-d.R_c, 0.99999 * d.R_c, 9)]
+        x1, tau1, tol = cfg["grid.x_ref"], cfg["grid.tau_ref"], cfg["truncation.tol"]
+        regime = classify_regime(d, cfg["regime.r_lo"], cfg["regime.r_hi"]).value
+        expected = []
+        for omega in cfg["grid.omegas"]:
+            for x2, sd in zip(xs, _per_point(omega, xs, x1, p, d, tol)):
+                if isinstance(sd, Exception):
+                    expected.append((x1, tau1, x2, tau1, None, None, "trapped-spectral", None, regime, None,
+                                     False, f"{type(sd).__name__}: {sd}"))
+                else:
+                    expected.append((x1, tau1, x2, tau1, sd.re_part, sd.im_part, "trapped-spectral", sd.err_bound,
+                                     regime, None, False, "ok"))
+        assert rows == expected
+        assert sum(r[-1].startswith("DomainError") for r in rows) == 2
+        assert sum(r[-1].startswith("AccuracyError") for r in rows) == 1
 
 
 class TestClosedFormZeroMode:

@@ -1,11 +1,12 @@
 import cmath
 import math
+import re
 from math import comb
 
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -300,6 +301,80 @@ class TestSeriesKernel:
             single = _p_series(lam[i:i + 1], -0.4, tol=1e-13)
             for b, s in zip(batch, single):
                 assert b[i] == s[0]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        values=st.lists(
+            st.tuples(st.floats(-3.0, 8.0), st.floats(-0.999, 0.999, exclude_min=True, exclude_max=True)
+                      | st.sampled_from([0.0, -0.0])),
+            min_size=1, max_size=6,
+        ),
+        picks=st.lists(st.integers(0, 5), min_size=129, max_size=300),
+    )
+    @example(values=[(8.0, 0.0), (8.0, -0.0), (-3.0, 0.9), (5.0, -0.9)], picks=[0, 1, 2, 3, 2, 1] * 30)
+    @example(values=[(8.0, -0.5), (1.0, 0.3)], picks=[1, 0] * 70)
+    def test_rows_with_their_own_u_equal_single_rows(self, values, picks):
+        # (lambda, u) rows with repeats, +-0.0 and more rows than one group
+        # holds; the cap is low, so that large degrees reach it quickly
+        tol, cap = 1e-13, 16_384
+        rows = [values[i % len(values)] for i in picks]
+        lam = np.array([10.0 ** a for a, _ in rows])
+        u = np.array([b for _, b in rows])
+        single, capped = {}, set()
+        for a, b in set(rows):
+            try:
+                single[a, b] = _p_series(np.array([10.0 ** a]), b, tol, cap)
+            except AccuracyError:
+                capped.add(b)
+        if capped:
+            with pytest.raises(AccuracyError, match=r"\(\d+ open rows\)") as err:
+                _p_series(lam, u, tol, cap)
+            # the message names an open row's own u
+            assert float(re.search(r"u = (\S+), z =", str(err.value)).group(1)) in capped
+            return
+        batch = _p_series(lam, u, tol, cap)
+        for i, key in enumerate(rows):
+            for b, s in zip(batch, single[key]):
+                assert b[i] == s[0]
+
+    def test_domain_error_names_the_offending_u(self):
+        with pytest.raises(DomainError, match=r"got -1\.5$"):
+            _p_series(np.ones(3), np.array([0.2, -1.5, 2.0]), tol=1e-13)
+
+    def test_cap_names_the_open_row_of_its_own_u(self):
+        # the row at u = 0.3 converges; the one near u = -1 is still open at the cap
+        with pytest.raises(AccuracyError) as err:
+            _p_series(np.array([0.89, 0.89]), np.array([0.3, -1.0 + 1e-12]), tol=1e-15, max_terms=2000)
+        message = str(err.value)
+        for part in ("2000-term cap", "u = -0.999999999999,", "z = (1-u)/2 = 1 ", "(1 open rows)"):
+            assert part in message
+
+    @pytest.mark.parametrize("nu", [-0.3, 0.5, -0.5 + 0.8j, -0.5 + 40.0j])
+    def test_pair_sums_both_series_in_one_call(self, nu, monkeypatch):
+        # P_nu(u) and P_nu(-u) from one two-row call, each equal to its own
+        # single-row series, and the pair's bookkeeping built from the two
+        from trapgas import legendre
+
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return _p_series(*args, **kwargs)
+
+        monkeypatch.setattr(legendre, "_p_series", counted)
+        u = -0.35
+        pair = legendre_pair(nu, u)
+        assert len(calls) == 1
+        nu = complex(nu)
+        lam = np.array([0.25 + nu.imag**2 if nu.imag else -nu.real * (nu.real + 1.0)])
+        (m_u, e_u, t_u, r_u), (m_mu, e_mu, t_mu, r_mu) = (_p_series(lam, v, 1e-13) for v in (u, -u))
+        assert pair.p == complex(float(np.ldexp(m_u, e_u)[0]))
+        assert pair.terms == t_u[0] + t_mu[0]
+        assert pair.err_bound == r_u[0] + (r_u[0] + r_mu[0])
+        if not nu.imag:
+            a = math.pi * nu.real
+            p_u, p_mu = float(np.ldexp(m_u, e_u)[0]), float(np.ldexp(m_mu, e_mu)[0])
+            assert pair.q == complex((math.pi / 2.0) * (math.cos(a) * p_u - p_mu) / math.sin(a))
 
     def test_polynomial_degree_terminates(self):
         # lambda = -n(n+1): the series ends after n + 1 terms, P = P_n

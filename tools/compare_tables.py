@@ -20,6 +20,12 @@ The matrix is
   in {0, 0.2, -0.5} R_c, dtau in {0.001, 0.005, 0.02} sqrt2 and 12
   separations from 0.001 to 0.04 R_c, which is where the series route returns
   ok rows;
+* the ``trapped-spectral`` block: ``green --mode trapped-spectral`` at
+  omega in {0, 2, 20, 200, 2000} pi over 81 points within +-0.995 R_c, at the
+  off-centre x_ref in {0.1, -0.35} R_c, which reaches the Thomas-Fermi edge
+  and large degrees; and at omega in {0, 2} pi over 9 points from -R_c
+  (beyond the boundary clamp) to 0.99999 R_c (where the series reaches its
+  term cap), which gives error rows beside ok rows;
 * ``validate``, with its timings dropped;
 
 each table in csv and json.
@@ -46,6 +52,8 @@ MATRIX_BETAS = (0.05 * SQRT2, 1.0, 100.0 * SQRT2)
 LOWT_BETAS = (20.0 * SQRT2, 100.0 * SQRT2, 1000.0 * SQRT2)
 LOWT_CENTRES = (0.0, 0.2, -0.5)  # s_center / R_c
 LOWT_DTAUS = (0.001 * SQRT2, 0.005 * SQRT2, 0.02 * SQRT2)
+SPECTRAL_OMEGAS = tuple(f * math.pi for f in (0.0, 2.0, 20.0, 200.0, 2000.0))
+SPECTRAL_X_REFS = (0.1, -0.35)  # x_ref / R_c
 FORMATS = ("csv", "json")
 _SECONDS = re.compile(r"\(\d+\.\d+s\)")
 
@@ -103,6 +111,21 @@ def lowt_invocations(r_c: float) -> list:
     return out
 
 
+def spectral_invocations(r_c: float) -> list:
+    """(name, argv, config text) of the ``trapped-spectral`` block: the sweep
+    over the condensate and the grid with a clamped and a capped point."""
+    argv = ["green", "--mode", "trapped-spectral"]
+    out = []
+    for x_ref in SPECTRAL_X_REFS:
+        grid = {"omega_list": ", ".join(repr(w) for w in SPECTRAL_OMEGAS), "x_ref": x_ref * r_c,
+                "x_min": -0.995 * r_c, "x_max": 0.995 * r_c, "x_count": 81}
+        out.append((f"spectral-sweep-xref{x_ref:g}", argv, _ini({"grid": grid})))
+    grid = {"omega_list": ", ".join(repr(w) for w in SPECTRAL_OMEGAS[:2]), "x_ref": 0.1 * r_c,
+            "x_min": -r_c, "x_max": 0.99999 * r_c, "x_count": 9}
+    out.append(("spectral-clamp-cap", argv, _ini({"grid": grid})))
+    return out
+
+
 def run_invocations(invocations, formats=FORMATS) -> dict:
     """name/format -> {"code", "stdout", "stderr"} of each invocation, run
     in-process through ``trapgas.cli.main``."""
@@ -150,7 +173,7 @@ def _import_tree(tree: str):
 def cmd_run(tree: str, out_path: str) -> int:
     tg = _import_tree(tree)
     r_c = tg.derive_scales(tg.PhysicalParams(m=1.0, g=1.0, Omega=1.0, Lambda=1.0, beta=1.0)).R_c
-    records = run_invocations(matrix_invocations(r_c) + lowt_invocations(r_c))
+    records = run_invocations(matrix_invocations(r_c) + lowt_invocations(r_c) + spectral_invocations(r_c))
     records["validate"] = _validate_record()
     with open(out_path, "w", encoding="utf-8") as fh:
         json.dump(records, fh, indent=0, sort_keys=True)
