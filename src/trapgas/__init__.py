@@ -35,7 +35,6 @@ from .green_homogeneous import (
     GreenDifference,
     GreenValue,
     HomogSeriesControl,
-    SpacetimePair,
     green_difference,
     homog_asymptotic_highT,
     homog_asymptotic_lowT,

@@ -33,7 +33,6 @@ from .correlator import (
 from .errors import ConfigError
 from .green_homogeneous import (
     HomogSeriesControl,
-    SpacetimePair,
     green_difference,
     homog_asymptotic_highT,
     homog_series,
@@ -229,8 +228,8 @@ def check_homog_regime_match():
     p = PhysicalParams(m=1.0, g=1.0, Omega=math.sqrt(2.0) / 20.0, Lambda=1.0, beta=1.0)
     d = derive_scales(p)  # R_c = 20, lambda_T = 1
     ctl = HomogSeriesControl(l_max=120, n_max=1600, tail_mode="bernoulli")
-    pairs = [SpacetimePair(dx / 2.0, 0.0, -dx / 2.0, 0.0) for dx in (1.5, 2.5, 3.5, 4.5)]
-    pairs.append(SpacetimePair(1.0, 0.3 * p.beta, -1.0, 0.0))
+    pairs = [CorrelatorQuery(dx / 2.0, 0.0, -dx / 2.0, 0.0) for dx in (1.5, 2.5, 3.5, 4.5)]
+    pairs.append(CorrelatorQuery(1.0, 0.3 * p.beta, -1.0, 0.0))
     worst = _max_difference_deviation(
         partial(homog_series, p=p, d=d, ctl=ctl), partial(homog_asymptotic_highT, p=p, d=d), pairs
     )
@@ -248,11 +247,11 @@ def check_trapped_highT_match():
     pairs = []
     for f in (0.4, 0.8, 1.2, 1.6, 2.0):
         dx = f * lam_t
-        pairs.append(SpacetimePair(s_half + dx / 2.0, 0.0, s_half - dx / 2.0, 0.0))
-    pairs.append(SpacetimePair(s_half + 0.6 * lam_t, 0.25 * p.beta, s_half - 0.6 * lam_t, 0.0))
+        pairs.append(CorrelatorQuery(s_half + dx / 2.0, 0.0, s_half - dx / 2.0, 0.0))
+    pairs.append(CorrelatorQuery(s_half + 0.6 * lam_t, 0.25 * p.beta, s_half - 0.6 * lam_t, 0.0))
     worst = _max_difference_deviation(
         partial(matsubara_assemble, p=p, d=d, l_max=l_max),
-        partial(asympt_green_highT, p=p, d=d, window_factor=0.6),
+        partial(asympt_green_highT, p=p, d=d),
         pairs,
     )
     return worst, f"max relative difference-mode deviation, assembly (l_max={l_max}) vs sinh form", True
@@ -268,7 +267,7 @@ def check_trapped_lowT_match():
     s_half = 0.05 * d.R_c
     dtau = 0.005 * d.alpha
     pairs = [
-        SpacetimePair(s_half + f * d.R_c / 2.0, dtau, s_half - f * d.R_c / 2.0, 0.0)
+        CorrelatorQuery(s_half + f * d.R_c / 2.0, dtau, s_half - f * d.R_c / 2.0, 0.0)
         for f in (0.01, 0.02, 0.03, 0.04)
     ]
     worst = _max_difference_deviation(

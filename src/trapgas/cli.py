@@ -57,6 +57,7 @@ from .model import (
     energy_level,
     level_spacing_expansion,
     rho_tf,
+    zeta_of,
 )
 from .oracle import FdmGrid, fdm_spectral_solve
 
@@ -463,8 +464,7 @@ def cmd_exponent(cfg: RunConfig, args) -> tuple:
         if not math.isfinite(gamma) or gamma <= 0:
             skipped.append(f"gamma = {gamma!r}")
             continue
-        hv = p.hbar * d.v
-        seps.append(abs(complex(abs(q.dx), hv * q.dtau)))
+        seps.append(abs(zeta_of(q.dx, q.dtau, p, d)))
         gammas.append(gamma)
         rhos.append(math.sqrt(rho_tf(q.x1, p, d) * rho_tf(q.x2, p, d)))
     if skipped and len(seps) < MIN_FIT_SAMPLES:

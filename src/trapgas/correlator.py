@@ -23,7 +23,17 @@ import numpy as np
 from .errors import DataError, DomainError, RegimeError
 from .green_homogeneous import GreenValue, log_2sin_abs, log_2sinh_abs
 from .green_trapped import _window_quasihom
-from .model import DEFAULT_R_HI, DEFAULT_R_LO, DerivedScales, PhysicalParams, Regime, classify_regime, rho_tf
+from .model import (
+    DEFAULT_R_HI,
+    DEFAULT_R_LO,
+    CorrelatorQuery,
+    DerivedScales,
+    PhysicalParams,
+    Regime,
+    classify_regime,
+    rho_tf,
+    zeta_of,
+)
 
 # the factor that turns each strong inequality "a << b" of an asymptotic
 # window into a <= WINDOW_FACTOR * b
@@ -48,31 +58,6 @@ __all__ = [
     "extract_exponent",
     "exponent_report",
 ]
-
-
-@dataclass(frozen=True)
-class CorrelatorQuery:
-    """Spacetime arguments of one correlator evaluation.
-
-    The midpoint S is always recomputed from x1 and x2.
-    """
-
-    x1: float
-    tau1: float
-    x2: float
-    tau2: float
-
-    @property
-    def S(self) -> float:
-        return 0.5 * (self.x1 + self.x2)
-
-    @property
-    def dx(self) -> float:
-        return self.x1 - self.x2
-
-    @property
-    def dtau(self) -> float:
-        return self.tau1 - self.tau2
 
 
 @dataclass(frozen=True)
@@ -159,23 +144,31 @@ def gamma_d1_exact(x1: float, x2: float, p: PhysicalParams, d: DerivedScales) ->
 def gamma_d1_quasihom(x1: float, x2: float, p: PhysicalParams, d: DerivedScales) -> float:
     """Quasi-homogeneous limit of the equal-time correlator.
 
-    sqrt(rho rho') * exp(-Lambda |dx| / (2 beta hbar^2 v^2 rho_TF(S))); the
-    decay rate is 1/xi(S).  Raises RegimeError outside the quasi-homogeneous
-    window ``_window_quasihom`` at ``WINDOW_FACTOR``.
+    sqrt(rho rho') * exp(-|dx| / xi(S)), the exponential form at dtau = 0;
+    since Lambda = m v^2 the decay rate 1/xi(S) equals
+    Lambda / (2 beta hbar^2 v^2 rho_TF(S)).  Raises RegimeError outside the
+    quasi-homogeneous window ``_window_quasihom`` at ``WINDOW_FACTOR``.
     """
     _window_quasihom(x1, x2, p, d, WINDOW_FACTOR)
-    dx = abs(x1 - x2)
-    s_half = 0.5 * (x1 + x2)
-    rate = p.Lambda / (2.0 * p.beta * (p.hbar * d.v) ** 2 * rho_tf(s_half, p, d))
-    return _sqrt_rho_pair(x1, x2, p, d) * math.exp(-rate * dx)
+    return _exponential_gamma(CorrelatorQuery(x1, 0.0, x2, 0.0), p, d)
 
 
-def _abs_sinh(z: complex) -> float:
-    return 0.5 * math.exp(log_2sinh_abs(z))
+def _power_law(pref: float, base: float, theta: float) -> float:
+    """pref * base^(-1/theta), the power law of every homogeneous and trapped
+    form; inf at base = 0 (divergence marker)."""
+    if base == 0.0:
+        return math.inf
+    return pref * base ** (-1.0 / theta)
 
 
-def _abs_sin(z: complex) -> float:
-    return 0.5 * math.exp(log_2sin_abs(z))
+def _abs_sinh_thermal(zeta: complex, p: PhysicalParams, d: DerivedScales) -> float:
+    """|sinh(pi zeta / lambda_T)|, the high-temperature base."""
+    return 0.5 * math.exp(log_2sinh_abs((math.pi / (p.hbar * p.beta * d.v)) * zeta))
+
+
+def _abs_sin_trap(zeta: complex, d: DerivedScales) -> float:
+    """|sin(pi zeta / (2 R_c))|, the low-temperature base."""
+    return 0.5 * math.exp(log_2sin_abs((math.pi / (2.0 * d.R_c)) * zeta))
 
 
 def gamma_homog(
@@ -197,47 +190,40 @@ def gamma_homog(
     homogeneous density Lambda/g supplies the prefactor.  Returns inf at
     coincident arguments (divergence marker).
     """
-    hv = p.hbar * d.v
-    zeta = complex(abs(x1 - x2), hv * (tau1 - tau2))
-    theta = theta_homogeneous(p, d)
-    rho0 = p.Lambda / p.g
+    zeta = zeta_of(x1 - x2, tau1 - tau2, p, d)
     if form == "highT":
-        base = _abs_sinh((math.pi / (p.hbar * p.beta * d.v)) * zeta)
+        base = _abs_sinh_thermal(zeta, p, d)
     elif form == "lowT":
-        base = _abs_sin((math.pi / (2.0 * d.R_c)) * zeta)
+        base = _abs_sin_trap(zeta, d)
     elif form == "powerlaw":
         base = abs(zeta)
     else:
         raise DomainError(f"unknown homogeneous form {form!r}")
-    if base == 0.0:
-        return math.inf
-    return rho0 * base ** (-1.0 / theta)
+    return _power_law(p.Lambda / p.g, base, theta_homogeneous(p, d))
 
 
 def _power_law_gamma(q: CorrelatorQuery, p: PhysicalParams, d: DerivedScales) -> float:
-    """Shared power-law form: both temperature limits dispatch here, so their
-    values coincide bit-for-bit for identical inputs."""
-    hv = p.hbar * d.v
-    zeta = abs(complex(abs(q.dx), hv * q.dtau))
-    if zeta == 0.0:
-        return math.inf
-    return _sqrt_rho_pair(q.x1, q.x2, p, d) * zeta ** (-1.0 / theta_at(q.S, p, d))
-
-
-def _exponential_gamma(q: CorrelatorQuery, p: PhysicalParams, d: DerivedScales) -> float:
-    """High-temperature exponential decay exp(-|zeta| / xi(S))."""
-    hv = p.hbar * d.v
-    zeta = abs(complex(abs(q.dx), hv * q.dtau))
-    return _sqrt_rho_pair(q.x1, q.x2, p, d) * math.exp(-zeta / xi_at(q.S, p, d))
+    """Trapped power law |zeta|^(-1/theta(S)): both temperature limits
+    dispatch here, so their values coincide bit-for-bit for identical
+    inputs."""
+    base = abs(zeta_of(q.dx, q.dtau, p, d))
+    return _power_law(_sqrt_rho_pair(q.x1, q.x2, p, d), base, theta_at(q.S, p, d))
 
 
 def _sinh_gamma(q: CorrelatorQuery, p: PhysicalParams, d: DerivedScales) -> float:
     """High-temperature sinh power law |sinh(pi zeta / lambda_T)|^(-1/theta(S))."""
-    hv = p.hbar * d.v
-    base = _abs_sinh((math.pi / (p.hbar * p.beta * d.v)) * complex(abs(q.dx), hv * q.dtau))
-    if base == 0.0:
-        return math.inf
-    return _sqrt_rho_pair(q.x1, q.x2, p, d) * base ** (-1.0 / theta_at(q.S, p, d))
+    base = _abs_sinh_thermal(zeta_of(q.dx, q.dtau, p, d), p, d)
+    return _power_law(_sqrt_rho_pair(q.x1, q.x2, p, d), base, theta_at(q.S, p, d))
+
+
+def _exponential_green(q: CorrelatorQuery, p: PhysicalParams, d: DerivedScales) -> float:
+    """Phase correlator |zeta| / xi(S) of the quasi-homogeneous exponential."""
+    return abs(zeta_of(q.dx, q.dtau, p, d)) / xi_at(q.S, p, d)
+
+
+def _exponential_gamma(q: CorrelatorQuery, p: PhysicalParams, d: DerivedScales) -> float:
+    """Quasi-homogeneous exponential decay exp(-|zeta| / xi(S))."""
+    return _sqrt_rho_pair(q.x1, q.x2, p, d) * math.exp(-_exponential_green(q, p, d))
 
 
 def gamma_trapped_asymptotic(
@@ -273,7 +259,7 @@ def gamma_trapped_asymptotic(
         _window_quasihom(q.x1, q.x2, p, d, WINDOW_FACTOR)
         return _sinh_gamma(q, p, d)
     if regime is Regime.LOW_T:
-        zeta_over_rc = abs(complex(abs(q.dx), p.hbar * d.v * q.dtau)) / d.R_c
+        zeta_over_rc = abs(zeta_of(q.dx, q.dtau, p, d)) / d.R_c
         if zeta_over_rc < WINDOW_FACTOR:
             return _power_law_gamma(q, p, d)
         raise RegimeError(f"low-temperature gate |zeta|/R_c << 1 failed (got {zeta_over_rc:.3g})")
@@ -287,7 +273,8 @@ def coherence_multidim(x1, x2, dim: int, p: PhysicalParams, d: DerivedScales) ->
 
     d=3: Gamma^(1) = exp(+Lambda / (4 pi beta hbar^2 v^2 rho_TF(S) |dx|))
     d=2: Gamma^(1) = (lambda_T / |dx|) ^ (Lambda / (2 pi beta hbar^2 v^2 rho_TF(S)))
-    d=1: the quasi-homogeneous exponential with the sqrt(rho rho') prefactor.
+    d=1: the quasi-homogeneous exponential of ``gamma_d1_quasihom``,
+         G = |dx| / xi(S), with the sqrt(rho rho') prefactor.
 
     The phase correlator G is returned alongside; S is the radial coordinate
     of the midpoint.  Zero separation is a divergence marker (inf) for
@@ -315,9 +302,8 @@ def coherence_multidim(x1, x2, dim: int, p: PhysicalParams, d: DerivedScales) ->
             return CoherenceValue(math.inf, -math.inf, dim, sep)
         green = p.Lambda / (2.0 * math.pi * p.beta * hv2 * rho_s) * math.log(sep / d.lambda_T)
         return CoherenceValue(math.exp(-green), green, dim, sep)
-    green = p.Lambda * sep / (2.0 * p.beta * hv2 * rho_s)
-    gamma = _sqrt_rho_pair(float(a[0]), float(b[0]), p, d) * math.exp(-green)
-    return CoherenceValue(gamma, green, dim, sep)
+    q = CorrelatorQuery(float(a[0]), 0.0, float(b[0]), 0.0)
+    return CoherenceValue(_exponential_gamma(q, p, d), _exponential_green(q, p, d), dim, sep)
 
 
 def extract_exponent(separations, gammas, rho_products=None) -> FitResult:

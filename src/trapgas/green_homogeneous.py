@@ -21,12 +21,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, UsageError
-from .model import DerivedScales, PhysicalParams
+from .model import CorrelatorQuery, DerivedScales, PhysicalParams, zeta_of
 
 __all__ = [
     "HomogSeriesControl",
     "GreenValue",
-    "SpacetimePair",
     "GreenDifference",
     "homog_series",
     "homog_asymptotic_highT",
@@ -73,24 +72,6 @@ class GreenValue:
     const_free: bool = False
     warning: str | None = None
     meta: dict = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class SpacetimePair:
-    """Arguments (x, tau; x', tau') of a two-point Green evaluation."""
-
-    x: float
-    tau: float
-    xp: float
-    taup: float
-
-    @property
-    def dx(self) -> float:
-        return self.x - self.xp
-
-    @property
-    def dtau(self) -> float:
-        return self.tau - self.taup
 
 
 @dataclass(frozen=True)
@@ -217,8 +198,7 @@ def homog_asymptotic_highT(
     dtau = tau - taup
     _check_window(dx, dtau, p, d)
     hv = p.hbar * d.v
-    z = (math.pi / (p.hbar * p.beta * d.v)) * complex(abs(dx), hv * dtau)
-    log_term = log_2sinh_abs(z)
+    log_term = log_2sinh_abs((math.pi / (p.hbar * p.beta * d.v)) * zeta_of(dx, dtau, p, d))
     if math.isinf(log_term):
         return _log_divergence("homog-asympt-highT")
     value = (p.g / (2.0 * math.pi * hv)) * log_term - (p.g / (4.0 * p.beta * d.R_c)) * dx**2 / hv**2
@@ -238,15 +218,14 @@ def homog_asymptotic_lowT(
     dtau = tau - taup
     _check_window(dx, dtau, p, d)
     hv = p.hbar * d.v
-    z = (math.pi / (2.0 * d.R_c)) * complex(abs(dx), hv * dtau)
-    log_term = log_2sin_abs(z)
+    log_term = log_2sin_abs((math.pi / (2.0 * d.R_c)) * zeta_of(dx, dtau, p, d))
     if math.isinf(log_term):
         return _log_divergence("homog-asympt-lowT")
     value = (p.g / (2.0 * math.pi * hv)) * log_term - (p.g / (4.0 * p.beta * d.R_c)) * dtau**2
     return GreenValue(value=value, method="homog-asympt-lowT", const_free=True)
 
 
-def green_difference(evaluate, pair_a: SpacetimePair, pair_b: SpacetimePair) -> GreenDifference:
+def green_difference(evaluate, pair_a: CorrelatorQuery, pair_b: CorrelatorQuery) -> GreenDifference:
     """G(pair_a) - G(pair_b) under one evaluator; additive constants cancel.
 
     The difference of two real Green values is real; its truncation error is
@@ -254,12 +233,13 @@ def green_difference(evaluate, pair_a: SpacetimePair, pair_b: SpacetimePair) -> 
 
     ``evaluate(x, tau, xp, taup)`` returns a :class:`GreenValue`, like the
     Green functions themselves with their remaining arguments bound (e.g.
-    ``partial(homog_series, p=p, d=d, ctl=ctl)``).  Both evaluations must come
-    back tagged with the same method, otherwise the difference would silently
+    ``partial(homog_series, p=p, d=d, ctl=ctl)``); it is called at
+    (x1, tau1, x2, tau2) of each pair.  Both evaluations must come back
+    tagged with the same method, otherwise the difference would silently
     mix conventions.
     """
-    ga = evaluate(pair_a.x, pair_a.tau, pair_a.xp, pair_a.taup)
-    gb = evaluate(pair_b.x, pair_b.tau, pair_b.xp, pair_b.taup)
+    ga = evaluate(pair_a.x1, pair_a.tau1, pair_a.x2, pair_a.tau2)
+    gb = evaluate(pair_b.x1, pair_b.tau1, pair_b.x2, pair_b.tau2)
     if ga.method != gb.method:
         raise UsageError(f"green_difference mixes methods {ga.method!r} and {gb.method!r}")
     if ga.divergent or gb.divergent:

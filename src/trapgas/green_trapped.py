@@ -36,7 +36,7 @@ import numpy as np
 from .errors import AccuracyError, DomainError, RegimeError, TrapGasError
 from .green_homogeneous import GreenValue, _log_divergence, log_2sinh_abs
 from .legendre import _exp_split, _log_cosh_pi, _p_series, nu_from_omega, p_poly_table
-from .model import DEFAULT_R_HI, DEFAULT_R_LO, DerivedScales, PhysicalParams, rho_tf
+from .model import DEFAULT_R_HI, DEFAULT_R_LO, DerivedScales, PhysicalParams, rho_tf, zeta_of
 
 __all__ = [
     "BOUNDARY_EPS",
@@ -56,6 +56,8 @@ __all__ = [
 # Evaluations are clamped away from the Thomas-Fermi boundary, where Q_nu has
 # its logarithmic singularity.
 BOUNDARY_EPS = 1e-6
+# factor of the quasi-homogeneous window of the high-temperature asymptotics
+HIGHT_WINDOW_FACTOR = 0.5
 
 
 @dataclass(frozen=True)
@@ -335,7 +337,7 @@ def matsubara_assemble(
 
 
 def _u_star(dx: float, dtau: float, p: PhysicalParams, d: DerivedScales) -> float:
-    return abs(complex(abs(dx), p.hbar * d.v * dtau)) / d.R_c
+    return abs(zeta_of(dx, dtau, p, d)) / d.R_c
 
 
 def _gate_lowT(n0: int, u_star: float):
@@ -505,15 +507,15 @@ def asympt_spectral_highT(
     """Large-|omega| spectral density in the quasi-homogeneous window.
 
     -(Lambda / (2 hbar v rho_TF(S))) * exp(-|omega||dx|/(hbar v)) / |omega|,
-    with S the midpoint; requires alpha|omega| >= 5 and the window at factor
-    0.5.
+    with S the midpoint; requires alpha|omega| >= 5 and the window at
+    ``HIGHT_WINDOW_FACTOR``.
     """
     if d.alpha * abs(omega) < 5.0:
         raise RegimeError(
             f"alpha|omega| >= 5 violated (alpha|omega| = {d.alpha * abs(omega):.3g})"
         )
     s_half = 0.5 * (x + xp)
-    _window_quasihom(x, xp, p, d, 0.5)
+    _window_quasihom(x, xp, p, d, HIGHT_WINDOW_FACTOR)
     hv = p.hbar * d.v
     return -(p.Lambda / (2.0 * hv * rho_tf(s_half, p, d))) * math.exp(-abs(omega) * abs(x - xp) / hv) / abs(omega)
 
@@ -526,25 +528,22 @@ def asympt_green_highT(
     p: PhysicalParams,
     d: DerivedScales,
     r_lo: float = DEFAULT_R_LO,
-    window_factor: float = 0.5,
 ) -> GreenValue:
     """High-temperature assembled Green function, up to an additive constant.
 
     (Lambda / (2 pi hbar v rho_TF(S))) * ln{2 |sinh(pi/(hbar beta v)
     (|dx| + i hbar v dtau))|}; the trap enters only through rho_TF at the
-    midpoint S.
+    midpoint S.  Raises RegimeError outside the quasi-homogeneous window at
+    ``HIGHT_WINDOW_FACTOR``.
     """
     if d.regime_ratio >= r_lo:
         raise RegimeError(f"beta/alpha < {r_lo:g} violated (beta/alpha = {d.regime_ratio:.3g})")
-    dx = x - xp
-    dtau = tau - taup
     s_half = 0.5 * (x + xp)
-    slack = _window_quasihom(x, xp, p, d, window_factor)
-    hv = p.hbar * d.v
-    z = (math.pi / (p.hbar * p.beta * d.v)) * complex(abs(dx), hv * dtau)
-    log_term = log_2sinh_abs(z)
+    slack = _window_quasihom(x, xp, p, d, HIGHT_WINDOW_FACTOR)
+    log_term = log_2sinh_abs((math.pi / (p.hbar * p.beta * d.v)) * zeta_of(x - xp, tau - taup, p, d))
     if math.isinf(log_term):
         return _log_divergence("trapped-asympt-highT")
+    hv = p.hbar * d.v
     value = p.Lambda / (2.0 * math.pi * hv * rho_tf(s_half, p, d)) * log_term
     return GreenValue(
         value=value,

@@ -70,19 +70,23 @@ class LegendrePair:
 # ----------------------------------------------------------------------------
 
 
+def _recurrence(n_max: int, u: float, y0: float, y1: float) -> list:
+    """y_0 .. y_{n_max} of the three-term recurrence
+    (k+1) y_{k+1} = (2k+1) u y_k - k y_{k-1} from the seeds y_0, y_1; P_n
+    and Q_n both obey it."""
+    ys = [y0, y1]
+    for k in range(1, n_max):
+        ys.append(((2 * k + 1) * u * ys[k] - k * ys[k - 1]) / (k + 1))
+    return ys[:n_max + 1]
+
+
 def p_poly(n: int, u: float) -> float:
     """Legendre polynomial P_n(u) on [-1, 1] by the three-term recurrence."""
     if n != int(n) or n < 0:
         raise DomainError(f"polynomial degree must be an integer >= 0, got {n!r}")
     if abs(u) > 1.0:
         raise DomainError(f"p_poly argument must satisfy |u| <= 1, got {u}")
-    n = int(n)
-    if n == 0:
-        return 1.0
-    pm1, pm0 = 1.0, float(u)
-    for k in range(1, n):
-        pm1, pm0 = pm0, ((2 * k + 1) * u * pm0 - k * pm1) / (k + 1)
-    return pm0
+    return _recurrence(int(n), u, 1.0, float(u))[-1]
 
 
 def p_poly_table(n_max: int, u: float) -> np.ndarray:
@@ -91,14 +95,7 @@ def p_poly_table(n_max: int, u: float) -> np.ndarray:
         raise DomainError(f"n_max must be an integer >= 0, got {n_max!r}")
     if abs(u) > 1.0:
         raise DomainError(f"p_poly_table argument must satisfy |u| <= 1, got {u}")
-    n_max = int(n_max)
-    out = np.empty(n_max + 1)
-    out[0] = 1.0
-    if n_max >= 1:
-        out[1] = u
-    for k in range(1, n_max):
-        out[k + 1] = ((2 * k + 1) * u * out[k] - k * out[k - 1]) / (k + 1)
-    return out
+    return np.array(_recurrence(int(n_max), u, 1.0, u), dtype=float)
 
 
 def p_poly_asymptotic(n: int, theta: float) -> float:
@@ -230,22 +227,8 @@ def _raise_series_cap(lam_open, u_open, z_open, tol, used, rel_term, last_ratio)
 
 
 # ----------------------------------------------------------------------------
-# integer-degree Q and the public pair evaluation
+# the public pair evaluation
 # ----------------------------------------------------------------------------
-
-
-def _q_integer(n: int, u: float) -> float:
-    """Q_n(u) on (-1, 1) from Q_0 = artanh and the shared recurrence."""
-    q0 = math.atanh(u)
-    if n == 0:
-        return q0
-    q1 = u * q0 - 1.0
-    if n == 1:
-        return q1
-    qm1, qm0 = q0, q1
-    for k in range(1, n):
-        qm1, qm0 = qm0, ((2 * k + 1) * u * qm0 - k * qm1) / (k + 1)
-    return qm0
 
 
 def nu_from_omega(omega: float, d: DerivedScales) -> complex:
@@ -274,7 +257,8 @@ def _log_cosh_pi(mu):
 def legendre_pair(nu: complex, u: float, tol: float = 1e-13, max_terms: int = _MAX_TERMS_DEFAULT) -> LegendrePair:
     """Evaluate P_nu(u) and Q_nu(u) for u strictly inside (-1, 1).
 
-    Integer degrees take the closed-form/recurrence path.  Real and conical
+    Integer degrees take the recurrence, P from P_0 = 1 and Q from
+    Q_0 = artanh u, Q_1 = u Q_0 - 1.  Real and conical
     degrees -1/2 + i mu, the ones with real nu(nu+1), go through the series
     and the connection formula, on the conical line
 
@@ -290,9 +274,10 @@ def legendre_pair(nu: complex, u: float, tol: float = 1e-13, max_terms: int = _M
         raise DomainError(f"tolerance must be positive and finite, got {tol}")
     if _is_integer(nu):
         n = int(nu.real)
+        q0 = math.atanh(u)
         return LegendrePair(
             p=complex(p_poly(n, u)),
-            q=complex(_q_integer(n, u)),
+            q=complex(_recurrence(n, u, q0, u * q0 - 1.0)[-1]),
             u=u,
             nu=nu,
             terms=n + 1,

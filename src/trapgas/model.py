@@ -21,6 +21,7 @@ from .errors import ConfigError, DomainError
 __all__ = [
     "PhysicalParams",
     "DerivedScales",
+    "CorrelatorQuery",
     "Regime",
     "LevelSpacing",
     "derive_scales",
@@ -28,6 +29,7 @@ __all__ = [
     "energy_level",
     "level_spacing_expansion",
     "classify_regime",
+    "zeta_of",
     "DEFAULT_R_LO",
     "DEFAULT_R_HI",
 ]
@@ -79,6 +81,31 @@ class DerivedScales:
     regime_ratio: float
 
 
+@dataclass(frozen=True)
+class CorrelatorQuery:
+    """Spacetime arguments (x1, tau1; x2, tau2) of one two-point evaluation.
+
+    The midpoint S is always recomputed from x1 and x2.
+    """
+
+    x1: float
+    tau1: float
+    x2: float
+    tau2: float
+
+    @property
+    def S(self) -> float:
+        return 0.5 * (self.x1 + self.x2)
+
+    @property
+    def dx(self) -> float:
+        return self.x1 - self.x2
+
+    @property
+    def dtau(self) -> float:
+        return self.tau1 - self.tau2
+
+
 class Regime(enum.Enum):
     HIGH_T = "HighT"
     LOW_T = "LowT"
@@ -108,6 +135,11 @@ def derive_scales(p: PhysicalParams) -> DerivedScales:
     alpha = r_c / (p.hbar * v)
     lambda_t = p.hbar * p.beta * v
     return DerivedScales(v=v, R_c=r_c, alpha=alpha, lambda_T=lambda_t, regime_ratio=p.beta / alpha)
+
+
+def zeta_of(dx: float, dtau: float, p: PhysicalParams, d: DerivedScales) -> complex:
+    """Complex separation zeta = |dx| + i hbar v dtau of a spacetime pair."""
+    return complex(abs(dx), p.hbar * d.v * dtau)
 
 
 def rho_tf(x, p: PhysicalParams, d: DerivedScales):

@@ -18,7 +18,6 @@ import scipy.sparse.linalg as spla
 from scipy.linalg import eigvalsh_tridiagonal, solveh_banded
 
 from .errors import DomainError
-from .legendre import p_poly_table
 from .model import DerivedScales, PhysicalParams
 
 __all__ = [
@@ -208,7 +207,7 @@ def brute_frequency_sum(theta: float, l_max: int) -> float:
     if l_max < 1:
         raise DomainError("l_max must be >= 1")
     total = 0.0
-    chunk = 1_000_000
+    chunk = 65_536  # keeps each float64 temporary at 512 KiB
     for start in range(1, l_max + 1, chunk):
         l_arr = np.arange(start, min(start + chunk, l_max + 1), dtype=float)
         total += float(np.sum(np.cos(2.0 * math.pi * theta * l_arr) / l_arr**2))
@@ -228,8 +227,9 @@ def brute_legendre_tail(
     sum_{n=1}^{n_max} (n + 1/2)/sqrt(n(n+1)) P_n(x/R_c) P_n(x'/R_c)
                        exp(-sqrt(n(n+1)) dtau / alpha),
 
-    using the exact polynomial recurrence; ground truth for the split-and-
-    resummed low-temperature series.
+    using the exact polynomial recurrence, written out here so that the
+    oracle shares no code with the series it checks; ground truth for the
+    split-and-resummed low-temperature series.
     """
     if dtau <= 0.0:
         raise DomainError("brute_legendre_tail requires dtau > 0")
@@ -240,6 +240,10 @@ def brute_legendre_tail(
     root = np.sqrt(n * (n + 1.0))
     # exp underflows to 0 harmlessly once root*dtau/alpha > ~745
     weights = (n + 0.5) / root * np.exp(-root * dtau / d.alpha)
-    pn_u = p_poly_table(n_max, u)[1:]
-    pn_up = p_poly_table(n_max, up)[1:]
-    return float(np.sum(weights * pn_u * pn_up))
+    # P_0 .. P_n_max at u and u' by (k+1) P_{k+1} = (2k+1) u P_k - k P_{k-1}
+    args = np.array([u, up])
+    pn = np.empty((2, n_max + 1))
+    pn[:, 0], pn[:, 1] = 1.0, args
+    for k in range(1, n_max):
+        pn[:, k + 1] = ((2 * k + 1) * args * pn[:, k] - k * pn[:, k - 1]) / (k + 1)
+    return float(np.sum(weights * pn[0, 1:] * pn[1, 1:]))

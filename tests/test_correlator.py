@@ -40,6 +40,18 @@ def unit_radius_params(**over):
     return setup_params(Omega=math.sqrt(2.0), **over)
 
 
+def quasihom_draws(count, seed=20261018):
+    """(p, d, x1, x2) with m, g, Omega, Lambda, beta in [0.5, 2] and a pair
+    inside the quasi-homogeneous window: |S| <= 0.5 R_c, S = 0 in every
+    fourth draw, |dx| <= 0.05 R_c."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        p, d = setup_params(**{k: float(rng.uniform(0.5, 2.0)) for k in ("m", "g", "Omega", "Lambda", "beta")})
+        s_half = 0.0 if i % 4 == 0 else float(rng.uniform(-0.5, 0.5)) * d.R_c
+        dx = float(rng.uniform(-0.05, 0.05)) * d.R_c
+        yield p, d, s_half + dx / 2.0, s_half - dx / 2.0
+
+
 class TestExponents:
     def test_theta_homogeneous_forms_agree(self):
         p, d = setup_params(Lambda=2.3, g=0.7, m=1.9)
@@ -156,6 +168,11 @@ class TestQuasihomCorrelator:
         p, d = setup_params()
         with pytest.raises(RegimeError):
             gamma_d1_quasihom(0.5 * d.R_c, -0.5 * d.R_c, p, d)
+
+    def test_is_the_exponential_form_at_equal_times(self):
+        for p, d, x1, x2 in quasihom_draws(120):
+            q = CorrelatorQuery(x1, 0.0, x2, 0.0)
+            assert gamma_d1_quasihom(x1, x2, p, d) == _exponential_gamma(q, p, d)
 
     def test_accepted_at_trap_centre(self):
         # S = 0 is where the background is flattest and the form most accurate
@@ -333,6 +350,12 @@ class TestCoherence:
         g1 = coherence_multidim([0.25], [0.15], 1, p, d).phase_green
         g2 = coherence_multidim([0.30], [0.10], 1, p, d).phase_green
         assert_allclose(g2 / g1, 2.0, rtol=1e-12)  # doubled separation, same S
+
+    def test_d1_is_the_quasihom_exponential(self):
+        for p, d, x1, x2 in quasihom_draws(120):
+            c = coherence_multidim([x1], [x2], 1, p, d)
+            assert c.gamma1 == _exponential_gamma(CorrelatorQuery(x1, 0.0, x2, 0.0), p, d)
+            assert c.phase_green == abs(x1 - x2) / xi_at(0.5 * (x1 + x2), p, d)
 
     def test_divergence_markers(self):
         p, d = setup_params()

@@ -6,10 +6,10 @@ import pytest
 from numpy.testing import assert_allclose
 
 from trapgas import (
+    CorrelatorQuery,
     DomainError,
     HomogSeriesControl,
     PhysicalParams,
-    SpacetimePair,
     UsageError,
     derive_scales,
     green_difference,
@@ -161,7 +161,7 @@ class TestGreenDifference:
     def test_identical_pairs_cancel_exactly(self):
         p, d = setup_params()
         ctl = HomogSeriesControl(l_max=16, n_max=32)
-        pair = SpacetimePair(0.3, 0.2, -0.1, 0.0)
+        pair = CorrelatorQuery(0.3, 0.2, -0.1, 0.0)
         diff = green_difference(partial(homog_series, p=p, d=d, ctl=ctl), pair, pair)
         assert diff.value == 0.0
 
@@ -177,12 +177,12 @@ class TestGreenDifference:
             return homog_asymptotic_highT(x, tau, xp, taup, p, d)
 
         with pytest.raises(UsageError):
-            green_difference(alternating, SpacetimePair(0.3, 0.2, -0.1, 0.0), SpacetimePair(0.4, 0.1, 0.0, 0.0))
+            green_difference(alternating, CorrelatorQuery(0.3, 0.2, -0.1, 0.0), CorrelatorQuery(0.4, 0.1, 0.0, 0.0))
 
     def test_difference_independent_of_tail_mode(self):
         p, d = setup_params()
-        pair_a = SpacetimePair(0.45, 0.2, -0.15, 0.0)
-        pair_b = SpacetimePair(0.3, 0.1, 0.0, 0.0)
+        pair_a = CorrelatorQuery(0.45, 0.2, -0.15, 0.0)
+        pair_b = CorrelatorQuery(0.3, 0.1, 0.0, 0.0)
         diffs = {}
         for mode in ("none", "bernoulli"):
             ctl = HomogSeriesControl(l_max=512, n_max=512, tail_mode=mode)
@@ -194,4 +194,4 @@ class TestGreenDifference:
         p, d = setup_params()
         f = partial(homog_asymptotic_highT, p=p, d=d)
         with pytest.raises(UsageError):
-            green_difference(f, SpacetimePair(0.1, 0.0, 0.1, 0.0), SpacetimePair(0.3, 0.0, 0.0, 0.0))
+            green_difference(f, CorrelatorQuery(0.1, 0.0, 0.1, 0.0), CorrelatorQuery(0.3, 0.0, 0.0, 0.0))

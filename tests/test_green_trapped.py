@@ -9,12 +9,12 @@ from numpy.testing import assert_allclose
 
 from trapgas import (
     AccuracyError,
+    CorrelatorQuery,
     DomainError,
     HomogSeriesControl,
     LowTControl,
     PhysicalParams,
     RegimeError,
-    SpacetimePair,
     asympt_green_highT,
     asympt_green_lowT,
     asympt_spectral_highT,
@@ -325,8 +325,8 @@ class TestMatsubaraAssemble:
         # homogeneous-series differences within 2%
         p, d = setup_params(Omega=math.sqrt(2.0) / 25.0, beta=0.5)  # R_c = 25
         ctl = HomogSeriesControl(l_max=160, n_max=3000)
-        pair_a = SpacetimePair(0.175, 0.1 * p.beta, -0.175, 0.0)
-        pair_b = SpacetimePair(0.1, 0.0, -0.1, 0.0)
+        pair_a = CorrelatorQuery(0.175, 0.1 * p.beta, -0.175, 0.0)
+        pair_b = CorrelatorQuery(0.1, 0.0, -0.1, 0.0)
         d_trap = green_difference(partial(matsubara_assemble, p=p, d=d, l_max=8), pair_a, pair_b)
         d_hom = green_difference(partial(homog_series, p=p, d=d, ctl=ctl), pair_a, pair_b)
         assert abs(d_trap.value - d_hom.value) < 0.02 * abs(d_hom.value)

@@ -1,9 +1,12 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import trapgas.oracle
 from trapgas import (
     DomainError,
     FdmGrid,
@@ -196,3 +199,16 @@ class TestBruteLegendreTail:
             brute_legendre_tail(0.1, 0.0, 0.0, p, d, 100)
         with pytest.raises(DomainError):
             brute_legendre_tail(0.1, 0.0, 0.5, p, d, 0)
+
+
+def test_oracle_imports_none_of_the_routes_it_checks():
+    tree = ast.parse(Path(trapgas.oracle.__file__).read_text(encoding="utf-8"))
+    names = set()  # every dotted name the module imports, relative imports resolved
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            package = "trapgas" if node.level else None
+            names.update(".".join(filter(None, (package, node.module, alias.name))) for alias in node.names)
+        elif isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+    routes = [f"trapgas.{m}" for m in ("legendre", "green_trapped", "green_homogeneous", "correlator")]
+    assert [n for n in names if any(n == r or n.startswith(r + ".") for r in routes)] == []
