@@ -278,6 +278,8 @@ def cmd_density(cfg: RunConfig, args) -> tuple:
 
 def cmd_spectrum(cfg: RunConfig, args) -> tuple:
     p, d = cfg.params, cfg.scales
+    if args.levels < 0:
+        raise ConfigError(f"--levels must be >= 0, got {args.levels}")
     rows = []
     for n in range(args.levels):
         e_n = energy_level(n, p, d)

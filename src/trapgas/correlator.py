@@ -319,6 +319,10 @@ def extract_exponent(separations, gammas, rho_products=None) -> FitResult:
     rp = np.asarray(rho_products, dtype=float)
     if sep.shape != gam.shape or sep.shape != rp.shape:
         raise DataError("separations, gammas and rho_products must have matching shapes")
+    for name, values in (("separations", sep), ("gammas", gam), ("rho_products", rp)):
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            raise DataError(f"{name} must be finite, got {values[bad[0]]} at index {bad[0]}")
     if sep.size < MIN_FIT_SAMPLES:
         raise DataError(f"need at least {MIN_FIT_SAMPLES} samples, got {sep.size}")
     if np.any(gam <= 0.0) or np.any(sep <= 0.0) or np.any(rp <= 0.0):

@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import AccuracyError, DomainError, RegimeError, TrapGasError
 from .green_homogeneous import GreenValue, _log_divergence, log_2sinh_abs
-from .legendre import _exp_split, _log_cosh_pi, _p_series, nu_from_omega, p_poly_table
+from .legendre import _exp_split, _log_cosh_pi, _p_series, _series_cap_error, nu_from_omega, p_poly_table
 from .model import DEFAULT_R_HI, DEFAULT_R_LO, DerivedScales, PhysicalParams, rho_tf, zeta_of
 
 __all__ = [
@@ -119,10 +119,26 @@ def _zero_mode_parts(u: float, up: float, k: float) -> tuple:
     return k * abs(au - aup), -k * ((2.0 / math.pi) * au * aup + math.pi / 2.0)
 
 
+def _distinct_pairs(lam, u) -> tuple:
+    """The positions of the distinct (lambda, u) pairs among the pairs
+    ``lam``, ``u``, ordered by u and then by lambda, each the first of its
+    equals, and for every pair the index of its distinct pair in that order."""
+    order = np.lexsort((lam, u))
+    sorted_lam, sorted_u = lam[order], u[order]
+    first = np.ones(order.size, dtype=bool)
+    first[1:] = (sorted_lam[1:] != sorted_lam[:-1]) | (sorted_u[1:] != sorted_u[:-1])
+    which = np.empty(order.size, dtype=np.int64)
+    which[order] = np.cumsum(first) - 1
+    return order[first], which
+
+
 def _density_parts(omegas, us, ups, d: DerivedScales, k: float, tol: float) -> tuple:
     """re_part, im_part, series terms and absolute error bound of re_part of
     G_omega(x, x') for each row (omega, u, u') of the broadcast 1-D arrays
-    ``omegas``, ``us``, ``ups``, with omega nonzero, by the real closed form.
+    ``omegas``, ``us``, ``ups``, with omega nonzero, by the real closed form,
+    and ``cap_error``: None if every series converged, else a function that
+    gives, for a list of rows, the AccuracyError of their series still open
+    at the term cap, or None if all of theirs converged.
 
     With lambda = (alpha omega)^2, P_<(+-) = P_nu(+-u_<), P_>(+-) =
     P_nu(+-u_>) and C = (2K/pi)(pi/2)^2:
@@ -136,7 +152,10 @@ def _density_parts(omegas, us, ups, d: DerivedScales, k: float, tol: float) -> t
 
     The rows ask for 4 series each; the distinct (lambda, u) pairs among
     them, ordered by u and then by lambda, are summed in one call of the
-    kernel, so a P_nu(+-u) that several rows share is summed once.  Conical
+    kernel, so a P_nu(+-u) that several rows share is summed once.
+    ``cap_error(rows)`` takes the open series among the distinct pairs of
+    those rows alone, in the order a call for them alone sums them, so a row
+    gets the error it raises on its own.  Conical
     products are formed from mantissas and powers of two, so neither the
     exp(pi mu) growth of P nor cosh(pi mu) overflows.  Each P series carries
     a relative bound r; the bound on re weights the two relative bounds of
@@ -147,14 +166,15 @@ def _density_parts(omegas, us, ups, d: DerivedScales, k: float, tol: float) -> t
     lam = (d.alpha * omegas) ** 2
     lo, hi = np.minimum(us, ups), np.maximum(us, ups)
     pair_lam, pair_u = np.tile(lam, 4), np.concatenate([lo, -lo, hi, -hi])
-    order = np.lexsort((pair_lam, pair_u))
-    sorted_lam, sorted_u = pair_lam[order], pair_u[order]
-    first = np.ones(order.size, dtype=bool)
-    first[1:] = (sorted_lam[1:] != sorted_lam[:-1]) | (sorted_u[1:] != sorted_u[:-1])
-    which = np.empty(order.size, dtype=np.int64)
-    which[order] = np.cumsum(first) - 1  # the distinct pair each requested pair is
-    series = _p_series(sorted_lam[first], sorted_u[first], tol)
+    distinct, which = _distinct_pairs(pair_lam, pair_u)
+    series = _p_series(pair_lam[distinct], pair_u[distinct], tol)
     n = lam.size
+
+    def cap_error(rows):
+        asked = (np.arange(4)[:, None] * n + np.asarray(rows)).ravel()  # the rows' pairs, in the order above
+        own = asked[_distinct_pairs(pair_lam[asked], pair_u[asked])[0]]
+        return _series_cap_error(pair_lam[own], pair_u[own], tuple(a[which[own]] for a in series), tol)
+
     (m_lo, e_lo, t1, r1), (m_mlo, e_mlo, t2, r2), (m_hi, e_hi, t3, r3), (m_mhi, e_mhi, t4, r4) = (
         tuple(a[which[i * n:(i + 1) * n]] for a in series) for i in range(4)
     )
@@ -182,7 +202,7 @@ def _density_parts(omegas, us, ups, d: DerivedScales, k: float, tol: float) -> t
     im[real] = -c * (q_lo * q_hi + p_lo * p_hi)
     err[real] = c * (np.abs(p_hi * p_mlo) * (r3[real] + r2[real])
                      + np.abs(p_lo * p_mhi) * (r1[real] + r4[real])) / np.abs(sin_pi_nu)
-    return re, im, t1 + t2 + t3 + t4, err
+    return re, im, t1 + t2 + t3 + t4, err, cap_error if np.isnan(series[0]).any() else None
 
 
 def spectral_density(
@@ -214,9 +234,11 @@ def spectral_densities(
     Entry i is the SpectralDensity at xs[i], or the DomainError or
     AccuracyError that ``spectral_density`` raises there; each is the one the
     single point gives, bitwise and word for word.  A point beyond the
-    boundary clamp is set aside before the pass; if the pass fails, the
-    points are evaluated one by one, so that only a failing point carries
-    the error.
+    boundary clamp is set aside before the pass.  A point whose series
+    reaches the term cap gets the AccuracyError built from its own distinct
+    (lambda, +-u) pairs, in the order a single-point call sums them, and the
+    other points keep their values from the same pass; a bad ``tol`` gives
+    every point inside the clamp the kernel's DomainError.
     """
     nu = nu_from_omega(omega, d)
     k = _k_coeff(p, d)
@@ -235,17 +257,15 @@ def spectral_densities(
         return out
     us, ups = np.array([out[i] for i in points]).T
     try:
-        re, im, terms, err = _density_parts(float(omega), us, ups, d, k, tol)
-    except (AccuracyError, DomainError) as exc:
-        if len(points) == 1:
-            out[points[0]] = exc
-        else:
-            for i in points:
-                (out[i],) = spectral_densities(omega, [xs[i]], xp, p, d, tol)
+        re, im, terms, err, cap_error = _density_parts(float(omega), us, ups, d, k, tol)
+    except DomainError as exc:  # a bad tol, which the kernel rejects before any term
+        for i in points:
+            out[i] = exc
         return out
     for row, i in enumerate(points):
-        out[i] = SpectralDensity(float(omega), nu, xs[i], xp, float(re[row]), float(im[row]), float(err[row]),
-                                 int(terms[row]))
+        capped = cap_error([row]) if cap_error else None
+        out[i] = capped or SpectralDensity(float(omega), nu, xs[i], xp, float(re[row]), float(im[row]),
+                                           float(err[row]), int(terms[row]))
     return out
 
 
@@ -285,10 +305,12 @@ def matsubara_assemble(
     The zero mode is kept (finite for the trap).  The physical real spectral
     densities are even in omega, so folding +-l gives an exactly real value:
     (1/beta) [G_0 + 2 sum_{l>=1} cos(omega_l dtau) Re G_omega].  All l_max
-    frequencies are evaluated in one batched pass of the series kernel.
-    ``trunc_err`` adds the frequency cutoff, estimated from the large-omega
-    envelope exp(-|omega||dx|/hbar v)/|omega|, to the densities' own absolute
-    error bounds.  ``meta`` carries the series terms summed and the
+    frequencies are evaluated in one batched pass of the series kernel; if
+    any of its series reaches the term cap, the AccuracyError names the first
+    open series of the pass and counts the open ones.  ``trunc_err`` adds the
+    frequency cutoff, estimated from the large-omega envelope
+    exp(-|omega||dx|/hbar v)/|omega|, to the densities' own absolute error
+    bounds.  ``meta`` carries the series terms summed and the
     frequencies used, the zero mode included.
     """
     if l_max < 0:
@@ -304,7 +326,9 @@ def matsubara_assemble(
     up = _clamped_u(xp, d)
     k = _k_coeff(p, d)
     omegas = 2.0 * math.pi * np.arange(1, l_max + 1) / p.beta
-    re, _, terms, errs = _density_parts(omegas, u, up, d, k, tol)
+    re, _, terms, errs, cap_error = _density_parts(omegas, u, up, d, k, tol)
+    if cap_error:
+        raise cap_error(range(l_max))
     # cos is even: |dtau| and the exactly rounded fsum keep the value bitwise
     # symmetric under swapping the two points
     total = _zero_mode_parts(u, up, k)[0] + 2.0 * math.fsum(np.cos(omegas * abs(dtau)) * re)

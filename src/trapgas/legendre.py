@@ -130,7 +130,9 @@ def _p_series(lam, u, tol: float, max_terms: int = _MAX_TERMS_DEFAULT):
     row's result does not depend on the rows beside it; a row stops after the
     first block whose last term is below tol times the partial sum while the
     ratio is below 1, that term's geometric tail bounding the error.  A row
-    still open after max_terms terms raises AccuracyError.
+    still open after max_terms terms comes back open: a NaN mantissa, the
+    max_terms terms it summed and the relative bound it achieved, which
+    ``_series_cap_error`` turns into the AccuracyError that names it.
     """
     lam = np.asarray(lam, dtype=float)
     u = np.broadcast_to(np.asarray(u, dtype=float), lam.shape)
@@ -196,7 +198,9 @@ def _p_series(lam, u, tol: float, max_terms: int = _MAX_TERMS_DEFAULT):
                     z_r = z_r[keep]
                 term_m, term_e, term_abs, last_ratio = term_m[keep], term_e[keep], term_abs[keep], last_ratio[keep]
         else:  # max_terms reached with rows still open
-            _raise_series_cap(lam[rows], u[rows], z[rows], tol, s, term_abs / np.abs(acc_m), last_ratio)
+            mant[rows] = np.nan
+            terms[rows] = s
+            err[rows] = term_abs / np.abs(acc_m)
     return mant, exp2, terms, err
 
 
@@ -207,20 +211,30 @@ def _exp_split(log_x):
     return np.exp(log_x - e * _LN2), e.astype(np.int64)
 
 
-def _raise_series_cap(lam_open, u_open, z_open, tol, used, rel_term, last_ratio):
-    """AccuracyError for the first row still open at the term cap, naming its
-    own lambda, u and z and the cause."""
-    lam, ratio, achieved = float(lam_open[0]), float(last_ratio[0]), float(rel_term[0])
-    u, z = float(u_open[0]), float(z_open[0])
+def _series_cap_error(lam, u, series, tol: float):
+    """The AccuracyError for the rows of the ``_p_series`` result ``series``,
+    summed for ``lam`` and ``u``, that are still open at the term cap, or None
+    if every row converged.  It names the first open row's own lambda, u and
+    z, the open-row count and the cause, read from the ratio of the row's
+    last term, and carries that row's achieved relative bound."""
+    mant, _, terms, err = series
+    open_rows = np.flatnonzero(np.isnan(mant))
+    if not open_rows.size:
+        return None
+    first = open_rows[0]
+    lam, u = float(lam[first]), float(np.broadcast_to(u, mant.shape)[first])
+    used, achieved, z = int(terms[first]), float(err[first]), 0.5 * (1.0 - u)
+    j = used - 1.0
+    ratio = abs((j * (j + 1.0) + lam) * (z / (j + 1.0) ** 2))  # the kernel's last term ratio, in its own operations
     if ratio >= 1.0:
         cause = (f"the terms are still growing (ratio {ratio:.6g}): at this degree they peak near "
                  f"j = sqrt(lambda z/(1-z)) = {math.sqrt(max(lam, 0.0) * z / (1.0 - z)):.4g}")
     else:
         cause = f"the terms decay at ratio {ratio:.6g} per term, which tends to z as j grows"
         cause += "; u is close to -1, where P_nu has its logarithmic singularity" if z > 0.99 else ""
-    raise AccuracyError(
+    return AccuracyError(
         f"hypergeometric series for P_nu(u) reached the {used}-term cap at lambda = -nu(nu+1) = {lam:.6g}, "
-        f"u = {u!r}, z = (1-u)/2 = {z:.6g} ({lam_open.size} open rows): relative bound {achieved:.3e} "
+        f"u = {u!r}, z = (1-u)/2 = {z:.6g} ({open_rows.size} open rows): relative bound {achieved:.3e} "
         f"> tol = {tol:g}; {cause}",
         achieved=achieved,
     )
@@ -291,7 +305,12 @@ def legendre_pair(nu: complex, u: float, tol: float = 1e-13, max_terms: int = _M
         )
     mu = nu.imag
     lam = 0.25 + mu * mu if conical else -nu.real * (nu.real + 1.0)
-    mant, exp2, terms, err = _p_series(np.array([lam, lam]), np.array([u, -u]), tol, max_terms)  # P_nu(u), P_nu(-u)
+    lams, us = np.array([lam, lam]), np.array([u, -u])  # P_nu(u), P_nu(-u)
+    series = _p_series(lams, us, tol, max_terms)
+    capped = _series_cap_error(lams, us, series, tol)
+    if capped:
+        raise capped
+    mant, exp2, terms, err = series
     p_u = float(np.ldexp(mant[0], exp2[0]))
     if conical:
         m_k, e_k = _exp_split(-_log_cosh_pi(mu))  # 1/cosh(pi mu)

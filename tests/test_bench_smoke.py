@@ -1,11 +1,12 @@
 """Smoke test of the benchmark harness: one traced ``validate`` run and one
-untraced ``spectral-sweep`` run.
+untraced run of each of ``spectral-sweep`` and ``correlator-precise``.
 
 The traced run rebinds the package's public functions from outside (see
 ``bench/tracer.py``), so a change to how ``checks`` calls the routes, or to
 ``green_difference``'s evaluator, shows up here as a failed or incorrect run.
 The sweep checks every row of the batched ``trapped-spectral`` route against
-its stored reference.  No timing is asserted.
+its stored reference, and the precise correlator every row of the batched
+Matsubara assembly against its own.  No timing is asserted.
 """
 
 import json
@@ -34,5 +35,11 @@ def test_traced_validate_run_is_correct():
 
 def test_spectral_sweep_run_is_correct():
     result = _bench_result("spectral-sweep", "0")
+    assert result["correct"] is True
+    assert result["failed"] == 0
+
+
+def test_correlator_precise_run_is_correct():
+    result = _bench_result("correlator-precise", "0")
     assert result["correct"] is True
     assert result["failed"] == 0

@@ -164,6 +164,12 @@ class TestSpectrumCommand:
         _, header, rows = read_csv(str(out))
         assert header is not None and rows == []
 
+    def test_negative_levels_rejected(self, tmp_path, capsys):
+        out = tmp_path / "spectrum.csv"
+        assert main(["spectrum", "--levels", "-3", "--out", str(out)]) == 2
+        assert "--levels must be >= 0, got -3" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestGreenCommand:
     def test_homog_series_coincident_row_divergent(self, tmp_path):

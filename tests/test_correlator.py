@@ -397,6 +397,15 @@ class TestExtractExponent:
         with pytest.raises(DataError):
             extract_exponent(seps, bad)
 
+    @pytest.mark.parametrize("which, index, value", [("gammas", 4, math.nan), ("separations", 8, math.inf),
+                                                     ("rho_products", 0, -math.inf)])
+    def test_non_finite_input_named(self, which, index, value):
+        data = {"separations": np.geomspace(0.01, 1.0, 9), "rho_products": np.ones(9)}
+        data["gammas"] = data["separations"] ** -0.2
+        data[which][index] = value
+        with pytest.raises(DataError, match=rf"^{which} must be finite, got {value} at index {index}$"):
+            extract_exponent(data["separations"], data["gammas"], data["rho_products"])
+
     def test_report_bundles_analytic_exponents(self):
         p, d = setup_params(beta=0.05 * math.sqrt(2.0))
         s_half = 0.1 * d.R_c

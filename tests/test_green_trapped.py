@@ -215,6 +215,39 @@ class TestSpectralDensities:
         assert "(1 open rows)" in str(batch[3])
         assert not any(isinstance(b, Exception) for b in batch[::2])
 
+    @pytest.mark.parametrize("grid", ["edge", "sweep"])
+    def test_capped_grid_is_one_kernel_call(self, grid, monkeypatch):
+        # at omega = 2 pi the point 0.99999 R_c reaches the term cap; the
+        # other points keep their values from the same single pass
+        from trapgas import green_trapped
+
+        p, d = setup_params()
+        if grid == "edge":  # -R_c lies beyond the boundary clamp
+            xs = [float(x) for x in np.linspace(-d.R_c, 0.99999 * d.R_c, 9)]
+        else:
+            xs = [float(x) for x in np.linspace(-0.995 * d.R_c, 0.995 * d.R_c, 81)] + [0.99999 * d.R_c]
+        args = (2.0 * math.pi, xs, 0.1 * d.R_c, p, d, 1e-12)
+        kernel, calls = green_trapped._p_series, []
+
+        def counted(*a, **kw):
+            calls.append(a)
+            return kernel(*a, **kw)
+
+        monkeypatch.setattr(green_trapped, "_p_series", counted)
+        batch = spectral_densities(*args)
+        assert len(calls) == 1
+        monkeypatch.undo()
+        self.assert_same(batch, _per_point(*args))
+        assert [i for i, b in enumerate(batch) if isinstance(b, AccuracyError)] == [len(xs) - 1]
+
+    def test_bad_tol_gives_every_point_the_kernel_error(self):
+        p, d = setup_params()
+        xs = [-0.6 * d.R_c, d.R_c, 0.3 * d.R_c]
+        batch = spectral_densities(2.0 * math.pi, xs, 0.1 * d.R_c, p, d, math.nan)
+        self.assert_same(batch, _per_point(2.0 * math.pi, xs, 0.1 * d.R_c, p, d, math.nan))
+        assert "tolerance must be positive and finite, got nan" in str(batch[0])
+        assert "boundary clamp" in str(batch[1])
+
     def test_green_table_rows_equal_the_per_point_path(self, tmp_path):
         # the rows trapped-spectral printed from one spectral_density call per point
         p, d = setup_params()
@@ -288,6 +321,21 @@ class TestMatsubaraAssemble:
         p, d = setup_params()
         with pytest.raises(AccuracyError):
             matsubara_assemble(0.3, 0.2, 0.3, 0.2, p, d, l_max=4)
+
+    def test_capped_pair_names_its_first_open_series(self):
+        # at x = 0.99999 R_c the series of P_nu(-u) reaches the 500 000-term
+        # cap at both omega = 2 pi and 4 pi; the error names the first in
+        # kernel order, the smaller lambda, and counts both
+        p, d = setup_params()
+        x = 0.99999 * d.R_c
+        with pytest.raises(AccuracyError) as err:
+            matsubara_assemble(x, 0.2, 0.1 * d.R_c, 0.0, p, d, l_max=2)
+        lam = (d.alpha * 2.0 * math.pi / p.beta) ** 2
+        message = str(err.value)
+        for part in ("500000-term cap", f"lambda = -nu(nu+1) = {lam:.6g},", f"u = {-(x / d.R_c)!r},",
+                     "(2 open rows)", "> tol = 1e-13", "close to -1"):
+            assert part in message
+        assert 1e-13 < err.value.achieved < 1.0
 
     @pytest.mark.parametrize("beta", [0.05 * math.sqrt(2.0), 1.0, 100.0 * math.sqrt(2.0)])
     def test_bitwise_symmetric_under_argument_swap(self, beta):

@@ -23,7 +23,7 @@ from trapgas import (
     wronskian_check,
 )
 from trapgas.green_trapped import _p_poly_integer_phase
-from trapgas.legendre import _p_series, legendre_ode_residual
+from trapgas.legendre import _p_series, _series_cap_error, legendre_ode_residual
 
 mp.mp.dps = 30
 
@@ -173,23 +173,29 @@ class TestLegendrePairValues:
 
     def test_nonconvergence_raises_accuracy_error(self):
         # nu = -1/2 + 0.8i, lambda = 1/4 + 0.8^2
-        with pytest.raises(AccuracyError) as err:
-            _p_series(np.array([0.89]), -1.0 + 1e-12, tol=1e-15, max_terms=2000)
-        assert math.isfinite(err.value.achieved) and err.value.achieved > 1e-15
-        message = str(err.value)
+        lam, u = np.array([0.25 + 0.8 * 0.8]), -1.0 + 1e-12
+        err = _series_cap_error(lam, u, _p_series(lam, u, tol=1e-15, max_terms=2000), 1e-15)
+        assert isinstance(err, AccuracyError)
+        assert math.isfinite(err.achieved) and err.achieved > 1e-15
+        message = str(err)
         for part in ("2000-term cap", "lambda = -nu(nu+1) = 0.89", "z = (1-u)/2 = 1", "close to -1"):
             assert part in message
+        # the pair's P_nu(-u) converges, so it raises the same error for its open P_nu(u)
+        with pytest.raises(AccuracyError) as raised:
+            legendre_pair(-0.5 + 0.8j, u, tol=1e-15, max_terms=2000)
+        assert str(raised.value) == message and raised.value.achieved == err.achieved
 
     def test_large_degree_cap_names_growth_not_the_endpoint(self):
         # at u = 0.3 the terms of lambda = 1e8 peak near j = 7 338, past the cap
-        with pytest.raises(AccuracyError) as err:
-            _p_series(np.array([1e8]), 0.3, tol=1e-13, max_terms=1000)
-        message = str(err.value)
+        lam = np.array([1e8])
+        err = _series_cap_error(lam, 0.3, _p_series(lam, 0.3, tol=1e-13, max_terms=1000), 1e-13)
+        assert isinstance(err, AccuracyError)
+        message = str(err)
         for part in ("1000-term cap", "lambda = -nu(nu+1) = 1e+08", "u = 0.3", "z = (1-u)/2 = 0.35", "still growing",
                      "peak near j = sqrt(lambda z/(1-z)) = 7338"):
             assert part in message
         assert "close to -1" not in message
-        assert err.value.achieved > 1e-13
+        assert err.achieved > 1e-13
 
     def test_non_real_lambda_rejected(self):
         with pytest.raises(DomainError, match=r"nu = \(0\.3\+0\.2j\) has non-real nu\(nu\+1\)"):
@@ -320,22 +326,25 @@ class TestSeriesKernel:
         rows = [values[i % len(values)] for i in picks]
         lam = np.array([10.0 ** a for a, _ in rows])
         u = np.array([b for _, b in rows])
-        single, capped = {}, set()
-        for a, b in set(rows):
-            try:
-                single[a, b] = _p_series(np.array([10.0 ** a]), b, tol, cap)
-            except AccuracyError:
-                capped.add(b)
-        if capped:
-            with pytest.raises(AccuracyError, match=r"\(\d+ open rows\)") as err:
-                _p_series(lam, u, tol, cap)
-            # the message names an open row's own u
-            assert float(re.search(r"u = (\S+), z =", str(err.value)).group(1)) in capped
-            return
+        single = {(a, b): _p_series(np.array([10.0 ** a]), b, tol, cap) for a, b in set(rows)}
         batch = _p_series(lam, u, tol, cap)
+        # every row, open or not, is its single-row result; an open row has a
+        # NaN mantissa, the cap as its terms and its achieved relative bound
         for i, key in enumerate(rows):
             for b, s in zip(batch, single[key]):
-                assert b[i] == s[0]
+                assert b[i] == s[0] or np.isnan(b[i]) and np.isnan(s[0])
+        open_rows = np.flatnonzero(np.isnan(batch[0]))
+        assert (batch[2][open_rows] == cap).all()
+        assert (batch[3][open_rows] > 0.0).all()
+        err = _series_cap_error(lam, u, batch, tol)
+        if not open_rows.size:
+            assert err is None
+            return
+        # the message names the first open row's own u and counts the open rows
+        message = str(err)
+        assert float(re.search(r"u = (\S+), z =", message).group(1)) == u[open_rows[0]]
+        assert f"({open_rows.size} open rows)" in message
+        assert err.achieved == batch[3][open_rows[0]]
 
     def test_domain_error_names_the_offending_u(self):
         with pytest.raises(DomainError, match=r"got -1\.5$"):
@@ -343,9 +352,10 @@ class TestSeriesKernel:
 
     def test_cap_names_the_open_row_of_its_own_u(self):
         # the row at u = 0.3 converges; the one near u = -1 is still open at the cap
-        with pytest.raises(AccuracyError) as err:
-            _p_series(np.array([0.89, 0.89]), np.array([0.3, -1.0 + 1e-12]), tol=1e-15, max_terms=2000)
-        message = str(err.value)
+        lam, u = np.array([0.89, 0.89]), np.array([0.3, -1.0 + 1e-12])
+        series = _p_series(lam, u, tol=1e-15, max_terms=2000)
+        assert not np.isnan(series[0][0]) and np.isnan(series[0][1])
+        message = str(_series_cap_error(lam, u, series, 1e-15))
         for part in ("2000-term cap", "u = -0.999999999999,", "z = (1-u)/2 = 1 ", "(1 open rows)"):
             assert part in message
 
