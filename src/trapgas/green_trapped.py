@@ -19,9 +19,12 @@ formed: through the connection formula and the real closed-form phases
 sin(pi nu) = -cosh(pi mu), e^{+-i pi nu} = -+i e^{-+pi mu} of the conical
 line nu = -1/2 + i mu, the real and imaginary parts of the full value are
 cancellation-free real combinations of the positive P_nu(+-u_<),
-P_nu(+-u_>).  The real part is the physical (real, symmetric) spectral
-density that enters the Matsubara assembly, which sums all its frequencies
-in one batched pass of the series kernel; the imaginary part is reported but
+P_nu(+-u_>), from the fixed-cost Mehler-Dirichlet quadrature of
+``legendre._p_quad`` with their exponents combined before one exp; on the
+real branch they come as (P_nu - 1)/nu, so that the O(nu) differences of the
+closed form do not cancel.  The real part is the physical (real, symmetric)
+spectral density that enters the Matsubara assembly, which evaluates all its
+frequencies in one pass of the kernel; the imaginary part is reported but
 excluded from correlators.
 """
 
@@ -35,7 +38,7 @@ import numpy as np
 
 from .errors import AccuracyError, DomainError, RegimeError, TrapGasError
 from .green_homogeneous import GreenValue, _log_divergence, log_2sinh_abs
-from .legendre import _exp_split, _log_cosh_pi, _p_series, _series_cap_error, nu_from_omega, p_poly_table
+from .legendre import _NODES, _nu_real, _p_quad, _q_real, nu_from_omega, p_poly_table
 from .model import DEFAULT_R_HI, DEFAULT_R_LO, DerivedScales, PhysicalParams, rho_tf, zeta_of
 
 __all__ = [
@@ -65,8 +68,9 @@ class SpectralDensity:
     """G_omega(x, x') at one Matsubara frequency.
 
     ``re_part``/``im_part`` are the real and imaginary parts of the full
-    density; ``err_bound`` is an absolute bound on the series error of
-    ``re_part``; ``terms`` counts the hypergeometric series terms it summed.
+    density; ``err_bound`` bounds the quadrature error of ``re_part``, not
+    the rounding of its conical exponent (a few eps times the exponent);
+    ``terms`` counts the integrand evaluations of its four P_nu.
     """
 
     omega: float
@@ -119,26 +123,22 @@ def _zero_mode_parts(u: float, up: float, k: float) -> tuple:
     return k * abs(au - aup), -k * ((2.0 / math.pi) * au * aup + math.pi / 2.0)
 
 
-def _distinct_pairs(lam, u) -> tuple:
-    """The positions of the distinct (lambda, u) pairs among the pairs
-    ``lam``, ``u``, ordered by u and then by lambda, each the first of its
-    equals, and for every pair the index of its distinct pair in that order."""
-    order = np.lexsort((lam, u))
-    sorted_lam, sorted_u = lam[order], u[order]
-    first = np.ones(order.size, dtype=bool)
-    first[1:] = (sorted_lam[1:] != sorted_lam[:-1]) | (sorted_u[1:] != sorted_u[:-1])
-    which = np.empty(order.size, dtype=np.int64)
-    which[order] = np.cumsum(first) - 1
-    return order[first], which
+def _angle_difference(lo, hi):
+    """arccos(lo) - arccos(hi), lo <= hi, to a few ulps relative: one atan2
+    of its sine, taken as (hi - lo)(hi + lo) / (sin(theta_<) hi + lo
+    sin(theta_>)) where sin(theta_<) hi - lo sin(theta_>) would cancel."""
+    s_lo, s_hi = (np.sqrt((1.0 - v) * (1.0 + v)) for v in (lo, hi))
+    sin_d = s_lo * hi - lo * s_hi
+    np.divide((hi - lo) * (hi + lo), s_lo * hi + lo * s_hi, out=sin_d, where=lo * hi > 0.0)
+    return np.arctan2(sin_d, lo * hi + s_lo * s_hi)
 
 
 def _density_parts(omegas, us, ups, d: DerivedScales, k: float, tol: float) -> tuple:
-    """re_part, im_part, series terms and absolute error bound of re_part of
-    G_omega(x, x') for each row (omega, u, u') of the broadcast 1-D arrays
-    ``omegas``, ``us``, ``ups``, with omega nonzero, by the real closed form,
-    and ``cap_error``: None if every series converged, else a function that
-    gives, for a list of rows, the AccuracyError of their series still open
-    at the term cap, or None if all of theirs converged.
+    """re_part, im_part and absolute error bound of re_part of G_omega(x, x')
+    for each row (omega, u, u') of the broadcast 1-D arrays ``omegas``,
+    ``us``, ``ups``, with omega nonzero, by the real closed form, from one
+    call of the quadrature kernel for all four P_nu(+-u_<), P_nu(+-u_>) of
+    every row.
 
     With lambda = (alpha omega)^2, P_<(+-) = P_nu(+-u_<), P_>(+-) =
     P_nu(+-u_>) and C = (2K/pi)(pi/2)^2:
@@ -150,59 +150,70 @@ def _density_parts(omegas, us, ups, d: DerivedScales, k: float, tol: float) -> t
         re = C [P_>(+) P_<(-) - P_<(+) P_>(-)] / sin(pi nu)
         im = -C [q_< q_> + P_<(+) P_>(+)],  q = (2/pi) Q_nu(u) = [cos(pi nu) P_nu(u) - P_nu(-u)] / sin(pi nu)
 
-    The rows ask for 4 series each; the distinct (lambda, u) pairs among
-    them, ordered by u and then by lambda, are summed in one call of the
-    kernel, so a P_nu(+-u) that several rows share is summed once.
-    ``cap_error(rows)`` takes the open series among the distinct pairs of
-    those rows alone, in the order a call for them alone sums them, so a row
-    gets the error it raises on its own.  Conical
-    products are formed from mantissas and powers of two, so neither the
-    exp(pi mu) growth of P nor cosh(pi mu) overflows.  Each P series carries
-    a relative bound r; the bound on re weights the two relative bounds of
-    each product by that product's magnitude, e.g. on the conical line
-    C [|A| (r(u_<) + r(-u_>)) + |B| (r(-u_<) + r(u_>))] for re = C (A - B).
+    On the conical line the kernel returns P_nu(u) = I(u) e^{mu theta},
+    theta = arccos u, and each product combines its exponents before one
+    exp: the dominant e^{pi mu} P_<(-) P_>(+)/cosh^2(pi mu) is
+    4 I_<(-) I_>(+) e^{-mu (theta_< - theta_>)}/(1 + e^{-2 pi mu})^2, so
+    nothing overflows and its rounding, a few eps times mu (theta_< -
+    theta_>), scales with the value's own log-magnitude.  On the real branch
+    the kernel returns D = (P_nu - 1)/nu, and re = C nu/sin(pi nu) [P_>(+)
+    (D_<(-) - D_>(-)) + P_>(-) (D_>(+) - D_<(+))] has no O(1) cancellation.
+    The bound weights each kernel row's relative estimate by the magnitude
+    of the term it enters.
     """
+    if not 0.0 < tol < math.inf:
+        raise DomainError(f"tolerance must be positive and finite, got {tol}")
     omegas, us, ups = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (omegas, us, ups)))
     lam = (d.alpha * omegas) ** 2
     lo, hi = np.minimum(us, ups), np.maximum(us, ups)
-    pair_lam, pair_u = np.tile(lam, 4), np.concatenate([lo, -lo, hi, -hi])
-    distinct, which = _distinct_pairs(pair_lam, pair_u)
-    series = _p_series(pair_lam[distinct], pair_u[distinct], tol)
     n = lam.size
-
-    def cap_error(rows):
-        asked = (np.arange(4)[:, None] * n + np.asarray(rows)).ravel()  # the rows' pairs, in the order above
-        own = asked[_distinct_pairs(pair_lam[asked], pair_u[asked])[0]]
-        return _series_cap_error(pair_lam[own], pair_u[own], tuple(a[which[own]] for a in series), tol)
-
-    (m_lo, e_lo, t1, r1), (m_mlo, e_mlo, t2, r2), (m_hi, e_hi, t3, r3), (m_mhi, e_mhi, t4, r4) = (
-        tuple(a[which[i * n:(i + 1) * n]] for a in series) for i in range(4)
-    )
-    c = k * math.pi / 2.0
+    value, exponent, rel = (a.reshape(4, n) for a in _p_quad(np.tile(lam, 4), np.concatenate([lo, -lo, hi, -hi])))
     re, im, err = np.empty(n), np.empty(n), np.empty(n)
-    con = lam > 0.25
-    mu = np.sqrt(lam[con] - 0.25)
-    log_cosh2 = 2.0 * _log_cosh_pi(mu)
-    (ma, ea), (mb, eb), (m0, e0) = (_exp_split(x) for x in (-np.pi * mu - log_cosh2, np.pi * mu - log_cosh2, -log_cosh2))
-    a = np.ldexp(ma * m_lo[con] * m_mhi[con], ea + e_lo[con] + e_mhi[con])
-    b = np.ldexp(mb * m_mlo[con] * m_hi[con], eb + e_mlo[con] + e_hi[con])
-    re[con] = c * (a - b)
-    err[con] = c * (np.abs(a) * (r1[con] + r4[con]) + np.abs(b) * (r2[con] + r3[con]))
-    im[con] = -c * (np.ldexp(m0 * m_mlo[con] * m_mhi[con], e0 + e_mlo[con] + e_mhi[con])
-                    + np.ldexp(m0 * m_lo[con] * m_hi[con], e0 + e_lo[con] + e_hi[con]))
+    c, con = k * math.pi / 2.0, lam > 0.25
+    if con.any():
+        re[con], im[con], err[con] = _conical_parts(lam[con], lo[con], hi[con], value[:, con], exponent[:, con],
+                                                    rel[:, con], c)
     real = ~con
-    lam_r = lam[real]
-    neg_nu = lam_r / (0.5 + np.sqrt(0.25 - lam_r))  # -nu, free of the cancellation in -1/2 + sqrt(1/4 - lambda)
-    sin_pi_nu, cos_pi_nu = -np.sin(np.pi * neg_nu), np.cos(np.pi * neg_nu)
-    p_lo, p_mlo, p_hi, p_mhi = (np.ldexp(m[real], e[real]) for m, e in
-                                ((m_lo, e_lo), (m_mlo, e_mlo), (m_hi, e_hi), (m_mhi, e_mhi)))
-    q_lo = (cos_pi_nu * p_lo - p_mlo) / sin_pi_nu
-    q_hi = (cos_pi_nu * p_hi - p_mhi) / sin_pi_nu
-    re[real] = c * (p_hi * p_mlo - p_lo * p_mhi) / sin_pi_nu
-    im[real] = -c * (q_lo * q_hi + p_lo * p_hi)
-    err[real] = c * (np.abs(p_hi * p_mlo) * (r3[real] + r2[real])
-                     + np.abs(p_lo * p_mhi) * (r1[real] + r4[real])) / np.abs(sin_pi_nu)
-    return re, im, t1 + t2 + t3 + t4, err, cap_error if np.isnan(series[0]).any() else None
+    if real.any():
+        re[real], im[real], err[real] = _real_parts(lam[real], value[:, real], rel[:, real], c)
+    return re, im, err
+
+
+def _conical_parts(lam, lo, hi, value, exponent, rel, c: float) -> tuple:
+    """re, im and the bound on re of ``_density_parts`` on the conical line."""
+    (v1, v2, v3, v4), (e1, e2, e3, e4), (r1, r2, r3, r4) = value, exponent, rel
+    mu = np.sqrt(lam - 0.25)
+    d_theta = _angle_difference(lo, hi)
+    w = 4.0 * c / (1.0 + np.exp(-2.0 * np.pi * mu)) ** 2
+    a = w * v1 * v4 * np.exp(-mu * (2.0 * np.pi - d_theta))
+    b = w * v2 * v3 * np.exp(-mu * d_theta)
+    im = -w * (v2 * v4 * np.exp(-e1 - e3) + v1 * v3 * np.exp(-e2 - e4))
+    return a - b, im, np.abs(a) * (r1 + r4) + np.abs(b) * (r2 + r3)
+
+
+def _real_parts(lam, value, rel, c: float) -> tuple:
+    """re, im and the bound on re of ``_density_parts`` on the real branch,
+    where ``value`` holds D = (P_nu - 1)/nu."""
+    (d1, d2, d3, d4), (r1, r2, r3, r4) = value, rel
+    nu = _nu_real(lam)
+    p_lo, p_hi, p_mhi = 1.0 + nu * d1, 1.0 + nu * d3, 1.0 + nu * d4
+    ratio = c * nu / np.sin(np.pi * nu)
+    re = ratio * (p_hi * (d2 - d4) + p_mhi * (d3 - d1))
+    im = -c * (_q_real(nu, nu, d1, d2) * _q_real(nu, nu, d3, d4) + p_lo * p_hi)
+    err = np.abs(ratio) * (np.abs(p_hi) * (np.abs(d2) * r2 + np.abs(d4) * r4)
+                           + np.abs(p_mhi) * (np.abs(d3) * r3 + np.abs(d1) * r1))
+    return re, im, err
+
+
+def _bound_error(omega: float, x: float, xp: float, re: float, im: float, err: float, tol: float) -> AccuracyError:
+    """The AccuracyError of a density whose bound ``err`` exceeds ``tol``
+    times its magnitude |re + i im|."""
+    size = math.hypot(re, im)
+    return AccuracyError(
+        f"spectral density at omega = {omega:.6g}, x = {x!r}, x' = {xp!r}: quadrature bound {err:.3e} "
+        f"> tol = {tol:g} times |G_omega| = {size:.3e}",
+        achieved=err / size if size else math.inf,
+    )
 
 
 def spectral_density(
@@ -228,17 +239,16 @@ def spectral_densities(
     d: DerivedScales,
     tol: float = 1e-13,
 ) -> list:
-    """``spectral_density(omega, x, xp)`` at every x of ``xs``, the series of
-    all points summed in one pass of the kernel.
+    """``spectral_density(omega, x, xp)`` at every x of ``xs``, the P_nu of
+    all points evaluated in one pass of the kernel.
 
     Entry i is the SpectralDensity at xs[i], or the DomainError or
     AccuracyError that ``spectral_density`` raises there; each is the one the
     single point gives, bitwise and word for word.  A point beyond the
-    boundary clamp is set aside before the pass.  A point whose series
-    reaches the term cap gets the AccuracyError built from its own distinct
-    (lambda, +-u) pairs, in the order a single-point call sums them, and the
+    boundary clamp is set aside before the pass.  A point whose error bound
+    exceeds ``tol`` times its magnitude gets its own AccuracyError, and the
     other points keep their values from the same pass; a bad ``tol`` gives
-    every point inside the clamp the kernel's DomainError.
+    every point inside the clamp the same DomainError.
     """
     nu = nu_from_omega(omega, d)
     k = _k_coeff(p, d)
@@ -257,15 +267,16 @@ def spectral_densities(
         return out
     us, ups = np.array([out[i] for i in points]).T
     try:
-        re, im, terms, err, cap_error = _density_parts(float(omega), us, ups, d, k, tol)
-    except DomainError as exc:  # a bad tol, which the kernel rejects before any term
+        re, im, err = _density_parts(float(omega), us, ups, d, k, tol)
+    except DomainError as exc:  # a bad tol, rejected before the pass
         for i in points:
             out[i] = exc
         return out
+    beyond = err > tol * np.hypot(re, im)
     for row, i in enumerate(points):
-        capped = cap_error([row]) if cap_error else None
-        out[i] = capped or SpectralDensity(float(omega), nu, xs[i], xp, float(re[row]), float(im[row]),
-                                           float(err[row]), int(terms[row]))
+        parts = float(re[row]), float(im[row]), float(err[row])
+        out[i] = (_bound_error(float(omega), xs[i], xp, *parts, tol) if beyond[row]
+                  else SpectralDensity(float(omega), nu, xs[i], xp, *parts, terms=4 * _NODES.size))
     return out
 
 
@@ -305,13 +316,12 @@ def matsubara_assemble(
     The zero mode is kept (finite for the trap).  The physical real spectral
     densities are even in omega, so folding +-l gives an exactly real value:
     (1/beta) [G_0 + 2 sum_{l>=1} cos(omega_l dtau) Re G_omega].  All l_max
-    frequencies are evaluated in one batched pass of the series kernel; if
-    any of its series reaches the term cap, the AccuracyError names the first
-    open series of the pass and counts the open ones.  ``trunc_err`` adds the
-    frequency cutoff, estimated from the large-omega envelope
-    exp(-|omega||dx|/hbar v)/|omega|, to the densities' own absolute error
-    bounds.  ``meta`` carries the series terms summed and the
-    frequencies used, the zero mode included.
+    frequencies are evaluated in one pass of the quadrature kernel; the
+    first frequency whose density bound exceeds ``tol`` times its magnitude
+    raises its AccuracyError.  ``trunc_err`` adds the frequency cutoff,
+    estimated from the large-omega envelope exp(-|omega||dx|/hbar v)/|omega|,
+    to the densities' own absolute error bounds.  ``meta`` carries the
+    integrand evaluations and the frequencies used, the zero mode included.
     """
     if l_max < 0:
         raise DomainError("l_max must be >= 0")
@@ -326,9 +336,11 @@ def matsubara_assemble(
     up = _clamped_u(xp, d)
     k = _k_coeff(p, d)
     omegas = 2.0 * math.pi * np.arange(1, l_max + 1) / p.beta
-    re, _, terms, errs, cap_error = _density_parts(omegas, u, up, d, k, tol)
-    if cap_error:
-        raise cap_error(range(l_max))
+    re, im, errs = _density_parts(omegas, u, up, d, k, tol)
+    beyond = np.flatnonzero(errs > tol * np.hypot(re, im))
+    if beyond.size:
+        row = beyond[0]
+        raise _bound_error(float(omegas[row]), x, xp, float(re[row]), float(im[row]), float(errs[row]), tol)
     # cos is even: |dtau| and the exactly rounded fsum keep the value bitwise
     # symmetric under swapping the two points
     total = _zero_mode_parts(u, up, k)[0] + 2.0 * math.fsum(np.cos(omegas * abs(dtau)) * re)
@@ -351,7 +363,7 @@ def matsubara_assemble(
         method="trapped-assembled",
         trunc_err=trunc + err,
         warning=warning,
-        meta={"l_max": l_max, "S": s_half, "terms": int(np.sum(terms)), "frequencies": l_max + 1},
+        meta={"l_max": l_max, "S": s_half, "terms": 4 * _NODES.size * l_max, "frequencies": l_max + 1},
     )
 
 

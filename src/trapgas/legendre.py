@@ -6,15 +6,20 @@ The trapped-gas spectral problem needs P_nu and Q_nu on the cut for degrees
 
 which is a negative real in (-1/2, 0] for small |omega| and a conical degree
 -1/2 + i*mu for alpha|omega| > 1/2.  Both have a real lambda = -nu(nu+1) =
-alpha^2 omega^2 >= 0, and P_nu is the real Gauss hypergeometric series
+alpha^2 omega^2 >= 0.  The kernel ``_p_quad`` evaluates P_nu for a whole
+vector of (lambda, u) rows from the Mehler-Dirichlet integral (DLMF 14.12.1)
 
-    P_nu(u) = 2F1(-nu, nu+1; 1; z),   z = (1-u)/2,
+    P_nu(cos theta) = (sqrt2/pi) int_0^theta cos((nu+1/2) phi) / sqrt(cos phi - cos theta) dphi
 
-whose term ratio (j(j+1) + lambda) z/(j+1)^2 is positive for every Matsubara
-degree, so the summation is cancellation-free.  The kernel ``_p_series`` sums
-it for a whole vector of (lambda, u) rows and returns P_nu as a mantissa and
-a power of two: conical P_nu grows like exp(mu * arccos u), which overflows
-float64 well inside the Matsubara range.  Q_nu comes from the connection
+on one fixed Gauss-Legendre rule, as Gil, Segura & Temme (SIAM J. Sci.
+Comput. 31, 2009) compute conical functions from integral representations by
+quadrature.  On the conical line the integrand cosh(mu phi)/sqrt(...) is
+positive, so nothing cancels; P_nu grows like exp(mu theta), which overflows
+float64 well inside the Matsubara range, so the kernel scales that exponent
+out.  On the real branch it integrates (P_nu - 1)/nu instead, whose
+integrand keeps one sign, so that P_nu(u) - P_nu(u') is not formed as the
+difference of two numbers near 1.  Every row costs the same 96 integrand
+evaluations at any degree and argument.  Q_nu comes from the connection
 formula
 
     Q_nu(u) = pi/(2 sin(pi nu)) * [cos(pi nu) P_nu(u) - P_nu(-u)],
@@ -45,17 +50,10 @@ __all__ = [
     "legendre_ode_residual",
 ]
 
-_MAX_TERMS_DEFAULT = 500_000
-_CHUNK = 128
-# rows summed together, so that one [rows x _CHUNK] float64 temporary stays at
-# 128 KiB: at 256 KiB the series ran no faster and peak memory rose by 0.5 MiB
-_MAX_ROWS = 128 * 1024 // (8 * _CHUNK)
-_LN2 = math.log(2.0)
-
 
 @dataclass(frozen=True)
 class LegendrePair:
-    """P_nu(u) and Q_nu(u) at one point, with convergence bookkeeping."""
+    """P_nu(u) and Q_nu(u) at one point, with cost and accuracy bookkeeping."""
 
     p: complex
     q: complex
@@ -70,7 +68,7 @@ class LegendrePair:
 # ----------------------------------------------------------------------------
 
 
-def _recurrence(n_max: int, u: float, y0: float, y1: float) -> list:
+def _recurrence(n_max: int, u, y0, y1) -> list:
     """y_0 .. y_{n_max} of the three-term recurrence
     (k+1) y_{k+1} = (2k+1) u y_k - k y_{k-1} from the seeds y_0, y_1; P_n
     and Q_n both obey it."""
@@ -112,132 +110,129 @@ def p_poly_asymptotic(n: int, theta: float) -> float:
 
 
 # ----------------------------------------------------------------------------
-# hypergeometric evaluation of P_nu
+# Mehler-Dirichlet quadrature of P_nu
 # ----------------------------------------------------------------------------
 
 
-def _p_series(lam, u, tol: float, max_terms: int = _MAX_TERMS_DEFAULT):
-    """P_nu(u) = mant * 2**exp2, the terms summed and the relative error
-    bound, one row for each lambda = -nu(nu+1) of the 1-D array ``lam``, at
-    the matching entry of ``u``: one argument for every row, or a 1-D array
-    of one argument per row.
+def _gauss_legendre(n: int) -> tuple:
+    """Nodes and weights of the n-point Gauss-Legendre rule on [0, 1], by
+    Newton's method on P_n from the three-term recurrence; the weights are
+    normalized to sum to 1, which takes out their common rounding bias.
+    numpy's leggauss goes through an eigensolver, which costs 2 MiB of peak
+    memory, and its end weights are off by 1e-12 relative, these by 6e-14."""
+    x = np.cos(np.pi * (np.arange(n) + 0.75) / (n + 0.5))
+    for _ in range(5):
+        p_prev, p_n = _recurrence(n, x, 1.0, x)[-2:]
+        dp = n * (p_prev - x * p_n) / ((1.0 - x) * (1.0 + x))  # P_n'(x)
+        x = x - p_n / dp
+    w = 1.0 / ((1.0 - x) * (1.0 + x) * dp * dp)
+    return (1.0 + x) / 2.0, w / w.sum()
 
-    Each term ratio (j(j+1) + lambda) z/(j+1)^2, z = (1-u)/2, is split by
-    frexp: the running product of the mantissas carries a term's digits and
-    sign, the running sum of the powers of two is exact, so no term overflows
-    and none is rounded through a logarithm.  Groups of up to _MAX_ROWS rows
-    are summed together in blocks of _CHUNK terms, every row on its own, so a
-    row's result does not depend on the rows beside it; a row stops after the
-    first block whose last term is below tol times the partial sum while the
-    ratio is below 1, that term's geometric tail bounding the error.  A row
-    still open after max_terms terms comes back open: a NaN mantissa, the
-    max_terms terms it summed and the relative bound it achieved, which
-    ``_series_cap_error`` turns into the AccuracyError that names it.
+
+# the 64-node rule, then the 32-node companion rule whose difference from it
+# estimates its error
+_MAIN = 64
+_NODES, _WEIGHTS = (np.concatenate(pair) for pair in zip(_gauss_legendre(_MAIN), _gauss_legendre(_MAIN // 2)))
+# rows integrated together, so that one [rows x nodes] float64 temporary
+# stays at 128 KiB
+_ROWS = 128 * 1024 // (8 * _NODES.size)
+# exp(-mu s^2) is below e^-40 past s^2 = 40/mu, where the conical rows stop
+_GAUSS_CUT = 40.0
+# rounding allowance of a row, in units of eps times the sum of the absolute
+# terms: the companion rule shares the prefactor and the end of the range,
+# whose few roundings its difference cannot see
+_ROUNDING = 4.0 * np.finfo(float).eps
+
+
+def _nu_real(lam):
+    """The degree nu = -1/2 + sqrt(1/4 - lambda) of a real-branch lambda,
+    free of the cancellation of that form at small lambda."""
+    return -lam / (0.5 + np.sqrt(0.25 - lam))
+
+
+def _quad_rows(lam, kappa, theta, u, conical: bool) -> tuple:
+    """(integral, relative error estimate) of ``_p_quad`` for rows of one
+    branch, with kappa = sqrt|lambda - 1/4|, theta = arccos u and -1 < u < 1.
+
+    phi = theta - s^2 takes the inverse square root off the endpoint phi =
+    theta, and s = sqrt(2 sin theta) sinh t spreads the logarithmic peak at
+    s = 0 that P_nu develops as u -> -1, so that one rule on t serves every
+    row; sin(theta - s^2/2) is sin theta cos h - u sin h, h = s^2/2, with
+    sin theta = sqrt((1-u)(1+u)), which stays accurate at both ends.
+    """
+    sin_th = np.sqrt((1.0 - u) * (1.0 + u))
+    s2_max = np.minimum(theta, _GAUSS_CUT / kappa) if conical else theta
+    t_max = np.arcsinh(np.sqrt(s2_max / (2.0 * sin_th)))
+    # in place where it can be, so that few [rows x nodes] temporaries are alive
+    t = t_max[:, None] * _NODES
+    f = np.sinh(t)
+    h = sin_th[:, None] * f * f  # s^2/2
+    f *= np.cosh(t, out=t)
+    sin_h = np.sin(h)
+    root = np.cos(h, out=t)
+    root *= sin_th[:, None]
+    root -= u[:, None] * sin_h
+    root *= sin_h
+    f /= np.sqrt(root, out=root)
+    f *= _WEIGHTS
+    if conical:  # e^{-mu theta} cosh(mu phi), with theta - phi = 2h
+        g = np.exp(np.multiply(h, -2.0 * kappa[:, None], out=root), out=root)
+        g += np.exp(np.multiply(np.subtract(theta[:, None], h, out=h), -2.0 * kappa[:, None], out=h), out=h)
+        scale = (2.0 / math.pi) * sin_th * t_max
+    else:  # [cos((nu+1/2) phi) - cos(phi/2)]/nu = -2 sin((nu+1) psi) sin(nu psi)/nu, psi = phi/2
+        nu = _nu_real(lam)[:, None]
+        psi = np.subtract(0.5 * theta[:, None], h, out=h)
+        g = np.sin(np.multiply(nu + 1.0, psi, out=root), out=root)
+        g *= psi
+        g *= np.sinc(np.multiply(psi, nu / math.pi, out=sin_h))
+        scale = (-8.0 / math.pi) * sin_th * t_max
+    f *= g
+    main = f[:, :_MAIN].sum(axis=1)
+    err = np.abs(main - f[:, _MAIN:].sum(axis=1))
+    err += _ROUNDING * np.abs(f[:, :_MAIN], out=f[:, :_MAIN]).sum(axis=1)
+    err /= np.abs(main)
+    return scale * main, err
+
+
+def _p_quad(lam, u) -> tuple:
+    """(value, exponent, err) of the Mehler-Dirichlet integral (DLMF 14.12.1)
+    by quadrature (Gil, Segura & Temme, SIAM J. Sci. Comput. 31, 2009), one
+    row for each lambda = -nu(nu+1) of the 1-D array ``lam``, at the matching
+    entry of ``u``: one argument for every row, or one per row.
+
+    On the conical line, lambda > 1/4 and nu = -1/2 + i mu, P_nu(u) = value *
+    exp(exponent), exponent = mu arccos u; on the real branch value is
+    (P_nu(u) - 1)/nu and exponent 0.  ``err`` bounds the relative error of
+    value: the 64-node rule's difference from its 32-node companion plus the
+    rounding of the sum.  Every row takes the same ``_NODES.size`` = 96
+    integrand evaluations, in groups of up to ``_ROWS`` rows of one branch,
+    each row on its own, so that it does not depend on the rows beside it.
+    u = 1 gives P_nu = 1 exactly.
     """
     lam = np.asarray(lam, dtype=float)
     u = np.broadcast_to(np.asarray(u, dtype=float), lam.shape)
     outside = ~((-1.0 < u) & (u <= 1.0))
     if outside.any():
         raise DomainError(f"P_nu argument must lie in (-1, 1], got {float(u[outside][0])}")
-    if not 0.0 < tol < math.inf:
-        raise DomainError(f"tolerance must be positive and finite, got {tol}")
-    if max_terms < 1:
-        raise DomainError(f"max_terms must be >= 1, got {max_terms}")
-    n = lam.size
-    mant, exp2 = np.ones(n), np.zeros(n, dtype=np.int64)
-    terms, err = np.ones(n, dtype=np.int64), np.zeros(n)
-    z = 0.5 * (1.0 - u)
-    for first in range(0, n, _MAX_ROWS):
-        rows = np.arange(first, min(n, first + _MAX_ROWS))
-        lam_r, z_r = lam[rows, None], z[rows, None]
-        # a z or lambda that the whole group shares is kept once, so that the
-        # ratios form one [rows x block] temporary, not two
-        if z_r.min() == z_r.max():
-            z_r = z_r[:1]
-        elif lam_r.min() == lam_r.max():
-            lam_r = lam_r[:1]
-        acc_m, acc_e = np.ones(rows.size), np.zeros(rows.size, dtype=np.int64)  # partial sum
-        term_m, term_e = np.ones(rows.size), np.zeros(rows.size, dtype=np.int64)  # last term
-        s = 0
-        while s < max_terms:
-            block = min(_CHUNK, max_terms - s)
-            j = np.arange(s, s + block, dtype=float)
-            shift = j * (j + 1.0) + lam_r
-            scale = z_r / (j + 1.0) ** 2
-            ratios = np.multiply(shift, scale, out=scale if shift.shape[0] == 1 else shift)
-            last_ratio = np.abs(ratios[:, -1])
-            # in place, so that only two [rows x block] temporaries are alive
-            cum_m, cum_e = np.frexp(ratios, out=(ratios, None))
-            np.cumprod(cum_m, axis=1, out=cum_m)
-            cum_m *= term_m[:, None]
-            np.cumsum(cum_e, axis=1, out=cum_e)  # int32: exponents stay far below 2**31
-            cum_e += term_e[:, None]
-            term_m, shift = np.frexp(cum_m[:, -1])
-            term_e = cum_e[:, -1] + shift
-            top = np.maximum(acc_e, cum_e.max(axis=1))
-            cum_e -= top[:, None]
-            acc_m, shift = np.frexp(np.ldexp(acc_m, acc_e - top) + np.ldexp(cum_m, cum_e, out=cum_m).sum(axis=1))
-            acc_e = top + shift
-            s += block
-            term_abs = np.abs(np.ldexp(term_m, term_e - acc_e))  # |last term| / 2**acc_e
-            done = (term_abs < tol * np.abs(acc_m)) & (last_ratio < 0.9999)
-            if done.any():
-                out = rows[done]
-                mant[out] = acc_m[done]
-                exp2[out] = acc_e[done]
-                terms[out] = s
-                rel_term, ratio = term_abs[done] / np.abs(acc_m[done]), last_ratio[done]
-                err[out] = rel_term * ratio / np.maximum(1e-300, 1.0 - ratio)
-                if done.all():
-                    break
-                keep = ~done
-                rows, acc_m, acc_e = rows[keep], acc_m[keep], acc_e[keep]
-                if lam_r.shape[0] > 1:
-                    lam_r = lam_r[keep]
-                if z_r.shape[0] > 1:
-                    z_r = z_r[keep]
-                term_m, term_e, term_abs, last_ratio = term_m[keep], term_e[keep], term_abs[keep], last_ratio[keep]
-        else:  # max_terms reached with rows still open
-            mant[rows] = np.nan
-            terms[rows] = s
-            err[rows] = term_abs / np.abs(acc_m)
-    return mant, exp2, terms, err
+    conical = lam > 0.25
+    kappa = np.sqrt(np.abs(lam - 0.25))  # mu on the conical line
+    theta = np.arccos(u)
+    value = conical.astype(float)  # u = 1: P_nu = 1, so (P_nu - 1)/nu = 0
+    err = np.zeros(lam.size)
+    for branch in (True, False):
+        rows = np.flatnonzero((conical == branch) & (u < 1.0))
+        for first in range(0, rows.size, _ROWS):
+            r = rows[first:first + _ROWS]
+            value[r], err[r] = _quad_rows(lam[r], kappa[r], theta[r], u[r], branch)
+    return value, np.where(conical, kappa * theta, 0.0), err
 
 
-def _exp_split(log_x):
-    """exp(log_x) as (mant, exp2) with mant in [1, 2), where exp(log_x) itself
-    would overflow or underflow."""
-    e = np.floor(np.asarray(log_x) / _LN2)
-    return np.exp(log_x - e * _LN2), e.astype(np.int64)
-
-
-def _series_cap_error(lam, u, series, tol: float):
-    """The AccuracyError for the rows of the ``_p_series`` result ``series``,
-    summed for ``lam`` and ``u``, that are still open at the term cap, or None
-    if every row converged.  It names the first open row's own lambda, u and
-    z, the open-row count and the cause, read from the ratio of the row's
-    last term, and carries that row's achieved relative bound."""
-    mant, _, terms, err = series
-    open_rows = np.flatnonzero(np.isnan(mant))
-    if not open_rows.size:
-        return None
-    first = open_rows[0]
-    lam, u = float(lam[first]), float(np.broadcast_to(u, mant.shape)[first])
-    used, achieved, z = int(terms[first]), float(err[first]), 0.5 * (1.0 - u)
-    j = used - 1.0
-    ratio = abs((j * (j + 1.0) + lam) * (z / (j + 1.0) ** 2))  # the kernel's last term ratio, in its own operations
-    if ratio >= 1.0:
-        cause = (f"the terms are still growing (ratio {ratio:.6g}): at this degree they peak near "
-                 f"j = sqrt(lambda z/(1-z)) = {math.sqrt(max(lam, 0.0) * z / (1.0 - z)):.4g}")
-    else:
-        cause = f"the terms decay at ratio {ratio:.6g} per term, which tends to z as j grows"
-        cause += "; u is close to -1, where P_nu has its logarithmic singularity" if z > 0.99 else ""
-    return AccuracyError(
-        f"hypergeometric series for P_nu(u) reached the {used}-term cap at lambda = -nu(nu+1) = {lam:.6g}, "
-        f"u = {u!r}, z = (1-u)/2 = {z:.6g} ({open_rows.size} open rows): relative bound {achieved:.3e} "
-        f"> tol = {tol:g}; {cause}",
-        achieved=achieved,
-    )
+def _q_real(nu, nu_p, d_u, d_mu):
+    """(2/pi) Q_nu(u) for a real degree nu from D(+-u) = (P_nu(+-u) - 1)/nu_p,
+    where nu_p is the principal degree with the same nu(nu+1): the connection
+    formula [cos(pi nu) P_nu(u) - P_nu(-u)] / sin(pi nu) with its O(1) parts
+    cos(pi nu) - 1 taken out in closed form."""
+    return nu_p * (np.cos(np.pi * nu) * d_u - d_mu) / np.sin(np.pi * nu) - np.tan(0.5 * np.pi * nu)
 
 
 # ----------------------------------------------------------------------------
@@ -262,24 +257,22 @@ def _is_integer(nu: complex) -> bool:
     return nu.imag == 0.0 and nu.real == round(nu.real) and nu.real >= 0
 
 
-def _log_cosh_pi(mu):
-    """log cosh(pi mu), finite where cosh(pi mu) itself overflows (mu > 226)."""
-    a = np.pi * np.abs(mu)
-    return a + np.log1p(np.exp(-2.0 * a)) - _LN2
-
-
-def legendre_pair(nu: complex, u: float, tol: float = 1e-13, max_terms: int = _MAX_TERMS_DEFAULT) -> LegendrePair:
+def legendre_pair(nu: complex, u: float, tol: float = 1e-13) -> LegendrePair:
     """Evaluate P_nu(u) and Q_nu(u) for u strictly inside (-1, 1).
 
     Integer degrees take the recurrence, P from P_0 = 1 and Q from
     Q_0 = artanh u, Q_1 = u Q_0 - 1.  Real and conical
-    degrees -1/2 + i mu, the ones with real nu(nu+1), go through the series
-    and the connection formula, on the conical line
+    degrees -1/2 + i mu, the ones with real nu(nu+1), go through the
+    quadrature and the connection formula, on the conical line
 
         Q_nu(u) = (pi/2) [P_nu(-u)/cosh(pi mu) - i tanh(pi mu) P_nu(u)]
 
-    with 1/cosh(pi mu) as mantissa and power of two; other degrees raise
-    DomainError.
+    with the exponents of P_nu(-u) and 1/cosh(pi mu) combined before one
+    exp; other degrees raise DomainError.  ``terms`` counts integrand
+    evaluations.  ``err_bound`` is the bound on P relative to max(1, |P|),
+    the scale of the cancellation in P = 1 + nu (P - 1)/nu near a zero of a
+    real-degree P (conical P is at least 1), plus that on Q; it must not
+    exceed ``tol``, or AccuracyError is raised.
     """
     nu = complex(nu)
     if not (-1.0 < u < 1.0):
@@ -305,30 +298,24 @@ def legendre_pair(nu: complex, u: float, tol: float = 1e-13, max_terms: int = _M
         )
     mu = nu.imag
     lam = 0.25 + mu * mu if conical else -nu.real * (nu.real + 1.0)
-    lams, us = np.array([lam, lam]), np.array([u, -u])  # P_nu(u), P_nu(-u)
-    series = _p_series(lams, us, tol, max_terms)
-    capped = _series_cap_error(lams, us, series, tol)
-    if capped:
-        raise capped
-    mant, exp2, terms, err = series
-    p_u = float(np.ldexp(mant[0], exp2[0]))
+    (v_u, v_mu), (e_u, _), rel = _p_quad(np.array([lam, lam]), np.array([u, -u]))  # P_nu(u), P_nu(-u)
     if conical:
-        m_k, e_k = _exp_split(-_log_cosh_pi(mu))  # 1/cosh(pi mu)
-        q = complex(
-            (math.pi / 2.0) * float(np.ldexp(mant[1] * m_k, exp2[1] + e_k)),
-            -(math.pi / 2.0) * math.tanh(math.pi * mu) * p_u,
-        )
+        p_u = v_u * math.exp(e_u)
+        # P_nu(-u)/cosh(pi mu) = 2 value(-u) e^{-mu arccos u} / (1 + e^{-2 pi mu})
+        q = complex(math.pi * v_mu * math.exp(-e_u) / (1.0 + math.exp(-2.0 * math.pi * abs(mu))),
+                    -(math.pi / 2.0) * math.tanh(math.pi * mu) * p_u)
     else:
-        p_mu, a = float(np.ldexp(mant[1], exp2[1])), math.pi * nu.real
-        q = complex((math.pi / 2.0) * (math.cos(a) * p_u - p_mu) / math.sin(a))
-    return LegendrePair(
-        p=complex(p_u),
-        q=q,
-        u=u,
-        nu=nu,
-        terms=int(terms[0] + terms[1]),
-        err_bound=float(err[0] + (err[0] + err[1])),  # bound on P plus bound on Q, which uses both series
-    )
+        nu_p = float(_nu_real(lam))
+        p_u, p_mu = 1.0 + nu_p * v_u, 1.0 + nu_p * v_mu
+        q = complex((math.pi / 2.0) * _q_real(nu.real, nu_p, v_u, v_mu))
+        rel = rel * np.abs(nu_p * np.array([v_u, v_mu])) / np.maximum(1.0, np.abs([p_u, p_mu]))
+    bound = float(rel[0] + (rel[0] + rel[1]))  # bound on P plus bound on Q, which uses both
+    if bound > tol:
+        raise AccuracyError(
+            f"Legendre pair at nu = {nu}, u = {u!r}: quadrature bound {bound:.3e} > tol = {tol:g}",
+            achieved=bound,
+        )
+    return LegendrePair(p=complex(p_u), q=q, u=u, nu=nu, terms=2 * _NODES.size, err_bound=bound)
 
 
 def wronskian_check(nu, u: float, h: float | None = None, tol: float = 1e-13) -> float:

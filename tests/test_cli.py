@@ -316,6 +316,30 @@ class TestCorrelatorCommand:
         _, header, rows = read_csv(str(out))
         assert [(r[header.index("method")], r[header.index("status")]) for r in rows] == [("asymptotic-auto", "ok")] * 3
 
+    def test_spectral_route_at_high_temperature(self, tmp_path):
+        # beta = 1e-4 puts the first frequency at lambda ~ 2e11; every row is
+        # ok and agrees with the asymptotic form wherever one applies
+        from trapgas import RegimeError, gamma_trapped_asymptotic
+
+        cfg = write_config(tmp_path, "[params]\nbeta = 1e-4\n")
+        out = tmp_path / "corr.csv"
+        assert main(["correlator", "--mode", "spectral", "--config", cfg, "--out", str(out)]) == 0
+        _, header, rows = read_csv(str(out))
+        p = PhysicalParams(m=1, g=1, Omega=1, Lambda=1, beta=1e-4)
+        d = derive_scales(p)
+        compared = 0
+        for cells in rows:
+            row = dict(zip(header, cells))
+            assert row["status"] == "ok"
+            q = CorrelatorQuery(*(float(row[k]) for k in ("x1", "tau1", "x2", "tau2")))
+            try:
+                asymptotic = gamma_trapped_asymptotic(q, p, d)
+            except RegimeError:  # the last separation sits on the window edge
+                continue
+            assert abs(math.log(float(row["gamma"])) / math.log(asymptotic) - 1.0) < 1e-3
+            compared += 1
+        assert len(rows) == 9 and compared == 8
+
     def test_spectral_row_equals_symmetrized_pair(self, tmp_path):
         # the table evaluates G once, which stands for both G(1;2) and G(2;1):
         # the two orders must agree bitwise and reproduce the row

@@ -1,7 +1,7 @@
 """Smoke test of ``tools/compare_tables.py``, the table byte-compare harness:
 its low-temperature block must reach ok ``series`` rows, which the mode
 matrix alone never produces, and its ``trapped-spectral`` block must reach
-both ok rows and the error rows of clamped and capped points."""
+both ok rows and the error rows of clamped points."""
 
 import importlib.util
 import json
@@ -49,6 +49,5 @@ def test_spectral_block_reaches_ok_and_error_rows():
         assert rec["code"] == 0
         columns, rows = harness.parse_table(rec["stdout"])
         statuses += [r[columns.index("status")] for r in rows]
-    assert statuses.count("ok") == 2 * 5 * 81 + 15
+    assert statuses.count("ok") == 2 * 5 * 81 + 16
     assert sum(s.startswith("DomainError") for s in statuses) == 2
-    assert sum(s.startswith("AccuracyError") for s in statuses) == 1

@@ -110,13 +110,11 @@ class TestSpectralDensity:
         with pytest.raises(DomainError, match="tolerance"):
             spectral_density(20.0 * math.pi, 0.3, -0.9, p, d, tol=tol)
 
-    @pytest.mark.parametrize("lam", [0.1, 0.25 + 0.8**2, 0.25 + 3.0**2, 0.25 + 9.0**2])
-    def test_parts_match_mpmath_w_bracket_product(self, lam):
-        # G = -i (2K/pi) W_+(u_<) W_-(u_>), W_pm = Q_nu +- i (pi/2) P_nu, at 60
-        # digits: the real closed form against the product it replaces, on the
-        # real branch (lambda = 0.1) and on the conical line
-        p, d = unit_radius_params()
-        omega = math.sqrt(lam) / d.alpha
+    @staticmethod
+    def _w_bracket(omega, x, xp, p, d):
+        """Re and Im of G_omega(x, x') = -i (2K/pi) W_+(u_<) W_-(u_>), W_pm =
+        Q_nu +- i (pi/2) P_nu, at 60 digits, at the arguments u = x/R_c the
+        package rounds to."""
         k = p.g * d.R_c / (2.0 * (p.hbar * d.v) ** 2)
         with mp.workdps(60):
             nu = -0.5 + mp.sqrt(mp.mpf(0.25) - mp.mpf(d.alpha * omega) ** 2)
@@ -124,12 +122,44 @@ class TestSpectralDensity:
             def w(u, sign):
                 return mp.legenq(nu, 0, u, type=2) + sign * 1j * (mp.pi / 2) * mp.legenp(nu, 0, u, type=2)
 
-            for x, xp in ((0.3, -0.2), (0.65, 0.7), (-0.5, -0.8)):
-                sd = spectral_density(omega, x, xp, p, d, tol=1e-15)
-                lo, hi = sorted((x / d.R_c, xp / d.R_c))
-                ref = -1j * (2 * k / mp.pi) * w(lo, +1) * w(hi, -1)
-                assert abs(sd.re_part - float(mp.re(ref))) < 1e-13 * abs(float(mp.re(ref)))
-                assert abs(sd.im_part - float(mp.im(ref))) < 1e-12 * abs(float(mp.im(ref)))
+            lo, hi = sorted((x / d.R_c, xp / d.R_c))
+            ref = -1j * (2 * k / mp.pi) * w(lo, +1) * w(hi, -1)
+            return float(mp.re(ref)), float(mp.im(ref))
+
+    @pytest.mark.parametrize("lam", [0.1, 0.25 + 0.8**2, 0.25 + 3.0**2, 0.25 + 9.0**2])
+    def test_parts_match_mpmath_w_bracket_product(self, lam):
+        # the real closed form against the product it replaces, on the real
+        # branch (lambda = 0.1) and on the conical line
+        p, d = unit_radius_params()
+        omega = math.sqrt(lam) / d.alpha
+        for x, xp in ((0.3, -0.2), (0.65, 0.7), (-0.5, -0.8)):
+            sd = spectral_density(omega, x, xp, p, d)
+            ref_re, ref_im = self._w_bracket(omega, x, xp, p, d)
+            assert abs(sd.re_part - ref_re) < 1e-13 * abs(ref_re)
+            assert abs(sd.im_part - ref_im) < 1e-12 * abs(ref_im)
+
+    @pytest.mark.parametrize("beta", [1e4, 1e6, 1e8])
+    @pytest.mark.parametrize("x, xp", [(0.3, 0.1), (-1.2, 0.5), (1.35, -1.38)])
+    def test_real_branch_matches_w_bracket_product_at_low_temperature(self, beta, x, xp):
+        # lambda = (2 pi alpha/beta)^2 down to 1e-15: the closed form's O(nu)
+        # differences come from (P - 1)/nu, so nothing cancels to O(lambda)
+        p, d = setup_params(beta=beta)
+        omega = 2.0 * math.pi / beta
+        sd = spectral_density(omega, x, xp, p, d)
+        ref_re, ref_im = self._w_bracket(omega, x, xp, p, d)
+        assert abs(sd.re_part - ref_re) <= 1e-13 * abs(ref_re)
+        assert abs(sd.im_part - ref_im) <= 1e-13 * abs(ref_im)
+        assert abs(sd.re_part - ref_re) <= sd.err_bound
+
+    @pytest.mark.parametrize("omega", [2.0 * math.pi, 4.0 * math.pi])
+    def test_next_to_the_clamp_matches_w_bracket_product(self, omega):
+        # x = 0.99999 R_c: P_nu(-u) sits 1e-5 from its logarithmic singularity
+        p, d = setup_params()
+        x, xp = 0.99999 * d.R_c, 0.1 * d.R_c
+        sd = spectral_density(omega, x, xp, p, d)
+        ref_re, ref_im = self._w_bracket(omega, x, xp, p, d)
+        assert abs(sd.re_part - ref_re) <= 1e-13 * abs(ref_re)
+        assert abs(sd.im_part - ref_im) <= 1e-12 * abs(ref_im)
 
     def test_conical_im_part_is_the_true_value_at_large_degree(self):
         # at omega = 20 pi the true Im G sits some 80 decades below Re G, far
@@ -150,16 +180,33 @@ class TestSpectralDensity:
         assert abs(sd.im_part - float(ref)) < 1e-11 * abs(float(ref))
 
     def test_terms_are_counted(self):
+        # four P_nu rows of 96 integrand evaluations each, at any degree
         p, d = setup_params()
         assert spectral_density(0.0, 0.3, 0.1, p, d).terms == 0
-        sd = spectral_density(2.0 * math.pi, 0.3, 0.1, p, d)
-        assert sd.terms > 0 and sd.terms % 128 == 0
+        terms = {spectral_density(omega, 0.3, 0.1, p, d).terms for omega in (2.0 * math.pi, 2000.0 * math.pi)}
+        assert terms == {4 * 96}
 
     def test_value_stays_finite_at_large_degree(self):
         p, d = setup_params(beta=0.05 * math.sqrt(2.0))
         omega = 10.0 * math.pi / p.beta  # alpha*omega ~ 2800
         sd = spectral_density(omega, 0.31, 0.3, p, d)
         assert math.isfinite(sd.re_part)
+
+
+def test_angle_difference_is_relatively_accurate():
+    # theta_< - theta_> sets the exponent mu (theta_< - theta_>) of the
+    # dominant conical product, so its relative error is the density's
+    from trapgas.green_trapped import _angle_difference
+
+    rng = np.random.default_rng(7)
+    a, b = rng.uniform(-0.999999, 0.999999, (2, 400))
+    b[::2] = a[::2] + 1e-6 * np.abs(b[::2] - a[::2])  # close pairs, on one side of 0 or across it
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    got = _angle_difference(lo, hi)
+    with mp.workdps(30):
+        for g, x, y in zip(got, lo, hi):
+            ref = mp.acos(x) - mp.acos(y)
+            assert abs(g - ref) <= 4.0 * np.finfo(float).eps * ref
 
 
 def _per_point(omega, xs, xp, p, d, tol):
@@ -203,22 +250,26 @@ class TestSpectralDensities:
         self.assert_same(spectral_densities(*args), _per_point(*args))
 
     def test_clamped_and_capped_points_keep_their_own_errors(self):
-        # x = R_c lies beyond the clamp; at x = 0.99999 R_c the series of
-        # P_nu(-u) reaches the 500 000-term cap at omega = 2 pi
+        # x = R_c lies beyond the clamp; at tol = 1e-15, below the rounding
+        # allowance of a product of two P_nu, every point inside the clamp
+        # gets the AccuracyError of its own bound at omega = 2 pi, and none
+        # at omega = 0, whose closed form has no bound
         p, d = setup_params()
         xs = [-0.6 * d.R_c, d.R_c, 0.3 * d.R_c, 0.99999 * d.R_c, 0.9 * d.R_c]
         for omega in (0.0, 2.0 * math.pi):
-            batch = spectral_densities(omega, xs, 0.1 * d.R_c, p, d, 1e-12)
-            self.assert_same(batch, _per_point(omega, xs, 0.1 * d.R_c, p, d, 1e-12))
+            batch = spectral_densities(omega, xs, 0.1 * d.R_c, p, d, 1e-15)
+            self.assert_same(batch, _per_point(omega, xs, 0.1 * d.R_c, p, d, 1e-15))
             assert isinstance(batch[1], DomainError)
-            assert isinstance(batch[3], AccuracyError) if omega else not isinstance(batch[3], Exception)
-        assert "(1 open rows)" in str(batch[3])
-        assert not any(isinstance(b, Exception) for b in batch[::2])
+            inside = batch[:1] + batch[2:]
+            assert all(isinstance(b, AccuracyError) for b in inside) if omega else not any(
+                isinstance(b, Exception) for b in inside)
+        assert f"x = {0.99999 * d.R_c!r}," in str(batch[3]) and "> tol = 1e-15 times |G_omega|" in str(batch[3])
+        assert batch[3].achieved > 1e-15
 
     @pytest.mark.parametrize("grid", ["edge", "sweep"])
     def test_capped_grid_is_one_kernel_call(self, grid, monkeypatch):
-        # at omega = 2 pi the point 0.99999 R_c reaches the term cap; the
-        # other points keep their values from the same single pass
+        # a grid out to 0.99999 R_c, whose P_nu(-u) sits next to its
+        # logarithmic singularity, takes one kernel call for all points
         from trapgas import green_trapped
 
         p, d = setup_params()
@@ -227,18 +278,18 @@ class TestSpectralDensities:
         else:
             xs = [float(x) for x in np.linspace(-0.995 * d.R_c, 0.995 * d.R_c, 81)] + [0.99999 * d.R_c]
         args = (2.0 * math.pi, xs, 0.1 * d.R_c, p, d, 1e-12)
-        kernel, calls = green_trapped._p_series, []
+        kernel, calls = green_trapped._p_quad, []
 
         def counted(*a, **kw):
             calls.append(a)
             return kernel(*a, **kw)
 
-        monkeypatch.setattr(green_trapped, "_p_series", counted)
+        monkeypatch.setattr(green_trapped, "_p_quad", counted)
         batch = spectral_densities(*args)
         assert len(calls) == 1
         monkeypatch.undo()
         self.assert_same(batch, _per_point(*args))
-        assert [i for i, b in enumerate(batch) if isinstance(b, AccuracyError)] == [len(xs) - 1]
+        assert not any(isinstance(b, AccuracyError) for b in batch)
 
     def test_bad_tol_gives_every_point_the_kernel_error(self):
         p, d = setup_params()
@@ -270,7 +321,7 @@ class TestSpectralDensities:
                                      regime, None, False, "ok"))
         assert rows == expected
         assert sum(r[-1].startswith("DomainError") for r in rows) == 2
-        assert sum(r[-1].startswith("AccuracyError") for r in rows) == 1
+        assert sum(r[-1] == "ok" for r in rows) == 16
 
 
 class TestClosedFormZeroMode:
@@ -322,20 +373,16 @@ class TestMatsubaraAssemble:
         with pytest.raises(AccuracyError):
             matsubara_assemble(0.3, 0.2, 0.3, 0.2, p, d, l_max=4)
 
-    def test_capped_pair_names_its_first_open_series(self):
-        # at x = 0.99999 R_c the series of P_nu(-u) reaches the 500 000-term
-        # cap at both omega = 2 pi and 4 pi; the error names the first in
-        # kernel order, the smaller lambda, and counts both
+    def test_bound_beyond_tol_names_its_first_frequency(self):
+        # at tol = 1e-15 every frequency's bound is beyond tol; the error
+        # names the first, omega = 2 pi/beta
         p, d = setup_params()
-        x = 0.99999 * d.R_c
         with pytest.raises(AccuracyError) as err:
-            matsubara_assemble(x, 0.2, 0.1 * d.R_c, 0.0, p, d, l_max=2)
-        lam = (d.alpha * 2.0 * math.pi / p.beta) ** 2
-        message = str(err.value)
-        for part in ("500000-term cap", f"lambda = -nu(nu+1) = {lam:.6g},", f"u = {-(x / d.R_c)!r},",
-                     "(2 open rows)", "> tol = 1e-13", "close to -1"):
-            assert part in message
-        assert 1e-13 < err.value.achieved < 1.0
+            matsubara_assemble(0.45, 0.2, 0.31, 0.0, p, d, l_max=8, tol=1e-15)
+        omega = 2.0 * math.pi / p.beta
+        sd = spectral_density(omega, 0.45, 0.31, p, d)
+        assert str(err.value).startswith(f"spectral density at omega = {omega:.6g}, x = 0.45, x' = 0.31:")
+        assert err.value.achieved == sd.err_bound / abs(sd.value) > 1e-15
 
     @pytest.mark.parametrize("beta", [0.05 * math.sqrt(2.0), 1.0, 100.0 * math.sqrt(2.0)])
     def test_bitwise_symmetric_under_argument_swap(self, beta):

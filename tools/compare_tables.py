@@ -24,8 +24,8 @@ The matrix is
   omega in {0, 2, 20, 200, 2000} pi over 81 points within +-0.995 R_c, at the
   off-centre x_ref in {0.1, -0.35} R_c, which reaches the Thomas-Fermi edge
   and large degrees; and at omega in {0, 2} pi over 9 points from -R_c
-  (beyond the boundary clamp) to 0.99999 R_c (where the series reaches its
-  term cap), which gives error rows beside ok rows;
+  (beyond the boundary clamp) to 0.99999 R_c (next to the logarithmic
+  singularity of P_nu(-u)), which gives error rows beside ok rows;
 * ``validate``, with its timings dropped;
 
 each table in csv and json.
@@ -113,7 +113,8 @@ def lowt_invocations(r_c: float) -> list:
 
 def spectral_invocations(r_c: float) -> list:
     """(name, argv, config text) of the ``trapped-spectral`` block: the sweep
-    over the condensate and the grid with a clamped and a capped point."""
+    over the condensate and the grid with a clamped point and one next to
+    the edge."""
     argv = ["green", "--mode", "trapped-spectral"]
     out = []
     for x_ref in SPECTRAL_X_REFS:
