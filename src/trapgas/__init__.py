@@ -46,10 +46,8 @@ from .green_trapped import (
     SpectralDensity,
     asympt_green_highT,
     asympt_green_lowT,
-    asympt_spectral_highT,
     closed_form_zero_mode,
     lowT_legendre_series,
-    lowT_n0_drift,
     matsubara_assemble,
     spectral_densities,
     spectral_density,
@@ -59,7 +57,6 @@ from .legendre import (
     legendre_pair,
     nu_from_omega,
     p_poly,
-    p_poly_asymptotic,
     p_poly_table,
     wronskian_check,
 )

@@ -298,20 +298,19 @@ _ROW_ERRORS = (RegimeError, DomainError, AccuracyError)
 
 def _green_row(x1, tau1, x2, tau2, gv, regime_tag, status="ok"):
     if gv is None:
-        return (x1, tau1, x2, tau2, None, None, "", None, regime_tag, None, False, status)
-    slack = gv.meta.get("window_slack") if gv.meta else None
+        return (x1, tau1, x2, tau2, None, None, "", None, regime_tag, False, status)
     if gv.divergent:
-        return (x1, tau1, x2, tau2, None, None, gv.method, gv.trunc_err, regime_tag, slack, gv.const_free, "divergent")
+        return (x1, tau1, x2, tau2, None, None, gv.method, gv.trunc_err, regime_tag, gv.const_free, "divergent")
     return (
         x1, tau1, x2, tau2,
         gv.value, 0.0,
-        gv.method, gv.trunc_err, regime_tag, slack, gv.const_free,
+        gv.method, gv.trunc_err, regime_tag, gv.const_free,
         status if gv.warning is None else f"warning: {gv.warning}",
     )
 
 
 def _error_row(x1, tau1, x2, tau2, method, regime_tag, exc):
-    return (x1, tau1, x2, tau2, None, None, method, None, regime_tag, None, False, f"{type(exc).__name__}: {exc}")
+    return (x1, tau1, x2, tau2, None, None, method, None, regime_tag, False, f"{type(exc).__name__}: {exc}")
 
 
 def _lowt_control(cfg: RunConfig) -> LowTControl:
@@ -344,7 +343,7 @@ def cmd_green(cfg: RunConfig, args) -> tuple:
     mode = args.mode
     regime = classify_regime(d, cfg["regime.r_lo"], cfg["regime.r_hi"])
     regime_tag = regime.value
-    columns = ["x1", "tau1", "x2", "tau2", "G_re", "G_im", "method", "trunc_err", "regime", "window_slack", "const_free", "status"]
+    columns = ["x1", "tau1", "x2", "tau2", "G_re", "G_im", "method", "trunc_err", "regime", "const_free", "status"]
     x1 = cfg["grid.x_ref"]
     tau1 = cfg["grid.tau_ref"]
     xs = [float(x) for x in np.linspace(cfg["grid.x_min"], cfg["grid.x_max"], cfg["grid.x_count"])]
@@ -361,7 +360,7 @@ def cmd_green(cfg: RunConfig, args) -> tuple:
                 shift = closed_form_zero_mode(anchor, sol.x_source, p, d) * p.beta - float(sol.interp(anchor))
             rows.extend(
                 (x1, tau1, x2, tau1, float(sol.interp(x2)) + shift, 0.0, "oracle", sol.disc_error_est,
-                 regime_tag, None, False, "ok")
+                 regime_tag, False, "ok")
                 for x2 in xs
             )
         return columns, rows, extra
@@ -370,7 +369,7 @@ def cmd_green(cfg: RunConfig, args) -> tuple:
         def spectral_row(x2, sd):
             if isinstance(sd, _ROW_ERRORS):
                 return _error_row(x1, tau1, x2, tau1, mode, regime_tag, sd)
-            return (x1, tau1, x2, tau1, sd.re_part, sd.im_part, mode, sd.err_bound, regime_tag, None, False, "ok")
+            return (x1, tau1, x2, tau1, sd.re_part, sd.im_part, mode, sd.err_bound, regime_tag, False, "ok")
 
         return columns, [
             spectral_row(x2, sd)

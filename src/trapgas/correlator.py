@@ -11,6 +11,13 @@ densities of the prefactor.  All power-law exponents derive from the single
 stored quantity theta: homogeneous theta = 2 pi hbar v / g, trapped
 theta(S) = 2 pi hbar rho_TF(S) / (m v), correlation length
 xi(S) = (hbar beta v / pi) theta(S).
+
+The trapped asymptotic correlator takes its high-temperature Green value from
+the summed Liouville-Green form ``asympt_green_highT``, which needs no window
+and carries its additive constant.  Its power law at small separations has
+the local exponent theta(S) / sqrt(1 - S^2/R_c^2), which the exact routes
+reproduce; theta_at and xi_at keep the paper's theta(S), which agrees with it
+only near the trap centre.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ import numpy as np
 
 from .errors import DataError, DomainError, RegimeError
 from .green_homogeneous import GreenValue, log_2sin_abs, log_2sinh_abs
-from .green_trapped import _window_quasihom
+from .green_trapped import asympt_green_highT
 from .model import (
     DEFAULT_R_HI,
     DEFAULT_R_LO,
@@ -141,15 +148,38 @@ def gamma_d1_exact(x1: float, x2: float, p: PhysicalParams, d: DerivedScales) ->
     return _sqrt_rho_pair(x1, x2, p, d) * (num / den) ** expo
 
 
+def _window_quasihom(x: float, xp: float, p: PhysicalParams, d: DerivedScales):
+    """Quasi-homogeneity gate at ``WINDOW_FACTOR``: the background density
+    must be essentially constant across the pair, and the separation small
+    against the trap.
+
+    Expressed through the density variation (rather than |dx|/S directly) so
+    that center-symmetric pairs, where S = 0 but the background is flattest,
+    pass as they should.
+    """
+    s_half = 0.5 * (x + xp)
+    rho_s = rho_tf(s_half, p, d)
+    if rho_s <= 0.0:
+        raise RegimeError(f"quasi-homogeneous window failed: midpoint S = {s_half:.6g} outside the condensate")
+    checks = {
+        "|dx| << R_c": abs(x - xp) / d.R_c,
+        "TF density variation across pair": abs(rho_tf(x, p, d) - rho_tf(xp, p, d)) / rho_s,
+    }
+    failed = [f"{name} violated (ratio {ratio:.3g} > {WINDOW_FACTOR:g})"
+              for name, ratio in checks.items() if ratio > WINDOW_FACTOR]
+    if failed:
+        raise RegimeError("quasi-homogeneous window failed: " + "; ".join(failed))
+
+
 def gamma_d1_quasihom(x1: float, x2: float, p: PhysicalParams, d: DerivedScales) -> float:
     """Quasi-homogeneous limit of the equal-time correlator.
 
     sqrt(rho rho') * exp(-|dx| / xi(S)), the exponential form at dtau = 0;
     since Lambda = m v^2 the decay rate 1/xi(S) equals
     Lambda / (2 beta hbar^2 v^2 rho_TF(S)).  Raises RegimeError outside the
-    quasi-homogeneous window ``_window_quasihom`` at ``WINDOW_FACTOR``.
+    quasi-homogeneous window ``_window_quasihom``.
     """
-    _window_quasihom(x1, x2, p, d, WINDOW_FACTOR)
+    _window_quasihom(x1, x2, p, d)
     return _exponential_gamma(CorrelatorQuery(x1, 0.0, x2, 0.0), p, d)
 
 
@@ -203,16 +233,8 @@ def gamma_homog(
 
 
 def _power_law_gamma(q: CorrelatorQuery, p: PhysicalParams, d: DerivedScales) -> float:
-    """Trapped power law |zeta|^(-1/theta(S)): both temperature limits
-    dispatch here, so their values coincide bit-for-bit for identical
-    inputs."""
+    """Trapped low-temperature power law |zeta|^(-1/theta(S))."""
     base = abs(zeta_of(q.dx, q.dtau, p, d))
-    return _power_law(_sqrt_rho_pair(q.x1, q.x2, p, d), base, theta_at(q.S, p, d))
-
-
-def _sinh_gamma(q: CorrelatorQuery, p: PhysicalParams, d: DerivedScales) -> float:
-    """High-temperature sinh power law |sinh(pi zeta / lambda_T)|^(-1/theta(S))."""
-    base = _abs_sinh_thermal(zeta_of(q.dx, q.dtau, p, d), p, d)
     return _power_law(_sqrt_rho_pair(q.x1, q.x2, p, d), base, theta_at(q.S, p, d))
 
 
@@ -233,31 +255,20 @@ def gamma_trapped_asymptotic(
     r_lo: float = DEFAULT_R_LO,
     r_hi: float = DEFAULT_R_HI,
 ) -> float:
-    """Trapped correlator from the first asymptotic closed form whose window
-    holds, with "<<" read as a factor ``WINDOW_FACTOR``.
+    """Trapped correlator from the asymptotic closed form of its regime.
 
-    high T   power law    |dx|/lambda_T, dtau/beta << 1 << R_c/lambda_T
-             exponential  1 << |dx|/lambda_T, |dx| << R_c
-             sinh         the quasi-homogeneous window ``_window_quasihom``
-    low T    power law    |zeta|/R_c << 1
+    high T   gamma_from_green of ``asympt_green_highT``, the summed
+             Liouville-Green form, at every pair inside the boundary clamp
+    low T    power law |zeta|^(-1/theta(S)) while |zeta|/R_c << 1, with "<<"
+             read as a factor ``WINDOW_FACTOR``
 
     Raises DomainError when the midpoint lies outside the condensate, and
-    RegimeError naming the failed inequalities when no form applies.
+    RegimeError naming the failed inequality when no form applies.
     """
     theta_at(q.S, p, d)  # a midpoint outside the condensate is a domain error, not a regime one
     regime = classify_regime(d, r_lo, r_hi)
     if regime is Regime.HIGH_T:
-        dx_over_lambda = abs(q.dx) / d.lambda_T
-        if (
-            dx_over_lambda <= WINDOW_FACTOR
-            and abs(q.dtau) / p.beta <= WINDOW_FACTOR
-            and d.R_c / d.lambda_T >= 1.0 / WINDOW_FACTOR
-        ):
-            return _power_law_gamma(q, p, d)
-        if dx_over_lambda >= 1.0 / WINDOW_FACTOR and abs(q.dx) <= WINDOW_FACTOR * d.R_c:
-            return _exponential_gamma(q, p, d)
-        _window_quasihom(q.x1, q.x2, p, d, WINDOW_FACTOR)
-        return _sinh_gamma(q, p, d)
+        return gamma_from_green(q, asympt_green_highT(q.x1, q.tau1, q.x2, q.tau2, p, d, r_lo), p, d)
     if regime is Regime.LOW_T:
         zeta_over_rc = abs(zeta_of(q.dx, q.dtau, p, d)) / d.R_c
         if zeta_over_rc < WINDOW_FACTOR:

@@ -26,13 +26,22 @@ closed form do not cancel.  The real part is the physical (real, symmetric)
 spectral density that enters the Matsubara assembly, which evaluates all its
 frequencies in one pass of the kernel; the imaginary part is reported but
 excluded from correlators.
+
+Two frequency-summed forms stand beside the assembly.  At low temperature
+``lowT_legendre_series`` sums the discrete modes, exact up to a crossover
+index n0 and resummed beyond it, and reports as its error how far the value
+moves when the exact part runs on to 2 n0.  At high temperature
+``asympt_green_highT`` adds to the exact zero mode the Liouville-Green (WKB)
+density of every other frequency, written in the optical distance
+X = R_c |arcsin u - arcsin u'|, and sums them in closed form; it holds at any
+pair of interior points, with no window.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,8 +59,6 @@ __all__ = [
     "closed_form_zero_mode",
     "matsubara_assemble",
     "lowT_legendre_series",
-    "lowT_n0_drift",
-    "asympt_spectral_highT",
     "asympt_green_highT",
     "asympt_green_lowT",
 ]
@@ -59,8 +66,6 @@ __all__ = [
 # Evaluations are clamped away from the Thomas-Fermi boundary, where Q_nu has
 # its logarithmic singularity.
 BOUNDARY_EPS = 1e-6
-# factor of the quasi-homogeneous window of the high-temperature asymptotics
-HIGHT_WINDOW_FACTOR = 0.5
 
 
 @dataclass(frozen=True)
@@ -387,9 +392,10 @@ def _gate_lowT(n0: int, u_star: float):
 
 
 def _p_poly_integer_phase(n: int, theta: float) -> float:
-    """Pbar_n(cos theta): the large-n form of P_n(cos theta) with the phase
-    n theta - pi/4, i.e. ``p_poly_asymptotic`` with n + 1/2 replaced by n in
-    the phase, which ``_geometric_tail`` resums in closed form."""
+    """Pbar_n(cos theta) = sqrt(2 / (pi n sin theta)) cos(n theta - pi/4):
+    the large-n form of P_n(cos theta), whose phase (n + 1/2) theta - pi/4
+    is replaced by n theta - pi/4, which ``_geometric_tail`` resums in
+    closed form."""
     amp = math.sqrt(2.0 / (math.pi * n * math.sin(theta)))
     phase = float(n) * theta - math.pi / 4.0
     return amp * math.cos(phase)
@@ -424,7 +430,10 @@ def lowT_legendre_series(
     Value = Bernoulli bracket (the n = 0 frequency line) + exact-minus-
     asymptotic corrections for n <= n0 + closed geometric tail with the
     asymptotic polynomial form; the (omega, n) = (0, 0) term is omitted as
-    the series regularization.  Requires tau != tau' for convergence.
+    the series regularization.  Requires tau != tau' for convergence.  The
+    same pass carries the corrections on to 2 n0: ``trunc_err`` is
+    |v(2 n0) - v(n0)|, the value's sensitivity to the crossover index, which
+    the validity gate only brackets.
     """
     u = _clamped_u(x, d)
     up = _clamped_u(xp, d)
@@ -458,10 +467,10 @@ def lowT_legendre_series(
     tau_hat = dtau / p.beta
     bracket = -(p.g * p.beta / (4.0 * d.R_c)) * ((0.5 - tau_hat) ** 2 - 1.0 / 12.0)
 
-    pn_u = p_poly_table(ctl.n0, u)
-    pn_up = p_poly_table(ctl.n0, up)
-    corr = 0.0
-    for n in range(1, ctl.n0 + 1):
+    pn_u = p_poly_table(2 * ctl.n0, u)
+    pn_up = p_poly_table(2 * ctl.n0, up)
+    corr = corr_n0 = 0.0
+    for n in range(1, 2 * ctl.n0 + 1):
         root = math.sqrt(n * (n + 1.0))
         w_n = (n + 0.5) / root
         # P_n(u) P_n(u') first, so that the value is bitwise symmetric in u, u'
@@ -472,88 +481,26 @@ def lowT_legendre_series(
             * math.exp(-(n + 0.5) * dtau / d.alpha)
         )
         corr += exact - approx
-    corr *= -p.g / (2.0 * hv)
+        if n == ctl.n0:
+            corr_n0 = corr
 
-    tail = -(p.g / (2.0 * hv)) * math.exp(-dtau / (2.0 * d.alpha)) * _geometric_tail(t, theta, theta_p)
+    weight = -p.g / (2.0 * hv)
+    tail = weight * math.exp(-dtau / (2.0 * d.alpha)) * _geometric_tail(t, theta, theta_p)
+    value = float(bracket + corr_n0 * weight + tail)
+    doubled = float(bracket + corr * weight + tail)
 
     return GreenValue(
-        value=float(bracket + corr + tail),
+        value=value,
         method="trapped-lowT-series",
+        trunc_err=abs(doubled - value),
         warning=warning,
         meta={"n0": ctl.n0, "u_star": u_star, "t": t},
     )
 
 
-def lowT_n0_drift(
-    x: float,
-    tau: float,
-    xp: float,
-    taup: float,
-    p: PhysicalParams,
-    d: DerivedScales,
-    ctl: LowTControl = LowTControl(),
-):
-    """Run the series at n0 and 2 n0; report both values and relative drift.
-
-    The validity gate only brackets n0, so results are reported together with
-    their sensitivity to doubling it.
-    """
-    g1 = lowT_legendre_series(x, tau, xp, taup, p, d, ctl)
-    g2 = lowT_legendre_series(x, tau, xp, taup, p, d, replace(ctl, n0=2 * ctl.n0))
-    v1, v2 = g1.value, g2.value
-    drift = abs(v2 - v1) / max(abs(v1), abs(v2), 1e-300)
-    return g1, g2, drift
-
-
 # ----------------------------------------------------------------------------
-# quasi-homogeneous asymptotics
+# closed-form asymptotics
 # ----------------------------------------------------------------------------
-
-
-def _window_quasihom(x: float, xp: float, p: PhysicalParams, d: DerivedScales, factor: float):
-    """Quasi-homogeneity gate: the background density must be essentially
-    constant across the pair, and the separation small against the trap.
-
-    Expressed through the density variation (rather than |dx|/S directly) so
-    that center-symmetric pairs, where S = 0 but the background is flattest,
-    pass as they should.
-    """
-    dx = x - xp
-    s_half = 0.5 * (x + xp)
-    rho_s = rho_tf(s_half, p, d)
-    if rho_s <= 0.0:
-        raise RegimeError(f"quasi-homogeneous window failed: midpoint S = {s_half:.6g} outside the condensate")
-    checks = {
-        "|dx| << R_c": abs(dx) / d.R_c,
-        "TF density variation across pair": abs(rho_tf(x, p, d) - rho_tf(xp, p, d)) / rho_s,
-    }
-    failed = [f"{name} violated (ratio {ratio:.3g} > {factor:g})" for name, ratio in checks.items() if ratio > factor]
-    if failed:
-        raise RegimeError("quasi-homogeneous window failed: " + "; ".join(failed))
-    return max(ratio / factor for ratio in checks.values())
-
-
-def asympt_spectral_highT(
-    omega: float,
-    x: float,
-    xp: float,
-    p: PhysicalParams,
-    d: DerivedScales,
-) -> float:
-    """Large-|omega| spectral density in the quasi-homogeneous window.
-
-    -(Lambda / (2 hbar v rho_TF(S))) * exp(-|omega||dx|/(hbar v)) / |omega|,
-    with S the midpoint; requires alpha|omega| >= 5 and the window at
-    ``HIGHT_WINDOW_FACTOR``.
-    """
-    if d.alpha * abs(omega) < 5.0:
-        raise RegimeError(
-            f"alpha|omega| >= 5 violated (alpha|omega| = {d.alpha * abs(omega):.3g})"
-        )
-    s_half = 0.5 * (x + xp)
-    _window_quasihom(x, xp, p, d, HIGHT_WINDOW_FACTOR)
-    hv = p.hbar * d.v
-    return -(p.Lambda / (2.0 * hv * rho_tf(s_half, p, d))) * math.exp(-abs(omega) * abs(x - xp) / hv) / abs(omega)
 
 
 def asympt_green_highT(
@@ -565,28 +512,38 @@ def asympt_green_highT(
     d: DerivedScales,
     r_lo: float = DEFAULT_R_LO,
 ) -> GreenValue:
-    """High-temperature assembled Green function, up to an additive constant.
+    """High-temperature Green function: the exact zero mode plus the
+    Liouville-Green (WKB) densities of every other frequency, summed in
+    closed form.
 
-    (Lambda / (2 pi hbar v rho_TF(S))) * ln{2 |sinh(pi/(hbar beta v)
-    (|dx| + i hbar v dtau))|}; the trap enters only through rho_TF at the
-    midpoint S.  Raises RegimeError outside the quasi-homogeneous window at
-    ``HIGHT_WINDOW_FACTOR``.
+    At large |omega| the spectral ODE has the solution
+    G_LG(omega) = -(g / (2 hbar v |omega|)) ((1 - u^2)(1 - u'^2))^(-1/4)
+    exp(-|omega| X / (hbar v)) in the optical distance
+    X = R_c |arcsin u - arcsin u'|, and
+    (1/beta) sum_{l != 0} e^{i omega_l dtau} G_LG = A ln|1 - e^{-2z}| gives
+
+        G = G_0 / beta + A [ln(2 |sinh z|) - Re z],
+        z = (pi / lambda_T) (X + i hbar v dtau),
+        A = (g / (2 pi hbar v)) ((1 - u^2)(1 - u'^2))^(-1/4),
+
+    an absolute value with no window.  Its small-|z| power law has the local
+    exponent theta(S) / sqrt(1 - S^2/R_c^2), the curved-metric picture of
+    Dubail, Stephan, Viti & Calabrese, SciPost Phys. 2, 002 (2017).  Raises
+    RegimeError unless beta/alpha < ``r_lo``; returns the divergence marker
+    at coincident points.
     """
     if d.regime_ratio >= r_lo:
         raise RegimeError(f"beta/alpha < {r_lo:g} violated (beta/alpha = {d.regime_ratio:.3g})")
-    s_half = 0.5 * (x + xp)
-    slack = _window_quasihom(x, xp, p, d, HIGHT_WINDOW_FACTOR)
-    log_term = log_2sinh_abs((math.pi / (p.hbar * p.beta * d.v)) * zeta_of(x - xp, tau - taup, p, d))
+    u = _clamped_u(x, d)
+    up = _clamped_u(xp, d)
+    hv = p.hbar * d.v
+    z = (math.pi / d.lambda_T) * complex(d.R_c * abs(math.asin(u) - math.asin(up)), hv * (tau - taup))
+    log_term = log_2sinh_abs(z)
     if math.isinf(log_term):
         return _log_divergence("trapped-asympt-highT")
-    hv = p.hbar * d.v
-    value = p.Lambda / (2.0 * math.pi * hv * rho_tf(s_half, p, d)) * log_term
-    return GreenValue(
-        value=value,
-        method="trapped-asympt-highT",
-        const_free=True,
-        meta={"window_slack": slack, "S": s_half},
-    )
+    amp = p.g / (2.0 * math.pi * hv) * ((1.0 - u * u) * (1.0 - up * up)) ** -0.25
+    value = _zero_mode_parts(u, up, _k_coeff(p, d))[0] / p.beta + amp * (log_term - z.real)
+    return GreenValue(value=value, method="trapped-asympt-highT", meta={"S": 0.5 * (x + xp)})
 
 
 def asympt_green_lowT(

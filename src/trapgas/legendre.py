@@ -43,7 +43,6 @@ __all__ = [
     "LegendrePair",
     "p_poly",
     "p_poly_table",
-    "p_poly_asymptotic",
     "nu_from_omega",
     "legendre_pair",
     "wronskian_check",
@@ -94,19 +93,6 @@ def p_poly_table(n_max: int, u: float) -> np.ndarray:
     if abs(u) > 1.0:
         raise DomainError(f"p_poly_table argument must satisfy |u| <= 1, got {u}")
     return np.array(_recurrence(int(n_max), u, 1.0, u), dtype=float)
-
-
-def p_poly_asymptotic(n: int, theta: float) -> float:
-    """Large-n oscillatory form of P_n(cos theta) away from the poles, with
-    the phase (n + 1/2)*theta - pi/4."""
-    if n != int(n) or n < 1:
-        raise DomainError(f"asymptotic form needs integer n >= 1, got {n!r}")
-    if not (0.0 < theta < math.pi):
-        raise DomainError(f"theta must lie strictly inside (0, pi), got {theta}")
-    n = int(n)
-    amp = math.sqrt(2.0 / (math.pi * n * math.sin(theta)))
-    phase = (n + 0.5) * theta - math.pi / 4.0
-    return amp * math.cos(phase)
 
 
 # ----------------------------------------------------------------------------

@@ -8,9 +8,8 @@ import pytest
 from trapgas import CorrelatorQuery, PhysicalParams, derive_scales, gamma_from_green, matsubara_assemble, rho_tf, theta_at
 from trapgas.cli import CORRELATOR_MODES, GREEN_MODES, load_config, main
 from trapgas.errors import ConfigError
-from trapgas.green_trapped import lowT_n0_drift
 
-GREEN_COLUMNS = ["x1", "tau1", "x2", "tau2", "G_re", "G_im", "method", "trunc_err", "regime", "window_slack", "const_free", "status"]
+GREEN_COLUMNS = ["x1", "tau1", "x2", "tau2", "G_re", "G_im", "method", "trunc_err", "regime", "const_free", "status"]
 CORRELATOR_COLUMNS = ["x1", "tau1", "x2", "tau2", "S", "gamma", "theta_S", "xi_S", "method", "status"]
 
 
@@ -308,18 +307,19 @@ class TestCorrelatorCommand:
         gammas = {mode: [r[col["gamma"]] for r in rows] for mode, rows in tables.items()}
         assert all(gammas["spectral"]) and gammas["asymptotic-auto"] == gammas["spectral"]
 
-    def test_asymptotic_auto_rows_in_window(self, tmp_path):
-        # beta/alpha = 0.05 and |dx| <= 0.05 R_c: inside the high-T windows
-        cfg = write_config(tmp_path, f"[params]\nbeta = {0.05 * math.sqrt(2.0)!r}\n[grid]\nsep_max = 0.07\nsep_count = 3\n")
+    def test_asymptotic_auto_covers_the_default_grid_at_high_temperature(self, tmp_path):
+        # the Liouville-Green route has no window: the last default separation,
+        # |dx|/R_c = 0.10000000000000003, no longer falls back to the spectral route
+        cfg = write_config(tmp_path, f"[params]\nbeta = {0.05 * math.sqrt(2.0)!r}\n")
         out = tmp_path / "auto.csv"
         assert main(["correlator", "--mode", "asymptotic-auto", "--config", cfg, "--out", str(out)]) == 0
         _, header, rows = read_csv(str(out))
-        assert [(r[header.index("method")], r[header.index("status")]) for r in rows] == [("asymptotic-auto", "ok")] * 3
+        assert [(r[header.index("method")], r[header.index("status")]) for r in rows] == [("asymptotic-auto", "ok")] * 9
 
     def test_spectral_route_at_high_temperature(self, tmp_path):
         # beta = 1e-4 puts the first frequency at lambda ~ 2e11; every row is
-        # ok and agrees with the asymptotic form wherever one applies
-        from trapgas import RegimeError, gamma_trapped_asymptotic
+        # ok and agrees with the asymptotic form
+        from trapgas import gamma_trapped_asymptotic
 
         cfg = write_config(tmp_path, "[params]\nbeta = 1e-4\n")
         out = tmp_path / "corr.csv"
@@ -327,18 +327,13 @@ class TestCorrelatorCommand:
         _, header, rows = read_csv(str(out))
         p = PhysicalParams(m=1, g=1, Omega=1, Lambda=1, beta=1e-4)
         d = derive_scales(p)
-        compared = 0
+        assert len(rows) == 9
         for cells in rows:
             row = dict(zip(header, cells))
             assert row["status"] == "ok"
             q = CorrelatorQuery(*(float(row[k]) for k in ("x1", "tau1", "x2", "tau2")))
-            try:
-                asymptotic = gamma_trapped_asymptotic(q, p, d)
-            except RegimeError:  # the last separation sits on the window edge
-                continue
+            asymptotic = gamma_trapped_asymptotic(q, p, d)
             assert abs(math.log(float(row["gamma"])) / math.log(asymptotic) - 1.0) < 1e-3
-            compared += 1
-        assert len(rows) == 9 and compared == 8
 
     def test_spectral_row_equals_symmetrized_pair(self, tmp_path):
         # the table evaluates G once, which stands for both G(1;2) and G(2;1):
@@ -444,11 +439,13 @@ class TestValidateCommand:
         # tolerance must not waive that
         from trapgas import checks
 
-        def drifting(*args, **kwargs):
-            g1, g2, _ = lowT_n0_drift(*args, **kwargs)
-            return g1, g2, 1.0
+        series = checks.lowT_legendre_series
 
-        monkeypatch.setattr(checks, "lowT_n0_drift", drifting)
+        def drifting(*args, **kwargs):
+            g = series(*args, **kwargs)
+            return dataclasses.replace(g, trunc_err=abs(g.value))
+
+        monkeypatch.setattr(checks, "lowT_legendre_series", drifting)
         out = tmp_path / "report.json"
         for override in ([], ["--override", "08-trapped-lowT-match=1.0"]):
             assert main(["validate", "--out", str(out), *override]) == 3

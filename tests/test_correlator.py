@@ -11,6 +11,7 @@ from trapgas import (
     GreenValue,
     PhysicalParams,
     RegimeError,
+    asympt_green_highT,
     closed_form_zero_mode,
     coherence_multidim,
     derive_scales,
@@ -21,12 +22,13 @@ from trapgas import (
     gamma_from_green,
     gamma_homog,
     gamma_trapped_asymptotic,
+    matsubara_assemble,
     rho_tf,
     theta_at,
     theta_homogeneous,
     xi_at,
 )
-from trapgas.correlator import _exponential_gamma, _power_law_gamma, _sinh_gamma
+from trapgas.correlator import _exponential_gamma, _power_law_gamma
 
 
 def setup_params(**over):
@@ -222,43 +224,31 @@ class TestHomogeneousCorrelator:
             gamma_homog(0.1, 0.0, 0.0, 0.0, p, d, "weird")
 
 
-class TestTrappedAsymptoticCorrelator:
-    def test_power_law_dispatch_bit_identical(self):
-        q = CorrelatorQuery(0.2515, 0.0, 0.2485, 0.0)
-        p_hi, d_hi = setup_params(beta=0.05 * math.sqrt(2.0))
-        p_lo, d_lo = setup_params(beta=100.0 * math.sqrt(2.0))
-        v_hi = gamma_trapped_asymptotic(q, p_hi, d_hi)
-        v_lo = gamma_trapped_asymptotic(q, p_lo, d_lo)
-        assert v_hi == v_lo
+def lg_gamma(q, p, d):
+    """Gamma from the summed Liouville-Green Green value of the pair ``q``."""
+    return gamma_from_green(q, asympt_green_highT(q.x1, q.tau1, q.x2, q.tau2, p, d), p, d)
 
-    def test_exponential_form_rate(self):
-        # the window 1 << dx/lambda_T << R_c/lambda_T is non-empty only for
-        # lambda_T well below R_c/100 at the default factor
+
+class TestTrappedAsymptoticCorrelator:
+    def test_exponential_decay_beyond_lambda_T(self):
+        # beyond lambda_T the zero mode dominates: ln Gamma = -|dx|/xi(S) up
+        # to O((dx/R_c)^2), 6e-4 relative here
         p, d = setup_params(beta=0.005 * math.sqrt(2.0))
         s_half = 0.2 * d.R_c
         dx = 15.0 * d.lambda_T
         q = CorrelatorQuery(s_half + dx / 2, 0.0, s_half - dx / 2, 0.0)
         gamma = gamma_trapped_asymptotic(q, p, d)
         pref = math.sqrt(rho_tf(q.x1, p, d) * rho_tf(q.x2, p, d))
-        assert_allclose(gamma, pref * math.exp(-dx / xi_at(s_half, p, d)), rtol=1e-12)
-
-    def test_sinh_form_matches_power_in_deep_window(self):
-        p, d = setup_params(beta=0.05 * math.sqrt(2.0))
-        s_half = 0.1 * d.R_c
-        dx = 1e-3 * d.lambda_T
-        q = CorrelatorQuery(s_half + dx / 2, 0.0, s_half - dx / 2, 0.0)
-        g_sinh = _sinh_gamma(q, p, d)
-        g_pow = _power_law_gamma(q, p, d)
-        theta_s = theta_at(s_half, p, d)
-        assert_allclose(g_sinh / g_pow, (math.pi / d.lambda_T) ** (-1.0 / theta_s), rtol=1e-5)
+        assert_allclose(math.log(gamma / pref), -dx / xi_at(s_half, p, d), rtol=1e-3)
 
     @pytest.mark.parametrize(
         "beta_over_alpha, dx_over_rc, dtau_over_beta, form",
         [
-            (0.05, 0.0025, 0.0, _power_law_gamma),  # high T: |dx|/lambda_T = 0.05
-            (0.005, 0.075, 0.0, _exponential_gamma),  # high T: |dx|/lambda_T = 15
-            (0.05, 0.05, 0.0, _sinh_gamma),  # high T: |dx|/lambda_T = 1
-            (0.05, 0.0025, 0.3, _sinh_gamma),  # high T: dtau/beta = 0.3 leaves the power window
+            (0.05, 0.0025, 0.0, lg_gamma),  # high T: |dx|/lambda_T = 0.05
+            (0.005, 0.075, 0.0, lg_gamma),  # high T: |dx|/lambda_T = 15
+            (0.05, 0.05, 0.0, lg_gamma),  # high T: |dx|/lambda_T = 1
+            (0.05, 0.0025, 0.3, lg_gamma),  # high T: dtau/beta = 0.3
+            (0.05, 0.6, 0.0, lg_gamma),  # high T: |dx| = 0.6 R_c
             (100.0, 0.01, 0.0, _power_law_gamma),  # low T: |zeta|/R_c = 0.01
         ],
     )
@@ -266,22 +256,12 @@ class TestTrappedAsymptoticCorrelator:
         p, d = setup_params(beta=beta_over_alpha * math.sqrt(2.0))
         s_half, dx = 0.2 * d.R_c, dx_over_rc * d.R_c
         q = CorrelatorQuery(s_half + dx / 2, dtau_over_beta * p.beta, s_half - dx / 2, 0.0)
-        value = gamma_trapped_asymptotic(q, p, d)
-        assert value == form(q, p, d)
-        others = {_power_law_gamma, _exponential_gamma, _sinh_gamma} - {form}
-        assert all(value != other(q, p, d) for other in others)
+        assert gamma_trapped_asymptotic(q, p, d) == form(q, p, d)
 
-    @pytest.mark.parametrize(
-        "beta_over_alpha, x1_over_rc, x2_over_rc, match",
-        [
-            (0.05, 0.9, -0.9, "quasi-homogeneous window failed"),  # no high-T window
-            (100.0, 0.3, 0.1, "low-temperature gate"),
-        ],
-    )
-    def test_no_window_raises_regime_error(self, beta_over_alpha, x1_over_rc, x2_over_rc, match):
-        p, d = setup_params(beta=beta_over_alpha * math.sqrt(2.0))
-        q = CorrelatorQuery(x1_over_rc * d.R_c, 0.0, x2_over_rc * d.R_c, 0.0)
-        with pytest.raises(RegimeError, match=match):
+    def test_low_t_outside_its_window_raises_regime_error(self):
+        p, d = setup_params(beta=100.0 * math.sqrt(2.0))
+        q = CorrelatorQuery(0.3 * d.R_c, 0.0, 0.1 * d.R_c, 0.0)
+        with pytest.raises(RegimeError, match="low-temperature gate"):
             gamma_trapped_asymptotic(q, p, d)
 
     def test_midpoint_outside_condensate_is_domain_error(self):
@@ -296,30 +276,41 @@ class TestTrappedAsymptoticCorrelator:
         with pytest.raises(RegimeError, match="intermediate"):
             gamma_trapped_asymptotic(q, p, d)
 
-    def test_window_violations_named(self):
+    def test_high_t_has_no_window(self):
+        # the pair spans most of the condensate, far outside any quasi-homogeneous window
         p, d = setup_params(beta=0.05 * math.sqrt(2.0))
         q = CorrelatorQuery(0.9 * d.R_c, 0.0, -0.9 * d.R_c, 0.0)
-        with pytest.raises(RegimeError):
-            gamma_trapped_asymptotic(q, p, d)
+        assert 0.0 < gamma_trapped_asymptotic(q, p, d) < math.sqrt(rho_tf(q.x1, p, d) * rho_tf(q.x2, p, d))
 
-    def test_assembled_route_reproduces_sinh_form_ratios(self):
-        # Gamma from assembled Green values against the sinh closed form, in
-        # ratio mode (the undetermined constant drops out of ratios): < 5%
-        from trapgas import matsubara_assemble
-
+    def test_assembled_route_reproduces_the_asymptotic_gamma(self):
+        # absolute, not in ratio mode: the Liouville-Green value carries its constant
         p, d = setup_params(beta=0.05 * math.sqrt(2.0))
         s_half = 0.2 * d.R_c
-
-        def gamma_pair(dx):
+        for dx in (0.8 * d.lambda_T, 1.6 * d.lambda_T):
             q = CorrelatorQuery(s_half + dx / 2, 0.0, s_half - dx / 2, 0.0)
-            g = matsubara_assemble(q.x1, q.tau1, q.x2, q.tau2, p, d, l_max=14)
-            assembled = gamma_from_green(q, g, p, d)
-            closed = _sinh_gamma(q, p, d)
-            return assembled, closed
+            assembled = gamma_from_green(q, matsubara_assemble(q.x1, q.tau1, q.x2, q.tau2, p, d, l_max=14), p, d)
+            assert_allclose(gamma_trapped_asymptotic(q, p, d), assembled, rtol=1e-5)
 
-        a1, c1 = gamma_pair(0.8 * d.lambda_T)
-        a2, c2 = gamma_pair(1.6 * d.lambda_T)
-        assert abs((a1 / a2) / (c1 / c2) - 1.0) < 0.05
+    @pytest.mark.parametrize("s_over_rc", [0.5, 0.7])
+    def test_fitted_exponent_is_the_exact_one_off_centre(self, s_over_rc):
+        # the exact route's exponent is the local theta(S)/sqrt(1 - S^2/R_c^2),
+        # 13% and 29% away from the paper's theta(S) here
+        p, d = setup_params(beta=0.05 * math.sqrt(2.0))
+        s_half = s_over_rc * d.R_c
+        seps = np.geomspace(1e-4, 1e-3, 10) * d.R_c
+        queries = [CorrelatorQuery(s_half + sep / 2, 0.0, s_half - sep / 2, 0.0) for sep in seps]
+        rhos = [math.sqrt(rho_tf(q.x1, p, d) * rho_tf(q.x2, p, d)) for q in queries]
+        lg = extract_exponent(seps, [gamma_trapped_asymptotic(q, p, d) for q in queries], rhos)
+        exact = extract_exponent(
+            seps,
+            [gamma_from_green(q, matsubara_assemble(q.x1, q.tau1, q.x2, q.tau2, p, d, l_max=2000), p, d)
+             for q in queries],
+            rhos,
+        )
+        assert_allclose(lg.inv_theta, exact.inv_theta, rtol=1e-5)  # 1.8e-7 and 3.1e-7
+        theta_s = theta_at(s_half, p, d)
+        assert abs(lg.inv_theta * theta_s - 1.0) > 0.10
+        assert_allclose(lg.inv_theta * theta_s, math.sqrt(1.0 - s_over_rc**2), rtol=1e-3)
 
 
 class TestCoherence:
@@ -416,6 +407,7 @@ class TestExtractExponent:
             gammas.append(gamma_trapped_asymptotic(q, p, d))
             rhos.append(math.sqrt(rho_tf(q.x1, p, d) * rho_tf(q.x2, p, d)))
         rep = exponent_report(s_half, seps, gammas, rhos, p, d)
-        assert_allclose(rep.fit.inv_theta, 1.0 / rep.theta_S, rtol=1e-6)
+        # the fit finds the local exponent theta(S)/sqrt(1 - S^2/R_c^2)
+        assert_allclose(rep.fit.inv_theta * rep.theta_S, math.sqrt(1.0 - 0.1**2), rtol=1e-3)
         assert_allclose(rep.theta_hom, theta_homogeneous(p, d), rtol=1e-14)
         assert_allclose(rep.xi_S, xi_at(s_half, p, d), rtol=1e-14)

@@ -17,21 +17,18 @@ from trapgas import (
     RegimeError,
     asympt_green_highT,
     asympt_green_lowT,
-    asympt_spectral_highT,
     classify_regime,
     closed_form_zero_mode,
     derive_scales,
     green_difference,
     homog_series,
     lowT_legendre_series,
-    lowT_n0_drift,
     matsubara_assemble,
     rho_tf,
     spectral_densities,
     spectral_density,
 )
 from trapgas.cli import cmd_green, load_config
-from trapgas.green_homogeneous import log_2sinh_abs
 from trapgas.green_trapped import _p_poly_integer_phase
 from trapgas.oracle import brute_legendre_tail
 
@@ -314,11 +311,11 @@ class TestSpectralDensities:
         for omega in cfg["grid.omegas"]:
             for x2, sd in zip(xs, _per_point(omega, xs, x1, p, d, tol)):
                 if isinstance(sd, Exception):
-                    expected.append((x1, tau1, x2, tau1, None, None, "trapped-spectral", None, regime, None,
-                                     False, f"{type(sd).__name__}: {sd}"))
+                    expected.append((x1, tau1, x2, tau1, None, None, "trapped-spectral", None, regime, False,
+                                     f"{type(sd).__name__}: {sd}"))
                 else:
                     expected.append((x1, tau1, x2, tau1, sd.re_part, sd.im_part, "trapped-spectral", sd.err_bound,
-                                     regime, None, False, "ok"))
+                                     regime, False, "ok"))
         assert rows == expected
         assert sum(r[-1].startswith("DomainError") for r in rows) == 2
         assert sum(r[-1] == "ok" for r in rows) == 16
@@ -522,12 +519,15 @@ class TestLowTSeries:
         g = lowT_legendre_series(0.02, 1e-4 * p.beta, 0.0, 0.0, p, d, ctl)
         assert g.warning is not None and "min_dtau" in g.warning
 
-    def test_n0_drift_small_in_gate(self):
+    def test_trunc_err_is_the_n0_doubling_drift(self):
+        # the pass runs on to 2 n0; the value is the n0 one, the change the error
         p, d = self._lowT()
         ctl = LowTControl(n0=20, min_dtau=1e-6)
-        g1, g2, drift = lowT_n0_drift(0.012 * d.R_c, 0.005 * d.alpha, -0.008 * d.R_c, 0.0, p, d, ctl)
-        assert g2.meta["n0"] == 2 * g1.meta["n0"]
-        assert drift < 0.02
+        args = (0.012 * d.R_c, 0.005 * d.alpha, -0.008 * d.R_c, 0.0, p, d)
+        g1 = lowT_legendre_series(*args, ctl)
+        g2 = lowT_legendre_series(*args, LowTControl(n0=40, min_dtau=1e-6))
+        assert g1.meta["n0"] == 20 and g1.trunc_err == abs(g2.value - g1.value)
+        assert 0.0 < g1.trunc_err < 0.02 * abs(g1.value)
 
     def test_bernoulli_bracket_sign_at_half_beta(self):
         # at dtau = beta/2 the bracket reduces to +g beta/(48 R_c); checked on
@@ -549,63 +549,58 @@ class TestLowTSeries:
 
 
 class TestTrappedAsymptotics:
-    def test_spectral_highT_at_zero_separation(self):
-        p, d = setup_params(beta=0.05 * math.sqrt(2.0))
-        omega = 8.0 / d.alpha
-        s_half = 0.1 * d.R_c
-        val = asympt_spectral_highT(omega, s_half, s_half, p, d)
-        expected = -p.Lambda / (2.0 * p.hbar * d.v * rho_tf(s_half, p, d) * omega)
-        assert_allclose(val, expected, rtol=1e-12)
+    def _highT(self):
+        return setup_params(beta=0.05 * math.sqrt(2.0))
 
-    def test_spectral_highT_envelope_bound(self):
-        p, d = setup_params(beta=0.05 * math.sqrt(2.0))
-        s_half = 0.1 * d.R_c
-        amp = p.Lambda / (2.0 * p.hbar * d.v * rho_tf(s_half, p, d))
-        for omega in (5.0 / d.alpha, 9.0 / d.alpha, 14.0 / d.alpha):
-            val = asympt_spectral_highT(omega, s_half + 0.01, s_half - 0.01, p, d)
-            assert abs(val) * omega <= amp
+    def test_green_highT_matches_assembly_without_a_window(self):
+        # off-centre midpoints and separations up to 0.3 R_c, far outside any
+        # quasi-homogeneous window; l_max = 400 leaves a tail below 1e-12
+        p, d = self._highT()
+        worst = 0.0
+        for s_half in (-0.45, 0.0, 0.5, 0.7):
+            for sep in (0.01, 0.03, 0.1, 0.3):
+                for dtau in (0.0, 0.3 * p.beta):
+                    x, xp = (s_half + sep / 2.0) * d.R_c, (s_half - sep / 2.0) * d.R_c
+                    g = asympt_green_highT(x, dtau, xp, 0.0, p, d)
+                    assert g.method == "trapped-asympt-highT" and not g.const_free
+                    assert asympt_green_highT(xp, 0.0, x, dtau, p, d).value == g.value
+                    exact = matsubara_assemble(x, dtau, xp, 0.0, p, d, l_max=400).value
+                    worst = max(worst, abs(g.value - exact))
+        assert worst < 5e-6  # 2.6e-6 at S = 0.7 R_c, separation 0.01 R_c
 
-    def test_spectral_highT_matches_exact_for_large_alpha_omega(self):
-        p, d = setup_params(beta=0.05 * math.sqrt(2.0))
-        s_half = 0.1 * d.R_c
-        dx = 0.02 * d.R_c
-        for alpha_omega in (5.0, 8.0, 12.0):
-            omega = alpha_omega / d.alpha
-            approx = asympt_spectral_highT(omega, s_half + dx / 2.0, s_half - dx / 2.0, p, d)
-            exact = spectral_density(omega, s_half + dx / 2.0, s_half - dx / 2.0, p, d).re_part
-            assert abs(approx - exact) < 0.10 * abs(exact)
-
-    def test_spectral_highT_regime_gate(self):
-        p, d = setup_params()
-        with pytest.raises(RegimeError, match="alpha"):
-            asympt_spectral_highT(1.0 / d.alpha, 0.11, 0.09, p, d)
-
-    def test_green_highT_center_matches_homogeneous_prefactor(self):
-        p, d = setup_params(beta=0.05 * math.sqrt(2.0))
-        dx, dtau = 0.03, 0.2 * p.beta
-        g = asympt_green_highT(dx / 2.0, dtau, -dx / 2.0, 0.0, p, d)
+    def test_green_highT_is_the_summed_lg_density(self):
+        # (1/beta) sum_{l != 0} e^{i omega dtau} G_LG(omega), summed term by term
+        p, d = self._highT()
+        x, xp, dtau = 0.35 * d.R_c, 0.3 * d.R_c, 0.2 * p.beta
+        u, up = x / d.R_c, xp / d.R_c
         hv = p.hbar * d.v
-        z = (math.pi / (p.hbar * p.beta * d.v)) * complex(dx, hv * dtau)
-        expected = (p.g / (2.0 * math.pi * hv)) * log_2sinh_abs(z)  # rho_TF(0) = Lambda/g
-        assert_allclose(g.value.real, expected, rtol=1e-12)
+        optical = d.R_c * (math.asin(u) - math.asin(up))
+        omegas = 2.0 * math.pi * np.arange(1, 201) / p.beta
+        g_lg = -(p.g / (2.0 * hv * omegas)) * ((1 - u * u) * (1 - up * up)) ** -0.25 * np.exp(-omegas * optical / hv)
+        zero_mode = spectral_density(0.0, x, xp, p, d).re_part / p.beta
+        direct = zero_mode + (2.0 / p.beta) * math.fsum(np.cos(omegas * dtau) * g_lg)
+        assert_allclose(asympt_green_highT(x, dtau, xp, 0.0, p, d).value, direct, rtol=1e-13)
 
     def test_green_highT_linear_slope_matches_inverse_xi(self):
-        p, d = setup_params(beta=0.05 * math.sqrt(2.0))
+        # beyond lambda_T the zero mode carries the slope, which is 1/xi(S)
+        p, d = self._highT()
         s_half = 0.45 * d.R_c
         dx1, dx2 = 2.2 * d.lambda_T, 3.2 * d.lambda_T
-        g1 = asympt_green_highT(s_half + dx1 / 2.0, 0.0, s_half - dx1 / 2.0, 0.0, p, d).value.real
-        g2 = asympt_green_highT(s_half + dx2 / 2.0, 0.0, s_half - dx2 / 2.0, 0.0, p, d).value.real
+        g1 = asympt_green_highT(s_half + dx1 / 2.0, 0.0, s_half - dx1 / 2.0, 0.0, p, d).value
+        g2 = asympt_green_highT(s_half + dx2 / 2.0, 0.0, s_half - dx2 / 2.0, 0.0, p, d).value
         slope = (g2 - g1) / (dx2 - dx1)
         rate = p.Lambda / (2.0 * p.beta * (p.hbar * d.v) ** 2 * rho_tf(s_half, p, d))
         assert abs(slope - rate) < 0.03 * rate
 
-    def test_green_highT_regime_and_window(self):
+    def test_green_highT_gate_clamp_and_divergence(self):
         p, d = setup_params()
         with pytest.raises(RegimeError, match="beta/alpha"):
             asympt_green_highT(0.11, 0.0, 0.09, 0.0, p, d)
-        p2, d2 = setup_params(beta=0.05 * math.sqrt(2.0))
-        with pytest.raises(RegimeError, match="window"):
-            asympt_green_highT(0.9 * d2.R_c, 0.0, -0.9 * d2.R_c, 0.0, p2, d2)
+        p2, d2 = self._highT()
+        assert math.isfinite(asympt_green_highT(0.9 * d2.R_c, 0.0, -0.9 * d2.R_c, 0.0, p2, d2).value)
+        with pytest.raises(DomainError, match="boundary clamp"):
+            asympt_green_highT(d2.R_c, 0.0, 0.0, 0.0, p2, d2)
+        assert asympt_green_highT(0.1, 0.3 * p2.beta, 0.1, 0.3 * p2.beta, p2, d2).divergent
 
     def test_green_lowT_sign_and_gate(self):
         p, d = setup_params(beta=100.0 * math.sqrt(2.0))

@@ -17,11 +17,9 @@ from trapgas import (
     legendre_pair,
     nu_from_omega,
     p_poly,
-    p_poly_asymptotic,
     p_poly_table,
     wronskian_check,
 )
-from trapgas.green_trapped import _p_poly_integer_phase
 from trapgas.legendre import _NODES, _ROWS, _p_quad, legendre_ode_residual
 
 mp.mp.dps = 30
@@ -67,32 +65,10 @@ class TestPolynomials:
 
 
 class TestAsymptoticPolynomial:
-    def test_against_exact_at_equator(self):
-        exact = p_poly(50, 0.0)
-        approx = p_poly_asymptotic(50, math.pi / 2.0)
-        amplitude = math.sqrt(2.0 / (math.pi * 50))
-        assert abs(approx - exact) < 0.01 * amplitude
-
-    def test_relative_error_large_n(self):
-        theta = 1.0
-        exact = p_poly(200, math.cos(theta))
-        approx = p_poly_asymptotic(200, theta)
-        assert abs(approx - exact) < 1e-2 * abs(exact)
-
     def test_amplitude_decreasing_in_n(self):
         theta = 0.8
         amps = [math.sqrt(2.0 / (math.pi * n * math.sin(theta))) for n in range(1, 40)]
         assert all(b < a for a, b in zip(amps, amps[1:]))
-
-    def test_variants_differ_by_phase(self):
-        half = p_poly_asymptotic(10, 0.7)
-        integer = _p_poly_integer_phase(10, 0.7)
-        assert half != integer
-
-    def test_endpoints_rejected(self):
-        for theta in (0.0, math.pi):
-            with pytest.raises(DomainError):
-                p_poly_asymptotic(5, theta)
 
 
 class TestDegreeFromOmega:
