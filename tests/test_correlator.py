@@ -171,6 +171,21 @@ class TestQuasihomCorrelator:
         with pytest.raises(RegimeError):
             gamma_d1_quasihom(0.5 * d.R_c, -0.5 * d.R_c, p, d)
 
+    @pytest.mark.parametrize(
+        "x1_over_rc, x2_over_rc, violated",
+        [
+            (0.9, -0.9, ["|dx| << R_c"]),  # centre-symmetric: flat density, wide pair
+            (0.95, 0.9, ["TF density variation across pair"]),  # narrow pair near the edge
+            (0.96, 0.5, ["|dx| << R_c", "TF density variation across pair"]),
+        ],
+    )
+    def test_window_violations_named(self, x1_over_rc, x2_over_rc, violated):
+        p, d = setup_params()
+        with pytest.raises(RegimeError, match="quasi-homogeneous window failed") as info:
+            gamma_d1_quasihom(x1_over_rc * d.R_c, x2_over_rc * d.R_c, p, d)
+        named = [part.split(" violated")[0] for part in str(info.value).split(": ", 1)[1].split("; ")]
+        assert named == violated
+
     def test_is_the_exponential_form_at_equal_times(self):
         for p, d, x1, x2 in quasihom_draws(120):
             q = CorrelatorQuery(x1, 0.0, x2, 0.0)
@@ -258,10 +273,19 @@ class TestTrappedAsymptoticCorrelator:
         q = CorrelatorQuery(s_half + dx / 2, dtau_over_beta * p.beta, s_half - dx / 2, 0.0)
         assert gamma_trapped_asymptotic(q, p, d) == form(q, p, d)
 
-    def test_low_t_outside_its_window_raises_regime_error(self):
+    @pytest.mark.parametrize(
+        "x1_over_rc, x2_over_rc, hv_dtau_over_rc",
+        [
+            (0.3, 0.1, 0.0),  # |zeta|/R_c = 0.2 in space
+            (0.2, 0.2, 0.2),  # |zeta|/R_c = 0.2 in imaginary time alone
+        ],
+    )
+    def test_no_window_raises_regime_error(self, x1_over_rc, x2_over_rc, hv_dtau_over_rc):
+        # only the low-temperature form keeps a window
         p, d = setup_params(beta=100.0 * math.sqrt(2.0))
-        q = CorrelatorQuery(0.3 * d.R_c, 0.0, 0.1 * d.R_c, 0.0)
-        with pytest.raises(RegimeError, match="low-temperature gate"):
+        dtau = hv_dtau_over_rc * d.R_c / (p.hbar * d.v)
+        q = CorrelatorQuery(x1_over_rc * d.R_c, dtau, x2_over_rc * d.R_c, 0.0)
+        with pytest.raises(RegimeError, match=r"low-temperature gate .* \(got 0\.2\)"):
             gamma_trapped_asymptotic(q, p, d)
 
     def test_midpoint_outside_condensate_is_domain_error(self):
@@ -311,6 +335,16 @@ class TestTrappedAsymptoticCorrelator:
         theta_s = theta_at(s_half, p, d)
         assert abs(lg.inv_theta * theta_s - 1.0) > 0.10
         assert_allclose(lg.inv_theta * theta_s, math.sqrt(1.0 - s_over_rc**2), rtol=1e-3)
+
+    def test_fitted_exponent_at_the_centre_is_theta_hom(self):
+        # at S = 0 the local exponent theta(S)/sqrt(1 - S^2/R_c^2) is the
+        # homogeneous theta of the central density; the fit lands 2.4e-4 off
+        p, d = setup_params(beta=0.05 * math.sqrt(2.0))
+        seps = np.geomspace(1e-4, 1e-3, 10) * d.R_c
+        queries = [CorrelatorQuery(sep / 2, 0.0, -sep / 2, 0.0) for sep in seps]
+        rhos = [math.sqrt(rho_tf(q.x1, p, d) * rho_tf(q.x2, p, d)) for q in queries]
+        fit = extract_exponent(seps, [gamma_trapped_asymptotic(q, p, d) for q in queries], rhos)
+        assert_allclose(fit.inv_theta * theta_homogeneous(p, d), 1.0, rtol=1e-3)
 
 
 class TestCoherence:

@@ -29,6 +29,7 @@ from trapgas import (
     spectral_density,
 )
 from trapgas.cli import cmd_green, load_config
+from trapgas.green_homogeneous import log_2sinh_abs
 from trapgas.green_trapped import _p_poly_integer_phase
 from trapgas.oracle import brute_legendre_tail
 
@@ -548,9 +549,30 @@ class TestLowTSeries:
         )
 
 
+def lg_density(omegas, x, xp, p, d):
+    """Liouville-Green (WKB) spectral density at |omega| >> 1/alpha, in the
+    optical distance R_c |arcsin u - arcsin u'|."""
+    u, up = x / d.R_c, xp / d.R_c
+    hv = p.hbar * d.v
+    optical = d.R_c * abs(math.asin(u) - math.asin(up))
+    amp = -(p.g / (2.0 * hv * omegas)) * ((1 - u * u) * (1 - up * up)) ** -0.25
+    return amp * np.exp(-omegas * optical / hv)
+
+
 class TestTrappedAsymptotics:
     def _highT(self):
         return setup_params(beta=0.05 * math.sqrt(2.0))
+
+    @pytest.mark.parametrize("alpha_omega", [5.0, 8.0, 12.0])
+    def test_lg_density_matches_exact_for_large_alpha_omega(self, alpha_omega):
+        # the WKB error falls as 1/(alpha omega)^2: 0.34-0.37 times it here
+        p, d = self._highT()
+        omega = alpha_omega / d.alpha
+        for s_half in (0.1, 0.5):
+            x, xp = (s_half + 0.01) * d.R_c, (s_half - 0.01) * d.R_c
+            exact = spectral_density(omega, x, xp, p, d).re_part
+            approx = lg_density(omega, x, xp, p, d)
+            assert abs(approx / exact - 1.0) < 0.5 / alpha_omega**2
 
     def test_green_highT_matches_assembly_without_a_window(self):
         # off-centre midpoints and separations up to 0.3 R_c, far outside any
@@ -572,14 +594,32 @@ class TestTrappedAsymptotics:
         # (1/beta) sum_{l != 0} e^{i omega dtau} G_LG(omega), summed term by term
         p, d = self._highT()
         x, xp, dtau = 0.35 * d.R_c, 0.3 * d.R_c, 0.2 * p.beta
-        u, up = x / d.R_c, xp / d.R_c
-        hv = p.hbar * d.v
-        optical = d.R_c * (math.asin(u) - math.asin(up))
         omegas = 2.0 * math.pi * np.arange(1, 201) / p.beta
-        g_lg = -(p.g / (2.0 * hv * omegas)) * ((1 - u * u) * (1 - up * up)) ** -0.25 * np.exp(-omegas * optical / hv)
+        g_lg = lg_density(omegas, x, xp, p, d)
         zero_mode = spectral_density(0.0, x, xp, p, d).re_part / p.beta
         direct = zero_mode + (2.0 / p.beta) * math.fsum(np.cos(omegas * dtau) * g_lg)
         assert_allclose(asympt_green_highT(x, dtau, xp, 0.0, p, d).value, direct, rtol=1e-13)
+
+    def test_green_highT_center_matches_homogeneous_prefactor(self):
+        # at the centre the non-zero modes are the homogeneous thermal log with
+        # the central prefactor g/(2 pi hbar v), up to O(u^2) corrections of the
+        # amplitude and the optical distance: 1.2e-5 relative at most here
+        p, d = self._highT()
+        hv = p.hbar * d.v
+        for dx in (0.01, 0.03):
+            for dtau in (0.0, 0.2 * p.beta):
+                g = asympt_green_highT(dx / 2.0, dtau, -dx / 2.0, 0.0, p, d).value
+                z = (math.pi / d.lambda_T) * complex(dx, hv * dtau)
+                homogeneous = (p.g / (2.0 * math.pi * hv)) * (log_2sinh_abs(z) - z.real)
+                assert_allclose(g - closed_form_zero_mode(dx / 2.0, -dx / 2.0, p, d), homogeneous, rtol=2e-5)
+
+    def test_green_highT_even_about_half_beta(self):
+        # Bose periodicity and evenness in dtau: G(dtau) = G(beta - dtau)
+        p, d = self._highT()
+        for frac in (0.1, 0.3, 0.45):
+            early = asympt_green_highT(0.3 * d.R_c, frac * p.beta, 0.1 * d.R_c, 0.0, p, d).value
+            late = asympt_green_highT(0.3 * d.R_c, (1.0 - frac) * p.beta, 0.1 * d.R_c, 0.0, p, d).value
+            assert_allclose(early, late, rtol=1e-14)
 
     def test_green_highT_linear_slope_matches_inverse_xi(self):
         # beyond lambda_T the zero mode carries the slope, which is 1/xi(S)
