@@ -33,6 +33,7 @@ from .green_trapped import asympt_green_highT
 from .model import (
     DEFAULT_R_HI,
     DEFAULT_R_LO,
+    WINDOW_FACTOR,
     CorrelatorQuery,
     DerivedScales,
     PhysicalParams,
@@ -42,9 +43,6 @@ from .model import (
     zeta_of,
 )
 
-# the factor that turns each strong inequality "a << b" of an asymptotic
-# window into a <= WINDOW_FACTOR * b
-WINDOW_FACTOR = 0.1
 # fewest Gamma samples a power-law fit accepts
 MIN_FIT_SAMPLES = 8
 

@@ -33,8 +33,9 @@ index n0 and resummed beyond it, and reports as its error how far the value
 moves when the exact part runs on to 2 n0.  At high temperature
 ``asympt_green_highT`` adds to the exact zero mode the Liouville-Green (WKB)
 density of every other frequency, written in the optical distance
-X = R_c |arcsin u - arcsin u'|, and sums them in closed form; it holds at any
-pair of interior points, with no window.
+X = R_c |arcsin u - arcsin u'|, and sums them in closed form; it holds at
+any pair of points outside the edge layer of the condensate, where the lowest
+frequency's WKB phase mu_1 arccos|u| is large.
 """
 
 from __future__ import annotations
@@ -46,9 +47,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AccuracyError, DomainError, RegimeError, TrapGasError
-from .green_homogeneous import GreenValue, _log_divergence, log_2sinh_abs
+from .green_homogeneous import GreenValue, _log_divergence
 from .legendre import _NODES, _nu_real, _p_quad, _q_real, nu_from_omega, p_poly_table
-from .model import DEFAULT_R_HI, DEFAULT_R_LO, DerivedScales, PhysicalParams, rho_tf, zeta_of
+from .model import DEFAULT_R_HI, DEFAULT_R_LO, WINDOW_FACTOR, DerivedScales, PhysicalParams, rho_tf, zeta_of
 
 __all__ = [
     "BOUNDARY_EPS",
@@ -519,30 +520,45 @@ def asympt_green_highT(
     At large |omega| the spectral ODE has the solution
     G_LG(omega) = -(g / (2 hbar v |omega|)) ((1 - u^2)(1 - u'^2))^(-1/4)
     exp(-|omega| X / (hbar v)) in the optical distance
-    X = R_c |arcsin u - arcsin u'|, and
-    (1/beta) sum_{l != 0} e^{i omega_l dtau} G_LG = A ln|1 - e^{-2z}| gives
+    X = R_c |arcsin u - arcsin u'|, and (1/beta) sum_{l != 0} e^{i omega_l dtau}
+    G_LG(omega_l) sums in closed form to
 
-        G = G_0 / beta + A [ln(2 |sinh z|) - Re z],
+        G = G_0 / beta + A ln|1 - e^{-2z}|,
         z = (pi / lambda_T) (X + i hbar v dtau),
         A = (g / (2 pi hbar v)) ((1 - u^2)(1 - u'^2))^(-1/4),
 
-    an absolute value with no window.  Its small-|z| power law has the local
-    exponent theta(S) / sqrt(1 - S^2/R_c^2), the curved-metric picture of
-    Dubail, Stephan, Viti & Calabrese, SciPost Phys. 2, 002 (2017).  Raises
-    RegimeError unless beta/alpha < ``r_lo``; returns the divergence marker
-    at coincident points.
+    an absolute value.  Its small-|z| power law has the local exponent
+    theta(S) / sqrt(1 - S^2/R_c^2), the curved-metric picture of Dubail,
+    Stephan, Viti & Calabrese, SciPost Phys. 2, 002 (2017).
+
+    The WKB density of degree nu = -1/2 + i mu needs mu arccos|u| >> 1, and
+    the lowest nonzero frequency, mu_1 ~ 2 pi alpha / beta, fails it first:
+    within about 1/mu_1 of arccos|u| = 0, the edge layer of the condensate,
+    the amplitude ((1 - u^2)(1 - u'^2))^(-1/4) grows without bound while the
+    exact density stays finite.  Raises RegimeError unless beta/alpha < ``r_lo``
+    and mu_1 arccos(max(|u|, |u'|)) >= 1 / WINDOW_FACTOR.  Against
+    ``matsubara_assemble`` at beta/alpha = 0.05, over separations from 1e-4
+    to 0.05 R_c and dtau in {0, beta/4, beta/2}, |dG| is at most 3e-6 at the
+    centre, 1e-5 out to |u| = 0.8, 5e-5 at mu_1 arccos|u| = 40 and 3e-3 at
+    the gate.  Returns the divergence marker at coincident points.
     """
     if d.regime_ratio >= r_lo:
         raise RegimeError(f"beta/alpha < {r_lo:g} violated (beta/alpha = {d.regime_ratio:.3g})")
     u = _clamped_u(x, d)
     up = _clamped_u(xp, d)
+    edge = 2.0 * math.pi * d.alpha / p.beta * math.acos(max(abs(u), abs(up)))
+    if edge < 1.0 / WINDOW_FACTOR:
+        raise RegimeError(
+            f"Liouville-Green gate mu_1 arccos|u| >> 1 failed (got {edge:.3g} < {1.0 / WINDOW_FACTOR:g}): "
+            "a point lies in the edge layer of the condensate"
+        )
     hv = p.hbar * d.v
     z = (math.pi / d.lambda_T) * complex(d.R_c * abs(math.asin(u) - math.asin(up)), hv * (tau - taup))
-    log_term = log_2sinh_abs(z)
-    if math.isinf(log_term):
+    mag = abs(1.0 - cmath.exp(-2.0 * z))
+    if mag == 0.0:
         return _log_divergence("trapped-asympt-highT")
     amp = p.g / (2.0 * math.pi * hv) * ((1.0 - u * u) * (1.0 - up * up)) ** -0.25
-    value = _zero_mode_parts(u, up, _k_coeff(p, d))[0] / p.beta + amp * (log_term - z.real)
+    value = _zero_mode_parts(u, up, _k_coeff(p, d))[0] / p.beta + amp * math.log(mag)
     return GreenValue(value=value, method="trapped-asympt-highT", meta={"S": 0.5 * (x + xp)})
 
 

@@ -38,6 +38,9 @@ __all__ = [
 # "beta/alpha >> 1" into a concrete classification.
 DEFAULT_R_LO = 0.1
 DEFAULT_R_HI = 10.0
+# the factor that turns each strong inequality "a << b" of an asymptotic
+# window into a <= WINDOW_FACTOR * b
+WINDOW_FACTOR = 0.1
 
 
 @dataclass(frozen=True)

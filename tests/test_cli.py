@@ -308,13 +308,32 @@ class TestCorrelatorCommand:
         assert all(gammas["spectral"]) and gammas["asymptotic-auto"] == gammas["spectral"]
 
     def test_asymptotic_auto_covers_the_default_grid_at_high_temperature(self, tmp_path):
-        # the Liouville-Green route has no window: the last default separation,
+        # the Liouville-Green route has no quasi-homogeneous window: the last default separation,
         # |dx|/R_c = 0.10000000000000003, no longer falls back to the spectral route
         cfg = write_config(tmp_path, f"[params]\nbeta = {0.05 * math.sqrt(2.0)!r}\n")
         out = tmp_path / "auto.csv"
         assert main(["correlator", "--mode", "asymptotic-auto", "--config", cfg, "--out", str(out)]) == 0
         _, header, rows = read_csv(str(out))
         assert [(r[header.index("method")], r[header.index("status")]) for r in rows] == [("asymptotic-auto", "ok")] * 9
+
+    def test_asymptotic_auto_falls_back_in_the_edge_layer(self, tmp_path):
+        # outer points at 0.996, 0.997, 0.999 R_c: mu_1 arccos|u| = 11.2, 9.7, 5.6
+        # against the Liouville-Green gate of 10
+        cfg = write_config(
+            tmp_path,
+            f"[params]\nbeta = {0.05 * math.sqrt(2.0)!r}\n[truncation]\nl_max = 400\n"
+            f"[grid]\ns_center = {0.995 * math.sqrt(2.0)!r}\nsep_min = {0.002 * math.sqrt(2.0)!r}\n"
+            f"sep_max = {0.008 * math.sqrt(2.0)!r}\nsep_count = 3\n",
+        )
+        tables = {}
+        for mode in ("asymptotic-auto", "spectral"):
+            out = tmp_path / f"{mode}.csv"
+            assert main(["correlator", "--mode", mode, "--config", cfg, "--out", str(out)]) == 0
+            _, header, tables[mode] = read_csv(str(out))
+        col = {name: i for i, name in enumerate(header)}
+        auto, spectral = tables["asymptotic-auto"], tables["spectral"]
+        assert [r[col["method"]] for r in auto] == ["asymptotic-auto"] + ["asymptotic-auto:fallback-spectral"] * 2
+        assert [r[col["gamma"]] for r in auto[1:]] == [r[col["gamma"]] for r in spectral[1:]]
 
     def test_spectral_route_at_high_temperature(self, tmp_path):
         # beta = 1e-4 puts the first frequency at lambda ~ 2e11; every row is

@@ -632,6 +632,22 @@ class TestTrappedAsymptotics:
         rate = p.Lambda / (2.0 * p.beta * (p.hbar * d.v) ** 2 * rho_tf(s_half, p, d))
         assert abs(slope - rate) < 0.03 * rate
 
+    def test_green_highT_edge_layer(self):
+        # toward the edge the WKB amplitude grows without bound while the exact
+        # density stays finite; mu_1 arccos|u| >= 10 keeps |dG| below 3e-3
+        p, d = self._highT()
+        mu_1 = 2.0 * math.pi * d.alpha / p.beta
+        for u in (0.99, math.cos(10.01 / mu_1)):
+            for sep in (1e-4, 1e-3):
+                x, xp = u * d.R_c, (u - sep) * d.R_c
+                exact = matsubara_assemble(x, 0.0, xp, 0.0, p, d, l_max=2000).value
+                assert abs(asympt_green_highT(x, 0.0, xp, 0.0, p, d).value - exact) < 3e-3
+        for u in (0.9999, 0.999999):
+            with pytest.raises(RegimeError, match=r"edge layer"):
+                asympt_green_highT(u * d.R_c, 0.0, 0.5 * d.R_c, 0.0, p, d)
+            with pytest.raises(RegimeError, match=r"edge layer"):
+                asympt_green_highT(-0.5 * d.R_c, 0.0, -u * d.R_c, 0.0, p, d)
+
     def test_green_highT_gate_clamp_and_divergence(self):
         p, d = setup_params()
         with pytest.raises(RegimeError, match="beta/alpha"):
