@@ -13,11 +13,12 @@ theta(S) = 2 pi hbar rho_TF(S) / (m v), correlation length
 xi(S) = (hbar beta v / pi) theta(S).
 
 The trapped asymptotic correlator takes its high-temperature Green value from
-the summed Liouville-Green form ``asympt_green_highT``, which needs no window
-and carries its additive constant.  Its power law at small separations has
-the local exponent theta(S) / sqrt(1 - S^2/R_c^2), which the exact routes
-reproduce; theta_at and xi_at keep the paper's theta(S), which agrees with it
-only near the trap centre.
+the summed Liouville-Green form ``asympt_green_highT``, which needs no
+quasi-homogeneous window, only points outside the edge layer of the
+condensate, and carries its additive constant.  Its power law at small
+separations has the local exponent theta(S) / sqrt(1 - S^2/R_c^2), which the
+exact routes reproduce; theta_at and xi_at keep the paper's theta(S), which
+agrees with it only near the trap centre.
 """
 
 from __future__ import annotations
@@ -256,7 +257,8 @@ def gamma_trapped_asymptotic(
     """Trapped correlator from the asymptotic closed form of its regime.
 
     high T   gamma_from_green of ``asympt_green_highT``, the summed
-             Liouville-Green form, at every pair inside the boundary clamp
+             Liouville-Green form, at every pair outside the edge layer
+             mu_1 arccos|u| < 1 / WINDOW_FACTOR
     low T    power law |zeta|^(-1/theta(S)) while |zeta|/R_c << 1, with "<<"
              read as a factor ``WINDOW_FACTOR``
 

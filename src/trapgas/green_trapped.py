@@ -531,16 +531,13 @@ def asympt_green_highT(
     theta(S) / sqrt(1 - S^2/R_c^2), the curved-metric picture of Dubail,
     Stephan, Viti & Calabrese, SciPost Phys. 2, 002 (2017).
 
-    The WKB density of degree nu = -1/2 + i mu needs mu arccos|u| >> 1, and
-    the lowest nonzero frequency, mu_1 ~ 2 pi alpha / beta, fails it first:
-    within about 1/mu_1 of arccos|u| = 0, the edge layer of the condensate,
-    the amplitude ((1 - u^2)(1 - u'^2))^(-1/4) grows without bound while the
-    exact density stays finite.  Raises RegimeError unless beta/alpha < ``r_lo``
-    and mu_1 arccos(max(|u|, |u'|)) >= 1 / WINDOW_FACTOR.  Against
-    ``matsubara_assemble`` at beta/alpha = 0.05, over separations from 1e-4
-    to 0.05 R_c and dtau in {0, beta/4, beta/2}, |dG| is at most 3e-6 at the
-    centre, 1e-5 out to |u| = 0.8, 5e-5 at mu_1 arccos|u| = 40 and 3e-3 at
-    the gate.  Returns the divergence marker at coincident points.
+    The WKB form needs mu arccos|u| >> 1 at the lowest frequency,
+    mu_1 ~ 2 pi alpha / beta; in the edge layer below that its amplitude grows
+    without bound while the exact density stays finite.  Raises RegimeError
+    unless beta/alpha < ``r_lo`` and mu_1 arccos(max(|u|, |u'|)) >= 1 /
+    WINDOW_FACTOR, where |G - G_exact| measured at most 3e-3 at beta/alpha =
+    0.05 and 0.099 (1e-5 for |u| <= 0.8 at 0.05).  Returns the divergence
+    marker at coincident points.
     """
     if d.regime_ratio >= r_lo:
         raise RegimeError(f"beta/alpha < {r_lo:g} violated (beta/alpha = {d.regime_ratio:.3g})")
@@ -548,10 +545,8 @@ def asympt_green_highT(
     up = _clamped_u(xp, d)
     edge = 2.0 * math.pi * d.alpha / p.beta * math.acos(max(abs(u), abs(up)))
     if edge < 1.0 / WINDOW_FACTOR:
-        raise RegimeError(
-            f"Liouville-Green gate mu_1 arccos|u| >> 1 failed (got {edge:.3g} < {1.0 / WINDOW_FACTOR:g}): "
-            "a point lies in the edge layer of the condensate"
-        )
+        raise RegimeError(f"Liouville-Green gate mu_1 arccos|u| >> 1 failed in the edge layer of the "
+                          f"condensate (got {edge:.3g} < {1.0 / WINDOW_FACTOR:g})")
     hv = p.hbar * d.v
     z = (math.pi / d.lambda_T) * complex(d.R_c * abs(math.asin(u) - math.asin(up)), hv * (tau - taup))
     mag = abs(1.0 - cmath.exp(-2.0 * z))
