@@ -71,14 +71,30 @@ from .model import (
     level_spacing_expansion,
     rho_tf,
 )
-from .oracle import (
-    FdmGrid,
-    FdmSolution,
-    brute_frequency_sum,
-    brute_legendre_tail,
-    fdm_eigensolve,
-    fdm_eigensolve_richardson,
-    fdm_spectral_solve,
+
+# The oracle is the only module that needs scipy, and only `validate` and
+# `green --mode oracle` run it, so its names load on first use (PEP 562).
+_ORACLE_NAMES = (
+    "FdmGrid",
+    "FdmSolution",
+    "brute_frequency_sum",
+    "brute_legendre_tail",
+    "fdm_eigensolve",
+    "fdm_eigensolve_richardson",
+    "fdm_spectral_solve",
 )
+
+
+def __getattr__(name: str):
+    if name in _ORACLE_NAMES:
+        from . import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list:
+    return sorted(set(globals()) | set(_ORACLE_NAMES))
+
 
 __version__ = "0.1.0"

@@ -25,7 +25,6 @@ from functools import partial
 import numpy as np
 
 from . import __version__
-from .checks import run_all
 from .correlator import (
     MIN_FIT_SAMPLES,
     CorrelatorQuery,
@@ -59,7 +58,6 @@ from .model import (
     rho_tf,
     zeta_of,
 )
-from .oracle import FdmGrid, fdm_spectral_solve
 
 GREEN_MODES = ("homog-series", "homog-asympt", "trapped-spectral", "trapped-series", "trapped-asympt", "oracle")
 CORRELATOR_MODES = ("closed-form", "series", "spectral", "asymptotic-auto")
@@ -350,6 +348,8 @@ def cmd_green(cfg: RunConfig, args) -> tuple:
     extra = {"mode": mode}
 
     if mode == "oracle":
+        from .oracle import FdmGrid, fdm_spectral_solve  # the only table that loads scipy
+
         rows = []
         for omega in cfg["grid.omegas"]:
             sol = fdm_spectral_solve(omega, x1, p, d, FdmGrid(N=10_000))
@@ -490,6 +490,8 @@ def cmd_exponent(cfg: RunConfig, args) -> tuple:
 
 
 def cmd_validate(cfg: RunConfig, args, out) -> int:
+    from .checks import run_all  # the checks run the oracle, which loads scipy
+
     overrides = {}
     for item in args.override or []:
         if "=" not in item:

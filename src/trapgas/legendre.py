@@ -119,9 +119,13 @@ def _gauss_legendre(n: int) -> tuple:
 # estimates its error
 _MAIN = 64
 _NODES, _WEIGHTS = (np.concatenate(pair) for pair in zip(_gauss_legendre(_MAIN), _gauss_legendre(_MAIN // 2)))
-# rows integrated together, so that one [rows x nodes] float64 temporary
-# stays at 128 KiB
-_ROWS = 128 * 1024 // (8 * _NODES.size)
+# rows integrated together, so that one [rows x nodes] float64 temporary is at
+# most 64 KiB.  A block has up to 5 of them alive.  At 128 KiB each, glibc's
+# default mmap and trim threshold, free() gives the heap back to the kernel
+# and the next block faults it in again: about 570 minor faults an assembly at
+# l_max = 256, unless an earlier large free (importing scipy makes one) has
+# raised glibc's dynamic threshold.  At 64 KiB the blocks reuse the heap.
+_ROWS = 64 * 1024 // (8 * _NODES.size)
 # exp(-mu s^2) is below e^-40 past s^2 = 40/mu, where the conical rows stop
 _GAUSS_CUT = 40.0
 # rounding allowance of a row, in units of eps times the sum of the absolute
@@ -144,40 +148,49 @@ def _quad_rows(lam, kappa, theta, u, conical: bool) -> tuple:
     theta, and s = sqrt(2 sin theta) sinh t spreads the logarithmic peak at
     s = 0 that P_nu develops as u -> -1, so that one rule on t serves every
     row; sin(theta - s^2/2) is sin theta cos h - u sin h, h = s^2/2, with
-    sin theta = sqrt((1-u)(1+u)), which stays accurate at both ends.
+    sin theta = sqrt((1-u)(1+u)), which stays accurate at both ends.  The
+    per-row factors are formed once for all rows, the [rows x nodes] terms in
+    blocks of ``_ROWS`` rows.
     """
     sin_th = np.sqrt((1.0 - u) * (1.0 + u))
     s2_max = np.minimum(theta, _GAUSS_CUT / kappa) if conical else theta
     t_max = np.arcsinh(np.sqrt(s2_max / (2.0 * sin_th)))
-    # in place where it can be, so that few [rows x nodes] temporaries are alive
-    t = t_max[:, None] * _NODES
-    f = np.sinh(t)
-    h = sin_th[:, None] * f * f  # s^2/2
-    f *= np.cosh(t, out=t)
-    sin_h = np.sin(h)
-    root = np.cos(h, out=t)
-    root *= sin_th[:, None]
-    root -= u[:, None] * sin_h
-    root *= sin_h
-    f /= np.sqrt(root, out=root)
-    f *= _WEIGHTS
-    if conical:  # e^{-mu theta} cosh(mu phi), with theta - phi = 2h
-        g = np.exp(np.multiply(h, -2.0 * kappa[:, None], out=root), out=root)
-        g += np.exp(np.multiply(np.subtract(theta[:, None], h, out=h), -2.0 * kappa[:, None], out=h), out=h)
-        scale = (2.0 / math.pi) * sin_th * t_max
-    else:  # [cos((nu+1/2) phi) - cos(phi/2)]/nu = -2 sin((nu+1) psi) sin(nu psi)/nu, psi = phi/2
-        nu = _nu_real(lam)[:, None]
-        psi = np.subtract(0.5 * theta[:, None], h, out=h)
-        g = np.sin(np.multiply(nu + 1.0, psi, out=root), out=root)
-        g *= psi
-        g *= np.sinc(np.multiply(psi, nu / math.pi, out=sin_h))
-        scale = (-8.0 / math.pi) * sin_th * t_max
-    f *= g
-    main = f[:, :_MAIN].sum(axis=1)
-    err = np.abs(main - f[:, _MAIN:].sum(axis=1))
-    err += _ROUNDING * np.abs(f[:, :_MAIN], out=f[:, :_MAIN]).sum(axis=1)
+    if conical:
+        rate = -2.0 * kappa
+    else:
+        nu = _nu_real(lam)
+        nu_1, nu_pi, half_th = nu + 1.0, nu / math.pi, 0.5 * theta
+    main, alt, abs_sum = np.empty((3, lam.size))
+    for first in range(0, lam.size, _ROWS):
+        b = slice(first, first + _ROWS)
+        # in place where it can be, so that few [rows x nodes] temporaries are alive
+        t = t_max[b, None] * _NODES
+        f = np.sinh(t)
+        h = sin_th[b, None] * f * f  # s^2/2
+        f *= np.cosh(t, out=t)
+        sin_h = np.sin(h)
+        root = np.cos(h, out=t)
+        root *= sin_th[b, None]
+        root -= u[b, None] * sin_h
+        root *= sin_h
+        f /= np.sqrt(root, out=root)
+        f *= _WEIGHTS
+        if conical:  # e^{-mu theta} cosh(mu phi), with theta - phi = 2h
+            g = np.exp(np.multiply(h, rate[b, None], out=root), out=root)
+            g += np.exp(np.multiply(np.subtract(theta[b, None], h, out=h), rate[b, None], out=h), out=h)
+        else:  # [cos((nu+1/2) phi) - cos(phi/2)]/nu = -2 sin((nu+1) psi) sin(nu psi)/nu, psi = phi/2
+            psi = np.subtract(half_th[b, None], h, out=h)
+            g = np.sin(np.multiply(nu_1[b, None], psi, out=root), out=root)
+            g *= psi
+            g *= np.sinc(np.multiply(psi, nu_pi[b, None], out=sin_h))
+        f *= g
+        main[b] = f[:, :_MAIN].sum(axis=1)
+        alt[b] = f[:, _MAIN:].sum(axis=1)
+        abs_sum[b] = np.abs(f[:, :_MAIN], out=f[:, :_MAIN]).sum(axis=1)
+    err = np.abs(main - alt)
+    err += _ROUNDING * abs_sum
     err /= np.abs(main)
-    return scale * main, err
+    return ((2.0 if conical else -8.0) / math.pi) * sin_th * t_max * main, err
 
 
 def _p_quad(lam, u) -> tuple:
@@ -206,9 +219,8 @@ def _p_quad(lam, u) -> tuple:
     value = conical.astype(float)  # u = 1: P_nu = 1, so (P_nu - 1)/nu = 0
     err = np.zeros(lam.size)
     for branch in (True, False):
-        rows = np.flatnonzero((conical == branch) & (u < 1.0))
-        for first in range(0, rows.size, _ROWS):
-            r = rows[first:first + _ROWS]
+        r = np.flatnonzero((conical == branch) & (u < 1.0))
+        if r.size:
             value[r], err[r] = _quad_rows(lam[r], kappa[r], theta[r], u[r], branch)
     return value, np.where(conical, kappa * theta, 0.0), err
 

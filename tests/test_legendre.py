@@ -1,5 +1,6 @@
 import cmath
 import math
+import sys
 from math import comb
 
 import mpmath as mp
@@ -340,6 +341,24 @@ class TestSeriesKernel:
         for i, key in enumerate(rows):
             for b, s in zip(batch, single[key]):
                 assert b[i] == s[0]
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads Linux minor-fault counts")
+    def test_repeat_assembly_faults_in_no_memory(self, fresh_python):
+        # a row block's temporaries are reused from the heap, not handed back
+        # to the kernel and faulted in again block after block; without scipy,
+        # whose import raises glibc's trim threshold and hides that
+        faults, scipy_loaded = fresh_python(
+            "import resource, sys\n"
+            "from trapgas import PhysicalParams, derive_scales, matsubara_assemble\n"
+            "p = PhysicalParams(m=1.0, g=1.0, Omega=1.0, Lambda=1.0, beta=1.0)\n"
+            "args = (0.3, 0.2, 0.1, 0.0, p, derive_scales(p), 256)\n"
+            "matsubara_assemble(*args)\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "matsubara_assemble(*args)\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before, 'scipy' in sys.modules)\n"
+        ).split()
+        assert scipy_loaded == "False"
+        assert int(faults) < 100
 
     def test_domain_error_names_the_offending_u(self):
         with pytest.raises(DomainError, match=r"got -1\.5$"):

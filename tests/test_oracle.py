@@ -201,14 +201,63 @@ class TestBruteLegendreTail:
             brute_legendre_tail(0.1, 0.0, 0.5, p, d, 0)
 
 
-def test_oracle_imports_none_of_the_routes_it_checks():
-    tree = ast.parse(Path(trapgas.oracle.__file__).read_text(encoding="utf-8"))
-    names = set()  # every dotted name the module imports, relative imports resolved
-    for node in ast.walk(tree):
+PACKAGE = Path(trapgas.__file__).parent
+ROUTES = ("legendre", "green_trapped", "green_homogeneous", "correlator")
+
+
+def _imported_names(path: Path) -> set:
+    """Every dotted name the module at ``path`` imports, relative imports
+    resolved."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
         if isinstance(node, ast.ImportFrom):
             package = "trapgas" if node.level else None
             names.update(".".join(filter(None, (package, node.module, alias.name))) for alias in node.names)
         elif isinstance(node, ast.Import):
             names.update(alias.name for alias in node.names)
-    routes = [f"trapgas.{m}" for m in ("legendre", "green_trapped", "green_homogeneous", "correlator")]
-    assert [n for n in names if any(n == r or n.startswith(r + ".") for r in routes)] == []
+    return names
+
+
+def _imports(path: Path, module: str) -> bool:
+    return any(n == module or n.startswith(module + ".") for n in _imported_names(path))
+
+
+def test_oracle_imports_none_of_the_routes_it_checks():
+    assert [r for r in ROUTES if _imports(PACKAGE / "oracle.py", f"trapgas.{r}")] == []
+
+
+def test_oracle_is_the_only_module_that_imports_scipy():
+    assert sorted(p.stem for p in PACKAGE.glob("*.py") if _imports(p, "scipy")) == ["oracle"]
+    # nor does a route load the oracle, or the checks that run it
+    for route in (*ROUTES, "model"):
+        assert not _imports(PACKAGE / f"{route}.py", "trapgas.oracle")
+        assert not _imports(PACKAGE / f"{route}.py", "trapgas.checks")
+
+
+def test_no_module_calls_numpy_leggauss():
+    # legendre._gauss_legendre replaces it: leggauss runs an eigensolver
+    for path in PACKAGE.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        used |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
+        assert "leggauss" not in used, path.name
+
+
+@pytest.mark.parametrize("module", ["trapgas", "trapgas.cli"])
+def test_importing_the_package_loads_no_scipy(module, fresh_python):
+    scipy_modules = "[m for m in sys.modules if m.split('.')[0] == 'scipy']"
+    assert fresh_python(f"import sys, {module}; print({scipy_modules})") == "[]\n"
+    # the first oracle name loads it
+    assert fresh_python(f"import sys, {module}, trapgas; trapgas.FdmGrid; print(bool({scipy_modules}))") == "True\n"
+
+
+@pytest.mark.parametrize("name", trapgas.oracle.__all__)
+def test_oracle_names_resolve_through_the_package(name):
+    assert getattr(trapgas, name) is getattr(trapgas.oracle, name)
+    assert name in dir(trapgas)
+
+
+def test_lazy_names_are_the_oracle_exports_and_unknown_names_raise():
+    assert sorted(trapgas._ORACLE_NAMES) == sorted(trapgas.oracle.__all__)
+    with pytest.raises(AttributeError, match="'no_such_name'"):
+        trapgas.no_such_name
