@@ -409,7 +409,7 @@ def _correlator_value(mode, q: CorrelatorQuery, cfg: RunConfig, p, d):
     if mode == "series":
         g = lowT_legendre_series(q.x1, q.tau1, q.x2, q.tau2, p, d, _lowt_control(cfg))
     elif mode in ("spectral", "asymptotic-auto"):
-        g = matsubara_assemble(q.x1, q.tau1, q.x2, q.tau2, p, d, cfg["truncation.l_max"])
+        g = matsubara_assemble(q.x1, q.tau1, q.x2, q.tau2, p, d, cfg["truncation.l_max"], cfg["truncation.tol"])
     else:
         raise ConfigError(f"unknown correlator mode {mode!r}")
     return gamma_from_green(q, g, p, d), method

@@ -24,11 +24,12 @@ agrees with it only near the trap centre.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, DomainError, RegimeError
+from .errors import AccuracyError, DataError, DomainError, RegimeError
 from .green_homogeneous import GreenValue, log_2sin_abs, log_2sinh_abs
 from .green_trapped import asympt_green_highT
 from .model import (
@@ -127,8 +128,15 @@ def _sqrt_rho_pair(x1: float, x2: float, p: PhysicalParams, d: DerivedScales) ->
 
 def gamma_from_green(q: CorrelatorQuery, g: GreenValue, p: PhysicalParams, d: DerivedScales) -> float:
     """Gamma = sqrt(rho_TF(x1) rho_TF(x2)) exp(-G) from the Green value
-    ``g`` of the pair ``q``."""
-    return _sqrt_rho_pair(q.x1, q.x2, p, d) * math.exp(-g.value)
+    ``g`` of the pair ``q``.  Raises AccuracyError where Gamma underflows
+    below the smallest normal float, whose subnormals keep few digits."""
+    gamma = _sqrt_rho_pair(q.x1, q.x2, p, d) * math.exp(-g.value)
+    if gamma < sys.float_info.min:
+        raise AccuracyError(
+            f"Gamma = {gamma!r} underflows below the smallest normal float {sys.float_info.min!r} (G = {g.value!r})",
+            achieved=math.ulp(gamma) / gamma if gamma else math.inf,
+        )
+    return gamma
 
 
 def gamma_d1_exact(x1: float, x2: float, p: PhysicalParams, d: DerivedScales) -> float:

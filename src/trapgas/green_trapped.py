@@ -321,13 +321,19 @@ def matsubara_assemble(
 
     The zero mode is kept (finite for the trap).  The physical real spectral
     densities are even in omega, so folding +-l gives an exactly real value:
-    (1/beta) [G_0 + 2 sum_{l>=1} cos(omega_l dtau) Re G_omega].  All l_max
+    (1/beta) [G_0 + 2 sum_{l=1}^{L} cos(omega_l dtau) Re G_omega].  The sum
+    stops at the first L <= ``l_max`` whose truncation estimate is at most
+    ``tol``: the first omitted term of the large-omega envelope
+    exp(-|omega||dx|/hbar v)/|omega|, over 1 - e^{-2 pi |dx|/(hbar v beta)}
+    for the geometric decay of the terms after it.  G is dimensionless and
+    Gamma goes as e^{-G}, so ``tol`` bounds the relative error of Gamma.  At
+    dx = 0 the envelope does not decay and the sum runs to ``l_max``.  The L
     frequencies are evaluated in one pass of the quadrature kernel; the
-    first frequency whose density bound exceeds ``tol`` times its magnitude
-    raises its AccuracyError.  ``trunc_err`` adds the frequency cutoff,
-    estimated from the large-omega envelope exp(-|omega||dx|/hbar v)/|omega|,
-    to the densities' own absolute error bounds.  ``meta`` carries the
-    integrand evaluations and the frequencies used, the zero mode included.
+    first whose density bound exceeds ``tol`` times its magnitude raises its
+    AccuracyError.  ``trunc_err`` adds the truncation estimate at L to the
+    densities' own absolute error bounds.  ``meta`` carries the cap
+    ``l_max``, the integrand evaluations and the frequencies summed, the zero
+    mode included.
     """
     if l_max < 0:
         raise DomainError("l_max must be >= 0")
@@ -341,7 +347,27 @@ def matsubara_assemble(
     u = _clamped_u(x, d)
     up = _clamped_u(xp, d)
     k = _k_coeff(p, d)
-    omegas = 2.0 * math.pi * np.arange(1, l_max + 1) / p.beta
+
+    hv = p.hbar * d.v
+    s_half = 0.5 * (x + xp)
+    envelope_amp = p.Lambda / (2.0 * hv * rho_tf(s_half, p, d))
+    decay = math.exp(-2.0 * math.pi * abs(dx) / (hv * p.beta))
+
+    def truncation(last: int) -> float:
+        omega_next = 2.0 * math.pi * (last + 1) / p.beta
+        first_omitted = (2.0 / p.beta) * envelope_amp * math.exp(-omega_next * abs(dx) / hv) / omega_next
+        return first_omitted / (1.0 - decay) if decay < 1.0 else first_omitted
+
+    # the estimate falls with L: bisect for the first L that meets tol
+    lo, last = 0, l_max
+    while decay < 1.0 and lo < last:
+        mid = (lo + last) // 2
+        if truncation(mid) <= tol:
+            last = mid
+        else:
+            lo = mid + 1
+
+    omegas = 2.0 * math.pi * np.arange(1, last + 1) / p.beta
     re, im, errs = _density_parts(omegas, u, up, d, k, tol)
     beyond = np.flatnonzero(errs > tol * np.hypot(re, im))
     if beyond.size:
@@ -351,25 +377,15 @@ def matsubara_assemble(
     # symmetric under swapping the two points
     total = _zero_mode_parts(u, up, k)[0] + 2.0 * math.fsum(np.cos(omegas * abs(dtau)) * re)
     err = 2.0 * float(np.sum(errs)) / p.beta
-
-    hv = p.hbar * d.v
-    s_half = 0.5 * (x + xp)
-    envelope_amp = p.Lambda / (2.0 * hv * rho_tf(s_half, p, d))
-    omega_next = 2.0 * math.pi * (l_max + 1) / p.beta
-    first_omitted = (2.0 / p.beta) * envelope_amp * math.exp(-omega_next * abs(dx) / hv) / omega_next
-    decay = math.exp(-2.0 * math.pi * abs(dx) / (hv * p.beta))
     warning = None
-    if decay < 1.0:
-        trunc = first_omitted / (1.0 - decay)
-    else:
-        trunc = first_omitted
+    if decay == 1.0:
         warning = "dx = 0: oscillatory frequency tail, truncation estimate is first omitted term"
     return GreenValue(
         value=total / p.beta,
         method="trapped-assembled",
-        trunc_err=trunc + err,
+        trunc_err=truncation(last) + err,
         warning=warning,
-        meta={"l_max": l_max, "S": s_half, "terms": 4 * _NODES.size * l_max, "frequencies": l_max + 1},
+        meta={"l_max": l_max, "S": s_half, "terms": 4 * _NODES.size * last, "frequencies": last + 1},
     )
 
 

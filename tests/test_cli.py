@@ -336,8 +336,10 @@ class TestCorrelatorCommand:
         assert [r[col["gamma"]] for r in auto[1:]] == [r[col["gamma"]] for r in spectral[1:]]
 
     def test_spectral_route_at_high_temperature(self, tmp_path):
-        # beta = 1e-4 puts the first frequency at lambda ~ 2e11; every row is
-        # ok and agrees with the asymptotic form
+        # beta = 1e-4 puts the first frequency at lambda ~ 2e11; every row
+        # but the last is ok and agrees with the asymptotic form, and the
+        # last, whose Gamma ~ 6e-321 is a subnormal of a few digits, reports
+        # the underflow
         from trapgas import gamma_trapped_asymptotic
 
         cfg = write_config(tmp_path, "[params]\nbeta = 1e-4\n")
@@ -347,6 +349,10 @@ class TestCorrelatorCommand:
         p = PhysicalParams(m=1, g=1, Omega=1, Lambda=1, beta=1e-4)
         d = derive_scales(p)
         assert len(rows) == 9
+        last = dict(zip(header, rows.pop()))
+        assert last["gamma"] == ""
+        assert last["status"].startswith("AccuracyError: Gamma = 5.8")
+        assert "underflows below the smallest normal float" in last["status"]
         for cells in rows:
             row = dict(zip(header, cells))
             assert row["status"] == "ok"
@@ -369,8 +375,8 @@ class TestCorrelatorCommand:
         for cells in rows:
             row = dict(zip(header, cells))
             x1, tau1, x2, tau2 = (float(row[k]) for k in ("x1", "tau1", "x2", "tau2"))
-            g12 = matsubara_assemble(x1, tau1, x2, tau2, p, d, 6)
-            g21 = matsubara_assemble(x2, tau2, x1, tau1, p, d, 6)
+            g12 = matsubara_assemble(x1, tau1, x2, tau2, p, d, 6, tol=1e-12)  # the default truncation.tol
+            g21 = matsubara_assemble(x2, tau2, x1, tau1, p, d, 6, tol=1e-12)
             assert g12.value == g21.value
             gamma = gamma_from_green(CorrelatorQuery(x1, tau1, x2, tau2), g12, p, d)
             assert row["status"] == "ok" and row["gamma"] == "%.17g" % gamma
@@ -417,8 +423,9 @@ class TestExponentCommand:
         [
             ("series", "", "DomainError: lowT_legendre_series requires tau != tau'"),
             ("closed-form", "[grid]\ndtau = 0.1\n", "DomainError: closed-form correlator is equal-time"),
+            ("spectral", "[params]\nbeta = 1e-5\n", "AccuracyError: Gamma = 1.2327e-320 underflows"),
         ],
-        ids=["series-equal-time", "closed-form-dtau"],
+        ids=["series-equal-time", "closed-form-dtau", "spectral-underflow"],
     )
     def test_too_few_rows_names_the_skipped_cause(self, tmp_path, capsys, mode, grid, cause):
         cfg = write_config(tmp_path, grid)
@@ -426,6 +433,17 @@ class TestExponentCommand:
         err = capsys.readouterr().err
         assert "need at least 8 samples, got 0" in err
         assert "9 rows skipped" in err and cause in err
+
+    def test_spectral_fit_skips_the_underflowing_row(self, tmp_path):
+        # at beta = 1e-4 the widest separation's Gamma underflows; the fit
+        # runs on the other 8
+        cfg = write_config(tmp_path, "[params]\nbeta = 1e-4\n")
+        out = tmp_path / "exp.csv"
+        assert main(["exponent", "--mode", "spectral", "--config", cfg, "--out", str(out)]) == 0
+        _, header, rows = read_csv(str(out))
+        row = dict(zip(header, rows[0]))
+        assert row["status"] == "ok" and row["n_samples"] == "8"
+        assert float(row["sep_max"]) < 0.75 * 0.1 * math.sqrt(2.0)
 
 
 class TestValidateCommand:

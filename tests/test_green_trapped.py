@@ -5,6 +5,8 @@ from types import SimpleNamespace
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from trapgas import (
@@ -30,7 +32,7 @@ from trapgas import (
 )
 from trapgas.cli import cmd_green, load_config
 from trapgas.green_homogeneous import log_2sinh_abs
-from trapgas.green_trapped import _p_poly_integer_phase
+from trapgas.green_trapped import _density_parts, _k_coeff, _p_poly_integer_phase, _zero_mode_parts
 from trapgas.oracle import brute_legendre_tail
 
 
@@ -402,16 +404,60 @@ class TestMatsubaraAssemble:
         l_max = 40
         for x, xp, dtau in ((0.45, 0.31, 0.0), (-0.2, 0.6, 0.13 * beta), (0.3, 0.1, -0.4 * beta)):
             g = matsubara_assemble(x, dtau, xp, 0.0, p, d, l_max=l_max)
-            sds = [spectral_density(2.0 * math.pi * l / beta, x, xp, p, d) for l in range(l_max + 1)]
+            # the fold runs over the frequencies the assembly summed
+            sds = [spectral_density(2.0 * math.pi * l / beta, x, xp, p, d) for l in range(g.meta["frequencies"])]
             fold = sds[0].re_part + sum(2.0 * math.cos(sd.omega * dtau) * sd.re_part for sd in sds[1:])
             assert abs(g.value.real - fold / beta) <= 1e-14 * abs(fold / beta)
             assert g.meta["terms"] == sum(sd.terms for sd in sds)
-            assert g.meta["frequencies"] == l_max + 1
+            assert g.meta["frequencies"] <= l_max + 1
 
     def test_truncation_estimate_decays(self):
         p, d = setup_params()
         est = [matsubara_assemble(0.4, 0.1, 0.1, 0.0, p, d, l_max=l).trunc_err for l in (2, 6, 12)]
         assert est[0] > est[1] > est[2] > 0.0
+
+    @settings(max_examples=25, deadline=None)
+    @example(beta=0.1, s=0.0, sep=0.125, dtau=0.0, tol=1e-12)  # the two sums round one ulp apart
+    @given(
+        beta=st.floats(math.log10(0.05), 1.0).map(lambda e: 10.0**e),
+        s=st.floats(-0.9, 0.9),
+        sep=st.floats(0.003, 0.3),
+        dtau=st.just(0.0) | st.floats(-1.0, 1.0),
+        tol=st.sampled_from([1e-12, 1e-10, 1e-8]),
+    )
+    def test_frequency_stop_leaves_out_at_most_its_estimate(self, beta, s, sep, dtau, tol):
+        # the frequencies past the stop L, to the cap l_max = 3000, add up to
+        # no more than the reported trunc_err and tol; the reference folds all
+        # 3000 densities without the stop.  The two sums may round apart in
+        # their last place, which trunc_err does not count
+        p, d = setup_params(beta=beta)
+        x, xp = (s + sep / 2.0) * d.R_c, (s - sep / 2.0) * d.R_c
+        assume(max(abs(x), abs(xp)) < 0.999 * d.R_c)
+        l_max = 3000
+        g = matsubara_assemble(x, dtau * beta, xp, 0.0, p, d, l_max=l_max, tol=tol)
+        u, up, k = x / d.R_c, xp / d.R_c, _k_coeff(p, d)
+        omegas = 2.0 * math.pi * np.arange(1, l_max + 1) / beta
+        re = _density_parts(omegas, u, up, d, k, tol)[0]
+        fold = (_zero_mode_parts(u, up, k)[0] + 2.0 * math.fsum(np.cos(omegas * abs(dtau * beta)) * re)) / beta
+        assert abs(g.value - fold) <= min(g.trunc_err, tol) + 2.0 * math.ulp(fold)
+        swapped = matsubara_assemble(xp, 0.0, x, dtau * beta, p, d, l_max=l_max, tol=tol)
+        assert swapped.meta["frequencies"] == g.meta["frequencies"]
+
+    def test_frequency_stop_counts_the_work_that_ran(self):
+        # correlator-precise's widest pair: the envelope meets tol = 1e-12 at
+        # L = 26 of the cap 256
+        p, d = setup_params()
+        s, sep = 0.2 * d.R_c, 0.1 * d.R_c
+        g = matsubara_assemble(s + sep / 2.0, 0.0, s - sep / 2.0, 0.0, p, d, l_max=256, tol=1e-12)
+        assert g.meta["l_max"] == 256 and g.meta["frequencies"] == 27
+        assert g.meta["terms"] == 4 * 96 * 26
+        assert g.trunc_err <= 1e-12
+
+    def test_frequency_stop_at_equal_positions_runs_to_the_cap(self):
+        p, d = setup_params()
+        g = matsubara_assemble(0.3, 0.2, 0.3, 0.0, p, d, l_max=40, tol=1e-8)
+        assert g.meta["frequencies"] == 41
+        assert g.warning.startswith("dx = 0")
 
     def test_homogeneous_limit_degenerates_to_flat_series(self):
         # 1/R_c -> 0 at fixed separations: trapped differences approach the
