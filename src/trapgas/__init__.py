@@ -8,10 +8,8 @@ finite-difference oracle that cross-validates them.
 from .correlator import (
     CoherenceValue,
     CorrelatorQuery,
-    ExponentReport,
     FitResult,
     coherence_multidim,
-    exponent_report,
     extract_exponent,
     gamma_d1_exact,
     gamma_d1_quasihom,

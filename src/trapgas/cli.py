@@ -1,6 +1,12 @@
 """Command-line front end: config ingestion, evaluator subcommands, the
 validation suite, and CSV/JSON emission for plotting pipelines.
 
+``_COMMANDS`` declares the subcommands: the parser is built from it once, on
+the first ``main`` call, and ``main`` runs ``cmd_<name>``, looked up at call
+time.  ``_SCHEMA`` gives each config key its parser, default and admissible
+range.  ``exponent`` fits the ok rows of the ``correlator`` table's own row
+function and names on stderr the rows it leaves out.
+
 Config documents are flat INI text (``key = value`` under section headers);
 unknown sections or keys are rejected.  Every run echoes the fully resolved
 configuration (defaults included) into the output metadata.  Output is
@@ -20,7 +26,8 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,11 +35,12 @@ from . import __version__
 from .correlator import (
     MIN_FIT_SAMPLES,
     CorrelatorQuery,
-    exponent_report,
+    extract_exponent,
     gamma_d1_exact,
     gamma_from_green,
     gamma_trapped_asymptotic,
     theta_at,
+    theta_homogeneous,
     xi_at,
 )
 from .errors import AccuracyError, ConfigError, DataError, DomainError, RegimeError, TrapGasError
@@ -62,56 +70,65 @@ from .model import (
 GREEN_MODES = ("homog-series", "homog-asympt", "trapped-spectral", "trapped-series", "trapped-asympt", "oracle")
 CORRELATOR_MODES = ("closed-form", "series", "spectral", "asymptotic-auto")
 
-# section -> key -> (parser, default). Defaults marked None are derived from
-# the physical scales after the params section is resolved.
+
+class _Key(NamedTuple):
+    """One config key: its parser, its default and its admissible values; a
+    float must also be finite."""
+
+    kind: type
+    default: object  # a value, or a function of the params and their derived scales
+    choices: tuple = ()
+    least: int | None = None  # smallest admissible value
+    positive: bool = False
+
+
+def _of_rc(fraction: float):
+    return lambda p, d: fraction * d.R_c
+
+
 _SCHEMA = {
     "params": {
-        "hbar": (float, 1.0),
-        "m": (float, 1.0),
-        "g": (float, 1.0),
-        "Omega": (float, 1.0),
-        "Lambda": (float, 1.0),
-        "beta": (float, 1.0),
+        "hbar": _Key(float, 1.0),
+        "m": _Key(float, 1.0),
+        "g": _Key(float, 1.0),
+        "Omega": _Key(float, 1.0),
+        "Lambda": _Key(float, 1.0),
+        "beta": _Key(float, 1.0),
     },
     "truncation": {
-        "l_max": (int, 64),
-        "n_max": (int, 256),
-        "n0": (int, 20),
-        "tol": (float, 1e-12),
-        "tail_mode": (str, "bernoulli"),
-        "min_dtau": (float, 1e-3),
+        "l_max": _Key(int, 64, least=0),
+        "n_max": _Key(int, 256, least=1),
+        "n0": _Key(int, 20, least=1),
+        "tol": _Key(float, 1e-12, positive=True),
+        "tail_mode": _Key(str, "bernoulli", choices=("none", "bernoulli")),
+        "min_dtau": _Key(float, 1e-3, least=0),
     },
     "regime": {
-        "r_lo": (float, DEFAULT_R_LO),
-        "r_hi": (float, DEFAULT_R_HI),
+        "r_lo": _Key(float, DEFAULT_R_LO),
+        "r_hi": _Key(float, DEFAULT_R_HI),
     },
     "grid": {
-        "x_ref": (float, None),
-        "tau_ref": (float, 0.0),
-        "x_min": (float, None),
-        "x_max": (float, None),
-        "x_count": (int, 41),
-        "tau_min": (float, 0.0),
-        "tau_max": (float, None),
-        "tau_count": (int, 1),
-        "sep_min": (float, None),
-        "sep_max": (float, None),
-        "sep_count": (int, 9),
-        "sep_spacing": (str, "log"),
-        "s_center": (float, None),
-        "dtau": (float, 0.0),
-        "omega_list": (str, "0"),
+        "x_ref": _Key(float, _of_rc(0.1)),
+        "tau_ref": _Key(float, 0.0),
+        "x_min": _Key(float, _of_rc(-0.8)),
+        "x_max": _Key(float, _of_rc(0.8)),
+        "x_count": _Key(int, 41, least=0),
+        "tau_min": _Key(float, 0.0),
+        "tau_max": _Key(float, lambda p, d: 0.5 * p.beta),
+        "tau_count": _Key(int, 1, least=0),
+        "sep_min": _Key(float, _of_rc(0.01)),
+        "sep_max": _Key(float, _of_rc(0.1)),
+        "sep_count": _Key(int, 9, least=0),
+        "sep_spacing": _Key(str, "log", choices=("log", "linear")),
+        "s_center": _Key(float, _of_rc(0.2)),
+        "dtau": _Key(float, 0.0),
+        "omega_list": _Key(str, "0"),
     },
     "output": {
-        "format": (str, "csv"),
-        "path": (str, ""),
+        "format": _Key(str, "csv", choices=("csv", "json")),
+        "path": _Key(str, ""),
     },
 }
-
-
-# integer keys and their smallest admissible value
-_INT_FLOORS = {"truncation.l_max": 0, "truncation.n_max": 1, "truncation.n0": 1,
-               "grid.x_count": 0, "grid.tau_count": 0, "grid.sep_count": 0}
 
 
 @dataclass
@@ -146,64 +163,35 @@ def load_config(path: str | None) -> RunConfig:
             for key, text in parser.items(section):
                 if key not in _SCHEMA[section]:
                     raise ConfigError(f"unknown config key {section}.{key}")
-                kind, _ = _SCHEMA[section][key]
+                kind = _SCHEMA[section][key].kind
                 try:
                     raw[f"{section}.{key}"] = kind(text)
                 except ValueError as exc:
                     raise ConfigError(f"config key {section}.{key}: cannot parse {text!r} as {kind.__name__}") from exc
 
-    values = {}
-    for section, keys in _SCHEMA.items():
-        for key, (_, default) in keys.items():
-            values[f"{section}.{key}"] = raw.get(f"{section}.{key}", default)
-
     try:
-        params = PhysicalParams(
-            m=values["params.m"],
-            g=values["params.g"],
-            Omega=values["params.Omega"],
-            Lambda=values["params.Lambda"],
-            beta=values["params.beta"],
-            hbar=values["params.hbar"],
-        )
+        params = PhysicalParams(**{key: raw.get(f"params.{key}", rule.default)
+                                   for key, rule in _SCHEMA["params"].items()})
     except DomainError as exc:
         raise ConfigError(str(exc)) from exc
     d = derive_scales(params)
 
-    # scale-dependent defaults
-    defaults = {
-        "grid.x_ref": 0.1 * d.R_c,
-        "grid.x_min": -0.8 * d.R_c,
-        "grid.x_max": 0.8 * d.R_c,
-        "grid.tau_max": 0.5 * params.beta,
-        "grid.sep_min": 0.01 * d.R_c,
-        "grid.sep_max": 0.1 * d.R_c,
-        "grid.s_center": 0.2 * d.R_c,
-    }
-    for key, val in defaults.items():
-        if values[key] is None:
-            values[key] = val
-
-    for section in ("truncation", "regime", "grid"):
-        for key, (kind, _) in _SCHEMA[section].items():
+    values = {}
+    for section, keys in _SCHEMA.items():
+        for key, rule in keys.items():
             name = f"{section}.{key}"
-            if kind is float and not math.isfinite(values[name]):
-                raise ConfigError(f"{name} must be finite, got {values[name]!r}")
-    if values["truncation.tail_mode"] not in ("none", "bernoulli"):
-        raise ConfigError(f"truncation.tail_mode must be 'none' or 'bernoulli', got {values['truncation.tail_mode']!r}")
-    if values["grid.sep_spacing"] not in ("log", "linear"):
-        raise ConfigError(f"grid.sep_spacing must be 'log' or 'linear', got {values['grid.sep_spacing']!r}")
-    if values["output.format"] not in ("csv", "json"):
-        raise ConfigError(f"output.format must be 'csv' or 'json', got {values['output.format']!r}")
+            default = rule.default(params, d) if callable(rule.default) else rule.default
+            value = values[name] = raw.get(name, default)
+            if rule.kind is float and not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value!r}")
+            if rule.choices and value not in rule.choices:
+                raise ConfigError(f"{name} must be {' or '.join(map(repr, rule.choices))}, got {value!r}")
+            if rule.positive and not value > 0:
+                raise ConfigError(f"{name} must be positive, got {value!r}")
+            if rule.least is not None and not value >= rule.least:
+                raise ConfigError(f"{name} must be >= {rule.least}, got {value!r}")
     if not (0 < values["regime.r_lo"] < values["regime.r_hi"]):
         raise ConfigError("regime thresholds must satisfy 0 < r_lo < r_hi")
-    if not values["truncation.tol"] > 0:
-        raise ConfigError(f"truncation.tol must be positive, got {values['truncation.tol']!r}")
-    if not values["truncation.min_dtau"] >= 0:
-        raise ConfigError(f"truncation.min_dtau must be >= 0, got {values['truncation.min_dtau']!r}")
-    for key, least in _INT_FLOORS.items():
-        if values[key] < least:
-            raise ConfigError(f"{key} must be >= {least}, got {values[key]}")
     if values["grid.sep_spacing"] == "log" and not values["grid.sep_min"] > 0:
         raise ConfigError(f"grid.sep_min must be > 0 under grid.sep_spacing = log, got {values['grid.sep_min']!r}")
     try:
@@ -433,49 +421,51 @@ def _correlator_queries(cfg: RunConfig) -> list:
     ]
 
 
+def _correlator_row(q: CorrelatorQuery, mode, cfg: RunConfig, p, d) -> tuple:
+    """One row of the correlator table; an evaluation failure is its status."""
+    try:
+        theta_s = theta_at(q.S, p, d)
+        xi_s = xi_at(q.S, p, d)
+        gamma, method = _correlator_value(mode, q, cfg, p, d)
+        if math.isinf(gamma):
+            return (q.x1, q.tau1, q.x2, q.tau2, q.S, None, theta_s, xi_s, method, "divergent")
+        return (q.x1, q.tau1, q.x2, q.tau2, q.S, gamma, theta_s, xi_s, method, "ok")
+    except _ROW_ERRORS as exc:
+        return (q.x1, q.tau1, q.x2, q.tau2, q.S, None, None, None, mode, f"{type(exc).__name__}: {exc}")
+
+
 def cmd_correlator(cfg: RunConfig, args) -> tuple:
     p, d = cfg.params, cfg.scales
     columns = ["x1", "tau1", "x2", "tau2", "S", "gamma", "theta_S", "xi_S", "method", "status"]
-
-    def row(q):
-        try:
-            theta_s = theta_at(q.S, p, d)
-            xi_s = xi_at(q.S, p, d)
-            gamma, method = _correlator_value(args.mode, q, cfg, p, d)
-            if math.isinf(gamma):
-                return (q.x1, q.tau1, q.x2, q.tau2, q.S, None, theta_s, xi_s, method, "divergent")
-            return (q.x1, q.tau1, q.x2, q.tau2, q.S, gamma, theta_s, xi_s, method, "ok")
-        except _ROW_ERRORS as exc:
-            return (q.x1, q.tau1, q.x2, q.tau2, q.S, None, None, None, args.mode, f"{type(exc).__name__}: {exc}")
-
-    return columns, [row(q) for q in _correlator_queries(cfg)], {"mode": args.mode}
+    rows = [_correlator_row(q, args.mode, cfg, p, d) for q in _correlator_queries(cfg)]
+    return columns, rows, {"mode": args.mode}
 
 
 def cmd_exponent(cfg: RunConfig, args) -> tuple:
+    """Fit the power law to the correlator table's ok rows with a finite
+    positive Gamma; the others are counted on stderr."""
     p, d = cfg.params, cfg.scales
     s_center = cfg["grid.s_center"]
+    theta_s = theta_at(s_center, p, d)
     seps, gammas, rhos = [], [], []
     skipped = []  # the reason each row left out of the fit was dropped
     for q in _correlator_queries(cfg):
-        try:
-            gamma, _ = _correlator_value(args.mode, q, cfg, p, d)
-        except TrapGasError as exc:
-            skipped.append(f"{type(exc).__name__}: {exc}")
-            continue
-        if not math.isfinite(gamma) or gamma <= 0:
-            skipped.append(f"gamma = {gamma!r}")
+        x1, _, x2, _, _, gamma, _, _, _, status = _correlator_row(q, args.mode, cfg, p, d)
+        if status != "ok" or not (math.isfinite(gamma) and gamma > 0):
+            skipped.append(f"gamma = {gamma!r}" if status == "ok" else status)
             continue
         seps.append(abs(zeta_of(q.dx, q.dtau, p, d)))
         gammas.append(gamma)
-        rhos.append(math.sqrt(rho_tf(q.x1, p, d) * rho_tf(q.x2, p, d)))
+        rhos.append(math.sqrt(rho_tf(x1, p, d) * rho_tf(x2, p, d)))
     if skipped and len(seps) < MIN_FIT_SAMPLES:
         raise DataError(
             f"need at least {MIN_FIT_SAMPLES} samples, got {len(seps)}; {len(skipped)} rows skipped "
             f"(first: {skipped[0]})"
         )
-    report = exponent_report(s_center, seps, gammas, rhos, p, d)
-    fit = report.fit
-    rel_dev = abs(fit.inv_theta - 1.0 / report.theta_S) * report.theta_S
+    if skipped:
+        print(f"exponent: {len(skipped)} of {len(skipped) + len(seps)} rows left out of the fit "
+              f"(first: {skipped[0]})", file=sys.stderr)
+    fit = extract_exponent(seps, gammas, rhos)
     columns = [
         "mode", "S", "n_samples", "sep_min", "sep_max",
         "inv_theta_fit", "inv_theta_stderr", "theta_fit",
@@ -484,7 +474,8 @@ def cmd_exponent(cfg: RunConfig, args) -> tuple:
     rows = [(
         args.mode, s_center, fit.n_samples, fit.sep_range[0], fit.sep_range[1],
         fit.inv_theta, fit.inv_theta_stderr, fit.theta,
-        report.theta_S, report.xi_S, report.theta_hom, rel_dev, "ok",
+        theta_s, xi_at(s_center, p, d), theta_homogeneous(p, d),
+        abs(fit.inv_theta - 1.0 / theta_s) * theta_s, "ok",
     )]
     return columns, rows, {"mode": args.mode}
 
@@ -531,62 +522,54 @@ def cmd_validate(cfg: RunConfig, args, out) -> int:
 # ----------------------------------------------------------------------------
 
 
-def _build_parser() -> argparse.ArgumentParser:
+# name -> (help, the (flag, options) of its arguments besides --config, --out
+# and --format); ``main`` runs the module function cmd_<name>
+_CORRELATOR_MODE = ("--mode", {"required": True, "choices": CORRELATOR_MODES})
+_COMMANDS = {
+    "density": ("Thomas-Fermi density table", []),
+    "spectrum": ("collective-mode energies and spacings",
+                 [("--levels", {"type": int, "default": 20, "help": "number of levels n = 0..levels-1"})]),
+    "green": ("Green-function tables", [("--mode", {"required": True, "choices": GREEN_MODES})]),
+    "correlator": ("two-point correlator tables", [_CORRELATOR_MODE]),
+    "exponent": ("fit the power-law exponent from a generated profile", [_CORRELATOR_MODE]),
+    "validate": ("run the cross-validation suite",
+                 [("--override", {"action": "append", "metavar": "NAME=TOL",
+                                  "help": "replace one check's tolerance (repeatable)"})]),
+}
+
+
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and kept for the process."""
     parser = argparse.ArgumentParser(prog="trapgas",
                                      description="Trapped 1D Bose-gas correlation functions")
     parser.add_argument("--version", action="version", version=f"trapgas {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(sp):
+    for name, (help_text, arguments) in _COMMANDS.items():
+        sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--config", default=None, help="INI config document")
         sp.add_argument("--out", default=None, help="output path (default stdout)")
-        sp.add_argument("--format", default=None, choices=("csv", "json"), help="override output.format")
-
-    sp = sub.add_parser("density", help="Thomas-Fermi density table")
-    common(sp)
-    sp = sub.add_parser("spectrum", help="collective-mode energies and spacings")
-    common(sp)
-    sp.add_argument("--levels", type=int, default=20, help="number of levels n = 0..levels-1")
-    sp = sub.add_parser("green", help="Green-function tables")
-    common(sp)
-    sp.add_argument("--mode", required=True, choices=GREEN_MODES)
-    sp = sub.add_parser("correlator", help="two-point correlator tables")
-    common(sp)
-    sp.add_argument("--mode", required=True, choices=CORRELATOR_MODES)
-    sp = sub.add_parser("exponent", help="fit the power-law exponent from a generated profile")
-    common(sp)
-    sp.add_argument("--mode", required=True, choices=CORRELATOR_MODES)
-    sp = sub.add_parser("validate", help="run the cross-validation suite")
-    common(sp)
-    sp.add_argument("--override", action="append", metavar="NAME=TOL",
-                    help="replace one check's tolerance (repeatable)")
+        sp.add_argument("--format", default=None, choices=_SCHEMA["output"]["format"].choices,
+                        help="override output.format")
+        for flag, options in arguments:
+            sp.add_argument(flag, **options)
     return parser
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
         fmt = args.format or cfg["output.format"]
         out_path = args.out or (cfg["output.path"] or None)
 
+        # looked up at call time, so a rebound cmd_<name> (as bench/tracer.py does) is the one run
+        command = globals()[f"cmd_{args.command}"]
         buffer = io.StringIO()
         if args.command == "validate":
-            code = cmd_validate(cfg, args, buffer)
+            code = command(cfg, args, buffer)
         else:
-            if args.command == "density":
-                columns, rows, extra = cmd_density(cfg, args)
-            elif args.command == "spectrum":
-                columns, rows, extra = cmd_spectrum(cfg, args)
-            elif args.command == "green":
-                columns, rows, extra = cmd_green(cfg, args)
-            elif args.command == "correlator":
-                columns, rows, extra = cmd_correlator(cfg, args)
-            elif args.command == "exponent":
-                columns, rows, extra = cmd_exponent(cfg, args)
-            else:  # pragma: no cover
-                raise ConfigError(f"unknown command {args.command!r}")
-            write_table(buffer, fmt, cfg, columns, rows, extra)
+            write_table(buffer, fmt, cfg, *command(cfg, args))
             code = 0
 
         if out_path:

@@ -51,7 +51,6 @@ MIN_FIT_SAMPLES = 8
 __all__ = [
     "CorrelatorQuery",
     "FitResult",
-    "ExponentReport",
     "CoherenceValue",
     "theta_homogeneous",
     "theta_at",
@@ -63,7 +62,6 @@ __all__ = [
     "gamma_trapped_asymptotic",
     "coherence_multidim",
     "extract_exponent",
-    "exponent_report",
 ]
 
 
@@ -82,14 +80,6 @@ class FitResult:
     @property
     def theta_stderr(self) -> float:
         return self.inv_theta_stderr / self.inv_theta**2
-
-
-@dataclass(frozen=True)
-class ExponentReport:
-    theta_hom: float
-    theta_S: float
-    xi_S: float
-    fit: FitResult
 
 
 @dataclass(frozen=True)
@@ -366,20 +356,3 @@ def extract_exponent(separations, gammas, rho_products=None) -> FitResult:
         sep_range=(float(sep.min()), float(sep.max())),
     )
 
-
-def exponent_report(
-    S: float,
-    separations,
-    gammas,
-    rho_products,
-    p: PhysicalParams,
-    d: DerivedScales,
-) -> ExponentReport:
-    """Bundle the analytic exponents at midpoint S with a fitted exponent."""
-    fit = extract_exponent(separations, gammas, rho_products)
-    return ExponentReport(
-        theta_hom=theta_homogeneous(p, d),
-        theta_S=theta_at(S, p, d),
-        xi_S=xi_at(S, p, d),
-        fit=fit,
-    )

@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,6 +68,11 @@ __all__ = [
 # Evaluations are clamped away from the Thomas-Fermi boundary, where Q_nu has
 # its logarithmic singularity.
 BOUNDARY_EPS = 1e-6
+
+# rounding of an assembled frequency sum, per unit of the sum of its terms'
+# magnitudes: cos and the product in each term, the exactly rounded fsum, the
+# zero mode's addition and the division by beta
+_ASSEMBLY_ROUNDING = 4.0 * sys.float_info.epsilon
 
 
 @dataclass(frozen=True)
@@ -331,9 +337,10 @@ def matsubara_assemble(
     frequencies are evaluated in one pass of the quadrature kernel; the
     first whose density bound exceeds ``tol`` times its magnitude raises its
     AccuracyError.  ``trunc_err`` adds the truncation estimate at L to the
-    densities' own absolute error bounds.  ``meta`` carries the cap
-    ``l_max``, the integrand evaluations and the frequencies summed, the zero
-    mode included.
+    densities' own absolute error bounds and to the rounding of the assembled
+    sum, a few eps times (|G_0| + 2 sum |cos(omega dtau) Re G_omega|)/beta.
+    ``meta`` carries the cap ``l_max``, the integrand evaluations and the
+    frequencies summed, the zero mode included.
     """
     if l_max < 0:
         raise DomainError("l_max must be >= 0")
@@ -375,8 +382,11 @@ def matsubara_assemble(
         raise _bound_error(float(omegas[row]), x, xp, float(re[row]), float(im[row]), float(errs[row]), tol)
     # cos is even: |dtau| and the exactly rounded fsum keep the value bitwise
     # symmetric under swapping the two points
-    total = _zero_mode_parts(u, up, k)[0] + 2.0 * math.fsum(np.cos(omegas * abs(dtau)) * re)
-    err = 2.0 * float(np.sum(errs)) / p.beta
+    zero = _zero_mode_parts(u, up, k)[0]
+    terms = np.cos(omegas * abs(dtau)) * re
+    total = zero + 2.0 * math.fsum(terms)
+    rounding = _ASSEMBLY_ROUNDING * (abs(zero) + 2.0 * float(np.sum(np.abs(terms))))
+    err = (2.0 * float(np.sum(errs)) + rounding) / p.beta
     warning = None
     if decay == 1.0:
         warning = "dx = 0: oscillatory frequency tail, truncation estimate is first omitted term"

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 import math
@@ -5,9 +6,20 @@ import math
 import numpy as np
 import pytest
 
-from trapgas import CorrelatorQuery, PhysicalParams, derive_scales, gamma_from_green, matsubara_assemble, rho_tf, theta_at
+from trapgas import (
+    CorrelatorQuery,
+    PhysicalParams,
+    derive_scales,
+    extract_exponent,
+    gamma_from_green,
+    matsubara_assemble,
+    rho_tf,
+    theta_at,
+)
+from trapgas import cli
 from trapgas.cli import CORRELATOR_MODES, GREEN_MODES, load_config, main
-from trapgas.errors import ConfigError
+from trapgas.errors import ConfigError, DataError
+from trapgas.model import zeta_of
 
 GREEN_COLUMNS = ["x1", "tau1", "x2", "tau2", "G_re", "G_im", "method", "trunc_err", "regime", "const_free", "status"]
 CORRELATOR_COLUMNS = ["x1", "tau1", "x2", "tau2", "S", "gamma", "theta_S", "xi_S", "method", "status"]
@@ -434,9 +446,9 @@ class TestExponentCommand:
         assert "need at least 8 samples, got 0" in err
         assert "9 rows skipped" in err and cause in err
 
-    def test_spectral_fit_skips_the_underflowing_row(self, tmp_path):
+    def test_spectral_fit_skips_the_underflowing_row(self, tmp_path, capsys):
         # at beta = 1e-4 the widest separation's Gamma underflows; the fit
-        # runs on the other 8
+        # runs on the other 8 and says so on stderr
         cfg = write_config(tmp_path, "[params]\nbeta = 1e-4\n")
         out = tmp_path / "exp.csv"
         assert main(["exponent", "--mode", "spectral", "--config", cfg, "--out", str(out)]) == 0
@@ -444,6 +456,89 @@ class TestExponentCommand:
         row = dict(zip(header, rows[0]))
         assert row["status"] == "ok" and row["n_samples"] == "8"
         assert float(row["sep_max"]) < 0.75 * 0.1 * math.sqrt(2.0)
+        err = capsys.readouterr().err
+        assert err.startswith("exponent: 1 of 9 rows left out of the fit (first: AccuracyError: Gamma = 5.8")
+        assert "underflows" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "mode, params",
+        [(m, "") for m in CORRELATOR_MODES] + [("spectral", "[params]\nbeta = 1e-4\n")],
+        ids=[*CORRELATOR_MODES, "spectral-beta-1e-4"],
+    )
+    def test_fit_is_the_correlator_tables_ok_rows(self, tmp_path, capsys, mode, params):
+        # exponent fits exactly the rows the correlator table prints as ok with
+        # a finite positive Gamma, bit for bit, and counts the others on stderr
+        cfg = write_config(tmp_path, params)
+        table, fit_out = tmp_path / "corr.csv", tmp_path / "exp.csv"
+        assert main(["correlator", "--mode", mode, "--config", cfg, "--out", str(table)]) == 0
+        code = main(["exponent", "--mode", mode, "--config", cfg, "--out", str(fit_out)])
+        run = load_config(cfg)
+        p, d = run.params, run.scales
+        _, header, rows = read_csv(str(table))
+        seps, gammas, rhos = [], [], []
+        for cells in rows:
+            row = dict(zip(header, cells))
+            if row["status"] != "ok" or not 0.0 < float(row["gamma"]) < math.inf:
+                continue
+            q = CorrelatorQuery(*(float(row[k]) for k in ("x1", "tau1", "x2", "tau2")))
+            seps.append(abs(zeta_of(q.dx, q.dtau, p, d)))
+            gammas.append(float(row["gamma"]))
+            rhos.append(math.sqrt(rho_tf(q.x1, p, d) * rho_tf(q.x2, p, d)))
+        if len(seps) < 8:
+            assert code == 2 and "need at least 8 samples" in capsys.readouterr().err
+            with pytest.raises(DataError):
+                extract_exponent(seps, gammas, rhos)
+            return
+        assert code == 0
+        err, skipped = capsys.readouterr().err, len(rows) - len(seps)
+        if skipped:
+            assert err.startswith(f"exponent: {skipped} of {len(rows)} rows left out of the fit (first: ")
+        else:
+            assert err == ""
+        fit = extract_exponent(seps, gammas, rhos)
+        _, header, rows = read_csv(str(fit_out))
+        row = dict(zip(header, rows[0]))
+        expected = {
+            "n_samples": fit.n_samples, "sep_min": fit.sep_range[0], "sep_max": fit.sep_range[1],
+            "inv_theta_fit": fit.inv_theta, "inv_theta_stderr": fit.inv_theta_stderr, "theta_fit": fit.theta,
+        }
+        assert {key: row[key] for key in expected} == {key: cli._fmt_cell(v) for key, v in expected.items()}
+
+
+class TestEntryPoint:
+    def test_parser_is_built_once_per_process(self, tmp_path, monkeypatch):
+        built = []  # the prog of every parser made, subcommand parsers included
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        cli._parser.cache_clear()
+        try:
+            out = tmp_path / "density.csv"
+            assert main(["density", "--out", str(out)]) == 0
+            assert built.count("trapgas") == 1
+            assert main(["spectrum", "--levels", "3", "--out", str(out)]) == 0
+            assert built.count("trapgas") == 1
+        finally:
+            cli._parser.cache_clear()
+
+    def test_main_runs_the_module_level_commands(self, tmp_path, monkeypatch):
+        # a tracer wraps a command by rebinding its name in the module
+        calls = []
+        for name in ("cmd_green", "cmd_correlator"):
+            def wrapped(cfg, args, _run=getattr(cli, name), _name=name):
+                calls.append(_name)
+                return _run(cfg, args)
+
+            monkeypatch.setattr(cli, name, wrapped)
+        cfg = write_config(tmp_path, "[grid]\nx_count = 2\nsep_count = 2\n")
+        out = tmp_path / "table.csv"
+        assert main(["green", "--mode", "homog-asympt", "--config", cfg, "--out", str(out)]) == 0
+        assert main(["correlator", "--mode", "closed-form", "--config", cfg, "--out", str(out)]) == 0
+        assert calls == ["cmd_green", "cmd_correlator"]
 
 
 class TestValidateCommand:

@@ -15,7 +15,6 @@ from trapgas import (
     closed_form_zero_mode,
     coherence_multidim,
     derive_scales,
-    exponent_report,
     extract_exponent,
     gamma_d1_exact,
     gamma_d1_quasihom,
@@ -427,7 +426,7 @@ class TestExtractExponent:
         with pytest.raises(DataError, match=rf"^{which} must be finite, got {value} at index {index}$"):
             extract_exponent(data["separations"], data["gammas"], data["rho_products"])
 
-    def test_report_bundles_analytic_exponents(self):
+    def test_fit_finds_the_local_exponent_near_the_centre(self):
         p, d = setup_params(beta=0.05 * math.sqrt(2.0))
         s_half = 0.1 * d.R_c
         seps = np.geomspace(1e-4, 1e-3, 10) * d.R_c
@@ -436,8 +435,6 @@ class TestExtractExponent:
             q = CorrelatorQuery(s_half + sep / 2, 0.0, s_half - sep / 2, 0.0)
             gammas.append(gamma_trapped_asymptotic(q, p, d))
             rhos.append(math.sqrt(rho_tf(q.x1, p, d) * rho_tf(q.x2, p, d)))
-        rep = exponent_report(s_half, seps, gammas, rhos, p, d)
+        fit = extract_exponent(seps, gammas, rhos)
         # the fit finds the local exponent theta(S)/sqrt(1 - S^2/R_c^2)
-        assert_allclose(rep.fit.inv_theta * rep.theta_S, math.sqrt(1.0 - 0.1**2), rtol=1e-3)
-        assert_allclose(rep.theta_hom, theta_homogeneous(p, d), rtol=1e-14)
-        assert_allclose(rep.xi_S, xi_at(s_half, p, d), rtol=1e-14)
+        assert_allclose(fit.inv_theta * theta_at(s_half, p, d), math.sqrt(1.0 - 0.1**2), rtol=1e-3)
