@@ -174,7 +174,11 @@ def load_config(path: str | None) -> RunConfig:
                                    for key, rule in _SCHEMA["params"].items()})
     except DomainError as exc:
         raise ConfigError(str(exc)) from exc
-    d = derive_scales(params)
+    try:
+        d = derive_scales(params)
+    except ArithmeticError as exc:  # e.g. Omega**2 overflowing or underflowing to 0
+        given = ", ".join(f"{key} = {getattr(params, key)!r}" for key in _SCHEMA["params"])
+        raise ConfigError(f"[params] {given}: the trap scales leave the float range") from exc
 
     values = {}
     for section, keys in _SCHEMA.items():
@@ -209,6 +213,11 @@ def load_config(path: str | None) -> RunConfig:
 
 
 def _fmt_cell(v) -> str:
+    # the common cells by exact type first; np.float64 subclasses float and takes the chain
+    if type(v) is float:
+        return "%.17g" % v
+    if type(v) is str:
+        return v
     if v is None:
         return ""
     if isinstance(v, bool):
@@ -239,7 +248,7 @@ def write_table(out, fmt: str, cfg: RunConfig, columns: list, rows: list, extra_
             out.write(f"# {line}\n")
         out.write(",".join(columns) + "\n")
         for row in rows:
-            out.write(",".join(_fmt_cell(c) for c in row) + "\n")
+            out.write(",".join(map(_fmt_cell, row)) + "\n")
     else:
         payload = {
             "meta": meta,

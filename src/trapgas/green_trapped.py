@@ -252,43 +252,53 @@ def spectral_densities(
     tol: float = 1e-13,
 ) -> list:
     """``spectral_density(omega, x, xp)`` at every x of ``xs``, the P_nu of
-    all points evaluated in one pass of the kernel.
+    all points evaluated in one pass of the kernel.  For two points or more
+    that pass integrates each distinct (lambda, u) row once, so P_nu(+-u')
+    once for all points; nothing is kept across calls.
 
     Entry i is the SpectralDensity at xs[i], or the DomainError or
     AccuracyError that ``spectral_density`` raises there; each is the one the
     single point gives, bitwise and word for word.  A point beyond the
-    boundary clamp is set aside before the pass.  A point whose error bound
-    exceeds ``tol`` times its magnitude gets its own AccuracyError, and the
-    other points keep their values from the same pass; a bad ``tol`` gives
-    every point inside the clamp the same DomainError.
+    boundary clamp is set aside before the pass, with its own error ahead of
+    that of an xp beyond it.  A point whose error bound exceeds ``tol`` times
+    its magnitude gets its own AccuracyError, and the other points keep their
+    values from the same pass; a bad ``tol`` gives every point inside the
+    clamp the same DomainError.  ``terms`` stays the 4 x 96 integrand
+    evaluations of a point's own four P_nu, whether or not a row is shared.
     """
+    omega = float(omega)
     nu = nu_from_omega(omega, d)
     k = _k_coeff(p, d)
-    out, points = [], []
+    try:
+        up, xp_error = _clamped_u(xp, d), None
+    except DomainError as exc:
+        up, xp_error = None, exc
+    out, us, points = [], [], []
     for i, x in enumerate(xs):
         try:
-            out.append((_clamped_u(x, d), _clamped_u(xp, d)))
-            points.append(i)
+            us.append(_clamped_u(x, d))
         except DomainError as exc:
             out.append(exc)
+        else:
+            out.append(xp_error)  # None until the point's density is in
+            points.append(i)
+    if xp_error is not None or not points:
+        return out
     if nu == 0:  # omega = 0: integer degree, closed elementary forms
-        for i in points:
-            out[i] = SpectralDensity(float(omega), nu, xs[i], xp, *_zero_mode_parts(*out[i], k), err_bound=0.0)
+        for i, u in zip(points, us):
+            out[i] = SpectralDensity(omega, nu, xs[i], xp, *_zero_mode_parts(u, up, k), err_bound=0.0)
         return out
-    if not points:
-        return out
-    us, ups = np.array([out[i] for i in points]).T
     try:
-        re, im, err = _density_parts(float(omega), us, ups, d, k, tol)
+        re, im, err = _density_parts(omega, np.array(us), up, d, k, tol)
     except DomainError as exc:  # a bad tol, rejected before the pass
         for i in points:
             out[i] = exc
         return out
     beyond = err > tol * np.hypot(re, im)
-    for row, i in enumerate(points):
-        parts = float(re[row]), float(im[row]), float(err[row])
-        out[i] = (_bound_error(float(omega), xs[i], xp, *parts, tol) if beyond[row]
-                  else SpectralDensity(float(omega), nu, xs[i], xp, *parts, terms=4 * _NODES.size))
+    terms = 4 * _NODES.size
+    for i, *parts, bad in zip(points, re.tolist(), im.tolist(), err.tolist(), beyond.tolist()):
+        out[i] = (_bound_error(omega, xs[i], xp, *parts, tol) if bad
+                  else SpectralDensity(omega, nu, xs[i], xp, *parts, terms=terms))
     return out
 
 

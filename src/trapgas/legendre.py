@@ -46,7 +46,6 @@ __all__ = [
     "nu_from_omega",
     "legendre_pair",
     "wronskian_check",
-    "legendre_ode_residual",
 ]
 
 
@@ -206,13 +205,25 @@ def _p_quad(lam, u) -> tuple:
     rounding of the sum.  Every row takes the same ``_NODES.size`` = 96
     integrand evaluations, in groups of up to ``_ROWS`` rows of one branch,
     each row on its own, so that it does not depend on the rows beside it.
-    u = 1 gives P_nu = 1 exactly.
+    So a call whose rows share one lambda, as a spectral table's frequency
+    does at every point, where P_nu(+-u') recurs, integrates each distinct
+    u once and copies the result to the rows that repeat it; nothing is
+    kept across calls.  Rows of several lambdas, as in a Matsubara sum, do
+    not repeat, and four rows or fewer (one point's, or a Legendre pair's)
+    seldom do, so those calls skip the sort, which costs more than it saves
+    there.  u = -0.0 and u = 0.0 share a row: the integral sees u only
+    through arccos u, 1 -+ u and u sin h beside a nonzero term, so both get
+    the same bits.  u = 1 gives P_nu = 1 exactly.
     """
     lam = np.asarray(lam, dtype=float)
     u = np.broadcast_to(np.asarray(u, dtype=float), lam.shape)
     outside = ~((-1.0 < u) & (u <= 1.0))
     if outside.any():
         raise DomainError(f"P_nu argument must lie in (-1, 1], got {float(u[outside][0])}")
+    row = slice(None)
+    if lam.size > 4 and (lam == lam[0]).all():
+        u, row = np.unique(u, return_inverse=True)
+        lam = np.full(u.size, lam[0])
     conical = lam > 0.25
     kappa = np.sqrt(np.abs(lam - 0.25))  # mu on the conical line
     theta = np.arccos(u)
@@ -222,7 +233,7 @@ def _p_quad(lam, u) -> tuple:
         r = np.flatnonzero((conical == branch) & (u < 1.0))
         if r.size:
             value[r], err[r] = _quad_rows(lam[r], kappa[r], theta[r], u[r], branch)
-    return value, np.where(conical, kappa * theta, 0.0), err
+    return value[row], np.where(conical, kappa * theta, 0.0)[row], err[row]
 
 
 def _q_real(nu, nu_p, d_u, d_mu):
@@ -339,11 +350,3 @@ def wronskian_check(nu, u: float, h: float | None = None, tol: float = 1e-13) ->
     dq = (hi.q - lo.q) / (2.0 * h)
     pdq, dpq = mid.p * dq, dp * mid.q
     return abs(pdq - dpq - 1.0 / (1.0 - u * u)) / max(1.0, abs(pdq), abs(dpq))
-
-
-def legendre_ode_residual(y, nu: complex, u: float, h: float = 1e-4) -> complex:
-    """(1-u^2) y'' - 2u y' + nu(nu+1) y by central differences on callable y."""
-    y0 = y(u)
-    yp = (y(u + h) - y(u - h)) / (2.0 * h)
-    ypp = (y(u + h) - 2.0 * y0 + y(u - h)) / (h * h)
-    return (1.0 - u * u) * ypp - 2.0 * u * yp + nu * (nu + 1.0) * y0

@@ -1,5 +1,6 @@
 import argparse
 import dataclasses
+import io
 import json
 import math
 
@@ -71,6 +72,14 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(path)
 
+    @pytest.mark.parametrize("omega", ["1e-300", "1e200"])  # Omega**2 underflows to 0, or overflows
+    def test_scales_out_of_float_range_exit_naming_params(self, tmp_path, capsys, omega):
+        path = write_config(tmp_path, f"[params]\nOmega = {omega}\n")
+        assert main(["density", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: [params] ")
+        assert f"Omega = {float(omega)!r}" in err and "beta = 1.0" in err
+
     def test_values_parsed(self, tmp_path):
         path = write_config(
             tmp_path,
@@ -125,6 +134,31 @@ class TestConfig:
         path = write_config(tmp_path, "[truncation]\ntol = -1\n[grid]\nx_count = 3\nomega_list = 6.28\n")
         assert main(["green", "--mode", "trapped-spectral", "--config", path]) == 2
         assert "truncation.tol" in capsys.readouterr().err
+
+
+class TestTableEmission:
+    # every cell type a table can hold, pinned to the text it has always printed
+    ROW = [0.1, 1.0 / 3.0, np.float64(2.0 / 3.0), 7, np.int64(-12), True, False, None, "ok", -0.0,
+           float("nan"), float("inf"), float("-inf"), 5e-324, np.float64(-0.0), np.float64("nan")]
+
+    def emit(self, fmt):
+        out = io.StringIO()
+        cli.write_table(out, fmt, load_config(None), [f"c{i}" for i in range(len(self.ROW))], [self.ROW])
+        return out.getvalue()
+
+    def test_csv_cells(self):
+        assert self.emit("csv").splitlines()[-1] == (
+            "0.10000000000000001,0.33333333333333331,0.66666666666666663,7,-12,true,false,,ok,-0,"
+            "nan,inf,-inf,4.9406564584124654e-324,-0,nan"
+        )
+
+    def test_json_cells(self):
+        # numbers and constants kept as the literal text json wrote
+        literal = dict.fromkeys(("parse_float", "parse_int", "parse_constant"), str)
+        assert json.loads(self.emit("json"), **literal)["rows"] == [[
+            "0.1", "0.3333333333333333", "0.6666666666666666", "7", "-12", True, False, None, "ok", "-0.0",
+            "NaN", "Infinity", "-Infinity", "5e-324", "-0.0", "NaN",
+        ]]
 
 
 class TestDensityCommand:

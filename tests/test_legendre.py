@@ -21,9 +21,18 @@ from trapgas import (
     p_poly_table,
     wronskian_check,
 )
-from trapgas.legendre import _NODES, _ROWS, _p_quad, legendre_ode_residual
+from trapgas import legendre
+from trapgas.legendre import _NODES, _ROWS, _p_quad
 
 mp.mp.dps = 30
+
+
+def legendre_ode_residual(y, nu: complex, u: float, h: float = 1e-4) -> complex:
+    """(1-u^2) y'' - 2u y' + nu(nu+1) y by central differences on callable y."""
+    y0 = y(u)
+    yp = (y(u + h) - y(u - h)) / (2.0 * h)
+    ypp = (y(u + h) - 2.0 * y0 + y(u - h)) / (h * h)
+    return (1.0 - u * u) * ypp - 2.0 * u * yp + nu * (nu + 1.0) * y0
 
 
 def p_poly_bruteforce(n, u):
@@ -364,12 +373,47 @@ class TestSeriesKernel:
         with pytest.raises(DomainError, match=r"got -1\.5$"):
             _p_quad(np.ones(3), np.array([0.2, -1.5, 2.0]))
 
+    def test_domain_error_names_the_first_bad_u_in_input_order(self):
+        # the check runs before a lambda's rows are sorted into distinct u
+        with pytest.raises(DomainError, match=r"got 2\.0$"):
+            _p_quad(np.full(6, 5.0), np.array([0.2, 2.0, 0.2, -1.5, 0.2, 0.3]))
+
+    ONE_LAMBDA_U = [0.3, -0.3, 0.3, 1.0, 0.0, -0.0, 0.3, -0.7, -0.3, 1.0]
+
+    @pytest.mark.parametrize(
+        "lam, u, integrated",
+        [
+            # one lambda on each branch, with repeats, u = 1 and u = +-0.0:
+            # each distinct u < 1 (0.3, -0.3, 0, -0.7) is integrated once
+            ([9.0] * 10, ONE_LAMBDA_U, 4),
+            ([0.1] * 10, ONE_LAMBDA_U, 4),
+            # several lambdas, one u at several lambdas and one lambda at
+            # several u: every row is integrated
+            ([9.0, 0.1, 9.0, 2.0, 9.0, 0.1], [0.3, 0.3, 0.3, 0.3, -0.3, 0.3], 6),
+        ],
+    )
+    def test_repeated_rows_equal_single_rows(self, lam, u, integrated, monkeypatch):
+        # every row is bitwise what it gives alone
+        lam, u = np.array(lam), np.array(u)
+        rows = []
+
+        def counted(lam, *args):
+            rows.extend(lam)
+            return quad_rows(lam, *args)
+
+        quad_rows = legendre._quad_rows
+        monkeypatch.setattr(legendre, "_quad_rows", counted)
+        batch = _p_quad(lam, u)
+        assert len(rows) == integrated
+        for i in range(lam.size):
+            single = _p_quad(lam[i:i + 1], u[i:i + 1])
+            for b, s in zip(batch, single):
+                assert b[i].tobytes() == s[0].tobytes()
+
     @pytest.mark.parametrize("nu", [-0.3, 0.5, -0.5 + 0.8j, -0.5 + 40.0j])
     def test_pair_sums_both_series_in_one_call(self, nu, monkeypatch):
         # P_nu(u) and P_nu(-u) from one two-row call, each equal to its own
         # single-row quadrature
-        from trapgas import legendre
-
         calls = []
 
         def counted(*args, **kwargs):
