@@ -6,13 +6,10 @@ finite-difference oracle that cross-validates them.
 """
 
 from .correlator import (
-    CoherenceValue,
     CorrelatorQuery,
     FitResult,
-    coherence_multidim,
     extract_exponent,
     gamma_d1_exact,
-    gamma_d1_quasihom,
     gamma_from_green,
     gamma_homog,
     gamma_trapped_asymptotic,

@@ -285,7 +285,7 @@ def check_exponent_extraction():
     d = derive_scales(p)
     rho0 = p.Lambda / p.g
     seps = np.geomspace(0.01 * d.lambda_T, 0.08 * d.lambda_T, 10)
-    gammas = [gamma_homog(s / 2.0, 0.0, -s / 2.0, 0.0, p, d, form="highT") for s in seps]
+    gammas = [gamma_homog(s / 2.0, 0.0, -s / 2.0, 0.0, p, d) for s in seps]
     fit_hom = extract_exponent(seps, gammas, rho_products=np.full(len(seps), rho0))
     inv_theta_true = 1.0 / theta_homogeneous(p, d)
     err_hom = abs(fit_hom.inv_theta - inv_theta_true) / inv_theta_true

@@ -1,4 +1,4 @@
-"""Two-point correlators, closed forms, critical exponents and fits.
+"""Two-point correlators of the 1D trapped gas, their exponents and fits.
 
 The correlator is assembled from Green values as
 
@@ -12,10 +12,11 @@ stored quantity theta: homogeneous theta = 2 pi hbar v / g, trapped
 theta(S) = 2 pi hbar rho_TF(S) / (m v), correlation length
 xi(S) = (hbar beta v / pi) theta(S).
 
-The trapped asymptotic correlator takes its high-temperature Green value from
-the summed Liouville-Green form ``asympt_green_highT``, which needs no
-quasi-homogeneous window, only points outside the edge layer of the
-condensate, and carries its additive constant.  Its power law at small
+Three routes give Gamma: the spectral and series Green values through
+``gamma_from_green``, and ``gamma_trapped_asymptotic``.  The latter takes its
+high-temperature Green value from the summed Liouville-Green form
+``asympt_green_highT``, which needs only points outside the edge layer of the
+condensate and carries its additive constant.  Its power law at small
 separations has the local exponent theta(S) / sqrt(1 - S^2/R_c^2), which the
 exact routes reproduce; theta_at and xi_at keep the paper's theta(S), which
 agrees with it only near the trap centre.
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AccuracyError, DataError, DomainError, RegimeError
-from .green_homogeneous import GreenValue, log_2sin_abs, log_2sinh_abs
+from .green_homogeneous import GreenValue, log_2sinh_abs
 from .green_trapped import asympt_green_highT
 from .model import (
     DEFAULT_R_HI,
@@ -51,16 +52,13 @@ MIN_FIT_SAMPLES = 8
 __all__ = [
     "CorrelatorQuery",
     "FitResult",
-    "CoherenceValue",
     "theta_homogeneous",
     "theta_at",
     "xi_at",
     "gamma_from_green",
     "gamma_d1_exact",
-    "gamma_d1_quasihom",
     "gamma_homog",
     "gamma_trapped_asymptotic",
-    "coherence_multidim",
     "extract_exponent",
 ]
 
@@ -76,18 +74,6 @@ class FitResult:
     @property
     def theta(self) -> float:
         return 1.0 / self.inv_theta
-
-    @property
-    def theta_stderr(self) -> float:
-        return self.inv_theta_stderr / self.inv_theta**2
-
-
-@dataclass(frozen=True)
-class CoherenceValue:
-    gamma1: float
-    phase_green: float
-    dim: int
-    separation: float
 
 
 def theta_homogeneous(p: PhysicalParams, d: DerivedScales) -> float:
@@ -116,11 +102,19 @@ def _sqrt_rho_pair(x1: float, x2: float, p: PhysicalParams, d: DerivedScales) ->
     return math.sqrt(r1 * r2)
 
 
+def _overflow(what: str) -> AccuracyError:
+    return AccuracyError(f"Gamma overflows: {what} exceeds the largest float {sys.float_info.max!r}", achieved=math.inf)
+
+
 def gamma_from_green(q: CorrelatorQuery, g: GreenValue, p: PhysicalParams, d: DerivedScales) -> float:
     """Gamma = sqrt(rho_TF(x1) rho_TF(x2)) exp(-G) from the Green value
-    ``g`` of the pair ``q``.  Raises AccuracyError where Gamma underflows
-    below the smallest normal float, whose subnormals keep few digits."""
-    gamma = _sqrt_rho_pair(q.x1, q.x2, p, d) * math.exp(-g.value)
+    ``g`` of the pair ``q``.  Raises AccuracyError where exp(-G) overflows,
+    or where Gamma underflows below the smallest normal float, whose
+    subnormals keep few digits."""
+    try:
+        gamma = _sqrt_rho_pair(q.x1, q.x2, p, d) * math.exp(-g.value)
+    except OverflowError:
+        raise _overflow(f"exp(-G) at G = {g.value!r}") from None
     if gamma < sys.float_info.min:
         raise AccuracyError(
             f"Gamma = {gamma!r} underflows below the smallest normal float {sys.float_info.min!r} (G = {g.value!r})",
@@ -145,87 +139,29 @@ def gamma_d1_exact(x1: float, x2: float, p: PhysicalParams, d: DerivedScales) ->
     return _sqrt_rho_pair(x1, x2, p, d) * (num / den) ** expo
 
 
-def _window_quasihom(x: float, xp: float, p: PhysicalParams, d: DerivedScales):
-    """Quasi-homogeneity gate at ``WINDOW_FACTOR``: the background density
-    must be essentially constant across the pair, and the separation small
-    against the trap.
-
-    Expressed through the density variation (rather than |dx|/S directly) so
-    that center-symmetric pairs, where S = 0 but the background is flattest,
-    pass as they should.
-    """
-    s_half = 0.5 * (x + xp)
-    rho_s = rho_tf(s_half, p, d)
-    if rho_s <= 0.0:
-        raise RegimeError(f"quasi-homogeneous window failed: midpoint S = {s_half:.6g} outside the condensate")
-    checks = {
-        "|dx| << R_c": abs(x - xp) / d.R_c,
-        "TF density variation across pair": abs(rho_tf(x, p, d) - rho_tf(xp, p, d)) / rho_s,
-    }
-    failed = [f"{name} violated (ratio {ratio:.3g} > {WINDOW_FACTOR:g})"
-              for name, ratio in checks.items() if ratio > WINDOW_FACTOR]
-    if failed:
-        raise RegimeError("quasi-homogeneous window failed: " + "; ".join(failed))
-
-
-def gamma_d1_quasihom(x1: float, x2: float, p: PhysicalParams, d: DerivedScales) -> float:
-    """Quasi-homogeneous limit of the equal-time correlator.
-
-    sqrt(rho rho') * exp(-|dx| / xi(S)), the exponential form at dtau = 0;
-    since Lambda = m v^2 the decay rate 1/xi(S) equals
-    Lambda / (2 beta hbar^2 v^2 rho_TF(S)).  Raises RegimeError outside the
-    quasi-homogeneous window ``_window_quasihom``.
-    """
-    _window_quasihom(x1, x2, p, d)
-    return _exponential_gamma(CorrelatorQuery(x1, 0.0, x2, 0.0), p, d)
-
-
 def _power_law(pref: float, base: float, theta: float) -> float:
-    """pref * base^(-1/theta), the power law of every homogeneous and trapped
-    form; inf at base = 0 (divergence marker)."""
+    """pref * base^(-1/theta), the power law of the homogeneous and trapped
+    forms; inf at base = 0 (divergence marker).  Raises AccuracyError where
+    base^(-1/theta) overflows."""
     if base == 0.0:
         return math.inf
-    return pref * base ** (-1.0 / theta)
+    try:
+        return pref * base ** (-1.0 / theta)
+    except OverflowError:
+        raise _overflow(f"base {base!r} to the power -1/theta = {-1.0 / theta!r}") from None
 
 
-def _abs_sinh_thermal(zeta: complex, p: PhysicalParams, d: DerivedScales) -> float:
-    """|sinh(pi zeta / lambda_T)|, the high-temperature base."""
-    return 0.5 * math.exp(log_2sinh_abs((math.pi / (p.hbar * p.beta * d.v)) * zeta))
+def gamma_homog(x1: float, tau1: float, x2: float, tau2: float, p: PhysicalParams, d: DerivedScales) -> float:
+    """Homogeneous-gas correlator in its high-temperature form
 
+        (Lambda/g) |sinh(pi/(hbar beta v) zeta)|^(-1/theta)
 
-def _abs_sin_trap(zeta: complex, d: DerivedScales) -> float:
-    """|sin(pi zeta / (2 R_c))|, the low-temperature base."""
-    return 0.5 * math.exp(log_2sin_abs((math.pi / (2.0 * d.R_c)) * zeta))
-
-
-def gamma_homog(
-    x1: float,
-    tau1: float,
-    x2: float,
-    tau2: float,
-    p: PhysicalParams,
-    d: DerivedScales,
-    form: str,
-) -> float:
-    """Homogeneous-gas correlator in one of its three asymptotic forms.
-
-    form = "highT"     |sinh(pi/(hbar beta v) zeta)|^(-1/theta)
-    form = "lowT"      |sin(pi/(2 R_c) zeta)|^(-1/theta)
-    form = "powerlaw"  |zeta|^(-1/theta)
-
-    with zeta = |dx| + i hbar v dtau and theta = 2 pi hbar v / g.  The
-    homogeneous density Lambda/g supplies the prefactor.  Returns inf at
+    with zeta = |dx| + i hbar v dtau and theta = 2 pi hbar v / g; the
+    homogeneous density Lambda/g is the prefactor.  Returns inf at
     coincident arguments (divergence marker).
     """
     zeta = zeta_of(x1 - x2, tau1 - tau2, p, d)
-    if form == "highT":
-        base = _abs_sinh_thermal(zeta, p, d)
-    elif form == "lowT":
-        base = _abs_sin_trap(zeta, d)
-    elif form == "powerlaw":
-        base = abs(zeta)
-    else:
-        raise DomainError(f"unknown homogeneous form {form!r}")
+    base = 0.5 * math.exp(log_2sinh_abs((math.pi / (p.hbar * p.beta * d.v)) * zeta))
     return _power_law(p.Lambda / p.g, base, theta_homogeneous(p, d))
 
 
@@ -233,16 +169,6 @@ def _power_law_gamma(q: CorrelatorQuery, p: PhysicalParams, d: DerivedScales) ->
     """Trapped low-temperature power law |zeta|^(-1/theta(S))."""
     base = abs(zeta_of(q.dx, q.dtau, p, d))
     return _power_law(_sqrt_rho_pair(q.x1, q.x2, p, d), base, theta_at(q.S, p, d))
-
-
-def _exponential_green(q: CorrelatorQuery, p: PhysicalParams, d: DerivedScales) -> float:
-    """Phase correlator |zeta| / xi(S) of the quasi-homogeneous exponential."""
-    return abs(zeta_of(q.dx, q.dtau, p, d)) / xi_at(q.S, p, d)
-
-
-def _exponential_gamma(q: CorrelatorQuery, p: PhysicalParams, d: DerivedScales) -> float:
-    """Quasi-homogeneous exponential decay exp(-|zeta| / xi(S))."""
-    return _sqrt_rho_pair(q.x1, q.x2, p, d) * math.exp(-_exponential_green(q, p, d))
 
 
 def gamma_trapped_asymptotic(
@@ -277,49 +203,12 @@ def gamma_trapped_asymptotic(
     )
 
 
-def coherence_multidim(x1, x2, dim: int, p: PhysicalParams, d: DerivedScales) -> CoherenceValue:
-    """First-order coherence across dimensions, plus the raw phase correlator.
-
-    d=3: Gamma^(1) = exp(+Lambda / (4 pi beta hbar^2 v^2 rho_TF(S) |dx|))
-    d=2: Gamma^(1) = (lambda_T / |dx|) ^ (Lambda / (2 pi beta hbar^2 v^2 rho_TF(S)))
-    d=1: the quasi-homogeneous exponential of ``gamma_d1_quasihom``,
-         G = |dx| / xi(S), with the sqrt(rho rho') prefactor.
-
-    The phase correlator G is returned alongside; S is the radial coordinate
-    of the midpoint.  Zero separation is a divergence marker (inf) for
-    d = 2, 3.
-    """
-    if dim not in (1, 2, 3):
-        raise DomainError(f"dim must be 1, 2 or 3, got {dim}")
-    a = np.atleast_1d(np.asarray(x1, dtype=float))
-    b = np.atleast_1d(np.asarray(x2, dtype=float))
-    if a.shape != (dim,) or b.shape != (dim,):
-        raise DomainError(f"arguments must be {dim}-vectors, got shapes {a.shape} and {b.shape}")
-    sep = float(np.linalg.norm(a - b))
-    s_rad = float(np.linalg.norm(0.5 * (a + b)))
-    rho_s = rho_tf(s_rad, p, d)
-    if rho_s <= 0.0:
-        raise DomainError(f"midpoint |S| = {s_rad} lies outside the condensate")
-    hv2 = (p.hbar * d.v) ** 2
-    if dim == 3:
-        if sep == 0.0:
-            return CoherenceValue(math.inf, -math.inf, dim, sep)
-        green = -p.Lambda / (4.0 * math.pi * p.beta * hv2 * rho_s * sep)
-        return CoherenceValue(math.exp(-green), green, dim, sep)
-    if dim == 2:
-        if sep == 0.0:
-            return CoherenceValue(math.inf, -math.inf, dim, sep)
-        green = p.Lambda / (2.0 * math.pi * p.beta * hv2 * rho_s) * math.log(sep / d.lambda_T)
-        return CoherenceValue(math.exp(-green), green, dim, sep)
-    q = CorrelatorQuery(float(a[0]), 0.0, float(b[0]), 0.0)
-    return CoherenceValue(_exponential_gamma(q, p, d), _exponential_green(q, p, d), dim, sep)
-
-
 def extract_exponent(separations, gammas, rho_products=None) -> FitResult:
     """Least-squares power-law exponent from Gamma samples.
 
     Fits ln(Gamma / sqrt(rho rho')) = intercept - (1/theta) ln|dx| and returns
-    -slope as the 1/theta estimate with its standard error.
+    -slope as the 1/theta estimate with its standard error.  Raises
+    DataError on inputs it cannot fit, a flat profile among them.
     """
     sep = np.asarray(separations, dtype=float)
     gam = np.asarray(gammas, dtype=float)
@@ -344,6 +233,8 @@ def extract_exponent(separations, gammas, rho_products=None) -> FitResult:
     if sxx == 0.0:
         raise DataError("separations are all identical; cannot fit a slope")
     slope = float(np.sum((xs - x_mean) * (ys - ys.mean())) / sxx)
+    if slope == 0.0:
+        raise DataError("the profile is flat: ln(Gamma/sqrt(rho rho')) has slope 0 in ln|dx|, so theta is undefined")
     intercept = float(ys.mean() - slope * x_mean)
     resid = ys - (intercept + slope * xs)
     dof = max(n - 2, 1)

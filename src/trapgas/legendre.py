@@ -249,15 +249,22 @@ def _q_real(nu, nu_p, d_u, d_mu):
 # ----------------------------------------------------------------------------
 
 
+# largest |x| whose square is a finite float
+_SQRT_FLOAT_MAX = math.sqrt(np.finfo(float).max)
+
+
 def nu_from_omega(omega: float, d: DerivedScales) -> complex:
     """Degree nu = -1/2 + sqrt(1/4 - alpha^2 omega^2), principal branch.
 
     The branch is continuous from omega = 0 (where nu = 0); for
     alpha|omega| > 1/2 the square root is +i*sqrt(alpha^2 omega^2 - 1/4), so
     Re(nu) = -1/2 on the conical line.  On the real branch the degree comes
-    back as a float.
+    back as a float.  Raises DomainError where (alpha omega)^2 overflows.
     """
-    disc = 0.25 - (d.alpha * omega) ** 2
+    a_omega = d.alpha * omega
+    if not abs(a_omega) <= _SQRT_FLOAT_MAX:
+        raise DomainError(f"omega = {omega!r}: (alpha omega)^2 overflows a float (alpha omega = {a_omega!r})")
+    disc = 0.25 - a_omega**2
     root = math.sqrt(disc) if disc >= 0.0 else 1j * math.sqrt(-disc)
     return -0.5 + root
 

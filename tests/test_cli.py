@@ -294,6 +294,11 @@ class TestGreenCommand:
         _, _, rows = read_csv(str(out))
         assert all("intermediate" in r[-1] for r in rows)
 
+    def test_overflowing_frequency_exits_naming_it(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "[grid]\nomega_list = 1e300\n")
+        assert main(["green", "--mode", "trapped-spectral", "--config", cfg]) == 2
+        assert capsys.readouterr().err.startswith("error: omega = 1e+300: (alpha omega)^2 overflows a float")
+
     def test_no_nan_or_inf_cells(self, tmp_path):
         cfg = write_config(tmp_path, "[grid]\nx_count = 9\n")
         out = tmp_path / "g.csv"
@@ -380,6 +385,23 @@ class TestCorrelatorCommand:
         auto, spectral = tables["asymptotic-auto"], tables["spectral"]
         assert [r[col["method"]] for r in auto] == ["asymptotic-auto"] + ["asymptotic-auto:fallback-spectral"] * 2
         assert [r[col["gamma"]] for r in auto[1:]] == [r[col["gamma"]] for r in spectral[1:]]
+
+    @pytest.mark.parametrize(
+        "mode, g, overflowing, cause",
+        [("series", 500, 6, "exp(-G) at G = -2368.64"), ("asymptotic-auto", 2000, 8, "base 0.01577")],
+        ids=["series-g500", "asymptotic-auto-g2000"],
+    )
+    def test_overflowing_gamma_is_a_typed_row(self, tmp_path, mode, g, overflowing, cause):
+        # a strong coupling makes 1/theta large, so Gamma ~ |zeta|^(-1/theta)
+        # exceeds the largest float at the smallest separations
+        cfg = write_config(tmp_path, f"[params]\ng = {g}\nbeta = 141.4213562373095\n[grid]\ndtau = 0.007\n")
+        out = tmp_path / "corr.csv"
+        assert main(["correlator", "--mode", mode, "--config", cfg, "--out", str(out)]) == 0
+        _, header, rows = read_csv(str(out))
+        statuses = [r[header.index("status")] for r in rows]
+        assert all(status.startswith("AccuracyError: Gamma overflows: ") for status in statuses[:overflowing])
+        assert cause in statuses[0]
+        assert not any("overflows" in status for status in statuses[overflowing:])
 
     def test_spectral_route_at_high_temperature(self, tmp_path):
         # beta = 1e-4 puts the first frequency at lambda ~ 2e11; every row
@@ -470,8 +492,10 @@ class TestExponentCommand:
             ("series", "", "DomainError: lowT_legendre_series requires tau != tau'"),
             ("closed-form", "[grid]\ndtau = 0.1\n", "DomainError: closed-form correlator is equal-time"),
             ("spectral", "[params]\nbeta = 1e-5\n", "AccuracyError: Gamma = 1.2327e-320 underflows"),
+            ("series", "[params]\ng = 500\nbeta = 141.4213562373095\n[grid]\ndtau = 0.007\n",
+             "AccuracyError: Gamma overflows: exp(-G) at G = -2368.6"),
         ],
-        ids=["series-equal-time", "closed-form-dtau", "spectral-underflow"],
+        ids=["series-equal-time", "closed-form-dtau", "spectral-underflow", "series-overflow"],
     )
     def test_too_few_rows_names_the_skipped_cause(self, tmp_path, capsys, mode, grid, cause):
         cfg = write_config(tmp_path, grid)
@@ -479,6 +503,13 @@ class TestExponentCommand:
         err = capsys.readouterr().err
         assert "need at least 8 samples, got 0" in err
         assert "9 rows skipped" in err and cause in err
+
+    def test_flat_profile_exits_with_data_error(self, tmp_path, capsys):
+        # Omega = 1e150: the closed-form exponent -g R_c/(4 beta hbar^2 v^2)
+        # is so small that Gamma / sqrt(rho rho') is 1.0 on every row
+        cfg = write_config(tmp_path, "[params]\nOmega = 1e150\n")
+        assert main(["exponent", "--mode", "closed-form", "--config", cfg]) == 2
+        assert capsys.readouterr().err.startswith("error: the profile is flat")
 
     def test_spectral_fit_skips_the_underflowing_row(self, tmp_path, capsys):
         # at beta = 1e-4 the widest separation's Gamma underflows; the fit

@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from trapgas import (
+    AccuracyError,
     CorrelatorQuery,
     DataError,
     DomainError,
@@ -13,11 +14,9 @@ from trapgas import (
     RegimeError,
     asympt_green_highT,
     closed_form_zero_mode,
-    coherence_multidim,
     derive_scales,
     extract_exponent,
     gamma_d1_exact,
-    gamma_d1_quasihom,
     gamma_from_green,
     gamma_homog,
     gamma_trapped_asymptotic,
@@ -27,7 +26,7 @@ from trapgas import (
     theta_homogeneous,
     xi_at,
 )
-from trapgas.correlator import _exponential_gamma, _power_law_gamma
+from trapgas.correlator import _power_law_gamma
 
 
 def setup_params(**over):
@@ -39,18 +38,6 @@ def setup_params(**over):
 
 def unit_radius_params(**over):
     return setup_params(Omega=math.sqrt(2.0), **over)
-
-
-def quasihom_draws(count, seed=20261018):
-    """(p, d, x1, x2) with m, g, Omega, Lambda, beta in [0.5, 2] and a pair
-    inside the quasi-homogeneous window: |S| <= 0.5 R_c, S = 0 in every
-    fourth draw, |dx| <= 0.05 R_c."""
-    rng = np.random.default_rng(seed)
-    for i in range(count):
-        p, d = setup_params(**{k: float(rng.uniform(0.5, 2.0)) for k in ("m", "g", "Omega", "Lambda", "beta")})
-        s_half = 0.0 if i % 4 == 0 else float(rng.uniform(-0.5, 0.5)) * d.R_c
-        dx = float(rng.uniform(-0.05, 0.05)) * d.R_c
-        yield p, d, s_half + dx / 2.0, s_half - dx / 2.0
 
 
 class TestExponents:
@@ -83,6 +70,12 @@ class TestExponents:
         with pytest.raises(DomainError):
             theta_at(2.0 * d.R_c, p, d)
 
+    def test_untrapped_limit_correlation_length(self):
+        # 1/R_c -> 0: the decay length tends to 2 beta hbar^2 rho(0)/m
+        p, d = setup_params(Omega=1e-4)
+        xi0 = 2.0 * p.beta * p.hbar**2 * rho_tf(0.0, p, d) / p.m
+        assert_allclose(xi_at(1e-3 * d.R_c, p, d), xi0, rtol=1e-5)
+
 
 class TestGammaFromGreen:
     def test_zero_green_gives_density(self):
@@ -103,6 +96,13 @@ class TestGammaFromGreen:
         q = CorrelatorQuery(1.5 * d.R_c, 0.0, 0.0, 0.0)
         with pytest.raises(DomainError):
             gamma_from_green(q, GreenValue(0.0, "test"), p, d)
+
+    def test_overflow_is_accuracy_error(self):
+        p, d = setup_params()
+        q = CorrelatorQuery(0.3, 0.0, -0.2, 0.0)
+        with pytest.raises(AccuracyError, match=r"^Gamma overflows: exp\(-G\) at G = -710\.0 exceeds the largest") as info:
+            gamma_from_green(q, GreenValue(-710.0, "test"), p, d)
+        assert info.value.achieved == math.inf
 
 
 class TestClosedFormCorrelator:
@@ -133,70 +133,6 @@ class TestClosedFormCorrelator:
         with pytest.raises(DomainError):
             gamma_d1_exact(1.4 * d.R_c, -0.2, p, d)
 
-    def test_quasihom_reduction_within_3_percent(self):
-        p, d = setup_params()
-        s_half = 0.3 * d.R_c
-        dx = 0.02 * d.R_c
-        exact = gamma_d1_exact(s_half + dx / 2.0, s_half - dx / 2.0, p, d)
-        approx = gamma_d1_quasihom(s_half + dx / 2.0, s_half - dx / 2.0, p, d)
-        assert abs(exact - approx) < 0.03 * exact
-
-
-class TestQuasihomCorrelator:
-    def test_zero_separation(self):
-        p, d = setup_params()
-        s = 0.25 * d.R_c
-        assert_allclose(gamma_d1_quasihom(s, s, p, d), rho_tf(s, p, d), rtol=1e-14)
-
-    def test_log_slope_is_inverse_xi(self):
-        p, d = setup_params()
-        s_half = 0.3 * d.R_c
-        dx1, dx2 = 0.005 * d.R_c, 0.01 * d.R_c
-        g1 = gamma_d1_quasihom(s_half + dx1 / 2.0, s_half - dx1 / 2.0, p, d)
-        g2 = gamma_d1_quasihom(s_half + dx2 / 2.0, s_half - dx2 / 2.0, p, d)
-        pref = math.sqrt(rho_tf(s_half + dx1 / 2, p, d) * rho_tf(s_half - dx1 / 2, p, d))
-        pref2 = math.sqrt(rho_tf(s_half + dx2 / 2, p, d) * rho_tf(s_half - dx2 / 2, p, d))
-        slope = -(math.log(g2 / pref2) - math.log(g1 / pref)) / (dx2 - dx1)
-        assert_allclose(slope, 1.0 / xi_at(s_half, p, d), rtol=1e-10)
-
-    def test_untrapped_limit_correlation_length(self):
-        # 1/R_c -> 0: the decay length tends to 2 beta hbar^2 rho(0)/m
-        p, d = setup_params(Omega=1e-4)
-        xi0 = 2.0 * p.beta * p.hbar**2 * rho_tf(0.0, p, d) / p.m
-        assert_allclose(xi_at(1e-3 * d.R_c, p, d), xi0, rtol=1e-5)
-
-    def test_window_enforced(self):
-        p, d = setup_params()
-        with pytest.raises(RegimeError):
-            gamma_d1_quasihom(0.5 * d.R_c, -0.5 * d.R_c, p, d)
-
-    @pytest.mark.parametrize(
-        "x1_over_rc, x2_over_rc, violated",
-        [
-            (0.9, -0.9, ["|dx| << R_c"]),  # centre-symmetric: flat density, wide pair
-            (0.95, 0.9, ["TF density variation across pair"]),  # narrow pair near the edge
-            (0.96, 0.5, ["|dx| << R_c", "TF density variation across pair"]),
-        ],
-    )
-    def test_window_violations_named(self, x1_over_rc, x2_over_rc, violated):
-        p, d = setup_params()
-        with pytest.raises(RegimeError, match="quasi-homogeneous window failed") as info:
-            gamma_d1_quasihom(x1_over_rc * d.R_c, x2_over_rc * d.R_c, p, d)
-        named = [part.split(" violated")[0] for part in str(info.value).split(": ", 1)[1].split("; ")]
-        assert named == violated
-
-    def test_is_the_exponential_form_at_equal_times(self):
-        for p, d, x1, x2 in quasihom_draws(120):
-            q = CorrelatorQuery(x1, 0.0, x2, 0.0)
-            assert gamma_d1_quasihom(x1, x2, p, d) == _exponential_gamma(q, p, d)
-
-    def test_accepted_at_trap_centre(self):
-        # S = 0 is where the background is flattest and the form most accurate
-        p, d = setup_params()
-        dx = 0.02 * d.R_c
-        approx = gamma_d1_quasihom(dx / 2.0, -dx / 2.0, p, d)
-        assert_allclose(approx, gamma_d1_exact(dx / 2.0, -dx / 2.0, p, d), rtol=1e-6)
-
 
 class TestHomogeneousCorrelator:
     def test_exponent_value(self):
@@ -209,33 +145,22 @@ class TestHomogeneousCorrelator:
         p, d = setup_params(Omega=math.sqrt(2.0) / 20.0)
         theta = theta_homogeneous(p, d)
         seps = np.geomspace(0.005 * d.lambda_T, 0.05 * d.lambda_T, 12)
-        gam = [gamma_homog(s / 2, 0.0, -s / 2, 0.0, p, d, "highT") for s in seps]
+        gam = [gamma_homog(s / 2, 0.0, -s / 2, 0.0, p, d) for s in seps]
         slope = np.polyfit(np.log(seps), np.log(gam), 1)[0]
         assert abs(-slope - 1.0 / theta) < 0.01 / theta
-
-    def test_lowT_form_periodicity_in_dx(self):
-        p, d = setup_params()
-        g1 = gamma_homog(0.3, 0.0, 0.1, 0.0, p, d, "lowT")
-        g2 = gamma_homog(0.3 + 2.0 * d.R_c, 0.0, 0.1, 0.0, p, d, "lowT")
-        assert_allclose(g1, g2, rtol=1e-10)
 
     def test_powerlaw_matches_forms_at_midpoint(self):
         p, d = setup_params()
         sep = 1e-4 * d.lambda_T
-        g_sinh = gamma_homog(sep / 2, 0.0, -sep / 2, 0.0, p, d, "highT")
-        g_pow = gamma_homog(sep / 2, 0.0, -sep / 2, 0.0, p, d, "powerlaw")
-        # sinh(pi x) ~ pi x: forms differ by the constant pi^(-1/theta)
-        ratio = g_sinh / g_pow
-        assert_allclose(ratio, (math.pi / (p.hbar * p.beta * d.v)) ** (-1.0 / (2.0 * math.pi)), rtol=1e-4)
+        theta = theta_homogeneous(p, d)
+        g_sinh = gamma_homog(sep / 2, 0.0, -sep / 2, 0.0, p, d)
+        g_pow = (p.Lambda / p.g) * sep ** (-1.0 / theta)
+        # sinh(pi x) ~ pi x: the sinh form and the pure power law differ by the constant pi^(-1/theta)
+        assert_allclose(g_sinh / g_pow, (math.pi / (p.hbar * p.beta * d.v)) ** (-1.0 / theta), rtol=1e-4)
 
     def test_divergence_marker(self):
         p, d = setup_params()
-        assert math.isinf(gamma_homog(0.1, 0.2, 0.1, 0.2, p, d, "highT"))
-
-    def test_unknown_form_rejected(self):
-        p, d = setup_params()
-        with pytest.raises(DomainError):
-            gamma_homog(0.1, 0.0, 0.0, 0.0, p, d, "weird")
+        assert math.isinf(gamma_homog(0.1, 0.2, 0.1, 0.2, p, d))
 
 
 def lg_gamma(q, p, d):
@@ -254,6 +179,29 @@ class TestTrappedAsymptoticCorrelator:
         gamma = gamma_trapped_asymptotic(q, p, d)
         pref = math.sqrt(rho_tf(q.x1, p, d) * rho_tf(q.x2, p, d))
         assert_allclose(math.log(gamma / pref), -dx / xi_at(s_half, p, d), rtol=1e-3)
+
+    @pytest.mark.parametrize("s_over_rc", [0.0, 0.3, 0.5])
+    def test_log_slope_is_inverse_xi(self, s_over_rc):
+        # d ln(Gamma/sqrt(rho rho'))/d|dx| = -1/xi(S) at |dx| = 0.1 R_c, far
+        # beyond lambda_T; slope * xi reads 1.0025, 1.0039 and 1.0079
+        p, d = setup_params(beta=0.05 * math.sqrt(2.0))
+        s_half, h = s_over_rc * d.R_c, 1e-4 * d.R_c
+
+        def log_reduced_gamma(dx):
+            q = CorrelatorQuery(s_half + dx / 2, 0.0, s_half - dx / 2, 0.0)
+            return math.log(gamma_trapped_asymptotic(q, p, d) / math.sqrt(rho_tf(q.x1, p, d) * rho_tf(q.x2, p, d)))
+
+        dx = 0.1 * d.R_c
+        slope = (log_reduced_gamma(dx + h) - log_reduced_gamma(dx - h)) / (2.0 * h)
+        assert_allclose(-slope * xi_at(s_half, p, d), 1.0, rtol=0.01)
+
+    def test_low_t_power_law_overflow_is_accuracy_error(self):
+        # g = 2000: 1/theta(S) = 318, so |zeta|^(-1/theta(S)) overflows at |zeta| = 0.01
+        p, d = setup_params(g=2000.0, beta=100.0 * math.sqrt(2.0))
+        q = CorrelatorQuery(0.01, 0.0, 0.0, 0.0)
+        with pytest.raises(AccuracyError, match=r"^Gamma overflows: base 0\.01 to the power -1/theta = -") as info:
+            gamma_trapped_asymptotic(q, p, d)
+        assert info.value.achieved == math.inf
 
     @pytest.mark.parametrize(
         "beta_over_alpha, dx_over_rc, dtau_over_beta, form",
@@ -342,55 +290,6 @@ class TestTrappedAsymptoticCorrelator:
         assert_allclose(fit.inv_theta * theta_homogeneous(p, d), 1.0, rtol=1e-3)
 
 
-class TestCoherence:
-    def test_d3_long_range_expansion(self):
-        p, d = setup_params(beta=0.4)
-        s_vec = np.array([0.05, 0.05, 0.02])
-        amp = p.Lambda / (4.0 * math.pi * p.beta * (p.hbar * d.v) ** 2 * rho_tf(float(np.linalg.norm(s_vec)), p, d))
-        sep_dir = np.array([1.0, 0.0, 0.0])
-        for sep in (50.0 * amp, 200.0 * amp):
-            c = coherence_multidim(s_vec + sep * sep_dir / 2, s_vec - sep * sep_dir / 2, 3, p, d)
-            assert_allclose(c.gamma1 - 1.0, amp / sep, rtol=0.05)
-        assert c.gamma1 > 1.0  # long-range order marker
-
-    def test_d2_exponent_proportional_to_temperature(self):
-        p1, d1 = setup_params(beta=1.0)
-        p2, d2 = setup_params(beta=2.0)
-        x1 = np.array([0.05, 0.0])
-        x2 = np.array([-0.05, 0.0])
-        c1 = coherence_multidim(x1, x2, 2, p1, d1)
-        c2 = coherence_multidim(x1, x2, 2, p2, d2)
-        # exponent ~ 1/beta: ln Gamma ratios against the respective lambda_T
-        e1 = math.log(c1.gamma1) / math.log(d1.lambda_T / c1.separation)
-        e2 = math.log(c2.gamma1) / math.log(d2.lambda_T / c2.separation)
-        assert_allclose(e1 / e2, 2.0, rtol=1e-10)
-
-    def test_d1_phase_correlator_linear(self):
-        p, d = setup_params()
-        g1 = coherence_multidim([0.25], [0.15], 1, p, d).phase_green
-        g2 = coherence_multidim([0.30], [0.10], 1, p, d).phase_green
-        assert_allclose(g2 / g1, 2.0, rtol=1e-12)  # doubled separation, same S
-
-    def test_d1_is_the_quasihom_exponential(self):
-        for p, d, x1, x2 in quasihom_draws(120):
-            c = coherence_multidim([x1], [x2], 1, p, d)
-            assert c.gamma1 == _exponential_gamma(CorrelatorQuery(x1, 0.0, x2, 0.0), p, d)
-            assert c.phase_green == abs(x1 - x2) / xi_at(0.5 * (x1 + x2), p, d)
-
-    def test_divergence_markers(self):
-        p, d = setup_params()
-        assert math.isinf(coherence_multidim([0.1, 0.0], [0.1, 0.0], 2, p, d).gamma1)
-        assert math.isinf(coherence_multidim([0.1, 0.0, 0.0], [0.1, 0.0, 0.0], 3, p, d).gamma1)
-        assert math.isfinite(coherence_multidim([0.1], [0.1], 1, p, d).gamma1)
-
-    def test_argument_validation(self):
-        p, d = setup_params()
-        with pytest.raises(DomainError):
-            coherence_multidim([0.1, 0.2], [0.1], 2, p, d)
-        with pytest.raises(DomainError):
-            coherence_multidim([0.1], [0.0], 4, p, d)
-
-
 class TestExtractExponent:
     def test_recovers_synthetic_power_law(self):
         seps = np.geomspace(0.01, 1.0, 12)
@@ -416,6 +315,11 @@ class TestExtractExponent:
         bad[3] = -1.0
         with pytest.raises(DataError):
             extract_exponent(seps, bad)
+
+    def test_flat_profile_is_data_error(self):
+        # slope 0 would make theta = 1/inv_theta divide by zero
+        with pytest.raises(DataError, match="^the profile is flat"):
+            extract_exponent([0.01 * i for i in range(1, 10)], [1.0] * 9)
 
     @pytest.mark.parametrize("which, index, value", [("gammas", 4, math.nan), ("separations", 8, math.inf),
                                                      ("rho_products", 0, -math.inf)])

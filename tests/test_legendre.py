@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 import sys
 from math import comb
 
@@ -103,6 +104,17 @@ class TestDegreeFromOmega:
     def test_even_in_omega(self):
         d = self._scales(1.3)
         assert nu_from_omega(2.0, d) == nu_from_omega(-2.0, d)
+
+    @pytest.mark.parametrize("alpha, omega", [(1.0, 1e300), (1e10, 1e300), (1.0, 1.4e154)])
+    def test_overflowing_square_is_domain_error(self, alpha, omega):
+        # (alpha omega)^2 overflows a float past alpha omega = 1.34e154, and
+        # alpha omega itself overflows to inf at alpha = 1e10, omega = 1e300
+        with pytest.raises(DomainError, match="^" + re.escape(f"omega = {omega!r}: (alpha omega)^2 overflows a float")):
+            nu_from_omega(omega, self._scales(alpha))
+
+    def test_largest_finite_square_is_kept(self):
+        nu = nu_from_omega(1.34e154, self._scales(1.0))
+        assert math.isfinite(nu.imag) and nu.imag == pytest.approx(1.34e154, rel=1e-15)
 
 
 class TestLegendrePairValues:
