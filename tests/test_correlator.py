@@ -40,6 +40,12 @@ def unit_radius_params(**over):
     return setup_params(Omega=math.sqrt(2.0), **over)
 
 
+def quasihom_gamma(x1, x2, p, d):
+    """Quasi-homogeneous exponential sqrt(rho rho') exp(-|dx| / xi(S)) at equal times."""
+    pref = math.sqrt(rho_tf(x1, p, d) * rho_tf(x2, p, d))
+    return pref * math.exp(-abs(x1 - x2) / xi_at(0.5 * (x1 + x2), p, d))
+
+
 class TestExponents:
     def test_theta_homogeneous_forms_agree(self):
         p, d = setup_params(Lambda=2.3, g=0.7, m=1.9)
@@ -132,6 +138,21 @@ class TestClosedFormCorrelator:
         p, d = setup_params()
         with pytest.raises(DomainError):
             gamma_d1_exact(1.4 * d.R_c, -0.2, p, d)
+
+    def test_quasihom_reduction_within_3_percent(self):
+        # |dx| << R_c: the closed form tends to sqrt(rho rho') exp(-|dx|/xi(S))
+        p, d = setup_params()
+        s_half = 0.3 * d.R_c
+        dx = 0.02 * d.R_c
+        exact = gamma_d1_exact(s_half + dx / 2.0, s_half - dx / 2.0, p, d)
+        approx = quasihom_gamma(s_half + dx / 2.0, s_half - dx / 2.0, p, d)
+        assert abs(exact - approx) < 0.03 * exact
+
+    def test_quasihom_reduction_at_trap_centre(self):
+        # S = 0 is where the background is flattest and the exponential most accurate
+        p, d = setup_params()
+        dx = 0.02 * d.R_c
+        assert_allclose(quasihom_gamma(dx / 2.0, -dx / 2.0, p, d), gamma_d1_exact(dx / 2.0, -dx / 2.0, p, d), rtol=1e-6)
 
 
 class TestHomogeneousCorrelator:
