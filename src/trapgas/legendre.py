@@ -19,7 +19,13 @@ float64 well inside the Matsubara range, so the kernel scales that exponent
 out.  On the real branch it integrates (P_nu - 1)/nu instead, whose
 integrand keeps one sign, so that P_nu(u) - P_nu(u') is not formed as the
 difference of two numbers near 1.  Every row costs the same 96 integrand
-evaluations at any degree and argument.  Q_nu comes from the connection
+evaluations at any degree and argument, and each evaluation stays on numpy's
+vectorized paths: the square root's trigonometry comes from one tangent
+tan(h/2), not from sin h and cos h, which numpy takes to scalar libm for
+float64, and the exponent of the conical integrand's vanishing term is held
+above a floor, so that no exp underflows (numpy's exp is some 20 times slower
+where its result underflows and over 100 times where it is subnormal).
+Q_nu comes from the connection
 formula
 
     Q_nu(u) = pi/(2 sin(pi nu)) * [cos(pi nu) P_nu(u) - P_nu(-u)],
@@ -119,7 +125,7 @@ def _gauss_legendre(n: int) -> tuple:
 _MAIN = 64
 _NODES, _WEIGHTS = (np.concatenate(pair) for pair in zip(_gauss_legendre(_MAIN), _gauss_legendre(_MAIN // 2)))
 # rows integrated together, so that one [rows x nodes] float64 temporary is at
-# most 64 KiB.  A block has up to 5 of them alive.  At 128 KiB each, glibc's
+# most 64 KiB.  A block has up to 4 of them alive.  At 128 KiB each, glibc's
 # default mmap and trim threshold, free() gives the heap back to the kernel
 # and the next block faults it in again: about 570 minor faults an assembly at
 # l_max = 256, unless an earlier large free (importing scipy makes one) has
@@ -127,10 +133,21 @@ _NODES, _WEIGHTS = (np.concatenate(pair) for pair in zip(_gauss_legendre(_MAIN),
 _ROWS = 64 * 1024 // (8 * _NODES.size)
 # exp(-mu s^2) is below e^-40 past s^2 = 40/mu, where the conical rows stop
 _GAUSS_CUT = 40.0
+# floor of the exponent -2 mu (theta - h) of the conical integrand's second
+# term.  As h = s^2/2 <= min(theta, 40/mu)/2, its first term e^{-2 mu h} is
+# at least e^-40, and a second term below e^-78 is less than e^-38 < 2^-54
+# times it, under half an ulp, so their sum rounds to the first term.  Any
+# floor in (-708, -78) lies below that and above the exponent of exp's least
+# normal result, so it changes no bit and keeps exp off its slow path.
+_EXP_FLOOR = -700.0
 # rounding allowance of a row, in units of eps times the sum of the absolute
 # terms: the companion rule shares the prefactor and the end of the range,
 # whose few roundings its difference cannot see
 _ROUNDING = 4.0 * np.finfo(float).eps
+# the constant factor of a conical row, sqrt(2)/pi, with the 4 under the
+# root's tangent form folded in; written so that it rounds correctly
+# (sqrt(2.0)/pi is an ulp high)
+_PREFACTOR = 2.0 / math.pi / math.sqrt(2.0)
 
 
 def _nu_real(lam):
@@ -146,14 +163,21 @@ def _quad_rows(lam, kappa, theta, u, conical: bool) -> tuple:
     phi = theta - s^2 takes the inverse square root off the endpoint phi =
     theta, and s = sqrt(2 sin theta) sinh t spreads the logarithmic peak at
     s = 0 that P_nu develops as u -> -1, so that one rule on t serves every
-    row; sin(theta - s^2/2) is sin theta cos h - u sin h, h = s^2/2, with
-    sin theta = sqrt((1-u)(1+u)), which stays accurate at both ends.  The
-    per-row factors are formed once for all rows, the [rows x nodes] terms in
-    blocks of ``_ROWS`` rows.
+    row.  With h = s^2/2 <= pi/2 and tau = tan(h/2) in [0, 1], the root is
+
+        cos phi - cos theta = 2 sin(theta - h) sin h
+                            = 4 tau [sin theta (1 - tau^2) - 2 u tau] / (1 + tau^2)^2,
+
+    formed as tau [sin theta - tau (2u + tau sin theta)], with sin theta =
+    sqrt((1-u)(1+u)), which stays accurate at both ends; the constant
+    factors, its 4 among them, are in ``_PREFACTOR``.  The per-row factors
+    are formed once for all rows, the [rows x nodes] terms in blocks of
+    ``_ROWS`` rows.
     """
     sin_th = np.sqrt((1.0 - u) * (1.0 + u))
     s2_max = np.minimum(theta, _GAUSS_CUT / kappa) if conical else theta
     t_max = np.arcsinh(np.sqrt(s2_max / (2.0 * sin_th)))
+    two_u = 2.0 * u
     if conical:
         rate = -2.0 * kappa
     else:
@@ -167,21 +191,26 @@ def _quad_rows(lam, kappa, theta, u, conical: bool) -> tuple:
         f = np.sinh(t)
         h = sin_th[b, None] * f * f  # s^2/2
         f *= np.cosh(t, out=t)
-        sin_h = np.sin(h)
-        root = np.cos(h, out=t)
-        root *= sin_th[b, None]
-        root -= u[b, None] * sin_h
-        root *= sin_h
+        tau = np.tan(np.multiply(h, 0.5, out=t), out=t)
+        root = sin_th[b, None] * tau
+        root += two_u[b, None]
+        root *= tau
+        np.subtract(sin_th[b, None], root, out=root)
+        root *= tau
+        tau *= tau
+        tau += 1.0
+        f *= tau
         f /= np.sqrt(root, out=root)
         f *= _WEIGHTS
         if conical:  # e^{-mu theta} cosh(mu phi), with theta - phi = 2h
             g = np.exp(np.multiply(h, rate[b, None], out=root), out=root)
-            g += np.exp(np.multiply(np.subtract(theta[b, None], h, out=h), rate[b, None], out=h), out=h)
+            e = np.multiply(np.subtract(theta[b, None], h, out=h), rate[b, None], out=h)
+            g += np.exp(np.maximum(e, _EXP_FLOOR, out=e), out=e)
         else:  # [cos((nu+1/2) phi) - cos(phi/2)]/nu = -2 sin((nu+1) psi) sin(nu psi)/nu, psi = phi/2
             psi = np.subtract(half_th[b, None], h, out=h)
             g = np.sin(np.multiply(nu_1[b, None], psi, out=root), out=root)
             g *= psi
-            g *= np.sinc(np.multiply(psi, nu_pi[b, None], out=sin_h))
+            g *= np.sinc(np.multiply(psi, nu_pi[b, None], out=tau))
         f *= g
         main[b] = f[:, :_MAIN].sum(axis=1)
         alt[b] = f[:, _MAIN:].sum(axis=1)
@@ -189,7 +218,7 @@ def _quad_rows(lam, kappa, theta, u, conical: bool) -> tuple:
     err = np.abs(main - alt)
     err += _ROUNDING * abs_sum
     err /= np.abs(main)
-    return ((2.0 if conical else -8.0) / math.pi) * sin_th * t_max * main, err
+    return (_PREFACTOR if conical else -4.0 * _PREFACTOR) * sin_th * t_max * main, err
 
 
 def _p_quad(lam, u) -> tuple:

@@ -312,12 +312,25 @@ class TestSeriesKernel:
         assert exponent.tolist() == [0.0, 0.0, 0.0] and err.tolist() == [0.0, 0.0, 0.0]
 
     @settings(max_examples=60, deadline=None)
-    @given(log10_lam=st.floats(-3.0, 5.0), u=st.floats(-0.95, 0.95))
+    @given(log10_lam=st.floats(-3.0, 5.0), u=st.floats(-(1.0 - 1e-6), 1.0 - 1e-6))
     def test_matsubara_degrees_against_mpmath(self, log10_lam, u):
-        # every Matsubara degree has lambda = (alpha omega)^2 >= 0
+        # every Matsubara degree has lambda = (alpha omega)^2 >= 0; u reaches
+        # the clamp, where h nears pi/2 at u -> -1 and 1 - tan^2(h/2) is smallest
         lam = 10.0**log10_lam
         value, _, err = _p_quad(np.array([lam]), u)
         self._check(lam, u, _mp_scaled(lam, u), value[0], err[0])
+
+    @pytest.mark.parametrize("u", [0.19, -0.21, 0.0, 1.0 - 1e-6, -(1.0 - 1e-6)])
+    def test_matsubara_rows_raise_no_floating_point_error(self, u):
+        # the rows of a Matsubara sum to l_max = 256 at unit parameters, the
+        # largest sweep degree and two real-branch rows: no exp underflows
+        # and nothing overflows or turns invalid
+        d = derive_scales(PhysicalParams(m=1.0, g=1.0, Omega=1.0, Lambda=1.0, beta=1.0))
+        omegas = [2.0 * math.pi * l for l in range(1, 257)] + [2000.0 * math.pi] * 3
+        lam = np.array([(d.alpha * w) ** 2 for w in omegas] + [0.1, 1e-6])
+        with np.errstate(all="raise"):
+            value, _, err = _p_quad(lam, u)
+        assert np.isfinite(value).all() and (err < 1e-13).all()
 
     @settings(max_examples=40, deadline=None)
     @given(nu=st.sampled_from([0.5, 2.5, -0.3]), u=st.floats(-0.95, 0.95))
