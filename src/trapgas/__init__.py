@@ -47,14 +47,7 @@ from .green_trapped import (
     spectral_densities,
     spectral_density,
 )
-from .legendre import (
-    LegendrePair,
-    legendre_pair,
-    nu_from_omega,
-    p_poly,
-    p_poly_table,
-    wronskian_check,
-)
+from .legendre import nu_from_omega, p_poly_table
 from .model import (
     DerivedScales,
     LevelSpacing,

@@ -38,6 +38,8 @@ from .green_homogeneous import (
 )
 from .green_trapped import (
     LowTControl,
+    _density_parts,
+    _k_coeff,
     asympt_green_highT,
     asympt_green_lowT,
     closed_form_zero_mode,
@@ -45,7 +47,6 @@ from .green_trapped import (
     matsubara_assemble,
     spectral_density,
 )
-from .legendre import wronskian_check
 from .model import PhysicalParams, derive_scales, rho_tf
 from .oracle import FdmGrid, brute_frequency_sum, fdm_eigensolve_richardson, fdm_spectral_solve
 
@@ -373,11 +374,36 @@ def check_symmetry_positivity():
 
 
 def check_wronskian_conical():
-    """Normalized Wronskian residual of the Legendre pair, ``wronskian_check``,
-    over integer and conical degrees and 17 points in (-1, 1)."""
-    degrees = [0.0, 1.0, 3.0, -0.5 + 0.8j, -0.5 + 5.0j]
-    worst = max(wronskian_check(nu, float(u)) for nu in degrees for u in np.linspace(-0.94, 0.94, 17))
-    return worst, "max Wronskian residual normalized by the product scale, 5 degrees x 17 points", True
+    """The jump of the spectral density's slope across its source, which is
+    the Wronskian W{P_nu, Q_nu}(u) = 1/(1 - u^2) (DLMF 14.2.3) in x:
+
+        (1 - u'^2) [d_x Re G_omega(x'+, x') - d_x Re G_omega(x'-, x')] = g/(hbar v)^2,
+
+    evaluated by ``_density_parts``, the path of the spectral tables and the
+    Matsubara assembly.  Two real-branch degrees lambda = (alpha omega)^2 and
+    three conical ones, mu = 40 of Matsubara size among them, at 17 sources;
+    each side's slope is a one-sided 5-point derivative at step
+    h = 1e-3 (1 - u'^2) R_c / max(1, mu), and the 9 points of every source
+    go in one call per degree.  The zero mode is check 01's.
+    """
+    p, d = _unit_setup()
+    k = _k_coeff(p, d)
+    target = p.g / (p.hbar * d.v) ** 2
+    xp = np.linspace(-0.94, 0.94, 17) * d.R_c
+    up = xp / d.R_c
+    ups = np.repeat(up, 9)
+    # d/dx at the source from the right, on f(x' + j h), j = 0..4; from the left, minus the same at -h
+    stencil = np.array([-25.0, 48.0, -36.0, 16.0, -3.0])
+    worst = 0.0
+    for lam in (0.05, 0.2, 0.25 + 0.8**2, 0.25 + 5.0**2, 0.25 + 40.0**2):
+        h = 1e-3 * (1.0 - up * up) * d.R_c / max(1.0, math.sqrt(max(lam - 0.25, 0.0)))
+        us = (xp[:, None] + np.arange(-4, 5) * h[:, None]).ravel() / d.R_c
+        re = _density_parts(math.sqrt(lam) / d.alpha, us, ups, d, k, 1e-13)[0].reshape(xp.size, 9)
+        jump = (re[:, 4:] + re[:, 4::-1]) @ stencil / (12.0 * h)
+        worst = max(worst, float(np.max(np.abs((1.0 - up * up) * jump - target))) / target)
+    detail = ("max relative deviation of (1 - u'^2) times the jump of d Re G_omega/dx from g/(hbar v)^2, "
+              "(alpha omega)^2 in {0.05, 0.2, 1/4 + 0.8^2, 1/4 + 5^2, 1/4 + 40^2}, 17 sources")
+    return worst, detail, True
 
 
 # name -> (check, pinned tolerance), in report order

@@ -117,7 +117,7 @@ class LowTControl:
 
 def _clamped_u(x: float, d: DerivedScales) -> float:
     u = x / d.R_c
-    if abs(u) > 1.0 - BOUNDARY_EPS:
+    if not abs(u) <= 1.0 - BOUNDARY_EPS:  # NaN too
         raise DomainError(
             f"|x|/R_c = {abs(u):.9g} exceeds the boundary clamp 1 - {BOUNDARY_EPS:g}; "
             "trapped evaluations require interior points"
@@ -211,7 +211,7 @@ def _real_parts(lam, value, rel, c: float) -> tuple:
     p_lo, p_hi, p_mhi = 1.0 + nu * d1, 1.0 + nu * d3, 1.0 + nu * d4
     ratio = c * nu / np.sin(np.pi * nu)
     re = ratio * (p_hi * (d2 - d4) + p_mhi * (d3 - d1))
-    im = -c * (_q_real(nu, nu, d1, d2) * _q_real(nu, nu, d3, d4) + p_lo * p_hi)
+    im = -c * (_q_real(nu, d1, d2) * _q_real(nu, d3, d4) + p_lo * p_hi)
     err = np.abs(ratio) * (np.abs(p_hi) * (np.abs(d2) * r2 + np.abs(d4) * r4)
                            + np.abs(p_mhi) * (np.abs(d3) * r3 + np.abs(d1) * r1))
     return re, im, err

@@ -25,46 +25,20 @@ tan(h/2), not from sin h and cos h, which numpy takes to scalar libm for
 float64, and the exponent of the conical integrand's vanishing term is held
 above a floor, so that no exp underflows (numpy's exp is some 20 times slower
 where its result underflows and over 100 times where it is subnormal).
-Q_nu comes from the connection
-formula
-
-    Q_nu(u) = pi/(2 sin(pi nu)) * [cos(pi nu) P_nu(u) - P_nu(-u)],
-
-whose phases are real closed forms on the conical line, sin(pi nu) =
--cosh(pi mu) and cos(pi nu) = i sinh(pi mu).  Integer degrees use closed
-forms and the standard three-term recurrence.
+Q_nu enters only the spectral densities of ``green_trapped``, through the
+connection formula in P_nu(+-u) (``_q_real`` on the real branch).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AccuracyError, DomainError
+from .errors import DomainError
 from .model import DerivedScales
 
-__all__ = [
-    "LegendrePair",
-    "p_poly",
-    "p_poly_table",
-    "nu_from_omega",
-    "legendre_pair",
-    "wronskian_check",
-]
-
-
-@dataclass(frozen=True)
-class LegendrePair:
-    """P_nu(u) and Q_nu(u) at one point, with cost and accuracy bookkeeping."""
-
-    p: complex
-    q: complex
-    u: float
-    nu: complex
-    terms: int
-    err_bound: float
+__all__ = ["p_poly_table", "nu_from_omega"]
 
 
 # ----------------------------------------------------------------------------
@@ -72,32 +46,22 @@ class LegendrePair:
 # ----------------------------------------------------------------------------
 
 
-def _recurrence(n_max: int, u, y0, y1) -> list:
-    """y_0 .. y_{n_max} of the three-term recurrence
-    (k+1) y_{k+1} = (2k+1) u y_k - k y_{k-1} from the seeds y_0, y_1; P_n
-    and Q_n both obey it."""
-    ys = [y0, y1]
+def _recurrence(n_max: int, u) -> list:
+    """P_0(u) .. P_{n_max}(u) by the three-term recurrence
+    (k+1) P_{k+1} = (2k+1) u P_k - k P_{k-1}."""
+    ys = [1.0, u]
     for k in range(1, n_max):
         ys.append(((2 * k + 1) * u * ys[k] - k * ys[k - 1]) / (k + 1))
     return ys[:n_max + 1]
-
-
-def p_poly(n: int, u: float) -> float:
-    """Legendre polynomial P_n(u) on [-1, 1] by the three-term recurrence."""
-    if n != int(n) or n < 0:
-        raise DomainError(f"polynomial degree must be an integer >= 0, got {n!r}")
-    if abs(u) > 1.0:
-        raise DomainError(f"p_poly argument must satisfy |u| <= 1, got {u}")
-    return _recurrence(int(n), u, 1.0, float(u))[-1]
 
 
 def p_poly_table(n_max: int, u: float) -> np.ndarray:
     """P_0(u) .. P_{n_max}(u) as one array (shared recurrence sweep)."""
     if n_max != int(n_max) or n_max < 0:
         raise DomainError(f"n_max must be an integer >= 0, got {n_max!r}")
-    if abs(u) > 1.0:
+    if not abs(u) <= 1.0:
         raise DomainError(f"p_poly_table argument must satisfy |u| <= 1, got {u}")
-    return np.array(_recurrence(int(n_max), u, 1.0, u), dtype=float)
+    return np.array(_recurrence(int(n_max), u), dtype=float)
 
 
 # ----------------------------------------------------------------------------
@@ -113,7 +77,7 @@ def _gauss_legendre(n: int) -> tuple:
     memory, and its end weights are off by 1e-12 relative, these by 6e-14."""
     x = np.cos(np.pi * (np.arange(n) + 0.75) / (n + 0.5))
     for _ in range(5):
-        p_prev, p_n = _recurrence(n, x, 1.0, x)[-2:]
+        p_prev, p_n = _recurrence(n, x)[-2:]
         dp = n * (p_prev - x * p_n) / ((1.0 - x) * (1.0 + x))  # P_n'(x)
         x = x - p_n / dp
     w = 1.0 / ((1.0 - x) * (1.0 + x) * dp * dp)
@@ -238,8 +202,8 @@ def _p_quad(lam, u) -> tuple:
     does at every point, where P_nu(+-u') recurs, integrates each distinct
     u once and copies the result to the rows that repeat it; nothing is
     kept across calls.  Rows of several lambdas, as in a Matsubara sum, do
-    not repeat, and four rows or fewer (one point's, or a Legendre pair's)
-    seldom do, so those calls skip the sort, which costs more than it saves
+    not repeat, and four rows or fewer (one point's four P_nu) seldom
+    do, so those calls skip the sort, which costs more than it saves
     there.  u = -0.0 and u = 0.0 share a row: the integral sees u only
     through arccos u, 1 -+ u and u sin h beside a nonzero term, so both get
     the same bits.  u = 1 gives P_nu = 1 exactly.
@@ -265,16 +229,15 @@ def _p_quad(lam, u) -> tuple:
     return value[row], np.where(conical, kappa * theta, 0.0)[row], err[row]
 
 
-def _q_real(nu, nu_p, d_u, d_mu):
-    """(2/pi) Q_nu(u) for a real degree nu from D(+-u) = (P_nu(+-u) - 1)/nu_p,
-    where nu_p is the principal degree with the same nu(nu+1): the connection
-    formula [cos(pi nu) P_nu(u) - P_nu(-u)] / sin(pi nu) with its O(1) parts
-    cos(pi nu) - 1 taken out in closed form."""
-    return nu_p * (np.cos(np.pi * nu) * d_u - d_mu) / np.sin(np.pi * nu) - np.tan(0.5 * np.pi * nu)
+def _q_real(nu, d_u, d_mu):
+    """(2/pi) Q_nu(u) for a real-branch degree nu from D(+-u) = (P_nu(+-u) -
+    1)/nu: the connection formula [cos(pi nu) P_nu(u) - P_nu(-u)] /
+    sin(pi nu) with its O(1) part cos(pi nu) - 1 taken out in closed form."""
+    return nu * (np.cos(np.pi * nu) * d_u - d_mu) / np.sin(np.pi * nu) - np.tan(0.5 * np.pi * nu)
 
 
 # ----------------------------------------------------------------------------
-# the public pair evaluation
+# the degree of a frequency
 # ----------------------------------------------------------------------------
 
 
@@ -288,101 +251,14 @@ def nu_from_omega(omega: float, d: DerivedScales) -> complex:
     The branch is continuous from omega = 0 (where nu = 0); for
     alpha|omega| > 1/2 the square root is +i*sqrt(alpha^2 omega^2 - 1/4), so
     Re(nu) = -1/2 on the conical line.  On the real branch the degree comes
-    back as a float.  Raises DomainError where (alpha omega)^2 overflows.
+    back as a float.  Raises DomainError where alpha omega is NaN or its
+    square overflows.
     """
     a_omega = d.alpha * omega
+    if math.isnan(a_omega):
+        raise DomainError(f"omega = {omega!r}: alpha omega is nan")
     if not abs(a_omega) <= _SQRT_FLOAT_MAX:
         raise DomainError(f"omega = {omega!r}: (alpha omega)^2 overflows a float (alpha omega = {a_omega!r})")
     disc = 0.25 - a_omega**2
     root = math.sqrt(disc) if disc >= 0.0 else 1j * math.sqrt(-disc)
     return -0.5 + root
-
-
-def _is_integer(nu: complex) -> bool:
-    return nu.imag == 0.0 and nu.real == round(nu.real) and nu.real >= 0
-
-
-def legendre_pair(nu: complex, u: float, tol: float = 1e-13) -> LegendrePair:
-    """Evaluate P_nu(u) and Q_nu(u) for u strictly inside (-1, 1).
-
-    Integer degrees take the recurrence, P from P_0 = 1 and Q from
-    Q_0 = artanh u, Q_1 = u Q_0 - 1.  Real and conical
-    degrees -1/2 + i mu, the ones with real nu(nu+1), go through the
-    quadrature and the connection formula, on the conical line
-
-        Q_nu(u) = (pi/2) [P_nu(-u)/cosh(pi mu) - i tanh(pi mu) P_nu(u)]
-
-    with the exponents of P_nu(-u) and 1/cosh(pi mu) combined before one
-    exp; other degrees raise DomainError.  ``terms`` counts integrand
-    evaluations.  ``err_bound`` is the bound on P relative to max(1, |P|),
-    the scale of the cancellation in P = 1 + nu (P - 1)/nu near a zero of a
-    real-degree P (conical P is at least 1), plus that on Q; it must not
-    exceed ``tol``, or AccuracyError is raised.
-    """
-    nu = complex(nu)
-    if not (-1.0 < u < 1.0):
-        raise DomainError(f"legendre_pair argument must lie strictly inside (-1, 1), got {u}")
-    if not 0.0 < tol < math.inf:
-        raise DomainError(f"tolerance must be positive and finite, got {tol}")
-    if _is_integer(nu):
-        n = int(nu.real)
-        q0 = math.atanh(u)
-        return LegendrePair(
-            p=complex(p_poly(n, u)),
-            q=complex(_recurrence(n, u, q0, u * q0 - 1.0)[-1]),
-            u=u,
-            nu=nu,
-            terms=n + 1,
-            err_bound=0.0,
-        )
-    conical = nu.imag != 0.0
-    if conical and nu.real != -0.5:
-        raise DomainError(
-            f"degree nu = {nu} has non-real nu(nu+1); legendre_pair takes real degrees "
-            "and conical degrees -1/2 + i mu"
-        )
-    mu = nu.imag
-    lam = 0.25 + mu * mu if conical else -nu.real * (nu.real + 1.0)
-    (v_u, v_mu), (e_u, _), rel = _p_quad(np.array([lam, lam]), np.array([u, -u]))  # P_nu(u), P_nu(-u)
-    if conical:
-        p_u = v_u * math.exp(e_u)
-        # P_nu(-u)/cosh(pi mu) = 2 value(-u) e^{-mu arccos u} / (1 + e^{-2 pi mu})
-        q = complex(math.pi * v_mu * math.exp(-e_u) / (1.0 + math.exp(-2.0 * math.pi * abs(mu))),
-                    -(math.pi / 2.0) * math.tanh(math.pi * mu) * p_u)
-    else:
-        nu_p = float(_nu_real(lam))
-        p_u, p_mu = 1.0 + nu_p * v_u, 1.0 + nu_p * v_mu
-        q = complex((math.pi / 2.0) * _q_real(nu.real, nu_p, v_u, v_mu))
-        rel = rel * np.abs(nu_p * np.array([v_u, v_mu])) / np.maximum(1.0, np.abs([p_u, p_mu]))
-    bound = float(rel[0] + (rel[0] + rel[1]))  # bound on P plus bound on Q, which uses both
-    if bound > tol:
-        raise AccuracyError(
-            f"Legendre pair at nu = {nu}, u = {u!r}: quadrature bound {bound:.3e} > tol = {tol:g}",
-            achieved=bound,
-        )
-    return LegendrePair(p=complex(p_u), q=q, u=u, nu=nu, terms=2 * _NODES.size, err_bound=bound)
-
-
-def wronskian_check(nu, u: float, h: float | None = None, tol: float = 1e-13) -> float:
-    """|P Q' - P' Q - 1/(1-u^2)| / max(1, |P Q'|, |P' Q|), with derivatives
-    by central differences.
-
-    The analytic Wronskian of the pair is 1/(1-u^2) for every degree; the
-    returned residual is a self-test of the evaluation routines.  It is
-    normalized by the magnitude of the Wronskian's constituent products: at
-    nu = -1/2 + 5i toward u -> -1 the products P Q' and P' Q reach ~1e12
-    while their difference is O(1), so an absolute finite-difference residual
-    is ill-conditioned there in double precision; the normalized residual
-    measures the relative consistency of the pair.
-    """
-    if h is None:
-        h = 1e-5 * (1.0 - u * u)
-    if not (-1.0 < u - h and u + h < 1.0):
-        raise DomainError(f"u +- h must stay inside (-1, 1); u={u}, h={h}")
-    hi = legendre_pair(nu, u + h, tol=tol)
-    lo = legendre_pair(nu, u - h, tol=tol)
-    mid = legendre_pair(nu, u, tol=tol)
-    dp = (hi.p - lo.p) / (2.0 * h)
-    dq = (hi.q - lo.q) / (2.0 * h)
-    pdq, dpq = mid.p * dq, dp * mid.q
-    return abs(pdq - dpq - 1.0 / (1.0 - u * u)) / max(1.0, abs(pdq), abs(dpq))

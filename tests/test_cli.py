@@ -693,6 +693,24 @@ class TestValidateCommand:
         assert not result.passed and result.value < result.tol and not result.conditions_met
         assert "not symmetric" in result.detail
 
+    @pytest.mark.parametrize("branch", ["all", "real"])
+    def test_check_11_fails_on_a_wrong_density(self, monkeypatch, branch):
+        # the figure is the slope jump's relative deviation, so a density off
+        # by 1e-5 reads 1e-5; scaling only the rows of lambda <= 1/4 shows that
+        # the real-branch degrees enter the figure
+        from trapgas import checks
+
+        density_parts = checks._density_parts
+
+        def off_by_1e_5(omegas, us, ups, d, k, tol):
+            re, im, err = density_parts(omegas, us, ups, d, k, tol)
+            lam = (d.alpha * np.asarray(omegas)) ** 2
+            return re * (1.0 + 1e-5 * ((lam <= 0.25) if branch == "real" else 1.0)), im, err
+
+        monkeypatch.setattr(checks, "_density_parts", off_by_1e_5)
+        result = checks.run_check("11-wronskian-conical-reality")
+        assert not result.passed and result.value == pytest.approx(1e-5, rel=1e-3)
+
     def test_report_values_stable_across_runs(self):
         from trapgas.checks import run_check
 

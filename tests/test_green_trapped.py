@@ -17,6 +17,7 @@ from trapgas import (
     LowTControl,
     PhysicalParams,
     RegimeError,
+    SpectralDensity,
     asympt_green_highT,
     asympt_green_lowT,
     classify_regime,
@@ -103,6 +104,11 @@ class TestSpectralDensity:
         p, d = setup_params()
         with pytest.raises(DomainError):
             spectral_density(0.0, d.R_c * (1.0 - 1e-9), 0.0, p, d)
+        # a NaN point fails the clamp on both branches and at the zero mode
+        for omega in (0.0, 0.2, 2.0 * math.pi):
+            for x, xp in ((math.nan, 0.1), (0.1, math.nan)):
+                with pytest.raises(DomainError, match=r"^\|x\|/R_c = nan exceeds the boundary clamp"):
+                    spectral_density(omega, x, xp, p, d)
 
     @pytest.mark.parametrize("tol", [math.nan, math.inf])
     def test_non_finite_tolerance_rejected(self, tol):
@@ -291,6 +297,14 @@ class TestSpectralDensities:
         self.assert_same(batch, _per_point(*args))
         assert not any(isinstance(b, AccuracyError) for b in batch)
 
+    @pytest.mark.parametrize("omega", [0.0, 2.0 * math.pi])
+    def test_nan_point_gets_its_own_error(self, omega):
+        p, d = setup_params()
+        xs = [-0.6 * d.R_c, math.nan, 0.3 * d.R_c]
+        batch = spectral_densities(omega, xs, 0.1 * d.R_c, p, d)
+        self.assert_same(batch, _per_point(omega, xs, 0.1 * d.R_c, p, d, 1e-13))
+        assert [type(b) for b in batch] == [SpectralDensity, DomainError, SpectralDensity]
+
     def test_bad_tol_gives_every_point_the_kernel_error(self):
         p, d = setup_params()
         xs = [-0.6 * d.R_c, d.R_c, 0.3 * d.R_c]
@@ -367,6 +381,12 @@ class TestMatsubaraAssemble:
         g1 = matsubara_assemble(0.3, 0.25, 0.1, 0.0, p, d, l_max=5)
         g2 = matsubara_assemble(0.3, 0.25 + p.beta, 0.1, 0.0, p, d, l_max=5)
         assert_allclose(g1.value.real, g2.value.real, rtol=1e-10)
+
+    @pytest.mark.parametrize("x, xp, l_max", [(math.nan, 0.1, 0), (0.1, math.nan, 0), (math.nan, 0.1, 8)])
+    def test_nan_point_is_a_domain_error(self, x, xp, l_max):
+        p, d = setup_params()
+        with pytest.raises(DomainError, match="boundary clamp"):
+            matsubara_assemble(x, 0.1, xp, 0.0, p, d, l_max)
 
     def test_coincident_point_accuracy_error(self):
         p, d = setup_params()

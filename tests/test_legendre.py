@@ -1,4 +1,3 @@
-import cmath
 import math
 import re
 import sys
@@ -12,28 +11,16 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from trapgas import (
-    AccuracyError,
     DomainError,
     PhysicalParams,
     derive_scales,
-    legendre_pair,
     nu_from_omega,
-    p_poly,
     p_poly_table,
-    wronskian_check,
 )
 from trapgas import legendre
-from trapgas.legendre import _NODES, _ROWS, _p_quad
+from trapgas.legendre import _ROWS, _p_quad
 
 mp.mp.dps = 30
-
-
-def legendre_ode_residual(y, nu: complex, u: float, h: float = 1e-4) -> complex:
-    """(1-u^2) y'' - 2u y' + nu(nu+1) y by central differences on callable y."""
-    y0 = y(u)
-    yp = (y(u + h) - y(u - h)) / (2.0 * h)
-    ypp = (y(u + h) - 2.0 * y0 + y(u - h)) / (h * h)
-    return (1.0 - u * u) * ypp - 2.0 * u * yp + nu * (nu + 1.0) * y0
 
 
 def p_poly_bruteforce(n, u):
@@ -44,35 +31,37 @@ def p_poly_bruteforce(n, u):
 class TestPolynomials:
     def test_p0_is_one(self):
         for u in (-1.0, -0.3, 0.0, 0.7, 1.0):
-            assert p_poly(0, u) == 1.0
+            assert p_poly_table(0, u)[0] == 1.0
 
     def test_p2_closed_form(self):
-        assert_allclose(p_poly(2, 0.5), -0.125, rtol=1e-15)
+        assert_allclose(p_poly_table(2, 0.5)[2], -0.125, rtol=1e-15)
 
     @pytest.mark.parametrize("n", [1, 3, 7, 10, 25])
     def test_against_bruteforce_sum(self, n):
         # the explicit binomial sum is the oracle here and is itself
         # rounding-limited (~1e-10 relative by n = 25 near u = 1)
         for u in (-0.8, -0.3, 0.3, 0.9):
-            assert_allclose(p_poly(n, u), p_poly_bruteforce(n, u), rtol=1e-9, atol=1e-14)
+            assert_allclose(p_poly_table(n, u)[n], p_poly_bruteforce(n, u), rtol=1e-9, atol=1e-14)
 
     def test_parity(self):
         rng = np.random.default_rng(3)
         for n in range(9):
             for u in rng.uniform(0.0, 1.0, 4):
-                assert_allclose(p_poly(n, -u), (-1.0) ** n * p_poly(n, u), rtol=1e-12, atol=1e-15)
+                assert_allclose(p_poly_table(n, -u)[n], (-1.0) ** n * p_poly_table(n, u)[n], rtol=1e-12, atol=1e-15)
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
-            p_poly(3, 1.5)
+            p_poly_table(3, 1.5)
         with pytest.raises(DomainError):
-            p_poly(-1, 0.5)
+            p_poly_table(-1, 0.5)
+        with pytest.raises(DomainError, match="got nan$"):
+            p_poly_table(3, math.nan)
 
-    def test_table_matches_scalar(self):
+    def test_table_rows_do_not_depend_on_n_max(self):
         u = 0.37
         table = p_poly_table(12, u)
         for n in range(13):
-            assert table[n] == pytest.approx(p_poly(n, u), rel=1e-14)
+            assert table[n] == pytest.approx(p_poly_table(n, u)[n], rel=1e-14)
 
 
 class TestAsymptoticPolynomial:
@@ -112,77 +101,13 @@ class TestDegreeFromOmega:
         with pytest.raises(DomainError, match="^" + re.escape(f"omega = {omega!r}: (alpha omega)^2 overflows a float")):
             nu_from_omega(omega, self._scales(alpha))
 
+    def test_nan_frequency_is_named(self):
+        with pytest.raises(DomainError, match=r"^omega = nan: alpha omega is nan$"):
+            nu_from_omega(math.nan, self._scales(1.0))
+
     def test_largest_finite_square_is_kept(self):
         nu = nu_from_omega(1.34e154, self._scales(1.0))
         assert math.isfinite(nu.imag) and nu.imag == pytest.approx(1.34e154, rel=1e-15)
-
-
-class TestLegendrePairValues:
-    def test_nu0_closed_forms(self):
-        pair = legendre_pair(0, 0.5)
-        assert pair.p == 1.0
-        assert_allclose(pair.q.real, 0.5 * math.log(3.0), rtol=1e-14)
-
-    def test_nu1_closed_forms(self):
-        pair = legendre_pair(1, 0.0)
-        assert pair.p == 0.0
-        assert_allclose(pair.q.real, -1.0, rtol=1e-14)
-        pair2 = legendre_pair(1, 0.6)
-        assert_allclose(pair2.p.real, 0.6, rtol=1e-14)
-
-    @pytest.mark.parametrize("nu", [0.5, -0.3, 2.5, -0.5 + 0.8j, -0.5 - 0.8j, -0.5 + 5.0j, -0.5])
-    @pytest.mark.parametrize("u", [-0.7, -0.2, 0.3, 0.85])
-    def test_against_mpmath(self, nu, u):
-        pair = legendre_pair(nu, u, tol=1e-14)
-        ref_p = complex(mp.legenp(nu, 0, u, type=2))
-        ref_q = complex(mp.legenq(nu, 0, u, type=2))
-        assert abs(pair.p - ref_p) < 1e-11 * max(1.0, abs(ref_p))
-        assert abs(pair.q - ref_q) < 1e-11 * max(1.0, abs(ref_q))
-
-    def test_conical_p_is_real(self):
-        for mu in (0.8, 2.0, 5.0):
-            for u in np.linspace(-0.9, 0.9, 7):
-                pair = legendre_pair(-0.5 + 1j * mu, float(u))
-                assert abs(pair.p.imag) < 1e-8
-
-    def test_solves_legendre_ode(self):
-        for nu in (0.5, -0.5 + 0.8j):
-            pair_fn_p = lambda u: legendre_pair(nu, u, tol=1e-14).p
-            pair_fn_q = lambda u: legendre_pair(nu, u, tol=1e-14).q
-            for u0 in (-0.4, 0.2, 0.6):
-                scale = abs(nu * (nu + 1)) * max(abs(pair_fn_p(u0)), 1.0) + 1.0
-                assert abs(legendre_ode_residual(pair_fn_p, nu, u0)) < 1e-5 * scale
-                scale_q = abs(nu * (nu + 1)) * max(abs(pair_fn_q(u0)), 1.0) + 1.0
-                assert abs(legendre_ode_residual(pair_fn_q, nu, u0)) < 1e-5 * scale_q
-
-    def test_domain_and_tolerance_validation(self):
-        with pytest.raises(DomainError):
-            legendre_pair(0.5, 1.0)
-        with pytest.raises(DomainError):
-            legendre_pair(0.5, -1.2)
-        with pytest.raises(DomainError):
-            legendre_pair(0.5, 0.3, tol=0.0)
-
-    @pytest.mark.parametrize("tol", [math.nan, math.inf])
-    def test_non_finite_tolerance_rejected_before_any_term(self, tol):
-        with pytest.raises(DomainError, match="tolerance"):
-            legendre_pair(-0.5 + 20j, -0.9, tol=tol)
-
-    def test_non_real_lambda_rejected(self):
-        with pytest.raises(DomainError, match=r"nu = \(0\.3\+0\.2j\) has non-real nu\(nu\+1\)"):
-            legendre_pair(0.3 + 0.2j, 0.1)
-
-    def test_reports_terms_and_error_bound(self):
-        pair = legendre_pair(-0.5 + 0.8j, 0.3, tol=1e-13)
-        assert pair.terms == 2 * _NODES.size
-        assert 0.0 <= pair.err_bound < 1e-10
-
-    def test_bound_beyond_tol_raises_accuracy_error(self):
-        # the bound carries the rounding of the quadratures, well above 1e-16
-        bound = legendre_pair(-0.5 + 0.8j, 0.3).err_bound
-        with pytest.raises(AccuracyError, match=r"quadrature bound .* > tol = 1e-16") as err:
-            legendre_pair(-0.5 + 0.8j, 0.3, tol=1e-16)
-        assert err.value.achieved == bound > 1e-16
 
 
 class TestSeriesErrorBound:
@@ -201,31 +126,6 @@ class TestSeriesErrorBound:
             if s >= 5:
                 next_term = term * abs((s + 1 - nu) * (s + nu + 2)) * z / (s + 2) ** 2
                 assert abs(full - partial) <= next_term / (1.0 - z) + 1e-15
-
-
-class TestWronskian:
-    def test_analytic_value_nu0(self):
-        # Q_0' = 1/(1-u^2) exactly, so the residual is pure FD error
-        assert wronskian_check(0, 0.5) < 1e-8
-
-    def test_integer_example(self):
-        # at h = 1e-4 the residual is the analytic FD truncation
-        # (h^2/6)|P Q''' - Q P'''| = (h^2/6)*10 at u = 0, nu = 3
-        assert wronskian_check(3, 0.0, h=1e-4) < 2e-8
-        # the default step reaches well below 1e-8
-        assert wronskian_check(3, 0.0) < 1e-8
-
-    def test_conical_example(self):
-        assert wronskian_check(-0.5 + 1.5j, -0.2) < 1e-6
-
-    @pytest.mark.parametrize("nu", [0, 1, 3, -0.5 + 0.8j])
-    def test_across_degrees(self, nu):
-        for u in np.linspace(-0.9, 0.9, 7):
-            assert wronskian_check(nu, float(u)) < 1e-6
-
-    def test_step_validation(self):
-        with pytest.raises(DomainError):
-            wronskian_check(0, 0.999999, h=0.1)
 
 
 def _mp_p(lam, u):
@@ -435,44 +335,11 @@ class TestSeriesKernel:
             for b, s in zip(batch, single):
                 assert b[i].tobytes() == s[0].tobytes()
 
-    @pytest.mark.parametrize("nu", [-0.3, 0.5, -0.5 + 0.8j, -0.5 + 40.0j])
-    def test_pair_sums_both_series_in_one_call(self, nu, monkeypatch):
-        # P_nu(u) and P_nu(-u) from one two-row call, each equal to its own
-        # single-row quadrature
-        calls = []
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return _p_quad(*args, **kwargs)
-
-        monkeypatch.setattr(legendre, "_p_quad", counted)
-        u = -0.35
-        pair = legendre_pair(nu, u)
-        assert len(calls) == 1
-        nu = complex(nu)
-        lam = np.array([0.25 + nu.imag**2 if nu.imag else -nu.real * (nu.real + 1.0)])
-        value, exponent, _ = _p_quad(lam, u)
-        p_u = value[0] * math.exp(exponent[0]) if nu.imag else 1.0 + nu.real * value[0]
-        assert pair.p == complex(p_u)
-        assert pair.terms == 2 * _NODES.size
-
     def test_polynomial_degree_terminates(self):
         # lambda = -n(n+1): the integral reproduces the polynomial P_n
         value, _, err = _p_quad(np.array([-6.0, -12.0]), 0.3)
-        assert_allclose(1.0 + np.array([2.0, 3.0]) * value, [p_poly(2, 0.3), p_poly(3, 0.3)], rtol=1e-14)
+        assert_allclose(1.0 + np.array([2.0, 3.0]) * value, p_poly_table(3, 0.3)[2:], rtol=1e-14)
         assert (err < 1e-14).all()
-
-    def test_conical_q_matches_connection_formula(self):
-        # legendre_pair's closed-form phases against the connection formula
-        # in plain complex arithmetic, from the kernel's P(+-u)
-        nu = -0.5 + 1.5j
-        lam = np.array([0.25 + 1.5**2])
-        for u in (-0.5, 0.2, 0.7):
-            pair = legendre_pair(nu, u, tol=1e-14)
-            p_u, p_mu = (value[0] * math.exp(exponent[0]) for value, exponent, _ in (_p_quad(lam, v) for v in (u, -u)))
-            naive_q = math.pi / (2.0 * cmath.sin(math.pi * nu)) * (cmath.cos(math.pi * nu) * p_u - p_mu)
-            assert pair.p == p_u
-            assert abs(pair.q - naive_q) < 1e-13 * abs(naive_q)
 
     def test_large_degree_log_magnitude(self):
         # P_{-1/2+i mu}(cos theta) ~ exp(mu theta)/sqrt(2 pi mu sin theta)
@@ -483,17 +350,6 @@ class TestSeriesKernel:
         expected = mu * theta - 0.5 * math.log(2.0 * math.pi * mu * math.sin(theta))
         assert value[0] > 0.0
         assert abs(log_p - expected) < 0.01 * abs(expected)
-
-    def test_pair_finite_where_cosh_pi_mu_overflows(self):
-        # cosh(300 pi) overflows float64; Re Q ~ exp(-mu theta) stays tiny and finite
-        mu = 300.0
-        theta = 1.1
-        with pytest.raises(OverflowError):
-            math.cosh(math.pi * mu)
-        pair = legendre_pair(-0.5 + 1j * mu, math.cos(theta))
-        assert all(math.isfinite(v) for v in (pair.p.real, pair.q.real, pair.q.imag))
-        assert 0.0 < pair.q.real < 1e-100
-        assert pair.q.imag == pytest.approx(-(math.pi / 2.0) * pair.p.real, rel=1e-15)
 
     def test_p_matches_plain_at_moderate_degree(self):
         value, exponent, _ = _p_quad(np.array([0.25 + 25.0]), -0.7)

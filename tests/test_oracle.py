@@ -18,7 +18,7 @@ from trapgas import (
     fdm_eigensolve,
     fdm_eigensolve_richardson,
     fdm_spectral_solve,
-    p_poly,
+    p_poly_table,
     spectral_density,
 )
 
@@ -180,7 +180,8 @@ class TestBruteLegendreTail:
         u, up = 0.3, 0.2
         dtau = 30.0 * d.alpha
         total = brute_legendre_tail(u * d.R_c, up * d.R_c, dtau, p, d, 500)
-        leading = (1.5 / math.sqrt(2.0)) * p_poly(1, u) * p_poly(1, up) * math.exp(-math.sqrt(2.0) * dtau / d.alpha)
+        p1_u, p1_up = p_poly_table(1, u)[1], p_poly_table(1, up)[1]
+        leading = (1.5 / math.sqrt(2.0)) * p1_u * p1_up * math.exp(-math.sqrt(2.0) * dtau / d.alpha)
         assert_allclose(total, leading, rtol=1e-10)
 
     def test_parity_kills_odd_modes_at_center(self):
@@ -190,7 +191,7 @@ class TestBruteLegendreTail:
         manual = 0.0
         for n in (2, 4, 6):  # odd-n polynomials vanish at the origin
             root = math.sqrt(n * (n + 1.0))
-            manual += (n + 0.5) / root * p_poly(n, 0.0) ** 2 * math.exp(-root * dtau / d.alpha)
+            manual += (n + 0.5) / root * p_poly_table(n, 0.0)[n] ** 2 * math.exp(-root * dtau / d.alpha)
         assert_allclose(total, manual, rtol=1e-13)
 
     def test_validation(self):
