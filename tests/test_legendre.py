@@ -1,3 +1,4 @@
+import cmath
 import math
 import re
 import sys
@@ -11,14 +12,17 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from trapgas import (
+    AccuracyError,
     DomainError,
     PhysicalParams,
     derive_scales,
     nu_from_omega,
     p_poly_table,
+    spectral_density,
 )
-from trapgas import legendre
-from trapgas.legendre import _ROWS, _p_quad
+from trapgas import green_trapped, legendre
+from trapgas.green_trapped import _density_parts, _k_coeff
+from trapgas.legendre import _NODES, _ROWS, _p_quad, _q_real
 
 mp.mp.dps = 30
 
@@ -26,6 +30,56 @@ mp.mp.dps = 30
 def p_poly_bruteforce(n, u):
     """Recurrence-independent oracle: 2^-n sum_k C(n,k)^2 (u-1)^(n-k) (u+1)^k."""
     return sum(comb(n, k) ** 2 * (u - 1.0) ** (n - k) * (u + 1.0) ** k for k in range(n + 1)) / 2.0**n
+
+
+def legendre_ode_residual(y, nu: complex, u: float, h: float = 1e-4) -> complex:
+    """(1-u^2) y'' - 2u y' + nu(nu+1) y by central differences on callable y."""
+    y0 = y(u)
+    yp = (y(u + h) - y(u - h)) / (2.0 * h)
+    ypp = (y(u + h) - 2.0 * y0 + y(u - h)) / (h * h)
+    return (1.0 - u * u) * ypp - 2.0 * u * yp + nu * (nu + 1.0) * y0
+
+
+def _lam(nu) -> float:
+    """lambda = -nu(nu+1), real for a real or a conical degree."""
+    nu = complex(nu)
+    return 0.25 + nu.imag**2 if nu.imag else -nu.real * (nu.real + 1.0)
+
+
+def kernel_rows(nu, u: float) -> tuple:
+    """P_nu(u), P_nu(-u) and the kernel's values of those two rows, from one call."""
+    value, exponent, _ = _p_quad(np.full(2, _lam(nu)), np.array([u, -u]))
+    nu = complex(nu)
+    p = value * np.exp(exponent) if nu.imag else 1.0 + nu.real * value
+    return float(p[0]), float(p[1]), value
+
+
+def kernel_p(nu, u: float) -> float:
+    return kernel_rows(nu, u)[0]
+
+
+def kernel_pair(nu, u: float) -> tuple:
+    """(P_nu(u), Q_nu(u)) from P_nu(+-u): Q by ``_q_real`` on the real branch;
+    on the conical line, where no route forms Q, by the connection formula in
+    plain complex arithmetic."""
+    p_u, p_mu, value = kernel_rows(nu, u)
+    nu = complex(nu)
+    if nu.imag:
+        return p_u, math.pi / 2.0 * (cmath.cos(math.pi * nu) * p_u - p_mu) / cmath.sin(math.pi * nu)
+    return p_u, math.pi / 2.0 * float(_q_real(nu.real, value[0], value[1]))
+
+
+def wronskian_residual(f, g, w: float, u: float, h: float | None = None) -> float:
+    """|f g' - f' g - w/(1-u^2)| / max(1, |f g'|, |f' g|), with derivatives by
+    central differences: the residual normalized by the Wronskian's
+    constituent products, which reach ~1e12 toward u -> -1 at nu = -1/2 + 5i
+    while their difference is O(1)."""
+    if h is None:
+        h = 1e-5 * (1.0 - u * u)
+    df = (f(u + h) - f(u - h)) / (2.0 * h)
+    dg = (g(u + h) - g(u - h)) / (2.0 * h)
+    fdg, dfg = f(u) * dg, df * g(u)
+    return abs(fdg - dfg - w / (1.0 - u * u)) / max(1.0, abs(fdg), abs(dfg))
 
 
 class TestPolynomials:
@@ -110,6 +164,103 @@ class TestDegreeFromOmega:
         assert math.isfinite(nu.imag) and nu.imag == pytest.approx(1.34e154, rel=1e-15)
 
 
+class TestLegendrePairValues:
+    """P_nu and Q_nu as the routes form them: P from the kernel's rows, Q from
+    P_nu(+-u), and the density's tolerance and domain checks ahead of the
+    kernel."""
+
+    def _unit(self):
+        p = PhysicalParams(m=1.0, g=1.0, Omega=1.0, Lambda=1.0, beta=1.0)
+        return p, derive_scales(p)
+
+    def test_nu0_closed_forms(self):
+        # at lambda = 0 the row holds dP_nu/dnu at nu = 0, which is log((1+u)/2),
+        # and P_0 = 1 exactly; Q_nu reaches Q_0 = atanh u as lambda -> 0
+        value, _, _ = _p_quad(np.array([0.0]), 0.5)
+        assert 1.0 + 0.0 * value[0] == 1.0
+        assert_allclose(value[0], math.log(0.75), rtol=1e-14)
+        p, q = kernel_pair(-1e-12, 0.5)
+        assert_allclose(p, 1.0, rtol=1e-11)
+        assert_allclose(q, 0.5 * math.log(3.0), rtol=1e-11)
+
+    def test_nu1_closed_forms(self):
+        # lambda = -2: P_1(u) = u; Q at an integer degree has no route
+        assert abs(kernel_p(1.0, 0.0)) < 1e-15
+        assert_allclose(kernel_p(1.0, 0.6), 0.6, rtol=1e-14)
+
+    @pytest.mark.parametrize("nu", [0.5, -0.3, 2.5, -0.5 + 0.8j, -0.5 - 0.8j, -0.5 + 5.0j, -0.5])
+    @pytest.mark.parametrize("u", [-0.7, -0.2, 0.3, 0.85])
+    def test_against_mpmath(self, nu, u):
+        p, q = kernel_pair(nu, u)
+        ref_p = complex(mp.legenp(nu, 0, u, type=2))
+        ref_q = complex(mp.legenq(nu, 0, u, type=2))
+        assert abs(p - ref_p) < 1e-11 * max(1.0, abs(ref_p))
+        assert abs(q - ref_q) < 1e-11 * max(1.0, abs(ref_q))
+
+    def test_conical_p_is_real(self):
+        # P_{-1/2+i mu} is real on the cut, so the kernel's real, positive
+        # conical rows lose no part of it
+        for mu in (0.8, 2.0, 5.0):
+            for u in np.linspace(-0.9, 0.9, 7):
+                ref = complex(mp.legenp(-0.5 + 1j * mu, 0, float(u), type=2))
+                p = kernel_p(-0.5 + 1j * mu, float(u))
+                assert p.imag == 0.0 and p.real > 0.0
+                assert abs(ref.imag) < 1e-8 * abs(ref) and abs(p - ref) < 1e-11 * abs(ref)
+
+    def test_solves_legendre_ode(self):
+        for nu in (0.5, -0.5 + 0.8j):
+            pair_fn_p = lambda u: kernel_pair(nu, u)[0]
+            pair_fn_q = lambda u: kernel_pair(nu, u)[1]
+            for u0 in (-0.4, 0.2, 0.6):
+                scale = abs(nu * (nu + 1)) * max(abs(pair_fn_p(u0)), 1.0) + 1.0
+                assert abs(legendre_ode_residual(pair_fn_p, nu, u0)) < 1e-5 * scale
+                scale_q = abs(nu * (nu + 1)) * max(abs(pair_fn_q(u0)), 1.0) + 1.0
+                assert abs(legendre_ode_residual(pair_fn_q, nu, u0)) < 1e-5 * scale_q
+
+    def test_domain_and_tolerance_validation(self):
+        p, d = self._unit()
+        with pytest.raises(DomainError):
+            _p_quad(np.array([-0.75]), 1.0 + 1e-15)  # u = 1 itself gives P_nu = 1
+        with pytest.raises(DomainError):
+            _p_quad(np.array([-0.75]), -1.2)
+        with pytest.raises(DomainError, match="tolerance"):
+            _density_parts(0.2, 0.3, 0.1, d, _k_coeff(p, d), 0.0)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf])
+    def test_non_finite_tolerance_rejected_before_any_term(self, tol, monkeypatch):
+        p, d = self._unit()
+        calls = []
+        monkeypatch.setattr(green_trapped, "_p_quad", lambda *args: calls.append(args))
+        with pytest.raises(DomainError, match="tolerance"):
+            _density_parts(20.0 / d.alpha, -0.9, 0.1, d, _k_coeff(p, d), tol)
+        assert calls == []
+
+    def test_reports_terms_and_error_bound(self, monkeypatch):
+        # P_nu(+-u) are two rows of one call, each of _NODES.size integrand
+        # evaluations, with error estimates far below the density's tolerance
+        rows = []
+        quad_rows = legendre._quad_rows
+
+        def counted(lam, *args):
+            rows.extend(lam)
+            return quad_rows(lam, *args)
+
+        monkeypatch.setattr(legendre, "_quad_rows", counted)
+        _, _, err = _p_quad(np.full(2, _lam(-0.5 + 0.8j)), np.array([0.3, -0.3]))
+        assert len(rows) * _NODES.size == 2 * 96
+        assert ((0.0 <= err) & (err < 1e-10)).all()
+
+    def test_bound_beyond_tol_raises_accuracy_error(self):
+        # the density's bound carries the rounding of the quadratures, well above 1e-16
+        p, d = self._unit()
+        args = (math.sqrt(_lam(-0.5 + 0.8j)) / d.alpha, 0.3 * d.R_c, 0.1 * d.R_c, p, d)
+        sd = spectral_density(*args)
+        bound = sd.err_bound / abs(sd.value)
+        with pytest.raises(AccuracyError, match=r"quadrature bound .* > tol = 1e-16") as err:
+            spectral_density(*args, tol=1e-16)
+        assert err.value.achieved == bound > 1e-16
+
+
 class TestSeriesErrorBound:
     def test_partial_sums_bounded_by_first_omitted_term(self):
         # conical degrees have nonnegative series terms, so the truncation
@@ -126,6 +277,29 @@ class TestSeriesErrorBound:
             if s >= 5:
                 next_term = term * abs((s + 1 - nu) * (s + nu + 2)) * z / (s + 2) ** 2
                 assert abs(full - partial) <= next_term / (1.0 - z) + 1e-15
+
+
+class TestWronskian:
+    """W{P_nu, Q_nu} = 1/(1 - u^2) (DLMF 14.2.3) and W{P_nu(u), P_nu(-u)} =
+    -2 sin(pi nu)/(pi (1 - u^2)) on the kernel's values, by central
+    differences; the densities' slope jump rests on both."""
+
+    def test_analytic_value_nu0(self):
+        # nu -> 0 from the real branch: Q_nu -> Q_0 = atanh u, whose
+        # derivative is 1/(1-u^2), so the residual is pure FD error
+        nu = -1e-12
+        assert wronskian_residual(lambda u: kernel_pair(nu, u)[0], lambda u: kernel_pair(nu, u)[1], 1.0, 0.5) < 1e-8
+
+    def test_conical_example(self):
+        nu = -0.5 + 1.5j
+        assert wronskian_residual(lambda u: kernel_pair(nu, u)[0], lambda u: kernel_pair(nu, u)[1], 1.0, -0.2) < 1e-6
+
+    @pytest.mark.parametrize("nu", [0, 1, 3, -0.5 + 0.8j])
+    def test_across_degrees(self, nu):
+        # zero at an integer degree, where P_n(-u) = (-1)^n P_n(u)
+        w = (-2.0 * cmath.sin(math.pi * nu) / math.pi).real
+        for u in np.linspace(-0.9, 0.9, 7):
+            assert wronskian_residual(lambda v: kernel_p(nu, v), lambda v: kernel_p(nu, -v), w, float(u)) < 1e-6
 
 
 def _mp_p(lam, u):
@@ -335,11 +509,49 @@ class TestSeriesKernel:
             for b, s in zip(batch, single):
                 assert b[i].tobytes() == s[0].tobytes()
 
+    @pytest.mark.parametrize("nu", [-0.3, 0.5, -0.5 + 0.8j, -0.5 + 40.0j])
+    def test_pair_sums_both_series_in_one_call(self, nu, monkeypatch):
+        # P_nu(u) and P_nu(-u), as a density asks for them, in one pass over
+        # the rows, each equal to its own single-row quadrature
+        calls = []
+        quad_rows = legendre._quad_rows
+
+        def counted(lam, *args):
+            calls.append(lam.size)
+            return quad_rows(lam, *args)
+
+        monkeypatch.setattr(legendre, "_quad_rows", counted)
+        u = -0.35
+        lam = np.full(2, _lam(nu))
+        pair = _p_quad(lam, np.array([u, -u]))
+        assert calls == [2]
+        for i, v in enumerate((u, -u)):
+            single = _p_quad(lam[:1], v)
+            for b, s in zip(pair, single):
+                assert b[i] == s[0]
+
     def test_polynomial_degree_terminates(self):
         # lambda = -n(n+1): the integral reproduces the polynomial P_n
         value, _, err = _p_quad(np.array([-6.0, -12.0]), 0.3)
         assert_allclose(1.0 + np.array([2.0, 3.0]) * value, p_poly_table(3, 0.3)[2:], rtol=1e-14)
         assert (err < 1e-14).all()
+
+    def test_conical_q_matches_connection_formula(self):
+        # the density's conical imaginary part, whose connection-formula phases
+        # are combined in closed form, against -C Re[(2/pi)^2 Q_< Q_> + P_< P_>]
+        # from mpmath, with C = K pi/2
+        p = PhysicalParams(m=1.0, g=1.0, Omega=1.0, Lambda=1.0, beta=1.0)
+        d = derive_scales(p)
+        k = _k_coeff(p, d)
+        nu = -0.5 + 1.5j
+        omega = math.sqrt(0.25 + 1.5**2) / d.alpha
+        for u in (-0.5, 0.2, 0.7):
+            up = 0.1
+            _, im, _ = _density_parts(omega, np.array([u]), up, d, k, 1e-13)
+            q_u, q_up = (complex(mp.legenq(nu, 0, v, type=2)) for v in (u, up))
+            p_u, p_up = (complex(mp.legenp(nu, 0, v, type=2)) for v in (u, up))
+            ref = -(k * math.pi / 2.0) * ((2.0 / math.pi) ** 2 * q_u * q_up + p_u * p_up).real
+            assert abs(im[0] - ref) < 1e-12 * abs(ref)
 
     def test_large_degree_log_magnitude(self):
         # P_{-1/2+i mu}(cos theta) ~ exp(mu theta)/sqrt(2 pi mu sin theta)
@@ -350,6 +562,30 @@ class TestSeriesKernel:
         expected = mu * theta - 0.5 * math.log(2.0 * math.pi * mu * math.sin(theta))
         assert value[0] > 0.0
         assert abs(log_p - expected) < 0.01 * abs(expected)
+
+    def test_pair_finite_where_cosh_pi_mu_overflows(self):
+        # cosh(300 pi) overflows float64; the density's parts, which divide
+        # P_nu(+-u) products by cosh^2(pi mu), stay finite and accurate
+        mu = 300.0
+        theta = 1.1
+        with pytest.raises(OverflowError):
+            math.cosh(math.pi * mu)
+        p = PhysicalParams(m=1.0, g=1.0, Omega=1.0, Lambda=1.0, beta=1.0)
+        d = derive_scales(p)
+        k = _k_coeff(p, d)
+        u, up = math.cos(theta), 0.9
+        re, im, err = (a[0] for a in _density_parts(math.sqrt(0.25 + mu * mu) / d.alpha, np.array([up]), u, d, k, 1e-13))
+        assert all(math.isfinite(v) for v in (re, im, err))
+        lam = 0.25 + mu * mu
+        with mp.workdps(40):
+            # P_nu(v) = I(v) e^{mu arccos v}, I from the Mehler-Dirichlet integral
+            big = {v: _mp_mehler_dirichlet(lam, v) * mp.exp(mu * mp.acos(v)) for v in (u, -u, up, -up)}
+            ref_im = -(k * mp.pi / 2) * (big[-u] * big[-up] + big[u] * big[up]) / mp.cosh(mp.pi * mu) ** 2
+            ref_re = (k * mp.pi / 2) * (mp.exp(-mp.pi * mu) * big[u] * big[-up]
+                                        - mp.exp(mp.pi * mu) * big[-u] * big[up]) / mp.cosh(mp.pi * mu) ** 2
+            assert 0.0 < -im < 1e-100
+            assert abs((mp.mpf(im) - ref_im) / ref_im) < 1e-12
+            assert abs((mp.mpf(re) - ref_re) / ref_re) < 1e-10
 
     def test_p_matches_plain_at_moderate_degree(self):
         value, exponent, _ = _p_quad(np.array([0.25 + 25.0]), -0.7)
