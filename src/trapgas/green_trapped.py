@@ -145,18 +145,18 @@ def _angle_difference(lo, hi):
     return np.arctan2(sin_d, lo * hi + s_lo * s_hi)
 
 
-def _density_parts(omegas, us, ups, d: DerivedScales, k: float, tol: float) -> tuple:
+def _density_parts(omegas, us, ups, d: DerivedScales, k: float, tol: float, *, reads_im: bool = True) -> tuple:
     """re_part, im_part and absolute error bound of re_part of G_omega(x, x')
     for each row (omega, u, u') of the broadcast 1-D arrays ``omegas``,
     ``us``, ``ups``, with omega nonzero, by the real closed form, from one
-    call of the quadrature kernel for all four P_nu(+-u_<), P_nu(+-u_>) of
-    every row.
+    call of the quadrature kernel; and the number of kernel rows that call
+    was given.
 
     With lambda = (alpha omega)^2, P_<(+-) = P_nu(+-u_<), P_>(+-) =
     P_nu(+-u_>) and C = (2K/pi)(pi/2)^2:
 
       conical line, lambda > 1/4 and nu = -1/2 + i mu:
-        re = C [e^{-pi mu} P_<(+) P_>(-) - e^{pi mu} P_<(-) P_>(+)] / cosh^2(pi mu)
+        re = C [e^{-pi mu} P_<(+) P_>(-) - e^{pi mu} P_<(-) P_>(+)] / cosh^2(pi mu) = a - b
         im = -C [P_<(-) P_>(-) + P_<(+) P_>(+)] / cosh^2(pi mu)
       real branch, lambda <= 1/4:
         re = C [P_>(+) P_<(-) - P_<(+) P_>(-)] / sin(pi nu)
@@ -172,6 +172,12 @@ def _density_parts(omegas, us, ups, d: DerivedScales, k: float, tol: float) -> t
     (D_<(-) - D_>(-)) + P_>(-) (D_>(+) - D_<(+))] has no O(1) cancellation.
     The bound weights each kernel row's relative estimate by the magnitude
     of the term it enters.
+
+    Every row integrates all four P_nu, unless the caller passes
+    ``reads_im=False``: then a conical row that ``_far_rows`` proves far
+    integrates only P_<(-) and P_>(+), the rows of b, and takes re = -b,
+    bitwise a - b as |a| < e^-48 |b| is under half an ulp of b; its im, below
+    e^-48 |re|, is 0, and its bound adds e^-48 |b| for a.
     """
     if not 0.0 < tol < math.inf:
         raise DomainError(f"tolerance must be positive and finite, got {tol}")
@@ -179,20 +185,58 @@ def _density_parts(omegas, us, ups, d: DerivedScales, k: float, tol: float) -> t
     lam = (d.alpha * omegas) ** 2
     lo, hi = np.minimum(us, ups), np.maximum(us, ups)
     n = lam.size
-    value, exponent, rel = (a.reshape(4, n) for a in _p_quad(np.tile(lam, 4), np.concatenate([lo, -lo, hi, -hi])))
+    con = lam > 0.25
+    far = np.zeros(n, dtype=bool)
+    if not reads_im:
+        far[con] = _far_rows(lam[con], lo[con], hi[con])
+    # the rows P_<(+), P_<(-), P_>(+), P_>(-), in that order, less P_<(+) and P_>(-) of a far row;
+    # an unread row stays 0, so that a = 0 and re = -b
+    kept = np.ones((4, n), dtype=bool)
+    kept[0] = kept[3] = ~far
+    value, exponent, rel = np.zeros((3, 4, n))
+    value[kept], exponent[kept], rel[kept] = _p_quad(np.broadcast_to(lam, (4, n))[kept],
+                                                     np.stack([lo, -lo, hi, -hi])[kept])
     re, im, err = np.empty(n), np.empty(n), np.empty(n)
-    c, con = k * math.pi / 2.0, lam > 0.25
+    c = k * math.pi / 2.0
     if con.any():
         re[con], im[con], err[con] = _conical_parts(lam[con], lo[con], hi[con], value[:, con], exponent[:, con],
-                                                    rel[:, con], c)
+                                                    rel[:, con], c, far[con])
     real = ~con
     if real.any():
         re[real], im[real], err[real] = _real_parts(lam[real], value[:, real], rel[:, real], c)
-    return re, im, err
+    return re, im, err, int(np.count_nonzero(kept))
 
 
-def _conical_parts(lam, lo, hi, value, exponent, rel, c: float) -> tuple:
-    """re, im and the bound on re of ``_density_parts`` on the conical line."""
+# a conical row is far when ``_far_rows`` puts a and im below e^-48 of b, by
+# its bound C = _FAR_SCALE mu on a ratio of two I = P_nu e^{-mu theta}
+_FAR_MARGIN = 48.0
+_FAR_SCALE = 36.0 * 2.0 * math.pi / 0.84**2
+
+
+def _far_rows(lam, lo, hi):
+    """The conical rows where, by a proof, |a| and |im| are below e^-48 |b|.
+
+    With I = P_nu e^{-mu theta}, the Mehler-Dirichlet integral gives
+    erf(sqrt(mu theta))/sqrt(2 pi mu) <= I <= P_{-1/2}(u), and inside the
+    boundary clamp P_{-1/2}(u) <= 6 (5.50 at |u| = 1 - 1e-6).  Where
+    mu theta >= 1 at both rows of b, u_> and -u_<, a ratio of two I is at
+    most C = 36 (2 pi mu)/0.84^2 (erf(1) > 0.84), so that
+
+        |a|/|b| <= C e^{-2 mu (pi - d_theta)},
+        |im|/|b| <= C (e^{-2 mu theta(u_>)} + e^{-2 mu theta(-u_<)}).
+
+    As pi - d_theta = theta(u_>) + theta(-u_<), both are below e^-48 where
+    2 mu min(theta(u_>), theta(-u_<)) - ln 2C > 48.  mu > 0 here.
+    """
+    mu = np.sqrt(lam - 0.25)
+    reach = np.minimum(np.arccos(hi), np.arccos(-lo))
+    return (mu * reach >= 1.0) & (2.0 * mu * reach - np.log(2.0 * _FAR_SCALE * mu) > _FAR_MARGIN)
+
+
+def _conical_parts(lam, lo, hi, value, exponent, rel, c: float, far) -> tuple:
+    """re, im and the bound on re of ``_density_parts`` on the conical line.
+    A ``far`` row comes with P_<(+) = P_>(-) = 0, so that a = 0, re = -b and
+    im = 0; its bound adds e^-48 |b|, the bound on |a| of ``_far_rows``."""
     (v1, v2, v3, v4), (e1, e2, e3, e4), (r1, r2, r3, r4) = value, exponent, rel
     mu = np.sqrt(lam - 0.25)
     d_theta = _angle_difference(lo, hi)
@@ -200,7 +244,8 @@ def _conical_parts(lam, lo, hi, value, exponent, rel, c: float) -> tuple:
     a = w * v1 * v4 * np.exp(-mu * (2.0 * np.pi - d_theta))
     b = w * v2 * v3 * np.exp(-mu * d_theta)
     im = -w * (v2 * v4 * np.exp(-e1 - e3) + v1 * v3 * np.exp(-e2 - e4))
-    return a - b, im, np.abs(a) * (r1 + r4) + np.abs(b) * (r2 + r3)
+    err = np.abs(a) * (r1 + r4) + np.abs(b) * (r2 + r3 + np.where(far, math.exp(-_FAR_MARGIN), 0.0))
+    return a - b, im, err
 
 
 def _real_parts(lam, value, rel, c: float) -> tuple:
@@ -289,7 +334,7 @@ def spectral_densities(
             out[i] = SpectralDensity(omega, nu, xs[i], xp, *_zero_mode_parts(u, up, k), err_bound=0.0)
         return out
     try:
-        re, im, err = _density_parts(omega, np.array(us), up, d, k, tol)
+        re, im, err, _ = _density_parts(omega, np.array(us), up, d, k, tol)
     except DomainError as exc:  # a bad tol, rejected before the pass
         for i in points:
             out[i] = exc
@@ -346,11 +391,17 @@ def matsubara_assemble(
     dx = 0 the envelope does not decay and the sum runs to ``l_max``.  The L
     frequencies are evaluated in one pass of the quadrature kernel; the
     first whose density bound exceeds ``tol`` times its magnitude raises its
-    AccuracyError.  ``trunc_err`` adds the truncation estimate at L to the
-    densities' own absolute error bounds and to the rounding of the assembled
-    sum, a few eps times (|G_0| + 2 sum |cos(omega dtau) Re G_omega|)/beta.
-    ``meta`` carries the cap ``l_max``, the integrand evaluations and the
-    frequencies summed, the zero mode included.
+    AccuracyError.  The sum reads only Re G_omega, so a conical frequency
+    that ``_far_rows`` proves far (all past the first few, unless a point
+    is near the boundary) integrates only the two P_nu of the term b that
+    Re G_omega rounds to, bit for bit; its refusal test reads |Re G_omega|.
+    So the value and every Re G_omega are those of four rows.  ``trunc_err``
+    adds the truncation estimate at L to the densities' own absolute error
+    bounds and to the rounding of the assembled sum, a few eps times
+    (|G_0| + 2 sum |cos(omega dtau) Re G_omega|)/beta.  ``meta`` carries the
+    cap ``l_max``, the integrand evaluations that ran (96 a kernel row, four
+    rows a frequency or two at a far one) and the frequencies summed, the
+    zero mode included.
     """
     if l_max < 0:
         raise DomainError("l_max must be >= 0")
@@ -385,7 +436,7 @@ def matsubara_assemble(
             lo = mid + 1
 
     omegas = 2.0 * math.pi * np.arange(1, last + 1) / p.beta
-    re, im, errs = _density_parts(omegas, u, up, d, k, tol)
+    re, im, errs, rows = _density_parts(omegas, u, up, d, k, tol, reads_im=False)
     beyond = np.flatnonzero(errs > tol * np.hypot(re, im))
     if beyond.size:
         row = beyond[0]
@@ -405,7 +456,7 @@ def matsubara_assemble(
         method="trapped-assembled",
         trunc_err=truncation(last) + err,
         warning=warning,
-        meta={"l_max": l_max, "S": s_half, "terms": 4 * _NODES.size * last, "frequencies": last + 1},
+        meta={"l_max": l_max, "S": s_half, "terms": _NODES.size * rows, "frequencies": last + 1},
     )
 
 
@@ -610,6 +661,8 @@ def asympt_green_lowT(
     """
     if d.regime_ratio <= r_hi:
         raise RegimeError(f"beta/alpha > {r_hi:g} violated (beta/alpha = {d.regime_ratio:.3g})")
+    _clamped_u(x, d)
+    _clamped_u(xp, d)
     dx = x - xp
     dtau = abs(tau - taup)
     u_star = _u_star(dx, dtau, p, d)

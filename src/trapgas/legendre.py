@@ -97,6 +97,13 @@ _NODES, _WEIGHTS = (np.concatenate(pair) for pair in zip(_gauss_legendre(_MAIN),
 _ROWS = 64 * 1024 // (8 * _NODES.size)
 # exp(-mu s^2) is below e^-40 past s^2 = 40/mu, where the conical rows stop
 _GAUSS_CUT = 40.0
+# a block of conical rows that all have kappa (theta - s^2_max) above this
+# skips the integrand's second term e^{-2 mu (theta - h)}.  Its first term is
+# e^{-2 mu h} >= e^-40, a normal float, and as 2h <= s^2_max the second over
+# the first, e^{-2 mu (theta - 2h)}, is at most e^{-2 mu (theta - s^2_max)}
+# < e^-40 < 2^-57, under half an ulp, so their sum rounds to the first term:
+# the cut changes no bit
+_EXP_SKIP = 20.0
 # floor of the exponent -2 mu (theta - h) of the conical integrand's second
 # term.  As h = s^2/2 <= min(theta, 40/mu)/2, its first term e^{-2 mu h} is
 # at least e^-40, and a second term below e^-78 is less than e^-38 < 2^-54
@@ -137,6 +144,12 @@ def _quad_rows(lam, kappa, theta, u, conical: bool) -> tuple:
     factors, its 4 among them, are in ``_PREFACTOR``.  The per-row factors
     are formed once for all rows, the [rows x nodes] terms in blocks of
     ``_ROWS`` rows.
+
+    Two cuts on conical rows change no bit.  A block whose rows all have
+    kappa (theta - s^2_max) > ``_EXP_SKIP`` evaluates only the first term
+    e^{-2 mu h} of its integrand (see ``_EXP_SKIP`` for the bound); a block
+    with any row below it evaluates both terms for all its rows.  And as the
+    conical integrand is positive, its sum of absolute terms is ``main``.
     """
     sin_th = np.sqrt((1.0 - u) * (1.0 + u))
     s2_max = np.minimum(theta, _GAUSS_CUT / kappa) if conical else theta
@@ -144,10 +157,12 @@ def _quad_rows(lam, kappa, theta, u, conical: bool) -> tuple:
     two_u = 2.0 * u
     if conical:
         rate = -2.0 * kappa
+        one_term = kappa * (theta - s2_max) > _EXP_SKIP
     else:
         nu = _nu_real(lam)
         nu_1, nu_pi, half_th = nu + 1.0, nu / math.pi, 0.5 * theta
-    main, alt, abs_sum = np.empty((3, lam.size))
+    main, alt = np.empty((2, lam.size))
+    abs_sum = main if conical else np.empty(lam.size)
     for first in range(0, lam.size, _ROWS):
         b = slice(first, first + _ROWS)
         # in place where it can be, so that few [rows x nodes] temporaries are alive
@@ -168,8 +183,9 @@ def _quad_rows(lam, kappa, theta, u, conical: bool) -> tuple:
         f *= _WEIGHTS
         if conical:  # e^{-mu theta} cosh(mu phi), with theta - phi = 2h
             g = np.exp(np.multiply(h, rate[b, None], out=root), out=root)
-            e = np.multiply(np.subtract(theta[b, None], h, out=h), rate[b, None], out=h)
-            g += np.exp(np.maximum(e, _EXP_FLOOR, out=e), out=e)
+            if not one_term[b].all():
+                e = np.multiply(np.subtract(theta[b, None], h, out=h), rate[b, None], out=h)
+                g += np.exp(np.maximum(e, _EXP_FLOOR, out=e), out=e)
         else:  # [cos((nu+1/2) phi) - cos(phi/2)]/nu = -2 sin((nu+1) psi) sin(nu psi)/nu, psi = phi/2
             psi = np.subtract(half_th[b, None], h, out=h)
             g = np.sin(np.multiply(nu_1[b, None], psi, out=root), out=root)
@@ -178,7 +194,8 @@ def _quad_rows(lam, kappa, theta, u, conical: bool) -> tuple:
         f *= g
         main[b] = f[:, :_MAIN].sum(axis=1)
         alt[b] = f[:, _MAIN:].sum(axis=1)
-        abs_sum[b] = np.abs(f[:, :_MAIN], out=f[:, :_MAIN]).sum(axis=1)
+        if not conical:
+            abs_sum[b] = np.abs(f[:, :_MAIN], out=f[:, :_MAIN]).sum(axis=1)
     err = np.abs(main - alt)
     err += _ROUNDING * abs_sum
     err /= np.abs(main)

@@ -1,6 +1,7 @@
 import math
 from functools import partial
 from types import SimpleNamespace
+from unittest.mock import patch
 
 import mpmath as mp
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from trapgas import (
+    BOUNDARY_EPS,
     AccuracyError,
     CorrelatorQuery,
     DomainError,
@@ -31,6 +33,7 @@ from trapgas import (
     spectral_densities,
     spectral_density,
 )
+from trapgas import green_trapped, legendre
 from trapgas.cli import cmd_green, load_config
 from trapgas.green_homogeneous import log_2sinh_abs
 from trapgas.green_trapped import _density_parts, _k_coeff, _p_poly_integer_phase, _zero_mode_parts
@@ -417,18 +420,31 @@ class TestMatsubaraAssemble:
                 assert g12.value == g21.value
 
     @pytest.mark.parametrize("beta", [0.05 * math.sqrt(2.0), 1.0, 100.0 * math.sqrt(2.0)])
-    def test_matches_fold_of_spectral_densities(self, beta):
+    def test_matches_fold_of_spectral_densities(self, beta, monkeypatch):
         # the batched pass against one spectral_density call per frequency;
         # at beta = 100 sqrt(2) the first frequencies lie on the real branch
         p, d = setup_params(beta=beta)
         l_max = 40
+        rows = []
+        quad_rows = legendre._quad_rows
+
+        def counted(lam, *args):
+            rows.append(lam.size)
+            return quad_rows(lam, *args)
+
         for x, xp, dtau in ((0.45, 0.31, 0.0), (-0.2, 0.6, 0.13 * beta), (0.3, 0.1, -0.4 * beta)):
-            g = matsubara_assemble(x, dtau, xp, 0.0, p, d, l_max=l_max)
+            rows.clear()
+            with monkeypatch.context() as scope:
+                scope.setattr(legendre, "_quad_rows", counted)
+                g = matsubara_assemble(x, dtau, xp, 0.0, p, d, l_max=l_max)
             # the fold runs over the frequencies the assembly summed
             sds = [spectral_density(2.0 * math.pi * l / beta, x, xp, p, d) for l in range(g.meta["frequencies"])]
             fold = sds[0].re_part + sum(2.0 * math.cos(sd.omega * dtau) * sd.re_part for sd in sds[1:])
             assert abs(g.value.real - fold / beta) <= 1e-14 * abs(fold / beta)
-            assert g.meta["terms"] == sum(sd.terms for sd in sds)
+            # terms counts the kernel rows that ran: two at a far frequency,
+            # where the densities' four-row terms count four
+            assert g.meta["terms"] == 96 * sum(rows)
+            assert 2 * 96 * (len(sds) - 1) <= g.meta["terms"] <= sum(sd.terms for sd in sds)
             assert g.meta["frequencies"] <= l_max + 1
 
     def test_truncation_estimate_decays(self):
@@ -465,13 +481,106 @@ class TestMatsubaraAssemble:
 
     def test_frequency_stop_counts_the_work_that_ran(self):
         # correlator-precise's widest pair: the envelope meets tol = 1e-12 at
-        # L = 26 of the cap 256
+        # L = 26 of the cap 256; frequencies 1 and 2 integrate four P_nu rows,
+        # the 24 far ones two
         p, d = setup_params()
         s, sep = 0.2 * d.R_c, 0.1 * d.R_c
         g = matsubara_assemble(s + sep / 2.0, 0.0, s - sep / 2.0, 0.0, p, d, l_max=256, tol=1e-12)
         assert g.meta["l_max"] == 256 and g.meta["frequencies"] == 27
-        assert g.meta["terms"] == 4 * 96 * 26
+        assert g.meta["terms"] == 96 * (4 * 2 + 2 * 24)
         assert g.trunc_err <= 1e-12
+
+    @staticmethod
+    def _points(ratio, s, sep, edge):
+        """Unit parameters at beta/alpha = ``ratio``; the points s +- sep/2 in
+        units of R_c, or with ``edge`` = +-1 one point on the boundary clamp
+        and the other sep inside it."""
+        p, d = setup_params(beta=ratio * math.sqrt(2.0))  # alpha = sqrt 2
+        if edge:
+            x = edge * (1.0 - BOUNDARY_EPS) * d.R_c
+            return p, d, x, x - edge * sep * d.R_c
+        return p, d, (s + sep / 2.0) * d.R_c, (s - sep / 2.0) * d.R_c
+
+    @settings(max_examples=30, deadline=None)
+    @example(ratio=10.0, s=0.2, sep=0.01, edge=0, dtau=0.0)
+    @example(ratio=300.0, s=0.0, sep=1e-4, edge=1, dtau=0.3)
+    @example(ratio=0.05, s=0.0, sep=1e-3, edge=-1, dtau=0.0)
+    @given(
+        ratio=st.floats(math.log10(0.05), math.log10(300.0)).map(lambda e: 10.0**e),
+        s=st.floats(-0.9, 0.9),
+        sep=st.floats(-4.0, math.log10(0.5)).map(lambda e: 10.0**e),
+        edge=st.sampled_from([0, 1, -1]),
+        dtau=st.just(0.0) | st.floats(-1.0, 1.0),
+    )
+    def test_two_row_path_gives_the_four_row_bits(self, ratio, s, sep, edge, dtau):
+        # the assembly integrates two P_nu rows at a far frequency: its value
+        # and every Re G_omega are bitwise those of the four rows, at every
+        # frequency to the cap, summed or not
+        p, d, x, xp = self._points(ratio, s, sep, edge)
+        assume(max(abs(x), abs(xp)) / d.R_c <= 1.0 - BOUNDARY_EPS)
+        l_max = 2000
+        density_parts = green_trapped._density_parts
+
+        def four_rows(*args, reads_im):
+            return density_parts(*args)
+
+        def assembled():
+            try:
+                g = matsubara_assemble(x, dtau * p.beta, xp, 0.0, p, d, l_max=l_max)
+            except AccuracyError as exc:
+                return str(exc), None
+            return g.value.hex(), g.meta["terms"]
+
+        with patch.object(green_trapped, "_density_parts", four_rows):
+            value_4, terms_4 = assembled()
+        value_2, terms_2 = assembled()
+        assert value_2 == value_4
+        assert terms_2 is None or terms_2 <= terms_4
+        omegas = 2.0 * math.pi * np.arange(1, l_max + 1) / p.beta
+        args = (omegas, x / d.R_c, xp / d.R_c, d, _k_coeff(p, d), 1e-13)
+        re_2, _, _, rows = density_parts(*args, reads_im=False)
+        assert re_2.tobytes() == density_parts(*args)[0].tobytes()
+        assert 2 * l_max <= rows <= 4 * l_max
+
+    @pytest.mark.parametrize("ratio", [0.05, 1.0, 10.0, 100.0, 300.0])
+    def test_far_frequencies_meet_their_bound(self, ratio):
+        # at every frequency that _far_rows marks far, on the four-row path:
+        # |a| < e^-48 |b| and |im| < e^-48 |b|, from the kernel's own P_nu in
+        # logarithms, and |im| < e^-48 |re| where re is a normal float; and
+        # the bounds on I = P_nu e^{-mu theta} that the proof rests on hold
+        p, d = setup_params(beta=ratio * math.sqrt(2.0))
+        edge = 1.0 - BOUNDARY_EPS
+        omegas = 2.0 * math.pi * np.arange(1, 3001) / p.beta
+        lam = (d.alpha * omegas) ** 2
+        far_rows = 0
+        for u, up in ((0.25, 0.15), (0.9, -0.9), (edge, edge - 1e-4), (-edge, 0.3), (0.0, 1e-4), (-edge, edge)):
+            lo, hi = min(u, up), max(u, up)
+            con = lam > 0.25
+            far = np.zeros(lam.size, dtype=bool)
+            far[con] = green_trapped._far_rows(lam[con], lo, hi)
+            n = int(far.sum())
+            if not n:
+                continue
+            far_rows += n
+            value, _, _ = green_trapped._p_quad(np.tile(lam[far], 4), np.repeat([lo, -lo, hi, -hi], n))
+            v1, v2, v3, v4 = value.reshape(4, n)
+            mu = np.sqrt(lam[far] - 0.25)
+            th_hi, th_mlo = math.acos(hi), math.acos(-lo)
+            d_theta = math.acos(lo) - th_hi
+            log_a = np.log(v1) + np.log(v4) - np.log(v2) - np.log(v3) - 2.0 * mu * (math.pi - d_theta)
+            log_im = np.logaddexp(np.log(v4) - np.log(v3) - 2.0 * mu * th_hi,
+                                  np.log(v1) - np.log(v2) - 2.0 * mu * th_mlo)
+            assert (log_a < -48.0).all() and (log_im < -48.0).all()
+            re, im = _density_parts(omegas[far], u, up, d, _k_coeff(p, d), 1e-13)[:2]
+            normal = np.abs(re) >= np.finfo(float).tiny
+            assert (math.exp(48.0) * np.abs(im[normal]) < np.abs(re[normal])).all()
+            # I <= P_{-1/2}(u) <= 6 inside the clamp, and at the rows of b,
+            # where mu theta >= 1, I >= erf(sqrt(mu theta))/sqrt(2 pi mu)
+            assert (value < 6.0).all()
+            for v, theta in ((v2, th_mlo), (v3, th_hi)):
+                floor = np.array([math.erf(math.sqrt(m * theta)) for m in mu]) / np.sqrt(2.0 * math.pi * mu)
+                assert (v >= floor).all()
+        assert far_rows > 0
 
     def test_frequency_stop_at_equal_positions_runs_to_the_cap(self):
         p, d = setup_params()
@@ -737,3 +846,18 @@ class TestTrappedAsymptotics:
     def test_green_lowT_divergence_marker(self):
         p, d = setup_params(beta=100.0 * math.sqrt(2.0))
         assert asympt_green_lowT(0.1, 0.3, 0.1, 0.3, p, d).divergent
+
+    @pytest.mark.parametrize("x, xp", [(math.nan, 0.1), (0.1, math.nan)])
+    def test_green_lowT_nan_point_is_a_domain_error(self, x, xp):
+        # NaN used to pass every gate and return value = nan
+        p, d = setup_params(beta=100.0 * math.sqrt(2.0))
+        with pytest.raises(DomainError, match=r"^\|x\|/R_c = nan exceeds the boundary clamp"):
+            asympt_green_lowT(x, 0.001, xp, 0.0, p, d)
+
+    @pytest.mark.parametrize("x, xp", [(1.2, 1.2 - 0.01 / math.sqrt(2.0)), (1.0 - 1e-7, 1.0 - 1e-7 - 1e-3)])
+    def test_green_lowT_point_beyond_the_clamp_is_a_domain_error(self, x, xp):
+        # at 1.2 R_c rho_TF = 0 used to raise a bare ZeroDivisionError; in the
+        # clamp's margin below R_c the formula returned a value
+        p, d = setup_params(beta=100.0 * math.sqrt(2.0))
+        with pytest.raises(DomainError, match="exceeds the boundary clamp"):
+            asympt_green_lowT(x * d.R_c, 0.001, xp * d.R_c, 0.0, p, d)

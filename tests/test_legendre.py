@@ -427,6 +427,43 @@ class TestSeriesKernel:
             for b, s in zip(batch, single):
                 assert b[i] == s[0]
 
+    def test_second_exponential_skip_changes_no_bit(self, monkeypatch):
+        # conical rows with kappa (theta - s^2_max) on both sides of the skip
+        # threshold 20, and rows with theta < 40/kappa where it is 0.  In one
+        # block the mixed rows take both terms; alone, a row above 20 takes
+        # one; a reference that never skips takes both everywhere.  All three
+        # agree bitwise, and so does a block of rows that are all above 20.
+        # The sum hides a second term that is not below half an ulp at every
+        # node, so the threshold itself is tested at the worst node
+        rows = [(kappa, (40.0 + margin) / kappa) for kappa in (100.0, 1000.0)
+                for margin in (0.5, 5.0, 19.5, 20.5, 25.0, 100.0)]
+        rows += [(100.0, 0.3), (1000.0, 0.01)]
+        lam = np.array([0.25 + kappa * kappa for kappa, _ in rows])
+        u = np.cos([theta for _, theta in rows])
+        kappa, theta = np.sqrt(lam - 0.25), np.arccos(u)
+        s2_max = np.minimum(theta, legendre._GAUSS_CUT / kappa)
+        above = kappa * (theta - s2_max) > legendre._EXP_SKIP
+        assert 0 < above.sum() < lam.size <= _ROWS
+        # a row skips the term only where, at the node of largest h = s^2/2 <=
+        # s^2_max/2, it adds nothing to the first; within 1 of theta = 40/kappa
+        # it would add to it there
+        h = s2_max / 2.0
+        first, second = np.exp(-2.0 * kappa * h), np.exp(-2.0 * kappa * (theta - h))
+        assert (first[above] + second[above] == first[above]).all()
+        assert (first + second != first)[kappa * (theta - s2_max) < 1.0].all()
+        batch = _p_quad(lam, u)
+        singles = [_p_quad(lam[i:i + 1], u[i:i + 1]) for i in range(lam.size)]
+        above_only = _p_quad(lam[above], u[above])
+        monkeypatch.setattr(legendre, "_EXP_SKIP", math.inf)
+        reference = _p_quad(lam, u)
+        for got, ref in zip(batch, reference):
+            assert got.tobytes() == ref.tobytes()
+        for i, single in enumerate(singles):
+            for got, ref in zip(single, reference):
+                assert got[0] == ref[i]
+        for got, ref in zip(above_only, reference):
+            assert got.tobytes() == ref[above].tobytes()
+
     @settings(max_examples=40, deadline=None)
     @given(
         values=st.lists(
@@ -547,7 +584,7 @@ class TestSeriesKernel:
         omega = math.sqrt(0.25 + 1.5**2) / d.alpha
         for u in (-0.5, 0.2, 0.7):
             up = 0.1
-            _, im, _ = _density_parts(omega, np.array([u]), up, d, k, 1e-13)
+            im = _density_parts(omega, np.array([u]), up, d, k, 1e-13)[1]
             q_u, q_up = (complex(mp.legenq(nu, 0, v, type=2)) for v in (u, up))
             p_u, p_up = (complex(mp.legenp(nu, 0, v, type=2)) for v in (u, up))
             ref = -(k * math.pi / 2.0) * ((2.0 / math.pi) ** 2 * q_u * q_up + p_u * p_up).real
@@ -574,7 +611,7 @@ class TestSeriesKernel:
         d = derive_scales(p)
         k = _k_coeff(p, d)
         u, up = math.cos(theta), 0.9
-        re, im, err = (a[0] for a in _density_parts(math.sqrt(0.25 + mu * mu) / d.alpha, np.array([up]), u, d, k, 1e-13))
+        re, im, err = (a[0] for a in _density_parts(math.sqrt(0.25 + mu * mu) / d.alpha, np.array([up]), u, d, k, 1e-13)[:3])
         assert all(math.isfinite(v) for v in (re, im, err))
         lam = 0.25 + mu * mu
         with mp.workdps(40):
