@@ -144,7 +144,7 @@ def check_ode_residual_and_jump():
         mu_eff = max(1.0, d.alpha * abs(omega))
         h = min(2e-3, max(1e-6, (45.0 * _EPS / mu_eff**6) ** (1.0 / 6.0)))
         xs = [(u0 + k * h) * d.R_c for u0 in samples for k in (-2, -1, 0, 1, 2)]
-        gs = [sd.value for sd in _densities(omega, xs + (jump_xs if omega == omega_jump else []), xp, p, d)]
+        gs = [sd.re_part for sd in _densities(omega, xs + (jump_xs if omega == omega_jump else []), xp, p, d)]
         stencils = [gs[i:i + 5] for i in range(0, len(xs), 5)]
         worst_resid = max(worst_resid, _ode_residual_scale(omega, h, samples, stencils, p, d))
         if omega == omega_jump:
@@ -153,7 +153,7 @@ def check_ode_residual_and_jump():
     target = p.g / hv2
 
     def jump(gp, gm, step):
-        return (1.0 - up * up) * ((gp - g0) / step - (g0 - gm) / step).real
+        return (1.0 - up * up) * ((gp - g0) / step - (g0 - gm) / step)
 
     err_h = abs(jump(gp, gm, step) - target)
     err_h2 = abs(jump(gp_half, gm_half, step / 2.0) - target)

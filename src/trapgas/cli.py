@@ -293,19 +293,19 @@ _ROW_ERRORS = (RegimeError, DomainError, AccuracyError)
 
 def _green_row(x1, tau1, x2, tau2, gv, regime_tag, status="ok"):
     if gv is None:
-        return (x1, tau1, x2, tau2, None, None, "", None, regime_tag, False, status)
+        return (x1, tau1, x2, tau2, None, "", None, regime_tag, False, status)
     if gv.divergent:
-        return (x1, tau1, x2, tau2, None, None, gv.method, gv.trunc_err, regime_tag, gv.const_free, "divergent")
+        return (x1, tau1, x2, tau2, None, gv.method, gv.trunc_err, regime_tag, gv.const_free, "divergent")
     return (
         x1, tau1, x2, tau2,
-        gv.value, 0.0,
+        gv.value,
         gv.method, gv.trunc_err, regime_tag, gv.const_free,
         status if gv.warning is None else f"warning: {gv.warning}",
     )
 
 
 def _error_row(x1, tau1, x2, tau2, method, regime_tag, exc):
-    return (x1, tau1, x2, tau2, None, None, method, None, regime_tag, False, f"{type(exc).__name__}: {exc}")
+    return (x1, tau1, x2, tau2, None, method, None, regime_tag, False, f"{type(exc).__name__}: {exc}")
 
 
 def _lowt_control(cfg: RunConfig) -> LowTControl:
@@ -338,7 +338,7 @@ def cmd_green(cfg: RunConfig, args) -> tuple:
     mode = args.mode
     regime = classify_regime(d, cfg["regime.r_lo"], cfg["regime.r_hi"])
     regime_tag = regime.value
-    columns = ["x1", "tau1", "x2", "tau2", "G_re", "G_im", "method", "trunc_err", "regime", "const_free", "status"]
+    columns = ["x1", "tau1", "x2", "tau2", "G_re", "method", "trunc_err", "regime", "const_free", "status"]
     x1 = cfg["grid.x_ref"]
     tau1 = cfg["grid.tau_ref"]
     xs = [float(x) for x in np.linspace(cfg["grid.x_min"], cfg["grid.x_max"], cfg["grid.x_count"])]
@@ -356,7 +356,7 @@ def cmd_green(cfg: RunConfig, args) -> tuple:
                 anchor = xs[0]
                 shift = closed_form_zero_mode(anchor, sol.x_source, p, d) * p.beta - float(sol.interp(anchor))
             rows.extend(
-                (x1, tau1, x2, tau1, float(sol.interp(x2)) + shift, 0.0, "oracle", sol.disc_error_est,
+                (x1, tau1, x2, tau1, float(sol.interp(x2)) + shift, "oracle", sol.disc_error_est,
                  regime_tag, False, "ok")
                 for x2 in xs
             )
@@ -366,7 +366,7 @@ def cmd_green(cfg: RunConfig, args) -> tuple:
         def spectral_row(x2, sd):
             if isinstance(sd, _ROW_ERRORS):
                 return _error_row(x1, tau1, x2, tau1, mode, regime_tag, sd)
-            return (x1, tau1, x2, tau1, sd.re_part, sd.im_part, mode, sd.err_bound, regime_tag, False, "ok")
+            return (x1, tau1, x2, tau1, sd.re_part, mode, sd.err_bound, regime_tag, False, "ok")
 
         return columns, [
             spectral_row(x2, sd)
@@ -582,8 +582,11 @@ def main(argv=None) -> int:
             code = 0
 
         if out_path:
-            with open(out_path, "w", encoding="utf-8") as fh:
-                fh.write(buffer.getvalue())
+            try:
+                with open(out_path, "w", encoding="utf-8") as fh:
+                    fh.write(buffer.getvalue())
+            except OSError as exc:
+                raise ConfigError(f"cannot write output {out_path!r}: {exc}") from exc
         else:
             sys.stdout.write(buffer.getvalue())
         return code

@@ -5,27 +5,25 @@ density G_omega(x, x') solves
 
     -(omega^2/(hbar v)^2) G + d/dx[(1 - x^2/R_c^2) dG/dx] = (g/(hbar v)^2) delta(x - x')
 
-on (-R_c, R_c).  Its closed form combines Legendre functions of degree
-nu(omega) = -1/2 + sqrt(1/4 - alpha^2 omega^2):
-
-    jump component    K eps(x-x') [ Q_nu(u) P_nu(u') - Q_nu(u') P_nu(u) ]
-    smooth component  -K [ (2/pi) Q_nu(u) Q_nu(u') + (pi/2) P_nu(u) P_nu(u') ]
-
-with u = x/R_c, K = g R_c / (2 hbar^2 v^2), the full density being
-(jump) + i*(smooth) = -i (2K/pi) W_plus(u_<) W_minus(u_>), W_pm(u) = Q_nu(u)
-+- i (pi/2) P_nu(u).  For conical degrees the two components are complex
-individually and cancel almost completely in the sum, so they are never
-formed: through the connection formula and the real closed-form phases
-sin(pi nu) = -cosh(pi mu), e^{+-i pi nu} = -+i e^{-+pi mu} of the conical
-line nu = -1/2 + i mu, the real and imaginary parts of the full value are
-cancellation-free real combinations of the positive P_nu(+-u_<),
+on (-R_c, R_c).  With u = x/R_c and K = g R_c / (2 hbar^2 v^2), it is the
+real part of -i (2K/pi) W_plus(u_<) W_minus(u_>), W_pm(u) = Q_nu(u) +-
+i (pi/2) P_nu(u), whose Legendre functions have the degree
+nu(omega) = -1/2 + sqrt(1/4 - alpha^2 omega^2); on the real branch that
+real part is K eps(x-x') [Q_nu(u) P_nu(u') - Q_nu(u') P_nu(u)], the term
+with the source's slope jump.  The imaginary part, the smooth
+-K [(2/pi) Q_nu(u) Q_nu(u') + (pi/2) P_nu(u) P_nu(u')], solves the
+homogeneous equation, enters no correlator and is not formed.  For conical
+degrees Q_nu is complex and the terms of the product cancel almost
+completely, so they are never formed either: through the connection formula
+and the real closed-form phases sin(pi nu) = -cosh(pi mu), e^{+-i pi nu} =
+-+i e^{-+pi mu} of the conical line nu = -1/2 + i mu, the real part is a
+cancellation-free real combination of the positive P_nu(+-u_<),
 P_nu(+-u_>), from the fixed-cost Mehler-Dirichlet quadrature of
 ``legendre._p_quad`` with their exponents combined before one exp; on the
 real branch they come as (P_nu - 1)/nu, so that the O(nu) differences of the
-closed form do not cancel.  The real part is the physical (real, symmetric)
-spectral density that enters the Matsubara assembly, which evaluates all its
-frequencies in one pass of the kernel; the imaginary part is reported but
-excluded from correlators.
+closed form do not cancel.  This real part is the physical (real,
+symmetric) spectral density of the spectral tables and of the Matsubara
+assembly, which evaluates all its frequencies in one pass of the kernel.
 
 Two frequency-summed forms stand beside the assembly.  At low temperature
 ``lowT_legendre_series`` sums the discrete modes, exact up to a crossover
@@ -49,7 +47,7 @@ import numpy as np
 
 from .errors import AccuracyError, DomainError, RegimeError, TrapGasError
 from .green_homogeneous import GreenValue, _log_divergence
-from .legendre import _NODES, _nu_real, _p_quad, _q_real, nu_from_omega, p_poly_table
+from .legendre import _NODES, _nu_real, _p_quad, nu_from_omega, p_poly_table
 from .model import DEFAULT_R_HI, DEFAULT_R_LO, WINDOW_FACTOR, DerivedScales, PhysicalParams, rho_tf, zeta_of
 
 __all__ = [
@@ -79,10 +77,9 @@ _ASSEMBLY_ROUNDING = 4.0 * sys.float_info.epsilon
 class SpectralDensity:
     """G_omega(x, x') at one Matsubara frequency.
 
-    ``re_part``/``im_part`` are the real and imaginary parts of the full
-    density; ``err_bound`` bounds the quadrature error of ``re_part``, not
-    the rounding of its conical exponent (a few eps times the exponent);
-    ``terms`` counts the integrand evaluations of its four P_nu.
+    ``re_part`` is the density, the real part of the closed form;
+    ``err_bound`` bounds its quadrature error, not the rounding of its
+    conical exponent (a few eps times the exponent).
     """
 
     omega: float
@@ -90,13 +87,7 @@ class SpectralDensity:
     x: float
     xp: float
     re_part: float
-    im_part: float
     err_bound: float
-    terms: int = 0
-
-    @property
-    def value(self) -> complex:
-        return complex(self.re_part, self.im_part)
 
 
 @dataclass(frozen=True)
@@ -129,10 +120,9 @@ def _k_coeff(p: PhysicalParams, d: DerivedScales) -> float:
     return p.g * d.R_c / (2.0 * (p.hbar * d.v) ** 2)
 
 
-def _zero_mode_parts(u: float, up: float, k: float) -> tuple:
-    """(re_part, im_part) of G_0, whose degree nu = 0 has closed elementary forms."""
-    au, aup = math.atanh(u), math.atanh(up)
-    return k * abs(au - aup), -k * ((2.0 / math.pi) * au * aup + math.pi / 2.0)
+def _zero_mode(u: float, up: float, k: float) -> float:
+    """G_0, whose degree nu = 0 has the closed elementary form K |atanh u - atanh u'|."""
+    return k * abs(math.atanh(u) - math.atanh(up))
 
 
 def _angle_difference(lo, hi):
@@ -145,22 +135,20 @@ def _angle_difference(lo, hi):
     return np.arctan2(sin_d, lo * hi + s_lo * s_hi)
 
 
-def _density_parts(omegas, us, ups, d: DerivedScales, k: float, tol: float, *, reads_im: bool = True) -> tuple:
-    """re_part, im_part and absolute error bound of re_part of G_omega(x, x')
-    for each row (omega, u, u') of the broadcast 1-D arrays ``omegas``,
-    ``us``, ``ups``, with omega nonzero, by the real closed form, from one
-    call of the quadrature kernel; and the number of kernel rows that call
-    was given.
+def _density_parts(omegas, us, ups, d: DerivedScales, k: float, tol: float) -> tuple:
+    """G_omega(x, x'), the absolute error bound of it and its scale, the sum
+    of the magnitudes of its terms, for each row (omega, u, u') of the
+    broadcast 1-D arrays ``omegas``, ``us``, ``ups``, with omega nonzero, by
+    the real closed form, from one call of the quadrature kernel; and the
+    number of kernel rows that call was given.
 
     With lambda = (alpha omega)^2, P_<(+-) = P_nu(+-u_<), P_>(+-) =
     P_nu(+-u_>) and C = (2K/pi)(pi/2)^2:
 
       conical line, lambda > 1/4 and nu = -1/2 + i mu:
-        re = C [e^{-pi mu} P_<(+) P_>(-) - e^{pi mu} P_<(-) P_>(+)] / cosh^2(pi mu) = a - b
-        im = -C [P_<(-) P_>(-) + P_<(+) P_>(+)] / cosh^2(pi mu)
+        G = C [e^{-pi mu} P_<(+) P_>(-) - e^{pi mu} P_<(-) P_>(+)] / cosh^2(pi mu) = a - b
       real branch, lambda <= 1/4:
-        re = C [P_>(+) P_<(-) - P_<(+) P_>(-)] / sin(pi nu)
-        im = -C [q_< q_> + P_<(+) P_>(+)],  q = (2/pi) Q_nu(u) = [cos(pi nu) P_nu(u) - P_nu(-u)] / sin(pi nu)
+        G = C [P_>(+) P_<(-) - P_<(+) P_>(-)] / sin(pi nu)
 
     On the conical line the kernel returns P_nu(u) = I(u) e^{mu theta},
     theta = arccos u, and each product combines its exponents before one
@@ -168,16 +156,18 @@ def _density_parts(omegas, us, ups, d: DerivedScales, k: float, tol: float, *, r
     4 I_<(-) I_>(+) e^{-mu (theta_< - theta_>)}/(1 + e^{-2 pi mu})^2, so
     nothing overflows and its rounding, a few eps times mu (theta_< -
     theta_>), scales with the value's own log-magnitude.  On the real branch
-    the kernel returns D = (P_nu - 1)/nu, and re = C nu/sin(pi nu) [P_>(+)
+    the kernel returns D = (P_nu - 1)/nu, and G = C nu/sin(pi nu) [P_>(+)
     (D_<(-) - D_>(-)) + P_>(-) (D_>(+) - D_<(+))] has no O(1) cancellation.
     The bound weights each kernel row's relative estimate by the magnitude
-    of the term it enters.
+    of the term it enters, and the scale adds those magnitudes: |a| + |b|,
+    or |C nu/sin(pi nu)| [|P_>(+)| (|D_<(-)| + |D_>(-)|) + |P_>(-)|
+    (|D_>(+)| + |D_<(+)|)], which stays nonzero where G is exactly 0, as on
+    the real branch at x = x'.
 
-    Every row integrates all four P_nu, unless the caller passes
-    ``reads_im=False``: then a conical row that ``_far_rows`` proves far
-    integrates only P_<(-) and P_>(+), the rows of b, and takes re = -b,
-    bitwise a - b as |a| < e^-48 |b| is under half an ulp of b; its im, below
-    e^-48 |re|, is 0, and its bound adds e^-48 |b| for a.
+    A conical row that ``_far_rows`` proves far integrates only P_<(-) and
+    P_>(+), the rows of b, and takes G = -b: bitwise a - b, as |a| <
+    e^-48 |b| is under half an ulp of b; its bound adds e^-48 |b| for a.
+    Every other row integrates all four P_nu.
     """
     if not 0.0 < tol < math.inf:
         raise DomainError(f"tolerance must be positive and finite, got {tol}")
@@ -187,34 +177,32 @@ def _density_parts(omegas, us, ups, d: DerivedScales, k: float, tol: float, *, r
     n = lam.size
     con = lam > 0.25
     far = np.zeros(n, dtype=bool)
-    if not reads_im:
-        far[con] = _far_rows(lam[con], lo[con], hi[con])
+    far[con] = _far_rows(lam[con], lo[con], hi[con])
     # the rows P_<(+), P_<(-), P_>(+), P_>(-), in that order, less P_<(+) and P_>(-) of a far row;
-    # an unread row stays 0, so that a = 0 and re = -b
+    # an unread row stays 0, so that a = 0 and G = -b
     kept = np.ones((4, n), dtype=bool)
     kept[0] = kept[3] = ~far
-    value, exponent, rel = np.zeros((3, 4, n))
-    value[kept], exponent[kept], rel[kept] = _p_quad(np.broadcast_to(lam, (4, n))[kept],
-                                                     np.stack([lo, -lo, hi, -hi])[kept])
-    re, im, err = np.empty(n), np.empty(n), np.empty(n)
+    value, rel = np.zeros((2, 4, n))
+    value[kept], _, rel[kept] = _p_quad(np.broadcast_to(lam, (4, n))[kept], np.stack([lo, -lo, hi, -hi])[kept])
+    re, err, scale = np.empty((3, n))
     c = k * math.pi / 2.0
     if con.any():
-        re[con], im[con], err[con] = _conical_parts(lam[con], lo[con], hi[con], value[:, con], exponent[:, con],
-                                                    rel[:, con], c, far[con])
+        re[con], err[con], scale[con] = _conical_parts(lam[con], lo[con], hi[con], value[:, con], rel[:, con], c,
+                                                       far[con])
     real = ~con
     if real.any():
-        re[real], im[real], err[real] = _real_parts(lam[real], value[:, real], rel[:, real], c)
-    return re, im, err, int(np.count_nonzero(kept))
+        re[real], err[real], scale[real] = _real_parts(lam[real], value[:, real], rel[:, real], c)
+    return re, err, scale, int(np.count_nonzero(kept))
 
 
-# a conical row is far when ``_far_rows`` puts a and im below e^-48 of b, by
-# its bound C = _FAR_SCALE mu on a ratio of two I = P_nu e^{-mu theta}
+# a conical row is far when ``_far_rows`` puts a below e^-48 of b, by its
+# bound C = _FAR_SCALE mu on a ratio of two I = P_nu e^{-mu theta}
 _FAR_MARGIN = 48.0
 _FAR_SCALE = 36.0 * 2.0 * math.pi / 0.84**2
 
 
 def _far_rows(lam, lo, hi):
-    """The conical rows where, by a proof, |a| and |im| are below e^-48 |b|.
+    """The conical rows where, by a proof, |a| < e^-48 |b|.
 
     With I = P_nu e^{-mu theta}, the Mehler-Dirichlet integral gives
     erf(sqrt(mu theta))/sqrt(2 pi mu) <= I <= P_{-1/2}(u), and inside the
@@ -222,54 +210,51 @@ def _far_rows(lam, lo, hi):
     mu theta >= 1 at both rows of b, u_> and -u_<, a ratio of two I is at
     most C = 36 (2 pi mu)/0.84^2 (erf(1) > 0.84), so that
 
-        |a|/|b| <= C e^{-2 mu (pi - d_theta)},
-        |im|/|b| <= C (e^{-2 mu theta(u_>)} + e^{-2 mu theta(-u_<)}).
+        |a|/|b| <= C e^{-2 mu (pi - d_theta)},   pi - d_theta = theta(u_>) + theta(-u_<),
 
-    As pi - d_theta = theta(u_>) + theta(-u_<), both are below e^-48 where
-    2 mu min(theta(u_>), theta(-u_<)) - ln 2C > 48.  mu > 0 here.
+    below e^-48 where 2 mu (pi - d_theta) - ln C > 48.  mu > 0 here.
     """
     mu = np.sqrt(lam - 0.25)
-    reach = np.minimum(np.arccos(hi), np.arccos(-lo))
-    return (mu * reach >= 1.0) & (2.0 * mu * reach - np.log(2.0 * _FAR_SCALE * mu) > _FAR_MARGIN)
+    theta_hi, theta_mlo = np.arccos(hi), np.arccos(-lo)
+    return ((mu * np.minimum(theta_hi, theta_mlo) >= 1.0)
+            & (2.0 * mu * (theta_hi + theta_mlo) - np.log(_FAR_SCALE * mu) > _FAR_MARGIN))
 
 
-def _conical_parts(lam, lo, hi, value, exponent, rel, c: float, far) -> tuple:
-    """re, im and the bound on re of ``_density_parts`` on the conical line.
-    A ``far`` row comes with P_<(+) = P_>(-) = 0, so that a = 0, re = -b and
-    im = 0; its bound adds e^-48 |b|, the bound on |a| of ``_far_rows``."""
-    (v1, v2, v3, v4), (e1, e2, e3, e4), (r1, r2, r3, r4) = value, exponent, rel
+def _conical_parts(lam, lo, hi, value, rel, c: float, far) -> tuple:
+    """G, its bound and its scale of ``_density_parts`` on the conical line.
+    A ``far`` row comes with P_<(+) = P_>(-) = 0, so that a = 0 and G = -b;
+    its bound adds e^-48 |b|, the bound on |a| of ``_far_rows``."""
+    (v1, v2, v3, v4), (r1, r2, r3, r4) = value, rel
     mu = np.sqrt(lam - 0.25)
     d_theta = _angle_difference(lo, hi)
     w = 4.0 * c / (1.0 + np.exp(-2.0 * np.pi * mu)) ** 2
     a = w * v1 * v4 * np.exp(-mu * (2.0 * np.pi - d_theta))
     b = w * v2 * v3 * np.exp(-mu * d_theta)
-    im = -w * (v2 * v4 * np.exp(-e1 - e3) + v1 * v3 * np.exp(-e2 - e4))
-    err = np.abs(a) * (r1 + r4) + np.abs(b) * (r2 + r3 + np.where(far, math.exp(-_FAR_MARGIN), 0.0))
-    return a - b, im, err
+    err = a * (r1 + r4) + b * (r2 + r3 + np.where(far, math.exp(-_FAR_MARGIN), 0.0))
+    return a - b, err, a + b
 
 
 def _real_parts(lam, value, rel, c: float) -> tuple:
-    """re, im and the bound on re of ``_density_parts`` on the real branch,
+    """G, its bound and its scale of ``_density_parts`` on the real branch,
     where ``value`` holds D = (P_nu - 1)/nu."""
     (d1, d2, d3, d4), (r1, r2, r3, r4) = value, rel
     nu = _nu_real(lam)
-    p_lo, p_hi, p_mhi = 1.0 + nu * d1, 1.0 + nu * d3, 1.0 + nu * d4
+    p_hi, p_mhi = 1.0 + nu * d3, 1.0 + nu * d4
     ratio = c * nu / np.sin(np.pi * nu)
     re = ratio * (p_hi * (d2 - d4) + p_mhi * (d3 - d1))
-    im = -c * (_q_real(nu, d1, d2) * _q_real(nu, d3, d4) + p_lo * p_hi)
     err = np.abs(ratio) * (np.abs(p_hi) * (np.abs(d2) * r2 + np.abs(d4) * r4)
                            + np.abs(p_mhi) * (np.abs(d3) * r3 + np.abs(d1) * r1))
-    return re, im, err
+    scale = np.abs(ratio) * (np.abs(p_hi) * (np.abs(d2) + np.abs(d4)) + np.abs(p_mhi) * (np.abs(d3) + np.abs(d1)))
+    return re, err, scale
 
 
-def _bound_error(omega: float, x: float, xp: float, re: float, im: float, err: float, tol: float) -> AccuracyError:
+def _bound_error(omega: float, x: float, xp: float, err: float, scale: float, tol: float) -> AccuracyError:
     """The AccuracyError of a density whose bound ``err`` exceeds ``tol``
-    times its magnitude |re + i im|."""
-    size = math.hypot(re, im)
+    times its ``scale``, the sum of the magnitudes of its terms."""
     return AccuracyError(
         f"spectral density at omega = {omega:.6g}, x = {x!r}, x' = {xp!r}: quadrature bound {err:.3e} "
-        f"> tol = {tol:g} times |G_omega| = {size:.3e}",
-        achieved=err / size if size else math.inf,
+        f"> tol = {tol:g} times the magnitude of its terms, {scale:.3e}",
+        achieved=err / scale if scale else math.inf,
     )
 
 
@@ -306,10 +291,10 @@ def spectral_densities(
     single point gives, bitwise and word for word.  A point beyond the
     boundary clamp is set aside before the pass, with its own error ahead of
     that of an xp beyond it.  A point whose error bound exceeds ``tol`` times
-    its magnitude gets its own AccuracyError, and the other points keep their
-    values from the same pass; a bad ``tol`` gives every point inside the
-    clamp the same DomainError.  ``terms`` stays the 4 x 96 integrand
-    evaluations of a point's own four P_nu, whether or not a row is shared.
+    the magnitude of its terms gets its own AccuracyError, and the other
+    points keep their values from the same pass; a bad ``tol`` gives every
+    point inside the clamp the same DomainError.  A far point integrates two
+    rows, as in the Matsubara assembly.
     """
     omega = float(omega)
     nu = nu_from_omega(omega, d)
@@ -331,19 +316,18 @@ def spectral_densities(
         return out
     if nu == 0:  # omega = 0: integer degree, closed elementary forms
         for i, u in zip(points, us):
-            out[i] = SpectralDensity(omega, nu, xs[i], xp, *_zero_mode_parts(u, up, k), err_bound=0.0)
+            out[i] = SpectralDensity(omega, nu, xs[i], xp, _zero_mode(u, up, k), err_bound=0.0)
         return out
     try:
-        re, im, err, _ = _density_parts(omega, np.array(us), up, d, k, tol)
+        re, err, scale, _ = _density_parts(omega, np.array(us), up, d, k, tol)
     except DomainError as exc:  # a bad tol, rejected before the pass
         for i in points:
             out[i] = exc
         return out
-    beyond = err > tol * np.hypot(re, im)
-    terms = 4 * _NODES.size
-    for i, *parts, bad in zip(points, re.tolist(), im.tolist(), err.tolist(), beyond.tolist()):
-        out[i] = (_bound_error(omega, xs[i], xp, *parts, tol) if bad
-                  else SpectralDensity(omega, nu, xs[i], xp, *parts, terms=terms))
+    beyond = err > tol * scale
+    for i, re_i, err_i, scale_i, bad in zip(points, re.tolist(), err.tolist(), scale.tolist(), beyond.tolist()):
+        out[i] = (_bound_error(omega, xs[i], xp, err_i, scale_i, tol) if bad
+                  else SpectralDensity(omega, nu, xs[i], xp, re_i, err_i))
     return out
 
 
@@ -382,23 +366,22 @@ def matsubara_assemble(
 
     The zero mode is kept (finite for the trap).  The physical real spectral
     densities are even in omega, so folding +-l gives an exactly real value:
-    (1/beta) [G_0 + 2 sum_{l=1}^{L} cos(omega_l dtau) Re G_omega].  The sum
+    (1/beta) [G_0 + 2 sum_{l=1}^{L} cos(omega_l dtau) G_omega].  The sum
     stops at the first L <= ``l_max`` whose truncation estimate is at most
     ``tol``: the first omitted term of the large-omega envelope
     exp(-|omega||dx|/hbar v)/|omega|, over 1 - e^{-2 pi |dx|/(hbar v beta)}
     for the geometric decay of the terms after it.  G is dimensionless and
     Gamma goes as e^{-G}, so ``tol`` bounds the relative error of Gamma.  At
     dx = 0 the envelope does not decay and the sum runs to ``l_max``.  The L
-    frequencies are evaluated in one pass of the quadrature kernel; the
-    first whose density bound exceeds ``tol`` times its magnitude raises its
-    AccuracyError.  The sum reads only Re G_omega, so a conical frequency
-    that ``_far_rows`` proves far (all past the first few, unless a point
-    is near the boundary) integrates only the two P_nu of the term b that
-    Re G_omega rounds to, bit for bit; its refusal test reads |Re G_omega|.
-    So the value and every Re G_omega are those of four rows.  ``trunc_err``
-    adds the truncation estimate at L to the densities' own absolute error
-    bounds and to the rounding of the assembled sum, a few eps times
-    (|G_0| + 2 sum |cos(omega dtau) Re G_omega|)/beta.  ``meta`` carries the
+    frequencies are evaluated in one pass of the quadrature kernel, the path
+    of ``spectral_densities``: a conical frequency that ``_far_rows`` proves
+    far (all past the first few, unless a point is near the boundary)
+    integrates only the two P_nu of its term b, as G_omega = a - b rounds to
+    -b bit for bit.  The first frequency whose density bound exceeds ``tol`` times the
+    magnitude of its terms raises its AccuracyError.  ``trunc_err`` adds the
+    truncation estimate at L to the densities' own absolute error bounds and
+    to the rounding of the assembled sum, a few eps times
+    (|G_0| + 2 sum |cos(omega dtau) G_omega|)/beta.  ``meta`` carries the
     cap ``l_max``, the integrand evaluations that ran (96 a kernel row, four
     rows a frequency or two at a far one) and the frequencies summed, the
     zero mode included.
@@ -436,14 +419,14 @@ def matsubara_assemble(
             lo = mid + 1
 
     omegas = 2.0 * math.pi * np.arange(1, last + 1) / p.beta
-    re, im, errs, rows = _density_parts(omegas, u, up, d, k, tol, reads_im=False)
-    beyond = np.flatnonzero(errs > tol * np.hypot(re, im))
+    re, errs, scale, rows = _density_parts(omegas, u, up, d, k, tol)
+    beyond = np.flatnonzero(errs > tol * scale)
     if beyond.size:
         row = beyond[0]
-        raise _bound_error(float(omegas[row]), x, xp, float(re[row]), float(im[row]), float(errs[row]), tol)
+        raise _bound_error(float(omegas[row]), x, xp, float(errs[row]), float(scale[row]), tol)
     # cos is even: |dtau| and the exactly rounded fsum keep the value bitwise
     # symmetric under swapping the two points
-    zero = _zero_mode_parts(u, up, k)[0]
+    zero = _zero_mode(u, up, k)
     terms = np.cos(omegas * abs(dtau)) * re
     total = zero + 2.0 * math.fsum(terms)
     rounding = _ASSEMBLY_ROUNDING * (abs(zero) + 2.0 * float(np.sum(np.abs(terms))))
@@ -640,7 +623,7 @@ def asympt_green_highT(
     if mag == 0.0:
         return _log_divergence("trapped-asympt-highT")
     amp = p.g / (2.0 * math.pi * hv) * ((1.0 - u * u) * (1.0 - up * up)) ** -0.25
-    value = _zero_mode_parts(u, up, _k_coeff(p, d))[0] / p.beta + amp * math.log(mag)
+    value = _zero_mode(u, up, _k_coeff(p, d)) / p.beta + amp * math.log(mag)
     return GreenValue(value=value, method="trapped-asympt-highT", meta={"S": 0.5 * (x + xp)})
 
 

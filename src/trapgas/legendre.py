@@ -26,7 +26,7 @@ float64, and the exponent of the conical integrand's vanishing term is held
 above a floor, so that no exp underflows (numpy's exp is some 20 times slower
 where its result underflows and over 100 times where it is subnormal).
 Q_nu enters only the spectral densities of ``green_trapped``, through the
-connection formula in P_nu(+-u) (``_q_real`` on the real branch).
+connection formula in P_nu(+-u), and is never formed on its own.
 """
 
 from __future__ import annotations
@@ -219,11 +219,11 @@ def _p_quad(lam, u) -> tuple:
     does at every point, where P_nu(+-u') recurs, integrates each distinct
     u once and copies the result to the rows that repeat it; nothing is
     kept across calls.  Rows of several lambdas, as in a Matsubara sum, do
-    not repeat, and four rows or fewer (one point's four P_nu) seldom
-    do, so those calls skip the sort, which costs more than it saves
-    there.  u = -0.0 and u = 0.0 share a row: the integral sees u only
-    through arccos u, 1 -+ u and u sin h beside a nonzero term, so both get
-    the same bits.  u = 1 gives P_nu = 1 exactly.
+    not repeat, and four rows or fewer (one point's four P_nu, or two at a
+    far frequency) seldom do, so those calls skip the sort, which costs
+    more than it saves there.  u = -0.0 and u = 0.0 share a row: the
+    integral sees u only through arccos u, 1 -+ u and u sin h beside a
+    nonzero term, so both get the same bits.  u = 1 gives P_nu = 1 exactly.
     """
     lam = np.asarray(lam, dtype=float)
     u = np.broadcast_to(np.asarray(u, dtype=float), lam.shape)
@@ -244,13 +244,6 @@ def _p_quad(lam, u) -> tuple:
         if r.size:
             value[r], err[r] = _quad_rows(lam[r], kappa[r], theta[r], u[r], branch)
     return value[row], np.where(conical, kappa * theta, 0.0)[row], err[row]
-
-
-def _q_real(nu, d_u, d_mu):
-    """(2/pi) Q_nu(u) for a real-branch degree nu from D(+-u) = (P_nu(+-u) -
-    1)/nu: the connection formula [cos(pi nu) P_nu(u) - P_nu(-u)] /
-    sin(pi nu) with its O(1) part cos(pi nu) - 1 taken out in closed form."""
-    return nu * (np.cos(np.pi * nu) * d_u - d_mu) / np.sin(np.pi * nu) - np.tan(0.5 * np.pi * nu)
 
 
 # ----------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from trapgas.cli import CORRELATOR_MODES, GREEN_MODES, load_config, main
 from trapgas.errors import ConfigError, DataError
 from trapgas.model import zeta_of
 
-GREEN_COLUMNS = ["x1", "tau1", "x2", "tau2", "G_re", "G_im", "method", "trunc_err", "regime", "const_free", "status"]
+GREEN_COLUMNS = ["x1", "tau1", "x2", "tau2", "G_re", "method", "trunc_err", "regime", "const_free", "status"]
 CORRELATOR_COLUMNS = ["x1", "tau1", "x2", "tau2", "S", "gamma", "theta_S", "xi_S", "method", "status"]
 
 
@@ -190,6 +190,19 @@ class TestDensityCommand:
         assert main(["density", "--config", cfg]) == 2
         assert "x_points" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("source", ["--out", "output.path"])
+    def test_unwritable_output_is_config_error(self, tmp_path, capsys, source):
+        # a path in a missing directory, given by the flag or by the config
+        target = str(tmp_path / "missing" / "density.csv")
+        if source == "--out":
+            argv = ["density", "--out", target]
+        else:
+            argv = ["density", "--config", write_config(tmp_path, f"[output]\npath = {target}\n")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot write output {target!r}: ")
+        assert "Traceback" not in err
+
 
 class TestSpectrumCommand:
     def test_rows_and_asymptote(self, tmp_path):
@@ -227,7 +240,7 @@ class TestGreenCommand:
             out = tmp_path / "green.csv"
             assert main(["green", "--mode", "homog-series", "--config", cfg, "--out", str(out)]) == 0
             _, header, rows = read_csv(str(out))
-            assert header[:6] == ["x1", "tau1", "x2", "tau2", "G_re", "G_im"]
+            assert header[:6] == ["x1", "tau1", "x2", "tau2", "G_re", "method"]
             status = {r[2]: r[-1] for r in rows}
             assert status["0"] == "divergent"
             assert status[[k for k in status if k != "0"][0]] == "ok"

@@ -36,8 +36,13 @@ from trapgas import (
 from trapgas import green_trapped, legendre
 from trapgas.cli import cmd_green, load_config
 from trapgas.green_homogeneous import log_2sinh_abs
-from trapgas.green_trapped import _density_parts, _k_coeff, _p_poly_integer_phase, _zero_mode_parts
+from trapgas.green_trapped import _density_parts, _k_coeff, _p_poly_integer_phase, _zero_mode
 from trapgas.oracle import brute_legendre_tail
+
+
+def _no_far_rows(lam, lo, hi):
+    """``green_trapped._far_rows`` with no row far: every row integrates four P_nu."""
+    return np.zeros(np.shape(lam), dtype=bool)
 
 
 def setup_params(**over):
@@ -79,7 +84,6 @@ class TestSpectralDensity:
             a = spectral_density(omega, 0.4, -0.2, p, d)
             b = spectral_density(omega, -0.2, 0.4, p, d)
             assert a.re_part == b.re_part
-            assert a.im_part == b.im_part
 
     def test_derivative_jump_strength(self):
         p, d = setup_params()
@@ -87,10 +91,10 @@ class TestSpectralDensity:
         xp = 0.1 * d.R_c
         up = xp / d.R_c
         step = 1e-4 * d.R_c
-        g0 = spectral_density(omega, xp, xp, p, d).value
-        gp = spectral_density(omega, xp + step, xp, p, d).value
-        gm = spectral_density(omega, xp - step, xp, p, d).value
-        jump = (1.0 - up * up) * ((gp - g0) / step - (g0 - gm) / step).real
+        g0 = spectral_density(omega, xp, xp, p, d).re_part
+        gp = spectral_density(omega, xp + step, xp, p, d).re_part
+        gm = spectral_density(omega, xp - step, xp, p, d).re_part
+        jump = (1.0 - up * up) * ((gp - g0) / step - (g0 - gm) / step)
         target = p.g / (p.hbar * d.v) ** 2
         assert abs(jump - target) < 5e-4 * target
 
@@ -121,9 +125,9 @@ class TestSpectralDensity:
 
     @staticmethod
     def _w_bracket(omega, x, xp, p, d):
-        """Re and Im of G_omega(x, x') = -i (2K/pi) W_+(u_<) W_-(u_>), W_pm =
-        Q_nu +- i (pi/2) P_nu, at 60 digits, at the arguments u = x/R_c the
-        package rounds to."""
+        """G_omega(x, x') = Re[-i (2K/pi) W_+(u_<) W_-(u_>)], W_pm = Q_nu +-
+        i (pi/2) P_nu, at 60 digits, at the arguments u = x/R_c the package
+        rounds to."""
         k = p.g * d.R_c / (2.0 * (p.hbar * d.v) ** 2)
         with mp.workdps(60):
             nu = -0.5 + mp.sqrt(mp.mpf(0.25) - mp.mpf(d.alpha * omega) ** 2)
@@ -133,7 +137,7 @@ class TestSpectralDensity:
 
             lo, hi = sorted((x / d.R_c, xp / d.R_c))
             ref = -1j * (2 * k / mp.pi) * w(lo, +1) * w(hi, -1)
-            return float(mp.re(ref)), float(mp.im(ref))
+            return float(mp.re(ref))
 
     @pytest.mark.parametrize("lam", [0.1, 0.25 + 0.8**2, 0.25 + 3.0**2, 0.25 + 9.0**2])
     def test_parts_match_mpmath_w_bracket_product(self, lam):
@@ -143,9 +147,8 @@ class TestSpectralDensity:
         omega = math.sqrt(lam) / d.alpha
         for x, xp in ((0.3, -0.2), (0.65, 0.7), (-0.5, -0.8)):
             sd = spectral_density(omega, x, xp, p, d)
-            ref_re, ref_im = self._w_bracket(omega, x, xp, p, d)
-            assert abs(sd.re_part - ref_re) < 1e-13 * abs(ref_re)
-            assert abs(sd.im_part - ref_im) < 1e-12 * abs(ref_im)
+            ref = self._w_bracket(omega, x, xp, p, d)
+            assert abs(sd.re_part - ref) < 1e-13 * abs(ref)
 
     @pytest.mark.parametrize("beta", [1e4, 1e6, 1e8])
     @pytest.mark.parametrize("x, xp", [(0.3, 0.1), (-1.2, 0.5), (1.35, -1.38)])
@@ -155,10 +158,9 @@ class TestSpectralDensity:
         p, d = setup_params(beta=beta)
         omega = 2.0 * math.pi / beta
         sd = spectral_density(omega, x, xp, p, d)
-        ref_re, ref_im = self._w_bracket(omega, x, xp, p, d)
-        assert abs(sd.re_part - ref_re) <= 1e-13 * abs(ref_re)
-        assert abs(sd.im_part - ref_im) <= 1e-13 * abs(ref_im)
-        assert abs(sd.re_part - ref_re) <= sd.err_bound
+        ref = self._w_bracket(omega, x, xp, p, d)
+        assert abs(sd.re_part - ref) <= 1e-13 * abs(ref)
+        assert abs(sd.re_part - ref) <= sd.err_bound
 
     @pytest.mark.parametrize("omega", [2.0 * math.pi, 4.0 * math.pi])
     def test_next_to_the_clamp_matches_w_bracket_product(self, omega):
@@ -166,34 +168,8 @@ class TestSpectralDensity:
         p, d = setup_params()
         x, xp = 0.99999 * d.R_c, 0.1 * d.R_c
         sd = spectral_density(omega, x, xp, p, d)
-        ref_re, ref_im = self._w_bracket(omega, x, xp, p, d)
-        assert abs(sd.re_part - ref_re) <= 1e-13 * abs(ref_re)
-        assert abs(sd.im_part - ref_im) <= 1e-12 * abs(ref_im)
-
-    def test_conical_im_part_is_the_true_value_at_large_degree(self):
-        # at omega = 20 pi the true Im G sits some 80 decades below Re G, far
-        # below its rounding; the closed form in 30-digit arithmetic is the reference
-        p, d = unit_radius_params()
-        omega = 20.0 * math.pi
-        sd = spectral_density(omega, 0.3, -0.4, p, d)
-        k = p.g * d.R_c / (2.0 * (p.hbar * d.v) ** 2)
-        mu = mp.sqrt(mp.mpf(d.alpha * omega) ** 2 - mp.mpf(0.25))
-        nu = -0.5 + 1j * mu
-
-        def pp(u):
-            return mp.re(mp.legenp(nu, 0, u, type=2))
-
-        lo, hi = -0.4 / d.R_c, 0.3 / d.R_c
-        ref = -(2 * k / mp.pi) * (mp.pi / 2) ** 2 * (pp(-lo) * pp(-hi) + pp(lo) * pp(hi)) / mp.cosh(mp.pi * mu) ** 2
-        assert abs(float(ref)) < 1e-50 * abs(sd.re_part)
-        assert abs(sd.im_part - float(ref)) < 1e-11 * abs(float(ref))
-
-    def test_terms_are_counted(self):
-        # four P_nu rows of 96 integrand evaluations each, at any degree
-        p, d = setup_params()
-        assert spectral_density(0.0, 0.3, 0.1, p, d).terms == 0
-        terms = {spectral_density(omega, 0.3, 0.1, p, d).terms for omega in (2.0 * math.pi, 2000.0 * math.pi)}
-        assert terms == {4 * 96}
+        ref = self._w_bracket(omega, x, xp, p, d)
+        assert abs(sd.re_part - ref) <= 1e-13 * abs(ref)
 
     def test_value_stays_finite_at_large_degree(self):
         p, d = setup_params(beta=0.05 * math.sqrt(2.0))
@@ -239,7 +215,7 @@ class TestSpectralDensities:
             if isinstance(s, Exception):
                 assert type(b) is type(s) and str(b) == str(s)
             else:
-                assert (b.re_part, b.im_part, b.err_bound, b.terms) == (s.re_part, s.im_part, s.err_bound, s.terms)
+                assert (b.re_part, b.err_bound) == (s.re_part, s.err_bound)
                 assert (b.omega, b.nu, b.x, b.xp) == (s.omega, s.nu, s.x, s.xp)
 
     @pytest.mark.parametrize("omega", [0.0, 2.0 * math.pi, 20.0 * math.pi, 200.0 * math.pi])
@@ -272,7 +248,7 @@ class TestSpectralDensities:
             inside = batch[:1] + batch[2:]
             assert all(isinstance(b, AccuracyError) for b in inside) if omega else not any(
                 isinstance(b, Exception) for b in inside)
-        assert f"x = {0.99999 * d.R_c!r}," in str(batch[3]) and "> tol = 1e-15 times |G_omega|" in str(batch[3])
+        assert f"x = {0.99999 * d.R_c!r}," in str(batch[3]) and "> tol = 1e-15 times the magnitude of its terms" in str(batch[3])
         assert batch[3].achieved > 1e-15
 
     @pytest.mark.parametrize("grid", ["edge", "sweep"])
@@ -331,10 +307,10 @@ class TestSpectralDensities:
         for omega in cfg["grid.omegas"]:
             for x2, sd in zip(xs, _per_point(omega, xs, x1, p, d, tol)):
                 if isinstance(sd, Exception):
-                    expected.append((x1, tau1, x2, tau1, None, None, "trapped-spectral", None, regime, False,
+                    expected.append((x1, tau1, x2, tau1, None, "trapped-spectral", None, regime, False,
                                      f"{type(sd).__name__}: {sd}"))
                 else:
-                    expected.append((x1, tau1, x2, tau1, sd.re_part, sd.im_part, "trapped-spectral", sd.err_bound,
+                    expected.append((x1, tau1, x2, tau1, sd.re_part, "trapped-spectral", sd.err_bound,
                                      regime, False, "ok"))
         assert rows == expected
         assert sum(r[-1].startswith("DomainError") for r in rows) == 2
@@ -398,14 +374,23 @@ class TestMatsubaraAssemble:
 
     def test_bound_beyond_tol_names_its_first_frequency(self):
         # at tol = 1e-15 every frequency's bound is beyond tol; the error
-        # names the first, omega = 2 pi/beta
+        # names the first, omega = 2 pi/beta, and its bound over the
+        # magnitude of its terms, |a| + |b| on the conical line
         p, d = setup_params()
         with pytest.raises(AccuracyError) as err:
             matsubara_assemble(0.45, 0.2, 0.31, 0.0, p, d, l_max=8, tol=1e-15)
         omega = 2.0 * math.pi / p.beta
         sd = spectral_density(omega, 0.45, 0.31, p, d)
         assert str(err.value).startswith(f"spectral density at omega = {omega:.6g}, x = 0.45, x' = 0.31:")
-        assert err.value.achieved == sd.err_bound / abs(sd.value) > 1e-15
+        k = _k_coeff(p, d)
+        with mp.workdps(30):
+            nu = -0.5 + 1j * mp.sqrt(mp.mpf(d.alpha * omega) ** 2 - mp.mpf(0.25))
+            big = {v: mp.re(mp.legenp(nu, 0, v / d.R_c, type=2)) for v in (0.45, -0.45, 0.31, -0.31)}
+            a = mp.exp(-mp.pi * mp.im(nu)) * big[0.31] * big[-0.45]
+            b = mp.exp(mp.pi * mp.im(nu)) * big[-0.31] * big[0.45]
+            scale = float((k * mp.pi / 2) * (a + b) / mp.cosh(mp.pi * mp.im(nu)) ** 2)
+        assert err.value.achieved == pytest.approx(sd.err_bound / scale, rel=1e-12)
+        assert err.value.achieved > 1e-15
 
     @pytest.mark.parametrize("beta", [0.05 * math.sqrt(2.0), 1.0, 100.0 * math.sqrt(2.0)])
     def test_bitwise_symmetric_under_argument_swap(self, beta):
@@ -442,9 +427,9 @@ class TestMatsubaraAssemble:
             fold = sds[0].re_part + sum(2.0 * math.cos(sd.omega * dtau) * sd.re_part for sd in sds[1:])
             assert abs(g.value.real - fold / beta) <= 1e-14 * abs(fold / beta)
             # terms counts the kernel rows that ran: two at a far frequency,
-            # where the densities' four-row terms count four
+            # four at any other
             assert g.meta["terms"] == 96 * sum(rows)
-            assert 2 * 96 * (len(sds) - 1) <= g.meta["terms"] <= sum(sd.terms for sd in sds)
+            assert 2 * 96 * (len(sds) - 1) <= g.meta["terms"] <= 4 * 96 * (len(sds) - 1)
             assert g.meta["frequencies"] <= l_max + 1
 
     def test_truncation_estimate_decays(self):
@@ -474,20 +459,20 @@ class TestMatsubaraAssemble:
         u, up, k = x / d.R_c, xp / d.R_c, _k_coeff(p, d)
         omegas = 2.0 * math.pi * np.arange(1, l_max + 1) / beta
         re = _density_parts(omegas, u, up, d, k, tol)[0]
-        fold = (_zero_mode_parts(u, up, k)[0] + 2.0 * math.fsum(np.cos(omegas * abs(dtau * beta)) * re)) / beta
+        fold = (_zero_mode(u, up, k) + 2.0 * math.fsum(np.cos(omegas * abs(dtau * beta)) * re)) / beta
         assert abs(g.value - fold) <= min(g.trunc_err, tol)
         swapped = matsubara_assemble(xp, 0.0, x, dtau * beta, p, d, l_max=l_max, tol=tol)
         assert swapped.meta["frequencies"] == g.meta["frequencies"]
 
     def test_frequency_stop_counts_the_work_that_ran(self):
         # correlator-precise's widest pair: the envelope meets tol = 1e-12 at
-        # L = 26 of the cap 256; frequencies 1 and 2 integrate four P_nu rows,
-        # the 24 far ones two
+        # L = 26 of the cap 256; frequency 1 integrates four P_nu rows, the 25
+        # far ones two
         p, d = setup_params()
         s, sep = 0.2 * d.R_c, 0.1 * d.R_c
         g = matsubara_assemble(s + sep / 2.0, 0.0, s - sep / 2.0, 0.0, p, d, l_max=256, tol=1e-12)
         assert g.meta["l_max"] == 256 and g.meta["frequencies"] == 27
-        assert g.meta["terms"] == 96 * (4 * 2 + 2 * 24)
+        assert g.meta["terms"] == 96 * (4 + 2 * 25)
         assert g.trunc_err <= 1e-12
 
     @staticmethod
@@ -514,15 +499,11 @@ class TestMatsubaraAssemble:
     )
     def test_two_row_path_gives_the_four_row_bits(self, ratio, s, sep, edge, dtau):
         # the assembly integrates two P_nu rows at a far frequency: its value
-        # and every Re G_omega are bitwise those of the four rows, at every
+        # and every G_omega are bitwise those of the four rows, at every
         # frequency to the cap, summed or not
         p, d, x, xp = self._points(ratio, s, sep, edge)
         assume(max(abs(x), abs(xp)) / d.R_c <= 1.0 - BOUNDARY_EPS)
         l_max = 2000
-        density_parts = green_trapped._density_parts
-
-        def four_rows(*args, reads_im):
-            return density_parts(*args)
 
         def assembled():
             try:
@@ -531,23 +512,40 @@ class TestMatsubaraAssemble:
                 return str(exc), None
             return g.value.hex(), g.meta["terms"]
 
-        with patch.object(green_trapped, "_density_parts", four_rows):
+        omegas = 2.0 * math.pi * np.arange(1, l_max + 1) / p.beta
+        args = (omegas, x / d.R_c, xp / d.R_c, d, _k_coeff(p, d), 1e-13)
+        with patch.object(green_trapped, "_far_rows", _no_far_rows):
             value_4, terms_4 = assembled()
+            re_4 = _density_parts(*args)[0]
         value_2, terms_2 = assembled()
         assert value_2 == value_4
         assert terms_2 is None or terms_2 <= terms_4
-        omegas = 2.0 * math.pi * np.arange(1, l_max + 1) / p.beta
-        args = (omegas, x / d.R_c, xp / d.R_c, d, _k_coeff(p, d), 1e-13)
-        re_2, _, _, rows = density_parts(*args, reads_im=False)
-        assert re_2.tobytes() == density_parts(*args)[0].tobytes()
+        re_2, _, _, rows = _density_parts(*args)
+        assert re_2.tobytes() == re_4.tobytes()
         assert 2 * l_max <= rows <= 4 * l_max
+
+    @pytest.mark.parametrize("omega", [2.0 * math.pi, 20.0 * math.pi, 200.0 * math.pi, 2000.0 * math.pi])
+    def test_spectral_table_two_row_path_gives_the_four_row_bits(self, omega):
+        # the sweep geometry, 81 points over +-0.995 R_c with x_ref = 0.1 R_c:
+        # every density that spectral_densities gives, on two rows at a far
+        # point, is bitwise the four-row value, and as many points are ok
+        p, d = setup_params()
+        xs = [float(x) for x in np.linspace(-0.995 * d.R_c, 0.995 * d.R_c, 81)]
+        args = (omega, xs, 0.1 * d.R_c, p, d, 1e-12)
+        with patch.object(green_trapped, "_far_rows", _no_far_rows):
+            four = spectral_densities(*args)
+        two = spectral_densities(*args)
+        assert [type(sd) for sd in two] == [type(sd) for sd in four] == [SpectralDensity] * 81
+        assert [sd.re_part.hex() for sd in two] == [sd.re_part.hex() for sd in four]
+        # no point is far at 2 pi, and every point is at 20 pi and beyond
+        rows = _density_parts(omega, np.array(xs) / d.R_c, 0.1, d, _k_coeff(p, d), 1e-12)[3]
+        assert rows == (4 if omega == 2.0 * math.pi else 2) * 81
 
     @pytest.mark.parametrize("ratio", [0.05, 1.0, 10.0, 100.0, 300.0])
     def test_far_frequencies_meet_their_bound(self, ratio):
         # at every frequency that _far_rows marks far, on the four-row path:
-        # |a| < e^-48 |b| and |im| < e^-48 |b|, from the kernel's own P_nu in
-        # logarithms, and |im| < e^-48 |re| where re is a normal float; and
-        # the bounds on I = P_nu e^{-mu theta} that the proof rests on hold
+        # |a| < e^-48 |b|, from the kernel's own P_nu in logarithms; and the
+        # bounds on I = P_nu e^{-mu theta} that the proof rests on hold
         p, d = setup_params(beta=ratio * math.sqrt(2.0))
         edge = 1.0 - BOUNDARY_EPS
         omegas = 2.0 * math.pi * np.arange(1, 3001) / p.beta
@@ -568,12 +566,7 @@ class TestMatsubaraAssemble:
             th_hi, th_mlo = math.acos(hi), math.acos(-lo)
             d_theta = math.acos(lo) - th_hi
             log_a = np.log(v1) + np.log(v4) - np.log(v2) - np.log(v3) - 2.0 * mu * (math.pi - d_theta)
-            log_im = np.logaddexp(np.log(v4) - np.log(v3) - 2.0 * mu * th_hi,
-                                  np.log(v1) - np.log(v2) - 2.0 * mu * th_mlo)
-            assert (log_a < -48.0).all() and (log_im < -48.0).all()
-            re, im = _density_parts(omegas[far], u, up, d, _k_coeff(p, d), 1e-13)[:2]
-            normal = np.abs(re) >= np.finfo(float).tiny
-            assert (math.exp(48.0) * np.abs(im[normal]) < np.abs(re[normal])).all()
+            assert (log_a < -48.0).all()
             # I <= P_{-1/2}(u) <= 6 inside the clamp, and at the rows of b,
             # where mu theta >= 1, I >= erf(sqrt(mu theta))/sqrt(2 pi mu)
             assert (value < 6.0).all()
@@ -581,6 +574,19 @@ class TestMatsubaraAssemble:
                 floor = np.array([math.erf(math.sqrt(m * theta)) for m in mu]) / np.sqrt(2.0 * math.pi * mu)
                 assert (v >= floor).all()
         assert far_rows > 0
+
+    def test_coincident_points_are_ok_at_low_temperature(self):
+        # at beta = 100 sqrt 2 the first frequencies lie on the real branch,
+        # where G_omega(x, x) is exactly 0: the refusal test weighs the bound
+        # against the magnitude of the terms, which is not 0
+        p, d = setup_params(beta=100.0 * math.sqrt(2.0))
+        omega, x = 2.0 * math.pi / p.beta, 0.3 * d.R_c
+        assert (d.alpha * omega) ** 2 <= 0.25
+        same, near = spectral_densities(omega, [x, x + 1e-9 * d.R_c], x, p, d, 1e-13)
+        assert isinstance(same, SpectralDensity) and isinstance(near, SpectralDensity)
+        assert same.re_part == 0.0 and same.err_bound > 0.0
+        g = matsubara_assemble(x, 0.3 * p.beta, x, 0.0, p, d, l_max=64)
+        assert math.isfinite(g.value) and g.trunc_err > 0.0
 
     def test_frequency_stop_at_equal_positions_runs_to_the_cap(self):
         p, d = setup_params()

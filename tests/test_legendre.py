@@ -22,7 +22,7 @@ from trapgas import (
 )
 from trapgas import green_trapped, legendre
 from trapgas.green_trapped import _density_parts, _k_coeff
-from trapgas.legendre import _NODES, _ROWS, _p_quad, _q_real
+from trapgas.legendre import _NODES, _ROWS, _p_quad
 
 mp.mp.dps = 30
 
@@ -59,14 +59,19 @@ def kernel_p(nu, u: float) -> float:
 
 
 def kernel_pair(nu, u: float) -> tuple:
-    """(P_nu(u), Q_nu(u)) from P_nu(+-u): Q by ``_q_real`` on the real branch;
-    on the conical line, where no route forms Q, by the connection formula in
-    plain complex arithmetic."""
+    """(P_nu(u), Q_nu(u)) from the kernel's P_nu(+-u) by the connection formula
+    (2/pi) Q_nu(u) = [cos(pi nu) P_nu(u) - P_nu(-u)] / sin(pi nu), which no
+    route forms: on the real branch from D(+-u) = (P_nu(+-u) - 1)/nu, with its
+    O(1) part (cos(pi nu) - 1)/sin(pi nu) = -tan(pi nu/2) taken out in closed
+    form, so that nothing cancels; on the conical line in plain complex
+    arithmetic."""
     p_u, p_mu, value = kernel_rows(nu, u)
     nu = complex(nu)
     if nu.imag:
         return p_u, math.pi / 2.0 * (cmath.cos(math.pi * nu) * p_u - p_mu) / cmath.sin(math.pi * nu)
-    return p_u, math.pi / 2.0 * float(_q_real(nu.real, value[0], value[1]))
+    nu = nu.real
+    q = nu * (math.cos(math.pi * nu) * value[0] - value[1]) / math.sin(math.pi * nu) - math.tan(0.5 * math.pi * nu)
+    return p_u, math.pi / 2.0 * float(q)
 
 
 def wronskian_residual(f, g, w: float, u: float, h: float | None = None) -> float:
@@ -251,11 +256,14 @@ class TestLegendrePairValues:
         assert ((0.0 <= err) & (err < 1e-10)).all()
 
     def test_bound_beyond_tol_raises_accuracy_error(self):
-        # the density's bound carries the rounding of the quadratures, well above 1e-16
+        # the density's bound carries the rounding of the quadratures, well
+        # above 1e-16 of the magnitude of its terms
         p, d = self._unit()
         args = (math.sqrt(_lam(-0.5 + 0.8j)) / d.alpha, 0.3 * d.R_c, 0.1 * d.R_c, p, d)
         sd = spectral_density(*args)
-        bound = sd.err_bound / abs(sd.value)
+        _, err, scale, _ = _density_parts(args[0], np.array([0.3]), 0.1, d, _k_coeff(p, d), 1e-13)
+        assert err[0] == sd.err_bound and scale[0] >= abs(sd.re_part)
+        bound = sd.err_bound / scale[0]
         with pytest.raises(AccuracyError, match=r"quadrature bound .* > tol = 1e-16") as err:
             spectral_density(*args, tol=1e-16)
         assert err.value.achieved == bound > 1e-16
@@ -573,23 +581,6 @@ class TestSeriesKernel:
         assert_allclose(1.0 + np.array([2.0, 3.0]) * value, p_poly_table(3, 0.3)[2:], rtol=1e-14)
         assert (err < 1e-14).all()
 
-    def test_conical_q_matches_connection_formula(self):
-        # the density's conical imaginary part, whose connection-formula phases
-        # are combined in closed form, against -C Re[(2/pi)^2 Q_< Q_> + P_< P_>]
-        # from mpmath, with C = K pi/2
-        p = PhysicalParams(m=1.0, g=1.0, Omega=1.0, Lambda=1.0, beta=1.0)
-        d = derive_scales(p)
-        k = _k_coeff(p, d)
-        nu = -0.5 + 1.5j
-        omega = math.sqrt(0.25 + 1.5**2) / d.alpha
-        for u in (-0.5, 0.2, 0.7):
-            up = 0.1
-            im = _density_parts(omega, np.array([u]), up, d, k, 1e-13)[1]
-            q_u, q_up = (complex(mp.legenq(nu, 0, v, type=2)) for v in (u, up))
-            p_u, p_up = (complex(mp.legenp(nu, 0, v, type=2)) for v in (u, up))
-            ref = -(k * math.pi / 2.0) * ((2.0 / math.pi) ** 2 * q_u * q_up + p_u * p_up).real
-            assert abs(im[0] - ref) < 1e-12 * abs(ref)
-
     def test_large_degree_log_magnitude(self):
         # P_{-1/2+i mu}(cos theta) ~ exp(mu theta)/sqrt(2 pi mu sin theta)
         mu = 300.0
@@ -601,8 +592,8 @@ class TestSeriesKernel:
         assert abs(log_p - expected) < 0.01 * abs(expected)
 
     def test_pair_finite_where_cosh_pi_mu_overflows(self):
-        # cosh(300 pi) overflows float64; the density's parts, which divide
-        # P_nu(+-u) products by cosh^2(pi mu), stay finite and accurate
+        # cosh(300 pi) overflows float64; the density, which divides P_nu(+-u)
+        # products by cosh^2(pi mu), stays finite and accurate
         mu = 300.0
         theta = 1.1
         with pytest.raises(OverflowError):
@@ -611,17 +602,14 @@ class TestSeriesKernel:
         d = derive_scales(p)
         k = _k_coeff(p, d)
         u, up = math.cos(theta), 0.9
-        re, im, err = (a[0] for a in _density_parts(math.sqrt(0.25 + mu * mu) / d.alpha, np.array([up]), u, d, k, 1e-13)[:3])
-        assert all(math.isfinite(v) for v in (re, im, err))
+        re, err = (a[0] for a in _density_parts(math.sqrt(0.25 + mu * mu) / d.alpha, np.array([up]), u, d, k, 1e-13)[:2])
+        assert all(math.isfinite(v) for v in (re, err))
         lam = 0.25 + mu * mu
         with mp.workdps(40):
             # P_nu(v) = I(v) e^{mu arccos v}, I from the Mehler-Dirichlet integral
             big = {v: _mp_mehler_dirichlet(lam, v) * mp.exp(mu * mp.acos(v)) for v in (u, -u, up, -up)}
-            ref_im = -(k * mp.pi / 2) * (big[-u] * big[-up] + big[u] * big[up]) / mp.cosh(mp.pi * mu) ** 2
             ref_re = (k * mp.pi / 2) * (mp.exp(-mp.pi * mu) * big[u] * big[-up]
                                         - mp.exp(mp.pi * mu) * big[-u] * big[up]) / mp.cosh(mp.pi * mu) ** 2
-            assert 0.0 < -im < 1e-100
-            assert abs((mp.mpf(im) - ref_im) / ref_im) < 1e-12
             assert abs((mp.mpf(re) - ref_re) / ref_re) < 1e-10
 
     def test_p_matches_plain_at_moderate_degree(self):
