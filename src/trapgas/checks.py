@@ -280,7 +280,7 @@ def check_trapped_lowT_match():
         for f in (0.01, 0.02, 0.03, 0.04)
     ]
     worst = _max_difference_deviation(
-        partial(lowT_legendre_series, p=p, d=d, ctl=ctl), partial(asympt_green_lowT, p=p, d=d, ctl=ctl), pairs
+        partial(lowT_legendre_series, p=p, d=d, ctl=ctl), partial(asympt_green_lowT, p=p, d=d), pairs
     )
 
     g = lowT_legendre_series(s_half + 0.005 * d.R_c, dtau, s_half - 0.005 * d.R_c, 0.0, p, d, ctl)

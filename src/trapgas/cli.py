@@ -5,7 +5,8 @@ validation suite, and CSV/JSON emission for plotting pipelines.
 the first ``main`` call, and ``main`` runs ``cmd_<name>``, looked up at call
 time.  ``_SCHEMA`` gives each config key its parser, default and admissible
 range.  ``exponent`` fits the ok rows of the ``correlator`` table's own row
-function and names on stderr the rows it leaves out.
+function that share the first ok row's route, and names on stderr the rows
+it leaves out.
 
 Config documents are flat INI text (``key = value`` under section headers);
 unknown sections or keys are rejected.  Every run echoes the fully resolved
@@ -36,15 +37,13 @@ from .correlator import (
     MIN_FIT_SAMPLES,
     CorrelatorQuery,
     extract_exponent,
-    gamma_d1_exact,
     gamma_from_green,
-    gamma_trapped_asymptotic,
     theta_at,
     theta_homogeneous,
     xi_at,
 )
 from .errors import AccuracyError, ConfigError, DataError, DomainError, RegimeError, TrapGasError
-from .green_homogeneous import HomogSeriesControl, homog_asymptotic_highT, homog_asymptotic_lowT, homog_series
+from .green_homogeneous import GreenValue, HomogSeriesControl, homog_asymptotic_highT, homog_asymptotic_lowT, homog_series
 from .green_trapped import (
     LowTControl,
     asympt_green_highT,
@@ -328,7 +327,7 @@ def _green_evaluator(mode, regime, cfg: RunConfig, p, d):
         if regime is Regime.HIGH_T:
             return partial(asympt_green_highT, p=p, d=d, r_lo=cfg["regime.r_lo"])
         if regime is Regime.LOW_T:
-            return partial(asympt_green_lowT, p=p, d=d, ctl=_lowt_control(cfg), r_hi=cfg["regime.r_hi"])
+            return partial(asympt_green_lowT, p=p, d=d, r_hi=cfg["regime.r_hi"])
         return None
     raise ConfigError(f"unknown green mode {mode!r}")
 
@@ -392,24 +391,28 @@ def cmd_green(cfg: RunConfig, args) -> tuple:
     return columns, [point_row(x2, float(tau2)) for tau2 in taus for x2 in xs], extra
 
 
-def _correlator_value(mode, q: CorrelatorQuery, cfg: RunConfig, p, d):
+def _correlator_green(mode, q: CorrelatorQuery, cfg: RunConfig, p, d) -> tuple:
+    """The Green value of the pair ``q`` on the route of ``mode``, and the
+    route's name; asymptotic-auto takes the trapped-asympt green table's
+    value where its regime has one and falls back to the spectral route."""
     if mode == "closed-form":
         if q.tau1 != q.tau2:
             raise DomainError("closed-form correlator is equal-time; set grid.dtau = 0")
-        return gamma_d1_exact(q.x1, q.x2, p, d), "closed-form"
-    method = mode
-    if mode == "asymptotic-auto":
-        try:
-            return gamma_trapped_asymptotic(q, p, d, cfg["regime.r_lo"], cfg["regime.r_hi"]), mode
-        except RegimeError:
-            method = "asymptotic-auto:fallback-spectral"
+        return GreenValue(closed_form_zero_mode(q.x1, q.x2, p, d), method=mode), mode
     if mode == "series":
-        g = lowT_legendre_series(q.x1, q.tau1, q.x2, q.tau2, p, d, _lowt_control(cfg))
-    elif mode in ("spectral", "asymptotic-auto"):
-        g = matsubara_assemble(q.x1, q.tau1, q.x2, q.tau2, p, d, cfg["truncation.l_max"], cfg["truncation.tol"])
-    else:
+        return lowT_legendre_series(q.x1, q.tau1, q.x2, q.tau2, p, d, _lowt_control(cfg)), mode
+    if mode == "asymptotic-auto":
+        regime = classify_regime(d, cfg["regime.r_lo"], cfg["regime.r_hi"])
+        evaluate = _green_evaluator("trapped-asympt", regime, cfg, p, d)
+        if evaluate is not None:
+            try:
+                return evaluate(q.x1, q.tau1, q.x2, q.tau2), mode
+            except RegimeError:
+                pass
+        mode = "asymptotic-auto:fallback-spectral"
+    elif mode != "spectral":
         raise ConfigError(f"unknown correlator mode {mode!r}")
-    return gamma_from_green(q, g, p, d), method
+    return matsubara_assemble(q.x1, q.tau1, q.x2, q.tau2, p, d, cfg["truncation.l_max"], cfg["truncation.tol"]), mode
 
 
 def _sep_grid(cfg: RunConfig) -> np.ndarray:
@@ -435,7 +438,8 @@ def _correlator_row(q: CorrelatorQuery, mode, cfg: RunConfig, p, d) -> tuple:
     try:
         theta_s = theta_at(q.S, p, d)
         xi_s = xi_at(q.S, p, d)
-        gamma, method = _correlator_value(mode, q, cfg, p, d)
+        g, method = _correlator_green(mode, q, cfg, p, d)
+        gamma = gamma_from_green(q, g, p, d)
         if math.isinf(gamma):
             return (q.x1, q.tau1, q.x2, q.tau2, q.S, None, theta_s, xi_s, method, "divergent")
         return (q.x1, q.tau1, q.x2, q.tau2, q.S, gamma, theta_s, xi_s, method, "ok")
@@ -451,17 +455,23 @@ def cmd_correlator(cfg: RunConfig, args) -> tuple:
 
 
 def cmd_exponent(cfg: RunConfig, args) -> tuple:
-    """Fit the power law to the correlator table's ok rows with a finite
-    positive Gamma; the others are counted on stderr."""
+    """Fit the power law to the correlator table's ok rows from the route of
+    the first, whose additive constant in G they share; the others are
+    counted on stderr."""
     p, d = cfg.params, cfg.scales
     s_center = cfg["grid.s_center"]
     theta_s = theta_at(s_center, p, d)
     seps, gammas, rhos = [], [], []
     skipped = []  # the reason each row left out of the fit was dropped
+    fitted_method = None
     for q in _correlator_queries(cfg):
-        x1, _, x2, _, _, gamma, _, _, _, status = _correlator_row(q, args.mode, cfg, p, d)
-        if status != "ok" or not (math.isfinite(gamma) and gamma > 0):
-            skipped.append(f"gamma = {gamma!r}" if status == "ok" else status)
+        x1, _, x2, _, _, gamma, _, _, method, status = _correlator_row(q, args.mode, cfg, p, d)
+        if status != "ok":
+            skipped.append(status)
+            continue
+        fitted_method = fitted_method or method
+        if method != fitted_method:
+            skipped.append(f"method {method}, not {fitted_method}")
             continue
         seps.append(abs(zeta_of(q.dx, q.dtau, p, d)))
         gammas.append(gamma)

@@ -12,14 +12,19 @@ stored quantity theta: homogeneous theta = 2 pi hbar v / g, trapped
 theta(S) = 2 pi hbar rho_TF(S) / (m v), correlation length
 xi(S) = (hbar beta v / pi) theta(S).
 
-Three routes give Gamma: the spectral and series Green values through
-``gamma_from_green``, and ``gamma_trapped_asymptotic``.  The latter takes its
-high-temperature Green value from the summed Liouville-Green form
-``asympt_green_highT``, which needs only points outside the edge layer of the
-condensate and carries its additive constant.  Its power law at small
-separations has the local exponent theta(S) / sqrt(1 - S^2/R_c^2), which the
-exact routes reproduce; theta_at and xi_at keep the paper's theta(S), which
-agrees with it only near the trap centre.
+Every route gives Gamma through ``gamma_from_green``, the one place a Green
+value is exponentiated: the closed form ``gamma_d1_exact`` from the
+equal-time zero mode ``closed_form_zero_mode``, the spectral and series
+Green values, and ``gamma_trapped_asymptotic`` from the asymptotic Green
+value of its regime.  At high temperature that is the summed
+Liouville-Green form ``asympt_green_highT``, which needs only points outside
+the edge layer of the condensate and carries its additive constant.  Its
+power law at small separations has the local exponent
+theta(S) / sqrt(1 - S^2/R_c^2), which the exact routes reproduce; theta_at
+and xi_at keep the paper's theta(S), which agrees with it only near the trap
+centre.  At low temperature it is the leading logarithm
+``asympt_green_lowT``, whose Gamma is the power law (R_c/|zeta|)^(1/theta(S))
+up to its undetermined constant.
 """
 
 from __future__ import annotations
@@ -32,11 +37,10 @@ import numpy as np
 
 from .errors import AccuracyError, DataError, DomainError, RegimeError
 from .green_homogeneous import GreenValue, log_2sinh_abs
-from .green_trapped import asympt_green_highT
+from .green_trapped import asympt_green_highT, asympt_green_lowT, closed_form_zero_mode
 from .model import (
     DEFAULT_R_HI,
     DEFAULT_R_LO,
-    WINDOW_FACTOR,
     CorrelatorQuery,
     DerivedScales,
     PhysicalParams,
@@ -124,31 +128,14 @@ def gamma_from_green(q: CorrelatorQuery, g: GreenValue, p: PhysicalParams, d: De
 
 
 def gamma_d1_exact(x1: float, x2: float, p: PhysicalParams, d: DerivedScales) -> float:
-    """Equal-time trapped correlator in closed form.
+    """Equal-time trapped correlator in closed form: ``gamma_from_green`` of
+    the zero mode ``closed_form_zero_mode``, which makes it
 
     sqrt(rho rho') * [ (1 + |dx|/R_c - x1 x2/R_c^2) /
                        (1 - |dx|/R_c - x1 x2/R_c^2) ] ^ (-g R_c/(4 beta hbar^2 v^2))
     """
-    du = abs(x1 - x2) / d.R_c
-    uu = (x1 / d.R_c) * (x2 / d.R_c)
-    num = 1.0 + du - uu
-    den = 1.0 - du - uu
-    if num <= 0.0 or den <= 0.0:
-        raise DomainError(f"closed-form bracket non-positive (num={num:.6g}, den={den:.6g})")
-    expo = -p.g * d.R_c / (4.0 * p.beta * (p.hbar * d.v) ** 2)
-    return _sqrt_rho_pair(x1, x2, p, d) * (num / den) ** expo
-
-
-def _power_law(pref: float, base: float, theta: float) -> float:
-    """pref * base^(-1/theta), the power law of the homogeneous and trapped
-    forms; inf at base = 0 (divergence marker).  Raises AccuracyError where
-    base^(-1/theta) overflows."""
-    if base == 0.0:
-        return math.inf
-    try:
-        return pref * base ** (-1.0 / theta)
-    except OverflowError:
-        raise _overflow(f"base {base!r} to the power -1/theta = {-1.0 / theta!r}") from None
+    g = GreenValue(closed_form_zero_mode(x1, x2, p, d), method="closed-form")
+    return gamma_from_green(CorrelatorQuery(x1, 0.0, x2, 0.0), g, p, d)
 
 
 def gamma_homog(x1: float, tau1: float, x2: float, tau2: float, p: PhysicalParams, d: DerivedScales) -> float:
@@ -158,17 +145,18 @@ def gamma_homog(x1: float, tau1: float, x2: float, tau2: float, p: PhysicalParam
 
     with zeta = |dx| + i hbar v dtau and theta = 2 pi hbar v / g; the
     homogeneous density Lambda/g is the prefactor.  Returns inf at
-    coincident arguments (divergence marker).
+    coincident arguments (divergence marker), and raises AccuracyError where
+    the power overflows.
     """
     zeta = zeta_of(x1 - x2, tau1 - tau2, p, d)
     base = 0.5 * math.exp(log_2sinh_abs((math.pi / (p.hbar * p.beta * d.v)) * zeta))
-    return _power_law(p.Lambda / p.g, base, theta_homogeneous(p, d))
-
-
-def _power_law_gamma(q: CorrelatorQuery, p: PhysicalParams, d: DerivedScales) -> float:
-    """Trapped low-temperature power law |zeta|^(-1/theta(S))."""
-    base = abs(zeta_of(q.dx, q.dtau, p, d))
-    return _power_law(_sqrt_rho_pair(q.x1, q.x2, p, d), base, theta_at(q.S, p, d))
+    if base == 0.0:
+        return math.inf
+    expo = -1.0 / theta_homogeneous(p, d)
+    try:
+        return p.Lambda / p.g * base**expo
+    except OverflowError:
+        raise _overflow(f"base {base!r} to the power -1/theta = {expo!r}") from None
 
 
 def gamma_trapped_asymptotic(
@@ -178,13 +166,15 @@ def gamma_trapped_asymptotic(
     r_lo: float = DEFAULT_R_LO,
     r_hi: float = DEFAULT_R_HI,
 ) -> float:
-    """Trapped correlator from the asymptotic closed form of its regime.
+    """Trapped correlator from the asymptotic Green value of its regime,
+    through ``gamma_from_green``:
 
-    high T   gamma_from_green of ``asympt_green_highT``, the summed
-             Liouville-Green form, at every pair outside the edge layer
+    high T   ``asympt_green_highT``, the summed Liouville-Green form, at
+             every pair outside the edge layer
              mu_1 arccos|u| < 1 / WINDOW_FACTOR
-    low T    power law |zeta|^(-1/theta(S)) while |zeta|/R_c << 1, with "<<"
-             read as a factor ``WINDOW_FACTOR``
+    low T    ``asympt_green_lowT``, the leading logarithm, whose Gamma is
+             sqrt(rho rho') (R_c/|zeta|)^(1/theta(S)) while
+             u_* = |zeta|/R_c < WINDOW_FACTOR
 
     Raises DomainError when the midpoint lies outside the condensate, and
     RegimeError naming the failed inequality when no form applies.
@@ -192,15 +182,12 @@ def gamma_trapped_asymptotic(
     theta_at(q.S, p, d)  # a midpoint outside the condensate is a domain error, not a regime one
     regime = classify_regime(d, r_lo, r_hi)
     if regime is Regime.HIGH_T:
-        return gamma_from_green(q, asympt_green_highT(q.x1, q.tau1, q.x2, q.tau2, p, d, r_lo), p, d)
-    if regime is Regime.LOW_T:
-        zeta_over_rc = abs(zeta_of(q.dx, q.dtau, p, d)) / d.R_c
-        if zeta_over_rc < WINDOW_FACTOR:
-            return _power_law_gamma(q, p, d)
-        raise RegimeError(f"low-temperature gate |zeta|/R_c << 1 failed (got {zeta_over_rc:.3g})")
-    raise RegimeError(
-        f"intermediate regime (beta/alpha = {d.regime_ratio:.3g}): no asymptotic form applies"
-    )
+        g = asympt_green_highT(q.x1, q.tau1, q.x2, q.tau2, p, d, r_lo)
+    elif regime is Regime.LOW_T:
+        g = asympt_green_lowT(q.x1, q.tau1, q.x2, q.tau2, p, d, r_hi)
+    else:
+        raise RegimeError(f"intermediate regime (beta/alpha = {d.regime_ratio:.3g}): no asymptotic form applies")
+    return gamma_from_green(q, g, p, d)
 
 
 def extract_exponent(separations, gammas, rho_products=None) -> FitResult:

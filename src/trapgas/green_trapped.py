@@ -634,24 +634,23 @@ def asympt_green_lowT(
     taup: float,
     p: PhysicalParams,
     d: DerivedScales,
-    ctl: LowTControl = LowTControl(),
     r_hi: float = DEFAULT_R_HI,
 ) -> GreenValue:
     """Low-temperature leading logarithm, up to an additive constant.
 
     -(Lambda / (2 pi hbar v rho_TF(S))) * ln(R_c / |dx + i hbar v dtau|),
-    valid for u_* << 1 under the crossover gate n0 < 1/u_*.
+    which is -ln(R_c/|zeta|) / theta(S).  Valid for u_* = |zeta|/R_c << 1,
+    read as u_* < WINDOW_FACTOR; raises RegimeError beyond.
     """
     if d.regime_ratio <= r_hi:
         raise RegimeError(f"beta/alpha > {r_hi:g} violated (beta/alpha = {d.regime_ratio:.3g})")
     _clamped_u(x, d)
     _clamped_u(xp, d)
-    dx = x - xp
-    dtau = abs(tau - taup)
-    u_star = _u_star(dx, dtau, p, d)
+    u_star = _u_star(x - xp, abs(tau - taup), p, d)
     if u_star == 0.0:
         return _log_divergence("trapped-asympt-lowT")
-    _gate_lowT(ctl.n0, u_star)
+    if u_star >= WINDOW_FACTOR:
+        raise RegimeError(f"low-temperature gate u_* = |zeta|/R_c < {WINDOW_FACTOR:g} failed (got {u_star:.3g})")
     s_half = 0.5 * (x + xp)
     hv = p.hbar * d.v
     value = -(p.Lambda / (2.0 * math.pi * hv * rho_tf(s_half, p, d))) * math.log(1.0 / u_star)
@@ -659,5 +658,5 @@ def asympt_green_lowT(
         value=value,
         method="trapped-asympt-lowT",
         const_free=True,
-        meta={"u_star": u_star, "S": s_half, "n0": ctl.n0},
+        meta={"u_star": u_star, "S": s_half},
     )

@@ -3,6 +3,7 @@ import dataclasses
 import io
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -401,7 +402,7 @@ class TestCorrelatorCommand:
 
     @pytest.mark.parametrize(
         "mode, g, overflowing, cause",
-        [("series", 500, 6, "exp(-G) at G = -2368.64"), ("asymptotic-auto", 2000, 8, "base 0.01577")],
+        [("series", 500, 6, "exp(-G) at G = -2368.64"), ("asymptotic-auto", 2000, 8, "exp(-G) at G = -1490.61")],
         ids=["series-g500", "asymptotic-auto-g2000"],
     )
     def test_overflowing_gamma_is_a_typed_row(self, tmp_path, mode, g, overflowing, cause):
@@ -415,6 +416,18 @@ class TestCorrelatorCommand:
         assert all(status.startswith("AccuracyError: Gamma overflows: ") for status in statuses[:overflowing])
         assert cause in statuses[0]
         assert not any("overflows" in status for status in statuses[overflowing:])
+
+    def test_closed_form_underflow_is_a_typed_row(self, tmp_path):
+        # beta = 1e-5: the closed form used to print Gamma = 0 on every row as ok
+        cfg = write_config(tmp_path, "[params]\nbeta = 1e-5\n")
+        out = tmp_path / "corr.csv"
+        assert main(["correlator", "--mode", "closed-form", "--config", cfg, "--out", str(out)]) == 0
+        _, header, rows = read_csv(str(out))
+        assert len(rows) == 9
+        for cells in rows:
+            row = dict(zip(header, cells))
+            assert row["gamma"] == "" and row["method"] == "closed-form"
+            assert re.match(r"AccuracyError: Gamma = .* underflows below the smallest normal float", row["status"])
 
     def test_spectral_route_at_high_temperature(self, tmp_path):
         # beta = 1e-4 puts the first frequency at lambda ~ 2e11; every row
@@ -499,6 +512,22 @@ class TestExponentCommand:
         row = dict(zip(header, rows[0]))
         assert abs(float(row["rel_dev_vs_theta_S"])) < 0.05
 
+    def test_fit_leaves_out_the_fallback_route(self, tmp_path, capsys):
+        # beta/alpha = 100 on the default grid: the widest separation, u_* = 0.1,
+        # falls back to the spectral route, whose additive constant in G differs;
+        # the fit covers the 8 leading-log rows and recovers 1/theta(S) to rounding
+        cfg = write_config(tmp_path, "[params]\nbeta = 141.4213562373095\n")
+        out = tmp_path / "exp.csv"
+        assert main(["exponent", "--mode", "asymptotic-auto", "--config", cfg, "--out", str(out)]) == 0
+        _, header, rows = read_csv(str(out))
+        row = dict(zip(header, rows[0]))
+        assert row["n_samples"] == "8" and row["status"] == "ok"
+        assert float(row["rel_dev_vs_theta_S"]) < 1e-12
+        assert capsys.readouterr().err == (
+            "exponent: 1 of 9 rows left out of the fit "
+            "(first: method asymptotic-auto:fallback-spectral, not asymptotic-auto)\n"
+        )
+
     @pytest.mark.parametrize(
         "mode, grid, cause",
         [
@@ -540,12 +569,13 @@ class TestExponentCommand:
 
     @pytest.mark.parametrize(
         "mode, params",
-        [(m, "") for m in CORRELATOR_MODES] + [("spectral", "[params]\nbeta = 1e-4\n")],
-        ids=[*CORRELATOR_MODES, "spectral-beta-1e-4"],
+        [(m, "") for m in CORRELATOR_MODES]
+        + [("spectral", "[params]\nbeta = 1e-4\n"), ("asymptotic-auto", "[params]\nbeta = 141.4213562373095\n")],
+        ids=[*CORRELATOR_MODES, "spectral-beta-1e-4", "asymptotic-auto-low-T"],
     )
     def test_fit_is_the_correlator_tables_ok_rows(self, tmp_path, capsys, mode, params):
-        # exponent fits exactly the rows the correlator table prints as ok with
-        # a finite positive Gamma, bit for bit, and counts the others on stderr
+        # exponent fits exactly the rows the correlator table prints as ok on the
+        # first ok row's route, bit for bit, and counts the others on stderr
         cfg = write_config(tmp_path, params)
         table, fit_out = tmp_path / "corr.csv", tmp_path / "exp.csv"
         assert main(["correlator", "--mode", mode, "--config", cfg, "--out", str(table)]) == 0
@@ -554,9 +584,10 @@ class TestExponentCommand:
         p, d = run.params, run.scales
         _, header, rows = read_csv(str(table))
         seps, gammas, rhos = [], [], []
+        methods = [r[header.index("method")] for r in rows if r[header.index("status")] == "ok"]
         for cells in rows:
             row = dict(zip(header, cells))
-            if row["status"] != "ok" or not 0.0 < float(row["gamma"]) < math.inf:
+            if row["status"] != "ok" or row["method"] != methods[0]:
                 continue
             q = CorrelatorQuery(*(float(row[k]) for k in ("x1", "tau1", "x2", "tau2")))
             seps.append(abs(zeta_of(q.dx, q.dtau, p, d)))

@@ -1,5 +1,7 @@
 import math
+import sys
 
+import mpmath as mp
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -13,6 +15,7 @@ from trapgas import (
     PhysicalParams,
     RegimeError,
     asympt_green_highT,
+    asympt_green_lowT,
     closed_form_zero_mode,
     derive_scales,
     extract_exponent,
@@ -26,7 +29,6 @@ from trapgas import (
     theta_homogeneous,
     xi_at,
 )
-from trapgas.correlator import _power_law_gamma
 
 
 def setup_params(**over):
@@ -126,13 +128,39 @@ class TestClosedFormCorrelator:
             assert g12 == gamma_d1_exact(x2, x1, p, d)
 
     def test_equals_zero_mode_green_route(self):
-        # feeding the equal-time zero-mode Green value into the generic
-        # assembler reproduces the closed form identically
+        # the closed form is gamma_from_green of the equal-time zero mode, bit for bit
         p, d = setup_params(beta=0.7)
         q = CorrelatorQuery(0.35, 0.0, 0.1, 0.0)
         g = closed_form_zero_mode(q.x1, q.x2, p, d)
         via_green = gamma_from_green(q, GreenValue(g, "closed-form-zero-mode"), p, d)
-        assert_allclose(via_green, gamma_d1_exact(q.x1, q.x2, p, d), rtol=1e-12)
+        assert via_green == gamma_d1_exact(q.x1, q.x2, p, d)
+
+    def test_matches_the_bracket_power_to_its_rounding(self):
+        # against sqrt(rho rho') [(1+u)(1-u')/((1-u)(1+u'))]^(-c) at 40 digits,
+        # c = g R_c/(4 beta hbar^2 v^2): the relative error stays within
+        # 16 eps max(1, c) (11.9 at most here), and a Gamma below the smallest
+        # normal float is an AccuracyError, not a subnormal or 0
+        worst, underflows = 0.0, 0
+        with mp.workdps(40):
+            for beta in np.geomspace(1e-4, 100.0 * math.sqrt(2.0), 9):
+                p, d = setup_params(beta=float(beta))
+                r_c = mp.sqrt(2)  # exactly, for these params
+                c = r_c / (4 * mp.mpf(p.beta))
+                for s in (-0.9, -0.5, 0.0, 0.2, 0.6, 0.9):
+                    for sep in np.geomspace(0.001, 0.1, 7):
+                        x1, x2 = (s + sep / 2.0) * d.R_c, (s - sep / 2.0) * d.R_c
+                        u1, u2 = mp.mpf(x1) / r_c, mp.mpf(x2) / r_c
+                        bracket = ((1 + u1) * (1 - u2)) / ((1 - u1) * (1 + u2))
+                        exact = mp.sqrt((1 - u1**2) * (1 - u2**2)) * bracket ** (-c)
+                        if exact < sys.float_info.min:
+                            underflows += 1
+                            with pytest.raises(AccuracyError, match="underflows below the smallest normal float"):
+                                gamma_d1_exact(x1, x2, p, d)
+                            continue
+                        rel = abs(mp.mpf(gamma_d1_exact(x1, x2, p, d)) / exact - 1)
+                        worst = max(worst, float(rel) / (sys.float_info.epsilon * max(1.0, float(c))))
+        assert underflows == 9
+        assert worst < 16.0
 
     def test_bracket_domain_error(self):
         p, d = setup_params()
@@ -153,6 +181,13 @@ class TestClosedFormCorrelator:
         p, d = setup_params()
         dx = 0.02 * d.R_c
         assert_allclose(quasihom_gamma(dx / 2.0, -dx / 2.0, p, d), gamma_d1_exact(dx / 2.0, -dx / 2.0, p, d), rtol=1e-6)
+
+    def test_underflow_is_accuracy_error(self):
+        # beta = 1e-5: c = 3.5e4 and G = 7373 at |dx| = 0.1 R_c, where the bracket power used to return 0.0
+        p, d = setup_params(beta=1e-5)
+        with pytest.raises(AccuracyError, match=r"^Gamma = 0\.0 underflows .* \(G = 7373\.") as info:
+            gamma_d1_exact(0.2 * d.R_c + 0.05 * d.R_c, 0.2 * d.R_c - 0.05 * d.R_c, p, d)
+        assert info.value.achieved == math.inf
 
 
 class TestHomogeneousCorrelator:
@@ -189,6 +224,11 @@ def lg_gamma(q, p, d):
     return gamma_from_green(q, asympt_green_highT(q.x1, q.tau1, q.x2, q.tau2, p, d), p, d)
 
 
+def leading_log_gamma(q, p, d):
+    """Gamma from the low-temperature leading logarithm of the pair ``q``."""
+    return gamma_from_green(q, asympt_green_lowT(q.x1, q.tau1, q.x2, q.tau2, p, d), p, d)
+
+
 class TestTrappedAsymptoticCorrelator:
     def test_exponential_decay_beyond_lambda_T(self):
         # beyond lambda_T the zero mode dominates: ln Gamma = -|dx|/xi(S) up
@@ -217,21 +257,36 @@ class TestTrappedAsymptoticCorrelator:
         assert_allclose(-slope * xi_at(s_half, p, d), 1.0, rtol=0.01)
 
     def test_low_t_power_law_overflow_is_accuracy_error(self):
-        # g = 2000: 1/theta(S) = 318, so |zeta|^(-1/theta(S)) overflows at |zeta| = 0.01
+        # g = 2000: 1/theta(S) = 318, so (R_c/|zeta|)^(1/theta(S)) overflows at |zeta| = 0.01
         p, d = setup_params(g=2000.0, beta=100.0 * math.sqrt(2.0))
         q = CorrelatorQuery(0.01, 0.0, 0.0, 0.0)
-        with pytest.raises(AccuracyError, match=r"^Gamma overflows: base 0\.01 to the power -1/theta = -") as info:
+        with pytest.raises(AccuracyError, match=r"^Gamma overflows: exp\(-G\) at G = -") as info:
             gamma_trapped_asymptotic(q, p, d)
         assert info.value.achieved == math.inf
+
+    @pytest.mark.parametrize("s_over_rc", [0.2, -0.45])
+    def test_low_t_power_law_is_unit_free(self, s_over_rc):
+        # Gamma = sqrt(rho rho') (R_c/|zeta|)^(1/theta(S)): the ratio |zeta|/R_c,
+        # not |zeta| in the unit of length, sets it
+        p, d = setup_params(beta=100.0 * math.sqrt(2.0))
+        s_half, hv = s_over_rc * d.R_c, p.hbar * d.v
+        for dx, dtau in ((0.01 * d.R_c, 0.0), (0.05 * d.R_c, 0.0), (0.02 * d.R_c, 0.03 * d.R_c / hv)):
+            q = CorrelatorQuery(s_half + dx / 2, dtau, s_half - dx / 2, 0.0)
+            pref = math.sqrt(rho_tf(q.x1, p, d) * rho_tf(q.x2, p, d))
+            power = (d.R_c / math.hypot(dx, hv * dtau)) ** (1.0 / theta_at(s_half, p, d))
+            assert_allclose(gamma_trapped_asymptotic(q, p, d), pref * power, rtol=1e-13)
 
     @pytest.mark.parametrize(
         "beta_over_alpha, dx_over_rc, dtau_over_beta, form",
         [
             (0.05, 0.6, 0.0, lg_gamma),  # high T: |dx| = 0.6 R_c, no quasi-homogeneous window
-            (100.0, 0.01, 0.0, _power_law_gamma),  # low T: |zeta|/R_c = 0.01
+            (100.0, 0.01, 0.0, leading_log_gamma),  # low T: |zeta|/R_c = 0.01
+            (100.0, 0.07, 0.0, leading_log_gamma),  # low T, inside the gate u_* < 0.1 only
+            (100.0, 0.01, 0.0001, leading_log_gamma),  # low T, off the equal-time line
         ],
     )
     def test_dispatch_branch_equals_its_form(self, beta_over_alpha, dx_over_rc, dtau_over_beta, form):
+        # bitwise: every branch is gamma_from_green of the Green value its green table prints
         p, d = setup_params(beta=beta_over_alpha * math.sqrt(2.0))
         s_half, dx = 0.2 * d.R_c, dx_over_rc * d.R_c
         q = CorrelatorQuery(s_half + dx / 2, dtau_over_beta * p.beta, s_half - dx / 2, 0.0)

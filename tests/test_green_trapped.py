@@ -32,6 +32,7 @@ from trapgas import (
     rho_tf,
     spectral_densities,
     spectral_density,
+    theta_at,
 )
 from trapgas import green_trapped, legendre
 from trapgas.cli import cmd_green, load_config
@@ -841,13 +842,23 @@ class TestTrappedAsymptotics:
 
     def test_green_lowT_sign_and_gate(self):
         p, d = setup_params(beta=100.0 * math.sqrt(2.0))
-        ctl = LowTControl(n0=10)
-        g = asympt_green_lowT(0.02 * d.R_c, 0.01 * d.alpha, -0.02 * d.R_c, 0.0, p, d, ctl)
+        g = asympt_green_lowT(0.02 * d.R_c, 0.01 * d.alpha, -0.02 * d.R_c, 0.0, p, d)
         assert g.value.real < 0.0
         assert g.const_free
         # u_* = 1: the formula's log vanishes but the validity gate rejects it
-        with pytest.raises(RegimeError, match="n0"):
-            asympt_green_lowT(d.R_c * 0.7, 0.0, -d.R_c * 0.3, 0.0, p, d, ctl)
+        with pytest.raises(RegimeError, match=r"^low-temperature gate u_\* = \|zeta\|/R_c < 0\.1 failed \(got 1\)"):
+            asympt_green_lowT(d.R_c * 0.7, 0.0, -d.R_c * 0.3, 0.0, p, d)
+
+    def test_green_lowT_gate_is_the_window_factor(self):
+        # the one gate is u_* = |zeta|/R_c < WINDOW_FACTOR; the series' crossover
+        # gate n0 u_* < 1 (n0 = 20) no longer rejects u_* = 0.07
+        p, d = setup_params(beta=100.0 * math.sqrt(2.0))
+        g = asympt_green_lowT(0.07 * d.R_c, 0.0, 0.0, 0.0, p, d)
+        assert g.meta["u_star"] == 0.07 and g.method == "trapped-asympt-lowT"
+        assert_allclose(g.value, -math.log(1.0 / 0.07) / theta_at(0.035 * d.R_c, p, d), rtol=1e-14)
+        assert (0.1 * d.R_c) / d.R_c == 0.1
+        with pytest.raises(RegimeError, match=r"< 0\.1 failed \(got 0\.1\)"):
+            asympt_green_lowT(0.1 * d.R_c, 0.0, 0.0, 0.0, p, d)
 
     def test_green_lowT_divergence_marker(self):
         p, d = setup_params(beta=100.0 * math.sqrt(2.0))
