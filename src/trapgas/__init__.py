@@ -44,6 +44,7 @@ from .green_trapped import (
     closed_form_zero_mode,
     lowT_legendre_series,
     matsubara_assemble,
+    matsubara_assemble_many,
     spectral_densities,
     spectral_density,
 )

@@ -50,7 +50,7 @@ from .green_trapped import (
     asympt_green_lowT,
     closed_form_zero_mode,
     lowT_legendre_series,
-    matsubara_assemble,
+    matsubara_assemble_many,
     spectral_densities,
 )
 from .model import (
@@ -391,28 +391,23 @@ def cmd_green(cfg: RunConfig, args) -> tuple:
     return columns, [point_row(x2, float(tau2)) for tau2 in taus for x2 in xs], extra
 
 
-def _correlator_green(mode, q: CorrelatorQuery, cfg: RunConfig, p, d) -> tuple:
-    """The Green value of the pair ``q`` on the route of ``mode``, and the
-    route's name; asymptotic-auto takes the trapped-asympt green table's
-    value where its regime has one and falls back to the spectral route."""
+def _correlator_green(mode, q: CorrelatorQuery, cfg: RunConfig, p, d) -> GreenValue:
+    """The Green value of the pair ``q`` on the closed-form, series or
+    asymptotic-auto route; asymptotic-auto takes the trapped-asympt green
+    table's value, and raises RegimeError where its regime has none."""
     if mode == "closed-form":
         if q.tau1 != q.tau2:
             raise DomainError("closed-form correlator is equal-time; set grid.dtau = 0")
-        return GreenValue(closed_form_zero_mode(q.x1, q.x2, p, d), method=mode), mode
+        return GreenValue(closed_form_zero_mode(q.x1, q.x2, p, d), method=mode)
     if mode == "series":
-        return lowT_legendre_series(q.x1, q.tau1, q.x2, q.tau2, p, d, _lowt_control(cfg)), mode
+        return lowT_legendre_series(q.x1, q.tau1, q.x2, q.tau2, p, d, _lowt_control(cfg))
     if mode == "asymptotic-auto":
         regime = classify_regime(d, cfg["regime.r_lo"], cfg["regime.r_hi"])
         evaluate = _green_evaluator("trapped-asympt", regime, cfg, p, d)
-        if evaluate is not None:
-            try:
-                return evaluate(q.x1, q.tau1, q.x2, q.tau2), mode
-            except RegimeError:
-                pass
-        mode = "asymptotic-auto:fallback-spectral"
-    elif mode != "spectral":
-        raise ConfigError(f"unknown correlator mode {mode!r}")
-    return matsubara_assemble(q.x1, q.tau1, q.x2, q.tau2, p, d, cfg["truncation.l_max"], cfg["truncation.tol"]), mode
+        if evaluate is None:
+            raise RegimeError(f"{regime.value} regime: no asymptotic form")
+        return evaluate(q.x1, q.tau1, q.x2, q.tau2)
+    raise ConfigError(f"unknown correlator mode {mode!r}")
 
 
 def _sep_grid(cfg: RunConfig) -> np.ndarray:
@@ -433,25 +428,64 @@ def _correlator_queries(cfg: RunConfig) -> list:
     ]
 
 
-def _correlator_row(q: CorrelatorQuery, mode, cfg: RunConfig, p, d) -> tuple:
-    """One row of the correlator table; an evaluation failure is its status."""
+def _correlator_rows(mode, cfg: RunConfig, p, d) -> list:
+    """The correlator table's row of each pair of the separation grid; an
+    evaluation failure is its row's status.  A row reads theta(S) and xi(S)
+    before its Green value.  The spectral route serves every pair in
+    ``spectral`` and, in ``asymptotic-auto``, each pair whose asymptotic
+    form raises RegimeError, all of them by one ``matsubara_assemble_many``
+    call."""
+    queries = _correlator_queries(cfg)
+    rows = []
+    spectral = []  # (row index, theta(S), xi(S), route) of each pair the spectral route serves
+    for q in queries:
+        try:
+            theta_s, xi_s = theta_at(q.S, p, d), xi_at(q.S, p, d)
+            route = mode
+            if mode != "spectral":
+                try:
+                    g = _correlator_green(mode, q, cfg, p, d)
+                except RegimeError:
+                    if mode != "asymptotic-auto":
+                        raise
+                    route = "asymptotic-auto:fallback-spectral"
+                else:
+                    rows.append(_correlator_row(q, theta_s, xi_s, g, mode, mode, p, d))
+                    continue
+            spectral.append((len(rows), theta_s, xi_s, route))
+            rows.append(None)  # until the assembly is in
+        except _ROW_ERRORS as exc:
+            rows.append(_correlator_error_row(q, mode, exc))
+    assembled = matsubara_assemble_many([queries[i] for i, *_ in spectral], p, d,
+                                        cfg["truncation.l_max"], cfg["truncation.tol"])
+    for (i, theta_s, xi_s, route), g in zip(spectral, assembled):
+        rows[i] = _correlator_row(queries[i], theta_s, xi_s, g, route, mode, p, d)
+    return rows
+
+
+def _correlator_error_row(q: CorrelatorQuery, mode, exc) -> tuple:
+    """The correlator table's row of a pair whose evaluation raised ``exc``."""
+    return (q.x1, q.tau1, q.x2, q.tau2, q.S, None, None, None, mode, f"{type(exc).__name__}: {exc}")
+
+
+def _correlator_row(q: CorrelatorQuery, theta_s, xi_s, g, method, mode, p, d) -> tuple:
+    """One row of the correlator table from the pair's Green value ``g``, or
+    the error that refused it, which is then the row's status."""
+    if isinstance(g, TrapGasError):
+        return _correlator_error_row(q, mode, g)
     try:
-        theta_s = theta_at(q.S, p, d)
-        xi_s = xi_at(q.S, p, d)
-        g, method = _correlator_green(mode, q, cfg, p, d)
         gamma = gamma_from_green(q, g, p, d)
-        if math.isinf(gamma):
-            return (q.x1, q.tau1, q.x2, q.tau2, q.S, None, theta_s, xi_s, method, "divergent")
-        return (q.x1, q.tau1, q.x2, q.tau2, q.S, gamma, theta_s, xi_s, method, "ok")
     except _ROW_ERRORS as exc:
-        return (q.x1, q.tau1, q.x2, q.tau2, q.S, None, None, None, mode, f"{type(exc).__name__}: {exc}")
+        return _correlator_error_row(q, mode, exc)
+    if math.isinf(gamma):
+        return (q.x1, q.tau1, q.x2, q.tau2, q.S, None, theta_s, xi_s, method, "divergent")
+    return (q.x1, q.tau1, q.x2, q.tau2, q.S, gamma, theta_s, xi_s, method, "ok")
 
 
 def cmd_correlator(cfg: RunConfig, args) -> tuple:
     p, d = cfg.params, cfg.scales
     columns = ["x1", "tau1", "x2", "tau2", "S", "gamma", "theta_S", "xi_S", "method", "status"]
-    rows = [_correlator_row(q, args.mode, cfg, p, d) for q in _correlator_queries(cfg)]
-    return columns, rows, {"mode": args.mode}
+    return columns, _correlator_rows(args.mode, cfg, p, d), {"mode": args.mode}
 
 
 def cmd_exponent(cfg: RunConfig, args) -> tuple:
@@ -464,8 +498,7 @@ def cmd_exponent(cfg: RunConfig, args) -> tuple:
     seps, gammas, rhos = [], [], []
     skipped = []  # the reason each row left out of the fit was dropped
     fitted_method = None
-    for q in _correlator_queries(cfg):
-        x1, _, x2, _, _, gamma, _, _, method, status = _correlator_row(q, args.mode, cfg, p, d)
+    for x1, tau1, x2, tau2, _, gamma, _, _, method, status in _correlator_rows(args.mode, cfg, p, d):
         if status != "ok":
             skipped.append(status)
             continue
@@ -473,7 +506,7 @@ def cmd_exponent(cfg: RunConfig, args) -> tuple:
         if method != fitted_method:
             skipped.append(f"method {method}, not {fitted_method}")
             continue
-        seps.append(abs(zeta_of(q.dx, q.dtau, p, d)))
+        seps.append(abs(zeta_of(x1 - x2, tau1 - tau2, p, d)))
         gammas.append(gamma)
         rhos.append(math.sqrt(rho_tf(x1, p, d) * rho_tf(x2, p, d)))
     if skipped and len(seps) < MIN_FIT_SAMPLES:

@@ -23,7 +23,8 @@ P_nu(+-u_>), from the fixed-cost Mehler-Dirichlet quadrature of
 real branch they come as (P_nu - 1)/nu, so that the O(nu) differences of the
 closed form do not cancel.  This real part is the physical (real,
 symmetric) spectral density of the spectral tables and of the Matsubara
-assembly, which evaluates all its frequencies in one pass of the kernel.
+assembly, which evaluates the frequencies of the pairs of a correlator
+table together, in one pass of the kernel up to ``_PASS_FREQUENCIES``.
 
 Two frequency-summed forms stand beside the assembly.  At low temperature
 ``lowT_legendre_series`` sums the discrete modes, exact up to a crossover
@@ -48,7 +49,16 @@ import numpy as np
 from .errors import AccuracyError, DomainError, RegimeError, TrapGasError
 from .green_homogeneous import GreenValue, _log_divergence
 from .legendre import _NODES, _nu_real, _p_quad, nu_from_omega, p_poly_table
-from .model import DEFAULT_R_HI, DEFAULT_R_LO, WINDOW_FACTOR, DerivedScales, PhysicalParams, rho_tf, zeta_of
+from .model import (
+    DEFAULT_R_HI,
+    DEFAULT_R_LO,
+    WINDOW_FACTOR,
+    CorrelatorQuery,
+    DerivedScales,
+    PhysicalParams,
+    rho_tf,
+    zeta_of,
+)
 
 __all__ = [
     "BOUNDARY_EPS",
@@ -58,6 +68,7 @@ __all__ = [
     "spectral_densities",
     "closed_form_zero_mode",
     "matsubara_assemble",
+    "matsubara_assemble_many",
     "lowT_legendre_series",
     "asympt_green_highT",
     "asympt_green_lowT",
@@ -71,6 +82,12 @@ BOUNDARY_EPS = 1e-6
 # magnitudes: cos and the product in each term, the exactly rounded fsum, the
 # zero mode's addition and the division by beta
 _ASSEMBLY_ROUNDING = 4.0 * sys.float_info.epsilon
+
+# the frequencies of one kernel pass of ``matsubara_assemble_many``: the pairs
+# of a table share passes of at most this many, or one pair's own where it
+# has more, so that a pass's arrays grow with the longest pair's stop L and
+# not with the table's size
+_PASS_FREQUENCIES = 4096
 
 
 @dataclass(frozen=True)
@@ -140,7 +157,7 @@ def _density_parts(omegas, us, ups, d: DerivedScales, k: float, tol: float) -> t
     of the magnitudes of its terms, for each row (omega, u, u') of the
     broadcast 1-D arrays ``omegas``, ``us``, ``ups``, with omega nonzero, by
     the real closed form, from one call of the quadrature kernel; and the
-    number of kernel rows that call was given.
+    number of kernel rows each row took in that call, four or two.
 
     With lambda = (alpha omega)^2, P_<(+-) = P_nu(+-u_<), P_>(+-) =
     P_nu(+-u_>) and C = (2K/pi)(pi/2)^2:
@@ -192,7 +209,7 @@ def _density_parts(omegas, us, ups, d: DerivedScales, k: float, tol: float) -> t
     real = ~con
     if real.any():
         re[real], err[real], scale[real] = _real_parts(lam[real], value[:, real], rel[:, real], c)
-    return re, err, scale, int(np.count_nonzero(kept))
+    return re, err, scale, np.count_nonzero(kept, axis=0)
 
 
 # a conical row is far when ``_far_rows`` puts a below e^-48 of b, by its
@@ -352,61 +369,17 @@ def closed_form_zero_mode(x: float, xp: float, p: PhysicalParams, d: DerivedScal
     return p.g * d.R_c / (p.beta * (2.0 * hv) ** 2) * math.log(num / den)
 
 
-def matsubara_assemble(
-    x: float,
-    tau: float,
-    xp: float,
-    taup: float,
-    p: PhysicalParams,
-    d: DerivedScales,
-    l_max: int,
-    tol: float = 1e-13,
-) -> GreenValue:
-    """Assemble G(x,tau;x',tau') = (1/beta) sum_l e^{i omega dtau} G_omega.
-
-    The zero mode is kept (finite for the trap).  The physical real spectral
-    densities are even in omega, so folding +-l gives an exactly real value:
-    (1/beta) [G_0 + 2 sum_{l=1}^{L} cos(omega_l dtau) G_omega].  The sum
-    stops at the first L <= ``l_max`` whose truncation estimate is at most
-    ``tol``: the first omitted term of the large-omega envelope
-    exp(-|omega||dx|/hbar v)/|omega|, over 1 - e^{-2 pi |dx|/(hbar v beta)}
-    for the geometric decay of the terms after it.  G is dimensionless and
-    Gamma goes as e^{-G}, so ``tol`` bounds the relative error of Gamma.  At
-    dx = 0 the envelope does not decay and the sum runs to ``l_max``.  The L
-    frequencies are evaluated in one pass of the quadrature kernel, the path
-    of ``spectral_densities``: a conical frequency that ``_far_rows`` proves
-    far (all past the first few, unless a point is near the boundary)
-    integrates only the two P_nu of its term b, as G_omega = a - b rounds to
-    -b bit for bit.  The first frequency whose density bound exceeds ``tol`` times the
-    magnitude of its terms raises its AccuracyError.  ``trunc_err`` adds the
-    truncation estimate at L to the densities' own absolute error bounds and
-    to the rounding of the assembled sum, a few eps times
-    (|G_0| + 2 sum |cos(omega dtau) G_omega|)/beta.  ``meta`` carries the
-    cap ``l_max``, the integrand evaluations that ran (96 a kernel row, four
-    rows a frequency or two at a far one) and the frequencies summed, the
-    zero mode included.
-    """
-    if l_max < 0:
-        raise DomainError("l_max must be >= 0")
-    dx = x - xp
-    dtau = tau - taup
-    if dx == 0.0 and (dtau % p.beta) == 0.0:
-        raise AccuracyError(
-            "matsubara_assemble at coincident points: frequency series is log-divergent",
-            achieved=math.inf,
-        )
-    u = _clamped_u(x, d)
-    up = _clamped_u(xp, d)
-    k = _k_coeff(p, d)
-
+def _frequency_stop(q: CorrelatorQuery, p: PhysicalParams, d: DerivedScales, l_max: int, tol: float) -> tuple:
+    """The stop L of the pair ``q``'s frequency sum, the truncation estimate
+    at L and whether the envelope is flat (dx = 0), as
+    ``matsubara_assemble_many`` describes them."""
     hv = p.hbar * d.v
-    s_half = 0.5 * (x + xp)
-    envelope_amp = p.Lambda / (2.0 * hv * rho_tf(s_half, p, d))
-    decay = math.exp(-2.0 * math.pi * abs(dx) / (hv * p.beta))
+    envelope_amp = p.Lambda / (2.0 * hv * rho_tf(q.S, p, d))
+    decay = math.exp(-2.0 * math.pi * abs(q.dx) / (hv * p.beta))
 
     def truncation(last: int) -> float:
         omega_next = 2.0 * math.pi * (last + 1) / p.beta
-        first_omitted = (2.0 / p.beta) * envelope_amp * math.exp(-omega_next * abs(dx) / hv) / omega_next
+        first_omitted = (2.0 / p.beta) * envelope_amp * math.exp(-omega_next * abs(q.dx) / hv) / omega_next
         return first_omitted / (1.0 - decay) if decay < 1.0 else first_omitted
 
     # the estimate falls with L: bisect for the first L that meets tol
@@ -417,30 +390,129 @@ def matsubara_assemble(
             last = mid
         else:
             lo = mid + 1
+    return last, truncation(last), decay == 1.0
 
-    omegas = 2.0 * math.pi * np.arange(1, last + 1) / p.beta
-    re, errs, scale, rows = _density_parts(omegas, u, up, d, k, tol)
-    beyond = np.flatnonzero(errs > tol * scale)
-    if beyond.size:
-        row = beyond[0]
-        raise _bound_error(float(omegas[row]), x, xp, float(errs[row]), float(scale[row]), tol)
-    # cos is even: |dtau| and the exactly rounded fsum keep the value bitwise
-    # symmetric under swapping the two points
-    zero = _zero_mode(u, up, k)
-    terms = np.cos(omegas * abs(dtau)) * re
-    total = zero + 2.0 * math.fsum(terms)
-    rounding = _ASSEMBLY_ROUNDING * (abs(zero) + 2.0 * float(np.sum(np.abs(terms))))
-    err = (2.0 * float(np.sum(errs)) + rounding) / p.beta
-    warning = None
-    if decay == 1.0:
-        warning = "dx = 0: oscillatory frequency tail, truncation estimate is first omitted term"
-    return GreenValue(
-        value=total / p.beta,
-        method="trapped-assembled",
-        trunc_err=truncation(last) + err,
-        warning=warning,
-        meta={"l_max": l_max, "S": s_half, "terms": _NODES.size * rows, "frequencies": last + 1},
-    )
+
+def matsubara_assemble(
+    x: float,
+    tau: float,
+    xp: float,
+    taup: float,
+    p: PhysicalParams,
+    d: DerivedScales,
+    l_max: int,
+    tol: float = 1e-13,
+) -> GreenValue:
+    """G(x,tau;x',tau') of one pair: ``matsubara_assemble_many`` of the
+    query (x, tau; x', tau'), whose DomainError or AccuracyError it raises."""
+    (g,) = matsubara_assemble_many([CorrelatorQuery(x, tau, xp, taup)], p, d, l_max, tol)
+    if isinstance(g, TrapGasError):
+        raise g
+    return g
+
+
+def matsubara_assemble_many(queries, p: PhysicalParams, d: DerivedScales, l_max: int, tol: float = 1e-13) -> list:
+    """G(x1,tau1;x2,tau2) = (1/beta) sum_l e^{i omega dtau} G_omega of each
+    CorrelatorQuery of ``queries``, the frequencies of the pairs evaluated
+    together in passes of the quadrature kernel: one pass for a table whose
+    stops L add up to at most ``_PASS_FREQUENCIES``, and otherwise runs of
+    consecutive pairs within that many, or one pair alone where its own L
+    exceeds it.
+
+    The zero mode is kept (finite for the trap).  The physical real spectral
+    densities are even in omega, so folding +-l gives an exactly real value:
+    (1/beta) [G_0 + 2 sum_{l=1}^{L} cos(omega_l dtau) G_omega].  Each pair's
+    sum stops at the first L <= ``l_max`` whose truncation estimate is at
+    most ``tol``: the first omitted term of the large-omega envelope
+    exp(-|omega||dx|/hbar v)/|omega|, over 1 - e^{-2 pi |dx|/(hbar v beta)}
+    for the geometric decay of the terms after it.  G is dimensionless and
+    Gamma goes as e^{-G}, so ``tol`` bounds the relative error of Gamma.  At
+    dx = 0 the envelope does not decay and the sum runs to ``l_max``.  The
+    pass is that of ``spectral_densities``: a conical frequency that
+    ``_far_rows`` proves far (all past the first few, unless a point is near
+    the boundary) integrates only the two P_nu of its term b, as G_omega =
+    a - b rounds to -b bit for bit.  ``trunc_err`` adds the truncation
+    estimate at L to the densities' own absolute error bounds and to the
+    rounding of the assembled sum, a few eps times (|G_0| + 2 sum
+    |cos(omega dtau) G_omega|)/beta.  ``meta`` carries the cap ``l_max``, the
+    integrand evaluations that ran (96 a kernel row, four rows a frequency
+    or two at a far one) and the frequencies summed, the zero mode included.
+
+    Entry i is the GreenValue of queries[i], or its DomainError or
+    AccuracyError; each is the one that pair alone gives, bitwise and word
+    for word, as no kernel row depends on the rows beside it.  A pair's
+    checks run in the order: ``l_max``, coincident points (an AccuracyError,
+    the frequency series being log-divergent), the boundary clamp, then
+    ``tol`` and the first frequency whose density bound exceeds ``tol``
+    times the magnitude of its terms.  A bad ``tol`` gives every pair inside
+    the clamp the same DomainError; a list with no pair inside it makes no
+    kernel call.
+    """
+    if l_max < 0:
+        return [DomainError("l_max must be >= 0")] * len(queries)
+    k = _k_coeff(p, d)
+    out, pairs = [], []  # pairs: (index of its entry, query, u, u', L, truncation estimate at L, flat envelope)
+    for q in queries:
+        if q.dx == 0.0 and (q.dtau % p.beta) == 0.0:
+            out.append(AccuracyError("matsubara_assemble at coincident points: frequency series is log-divergent",
+                                     achieved=math.inf))
+            continue
+        try:
+            u, up = _clamped_u(q.x1, d), _clamped_u(q.x2, d)
+        except DomainError as exc:
+            out.append(exc)
+            continue
+        pairs.append((len(out), q, u, up, *_frequency_stop(q, p, d, l_max, tol)))
+        out.append(None)  # until the pass is in
+    # pairs join a pass while its frequencies stay within _PASS_FREQUENCIES
+    passes, size = [], 0
+    for pair in pairs:
+        if not passes or size + pair[4] > _PASS_FREQUENCIES:
+            passes.append([])
+            size = 0
+        passes[-1].append(pair)
+        size += pair[4]
+    for run in passes:
+        try:
+            _assemble_pass(run, out, p, d, k, l_max, tol)
+        except DomainError as exc:  # a bad tol, rejected before the first pass
+            for i, *_ in pairs:
+                out[i] = exc
+            break
+    return out
+
+
+def _assemble_pass(pairs, out, p: PhysicalParams, d: DerivedScales, k: float, l_max: int, tol: float) -> None:
+    """Set the entry ``out[i]`` of each pair (i, query, u, u', L, truncation
+    estimate at L, flat envelope) of ``pairs`` from one ``_density_parts``
+    call over all their frequencies."""
+    _, _, us, ups, lasts, _, _ = zip(*pairs)
+    omegas = np.concatenate([2.0 * math.pi * np.arange(1, last + 1) / p.beta for last in lasts])
+    re, errs, scale, rows = _density_parts(omegas, np.repeat(us, lasts), np.repeat(ups, lasts), d, k, tol)
+    beyond = errs > tol * scale
+    end = 0
+    for i, q, u, up, last, truncated, flat in pairs:
+        s = slice(end, end + last)
+        end += last
+        refused = np.flatnonzero(beyond[s])
+        if refused.size:
+            row = s.start + refused[0]
+            out[i] = _bound_error(float(omegas[row]), q.x1, q.x2, float(errs[row]), float(scale[row]), tol)
+            continue
+        # cos is even: |dtau| and the exactly rounded fsum keep the value bitwise
+        # symmetric under swapping the two points
+        zero = _zero_mode(u, up, k)
+        terms = np.cos(omegas[s] * abs(q.dtau)) * re[s]
+        total = zero + 2.0 * math.fsum(terms)
+        rounding = _ASSEMBLY_ROUNDING * (abs(zero) + 2.0 * float(np.sum(np.abs(terms))))
+        err = (2.0 * float(np.sum(errs[s])) + rounding) / p.beta
+        out[i] = GreenValue(
+            value=total / p.beta,
+            method="trapped-assembled",
+            trunc_err=truncated + err,
+            warning="dx = 0: oscillatory frequency tail, truncation estimate is first omitted term" if flat else None,
+            meta={"l_max": l_max, "S": q.S, "terms": _NODES.size * int(rows[s].sum()), "frequencies": last + 1},
+        )
 
 
 # ----------------------------------------------------------------------------

@@ -381,9 +381,19 @@ class TestCorrelatorCommand:
         _, header, rows = read_csv(str(out))
         assert [(r[header.index("method")], r[header.index("status")]) for r in rows] == [("asymptotic-auto", "ok")] * 9
 
-    def test_asymptotic_auto_falls_back_in_the_edge_layer(self, tmp_path):
+    def test_asymptotic_auto_falls_back_in_the_edge_layer(self, tmp_path, monkeypatch):
         # outer points at 0.996, 0.997, 0.999 R_c: mu_1 arccos|u| = 11.2, 9.7, 5.6
-        # against the Liouville-Green gate of 10
+        # against the Liouville-Green gate of 10; the pairs of the spectral
+        # route take one kernel call in either mode
+        from trapgas import green_trapped
+
+        kernel, calls = green_trapped._p_quad, []
+
+        def counted(*a):
+            calls.append(len(a[0]))
+            return kernel(*a)
+
+        monkeypatch.setattr(green_trapped, "_p_quad", counted)
         cfg = write_config(
             tmp_path,
             f"[params]\nbeta = {0.05 * math.sqrt(2.0)!r}\n[truncation]\nl_max = 400\n"
@@ -395,6 +405,7 @@ class TestCorrelatorCommand:
             out = tmp_path / f"{mode}.csv"
             assert main(["correlator", "--mode", mode, "--config", cfg, "--out", str(out)]) == 0
             _, header, tables[mode] = read_csv(str(out))
+        assert len(calls) == 2 and calls[0] < calls[1]
         col = {name: i for i, name in enumerate(header)}
         auto, spectral = tables["asymptotic-auto"], tables["spectral"]
         assert [r[col["method"]] for r in auto] == ["asymptotic-auto"] + ["asymptotic-auto:fallback-spectral"] * 2
@@ -453,6 +464,26 @@ class TestCorrelatorCommand:
             q = CorrelatorQuery(*(float(row[k]) for k in ("x1", "tau1", "x2", "tau2")))
             asymptotic = gamma_trapped_asymptotic(q, p, d)
             assert abs(math.log(float(row["gamma"])) / math.log(asymptotic) - 1.0) < 1e-3
+
+    def test_spectral_table_is_one_kernel_call(self, tmp_path, monkeypatch):
+        # the correlator-precise benchmark's config: the frequencies of all 9
+        # pairs go to the quadrature kernel in one call, of the 1 912 kernel
+        # rows README gives for it
+        from trapgas import green_trapped
+
+        kernel, calls = green_trapped._p_quad, []
+
+        def counted(*a):
+            calls.append(len(a[0]))
+            return kernel(*a)
+
+        monkeypatch.setattr(green_trapped, "_p_quad", counted)
+        cfg = write_config(tmp_path, "[truncation]\nl_max = 256\n")
+        out = tmp_path / "corr.csv"
+        assert main(["correlator", "--mode", "spectral", "--config", cfg, "--out", str(out)]) == 0
+        assert calls == [1912]
+        _, header, rows = read_csv(str(out))
+        assert [r[header.index("status")] for r in rows] == ["ok"] * 9
 
     def test_spectral_row_equals_symmetrized_pair(self, tmp_path):
         # the table evaluates G once, which stands for both G(1;2) and G(2;1):

@@ -1,11 +1,13 @@
 """Smoke test of ``tools/compare_tables.py``, the table byte-compare harness:
 its low-temperature block must reach ok ``series`` rows, which the mode
-matrix alone never produces, and its ``trapped-spectral`` block must reach
-both ok rows and the error rows of clamped points."""
+matrix alone never produces, its ``trapped-spectral`` block must reach
+both ok rows and the error rows of clamped points, and its spectral
+correlator tables must mix error rows with ok rows."""
 
 import importlib.util
 import json
 import os
+import re
 
 from trapgas import PhysicalParams, derive_scales
 
@@ -51,3 +53,23 @@ def test_spectral_block_reaches_ok_and_error_rows():
         statuses += [r[columns.index("status")] for r in rows]
     assert statuses.count("ok") == 2 * 5 * 81 + 16
     assert sum(s.startswith("DomainError") for s in statuses) == 2
+
+
+def test_spectral_error_block_mixes_error_rows_with_ok_rows():
+    harness = _harness()
+    r_c = derive_scales(PhysicalParams(m=1.0, g=1.0, Omega=1.0, Lambda=1.0, beta=1.0)).R_c
+    records = harness.run_invocations(harness.spectral_error_invocations(r_c), formats=("csv",))
+    assert len(records) == 6
+    statuses = {}
+    for name, rec in records.items():
+        columns, rows = harness.parse_table(rec["stdout"])
+        statuses[name.split("/")[0].removeprefix("spectral-errors-")] = [r[columns.index("status")] for r in rows]
+    assert statuses["correlator-edge"][:8] == ["ok"] * 8
+    assert statuses["correlator-edge"][8].startswith("DomainError: |x|/R_c = 1 exceeds the boundary clamp")
+    assert all(s.startswith("AccuracyError: spectral density at omega = ") for s in statuses["correlator-tol1e-15"])
+    assert len(statuses["correlator-tol1e-15"]) == 9
+    assert statuses["correlator-beta1e-4"][:8] == ["ok"] * 8
+    assert re.match(r"AccuracyError: Gamma = .* underflows", statuses["correlator-beta1e-4"][8])
+    assert records["spectral-errors-exponent-edge/csv"]["stderr"].startswith(
+        "exponent: 1 of 9 rows left out of the fit (first: DomainError")
+    assert records["spectral-errors-exponent-tol1e-15/csv"]["code"] == 2

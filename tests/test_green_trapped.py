@@ -15,6 +15,7 @@ from trapgas import (
     AccuracyError,
     CorrelatorQuery,
     DomainError,
+    GreenValue,
     HomogSeriesControl,
     LowTControl,
     PhysicalParams,
@@ -29,6 +30,7 @@ from trapgas import (
     homog_series,
     lowT_legendre_series,
     matsubara_assemble,
+    matsubara_assemble_many,
     rho_tf,
     spectral_densities,
     spectral_density,
@@ -44,6 +46,10 @@ from trapgas.oracle import brute_legendre_tail
 def _no_far_rows(lam, lo, hi):
     """``green_trapped._far_rows`` with no row far: every row integrates four P_nu."""
     return np.zeros(np.shape(lam), dtype=bool)
+
+
+def _raise(exc):
+    raise exc
 
 
 def setup_params(**over):
@@ -433,6 +439,92 @@ class TestMatsubaraAssemble:
             assert 2 * 96 * (len(sds) - 1) <= g.meta["terms"] <= 4 * 96 * (len(sds) - 1)
             assert g.meta["frequencies"] <= l_max + 1
 
+    @staticmethod
+    def _entry(call):
+        """What a one-pair call gives, in a form compared bitwise."""
+        try:
+            g = call()
+        except (DomainError, AccuracyError) as exc:
+            return type(exc), str(exc)
+        return g.value.hex(), g.trunc_err.hex(), g.warning, repr(g.meta), g.method
+
+    @settings(max_examples=40, deadline=None)
+    @example(ratio=1.0, pairs=[(0.2, 0.1, 0.0), (0.2, 0.0, 0.3), (0.95, 0.2, 0.0), (0.1, 0.0, 0.0)], l_max=256,
+             tol=1e-12)
+    @example(ratio=100.0, pairs=[(0.3, 1e-3, 0.1), (math.nan, 0.1, 0.0), (-0.4, 0.0, 0.7)], l_max=300, tol=math.nan)
+    @example(ratio=0.05, pairs=[(-0.9, 0.01, 0.0), (0.5, 0.3, -0.2)], l_max=40, tol=1e-15)
+    @example(ratio=1.0, pairs=[(0.5, 0.1, 0.0), (0.0, 0.01, 0.0), (0.9, 1e-3, 0.0)], l_max=300, tol=4e-15)
+    @example(ratio=1.0, pairs=[], l_max=8, tol=1e-12)
+    @given(
+        ratio=st.floats(math.log10(0.05), math.log10(300.0)).map(lambda e: 10.0**e),
+        # (S, separation, dtau/beta): S and the separation in units of R_c; a
+        # separation 0 is dx = 0, coincident at dtau = 0, and a point past
+        # 1 - BOUNDARY_EPS, or NaN, is beyond the clamp
+        pairs=st.lists(st.tuples(
+            st.floats(-0.9, 0.9) | st.sampled_from([0.99, math.nan]),
+            st.just(0.0) | st.floats(-4.0, math.log10(0.5)).map(lambda e: 10.0**e),
+            st.just(0.0) | st.floats(-1.0, 1.0),
+        ), max_size=5),
+        l_max=st.integers(0, 300),
+        tol=st.sampled_from([1e-12, 1e-9, 4e-15, 1e-15, 0.0, math.nan]),
+    )
+    def test_many_pairs_equal_one_pair_calls(self, ratio, pairs, l_max, tol):
+        # each entry of the one pass is bitwise and word for word what its
+        # pair gives alone, whatever pairs stand beside it; at tol = 4e-15 a
+        # pair may be refused at a late frequency between two that are not
+        p, d = setup_params(beta=ratio * math.sqrt(2.0))  # alpha = sqrt 2
+        queries = [CorrelatorQuery((s + sep / 2.0) * d.R_c, dtau * p.beta, (s - sep / 2.0) * d.R_c, 0.0)
+                   for s, sep, dtau in pairs]
+        many = matsubara_assemble_many(queries, p, d, l_max, tol)
+        assert len(many) == len(queries)
+        for q, g in zip(queries, many):
+            alone = self._entry(lambda: matsubara_assemble(q.x1, q.tau1, q.x2, q.tau2, p, d, l_max, tol))
+            assert self._entry(lambda: g if isinstance(g, GreenValue) else _raise(g)) == alone
+        # a bad tol is one DomainError for every pair inside the clamp
+        refused = {id(g) for g in many if "tolerance must be positive" in str(g)}
+        assert len(refused) <= 1
+
+    def test_pairs_the_pass_never_reaches_make_no_kernel_call(self, monkeypatch):
+        p, d = setup_params()
+        calls = []
+        monkeypatch.setattr(green_trapped, "_p_quad", lambda *a: calls.append(a))
+        assert matsubara_assemble_many([], p, d, 8) == []
+        beyond, coincident = CorrelatorQuery(1.2 * d.R_c, 0.0, 0.1, 0.0), CorrelatorQuery(0.3, 0.2, 0.3, 0.2)
+        out = matsubara_assemble_many([beyond, coincident], p, d, 8)
+        assert [type(g) for g in out] == [DomainError, AccuracyError]
+        assert [type(g) for g in matsubara_assemble_many([beyond], p, d, -1)] == [DomainError]
+        assert not calls
+
+    def test_long_tables_take_bounded_passes(self, monkeypatch):
+        # pairs at dx = 0 run to the cap of 2 500 frequencies: the table
+        # takes passes of at most _PASS_FREQUENCIES frequencies, or one pair's
+        # own, not one of them all, and each entry keeps the bits of its pair
+        # alone
+        p, d = setup_params()
+        parts, passes = green_trapped._density_parts, []
+
+        def counted(omegas, *a):
+            passes.append(len(omegas))
+            return parts(omegas, *a)
+
+        queries = [CorrelatorQuery(0.3 * d.R_c, 0.2, 0.3 * d.R_c, 0.0), CorrelatorQuery(0.2, 0.0, 0.1, 0.0),
+                   CorrelatorQuery(-0.4 * d.R_c, 0.1, -0.4 * d.R_c, 0.0), CorrelatorQuery(0.5, 0.1, 0.5, 0.3)]
+        monkeypatch.setattr(green_trapped, "_density_parts", counted)
+        many = matsubara_assemble_many(queries, p, d, 2500)
+        monkeypatch.undo()
+        lasts = [g.meta["frequencies"] - 1 for g in many]
+        assert lasts[0] == lasts[2] == lasts[3] == 2500 and 0 < lasts[1] < 4096 - 2500
+        assert passes == [lasts[0] + lasts[1], 2500, 2500]
+        assert max(passes) <= green_trapped._PASS_FREQUENCIES
+        for q, g in zip(queries, many):
+            alone = matsubara_assemble(q.x1, q.tau1, q.x2, q.tau2, p, d, 2500)
+            assert (g.value.hex(), g.trunc_err.hex(), g.meta) == (alone.value.hex(), alone.trunc_err.hex(), alone.meta)
+        # a pair longer than a pass takes one of its own
+        passes.clear()
+        monkeypatch.setattr(green_trapped, "_density_parts", counted)
+        matsubara_assemble_many(queries[1:3], p, d, 5000)
+        assert passes == [lasts[1], 5000]
+
     def test_truncation_estimate_decays(self):
         p, d = setup_params()
         est = [matsubara_assemble(0.4, 0.1, 0.1, 0.0, p, d, l_max=l).trunc_err for l in (2, 6, 12)]
@@ -523,7 +615,7 @@ class TestMatsubaraAssemble:
         assert terms_2 is None or terms_2 <= terms_4
         re_2, _, _, rows = _density_parts(*args)
         assert re_2.tobytes() == re_4.tobytes()
-        assert 2 * l_max <= rows <= 4 * l_max
+        assert set(rows.tolist()) <= {2, 4}
 
     @pytest.mark.parametrize("omega", [2.0 * math.pi, 20.0 * math.pi, 200.0 * math.pi, 2000.0 * math.pi])
     def test_spectral_table_two_row_path_gives_the_four_row_bits(self, omega):
@@ -540,7 +632,7 @@ class TestMatsubaraAssemble:
         assert [sd.re_part.hex() for sd in two] == [sd.re_part.hex() for sd in four]
         # no point is far at 2 pi, and every point is at 20 pi and beyond
         rows = _density_parts(omega, np.array(xs) / d.R_c, 0.1, d, _k_coeff(p, d), 1e-12)[3]
-        assert rows == (4 if omega == 2.0 * math.pi else 2) * 81
+        assert rows.tolist() == [4 if omega == 2.0 * math.pi else 2] * 81
 
     @pytest.mark.parametrize("ratio", [0.05, 1.0, 10.0, 100.0, 300.0])
     def test_far_frequencies_meet_their_bound(self, ratio):

@@ -434,6 +434,20 @@ class TestSeriesKernel:
             single = _p_quad(lam[i:i + 1], -0.4)
             for b, s in zip(batch, single):
                 assert b[i] == s[0]
+        # three blocks of conical rows, every third of which keeps the second
+        # exponential (theta = 0.01 < 40/kappa) between rows that skip it
+        # (kappa theta - 40 > 20 at u = -0.4), as in a Matsubara sum over
+        # several pairs: every block evaluates both terms, and each row keeps
+        # the bits it has alone
+        n = 2 * _ROWS + 7
+        kappa = np.geomspace(40.0, 4000.0, n)
+        u = np.where(np.arange(n) % 3 == 0, math.cos(0.01), -0.4)
+        lam = 0.25 + kappa * kappa
+        batch = _p_quad(lam, u)
+        for i in range(n):
+            single = _p_quad(lam[i:i + 1], u[i:i + 1])
+            for b, s in zip(batch, single):
+                assert b[i:i + 1].tobytes() == s.tobytes()
 
     def test_second_exponential_skip_changes_no_bit(self, monkeypatch):
         # conical rows with kappa (theta - s^2_max) on both sides of the skip

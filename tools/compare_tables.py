@@ -26,6 +26,12 @@ The matrix is
   and large degrees; and at omega in {0, 2} pi over 9 points from -R_c
   (beyond the boundary clamp) to 0.99999 R_c (next to the logarithmic
   singularity of P_nu(-u)), which gives error rows beside ok rows;
+* the spectral error-row block: ``correlator``/``exponent --mode spectral``
+  at s_center = 0.95 R_c, where the widest pair reaches beyond the boundary
+  clamp (a DomainError row beside 8 ok rows), at tol = 1e-15 and
+  l_max = 256, where every pair's first density bound is refused (9
+  AccuracyError rows), and at beta = 1e-4, where the widest pair's Gamma
+  underflows (an AccuracyError row beside 8 ok rows);
 * ``validate``, with its timings dropped;
 
 each table in csv and json.
@@ -127,6 +133,18 @@ def spectral_invocations(r_c: float) -> list:
     return out
 
 
+def spectral_error_invocations(r_c: float) -> list:
+    """(name, argv, config text) of the spectral correlator tables whose
+    rows mix errors with ok rows."""
+    configs = {
+        "edge": {"grid": {"s_center": 0.95 * r_c}},
+        "tol1e-15": {"truncation": {"tol": 1e-15, "l_max": 256}},
+        "beta1e-4": {"params": {"beta": 1e-4}},
+    }
+    return [(f"spectral-errors-{command}-{name}", [command, "--mode", "spectral"], _ini(sections))
+            for name, sections in configs.items() for command in ("correlator", "exponent")]
+
+
 def run_invocations(invocations, formats=FORMATS) -> dict:
     """name/format -> {"code", "stdout", "stderr"} of each invocation, run
     in-process through ``trapgas.cli.main``."""
@@ -174,7 +192,8 @@ def _import_tree(tree: str):
 def cmd_run(tree: str, out_path: str) -> int:
     tg = _import_tree(tree)
     r_c = tg.derive_scales(tg.PhysicalParams(m=1.0, g=1.0, Omega=1.0, Lambda=1.0, beta=1.0)).R_c
-    records = run_invocations(matrix_invocations(r_c) + lowt_invocations(r_c) + spectral_invocations(r_c))
+    records = run_invocations(matrix_invocations(r_c) + lowt_invocations(r_c) + spectral_invocations(r_c)
+                              + spectral_error_invocations(r_c))
     records["validate"] = _validate_record()
     with open(out_path, "w", encoding="utf-8") as fh:
         json.dump(records, fh, indent=0, sort_keys=True)
