@@ -435,7 +435,7 @@ def matsubara_assemble_many(queries, p: PhysicalParams, d: DerivedScales, l_max:
     estimate at L to the densities' own absolute error bounds and to the
     rounding of the assembled sum, a few eps times (|G_0| + 2 sum
     |cos(omega dtau) G_omega|)/beta.  ``meta`` carries the cap ``l_max``, the
-    integrand evaluations that ran (96 a kernel row, four rows a frequency
+    integrand evaluations that ran (59 a kernel row, four rows a frequency
     or two at a far one) and the frequencies summed, the zero mode included.
 
     Entry i is the GreenValue of queries[i], or its DomainError or

@@ -11,16 +11,18 @@ vector of (lambda, u) rows from the Mehler-Dirichlet integral (DLMF 14.12.1)
 
     P_nu(cos theta) = (sqrt2/pi) int_0^theta cos((nu+1/2) phi) / sqrt(cos phi - cos theta) dphi
 
-on one fixed Gauss-Legendre rule, as Gil, Segura & Temme (SIAM J. Sci.
+on one fixed Gauss-Kronrod rule, as Gil, Segura & Temme (SIAM J. Sci.
 Comput. 31, 2009) compute conical functions from integral representations by
 quadrature.  On the conical line the integrand cosh(mu phi)/sqrt(...) is
 positive, so nothing cancels; P_nu grows like exp(mu theta), which overflows
 float64 well inside the Matsubara range, so the kernel scales that exponent
 out.  On the real branch it integrates (P_nu - 1)/nu instead, whose
 integrand keeps one sign, so that P_nu(u) - P_nu(u') is not formed as the
-difference of two numbers near 1.  Every row costs the same 96 integrand
-evaluations at any degree and argument, and each evaluation stays on numpy's
-vectorized paths: the square root's trigonometry comes from one tangent
+difference of two numbers near 1.  Every row costs the same 59 integrand
+evaluations at any degree and argument: the nodes of the Kronrod rule K_59,
+29 of which carry the nested Gauss rule G_29, whose difference from it is the
+error estimate (Laurie, Math. Comp. 66, 1997).  Each evaluation stays on
+numpy's vectorized paths: the square root's trigonometry comes from one tangent
 tan(h/2), not from sin h and cos h, which numpy takes to scalar libm for
 float64, and the exponent of the conical integrand's vanishing term is held
 above a floor, so that no exp underflows (numpy's exp is some 20 times slower
@@ -69,31 +71,95 @@ def p_poly_table(n_max: int, u: float) -> np.ndarray:
 # ----------------------------------------------------------------------------
 
 
-def _gauss_legendre(n: int) -> tuple:
-    """Nodes and weights of the n-point Gauss-Legendre rule on [0, 1], by
-    Newton's method on P_n from the three-term recurrence; the weights are
-    normalized to sum to 1, which takes out their common rounding bias.
-    numpy's leggauss goes through an eigensolver, which costs 2 MiB of peak
-    memory, and its end weights are off by 1e-12 relative, these by 6e-14."""
-    x = np.cos(np.pi * (np.arange(n) + 0.75) / (n + 0.5))
-    for _ in range(5):
-        p_prev, p_n = _recurrence(n, x)[-2:]
-        dp = n * (p_prev - x * p_n) / ((1.0 - x) * (1.0 + x))  # P_n'(x)
-        x = x - p_n / dp
-    w = 1.0 / ((1.0 - x) * (1.0 + x) * dp * dp)
-    return (1.0 + x) / 2.0, w / w.sum()
+def _kronrod_coefficients(n: int, one=1.0) -> list:
+    """b_0 .. b_2n of the Jacobi-Kronrod matrix of the Legendre weight on
+    [-1, 1], by Laurie's algorithm (Math. Comp. 66, 1997) with its diagonal
+    a_k = 0 by symmetry.  The monic polynomials p_{k+1} = x p_k - b_k p_{k-1}
+    of these coefficients are Legendre's up to degree 3n/2, so p_n is P_n, and
+    p_{2n+1} = P_n E_{n+1}: its zeros are the 2n+1 Kronrod nodes, the n Gauss
+    nodes among them, and its Christoffel numbers the Kronrod weights.  Plain
+    arithmetic on ``one``'s type, so that mpmath can run it too."""
+    b = [2 * one] + [one * k * k / (4 * k * k - 1) for k in range(1, (3 * n + 1) // 2 + 1)]
+    b += [0 * one] * (2 * n + 1 - len(b))
+    s, t = [0 * one] * (n // 2 + 2), [0 * one] * (n // 2 + 2)
+    t[1] = b[n + 1]
+    for m in range(n - 1):
+        u = 0 * one
+        for k in range((m + 1) // 2, -1, -1):
+            u += b[k + n + 1] * s[k] - b[m - k] * s[k + 1]
+            s[k + 1] = u
+        s, t = t, s
+    s[1:] = s[:-1]
+    for m in range(n - 1, 2 * n - 2):
+        u = 0 * one
+        for k in range(m + 1 - n, (m - 1) // 2 + 1):
+            j = n - 1 - m + k
+            u += b[m - k] * s[j + 2] - b[k + n + 1] * s[j + 1]
+            s[j + 1] = u
+        if m % 2:
+            b[(m + 1) // 2 + n + 1] = s[j + 1] / s[j + 2]
+        s, t = t, s
+    return b
 
 
-# the 64-node rule, then the 32-node companion rule whose difference from it
-# estimates its error
-_MAIN = 64
-_NODES, _WEIGHTS = (np.concatenate(pair) for pair in zip(_gauss_legendre(_MAIN), _gauss_legendre(_MAIN // 2)))
-# rows integrated together, so that one [rows x nodes] float64 temporary is at
-# most 64 KiB.  A block has up to 4 of them alive.  At 128 KiB each, glibc's
-# default mmap and trim threshold, free() gives the heap back to the kernel
-# and the next block faults it in again: about 570 minor faults an assembly at
-# l_max = 256, unless an earlier large free (importing scipy makes one) has
-# raised glibc's dynamic threshold.  At 64 KiB the blocks reuse the heap.
+def _monic(x, b, m: int) -> tuple:
+    """p_m(x) and p_m'(x) of the monic recurrence p_{k+1} = x p_k - b_k p_{k-1}."""
+    p_prev, p, dp_prev, dp = 0, 1, 0, 0
+    for k in range(m):
+        p_prev, p = p, x * p - b[k] * p_prev
+        dp_prev, dp = dp, p_prev + x * dp - b[k] * dp_prev
+    return p, dp
+
+
+def _christoffel(x, b, m: int):
+    """Weights of the m-point Gauss rule of the recurrence at its nodes x,
+    1/sum_{k<m} p_k(x)^2/(b_1 ... b_k), normalized to sum to 1."""
+    p_prev, p, norm, total = 0, 1, 1, 1
+    for k in range(1, m):
+        p_prev, p = p, x * p - b[k - 1] * p_prev
+        norm = norm * b[k]
+        total = total + p * p / norm
+    w = 1 / total
+    return w / w.sum()
+
+
+def _gauss_kronrod(n: int, one=1.0) -> tuple:
+    """Nodes, Kronrod weights and Gauss weights of the Gauss-Kronrod rule
+    G_n/K_{2n+1} on [0, 1], the n Gauss nodes first, so that the Gauss rule
+    takes the first n of the 2n+1 terms of the Kronrod rule.  The nodes are
+    Newton's method on p_{2n+1} of ``_kronrod_coefficients``, from the Gauss
+    nodes' asymptotic angles and the angles halfway between them, which
+    interlace with them; the weights are Christoffel numbers, normalized to
+    sum to 1.  Nodes and weights are within 1.1e-16 of the same construction
+    at 40 digits.  numpy's leggauss, or an eigensolver on the Jacobi-Kronrod
+    matrix, costs 2 MiB of peak memory.  With ``one`` an mpmath number, the
+    construction runs in mpmath."""
+    theta = np.pi * (np.arange(n) + 0.75) / (n + 0.5)
+    ends = np.concatenate(([0.0], theta, [np.pi]))
+    x = np.cos(np.concatenate((theta, (ends[1:] + ends[:-1]) / 2))) * one
+    b = _kronrod_coefficients(n, one)
+    for _ in range(6):
+        p, dp = _monic(x, b, 2 * n + 1)
+        x = x - p / dp
+    return (1 + x) / 2, _christoffel(x, b, 2 * n + 1), _christoffel(x[:n], b, n)
+
+
+# the Kronrod rule on 2n+1 nodes, whose first n carry the nested Gauss rule:
+# their difference estimates the Gauss rule's error, and so bounds the
+# Kronrod value's, which is reported.  The estimate, not the accuracy, sets
+# n.  It is largest at the clamp u = -(1 - 1e-6) at lambda of a few hundred:
+# over the rows of a Matsubara sum to l_max = 256 at unit parameters it
+# reaches 2.8e-14 relative at n = 29 and 1.7e-13 at n = 28, while the
+# Kronrod value's own error stays under 1e-15
+_GAUSS = 29
+_NODES, _WEIGHTS, _GAUSS_WEIGHTS = _gauss_kronrod(_GAUSS)
+# rows integrated together, 138 on the 59 nodes, so that one [rows x nodes]
+# float64 temporary is at most 64 KiB.  A block has up to 4 of them alive.
+# At 128 KiB each, glibc's default mmap and trim threshold, free() gives the
+# heap back to the kernel and the next block faults it in again: about 570
+# minor faults an assembly at l_max = 256, unless an earlier large free
+# (importing scipy makes one) has raised glibc's dynamic threshold.  At 64 KiB
+# the blocks reuse the heap.
 _ROWS = 64 * 1024 // (8 * _NODES.size)
 # exp(-mu s^2) is below e^-40 past s^2 = 40/mu, where the conical rows stop
 _GAUSS_CUT = 40.0
@@ -112,7 +178,7 @@ _EXP_SKIP = 20.0
 # normal result, so it changes no bit and keeps exp off its slow path.
 _EXP_FLOOR = -700.0
 # rounding allowance of a row, in units of eps times the sum of the absolute
-# terms: the companion rule shares the prefactor and the end of the range,
+# terms: the nested Gauss rule shares the prefactor and the end of the range,
 # whose few roundings its difference cannot see
 _ROUNDING = 4.0 * np.finfo(float).eps
 # the constant factor of a conical row, sqrt(2)/pi, with the 4 under the
@@ -180,7 +246,6 @@ def _quad_rows(lam, kappa, theta, u, conical: bool) -> tuple:
         tau += 1.0
         f *= tau
         f /= np.sqrt(root, out=root)
-        f *= _WEIGHTS
         if conical:  # e^{-mu theta} cosh(mu phi), with theta - phi = 2h
             g = np.exp(np.multiply(h, rate[b, None], out=root), out=root)
             if not one_term[b].all():
@@ -192,10 +257,11 @@ def _quad_rows(lam, kappa, theta, u, conical: bool) -> tuple:
             g *= psi
             g *= np.sinc(np.multiply(psi, nu_pi[b, None], out=tau))
         f *= g
-        main[b] = f[:, :_MAIN].sum(axis=1)
-        alt[b] = f[:, _MAIN:].sum(axis=1)
+        alt[b] = np.multiply(f[:, :_GAUSS], _GAUSS_WEIGHTS, out=tau[:, :_GAUSS]).sum(axis=1)
+        f *= _WEIGHTS
+        main[b] = f.sum(axis=1)
         if not conical:
-            abs_sum[b] = np.abs(f[:, :_MAIN], out=f[:, :_MAIN]).sum(axis=1)
+            abs_sum[b] = np.abs(f, out=f).sum(axis=1)
     err = np.abs(main - alt)
     err += _ROUNDING * abs_sum
     err /= np.abs(main)
@@ -211,8 +277,8 @@ def _p_quad(lam, u) -> tuple:
     On the conical line, lambda > 1/4 and nu = -1/2 + i mu, P_nu(u) = value *
     exp(exponent), exponent = mu arccos u; on the real branch value is
     (P_nu(u) - 1)/nu and exponent 0.  ``err`` bounds the relative error of
-    value: the 64-node rule's difference from its 32-node companion plus the
-    rounding of the sum.  Every row takes the same ``_NODES.size`` = 96
+    value, the Kronrod rule's: its difference from the nested Gauss rule plus
+    the rounding of the sum.  Every row takes the same ``_NODES.size`` = 59
     integrand evaluations, in groups of up to ``_ROWS`` rows of one branch,
     each row on its own, so that it does not depend on the rows beside it.
     So a call whose rows share one lambda, as a spectral table's frequency

@@ -1,4 +1,5 @@
 import cmath
+import functools
 import math
 import re
 import sys
@@ -252,7 +253,7 @@ class TestLegendrePairValues:
 
         monkeypatch.setattr(legendre, "_quad_rows", counted)
         _, _, err = _p_quad(np.full(2, _lam(-0.5 + 0.8j)), np.array([0.3, -0.3]))
-        assert len(rows) * _NODES.size == 2 * 96
+        assert len(rows) * _NODES.size == 2 * _NODES.size
         assert ((0.0 <= err) & (err < 1e-10)).all()
 
     def test_bound_beyond_tol_raises_accuracy_error(self):
@@ -267,6 +268,74 @@ class TestLegendrePairValues:
         with pytest.raises(AccuracyError, match=r"quadrature bound .* > tol = 1e-16") as err:
             spectral_density(*args, tol=1e-16)
         assert err.value.achieved == bound > 1e-16
+
+
+# the kernel's rule: the Kronrod nodes and weights, then the nested Gauss rule's
+_RULE = (_NODES, legendre._WEIGHTS, _NODES[:legendre._GAUSS], legendre._GAUSS_WEIGHTS)
+
+
+@functools.lru_cache(maxsize=None)
+def _mp_rule(n: int) -> tuple:
+    """``legendre._gauss_kronrod(n)`` run in mpmath at 40 digits."""
+    with mp.workdps(40):
+        return legendre._gauss_kronrod(n, mp.mpf(1))
+
+
+def _check_nested(rule):
+    # each Gauss node is a Kronrod node, bit for bit, so that both rules take
+    # the same integrand evaluations; the other n + 1 interlace with them
+    k_nodes, _, g_nodes, _ = rule
+    assert k_nodes.size == 2 * g_nodes.size + 1 and np.isin(g_nodes, k_nodes).all()
+    assert np.isin(np.sort(k_nodes)[1::2], g_nodes).all()
+
+
+def _check_weights(rule):
+    for weights in rule[1::2]:
+        assert (weights > 0.0).all() and abs(math.fsum(weights) - 1.0) <= 1e-15
+
+
+def _check_exactness(rule):
+    # against the exact moments 1/(k + 1) of x^k on [0, 1]
+    k_nodes, k_weights, g_nodes, g_weights = rule
+    n = g_nodes.size
+    for nodes, weights, degree in ((k_nodes, k_weights, 3 * n + 1), (g_nodes, g_weights, 2 * n - 1)):
+        for k in range(degree + 1):
+            assert abs(math.fsum(weights * nodes**k) * (k + 1) - 1.0) <= 1e-14, (degree, k)
+
+
+def _check_against_mpmath(rule):
+    nodes, k_weights, g_weights = _mp_rule(rule[2].size)
+    refs = (nodes, k_weights, nodes[:rule[2].size], g_weights)
+    for got, ref in zip(rule, refs):
+        assert max(abs(mp.mpf(float(a)) - b) for a, b in zip(got, ref)) <= 1e-15
+
+
+_RULE_CHECKS = [_check_nested, _check_weights, _check_exactness, _check_against_mpmath]
+
+
+class TestGaussKronrodRule:
+    """The kernel's G_n/K_{2n+1} rule on [0, 1], built at import by
+    ``legendre._gauss_kronrod``."""
+
+    @pytest.mark.parametrize("check", _RULE_CHECKS, ids=lambda c: c.__name__)
+    def test_rule(self, check):
+        check(_RULE)
+
+    @pytest.mark.parametrize(
+        "check, part",
+        # a Gauss node moved off its Kronrod node; the smallest Kronrod or Gauss weight
+        [(_check_nested, 2)] + [(c, part) for c in _RULE_CHECKS[1:] for part in (1, 3)],
+        ids=lambda v: v.__name__ if callable(v) else ["k_weight", "g_node", "g_weight"][v - 1],
+    )
+    def test_check_fails_on_a_perturbed_rule(self, check, part):
+        rule = [a.copy() for a in _RULE]
+        rule[part][int(np.argmin(rule[part]))] += 1e-12
+        with pytest.raises(AssertionError):
+            check(rule)
+
+    def test_a_row_takes_fewer_than_64_evaluations(self):
+        # 2n + 1, against the 96 of a 64-node rule and a 32-node companion
+        assert _NODES.size == 2 * legendre._GAUSS + 1 <= 63
 
 
 class TestSeriesErrorBound:
@@ -310,35 +379,25 @@ class TestWronskian:
             assert wronskian_residual(lambda v: kernel_p(nu, v), lambda v: kernel_p(nu, -v), w, float(u)) < 1e-6
 
 
-def _mp_p(lam, u):
-    """P_nu(u) at the working precision for lambda = -nu(nu+1).
+def _mp_scaled(lam, u):
+    """The kernel's value for the row (lambda, u) at the working precision,
+    from P = P_nu(u): P e^{-mu arccos u} on the conical line, (P - 1)/nu on
+    the real branch.
 
-    mpmath.legenp is the oracle.  For lambda near 1e5 it raises NoConvergence
-    for z = (1-u)/2 near 0.75; there the 2F1 series is summed term by term
-    in 30-digit arithmetic instead.
+    mpmath.legenp is the oracle.  From lambda near 1e5 on it does not
+    converge on some conical rows, raising NoConvergence or, from hypercomb,
+    ValueError; there the reference is ``_mp_mehler_dirichlet``.
     """
     nu = -0.5 + mp.sqrt(mp.mpf(0.25) - lam)
     try:
-        return mp.re(mp.legenp(nu, 0, u, type=2))
-    except mp.libmp.NoConvergence:
-        z = (1 - mp.mpf(u)) / 2
-        term = value = mp.mpf(1)
-        j = 0
-        while abs(term) > mp.mpf(10) ** -32 * abs(value) or j * j < lam * z / (1 - z):
-            term *= (j * (j + 1) + mp.mpf(lam)) * z / (j + 1) ** 2
-            value += term
-            j += 1
-        return value
-
-
-def _mp_scaled(lam, u, p=None):
-    """The kernel's value for the row (lambda, u) from P = P_nu(u) (default
-    ``_mp_p``): P e^{-mu arccos u} on the conical line, (P - 1)/nu on the
-    real branch."""
-    p = _mp_p(lam, u) if p is None else p
+        p = mp.re(mp.legenp(nu, 0, u, type=2))
+    except (mp.libmp.NoConvergence, ValueError):
+        if lam <= 0.25:
+            raise
+        return _mp_mehler_dirichlet(lam, u)
     if lam > 0.25:
         return p * mp.exp(-mp.sqrt(mp.mpf(lam) - mp.mpf(0.25)) * mp.acos(u))
-    return (p - 1) / (-0.5 + mp.sqrt(mp.mpf(0.25) - lam))
+    return (p - 1) / nu
 
 
 def _mp_mehler_dirichlet(lam, u):
@@ -394,10 +453,11 @@ class TestSeriesKernel:
         assert exponent.tolist() == [0.0, 0.0, 0.0] and err.tolist() == [0.0, 0.0, 0.0]
 
     @settings(max_examples=60, deadline=None)
-    @given(log10_lam=st.floats(-3.0, 5.0), u=st.floats(-(1.0 - 1e-6), 1.0 - 1e-6))
+    @given(log10_lam=st.floats(-3.0, 8.0), u=st.floats(-(1.0 - 1e-6), 1.0 - 1e-6))
     def test_matsubara_degrees_against_mpmath(self, log10_lam, u):
-        # every Matsubara degree has lambda = (alpha omega)^2 >= 0; u reaches
-        # the clamp, where h nears pi/2 at u -> -1 and 1 - tan^2(h/2) is smallest
+        # every Matsubara degree has lambda = (alpha omega)^2 >= 0, up to
+        # mu = 1e4, past the largest sweep degree; u reaches the clamp, where
+        # h nears pi/2 at u -> -1 and 1 - tan^2(h/2) is smallest
         lam = 10.0**log10_lam
         value, _, err = _p_quad(np.array([lam]), u)
         self._check(lam, u, _mp_scaled(lam, u), value[0], err[0])

@@ -236,12 +236,19 @@ def test_oracle_is_the_only_module_that_imports_scipy():
 
 
 def test_no_module_calls_numpy_leggauss():
-    # legendre._gauss_legendre replaces it: leggauss runs an eigensolver
+    # legendre._gauss_kronrod replaces it: leggauss runs an eigensolver, which
+    # costs 2 MiB of peak memory; and legendre builds its rule without
+    # numpy.linalg, so without an eigensolver on the Jacobi-Kronrod matrix
     for path in PACKAGE.glob("*.py"):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         used = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
-        used |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                used |= {part for alias in node.names for part in alias.name.split(".")}
+                used |= set((getattr(node, "module", None) or "").split("."))
         assert "leggauss" not in used, path.name
+        if path.stem == "legendre":
+            assert "linalg" not in used
 
 
 @pytest.mark.parametrize("module", ["trapgas", "trapgas.cli"])
