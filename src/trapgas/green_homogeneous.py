@@ -116,7 +116,8 @@ def homog_series(
     The summand depends on the separations only.  Terms are folded over
     +-l and +-n, so every partial sum is real; the summation order is fixed
     (k=0 line, omega=0 line, then the double block row-by-row in l) which
-    makes repeated runs bit-identical.
+    makes repeated runs bit-identical, however many rows of the block are
+    formed at a time.
     """
     dx = x - xp
     dtau = tau - taup
@@ -145,11 +146,19 @@ def homog_series(
     line_w0 = float(np.sum(2.0 * np.cos((math.pi / d.R_c) * n_arr * dx) / e_k**2))
     tail_w0 = 2.0 * (d.R_c / (math.pi * hv)) ** 2 / ctl.n_max
 
-    # double block, folded to 4 cos cos / (omega^2 + E_k^2)
+    # double block, folded to 4 cos cos / (omega^2 + E_k^2), in row blocks of
+    # at most 8 192 elements: a 64 KiB temporary is under glibc's mmap and
+    # trim threshold and reuses the heap (as legendre._ROWS)
     cos_t = np.cos(omega * dtau)
     cos_x = np.cos((math.pi / d.R_c) * n_arr * dx)
-    denom = omega[:, None] ** 2 + e_k[None, :] ** 2
-    block = float(np.sum((4.0 * cos_t[:, None] * cos_x[None, :] / denom).sum(axis=1)))
+    e_k2 = e_k**2
+    rows = max(1, 8192 // ctl.n_max)
+    row_sums = np.empty(ctl.l_max)
+    for i in range(0, ctl.l_max, rows):
+        part = slice(i, i + rows)
+        denom = omega[part, None] ** 2 + e_k2[None, :]
+        row_sums[part] = (4.0 * cos_t[part, None] * cos_x[None, :] / denom).sum(axis=1)
+    block = float(np.sum(row_sums))
 
     # heuristic truncation estimate: magnitude of the first omitted lines
     edge_l = float(np.sum(4.0 / ((2.0 * math.pi * (ctl.l_max + 1) / p.beta) ** 2 + e_k**2)))

@@ -95,6 +95,24 @@ class TestHomogSeries:
         large = homog_series(0.4, 0.2, -0.1, 0.0, p, d, HomogSeriesControl(l_max=64, n_max=128))
         assert 0.0 < large.trunc_err < small.trunc_err
 
+    @pytest.mark.parametrize("l_max, n_max", [(120, 1600), (7, 3000), (3, 9000), (64, 256)])
+    def test_double_block_in_row_blocks_is_the_whole_block_sum_bitwise(self, l_max, n_max):
+        # the double block formed whole, as one [l_max x n_max] array: row
+        # sums over n, then one sum over them.  Row blocks that divide l_max,
+        # that leave a remainder, and a row longer than one block
+        p, d = setup_params(Omega=math.sqrt(2.0) / 20.0)
+        dx, dtau = 1.3, 0.3
+        g = homog_series(dx, dtau, 0.0, 0.0, p, d, HomogSeriesControl(l_max=l_max, n_max=n_max))
+        omega = (2.0 * math.pi / p.beta) * np.arange(1, l_max + 1, dtype=float)
+        n_arr = np.arange(1, n_max + 1, dtype=float)
+        e_k = p.hbar * d.v * (math.pi / d.R_c) * n_arr
+        cos_x = np.cos((math.pi / d.R_c) * n_arr * dx)
+        whole = 4.0 * np.cos(omega * dtau)[:, None] * cos_x[None, :] / (omega[:, None] ** 2 + e_k[None, :] ** 2)
+        line_k0 = (p.beta**2 / 2.0) * ((dtau / p.beta) ** 2 - dtau / p.beta + 1.0 / 6.0)
+        line_w0 = float(np.sum(2.0 * cos_x / e_k**2))
+        expected = -p.g / (2.0 * p.beta * d.R_c) * (line_k0 + line_w0 + float(np.sum(whole.sum(axis=1))))
+        assert g.value == expected
+
     def test_control_validation(self):
         with pytest.raises(DomainError):
             HomogSeriesControl(l_max=0)

@@ -1,5 +1,6 @@
 import ast
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -145,6 +146,74 @@ class TestFdmSpectralSolve:
             fdm_spectral_solve(0.0, 0.1, p, d, FdmGrid(N=1000), delta_mode="spread")
 
 
+class TestZeroModeSolve:
+    """The omega = 0 solve against its own discrete system solved in long
+    double.
+
+    That system is -K g + mu h 1 = rhs with sum(g) = 0, where K is the
+    flux-form operator with K 1 = 0 and rhs is the source load less the two
+    boundary fluxes.  It is built here in float64 from its definition, as the
+    oracle builds it, and only the solve differs.
+    """
+
+    N = 10_000
+
+    def _system(self, xp_over_rc):
+        p, d = setup_params()
+        h = 2.0 * d.R_c / self.N
+        xc = -d.R_c + (np.arange(self.N) + 0.5) * h
+        pf = 1.0 - ((-d.R_c + np.arange(self.N + 1) * h) / d.R_c) ** 2
+        pf[0] = pf[-1] = 0.0
+        hv2 = (p.hbar * d.v) ** 2
+        rhs = np.zeros(self.N)
+        rhs[int(np.argmin(np.abs(xc - xp_over_rc * d.R_c)))] = (p.g / hv2) / h
+        rhs[[0, -1]] -= p.g / (2.0 * hv2) / h
+        return p, d, h, pf, rhs
+
+    def _reference(self, h, pf, rhs):
+        # Thomas elimination of K g = mu h 1 - rhs in long double, in closed
+        # form.  On this K the forward sweep's multipliers are all -1: its
+        # i-th pivot is p_{i+1}/h^2 and its i-th right-hand side is the
+        # partial sum of the load, -1/h^2 times the flux F through face i+1.
+        # The back sweep then steps g by F/p across each face.  The last
+        # pivot is 0 (K 1 = 0), so the constant is free and the mean is taken
+        # out, as the solver does.
+        h, pf, rhs = np.longdouble(h), pf.astype(np.longdouble), rhs.astype(np.longdouble)
+        load = np.sum(rhs) / (self.N * h) * h - rhs
+        flux = -(h**2) * np.cumsum(load)[:-1]
+        g = np.concatenate([[np.longdouble(0.0)], np.cumsum(flux / pf[1:-1])])
+        return g - np.mean(g)
+
+    # x' = R_c/N is the centre of cell N/2, the node the solver pins
+    @pytest.mark.parametrize("xp_over_rc", [0.1, 1.0 / N])
+    def test_matches_long_double_reference(self, xp_over_rc):
+        p, d, h, pf, rhs = self._system(xp_over_rc)
+        sol = fdm_spectral_solve(0.0, xp_over_rc * d.R_c, p, d, FdmGrid(N=self.N))
+        g = sol.g_values
+        assert float(np.max(np.abs(g - self._reference(h, pf, rhs)))) <= 1e-10
+        assert abs(np.mean(g)) <= 1e-14 * np.max(np.abs(g))
+        # mu = sum(rhs)/(N h), where the load and the boundary fluxes cancel
+        eps = np.finfo(float).eps
+        assert abs(sol.meta["gauge_multiplier"]) <= 4.0 * eps * np.sum(np.abs(rhs)) / (self.N * h)
+
+    def test_pinning_an_end_node_fails_the_reference(self):
+        # the same singular system pinned at node 0, not at an interior node:
+        # p -> 0 at the ends, so node 0 hangs on node 1 by a coupling of order
+        # 1/N and the banded solve loses two more orders of magnitude
+        from scipy.linalg import solveh_banded
+
+        _, _, h, pf, rhs = self._system(0.1)
+        ab = np.zeros((2, self.N))
+        ab[0, 1:] = -pf[1:-1] / h**2
+        ab[1] = (pf[1:] + pf[:-1]) / h**2
+        load = np.sum(rhs) / (self.N * h) * h - rhs
+        ab[0, 1] = 0.0
+        ab[1, 0] = 1.0
+        load[0] = 0.0
+        g = solveh_banded(ab, load)
+        assert float(np.max(np.abs(g - np.mean(g) - self._reference(h, pf, rhs)))) > 1e-10
+
+
 class TestEigensolve:
     def test_constant_mode_at_zero(self):
         p, d = setup_params()
@@ -257,6 +326,39 @@ def test_importing_the_package_loads_no_scipy(module, fresh_python):
     assert fresh_python(f"import sys, {module}; print({scipy_modules})") == "[]\n"
     # the first oracle name loads it
     assert fresh_python(f"import sys, {module}, trapgas; trapgas.FdmGrid; print(bool({scipy_modules}))") == "True\n"
+
+
+def test_validate_loads_no_scipy_sparse(fresh_python):
+    # the oracle's solves are all banded LAPACK, scipy.linalg only
+    assert fresh_python(
+        "import contextlib, io, sys, trapgas.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        "    code = trapgas.cli.main(['validate'])\n"
+        "print(code, 'scipy.linalg' in sys.modules, [m for m in sys.modules if m.startswith('scipy.sparse')])\n"
+    ) == "0 True []\n"
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads Linux minor-fault counts")
+def test_repeat_validate_sums_fault_in_no_memory(fresh_python):
+    # the double block of check 06's series and the chunks of check 05's
+    # brute sum keep each temporary within 64 KiB, so a repeat call reuses
+    # the heap.  Larger ones are handed back to the kernel on free and
+    # faulted in again on every call, unless an earlier large free (a sparse
+    # LU factorization made one) has raised glibc's dynamic threshold
+    faults = fresh_python(
+        "import math, resource\n"
+        "from trapgas import HomogSeriesControl, PhysicalParams, brute_frequency_sum, derive_scales, homog_series\n"
+        "p = PhysicalParams(m=1.0, g=1.0, Omega=math.sqrt(2.0) / 20.0, Lambda=1.0, beta=1.0)\n"
+        "d = derive_scales(p)\n"
+        "ctl = HomogSeriesControl(l_max=120, n_max=1600, tail_mode='bernoulli')\n"
+        "for call in (lambda: homog_series(0.75, 0.0, -0.75, 0.0, p, d, ctl),\n"
+        "             lambda: brute_frequency_sum(0.1, 10**6)):\n"
+        "    call()\n"
+        "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "    call()\n"
+        "    print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+    ).split()
+    assert [int(f) < 100 for f in faults] == [True, True], faults
 
 
 @pytest.mark.parametrize("name", trapgas.oracle.__all__)
