@@ -195,7 +195,7 @@ def check_eigenvalue_law():
     for n in range(1, 21):
         target = n * (n + 1) / d.R_c**2
         worst = max(worst, abs(lam[n] - target) / target)
-    return worst, "max relative eigenvalue error for n <= 20 after Richardson (N=2000/4000)", True
+    return worst, "max relative eigenvalue error for n <= 20, Richardson N=2000/4000 (floor: stebz bisection tol)", True
 
 
 def check_frequency_sum():

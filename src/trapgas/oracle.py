@@ -188,18 +188,29 @@ def fdm_eigensolve(p: PhysicalParams, d: DerivedScales, grid: FdmGrid, n_levels:
 
     The continuum spectrum is n(n+1)/R_c^2; the discrete flux form inherits
     the zero-flux (bounded-solution) endpoint behaviour because the ODE
-    coefficient vanishes exactly on the outermost faces.
+    coefficient vanishes exactly on the outermost faces.  By mirror symmetry
+    its lowest ceil(n/2) even and floor(n/2) odd levels come from two
+    half-length blocks: for even N the left half, the centre coupling c added
+    to (even) or subtracted from (odd) its last diagonal entry; for odd N the
+    left half (odd) and that plus the centre node coupled by sqrt(2) c (even).
     """
     if n_levels > grid.N // 10:
         raise DomainError(f"n_levels = {n_levels} too large for N = {grid.N} (need n_levels <= N/10)")
     h = grid.spacing(d)
     xf = -d.R_c + np.arange(grid.N + 1) * h
     pf = 1.0 - (xf / d.R_c) ** 2
-    pf[0] = 0.0
-    pf[-1] = 0.0
+    pf[[0, -1]] = 0.0
     diag = (pf[1:] + pf[:-1]) / h**2
     off = -pf[1:-1] / h**2
-    return eigvalsh_tridiagonal(diag, off, select="i", select_range=(0, n_levels - 1))
+    m = grid.N // 2
+    half, off_half, c = diag[:m], off[: m - 1], off[m - 1]
+    if grid.N % 2:
+        blocks = ((diag[: m + 1], np.append(off_half, math.sqrt(2.0) * c)), (half, off_half))
+    else:
+        blocks = ((np.append(half[:-1], half[-1] + c), off_half), (np.append(half[:-1], half[-1] - c), off_half))
+    counts = ((n_levels + 1) // 2, n_levels // 2)
+    levels = [eigvalsh_tridiagonal(*b, select="i", select_range=(0, k - 1)) for b, k in zip(blocks, counts) if k]
+    return np.sort(np.concatenate(levels))
 
 
 def fdm_eigensolve_richardson(
@@ -216,17 +227,21 @@ def fdm_eigensolve_richardson(
 
 
 def brute_frequency_sum(theta: float, l_max: int) -> float:
-    """Partial sum of sum_{l>=1} cos(2 pi l theta)/l^2 (compare pi^2 B_2(theta))."""
+    """Partial sum of sum_{l>=1} cos(2 pi l theta)/l^2 (compare pi^2 B_2(theta)).
+
+    Every term is added, 8 192 to a chunk (64 KiB temporaries reuse the heap):
+    with a = 2 pi theta and w = 1/l^2, the chunk from s adds, by angle addition,
+    cos(a s) C.w - sin(a s) S.w, C and S holding cos(a k) and sin(a k) at offsets k.
+    """
     if l_max < 1:
         raise DomainError("l_max must be >= 1")
-    total = 0.0
-    # each float64 temporary is 64 KiB, under glibc's default mmap and trim
-    # threshold of 128 KiB, so the chunks reuse the heap and are not faulted
-    # in again one after another
-    chunk = 8_192
+    chunk, a, total = 8_192, 2.0 * math.pi * theta, 0.0
+    k = np.arange(min(chunk, l_max), dtype=float)
+    cos_k, sin_k = np.cos(a * k), np.sin(a * k)
     for start in range(1, l_max + 1, chunk):
-        l_arr = np.arange(start, min(start + chunk, l_max + 1), dtype=float)
-        total += float(np.sum(np.cos(2.0 * math.pi * theta * l_arr) / l_arr**2))
+        n = l_max + 1 - start  # the slices stop at the chunk
+        w = 1.0 / (k[:n] + start) ** 2
+        total += math.cos(a * start) * float(cos_k[:n] @ w) - math.sin(a * start) * float(sin_k[:n] @ w)
     return total
 
 

@@ -1,5 +1,6 @@
 import ast
 import math
+import platform
 import sys
 from pathlib import Path
 
@@ -48,6 +49,15 @@ class TestBruteFrequencySum:
     def test_l_max_validated(self):
         with pytest.raises(DomainError):
             brute_frequency_sum(0.1, 0)
+
+    @pytest.mark.parametrize("theta", [0.0, 0.1, 0.3, 0.5, 0.123456789])
+    @pytest.mark.parametrize("l_max", [1, 8191, 8192, 8193, 100_003])
+    def test_angle_addition_matches_head_on_cosines(self, theta, l_max):
+        # one chunk short of, at and past the 8 192 offsets the cosine table
+        # holds, and many chunks ending in a partial one
+        l_arr = np.arange(1, l_max + 1, dtype=float)
+        head_on = float(np.sum(np.cos(2.0 * math.pi * theta * l_arr) / l_arr**2))
+        assert abs(brute_frequency_sum(theta, l_max) - head_on) < 1e-14
 
 
 class TestFdmSpectralSolve:
@@ -237,6 +247,23 @@ class TestEigensolve:
         expansion = (1.0 + 1.0 / (8 * n**2) - 1.0 / (4 * n**3)) / d.alpha
         assert_allclose(spacing, expansion, rtol=1e-4)
 
+    @pytest.mark.parametrize("n_cells", [200, 201])
+    @pytest.mark.parametrize("n_levels", [1, 19, 20])
+    def test_parity_blocks_match_the_full_matrix(self, n_cells, n_levels):
+        # the whole flux-form matrix, diagonalized densely: a centre coupling
+        # of the wrong sign, or an odd-N centre node coupled by c instead of
+        # sqrt(2) c, moves its levels by far more than rounding
+        p, d = setup_params()
+        h = 2.0 * d.R_c / n_cells
+        pf = 1.0 - ((-d.R_c + np.arange(n_cells + 1) * h) / d.R_c) ** 2
+        pf[0] = pf[-1] = 0.0
+        diag = (pf[1:] + pf[:-1]) / h**2
+        full = np.diag(diag) + np.diag(-pf[1:-1] / h**2, 1) + np.diag(-pf[1:-1] / h**2, -1)
+        dense = np.linalg.eigvalsh(full)[:n_levels]
+        lam = fdm_eigensolve(p, d, FdmGrid(N=n_cells), n_levels)
+        assert lam.shape == (n_levels,)
+        assert float(np.max(np.abs(lam - dense))) < 1e-15 * float(np.max(np.abs(diag)))
+
     def test_level_budget_enforced(self):
         p, d = setup_params()
         with pytest.raises(DomainError):
@@ -359,6 +386,27 @@ def test_repeat_validate_sums_fault_in_no_memory(fresh_python):
         "    print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
     ).split()
     assert [int(f) < 100 for f in faults] == [True, True], faults
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="pins glibc's malloc thresholds")
+def test_repeat_brute_sum_faults_in_little_with_thresholds_pinned(fresh_python):
+    # mallopt pins the trim and mmap thresholds at their 128 KiB defaults, as
+    # MALLOC_TRIM_THRESHOLD_ would, so a large free no longer raises them.
+    # The brute sum's cosine table is built once a call, and only the few
+    # 64 KiB temporaries alive at once are faulted in again
+    faults = fresh_python(
+        "import ctypes, resource\n"
+        "mallopt = ctypes.CDLL(None).mallopt\n"
+        "mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int\n"
+        "M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3\n"
+        "assert mallopt(M_TRIM_THRESHOLD, 128 * 1024) == 1 and mallopt(M_MMAP_THRESHOLD, 128 * 1024) == 1\n"
+        "from trapgas import brute_frequency_sum\n"
+        "brute_frequency_sum(0.1, 10**6)\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "brute_frequency_sum(0.1, 10**6)\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+    )
+    assert int(faults) < 100, faults
 
 
 @pytest.mark.parametrize("name", trapgas.oracle.__all__)
