@@ -12,7 +12,6 @@ from .correlator import (
     gamma_d1_exact,
     gamma_from_green,
     gamma_homog,
-    gamma_trapped_asymptotic,
     theta_at,
     theta_homogeneous,
     xi_at,
@@ -51,7 +50,6 @@ from .green_trapped import (
 from .legendre import nu_from_omega, p_poly_table
 from .model import (
     DerivedScales,
-    LevelSpacing,
     PhysicalParams,
     Regime,
     classify_regime,

@@ -279,8 +279,7 @@ def cmd_spectrum(cfg: RunConfig, args) -> tuple:
         e_n = energy_level(n, p, d)
         de = energy_level(n + 1, p, d) - e_n
         if n > 1:
-            spacing = level_spacing_expansion(n, d)
-            rows.append((n, e_n, de, spacing.expansion, "ok"))
+            rows.append((n, e_n, de, level_spacing_expansion(n, d), "ok"))
         else:
             rows.append((n, e_n, de, None, "expansion-defined-for-n>1"))
     return ["n", "E_n", "dE", "dE_expansion", "status"], rows, {}
@@ -346,19 +345,24 @@ def cmd_green(cfg: RunConfig, args) -> tuple:
     if mode == "oracle":
         from .oracle import FdmGrid, fdm_spectral_solve  # the only table that loads scipy
 
+        def oracle_row(x2, sol, shift):
+            # the solve spans the condensate only
+            if abs(x2) >= d.R_c:
+                exc = DomainError(f"x = {x2!r} is outside the condensate |x| < R_c = {d.R_c!r}")
+                return _error_row(x1, tau1, x2, tau1, mode, regime_tag, exc)
+            return (x1, tau1, x2, tau1, float(sol.interp(x2)) + shift, mode, sol.disc_error_est,
+                    regime_tag, False, "ok")
+
+        anchor = next((x2 for x2 in xs if abs(x2) < d.R_c), None)
         rows = []
         for omega in cfg["grid.omegas"]:
             sol = fdm_spectral_solve(omega, x1, p, d, FdmGrid(N=10_000))
             shift = 0.0
-            if omega == 0.0 and xs:
-                # align the mean-zero gauge with the closed-form convention
-                anchor = xs[0]
+            if omega == 0.0 and anchor is not None:
+                # align the mean-zero gauge with the closed-form convention at
+                # the first grid point inside the condensate
                 shift = closed_form_zero_mode(anchor, sol.x_source, p, d) * p.beta - float(sol.interp(anchor))
-            rows.extend(
-                (x1, tau1, x2, tau1, float(sol.interp(x2)) + shift, "oracle", sol.disc_error_est,
-                 regime_tag, False, "ok")
-                for x2 in xs
-            )
+            rows.extend(oracle_row(x2, sol, shift) for x2 in xs)
         return columns, rows, extra
 
     if mode == "trapped-spectral":

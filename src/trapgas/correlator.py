@@ -14,17 +14,16 @@ xi(S) = (hbar beta v / pi) theta(S).
 
 Every route gives Gamma through ``gamma_from_green``, the one place a Green
 value is exponentiated: the closed form ``gamma_d1_exact`` from the
-equal-time zero mode ``closed_form_zero_mode``, the spectral and series
-Green values, and ``gamma_trapped_asymptotic`` from the asymptotic Green
-value of its regime.  At high temperature that is the summed
-Liouville-Green form ``asympt_green_highT``, which needs only points outside
-the edge layer of the condensate and carries its additive constant.  Its
-power law at small separations has the local exponent
-theta(S) / sqrt(1 - S^2/R_c^2), which the exact routes reproduce; theta_at
-and xi_at keep the paper's theta(S), which agrees with it only near the trap
-centre.  At low temperature it is the leading logarithm
-``asympt_green_lowT``, whose Gamma is the power law (R_c/|zeta|)^(1/theta(S))
-up to its undetermined constant.
+equal-time zero mode ``closed_form_zero_mode``, and the spectral, series and
+asymptotic Green values.  The CLI maps the regime to its asymptotic form;
+a library caller passes ``asympt_green_highT`` or ``asympt_green_lowT``
+itself.  The high-temperature form, the summed Liouville-Green form, needs
+only points outside the edge layer of the condensate and carries its
+additive constant.  Its power law at small separations has the local
+exponent theta(S) / sqrt(1 - S^2/R_c^2), which the exact routes reproduce;
+theta_at and xi_at keep the paper's theta(S), which agrees with it only near
+the trap centre.  The low-temperature form, the leading logarithm, gives the
+power law (R_c/|zeta|)^(1/theta(S)) up to its undetermined constant.
 """
 
 from __future__ import annotations
@@ -35,20 +34,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AccuracyError, DataError, DomainError, RegimeError
+from .errors import AccuracyError, DataError, DomainError
 from .green_homogeneous import GreenValue, log_2sinh_abs
-from .green_trapped import asympt_green_highT, asympt_green_lowT, closed_form_zero_mode
-from .model import (
-    DEFAULT_R_HI,
-    DEFAULT_R_LO,
-    CorrelatorQuery,
-    DerivedScales,
-    PhysicalParams,
-    Regime,
-    classify_regime,
-    rho_tf,
-    zeta_of,
-)
+from .green_trapped import closed_form_zero_mode
+from .model import CorrelatorQuery, DerivedScales, PhysicalParams, rho_tf, zeta_of
 
 # fewest Gamma samples a power-law fit accepts
 MIN_FIT_SAMPLES = 8
@@ -62,7 +51,6 @@ __all__ = [
     "gamma_from_green",
     "gamma_d1_exact",
     "gamma_homog",
-    "gamma_trapped_asymptotic",
     "extract_exponent",
 ]
 
@@ -157,37 +145,6 @@ def gamma_homog(x1: float, tau1: float, x2: float, tau2: float, p: PhysicalParam
         return p.Lambda / p.g * base**expo
     except OverflowError:
         raise _overflow(f"base {base!r} to the power -1/theta = {expo!r}") from None
-
-
-def gamma_trapped_asymptotic(
-    q: CorrelatorQuery,
-    p: PhysicalParams,
-    d: DerivedScales,
-    r_lo: float = DEFAULT_R_LO,
-    r_hi: float = DEFAULT_R_HI,
-) -> float:
-    """Trapped correlator from the asymptotic Green value of its regime,
-    through ``gamma_from_green``:
-
-    high T   ``asympt_green_highT``, the summed Liouville-Green form, at
-             every pair outside the edge layer
-             mu_1 arccos|u| < 1 / WINDOW_FACTOR
-    low T    ``asympt_green_lowT``, the leading logarithm, whose Gamma is
-             sqrt(rho rho') (R_c/|zeta|)^(1/theta(S)) while
-             u_* = |zeta|/R_c < WINDOW_FACTOR
-
-    Raises DomainError when the midpoint lies outside the condensate, and
-    RegimeError naming the failed inequality when no form applies.
-    """
-    theta_at(q.S, p, d)  # a midpoint outside the condensate is a domain error, not a regime one
-    regime = classify_regime(d, r_lo, r_hi)
-    if regime is Regime.HIGH_T:
-        g = asympt_green_highT(q.x1, q.tau1, q.x2, q.tau2, p, d, r_lo)
-    elif regime is Regime.LOW_T:
-        g = asympt_green_lowT(q.x1, q.tau1, q.x2, q.tau2, p, d, r_hi)
-    else:
-        raise RegimeError(f"intermediate regime (beta/alpha = {d.regime_ratio:.3g}): no asymptotic form applies")
-    return gamma_from_green(q, g, p, d)
 
 
 def extract_exponent(separations, gammas, rho_products=None) -> FitResult:

@@ -6,6 +6,10 @@ renormalized chemical potential ``Lambda`` (a direct input here) and an
 inverse temperature ``beta``.  Boltzmann's constant is fixed to 1, so ``beta``
 carries units of inverse energy.  ``hbar`` is kept as an explicit field
 (default 1) so no hidden nondimensionalization happens anywhere downstream.
+
+The collective modes have the energies ``energy_level``; the exact spacing
+of two neighbours is the difference of two of them, and
+``level_spacing_expansion`` gives only its 1/n expansion, as a float.
 """
 
 from __future__ import annotations
@@ -23,7 +27,6 @@ __all__ = [
     "DerivedScales",
     "CorrelatorQuery",
     "Regime",
-    "LevelSpacing",
     "derive_scales",
     "rho_tf",
     "energy_level",
@@ -115,18 +118,6 @@ class Regime(enum.Enum):
     INTERMEDIATE = "Intermediate"
 
 
-@dataclass(frozen=True)
-class LevelSpacing:
-    """Exact level spacing next to mode ``n`` and its truncated expansion."""
-
-    exact: float
-    expansion: float
-
-    @property
-    def difference(self) -> float:
-        return self.exact - self.expansion
-
-
 def derive_scales(p: PhysicalParams) -> DerivedScales:
     """Compute all derived scales from the primary parameters.
 
@@ -166,19 +157,15 @@ def energy_level(n: int, p: PhysicalParams, d: DerivedScales) -> float:
     return p.hbar * p.Omega * math.sqrt(n * (n + 1) / 2.0)
 
 
-def level_spacing_expansion(n: int, d: DerivedScales) -> LevelSpacing:
-    """Exact spacing E_{n+1}-E_n next to n > 1 and the 1/n expansion.
-
-    The expansion is (1/alpha) * (1 + 1/(8 n^2) - 1/(4 n^3)); the term
-    proportional to 1/n is absent, so the spectrum is nearly equidistant
-    already at moderate n.
+def level_spacing_expansion(n: int, d: DerivedScales) -> float:
+    """The 1/n expansion (1/alpha) * (1 + 1/(8 n^2) - 1/(4 n^3)) of the
+    spacing E_{n+1} - E_n next to n > 1.  The term proportional to 1/n is
+    absent, so the spectrum is nearly equidistant already at moderate n.
     """
     if n != int(n) or n <= 1:
         raise DomainError(f"level_spacing_expansion requires integer n > 1, got {n!r}")
     n = int(n)
-    exact = (math.sqrt((n + 1) * (n + 2)) - math.sqrt(n * (n + 1))) / d.alpha
-    expansion = (1.0 + 1.0 / (8 * n**2) - 1.0 / (4 * n**3)) / d.alpha
-    return LevelSpacing(exact=exact, expansion=expansion)
+    return (1.0 + 1.0 / (8 * n**2) - 1.0 / (4 * n**3)) / d.alpha
 
 
 def classify_regime(d: DerivedScales, r_lo: float = DEFAULT_R_LO, r_hi: float = DEFAULT_R_HI) -> Regime:

@@ -6,10 +6,12 @@ the eigensolver diagonalizes the discretized operator, and the summation
 oracles add series terms head-on.  Agreement between these routes and the
 closed forms is the package's primary correctness evidence.
 
-The discretized operator is a symmetric tridiagonal matrix at every
-frequency, and scipy.linalg's banded LAPACK routines solve and diagonalize it.
-At omega = 0 it annihilates constants; the solver pins one interior node,
-which makes the system positive definite, and fixes the gauge afterwards.
+The discretized operator is a symmetric tridiagonal matrix, built once by
+``_flux_operator`` for both the solve (which adds (omega/hbar v)^2 to its
+diagonal) and the eigensolve; scipy.linalg's banded LAPACK routines solve
+and diagonalize it.  At omega = 0 it annihilates constants; the solver pins
+one interior node, which makes the system positive definite, and fixes the
+gauge afterwards.
 """
 
 from __future__ import annotations
@@ -39,8 +41,7 @@ class FdmGrid:
     """Cell-centered uniform grid on (-R_c, R_c).
 
     Faces sit at -R_c + i*h with h = 2 R_c / N, so the outermost faces land
-    exactly on the Thomas-Fermi boundary where the ODE coefficient vanishes;
-    the node clamp inset is h/(2 R_c).
+    exactly on the Thomas-Fermi boundary where the ODE coefficient vanishes.
     """
 
     N: int = 10_000
@@ -49,73 +50,44 @@ class FdmGrid:
         if self.N < 100:
             raise DomainError(f"grid needs N >= 100 interior cells, got {self.N}")
 
-    def spacing(self, d: DerivedScales) -> float:
-        return 2.0 * d.R_c / self.N
-
-    def nodes(self, d: DerivedScales) -> np.ndarray:
-        h = self.spacing(d)
-        return -d.R_c + (np.arange(self.N) + 0.5) * h
-
-    @property
-    def clamp(self) -> float:
-        return 1.0 / (2.0 * self.N)
-
 
 @dataclass(frozen=True)
 class FdmSolution:
-    omega: float
     x_nodes: np.ndarray
     g_values: np.ndarray
     x_source: float
     snap_offset: float
     disc_error_est: float
-    gauge: str
     meta: dict = field(default_factory=dict)
 
     def interp(self, x) -> np.ndarray:
         return np.interp(x, self.x_nodes, self.g_values)
 
 
-def _assemble_and_solve(
-    omega: float,
-    xp: float,
-    p: PhysicalParams,
-    d: DerivedScales,
-    n_cells: int,
-    delta_mode: str,
-):
-    hv2 = (p.hbar * d.v) ** 2
+def _flux_operator(d: DerivedScales, n_cells: int):
+    """(h, nodes, diagonal, off-diagonal) of the flux-form operator
+    -d/dx[(1 - x^2/R_c^2) d/dx] on ``n_cells`` cells: the coefficient is
+    zeroed on the two end faces, which is the zero-flux condition."""
     h = 2.0 * d.R_c / n_cells
-    xc = -d.R_c + (np.arange(n_cells) + 0.5) * h
     xf = -d.R_c + np.arange(n_cells + 1) * h
     pf = 1.0 - (xf / d.R_c) ** 2
-    pf[0] = 0.0
-    pf[-1] = 0.0
+    pf[[0, -1]] = 0.0
+    xc = -d.R_c + (np.arange(n_cells) + 0.5) * h
+    return h, xc, (pf[1:] + pf[:-1]) / h**2, -pf[1:-1] / h**2
 
+
+def _assemble_and_solve(omega: float, xp: float, p: PhysicalParams, d: DerivedScales, n_cells: int):
+    hv2 = (p.hbar * d.v) ** 2
+    h, xc, diag, off = _flux_operator(d, n_cells)
     j = int(np.argmin(np.abs(xc - xp)))
     s = np.zeros(n_cells)
-    if delta_mode == "single":
-        s[j] = (p.g / hv2) / h
-    elif delta_mode == "linear":
-        # spread over the two nodes bracketing x'; weights keep unit mass
-        if xp >= xc[j] and j + 1 < n_cells:
-            frac = (xp - xc[j]) / h
-            s[j] = (p.g / hv2) * (1.0 - frac) / h
-            s[j + 1] = (p.g / hv2) * frac / h
-        elif j - 1 >= 0:
-            frac = (xc[j] - xp) / h
-            s[j] = (p.g / hv2) * (1.0 - frac) / h
-            s[j - 1] = (p.g / hv2) * frac / h
-        else:
-            s[j] = (p.g / hv2) / h
-    else:
-        raise DomainError(f"delta_mode must be 'single' or 'linear', got {delta_mode!r}")
+    s[j] = (p.g / hv2) / h
 
     # K g = -s is the sign-flipped system, tridiagonal and symmetric; for
     # omega != 0 it is positive definite
     ab = np.zeros((2, n_cells))
-    ab[0, 1:] = -pf[1:-1] / h**2
-    ab[1, :] = (pf[1:] + pf[:-1]) / h**2 + (omega / (p.hbar * d.v)) ** 2
+    ab[0, 1:] = off
+    ab[1, :] = diag + (omega / (p.hbar * d.v)) ** 2
     if omega != 0.0:
         return xc, solveh_banded(ab, -s), xc[j], 0.0
 
@@ -152,34 +124,31 @@ def fdm_spectral_solve(
     p: PhysicalParams,
     d: DerivedScales,
     grid: FdmGrid = FdmGrid(),
-    delta_mode: str = "single",
 ) -> FdmSolution:
     """Second-order flux-form solve of the spectral ODE with a delta source.
 
     The source point is snapped to the nearest node (offset recorded) and
-    represented as a 1/h load there ("single") or a two-node linear spread
-    ("linear").  The discretization error is estimated by re-solving on a
-    half-resolution grid and comparing; for the second-order scheme the true
-    fine-grid error is about a third of the reported difference.
+    represented as a 1/h load there.  The discretization error is estimated
+    by re-solving on a half-resolution grid and comparing; for the
+    second-order scheme the true fine-grid error is about a third of the
+    reported difference.  At omega = 0 the solution is mean-zero, with the
+    symmetric boundary flux of ``_assemble_and_solve``.
     """
     if abs(xp) >= d.R_c:
         raise DomainError(f"source point must be interior, got x' = {xp} with R_c = {d.R_c}")
-    xc, g, xs, mult = _assemble_and_solve(omega, xp, p, d, grid.N, delta_mode)
-    xc2, g2, _, _ = _assemble_and_solve(omega, xp, p, d, grid.N // 2, delta_mode)
+    xc, g, xs, mult = _assemble_and_solve(omega, xp, p, d, grid.N)
+    xc2, g2, _, _ = _assemble_and_solve(omega, xp, p, d, grid.N // 2)
     coarse = np.interp(xc, xc2, g2)
     h2 = 2.0 * d.R_c / (grid.N // 2)
     away = np.abs(xc - xs) > 4.0 * h2
     est = float(np.max(np.abs(g - coarse)[away])) if np.any(away) else float(np.max(np.abs(g - coarse)))
-    gauge = "none" if omega != 0.0 else "mean-zero with symmetric boundary flux"
     return FdmSolution(
-        omega=float(omega),
         x_nodes=xc,
         g_values=g,
         x_source=xs,
         snap_offset=float(xp - xs),
         disc_error_est=est,
-        gauge=gauge,
-        meta={"N": grid.N, "delta_mode": delta_mode, "gauge_multiplier": mult},
+        meta={"gauge_multiplier": mult},
     )
 
 
@@ -196,12 +165,7 @@ def fdm_eigensolve(p: PhysicalParams, d: DerivedScales, grid: FdmGrid, n_levels:
     """
     if n_levels > grid.N // 10:
         raise DomainError(f"n_levels = {n_levels} too large for N = {grid.N} (need n_levels <= N/10)")
-    h = grid.spacing(d)
-    xf = -d.R_c + np.arange(grid.N + 1) * h
-    pf = 1.0 - (xf / d.R_c) ** 2
-    pf[[0, -1]] = 0.0
-    diag = (pf[1:] + pf[:-1]) / h**2
-    off = -pf[1:-1] / h**2
+    _, _, diag, off = _flux_operator(d, grid.N)
     m = grid.N // 2
     half, off_half, c = diag[:m], off[: m - 1], off[m - 1]
     if grid.N % 2:

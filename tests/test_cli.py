@@ -11,6 +11,9 @@ import pytest
 from trapgas import (
     CorrelatorQuery,
     PhysicalParams,
+    asympt_green_highT,
+    asympt_green_lowT,
+    closed_form_zero_mode,
     derive_scales,
     extract_exponent,
     gamma_from_green,
@@ -301,6 +304,37 @@ class TestGreenCommand:
         _, header, rows = read_csv(str(out))
         assert header == GREEN_COLUMNS and rows == []
 
+    @pytest.mark.parametrize(
+        "x_min, outside, anchor",
+        [(-1.0, [1.5], -1.0), (-1.5, [-1.5, 1.5], -0.9)],
+        ids=["right-end-outside", "both-ends-outside"],
+    )
+    def test_oracle_rows_outside_the_condensate_are_domain_errors(self, tmp_path, x_min, outside, anchor):
+        # R_c = sqrt 2: a point at |x| >= R_c is a DomainError row, as in
+        # trapped-spectral, and not the last node's value; the omega = 0
+        # gauge is anchored at the first point inside, where the oracle's G
+        # is the closed form's
+        cfg = write_config(tmp_path, f"[grid]\nx_min = {x_min!r}\nx_max = 1.5\nx_count = 6\n")
+        out = tmp_path / "oracle.csv"
+        assert main(["green", "--mode", "oracle", "--config", cfg, "--out", str(out)]) == 0
+        _, header, rows = read_csv(str(out))
+        rows = [dict(zip(header, cells)) for cells in rows]
+        assert len(rows) == 6
+        errors = [r for r in rows if r["status"] != "ok"]
+        assert [float(r["x2"]) for r in errors] == outside
+        for row in errors:
+            assert row["G_re"] == "" and row["trunc_err"] == "" and row["method"] == "oracle"
+            assert row["status"].startswith(f"DomainError: x = {float(row['x2'])!r} is outside the condensate")
+        p = PhysicalParams(m=1, g=1, Omega=1, Lambda=1, beta=1)
+        d = derive_scales(p)
+        first = next(r for r in rows if r["status"] == "ok")
+        assert float(first["x2"]) == pytest.approx(anchor, abs=1e-15)
+        from trapgas import FdmGrid, fdm_spectral_solve
+
+        sol = fdm_spectral_solve(0.0, float(first["x1"]), p, d, FdmGrid(N=10_000))
+        assert float(first["G_re"]) == pytest.approx(closed_form_zero_mode(anchor, sol.x_source, p, d) * p.beta,
+                                                     rel=1e-12)
+
     def test_trapped_asympt_intermediate_regime_status(self, tmp_path):
         cfg = write_config(tmp_path, "[grid]\nx_count = 3\n")
         out = tmp_path / "asympt.csv"
@@ -412,6 +446,51 @@ class TestCorrelatorCommand:
         assert [r[col["gamma"]] for r in auto[1:]] == [r[col["gamma"]] for r in spectral[1:]]
 
     @pytest.mark.parametrize(
+        "beta_over_alpha, sep_max_over_rc, dtau_over_beta, form",
+        [
+            (0.05, 0.6, 0.0, asympt_green_highT),  # high T: out to |dx| = 0.6 R_c, no quasi-homogeneous window
+            (100.0, 0.07, 0.0, asympt_green_lowT),  # low T: |zeta|/R_c from 0.01 to 0.07, inside the gate u_* < 0.1
+            (100.0, 0.07, 0.0001, asympt_green_lowT),  # low T, off the equal-time line
+        ],
+    )
+    def test_asymptotic_auto_rows_are_the_form_of_their_regime(
+        self, tmp_path, beta_over_alpha, sep_max_over_rc, dtau_over_beta, form
+    ):
+        # bitwise: every ok row is gamma_from_green of the Green value that
+        # the form of its regime gives, the value green --mode trapped-asympt prints
+        p = PhysicalParams(m=1, g=1, Omega=1, Lambda=1, beta=beta_over_alpha * math.sqrt(2.0))
+        d = derive_scales(p)
+        cfg = write_config(
+            tmp_path,
+            f"[params]\nbeta = {p.beta!r}\n[grid]\nsep_min = {0.01 * d.R_c!r}\n"
+            f"sep_max = {sep_max_over_rc * d.R_c!r}\ndtau = {dtau_over_beta * p.beta!r}\n",
+        )
+        out = tmp_path / "auto.csv"
+        assert main(["correlator", "--mode", "asymptotic-auto", "--config", cfg, "--out", str(out)]) == 0
+        _, header, rows = read_csv(str(out))
+        rows = [dict(zip(header, cells)) for cells in rows]
+        assert [(r["method"], r["status"]) for r in rows] == [("asymptotic-auto", "ok")] * 9
+        for row in rows:
+            q = CorrelatorQuery(*(float(row[k]) for k in ("x1", "tau1", "x2", "tau2")))
+            assert float(row["gamma"]) == gamma_from_green(q, form(q.x1, q.tau1, q.x2, q.tau2, p, d), p, d)
+
+    @pytest.mark.parametrize("beta_over_alpha", [0.05, 1.0 / math.sqrt(2.0), 100.0])
+    def test_asymptotic_auto_midpoint_outside_condensate_is_a_domain_error_row(self, tmp_path, beta_over_alpha):
+        # in each regime, the intermediate one included, where no form
+        # applies: a domain error, not a regime one
+        beta = beta_over_alpha * math.sqrt(2.0)
+        cfg = write_config(tmp_path, f"[params]\nbeta = {beta!r}\n[grid]\ns_center = {1.15 * math.sqrt(2.0)!r}\n"
+                                     f"sep_count = 3\n")
+        out = tmp_path / "auto.csv"
+        assert main(["correlator", "--mode", "asymptotic-auto", "--config", cfg, "--out", str(out)]) == 0
+        _, header, rows = read_csv(str(out))
+        assert len(rows) == 3
+        for cells in rows:
+            row = dict(zip(header, cells))
+            assert row["gamma"] == "" and row["method"] == "asymptotic-auto"
+            assert row["status"].startswith("DomainError: theta(S) undefined outside the condensate")
+
+    @pytest.mark.parametrize(
         "mode, g, overflowing, cause",
         [("series", 500, 6, "exp(-G) at G = -2368.64"), ("asymptotic-auto", 2000, 8, "exp(-G) at G = -1490.61")],
         ids=["series-g500", "asymptotic-auto-g2000"],
@@ -445,8 +524,6 @@ class TestCorrelatorCommand:
         # but the last is ok and agrees with the asymptotic form, and the
         # last, whose Gamma ~ 6e-321 is a subnormal of a few digits, reports
         # the underflow
-        from trapgas import gamma_trapped_asymptotic
-
         cfg = write_config(tmp_path, "[params]\nbeta = 1e-4\n")
         out = tmp_path / "corr.csv"
         assert main(["correlator", "--mode", "spectral", "--config", cfg, "--out", str(out)]) == 0
@@ -462,7 +539,7 @@ class TestCorrelatorCommand:
             row = dict(zip(header, cells))
             assert row["status"] == "ok"
             q = CorrelatorQuery(*(float(row[k]) for k in ("x1", "tau1", "x2", "tau2")))
-            asymptotic = gamma_trapped_asymptotic(q, p, d)
+            asymptotic = gamma_from_green(q, asympt_green_highT(q.x1, q.tau1, q.x2, q.tau2, p, d), p, d)
             assert abs(math.log(float(row["gamma"])) / math.log(asymptotic) - 1.0) < 1e-3
 
     def test_spectral_table_is_one_kernel_call(self, tmp_path, monkeypatch):

@@ -1,8 +1,9 @@
 """Smoke test of ``tools/compare_tables.py``, the table byte-compare harness:
 its low-temperature block must reach ok ``series`` rows, which the mode
 matrix alone never produces, its ``trapped-spectral`` block must reach
-both ok rows and the error rows of clamped points, and its spectral
-correlator tables must mix error rows with ok rows."""
+both ok rows and the error rows of clamped points, its spectral
+correlator tables must mix error rows with ok rows, and its profile block
+must hold the density and spectrum tables."""
 
 import importlib.util
 import json
@@ -73,3 +74,22 @@ def test_spectral_error_block_mixes_error_rows_with_ok_rows():
     assert records["spectral-errors-exponent-edge/csv"]["stderr"].startswith(
         "exponent: 1 of 9 rows left out of the fit (first: DomainError")
     assert records["spectral-errors-exponent-tol1e-15/csv"]["code"] == 2
+
+
+def test_profile_block_holds_density_and_spectrum_tables():
+    harness = _harness()
+    r_c = derive_scales(PhysicalParams(m=1.0, g=1.0, Omega=1.0, Lambda=1.0, beta=1.0)).R_c
+    records = harness.run_invocations(harness.profile_invocations(r_c))
+    assert len(records) == 6
+    tables = {}
+    for name, rec in records.items():
+        assert rec["code"] == 0 and rec["stderr"] == ""
+        tables[name] = harness.parse_table(rec["stdout"])
+    for fmt in harness.FORMATS:
+        columns, rows = tables[f"profile-density-default/{fmt}"]
+        assert columns == ["x", "rho_tf"] and len(rows) == 41 and all(r[1] > 0 for r in rows)
+        columns, rows = tables[f"profile-density-wide/{fmt}"]
+        assert len(rows) == 25 and rows[0][1] == rows[-1][1] == 0.0
+        columns, rows = tables[f"profile-spectrum-levels30/{fmt}"]
+        assert columns == ["n", "E_n", "dE", "dE_expansion", "status"] and len(rows) == 30
+        assert [r[4] for r in rows].count("ok") == 28

@@ -22,7 +22,6 @@ from trapgas import (
     gamma_d1_exact,
     gamma_from_green,
     gamma_homog,
-    gamma_trapped_asymptotic,
     matsubara_assemble,
     rho_tf,
     theta_at,
@@ -237,7 +236,7 @@ class TestTrappedAsymptoticCorrelator:
         s_half = 0.2 * d.R_c
         dx = 15.0 * d.lambda_T
         q = CorrelatorQuery(s_half + dx / 2, 0.0, s_half - dx / 2, 0.0)
-        gamma = gamma_trapped_asymptotic(q, p, d)
+        gamma = lg_gamma(q, p, d)
         pref = math.sqrt(rho_tf(q.x1, p, d) * rho_tf(q.x2, p, d))
         assert_allclose(math.log(gamma / pref), -dx / xi_at(s_half, p, d), rtol=1e-3)
 
@@ -250,7 +249,7 @@ class TestTrappedAsymptoticCorrelator:
 
         def log_reduced_gamma(dx):
             q = CorrelatorQuery(s_half + dx / 2, 0.0, s_half - dx / 2, 0.0)
-            return math.log(gamma_trapped_asymptotic(q, p, d) / math.sqrt(rho_tf(q.x1, p, d) * rho_tf(q.x2, p, d)))
+            return math.log(lg_gamma(q, p, d) / math.sqrt(rho_tf(q.x1, p, d) * rho_tf(q.x2, p, d)))
 
         dx = 0.1 * d.R_c
         slope = (log_reduced_gamma(dx + h) - log_reduced_gamma(dx - h)) / (2.0 * h)
@@ -261,7 +260,7 @@ class TestTrappedAsymptoticCorrelator:
         p, d = setup_params(g=2000.0, beta=100.0 * math.sqrt(2.0))
         q = CorrelatorQuery(0.01, 0.0, 0.0, 0.0)
         with pytest.raises(AccuracyError, match=r"^Gamma overflows: exp\(-G\) at G = -") as info:
-            gamma_trapped_asymptotic(q, p, d)
+            leading_log_gamma(q, p, d)
         assert info.value.achieved == math.inf
 
     @pytest.mark.parametrize("s_over_rc", [0.2, -0.45])
@@ -274,23 +273,7 @@ class TestTrappedAsymptoticCorrelator:
             q = CorrelatorQuery(s_half + dx / 2, dtau, s_half - dx / 2, 0.0)
             pref = math.sqrt(rho_tf(q.x1, p, d) * rho_tf(q.x2, p, d))
             power = (d.R_c / math.hypot(dx, hv * dtau)) ** (1.0 / theta_at(s_half, p, d))
-            assert_allclose(gamma_trapped_asymptotic(q, p, d), pref * power, rtol=1e-13)
-
-    @pytest.mark.parametrize(
-        "beta_over_alpha, dx_over_rc, dtau_over_beta, form",
-        [
-            (0.05, 0.6, 0.0, lg_gamma),  # high T: |dx| = 0.6 R_c, no quasi-homogeneous window
-            (100.0, 0.01, 0.0, leading_log_gamma),  # low T: |zeta|/R_c = 0.01
-            (100.0, 0.07, 0.0, leading_log_gamma),  # low T, inside the gate u_* < 0.1 only
-            (100.0, 0.01, 0.0001, leading_log_gamma),  # low T, off the equal-time line
-        ],
-    )
-    def test_dispatch_branch_equals_its_form(self, beta_over_alpha, dx_over_rc, dtau_over_beta, form):
-        # bitwise: every branch is gamma_from_green of the Green value its green table prints
-        p, d = setup_params(beta=beta_over_alpha * math.sqrt(2.0))
-        s_half, dx = 0.2 * d.R_c, dx_over_rc * d.R_c
-        q = CorrelatorQuery(s_half + dx / 2, dtau_over_beta * p.beta, s_half - dx / 2, 0.0)
-        assert gamma_trapped_asymptotic(q, p, d) == form(q, p, d)
+            assert_allclose(leading_log_gamma(q, p, d), pref * power, rtol=1e-13)
 
     @pytest.mark.parametrize(
         "x1_over_rc, x2_over_rc, hv_dtau_over_rc",
@@ -305,25 +288,13 @@ class TestTrappedAsymptoticCorrelator:
         dtau = hv_dtau_over_rc * d.R_c / (p.hbar * d.v)
         q = CorrelatorQuery(x1_over_rc * d.R_c, dtau, x2_over_rc * d.R_c, 0.0)
         with pytest.raises(RegimeError, match=r"low-temperature gate .* \(got 0\.2\)"):
-            gamma_trapped_asymptotic(q, p, d)
-
-    def test_midpoint_outside_condensate_is_domain_error(self):
-        p, d = setup_params()  # intermediate: no form applies either way
-        q = CorrelatorQuery(1.2 * d.R_c, 0.0, 1.1 * d.R_c, 0.0)
-        with pytest.raises(DomainError, match="outside the condensate"):
-            gamma_trapped_asymptotic(q, p, d)
-
-    def test_auto_dispatch_regime_errors(self):
-        p, d = setup_params()  # intermediate regime
-        q = CorrelatorQuery(0.3, 0.0, 0.1, 0.0)
-        with pytest.raises(RegimeError, match="intermediate"):
-            gamma_trapped_asymptotic(q, p, d)
+            leading_log_gamma(q, p, d)
 
     def test_high_t_has_no_window(self):
         # the pair spans most of the condensate, far outside any quasi-homogeneous window
         p, d = setup_params(beta=0.05 * math.sqrt(2.0))
         q = CorrelatorQuery(0.9 * d.R_c, 0.0, -0.9 * d.R_c, 0.0)
-        assert 0.0 < gamma_trapped_asymptotic(q, p, d) < math.sqrt(rho_tf(q.x1, p, d) * rho_tf(q.x2, p, d))
+        assert 0.0 < lg_gamma(q, p, d) < math.sqrt(rho_tf(q.x1, p, d) * rho_tf(q.x2, p, d))
 
     def test_assembled_route_reproduces_the_asymptotic_gamma(self):
         # absolute, not in ratio mode: the Liouville-Green value carries its constant
@@ -332,7 +303,7 @@ class TestTrappedAsymptoticCorrelator:
         for dx in (0.8 * d.lambda_T, 1.6 * d.lambda_T):
             q = CorrelatorQuery(s_half + dx / 2, 0.0, s_half - dx / 2, 0.0)
             assembled = gamma_from_green(q, matsubara_assemble(q.x1, q.tau1, q.x2, q.tau2, p, d, l_max=14), p, d)
-            assert_allclose(gamma_trapped_asymptotic(q, p, d), assembled, rtol=1e-5)
+            assert_allclose(lg_gamma(q, p, d), assembled, rtol=1e-5)
 
     @pytest.mark.parametrize("s_over_rc", [0.5, 0.7])
     def test_fitted_exponent_is_the_exact_one_off_centre(self, s_over_rc):
@@ -343,7 +314,7 @@ class TestTrappedAsymptoticCorrelator:
         seps = np.geomspace(1e-4, 1e-3, 10) * d.R_c
         queries = [CorrelatorQuery(s_half + sep / 2, 0.0, s_half - sep / 2, 0.0) for sep in seps]
         rhos = [math.sqrt(rho_tf(q.x1, p, d) * rho_tf(q.x2, p, d)) for q in queries]
-        lg = extract_exponent(seps, [gamma_trapped_asymptotic(q, p, d) for q in queries], rhos)
+        lg = extract_exponent(seps, [lg_gamma(q, p, d) for q in queries], rhos)
         exact = extract_exponent(
             seps,
             [gamma_from_green(q, matsubara_assemble(q.x1, q.tau1, q.x2, q.tau2, p, d, l_max=2000), p, d)
@@ -362,7 +333,7 @@ class TestTrappedAsymptoticCorrelator:
         seps = np.geomspace(1e-4, 1e-3, 10) * d.R_c
         queries = [CorrelatorQuery(sep / 2, 0.0, -sep / 2, 0.0) for sep in seps]
         rhos = [math.sqrt(rho_tf(q.x1, p, d) * rho_tf(q.x2, p, d)) for q in queries]
-        fit = extract_exponent(seps, [gamma_trapped_asymptotic(q, p, d) for q in queries], rhos)
+        fit = extract_exponent(seps, [lg_gamma(q, p, d) for q in queries], rhos)
         assert_allclose(fit.inv_theta * theta_homogeneous(p, d), 1.0, rtol=1e-3)
 
 
@@ -413,7 +384,7 @@ class TestExtractExponent:
         gammas, rhos = [], []
         for sep in seps:
             q = CorrelatorQuery(s_half + sep / 2, 0.0, s_half - sep / 2, 0.0)
-            gammas.append(gamma_trapped_asymptotic(q, p, d))
+            gammas.append(lg_gamma(q, p, d))
             rhos.append(math.sqrt(rho_tf(q.x1, p, d) * rho_tf(q.x2, p, d)))
         fit = extract_exponent(seps, gammas, rhos)
         # the fit finds the local exponent theta(S)/sqrt(1 - S^2/R_c^2)

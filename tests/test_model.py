@@ -144,27 +144,27 @@ class TestSpectrum:
             assert abs(w - approx) < 0.2 / n**4
 
 
-class TestLevelSpacing:
+class TestSpacingExpansion:
     def test_exact_value_n2(self):
         # alpha = 1 via Omega = Lambda = 1, m = 0.5: R_c = 2, v = sqrt(2)
         p = unit_params(m=0.5)
         d = derive_scales(p)
         assert_allclose(d.alpha, math.sqrt(2.0), rtol=1e-15)
-        s = level_spacing_expansion(2, d)
-        assert_allclose(s.exact, (math.sqrt(12.0) - math.sqrt(6.0)) / d.alpha, rtol=1e-14)
+        exact = energy_level(3, p, d) - energy_level(2, p, d)
+        assert_allclose(exact, (math.sqrt(12.0) - math.sqrt(6.0)) / d.alpha, rtol=1e-14)
 
     def test_large_n_limit(self):
         p = unit_params()
         d = derive_scales(p)
-        s = level_spacing_expansion(10_000, d)
-        assert_allclose(s.exact, 1.0 / d.alpha, rtol=1e-8)
-        assert_allclose(s.expansion, 1.0 / d.alpha, rtol=1e-8)
+        exact = energy_level(10_001, p, d) - energy_level(10_000, p, d)
+        assert_allclose(exact, 1.0 / d.alpha, rtol=1e-8)
+        assert_allclose(level_spacing_expansion(10_000, d), 1.0 / d.alpha, rtol=1e-8)
 
     def test_expansion_accuracy_n10(self):
         p = unit_params(Omega=math.sqrt(2.0))  # alpha = 1
         d = derive_scales(p)
-        s = level_spacing_expansion(10, d)
-        assert abs(s.difference) < 2e-4
+        exact = energy_level(11, p, d) - energy_level(10, p, d)
+        assert abs(exact - level_spacing_expansion(10, d)) < 2e-4
 
     def test_small_n_rejected(self):
         d = derive_scales(unit_params())

@@ -101,42 +101,18 @@ class TestFdmSpectralSolve:
         assert abs(-slope - omega / hv) < 0.10 * omega / hv
 
     def test_doubling_error_estimate_shrinks(self):
-        # smooth subproblem: source on a shared cell face (x' = 0 for even N)
-        # with the linear spread, so the load is represented identically at
-        # both resolutions and the scheme shows its clean ~4x contraction;
-        # the snapped single-node load moves by O(h) between grids and its
+        # the snapped single-node load moves by O(h) between grids, so its
         # estimate contracts ~2x
         p, d = setup_params()
         omega = 2.0 * math.pi / p.beta
-        est = {
-            n: fdm_spectral_solve(omega, 0.0, p, d, FdmGrid(N=n), delta_mode="linear").disc_error_est
-            for n in (2000, 4000)
-        }
-        assert 2.5 < est[2000] / est[4000] < 6.0
-        est_snap = {
-            n: fdm_spectral_solve(omega, 0.1, p, d, FdmGrid(N=n), delta_mode="single").disc_error_est
-            for n in (2000, 4000)
-        }
+        est_snap = {n: fdm_spectral_solve(omega, 0.1, p, d, FdmGrid(N=n)).disc_error_est for n in (2000, 4000)}
         assert 1.4 < est_snap[2000] / est_snap[4000] < 3.0
 
     def test_snap_offset_bounded_by_half_cell(self):
         p, d = setup_params()
         grid = FdmGrid(N=1000)
         sol = fdm_spectral_solve(2.0 * math.pi, 0.1234567, p, d, grid)
-        assert abs(sol.snap_offset) <= 0.5 * grid.spacing(d) + 1e-15
-
-    def test_delta_modes_agree_in_difference(self):
-        p, d = setup_params()
-        omega = 2.0 * math.pi
-        sols = {
-            mode: fdm_spectral_solve(omega, 0.1, p, d, FdmGrid(N=8000), delta_mode=mode)
-            for mode in ("single", "linear")
-        }
-        xa, xb = 0.4 * d.R_c, -0.3 * d.R_c
-        d_single = sols["single"].interp(xa) - sols["single"].interp(xb)
-        d_linear = sols["linear"].interp(xa) - sols["linear"].interp(xb)
-        # the two representations differ by the O(h) snap of the source point
-        assert abs(d_single - d_linear) < 1e-2 * abs(d_single)
+        assert abs(sol.snap_offset) <= 0.5 * (2.0 * d.R_c / grid.N) + 1e-15
 
     def test_matches_legendre_route_at_nonzero_omega(self):
         p, d = setup_params()
@@ -152,8 +128,6 @@ class TestFdmSpectralSolve:
             fdm_spectral_solve(0.0, 2.0 * d.R_c, p, d, FdmGrid(N=1000))
         with pytest.raises(DomainError):
             FdmGrid(N=50)
-        with pytest.raises(DomainError):
-            fdm_spectral_solve(0.0, 0.1, p, d, FdmGrid(N=1000), delta_mode="spread")
 
 
 class TestZeroModeSolve:

@@ -32,6 +32,8 @@ The matrix is
   l_max = 256, where every pair's first density bound is refused (9
   AccuracyError rows), and at beta = 1e-4, where the widest pair's Gamma
   underflows (an AccuracyError row beside 8 ok rows);
+* the profile block: ``density`` on the default grid and on a grid out to
+  +-1.2 R_c, where the clipped density reads 0, and ``spectrum --levels 30``;
 * ``validate``, with its timings dropped;
 
 each table in csv and json.
@@ -145,6 +147,13 @@ def spectral_error_invocations(r_c: float) -> list:
             for name, sections in configs.items() for command in ("correlator", "exponent")]
 
 
+def profile_invocations(r_c: float) -> list:
+    """(name, argv, config text) of the ``density`` and ``spectrum`` tables."""
+    wide = _ini({"grid": {"x_min": -1.2 * r_c, "x_max": 1.2 * r_c, "x_count": 25}})
+    return [("profile-density-default", ["density"], ""), ("profile-density-wide", ["density"], wide),
+            ("profile-spectrum-levels30", ["spectrum", "--levels", "30"], "")]
+
+
 def run_invocations(invocations, formats=FORMATS) -> dict:
     """name/format -> {"code", "stdout", "stderr"} of each invocation, run
     in-process through ``trapgas.cli.main``."""
@@ -193,7 +202,7 @@ def cmd_run(tree: str, out_path: str) -> int:
     tg = _import_tree(tree)
     r_c = tg.derive_scales(tg.PhysicalParams(m=1.0, g=1.0, Omega=1.0, Lambda=1.0, beta=1.0)).R_c
     records = run_invocations(matrix_invocations(r_c) + lowt_invocations(r_c) + spectral_invocations(r_c)
-                              + spectral_error_invocations(r_c))
+                              + spectral_error_invocations(r_c) + profile_invocations(r_c))
     records["validate"] = _validate_record()
     with open(out_path, "w", encoding="utf-8") as fh:
         json.dump(records, fh, indent=0, sort_keys=True)
