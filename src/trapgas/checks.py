@@ -236,7 +236,7 @@ def check_homog_regime_match():
     mode, at beta hbar v / R_c = 0.05 and pi |dx| / (hbar beta v) >> 1."""
     p = PhysicalParams(m=1.0, g=1.0, Omega=math.sqrt(2.0) / 20.0, Lambda=1.0, beta=1.0)
     d = derive_scales(p)  # R_c = 20, lambda_T = 1
-    ctl = HomogSeriesControl(l_max=120, n_max=1600, tail_mode="bernoulli")
+    ctl = HomogSeriesControl(l_max=120, n_max=1600)
     pairs = [CorrelatorQuery(dx / 2.0, 0.0, -dx / 2.0, 0.0) for dx in (1.5, 2.5, 3.5, 4.5)]
     pairs.append(CorrelatorQuery(1.0, 0.3 * p.beta, -1.0, 0.0))
     worst = _max_difference_deviation(

@@ -99,7 +99,6 @@ _SCHEMA = {
         "n_max": _Key(int, 256, least=1),
         "n0": _Key(int, 20, least=1),
         "tol": _Key(float, 1e-12, positive=True),
-        "tail_mode": _Key(str, "bernoulli", choices=("none", "bernoulli")),
         "min_dtau": _Key(float, 1e-3, least=0),
     },
     "regime": {
@@ -289,53 +288,62 @@ def cmd_spectrum(cfg: RunConfig, args) -> tuple:
 _ROW_ERRORS = (RegimeError, DomainError, AccuracyError)
 
 
-def _green_row(x1, tau1, x2, tau2, gv, regime_tag, status="ok"):
-    if gv is None:
-        return (x1, tau1, x2, tau2, None, "", None, regime_tag, False, status)
-    if gv.divergent:
-        return (x1, tau1, x2, tau2, None, gv.method, gv.trunc_err, regime_tag, gv.const_free, "divergent")
-    return (
-        x1, tau1, x2, tau2,
-        gv.value,
-        gv.method, gv.trunc_err, regime_tag, gv.const_free,
-        status if gv.warning is None else f"warning: {gv.warning}",
-    )
-
-
-def _error_row(x1, tau1, x2, tau2, method, regime_tag, exc):
-    return (x1, tau1, x2, tau2, None, method, None, regime_tag, False, f"{type(exc).__name__}: {exc}")
-
-
-def _lowt_control(cfg: RunConfig) -> LowTControl:
-    return LowTControl(n0=cfg["truncation.n0"], min_dtau=cfg["truncation.min_dtau"])
-
-
-def _green_evaluator(mode, regime, cfg: RunConfig, p, d):
-    """G(x1, tau1; x2, tau2) of one per-point mode, with its regime choice and
-    controls resolved once per table; None where the regime has no asymptotic
-    form."""
+def _route(mode, cfg: RunConfig, p, d):
+    """G(x1, tau1, x2, tau2) -> GreenValue of one per-point green or
+    correlator mode, its controls and regime resolved once per table; None
+    where the regime has no asymptotic form."""
     if mode == "homog-series":
-        ctl = HomogSeriesControl(cfg["truncation.l_max"], cfg["truncation.n_max"], cfg["truncation.tail_mode"])
-        return partial(homog_series, p=p, d=d, ctl=ctl)
-    if mode == "trapped-series":
-        return partial(lowT_legendre_series, p=p, d=d, ctl=_lowt_control(cfg))
+        return partial(homog_series, p=p, d=d, ctl=HomogSeriesControl(cfg["truncation.l_max"], cfg["truncation.n_max"]))
+    if mode in ("trapped-series", "series"):
+        ctl = LowTControl(n0=cfg["truncation.n0"], min_dtau=cfg["truncation.min_dtau"])
+        return partial(lowT_legendre_series, p=p, d=d, ctl=ctl)
+    if mode == "closed-form":
+        def closed_form(x1, tau1, x2, tau2):
+            if tau1 != tau2:
+                raise DomainError("closed-form correlator is equal-time; set grid.dtau = 0")
+            return GreenValue(closed_form_zero_mode(x1, x2, p, d), method=mode)
+        return closed_form
+    regime = classify_regime(d, cfg["regime.r_lo"], cfg["regime.r_hi"])
     if mode == "homog-asympt":
         form = {Regime.HIGH_T: homog_asymptotic_highT, Regime.LOW_T: homog_asymptotic_lowT}.get(regime)
         return form and partial(form, p=p, d=d)
-    if mode == "trapped-asympt":
+    if mode in ("trapped-asympt", "asymptotic-auto"):
         if regime is Regime.HIGH_T:
             return partial(asympt_green_highT, p=p, d=d, r_lo=cfg["regime.r_lo"])
         if regime is Regime.LOW_T:
             return partial(asympt_green_lowT, p=p, d=d, r_hi=cfg["regime.r_hi"])
         return None
-    raise ConfigError(f"unknown green mode {mode!r}")
+    raise ConfigError(f"unknown mode {mode!r}")
+
+
+def _evaluate(evaluate, x1, tau1, x2, tau2):
+    """The GreenValue of ``evaluate`` at the pair, the row error it raised,
+    or None where there is no evaluator."""
+    if evaluate is None:
+        return None
+    try:
+        return evaluate(x1, tau1, x2, tau2)
+    except _ROW_ERRORS as exc:
+        return exc
+
+
+def _green_row(x1, tau1, x2, tau2, g, mode, regime_tag) -> tuple:
+    """One row of a green table from a GreenValue, the row error that
+    refused it, or None where the regime has no asymptotic form."""
+    if g is None:
+        return (x1, tau1, x2, tau2, None, "", None, regime_tag, False, "intermediate-regime: no asymptotic form")
+    if isinstance(g, TrapGasError):
+        return (x1, tau1, x2, tau2, None, mode, None, regime_tag, False, f"{type(g).__name__}: {g}")
+    if g.divergent:
+        return (x1, tau1, x2, tau2, None, g.method, g.trunc_err, regime_tag, g.const_free, "divergent")
+    status = "ok" if g.warning is None else f"warning: {g.warning}"
+    return (x1, tau1, x2, tau2, g.value, g.method, g.trunc_err, regime_tag, g.const_free, status)
 
 
 def cmd_green(cfg: RunConfig, args) -> tuple:
     p, d = cfg.params, cfg.scales
     mode = args.mode
-    regime = classify_regime(d, cfg["regime.r_lo"], cfg["regime.r_hi"])
-    regime_tag = regime.value
+    regime_tag = classify_regime(d, cfg["regime.r_lo"], cfg["regime.r_hi"]).value
     columns = ["x1", "tau1", "x2", "tau2", "G_re", "method", "trunc_err", "regime", "const_free", "status"]
     x1 = cfg["grid.x_ref"]
     tau1 = cfg["grid.tau_ref"]
@@ -344,14 +352,6 @@ def cmd_green(cfg: RunConfig, args) -> tuple:
 
     if mode == "oracle":
         from .oracle import FdmGrid, fdm_spectral_solve  # the only table that loads scipy
-
-        def oracle_row(x2, sol, shift):
-            # the solve spans the condensate only
-            if abs(x2) >= d.R_c:
-                exc = DomainError(f"x = {x2!r} is outside the condensate |x| < R_c = {d.R_c!r}")
-                return _error_row(x1, tau1, x2, tau1, mode, regime_tag, exc)
-            return (x1, tau1, x2, tau1, float(sol.interp(x2)) + shift, mode, sol.disc_error_est,
-                    regime_tag, False, "ok")
 
         anchor = next((x2 for x2 in xs if abs(x2) < d.R_c), None)
         rows = []
@@ -362,56 +362,29 @@ def cmd_green(cfg: RunConfig, args) -> tuple:
                 # align the mean-zero gauge with the closed-form convention at
                 # the first grid point inside the condensate
                 shift = closed_form_zero_mode(anchor, sol.x_source, p, d) * p.beta - float(sol.interp(anchor))
-            rows.extend(oracle_row(x2, sol, shift) for x2 in xs)
+            for x2 in xs:
+                # the solve spans the condensate only
+                g = (GreenValue(float(sol.interp(x2)) + shift, mode, sol.disc_error_est) if abs(x2) < d.R_c
+                     else DomainError(f"x = {x2!r} is outside the condensate |x| < R_c = {d.R_c!r}"))
+                rows.append(_green_row(x1, tau1, x2, tau1, g, mode, regime_tag))
         return columns, rows, extra
 
     if mode == "trapped-spectral":
-        def spectral_row(x2, sd):
-            if isinstance(sd, _ROW_ERRORS):
-                return _error_row(x1, tau1, x2, tau1, mode, regime_tag, sd)
-            return (x1, tau1, x2, tau1, sd.re_part, mode, sd.err_bound, regime_tag, False, "ok")
-
+        # ok rows are built straight from their SpectralDensity: a GreenValue a row is a measurable share of a sweep
         return columns, [
-            spectral_row(x2, sd)
+            _green_row(x1, tau1, x2, tau1, sd, mode, regime_tag) if isinstance(sd, _ROW_ERRORS)
+            else (x1, tau1, x2, tau1, sd.re_part, mode, sd.err_bound, regime_tag, False, "ok")
             for omega in cfg["grid.omegas"]
             for x2, sd in zip(xs, spectral_densities(omega, xs, x1, p, d, tol=cfg["truncation.tol"]))
         ], extra
 
-    evaluate = _green_evaluator(mode, regime, cfg, p, d)
-
-    def point_row(x2, tau2):
-        if evaluate is None:
-            return _green_row(x1, tau1, x2, tau2, None, regime_tag, "intermediate-regime: no asymptotic form")
-        try:
-            return _green_row(x1, tau1, x2, tau2, evaluate(x1, tau1, x2, tau2), regime_tag)
-        except _ROW_ERRORS as exc:
-            return _error_row(x1, tau1, x2, tau2, mode, regime_tag, exc)
-
-    taus = (
-        np.linspace(cfg["grid.tau_min"], cfg["grid.tau_max"], cfg["grid.tau_count"])
-        if cfg["grid.tau_count"] > 1
-        else [tau1]
-    )
-    return columns, [point_row(x2, float(tau2)) for tau2 in taus for x2 in xs], extra
-
-
-def _correlator_green(mode, q: CorrelatorQuery, cfg: RunConfig, p, d) -> GreenValue:
-    """The Green value of the pair ``q`` on the closed-form, series or
-    asymptotic-auto route; asymptotic-auto takes the trapped-asympt green
-    table's value, and raises RegimeError where its regime has none."""
-    if mode == "closed-form":
-        if q.tau1 != q.tau2:
-            raise DomainError("closed-form correlator is equal-time; set grid.dtau = 0")
-        return GreenValue(closed_form_zero_mode(q.x1, q.x2, p, d), method=mode)
-    if mode == "series":
-        return lowT_legendre_series(q.x1, q.tau1, q.x2, q.tau2, p, d, _lowt_control(cfg))
-    if mode == "asymptotic-auto":
-        regime = classify_regime(d, cfg["regime.r_lo"], cfg["regime.r_hi"])
-        evaluate = _green_evaluator("trapped-asympt", regime, cfg, p, d)
-        if evaluate is None:
-            raise RegimeError(f"{regime.value} regime: no asymptotic form")
-        return evaluate(q.x1, q.tau1, q.x2, q.tau2)
-    raise ConfigError(f"unknown correlator mode {mode!r}")
+    evaluate = _route(mode, cfg, p, d)
+    # tau_count = 0 gives no rows, 1 the row at tau_ref, from 2 on tau_min..tau_max
+    count = cfg["grid.tau_count"]
+    taus = ([tau1] * count if count <= 1
+            else [float(t) for t in np.linspace(cfg["grid.tau_min"], cfg["grid.tau_max"], count)])
+    return columns, [_green_row(x1, tau1, x2, tau2, _evaluate(evaluate, x1, tau1, x2, tau2), mode, regime_tag)
+                     for tau2 in taus for x2 in xs], extra
 
 
 def _sep_grid(cfg: RunConfig) -> np.ndarray:
@@ -436,33 +409,29 @@ def _correlator_rows(mode, cfg: RunConfig, p, d) -> list:
     """The correlator table's row of each pair of the separation grid; an
     evaluation failure is its row's status.  A row reads theta(S) and xi(S)
     before its Green value.  The spectral route serves every pair in
-    ``spectral`` and, in ``asymptotic-auto``, each pair whose asymptotic
-    form raises RegimeError, all of them by one ``matsubara_assemble_many``
-    call."""
+    ``spectral`` and, in ``asymptotic-auto``, each pair that has no
+    asymptotic form or whose form raises RegimeError, all of them by one
+    ``matsubara_assemble_many`` call."""
     queries = _correlator_queries(cfg)
+    evaluate = None if mode == "spectral" else _route(mode, cfg, p, d)
+    route = mode if mode == "spectral" else f"{mode}:fallback-spectral"
     rows = []
-    spectral = []  # (row index, theta(S), xi(S), route) of each pair the spectral route serves
+    spectral = []  # (row index, theta(S), xi(S)) of each pair the spectral route serves
     for q in queries:
         try:
             theta_s, xi_s = theta_at(q.S, p, d), xi_at(q.S, p, d)
-            route = mode
-            if mode != "spectral":
-                try:
-                    g = _correlator_green(mode, q, cfg, p, d)
-                except RegimeError:
-                    if mode != "asymptotic-auto":
-                        raise
-                    route = "asymptotic-auto:fallback-spectral"
-                else:
-                    rows.append(_correlator_row(q, theta_s, xi_s, g, mode, mode, p, d))
-                    continue
-            spectral.append((len(rows), theta_s, xi_s, route))
-            rows.append(None)  # until the assembly is in
         except _ROW_ERRORS as exc:
             rows.append(_correlator_error_row(q, mode, exc))
+            continue
+        g = _evaluate(evaluate, q.x1, q.tau1, q.x2, q.tau2)
+        if g is None or (mode == "asymptotic-auto" and isinstance(g, RegimeError)):
+            spectral.append((len(rows), theta_s, xi_s))
+            rows.append(None)  # until the assembly is in
+        else:
+            rows.append(_correlator_row(q, theta_s, xi_s, g, mode, mode, p, d))
     assembled = matsubara_assemble_many([queries[i] for i, *_ in spectral], p, d,
                                         cfg["truncation.l_max"], cfg["truncation.tol"])
-    for (i, theta_s, xi_s, route), g in zip(spectral, assembled):
+    for (i, theta_s, xi_s), g in zip(spectral, assembled):
         rows[i] = _correlator_row(queries[i], theta_s, xi_s, g, route, mode, p, d)
     return rows
 

@@ -38,22 +38,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class HomogSeriesControl:
-    """Truncation control for the double Fourier series.
-
-    tail_mode "bernoulli" replaces the k=0 frequency line by its exact
-    Bernoulli-polynomial closed form sum_{l>=1} cos(2 pi l theta)/l^2 =
-    pi^2 (theta^2 - theta + 1/6); "none" truncates that line like the rest.
-    """
+    """Cutoffs of the double Fourier series; its k=0 frequency line is summed
+    in closed form (see ``homog_series``)."""
 
     l_max: int = 64
     n_max: int = 256
-    tail_mode: str = "bernoulli"
 
     def __post_init__(self):
         if self.l_max < 1 or self.n_max < 1:
             raise DomainError("series cutoffs l_max and n_max must be >= 1")
-        if self.tail_mode not in ("none", "bernoulli"):
-            raise DomainError(f"tail_mode must be 'none' or 'bernoulli', got {self.tail_mode!r}")
 
 
 @dataclass(frozen=True)
@@ -133,14 +126,9 @@ def homog_series(
     if dx == 0.0 and dtau % p.beta == 0.0:
         warning = "coincident arguments: series is log-divergent, value is cutoff-dependent"
 
-    # k = 0 frequency line
-    if ctl.tail_mode == "bernoulli":
-        theta = (dtau / p.beta) % 1.0
-        line_k0 = (p.beta**2 / 2.0) * _bernoulli_b2(theta)
-        tail_k0 = 0.0
-    else:
-        line_k0 = float(np.sum(2.0 * np.cos(omega * dtau) / omega**2))
-        tail_k0 = 2.0 * (p.beta / (2.0 * math.pi)) ** 2 / ctl.l_max
+    # k = 0 frequency line in its exact Bernoulli-polynomial closed form,
+    # sum_{l>=1} cos(2 pi l theta)/l^2 = pi^2 (theta^2 - theta + 1/6)
+    line_k0 = (p.beta**2 / 2.0) * _bernoulli_b2((dtau / p.beta) % 1.0)
 
     # omega = 0 line
     line_w0 = float(np.sum(2.0 * np.cos((math.pi / d.R_c) * n_arr * dx) / e_k**2))
@@ -163,7 +151,7 @@ def homog_series(
     # heuristic truncation estimate: magnitude of the first omitted lines
     edge_l = float(np.sum(4.0 / ((2.0 * math.pi * (ctl.l_max + 1) / p.beta) ** 2 + e_k**2)))
     edge_n = float(np.sum(4.0 / (omega**2 + (hv * math.pi * (ctl.n_max + 1) / d.R_c) ** 2)))
-    trunc = abs(pref) * (tail_k0 + tail_w0 + edge_l + edge_n)
+    trunc = abs(pref) * (tail_w0 + edge_l + edge_n)
 
     value = pref * (line_k0 + line_w0 + block)
     return GreenValue(
@@ -172,7 +160,7 @@ def homog_series(
         trunc_err=trunc,
         divergent=(warning is not None),
         warning=warning,
-        meta={"l_max": ctl.l_max, "n_max": ctl.n_max, "tail_mode": ctl.tail_mode},
+        meta={"l_max": ctl.l_max, "n_max": ctl.n_max},
     )
 
 

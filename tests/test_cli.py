@@ -10,13 +10,18 @@ import pytest
 
 from trapgas import (
     CorrelatorQuery,
+    HomogSeriesControl,
+    LowTControl,
     PhysicalParams,
     asympt_green_highT,
     asympt_green_lowT,
     closed_form_zero_mode,
     derive_scales,
     extract_exponent,
+    gamma_d1_exact,
     gamma_from_green,
+    homog_series,
+    lowT_legendre_series,
     matsubara_assemble,
     rho_tf,
     theta_at,
@@ -59,6 +64,10 @@ class TestConfig:
     def test_unknown_key_rejected(self, tmp_path):
         path = write_config(tmp_path, "[params]\nmass = 2\n")
         with pytest.raises(ConfigError, match="params.mass"):
+            load_config(path)
+        # a removed key is unknown too: the k=0 line has no tail_mode to choose
+        path = write_config(tmp_path, "[truncation]\ntail_mode = bernoulli\n", name="removed.ini")
+        with pytest.raises(ConfigError, match="unknown config key truncation.tail_mode"):
             load_config(path)
 
     def test_unknown_section_rejected(self, tmp_path):
@@ -235,19 +244,18 @@ class TestSpectrumCommand:
 
 class TestGreenCommand:
     def test_homog_series_coincident_row_divergent(self, tmp_path):
-        for tail_mode in ("tail_mode = none\n", ""):  # explicit "none", then the default
-            cfg = write_config(
-                tmp_path,
-                f"[truncation]\nl_max = 8\nn_max = 8\n{tail_mode}"
-                "[grid]\nx_ref = 0.0\ntau_ref = 0.0\nx_min = 0.0\nx_max = 0.4\nx_count = 2\n",
-            )
-            out = tmp_path / "green.csv"
-            assert main(["green", "--mode", "homog-series", "--config", cfg, "--out", str(out)]) == 0
-            _, header, rows = read_csv(str(out))
-            assert header[:6] == ["x1", "tau1", "x2", "tau2", "G_re", "method"]
-            status = {r[2]: r[-1] for r in rows}
-            assert status["0"] == "divergent"
-            assert status[[k for k in status if k != "0"][0]] == "ok"
+        cfg = write_config(
+            tmp_path,
+            "[truncation]\nl_max = 8\nn_max = 8\n"
+            "[grid]\nx_ref = 0.0\ntau_ref = 0.0\nx_min = 0.0\nx_max = 0.4\nx_count = 2\n",
+        )
+        out = tmp_path / "green.csv"
+        assert main(["green", "--mode", "homog-series", "--config", cfg, "--out", str(out)]) == 0
+        _, header, rows = read_csv(str(out))
+        assert header[:6] == ["x1", "tau1", "x2", "tau2", "G_re", "method"]
+        status = {r[2]: r[-1] for r in rows}
+        assert status["0"] == "divergent"
+        assert status[[k for k in status if k != "0"][0]] == "ok"
 
     def test_determinism_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path, "[grid]\nx_count = 7\n")
@@ -334,6 +342,16 @@ class TestGreenCommand:
         sol = fdm_spectral_solve(0.0, float(first["x1"]), p, d, FdmGrid(N=10_000))
         assert float(first["G_re"]) == pytest.approx(closed_form_zero_mode(anchor, sol.x_source, p, d) * p.beta,
                                                      rel=1e-12)
+
+    @pytest.mark.parametrize("mode", ["homog-series", "homog-asympt", "trapped-series", "trapped-asympt"])
+    def test_empty_time_grid_header_only(self, tmp_path, mode):
+        # tau_count = 0 is an empty grid, as x_count = 0 is, and not one
+        # row per point at tau_ref
+        cfg = write_config(tmp_path, "[grid]\nx_count = 3\ntau_count = 0\n")
+        out = tmp_path / "green.csv"
+        assert main(["green", "--mode", mode, "--config", cfg, "--out", str(out)]) == 0
+        _, header, rows = read_csv(str(out))
+        assert header == GREEN_COLUMNS and rows == []
 
     def test_trapped_asympt_intermediate_regime_status(self, tmp_path):
         cfg = write_config(tmp_path, "[grid]\nx_count = 3\n")
@@ -582,6 +600,59 @@ class TestCorrelatorCommand:
             assert g12.value == g21.value
             gamma = gamma_from_green(CorrelatorQuery(x1, tau1, x2, tau2), g12, p, d)
             assert row["status"] == "ok" and row["gamma"] == "%.17g" % gamma
+
+
+class TestRouteMap:
+    # each table reproduces a direct call of its route's Green function with
+    # the config's controls, all off their defaults, bit for bit
+
+    def table(self, tmp_path, argv, cfg):
+        """The rows of a table, each with its points as floats."""
+        out = tmp_path / f"{argv[2]}.csv"
+        assert main([*argv, "--config", cfg, "--out", str(out)]) == 0
+        _, header, rows = read_csv(str(out))
+        assert rows
+        rows = [dict(zip(header, cells)) for cells in rows]
+        return [(*(float(row[k]) for k in ("x1", "tau1", "x2", "tau2")), row) for row in rows]
+
+    def test_series_routes_take_n0_and_min_dtau(self, tmp_path):
+        # beta/alpha = 100 with dtau/beta = 5e-5: below the default min_dtau
+        # every green row would carry a warning, and n0 = 20 moves G
+        p = PhysicalParams(m=1, g=1, Omega=1, Lambda=1, beta=100.0 * math.sqrt(2.0))
+        d = derive_scales(p)
+        s, dtau = 0.2 * d.R_c, 0.005 * math.sqrt(2.0)
+        cfg = write_config(
+            tmp_path,
+            f"[params]\nbeta = {p.beta!r}\n[truncation]\nn0 = 30\nmin_dtau = 1e-9\n"
+            f"[grid]\ns_center = {s!r}\ndtau = {dtau!r}\nsep_min = {0.001 * d.R_c!r}\n"
+            f"sep_max = {0.02 * d.R_c!r}\nsep_count = 4\nx_ref = {s!r}\nx_min = {s - 0.02 * d.R_c!r}\n"
+            f"x_max = {s + 0.02 * d.R_c!r}\nx_count = 3\ntau_min = {dtau!r}\ntau_max = {2.0 * dtau!r}\n"
+            "tau_count = 2\n",
+        )
+        ctl = LowTControl(n0=30, min_dtau=1e-9)
+        for *pair, row in self.table(tmp_path, ["correlator", "--mode", "series"], cfg):
+            g = lowT_legendre_series(*pair, p, d, ctl)
+            gamma = gamma_from_green(CorrelatorQuery(*pair), g, p, d)
+            assert (row["gamma"], row["status"]) == ("%.17g" % gamma, "ok")
+        for *pair, row in self.table(tmp_path, ["green", "--mode", "trapped-series"], cfg):
+            g = lowT_legendre_series(*pair, p, d, ctl)
+            assert (row["G_re"], row["trunc_err"], row["status"]) == ("%.17g" % g.value, "%.17g" % g.trunc_err, "ok")
+
+    def test_homog_series_takes_l_max_and_n_max(self, tmp_path):
+        p = PhysicalParams(m=1, g=1, Omega=1, Lambda=1, beta=1.0)
+        d = derive_scales(p)
+        cfg = write_config(tmp_path, "[truncation]\nl_max = 12\nn_max = 40\n[grid]\nx_count = 5\ntau_max = 0.3\n"
+                                     "tau_count = 2\n")
+        for *pair, row in self.table(tmp_path, ["green", "--mode", "homog-series"], cfg):
+            g = homog_series(*pair, p, d, HomogSeriesControl(12, 40))
+            assert (row["G_re"], row["trunc_err"], row["status"]) == ("%.17g" % g.value, "%.17g" % g.trunc_err, "ok")
+
+    def test_closed_form_is_the_exact_correlator(self, tmp_path):
+        p = PhysicalParams(m=1, g=1, Omega=1, Lambda=1, beta=2.5)
+        d = derive_scales(p)
+        cfg = write_config(tmp_path, "[params]\nbeta = 2.5\n[grid]\ns_center = -0.3\nsep_count = 4\n")
+        for x1, _, x2, _, row in self.table(tmp_path, ["correlator", "--mode", "closed-form"], cfg):
+            assert (row["gamma"], row["status"]) == ("%.17g" % gamma_d1_exact(x1, x2, p, d), "ok")
 
 
 @pytest.mark.parametrize("beta", [0.05 * math.sqrt(2.0), 1.0, 100.0 * math.sqrt(2.0)])

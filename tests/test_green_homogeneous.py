@@ -64,7 +64,7 @@ class TestHomogSeries:
 
     def test_periodicity(self):
         p, d = setup_params()
-        ctl = HomogSeriesControl(l_max=24, n_max=48, tail_mode="bernoulli")
+        ctl = HomogSeriesControl(l_max=24, n_max=48)
         base = homog_series(0.3, 0.2, 0.1, 0.0, p, d, ctl)
         tau_shift = homog_series(0.3, 0.2 + p.beta, 0.1, 0.0, p, d, ctl)
         x_shift = homog_series(0.3 + 2.0 * d.R_c, 0.2, 0.1, 0.0, p, d, ctl)
@@ -80,14 +80,12 @@ class TestHomogSeries:
         assert abs(closed - brute) < 1e-8 * max(1.0, abs(closed))
 
     def test_coincident_arguments_flagged(self):
-        # the Bernoulli tail resums only the k=0 line; the double block still
-        # diverges with the cutoffs, so both tail modes flag the value
+        # the Bernoulli form resums only the k=0 line; the double block still
+        # diverges with the cutoffs, so the value is flagged
         p, d = setup_params()
-        for mode in ("none", "bernoulli"):
-            for tau in (0.5, 0.5 + p.beta):
-                ctl = HomogSeriesControl(l_max=8, n_max=8, tail_mode=mode)
-                g = homog_series(0.2, tau, 0.2, 0.5, p, d, ctl)
-                assert g.divergent and g.warning is not None
+        for tau in (0.5, 0.5 + p.beta):
+            g = homog_series(0.2, tau, 0.2, 0.5, p, d, HomogSeriesControl(l_max=8, n_max=8))
+            assert g.divergent and g.warning is not None
 
     def test_truncation_estimate_shrinks_with_cutoffs(self):
         p, d = setup_params()
@@ -117,7 +115,7 @@ class TestHomogSeries:
         with pytest.raises(DomainError):
             HomogSeriesControl(l_max=0)
         with pytest.raises(DomainError):
-            HomogSeriesControl(tail_mode="fancy")
+            HomogSeriesControl(n_max=0)
 
 
 class TestAsymptoticForms:
@@ -196,17 +194,6 @@ class TestGreenDifference:
 
         with pytest.raises(UsageError):
             green_difference(alternating, CorrelatorQuery(0.3, 0.2, -0.1, 0.0), CorrelatorQuery(0.4, 0.1, 0.0, 0.0))
-
-    def test_difference_independent_of_tail_mode(self):
-        p, d = setup_params()
-        pair_a = CorrelatorQuery(0.45, 0.2, -0.15, 0.0)
-        pair_b = CorrelatorQuery(0.3, 0.1, 0.0, 0.0)
-        diffs = {}
-        for mode in ("none", "bernoulli"):
-            ctl = HomogSeriesControl(l_max=512, n_max=512, tail_mode=mode)
-            diffs[mode] = green_difference(partial(homog_series, p=p, d=d, ctl=ctl), pair_a, pair_b)
-        budget = diffs["none"].trunc_err + diffs["bernoulli"].trunc_err
-        assert abs(diffs["none"].value - diffs["bernoulli"].value) <= budget
 
     def test_divergent_endpoint_rejected(self):
         p, d = setup_params()

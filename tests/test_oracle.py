@@ -351,7 +351,7 @@ def test_repeat_validate_sums_fault_in_no_memory(fresh_python):
         "from trapgas import HomogSeriesControl, PhysicalParams, brute_frequency_sum, derive_scales, homog_series\n"
         "p = PhysicalParams(m=1.0, g=1.0, Omega=math.sqrt(2.0) / 20.0, Lambda=1.0, beta=1.0)\n"
         "d = derive_scales(p)\n"
-        "ctl = HomogSeriesControl(l_max=120, n_max=1600, tail_mode='bernoulli')\n"
+        "ctl = HomogSeriesControl(l_max=120, n_max=1600)\n"
         "for call in (lambda: homog_series(0.75, 0.0, -0.75, 0.0, p, d, ctl),\n"
         "             lambda: brute_frequency_sum(0.1, 10**6)):\n"
         "    call()\n"
