@@ -47,7 +47,7 @@ from .green_trapped import (
     spectral_densities,
     spectral_density,
 )
-from .legendre import nu_from_omega, p_poly_table
+from .legendre import p_poly_table
 from .model import (
     DerivedScales,
     PhysicalParams,

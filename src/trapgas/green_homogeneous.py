@@ -135,12 +135,12 @@ def homog_series(
     tail_w0 = 2.0 * (d.R_c / (math.pi * hv)) ** 2 / ctl.n_max
 
     # double block, folded to 4 cos cos / (omega^2 + E_k^2), in row blocks of
-    # at most 8 192 elements: a 64 KiB temporary is under glibc's mmap and
-    # trim threshold and reuses the heap (as legendre._ROWS)
+    # at most 4 096 elements: 32 KiB temporaries reuse the heap even where
+    # glibc's trim threshold is pinned at 128 KiB, which 64 KiB ones together exceed
     cos_t = np.cos(omega * dtau)
     cos_x = np.cos((math.pi / d.R_c) * n_arr * dx)
     e_k2 = e_k**2
-    rows = max(1, 8192 // ctl.n_max)
+    rows = max(1, 4096 // ctl.n_max)
     row_sums = np.empty(ctl.l_max)
     for i in range(0, ctl.l_max, rows):
         part = slice(i, i + rows)

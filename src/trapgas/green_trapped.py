@@ -8,7 +8,9 @@ density G_omega(x, x') solves
 on (-R_c, R_c).  With u = x/R_c and K = g R_c / (2 hbar^2 v^2), it is the
 real part of -i (2K/pi) W_plus(u_<) W_minus(u_>), W_pm(u) = Q_nu(u) +-
 i (pi/2) P_nu(u), whose Legendre functions have the degree
-nu(omega) = -1/2 + sqrt(1/4 - alpha^2 omega^2); on the real branch that
+nu(omega) = -1/2 + sqrt(1/4 - alpha^2 omega^2), which enters only through
+lambda = (alpha omega)^2 = -nu(nu+1), admitted by ``_checked_lambda`` alone,
+and on the conical line mu = sqrt(lambda - 1/4); on the real branch that
 real part is K eps(x-x') [Q_nu(u) P_nu(u') - Q_nu(u') P_nu(u)], the term
 with the source's slope jump.  The imaginary part, the smooth
 -K [(2/pi) Q_nu(u) Q_nu(u') + (pi/2) P_nu(u) P_nu(u')], solves the
@@ -48,7 +50,7 @@ import numpy as np
 
 from .errors import AccuracyError, DomainError, RegimeError, TrapGasError
 from .green_homogeneous import GreenValue, _log_divergence
-from .legendre import _NODES, _nu_real, _p_quad, nu_from_omega, p_poly_table
+from .legendre import _NODES, _nu_real, _p_quad, p_poly_table
 from .model import (
     DEFAULT_R_HI,
     DEFAULT_R_LO,
@@ -100,7 +102,6 @@ class SpectralDensity:
     """
 
     omega: float
-    nu: complex
     x: float
     xp: float
     re_part: float
@@ -131,6 +132,22 @@ def _clamped_u(x: float, d: DerivedScales) -> float:
             "trapped evaluations require interior points"
         )
     return u
+
+
+# largest |x| whose square is a finite float
+_SQRT_FLOAT_MAX = math.sqrt(sys.float_info.max)
+
+
+def _checked_lambda(omega: float, d: DerivedScales) -> float:
+    """lambda = (alpha omega)^2 = -nu(nu+1), the one number through which the
+    frequency omega enters its density.  Raises DomainError where alpha omega
+    is NaN or its square overflows a float."""
+    a_omega = d.alpha * omega
+    if math.isnan(a_omega):
+        raise DomainError(f"omega = {omega!r}: alpha omega is nan")
+    if not abs(a_omega) <= _SQRT_FLOAT_MAX:
+        raise DomainError(f"omega = {omega!r}: (alpha omega)^2 overflows a float (alpha omega = {a_omega!r})")
+    return a_omega**2
 
 
 def _k_coeff(p: PhysicalParams, d: DerivedScales) -> float:
@@ -193,19 +210,19 @@ def _density_parts(omegas, us, ups, d: DerivedScales, k: float, tol: float) -> t
     lo, hi = np.minimum(us, ups), np.maximum(us, ups)
     n = lam.size
     con = lam > 0.25
+    mu = np.sqrt(lam[con] - 0.25)
     far = np.zeros(n, dtype=bool)
-    far[con] = _far_rows(lam[con], lo[con], hi[con])
+    far[con] = _far_rows(mu, lo[con], hi[con])
     # the rows P_<(+), P_<(-), P_>(+), P_>(-), in that order, less P_<(+) and P_>(-) of a far row;
     # an unread row stays 0, so that a = 0 and G = -b
     kept = np.ones((4, n), dtype=bool)
     kept[0] = kept[3] = ~far
     value, rel = np.zeros((2, 4, n))
-    value[kept], _, rel[kept] = _p_quad(np.broadcast_to(lam, (4, n))[kept], np.stack([lo, -lo, hi, -hi])[kept])
+    value[kept], rel[kept] = _p_quad(np.broadcast_to(lam, (4, n))[kept], np.stack([lo, -lo, hi, -hi])[kept])
     re, err, scale = np.empty((3, n))
     c = k * math.pi / 2.0
     if con.any():
-        re[con], err[con], scale[con] = _conical_parts(lam[con], lo[con], hi[con], value[:, con], rel[:, con], c,
-                                                       far[con])
+        re[con], err[con], scale[con] = _conical_parts(mu, lo[con], hi[con], value[:, con], rel[:, con], c, far[con])
     real = ~con
     if real.any():
         re[real], err[real], scale[real] = _real_parts(lam[real], value[:, real], rel[:, real], c)
@@ -218,8 +235,8 @@ _FAR_MARGIN = 48.0
 _FAR_SCALE = 36.0 * 2.0 * math.pi / 0.84**2
 
 
-def _far_rows(lam, lo, hi):
-    """The conical rows where, by a proof, |a| < e^-48 |b|.
+def _far_rows(mu, lo, hi):
+    """The conical rows of mu = sqrt(lambda - 1/4) where, by a proof, |a| < e^-48 |b|.
 
     With I = P_nu e^{-mu theta}, the Mehler-Dirichlet integral gives
     erf(sqrt(mu theta))/sqrt(2 pi mu) <= I <= P_{-1/2}(u), and inside the
@@ -231,18 +248,17 @@ def _far_rows(lam, lo, hi):
 
     below e^-48 where 2 mu (pi - d_theta) - ln C > 48.  mu > 0 here.
     """
-    mu = np.sqrt(lam - 0.25)
     theta_hi, theta_mlo = np.arccos(hi), np.arccos(-lo)
     return ((mu * np.minimum(theta_hi, theta_mlo) >= 1.0)
             & (2.0 * mu * (theta_hi + theta_mlo) - np.log(_FAR_SCALE * mu) > _FAR_MARGIN))
 
 
-def _conical_parts(lam, lo, hi, value, rel, c: float, far) -> tuple:
-    """G, its bound and its scale of ``_density_parts`` on the conical line.
-    A ``far`` row comes with P_<(+) = P_>(-) = 0, so that a = 0 and G = -b;
-    its bound adds e^-48 |b|, the bound on |a| of ``_far_rows``."""
+def _conical_parts(mu, lo, hi, value, rel, c: float, far) -> tuple:
+    """G, its bound and its scale of ``_density_parts`` on the conical line
+    of mu = sqrt(lambda - 1/4).  A ``far`` row comes with P_<(+) = P_>(-) =
+    0, so that a = 0 and G = -b; its bound adds e^-48 |b|, the bound on |a|
+    of ``_far_rows``."""
     (v1, v2, v3, v4), (r1, r2, r3, r4) = value, rel
-    mu = np.sqrt(lam - 0.25)
     d_theta = _angle_difference(lo, hi)
     w = 4.0 * c / (1.0 + np.exp(-2.0 * np.pi * mu)) ** 2
     a = w * v1 * v4 * np.exp(-mu * (2.0 * np.pi - d_theta))
@@ -311,10 +327,11 @@ def spectral_densities(
     the magnitude of its terms gets its own AccuracyError, and the other
     points keep their values from the same pass; a bad ``tol`` gives every
     point inside the clamp the same DomainError.  A far point integrates two
-    rows, as in the Matsubara assembly.
+    rows, as in the Matsubara assembly.  An omega that ``_checked_lambda``
+    refuses raises its DomainError first.
     """
     omega = float(omega)
-    nu = nu_from_omega(omega, d)
+    lam = _checked_lambda(omega, d)
     k = _k_coeff(p, d)
     try:
         up, xp_error = _clamped_u(xp, d), None
@@ -331,9 +348,11 @@ def spectral_densities(
             points.append(i)
     if xp_error is not None or not points:
         return out
-    if nu == 0:  # omega = 0: integer degree, closed elementary forms
+    # omega = 0, or lambda below half an ulp of 1/4, a degree within 2^-56 of 0 whose
+    # real branch, nu/sin(pi nu), is 0/0 once lambda underflows: the zero mode's closed form
+    if 0.25 - lam == 0.25:
         for i, u in zip(points, us):
-            out[i] = SpectralDensity(omega, nu, xs[i], xp, _zero_mode(u, up, k), err_bound=0.0)
+            out[i] = SpectralDensity(omega, xs[i], xp, _zero_mode(u, up, k), err_bound=0.0)
         return out
     try:
         re, err, scale, _ = _density_parts(omega, np.array(us), up, d, k, tol)
@@ -344,7 +363,7 @@ def spectral_densities(
     beyond = err > tol * scale
     for i, re_i, err_i, scale_i, bad in zip(points, re.tolist(), err.tolist(), scale.tolist(), beyond.tolist()):
         out[i] = (_bound_error(omega, xs[i], xp, err_i, scale_i, tol) if bad
-                  else SpectralDensity(omega, nu, xs[i], xp, re_i, err_i))
+                  else SpectralDensity(omega, xs[i], xp, re_i, err_i))
     return out
 
 
@@ -442,11 +461,12 @@ def matsubara_assemble_many(queries, p: PhysicalParams, d: DerivedScales, l_max:
     AccuracyError; each is the one that pair alone gives, bitwise and word
     for word, as no kernel row depends on the rows beside it.  A pair's
     checks run in the order: ``l_max``, coincident points (an AccuracyError,
-    the frequency series being log-divergent), the boundary clamp, then
-    ``tol`` and the first frequency whose density bound exceeds ``tol``
-    times the magnitude of its terms.  A bad ``tol`` gives every pair inside
-    the clamp the same DomainError; a list with no pair inside it makes no
-    kernel call.
+    the frequency series being log-divergent), the boundary clamp, its top
+    frequency 2 pi L/beta (``_checked_lambda``; the pair's others lie below
+    it), then ``tol`` and the first frequency whose density bound exceeds
+    ``tol`` times the magnitude of its terms.  A bad ``tol`` gives every
+    pair that passes those checks the same DomainError; a list with no such
+    pair makes no kernel call.
     """
     if l_max < 0:
         return [DomainError("l_max must be >= 0")] * len(queries)
@@ -459,10 +479,12 @@ def matsubara_assemble_many(queries, p: PhysicalParams, d: DerivedScales, l_max:
             continue
         try:
             u, up = _clamped_u(q.x1, d), _clamped_u(q.x2, d)
+            last, truncated, flat = _frequency_stop(q, p, d, l_max, tol)
+            _checked_lambda(2.0 * math.pi * last / p.beta, d)  # the top frequency bounds the others
         except DomainError as exc:
             out.append(exc)
             continue
-        pairs.append((len(out), q, u, up, *_frequency_stop(q, p, d, l_max, tol)))
+        pairs.append((len(out), q, u, up, last, truncated, flat))
         out.append(None)  # until the pass is in
     # pairs join a pass while its frequencies stay within _PASS_FREQUENCIES
     passes, size = [], 0

@@ -6,8 +6,9 @@ The trapped-gas spectral problem needs P_nu and Q_nu on the cut for degrees
 
 which is a negative real in (-1/2, 0] for small |omega| and a conical degree
 -1/2 + i*mu for alpha|omega| > 1/2.  Both have a real lambda = -nu(nu+1) =
-alpha^2 omega^2 >= 0.  The kernel ``_p_quad`` evaluates P_nu for a whole
-vector of (lambda, u) rows from the Mehler-Dirichlet integral (DLMF 14.12.1)
+alpha^2 omega^2 >= 0, all that the kernel takes of a degree.  The kernel
+``_p_quad`` evaluates P_nu for a whole vector of (lambda, u) rows from the
+Mehler-Dirichlet integral (DLMF 14.12.1)
 
     P_nu(cos theta) = (sqrt2/pi) int_0^theta cos((nu+1/2) phi) / sqrt(cos phi - cos theta) dphi
 
@@ -38,9 +39,8 @@ import math
 import numpy as np
 
 from .errors import DomainError
-from .model import DerivedScales
 
-__all__ = ["p_poly_table", "nu_from_omega"]
+__all__ = ["p_poly_table"]
 
 
 # ----------------------------------------------------------------------------
@@ -269,27 +269,27 @@ def _quad_rows(lam, kappa, theta, u, conical: bool) -> tuple:
 
 
 def _p_quad(lam, u) -> tuple:
-    """(value, exponent, err) of the Mehler-Dirichlet integral (DLMF 14.12.1)
-    by quadrature (Gil, Segura & Temme, SIAM J. Sci. Comput. 31, 2009), one
-    row for each lambda = -nu(nu+1) of the 1-D array ``lam``, at the matching
+    """(value, err) of the Mehler-Dirichlet integral (DLMF 14.12.1) by
+    quadrature (Gil, Segura & Temme, SIAM J. Sci. Comput. 31, 2009), one row
+    for each lambda = -nu(nu+1) of the 1-D array ``lam``, at the matching
     entry of ``u``: one argument for every row, or one per row.
 
     On the conical line, lambda > 1/4 and nu = -1/2 + i mu, P_nu(u) = value *
-    exp(exponent), exponent = mu arccos u; on the real branch value is
-    (P_nu(u) - 1)/nu and exponent 0.  ``err`` bounds the relative error of
-    value, the Kronrod rule's: its difference from the nested Gauss rule plus
-    the rounding of the sum.  Every row takes the same ``_NODES.size`` = 59
-    integrand evaluations, in groups of up to ``_ROWS`` rows of one branch,
-    each row on its own, so that it does not depend on the rows beside it.
-    So a call whose rows share one lambda, as a spectral table's frequency
-    does at every point, where P_nu(+-u') recurs, integrates each distinct
-    u once and copies the result to the rows that repeat it; nothing is
-    kept across calls.  Rows of several lambdas, as in a Matsubara sum, do
-    not repeat, and four rows or fewer (one point's four P_nu, or two at a
-    far frequency) seldom do, so those calls skip the sort, which costs
-    more than it saves there.  u = -0.0 and u = 0.0 share a row: the
-    integral sees u only through arccos u, 1 -+ u and u sin h beside a
-    nonzero term, so both get the same bits.  u = 1 gives P_nu = 1 exactly.
+    exp(mu arccos u), an exponent the caller combines with the others of its
+    product; on the real branch value is (P_nu(u) - 1)/nu.  ``err`` bounds the
+    relative error of value, the Kronrod rule's: its difference from the
+    nested Gauss rule plus the rounding of the sum.  Every row takes the same
+    ``_NODES.size`` = 59 integrand evaluations, in groups of up to ``_ROWS``
+    rows of one branch, each row on its own, so that it does not depend on the
+    rows beside it.  So a call whose rows share one lambda, as a spectral
+    table's frequency does at every point, where P_nu(+-u') recurs, integrates
+    each distinct u once and copies the result to the rows that repeat it;
+    nothing is kept across calls.  Rows of several lambdas, as in a Matsubara
+    sum, do not repeat, and four rows or fewer (one point's four P_nu, or two
+    at a far frequency) seldom do, so those calls skip the sort, which costs
+    more than it saves there.  u = -0.0 and u = 0.0 share a row: the integral
+    sees u only through arccos u, 1 -+ u and u sin h beside a nonzero term, so
+    both get the same bits.  u = 1 gives P_nu = 1 exactly.
     """
     lam = np.asarray(lam, dtype=float)
     u = np.broadcast_to(np.asarray(u, dtype=float), lam.shape)
@@ -309,32 +309,4 @@ def _p_quad(lam, u) -> tuple:
         r = np.flatnonzero((conical == branch) & (u < 1.0))
         if r.size:
             value[r], err[r] = _quad_rows(lam[r], kappa[r], theta[r], u[r], branch)
-    return value[row], np.where(conical, kappa * theta, 0.0)[row], err[row]
-
-
-# ----------------------------------------------------------------------------
-# the degree of a frequency
-# ----------------------------------------------------------------------------
-
-
-# largest |x| whose square is a finite float
-_SQRT_FLOAT_MAX = math.sqrt(np.finfo(float).max)
-
-
-def nu_from_omega(omega: float, d: DerivedScales) -> complex:
-    """Degree nu = -1/2 + sqrt(1/4 - alpha^2 omega^2), principal branch.
-
-    The branch is continuous from omega = 0 (where nu = 0); for
-    alpha|omega| > 1/2 the square root is +i*sqrt(alpha^2 omega^2 - 1/4), so
-    Re(nu) = -1/2 on the conical line.  On the real branch the degree comes
-    back as a float.  Raises DomainError where alpha omega is NaN or its
-    square overflows.
-    """
-    a_omega = d.alpha * omega
-    if math.isnan(a_omega):
-        raise DomainError(f"omega = {omega!r}: alpha omega is nan")
-    if not abs(a_omega) <= _SQRT_FLOAT_MAX:
-        raise DomainError(f"omega = {omega!r}: (alpha omega)^2 overflows a float (alpha omega = {a_omega!r})")
-    disc = 0.25 - a_omega**2
-    root = math.sqrt(disc) if disc >= 0.0 else 1j * math.sqrt(-disc)
-    return -0.5 + root
+    return value[row], err[row]

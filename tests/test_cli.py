@@ -560,6 +560,25 @@ class TestCorrelatorCommand:
             asymptotic = gamma_from_green(q, asympt_green_highT(q.x1, q.tau1, q.x2, q.tau2, p, d), p, d)
             assert abs(math.log(float(row["gamma"])) / math.log(asymptotic) - 1.0) < 1e-3
 
+    def test_spectral_pair_whose_top_frequency_overflows_is_a_domain_error_row(self, tmp_path):
+        # beta = 1e-160: the first pair, at dx = 0, sums to l_max = 64, where
+        # (alpha omega)^2 overflows a float; it used to print gamma = nan as
+        # ok.  The other two pairs keep their rows: a Gamma that underflows
+        cfg = write_config(tmp_path, "[params]\nbeta = 1e-160\n[grid]\nsep_spacing = linear\nsep_min = 0\n"
+                                     "sep_count = 3\ndtau = 3e-161\n")
+        out = tmp_path / "corr.csv"
+        assert main(["correlator", "--mode", "spectral", "--config", cfg, "--out", str(out)]) == 0
+        _, header, rows = read_csv(str(out))
+        rows = [dict(zip(header, cells)) for cells in rows]
+        d = derive_scales(PhysicalParams(m=1, g=1, Omega=1, Lambda=1, beta=1e-160))
+        omega = 2.0 * math.pi * 64 / 1e-160
+        assert rows[0]["gamma"] == ""
+        assert rows[0]["status"] == (f"DomainError: omega = {omega!r}: (alpha omega)^2 overflows a float "
+                                     f"(alpha omega = {d.alpha * omega!r})")
+        underflow = "AccuracyError: Gamma = 0.0 underflows below the smallest normal float 2.2250738585072014e-308"
+        assert [row["status"] for row in rows[1:]] == [f"{underflow} (G = 3.683780729943742e+158)",
+                                                      f"{underflow} (G = 7.373170412222345e+158)"]
+
     def test_spectral_table_is_one_kernel_call(self, tmp_path, monkeypatch):
         # the correlator-precise benchmark's config: the frequencies of all 9
         # pairs go to the quadrature kernel in one call, of the 1 912 kernel

@@ -1,4 +1,5 @@
 import math
+import re
 from functools import partial
 from types import SimpleNamespace
 from unittest.mock import patch
@@ -39,13 +40,14 @@ from trapgas import (
 from trapgas import green_trapped, legendre
 from trapgas.cli import cmd_green, load_config
 from trapgas.green_homogeneous import log_2sinh_abs
-from trapgas.green_trapped import _density_parts, _k_coeff, _p_poly_integer_phase, _zero_mode
+from trapgas.green_trapped import _checked_lambda, _density_parts, _k_coeff, _p_poly_integer_phase, _zero_mode
+from trapgas.legendre import _nu_real
 from trapgas.oracle import brute_legendre_tail
 
 
-def _no_far_rows(lam, lo, hi):
+def _no_far_rows(mu, lo, hi):
     """``green_trapped._far_rows`` with no row far: every row integrates four P_nu."""
-    return np.zeros(np.shape(lam), dtype=bool)
+    return np.zeros(np.shape(mu), dtype=bool)
 
 
 def _raise(exc):
@@ -62,6 +64,47 @@ def setup_params(**over):
 def unit_radius_params(**over):
     # Omega = sqrt(2) gives R_c = 1 with m = Lambda = 1 (and v = 1)
     return setup_params(Omega=math.sqrt(2.0), **over)
+
+
+class TestCheckedLambda:
+    """``_checked_lambda``, the one check of a frequency: lambda = (alpha
+    omega)^2, or the DomainError that names a NaN or an overflowing square."""
+
+    def _scales(self, alpha):
+        # alpha = R_c/(hbar v); with m = Lambda = 1 (v = 1) choose Omega = sqrt(2)/alpha
+        return derive_scales(PhysicalParams(m=1.0, g=1.0, Omega=math.sqrt(2.0) / alpha, Lambda=1.0, beta=1.0))
+
+    def test_zero_frequency(self):
+        assert _checked_lambda(0.0, self._scales(1.0)) == 0.0
+
+    def test_even_in_omega(self):
+        d = self._scales(1.3)
+        assert _checked_lambda(2.0, d) == _checked_lambda(-2.0, d) == (d.alpha * 2.0) ** 2
+
+    @pytest.mark.parametrize("alpha, omega", [(1.0, 1e300), (1e10, 1e300), (1.0, 1.4e154)])
+    def test_overflowing_square_is_domain_error(self, alpha, omega):
+        # (alpha omega)^2 overflows a float past alpha omega = 1.34e154, and
+        # alpha omega itself overflows to inf at alpha = 1e10, omega = 1e300
+        d = self._scales(alpha)
+        message = f"omega = {omega!r}: (alpha omega)^2 overflows a float (alpha omega = {d.alpha * omega!r})"
+        with pytest.raises(DomainError, match="^" + re.escape(message) + "$"):
+            _checked_lambda(omega, d)
+
+    def test_nan_frequency_is_named(self):
+        with pytest.raises(DomainError, match=r"^omega = nan: alpha omega is nan$"):
+            _checked_lambda(math.nan, self._scales(1.0))
+
+    def test_largest_finite_square_is_kept(self):
+        lam = _checked_lambda(1.34e154, self._scales(1.0))
+        assert math.isfinite(lam) and lam == pytest.approx(1.34e154**2, rel=1e-15)
+
+    def test_spectral_table_raises_it_before_any_point(self, monkeypatch):
+        p, d = setup_params()
+        calls = []
+        monkeypatch.setattr(green_trapped, "_clamped_u", lambda *a: calls.append(a))
+        with pytest.raises(DomainError, match=r"^omega = 1e\+300: \(alpha omega\)\^2 overflows a float"):
+            spectral_densities(1e300, [0.1, 0.2], 0.0, p, d)
+        assert calls == []
 
 
 class TestSpectralDensity:
@@ -109,10 +152,22 @@ class TestSpectralDensity:
         # alpha|omega| < 1/2 gives a real degree in (-1/2, 0)
         p, d = setup_params()
         omega = 0.2 / d.alpha
-        sd = spectral_density(omega, 0.3, 0.1, p, d)
-        assert abs(sd.nu.imag) == 0.0
-        assert -0.5 < sd.nu.real < 0.0
-        assert math.isfinite(sd.re_part)
+        lam = _checked_lambda(omega, d)
+        assert lam <= 0.25 and -0.5 < _nu_real(lam) < 0.0
+        assert math.isfinite(spectral_density(omega, 0.3, 0.1, p, d).re_part)
+
+    @pytest.mark.parametrize("omega", [1e-170, -1e-170, 1e-20, 2e-9])
+    def test_degree_below_half_an_ulp_of_a_quarter_is_the_zero_mode(self, omega):
+        # lambda below 2^-56 leaves 1/4 - lambda at 1/4: the density is the
+        # zero mode's closed form, bitwise, also where lambda underflows to 0
+        # and the real branch's nu/sin(pi nu) would be 0/0
+        p, d = setup_params()
+        assert 0.25 - _checked_lambda(omega, d) == 0.25
+        xs = [-0.6 * d.R_c, 0.3 * d.R_c]
+        zero = spectral_densities(0.0, xs, 0.1 * d.R_c, p, d)
+        tiny = spectral_densities(omega, xs, 0.1 * d.R_c, p, d)
+        assert [sd.re_part.hex() for sd in tiny] == [sd.re_part.hex() for sd in zero]
+        assert [sd.err_bound for sd in tiny] == [0.0, 0.0]
 
     def test_boundary_clamp_enforced(self):
         p, d = setup_params()
@@ -223,7 +278,7 @@ class TestSpectralDensities:
                 assert type(b) is type(s) and str(b) == str(s)
             else:
                 assert (b.re_part, b.err_bound) == (s.re_part, s.err_bound)
-                assert (b.omega, b.nu, b.x, b.xp) == (s.omega, s.nu, s.x, s.xp)
+                assert (b.omega, b.x, b.xp) == (s.omega, s.x, s.xp)
 
     @pytest.mark.parametrize("omega", [0.0, 2.0 * math.pi, 20.0 * math.pi, 200.0 * math.pi])
     def test_sweep_geometry_equals_single_points(self, omega):
@@ -496,6 +551,23 @@ class TestMatsubaraAssemble:
         assert [type(g) for g in matsubara_assemble_many([beyond], p, d, -1)] == [DomainError]
         assert not calls
 
+    def test_pair_whose_top_frequency_overflows_is_a_domain_error(self):
+        # beta = 1e-160: the pair at dx = 0 sums to the cap of 64 frequencies,
+        # where (alpha omega)^2 overflows a float, and used to give G = nan;
+        # it is the DomainError naming its top frequency, and the pairs beside
+        # it stop at a lower frequency and keep the bits they have alone
+        p, d = setup_params(beta=1e-160)
+        queries = [CorrelatorQuery(0.3, 3e-161, 0.3, 0.0), CorrelatorQuery(0.32, 3e-161, 0.25, 0.0),
+                   CorrelatorQuery(0.35, 3e-161, 0.2, 0.0)]
+        many = matsubara_assemble_many(queries, p, d, 64, 1e-12)
+        omega = 2.0 * math.pi * 64 / p.beta
+        assert type(many[0]) is DomainError
+        assert str(many[0]) == (f"omega = {omega!r}: (alpha omega)^2 overflows a float "
+                                f"(alpha omega = {d.alpha * omega!r})")
+        for g, alone in zip(many[1:], matsubara_assemble_many(queries[1:], p, d, 64, 1e-12)):
+            assert isinstance(g, GreenValue) and math.isfinite(g.value)
+            assert (g.value.hex(), g.trunc_err, g.meta) == (alone.value.hex(), alone.trunc_err, alone.meta)
+
     def test_long_tables_take_bounded_passes(self, monkeypatch):
         # pairs at dx = 0 run to the cap of 2 500 frequencies: the table
         # takes passes of at most _PASS_FREQUENCIES frequencies, or one pair's
@@ -649,12 +721,12 @@ class TestMatsubaraAssemble:
             lo, hi = min(u, up), max(u, up)
             con = lam > 0.25
             far = np.zeros(lam.size, dtype=bool)
-            far[con] = green_trapped._far_rows(lam[con], lo, hi)
+            far[con] = green_trapped._far_rows(np.sqrt(lam[con] - 0.25), lo, hi)
             n = int(far.sum())
             if not n:
                 continue
             far_rows += n
-            value, _, _ = green_trapped._p_quad(np.tile(lam[far], 4), np.repeat([lo, -lo, hi, -hi], n))
+            value, _ = green_trapped._p_quad(np.tile(lam[far], 4), np.repeat([lo, -lo, hi, -hi], n))
             v1, v2, v3, v4 = value.reshape(4, n)
             mu = np.sqrt(lam[far] - 0.25)
             th_hi, th_mlo = math.acos(hi), math.acos(-lo)

@@ -367,20 +367,26 @@ def test_repeat_brute_sum_faults_in_little_with_thresholds_pinned(fresh_python):
     # mallopt pins the trim and mmap thresholds at their 128 KiB defaults, as
     # MALLOC_TRIM_THRESHOLD_ would, so a large free no longer raises them.
     # The brute sum's cosine table is built once a call, and only the few
-    # 64 KiB temporaries alive at once are faulted in again
+    # 64 KiB temporaries alive at once are faulted in again; check 06's
+    # homog_series, with validate's modules loaded, reuses its row blocks'
+    # temporaries from the heap
     faults = fresh_python(
-        "import ctypes, resource\n"
+        "import ctypes, math, resource\n"
         "mallopt = ctypes.CDLL(None).mallopt\n"
         "mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int\n"
         "M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3\n"
         "assert mallopt(M_TRIM_THRESHOLD, 128 * 1024) == 1 and mallopt(M_MMAP_THRESHOLD, 128 * 1024) == 1\n"
-        "from trapgas import brute_frequency_sum\n"
-        "brute_frequency_sum(0.1, 10**6)\n"
-        "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
-        "brute_frequency_sum(0.1, 10**6)\n"
-        "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
-    )
-    assert int(faults) < 100, faults
+        "import trapgas.checks\n"
+        "from trapgas import HomogSeriesControl, PhysicalParams, brute_frequency_sum, derive_scales, homog_series\n"
+        "p = PhysicalParams(m=1.0, g=1.0, Omega=math.sqrt(2.0) / 20.0, Lambda=1.0, beta=1.0)\n"
+        "args = (0.75, 0.0, -0.75, 0.0, p, derive_scales(p), HomogSeriesControl(l_max=120, n_max=1600))\n"
+        "for call in (lambda: brute_frequency_sum(0.1, 10**6), lambda: homog_series(*args)):\n"
+        "    call()\n"
+        "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "    call()\n"
+        "    print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+    ).split()
+    assert [int(f) < 100 for f in faults] == [True, True], faults
 
 
 @pytest.mark.parametrize("name", trapgas.oracle.__all__)
