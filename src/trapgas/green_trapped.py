@@ -26,7 +26,9 @@ real branch they come as (P_nu - 1)/nu, so that the O(nu) differences of the
 closed form do not cancel.  This real part is the physical (real,
 symmetric) spectral density of the spectral tables and of the Matsubara
 assembly, which evaluates the frequencies of the pairs of a correlator
-table together, in one pass of the kernel up to ``_PASS_FREQUENCIES``.
+table together, in passes of up to ``_PASS_FREQUENCIES``; a pair's far
+frequencies past mu = 9 read P_nu(-u_<) and P_nu(u_>) from a Chebyshev
+interpolant in 1/mu at each point (``_far_interp``).
 
 Two frequency-summed forms stand beside the assembly.  At low temperature
 ``lowT_legendre_series`` sums the discrete modes, exact up to a crossover
@@ -169,12 +171,17 @@ def _angle_difference(lo, hi):
     return np.arctan2(sin_d, lo * hi + s_lo * s_hi)
 
 
-def _density_parts(omegas, us, ups, d: DerivedScales, k: float, tol: float) -> tuple:
+def _bad_tol(tol: float):
+    """The DomainError of a tolerance that is not positive and finite, or None."""
+    return None if 0.0 < tol < math.inf else DomainError(f"tolerance must be positive and finite, got {tol}")
+
+
+def _density_parts(omegas, us, ups, d: DerivedScales, k: float, tol: float, sizes=()) -> tuple:
     """G_omega(x, x'), the absolute error bound of it and its scale, the sum
     of the magnitudes of its terms, for each row (omega, u, u') of the
-    broadcast 1-D arrays ``omegas``, ``us``, ``ups``, with omega nonzero, by
-    the real closed form, from one call of the quadrature kernel; and the
-    number of kernel rows each row took in that call, four or two.
+    broadcast 1-D arrays ``omegas``, ``us``, ``ups``, by the real closed
+    form, its direct rows from one call of the quadrature kernel; and the
+    number of kernel rows each row took, four or two, or none at a zero mode.
 
     With lambda = (alpha omega)^2, P_<(+-) = P_nu(+-u_<), P_>(+-) =
     P_nu(+-u_>) and C = (2K/pi)(pi/2)^2:
@@ -196,17 +203,29 @@ def _density_parts(omegas, us, ups, d: DerivedScales, k: float, tol: float) -> t
     of the term it enters, and the scale adds those magnitudes: |a| + |b|,
     or |C nu/sin(pi nu)| [|P_>(+)| (|D_<(-)| + |D_>(-)|) + |P_>(-)|
     (|D_>(+)| + |D_<(+)|)], which stays nonzero where G is exactly 0, as on
-    the real branch at x = x'.
+    the real branch at x = x'.  A row with 0.25 - lambda == 0.25 (lambda
+    below 2^-56, where nu/sin(pi nu) is 0/0 once it underflows) is the zero
+    mode's closed form, with no kernel row and bound and scale 0; ``tol`` is
+    checked unless every row is one.
 
     A conical row that ``_far_rows`` proves far integrates only P_<(-) and
     P_>(+), the rows of b, and takes G = -b: bitwise a - b, as |a| <
     e^-48 |b| is under half an ulp of b; its bound adds e^-48 |b| for a.
-    Every other row integrates all four P_nu.
+    Every other row integrates all four P_nu.  Given ``sizes``, the rows of
+    each pair, ``_far_interp`` may take those two from interpolants instead.
     """
-    if not 0.0 < tol < math.inf:
-        raise DomainError(f"tolerance must be positive and finite, got {tol}")
-    omegas, us, ups = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (omegas, us, ups)))
+    # one float array of the broadcast rows: np.broadcast_arrays takes 10 us on one point
+    args = np.empty((3,) + np.broadcast(omegas, us, ups).shape)
+    args[0], args[1], args[2] = omegas, us, ups
+    omegas, us, ups = args
     lam = (d.alpha * omegas) ** 2
+    zero = 0.25 - lam == 0.25
+    g_0 = [_zero_mode(u, up, k) for u, up in zip(us[zero].tolist(), ups[zero].tolist())]
+    if zero.all():  # as at omega = 0: no kernel row, and no bound for tol to refuse
+        return np.array(g_0), np.zeros(lam.size), np.zeros(lam.size), np.zeros(lam.size, dtype=int)
+    bad = _bad_tol(tol)
+    if bad:
+        raise bad
     lo, hi = np.minimum(us, ups), np.maximum(us, ups)
     n = lam.size
     con = lam > 0.25
@@ -217,16 +236,100 @@ def _density_parts(omegas, us, ups, d: DerivedScales, k: float, tol: float) -> t
     # an unread row stays 0, so that a = 0 and G = -b
     kept = np.ones((4, n), dtype=bool)
     kept[0] = kept[3] = ~far
+    kept[:, zero] = False
     value, rel = np.zeros((2, 4, n))
-    value[kept], rel[kept] = _p_quad(np.broadcast_to(lam, (4, n))[kept], np.stack([lo, -lo, hi, -hi])[kept])
+    # an interpolated row's bound stays under tol/2 times b: tol refuses none that the direct rows would not
+    charged = _far_interp(lam, lo, hi, far, sizes, min(_TERP_TOL, tol / 4.0), kept, value, rel) if len(sizes) else 0
+    if kept.any():
+        value[kept], rel[kept] = _p_quad(np.broadcast_to(lam, (4, n))[kept], np.stack([lo, -lo, hi, -hi])[kept])
     re, err, scale = np.empty((3, n))
     c = k * math.pi / 2.0
     if con.any():
         re[con], err[con], scale[con] = _conical_parts(mu, lo[con], hi[con], value[:, con], rel[:, con], c, far[con])
-    real = ~con
+    real = ~con & ~zero
     if real.any():
         re[real], err[real], scale[real] = _real_parts(lam[real], value[:, real], rel[:, real], c)
-    return re, err, scale, np.count_nonzero(kept, axis=0)
+    re[zero], err[zero], scale[zero] = g_0, 0.0, 0.0
+    return re, err, scale, np.count_nonzero(kept, axis=0) + charged
+
+
+# the far rows at mu >= _MU_S (mu_1 = 8.9 at the default config; lower mu converges slowly) of a
+# pair with more than _TERP_MIN of them, two kernel rows each, take two interpolants, 2 (16 + 1)
+# rows at degree 16.  _TERP_TOL keeps the tables' moves at rounding level.  _HELD_X: x = 2t - 1
+# of the held-out row, off every node, |sin(n arccos x)| >= 0.7 at n = 16, 32, 64.  _CHEB_T: t at
+# the Chebyshev points of the second kind of degree 64 (t = 1 first), then at the held-out row
+_MU_S, _TERP_MIN, _TERP_TOL, _HELD_X = 9.0, 17, 1e-14, -math.sin(3.0 * math.pi / 128.0)
+_CHEB_T = np.append(0.5 + 0.5 * np.cos(np.pi * np.arange(65) / 64), 0.5 + 0.5 * _HELD_X)
+
+
+def _clenshaw(coef, j, x):
+    """sum_k coef[k, j] T_k(x) by Clenshaw's recurrence at each entry of the
+    arrays ``j`` and ``x``; trailing zero coefficients change no bit."""
+    x2, b1, b2 = x + x, np.zeros_like(x), np.zeros_like(x)
+    for c in coef[:0:-1]:
+        b1, b2 = c[j] + x2 * b1 - b2, b1
+    return coef[0, j] + x * b1 - b2
+
+
+def _far_interp(lam, lo, hi, far, sizes, target: float, kept, value, rel):
+    """Take P_<(-) and P_>(+) (rows 1 and 2 of ``kept``, ``value``, ``rel``)
+    from Chebyshev interpolants at the far rows with mu >= _MU_S of each pair
+    of ``sizes`` (its rows, in order) with more than ``_TERP_MIN`` of them;
+    return their kernel rows, on each such pair's first row.
+
+    At fixed u, h(t) = sqrt(2 pi mu sin theta) I(u; mu), I = P_nu(u)
+    e^{-mu theta}, is analytic in t = _MU_S/mu on [0, 1] with h(0) = 1 (DLMF
+    14.20(vii); Trefethen, ATAP, chs. 5 and 8).  A point takes h at degree
+    16, 32, 64, one ``_p_quad`` call a doubling, until its estimate (the
+    rows' ``rel``) is at most ``target``: its coefficients of degree 7n/8 and
+    above, plus the Lebesgue constant times the largest node estimate, over
+    the least node, plus 4 eps.  Else, or if its held-out row is off by more
+    than both estimates, it keeps its direct rows.
+    """
+    pair = np.repeat(np.arange(len(sizes)), sizes)
+    far = far & (lam >= _MU_S * _MU_S + 0.25)
+    takes = np.bincount(pair, far, len(sizes)) > _TERP_MIN
+    if not takes.any():
+        return 0
+    start = (np.cumsum(sizes) - sizes)[takes]
+    us = np.concatenate([-lo[start], hi[start]])  # a column of the interpolants each
+    sin_th = np.sqrt((1.0 - us) * (1.0 + us))
+    hr, coef = np.zeros((2, us.size, 66)), np.zeros((65, us.size))  # h at the nodes and its estimate
+    hr[0, :, 64] = 1.0
+    est, spent, live = np.full(us.size, np.inf), np.zeros(us.size, dtype=int), np.arange(us.size)
+    for n in (16, 32, 64):
+        step = 64 // n
+        new = np.append(np.arange(0, 64, step), 65) if n == 16 else np.arange(step, 64, 2 * step)
+        mu = _MU_S / _CHEB_T[new]
+        v, r = _p_quad(np.tile(mu * mu + 0.25, live.size), np.repeat(us[live], new.size))
+        v *= np.sqrt(2.0 * math.pi * np.tile(mu, live.size) * np.repeat(sin_th[live], new.size))
+        hr[:, live[:, None], new] = v.reshape(-1, new.size), r.reshape(-1, new.size)
+        spent[live] += new.size
+        (f, fr), k = hr[:, live, :65:step], np.arange(n + 1)
+        c = (np.cos(np.outer(k, k) % (2 * n) * (math.pi / n)) * (f * np.where(k % n, 2.0, 1.0) / n)[:, None]).sum(-1)
+        c[:, ::n] *= 0.5  # the Chebyshev coefficients, by the DCT-I of the nodes
+        lebesgue = 1.0 + 2.0 / math.pi * math.log(n + 1.0)
+        e = (np.abs(c[:, 7 * n // 8:]).sum(1) + lebesgue * (fr * np.abs(f)).max(1)) / np.abs(f).min(1)
+        e += 4.0 * sys.float_info.epsilon
+        done = e <= target
+        coef[:n + 1, live[done]], est[live[done]] = c[done].T, e[done]
+        live = live[~done]
+        if not live.size:
+            break
+    coef = coef[:n + 1]
+    held = _clenshaw(coef, np.arange(us.size), np.full(us.size, _HELD_X)) / hr[0, :, 65]
+    est[np.abs(held - 1.0) > est + hr[1, :, 65]] = np.inf
+    charged = np.zeros(lam.size, dtype=int)
+    charged[start] = spent[:start.size] + spent[start.size:]
+    rows = np.flatnonzero(far & takes[pair])
+    slot = (np.cumsum(takes) - 1)[pair[rows]]
+    side, r, j = np.broadcast_arrays(np.array([[1], [2]]), rows, np.stack([slot, slot + start.size]))
+    good = np.isfinite(est[j])
+    side, r, j = side[good], r[good], j[good]
+    mu = np.sqrt(lam[r] - 0.25)
+    value[side, r] = _clenshaw(coef, j, 2.0 * _MU_S / mu - 1.0) / np.sqrt(2.0 * math.pi * mu * sin_th[j])
+    rel[side, r], kept[side, r] = est[j], False
+    return charged
 
 
 # a conical row is far when ``_far_rows`` puts a below e^-48 of b, by its
@@ -348,12 +451,6 @@ def spectral_densities(
             points.append(i)
     if xp_error is not None or not points:
         return out
-    # omega = 0, or lambda below half an ulp of 1/4, a degree within 2^-56 of 0 whose
-    # real branch, nu/sin(pi nu), is 0/0 once lambda underflows: the zero mode's closed form
-    if 0.25 - lam == 0.25:
-        for i, u in zip(points, us):
-            out[i] = SpectralDensity(omega, xs[i], xp, _zero_mode(u, up, k), err_bound=0.0)
-        return out
     try:
         re, err, scale, _ = _density_parts(omega, np.array(us), up, d, k, tol)
     except DomainError as exc:  # a bad tol, rejected before the pass
@@ -446,20 +543,22 @@ def matsubara_assemble_many(queries, p: PhysicalParams, d: DerivedScales, l_max:
     exp(-|omega||dx|/hbar v)/|omega|, over 1 - e^{-2 pi |dx|/(hbar v beta)}
     for the geometric decay of the terms after it.  G is dimensionless and
     Gamma goes as e^{-G}, so ``tol`` bounds the relative error of Gamma.  At
-    dx = 0 the envelope does not decay and the sum runs to ``l_max``.  The
-    pass is that of ``spectral_densities``: a conical frequency that
-    ``_far_rows`` proves far (all past the first few, unless a point is near
-    the boundary) integrates only the two P_nu of its term b, as G_omega =
-    a - b rounds to -b bit for bit.  ``trunc_err`` adds the truncation
+    dx = 0 the envelope does not decay and the sum runs to ``l_max``.  A
+    conical frequency that ``_far_rows`` proves far (all past the first few,
+    unless a point is near the boundary) reads only the two P_nu of its term
+    b, as G_omega = a - b rounds to -b bit for bit, from ``_far_interp``'s
+    interpolants where the pair has many.  ``trunc_err`` adds the truncation
     estimate at L to the densities' own absolute error bounds and to the
     rounding of the assembled sum, a few eps times (|G_0| + 2 sum
     |cos(omega dtau) G_omega|)/beta.  ``meta`` carries the cap ``l_max``, the
-    integrand evaluations that ran (59 a kernel row, four rows a frequency
-    or two at a far one) and the frequencies summed, the zero mode included.
+    integrand evaluations of the kernel rows that ran (59 a row: four a
+    frequency, two at a far one, and the interpolants' rows) and the
+    frequencies summed, the zero mode included.
 
     Entry i is the GreenValue of queries[i], or its DomainError or
     AccuracyError; each is the one that pair alone gives, bitwise and word
-    for word, as no kernel row depends on the rows beside it.  A pair's
+    for word, as no kernel row or interpolant depends on the pairs beside
+    it.  A pair's
     checks run in the order: ``l_max``, coincident points (an AccuracyError,
     the frequency series being log-divergent), the boundary clamp, its top
     frequency 2 pi L/beta (``_checked_lambda``; the pair's others lie below
@@ -494,13 +593,11 @@ def matsubara_assemble_many(queries, p: PhysicalParams, d: DerivedScales, l_max:
             size = 0
         passes[-1].append(pair)
         size += pair[4]
+    bad = _bad_tol(tol) if pairs else None
+    if bad:  # before any pass, as a pass of zero modes alone would not check it
+        return [bad if g is None else g for g in out]
     for run in passes:
-        try:
-            _assemble_pass(run, out, p, d, k, l_max, tol)
-        except DomainError as exc:  # a bad tol, rejected before the first pass
-            for i, *_ in pairs:
-                out[i] = exc
-            break
+        _assemble_pass(run, out, p, d, k, l_max, tol)
     return out
 
 
@@ -510,7 +607,7 @@ def _assemble_pass(pairs, out, p: PhysicalParams, d: DerivedScales, k: float, l_
     call over all their frequencies."""
     _, _, us, ups, lasts, _, _ = zip(*pairs)
     omegas = np.concatenate([2.0 * math.pi * np.arange(1, last + 1) / p.beta for last in lasts])
-    re, errs, scale, rows = _density_parts(omegas, np.repeat(us, lasts), np.repeat(ups, lasts), d, k, tol)
+    re, errs, scale, rows = _density_parts(omegas, np.repeat(us, lasts), np.repeat(ups, lasts), d, k, tol, lasts)
     beyond = errs > tol * scale
     end = 0
     for i, q, u, up, last, truncated, flat in pairs:

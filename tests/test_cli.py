@@ -436,7 +436,8 @@ class TestCorrelatorCommand:
     def test_asymptotic_auto_falls_back_in_the_edge_layer(self, tmp_path, monkeypatch):
         # outer points at 0.996, 0.997, 0.999 R_c: mu_1 arccos|u| = 11.2, 9.7, 5.6
         # against the Liouville-Green gate of 10; the pairs of the spectral
-        # route take one kernel call in either mode
+        # route take their direct rows in one kernel call in either mode,
+        # after the three doublings of their points' interpolants
         from trapgas import green_trapped
 
         kernel, calls = green_trapped._p_quad, []
@@ -455,9 +456,12 @@ class TestCorrelatorCommand:
         tables = {}
         for mode in ("asymptotic-auto", "spectral"):
             out = tmp_path / f"{mode}.csv"
+            calls.clear()
             assert main(["correlator", "--mode", mode, "--config", cfg, "--out", str(out)]) == 0
             _, header, tables[mode] = read_csv(str(out))
-        assert len(calls) == 2 and calls[0] < calls[1]
+            tables[mode, "calls"] = list(calls)
+        auto, spectral = tables["asymptotic-auto", "calls"], tables["spectral", "calls"]
+        assert len(auto) == len(spectral) == 4 and auto[-1] < spectral[-1]
         col = {name: i for i, name in enumerate(header)}
         auto, spectral = tables["asymptotic-auto"], tables["spectral"]
         assert [r[col["method"]] for r in auto] == ["asymptotic-auto"] + ["asymptotic-auto:fallback-spectral"] * 2
@@ -579,10 +583,27 @@ class TestCorrelatorCommand:
         assert [row["status"] for row in rows[1:]] == [f"{underflow} (G = 3.683780729943742e+158)",
                                                       f"{underflow} (G = 7.373170412222345e+158)"]
 
-    def test_spectral_table_is_one_kernel_call(self, tmp_path, monkeypatch):
-        # the correlator-precise benchmark's config: the frequencies of all 9
-        # pairs go to the quadrature kernel in one call, of the 1 912 kernel
-        # rows README gives for it
+    def test_spectral_rows_at_beta_1e170_are_finite_or_typed_errors(self, tmp_path):
+        # beta = 1e170: every pair sums to l_max, and every frequency's lambda
+        # underflows to 0, where the real branch's nu/sin(pi nu) is 0/0; each
+        # row printed gamma = nan as ok.  They are the zero mode's
+        cfg = write_config(tmp_path, "[params]\nbeta = 1e170\n")
+        out = tmp_path / "corr.csv"
+        assert main(["correlator", "--mode", "spectral", "--config", cfg, "--out", str(out)]) == 0
+        _, header, rows = read_csv(str(out))
+        rows = [dict(zip(header, cells)) for cells in rows]
+        assert len(rows) == 9
+        for row in rows:
+            assert "nan" not in ",".join(row.values())
+            ok = row["status"] == "ok" and math.isfinite(float(row["gamma"]))
+            assert ok or re.match(r"\w+Error: ", row["status"])
+
+    def test_spectral_table_takes_few_kernel_calls(self, tmp_path, monkeypatch):
+        # the correlator-precise benchmark's config: the far frequencies of all
+        # 9 pairs past mu = 9 take their P_nu from the interpolants of their 18
+        # points, all converged at degree 16, 16 node rows and one held-out
+        # row each in one kernel call; the first frequency of each pair takes
+        # its four direct rows in one more: the 342 kernel rows README gives
         from trapgas import green_trapped
 
         kernel, calls = green_trapped._p_quad, []
@@ -595,7 +616,7 @@ class TestCorrelatorCommand:
         cfg = write_config(tmp_path, "[truncation]\nl_max = 256\n")
         out = tmp_path / "corr.csv"
         assert main(["correlator", "--mode", "spectral", "--config", cfg, "--out", str(out)]) == 0
-        assert calls == [1912]
+        assert calls == [18 * 17, 9 * 4]
         _, header, rows = read_csv(str(out))
         assert [r[header.index("status")] for r in rows] == ["ok"] * 9
 

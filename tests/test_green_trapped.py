@@ -489,10 +489,8 @@ class TestMatsubaraAssemble:
             fold = sds[0].re_part + sum(2.0 * math.cos(sd.omega * dtau) * sd.re_part for sd in sds[1:])
             assert abs(g.value.real - fold / beta) <= 1e-14 * abs(fold / beta)
             # terms counts the kernel rows that ran: two at a far frequency,
-            # four at any other
-            per_row = legendre._NODES.size
-            assert g.meta["terms"] == per_row * sum(rows)
-            assert 2 * per_row * (len(sds) - 1) <= g.meta["terms"] <= 4 * per_row * (len(sds) - 1)
+            # four at any other, and the rows of any interpolants
+            assert g.meta["terms"] == legendre._NODES.size * sum(rows)
             assert g.meta["frequencies"] <= l_max + 1
 
     @staticmethod
@@ -632,13 +630,14 @@ class TestMatsubaraAssemble:
 
     def test_frequency_stop_counts_the_work_that_ran(self):
         # correlator-precise's widest pair: the envelope meets tol = 1e-12 at
-        # L = 26 of the cap 256; frequency 1 integrates four P_nu rows, the 25
-        # far ones two
+        # L = 26 of the cap 256; frequency 1 (mu = 8.87) integrates four P_nu
+        # rows, and the 25 far ones take theirs from the interpolants of the
+        # pair's two points, 16 node rows and a held-out row each
         p, d = setup_params()
         s, sep = 0.2 * d.R_c, 0.1 * d.R_c
         g = matsubara_assemble(s + sep / 2.0, 0.0, s - sep / 2.0, 0.0, p, d, l_max=256, tol=1e-12)
         assert g.meta["l_max"] == 256 and g.meta["frequencies"] == 27
-        assert g.meta["terms"] == legendre._NODES.size * (4 + 2 * 25)
+        assert g.meta["terms"] == legendre._NODES.size * (4 + 2 * 17)
         assert g.trunc_err <= 1e-12
 
     @staticmethod
@@ -664,31 +663,40 @@ class TestMatsubaraAssemble:
         dtau=st.just(0.0) | st.floats(-1.0, 1.0),
     )
     def test_two_row_path_gives_the_four_row_bits(self, ratio, s, sep, edge, dtau):
-        # the assembly integrates two P_nu rows at a far frequency: its value
-        # and every G_omega are bitwise those of the four rows, at every
-        # frequency to the cap, summed or not
+        # with the interpolants off, the assembly integrates two P_nu rows at
+        # a far frequency: its value and every G_omega are bitwise those of
+        # the four rows, at every frequency to the cap, summed or not.  With
+        # them on, each G_omega and the sum stay within the reported bounds
         p, d, x, xp = self._points(ratio, s, sep, edge)
         assume(max(abs(x), abs(xp)) / d.R_c <= 1.0 - BOUNDARY_EPS)
         l_max = 2000
 
         def assembled():
             try:
-                g = matsubara_assemble(x, dtau * p.beta, xp, 0.0, p, d, l_max=l_max)
+                return matsubara_assemble(x, dtau * p.beta, xp, 0.0, p, d, l_max=l_max)
             except AccuracyError as exc:
-                return str(exc), None
-            return g.value.hex(), g.meta["terms"]
+                return str(exc)
 
         omegas = 2.0 * math.pi * np.arange(1, l_max + 1) / p.beta
         args = (omegas, x / d.R_c, xp / d.R_c, d, _k_coeff(p, d), 1e-13)
-        with patch.object(green_trapped, "_far_rows", _no_far_rows):
-            value_4, terms_4 = assembled()
-            re_4 = _density_parts(*args)[0]
-        value_2, terms_2 = assembled()
-        assert value_2 == value_4
-        assert terms_2 is None or terms_2 <= terms_4
-        re_2, _, _, rows = _density_parts(*args)
+        with patch.object(green_trapped, "_TERP_MIN", math.inf):
+            with patch.object(green_trapped, "_far_rows", _no_far_rows):
+                g_4 = assembled()
+                re_4 = _density_parts(*args)[0]
+            g_2 = assembled()
+        if isinstance(g_2, str):
+            assert g_2 == g_4
+        else:
+            assert g_2.value.hex() == g_4.value.hex() and g_2.meta["terms"] <= g_4.meta["terms"]
+        re_2, err_2, _, rows = _density_parts(*args)
         assert re_2.tobytes() == re_4.tobytes()
         assert set(rows.tolist()) <= {2, 4}
+        re_t, err_t, _, _ = _density_parts(*args, [l_max])
+        # a relative bound underflows with a subnormal density: allow its spacing
+        assert (np.abs(re_t - re_2) <= err_t + err_2 + math.ulp(0.0)).all()
+        g_t = assembled()
+        if not isinstance(g_2, str) and not isinstance(g_t, str):
+            assert abs(g_t.value - g_2.value) <= g_t.trunc_err
 
     @pytest.mark.parametrize("omega", [2.0 * math.pi, 20.0 * math.pi, 200.0 * math.pi, 2000.0 * math.pi])
     def test_spectral_table_two_row_path_gives_the_four_row_bits(self, omega):
@@ -770,6 +778,86 @@ class TestMatsubaraAssemble:
         d_trap = green_difference(partial(matsubara_assemble, p=p, d=d, l_max=8), pair_a, pair_b)
         d_hom = green_difference(partial(homog_series, p=p, d=d, ctl=ctl), pair_a, pair_b)
         assert abs(d_trap.value - d_hom.value) < 0.02 * abs(d_hom.value)
+
+
+class TestFarInterp:
+    """``_far_interp``: the far rows' P_nu(-u_<) and P_nu(u_>) from Chebyshev
+    interpolants in t = mu_s/mu, or from the kernel where they do not hold."""
+
+    @staticmethod
+    def _pair(lo, hi, mus, tol=1e-12):
+        """``_far_interp`` on one pair (lo, hi) with far rows at ``mus``: the
+        P_nu rows of ``_density_parts``, the mask of those the kernel still
+        takes, and the pair's interpolant rows; and the direct rows."""
+        lam = np.asarray(mus, dtype=float) ** 2 + 0.25
+        n = lam.size
+        kept, (value, rel) = np.ones((4, n), dtype=bool), np.zeros((2, 4, n))
+        charged = green_trapped._far_interp(lam, np.full(n, lo), np.full(n, hi), np.ones(n, dtype=bool), [n],
+                                            min(green_trapped._TERP_TOL, tol / 4.0), kept, value, rel)
+        direct = [green_trapped._p_quad(lam, np.full(n, u)) for u in (-lo, hi)]
+        return value, rel, kept, int(np.sum(charged)), direct
+
+    _MUS = st.lists(st.floats(0.0, 5.0).map(lambda e: green_trapped._MU_S * 10.0**e), min_size=18, max_size=40)
+
+    @settings(max_examples=40, deadline=None)
+    @example(points=(-0.9, 0.9), mus=[9.0] * 9 + [9.0 * 10.0**e for e in range(9)])
+    @example(points=(0.9, 0.9), mus=[9.0 * 1.5**e for e in range(30)])
+    @given(points=st.tuples(st.floats(-0.9, 0.9), st.floats(-0.9, 0.9)), mus=_MUS)
+    def test_interpolant_is_within_its_estimate_of_the_direct_row(self, points, mus):
+        lo, hi = sorted(points)
+        value, rel, kept, charged, direct = self._pair(lo, hi, mus)
+        # inside |u| <= 0.9 every interpolant holds, by degree 64 at most
+        assert not kept[1:3].any() and 2 * 17 <= charged <= 2 * 65
+        for side, (v, r) in zip((1, 2), direct):
+            assert (np.abs(value[side] - v) <= (rel[side] + r) * v).all()
+            assert (rel[side] <= green_trapped._TERP_TOL).all()
+
+    @pytest.mark.parametrize("nodes, rows", [(slice(0, 64), 2 * 17), (slice(20, 21), 2 * 65)])
+    def test_node_rows_off_by_1e_10_keep_the_direct_rows(self, monkeypatch, nodes, rows):
+        # every node row off by 1e-10 t leaves h smooth, with h(0) = 1, so
+        # its coefficients' tail meets the estimate at degree 16 and only the
+        # held-out row sees it; one node row off by 1e-10 keeps the tail above
+        # it to degree 64.  Either way the points keep their direct rows, and
+        # the densities are bitwise those of the direct path
+        t = green_trapped._CHEB_T[nodes]
+        kernel, off = green_trapped._p_quad, (green_trapped._MU_S / t) ** 2 + 0.25
+
+        def perturbed(lam, u):
+            value, err = kernel(lam, u)
+            t = green_trapped._MU_S / np.sqrt(lam - 0.25)
+            return np.where(np.isin(lam, off), value * (1.0 + 1e-10 * t), value), err
+
+        monkeypatch.setattr(green_trapped, "_p_quad", perturbed)
+        _, _, kept, charged, _ = self._pair(-0.2, 0.3, 9.0 * 1.2 ** np.arange(30))
+        assert kept.all() and charged == rows
+        p, d = setup_params()
+        omegas = 2.0 * math.pi * np.arange(1, 201) / p.beta
+        args = (omegas, 0.3, 0.2, d, _k_coeff(p, d), 1e-12)
+        assert _density_parts(*args, [200])[0].tobytes() == _density_parts(*args)[0].tobytes()
+
+    @pytest.mark.parametrize("lo, hi", [(-0.3, 0.999), (-0.999, 0.3), (1.0 - BOUNDARY_EPS, 1.0 - BOUNDARY_EPS),
+                                        (-0.3, 1.0 - BOUNDARY_EPS)])
+    def test_points_near_the_edge_keep_their_direct_rows(self, lo, hi):
+        # u = 0.999 and the clamp +-(1 - 1e-6) do not meet the estimate by
+        # degree 64: their rows stay on the kernel, after 65 rows spent
+        value, rel, kept, charged, direct = self._pair(lo, hi, 9.0 * 1.2 ** np.arange(30))
+        edge = [abs(u) > 0.9 for u in (-lo, hi)]
+        assert kept[1:3].all(axis=1).tolist() == edge
+        assert charged == sum(65 if e else 17 for e in edge)
+        for side, (v, r) in zip((1, 2), direct):
+            if not edge[side - 1]:
+                assert (np.abs(value[side] - v) <= (rel[side] + r) * v).all()
+
+    def test_pairs_with_few_far_rows_keep_the_direct_path(self):
+        # checks 07 and 10 assemble to l_max = 14 and 6: fewer far frequencies
+        # than the interpolant rule's 17, so their pairs keep the direct path;
+        # at l_max = 40 they interpolate
+        p, d = setup_params(beta=0.05 * math.sqrt(2.0))
+        for l_max in (6, 14, 40):
+            g = matsubara_assemble(0.4, 0.3 * p.beta, 0.4, 0.0, p, d, l_max=l_max)
+            with patch.object(green_trapped, "_TERP_MIN", math.inf):
+                direct = matsubara_assemble(0.4, 0.3 * p.beta, 0.4, 0.0, p, d, l_max=l_max)
+            assert ((g.value.hex(), g.meta) == (direct.value.hex(), direct.meta)) == (l_max < 40)
 
 
 class TestLowTSeries:

@@ -329,6 +329,13 @@ def test_importing_the_package_loads_no_scipy(module, fresh_python):
     assert fresh_python(f"import sys, {module}, trapgas; trapgas.FdmGrid; print(bool({scipy_modules}))") == "True\n"
 
 
+def test_importing_the_cli_loads_no_numpy_polynomial(fresh_python):
+    # importing numpy.polynomial costs tens of ms of start-up; the far rows'
+    # Chebyshev interpolants are evaluated by hand
+    loaded = "[m for m in sys.modules if m.startswith('numpy.polynomial')]"
+    assert fresh_python(f"import sys, trapgas.cli; print({loaded})") == "[]\n"
+
+
 def test_validate_loads_no_scipy_sparse(fresh_python):
     # the oracle's solves are all banded LAPACK, scipy.linalg only
     assert fresh_python(
