@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -38,6 +38,7 @@ from .green_homogeneous import (
 )
 from .green_trapped import (
     LowTControl,
+    _bound_error,
     _density_parts,
     _k_coeff,
     asympt_green_highT,
@@ -45,8 +46,8 @@ from .green_trapped import (
     closed_form_zero_mode,
     lowT_legendre_series,
     matsubara_assemble,
+    matsubara_assemble_many,
     spectral_densities,
-    spectral_density,
 )
 from .model import PhysicalParams, derive_scales, rho_tf
 from .oracle import FdmGrid, brute_frequency_sum, fdm_eigensolve_richardson, fdm_spectral_solve
@@ -83,28 +84,31 @@ def _unit_setup():
 
 
 def check_zero_mode_identity():
-    """beta^-1 * Re G_0 from the Legendre closed form == equal-time zero-mode
-    closed form, at 200 random interior point pairs."""
+    """beta^-1 * Re G_0 from the Legendre closed form, bitwise ``spectral_density``'s
+    from one ``_density_parts`` call, == equal-time zero-mode closed form, at
+    200 random interior point pairs."""
     p, d = _unit_setup()
     rng = np.random.default_rng(20240611)
-    worst = 0.0
+    pairs = []
     for _ in range(200):
         x, xp = rng.uniform(-0.9 * d.R_c, 0.9 * d.R_c, size=2)
         if abs(x - xp) < 1e-6 * d.R_c:
             xp += 0.05 * d.R_c
-        lhs = spectral_density(0.0, x, xp, p, d).re_part / p.beta
+        pairs.append((x, xp))
+    us, ups = np.array(pairs).T / d.R_c
+    lhs = _density_parts(0.0, us, ups, d, _k_coeff(p, d), 1e-13)[0] / p.beta
+    worst = 0.0
+    for (x, xp), g in zip(pairs, lhs.tolist()):
         rhs = closed_form_zero_mode(x, xp, p, d)
-        worst = max(worst, abs(lhs - rhs) / max(abs(rhs), 1e-300))
+        worst = max(worst, abs(g - rhs) / max(abs(rhs), 1e-300))
     return worst, "max relative deviation over 200 random interior pairs", True
 
 
-def _densities(omega, xs, xp, p, d) -> list:
-    """``spectral_density(omega, x, xp)`` at every x of ``xs``, bitwise, from
-    one ``spectral_densities`` pass; the first point's error is raised."""
-    out = spectral_densities(omega, xs, xp, p, d)
-    for sd in out:
-        if isinstance(sd, TrapGasError):
-            raise sd
+def _values(out) -> list:
+    """``out``, the entries of one batched call, with its first error raised."""
+    for entry in out:
+        if isinstance(entry, TrapGasError):
+            raise entry
     return out
 
 
@@ -144,7 +148,8 @@ def check_ode_residual_and_jump():
         mu_eff = max(1.0, d.alpha * abs(omega))
         h = min(2e-3, max(1e-6, (45.0 * _EPS / mu_eff**6) ** (1.0 / 6.0)))
         xs = [(u0 + k * h) * d.R_c for u0 in samples for k in (-2, -1, 0, 1, 2)]
-        gs = [sd.re_part for sd in _densities(omega, xs + (jump_xs if omega == omega_jump else []), xp, p, d)]
+        batch = xs + (jump_xs if omega == omega_jump else [])
+        gs = [sd.re_part for sd in _values(spectral_densities(omega, batch, xp, p, d))]
         stencils = [gs[i:i + 5] for i in range(0, len(xs), 5)]
         worst_resid = max(worst_resid, _ode_residual_scale(omega, h, samples, stencils, p, d))
         if omega == omega_jump:
@@ -178,7 +183,7 @@ def check_oracle_equivalence():
                   10.0 * math.pi / p.beta, -10.0 * math.pi / p.beta):
         sol = fdm_spectral_solve(omega, xp, p, d, grid)
         snapped = [sol.x_nodes[int(np.argmin(np.abs(sol.x_nodes - xt)))] for xt in targets]
-        closed = [sd.re_part for sd in _densities(omega, snapped, sol.x_source, p, d)]
+        closed = [sd.re_part for sd in _values(spectral_densities(omega, snapped, sol.x_source, p, d))]
         fdm = [float(sol.interp(xs)) for xs in snapped]
         for (ia, ib) in ((0, 1), (2, 3), (0, 3)):
             d_fdm = fdm[ia] - fdm[ib]
@@ -222,7 +227,8 @@ def check_frequency_sum():
 
 def _max_difference_deviation(route, reference, pairs) -> float:
     """Max relative deviation of ``route`` from ``reference`` in difference
-    mode, G(a) - G(b), over consecutive ``pairs``."""
+    mode, G(a) - G(b), over consecutive ``pairs``, each query evaluated once."""
+    route, reference = cache(route), cache(reference)
     worst = 0.0
     for a, b in zip(pairs[:-1], pairs[1:]):
         got = green_difference(route, a, b).value
@@ -327,11 +333,14 @@ def check_symmetry_positivity():
     """Randomized symmetry/positivity battery over 12 random parameter sets.
 
     The figure is the largest relative deviation of the batched Matsubara
-    assembly from its definition, the fold (1/beta) [G_0 + 2 sum_l
-    cos(omega_l tau) G_omega_l] of per-frequency spectral densities.  The
-    conditions are rho_TF parity, support and normalization, symmetry and
-    positivity of the closed-form Gamma, bitwise symmetry of the assembly
-    under swapping its two points, and a positive Gamma from it.
+    assembly (both point orders from one ``matsubara_assemble_many`` call)
+    from its definition, the plain ``sum`` fold (1/beta) [G_0 + 2 sum_l
+    cos(omega_l tau) G_omega_l] (the assembly's is ``math.fsum``) of the
+    densities of one ``_density_parts`` call a trial without interpolants,
+    each bitwise and refused as by ``spectral_density``.  The conditions are
+    rho_TF parity, support and normalization, symmetry and positivity of the
+    closed-form Gamma, bitwise symmetry of the assembly under swapping its two
+    points, and a positive Gamma from it.
     """
     rng = np.random.default_rng(777)
     worst = 0.0
@@ -369,11 +378,17 @@ def check_symmetry_positivity():
 
         # assembled route against its fold, swap symmetry and positivity
         l_max = 6
-        g12 = matsubara_assemble(x1, tau, x2, 0.0, p, d, l_max)
-        g21 = matsubara_assemble(x2, 0.0, x1, tau, p, d, l_max)
+        g12, g21 = _values(matsubara_assemble_many(
+            [CorrelatorQuery(x1, tau, x2, 0.0), CorrelatorQuery(x2, 0.0, x1, tau)], p, d, l_max))
         # the fold runs over the frequencies the assembly summed
-        sds = [spectral_density(2.0 * math.pi * l / p.beta, x1, x2, p, d) for l in range(g12.meta["frequencies"])]
-        fold = (sds[0].re_part + 2.0 * sum(math.cos(sd.omega * tau) * sd.re_part for sd in sds[1:])) / p.beta
+        omegas = [2.0 * math.pi * l / p.beta for l in range(g12.meta["frequencies"])]
+        re, err, scale, _ = _density_parts(np.array(omegas), x1 / d.R_c, x2 / d.R_c, d, _k_coeff(p, d), 1e-13)
+        refused = np.flatnonzero(err > 1e-13 * scale)
+        if refused.size:  # the first, as the per-frequency spectral_density calls would raise it
+            l = int(refused[0])
+            raise _bound_error(omegas[l], x1, x2, float(err[l]), float(scale[l]), 1e-13)
+        re = re.tolist()
+        fold = (re[0] + 2.0 * sum(math.cos(w * tau) * g for w, g in zip(omegas[1:], re[1:]))) / p.beta
         worst = max(worst, abs(g12.value - fold) / max(abs(fold), 1e-300))
         if g12.value != g21.value:
             failures.append(f"trial {trial}: assembly not symmetric under swapping its points")

@@ -918,13 +918,13 @@ class TestValidateCommand:
         ids=["unknown-name", "nan", "inf", "negative", "zero"],
     )
     def test_bad_override_rejected_before_any_check_runs(self, tmp_path, capsys, monkeypatch, override):
-        # check 01 runs first and calls spectral_density
+        # check 01 runs first and calls _density_parts
         from trapgas import checks
 
         def must_not_run(*args, **kwargs):
             raise AssertionError("a check ran before the overrides were validated")
 
-        monkeypatch.setattr(checks, "spectral_density", must_not_run)
+        monkeypatch.setattr(checks, "_density_parts", must_not_run)
         out = tmp_path / "report.json"
         assert main(["validate", "--out", str(out), "--override", override]) == 2
         assert override.split("=")[0] in capsys.readouterr().err
@@ -934,11 +934,12 @@ class TestValidateCommand:
         # the figure is the assembly's deviation from its spectral-density fold
         from trapgas import checks
 
-        def off_by_1e_6(*args, **kwargs):
-            g = matsubara_assemble(*args, **kwargs)
-            return dataclasses.replace(g, value=g.value * (1.0 + 1e-6))
+        assemble_many = checks.matsubara_assemble_many
 
-        monkeypatch.setattr(checks, "matsubara_assemble", off_by_1e_6)
+        def off_by_1e_6(*args, **kwargs):
+            return [dataclasses.replace(g, value=g.value * (1.0 + 1e-6)) for g in assemble_many(*args, **kwargs)]
+
+        monkeypatch.setattr(checks, "matsubara_assemble_many", off_by_1e_6)
         result = checks.run_check("10-symmetry-positivity")
         assert not result.passed and result.value > 1e-7 and result.conditions_met
 
@@ -947,11 +948,13 @@ class TestValidateCommand:
         # swap condition fails
         from trapgas import checks
 
-        def asymmetric(x, tau, xp, taup, *args, **kwargs):
-            g = matsubara_assemble(x, tau, xp, taup, *args, **kwargs)
-            return dataclasses.replace(g, value=math.nextafter(g.value, math.inf)) if x < xp else g
+        assemble_many = checks.matsubara_assemble_many
 
-        monkeypatch.setattr(checks, "matsubara_assemble", asymmetric)
+        def asymmetric(queries, *args, **kwargs):
+            return [dataclasses.replace(g, value=math.nextafter(g.value, math.inf)) if q.x1 < q.x2 else g
+                    for q, g in zip(queries, assemble_many(queries, *args, **kwargs))]
+
+        monkeypatch.setattr(checks, "matsubara_assemble_many", asymmetric)
         result = checks.run_check("10-symmetry-positivity")
         assert not result.passed and result.value < result.tol and not result.conditions_met
         assert "not symmetric" in result.detail
@@ -973,6 +976,126 @@ class TestValidateCommand:
         monkeypatch.setattr(checks, "_density_parts", off_by_1e_5)
         result = checks.run_check("11-wronskian-conical-reality")
         assert not result.passed and result.value == pytest.approx(1e-5, rel=1e-3)
+
+    @pytest.fixture(scope="class")
+    def fold_record(self):
+        # check 10 run once, with each trial's assembly arguments and the
+        # _density_parts call of its fold recorded
+        from trapgas import checks
+
+        assemble_many, density_parts, trials = checks.matsubara_assemble_many, checks._density_parts, []
+
+        def assembled(queries, p, d, l_max):
+            trials.append({"query": queries[0], "p": p, "d": d, "l_max": l_max})
+            return assemble_many(queries, p, d, l_max)
+
+        def fold_parts(omegas, us, ups, d, k, tol):
+            parts = density_parts(omegas, us, ups, d, k, tol)
+            trials[-1].update(omegas=np.array(omegas).tolist(), re=parts[0].tolist())
+            return parts
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(checks, "matsubara_assemble_many", assembled)
+            mp.setattr(checks, "_density_parts", fold_parts)
+            result = checks.run_check("10-symmetry-positivity")
+        return result, trials
+
+    @pytest.mark.parametrize("trial", range(12))
+    def test_check_10_fold_is_the_per_frequency_fold(self, fold_record, trial):
+        # the reference the check's fold replaced: one spectral_density call
+        # per frequency, each density and the fold of them bitwise the batch's
+        from trapgas import spectral_density
+
+        result, trials = fold_record
+        assert len(trials) == 12
+        rec = trials[trial]
+        q, p, d, omegas = rec["query"], rec["p"], rec["d"], rec["omegas"]
+        assert omegas == [2.0 * math.pi * l / p.beta for l in range(len(omegas))]
+        densities = [spectral_density(omega, q.x1, q.x2, p, d).re_part for omega in omegas]
+        assert densities == rec["re"]
+        # so the reference fold is the check's, and the check's figure bounds the assembly's deviation from it
+        fold = (densities[0] + 2.0 * sum(math.cos(w * q.tau1) * g for w, g in zip(omegas[1:], densities[1:]))) / p.beta
+        g12 = matsubara_assemble(q.x1, q.tau1, q.x2, q.tau2, p, d, rec["l_max"])
+        assert abs(g12.value - fold) / abs(fold) <= result.value
+
+    def test_check_10_fold_refuses_a_density_beyond_its_bound(self, monkeypatch):
+        # a fold density whose bound exceeds 1e-13 of its scale stops the
+        # check with the AccuracyError spectral_density raises there
+        from trapgas import checks
+        from trapgas.errors import AccuracyError
+
+        density_parts = checks._density_parts
+
+        def loose_second_row(omegas, us, ups, d, k, tol):
+            re, err, scale, rows = density_parts(omegas, us, ups, d, k, tol)
+            err[1] = 1e-12 * scale[1]
+            return re, err, scale, rows
+
+        monkeypatch.setattr(checks, "_density_parts", loose_second_row)
+        with pytest.raises(AccuracyError, match=r"^spectral density at omega = .* > tol = 1e-13 times"):
+            checks.run_check("10-symmetry-positivity")
+
+    def test_check_01_zero_modes_are_the_one_point_densities(self, monkeypatch):
+        # the 200 zero modes of check 01's one _density_parts call are, bitwise,
+        # spectral_density(0.0, x, xp) at the pairs the check compares
+        from trapgas import checks, spectral_density
+
+        density_parts, closed_form, calls, pairs = checks._density_parts, checks.closed_form_zero_mode, [], []
+
+        def recorded_parts(omegas, us, ups, d, k, tol):
+            parts = density_parts(omegas, us, ups, d, k, tol)
+            calls.append((np.array(us).tolist(), np.array(ups).tolist(), parts[0].tolist()))
+            return parts
+
+        def recorded_closed_form(x, xp, p, d):
+            pairs.append((x, xp, p, d))
+            return closed_form(x, xp, p, d)
+
+        monkeypatch.setattr(checks, "_density_parts", recorded_parts)
+        monkeypatch.setattr(checks, "closed_form_zero_mode", recorded_closed_form)
+        assert checks.run_check("01-zero-mode-identity").passed
+        ((us, ups, re_parts),) = calls
+        assert len(pairs) == len(re_parts) == 200
+        for (x, xp, p, d), u, up, re_part in zip(pairs, us, ups, re_parts):
+            assert (u, up) == (x / d.R_c, xp / d.R_c)
+            assert spectral_density(0.0, x, xp, p, d).re_part == re_part
+
+    @pytest.mark.parametrize(
+        "name, counted, expected",
+        [
+            # one kernel pass over the 200 zero modes, where one a pair went through spectral_density
+            ("01-zero-mode-identity", ("checks._density_parts", "green_trapped._density_parts"),
+             {"checks._density_parts": 1}),
+            # a trial's fold is one pass and both point orders one assembly call: 12 each, not 83 and 24
+            ("10-symmetry-positivity", ("checks._density_parts", "green_trapped._density_parts",
+                                        "checks.matsubara_assemble_many", "green_trapped.matsubara_assemble_many"),
+             {"checks._density_parts": 12, "green_trapped._density_parts": 12, "checks.matsubara_assemble_many": 12}),
+            # each route once a distinct query: 5, 6 and 4 queries, where every inner one ran twice
+            ("06-homog-regime-match", ("checks.homog_series", "checks.homog_asymptotic_highT"),
+             {"checks.homog_series": 5, "checks.homog_asymptotic_highT": 5}),
+            ("07-trapped-highT-match", ("checks.matsubara_assemble", "checks.asympt_green_highT"),
+             {"checks.matsubara_assemble": 6, "checks.asympt_green_highT": 6}),
+            # check 08's fifth series call is its n0-drift probe, outside the difference sweep
+            ("08-trapped-lowT-match", ("checks.lowT_legendre_series", "checks.asympt_green_lowT"),
+             {"checks.lowT_legendre_series": 4 + 1, "checks.asympt_green_lowT": 4}),
+        ],
+        ids=["01", "10", "06", "07", "08"],
+    )
+    def test_checks_evaluate_once_per_pass(self, monkeypatch, name, counted, expected):
+        from trapgas import checks, green_trapped
+
+        modules = {"checks": checks, "green_trapped": green_trapped}
+        calls = dict.fromkeys(counted, 0)
+        for key in counted:
+            module, attr = key.split(".")
+
+            def wrapped(*args, _run=getattr(modules[module], attr), _key=key, **kwargs):
+                calls[_key] += 1
+                return _run(*args, **kwargs)
+
+            monkeypatch.setattr(modules[module], attr, wrapped)
+        assert checks.run_check(name).passed
+        assert {key: n for key, n in calls.items() if n} == expected
 
     def test_report_values_stable_across_runs(self):
         from trapgas.checks import run_check
