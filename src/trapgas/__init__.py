@@ -40,7 +40,6 @@ from .green_trapped import (
     SpectralDensity,
     asympt_green_highT,
     asympt_green_lowT,
-    closed_form_zero_mode,
     lowT_legendre_series,
     matsubara_assemble,
     matsubara_assemble_many,

@@ -48,10 +48,10 @@ from .green_trapped import (
     LowTControl,
     asympt_green_highT,
     asympt_green_lowT,
-    closed_form_zero_mode,
     lowT_legendre_series,
     matsubara_assemble_many,
     spectral_densities,
+    spectral_density,
 )
 from .model import (
     DEFAULT_R_HI,
@@ -301,7 +301,7 @@ def _route(mode, cfg: RunConfig, p, d):
         def closed_form(x1, tau1, x2, tau2):
             if tau1 != tau2:
                 raise DomainError("closed-form correlator is equal-time; set grid.dtau = 0")
-            return GreenValue(closed_form_zero_mode(x1, x2, p, d), method=mode)
+            return GreenValue(spectral_density(0.0, x1, x2, p, d).re_part / p.beta, method=mode)
         return closed_form
     regime = classify_regime(d, cfg["regime.r_lo"], cfg["regime.r_hi"])
     if mode == "homog-asympt":
@@ -353,15 +353,14 @@ def cmd_green(cfg: RunConfig, args) -> tuple:
     if mode == "oracle":
         from .oracle import FdmGrid, fdm_spectral_solve  # the only table that loads scipy
 
-        anchor = next((x2 for x2 in xs if abs(x2) < d.R_c), None)
         rows = []
         for omega in cfg["grid.omegas"]:
             sol = fdm_spectral_solve(omega, x1, p, d, FdmGrid(N=10_000))
-            shift = 0.0
-            if omega == 0.0 and anchor is not None:
-                # align the mean-zero gauge with the closed-form convention at
-                # the first grid point inside the condensate
-                shift = closed_form_zero_mode(anchor, sol.x_source, p, d) * p.beta - float(sol.interp(anchor))
+            # at omega = 0, align the mean-zero gauge with the zero mode's
+            # convention at the first grid point inside the boundary clamp
+            zero = spectral_densities(0.0, xs, sol.x_source, p, d) if omega == 0.0 else []
+            anchor = next((sd for sd in zero if not isinstance(sd, TrapGasError)), None)
+            shift = anchor.re_part - float(sol.interp(anchor.x)) if anchor else 0.0
             for x2 in xs:
                 # the solve spans the condensate only
                 g = (GreenValue(float(sol.interp(x2)) + shift, mode, sol.disc_error_est) if abs(x2) < d.R_c

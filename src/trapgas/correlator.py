@@ -14,10 +14,10 @@ xi(S) = (hbar beta v / pi) theta(S).
 
 Every route gives Gamma through ``gamma_from_green``, the one place a Green
 value is exponentiated: the closed form ``gamma_d1_exact`` from the
-equal-time zero mode ``closed_form_zero_mode``, and the spectral, series and
-asymptotic Green values.  The CLI maps the regime to its asymptotic form;
-a library caller passes ``asympt_green_highT`` or ``asympt_green_lowT``
-itself.  The high-temperature form, the summed Liouville-Green form, needs
+equal-time zero mode, ``spectral_density`` at omega = 0, and the spectral,
+series and asymptotic Green values.  The CLI maps the regime to its
+asymptotic form; a library caller passes ``asympt_green_highT`` or
+``asympt_green_lowT`` itself.  The high-temperature form, the summed Liouville-Green form, needs
 only points outside the edge layer of the condensate and carries its
 additive constant.  Its power law at small separations has the local
 exponent theta(S) / sqrt(1 - S^2/R_c^2), which the exact routes reproduce;
@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import AccuracyError, DataError, DomainError
 from .green_homogeneous import GreenValue, log_2sinh_abs
-from .green_trapped import closed_form_zero_mode
+from .green_trapped import spectral_density
 from .model import CorrelatorQuery, DerivedScales, PhysicalParams, rho_tf, zeta_of
 
 # fewest Gamma samples a power-law fit accepts
@@ -117,12 +117,14 @@ def gamma_from_green(q: CorrelatorQuery, g: GreenValue, p: PhysicalParams, d: De
 
 def gamma_d1_exact(x1: float, x2: float, p: PhysicalParams, d: DerivedScales) -> float:
     """Equal-time trapped correlator in closed form: ``gamma_from_green`` of
-    the zero mode ``closed_form_zero_mode``, which makes it
+    the zero mode G_0/beta, ``spectral_density`` at omega = 0, which makes it
 
     sqrt(rho rho') * [ (1 + |dx|/R_c - x1 x2/R_c^2) /
                        (1 - |dx|/R_c - x1 x2/R_c^2) ] ^ (-g R_c/(4 beta hbar^2 v^2))
+
+    Raises the boundary clamp's DomainError at a point beyond it.
     """
-    g = GreenValue(closed_form_zero_mode(x1, x2, p, d), method="closed-form")
+    g = GreenValue(spectral_density(0.0, x1, x2, p, d).re_part / p.beta, method="closed-form")
     return gamma_from_green(CorrelatorQuery(x1, 0.0, x2, 0.0), g, p, d)
 
 

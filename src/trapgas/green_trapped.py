@@ -70,7 +70,6 @@ __all__ = [
     "LowTControl",
     "spectral_density",
     "spectral_densities",
-    "closed_form_zero_mode",
     "matsubara_assemble",
     "matsubara_assemble_many",
     "lowT_legendre_series",
@@ -87,6 +86,11 @@ BOUNDARY_EPS = 1e-6
 # zero mode's addition and the division by beta
 _ASSEMBLY_ROUNDING = 4.0 * sys.float_info.epsilon
 
+# rounding of ``_zero_mode``, per unit of its value: five roundings in the
+# argument of log1p, which passes them on at most once (its condition number
+# w/((1 + w) log1p w) is at most 1), log1p's own ulp and the product with K
+_ZERO_MODE_ROUNDING = 5.0 * sys.float_info.epsilon
+
 # the frequencies of one kernel pass of ``matsubara_assemble_many``: the pairs
 # of a table share passes of at most this many, or one pair's own where it
 # has more, so that a pass's arrays grow with the longest pair's stop L and
@@ -100,7 +104,8 @@ class SpectralDensity:
 
     ``re_part`` is the density, the real part of the closed form;
     ``err_bound`` bounds its quadrature error, not the rounding of its
-    conical exponent (a few eps times the exponent).
+    conical exponent (a few eps times the exponent), and at the zero mode
+    the rounding of its elementary form, a few eps times its value.
     """
 
     omega: float
@@ -157,8 +162,21 @@ def _k_coeff(p: PhysicalParams, d: DerivedScales) -> float:
 
 
 def _zero_mode(u: float, up: float, k: float) -> float:
-    """G_0, whose degree nu = 0 has the closed elementary form K |atanh u - atanh u'|."""
-    return k * abs(math.atanh(u) - math.atanh(up))
+    """G_0 = K |atanh u - atanh u'|, the density at degree nu = 0, to
+    ``_ZERO_MODE_ROUNDING`` times its value.
+
+    With the pair ordered and mirrored so that a >= |b|, it is (K/2)
+    log1p(2 (a - b)/((1 - a)(1 + b))), whose argument takes five roundings
+    and no cancellation, at any separation and at the boundary clamp.  The
+    difference of two atanh cancels at small separations (1.9e-6 relative
+    at u - u' = 1e-12), and atanh of its tanh, (a - b)/(1 - a b), loses
+    digits where that tanh nears 1.  The order makes the value bitwise
+    symmetric in u, u'.
+    """
+    a, b = (u, up) if abs(u) >= abs(up) else (up, u)
+    if a < 0.0:
+        a, b = -a, -b
+    return 0.5 * k * math.log1p(2.0 * (a - b) / ((1.0 - a) * (1.0 + b)))
 
 
 def _angle_difference(lo, hi):
@@ -205,8 +223,8 @@ def _density_parts(omegas, us, ups, d: DerivedScales, k: float, tol: float, size
     (|D_>(+)| + |D_<(+)|)], which stays nonzero where G is exactly 0, as on
     the real branch at x = x'.  A row with 0.25 - lambda == 0.25 (lambda
     below 2^-56, where nu/sin(pi nu) is 0/0 once it underflows) is the zero
-    mode's closed form, with no kernel row and bound and scale 0; ``tol`` is
-    checked unless every row is one.
+    mode's closed form, with no kernel row, its rounding as bound and its
+    magnitude as scale.
 
     A conical row that ``_far_rows`` proves far integrates only P_<(-) and
     P_>(+), the rows of b, and takes G = -b: bitwise a - b, as |a| <
@@ -219,15 +237,18 @@ def _density_parts(omegas, us, ups, d: DerivedScales, k: float, tol: float, size
     args[0], args[1], args[2] = omegas, us, ups
     omegas, us, ups = args
     lam = (d.alpha * omegas) ** 2
-    zero = 0.25 - lam == 0.25
-    g_0 = [_zero_mode(u, up, k) for u, up in zip(us[zero].tolist(), ups[zero].tolist())]
-    if zero.all():  # as at omega = 0: no kernel row, and no bound for tol to refuse
-        return np.array(g_0), np.zeros(lam.size), np.zeros(lam.size), np.zeros(lam.size, dtype=int)
     bad = _bad_tol(tol)
     if bad:
         raise bad
-    lo, hi = np.minimum(us, ups), np.maximum(us, ups)
     n = lam.size
+    zero = 0.25 - lam == 0.25
+    re, err, scale = np.empty((3, n))
+    re[zero] = [_zero_mode(u, up, k) for u, up in zip(us[zero].tolist(), ups[zero].tolist())]
+    scale[zero] = np.abs(re[zero])
+    err[zero] = _ZERO_MODE_ROUNDING * scale[zero]
+    if zero.all():  # as at omega = 0: no kernel row
+        return re, err, scale, np.zeros(n, dtype=int)
+    lo, hi = np.minimum(us, ups), np.maximum(us, ups)
     con = lam > 0.25
     mu = np.sqrt(lam[con] - 0.25)
     far = np.zeros(n, dtype=bool)
@@ -242,14 +263,12 @@ def _density_parts(omegas, us, ups, d: DerivedScales, k: float, tol: float, size
     charged = _far_interp(lam, lo, hi, far, sizes, min(_TERP_TOL, tol / 4.0), kept, value, rel) if len(sizes) else 0
     if kept.any():
         value[kept], rel[kept] = _p_quad(np.broadcast_to(lam, (4, n))[kept], np.stack([lo, -lo, hi, -hi])[kept])
-    re, err, scale = np.empty((3, n))
     c = k * math.pi / 2.0
     if con.any():
         re[con], err[con], scale[con] = _conical_parts(mu, lo[con], hi[con], value[:, con], rel[:, con], c, far[con])
     real = ~con & ~zero
     if real.any():
         re[real], err[real], scale[real] = _real_parts(lam[real], value[:, real], rel[:, real], c)
-    re[zero], err[zero], scale[zero] = g_0, 0.0, 0.0
     return re, err, scale, np.count_nonzero(kept, axis=0) + charged
 
 
@@ -464,27 +483,6 @@ def spectral_densities(
     return out
 
 
-def closed_form_zero_mode(x: float, xp: float, p: PhysicalParams, d: DerivedScales) -> float:
-    """Equal-time zero-mode Green function in closed form.
-
-    (g R_c / (beta (2 hbar v)^2)) * ln[ ((1 + |dx|/2R_c)^2 - s^2)
-                                       / ((1 - |dx|/2R_c)^2 - s^2) ],
-    with s = (x + x')/(2 R_c).  Algebraically identical to beta^{-1} times the
-    real spectral density at omega = 0.
-    """
-    half_d = abs(x - xp) / (2.0 * d.R_c)
-    half_s = (x + xp) / (2.0 * d.R_c)
-    num = (1.0 + half_d) ** 2 - half_s**2
-    den = (1.0 - half_d) ** 2 - half_s**2
-    if num <= 0.0 or den <= 0.0:
-        raise DomainError(
-            f"zero-mode log argument non-positive (num={num:.6g}, den={den:.6g}); "
-            "points too near the condensate boundary"
-        )
-    hv = p.hbar * d.v
-    return p.g * d.R_c / (p.beta * (2.0 * hv) ** 2) * math.log(num / den)
-
-
 def _frequency_stop(q: CorrelatorQuery, p: PhysicalParams, d: DerivedScales, l_max: int, tol: float) -> tuple:
     """The stop L of the pair ``q``'s frequency sum, the truncation estimate
     at L and whether the envelope is flat (dx = 0), as
@@ -548,12 +546,12 @@ def matsubara_assemble_many(queries, p: PhysicalParams, d: DerivedScales, l_max:
     unless a point is near the boundary) reads only the two P_nu of its term
     b, as G_omega = a - b rounds to -b bit for bit, from ``_far_interp``'s
     interpolants where the pair has many.  ``trunc_err`` adds the truncation
-    estimate at L to the densities' own absolute error bounds and to the
-    rounding of the assembled sum, a few eps times (|G_0| + 2 sum
-    |cos(omega dtau) G_omega|)/beta.  ``meta`` carries the cap ``l_max``, the
-    integrand evaluations of the kernel rows that ran (59 a row: four a
-    frequency, two at a far one, and the interpolants' rows) and the
-    frequencies summed, the zero mode included.
+    estimate at L to the densities' own absolute error bounds, the zero
+    mode's among them, and to the rounding of the assembled sum, a few eps
+    times (|G_0| + 2 sum |cos(omega dtau) G_omega|)/beta.  ``meta`` carries
+    the cap ``l_max``, the integrand evaluations of the kernel rows that ran
+    (59 a row: four a frequency, two at a far one, and the interpolants'
+    rows) and the frequencies summed, the zero mode included.
 
     Entry i is the GreenValue of queries[i], or its DomainError or
     AccuracyError; each is the one that pair alone gives, bitwise and word
@@ -594,7 +592,7 @@ def matsubara_assemble_many(queries, p: PhysicalParams, d: DerivedScales, l_max:
         passes[-1].append(pair)
         size += pair[4]
     bad = _bad_tol(tol) if pairs else None
-    if bad:  # before any pass, as a pass of zero modes alone would not check it
+    if bad:  # before any pass, so that each entry gets it, not the call
         return [bad if g is None else g for g in out]
     for run in passes:
         _assemble_pass(run, out, p, d, k, l_max, tol)
@@ -624,7 +622,7 @@ def _assemble_pass(pairs, out, p: PhysicalParams, d: DerivedScales, k: float, l_
         terms = np.cos(omegas[s] * abs(q.dtau)) * re[s]
         total = zero + 2.0 * math.fsum(terms)
         rounding = _ASSEMBLY_ROUNDING * (abs(zero) + 2.0 * float(np.sum(np.abs(terms))))
-        err = (2.0 * float(np.sum(errs[s])) + rounding) / p.beta
+        err = (_ZERO_MODE_ROUNDING * zero + 2.0 * float(np.sum(errs[s])) + rounding) / p.beta
         out[i] = GreenValue(
             value=total / p.beta,
             method="trapped-assembled",

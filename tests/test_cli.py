@@ -15,7 +15,6 @@ from trapgas import (
     PhysicalParams,
     asympt_green_highT,
     asympt_green_lowT,
-    closed_form_zero_mode,
     derive_scales,
     extract_exponent,
     gamma_d1_exact,
@@ -314,14 +313,15 @@ class TestGreenCommand:
 
     @pytest.mark.parametrize(
         "x_min, outside, anchor",
-        [(-1.0, [1.5], -1.0), (-1.5, [-1.5, 1.5], -0.9)],
-        ids=["right-end-outside", "both-ends-outside"],
+        [(-1.0, [1.5], 0), (-1.5, [-1.5, 1.5], 1), (-1.4142134, [1.5], 1)],
+        ids=["right-end-outside", "both-ends-outside", "first-point-beyond-the-clamp"],
     )
     def test_oracle_rows_outside_the_condensate_are_domain_errors(self, tmp_path, x_min, outside, anchor):
         # R_c = sqrt 2: a point at |x| >= R_c is a DomainError row, as in
         # trapped-spectral, and not the last node's value; the omega = 0
-        # gauge is anchored at the first point inside, where the oracle's G
-        # is the closed form's
+        # gauge is anchored at the first point inside the boundary clamp
+        # (1 - 1e-6) R_c, where the oracle's G is the zero mode's.  x = -1.4142134
+        # lies inside the condensate but beyond the clamp: an ok row, not the anchor
         cfg = write_config(tmp_path, f"[grid]\nx_min = {x_min!r}\nx_max = 1.5\nx_count = 6\n")
         out = tmp_path / "oracle.csv"
         assert main(["green", "--mode", "oracle", "--config", cfg, "--out", str(out)]) == 0
@@ -335,13 +335,13 @@ class TestGreenCommand:
             assert row["status"].startswith(f"DomainError: x = {float(row['x2'])!r} is outside the condensate")
         p = PhysicalParams(m=1, g=1, Omega=1, Lambda=1, beta=1)
         d = derive_scales(p)
-        first = next(r for r in rows if r["status"] == "ok")
-        assert float(first["x2"]) == pytest.approx(anchor, abs=1e-15)
-        from trapgas import FdmGrid, fdm_spectral_solve
+        from trapgas import FdmGrid, fdm_spectral_solve, spectral_density
 
-        sol = fdm_spectral_solve(0.0, float(first["x1"]), p, d, FdmGrid(N=10_000))
-        assert float(first["G_re"]) == pytest.approx(closed_form_zero_mode(anchor, sol.x_source, p, d) * p.beta,
-                                                     rel=1e-12)
+        sol = fdm_spectral_solve(0.0, float(rows[0]["x1"]), p, d, FdmGrid(N=10_000))
+        x2 = float(rows[anchor]["x2"])
+        assert rows[anchor]["status"] == "ok" and all(abs(float(r["x2"])) >= 0.999999 * d.R_c for r in rows[:anchor])
+        assert float(rows[anchor]["G_re"]) == pytest.approx(spectral_density(0.0, x2, sol.x_source, p, d).re_part,
+                                                            rel=1e-12)
 
     @pytest.mark.parametrize("mode", ["homog-series", "homog-asympt", "trapped-series", "trapped-asympt"])
     def test_empty_time_grid_header_only(self, tmp_path, mode):
@@ -391,6 +391,21 @@ class TestCorrelatorCommand:
         assert float(first[5]) == pytest.approx(rho_tf(0.3, p, d), rel=1e-12)
         assert float(first[6]) == pytest.approx(theta_at(0.3, p, d), rel=1e-12)
         assert all(r[-1] == "ok" for r in rows)
+
+    def test_closed_form_widest_pair_beyond_the_clamp(self, tmp_path):
+        # s_center = 0.95 R_c: the widest pair's outer point is x = R_c, whose
+        # row is the boundary clamp's DomainError, as on the spectral route,
+        # beside 8 ok rows
+        cfg = write_config(tmp_path, "[grid]\ns_center = 1.3435028842544403\n")
+        statuses = {}
+        for mode in ("closed-form", "spectral"):
+            out = tmp_path / f"{mode}.csv"
+            assert main(["correlator", "--mode", mode, "--config", cfg, "--out", str(out)]) == 0
+            statuses[mode] = [r[-1] for r in read_csv(str(out))[2]]
+        assert statuses["closed-form"] == statuses["spectral"]
+        assert statuses["closed-form"][:8] == ["ok"] * 8
+        assert statuses["closed-form"][8] == ("DomainError: |x|/R_c = 1 exceeds the boundary clamp 1 - 1e-06; "
+                                              "trapped evaluations require interior points")
 
     def test_log_spacing_for_exponent_pipelines(self, tmp_path):
         cfg = write_config(tmp_path, "[grid]\nsep_count = 8\n")
@@ -581,7 +596,7 @@ class TestCorrelatorCommand:
                                      f"(alpha omega = {d.alpha * omega!r})")
         underflow = "AccuracyError: Gamma = 0.0 underflows below the smallest normal float 2.2250738585072014e-308"
         assert [row["status"] for row in rows[1:]] == [f"{underflow} (G = 3.683780729943742e+158)",
-                                                      f"{underflow} (G = 7.373170412222345e+158)"]
+                                                      f"{underflow} (G = 7.373170412222344e+158)"]
 
     def test_spectral_rows_at_beta_1e170_are_finite_or_typed_errors(self, tmp_path):
         # beta = 1e170: every pair sums to l_max, and every frequency's lambda
@@ -930,34 +945,59 @@ class TestValidateCommand:
         assert override.split("=")[0] in capsys.readouterr().err
         assert not out.exists()
 
-    def test_check_10_fails_on_a_wrong_assembly(self, monkeypatch):
-        # the figure is the assembly's deviation from its spectral-density fold
+    @pytest.mark.parametrize(
+        "target, broken, reason",
+        [
+            ("rho_tf", lambda f: lambda x, *a: f(x, *a) * (1.0 + 1e-12 * (np.ndim(x) == 0 and x > 0.0)),
+             "rho_TF parity broken"),
+            ("rho_tf", lambda f: lambda x, *a: f(x, *a) + (np.ndim(x) == 0), "rho_TF support leak"),
+            ("rho_tf", lambda f: lambda x, *a: f(x, *a) * (1.0 + 1e-5 * (np.ndim(x) > 0)), "rho_TF normalization"),
+            ("gamma_d1_exact", lambda f: lambda x1, x2, *a: math.nextafter(f(x1, x2, *a), math.inf if x1 < x2 else 0.0),
+             "closed-form Gamma symmetry/positivity broken"),
+            ("gamma_d1_exact", lambda f: lambda *a: -f(*a), "closed-form Gamma symmetry/positivity broken"),
+            ("matsubara_assemble_many", lambda f: lambda queries, *a: [
+                dataclasses.replace(g, value=math.nextafter(g.value, math.inf)) if q.x1 < q.x2 else g
+                for q, g in zip(queries, f(queries, *a))], "assembly not symmetric"),
+            ("gamma_from_green", lambda f: lambda *a: -f(*a), "assembled-route Gamma not positive"),
+        ],
+        ids=["rho-parity", "rho-support", "rho-normalization", "gamma-symmetry", "gamma-positivity",
+             "assembly-symmetry", "assembly-positivity"],
+    )
+    def test_check_10_counts_a_broken_condition(self, monkeypatch, target, broken, reason):
+        # each condition broken alone: the figure, the number of broken
+        # conditions, reads at least 1 against the tolerance 1e-9, and the
+        # detail names the condition
         from trapgas import checks
 
-        assemble_many = checks.matsubara_assemble_many
-
-        def off_by_1e_6(*args, **kwargs):
-            return [dataclasses.replace(g, value=g.value * (1.0 + 1e-6)) for g in assemble_many(*args, **kwargs)]
-
-        monkeypatch.setattr(checks, "matsubara_assemble_many", off_by_1e_6)
+        monkeypatch.setattr(checks, target, broken(getattr(checks, target)))
         result = checks.run_check("10-symmetry-positivity")
-        assert not result.passed and result.value > 1e-7 and result.conditions_met
+        assert not result.passed and result.value >= 1.0 and result.tol == 1e-9 and not result.conditions_met
+        assert reason in result.detail
 
-    def test_check_10_fails_on_an_asymmetric_assembly(self, monkeypatch):
-        # one ulp between the two point orders: the figure stays tiny, the
-        # swap condition fails
+    @pytest.mark.parametrize(
+        "mutation",
+        [lambda re, lam: re * (1.0 + 1e-6), lambda re, lam: -re, lambda re, lam: re * (1.0 + np.sqrt(lam))],
+        ids=["real-branch-off-by-1e-6", "real-branch-sign-flipped", "real-branch-sqrt-lambda-term"],
+    )
+    def test_check_01_fails_on_a_wrong_real_branch(self, monkeypatch, mutation):
+        # the real-branch rows of check 01's one call mutated, its zero modes
+        # left alone: the figure exceeds 1e-10, and the slope condition fails,
+        # as each mutation adds to (G_lambda - G_0)/(lambda G_0) a term that
+        # does not scale as 1: c/lambda, or 1/sqrt(lambda)
         from trapgas import checks
 
-        assemble_many = checks.matsubara_assemble_many
+        density_parts = checks._density_parts
 
-        def asymmetric(queries, *args, **kwargs):
-            return [dataclasses.replace(g, value=math.nextafter(g.value, math.inf)) if q.x1 < q.x2 else g
-                    for q, g in zip(queries, assemble_many(queries, *args, **kwargs))]
+        def mutated(omegas, us, ups, d, k, tol):
+            re, *rest = density_parts(omegas, us, ups, d, k, tol)
+            lam = (d.alpha * np.asarray(omegas)) ** 2
+            real = (0.25 - lam != 0.25) & (lam <= 0.25)
+            return np.where(real, mutation(re, lam), re), *rest
 
-        monkeypatch.setattr(checks, "matsubara_assemble_many", asymmetric)
-        result = checks.run_check("10-symmetry-positivity")
-        assert not result.passed and result.value < result.tol and not result.conditions_met
-        assert "not symmetric" in result.detail
+        monkeypatch.setattr(checks, "_density_parts", mutated)
+        result = checks.run_check("01-zero-mode-identity")
+        assert not result.passed and result.value > result.tol == 1e-10
+        assert not result.conditions_met
 
     @pytest.mark.parametrize("branch", ["all", "real"])
     def test_check_11_fails_on_a_wrong_density(self, monkeypatch, branch):
@@ -977,99 +1017,38 @@ class TestValidateCommand:
         result = checks.run_check("11-wronskian-conical-reality")
         assert not result.passed and result.value == pytest.approx(1e-5, rel=1e-3)
 
-    @pytest.fixture(scope="class")
-    def fold_record(self):
-        # check 10 run once, with each trial's assembly arguments and the
-        # _density_parts call of its fold recorded
-        from trapgas import checks
-
-        assemble_many, density_parts, trials = checks.matsubara_assemble_many, checks._density_parts, []
-
-        def assembled(queries, p, d, l_max):
-            trials.append({"query": queries[0], "p": p, "d": d, "l_max": l_max})
-            return assemble_many(queries, p, d, l_max)
-
-        def fold_parts(omegas, us, ups, d, k, tol):
-            parts = density_parts(omegas, us, ups, d, k, tol)
-            trials[-1].update(omegas=np.array(omegas).tolist(), re=parts[0].tolist())
-            return parts
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(checks, "matsubara_assemble_many", assembled)
-            mp.setattr(checks, "_density_parts", fold_parts)
-            result = checks.run_check("10-symmetry-positivity")
-        return result, trials
-
-    @pytest.mark.parametrize("trial", range(12))
-    def test_check_10_fold_is_the_per_frequency_fold(self, fold_record, trial):
-        # the reference the check's fold replaced: one spectral_density call
-        # per frequency, each density and the fold of them bitwise the batch's
-        from trapgas import spectral_density
-
-        result, trials = fold_record
-        assert len(trials) == 12
-        rec = trials[trial]
-        q, p, d, omegas = rec["query"], rec["p"], rec["d"], rec["omegas"]
-        assert omegas == [2.0 * math.pi * l / p.beta for l in range(len(omegas))]
-        densities = [spectral_density(omega, q.x1, q.x2, p, d).re_part for omega in omegas]
-        assert densities == rec["re"]
-        # so the reference fold is the check's, and the check's figure bounds the assembly's deviation from it
-        fold = (densities[0] + 2.0 * sum(math.cos(w * q.tau1) * g for w, g in zip(omegas[1:], densities[1:]))) / p.beta
-        g12 = matsubara_assemble(q.x1, q.tau1, q.x2, q.tau2, p, d, rec["l_max"])
-        assert abs(g12.value - fold) / abs(fold) <= result.value
-
-    def test_check_10_fold_refuses_a_density_beyond_its_bound(self, monkeypatch):
-        # a fold density whose bound exceeds 1e-13 of its scale stops the
-        # check with the AccuracyError spectral_density raises there
-        from trapgas import checks
-        from trapgas.errors import AccuracyError
-
-        density_parts = checks._density_parts
-
-        def loose_second_row(omegas, us, ups, d, k, tol):
-            re, err, scale, rows = density_parts(omegas, us, ups, d, k, tol)
-            err[1] = 1e-12 * scale[1]
-            return re, err, scale, rows
-
-        monkeypatch.setattr(checks, "_density_parts", loose_second_row)
-        with pytest.raises(AccuracyError, match=r"^spectral density at omega = .* > tol = 1e-13 times"):
-            checks.run_check("10-symmetry-positivity")
-
     def test_check_01_zero_modes_are_the_one_point_densities(self, monkeypatch):
-        # the 200 zero modes of check 01's one _density_parts call are, bitwise,
-        # spectral_density(0.0, x, xp) at the pairs the check compares
+        # the 203 zero modes of check 01's one _density_parts call are, bitwise,
+        # spectral_density(0.0, x, xp) at its pairs, and its other rows lie on
+        # the real branch at lambda = 2^-50, 1e-4 and 1e-6
         from trapgas import checks, spectral_density
 
-        density_parts, closed_form, calls, pairs = checks._density_parts, checks.closed_form_zero_mode, [], []
+        density_parts, calls = checks._density_parts, []
 
         def recorded_parts(omegas, us, ups, d, k, tol):
             parts = density_parts(omegas, us, ups, d, k, tol)
-            calls.append((np.array(us).tolist(), np.array(ups).tolist(), parts[0].tolist()))
+            calls.append(((d.alpha * np.asarray(omegas)) ** 2, np.asarray(us), np.asarray(ups), parts[0], d))
             return parts
 
-        def recorded_closed_form(x, xp, p, d):
-            pairs.append((x, xp, p, d))
-            return closed_form(x, xp, p, d)
-
         monkeypatch.setattr(checks, "_density_parts", recorded_parts)
-        monkeypatch.setattr(checks, "closed_form_zero_mode", recorded_closed_form)
         assert checks.run_check("01-zero-mode-identity").passed
-        ((us, ups, re_parts),) = calls
-        assert len(pairs) == len(re_parts) == 200
-        for (x, xp, p, d), u, up, re_part in zip(pairs, us, ups, re_parts):
-            assert (u, up) == (x / d.R_c, xp / d.R_c)
-            assert spectral_density(0.0, x, xp, p, d).re_part == re_part
+        ((lam, us, ups, re, d),) = calls
+        zero = lam == 0.0
+        assert np.count_nonzero(zero) == 203 and lam.size == 2 * 203 + 6
+        np.testing.assert_allclose(np.unique(lam[~zero]), [2.0**-50, 1e-6, 1e-4], rtol=1e-15)
+        p, _ = checks._unit_setup()
+        for u, up, re_part in zip(us[zero], ups[zero], re[zero]):
+            assert spectral_density(0.0, u * d.R_c, up * d.R_c, p, d).re_part == re_part
 
     @pytest.mark.parametrize(
         "name, counted, expected",
         [
-            # one kernel pass over the 200 zero modes, where one a pair went through spectral_density
+            # one kernel pass over the zero modes and the real-branch rows
             ("01-zero-mode-identity", ("checks._density_parts", "green_trapped._density_parts"),
              {"checks._density_parts": 1}),
-            # a trial's fold is one pass and both point orders one assembly call: 12 each, not 83 and 24
-            ("10-symmetry-positivity", ("checks._density_parts", "green_trapped._density_parts",
-                                        "checks.matsubara_assemble_many", "green_trapped.matsubara_assemble_many"),
-             {"checks._density_parts": 12, "green_trapped._density_parts": 12, "checks.matsubara_assemble_many": 12}),
+            # both point orders of a trial are one assembly call, one pass: 12 each, not 24
+            ("10-symmetry-positivity", ("checks.matsubara_assemble_many", "green_trapped._assemble_pass"),
+             {"checks.matsubara_assemble_many": 12, "green_trapped._assemble_pass": 12}),
             # each route once a distinct query: 5, 6 and 4 queries, where every inner one ran twice
             ("06-homog-regime-match", ("checks.homog_series", "checks.homog_asymptotic_highT"),
              {"checks.homog_series": 5, "checks.homog_asymptotic_highT": 5}),

@@ -25,7 +25,6 @@ from trapgas import (
     asympt_green_highT,
     asympt_green_lowT,
     classify_regime,
-    closed_form_zero_mode,
     derive_scales,
     green_difference,
     homog_series,
@@ -112,15 +111,44 @@ class TestSpectralDensity:
         p, d = unit_radius_params()
         sd = spectral_density(0.0, 0.2, 0.1, p, d)
         assert_allclose(sd.re_part, 0.25 * math.log(27.0 / 22.0), rtol=1e-13)
-        assert_allclose(sd.re_part / p.beta, closed_form_zero_mode(0.2, 0.1, p, d), rtol=1e-13)
 
     def test_zero_mode_identity_random_pairs(self):
+        # the paper's equal-time zero mode, (g R_c/(beta (2 hbar v)^2)) ln[((1 +
+        # |dx|/2R_c)^2 - s^2)/((1 - |dx|/2R_c)^2 - s^2)], s = (x + x')/(2 R_c)
         p, d = setup_params(Lambda=1.7, beta=0.8)
         rng = np.random.default_rng(5)
         for _ in range(40):
             x, xp = rng.uniform(-0.85 * d.R_c, 0.85 * d.R_c, size=2)
-            sd = spectral_density(0.0, x, xp, p, d)
-            assert_allclose(sd.re_part / p.beta, closed_form_zero_mode(x, xp, p, d), rtol=1e-10)
+            half_d, half_s = abs(x - xp) / (2.0 * d.R_c), (x + xp) / (2.0 * d.R_c)
+            ratio = ((1.0 + half_d) ** 2 - half_s**2) / ((1.0 - half_d) ** 2 - half_s**2)
+            paper = p.g * d.R_c / (p.beta * (2.0 * p.hbar * d.v) ** 2) * math.log(ratio)
+            assert_allclose(spectral_density(0.0, x, xp, p, d).re_part / p.beta, paper, rtol=1e-10)
+
+    def test_zero_mode_within_its_bound_of_40_digits(self):
+        # G_0 = K |atanh u - atanh u'| at 40 digits: same-sign pairs 1e-4,
+        # 1e-8 and 1e-12 apart, where the difference of two atanh cancels (it
+        # was off by 1.9e-6 relative at 1e-12), opposite-sign pairs out to the
+        # boundary clamp, and random pairs.  Each value lies within its
+        # reported bound, a few eps of it, and is bitwise the same with its
+        # two points swapped
+        p, d = unit_radius_params()
+        k = _k_coeff(p, d)
+        edge = 1.0 - BOUNDARY_EPS
+        rng = np.random.default_rng(33)
+        pairs = [(u, u - sep) for sep in (1e-4, 1e-8, 1e-12) for u in rng.uniform(-edge + sep, edge, 40)]
+        pairs += [(u, -v) for u, v in rng.uniform(0.5, edge, (40, 2))]
+        pairs += [(edge, -edge), (edge, -0.5), (-edge, edge - 1e-12), (edge, 0.0)]
+        pairs += [tuple(uv) for uv in rng.uniform(-edge, edge, (100, 2))]
+        us, ups = np.array(pairs).T
+        re, err, scale, rows = _density_parts(0.0, np.concatenate([us, ups]), np.concatenate([ups, us]), d, k, 1e-13)
+        n = len(pairs)
+        assert re[:n].tobytes() == re[n:].tobytes() and not rows.any()
+        assert_allclose(scale[:n], np.abs(re[:n]), rtol=0.0)
+        with mp.workdps(40):
+            exact = [k * abs(mp.atanh(mp.mpf(u)) - mp.atanh(mp.mpf(up))) for u, up in pairs]
+        errors = np.array([float(abs(mp.mpf(g) - g_exact)) for g, g_exact in zip(re[:n].tolist(), exact)])
+        assert np.all(errors <= err[:n])
+        assert np.all(err[:n] <= 5.0 * np.finfo(float).eps * np.abs(re[:n]))
 
     def test_coincident_points_finite(self):
         p, d = setup_params()
@@ -166,8 +194,7 @@ class TestSpectralDensity:
         xs = [-0.6 * d.R_c, 0.3 * d.R_c]
         zero = spectral_densities(0.0, xs, 0.1 * d.R_c, p, d)
         tiny = spectral_densities(omega, xs, 0.1 * d.R_c, p, d)
-        assert [sd.re_part.hex() for sd in tiny] == [sd.re_part.hex() for sd in zero]
-        assert [sd.err_bound for sd in tiny] == [0.0, 0.0]
+        assert [(sd.re_part.hex(), sd.err_bound) for sd in tiny] == [(sd.re_part.hex(), sd.err_bound) for sd in zero]
 
     def test_boundary_clamp_enforced(self):
         p, d = setup_params()
@@ -298,9 +325,9 @@ class TestSpectralDensities:
 
     def test_clamped_and_capped_points_keep_their_own_errors(self):
         # x = R_c lies beyond the clamp; at tol = 1e-15, below the rounding
-        # allowance of a product of two P_nu, every point inside the clamp
-        # gets the AccuracyError of its own bound at omega = 2 pi, and none
-        # at omega = 0, whose closed form has no bound
+        # allowance of a product of two P_nu and below the zero mode's 5 eps,
+        # every point inside the clamp gets the AccuracyError of its own bound
+        # at omega = 2 pi and at omega = 0
         p, d = setup_params()
         xs = [-0.6 * d.R_c, d.R_c, 0.3 * d.R_c, 0.99999 * d.R_c, 0.9 * d.R_c]
         for omega in (0.0, 2.0 * math.pi):
@@ -308,8 +335,7 @@ class TestSpectralDensities:
             self.assert_same(batch, _per_point(omega, xs, 0.1 * d.R_c, p, d, 1e-15))
             assert isinstance(batch[1], DomainError)
             inside = batch[:1] + batch[2:]
-            assert all(isinstance(b, AccuracyError) for b in inside) if omega else not any(
-                isinstance(b, Exception) for b in inside)
+            assert all(isinstance(b, AccuracyError) for b in inside)
         assert f"x = {0.99999 * d.R_c!r}," in str(batch[3]) and "> tol = 1e-15 times the magnitude of its terms" in str(batch[3])
         assert batch[3].achieved > 1e-15
 
@@ -379,36 +405,52 @@ class TestSpectralDensities:
         assert sum(r[-1] == "ok" for r in rows) == 16
 
 
+def _fold_cases() -> list:
+    """(params, [(x, x', dtau)], l_max) of the assembly-versus-fold test: three
+    pairs at each of three temperatures, and one pair at each of 12 random
+    parameter sets, drawn as check 10 draws its trials, to l_max = 6."""
+    cases = [pytest.param(setup_params(beta=beta), [(0.45, 0.31, 0.0), (-0.2, 0.6, 0.13 * beta),
+                                                    (0.3, 0.1, -0.4 * beta)], 40, id=repr(beta))
+             for beta in (0.05 * math.sqrt(2.0), 1.0, 100.0 * math.sqrt(2.0))]
+    rng = np.random.default_rng(777)
+    for trial in range(12):
+        p, d = setup_params(**{key: float(rng.uniform(0.5, 2.0)) for key in ("m", "g", "Omega", "Lambda", "beta")})
+        x1, x2 = rng.uniform(-0.6 * d.R_c, 0.6 * d.R_c, size=2)
+        if abs(x1 - x2) < 0.05 * d.R_c:
+            x2 = x1 + 0.1 * d.R_c
+        cases.append(pytest.param((p, d), [(x1, x2, float(rng.uniform(0.05, 0.45)) * p.beta)], 6,
+                                  id=f"check10-trial{trial}"))
+    return cases
+
+
 class TestClosedFormZeroMode:
     def test_equal_points(self):
         p, d = setup_params()
-        assert closed_form_zero_mode(0.3, 0.3, p, d) == 0.0
-
-    def test_reference_value(self):
-        p, d = unit_radius_params()
-        assert_allclose(closed_form_zero_mode(0.2, 0.1, p, d), 0.25 * math.log(27.0 / 22.0), rtol=1e-13)
+        sd = spectral_density(0.0, 0.3, 0.3, p, d)
+        assert (sd.re_part, sd.err_bound) == (0.0, 0.0)
 
     def test_quasi_homogeneous_linear_reduction(self):
         p, d = setup_params()
         s_half = 0.3 * d.R_c
         dx = 0.01 * d.R_c
-        value = closed_form_zero_mode(s_half + dx / 2.0, s_half - dx / 2.0, p, d)
+        value = spectral_density(0.0, s_half + dx / 2.0, s_half - dx / 2.0, p, d).re_part / p.beta
         linear = p.Lambda * dx / (2.0 * p.beta * (p.hbar * d.v) ** 2 * rho_tf(s_half, p, d))
         assert abs(value - linear) < 0.03 * abs(linear)
 
-    def test_outside_support_rejected(self):
-        # the log argument only turns non-positive once a point leaves the
-        # condensate (interior pairs always give a positive ratio)
+    @pytest.mark.parametrize("x", [1.2, 1.0 - 0.5 * BOUNDARY_EPS])
+    def test_outside_support_rejected(self, x):
+        # a point beyond the boundary clamp, inside the condensate or not, is
+        # the clamp's DomainError, as at every other frequency
         p, d = setup_params()
-        with pytest.raises(DomainError):
-            closed_form_zero_mode(1.2 * d.R_c, 0.5 * d.R_c, p, d)
+        with pytest.raises(DomainError, match=r"exceeds the boundary clamp 1 - 1e-06"):
+            spectral_density(0.0, x * d.R_c, 0.5 * d.R_c, p, d)
 
 
 class TestMatsubaraAssemble:
     def test_single_term_is_zero_mode(self):
         p, d = setup_params()
         g = matsubara_assemble(0.3, 0.2, 0.1, 0.0, p, d, l_max=0)
-        assert_allclose(g.value.real, closed_form_zero_mode(0.3, 0.1, p, d), rtol=1e-12)
+        assert_allclose(g.value.real, spectral_density(0.0, 0.3, 0.1, p, d).re_part / p.beta, rtol=1e-12)
         assert g.value.imag == 0.0
 
     def test_tau_reflection_conjugation(self):
@@ -466,12 +508,12 @@ class TestMatsubaraAssemble:
                 g21 = matsubara_assemble(xp, 0.07, x, 0.07 + dtau, p, d, l_max=12)
                 assert g12.value == g21.value
 
-    @pytest.mark.parametrize("beta", [0.05 * math.sqrt(2.0), 1.0, 100.0 * math.sqrt(2.0)])
-    def test_matches_fold_of_spectral_densities(self, beta, monkeypatch):
+    @pytest.mark.parametrize("params, points, l_max", _fold_cases())
+    def test_matches_fold_of_spectral_densities(self, params, points, l_max, monkeypatch):
         # the batched pass against one spectral_density call per frequency;
         # at beta = 100 sqrt(2) the first frequencies lie on the real branch
-        p, d = setup_params(beta=beta)
-        l_max = 40
+        p, d = params
+        beta = p.beta
         rows = []
         quad_rows = legendre._quad_rows
 
@@ -479,7 +521,7 @@ class TestMatsubaraAssemble:
             rows.append(lam.size)
             return quad_rows(lam, *args)
 
-        for x, xp, dtau in ((0.45, 0.31, 0.0), (-0.2, 0.6, 0.13 * beta), (0.3, 0.1, -0.4 * beta)):
+        for x, xp, dtau in points:
             rows.clear()
             with monkeypatch.context() as scope:
                 scope.setattr(legendre, "_quad_rows", counted)
@@ -1046,7 +1088,8 @@ class TestTrappedAsymptotics:
                 g = asympt_green_highT(dx / 2.0, dtau, -dx / 2.0, 0.0, p, d).value
                 z = (math.pi / d.lambda_T) * complex(dx, hv * dtau)
                 homogeneous = (p.g / (2.0 * math.pi * hv)) * (log_2sinh_abs(z) - z.real)
-                assert_allclose(g - closed_form_zero_mode(dx / 2.0, -dx / 2.0, p, d), homogeneous, rtol=2e-5)
+                zero = spectral_density(0.0, dx / 2.0, -dx / 2.0, p, d).re_part / p.beta
+                assert_allclose(g - zero, homogeneous, rtol=2e-5)
 
     def test_green_highT_even_about_half_beta(self):
         # Bose periodicity and evenness in dtau: G(dtau) = G(beta - dtau)

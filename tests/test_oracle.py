@@ -15,12 +15,12 @@ from trapgas import (
     PhysicalParams,
     brute_frequency_sum,
     brute_legendre_tail,
-    closed_form_zero_mode,
     derive_scales,
     fdm_eigensolve,
     fdm_eigensolve_richardson,
     fdm_spectral_solve,
     p_poly_table,
+    spectral_densities,
     spectral_density,
 )
 
@@ -83,10 +83,8 @@ class TestFdmSpectralSolve:
         xs = [0.3 * d.R_c, 0.45 * d.R_c, -0.25 * d.R_c]
         snapped = [sol.x_nodes[int(np.argmin(np.abs(sol.x_nodes - x)))] for x in xs]
         fdm_diff = sol.interp(snapped[0]) - sol.interp(snapped[1])
-        cf_diff = (
-            closed_form_zero_mode(snapped[0], sol.x_source, p, d)
-            - closed_form_zero_mode(snapped[1], sol.x_source, p, d)
-        ) * p.beta
+        cf_diff = (spectral_density(0.0, snapped[0], sol.x_source, p, d).re_part
+                   - spectral_density(0.0, snapped[1], sol.x_source, p, d).re_part)
         assert abs(fdm_diff - cf_diff) < 1e-3 * abs(cf_diff)
 
     def test_large_omega_exponential_envelope(self):
@@ -107,6 +105,20 @@ class TestFdmSpectralSolve:
         omega = 2.0 * math.pi / p.beta
         est_snap = {n: fdm_spectral_solve(omega, 0.1, p, d, FdmGrid(N=n)).disc_error_est for n in (2000, 4000)}
         assert 1.4 < est_snap[2000] / est_snap[4000] < 3.0
+
+    def test_zero_mode_estimate_spans_the_coarse_nodes(self):
+        # at omega = 0 the estimate compares only the fine cells within the
+        # coarse nodes' span: outside it np.interp holds the coarse end value
+        # flat beside the log singularity, which read 0.2451.  Inside it the
+        # estimate, 0.0202, bounds the error against the zero mode at every
+        # cell but the outermost, whose cell-centred value is off by 0.041 at
+        # any N
+        p, d = setup_params()
+        sol = fdm_spectral_solve(0.0, 0.1 * d.R_c, p, d, FdmGrid(N=10_000))
+        exact = np.array([sd.re_part for sd in spectral_densities(0.0, sol.x_nodes[1:-1], sol.x_source, p, d)])
+        error = sol.g_values[1:-1] - exact
+        error -= np.median(error)  # the gauges' constant
+        assert np.max(np.abs(error)) <= sol.disc_error_est < 0.05
 
     def test_snap_offset_bounded_by_half_cell(self):
         p, d = setup_params()
