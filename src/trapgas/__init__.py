@@ -66,7 +66,6 @@ _ORACLE_NAMES = (
     "brute_frequency_sum",
     "brute_legendre_tail",
     "fdm_eigensolve",
-    "fdm_eigensolve_richardson",
     "fdm_spectral_solve",
 )
 

@@ -356,15 +356,14 @@ def cmd_green(cfg: RunConfig, args) -> tuple:
         rows = []
         for omega in cfg["grid.omegas"]:
             sol = fdm_spectral_solve(omega, x1, p, d, FdmGrid(N=10_000))
-            # at omega = 0, align the mean-zero gauge with the zero mode's
-            # convention at the first grid point inside the boundary clamp
-            zero = spectral_densities(0.0, xs, sol.x_source, p, d) if omega == 0.0 else []
-            anchor = next((sd for sd in zero if not isinstance(sd, TrapGasError)), None)
-            shift = anchor.re_part - float(sol.interp(anchor.x)) if anchor else 0.0
+            # at omega = 0, align the mean-zero gauge with the zero mode's convention at the first grid
+            # point the error estimate covers, which lies inside the boundary clamp
+            x0 = next((x for x in xs if sol.outside_estimate(x) is None), None) if omega == 0.0 else None
+            shift = 0.0 if x0 is None else spectral_density(0.0, x0, sol.x_source, p, d).re_part - float(sol.interp(x0))
             for x2 in xs:
-                # the solve spans the condensate only
-                g = (GreenValue(float(sol.interp(x2)) + shift, mode, sol.disc_error_est) if abs(x2) < d.R_c
-                     else DomainError(f"x = {x2!r} is outside the condensate |x| < R_c = {d.R_c!r}"))
+                # the solve spans the condensate, its error estimate the coarse nodes' span
+                g = (sol.outside_estimate(x2) or GreenValue(float(sol.interp(x2)) + shift, mode, sol.disc_error_est)
+                     if abs(x2) < d.R_c else DomainError(f"x = {x2!r} is outside the condensate |x| < R_c = {d.R_c!r}"))
                 rows.append(_green_row(x1, tau1, x2, tau1, g, mode, regime_tag))
         return columns, rows, extra
 
@@ -519,7 +518,7 @@ def cmd_validate(cfg: RunConfig, args, out) -> int:
     results = run_all(tol_overrides=overrides)
     for res in results:
         status = "PASS" if res.passed else "FAIL"
-        print(f"[{status}] {res.name}: value={res.value:.6g} tol={res.tol:g} ({res.seconds:.2f}s) {res.detail}",
+        print(f"[{status}] {res.name}: value={res.value:.6g} tol={res.tol:g} ({res.seconds:.4f}s) {res.detail}",
               file=sys.stderr)
     report = {
         "version": __version__,
@@ -530,7 +529,7 @@ def cmd_validate(cfg: RunConfig, args, out) -> int:
                 "value": r.value,
                 "tol": r.tol,
                 "passed": r.passed,
-                "seconds": round(r.seconds, 3),
+                "seconds": round(r.seconds, 6),
                 "detail": r.detail,
             }
             for r in results

@@ -11,7 +11,8 @@ The discretized operator is a symmetric tridiagonal matrix, built once by
 diagonal) and the eigensolve; scipy.linalg's banded LAPACK routines solve
 and diagonalize it.  At omega = 0 it annihilates constants; the solver pins
 one interior node, which makes the system positive definite, and fixes the
-gauge afterwards.
+gauge afterwards.  Its eigenvalues are n(n+1)/R_c^2 exactly at every N (see
+``fdm_eigensolve``): its discretization error lies in the eigenvectors alone.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ __all__ = [
     "FdmSolution",
     "fdm_spectral_solve",
     "fdm_eigensolve",
-    "fdm_eigensolve_richardson",
     "brute_frequency_sum",
     "brute_legendre_tail",
 ]
@@ -58,10 +58,17 @@ class FdmSolution:
     x_source: float
     snap_offset: float
     disc_error_est: float
+    estimate_span: tuple[float, float]
     meta: dict = field(default_factory=dict)
 
     def interp(self, x) -> np.ndarray:
         return np.interp(x, self.x_nodes, self.g_values)
+
+    def outside_estimate(self, x: float) -> DomainError | None:
+        """None within ``estimate_span``, else the DomainError of a point that ``disc_error_est`` does not cover."""
+        lo, hi = self.estimate_span
+        return None if lo <= x <= hi else DomainError(
+            f"x = {x!r} is outside {lo!r} <= x <= {hi!r}: the coarse nodes' span where the FDM error is estimated")
 
 
 def _flux_operator(d: DerivedScales, n_cells: int):
@@ -133,8 +140,8 @@ def fdm_spectral_solve(
     source and within the span of the coarse nodes, outside which
     ``np.interp`` would hold the coarse end value flat; for the second-order
     scheme the true fine-grid error is about a third of the reported
-    difference.  At omega = 0 the solution is mean-zero, with the symmetric
-    boundary flux of ``_assemble_and_solve``.
+    difference; that span, |x| <= R_c - h, is ``estimate_span``.  At omega = 0
+    the solution is mean-zero, with the boundary flux of ``_assemble_and_solve``.
     """
     if abs(xp) >= d.R_c:
         raise DomainError(f"source point must be interior, got x' = {xp} with R_c = {d.R_c}")
@@ -150,6 +157,7 @@ def fdm_spectral_solve(
         x_source=xs,
         snap_offset=float(xp - xs),
         disc_error_est=est,
+        estimate_span=(float(xc2[0]), float(xc2[-1])),
         meta={"gauge_multiplier": mult},
     )
 
@@ -157,9 +165,12 @@ def fdm_spectral_solve(
 def fdm_eigensolve(p: PhysicalParams, d: DerivedScales, grid: FdmGrid, n_levels: int) -> np.ndarray:
     """Lowest eigenvalues of -d/dx[(1 - x^2/R_c^2) d/dx], ascending.
 
-    The continuum spectrum is n(n+1)/R_c^2; the discrete flux form inherits
-    the zero-flux (bounded-solution) endpoint behaviour because the ODE
-    coefficient vanishes exactly on the outermost faces.  By mirror symmetry
+    The discrete flux form has the continuum spectrum n(n+1)/R_c^2 exactly at
+    every N: with p = 1 - x^2/R_c^2 on the faces and 0 on the end faces, it maps
+    a polynomial of degree k on the nodes to one of degree <= k with x^k
+    coefficient k(k+1)/R_c^2, end cells included.  The levels carry only the
+    bisection's rounding, about eps 4/h^2; the eigenvectors are discrete
+    orthogonal polynomials, not the sampled P_n.  By mirror symmetry
     its lowest ceil(n/2) even and floor(n/2) odd levels come from two
     half-length blocks: for even N the left half, the centre coupling c added
     to (even) or subtracted from (odd) its last diagonal entry; for odd N the
@@ -177,19 +188,6 @@ def fdm_eigensolve(p: PhysicalParams, d: DerivedScales, grid: FdmGrid, n_levels:
     counts = ((n_levels + 1) // 2, n_levels // 2)
     levels = [eigvalsh_tridiagonal(*b, select="i", select_range=(0, k - 1)) for b, k in zip(blocks, counts) if k]
     return np.sort(np.concatenate(levels))
-
-
-def fdm_eigensolve_richardson(
-    p: PhysicalParams, d: DerivedScales, n_cells: int, n_levels: int
-) -> np.ndarray:
-    """Richardson-extrapolated eigenvalues from grids N and 2N.
-
-    The flux-form eigenvalues converge as lambda(h) = lambda + c h^2, so
-    (4 lambda_{2N} - lambda_N)/3 removes the leading error term.
-    """
-    lam_n = fdm_eigensolve(p, d, FdmGrid(N=n_cells), n_levels)
-    lam_2n = fdm_eigensolve(p, d, FdmGrid(N=2 * n_cells), n_levels)
-    return (4.0 * lam_2n - lam_n) / 3.0
 
 
 def brute_frequency_sum(theta: float, l_max: int) -> float:

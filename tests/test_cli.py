@@ -304,6 +304,29 @@ class TestGreenCommand:
             scale = np.max(np.abs(ds))
             assert np.max(np.abs(ds - do)) < 1e-3 * scale
 
+    def test_oracle_rows_beyond_the_estimate_are_domain_errors(self, tmp_path):
+        # x = +-0.9999 R_c lies inside the condensate and the boundary clamp but
+        # beyond R_c - h, where no coarse node bounds the fine solution: at
+        # every omega a DomainError row that names the estimate's span, not an
+        # ok row whose trunc_err (0.0202 at omega = 0) understates its error
+        # (0.041).  At omega = 0 the gauge is anchored at x = 0, and the row
+        # there agrees with the zero mode within its trunc_err
+        r_c = math.sqrt(2.0)
+        cfg = write_config(tmp_path, f"[grid]\nx_ref = {0.1 * r_c!r}\nx_min = {-0.9999 * r_c!r}\n"
+                                     f"x_max = {0.9999 * r_c!r}\nx_count = 3\nomega_list = 0, 6.283185307179586\n")
+        out_o, out_s = tmp_path / "o.csv", tmp_path / "s.csv"
+        assert main(["green", "--mode", "oracle", "--config", cfg, "--out", str(out_o)]) == 0
+        assert main(["green", "--mode", "trapped-spectral", "--config", cfg, "--out", str(out_s)]) == 0
+        _, header, rows = read_csv(str(out_o))
+        rows = [dict(zip(header, cells)) for cells in rows]
+        _, _, spectral = read_csv(str(out_s))
+        assert [r["status"] == "ok" for r in rows] == [False, True, False] * 2
+        for row in (rows[i] for i in (0, 2, 3, 5)):
+            assert row["status"].startswith(f"DomainError: x = {float(row['x2'])!r} is outside -1.41393")
+            assert "the coarse nodes' span where the FDM error is estimated" in row["status"]
+        centre = rows[1]
+        assert abs(float(centre["G_re"]) - float(spectral[1][header.index("G_re")])) <= float(centre["trunc_err"])
+
     def test_oracle_empty_grid_header_only(self, tmp_path):
         cfg = write_config(tmp_path, "[grid]\nx_count = 0\n")
         out = tmp_path / "oracle.csv"
@@ -313,15 +336,17 @@ class TestGreenCommand:
 
     @pytest.mark.parametrize(
         "x_min, outside, anchor",
-        [(-1.0, [1.5], 0), (-1.5, [-1.5, 1.5], 1), (-1.4142134, [1.5], 1)],
-        ids=["right-end-outside", "both-ends-outside", "first-point-beyond-the-clamp"],
+        [(-1.0, [1.5], 0), (-1.5, [-1.5, 1.5], 1), (-1.4142134, [-1.4142134, 1.5], 1)],
+        ids=["right-end-outside", "both-ends-outside", "first-point-beyond-the-estimate"],
     )
     def test_oracle_rows_outside_the_condensate_are_domain_errors(self, tmp_path, x_min, outside, anchor):
         # R_c = sqrt 2: a point at |x| >= R_c is a DomainError row, as in
         # trapped-spectral, and not the last node's value; the omega = 0
-        # gauge is anchored at the first point inside the boundary clamp
-        # (1 - 1e-6) R_c, where the oracle's G is the zero mode's.  x = -1.4142134
-        # lies inside the condensate but beyond the clamp: an ok row, not the anchor
+        # gauge is anchored at the first point the FDM error estimate covers,
+        # which lies inside the boundary clamp (1 - 1e-6) R_c, where the
+        # oracle's G is the zero mode's.  x = -1.4142134 lies inside the
+        # condensate but beyond R_c - h, outside the estimate's span: a
+        # DomainError row that names the span, and not the anchor
         cfg = write_config(tmp_path, f"[grid]\nx_min = {x_min!r}\nx_max = 1.5\nx_count = 6\n")
         out = tmp_path / "oracle.csv"
         assert main(["green", "--mode", "oracle", "--config", cfg, "--out", str(out)]) == 0
@@ -332,7 +357,8 @@ class TestGreenCommand:
         assert [float(r["x2"]) for r in errors] == outside
         for row in errors:
             assert row["G_re"] == "" and row["trunc_err"] == "" and row["method"] == "oracle"
-            assert row["status"].startswith(f"DomainError: x = {float(row['x2'])!r} is outside the condensate")
+            reason = "the condensate" if abs(float(row["x2"])) >= math.sqrt(2.0) else "-1.41393"
+            assert row["status"].startswith(f"DomainError: x = {float(row['x2'])!r} is outside {reason}")
         p = PhysicalParams(m=1, g=1, Omega=1, Lambda=1, beta=1)
         d = derive_scales(p)
         from trapgas import FdmGrid, fdm_spectral_solve, spectral_density
@@ -998,6 +1024,50 @@ class TestValidateCommand:
         result = checks.run_check("01-zero-mode-identity")
         assert not result.passed and result.value > result.tol == 1e-10
         assert not result.conditions_met
+
+    @pytest.mark.parametrize(
+        "mutant",
+        ["coefficient-off-by-1e-3", "end-faces-not-zeroed", "coefficient-averaged-from-the-nodes"],
+    )
+    def test_check_04_fails_on_a_wrong_operator(self, monkeypatch, mutant):
+        # the flux-form operator mutated: scaled by 1 + 1e-3 (reads 1.0e-3);
+        # the end faces carrying their inner neighbours' coefficient, as an
+        # unpinned zero-gradient extrapolation of p would (about 0.6); or p
+        # taken at the nodes and averaged to the faces, which is second order
+        # too but not exact on polynomials (1.57e-4).  The last passed the
+        # Richardson pair at N = 2000/4000, which read 8.1e-8
+        from trapgas import checks, oracle
+
+        def mutated(d, n_cells):
+            h = 2.0 * d.R_c / n_cells
+            xc = -d.R_c + (np.arange(n_cells) + 0.5) * h
+            pf = 1.0 - ((-d.R_c + np.arange(n_cells + 1) * h) / d.R_c) ** 2
+            if mutant == "end-faces-not-zeroed":
+                pf[[0, -1]] = pf[[1, -2]]
+            else:
+                pf[[0, -1]] = 0.0
+            if mutant == "coefficient-averaged-from-the-nodes":
+                pn = 1.0 - (xc / d.R_c) ** 2
+                pf[1:-1] = 0.5 * (pn[1:] + pn[:-1])
+            scale = 1.0 + 1e-3 if mutant == "coefficient-off-by-1e-3" else 1.0
+            return h, xc, scale * (pf[1:] + pf[:-1]) / h**2, -scale * pf[1:-1] / h**2
+
+        assert checks.run_check("04-eigenvalue-law").value < 1e-10
+        monkeypatch.setattr(oracle, "_flux_operator", mutated)
+        result = checks.run_check("04-eigenvalue-law")
+        assert not result.passed and result.value > result.tol == 1e-4
+        expected = {"coefficient-off-by-1e-3": 1e-3, "end-faces-not-zeroed": 0.6,
+                    "coefficient-averaged-from-the-nodes": 1.57e-4}[mutant]
+        assert result.value == pytest.approx(expected, rel=0.1)
+
+    def test_per_check_seconds_to_the_microsecond(self, tmp_path, capsys):
+        # check 04 takes about 2 ms and several checks under 1 ms: the report
+        # keeps 6 decimals, and stderr prints 4, which compare_tables strips
+        out = tmp_path / "report.json"
+        assert main(["validate", "--out", str(out)]) == 0
+        seconds = [c["seconds"] for c in json.loads(out.read_text())["checks"]]
+        assert all(s == round(s, 6) for s in seconds) and any(s != round(s, 3) for s in seconds)
+        assert len(re.findall(r"\(\d+\.\d{4}s\)", capsys.readouterr().err)) == len(seconds)
 
     @pytest.mark.parametrize("branch", ["all", "real"])
     def test_check_11_fails_on_a_wrong_density(self, monkeypatch, branch):

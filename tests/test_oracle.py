@@ -17,7 +17,6 @@ from trapgas import (
     brute_legendre_tail,
     derive_scales,
     fdm_eigensolve,
-    fdm_eigensolve_richardson,
     fdm_spectral_solve,
     p_poly_table,
     spectral_densities,
@@ -120,6 +119,22 @@ class TestFdmSpectralSolve:
         error -= np.median(error)  # the gauges' constant
         assert np.max(np.abs(error)) <= sol.disc_error_est < 0.05
 
+    @pytest.mark.parametrize("omega", [0.0, 2.0 * math.pi])
+    def test_estimate_span_is_the_coarse_nodes(self, omega):
+        # the estimate compares only fine cells within [-R_c + h, R_c - h],
+        # h = 2 R_c / N: a point beyond it, such as 0.9999 R_c, has no estimate
+        # and is a DomainError that names the span
+        p, d = setup_params()
+        sol = fdm_spectral_solve(omega, 0.1 * d.R_c, p, d, FdmGrid(N=10_000))
+        h = 2.0 * d.R_c / 10_000
+        assert sol.estimate_span == pytest.approx((-d.R_c + h, d.R_c - h), abs=1e-15)
+        for x in (0.0, 0.8 * d.R_c, *sol.estimate_span):
+            assert sol.outside_estimate(x) is None
+        for x in (0.9999 * d.R_c, -0.9999 * d.R_c, 2.0 * d.R_c):
+            err = sol.outside_estimate(x)
+            assert isinstance(err, DomainError)
+            assert str(err).startswith(f"x = {x!r} is outside {sol.estimate_span[0]!r} <= x <= {sol.estimate_span[1]!r}:")
+
     def test_snap_offset_bounded_by_half_cell(self):
         p, d = setup_params()
         grid = FdmGrid(N=1000)
@@ -216,16 +231,28 @@ class TestEigensolve:
         lam = fdm_eigensolve(p, d, FdmGrid(N=2000), n_levels=3)
         assert abs(lam[0]) < 1e-8
 
-    def test_spectrum_law_with_richardson(self):
+    @pytest.mark.parametrize("n_cells", [210, 211, 256, 1001, 4000])
+    def test_spectrum_is_exact_at_every_grid(self, n_cells):
+        # the flux form maps a polynomial of degree k on the nodes to one of
+        # degree <= k with x^k coefficient k(k+1)/R_c^2, so the levels carry
+        # no h^2 term: they are the continuum's to within the bisection's
+        # default tolerance, eps times the matrix norm 4/h^2, at odd and even N
         p, d = setup_params()
-        lam = fdm_eigensolve_richardson(p, d, n_cells=1000, n_levels=21)
+        lam = fdm_eigensolve(p, d, FdmGrid(N=n_cells), n_levels=21)
+        n = np.arange(21)
+        norm = 4.0 / (2.0 * d.R_c / n_cells) ** 2
+        assert float(np.max(np.abs(lam - n * (n + 1) / d.R_c**2))) <= 2.0 * np.finfo(float).eps * norm
+
+    def test_spectrum_law_on_one_grid(self):
+        p, d = setup_params()
+        lam = fdm_eigensolve(p, d, FdmGrid(N=1000), n_levels=21)
         for n in range(1, 21):
             target = n * (n + 1) / d.R_c**2
             assert abs(lam[n] - target) < 1e-4 * target
 
     def test_spacing_trend_matches_expansion(self):
         p, d = setup_params()
-        lam = fdm_eigensolve_richardson(p, d, n_cells=2000, n_levels=31)
+        lam = fdm_eigensolve(p, d, FdmGrid(N=2000), n_levels=31)
         hv = p.hbar * d.v
         energies = hv * np.sqrt(np.maximum(lam, 0.0))
         n = 25
