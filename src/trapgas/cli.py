@@ -227,6 +227,20 @@ def _fmt_cell(v) -> str:
     return str(v)
 
 
+def _fmt_column(cells: tuple):
+    """``_fmt_cell`` of each of one column's cells.  A cell object that recurs is formatted
+    once, keyed by identity (-0.0 == 0.0 and True == 1 == 1.0); a column of str is its own
+    text, and one of distinct floats takes "%.17g" with no dispatch."""
+    ids = list(map(id, cells))
+    first = dict(zip(ids, cells))
+    if len(first) < len(ids):
+        text = {key: _fmt_cell(v) for key, v in first.items()}
+        return [text[ids[0]]] * len(ids) if len(text) == 1 else list(map(text.__getitem__, ids))
+    kinds = set(map(type, cells))
+    return (cells if kinds == {str} else ["%.17g" % v for v in cells] if kinds == {float}
+            else list(map(_fmt_cell, cells)))
+
+
 def _meta_lines(cfg: RunConfig, extra: dict) -> list:
     lines = [f"trapgas {__version__}"]
     for key in sorted(cfg.values):
@@ -239,14 +253,11 @@ def _meta_lines(cfg: RunConfig, extra: dict) -> list:
 
 
 def write_table(out, fmt: str, cfg: RunConfig, columns: list, rows: list, extra_meta: dict | None = None):
-    """Emit one table as CSV (with '#' metadata header) or the JSON mirror."""
+    """Emit one table as CSV (with '#' metadata header), column by column, or the JSON mirror."""
     meta = _meta_lines(cfg, extra_meta or {})
     if fmt == "csv":
-        for line in meta:
-            out.write(f"# {line}\n")
-        out.write(",".join(columns) + "\n")
-        for row in rows:
-            out.write(",".join(map(_fmt_cell, row)) + "\n")
+        body = map(",".join, zip(*map(_fmt_column, zip(*rows))))
+        out.write("\n".join([*(f"# {line}" for line in meta), ",".join(columns), *body]) + "\n")
     else:
         payload = {
             "meta": meta,

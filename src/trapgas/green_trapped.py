@@ -47,6 +47,7 @@ import cmath
 import math
 import sys
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -98,9 +99,8 @@ _ZERO_MODE_ROUNDING = 5.0 * sys.float_info.epsilon
 _PASS_FREQUENCIES = 4096
 
 
-@dataclass(frozen=True)
-class SpectralDensity:
-    """G_omega(x, x') at one Matsubara frequency.
+class SpectralDensity(NamedTuple):
+    """G_omega(x, x') at one Matsubara frequency, a record cheap to build.
 
     ``re_part`` is the density, the real part of the closed form;
     ``err_bound`` bounds its quadrature error, not the rounding of its
@@ -459,19 +459,20 @@ def spectral_densities(
         up, xp_error = _clamped_u(xp, d), None
     except DomainError as exc:
         up, xp_error = None, exc
-    out, us, points = [], [], []
-    for i, x in enumerate(xs):
+    # one compare clamps every point, by _clamped_u's division; a point beyond it takes that call's own error
+    us = np.asarray(xs, dtype=float) / d.R_c
+    inside = np.abs(us) <= 1.0 - BOUNDARY_EPS  # NaN outside
+    out = [xp_error] * len(us)  # None until a point's density is in
+    for i in np.flatnonzero(~inside).tolist():
         try:
-            us.append(_clamped_u(x, d))
+            _clamped_u(xs[i], d)
         except DomainError as exc:
-            out.append(exc)
-        else:
-            out.append(xp_error)  # None until the point's density is in
-            points.append(i)
+            out[i] = exc
+    points = np.flatnonzero(inside).tolist()
     if xp_error is not None or not points:
         return out
     try:
-        re, err, scale, _ = _density_parts(omega, np.array(us), up, d, k, tol)
+        re, err, scale, _ = _density_parts(omega, us[inside], up, d, k, tol)
     except DomainError as exc:  # a bad tol, rejected before the pass
         for i in points:
             out[i] = exc

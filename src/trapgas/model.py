@@ -142,6 +142,9 @@ def rho_tf(x, p: PhysicalParams, d: DerivedScales):
     Accepts a scalar or an ndarray of positions; the profile is an inverted
     parabola supported on [-R_c, R_c] and continuous at the edges.
     """
+    if type(x) in (float, int):  # plain float arithmetic, bitwise the numpy form's; NaN stays NaN
+        w = 1.0 - (x / d.R_c) * (x / d.R_c)
+        return (p.Lambda / p.g) * (0.0 if w < 0.0 else w)
     u2 = np.square(np.asarray(x, dtype=float) / d.R_c)
     out = (p.Lambda / p.g) * np.maximum(0.0, 1.0 - u2)
     if np.ndim(x) == 0:

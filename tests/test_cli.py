@@ -3,10 +3,13 @@ import dataclasses
 import io
 import json
 import math
+import pickle
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trapgas import (
     CorrelatorQuery,
@@ -171,6 +174,59 @@ class TestTableEmission:
             "0.1", "0.3333333333333333", "0.6666666666666666", "7", "-12", True, False, None, "ok", "-0.0",
             "NaN", "Infinity", "-Infinity", "5e-324", "-0.0", "NaN",
         ]]
+
+    @staticmethod
+    def per_cell(cfg, columns, rows) -> str:
+        """The CSV text of one ``_fmt_cell`` call per cell, written row by row."""
+        lines = [f"# {line}" for line in cli._meta_lines(cfg, {})] + [",".join(columns)]
+        return "".join(f"{line}\n" for line in lines + [",".join(map(cli._fmt_cell, row)) for row in rows])
+
+    def assert_mirror(self, columns, rows):
+        """The CSV text is the per-cell reference's, byte for byte, and each
+        JSON cell is the value its CSV text reads back as."""
+        cfg = load_config(None)
+        csv_out, json_out = io.StringIO(), io.StringIO()
+        cli.write_table(csv_out, "csv", cfg, columns, rows)
+        cli.write_table(json_out, "json", cfg, columns, rows)
+        assert csv_out.getvalue() == self.per_cell(cfg, columns, rows)
+        mirror = json.loads(json_out.getvalue())
+        assert (mirror["meta"], mirror["columns"]) == (cli._meta_lines(cfg, {}), columns)
+        assert len(mirror["rows"]) == len(rows)
+        for row, values in zip(rows, mirror["rows"]):
+            for cell, value in zip(row, values, strict=True):
+                text = cli._fmt_cell(cell)
+                if value is None or isinstance(value, (bool, str)):
+                    assert text == {None: "", True: "true", False: "false"}.get(value, value)
+                elif isinstance(value, int):
+                    assert text == str(value)
+                else:
+                    assert np.float64(float(text)).tobytes() == np.float64(value).tobytes()
+
+    def test_empty_table(self):
+        self.assert_mirror(["x", "G_re"], [])
+
+    def test_recurring_and_equal_valued_cells(self):
+        # one object per row of a column and equal values that are other
+        # objects: -0.0 == 0.0 and True == 1 == 1.0 must keep their own text
+        zero, neg, one = 0.0, -0.0, 1.0
+        rows = [(zero, True, "ok", 0.5), (neg, 1, "ok", 0.5), (zero, one, "ok", None), (neg, True, "ok", 0.25),
+                (float("-0"), np.int64(1), "ok", np.float64(0.5)), (np.float64(-0.0), 1.0, "ok", 0.5)]
+        self.assert_mirror(["a", "b", "c", "d"], rows)
+        assert self.per_cell(load_config(None), ["a"], [(zero,), (neg,)]).endswith("\n0\n-0\n")
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_csv_is_the_per_cell_text(self, data):
+        cell = st.one_of(
+            st.floats(), st.sampled_from([0.0, -0.0, 5e-324, -2.5e-310, math.nan, math.inf, -math.inf]),
+            st.floats().map(np.float64), st.integers(-2**63, 2**63 - 1).map(np.int64), st.integers(),
+            st.booleans(), st.none(), st.text(max_size=4))
+        pool = data.draw(st.lists(cell, min_size=1, max_size=6))  # objects that recur across rows
+        # a fresh cell, a recurring one, or an equal one that is another object
+        pick = st.one_of(cell, st.sampled_from(pool), st.sampled_from(pool).map(lambda c: pickle.loads(pickle.dumps(c))))
+        width = data.draw(st.integers(1, 5))
+        rows = data.draw(st.lists(st.tuples(*[pick] * width), max_size=12))
+        self.assert_mirror([f"c{i}" for i in range(width)], rows)
 
 
 class TestDensityCommand:

@@ -304,7 +304,8 @@ class TestSpectralDensities:
             if isinstance(s, Exception):
                 assert type(b) is type(s) and str(b) == str(s)
             else:
-                assert (b.re_part, b.err_bound) == (s.re_part, s.err_bound)
+                assert type(b) is SpectralDensity
+                assert np.array([b.re_part, b.err_bound]).tobytes() == np.array([s.re_part, s.err_bound]).tobytes()
                 assert (b.omega, b.x, b.xp) == (s.omega, s.x, s.xp)
 
     @pytest.mark.parametrize("omega", [0.0, 2.0 * math.pi, 20.0 * math.pi, 200.0 * math.pi])
@@ -371,6 +372,32 @@ class TestSpectralDensities:
         batch = spectral_densities(omega, xs, 0.1 * d.R_c, p, d)
         self.assert_same(batch, _per_point(omega, xs, 0.1 * d.R_c, p, d, 1e-13))
         assert [type(b) for b in batch] == [SpectralDensity, DomainError, SpectralDensity]
+
+    @pytest.mark.parametrize("omega", [0.0, 2.0 * math.pi])
+    @pytest.mark.parametrize("as_array", [False, True])
+    def test_one_pass_clamp_gives_what_single_points_give(self, omega, as_array):
+        # the points at the clamp's edge and just beyond it, NaN, +-inf and
+        # ints, in a list and in a numpy array
+        p, d = setup_params()
+        edge = (1.0 - BOUNDARY_EPS) * d.R_c
+        while edge / d.R_c > 1.0 - BOUNDARY_EPS:
+            edge = math.nextafter(edge, 0.0)
+        beyond = math.nextafter(edge, math.inf)
+        xs = [edge, -edge, beyond, -beyond, math.nan, math.inf, -math.inf, 1, -1, 0, 2, 0.3 * d.R_c]
+        if as_array:
+            xs = np.array(xs, dtype=float)
+        batch = spectral_densities(omega, xs, 0.1 * d.R_c, p, d)
+        self.assert_same(batch, _per_point(omega, xs, 0.1 * d.R_c, p, d, 1e-13))
+        inside = [True, True, False, False, False, False, False, True, True, True, False, True]
+        assert [isinstance(b, SpectralDensity) for b in batch] == inside
+        assert all("exceeds the boundary clamp" in str(b) for b, ok in zip(batch, inside) if not ok)
+
+    def test_one_pass_clamp_keeps_an_xp_beyond_it_behind_the_points_own_errors(self):
+        p, d = setup_params()
+        xs = [0.2 * d.R_c, math.nan, 1]
+        batch = spectral_densities(2.0 * math.pi, xs, d.R_c, p, d)
+        self.assert_same(batch, _per_point(2.0 * math.pi, xs, d.R_c, p, d, 1e-13))
+        assert str(batch[0]) == str(batch[2]) != str(batch[1])
 
     def test_bad_tol_gives_every_point_the_kernel_error(self):
         p, d = setup_params()

@@ -111,6 +111,17 @@ class TestRhoTF:
         assert out.shape == (2,)
         assert out[1] == 0.0
 
+    def test_python_scalars_give_the_array_form_bitwise(self):
+        p = unit_params(Lambda=1.7, g=0.3)
+        d = derive_scales(p)
+        xs = [math.nan, math.inf, -math.inf, 0.0, -0.0, d.R_c, -d.R_c, math.nextafter(d.R_c, 2.0), 1.5, 1e-320,
+              1e200, -1e200, 0, 1, -2, *(np.random.default_rng(3).uniform(-2.0, 2.0, 1000) * d.R_c).tolist()]
+        with np.errstate(over="ignore"):  # the array form overflows in x^2 at |x| = 1e200; the scalar form does not warn
+            expected = rho_tf(np.array(xs, dtype=float), p, d)
+        got = [rho_tf(x, p, d) for x in xs]
+        assert {type(v) for v in got} == {float}
+        assert np.array(got).tobytes() == expected.tobytes()
+
 
 class TestSpectrum:
     def test_zero_mode(self):

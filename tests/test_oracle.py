@@ -149,6 +149,20 @@ class TestFdmSpectralSolve:
         exact = spectral_density(omega, float(x_eval), sol.x_source, p, d).re_part
         assert abs(float(sol.interp(x_eval)) - exact) < 1e-3 * abs(exact)
 
+    @pytest.mark.parametrize("turns", [1, 5])
+    def test_both_routes_are_even_in_omega(self, turns):
+        # omega = 2 pi turns / beta: both routes square omega first, so check
+        # 03 solves only +omega
+        p, d = setup_params()
+        omega = 2.0 * math.pi * turns / p.beta
+        plus, minus = (fdm_spectral_solve(w, 0.1 * d.R_c, p, d, FdmGrid(N=2000)) for w in (omega, -omega))
+        assert plus.g_values.tobytes() == minus.g_values.tobytes()
+        assert (plus.x_source, plus.disc_error_est) == (minus.x_source, minus.disc_error_est)
+        xs = [0.3 * d.R_c, 0.45 * d.R_c, -0.25 * d.R_c, 0.6 * d.R_c]
+        plus, minus = ([(sd.re_part, sd.err_bound) for sd in spectral_densities(w, xs, plus.x_source, p, d)]
+                       for w in (omega, -omega))
+        assert np.array(plus).tobytes() == np.array(minus).tobytes()
+
     def test_validation(self):
         p, d = setup_params()
         with pytest.raises(DomainError):
