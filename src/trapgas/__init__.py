@@ -12,9 +12,6 @@ from .correlator import (
     gamma_d1_exact,
     gamma_from_green,
     gamma_homog,
-    theta_at,
-    theta_homogeneous,
-    xi_at,
 )
 from .errors import (
     AccuracyError,
@@ -36,10 +33,10 @@ from .green_homogeneous import (
 )
 from .green_trapped import (
     BOUNDARY_EPS,
-    LowTControl,
     SpectralDensity,
     asympt_green_highT,
     asympt_green_lowT,
+    closed_form_green,
     lowT_legendre_series,
     matsubara_assemble,
     matsubara_assemble_many,
@@ -56,6 +53,9 @@ from .model import (
     energy_level,
     level_spacing_expansion,
     rho_tf,
+    theta_at,
+    theta_homogeneous,
+    xi_at,
 )
 
 # The oracle is the only module that needs scipy, and only `validate` and

@@ -20,6 +20,7 @@ from functools import cache, partial
 
 import numpy as np
 
+from . import green_homogeneous
 from .correlator import (
     CorrelatorQuery,
     extract_exponent,
@@ -37,7 +38,6 @@ from .green_homogeneous import (
     homog_series,
 )
 from .green_trapped import (
-    LowTControl,
     _density_parts,
     _k_coeff,
     asympt_green_highT,
@@ -211,7 +211,8 @@ def check_eigenvalue_law():
 
 
 def check_frequency_sum():
-    """Brute cosine sum matches pi^2 (theta^2 - theta + 1/6) at l_max = 10^6.
+    """Brute cosine sum matches pi^2 B_2(theta), the package's
+    ``green_homogeneous._bernoulli_b2``, at l_max = 10^6.
 
     At theta = 0 the omitted tail sum_{l > L} 1/l^2 is ~1/L, so the
     Euler-Maclaurin tail 1/L - 1/(2L^2) + 1/(6L^3) is added there; at
@@ -223,7 +224,7 @@ def check_frequency_sum():
         brute = brute_frequency_sum(theta, l_max)
         if theta == 0.0:
             brute += 1.0 / l_max - 1.0 / (2.0 * l_max**2) + 1.0 / (6.0 * l_max**3)
-        closed = math.pi**2 * (theta * theta - theta + 1.0 / 6.0)
+        closed = math.pi**2 * green_homogeneous._bernoulli_b2(theta)  # looked up when the check runs
         worst = max(worst, abs(brute - closed))
     detail = (
         "max |partial sum - Bernoulli closed form| over theta in {0, 0.1, 0.5}; "
@@ -285,7 +286,6 @@ def check_trapped_lowT_match():
     alpha = math.sqrt(2.0)
     p = PhysicalParams(m=1.0, g=1.0, Omega=1.0, Lambda=1.0, beta=100.0 * alpha)
     d = derive_scales(p)
-    ctl = LowTControl(n0=20, min_dtau=1e-6)
     s_half = 0.05 * d.R_c
     dtau = 0.005 * d.alpha
     pairs = [
@@ -293,10 +293,10 @@ def check_trapped_lowT_match():
         for f in (0.01, 0.02, 0.03, 0.04)
     ]
     worst = _max_difference_deviation(
-        partial(lowT_legendre_series, p=p, d=d, ctl=ctl), partial(asympt_green_lowT, p=p, d=d), pairs
+        partial(lowT_legendre_series, p=p, d=d), partial(asympt_green_lowT, p=p, d=d), pairs
     )
 
-    g = lowT_legendre_series(s_half + 0.005 * d.R_c, dtau, s_half - 0.005 * d.R_c, 0.0, p, d, ctl)
+    g = lowT_legendre_series(s_half + 0.005 * d.R_c, dtau, s_half - 0.005 * d.R_c, 0.0, p, d)
     drift = g.trunc_err / abs(g.value)
     detail = f"difference-mode deviation vs leading log; n0 doubling drift = {drift:.3e} (< 0.02 required)"
     return worst, detail, drift < 0.02
@@ -319,13 +319,12 @@ def check_exponent_extraction():
     p2 = PhysicalParams(m=1.0, g=1.0, Omega=math.sqrt(0.5), Lambda=1.0, beta=200.0 * math.sqrt(2.0))
     d2 = derive_scales(p2)
     s_point = 0.5
-    ctl = LowTControl(n0=20, min_dtau=1e-9)
     hv = p2.hbar * d2.v
     dtaus = np.geomspace(0.004, 0.03, 10) * d2.R_c / hv
     gam2 = []
     rho_s = rho_tf(s_point, p2, d2)
     for dt in dtaus:
-        gval = lowT_legendre_series(s_point, dt, s_point, 0.0, p2, d2, ctl)
+        gval = lowT_legendre_series(s_point, dt, s_point, 0.0, p2, d2)
         q = CorrelatorQuery(s_point, dt, s_point, 0.0)
         gam2.append(gamma_from_green(q, gval, p2, d2))
     fit_s = extract_exponent(hv * dtaus, gam2, rho_products=np.full(len(dtaus), rho_s))

@@ -36,6 +36,7 @@ from . import __version__
 from .correlator import (
     MIN_FIT_SAMPLES,
     CorrelatorQuery,
+    _sqrt_rho_pair,
     extract_exponent,
     gamma_from_green,
     theta_at,
@@ -45,9 +46,9 @@ from .correlator import (
 from .errors import AccuracyError, ConfigError, DataError, DomainError, RegimeError, TrapGasError
 from .green_homogeneous import GreenValue, HomogSeriesControl, homog_asymptotic_highT, homog_asymptotic_lowT, homog_series
 from .green_trapped import (
-    LowTControl,
     asympt_green_highT,
     asympt_green_lowT,
+    closed_form_green,
     lowT_legendre_series,
     matsubara_assemble_many,
     spectral_densities,
@@ -97,7 +98,6 @@ _SCHEMA = {
     "truncation": {
         "l_max": _Key(int, 64, least=0),
         "n_max": _Key(int, 256, least=1),
-        "n0": _Key(int, 20, least=1),
         "tol": _Key(float, 1e-12, positive=True),
         "min_dtau": _Key(float, 1e-3, least=0),
     },
@@ -211,20 +211,28 @@ def load_config(path: str | None) -> RunConfig:
 
 
 def _fmt_cell(v) -> str:
-    # the common cells by exact type first; np.float64 subclasses float and takes the chain
+    # the common cells by exact type first; a numpy scalar is the Python scalar it holds,
+    # as in the JSON mirror (np.float64 subclasses float and takes the chain)
     if type(v) is float:
         return "%.17g" % v
     if type(v) is str:
         return v
+    v = v.item() if isinstance(v, np.generic) else v
     if v is None:
         return ""
     if isinstance(v, bool):
         return "true" if v else "false"
-    if isinstance(v, (int, np.integer)):
+    if isinstance(v, int):
         return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        return "%.17g" % float(v)
+    if isinstance(v, float):
+        return "%.17g" % v
     return str(v)
+
+
+def _json_cell(v):
+    """The JSON value of a cell, the one its ``_fmt_cell`` text reads back as."""
+    v = v.item() if isinstance(v, np.generic) else v
+    return v if v is None or isinstance(v, (bool, str)) else float(v) if isinstance(v, float) else int(v)
 
 
 def _fmt_column(cells: tuple):
@@ -262,7 +270,7 @@ def write_table(out, fmt: str, cfg: RunConfig, columns: list, rows: list, extra_
         payload = {
             "meta": meta,
             "columns": columns,
-            "rows": [[(None if c is None else (c if isinstance(c, (bool, str)) else float(c) if isinstance(c, (float, np.floating)) else int(c))) for c in row] for row in rows],
+            "rows": [[_json_cell(c) for c in row] for row in rows],
         }
         json.dump(payload, out, indent=1)
         out.write("\n")
@@ -306,14 +314,9 @@ def _route(mode, cfg: RunConfig, p, d):
     if mode == "homog-series":
         return partial(homog_series, p=p, d=d, ctl=HomogSeriesControl(cfg["truncation.l_max"], cfg["truncation.n_max"]))
     if mode in ("trapped-series", "series"):
-        ctl = LowTControl(n0=cfg["truncation.n0"], min_dtau=cfg["truncation.min_dtau"])
-        return partial(lowT_legendre_series, p=p, d=d, ctl=ctl)
+        return partial(lowT_legendre_series, p=p, d=d, min_dtau=cfg["truncation.min_dtau"])
     if mode == "closed-form":
-        def closed_form(x1, tau1, x2, tau2):
-            if tau1 != tau2:
-                raise DomainError("closed-form correlator is equal-time; set grid.dtau = 0")
-            return GreenValue(spectral_density(0.0, x1, x2, p, d).re_part / p.beta, method=mode)
-        return closed_form
+        return partial(closed_form_green, p=p, d=d)
     regime = classify_regime(d, cfg["regime.r_lo"], cfg["regime.r_hi"])
     if mode == "homog-asympt":
         form = {Regime.HIGH_T: homog_asymptotic_highT, Regime.LOW_T: homog_asymptotic_lowT}.get(regime)
@@ -490,7 +493,7 @@ def cmd_exponent(cfg: RunConfig, args) -> tuple:
             continue
         seps.append(abs(zeta_of(x1 - x2, tau1 - tau2, p, d)))
         gammas.append(gamma)
-        rhos.append(math.sqrt(rho_tf(x1, p, d) * rho_tf(x2, p, d)))
+        rhos.append(_sqrt_rho_pair(x1, x2, p, d))
     if skipped and len(seps) < MIN_FIT_SAMPLES:
         raise DataError(
             f"need at least {MIN_FIT_SAMPLES} samples, got {len(seps)}; {len(skipped)} rows skipped "

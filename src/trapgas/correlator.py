@@ -7,15 +7,15 @@ The correlator is assembled from Green values as
 the paper's exp(-(G(1;2) + G(2;1))/2) with G = G(1;2) = G(2;1): every route
 returns a real Green value that is symmetric in its two points by
 construction.  The Thomas-Fermi density stands in for the renormalized
-densities of the prefactor.  All power-law exponents derive from the single
-stored quantity theta: homogeneous theta = 2 pi hbar v / g, trapped
-theta(S) = 2 pi hbar rho_TF(S) / (m v), correlation length
-xi(S) = (hbar beta v / pi) theta(S).
+densities of the prefactor.  All power-law exponents derive from theta,
+which ``model`` defines and this module re-exports: homogeneous
+theta = 2 pi hbar v / g, trapped theta(S) = 2 pi hbar rho_TF(S) / (m v),
+correlation length xi(S) = (hbar beta v / pi) theta(S).
 
 Every route gives Gamma through ``gamma_from_green``, the one place a Green
 value is exponentiated: the closed form ``gamma_d1_exact`` from the
-equal-time zero mode, ``spectral_density`` at omega = 0, and the spectral,
-series and asymptotic Green values.  The CLI maps the regime to its
+equal-time zero mode of ``closed_form_green``, and the spectral, series and
+asymptotic Green values.  The CLI maps the regime to its
 asymptotic form; a library caller passes ``asympt_green_highT`` or
 ``asympt_green_lowT`` itself.  The high-temperature form, the summed Liouville-Green form, needs
 only points outside the edge layer of the condensate and carries its
@@ -36,8 +36,8 @@ import numpy as np
 
 from .errors import AccuracyError, DataError, DomainError
 from .green_homogeneous import GreenValue, log_2sinh_abs
-from .green_trapped import spectral_density
-from .model import CorrelatorQuery, DerivedScales, PhysicalParams, rho_tf, zeta_of
+from .green_trapped import closed_form_green
+from .model import CorrelatorQuery, DerivedScales, PhysicalParams, rho_tf, theta_at, theta_homogeneous, xi_at, zeta_of
 
 # fewest Gamma samples a power-law fit accepts
 MIN_FIT_SAMPLES = 8
@@ -66,24 +66,6 @@ class FitResult:
     @property
     def theta(self) -> float:
         return 1.0 / self.inv_theta
-
-
-def theta_homogeneous(p: PhysicalParams, d: DerivedScales) -> float:
-    """theta = 2 pi hbar v / g (equivalently 2 pi hbar rho / (m v), rho = Lambda/g)."""
-    return 2.0 * math.pi * p.hbar * d.v / p.g
-
-
-def theta_at(S: float, p: PhysicalParams, d: DerivedScales) -> float:
-    """Position-dependent exponent theta(S) = 2 pi hbar rho_TF(S) / (m v)."""
-    rho = rho_tf(S, p, d)
-    if rho <= 0.0:
-        raise DomainError(f"theta(S) undefined outside the condensate: rho_TF({S}) = 0")
-    return 2.0 * math.pi * p.hbar * rho / (p.m * d.v)
-
-
-def xi_at(S: float, p: PhysicalParams, d: DerivedScales) -> float:
-    """Correlation length xi(S) = (hbar beta v / pi) theta(S) = 2 hbar^2 beta rho_TF(S)/m."""
-    return (p.hbar * p.beta * d.v / math.pi) * theta_at(S, p, d)
 
 
 def _sqrt_rho_pair(x1: float, x2: float, p: PhysicalParams, d: DerivedScales) -> float:
@@ -116,16 +98,15 @@ def gamma_from_green(q: CorrelatorQuery, g: GreenValue, p: PhysicalParams, d: De
 
 
 def gamma_d1_exact(x1: float, x2: float, p: PhysicalParams, d: DerivedScales) -> float:
-    """Equal-time trapped correlator in closed form: ``gamma_from_green`` of
-    the zero mode G_0/beta, ``spectral_density`` at omega = 0, which makes it
+    """Equal-time trapped correlator in closed form, ``gamma_from_green`` of
+    ``closed_form_green``:
 
     sqrt(rho rho') * [ (1 + |dx|/R_c - x1 x2/R_c^2) /
                        (1 - |dx|/R_c - x1 x2/R_c^2) ] ^ (-g R_c/(4 beta hbar^2 v^2))
 
     Raises the boundary clamp's DomainError at a point beyond it.
     """
-    g = GreenValue(spectral_density(0.0, x1, x2, p, d).re_part / p.beta, method="closed-form")
-    return gamma_from_green(CorrelatorQuery(x1, 0.0, x2, 0.0), g, p, d)
+    return gamma_from_green(CorrelatorQuery(x1, 0.0, x2, 0.0), closed_form_green(x1, 0.0, x2, 0.0, p, d), p, d)
 
 
 def gamma_homog(x1: float, tau1: float, x2: float, tau2: float, p: PhysicalParams, d: DerivedScales) -> float:

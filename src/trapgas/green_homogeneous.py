@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, UsageError
-from .model import CorrelatorQuery, DerivedScales, PhysicalParams, zeta_of
+from .model import CorrelatorQuery, DerivedScales, PhysicalParams, theta_homogeneous, zeta_of
 
 __all__ = [
     "HomogSeriesControl",
@@ -92,6 +92,8 @@ def log_2sin_abs(z: complex) -> float:
 
 
 def _bernoulli_b2(theta: float) -> float:
+    """The Bernoulli polynomial B_2(theta) = theta^2 - theta + 1/6, with
+    sum_{l>=1} cos(2 pi l theta)/l^2 = pi^2 B_2(theta) for 0 <= theta <= 1."""
     return theta * theta - theta + 1.0 / 6.0
 
 
@@ -126,8 +128,7 @@ def homog_series(
     if dx == 0.0 and dtau % p.beta == 0.0:
         warning = "coincident arguments: series is log-divergent, value is cutoff-dependent"
 
-    # k = 0 frequency line in its exact Bernoulli-polynomial closed form,
-    # sum_{l>=1} cos(2 pi l theta)/l^2 = pi^2 (theta^2 - theta + 1/6)
+    # k = 0 frequency line in its exact Bernoulli-polynomial closed form
     line_k0 = (p.beta**2 / 2.0) * _bernoulli_b2((dtau / p.beta) % 1.0)
 
     # omega = 0 line
@@ -198,7 +199,7 @@ def homog_asymptotic_highT(
     log_term = log_2sinh_abs((math.pi / (p.hbar * p.beta * d.v)) * zeta_of(dx, dtau, p, d))
     if math.isinf(log_term):
         return _log_divergence("homog-asympt-highT")
-    value = (p.g / (2.0 * math.pi * hv)) * log_term - (p.g / (4.0 * p.beta * d.R_c)) * dx**2 / hv**2
+    value = log_term / theta_homogeneous(p, d) - (p.g / (4.0 * p.beta * d.R_c)) * dx**2 / hv**2
     return GreenValue(value=value, method="homog-asympt-highT", const_free=True)
 
 
@@ -214,11 +215,10 @@ def homog_asymptotic_lowT(
     dx = x - xp
     dtau = tau - taup
     _check_window(dx, dtau, p, d)
-    hv = p.hbar * d.v
     log_term = log_2sin_abs((math.pi / (2.0 * d.R_c)) * zeta_of(dx, dtau, p, d))
     if math.isinf(log_term):
         return _log_divergence("homog-asympt-lowT")
-    value = (p.g / (2.0 * math.pi * hv)) * log_term - (p.g / (4.0 * p.beta * d.R_c)) * dtau**2
+    value = log_term / theta_homogeneous(p, d) - (p.g / (4.0 * p.beta * d.R_c)) * dtau**2
     return GreenValue(value=value, method="homog-asympt-lowT", const_free=True)
 
 

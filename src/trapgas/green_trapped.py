@@ -30,10 +30,11 @@ table together, in passes of up to ``_PASS_FREQUENCIES``; a pair's far
 frequencies past mu = 9 read P_nu(-u_<) and P_nu(u_>) from a Chebyshev
 interpolant in 1/mu at each point (``_far_interp``).
 
-Two frequency-summed forms stand beside the assembly.  At low temperature
-``lowT_legendre_series`` sums the discrete modes, exact up to a crossover
-index n0 and resummed beyond it, and reports as its error how far the value
-moves when the exact part runs on to 2 n0.  At high temperature
+Beside the assembly stand the equal-time closed form ``closed_form_green``,
+the zero mode alone, G_0/beta, and two frequency-summed forms.  At low
+temperature ``lowT_legendre_series`` sums the discrete modes, exact up to the
+crossover index n0 = 20 and resummed beyond it, and reports as its error how
+far the value moves when the exact part runs on to 2 n0.  At high temperature
 ``asympt_green_highT`` adds to the exact zero mode the Liouville-Green (WKB)
 density of every other frequency, written in the optical distance
 X = R_c |arcsin u - arcsin u'|, and sums them in closed form; it holds at
@@ -46,13 +47,12 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import AccuracyError, DomainError, RegimeError, TrapGasError
-from .green_homogeneous import GreenValue, _log_divergence
+from .green_homogeneous import GreenValue, _bernoulli_b2, _log_divergence
 from .legendre import _NODES, _nu_real, _p_quad, p_poly_table
 from .model import (
     DEFAULT_R_HI,
@@ -62,13 +62,15 @@ from .model import (
     DerivedScales,
     PhysicalParams,
     rho_tf,
+    theta_at,
+    theta_homogeneous,
     zeta_of,
 )
 
 __all__ = [
     "BOUNDARY_EPS",
     "SpectralDensity",
-    "LowTControl",
+    "closed_form_green",
     "spectral_density",
     "spectral_densities",
     "matsubara_assemble",
@@ -92,6 +94,10 @@ _ASSEMBLY_ROUNDING = 4.0 * sys.float_info.epsilon
 # w/((1 + w) log1p w) is at most 1), log1p's own ulp and the product with K
 _ZERO_MODE_ROUNDING = 5.0 * sys.float_info.epsilon
 
+# the crossover index of ``lowT_legendre_series``: exact Legendre polynomials
+# up to it, the resummed asymptotic tail beyond
+_N0 = 20
+
 # the frequencies of one kernel pass of ``matsubara_assemble_many``: the pairs
 # of a table share passes of at most this many, or one pair's own where it
 # has more, so that a pass's arrays grow with the longest pair's stop L and
@@ -113,22 +119,6 @@ class SpectralDensity(NamedTuple):
     xp: float
     re_part: float
     err_bound: float
-
-
-@dataclass(frozen=True)
-class LowTControl:
-    """Controls for the low-temperature Legendre series.
-
-    n0        crossover index below which exact polynomials are used
-    min_dtau  minimum |tau - tau'| / beta before an accuracy warning
-    """
-
-    n0: int = 20
-    min_dtau: float = 1e-3
-
-    def __post_init__(self):
-        if self.n0 < 1:
-            raise DomainError("n0 must be >= 1")
 
 
 def _clamped_u(x: float, d: DerivedScales) -> float:
@@ -484,6 +474,17 @@ def spectral_densities(
     return out
 
 
+def closed_form_green(x: float, tau: float, xp: float, taup: float, p: PhysicalParams, d: DerivedScales) -> GreenValue:
+    """Equal-time G(x, tau; x', tau) = G_0/beta, the zero mode alone, which
+    is ``spectral_density(0.0, x, x').re_part / beta`` bit for bit.  Raises
+    DomainError at tau != tau', then the boundary clamp's at x, then at x'."""
+    if tau != taup:
+        raise DomainError("closed-form correlator is equal-time; set grid.dtau = 0")
+    u = _clamped_u(x, d)
+    up = _clamped_u(xp, d)
+    return GreenValue(_zero_mode(u, up, _k_coeff(p, d)) / p.beta, method="closed-form")
+
+
 def _frequency_stop(q: CorrelatorQuery, p: PhysicalParams, d: DerivedScales, l_max: int, tol: float) -> tuple:
     """The stop L of the pair ``q``'s frequency sum, the truncation estimate
     at L and whether the envelope is flat (dx = 0), as
@@ -642,16 +643,6 @@ def _u_star(dx: float, dtau: float, p: PhysicalParams, d: DerivedScales) -> floa
     return abs(zeta_of(dx, dtau, p, d)) / d.R_c
 
 
-def _gate_lowT(n0: int, u_star: float):
-    failures = []
-    if n0 < 5:
-        failures.append(f"n0 >= 5 violated (n0 = {n0})")
-    if n0 * u_star >= 1.0:
-        failures.append(f"n0 * u_* < 1 violated (n0 * u_* = {n0 * u_star:.4g})")
-    if failures:
-        raise RegimeError("low-temperature validity gate failed: " + "; ".join(failures))
-
-
 def _p_poly_integer_phase(n: int, theta: float) -> float:
     """Pbar_n(cos theta) = sqrt(2 / (pi n sin theta)) cos(n theta - pi/4):
     the large-n form of P_n(cos theta), whose phase (n + 1/2) theta - pi/4
@@ -684,17 +675,18 @@ def lowT_legendre_series(
     taup: float,
     p: PhysicalParams,
     d: DerivedScales,
-    ctl: LowTControl = LowTControl(),
+    min_dtau: float = 1e-3,
 ) -> GreenValue:
     """Frequency-summed Green function for beta E_n >> 1 (low temperature).
 
     Value = Bernoulli bracket (the n = 0 frequency line) + exact-minus-
-    asymptotic corrections for n <= n0 + closed geometric tail with the
-    asymptotic polynomial form; the (omega, n) = (0, 0) term is omitted as
-    the series regularization.  Requires tau != tau' for convergence.  The
-    same pass carries the corrections on to 2 n0: ``trunc_err`` is
-    |v(2 n0) - v(n0)|, the value's sensitivity to the crossover index, which
-    the validity gate only brackets.
+    asymptotic corrections for n <= n0 = ``_N0`` + closed geometric tail with
+    the asymptotic polynomial form; the (omega, n) = (0, 0) term is omitted
+    as the series regularization.  Requires tau != tau' for convergence, and
+    warns where |tau - tau'| < ``min_dtau`` beta.  The same pass carries the
+    corrections on to 2 n0: ``trunc_err`` is |v(2 n0) - v(n0)|, the value's
+    sensitivity to the crossover index, which the validity gate
+    n0 u_* < 1 only brackets.
     """
     u = _clamped_u(x, d)
     up = _clamped_u(xp, d)
@@ -711,12 +703,14 @@ def lowT_legendre_series(
             f"(regime_ratio = {d.regime_ratio:.3g})"
         )
     u_star = _u_star(x - xp, dtau, p, d)
-    _gate_lowT(ctl.n0, u_star)
+    if _N0 * u_star >= 1.0:
+        raise RegimeError("low-temperature validity gate failed: "
+                          f"n0 * u_* < 1 violated (n0 * u_* = {_N0 * u_star:.4g})")
 
     warning = None
-    if dtau < ctl.min_dtau * p.beta:
+    if dtau < min_dtau * p.beta:
         warning = (
-            f"dtau/beta = {dtau / p.beta:.3g} below min_dtau = {ctl.min_dtau:g}; "
+            f"dtau/beta = {dtau / p.beta:.3g} below min_dtau = {min_dtau:g}; "
             "omitted-term estimate degrades near coincident times"
         )
 
@@ -725,13 +719,12 @@ def lowT_legendre_series(
     theta_p = math.acos(up)
     t = math.exp(-dtau / d.alpha)
 
-    tau_hat = dtau / p.beta
-    bracket = -(p.g * p.beta / (4.0 * d.R_c)) * ((0.5 - tau_hat) ** 2 - 1.0 / 12.0)
+    bracket = -(p.g * p.beta / (4.0 * d.R_c)) * _bernoulli_b2(dtau / p.beta)
 
-    pn_u = p_poly_table(2 * ctl.n0, u)
-    pn_up = p_poly_table(2 * ctl.n0, up)
+    pn_u = p_poly_table(2 * _N0, u)
+    pn_up = p_poly_table(2 * _N0, up)
     corr = corr_n0 = 0.0
-    for n in range(1, 2 * ctl.n0 + 1):
+    for n in range(1, 2 * _N0 + 1):
         root = math.sqrt(n * (n + 1.0))
         w_n = (n + 0.5) / root
         # P_n(u) P_n(u') first, so that the value is bitwise symmetric in u, u'
@@ -742,7 +735,7 @@ def lowT_legendre_series(
             * math.exp(-(n + 0.5) * dtau / d.alpha)
         )
         corr += exact - approx
-        if n == ctl.n0:
+        if n == _N0:
             corr_n0 = corr
 
     weight = -p.g / (2.0 * hv)
@@ -755,7 +748,7 @@ def lowT_legendre_series(
         method="trapped-lowT-series",
         trunc_err=abs(doubled - value),
         warning=warning,
-        meta={"n0": ctl.n0, "u_star": u_star, "t": t},
+        meta={"n0": _N0, "u_star": u_star, "t": t},
     )
 
 
@@ -785,11 +778,12 @@ def asympt_green_highT(
 
         G = G_0 / beta + A ln|1 - e^{-2z}|,
         z = (pi / lambda_T) (X + i hbar v dtau),
-        A = (g / (2 pi hbar v)) ((1 - u^2)(1 - u'^2))^(-1/4),
+        A = ((1 - u^2)(1 - u'^2))^(-1/4) / theta,   theta = 2 pi hbar v / g,
 
-    an absolute value.  Its small-|z| power law has the local exponent
-    theta(S) / sqrt(1 - S^2/R_c^2), the curved-metric picture of Dubail,
-    Stephan, Viti & Calabrese, SciPost Phys. 2, 002 (2017).
+    an absolute value, with G_0/beta from ``closed_form_green``.  Its
+    small-|z| power law has the local exponent theta(S) / sqrt(1 - S^2/R_c^2),
+    the curved-metric picture of Dubail, Stephan, Viti & Calabrese, SciPost
+    Phys. 2, 002 (2017).
 
     The WKB form needs mu arccos|u| >> 1 at the lowest frequency,
     mu_1 ~ 2 pi alpha / beta; in the edge layer below that its amplitude grows
@@ -807,13 +801,12 @@ def asympt_green_highT(
     if edge < 1.0 / WINDOW_FACTOR:
         raise RegimeError(f"Liouville-Green gate mu_1 arccos|u| >> 1 failed in the edge layer of the "
                           f"condensate (got {edge:.3g} < {1.0 / WINDOW_FACTOR:g})")
-    hv = p.hbar * d.v
-    z = (math.pi / d.lambda_T) * complex(d.R_c * abs(math.asin(u) - math.asin(up)), hv * (tau - taup))
+    z = (math.pi / d.lambda_T) * complex(d.R_c * abs(math.asin(u) - math.asin(up)), p.hbar * d.v * (tau - taup))
     mag = abs(1.0 - cmath.exp(-2.0 * z))
     if mag == 0.0:
         return _log_divergence("trapped-asympt-highT")
-    amp = p.g / (2.0 * math.pi * hv) * ((1.0 - u * u) * (1.0 - up * up)) ** -0.25
-    value = _zero_mode(u, up, _k_coeff(p, d)) / p.beta + amp * math.log(mag)
+    amp = ((1.0 - u * u) * (1.0 - up * up)) ** -0.25 / theta_homogeneous(p, d)
+    value = closed_form_green(x, 0.0, xp, 0.0, p, d).value + amp * math.log(mag)
     return GreenValue(value=value, method="trapped-asympt-highT", meta={"S": 0.5 * (x + xp)})
 
 
@@ -828,9 +821,9 @@ def asympt_green_lowT(
 ) -> GreenValue:
     """Low-temperature leading logarithm, up to an additive constant.
 
-    -(Lambda / (2 pi hbar v rho_TF(S))) * ln(R_c / |dx + i hbar v dtau|),
-    which is -ln(R_c/|zeta|) / theta(S).  Valid for u_* = |zeta|/R_c << 1,
-    read as u_* < WINDOW_FACTOR; raises RegimeError beyond.
+    -ln(R_c / |dx + i hbar v dtau|) / theta(S).  Valid for
+    u_* = |zeta|/R_c << 1, read as u_* < WINDOW_FACTOR; raises RegimeError
+    beyond.
     """
     if d.regime_ratio <= r_hi:
         raise RegimeError(f"beta/alpha > {r_hi:g} violated (beta/alpha = {d.regime_ratio:.3g})")
@@ -842,8 +835,7 @@ def asympt_green_lowT(
     if u_star >= WINDOW_FACTOR:
         raise RegimeError(f"low-temperature gate u_* = |zeta|/R_c < {WINDOW_FACTOR:g} failed (got {u_star:.3g})")
     s_half = 0.5 * (x + xp)
-    hv = p.hbar * d.v
-    value = -(p.Lambda / (2.0 * math.pi * hv * rho_tf(s_half, p, d))) * math.log(1.0 / u_star)
+    value = -math.log(1.0 / u_star) / theta_at(s_half, p, d)
     return GreenValue(
         value=value,
         method="trapped-asympt-lowT",

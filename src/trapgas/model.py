@@ -1,4 +1,5 @@
-"""Physical parameters, derived scales, condensate profile and excitation spectrum.
+"""Physical parameters, derived scales, condensate profile, its exponents theta
+and excitation spectrum.
 
 The gas is a weakly repulsive 1D Bose gas in a harmonic trap, described by a
 mass ``m``, a repulsive coupling ``g > 0``, a trap frequency ``Omega``, a
@@ -29,6 +30,9 @@ __all__ = [
     "Regime",
     "derive_scales",
     "rho_tf",
+    "theta_homogeneous",
+    "theta_at",
+    "xi_at",
     "energy_level",
     "level_spacing_expansion",
     "classify_regime",
@@ -150,6 +154,24 @@ def rho_tf(x, p: PhysicalParams, d: DerivedScales):
     if np.ndim(x) == 0:
         return float(out)
     return out
+
+
+def theta_homogeneous(p: PhysicalParams, d: DerivedScales) -> float:
+    """theta = 2 pi hbar v / g (equivalently 2 pi hbar rho / (m v), rho = Lambda/g)."""
+    return 2.0 * math.pi * p.hbar * d.v / p.g
+
+
+def theta_at(S: float, p: PhysicalParams, d: DerivedScales) -> float:
+    """Position-dependent exponent theta(S) = 2 pi hbar rho_TF(S) / (m v)."""
+    rho = rho_tf(S, p, d)
+    if rho <= 0.0:
+        raise DomainError(f"theta(S) undefined outside the condensate: rho_TF({S}) = 0")
+    return 2.0 * math.pi * p.hbar * rho / (p.m * d.v)
+
+
+def xi_at(S: float, p: PhysicalParams, d: DerivedScales) -> float:
+    """Correlation length xi(S) = (hbar beta v / pi) theta(S) = 2 hbar^2 beta rho_TF(S)/m."""
+    return (p.hbar * p.beta * d.v / math.pi) * theta_at(S, p, d)
 
 
 def energy_level(n: int, p: PhysicalParams, d: DerivedScales) -> float:

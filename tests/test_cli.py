@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from trapgas import (
     CorrelatorQuery,
     HomogSeriesControl,
-    LowTControl,
     PhysicalParams,
     asympt_green_highT,
     asympt_green_lowT,
@@ -63,14 +62,21 @@ class TestConfig:
         assert cfg.params.m == 1.0
         assert cfg["grid.x_ref"] == pytest.approx(0.1 * cfg.scales.R_c)
 
-    def test_unknown_key_rejected(self, tmp_path):
-        path = write_config(tmp_path, "[params]\nmass = 2\n")
-        with pytest.raises(ConfigError, match="params.mass"):
-            load_config(path)
-        # a removed key is unknown too: the k=0 line has no tail_mode to choose
-        path = write_config(tmp_path, "[truncation]\ntail_mode = bernoulli\n", name="removed.ini")
-        with pytest.raises(ConfigError, match="unknown config key truncation.tail_mode"):
-            load_config(path)
+    @pytest.mark.parametrize(
+        "key, text",
+        [
+            ("params.mass", "2"),
+            # removed keys are unknown too: the k=0 line has no tail_mode to
+            # choose, and the low-T series' crossover n0 is fixed at 20
+            ("truncation.tail_mode", "bernoulli"),
+            ("truncation.n0", "20"),
+        ],
+    )
+    def test_unknown_key_rejected(self, tmp_path, capsys, key, text):
+        section, name = key.split(".")
+        path = write_config(tmp_path, f"[{section}]\n{name} = {text}\n")
+        assert main(["density", "--config", path]) == 2
+        assert capsys.readouterr().err == f"config error: unknown config key {key}\n"
 
     def test_unknown_section_rejected(self, tmp_path):
         path = write_config(tmp_path, "[misc]\nfoo = 1\n")
@@ -114,7 +120,6 @@ class TestConfig:
             ("truncation.tol", "inf"),
             ("truncation.l_max", "-1"),
             ("truncation.n_max", "0"),
-            ("truncation.n0", "0"),
             ("truncation.min_dtau", "-0.1"),
             ("truncation.min_dtau", "nan"),
             ("grid.x_count", "-3"),
@@ -220,7 +225,7 @@ class TestTableEmission:
         cell = st.one_of(
             st.floats(), st.sampled_from([0.0, -0.0, 5e-324, -2.5e-310, math.nan, math.inf, -math.inf]),
             st.floats().map(np.float64), st.integers(-2**63, 2**63 - 1).map(np.int64), st.integers(),
-            st.booleans(), st.none(), st.text(max_size=4))
+            st.booleans(), st.booleans().map(np.bool_), st.none(), st.text(max_size=4))
         pool = data.draw(st.lists(cell, min_size=1, max_size=6))  # objects that recur across rows
         # a fresh cell, a recurring one, or an equal one that is another object
         pick = st.one_of(cell, st.sampled_from(pool), st.sampled_from(pool).map(lambda c: pickle.loads(pickle.dumps(c))))
@@ -752,27 +757,26 @@ class TestRouteMap:
         rows = [dict(zip(header, cells)) for cells in rows]
         return [(*(float(row[k]) for k in ("x1", "tau1", "x2", "tau2")), row) for row in rows]
 
-    def test_series_routes_take_n0_and_min_dtau(self, tmp_path):
+    def test_series_routes_take_min_dtau(self, tmp_path):
         # beta/alpha = 100 with dtau/beta = 5e-5: below the default min_dtau
-        # every green row would carry a warning, and n0 = 20 moves G
+        # every row would carry a warning
         p = PhysicalParams(m=1, g=1, Omega=1, Lambda=1, beta=100.0 * math.sqrt(2.0))
         d = derive_scales(p)
         s, dtau = 0.2 * d.R_c, 0.005 * math.sqrt(2.0)
         cfg = write_config(
             tmp_path,
-            f"[params]\nbeta = {p.beta!r}\n[truncation]\nn0 = 30\nmin_dtau = 1e-9\n"
+            f"[params]\nbeta = {p.beta!r}\n[truncation]\nmin_dtau = 1e-9\n"
             f"[grid]\ns_center = {s!r}\ndtau = {dtau!r}\nsep_min = {0.001 * d.R_c!r}\n"
             f"sep_max = {0.02 * d.R_c!r}\nsep_count = 4\nx_ref = {s!r}\nx_min = {s - 0.02 * d.R_c!r}\n"
             f"x_max = {s + 0.02 * d.R_c!r}\nx_count = 3\ntau_min = {dtau!r}\ntau_max = {2.0 * dtau!r}\n"
             "tau_count = 2\n",
         )
-        ctl = LowTControl(n0=30, min_dtau=1e-9)
         for *pair, row in self.table(tmp_path, ["correlator", "--mode", "series"], cfg):
-            g = lowT_legendre_series(*pair, p, d, ctl)
+            g = lowT_legendre_series(*pair, p, d, min_dtau=1e-9)
             gamma = gamma_from_green(CorrelatorQuery(*pair), g, p, d)
             assert (row["gamma"], row["status"]) == ("%.17g" % gamma, "ok")
         for *pair, row in self.table(tmp_path, ["green", "--mode", "trapped-series"], cfg):
-            g = lowT_legendre_series(*pair, p, d, ctl)
+            g = lowT_legendre_series(*pair, p, d, min_dtau=1e-9)
             assert (row["G_re"], row["trunc_err"], row["status"]) == ("%.17g" % g.value, "%.17g" % g.trunc_err, "ok")
 
     def test_homog_series_takes_l_max_and_n_max(self, tmp_path):
@@ -1115,6 +1119,18 @@ class TestValidateCommand:
         expected = {"coefficient-off-by-1e-3": 1e-3, "end-faces-not-zeroed": 0.6,
                     "coefficient-averaged-from-the-nodes": 1.57e-4}[mutant]
         assert result.value == pytest.approx(expected, rel=0.1)
+
+    def test_check_05_fails_on_a_wrong_bernoulli_polynomial(self, monkeypatch):
+        # check 05 tests the package's B_2, the one that homog_series and the
+        # low-T series' bracket sum the k = 0 line with: off by 1e-9, it reads
+        # pi^2 1e-9 against 1e-10
+        from trapgas import checks, green_homogeneous
+
+        assert checks.run_check("05-frequency-sum-identity").passed
+        b2 = green_homogeneous._bernoulli_b2
+        monkeypatch.setattr(green_homogeneous, "_bernoulli_b2", lambda theta: b2(theta) + 1e-9)
+        result = checks.run_check("05-frequency-sum-identity")
+        assert not result.passed and result.value == pytest.approx(math.pi**2 * 1e-9, rel=0.01)
 
     def test_per_check_seconds_to_the_microsecond(self, tmp_path, capsys):
         # check 04 takes about 2 ms and several checks under 1 ms: the report

@@ -93,3 +93,37 @@ def test_profile_block_holds_density_and_spectrum_tables():
         columns, rows = tables[f"profile-spectrum-levels30/{fmt}"]
         assert columns == ["n", "E_n", "dE", "dE_expansion", "status"] and len(rows) == 30
         assert [r[4] for r in rows].count("ok") == 28
+
+
+def test_diff_reports_metadata_changes_of_csv_and_json_tables(tmp_path, capsys):
+    # the same body under metadata that lost a line, in both formats, and one
+    # json table whose body changed too: the first two differ in metadata
+    # only, and every one of the three reports its metadata change
+    harness = _harness()
+    meta, fewer = ["trapgas 0.1.0", "truncation.n0 = 20", "truncation.tol = 1e-12"], ["trapgas 0.1.0",
+                                                                                       "truncation.tol = 1e-12"]
+
+    def record(fmt, lines, value):
+        if fmt == "csv":
+            stdout = "".join(f"# {line}\n" for line in lines) + f"x,G_re\n0.5,{value}\n"
+        else:
+            stdout = json.dumps({"meta": lines, "columns": ["x", "G_re"], "rows": [[0.5, value]]}, indent=1) + "\n"
+        return {"code": 0, "stdout": stdout, "stderr": ""}
+
+    parent = {"t/csv": record("csv", meta, 1.0), "t/json": record("json", meta, 1.0),
+              "u/json": record("json", meta, 1.0)}
+    change = {"t/csv": record("csv", fewer, 1.0), "t/json": record("json", fewer, 1.0),
+              "u/json": record("json", fewer, 1.5)}
+    paths = []
+    for name, records in (("parent", parent), ("change", change)):
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps(records))
+    assert harness.main(["diff", *map(str, paths)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "0 of 3 invocations identical",
+        "2 of 3 differing invocations differ in metadata only",
+        "t/csv: metadata",
+        "t/json: metadata",
+        "u/json: G_re 0.33, metadata",
+        "largest relative change per column: G_re 0.333",
+    ]

@@ -18,7 +18,6 @@ from trapgas import (
     DomainError,
     GreenValue,
     HomogSeriesControl,
-    LowTControl,
     PhysicalParams,
     RegimeError,
     SpectralDensity,
@@ -982,12 +981,10 @@ class TestLowTSeries:
         closed = _geometric_tail(t, theta, theta_p)
         assert abs(closed - direct) < 1e-6 * max(1.0, abs(direct))
 
-    def test_gate_violations_named(self):
+    def test_gate_violation_named(self):
         p, d = self._lowT()
-        with pytest.raises(RegimeError, match="n0"):
-            lowT_legendre_series(0.3 * d.R_c, 0.3 * d.alpha, -0.3 * d.R_c, 0.0, p, d, LowTControl(n0=20))
-        with pytest.raises(RegimeError, match="n0 >= 5"):
-            lowT_legendre_series(0.01, 0.001 * d.alpha, 0.0, 0.0, p, d, LowTControl(n0=2))
+        with pytest.raises(RegimeError, match=r"n0 \* u_\* < 1 violated"):
+            lowT_legendre_series(0.3 * d.R_c, 0.3 * d.alpha, -0.3 * d.R_c, 0.0, p, d)
 
     def test_wrong_regime_rejected(self):
         p, d = setup_params()  # beta/alpha ~ 0.7
@@ -1020,17 +1017,16 @@ class TestLowTSeries:
 
     def test_min_dtau_warning(self):
         p, d = self._lowT()
-        ctl = LowTControl(n0=10, min_dtau=1e-2)
-        g = lowT_legendre_series(0.02, 1e-4 * p.beta, 0.0, 0.0, p, d, ctl)
+        g = lowT_legendre_series(0.02, 1e-4 * p.beta, 0.0, 0.0, p, d, min_dtau=1e-2)
         assert g.warning is not None and "min_dtau" in g.warning
 
-    def test_trunc_err_is_the_n0_doubling_drift(self):
+    def test_trunc_err_is_the_n0_doubling_drift(self, monkeypatch):
         # the pass runs on to 2 n0; the value is the n0 one, the change the error
         p, d = self._lowT()
-        ctl = LowTControl(n0=20, min_dtau=1e-6)
         args = (0.012 * d.R_c, 0.005 * d.alpha, -0.008 * d.R_c, 0.0, p, d)
-        g1 = lowT_legendre_series(*args, ctl)
-        g2 = lowT_legendre_series(*args, LowTControl(n0=40, min_dtau=1e-6))
+        g1 = lowT_legendre_series(*args)
+        monkeypatch.setattr(green_trapped, "_N0", 40)
+        g2 = lowT_legendre_series(*args)
         assert g1.meta["n0"] == 20 and g1.trunc_err == abs(g2.value - g1.value)
         assert 0.0 < g1.trunc_err < 0.02 * abs(g1.value)
 
@@ -1039,9 +1035,8 @@ class TestLowTSeries:
         # the implementation's own pieces via dtau-dependence of the value at
         # fixed spatial arguments (x = x' = 0 kills odd modes)
         p, d = self._lowT()
-        ctl = LowTControl(n0=20, min_dtau=1e-6)
         dtau = 0.004 * d.alpha
-        val = lowT_legendre_series(0.0, dtau, 0.0, 0.0, p, d, ctl).value
+        val = lowT_legendre_series(0.0, dtau, 0.0, 0.0, p, d).value
         tau_hat = dtau / p.beta
         bracket = -(p.g * p.beta / (4.0 * d.R_c)) * ((0.5 - tau_hat) ** 2 - 1.0 / 12.0)
         # mode sum is strictly negative for x = x' (squared polynomials)

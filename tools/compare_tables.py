@@ -38,10 +38,12 @@ The matrix is
 
 each table in csv and json.
 
-``diff`` prints how many invocations are identical and, for each one that
-differs, the largest relative change per numeric column, the columns only one
-side has, and the count of changed text cells.  It exits 0 when every
-invocation is identical and 1 otherwise.
+``diff`` prints how many invocations are identical, how many of the others
+differ in their metadata alone (a csv table's ``#`` lines, a json table's
+``meta`` list), and, for each one that differs, the largest relative change
+per numeric column, the columns only one side has, the count of changed text
+cells and whether its metadata changed.  It exits 0 when every invocation is
+identical and 1 otherwise.
 """
 
 from __future__ import annotations
@@ -234,6 +236,17 @@ def parse_table(stdout: str) -> tuple:
     return columns, [[_number(cell) for cell in row] for row in rows]
 
 
+def split_table(stdout: str) -> tuple:
+    """(metadata, body) of a csv or json table, or of a ``validate`` report
+    (no metadata); a json body keeps every number and constant as its text."""
+    text = stdout.strip()
+    if text.startswith("{"):
+        doc = json.loads(text, **dict.fromkeys(("parse_float", "parse_int", "parse_constant"), str))
+        return doc.pop("meta", []), doc
+    lines = text.splitlines()
+    return [line for line in lines if line.startswith("#")], [line for line in lines if not line.startswith("#")]
+
+
 def _number(cell: str):
     try:
         return float(cell)
@@ -255,12 +268,13 @@ def compare_records(a: dict, b: dict) -> dict:
     """Per-column summary of how one invocation's output changed."""
     cols_a, rows_a = parse_table(a["stdout"])
     cols_b, rows_b = parse_table(b["stdout"])
-    meta_a = [line for line in a["stdout"].splitlines() if line.startswith("#")]
-    meta_b = [line for line in b["stdout"].splitlines() if line.startswith("#")]
+    meta_a, body_a = split_table(a["stdout"])
+    meta_b, body_b = split_table(b["stdout"])
     summary = {
         "code": (a["code"], b["code"]) if a["code"] != b["code"] else None,
         "stderr": a["stderr"] != b["stderr"],
         "meta": meta_a != meta_b,
+        "body": body_a != body_b,
         "rows": (len(rows_a), len(rows_b)) if len(rows_a) != len(rows_b) else None,
         "only_a": [c for c in cols_a if c not in cols_b],
         "only_b": [c for c in cols_b if c not in cols_a],
@@ -289,12 +303,14 @@ def cmd_diff(path_a: str, path_b: str) -> int:
     missing = [n for n in names if n not in recs_a or n not in recs_b]
     common = [n for n in names if n in recs_a and n in recs_b]
     differing = [n for n in common if recs_a[n] != recs_b[n]]
+    summaries = {n: compare_records(recs_a[n], recs_b[n]) for n in differing}
+    meta_only = sum(s["meta"] and not (s["body"] or s["code"] or s["stderr"]) for s in summaries.values())
     print(f"{len(common) - len(differing)} of {len(common)} invocations identical")
+    print(f"{meta_only} of {len(differing)} differing invocations differ in metadata only")
     for name in missing:
         print(f"{name}: present in only one file")
     overall = {}
-    for name in differing:
-        s = compare_records(recs_a[name], recs_b[name])
+    for name, s in summaries.items():
         parts = [f"{col} {change:.2g}" for col, change in sorted(s["rel"].items())]
         parts += [f"{col} text x{count}" for col, count in sorted(s["text"].items())]
         parts += [f"-{col}" for col in s["only_a"]] + [f"+{col}" for col in s["only_b"]]
