@@ -55,8 +55,6 @@ from .green_trapped import (
     spectral_density,
 )
 from .model import (
-    DEFAULT_R_HI,
-    DEFAULT_R_LO,
     PhysicalParams,
     Regime,
     classify_regime,
@@ -99,11 +97,6 @@ _SCHEMA = {
         "l_max": _Key(int, 64, least=0),
         "n_max": _Key(int, 256, least=1),
         "tol": _Key(float, 1e-12, positive=True),
-        "min_dtau": _Key(float, 1e-3, least=0),
-    },
-    "regime": {
-        "r_lo": _Key(float, DEFAULT_R_LO),
-        "r_hi": _Key(float, DEFAULT_R_HI),
     },
     "grid": {
         "x_ref": _Key(float, _of_rc(0.1)),
@@ -192,8 +185,6 @@ def load_config(path: str | None) -> RunConfig:
                 raise ConfigError(f"{name} must be positive, got {value!r}")
             if rule.least is not None and not value >= rule.least:
                 raise ConfigError(f"{name} must be >= {rule.least}, got {value!r}")
-    if not (0 < values["regime.r_lo"] < values["regime.r_hi"]):
-        raise ConfigError("regime thresholds must satisfy 0 < r_lo < r_hi")
     if values["grid.sep_spacing"] == "log" and not values["grid.sep_min"] > 0:
         raise ConfigError(f"grid.sep_min must be > 0 under grid.sep_spacing = log, got {values['grid.sep_min']!r}")
     try:
@@ -314,20 +305,17 @@ def _route(mode, cfg: RunConfig, p, d):
     if mode == "homog-series":
         return partial(homog_series, p=p, d=d, ctl=HomogSeriesControl(cfg["truncation.l_max"], cfg["truncation.n_max"]))
     if mode in ("trapped-series", "series"):
-        return partial(lowT_legendre_series, p=p, d=d, min_dtau=cfg["truncation.min_dtau"])
+        return partial(lowT_legendre_series, p=p, d=d)
     if mode == "closed-form":
         return partial(closed_form_green, p=p, d=d)
-    regime = classify_regime(d, cfg["regime.r_lo"], cfg["regime.r_hi"])
+    regime = classify_regime(d)
     if mode == "homog-asympt":
         form = {Regime.HIGH_T: homog_asymptotic_highT, Regime.LOW_T: homog_asymptotic_lowT}.get(regime)
-        return form and partial(form, p=p, d=d)
-    if mode in ("trapped-asympt", "asymptotic-auto"):
-        if regime is Regime.HIGH_T:
-            return partial(asympt_green_highT, p=p, d=d, r_lo=cfg["regime.r_lo"])
-        if regime is Regime.LOW_T:
-            return partial(asympt_green_lowT, p=p, d=d, r_hi=cfg["regime.r_hi"])
-        return None
-    raise ConfigError(f"unknown mode {mode!r}")
+    elif mode in ("trapped-asympt", "asymptotic-auto"):
+        form = {Regime.HIGH_T: asympt_green_highT, Regime.LOW_T: asympt_green_lowT}.get(regime)
+    else:
+        raise ConfigError(f"unknown mode {mode!r}")
+    return form and partial(form, p=p, d=d)
 
 
 def _evaluate(evaluate, x1, tau1, x2, tau2):
@@ -357,7 +345,7 @@ def _green_row(x1, tau1, x2, tau2, g, mode, regime_tag) -> tuple:
 def cmd_green(cfg: RunConfig, args) -> tuple:
     p, d = cfg.params, cfg.scales
     mode = args.mode
-    regime_tag = classify_regime(d, cfg["regime.r_lo"], cfg["regime.r_hi"]).value
+    regime_tag = classify_regime(d).value
     columns = ["x1", "tau1", "x2", "tau2", "G_re", "method", "trunc_err", "regime", "const_free", "status"]
     x1 = cfg["grid.x_ref"]
     tau1 = cfg["grid.tau_ref"]

@@ -55,13 +55,12 @@ from .errors import AccuracyError, DomainError, RegimeError, TrapGasError
 from .green_homogeneous import GreenValue, _bernoulli_b2, _log_divergence
 from .legendre import _NODES, _nu_real, _p_quad, p_poly_table
 from .model import (
-    DEFAULT_R_HI,
-    DEFAULT_R_LO,
     WINDOW_FACTOR,
     CorrelatorQuery,
     DerivedScales,
     PhysicalParams,
-    rho_tf,
+    Regime,
+    classify_regime,
     theta_at,
     theta_homogeneous,
     zeta_of,
@@ -97,6 +96,8 @@ _ZERO_MODE_ROUNDING = 5.0 * sys.float_info.epsilon
 # the crossover index of ``lowT_legendre_series``: exact Legendre polynomials
 # up to it, the resummed asymptotic tail beyond
 _N0 = 20
+# |tau - tau'|/beta below which ``lowT_legendre_series`` warns
+_MIN_DTAU = 1e-3
 
 # the frequencies of one kernel pass of ``matsubara_assemble_many``: the pairs
 # of a table share passes of at most this many, or one pair's own where it
@@ -221,15 +222,13 @@ def _density_parts(omegas, us, ups, d: DerivedScales, k: float, tol: float, size
     e^-48 |b| is under half an ulp of b; its bound adds e^-48 |b| for a.
     Every other row integrates all four P_nu.  Given ``sizes``, the rows of
     each pair, ``_far_interp`` may take those two from interpolants instead.
+    Each caller has checked ``tol`` with ``_bad_tol``.
     """
     # one float array of the broadcast rows: np.broadcast_arrays takes 10 us on one point
     args = np.empty((3,) + np.broadcast(omegas, us, ups).shape)
     args[0], args[1], args[2] = omegas, us, ups
     omegas, us, ups = args
     lam = (d.alpha * omegas) ** 2
-    bad = _bad_tol(tol)
-    if bad:
-        raise bad
     n = lam.size
     zero = 0.25 - lam == 0.25
     re, err, scale = np.empty((3, n))
@@ -461,12 +460,10 @@ def spectral_densities(
     points = np.flatnonzero(inside).tolist()
     if xp_error is not None or not points:
         return out
-    try:
-        re, err, scale, _ = _density_parts(omega, us[inside], up, d, k, tol)
-    except DomainError as exc:  # a bad tol, rejected before the pass
-        for i in points:
-            out[i] = exc
-        return out
+    bad = _bad_tol(tol)
+    if bad:  # before the pass, so that each point gets it, not the call
+        return [bad if g is None else g for g in out]
+    re, err, scale, _ = _density_parts(omega, us[inside], up, d, k, tol)
     beyond = err > tol * scale
     for i, re_i, err_i, scale_i, bad in zip(points, re.tolist(), err.tolist(), scale.tolist(), beyond.tolist()):
         out[i] = (_bound_error(omega, xs[i], xp, err_i, scale_i, tol) if bad
@@ -490,7 +487,7 @@ def _frequency_stop(q: CorrelatorQuery, p: PhysicalParams, d: DerivedScales, l_m
     at L and whether the envelope is flat (dx = 0), as
     ``matsubara_assemble_many`` describes them."""
     hv = p.hbar * d.v
-    envelope_amp = p.Lambda / (2.0 * hv * rho_tf(q.S, p, d))
+    envelope_amp = math.pi / theta_at(q.S, p, d)
     decay = math.exp(-2.0 * math.pi * abs(q.dx) / (hv * p.beta))
 
     def truncation(last: int) -> float:
@@ -675,7 +672,6 @@ def lowT_legendre_series(
     taup: float,
     p: PhysicalParams,
     d: DerivedScales,
-    min_dtau: float = 1e-3,
 ) -> GreenValue:
     """Frequency-summed Green function for beta E_n >> 1 (low temperature).
 
@@ -683,7 +679,7 @@ def lowT_legendre_series(
     asymptotic corrections for n <= n0 = ``_N0`` + closed geometric tail with
     the asymptotic polynomial form; the (omega, n) = (0, 0) term is omitted
     as the series regularization.  Requires tau != tau' for convergence, and
-    warns where |tau - tau'| < ``min_dtau`` beta.  The same pass carries the
+    warns where |tau - tau'| < ``_MIN_DTAU`` beta.  The same pass carries the
     corrections on to 2 n0: ``trunc_err`` is |v(2 n0) - v(n0)|, the value's
     sensitivity to the crossover index, which the validity gate
     n0 u_* < 1 only brackets.
@@ -697,7 +693,7 @@ def lowT_legendre_series(
         raise DomainError(f"|tau - tau'| = {dtau} exceeds beta = {p.beta}")
 
     beta_e1 = p.beta * math.sqrt(2.0) / d.alpha
-    if beta_e1 < 10.0:
+    if beta_e1 < 1.0 / WINDOW_FACTOR:
         raise RegimeError(
             f"low-temperature series requires beta E_1 >> 1; got beta E_1 = {beta_e1:.3g} "
             f"(regime_ratio = {d.regime_ratio:.3g})"
@@ -708,9 +704,9 @@ def lowT_legendre_series(
                           f"n0 * u_* < 1 violated (n0 * u_* = {_N0 * u_star:.4g})")
 
     warning = None
-    if dtau < min_dtau * p.beta:
+    if dtau < _MIN_DTAU * p.beta:
         warning = (
-            f"dtau/beta = {dtau / p.beta:.3g} below min_dtau = {min_dtau:g}; "
+            f"dtau/beta = {dtau / p.beta:.3g} below min_dtau = {_MIN_DTAU:g}; "
             "omitted-term estimate degrades near coincident times"
         )
 
@@ -764,7 +760,6 @@ def asympt_green_highT(
     taup: float,
     p: PhysicalParams,
     d: DerivedScales,
-    r_lo: float = DEFAULT_R_LO,
 ) -> GreenValue:
     """High-temperature Green function: the exact zero mode plus the
     Liouville-Green (WKB) densities of every other frequency, summed in
@@ -788,13 +783,13 @@ def asympt_green_highT(
     The WKB form needs mu arccos|u| >> 1 at the lowest frequency,
     mu_1 ~ 2 pi alpha / beta; in the edge layer below that its amplitude grows
     without bound while the exact density stays finite.  Raises RegimeError
-    unless beta/alpha < ``r_lo`` and mu_1 arccos(max(|u|, |u'|)) >= 1 /
+    unless beta/alpha < WINDOW_FACTOR and mu_1 arccos(max(|u|, |u'|)) >= 1 /
     WINDOW_FACTOR, where |G - G_exact| measured at most 3e-3 at beta/alpha =
     0.05 and 0.099 (1e-5 for |u| <= 0.8 at 0.05).  Returns the divergence
     marker at coincident points.
     """
-    if d.regime_ratio >= r_lo:
-        raise RegimeError(f"beta/alpha < {r_lo:g} violated (beta/alpha = {d.regime_ratio:.3g})")
+    if classify_regime(d) is not Regime.HIGH_T:
+        raise RegimeError(f"beta/alpha < {WINDOW_FACTOR:g} violated (beta/alpha = {d.regime_ratio:.3g})")
     u = _clamped_u(x, d)
     up = _clamped_u(xp, d)
     edge = 2.0 * math.pi * d.alpha / p.beta * math.acos(max(abs(u), abs(up)))
@@ -817,16 +812,15 @@ def asympt_green_lowT(
     taup: float,
     p: PhysicalParams,
     d: DerivedScales,
-    r_hi: float = DEFAULT_R_HI,
 ) -> GreenValue:
     """Low-temperature leading logarithm, up to an additive constant.
 
     -ln(R_c / |dx + i hbar v dtau|) / theta(S).  Valid for
     u_* = |zeta|/R_c << 1, read as u_* < WINDOW_FACTOR; raises RegimeError
-    beyond.
+    beyond, and unless beta/alpha > 1/WINDOW_FACTOR.
     """
-    if d.regime_ratio <= r_hi:
-        raise RegimeError(f"beta/alpha > {r_hi:g} violated (beta/alpha = {d.regime_ratio:.3g})")
+    if classify_regime(d) is not Regime.LOW_T:
+        raise RegimeError(f"beta/alpha > {1.0 / WINDOW_FACTOR:g} violated (beta/alpha = {d.regime_ratio:.3g})")
     _clamped_u(x, d)
     _clamped_u(xp, d)
     u_star = _u_star(x - xp, abs(tau - taup), p, d)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
+from .errors import DomainError
 
 __all__ = [
     "PhysicalParams",
@@ -37,16 +37,10 @@ __all__ = [
     "level_spacing_expansion",
     "classify_regime",
     "zeta_of",
-    "DEFAULT_R_LO",
-    "DEFAULT_R_HI",
 ]
 
-# Default thresholds turning the strong inequalities "beta/alpha << 1" and
-# "beta/alpha >> 1" into a concrete classification.
-DEFAULT_R_LO = 0.1
-DEFAULT_R_HI = 10.0
-# the factor that turns each strong inequality "a << b" of an asymptotic
-# window into a <= WINDOW_FACTOR * b
+# the factor that turns each strong inequality "a << b", of the regime and of
+# every asymptotic window, into a bound of a/b by WINDOW_FACTOR
 WINDOW_FACTOR = 0.1
 
 
@@ -193,13 +187,13 @@ def level_spacing_expansion(n: int, d: DerivedScales) -> float:
     return (1.0 + 1.0 / (8 * n**2) - 1.0 / (4 * n**3)) / d.alpha
 
 
-def classify_regime(d: DerivedScales, r_lo: float = DEFAULT_R_LO, r_hi: float = DEFAULT_R_HI) -> Regime:
-    """Classify beta/alpha against the two strong-inequality thresholds."""
-    if not (0 < r_lo < r_hi):
-        raise ConfigError(f"regime thresholds must satisfy 0 < r_lo < r_hi, got r_lo={r_lo}, r_hi={r_hi}")
+def classify_regime(d: DerivedScales) -> Regime:
+    """Classify beta/alpha by its two strong inequalities: beta/alpha << 1
+    read as beta/alpha < WINDOW_FACTOR, beta/alpha >> 1 as beta/alpha >
+    1/WINDOW_FACTOR."""
     ratio = d.regime_ratio
-    if ratio < r_lo:
+    if ratio < WINDOW_FACTOR:
         return Regime.HIGH_T
-    if ratio > r_hi:
+    if ratio > 1.0 / WINDOW_FACTOR:
         return Regime.LOW_T
     return Regime.INTERMEDIATE

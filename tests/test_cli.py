@@ -63,20 +63,24 @@ class TestConfig:
         assert cfg["grid.x_ref"] == pytest.approx(0.1 * cfg.scales.R_c)
 
     @pytest.mark.parametrize(
-        "key, text",
+        "key, text, error",
         [
-            ("params.mass", "2"),
+            ("params.mass", "2", "unknown config key params.mass"),
             # removed keys are unknown too: the k=0 line has no tail_mode to
-            # choose, and the low-T series' crossover n0 is fixed at 20
-            ("truncation.tail_mode", "bernoulli"),
-            ("truncation.n0", "20"),
+            # choose, the low-T series' crossover n0 is fixed at 20, its
+            # warning threshold at 1e-3 beta, and the regime thresholds are
+            # model.WINDOW_FACTOR and its inverse
+            ("truncation.tail_mode", "bernoulli", "unknown config key truncation.tail_mode"),
+            ("truncation.n0", "20", "unknown config key truncation.n0"),
+            ("truncation.min_dtau", "1e-3", "unknown config key truncation.min_dtau"),
+            ("regime.r_lo", "0.1", "unknown config section [regime]"),
         ],
     )
-    def test_unknown_key_rejected(self, tmp_path, capsys, key, text):
+    def test_unknown_key_rejected(self, tmp_path, capsys, key, text, error):
         section, name = key.split(".")
         path = write_config(tmp_path, f"[{section}]\n{name} = {text}\n")
         assert main(["density", "--config", path]) == 2
-        assert capsys.readouterr().err == f"config error: unknown config key {key}\n"
+        assert capsys.readouterr().err == f"config error: {error}\n"
 
     def test_unknown_section_rejected(self, tmp_path):
         path = write_config(tmp_path, "[misc]\nfoo = 1\n")
@@ -120,8 +124,6 @@ class TestConfig:
             ("truncation.tol", "inf"),
             ("truncation.l_max", "-1"),
             ("truncation.n_max", "0"),
-            ("truncation.min_dtau", "-0.1"),
-            ("truncation.min_dtau", "nan"),
             ("grid.x_count", "-3"),
             ("grid.tau_count", "-1"),
             ("grid.sep_count", "-1"),
@@ -139,9 +141,8 @@ class TestConfig:
     @pytest.mark.parametrize(
         "key",
         [
-            "truncation.tol", "truncation.min_dtau", "regime.r_lo", "regime.r_hi",
-            "grid.x_ref", "grid.tau_ref", "grid.x_min", "grid.x_max", "grid.tau_min", "grid.tau_max",
-            "grid.sep_min", "grid.sep_max", "grid.s_center", "grid.dtau", "grid.omega_list",
+            "truncation.tol", "grid.x_ref", "grid.tau_ref", "grid.x_min", "grid.x_max", "grid.tau_min",
+            "grid.tau_max", "grid.sep_min", "grid.sep_max", "grid.s_center", "grid.dtau", "grid.omega_list",
         ],
     )
     def test_non_finite_value_exits_naming_key(self, tmp_path, capsys, key, text):
@@ -757,27 +758,34 @@ class TestRouteMap:
         rows = [dict(zip(header, cells)) for cells in rows]
         return [(*(float(row[k]) for k in ("x1", "tau1", "x2", "tau2")), row) for row in rows]
 
-    def test_series_routes_take_min_dtau(self, tmp_path):
-        # beta/alpha = 100 with dtau/beta = 5e-5: below the default min_dtau
-        # every row would carry a warning
-        p = PhysicalParams(m=1, g=1, Omega=1, Lambda=1, beta=100.0 * math.sqrt(2.0))
+    def test_series_warns_below_min_dtau(self, tmp_path):
+        # the low-T series warns where |tau - tau'| < 1e-3 beta and not at
+        # 1e-3 beta; the trapped-series table prints that warning as the
+        # row's status, and the correlator's rows are ok either way
+        p = PhysicalParams(m=1, g=1, Omega=1, Lambda=1, beta=20.0 * math.sqrt(2.0))
         d = derive_scales(p)
-        s, dtau = 0.2 * d.R_c, 0.005 * math.sqrt(2.0)
+        at = 1e-3 * p.beta
+        below = math.nextafter(at, 0.0)
         cfg = write_config(
             tmp_path,
-            f"[params]\nbeta = {p.beta!r}\n[truncation]\nmin_dtau = 1e-9\n"
-            f"[grid]\ns_center = {s!r}\ndtau = {dtau!r}\nsep_min = {0.001 * d.R_c!r}\n"
-            f"sep_max = {0.02 * d.R_c!r}\nsep_count = 4\nx_ref = {s!r}\nx_min = {s - 0.02 * d.R_c!r}\n"
-            f"x_max = {s + 0.02 * d.R_c!r}\nx_count = 3\ntau_min = {dtau!r}\ntau_max = {2.0 * dtau!r}\n"
-            "tau_count = 2\n",
+            f"[params]\nbeta = {p.beta!r}\n[grid]\nx_ref = 0.0\nx_min = {0.001 * d.R_c!r}\n"
+            f"x_max = {0.002 * d.R_c!r}\nx_count = 2\ntau_min = {below!r}\ntau_max = {at!r}\ntau_count = 2\n"
+            f"s_center = 0.0\ndtau = {below!r}\nsep_min = {0.001 * d.R_c!r}\nsep_max = {0.02 * d.R_c!r}\n"
+            "sep_count = 3\n",
         )
         for *pair, row in self.table(tmp_path, ["correlator", "--mode", "series"], cfg):
-            g = lowT_legendre_series(*pair, p, d, min_dtau=1e-9)
+            g = lowT_legendre_series(*pair, p, d)
+            assert g.warning is not None
             gamma = gamma_from_green(CorrelatorQuery(*pair), g, p, d)
             assert (row["gamma"], row["status"]) == ("%.17g" % gamma, "ok")
-        for *pair, row in self.table(tmp_path, ["green", "--mode", "trapped-series"], cfg):
-            g = lowT_legendre_series(*pair, p, d, min_dtau=1e-9)
-            assert (row["G_re"], row["trunc_err"], row["status"]) == ("%.17g" % g.value, "%.17g" % g.trunc_err, "ok")
+        rows = self.table(tmp_path, ["green", "--mode", "trapped-series"], cfg)
+        assert [tau2 for _, _, _, tau2, _ in rows] == [below, below, at, at]
+        for *pair, row in rows:
+            g = lowT_legendre_series(*pair, p, d)
+            assert (g.warning is None) is (pair[3] == at)
+            status = "ok" if g.warning is None else f"warning: {g.warning}"
+            assert (row["G_re"], row["trunc_err"], row["status"]) == ("%.17g" % g.value, "%.17g" % g.trunc_err, status)
+        assert rows[0][-1]["status"].startswith("warning: dtau/beta = 0.001 below min_dtau = 0.001; ")
 
     def test_homog_series_takes_l_max_and_n_max(self, tmp_path):
         p = PhysicalParams(m=1, g=1, Omega=1, Lambda=1, beta=1.0)

@@ -416,7 +416,7 @@ class TestSpectralDensities:
         _, rows, _ = cmd_green(cfg, SimpleNamespace(mode="trapped-spectral"))
         xs = [float(x) for x in np.linspace(-d.R_c, 0.99999 * d.R_c, 9)]
         x1, tau1, tol = cfg["grid.x_ref"], cfg["grid.tau_ref"], cfg["truncation.tol"]
-        regime = classify_regime(d, cfg["regime.r_lo"], cfg["regime.r_hi"]).value
+        regime = classify_regime(d).value
         expected = []
         for omega in cfg["grid.omegas"]:
             for x2, sd in zip(xs, _per_point(omega, xs, x1, p, d, tol)):
@@ -991,6 +991,19 @@ class TestLowTSeries:
         with pytest.raises(RegimeError, match="beta E_1"):
             lowT_legendre_series(0.1, 0.2, 0.0, 0.0, p, d)
 
+    def test_beta_e1_gate_is_the_inverse_window_factor(self):
+        # beta E_1 >> 1 read as beta E_1 >= 1/WINDOW_FACTOR = 10: beta = 10 at
+        # alpha = sqrt 2 gives beta E_1 = 10 exactly, one ulp less falls below
+        for beta, refused in ((math.nextafter(10.0, 0.0), True), (10.0, False)):
+            p = PhysicalParams(m=1, g=1, Omega=1, Lambda=1, beta=beta)
+            d = derive_scales(p)
+            assert (beta * math.sqrt(2.0) / d.alpha < 10.0) is refused
+            if refused:
+                with pytest.raises(RegimeError, match=r"beta E_1 >> 1; got beta E_1 = 10 "):
+                    lowT_legendre_series(0.01, 0.01, 0.0, 0.0, p, d)
+            else:
+                assert math.isfinite(lowT_legendre_series(0.01, 0.01, 0.0, 0.0, p, d).value)
+
     def test_equal_times_rejected(self):
         p, d = self._lowT()
         with pytest.raises(DomainError):
@@ -1016,9 +1029,12 @@ class TestLowTSeries:
             assert g12.value == g21.value
 
     def test_min_dtau_warning(self):
-        p, d = self._lowT()
-        g = lowT_legendre_series(0.02, 1e-4 * p.beta, 0.0, 0.0, p, d, min_dtau=1e-2)
-        assert g.warning is not None and "min_dtau" in g.warning
+        # the warning fires where |tau - tau'| < 1e-3 beta and not at 1e-3 beta
+        p, d = self._lowT(ratio=20.0)
+        x, at = 0.001 * d.R_c, 1e-3 * p.beta
+        assert lowT_legendre_series(x, at, 0.0, 0.0, p, d).warning is None
+        g = lowT_legendre_series(x, math.nextafter(at, 0.0), 0.0, 0.0, p, d)
+        assert g.warning is not None and "below min_dtau = 0.001; " in g.warning
 
     def test_trunc_err_is_the_n0_doubling_drift(self, monkeypatch):
         # the pass runs on to 2 n0; the value is the n0 one, the change the error
@@ -1061,6 +1077,36 @@ def lg_density(omegas, x, xp, p, d):
 class TestTrappedAsymptotics:
     def _highT(self):
         return setup_params(beta=0.05 * math.sqrt(2.0))
+
+    @pytest.mark.parametrize(
+        "form, boundary, inside, text",
+        [
+            (asympt_green_highT, 0.1, math.nextafter(0.1, 0.0), "beta/alpha < 0.1 violated (beta/alpha = 0.1)"),
+            (asympt_green_lowT, 10.0, math.nextafter(10.0, math.inf), "beta/alpha > 10 violated (beta/alpha = 10)"),
+        ],
+    )
+    def test_regime_gate_is_classify_regime(self, form, boundary, inside, text):
+        # each form refuses the intermediate boundary ratio itself and takes
+        # the next float inside its regime
+        alpha = setup_params()[1].alpha
+        for ratio, refused in ((boundary, True), (inside, False)):
+            p, d = setup_params(beta=ratio * alpha)
+            assert d.regime_ratio == ratio
+            if refused:
+                with pytest.raises(RegimeError, match=re.escape(text)):
+                    form(0.01, 0.0, 0.0, 0.0, p, d)
+            else:
+                assert math.isfinite(form(0.01, 0.0, 0.0, 0.0, p, d).value)
+
+    @pytest.mark.parametrize(
+        "form, keyword",
+        [(asympt_green_highT, "r_lo"), (asympt_green_lowT, "r_hi"), (lowT_legendre_series, "min_dtau")],
+    )
+    def test_thresholds_are_not_keywords(self, form, keyword):
+        # each validity threshold is a constant: no call can move it
+        p, d = setup_params()
+        with pytest.raises(TypeError, match=keyword):
+            form(0.01, 0.0, 0.0, 0.0, p, d, **{keyword: 0.1})
 
     @pytest.mark.parametrize("alpha_omega", [5.0, 8.0, 12.0])
     def test_lg_density_matches_exact_for_large_alpha_omega(self, alpha_omega):

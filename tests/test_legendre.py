@@ -16,6 +16,7 @@ from trapgas import (
     DomainError,
     PhysicalParams,
     derive_scales,
+    matsubara_assemble,
     p_poly_table,
     spectral_density,
 )
@@ -191,15 +192,18 @@ class TestLegendrePairValues:
         with pytest.raises(DomainError):
             _p_quad(np.array([-0.75]), -1.2)
         with pytest.raises(DomainError, match="tolerance"):
-            _density_parts(0.2, 0.3, 0.1, d, _k_coeff(p, d), 0.0)
+            spectral_density(0.2, 0.3, 0.1, p, d, tol=0.0)
 
     @pytest.mark.parametrize("tol", [math.nan, math.inf])
     def test_non_finite_tolerance_rejected_before_any_term(self, tol, monkeypatch):
+        # each batched entry point checks tol before its kernel pass
         p, d = self._unit()
         calls = []
         monkeypatch.setattr(green_trapped, "_p_quad", lambda *args: calls.append(args))
         with pytest.raises(DomainError, match="tolerance"):
-            _density_parts(20.0 / d.alpha, -0.9, 0.1, d, _k_coeff(p, d), tol)
+            spectral_density(20.0 / d.alpha, -0.9, 0.1, p, d, tol)
+        with pytest.raises(DomainError, match="tolerance"):
+            matsubara_assemble(-0.9, 0.0, 0.1, 0.0, p, d, 8, tol)
         assert calls == []
 
     def test_reports_terms_and_error_bound(self, monkeypatch):

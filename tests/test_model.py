@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from trapgas import (
-    ConfigError,
+    DerivedScales,
     DomainError,
     PhysicalParams,
     Regime,
@@ -198,14 +198,29 @@ class TestRegime:
     def test_intermediate(self):
         assert classify_regime(self._scales_with_ratio(1.0)) is Regime.INTERMEDIATE
 
-    def test_threshold_validation(self):
-        d = self._scales_with_ratio(1.0)
-        with pytest.raises(ConfigError):
-            classify_regime(d, r_lo=10.0, r_hi=0.1)
-        with pytest.raises(ConfigError):
-            classify_regime(d, r_lo=1.0, r_hi=1.0)
+    @pytest.mark.parametrize(
+        "ratio, regime",
+        [
+            (math.nextafter(0.1, 0.0), Regime.HIGH_T),
+            (0.1, Regime.INTERMEDIATE),
+            (10.0, Regime.INTERMEDIATE),
+            (math.nextafter(10.0, math.inf), Regime.LOW_T),
+        ],
+    )
+    def test_boundaries_are_the_window_factor(self, ratio, regime):
+        # beta/alpha << 1 read as < WINDOW_FACTOR, >> 1 as > 1/WINDOW_FACTOR;
+        # each boundary itself is intermediate
+        d = DerivedScales(v=1.0, R_c=1.0, alpha=1.0, lambda_T=1.0, regime_ratio=ratio)
+        assert classify_regime(d) is regime
 
-    def test_custom_thresholds(self):
-        d = self._scales_with_ratio(1.0)
-        assert classify_regime(d, r_lo=2.0, r_hi=3.0) is Regime.HIGH_T
-        assert classify_regime(d, r_lo=0.1, r_hi=0.5) is Regime.LOW_T
+    @pytest.mark.parametrize("keyword", ["r_lo", "r_hi"])
+    def test_thresholds_are_not_keywords(self, keyword):
+        with pytest.raises(TypeError, match=keyword):
+            classify_regime(self._scales_with_ratio(1.0), **{keyword: 0.1})
+
+    def test_no_threshold_constant_exported(self):
+        import trapgas
+        from trapgas import model
+
+        for name in ("DEFAULT_R_LO", "DEFAULT_R_HI"):
+            assert not hasattr(trapgas, name) and not hasattr(model, name)

@@ -19,7 +19,8 @@ The matrix is
   ``green --mode trapped-series`` at beta in {20, 100, 1000} sqrt2, s_center
   in {0, 0.2, -0.5} R_c, dtau in {0.001, 0.005, 0.02} sqrt2 and 12
   separations from 0.001 to 0.04 R_c, which is where the series route returns
-  ok rows;
+  values; a ``green`` row whose |tau - tau'| is below 1e-3 beta carries the
+  series' warning as its status;
 * the ``trapped-spectral`` block: ``green --mode trapped-spectral`` at
   omega in {0, 2, 20, 200, 2000} pi over 81 points within +-0.995 R_c, at the
   off-centre x_ref in {0.1, -0.35} R_c, which reaches the Thomas-Fermi edge
@@ -114,7 +115,7 @@ def lowt_invocations(r_c: float) -> list:
                 grid = {"s_center": s, "dtau": dtau, "sep_min": 0.001 * r_c, "sep_max": 0.04 * r_c,
                         "sep_count": 12, "x_ref": s, "x_min": s - 0.02 * r_c, "x_max": s + 0.02 * r_c,
                         "x_count": 5, "tau_min": dtau, "tau_max": 2.0 * dtau, "tau_count": 2}
-                text = _ini({"params": {"beta": beta}, "truncation": {"min_dtau": 1e-9}, "grid": grid})
+                text = _ini({"params": {"beta": beta}, "grid": grid})
                 for command, mode in (("correlator", "series"), ("exponent", "series"), ("green", "trapped-series")):
                     name = f"lowT-{command}-{mode}-beta{beta:.6g}-s{centre:g}-dtau{dtau:.6g}"
                     out.append((name, [command, "--mode", mode], text))
