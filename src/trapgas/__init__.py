@@ -5,14 +5,7 @@ formulas, truncated Matsubara/mode series, closed-form asymptotics) plus a
 finite-difference oracle that cross-validates them.
 """
 
-from .correlator import (
-    CorrelatorQuery,
-    FitResult,
-    extract_exponent,
-    gamma_d1_exact,
-    gamma_from_green,
-    gamma_homog,
-)
+from .correlator import FitResult, extract_exponent, gamma_d1_exact, gamma_from_green, gamma_homog
 from .errors import (
     AccuracyError,
     ConfigError,
@@ -23,7 +16,6 @@ from .errors import (
     UsageError,
 )
 from .green_homogeneous import (
-    GreenDifference,
     GreenValue,
     HomogSeriesControl,
     green_difference,
@@ -45,6 +37,7 @@ from .green_trapped import (
 )
 from .legendre import p_poly_table
 from .model import (
+    CorrelatorQuery,
     DerivedScales,
     PhysicalParams,
     Regime,

@@ -5,10 +5,10 @@ independent one (closed form vs series vs finite differences vs brute sums).
 check function takes no arguments and returns ``(value, detail,
 conditions_met)``: its figure of merit, a one-line description, and whether
 its requirements other than ``value < tol`` hold.  ``run_check`` is the one
-place that times a check and builds its :class:`CheckResult`; ``run_all``
-runs the registry in order.  A pinned tolerance changes only through
-``run_check``'s ``tol`` or ``run_all``'s ``tol_overrides``, which exist to
-demonstrate honest failure reporting.
+place that times a check and builds its :class:`CheckResult` against the
+pinned tolerance; ``run_all`` runs the registry in order.  No tolerance is a
+setting: Tier-1 tests break the routes behind every check and see each of
+them fail.
 """
 
 from __future__ import annotations
@@ -21,16 +21,8 @@ from functools import cache, partial
 import numpy as np
 
 from . import green_homogeneous
-from .correlator import (
-    CorrelatorQuery,
-    extract_exponent,
-    gamma_d1_exact,
-    gamma_from_green,
-    gamma_homog,
-    theta_at,
-    theta_homogeneous,
-)
-from .errors import ConfigError, TrapGasError
+from .correlator import extract_exponent, gamma_d1_exact, gamma_from_green, gamma_homog
+from .errors import TrapGasError
 from .green_homogeneous import (
     HomogSeriesControl,
     green_difference,
@@ -47,7 +39,7 @@ from .green_trapped import (
     matsubara_assemble_many,
     spectral_densities,
 )
-from .model import PhysicalParams, derive_scales, rho_tf
+from .model import CorrelatorQuery, PhysicalParams, derive_scales, rho_tf, theta_at, theta_homogeneous
 from .oracle import FdmGrid, brute_frequency_sum, fdm_eigensolve, fdm_spectral_solve
 
 __all__ = ["CheckResult", "CHECKS", "run_check", "run_all"]
@@ -60,8 +52,7 @@ class CheckResult:
     """One check's figure of merit against its tolerance.
 
     ``conditions_met`` holds the check's requirements other than
-    ``value < tol``; ``passed`` needs both, so a tolerance override re-decides
-    pass/fail without dropping them.
+    ``value < tol``; ``passed`` needs both.
     """
 
     name: str
@@ -437,36 +428,21 @@ CHECKS = {
 }
 
 
-def run_check(name: str, tol: float | None = None) -> CheckResult:
-    """Run the registered check ``name``, timed, against ``tol`` or, when
-    ``tol`` is None, its pinned tolerance."""
-    check, pinned = CHECKS[name]
+def run_check(name: str) -> CheckResult:
+    """Run the registered check ``name``, timed, against its pinned tolerance."""
+    check, tol = CHECKS[name]
     t0 = time.perf_counter()
     value, detail, conditions_met = check()
     return CheckResult(
         name=name,
         value=float(value),
-        tol=pinned if tol is None else float(tol),
+        tol=tol,
         seconds=time.perf_counter() - t0,
         detail=detail,
         conditions_met=bool(conditions_met),
     )
 
 
-def run_all(tol_overrides: dict | None = None) -> list:
-    """Run every check in registry order; ``tol_overrides`` maps check names
-    to replacement tolerances.
-
-    An override replaces only the tolerance: each check's other conditions
-    still decide pass/fail.  A name that matches no check, or a tolerance
-    that is not positive and finite, raises ConfigError before any check
-    runs.
-    """
-    overrides = tol_overrides or {}
-    unknown = sorted(set(overrides) - set(CHECKS))
-    if unknown:
-        raise ConfigError(f"unknown check name(s) in overrides: {', '.join(unknown)}")
-    for name, tol in overrides.items():
-        if not (math.isfinite(tol) and tol > 0):
-            raise ConfigError(f"override {name}: tolerance must be positive and finite, got {tol!r}")
-    return [run_check(name, overrides.get(name)) for name in CHECKS]
+def run_all() -> list:
+    """Run every check in registry order."""
+    return [run_check(name) for name in CHECKS]

@@ -9,10 +9,11 @@ function that share the first ok row's route, and names on stderr the rows
 it leaves out.
 
 Config documents are flat INI text (``key = value`` under section headers);
-unknown sections or keys are rejected.  Every run echoes the fully resolved
-configuration (defaults included) into the output metadata.  Output is
-deterministic: fixed column order, fixed row order, 17-significant-digit
-numbers, no randomness anywhere.
+unknown sections or keys are rejected.  Every table echoes the fully
+resolved configuration (defaults included) into its metadata; ``--format``
+and ``--out`` choose how and where it is written.  ``validate`` reads no
+config and always writes JSON.  Output is deterministic: fixed column order,
+fixed row order, 17-significant-digit numbers, no randomness anywhere.
 
 Exit codes: 0 success, 2 config error, 3 validation failure, 4 numerical
 accuracy failure.
@@ -33,16 +34,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .correlator import (
-    MIN_FIT_SAMPLES,
-    CorrelatorQuery,
-    _sqrt_rho_pair,
-    extract_exponent,
-    gamma_from_green,
-    theta_at,
-    theta_homogeneous,
-    xi_at,
-)
+from .correlator import MIN_FIT_SAMPLES, _sqrt_rho_pair, extract_exponent, gamma_from_green
 from .errors import AccuracyError, ConfigError, DataError, DomainError, RegimeError, TrapGasError
 from .green_homogeneous import GreenValue, HomogSeriesControl, homog_asymptotic_highT, homog_asymptotic_lowT, homog_series
 from .green_trapped import (
@@ -55,6 +47,8 @@ from .green_trapped import (
     spectral_density,
 )
 from .model import (
+    CorrelatorQuery,
+    DerivedScales,
     PhysicalParams,
     Regime,
     classify_regime,
@@ -62,6 +56,9 @@ from .model import (
     energy_level,
     level_spacing_expansion,
     rho_tf,
+    theta_at,
+    theta_homogeneous,
+    xi_at,
     zeta_of,
 )
 
@@ -115,24 +112,17 @@ _SCHEMA = {
         "dtau": _Key(float, 0.0),
         "omega_list": _Key(str, "0"),
     },
-    "output": {
-        "format": _Key(str, "csv", choices=("csv", "json")),
-        "path": _Key(str, ""),
-    },
 }
 
 
 @dataclass
 class RunConfig:
     params: PhysicalParams
+    scales: DerivedScales
     values: dict  # flat "section.key" -> resolved value
 
     def __getitem__(self, key):
         return self.values[key]
-
-    @property
-    def scales(self):
-        return derive_scales(self.params)
 
 
 def load_config(path: str | None) -> RunConfig:
@@ -193,7 +183,7 @@ def load_config(path: str | None) -> RunConfig:
         raise ConfigError(f"grid.omega_list: cannot parse {values['grid.omega_list']!r}") from exc
     if not all(map(math.isfinite, values["grid.omegas"])):
         raise ConfigError(f"grid.omega_list entries must be finite, got {values['grid.omega_list']!r}")
-    return RunConfig(params=params, values=values)
+    return RunConfig(params=params, scales=d, values=values)
 
 
 # ----------------------------------------------------------------------------
@@ -505,19 +495,10 @@ def cmd_exponent(cfg: RunConfig, args) -> tuple:
     return columns, rows, {"mode": args.mode}
 
 
-def cmd_validate(cfg: RunConfig, args, out) -> int:
+def cmd_validate(args, out) -> int:
     from .checks import run_all  # the checks run the oracle, which loads scipy
 
-    overrides = {}
-    for item in args.override or []:
-        if "=" not in item:
-            raise ConfigError(f"--override needs NAME=TOL, got {item!r}")
-        name, tol_text = item.split("=", 1)
-        try:
-            overrides[name.strip()] = float(tol_text)
-        except ValueError as exc:
-            raise ConfigError(f"--override {item!r}: tolerance is not a number") from exc
-    results = run_all(tol_overrides=overrides)
+    results = run_all()
     for res in results:
         status = "PASS" if res.passed else "FAIL"
         print(f"[{status}] {res.name}: value={res.value:.6g} tol={res.tol:g} ({res.seconds:.4f}s) {res.detail}",
@@ -547,8 +528,8 @@ def cmd_validate(cfg: RunConfig, args, out) -> int:
 # ----------------------------------------------------------------------------
 
 
-# name -> (help, the (flag, options) of its arguments besides --config, --out
-# and --format); ``main`` runs the module function cmd_<name>
+# name -> (help, the (flag, options) of its arguments besides --out and, on a
+# table, --config and --format); ``main`` runs the module function cmd_<name>
 _CORRELATOR_MODE = ("--mode", {"required": True, "choices": CORRELATOR_MODES})
 _COMMANDS = {
     "density": ("Thomas-Fermi density table", []),
@@ -557,9 +538,7 @@ _COMMANDS = {
     "green": ("Green-function tables", [("--mode", {"required": True, "choices": GREEN_MODES})]),
     "correlator": ("two-point correlator tables", [_CORRELATOR_MODE]),
     "exponent": ("fit the power-law exponent from a generated profile", [_CORRELATOR_MODE]),
-    "validate": ("run the cross-validation suite",
-                 [("--override", {"action": "append", "metavar": "NAME=TOL",
-                                  "help": "replace one check's tolerance (repeatable)"})]),
+    "validate": ("run the cross-validation suite", []),
 }
 
 
@@ -572,10 +551,10 @@ def _parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, arguments) in _COMMANDS.items():
         sp = sub.add_parser(name, help=help_text)
-        sp.add_argument("--config", default=None, help="INI config document")
         sp.add_argument("--out", default=None, help="output path (default stdout)")
-        sp.add_argument("--format", default=None, choices=_SCHEMA["output"]["format"].choices,
-                        help="override output.format")
+        if name != "validate":
+            sp.add_argument("--config", default=None, help="INI config document")
+            sp.add_argument("--format", default="csv", choices=("csv", "json"), help="table format (default csv)")
         for flag, options in arguments:
             sp.add_argument(flag, **options)
     return parser
@@ -584,25 +563,22 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        cfg = load_config(args.config)
-        fmt = args.format or cfg["output.format"]
-        out_path = args.out or (cfg["output.path"] or None)
-
         # looked up at call time, so a rebound cmd_<name> (as bench/tracer.py does) is the one run
         command = globals()[f"cmd_{args.command}"]
         buffer = io.StringIO()
         if args.command == "validate":
-            code = command(cfg, args, buffer)
+            code = command(args, buffer)
         else:
-            write_table(buffer, fmt, cfg, *command(cfg, args))
+            cfg = load_config(args.config)
+            write_table(buffer, args.format, cfg, *command(cfg, args))
             code = 0
 
-        if out_path:
+        if args.out:
             try:
-                with open(out_path, "w", encoding="utf-8") as fh:
+                with open(args.out, "w", encoding="utf-8") as fh:
                     fh.write(buffer.getvalue())
             except OSError as exc:
-                raise ConfigError(f"cannot write output {out_path!r}: {exc}") from exc
+                raise ConfigError(f"cannot write output {args.out!r}: {exc}") from exc
         else:
             sys.stdout.write(buffer.getvalue())
         return code

@@ -8,9 +8,9 @@ the paper's exp(-(G(1;2) + G(2;1))/2) with G = G(1;2) = G(2;1): every route
 returns a real Green value that is symmetric in its two points by
 construction.  The Thomas-Fermi density stands in for the renormalized
 densities of the prefactor.  All power-law exponents derive from theta,
-which ``model`` defines and this module re-exports: homogeneous
-theta = 2 pi hbar v / g, trapped theta(S) = 2 pi hbar rho_TF(S) / (m v),
-correlation length xi(S) = (hbar beta v / pi) theta(S).
+which ``model`` defines: homogeneous theta = 2 pi hbar v / g, trapped
+theta(S) = 2 pi hbar rho_TF(S) / (m v), correlation length
+xi(S) = (hbar beta v / pi) theta(S).
 
 Every route gives Gamma through ``gamma_from_green``, the one place a Green
 value is exponentiated: the closed form ``gamma_d1_exact`` from the
@@ -37,17 +37,13 @@ import numpy as np
 from .errors import AccuracyError, DataError, DomainError
 from .green_homogeneous import GreenValue, log_2sinh_abs
 from .green_trapped import closed_form_green
-from .model import CorrelatorQuery, DerivedScales, PhysicalParams, rho_tf, theta_at, theta_homogeneous, xi_at, zeta_of
+from .model import CorrelatorQuery, DerivedScales, PhysicalParams, rho_tf, theta_homogeneous, zeta_of
 
 # fewest Gamma samples a power-law fit accepts
 MIN_FIT_SAMPLES = 8
 
 __all__ = [
-    "CorrelatorQuery",
     "FitResult",
-    "theta_homogeneous",
-    "theta_at",
-    "xi_at",
     "gamma_from_green",
     "gamma_d1_exact",
     "gamma_homog",

@@ -26,7 +26,6 @@ from .model import CorrelatorQuery, DerivedScales, PhysicalParams, theta_homogen
 __all__ = [
     "HomogSeriesControl",
     "GreenValue",
-    "GreenDifference",
     "homog_series",
     "homog_asymptotic_highT",
     "homog_asymptotic_lowT",
@@ -51,11 +50,13 @@ class HomogSeriesControl:
 
 @dataclass(frozen=True)
 class GreenValue:
-    """A Green-function value plus evaluation metadata.
+    """A Green-function value, or the difference of two, plus evaluation
+    metadata.
 
     ``value`` is the real phase correlator G(1;2).  Every route returns it
     symmetric under swapping its two spacetime points, so it also stands for
-    G(2;1).
+    G(2;1).  From ``green_difference`` it is G(pair_a) - G(pair_b), in which
+    the undetermined additive constant cancels.
     """
 
     value: float
@@ -65,15 +66,6 @@ class GreenValue:
     const_free: bool = False
     warning: str | None = None
     meta: dict = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class GreenDifference:
-    """G(pair_a) - G(pair_b); the undetermined additive constant cancels."""
-
-    value: float
-    trunc_err: float
-    method: str
 
 
 def log_2sinh_abs(z: complex) -> float:
@@ -222,7 +214,7 @@ def homog_asymptotic_lowT(
     return GreenValue(value=value, method="homog-asympt-lowT", const_free=True)
 
 
-def green_difference(evaluate, pair_a: CorrelatorQuery, pair_b: CorrelatorQuery) -> GreenDifference:
+def green_difference(evaluate, pair_a: CorrelatorQuery, pair_b: CorrelatorQuery) -> GreenValue:
     """G(pair_a) - G(pair_b) under one evaluator; additive constants cancel.
 
     The difference of two real Green values is real; its truncation error is
@@ -241,4 +233,4 @@ def green_difference(evaluate, pair_a: CorrelatorQuery, pair_b: CorrelatorQuery)
         raise UsageError(f"green_difference mixes methods {ga.method!r} and {gb.method!r}")
     if ga.divergent or gb.divergent:
         raise UsageError("green_difference got a divergent endpoint; pick separated arguments")
-    return GreenDifference(value=ga.value - gb.value, trunc_err=ga.trunc_err + gb.trunc_err, method=ga.method)
+    return GreenValue(value=ga.value - gb.value, method=ga.method, trunc_err=ga.trunc_err + gb.trunc_err)

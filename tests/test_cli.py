@@ -74,6 +74,9 @@ class TestConfig:
             ("truncation.n0", "20", "unknown config key truncation.n0"),
             ("truncation.min_dtau", "1e-3", "unknown config key truncation.min_dtau"),
             ("regime.r_lo", "0.1", "unknown config section [regime]"),
+            # --format and --out are the only way to choose a table's format and destination
+            ("output.format", "json", "unknown config section [output]"),
+            ("output.path", "x", "unknown config section [output]"),
         ],
     )
     def test_unknown_key_rejected(self, tmp_path, capsys, key, text, error):
@@ -264,15 +267,10 @@ class TestDensityCommand:
         assert main(["density", "--config", cfg]) == 2
         assert "x_points" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("source", ["--out", "output.path"])
-    def test_unwritable_output_is_config_error(self, tmp_path, capsys, source):
-        # a path in a missing directory, given by the flag or by the config
+    def test_unwritable_output_is_config_error(self, tmp_path, capsys):
+        # a path in a missing directory
         target = str(tmp_path / "missing" / "density.csv")
-        if source == "--out":
-            argv = ["density", "--out", target]
-        else:
-            argv = ["density", "--config", write_config(tmp_path, f"[output]\npath = {target}\n")]
-        assert main(argv) == 2
+        assert main(["density", "--out", target]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"config error: cannot write output {target!r}: ")
         assert "Traceback" not in err
@@ -505,10 +503,13 @@ class TestCorrelatorCommand:
         assert np.allclose(ratios, ratios[0], rtol=1e-9)
 
     def test_json_mirror(self, tmp_path):
-        cfg = write_config(tmp_path, "[grid]\nsep_count = 9\n[output]\nformat = json\n")
+        cfg = write_config(tmp_path, "[grid]\nsep_count = 9\n")
         out = tmp_path / "corr.json"
-        assert main(["correlator", "--mode", "closed-form", "--config", cfg, "--out", str(out)]) == 0
+        assert main(["correlator", "--mode", "closed-form", "--config", cfg, "--format", "json", "--out", str(out)]) == 0
         payload = json.loads(out.read_text())
+        # the format and the destination are flags, not configuration the metadata echoes
+        assert "grid.sep_count = 9" in payload["meta"]
+        assert not [line for line in payload["meta"] if line.startswith("output.")]
         assert payload["columns"][:6] == ["x1", "tau1", "x2", "tau2", "S", "gamma"]
         assert len(payload["rows"]) == 9
         assert all(len(r) == len(payload["columns"]) for r in payload["rows"])
@@ -979,33 +980,33 @@ class TestEntryPoint:
 
 
 class TestValidateCommand:
-    def test_tightened_tolerance_fails_controlled(self, tmp_path, capsys):
+    @pytest.mark.parametrize("flag", [["--config", "run.ini"], ["--format", "csv"],
+                                      ["--override", "03-oracle-equivalence=1e-15"]])
+    def test_validate_takes_only_out(self, flag, capsys):
+        # validate reads no config, always writes JSON and checks at its pinned tolerances
+        with pytest.raises(SystemExit) as exc:
+            main(["validate", *flag])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
+
+    def test_a_failing_check_fails_controlled(self, tmp_path, monkeypatch):
+        # check 03's figure pushed over its pinned tolerance: exit 3, that check reported failed,
+        # and every other check still reports its own outcome
+        from trapgas import checks
+
+        name = "03-oracle-equivalence"
+        check, tol = checks.CHECKS[name]
+        monkeypatch.setitem(checks.CHECKS, name, (lambda: (tol, *check()[1:]), tol))
         out = tmp_path / "report.json"
-        code = main([
-            "validate", "--out", str(out),
-            "--override", "03-oracle-equivalence=1e-15",
-        ])
-        assert code == 3
+        assert main(["validate", "--out", str(out)]) == 3
         report = json.loads(out.read_text())
         by_name = {c["name"]: c for c in report["checks"]}
-        assert not by_name["03-oracle-equivalence"]["passed"]
-        assert by_name["03-oracle-equivalence"]["tol"] == 1e-15
+        assert by_name.pop(name)["passed"] is False
         assert not report["all_passed"]
-        # every other check still reports its own honest outcome
-        assert by_name["01-zero-mode-identity"]["passed"]
+        assert len(by_name) == 10 and all(c["passed"] for c in by_name.values())
 
-    def test_bad_override_is_config_error(self, capsys):
-        assert main(["validate", "--override", "nonsense"]) == 2
-
-    def test_unknown_override_name_rejected(self, tmp_path, capsys):
-        out = tmp_path / "report.json"
-        assert main(["validate", "--out", str(out), "--override", "3-oracle-equivalence=1e-15"]) == 2
-        assert "3-oracle-equivalence" in capsys.readouterr().err
-        assert not out.exists()
-
-    def test_override_keeps_the_other_conditions(self, tmp_path, monkeypatch):
-        # check 08 also requires an n0-doubling drift below 0.02; raising its
-        # tolerance must not waive that
+    def test_a_failed_condition_fails_check_08(self, tmp_path, monkeypatch):
+        # check 08 also requires an n0-doubling drift below 0.02, whatever its figure
         from trapgas import checks
 
         series = checks.lowT_legendre_series
@@ -1016,28 +1017,9 @@ class TestValidateCommand:
 
         monkeypatch.setattr(checks, "lowT_legendre_series", drifting)
         out = tmp_path / "report.json"
-        for override in ([], ["--override", "08-trapped-lowT-match=1.0"]):
-            assert main(["validate", "--out", str(out), *override]) == 3
-            by_name = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
-            assert by_name["08-trapped-lowT-match"]["passed"] is False
-
-    @pytest.mark.parametrize(
-        "override",
-        ["3-oracle-equivalence=1e-15", *(f"03-oracle-equivalence={t}" for t in ("nan", "inf", "-1", "0"))],
-        ids=["unknown-name", "nan", "inf", "negative", "zero"],
-    )
-    def test_bad_override_rejected_before_any_check_runs(self, tmp_path, capsys, monkeypatch, override):
-        # check 01 runs first and calls _density_parts
-        from trapgas import checks
-
-        def must_not_run(*args, **kwargs):
-            raise AssertionError("a check ran before the overrides were validated")
-
-        monkeypatch.setattr(checks, "_density_parts", must_not_run)
-        out = tmp_path / "report.json"
-        assert main(["validate", "--out", str(out), "--override", override]) == 2
-        assert override.split("=")[0] in capsys.readouterr().err
-        assert not out.exists()
+        assert main(["validate", "--out", str(out)]) == 3
+        by_name = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+        assert by_name["08-trapped-lowT-match"]["passed"] is False
 
     @pytest.mark.parametrize(
         "target, broken, reason",
@@ -1139,6 +1121,54 @@ class TestValidateCommand:
         monkeypatch.setattr(green_homogeneous, "_bernoulli_b2", lambda theta: b2(theta) + 1e-9)
         result = checks.run_check("05-frequency-sum-identity")
         assert not result.passed and result.value == pytest.approx(math.pi**2 * 1e-9, rel=0.01)
+
+    @pytest.mark.parametrize(
+        "name, target, broken, figure_fails",
+        [
+            # the density at (1 + 1e-3) omega: the ODE residual reads about 2
+            ("02-ode-residual-and-jump", "spectral_densities",
+             lambda f: lambda omega, *a, **k: f(omega * (1.0 + 1e-3), *a, **k), True),
+            # the density 10% too strong satisfies the ODE, but its slope jump misses g/(hbar v)^2
+            ("02-ode-residual-and-jump", "spectral_densities",
+             lambda f: lambda *a, **k: [sd._replace(re_part=1.1 * sd.re_part) for sd in f(*a, **k)], False),
+            # the finite-difference oracle at (1 + 1e-2) omega: about 0.15 against 1e-3
+            ("03-oracle-equivalence", "fdm_spectral_solve",
+             lambda f: lambda omega, *a, **k: f(omega * (1.0 + 1e-2), *a, **k), True),
+            # the closed form at (1 + 1e-2) omega: about 0.18
+            ("03-oracle-equivalence", "spectral_densities",
+             lambda f: lambda omega, *a, **k: f(omega * (1.0 + 1e-2), *a, **k), True),
+            # the sinh form's prefactor 5% high: about 0.048 against 0.02
+            ("06-homog-regime-match", "homog_asymptotic_highT",
+             lambda f: lambda *a, **k: dataclasses.replace(f(*a, **k), value=1.05 * f(*a, **k).value), True),
+            # the assembly stopped at l_max = 1 instead of 14: about 2.3e-3 against 1e-4
+            ("07-trapped-highT-match", "matsubara_assemble",
+             lambda f: lambda *a, l_max, **k: f(*a, l_max=1, **k), True),
+            # the Liouville-Green form 1e-3 high: about 1e-3
+            ("07-trapped-highT-match", "asympt_green_highT",
+             lambda f: lambda *a, **k: dataclasses.replace(f(*a, **k), value=(1.0 + 1e-3) * f(*a, **k).value), True),
+            # the homogeneous Gamma to the power 1.1: its exponent 10% off, the fit about 0.10 against 0.05
+            ("09-exponent-extraction", "gamma_homog", lambda f: lambda *a: f(*a) ** 1.1, True),
+            # the low-T series 10% high: the trapped exponent off, the fit about 0.066
+            ("09-exponent-extraction", "lowT_legendre_series",
+             lambda f: lambda *a, **k: dataclasses.replace(f(*a, **k), value=1.1 * f(*a, **k).value), True),
+        ],
+        ids=["02-density-frequency-off", "02-density-strength-off", "03-oracle-frequency-off",
+             "03-closed-form-frequency-off", "06-sinh-prefactor-off", "07-assembly-truncated",
+             "07-liouville-green-off", "09-homog-gamma-power-off", "09-lowT-series-off"],
+    )
+    def test_a_broken_route_fails_its_check(self, monkeypatch, name, target, broken, figure_fails):
+        # one of the two routes a check compares broken alone: the check fails,
+        # by its figure or, for check 02's jump, by its condition
+        from trapgas import checks
+
+        assert checks.run_check(name).passed
+        monkeypatch.setattr(checks, target, broken(getattr(checks, target)))
+        result = checks.run_check(name)
+        assert not result.passed
+        if figure_fails:
+            assert result.value > result.tol
+        else:
+            assert result.value < result.tol and not result.conditions_met
 
     def test_per_check_seconds_to_the_microsecond(self, tmp_path, capsys):
         # check 04 takes about 2 ms and several checks under 1 ms: the report
