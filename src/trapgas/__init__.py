@@ -17,7 +17,6 @@ from .errors import (
 )
 from .green_homogeneous import (
     GreenValue,
-    HomogSeriesControl,
     green_difference,
     homog_asymptotic_highT,
     homog_asymptotic_lowT,

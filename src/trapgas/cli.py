@@ -36,7 +36,7 @@ import numpy as np
 from . import __version__
 from .correlator import MIN_FIT_SAMPLES, _sqrt_rho_pair, extract_exponent, gamma_from_green
 from .errors import AccuracyError, ConfigError, DataError, DomainError, RegimeError, TrapGasError
-from .green_homogeneous import GreenValue, HomogSeriesControl, homog_asymptotic_highT, homog_asymptotic_lowT, homog_series
+from .green_homogeneous import GreenValue, homog_asymptotic_highT, homog_asymptotic_lowT, homog_series
 from .green_trapped import (
     asympt_green_highT,
     asympt_green_lowT,
@@ -293,7 +293,7 @@ def _route(mode, cfg: RunConfig, p, d):
     correlator mode, its controls and regime resolved once per table; None
     where the regime has no asymptotic form."""
     if mode == "homog-series":
-        return partial(homog_series, p=p, d=d, ctl=HomogSeriesControl(cfg["truncation.l_max"], cfg["truncation.n_max"]))
+        return partial(homog_series, p=p, d=d, n_max=cfg["truncation.n_max"])
     if mode in ("trapped-series", "series"):
         return partial(lowT_legendre_series, p=p, d=d)
     if mode == "closed-form":

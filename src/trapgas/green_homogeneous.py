@@ -7,15 +7,18 @@ regularized double Fourier representation
                         e^{i omega (tau-tau') + i k (x-x')} / (omega^2 + E_k^2),
 
 with omega = (2 pi / beta) l, k = (pi / R_c) n, E_k = hbar v k, and the
-(omega, k) = (0, 0) term removed.  Two closed asymptotic forms exist, one per
-temperature regime; both carry an undetermined additive constant, so every
-cross-method comparison in this package goes through ``green_difference``.
+(omega, k) = (0, 0) term removed.  ``homog_series`` sums it over every
+omega in closed form, which leaves one mode sum over k, cut at n_max.  Two
+closed asymptotic forms exist, one per temperature regime; both carry an
+undetermined additive constant, so every cross-method comparison in this
+package goes through ``green_difference``.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,7 +27,6 @@ from .errors import DomainError, UsageError
 from .model import CorrelatorQuery, DerivedScales, PhysicalParams, theta_homogeneous, zeta_of
 
 __all__ = [
-    "HomogSeriesControl",
     "GreenValue",
     "homog_series",
     "homog_asymptotic_highT",
@@ -34,18 +36,8 @@ __all__ = [
     "log_2sin_abs",
 ]
 
-
-@dataclass(frozen=True)
-class HomogSeriesControl:
-    """Cutoffs of the double Fourier series; its k=0 frequency line is summed
-    in closed form (see ``homog_series``)."""
-
-    l_max: int = 64
-    n_max: int = 256
-
-    def __post_init__(self):
-        if self.l_max < 1 or self.n_max < 1:
-            raise DomainError("series cutoffs l_max and n_max must be >= 1")
+# rounding of the series' sum, per unit of the sum of its terms' magnitudes
+_ROUNDING = 4.0 * sys.float_info.epsilon
 
 
 @dataclass(frozen=True)
@@ -90,70 +82,53 @@ def _bernoulli_b2(theta: float) -> float:
 
 
 def homog_series(
-    x: float,
-    tau: float,
-    xp: float,
-    taup: float,
-    p: PhysicalParams,
-    d: DerivedScales,
-    ctl: HomogSeriesControl = HomogSeriesControl(),
+    x: float, tau: float, xp: float, taup: float, p: PhysicalParams, d: DerivedScales, *, n_max: int = 256
 ) -> GreenValue:
-    """Partial sum of the regularized double Fourier series.
+    """The series with every Matsubara frequency summed in closed form, cut
+    at the wavenumber n_max.
 
-    The summand depends on the separations only.  Terms are folded over
-    +-l and +-n, so every partial sum is real; the summation order is fixed
-    (k=0 line, omega=0 line, then the double block row-by-row in l) which
-    makes repeated runs bit-identical, however many rows of the block are
-    formed at a time.
+    The k=0 line is the Bernoulli form.  Each other wavenumber's frequency
+    sum is the thermal mode factor
+
+        sum_omega e^{i omega dtau} / (omega^2 + E^2) = beta cosh(E (beta/2 - t)) / (2 E sinh(beta E/2))
+                                                     = f(E) = (beta/2E) [e^{-E t} + e^{-E (beta-t)}] / (1 - e^{-beta E}),
+
+    t = dtau mod beta, folded over +-n to 2 cos(k_n dx) f(E_n).  f(E_n)
+    falls in n, so the omitted tail is at most
+    2 f(E_{n_max+1}) / max(1 - e^{-E_1 u}, |sin(pi dx / 2 R_c)|), u = min(t, beta - t):
+    each f(E_{n+1}) <= e^{-E_1 u} f(E_n), and no partial sum of
+    cos(pi n dx / R_c) exceeds 1/|sin(pi dx / 2 R_c)| (Abel summation).
+    ``trunc_err`` is that bound plus a rounding allowance; it is infinite
+    where both vanish, at coincident arguments.
     """
+    if n_max < 1:
+        raise DomainError(f"n_max must be >= 1, got {n_max}")
     dx = x - xp
     dtau = tau - taup
     pref = -p.g / (2.0 * p.beta * d.R_c)
-    hv = p.hbar * d.v
-
-    l_arr = np.arange(1, ctl.l_max + 1, dtype=float)
-    n_arr = np.arange(1, ctl.n_max + 1, dtype=float)
-    omega = (2.0 * math.pi / p.beta) * l_arr
-    e_k = hv * (math.pi / d.R_c) * n_arr
-
-    warning = None
-    if dx == 0.0 and dtau % p.beta == 0.0:
-        warning = "coincident arguments: series is log-divergent, value is cutoff-dependent"
-
-    # k = 0 frequency line in its exact Bernoulli-polynomial closed form
     line_k0 = (p.beta**2 / 2.0) * _bernoulli_b2((dtau / p.beta) % 1.0)
 
-    # omega = 0 line
-    line_w0 = float(np.sum(2.0 * np.cos((math.pi / d.R_c) * n_arr * dx) / e_k**2))
-    tail_w0 = 2.0 * (d.R_c / (math.pi * hv)) ** 2 / ctl.n_max
+    # u = min(t, beta - t), exact, so that the sum is even in dtau bit for bit;
+    # f runs to n_max + 1, the tail bound's term
+    u = abs(math.remainder(dtau, p.beta))
+    n_arr = np.arange(1, n_max + 2, dtype=float)
+    e_k = p.hbar * d.v * (math.pi / d.R_c) * n_arr
+    f = (p.beta / 2.0) * (np.exp(-e_k * u) + np.exp(-e_k * (p.beta - u))) / (-np.expm1(-p.beta * e_k) * e_k)
+    modes = float(np.sum(2.0 * np.cos((math.pi / d.R_c) * n_arr[:-1] * dx) * f[:-1]))
 
-    # double block, folded to 4 cos cos / (omega^2 + E_k^2), in row blocks of
-    # at most 4 096 elements: 32 KiB temporaries reuse the heap even where
-    # glibc's trim threshold is pinned at 128 KiB, which 64 KiB ones together exceed
-    cos_t = np.cos(omega * dtau)
-    cos_x = np.cos((math.pi / d.R_c) * n_arr * dx)
-    e_k2 = e_k**2
-    rows = max(1, 4096 // ctl.n_max)
-    row_sums = np.empty(ctl.l_max)
-    for i in range(0, ctl.l_max, rows):
-        part = slice(i, i + rows)
-        denom = omega[part, None] ** 2 + e_k2[None, :]
-        row_sums[part] = (4.0 * cos_t[part, None] * cos_x[None, :] / denom).sum(axis=1)
-    block = float(np.sum(row_sums))
-
-    # heuristic truncation estimate: magnitude of the first omitted lines
-    edge_l = float(np.sum(4.0 / ((2.0 * math.pi * (ctl.l_max + 1) / p.beta) ** 2 + e_k**2)))
-    edge_n = float(np.sum(4.0 / (omega**2 + (hv * math.pi * (ctl.n_max + 1) / d.R_c) ** 2)))
-    trunc = abs(pref) * (tail_w0 + edge_l + edge_n)
-
-    value = pref * (line_k0 + line_w0 + block)
+    gap = max(-math.expm1(-float(e_k[0]) * u), abs(math.sin(math.pi * dx / (2.0 * d.R_c))))
+    if gap == 0.0:  # coincident arguments
+        warning, tail = "coincident arguments: series is log-divergent, value is cutoff-dependent", math.inf
+    else:
+        warning, tail = None, 2.0 * float(f[-1]) / gap
+    rounding = _ROUNDING * (abs(line_k0) + 2.0 * float(np.sum(f[:-1])))
     return GreenValue(
-        value=value,
+        value=pref * (line_k0 + modes),
         method="homog-series",
-        trunc_err=trunc,
+        trunc_err=abs(pref) * (tail + rounding),
         divergent=(warning is not None),
         warning=warning,
-        meta={"l_max": ctl.l_max, "n_max": ctl.n_max},
+        meta={"n_max": n_max},
     )
 
 
@@ -222,7 +197,7 @@ def green_difference(evaluate, pair_a: CorrelatorQuery, pair_b: CorrelatorQuery)
 
     ``evaluate(x, tau, xp, taup)`` returns a :class:`GreenValue`, like the
     Green functions themselves with their remaining arguments bound (e.g.
-    ``partial(homog_series, p=p, d=d, ctl=ctl)``); it is called at
+    ``partial(homog_series, p=p, d=d, n_max=n_max)``); it is called at
     (x1, tau1, x2, tau2) of each pair.  Both evaluations must come back
     tagged with the same method, otherwise the difference would silently
     mix conventions.

@@ -476,7 +476,7 @@ def closed_form_green(x: float, tau: float, xp: float, taup: float, p: PhysicalP
     is ``spectral_density(0.0, x, x').re_part / beta`` bit for bit.  Raises
     DomainError at tau != tau', then the boundary clamp's at x, then at x'."""
     if tau != taup:
-        raise DomainError("closed-form correlator is equal-time; set grid.dtau = 0")
+        raise DomainError(f"closed-form correlator is equal-time; got tau - tau' = {tau - taup!r}")
     u = _clamped_u(x, d)
     up = _clamped_u(xp, d)
     return GreenValue(_zero_mode(u, up, _k_coeff(p, d)) / p.beta, method="closed-form")

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from trapgas import (
     CorrelatorQuery,
-    HomogSeriesControl,
     PhysicalParams,
     asympt_green_highT,
     asympt_green_lowT,
@@ -305,7 +304,7 @@ class TestGreenCommand:
     def test_homog_series_coincident_row_divergent(self, tmp_path):
         cfg = write_config(
             tmp_path,
-            "[truncation]\nl_max = 8\nn_max = 8\n"
+            "[truncation]\nn_max = 8\n"
             "[grid]\nx_ref = 0.0\ntau_ref = 0.0\nx_min = 0.0\nx_max = 0.4\nx_count = 2\n",
         )
         out = tmp_path / "green.csv"
@@ -788,13 +787,14 @@ class TestRouteMap:
             assert (row["G_re"], row["trunc_err"], row["status"]) == ("%.17g" % g.value, "%.17g" % g.trunc_err, status)
         assert rows[0][-1]["status"].startswith("warning: dtau/beta = 0.001 below min_dtau = 0.001; ")
 
-    def test_homog_series_takes_l_max_and_n_max(self, tmp_path):
+    def test_homog_series_takes_n_max(self, tmp_path):
+        # l_max caps the spectral assembly alone: the series sums every frequency
         p = PhysicalParams(m=1, g=1, Omega=1, Lambda=1, beta=1.0)
         d = derive_scales(p)
-        cfg = write_config(tmp_path, "[truncation]\nl_max = 12\nn_max = 40\n[grid]\nx_count = 5\ntau_max = 0.3\n"
+        cfg = write_config(tmp_path, "[truncation]\nl_max = 1\nn_max = 40\n[grid]\nx_count = 5\ntau_max = 0.3\n"
                                      "tau_count = 2\n")
         for *pair, row in self.table(tmp_path, ["green", "--mode", "homog-series"], cfg):
-            g = homog_series(*pair, p, d, HomogSeriesControl(12, 40))
+            g = homog_series(*pair, p, d, n_max=40)
             assert (row["G_re"], row["trunc_err"], row["status"]) == ("%.17g" % g.value, "%.17g" % g.trunc_err, "ok")
 
     def test_closed_form_is_the_exact_correlator(self, tmp_path):

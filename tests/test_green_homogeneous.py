@@ -1,6 +1,7 @@
 import math
 from functools import partial
 
+import mpmath as mp
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -8,7 +9,6 @@ from numpy.testing import assert_allclose
 from trapgas import (
     CorrelatorQuery,
     DomainError,
-    HomogSeriesControl,
     PhysicalParams,
     UsageError,
     derive_scales,
@@ -48,28 +48,33 @@ class TestStableLogHelpers:
 class TestHomogSeries:
     def test_depends_only_on_separations_bit_identical(self):
         p, d = setup_params()
-        ctl = HomogSeriesControl(l_max=16, n_max=32)
-        a = homog_series(0.25, 0.25, -0.5, 0.125, p, d, ctl)
+        a = homog_series(0.25, 0.25, -0.5, 0.125, p, d, n_max=32)
         shift_x, shift_t = 0.125, 0.0625  # dyadic: separations unchanged exactly
-        b = homog_series(0.25 + shift_x, 0.25 + shift_t, -0.5 + shift_x, 0.125 + shift_t, p, d, ctl)
+        b = homog_series(0.25 + shift_x, 0.25 + shift_t, -0.5 + shift_x, 0.125 + shift_t, p, d, n_max=32)
         assert a.value == b.value
 
     def test_value_is_real_and_tau_reflection_symmetric(self):
         p, d = setup_params()
-        ctl = HomogSeriesControl(l_max=24, n_max=48)
-        g1 = homog_series(0.3, 0.4, 0.1, 0.1, p, d, ctl)
-        g2 = homog_series(0.3, 0.1, 0.1, 0.4, p, d, ctl)  # dtau -> -dtau
+        g1 = homog_series(0.3, 0.4, 0.1, 0.1, p, d, n_max=48)
+        g2 = homog_series(0.3, 0.1, 0.1, 0.4, p, d, n_max=48)  # dtau -> -dtau
         assert g1.value.imag == 0.0
         assert g1.value == g2.value.conjugate() == g2.value
 
     def test_periodicity(self):
         p, d = setup_params()
-        ctl = HomogSeriesControl(l_max=24, n_max=48)
-        base = homog_series(0.3, 0.2, 0.1, 0.0, p, d, ctl)
-        tau_shift = homog_series(0.3, 0.2 + p.beta, 0.1, 0.0, p, d, ctl)
-        x_shift = homog_series(0.3 + 2.0 * d.R_c, 0.2, 0.1, 0.0, p, d, ctl)
+        base = homog_series(0.3, 0.2, 0.1, 0.0, p, d, n_max=48)
+        tau_shift = homog_series(0.3, 0.2 + p.beta, 0.1, 0.0, p, d, n_max=48)
+        x_shift = homog_series(0.3 + 2.0 * d.R_c, 0.2, 0.1, 0.0, p, d, n_max=48)
         assert_allclose(tau_shift.value.real, base.value.real, rtol=1e-9)
         assert_allclose(x_shift.value.real, base.value.real, rtol=1e-9)
+
+    def test_tiny_negative_dtau_is_dtau_zero(self):
+        # (dtau/beta) % 1.0 rounds dtau = -1e-300 to t = beta; the mode factor
+        # is even under t <-> beta - t, so the row is the dtau = 0 row
+        p, d = setup_params()
+        at_zero = homog_series(0.3, 0.0, 0.1, 0.0, p, d, n_max=48)
+        below = homog_series(0.3, -1e-300, 0.1, 0.0, p, d, n_max=48)
+        assert below.value == at_zero.value and below.trunc_err == at_zero.trunc_err
 
     def test_bernoulli_tail_reproduces_frequency_identity(self):
         # the accelerated k=0 line equals the closed Bernoulli form to < 1e-8
@@ -79,43 +84,63 @@ class TestHomogSeries:
         brute = 2.0 * (p.beta / (2 * math.pi)) ** 2 * brute_frequency_sum(theta, 2_000_000)
         assert abs(closed - brute) < 1e-8 * max(1.0, abs(closed))
 
+    @pytest.mark.parametrize("beta, dx, theta", [(1.0, 0.3, 0.0), (1.0, 0.3, 0.3), (0.05 * math.sqrt(2.0), 0.7, 0.27)])
+    def test_each_wavenumber_is_its_whole_frequency_sum(self, beta, dx, theta):
+        # every wavenumber's Matsubara sum, and the k=0 line, by mpmath.nsum
+        # over all l: the partial sums over n <= n_max agree to 1e-13
+        p, d = setup_params(beta=beta)
+        with mp.workdps(30):
+            b, th, r_c = mp.mpf(p.beta), mp.mpf(theta), mp.mpf(d.R_c)
+
+            def frequency_sum(e, lo):
+                return mp.nsum(lambda l: mp.cos(2 * mp.pi * l * th) / ((2 * mp.pi * l / b) ** 2 + e**2), [lo, mp.inf])
+
+            pref = -mp.mpf(p.g) / (2 * b * r_c)
+            acc = 2 * frequency_sum(0, 1)
+            for n in range(1, 9):
+                e = mp.mpf(p.hbar) * mp.mpf(d.v) * mp.pi * n / r_c
+                acc += 2 * mp.cos(mp.pi * n * mp.mpf(dx) / r_c) * frequency_sum(e, -mp.inf)
+                g = homog_series(dx, theta * p.beta, 0.0, 0.0, p, d, n_max=n)
+                assert abs(g.value - float(pref * acc)) < 1e-13, n
+
+    @pytest.mark.parametrize("beta_over_alpha", [0.05, 1.0, 100.0])
+    @pytest.mark.parametrize("n_max", [1, 8, 256, 1600])
+    def test_trunc_err_bounds_the_distance_to_a_far_cutoff(self, beta_over_alpha, n_max):
+        # dtau = 0, dtau != 0, and dtau past beta and below 0; the first row
+        # is the default green grid's x1 = 0.1 R_c, x2 = 0.08 R_c
+        p, d = setup_params(beta=beta_over_alpha * math.sqrt(2.0))
+        x2 = float(np.linspace(-0.8 * d.R_c, 0.8 * d.R_c, 41)[22])
+        rows = [(0.1 * d.R_c, x2, 0.0), (0.3, 0.0, 0.0), (0.7, 0.0, 0.3 * p.beta), (0.2, 0.0, 1.4 * p.beta),
+                (1.3 * d.R_c, 0.0, -0.1 * p.beta), (0.02, 0.0, 1e-3 * p.beta)]
+        for x, xp, dtau in rows:
+            g = homog_series(x, dtau, xp, 0.0, p, d, n_max=n_max)
+            far = homog_series(x, dtau, xp, 0.0, p, d, n_max=400_000)
+            assert abs(g.value - far.value) <= g.trunc_err, (x, xp, dtau)
+
     def test_coincident_arguments_flagged(self):
-        # the Bernoulli form resums only the k=0 line; the double block still
-        # diverges with the cutoffs, so the value is flagged
+        # the Bernoulli form resums only the k=0 line; the mode sum still
+        # diverges with n_max, so the value is flagged and its bound infinite
         p, d = setup_params()
         for tau in (0.5, 0.5 + p.beta):
-            g = homog_series(0.2, tau, 0.2, 0.5, p, d, HomogSeriesControl(l_max=8, n_max=8))
-            assert g.divergent and g.warning is not None
+            g = homog_series(0.2, tau, 0.2, 0.5, p, d, n_max=8)
+            assert g.divergent and g.warning is not None and g.trunc_err == math.inf
 
     def test_truncation_estimate_shrinks_with_cutoffs(self):
         p, d = setup_params()
-        small = homog_series(0.4, 0.2, -0.1, 0.0, p, d, HomogSeriesControl(l_max=8, n_max=16))
-        large = homog_series(0.4, 0.2, -0.1, 0.0, p, d, HomogSeriesControl(l_max=64, n_max=128))
+        small = homog_series(0.4, 0.2, -0.1, 0.0, p, d, n_max=16)
+        large = homog_series(0.4, 0.2, -0.1, 0.0, p, d, n_max=128)
         assert 0.0 < large.trunc_err < small.trunc_err
 
-    @pytest.mark.parametrize("l_max, n_max", [(120, 1600), (7, 3000), (3, 9000), (64, 256)])
-    def test_double_block_in_row_blocks_is_the_whole_block_sum_bitwise(self, l_max, n_max):
-        # the double block formed whole, as one [l_max x n_max] array: row
-        # sums over n, then one sum over them.  Row blocks that divide l_max,
-        # that leave a remainder, and a row longer than one block
-        p, d = setup_params(Omega=math.sqrt(2.0) / 20.0)
-        dx, dtau = 1.3, 0.3
-        g = homog_series(dx, dtau, 0.0, 0.0, p, d, HomogSeriesControl(l_max=l_max, n_max=n_max))
-        omega = (2.0 * math.pi / p.beta) * np.arange(1, l_max + 1, dtype=float)
-        n_arr = np.arange(1, n_max + 1, dtype=float)
-        e_k = p.hbar * d.v * (math.pi / d.R_c) * n_arr
-        cos_x = np.cos((math.pi / d.R_c) * n_arr * dx)
-        whole = 4.0 * np.cos(omega * dtau)[:, None] * cos_x[None, :] / (omega[:, None] ** 2 + e_k[None, :] ** 2)
-        line_k0 = (p.beta**2 / 2.0) * ((dtau / p.beta) ** 2 - dtau / p.beta + 1.0 / 6.0)
-        line_w0 = float(np.sum(2.0 * cos_x / e_k**2))
-        expected = -p.g / (2.0 * p.beta * d.R_c) * (line_k0 + line_w0 + float(np.sum(whole.sum(axis=1))))
-        assert g.value == expected
+    def test_n_max_validation(self):
+        p, d = setup_params()
+        with pytest.raises(DomainError, match="n_max must be >= 1, got 0"):
+            homog_series(0.4, 0.2, -0.1, 0.0, p, d, n_max=0)
 
-    def test_control_validation(self):
-        with pytest.raises(DomainError):
-            HomogSeriesControl(l_max=0)
-        with pytest.raises(DomainError):
-            HomogSeriesControl(n_max=0)
+    @pytest.mark.parametrize("keyword", [{"ctl": None}, {"l_max": 64}])
+    def test_takes_no_frequency_cutoff(self, keyword):
+        p, d = setup_params()
+        with pytest.raises(TypeError):
+            homog_series(0.4, 0.2, -0.1, 0.0, p, d, **keyword)
 
 
 class TestAsymptoticForms:
@@ -176,20 +201,18 @@ class TestAsymptoticForms:
 class TestGreenDifference:
     def test_identical_pairs_cancel_exactly(self):
         p, d = setup_params()
-        ctl = HomogSeriesControl(l_max=16, n_max=32)
         pair = CorrelatorQuery(0.3, 0.2, -0.1, 0.0)
-        diff = green_difference(partial(homog_series, p=p, d=d, ctl=ctl), pair, pair)
+        diff = green_difference(partial(homog_series, p=p, d=d, n_max=32), pair, pair)
         assert diff.value == 0.0
 
     def test_method_mismatch_rejected(self):
         p, d = setup_params()
-        ctl = HomogSeriesControl(l_max=8, n_max=8)
         toggle = {"n": 0}
 
         def alternating(x, tau, xp, taup):
             toggle["n"] += 1
             if toggle["n"] % 2:
-                return homog_series(x, tau, xp, taup, p, d, ctl)
+                return homog_series(x, tau, xp, taup, p, d, n_max=8)
             return homog_asymptotic_highT(x, tau, xp, taup, p, d)
 
         with pytest.raises(UsageError):

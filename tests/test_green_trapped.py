@@ -17,13 +17,13 @@ from trapgas import (
     CorrelatorQuery,
     DomainError,
     GreenValue,
-    HomogSeriesControl,
     PhysicalParams,
     RegimeError,
     SpectralDensity,
     asympt_green_highT,
     asympt_green_lowT,
     classify_regime,
+    closed_form_green,
     derive_scales,
     green_difference,
     homog_series,
@@ -110,6 +110,12 @@ class TestSpectralDensity:
         p, d = unit_radius_params()
         sd = spectral_density(0.0, 0.2, 0.1, p, d)
         assert_allclose(sd.re_part, 0.25 * math.log(27.0 / 22.0), rtol=1e-13)
+
+    def test_closed_form_refusal_names_its_arguments(self):
+        # a library caller has no grid: the refusal names tau - tau', not a config key
+        p, d = unit_radius_params()
+        with pytest.raises(DomainError, match=r"^closed-form correlator is equal-time; got tau - tau' = 0\.25$"):
+            closed_form_green(0.2, 0.5, 0.1, 0.25, p, d)
 
     def test_zero_mode_identity_random_pairs(self):
         # the paper's equal-time zero mode, (g R_c/(beta (2 hbar v)^2)) ln[((1 +
@@ -840,11 +846,10 @@ class TestMatsubaraAssemble:
         # 1/R_c -> 0 at fixed separations: trapped differences approach the
         # homogeneous-series differences within 2%
         p, d = setup_params(Omega=math.sqrt(2.0) / 25.0, beta=0.5)  # R_c = 25
-        ctl = HomogSeriesControl(l_max=160, n_max=3000)
         pair_a = CorrelatorQuery(0.175, 0.1 * p.beta, -0.175, 0.0)
         pair_b = CorrelatorQuery(0.1, 0.0, -0.1, 0.0)
         d_trap = green_difference(partial(matsubara_assemble, p=p, d=d, l_max=8), pair_a, pair_b)
-        d_hom = green_difference(partial(homog_series, p=p, d=d, ctl=ctl), pair_a, pair_b)
+        d_hom = green_difference(partial(homog_series, p=p, d=d, n_max=3000), pair_a, pair_b)
         assert abs(d_trap.value - d_hom.value) < 0.02 * abs(d_hom.value)
 
 

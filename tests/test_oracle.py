@@ -401,18 +401,17 @@ def test_validate_loads_no_scipy_sparse(fresh_python):
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads Linux minor-fault counts")
 def test_repeat_validate_sums_fault_in_no_memory(fresh_python):
-    # the double block of check 06's series and the chunks of check 05's
-    # brute sum keep each temporary within 64 KiB, so a repeat call reuses
-    # the heap.  Larger ones are handed back to the kernel on free and
+    # check 06's series and the chunks of check 05's brute sum keep each
+    # temporary within 64 KiB, so a repeat call reuses the heap.  Larger
+    # ones are handed back to the kernel on free and
     # faulted in again on every call, unless an earlier large free (a sparse
     # LU factorization made one) has raised glibc's dynamic threshold
     faults = fresh_python(
         "import math, resource\n"
-        "from trapgas import HomogSeriesControl, PhysicalParams, brute_frequency_sum, derive_scales, homog_series\n"
+        "from trapgas import PhysicalParams, brute_frequency_sum, derive_scales, homog_series\n"
         "p = PhysicalParams(m=1.0, g=1.0, Omega=math.sqrt(2.0) / 20.0, Lambda=1.0, beta=1.0)\n"
         "d = derive_scales(p)\n"
-        "ctl = HomogSeriesControl(l_max=120, n_max=1600)\n"
-        "for call in (lambda: homog_series(0.75, 0.0, -0.75, 0.0, p, d, ctl),\n"
+        "for call in (lambda: homog_series(0.75, 0.0, -0.75, 0.0, p, d, n_max=1600),\n"
         "             lambda: brute_frequency_sum(0.1, 10**6)):\n"
         "    call()\n"
         "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
@@ -428,7 +427,7 @@ def test_repeat_brute_sum_faults_in_little_with_thresholds_pinned(fresh_python):
     # MALLOC_TRIM_THRESHOLD_ would, so a large free no longer raises them.
     # The brute sum's cosine table is built once a call, and only the few
     # 64 KiB temporaries alive at once are faulted in again; check 06's
-    # homog_series, with validate's modules loaded, reuses its row blocks'
+    # homog_series, with validate's modules loaded, reuses its 12.5 KiB
     # temporaries from the heap
     faults = fresh_python(
         "import ctypes, math, resource\n"
@@ -437,10 +436,10 @@ def test_repeat_brute_sum_faults_in_little_with_thresholds_pinned(fresh_python):
         "M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3\n"
         "assert mallopt(M_TRIM_THRESHOLD, 128 * 1024) == 1 and mallopt(M_MMAP_THRESHOLD, 128 * 1024) == 1\n"
         "import trapgas.checks\n"
-        "from trapgas import HomogSeriesControl, PhysicalParams, brute_frequency_sum, derive_scales, homog_series\n"
+        "from trapgas import PhysicalParams, brute_frequency_sum, derive_scales, homog_series\n"
         "p = PhysicalParams(m=1.0, g=1.0, Omega=math.sqrt(2.0) / 20.0, Lambda=1.0, beta=1.0)\n"
-        "args = (0.75, 0.0, -0.75, 0.0, p, derive_scales(p), HomogSeriesControl(l_max=120, n_max=1600))\n"
-        "for call in (lambda: brute_frequency_sum(0.1, 10**6), lambda: homog_series(*args)):\n"
+        "args = (0.75, 0.0, -0.75, 0.0, p, derive_scales(p))\n"
+        "for call in (lambda: brute_frequency_sum(0.1, 10**6), lambda: homog_series(*args, n_max=1600)):\n"
         "    call()\n"
         "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
         "    call()\n"
