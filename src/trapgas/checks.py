@@ -274,8 +274,9 @@ def check_trapped_highT_match():
 
 
 def check_trapped_lowT_match():
-    """Resummed Legendre series vs the leading-log form at beta/alpha = 100,
-    plus robustness of the result to doubling the crossover index n0."""
+    """Thermal Legendre mode sum vs the leading-log form at beta/alpha = 100,
+    in difference mode; the series stops at tol = 1e-5, and its
+    trunc_err must stay below 2% of each difference."""
     alpha = math.sqrt(2.0)
     p = PhysicalParams(m=1.0, g=1.0, Omega=1.0, Lambda=1.0, beta=100.0 * alpha)
     d = derive_scales(p)
@@ -285,14 +286,13 @@ def check_trapped_lowT_match():
         CorrelatorQuery(s_half + f * d.R_c / 2.0, dtau, s_half - f * d.R_c / 2.0, 0.0)
         for f in (0.01, 0.02, 0.03, 0.04)
     ]
-    worst = _max_difference_deviation(
-        partial(lowT_legendre_series, p=p, d=d), partial(asympt_green_lowT, p=p, d=d), pairs
-    )
-
-    g = lowT_legendre_series(s_half + 0.005 * d.R_c, dtau, s_half - 0.005 * d.R_c, 0.0, p, d)
-    drift = g.trunc_err / abs(g.value)
-    detail = f"difference-mode deviation vs leading log; n0 doubling drift = {drift:.3e} (< 0.02 required)"
-    return worst, detail, drift < 0.02
+    series = cache(partial(lowT_legendre_series, p=p, d=d, tol=1e-5))
+    worst = _max_difference_deviation(series, partial(asympt_green_lowT, p=p, d=d), pairs)
+    diffs = [green_difference(series, a, b) for a, b in zip(pairs[:-1], pairs[1:])]
+    bound = max(g.trunc_err / abs(g.value) for g in diffs)
+    detail = (f"max relative difference-mode deviation, series (tol = 1e-5) vs leading log; "
+              f"series' trunc_err/|difference| up to {bound:.3e} (< 0.02 required)")
+    return worst, detail, bound < 0.02
 
 
 def check_exponent_extraction():
@@ -317,7 +317,7 @@ def check_exponent_extraction():
     gam2 = []
     rho_s = rho_tf(s_point, p2, d2)
     for dt in dtaus:
-        gval = lowT_legendre_series(s_point, dt, s_point, 0.0, p2, d2)
+        gval = lowT_legendre_series(s_point, dt, s_point, 0.0, p2, d2, tol=1e-5)
         q = CorrelatorQuery(s_point, dt, s_point, 0.0)
         gam2.append(gamma_from_green(q, gval, p2, d2))
     fit_s = extract_exponent(hv * dtaus, gam2, rho_products=np.full(len(dtaus), rho_s))

@@ -230,6 +230,16 @@ def _fmt_column(cells: tuple):
             else list(map(_fmt_cell, cells)))
 
 
+def _csv_column(cells: tuple):
+    """``_fmt_column`` with each cell that holds a comma, a double quote or a line break
+    quoted as RFC 4180 does; one search of the joined column finds whether any does."""
+    texts = _fmt_column(cells)
+    joined = "".join(texts)
+    if not any(c in joined for c in ',"\r\n'):
+        return texts
+    return ['"' + t.replace('"', '""') + '"' if any(c in t for c in ',"\r\n') else t for t in texts]
+
+
 def _meta_lines(cfg: RunConfig, extra: dict) -> list:
     lines = [f"trapgas {__version__}"]
     for key in sorted(cfg.values):
@@ -245,7 +255,7 @@ def write_table(out, fmt: str, cfg: RunConfig, columns: list, rows: list, extra_
     """Emit one table as CSV (with '#' metadata header), column by column, or the JSON mirror."""
     meta = _meta_lines(cfg, extra_meta or {})
     if fmt == "csv":
-        body = map(",".join, zip(*map(_fmt_column, zip(*rows))))
+        body = map(",".join, zip(*map(_csv_column, zip(*rows))))
         out.write("\n".join([*(f"# {line}" for line in meta), ",".join(columns), *body]) + "\n")
     else:
         payload = {
@@ -295,7 +305,7 @@ def _route(mode, cfg: RunConfig, p, d):
     if mode == "homog-series":
         return partial(homog_series, p=p, d=d, n_max=cfg["truncation.n_max"])
     if mode in ("trapped-series", "series"):
-        return partial(lowT_legendre_series, p=p, d=d)
+        return partial(lowT_legendre_series, p=p, d=d, tol=cfg["truncation.tol"])
     if mode == "closed-form":
         return partial(closed_form_green, p=p, d=d)
     regime = classify_regime(d)

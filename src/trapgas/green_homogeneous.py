@@ -81,22 +81,24 @@ def _bernoulli_b2(theta: float) -> float:
     return theta * theta - theta + 1.0 / 6.0
 
 
+def _thermal_factor(e, t: float, beta: float):
+    """phi(E) = (1/beta) sum_omega e^{i omega dtau}/(omega^2 + E^2) = [e^{-E t} + e^{-E (beta - t)}]/(2 E
+    (1 - e^{-beta E})) of each mode energy E > 0 of ``e``, t = |dtau| mod beta folded into [0, beta/2].
+    phi(E) e^{E t} falls in E, so phi(E') <= e^{-(E' - E) t} phi(E) for E' >= E."""
+    return (np.exp(-e * t) + np.exp(-e * (beta - t))) / (-np.expm1(-beta * e) * 2.0 * e)
+
+
 def homog_series(
     x: float, tau: float, xp: float, taup: float, p: PhysicalParams, d: DerivedScales, *, n_max: int = 256
 ) -> GreenValue:
     """The series with every Matsubara frequency summed in closed form, cut
-    at the wavenumber n_max.
-
-    The k=0 line is the Bernoulli form.  Each other wavenumber's frequency
-    sum is the thermal mode factor
-
-        sum_omega e^{i omega dtau} / (omega^2 + E^2) = beta cosh(E (beta/2 - t)) / (2 E sinh(beta E/2))
-                                                     = f(E) = (beta/2E) [e^{-E t} + e^{-E (beta-t)}] / (1 - e^{-beta E}),
-
-    t = dtau mod beta, folded over +-n to 2 cos(k_n dx) f(E_n).  f(E_n)
-    falls in n, so the omitted tail is at most
-    2 f(E_{n_max+1}) / max(1 - e^{-E_1 u}, |sin(pi dx / 2 R_c)|), u = min(t, beta - t):
-    each f(E_{n+1}) <= e^{-E_1 u} f(E_n), and no partial sum of
+    at the wavenumber n_max: G = -(g/(2 R_c)) [(beta/2) B_2(dtau/beta mod 1)
+    + sum_{n=1}^{n_max} 2 cos(k_n dx) phi(E_n)], the k=0 line in its
+    Bernoulli form and each other wavenumber's frequency sum the thermal mode
+    factor of ``_thermal_factor``, folded over +-n.  phi(E_n) falls in n, so
+    the omitted tail is at most
+    2 phi(E_{n_max+1}) / max(1 - e^{-E_1 u}, |sin(pi dx / 2 R_c)|), u = min(t, beta - t):
+    each phi(E_{n+1}) <= e^{-E_1 u} phi(E_n), and no partial sum of
     cos(pi n dx / R_c) exceeds 1/|sin(pi dx / 2 R_c)| (Abel summation).
     ``trunc_err`` is that bound plus a rounding allowance; it is infinite
     where both vanish, at coincident arguments.
@@ -105,23 +107,23 @@ def homog_series(
         raise DomainError(f"n_max must be >= 1, got {n_max}")
     dx = x - xp
     dtau = tau - taup
-    pref = -p.g / (2.0 * p.beta * d.R_c)
-    line_k0 = (p.beta**2 / 2.0) * _bernoulli_b2((dtau / p.beta) % 1.0)
+    pref = -p.g / (2.0 * d.R_c)
+    line_k0 = (p.beta / 2.0) * _bernoulli_b2((dtau / p.beta) % 1.0)
 
     # u = min(t, beta - t), exact, so that the sum is even in dtau bit for bit;
-    # f runs to n_max + 1, the tail bound's term
+    # phi runs to n_max + 1, the tail bound's term
     u = abs(math.remainder(dtau, p.beta))
     n_arr = np.arange(1, n_max + 2, dtype=float)
     e_k = p.hbar * d.v * (math.pi / d.R_c) * n_arr
-    f = (p.beta / 2.0) * (np.exp(-e_k * u) + np.exp(-e_k * (p.beta - u))) / (-np.expm1(-p.beta * e_k) * e_k)
-    modes = float(np.sum(2.0 * np.cos((math.pi / d.R_c) * n_arr[:-1] * dx) * f[:-1]))
+    phi = _thermal_factor(e_k, u, p.beta)
+    modes = float(np.sum(2.0 * np.cos((math.pi / d.R_c) * n_arr[:-1] * dx) * phi[:-1]))
 
     gap = max(-math.expm1(-float(e_k[0]) * u), abs(math.sin(math.pi * dx / (2.0 * d.R_c))))
     if gap == 0.0:  # coincident arguments
         warning, tail = "coincident arguments: series is log-divergent, value is cutoff-dependent", math.inf
     else:
-        warning, tail = None, 2.0 * float(f[-1]) / gap
-    rounding = _ROUNDING * (abs(line_k0) + 2.0 * float(np.sum(f[:-1])))
+        warning, tail = None, 2.0 * float(phi[-1]) / gap
+    rounding = _ROUNDING * (abs(line_k0) + 2.0 * float(np.sum(phi[:-1])))
     return GreenValue(
         value=pref * (line_k0 + modes),
         method="homog-series",

@@ -31,19 +31,20 @@ frequencies past mu = 9 read P_nu(-u_<) and P_nu(u_>) from a Chebyshev
 interpolant in 1/mu at each point (``_far_interp``).
 
 Beside the assembly stand the equal-time closed form ``closed_form_green``,
-the zero mode alone, G_0/beta, and two frequency-summed forms.  At low
-temperature ``lowT_legendre_series`` sums the discrete modes, exact up to the
-crossover index n0 = 20 and resummed beyond it, and reports as its error how
-far the value moves when the exact part runs on to 2 n0.  At high temperature
-``asympt_green_highT`` adds to the exact zero mode the Liouville-Green (WKB)
-density of every other frequency, written in the optical distance
-X = R_c |arcsin u - arcsin u'|, and sums them in closed form; it holds at
-any pair of points outside the edge layer of the condensate, where the lowest
-frequency's WKB phase mu_1 arccos|u| is large.
+the zero mode alone, G_0/beta, and two frequency-summed forms.
+``lowT_legendre_series`` sums the discrete modes P_n(x/R_c), each over every
+frequency in closed form, exact at any temperature where tau != tau', and
+stops where a proven bound on the omitted modes meets its tolerance.  At
+high temperature ``asympt_green_highT`` adds to the exact zero mode the
+Liouville-Green (WKB) density of every other frequency, written in the
+optical distance X = R_c |arcsin u - arcsin u'|, and sums them in closed
+form; it holds at any pair of points outside the edge layer of the
+condensate, where the lowest frequency's WKB phase mu_1 arccos|u| is large.
 """
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import math
 import sys
@@ -52,7 +53,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import AccuracyError, DomainError, RegimeError, TrapGasError
-from .green_homogeneous import GreenValue, _bernoulli_b2, _log_divergence
+from .green_homogeneous import GreenValue, _bernoulli_b2, _log_divergence, _thermal_factor
 from .legendre import _NODES, _nu_real, _p_quad, p_poly_table
 from .model import (
     WINDOW_FACTOR,
@@ -85,7 +86,8 @@ BOUNDARY_EPS = 1e-6
 
 # rounding of an assembled frequency sum, per unit of the sum of its terms'
 # magnitudes: cos and the product in each term, the exactly rounded fsum, the
-# zero mode's addition and the division by beta
+# zero mode's addition and the division by beta; the mode sum of
+# ``lowT_legendre_series`` takes the same allowance
 _ASSEMBLY_ROUNDING = 4.0 * sys.float_info.epsilon
 
 # rounding of ``_zero_mode``, per unit of its value: five roundings in the
@@ -93,11 +95,9 @@ _ASSEMBLY_ROUNDING = 4.0 * sys.float_info.epsilon
 # w/((1 + w) log1p w) is at most 1), log1p's own ulp and the product with K
 _ZERO_MODE_ROUNDING = 5.0 * sys.float_info.epsilon
 
-# the crossover index of ``lowT_legendre_series``: exact Legendre polynomials
-# up to it, the resummed asymptotic tail beyond
-_N0 = 20
-# |tau - tau'|/beta below which ``lowT_legendre_series`` warns
-_MIN_DTAU = 1e-3
+# the most modes ``lowT_legendre_series`` sums, about 0.5 s a pair; a pair
+# whose tail bound needs more is an AccuracyError
+_MODE_CAP = 2**20
 
 # the frequencies of one kernel pass of ``matsubara_assemble_many``: the pairs
 # of a table share passes of at most this many, or one pair's own where it
@@ -496,13 +496,7 @@ def _frequency_stop(q: CorrelatorQuery, p: PhysicalParams, d: DerivedScales, l_m
         return first_omitted / (1.0 - decay) if decay < 1.0 else first_omitted
 
     # the estimate falls with L: bisect for the first L that meets tol
-    lo, last = 0, l_max
-    while decay < 1.0 and lo < last:
-        mid = (lo + last) // 2
-        if truncation(mid) <= tol:
-            last = mid
-        else:
-            lo = mid + 1
+    last = l_max if decay == 1.0 else bisect.bisect_left(range(l_max), True, key=lambda n: truncation(n) <= tol)
     return last, truncation(last), decay == 1.0
 
 
@@ -632,120 +626,78 @@ def _assemble_pass(pairs, out, p: PhysicalParams, d: DerivedScales, k: float, l_
 
 
 # ----------------------------------------------------------------------------
-# low-temperature Legendre series
+# thermal Legendre mode sum
 # ----------------------------------------------------------------------------
 
 
-def _u_star(dx: float, dtau: float, p: PhysicalParams, d: DerivedScales) -> float:
-    return abs(zeta_of(dx, dtau, p, d)) / d.R_c
-
-
-def _p_poly_integer_phase(n: int, theta: float) -> float:
-    """Pbar_n(cos theta) = sqrt(2 / (pi n sin theta)) cos(n theta - pi/4):
-    the large-n form of P_n(cos theta), whose phase (n + 1/2) theta - pi/4
-    is replaced by n theta - pi/4, which ``_geometric_tail`` resums in
-    closed form."""
-    amp = math.sqrt(2.0 / (math.pi * n * math.sin(theta)))
-    phase = float(n) * theta - math.pi / 4.0
-    return amp * math.cos(phase)
-
-
-def _geometric_tail(t: float, theta: float, theta_p: float) -> float:
-    """sum_{n>=1} t^n Pbar_n(cos theta) Pbar_n(cos theta') in closed form.
-
-    Pbar is ``_p_poly_integer_phase``; the products reduce to
-    cos(n dtheta) and sin(n (theta+theta')) series, each summable through
-    ln(1 - t e^{i phi}).
-    """
-    d_th = theta - theta_p
-    s_th = theta + theta_p
-    amp = 1.0 / (math.pi * math.sqrt(math.sin(theta) * math.sin(theta_p)))
-    cos_sum = -cmath.log(1.0 - t * cmath.exp(1j * d_th)).real
-    sin_sum = -cmath.log(1.0 - t * cmath.exp(1j * s_th)).imag
-    return amp * (cos_sum + sin_sum)
-
-
 def lowT_legendre_series(
-    x: float,
-    tau: float,
-    xp: float,
-    taup: float,
-    p: PhysicalParams,
-    d: DerivedScales,
+    x: float, tau: float, xp: float, taup: float, p: PhysicalParams, d: DerivedScales, *, tol: float = 1e-12
 ) -> GreenValue:
-    """Frequency-summed Green function for beta E_n >> 1 (low temperature).
+    """The thermal Legendre mode sum, exact at any temperature where
+    t = min(|tau - tau'|, beta - |tau - tau'|) > 0:
 
-    Value = Bernoulli bracket (the n = 0 frequency line) + exact-minus-
-    asymptotic corrections for n <= n0 = ``_N0`` + closed geometric tail with
-    the asymptotic polynomial form; the (omega, n) = (0, 0) term is omitted
-    as the series regularization.  Requires tau != tau' for convergence, and
-    warns where |tau - tau'| < ``_MIN_DTAU`` beta.  The same pass carries the
-    corrections on to 2 n0: ``trunc_err`` is |v(2 n0) - v(n0)|, the value's
-    sensitivity to the crossover index, which the validity gate
-    n0 u_* < 1 only brackets.
+        G = -(g/(2 R_c)) [(beta/2) B_2(t/beta) + sum_{n=1}^{N} (2n+1) P_n(u) P_n(u') phi(E_n)],
+
+    over the zero-flux modes P_n(x/R_c), E_n = sqrt(n(n+1))/alpha, each
+    summed over every frequency by ``_thermal_factor``; the (omega, n) =
+    (0, 0) term is omitted.  P_n(u) P_n(u') is formed before it is weighted
+    and fsum adds the terms, so that the value is bitwise symmetric in the
+    two points; at u = u' one recurrence serves both.
+
+    By Bernstein's inequality |P_m(cos theta)| < e_m = sqrt(2/(pi m sin theta))
+    (Szego, Orthogonal Polynomials, 7.3), term m is at most M_m = (g/(2 R_c))
+    (2m+1) e_m e'_m phi(E_m), and E_{m+1} - E_m > 1/alpha gives M_{m+1} <=
+    e^{-t/alpha} M_m: the modes after N add at most M_{N+1}/(1 - e^{-t/alpha}).
+    N is the first count whose bound is at most ``tol`` (absolute in G, as in
+    the assembly).  ``trunc_err`` adds 4 eps of the magnitudes summed, B_2's
+    before they cancel, and the recurrence's error, which grows with n: n eps
+    min(1, e_n)/sqrt(sin theta) for each factor P_n, at least 2.6 times what a
+    40-digit recurrence finds to n = 20 000 at 12 |u| up to 1 - ``BOUNDARY_EPS``.
+    Past ``_MODE_CAP`` modes it raises AccuracyError, before any recurrence
+    runs; DomainError at a bad ``tol``, at the boundary clamp, where
+    |tau - tau'| > beta, and at t = 0, where the sum converges only
+    conditionally.
     """
-    u = _clamped_u(x, d)
-    up = _clamped_u(xp, d)
+    bad = _bad_tol(tol)
+    if bad:
+        raise bad
+    u, up = _clamped_u(x, d), _clamped_u(xp, d)
     dtau = abs(tau - taup)
-    if dtau == 0.0:
-        raise DomainError("lowT_legendre_series requires tau != tau'")
-    if dtau > p.beta:
+    if not dtau <= p.beta:
         raise DomainError(f"|tau - tau'| = {dtau} exceeds beta = {p.beta}")
+    t = min(dtau, p.beta - dtau)
+    if t == 0.0:
+        raise DomainError("lowT_legendre_series requires tau != tau'")
 
-    beta_e1 = p.beta * math.sqrt(2.0) / d.alpha
-    if beta_e1 < 1.0 / WINDOW_FACTOR:
-        raise RegimeError(
-            f"low-temperature series requires beta E_1 >> 1; got beta E_1 = {beta_e1:.3g} "
-            f"(regime_ratio = {d.regime_ratio:.3g})"
-        )
-    u_star = _u_star(x - xp, dtau, p, d)
-    if _N0 * u_star >= 1.0:
-        raise RegimeError("low-temperature validity gate failed: "
-                          f"n0 * u_* < 1 violated (n0 * u_* = {_N0 * u_star:.4g})")
+    pref = p.g / (2.0 * d.R_c)
+    sin_th, sin_thp = math.sqrt((1.0 - u) * (1.0 + u)), math.sqrt((1.0 - up) * (1.0 + up))
+    amp = pref * 2.0 / (math.pi * math.sqrt(sin_th * sin_thp))
+    gap = -math.expm1(-t / d.alpha)  # 0 only where t/alpha underflows
 
-    warning = None
-    if dtau < _MIN_DTAU * p.beta:
-        warning = (
-            f"dtau/beta = {dtau / p.beta:.3g} below min_dtau = {_MIN_DTAU:g}; "
-            "omitted-term estimate degrades near coincident times"
-        )
+    def tail(n: int) -> float:  # the bound on the modes after the first n
+        m = n + 1.0
+        phi = float(_thermal_factor(math.sqrt(m * (m + 1.0)) / d.alpha, t, p.beta))
+        return amp * (2.0 * m + 1.0) / m * phi / gap if gap else math.inf
 
-    hv = p.hbar * d.v
-    theta = math.acos(u)
-    theta_p = math.acos(up)
-    t = math.exp(-dtau / d.alpha)
-
-    bracket = -(p.g * p.beta / (4.0 * d.R_c)) * _bernoulli_b2(dtau / p.beta)
-
-    pn_u = p_poly_table(2 * _N0, u)
-    pn_up = p_poly_table(2 * _N0, up)
-    corr = corr_n0 = 0.0
-    for n in range(1, 2 * _N0 + 1):
-        root = math.sqrt(n * (n + 1.0))
-        w_n = (n + 0.5) / root
-        # P_n(u) P_n(u') first, so that the value is bitwise symmetric in u, u'
-        exact = w_n * (pn_u[n] * pn_up[n]) * math.exp(-root * dtau / d.alpha)
-        approx = (
-            _p_poly_integer_phase(n, theta)
-            * _p_poly_integer_phase(n, theta_p)
-            * math.exp(-(n + 0.5) * dtau / d.alpha)
-        )
-        corr += exact - approx
-        if n == _N0:
-            corr_n0 = corr
-
-    weight = -p.g / (2.0 * hv)
-    tail = weight * math.exp(-dtau / (2.0 * d.alpha)) * _geometric_tail(t, theta, theta_p)
-    value = float(bracket + corr_n0 * weight + tail)
-    doubled = float(bracket + corr * weight + tail)
-
-    return GreenValue(
-        value=value,
-        method="trapped-lowT-series",
-        trunc_err=abs(doubled - value),
-        warning=warning,
-        meta={"n0": _N0, "u_star": u_star, "t": t},
-    )
+    # the bound falls with N: bisect for the first N that meets tol, past the cap only to name it
+    last = bisect.bisect_left(range(_MODE_CAP if tail(_MODE_CAP) <= tol else 2**62), True, key=lambda n: tail(n) <= tol)
+    if last > _MODE_CAP:
+        raise AccuracyError(f"lowT_legendre_series needs {'more than ' * (tail(last) > tol)}{last} modes to bound "
+                            f"its tail by tol = {tol:g} at t = {t!r}, beyond the cap of {_MODE_CAP}",
+                            achieved=tail(_MODE_CAP))
+    pn_u = p_poly_table(last, u)
+    pn_up = pn_u if up == u else p_poly_table(last, up)
+    n = np.arange(1.0, last + 1)
+    weights = (2.0 * n + 1.0) * _thermal_factor(np.sqrt(n * (n + 1.0)) / d.alpha, t, p.beta)
+    terms = (pn_u[1:] * pn_up[1:]) * weights
+    theta = t / p.beta
+    line = (p.beta / 2.0) * _bernoulli_b2(theta)
+    env_u, env_up = (np.minimum(1.0, np.sqrt(2.0 / (math.pi * n * s))) for s in (sin_th, sin_thp))
+    recurrence = (1.0 / math.sqrt(sin_th) + 1.0 / math.sqrt(sin_thp)) * float(np.sum(n * weights * env_u * env_up))
+    magnitudes = (p.beta / 2.0) * (theta * theta + theta + 1.0 / 6.0) + float(np.sum(np.abs(terms)))
+    rounding = pref * (_ASSEMBLY_ROUNDING * magnitudes + sys.float_info.epsilon * recurrence)
+    return GreenValue(-pref * (line + math.fsum(terms)), "trapped-lowT-series", tail(last) + rounding,
+                      meta={"modes": last})
 
 
 # ----------------------------------------------------------------------------
@@ -823,7 +775,7 @@ def asympt_green_lowT(
         raise RegimeError(f"beta/alpha > {1.0 / WINDOW_FACTOR:g} violated (beta/alpha = {d.regime_ratio:.3g})")
     _clamped_u(x, d)
     _clamped_u(xp, d)
-    u_star = _u_star(x - xp, abs(tau - taup), p, d)
+    u_star = abs(zeta_of(x - xp, abs(tau - taup), p, d)) / d.R_c
     if u_star == 0.0:
         return _log_divergence("trapped-asympt-lowT")
     if u_star >= WINDOW_FACTOR:

@@ -50,10 +50,13 @@ __all__ = ["p_poly_table"]
 
 def _recurrence(n_max: int, u) -> list:
     """P_0(u) .. P_{n_max}(u) by the three-term recurrence
-    (k+1) P_{k+1} = (2k+1) u P_k - k P_{k-1}."""
-    ys = [1.0, u]
-    for k in range(1, n_max):
-        ys.append(((2 * k + 1) * u * ys[k] - k * ys[k - 1]) / (k + 1))
+    (k+1) P_{k+1} = (2k+1) u P_k - k P_{k-1}; k is a float, exact below
+    2^52, so each step rounds as it would with integer coefficients."""
+    ys, p0, p1, k = [1.0, u], 1.0, u, 1.0
+    for _ in range(1, n_max):
+        p0, p1 = p1, ((k + k + 1.0) * u * p1 - k * p0) / (k + 1.0)
+        ys.append(p1)
+        k += 1.0
     return ys[:n_max + 1]
 
 

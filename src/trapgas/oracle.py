@@ -223,8 +223,8 @@ def brute_legendre_tail(
                        exp(-sqrt(n(n+1)) dtau / alpha),
 
     using the exact polynomial recurrence, written out here so that the
-    oracle shares no code with the series it checks; ground truth for the
-    split-and-resummed low-temperature series.
+    oracle shares no code with the series it checks: the zero-temperature
+    limit of ``lowT_legendre_series`` is its Bernoulli line plus -(g/(2 hbar v)) times this.
     """
     if dtau <= 0.0:
         raise DomainError("brute_legendre_tail requires dtau > 0")

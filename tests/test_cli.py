@@ -1,4 +1,5 @@
 import argparse
+import csv
 import dataclasses
 import io
 import json
@@ -66,9 +67,9 @@ class TestConfig:
         [
             ("params.mass", "2", "unknown config key params.mass"),
             # removed keys are unknown too: the k=0 line has no tail_mode to
-            # choose, the low-T series' crossover n0 is fixed at 20, its
-            # warning threshold at 1e-3 beta, and the regime thresholds are
-            # model.WINDOW_FACTOR and its inverse
+            # choose, the low-T series has no crossover index and no warning
+            # threshold (a proven bound stops it at truncation.tol), and the
+            # regime thresholds are model.WINDOW_FACTOR and its inverse
             ("truncation.tail_mode", "bernoulli", "unknown config key truncation.tail_mode"),
             ("truncation.n0", "20", "unknown config key truncation.n0"),
             ("truncation.min_dtau", "1e-3", "unknown config key truncation.min_dtau"),
@@ -185,9 +186,15 @@ class TestTableEmission:
 
     @staticmethod
     def per_cell(cfg, columns, rows) -> str:
-        """The CSV text of one ``_fmt_cell`` call per cell, written row by row."""
+        """The CSV text of one ``_fmt_cell`` call per cell, written row by row, a cell
+        that holds a comma, a double quote or a line break quoted as RFC 4180 does."""
+
+        def text(cell):
+            t = cli._fmt_cell(cell)
+            return '"' + t.replace('"', '""') + '"' if set(t) & set(',"\r\n') else t
+
         lines = [f"# {line}" for line in cli._meta_lines(cfg, {})] + [",".join(columns)]
-        return "".join(f"{line}\n" for line in lines + [",".join(map(cli._fmt_cell, row)) for row in rows])
+        return "".join(f"{line}\n" for line in lines + [",".join(map(text, row)) for row in rows])
 
     def assert_mirror(self, columns, rows):
         """The CSV text is the per-cell reference's, byte for byte, and each
@@ -235,6 +242,27 @@ class TestTableEmission:
         width = data.draw(st.integers(1, 5))
         rows = data.draw(st.lists(st.tuples(*[pick] * width), max_size=12))
         self.assert_mirror([f"c{i}" for i in range(width)], rows)
+
+    def test_cells_with_commas_are_quoted(self, tmp_path):
+        # at tol = 1e-17 every spectral row is refused with a status that holds three commas;
+        # quoted, each row reads back as 10 cells, and the JSON mirror holds the same text
+        cfg = write_config(tmp_path, "[truncation]\ntol = 1e-17\n")
+        out, mirror = tmp_path / "corr.csv", tmp_path / "corr.json"
+        assert main(["correlator", "--mode", "spectral", "--config", cfg, "--out", str(out)]) == 0
+        assert main(["correlator", "--mode", "spectral", "--config", cfg, "--format", "json", "--out", str(mirror)]) == 0
+        header, *rows = csv.reader(line for line in out.read_text().splitlines() if not line.startswith("#"))
+        assert header == CORRELATOR_COLUMNS and len(rows) == 9 and all(len(row) == 10 for row in rows)
+        assert all(row[-1].startswith("AccuracyError: spectral density at omega = ") and row[-1].count(",") == 3
+                   for row in rows)
+        assert [row[-1] for row in rows] == [row[-1] for row in json.loads(mirror.read_text())["rows"]]
+
+    def test_quoting_doubles_quotes_and_spares_plain_columns(self):
+        rows = [("a,b", 'say "hi"', "ok", 1.5), ("x", "line\nbreak", "ok", 2.5)]
+        out = io.StringIO()
+        cli.write_table(out, "csv", load_config(None), ["a", "b", "c", "d"], rows)
+        body = out.getvalue().split("a,b,c,d\n")[1]
+        assert body == '"a,b","say ""hi""",ok,1.5\nx,"line\nbreak",ok,2.5\n'
+        assert list(csv.reader(io.StringIO(body))) == [[*map(cli._fmt_cell, row)] for row in rows]
 
 
 class TestDensityCommand:
@@ -458,6 +486,17 @@ class TestGreenCommand:
         for row in rows:
             assert all(cell.lower() not in ("nan", "inf", "-inf") for cell in row)
 
+    @pytest.mark.parametrize("mode", ["homog-series", "trapped-series"])
+    def test_series_tables_at_beta_1e170(self, tmp_path, mode):
+        # the k = 0 line is (beta/2) B_2 times -g/(2 R_c): beta^2/2 would overflow a float
+        cfg = write_config(tmp_path, "[params]\nbeta = 1e170\n[grid]\nx_count = 3\ntau_count = 2\n")
+        out = tmp_path / "green.csv"
+        assert main(["green", "--mode", mode, "--config", cfg, "--out", str(out)]) == 0
+        _, header, rows = read_csv(str(out))
+        ok = [row for row in rows if row[header.index("status")] == "ok"]
+        assert len(ok) == (6 if mode == "homog-series" else 3)
+        assert all(math.isfinite(float(row[header.index("G_re")])) for row in ok)
+
 
 class TestCorrelatorCommand:
     def test_closed_form_profile(self, tmp_path):
@@ -617,7 +656,7 @@ class TestCorrelatorCommand:
 
     @pytest.mark.parametrize(
         "mode, g, overflowing, cause",
-        [("series", 500, 6, "exp(-G) at G = -2368.64"), ("asymptotic-auto", 2000, 8, "exp(-G) at G = -1490.61")],
+        [("series", 500, 9, "exp(-G) at G = -2366.46"), ("asymptotic-auto", 2000, 8, "exp(-G) at G = -1490.61")],
         ids=["series-g500", "asymptotic-auto-g2000"],
     )
     def test_overflowing_gamma_is_a_typed_row(self, tmp_path, mode, g, overflowing, cause):
@@ -758,34 +797,26 @@ class TestRouteMap:
         rows = [dict(zip(header, cells)) for cells in rows]
         return [(*(float(row[k]) for k in ("x1", "tau1", "x2", "tau2")), row) for row in rows]
 
-    def test_series_warns_below_min_dtau(self, tmp_path):
-        # the low-T series warns where |tau - tau'| < 1e-3 beta and not at
-        # 1e-3 beta; the trapped-series table prints that warning as the
-        # row's status, and the correlator's rows are ok either way
+    def test_series_takes_tol(self, tmp_path):
+        # truncation.tol stops the low-T series' mode sum: both tables are its
+        # direct call at that tol, whose rows differ from the default's
         p = PhysicalParams(m=1, g=1, Omega=1, Lambda=1, beta=20.0 * math.sqrt(2.0))
         d = derive_scales(p)
-        at = 1e-3 * p.beta
-        below = math.nextafter(at, 0.0)
         cfg = write_config(
             tmp_path,
-            f"[params]\nbeta = {p.beta!r}\n[grid]\nx_ref = 0.0\nx_min = {0.001 * d.R_c!r}\n"
-            f"x_max = {0.002 * d.R_c!r}\nx_count = 2\ntau_min = {below!r}\ntau_max = {at!r}\ntau_count = 2\n"
-            f"s_center = 0.0\ndtau = {below!r}\nsep_min = {0.001 * d.R_c!r}\nsep_max = {0.02 * d.R_c!r}\n"
-            "sep_count = 3\n",
+            f"[params]\nbeta = {p.beta!r}\n[truncation]\ntol = 1e-6\n[grid]\nx_count = 3\ntau_min = 0.1\n"
+            "tau_max = 0.2\ntau_count = 2\ndtau = 0.05\nsep_count = 3\n",
         )
         for *pair, row in self.table(tmp_path, ["correlator", "--mode", "series"], cfg):
-            g = lowT_legendre_series(*pair, p, d)
-            assert g.warning is not None
+            g = lowT_legendre_series(*pair, p, d, tol=1e-6)
+            assert g.value != lowT_legendre_series(*pair, p, d).value
             gamma = gamma_from_green(CorrelatorQuery(*pair), g, p, d)
             assert (row["gamma"], row["status"]) == ("%.17g" % gamma, "ok")
         rows = self.table(tmp_path, ["green", "--mode", "trapped-series"], cfg)
-        assert [tau2 for _, _, _, tau2, _ in rows] == [below, below, at, at]
+        assert len(rows) == 6
         for *pair, row in rows:
-            g = lowT_legendre_series(*pair, p, d)
-            assert (g.warning is None) is (pair[3] == at)
-            status = "ok" if g.warning is None else f"warning: {g.warning}"
-            assert (row["G_re"], row["trunc_err"], row["status"]) == ("%.17g" % g.value, "%.17g" % g.trunc_err, status)
-        assert rows[0][-1]["status"].startswith("warning: dtau/beta = 0.001 below min_dtau = 0.001; ")
+            g = lowT_legendre_series(*pair, p, d, tol=1e-6)
+            assert (row["G_re"], row["trunc_err"], row["status"]) == ("%.17g" % g.value, "%.17g" % g.trunc_err, "ok")
 
     def test_homog_series_takes_n_max(self, tmp_path):
         # l_max caps the spectral assembly alone: the series sums every frequency
@@ -864,7 +895,7 @@ class TestExponentCommand:
             ("closed-form", "[grid]\ndtau = 0.1\n", "DomainError: closed-form correlator is equal-time"),
             ("spectral", "[params]\nbeta = 1e-5\n", "AccuracyError: Gamma = 1.2327e-320 underflows"),
             ("series", "[params]\ng = 500\nbeta = 141.4213562373095\n[grid]\ndtau = 0.007\n",
-             "AccuracyError: Gamma overflows: exp(-G) at G = -2368.6"),
+             "AccuracyError: Gamma overflows: exp(-G) at G = -2366.46"),
         ],
         ids=["series-equal-time", "closed-form-dtau", "spectral-underflow", "series-overflow"],
     )
@@ -1006,7 +1037,7 @@ class TestValidateCommand:
         assert len(by_name) == 10 and all(c["passed"] for c in by_name.values())
 
     def test_a_failed_condition_fails_check_08(self, tmp_path, monkeypatch):
-        # check 08 also requires an n0-doubling drift below 0.02, whatever its figure
+        # check 08 also requires the series' trunc_err below 2% of each difference, whatever its figure
         from trapgas import checks
 
         series = checks.lowT_legendre_series
@@ -1234,9 +1265,8 @@ class TestValidateCommand:
              {"checks.homog_series": 5, "checks.homog_asymptotic_highT": 5}),
             ("07-trapped-highT-match", ("checks.matsubara_assemble", "checks.asympt_green_highT"),
              {"checks.matsubara_assemble": 6, "checks.asympt_green_highT": 6}),
-            # check 08's fifth series call is its n0-drift probe, outside the difference sweep
             ("08-trapped-lowT-match", ("checks.lowT_legendre_series", "checks.asympt_green_lowT"),
-             {"checks.lowT_legendre_series": 4 + 1, "checks.asympt_green_lowT": 4}),
+             {"checks.lowT_legendre_series": 4, "checks.asympt_green_lowT": 4}),
         ],
         ids=["01", "10", "06", "07", "08"],
     )

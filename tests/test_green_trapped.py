@@ -38,7 +38,7 @@ from trapgas import (
 from trapgas import green_trapped, legendre
 from trapgas.cli import cmd_green, load_config
 from trapgas.green_homogeneous import log_2sinh_abs
-from trapgas.green_trapped import _checked_lambda, _density_parts, _k_coeff, _p_poly_integer_phase, _zero_mode
+from trapgas.green_trapped import _checked_lambda, _density_parts, _k_coeff, _zero_mode
 from trapgas.legendre import _nu_real
 from trapgas.oracle import brute_legendre_tail
 
@@ -938,81 +938,121 @@ class TestLowTSeries:
         alpha = math.sqrt(2.0)
         return setup_params(beta=ratio * alpha, **over)
 
-    def test_tail_treatment_matches_brute_mode_sum(self):
-        # reconstruct the split-and-resummed representation with a large
-        # crossover index (oracle comparison, no validity gate involved) and
-        # compare against the direct mode sum with exact polynomials
-        from trapgas.green_trapped import _geometric_tail
-        from trapgas.legendre import p_poly_table
+    @pytest.mark.parametrize("u, up", [(0.3, 0.1), (-0.6, 0.5), (0.95, -0.9), (0.2, 0.21)])
+    def test_tau_difference_matches_the_assembly(self, u, up):
+        # beta/alpha = 0.707, where the paper's edge term H is below e^-55 of the density: two exact
+        # routes, the mode sum and the frequency sum, agree on G(0.1 beta) - G(0.4 beta) within the
+        # sum of their bounds (the zero-temperature factor is off by 1.5e-2 to 2.3e-2 here)
+        p, d = setup_params()
+        x, xp = u * d.R_c, up * d.R_c
+        series = [lowT_legendre_series(x, f * p.beta, xp, 0.0, p, d) for f in (0.1, 0.4)]
+        assembled = [matsubara_assemble(x, f * p.beta, xp, 0.0, p, d, l_max=4096) for f in (0.1, 0.4)]
+        bound = sum(g.trunc_err for g in series + assembled)
+        assert series[0].method == "trapped-lowT-series" and 0.0 < bound < 1e-11
+        gap = (series[0].value - series[1].value) - (assembled[0].value - assembled[1].value)
+        assert abs(gap) <= bound
 
-        p, d = self._lowT()
-        x, xp = 0.006 * d.R_c, -0.004 * d.R_c
-        dtau = 0.05 * d.alpha
-        n0 = 150
+    def test_zero_temperature_limit_is_the_brute_tail(self):
+        # at beta/alpha = 1000 the thermal factor is e^{-E t}/(2E) to far below an ulp: the series is
+        # the Bernoulli line plus -(g/(2 hbar v)) times the oracle's zero-temperature mode sum
+        p, d = self._lowT(1000.0)
         hv = p.hbar * d.v
-        theta, theta_p = math.acos(x / d.R_c), math.acos(xp / d.R_c)
-        t = math.exp(-dtau / d.alpha)
-        tau_hat = dtau / p.beta
-        bracket = -(p.g * p.beta / (4.0 * d.R_c)) * ((0.5 - tau_hat) ** 2 - 1.0 / 12.0)
-        pn_u = p_poly_table(n0, x / d.R_c)
-        pn_up = p_poly_table(n0, xp / d.R_c)
-        corr = 0.0
-        for n in range(1, n0 + 1):
-            root = math.sqrt(n * (n + 1.0))
-            corr += (n + 0.5) / root * pn_u[n] * pn_up[n] * math.exp(-root * dtau / d.alpha)
-            corr -= (
-                _p_poly_integer_phase(n, theta)
-                * _p_poly_integer_phase(n, theta_p)
-                * math.exp(-(n + 0.5) * dtau / d.alpha)
-            )
-        resummed = (
-            bracket
-            - (p.g / (2.0 * hv)) * corr
-            - (p.g / (2.0 * hv)) * math.exp(-dtau / (2.0 * d.alpha)) * _geometric_tail(t, theta, theta_p)
-        )
-        brute = bracket - (p.g / (2.0 * hv)) * brute_legendre_tail(x, xp, dtau, p, d, 200_000)
-        assert abs(resummed - brute) < 1e-4 * abs(brute)
+        for x, xp, dtau in ((0.006, -0.004, 0.05), (0.3, 0.25, 0.01), (-0.5, 0.7, 0.2), (0.1, 0.1, 0.03)):
+            x, xp, dtau = x * d.R_c, xp * d.R_c, dtau * d.alpha
+            g = lowT_legendre_series(x, dtau, xp, 0.0, p, d)
+            line = -(p.g / (2.0 * d.R_c)) * (p.beta / 2.0) * ((dtau / p.beta) ** 2 - dtau / p.beta + 1.0 / 6.0)
+            brute = line - (p.g / (2.0 * hv)) * brute_legendre_tail(x, xp, dtau, p, d, g.meta["modes"])
+            assert abs(g.value - brute) <= 1e-13 * abs(brute)
 
-    def test_geometric_tail_closed_form_vs_direct_sum(self):
+    @pytest.mark.parametrize("tol", [1e-4, 1e-8, 1e-12])
+    def test_trunc_err_bounds_the_distance_to_a_tol_1e_15_sum(self, tol):
+        # random pairs over beta/alpha in [0.05, 300], t folded from both sides of beta/2, t/alpha >= 0.01
+        rng = np.random.default_rng(40)
+        for ratio in (0.05, 0.707, 7.07, 100.0, 300.0):
+            p, d = self._lowT(ratio)
+            for _ in range(4):
+                u, up = rng.uniform(-0.95, 0.95, 2)
+                frac = math.exp(rng.uniform(math.log(max(1e-3, 0.01 / ratio)), math.log(0.5)))
+                dtau = (frac if rng.random() < 0.5 else 1.0 - frac) * p.beta
+                g = lowT_legendre_series(u * d.R_c, dtau, up * d.R_c, 0.0, p, d, tol=tol)
+                ref = lowT_legendre_series(u * d.R_c, dtau, up * d.R_c, 0.0, p, d, tol=1e-15)
+                assert g.trunc_err < 2.0 * tol
+                assert abs(g.value - ref.value) <= g.trunc_err
+
+    @pytest.mark.parametrize(
+        "ratio, u, up, t_alpha, tol",
+        [
+            (100.0, 0.914, -0.702, 21.13, 1e-20),  # B_2(0.2113) ~ 0: its rounding is not 4 eps of it
+            (0.707, 0.99999, 0.99999, 0.0534, 1e-14),  # the recurrence error near the edge, 10x the terms' 4 eps
+            (0.05, -0.999999, 0.4, 0.02, 1e-14),
+            (7.07, 0.3, -0.6, 0.04, 1e-14),
+        ],
+    )
+    def test_trunc_err_bounds_the_distance_to_a_40_digit_sum(self, ratio, u, up, t_alpha, tol):
+        # at these tol the rounding allowance is most of trunc_err; the reference runs the recurrence,
+        # the thermal factors and the line in mpmath, on to twice the modes, where the rest is below 1e-25
+        p, d = self._lowT(ratio)
+        x, xp, dtau = u * d.R_c, up * d.R_c, t_alpha * d.alpha
+        g = lowT_legendre_series(x, dtau, xp, 0.0, p, d, tol=tol)
+        with mp.workdps(40):
+            u, up, t, beta, alpha = (mp.mpf(v) for v in (x / d.R_c, xp / d.R_c, dtau, p.beta, d.alpha))
+            total = beta / 2 * ((t / beta) ** 2 - t / beta + mp.mpf(1) / 6)
+            pn, pn_p = [mp.mpf(1), u], [mp.mpf(1), up]
+            for n in range(1, 2 * g.meta["modes"] + 2):
+                if n > 1:
+                    pn = [pn[1], ((2 * n - 1) * u * pn[1] - (n - 1) * pn[0]) / n]
+                    pn_p = [pn_p[1], ((2 * n - 1) * up * pn_p[1] - (n - 1) * pn_p[0]) / n]
+                e = mp.sqrt(n * (n + 1)) / alpha
+                total += (2 * n + 1) * pn[1] * pn_p[1] * (mp.exp(-e * t) + mp.exp(-e * (beta - t))) / (
+                    2 * e * -mp.expm1(-beta * e))
+            ref = float(-(p.g / (2 * d.R_c)) * total)
+        assert abs(g.value - ref) <= g.trunc_err < 1e-11
+
+    def test_no_regime_gate(self):
+        # the pairs the old gates refused, beta E_1 < 10 and n0 u_* >= 1, and beta/alpha = 0.05
+        for ratio, args in ((0.707, (0.1, 0.2, 0.0, 0.0)), (100.0, (0.3, 0.3, -0.3, 0.0)), (0.05, (0.2, 0.01, 0.1, 0.0))):
+            p, d = self._lowT(ratio)
+            g = lowT_legendre_series(*args, p, d)
+            assert math.isfinite(g.value) and g.trunc_err < 2e-12 and g.warning is None
+
+    def test_mode_cap_is_an_accuracy_error_before_any_recurrence(self, monkeypatch):
         p, d = self._lowT()
-        theta, theta_p = math.acos(0.05), math.acos(-0.02)
-        dtau = 0.02 * d.alpha
-        t = math.exp(-dtau / d.alpha)
-        direct = 0.0
-        for n in range(1, 20_000):
-            direct += t**n * _p_poly_integer_phase(n, theta) * _p_poly_integer_phase(n, theta_p)
-        from trapgas.green_trapped import _geometric_tail
+        monkeypatch.setattr(green_trapped, "p_poly_table", lambda *a: pytest.fail("recurrence ran"))
+        with pytest.raises(AccuracyError, match=r"^lowT_legendre_series needs \d+ modes to bound its tail by tol = "
+                                                 r"1e-12 at t = 1e-05, beyond the cap of 1048576$") as err:
+            lowT_legendre_series(0.1, 1e-5, 0.0, 0.0, p, d)
+        needed = int(str(err.value).split()[2])
+        assert 2**20 < needed < 2**22 and err.value.achieved > 1e-12
 
-        closed = _geometric_tail(t, theta, theta_p)
-        assert abs(closed - direct) < 1e-6 * max(1.0, abs(direct))
-
-    def test_gate_violation_named(self):
+    def test_one_recurrence_at_equal_positions(self, monkeypatch):
         p, d = self._lowT()
-        with pytest.raises(RegimeError, match=r"n0 \* u_\* < 1 violated"):
-            lowT_legendre_series(0.3 * d.R_c, 0.3 * d.alpha, -0.3 * d.R_c, 0.0, p, d)
+        calls = []
+        table = green_trapped.p_poly_table
+        monkeypatch.setattr(green_trapped, "p_poly_table", lambda n, u: calls.append(u) or table(n, u))
+        lowT_legendre_series(0.1, 0.05, 0.1, 0.0, p, d, tol=1e-6)
+        lowT_legendre_series(0.1, 0.05, 0.2, 0.0, p, d, tol=1e-6)
+        assert calls == [0.1 / d.R_c, 0.1 / d.R_c, 0.2 / d.R_c]
 
-    def test_wrong_regime_rejected(self):
-        p, d = setup_params()  # beta/alpha ~ 0.7
-        with pytest.raises(RegimeError, match="beta E_1"):
-            lowT_legendre_series(0.1, 0.2, 0.0, 0.0, p, d)
-
-    def test_beta_e1_gate_is_the_inverse_window_factor(self):
-        # beta E_1 >> 1 read as beta E_1 >= 1/WINDOW_FACTOR = 10: beta = 10 at
-        # alpha = sqrt 2 gives beta E_1 = 10 exactly, one ulp less falls below
-        for beta, refused in ((math.nextafter(10.0, 0.0), True), (10.0, False)):
-            p = PhysicalParams(m=1, g=1, Omega=1, Lambda=1, beta=beta)
-            d = derive_scales(p)
-            assert (beta * math.sqrt(2.0) / d.alpha < 10.0) is refused
-            if refused:
-                with pytest.raises(RegimeError, match=r"beta E_1 >> 1; got beta E_1 = 10 "):
-                    lowT_legendre_series(0.01, 0.01, 0.0, 0.0, p, d)
-            else:
-                assert math.isfinite(lowT_legendre_series(0.01, 0.01, 0.0, 0.0, p, d).value)
+    @pytest.mark.parametrize("tol", [0.0, -1e-12, math.inf, math.nan])
+    def test_bad_tol_is_a_domain_error(self, tol):
+        p, d = self._lowT()
+        with pytest.raises(DomainError, match="tolerance must be positive and finite"):
+            lowT_legendre_series(0.1, 0.05, 0.0, 0.0, p, d, tol=tol)
 
     def test_equal_times_rejected(self):
         p, d = self._lowT()
-        with pytest.raises(DomainError):
-            lowT_legendre_series(0.1, 0.5, 0.0, 0.5, p, d)
+        for tau, taup in ((0.5, 0.5), (p.beta, 0.0), (0.0, p.beta)):
+            with pytest.raises(DomainError, match=r"^lowT_legendre_series requires tau != tau'$"):
+                lowT_legendre_series(0.1, tau, 0.0, taup, p, d)
+        with pytest.raises(DomainError, match=re.escape(f"|tau - tau'| = {2.0 * p.beta} exceeds beta = {p.beta}")):
+            lowT_legendre_series(0.1, 2.0 * p.beta, 0.0, 0.0, p, d)
+
+    def test_even_about_half_beta(self):
+        p, d = self._lowT(2.0)
+        for frac in (0.1, 0.3, 0.45):
+            early = lowT_legendre_series(0.3 * d.R_c, frac * p.beta, 0.1 * d.R_c, 0.0, p, d).value
+            late = lowT_legendre_series(0.3 * d.R_c, (1.0 - frac) * p.beta, 0.1 * d.R_c, 0.0, p, d).value
+            assert_allclose(early, late, rtol=1e-14)
 
     @pytest.mark.parametrize("ratio", [20.0, 100.0, 1000.0])
     def test_bitwise_symmetric_under_argument_swap(self, ratio):
@@ -1025,31 +1065,13 @@ class TestLowTSeries:
             for sep in (0.002, 0.005, 0.01, 0.02, 0.03):
                 for dtau in (0.001, 0.003, 0.005, 0.01, 0.02):
                     x, xp = (s_half + sep / 2.0) * d.R_c, (s_half - sep / 2.0) * d.R_c
-                    g12 = lowT_legendre_series(x, 0.07 + dtau, xp, 0.07, p, d)
-                    g21 = lowT_legendre_series(xp, 0.07, x, 0.07 + dtau, p, d)
+                    g12 = lowT_legendre_series(x, 0.07 + dtau, xp, 0.07, p, d, tol=1e-4)
+                    g21 = lowT_legendre_series(xp, 0.07, x, 0.07 + dtau, p, d, tol=1e-4)
                     assert g12.value == g21.value
         for x, xp, dtau in ((0.21, 0.19, 0.005), (0.31, 0.29, 0.003)):
             g12 = lowT_legendre_series(x * d.R_c, dtau, xp * d.R_c, 0.0, p, d)
             g21 = lowT_legendre_series(xp * d.R_c, 0.0, x * d.R_c, dtau, p, d)
             assert g12.value == g21.value
-
-    def test_min_dtau_warning(self):
-        # the warning fires where |tau - tau'| < 1e-3 beta and not at 1e-3 beta
-        p, d = self._lowT(ratio=20.0)
-        x, at = 0.001 * d.R_c, 1e-3 * p.beta
-        assert lowT_legendre_series(x, at, 0.0, 0.0, p, d).warning is None
-        g = lowT_legendre_series(x, math.nextafter(at, 0.0), 0.0, 0.0, p, d)
-        assert g.warning is not None and "below min_dtau = 0.001; " in g.warning
-
-    def test_trunc_err_is_the_n0_doubling_drift(self, monkeypatch):
-        # the pass runs on to 2 n0; the value is the n0 one, the change the error
-        p, d = self._lowT()
-        args = (0.012 * d.R_c, 0.005 * d.alpha, -0.008 * d.R_c, 0.0, p, d)
-        g1 = lowT_legendre_series(*args)
-        monkeypatch.setattr(green_trapped, "_N0", 40)
-        g2 = lowT_legendre_series(*args)
-        assert g1.meta["n0"] == 20 and g1.trunc_err == abs(g2.value - g1.value)
-        assert 0.0 < g1.trunc_err < 0.02 * abs(g1.value)
 
     def test_bernoulli_bracket_sign_at_half_beta(self):
         # at dtau = beta/2 the bracket reduces to +g beta/(48 R_c); checked on
@@ -1057,7 +1079,7 @@ class TestLowTSeries:
         # fixed spatial arguments (x = x' = 0 kills odd modes)
         p, d = self._lowT()
         dtau = 0.004 * d.alpha
-        val = lowT_legendre_series(0.0, dtau, 0.0, 0.0, p, d).value
+        val = lowT_legendre_series(0.0, dtau, 0.0, 0.0, p, d, tol=1e-4).value
         tau_hat = dtau / p.beta
         bracket = -(p.g * p.beta / (4.0 * d.R_c)) * ((0.5 - tau_hat) ** 2 - 1.0 / 12.0)
         # mode sum is strictly negative for x = x' (squared polynomials)
@@ -1105,7 +1127,8 @@ class TestTrappedAsymptotics:
 
     @pytest.mark.parametrize(
         "form, keyword",
-        [(asympt_green_highT, "r_lo"), (asympt_green_lowT, "r_hi"), (lowT_legendre_series, "min_dtau")],
+        [(asympt_green_highT, "r_lo"), (asympt_green_lowT, "r_hi"), (lowT_legendre_series, "min_dtau"),
+         (lowT_legendre_series, "n0")],
     )
     def test_thresholds_are_not_keywords(self, form, keyword):
         # each validity threshold is a constant: no call can move it

@@ -18,9 +18,8 @@ The matrix is
 * the low-temperature block: ``correlator``/``exponent --mode series`` and
   ``green --mode trapped-series`` at beta in {20, 100, 1000} sqrt2, s_center
   in {0, 0.2, -0.5} R_c, dtau in {0.001, 0.005, 0.02} sqrt2 and 12
-  separations from 0.001 to 0.04 R_c, which is where the series route returns
-  values; a ``green`` row whose |tau - tau'| is below 1e-3 beta carries the
-  series' warning as its status;
+  separations from 0.001 to 0.04 R_c; at its smallest dtau, 0.001 alpha,
+  the series route sums the most modes;
 * the ``trapped-spectral`` block: ``green --mode trapped-spectral`` at
   omega in {0, 2, 20, 200, 2000} pi over 81 points within +-0.995 R_c, at the
   off-centre x_ref in {0.1, -0.35} R_c, which reaches the Thomas-Fermi edge
@@ -50,6 +49,7 @@ identical and 1 otherwise.
 from __future__ import annotations
 
 import contextlib
+import csv
 import io
 import json
 import math
@@ -232,9 +232,8 @@ def parse_table(stdout: str) -> tuple:
     if not body:
         return [], []
     columns = body[0].split(",")
-    # the last column (status) may itself hold commas
-    rows = [line.split(",", len(columns) - 1) for line in body[1:]]
-    return columns, [[_number(cell) for cell in row] for row in rows]
+    # a cell that holds a comma is quoted, as RFC 4180 does
+    return columns, [[_number(cell) for cell in row] for row in csv.reader(body[1:])]
 
 
 def split_table(stdout: str) -> tuple:
