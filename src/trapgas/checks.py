@@ -238,16 +238,16 @@ def _max_difference_deviation(route, reference, pairs) -> float:
 def check_homog_regime_match():
     """Homogeneous series vs high-temperature closed form, in difference
     mode, at beta hbar v / R_c = 0.05 and pi |dx| / (hbar beta v) >> 1.  The
-    figure is the series' own n-cutoff, so the detail prints its bound."""
+    series is exact to 1e-12, so the figure is the closed form's error."""
     p = PhysicalParams(m=1.0, g=1.0, Omega=math.sqrt(2.0) / 20.0, Lambda=1.0, beta=1.0)
     d = derive_scales(p)  # R_c = 20, lambda_T = 1
     pairs = [CorrelatorQuery(dx / 2.0, 0.0, -dx / 2.0, 0.0) for dx in (1.5, 2.5, 3.5, 4.5)]
     pairs.append(CorrelatorQuery(1.0, 0.3 * p.beta, -1.0, 0.0))
-    series = cache(partial(homog_series, p=p, d=d, n_max=1600))
+    series = cache(partial(homog_series, p=p, d=d, tol=1e-12))
     worst = _max_difference_deviation(series, partial(homog_asymptotic_highT, p=p, d=d), pairs)
     diffs = [green_difference(series, a, b) for a, b in zip(pairs[:-1], pairs[1:])]
     bound = max(g.trunc_err / abs(g.value) for g in diffs)
-    detail = (f"max relative difference-mode deviation, series (n_max = 1600) vs closed form (lambda_T/R_c = 0.05); "
+    detail = (f"max relative difference-mode deviation, series (tol = 1e-12) vs closed form (lambda_T/R_c = 0.05); "
               f"series' trunc_err/|difference| up to {bound:.3e}")
     return worst, detail, True
 

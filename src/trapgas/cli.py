@@ -92,7 +92,6 @@ _SCHEMA = {
     },
     "truncation": {
         "l_max": _Key(int, 64, least=0),
-        "n_max": _Key(int, 256, least=1),
         "tol": _Key(float, 1e-12, positive=True),
     },
     "grid": {
@@ -302,10 +301,9 @@ def _route(mode, cfg: RunConfig, p, d):
     """G(x1, tau1, x2, tau2) -> GreenValue of one per-point green or
     correlator mode, its controls and regime resolved once per table; None
     where the regime has no asymptotic form."""
-    if mode == "homog-series":
-        return partial(homog_series, p=p, d=d, n_max=cfg["truncation.n_max"])
-    if mode in ("trapped-series", "series"):
-        return partial(lowT_legendre_series, p=p, d=d, tol=cfg["truncation.tol"])
+    if mode in ("homog-series", "trapped-series", "series"):
+        series = homog_series if mode == "homog-series" else lowT_legendre_series
+        return partial(series, p=p, d=d, tol=cfg["truncation.tol"])
     if mode == "closed-form":
         return partial(closed_form_green, p=p, d=d)
     regime = classify_regime(d)

@@ -8,22 +8,23 @@ regularized double Fourier representation
 
 with omega = (2 pi / beta) l, k = (pi / R_c) n, E_k = hbar v k, and the
 (omega, k) = (0, 0) term removed.  ``homog_series`` sums it over every
-omega in closed form, which leaves one mode sum over k, cut at n_max.  Two
-closed asymptotic forms exist, one per temperature regime; both carry an
+omega and its zero-temperature part over k in closed form, and stops the
+rest at ``tol`` by pieces that the trapped mode sum shares.  Two closed
+asymptotic forms exist, one per temperature regime; both carry an
 undetermined additive constant, so every cross-method comparison in this
 package goes through ``green_difference``.
 """
 
 from __future__ import annotations
 
-import cmath
+import bisect
 import math
 import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, UsageError
+from .errors import AccuracyError, DomainError, UsageError
 from .model import CorrelatorQuery, DerivedScales, PhysicalParams, theta_homogeneous, zeta_of
 
 __all__ = [
@@ -36,8 +37,13 @@ __all__ = [
     "log_2sin_abs",
 ]
 
-# rounding of the series' sum, per unit of the sum of its terms' magnitudes
+# rounding of a mode or frequency sum, per unit of the sum of its terms'
+# magnitudes: each term's products, the exactly rounded fsum, line and prefactor
 _ROUNDING = 4.0 * sys.float_info.epsilon
+
+# the most modes a mode sum adds, about 0.5 s a pair for the trapped one; a
+# pair whose tail bound needs more is an AccuracyError
+_MODE_CAP = 2**20
 
 
 @dataclass(frozen=True)
@@ -60,19 +66,27 @@ class GreenValue:
     meta: dict = field(default_factory=dict)
 
 
+def _log_abs_1_minus_exp(z: complex) -> float:
+    """ln|1 - e^{-z}| for Re z >= 0, as ln hypot(1 - e^{-b}, 2 e^{-b/2} sin(a/2)),
+    z = b + ia, which does not cancel where z is small; -inf at z = 0."""
+    h = math.hypot(-math.expm1(-z.real), 2.0 * math.exp(-0.5 * z.real) * math.sin(0.5 * z.imag))
+    return math.log(h) if h > 0.0 else -math.inf
+
+
 def log_2sinh_abs(z: complex) -> float:
-    """ln(2 |sinh z|), stable for large |Re z|; -inf at the zeros of sinh."""
+    """ln(2 |sinh z|) = |Re z| + ln|1 - e^{-2 (|Re z| + i Im z)}|; -inf at the zeros of sinh."""
     a = abs(z.real)
-    w = complex(a, z.imag)
-    mag = abs(1.0 - cmath.exp(-2.0 * w))
-    if mag == 0.0 and a == 0.0:
-        return -math.inf
-    return a + math.log(mag) if mag > 0.0 else -math.inf
+    return a + _log_abs_1_minus_exp(complex(2.0 * a, 2.0 * z.imag))
 
 
 def log_2sin_abs(z: complex) -> float:
     """ln(2 |sin z|) via |sin(a+ib)| = |sinh(b+ia)|."""
     return log_2sinh_abs(complex(z.imag, z.real))
+
+
+def _bad_tol(tol: float):
+    """The DomainError of a tolerance that is not positive and finite, or None."""
+    return None if 0.0 < tol < math.inf else DomainError(f"tolerance must be positive and finite, got {tol}")
 
 
 def _bernoulli_b2(theta: float) -> float:
@@ -88,62 +102,74 @@ def _thermal_factor(e, t: float, beta: float):
     return (np.exp(-e * t) + np.exp(-e * (beta - t))) / (-np.expm1(-beta * e) * 2.0 * e)
 
 
+def _mode_stop(tail, tol: float, route: str, t: float) -> int:
+    """The first mode count N whose bound ``tail(N)`` on the modes after the first N is at most
+    ``tol``, bisected as the bound falls with N; DomainError at a bad ``tol``, and past
+    ``_MODE_CAP`` an AccuracyError that names the count."""
+    bad = _bad_tol(tol)
+    if bad:
+        raise bad
+    last = bisect.bisect_left(range(_MODE_CAP if tail(_MODE_CAP) <= tol else 2**62), True, key=lambda n: tail(n) <= tol)
+    if last > _MODE_CAP:
+        raise AccuracyError(f"{route} needs {'more than ' * (tail(last) > tol)}{last} modes to bound "
+                            f"its tail by tol = {tol:g} at t = {t!r}, beyond the cap of {_MODE_CAP}",
+                            achieved=tail(_MODE_CAP))
+    return last
+
+
+def _line_plus_modes(beta: float, theta: float, terms) -> tuple:
+    """(beta/2) B_2(theta) plus the exactly rounded sum of ``terms``, and its rounding allowance:
+    ``_ROUNDING`` times the magnitudes summed, B_2's parts before they cancel."""
+    magnitudes = (beta / 2.0) * (theta * theta + theta + 1.0 / 6.0) + float(np.sum(np.abs(terms)))
+    return (beta / 2.0) * _bernoulli_b2(theta) + math.fsum(terms), _ROUNDING * magnitudes
+
+
 def homog_series(
-    x: float, tau: float, xp: float, taup: float, p: PhysicalParams, d: DerivedScales, *, n_max: int = 256
+    x: float, tau: float, xp: float, taup: float, p: PhysicalParams, d: DerivedScales, *, tol: float = 1e-12
 ) -> GreenValue:
-    """The series with every Matsubara frequency summed in closed form, cut
-    at the wavenumber n_max: G = -(g/(2 R_c)) [(beta/2) B_2(dtau/beta mod 1)
-    + sum_{n=1}^{n_max} 2 cos(k_n dx) phi(E_n)], the k=0 line in its
-    Bernoulli form and each other wavenumber's frequency sum the thermal mode
-    factor of ``_thermal_factor``, folded over +-n.  phi(E_n) falls in n, so
-    the omitted tail is at most
-    2 phi(E_{n_max+1}) / max(1 - e^{-E_1 u}, |sin(pi dx / 2 R_c)|), u = min(t, beta - t):
-    each phi(E_{n+1}) <= e^{-E_1 u} phi(E_n), and no partial sum of
-    cos(pi n dx / R_c) exceeds 1/|sin(pi dx / 2 R_c)| (Abel summation).
-    ``trunc_err`` is that bound plus a rounding allowance; it is infinite
-    where both vanish, at coincident arguments.
+    """The series summed over every Matsubara frequency, exact at every dtau:
+
+        G = -(g/(2 R_c)) [(beta/2) B_2(t/beta) - ln|1 - e^{-(b - ia)}| / E_1 + sum_{n=1}^{N} 2 cos(n a) r(E_n)],
+
+    t = |dtau| mod beta folded into [0, beta/2], a = pi dx / R_c, E_n = n E_1
+    = hbar v pi n / R_c, b = E_1 t.  Each wavenumber's thermal factor, folded
+    over +-n, is phi(E) = e^{-E t}/(2E) + r(E), r(E) = [e^{-E (beta - t)} +
+    e^{-E (beta + t)}] / (2E (1 - e^{-beta E})); the e^{-E t}/(2E) sum to the
+    logarithm.  r(E) e^{E (beta - t)} falls in E, so the modes after N add at
+    most 2 r(E_{N+1}) / (1 - e^{-E_1 (beta - t)}); N is the first count whose
+    bound meets ``tol`` (absolute in G).  ``trunc_err`` adds 4 eps of the
+    magnitudes summed and 4 eps / E_1, the logarithm's argument's relative
+    rounding.  At coincident arguments G is -inf, divergent, with an infinite
+    bound; ``_mode_stop`` raises at a bad ``tol`` and past its cap.
     """
-    if n_max < 1:
-        raise DomainError(f"n_max must be >= 1, got {n_max}")
-    dx = x - xp
-    dtau = tau - taup
-    pref = -p.g / (2.0 * d.R_c)
-    line_k0 = (p.beta / 2.0) * _bernoulli_b2((dtau / p.beta) % 1.0)
+    # dx folded into [-R_c, R_c] and dtau into [-beta/2, beta/2], both exact, so
+    # that the sum is periodic and even in each bit for bit
+    a = math.pi * math.remainder(x - xp, 2.0 * d.R_c) / d.R_c
+    t = abs(math.remainder(tau - taup, p.beta))
+    e_1 = p.hbar * d.v * math.pi / d.R_c
+    pref = p.g / (2.0 * d.R_c)
+    gap = -math.expm1(-e_1 * (p.beta - t))  # 0 only where E_1 beta underflows
 
-    # u = min(t, beta - t), exact, so that the sum is even in dtau bit for bit;
-    # phi runs to n_max + 1, the tail bound's term
-    u = abs(math.remainder(dtau, p.beta))
-    n_arr = np.arange(1, n_max + 2, dtype=float)
-    e_k = p.hbar * d.v * (math.pi / d.R_c) * n_arr
-    phi = _thermal_factor(e_k, u, p.beta)
-    modes = float(np.sum(2.0 * np.cos((math.pi / d.R_c) * n_arr[:-1] * dx) * phi[:-1]))
+    def remainder_factor(e):  # r(E), written out: phi(E) - e^{-E t}/(2E) would cancel
+        return (np.exp(-e * (p.beta - t)) + np.exp(-e * (p.beta + t))) / (-np.expm1(-p.beta * e) * 2.0 * e)
 
-    gap = max(-math.expm1(-float(e_k[0]) * u), abs(math.sin(math.pi * dx / (2.0 * d.R_c))))
-    if gap == 0.0:  # coincident arguments
-        warning, tail = "coincident arguments: series is log-divergent, value is cutoff-dependent", math.inf
-    else:
-        warning, tail = None, 2.0 * float(phi[-1]) / gap
-    rounding = _ROUNDING * (abs(line_k0) + 2.0 * float(np.sum(phi[:-1])))
-    return GreenValue(
-        value=pref * (line_k0 + modes),
-        method="homog-series",
-        trunc_err=abs(pref) * (tail + rounding),
-        divergent=(warning is not None),
-        warning=warning,
-        meta={"n_max": n_max},
-    )
+    def tail(n: int) -> float:  # the bound on the modes after the first n
+        return pref * 2.0 * float(remainder_factor((n + 1.0) * e_1)) / gap if gap else math.inf
+
+    last = _mode_stop(tail, tol, "homog_series", t)
+    log_zero_t = _log_abs_1_minus_exp(complex(e_1 * t, a))
+    if log_zero_t == -math.inf:
+        return _log_divergence("homog-series", math.inf, const_free=False)
+    n = np.arange(1.0, last + 1)
+    terms = np.append(-log_zero_t / e_1, 2.0 * np.cos(n * a) * remainder_factor(n * e_1))
+    total, rounding = _line_plus_modes(p.beta, t / p.beta, terms)
+    trunc_err = tail(last) + pref * (rounding + _ROUNDING / e_1)
+    return GreenValue(-pref * total, "homog-series", trunc_err, meta={"modes": last})
 
 
-def _log_divergence(method: str) -> GreenValue:
-    """Marker returned by a closed form at coincident arguments, where its
-    logarithm diverges."""
-    return GreenValue(
-        value=-math.inf,
-        method=method,
-        divergent=True,
-        const_free=True,
-        warning="log divergence at coincident arguments",
-    )
+def _log_divergence(method: str, trunc_err: float = 0.0, const_free: bool = True) -> GreenValue:
+    """Marker returned at coincident arguments, where a logarithm diverges."""
+    return GreenValue(-math.inf, method, trunc_err, True, const_free, "log divergence at coincident arguments")
 
 
 def _check_window(dx: float, dtau: float, p: PhysicalParams, d: DerivedScales):
@@ -161,8 +187,7 @@ def homog_asymptotic_highT(
     G = (g / 2 pi hbar v) ln{2 |sinh( pi/(hbar beta v) (|dx| + i hbar v dtau) )|}
         - (g / 4 beta R_c) dx^2 / (hbar v)^2 + const.
     """
-    dx = x - xp
-    dtau = tau - taup
+    dx, dtau = x - xp, tau - taup
     _check_window(dx, dtau, p, d)
     hv = p.hbar * d.v
     log_term = log_2sinh_abs((math.pi / (p.hbar * p.beta * d.v)) * zeta_of(dx, dtau, p, d))
@@ -181,8 +206,7 @@ def homog_asymptotic_lowT(
     G = (g / 2 pi hbar v) ln{2 |sin( pi/(2 R_c) (|dx| + i hbar v dtau) )|}
         - (g / 4 beta R_c) dtau^2 + const.
     """
-    dx = x - xp
-    dtau = tau - taup
+    dx, dtau = x - xp, tau - taup
     _check_window(dx, dtau, p, d)
     log_term = log_2sin_abs((math.pi / (2.0 * d.R_c)) * zeta_of(dx, dtau, p, d))
     if math.isinf(log_term):
@@ -199,7 +223,7 @@ def green_difference(evaluate, pair_a: CorrelatorQuery, pair_b: CorrelatorQuery)
 
     ``evaluate(x, tau, xp, taup)`` returns a :class:`GreenValue`, like the
     Green functions themselves with their remaining arguments bound (e.g.
-    ``partial(homog_series, p=p, d=d, n_max=n_max)``); it is called at
+    ``partial(homog_series, p=p, d=d, tol=tol)``); it is called at
     (x1, tau1, x2, tau2) of each pair.  Both evaluations must come back
     tagged with the same method, otherwise the difference would silently
     mix conventions.

@@ -53,7 +53,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import AccuracyError, DomainError, RegimeError, TrapGasError
-from .green_homogeneous import GreenValue, _bernoulli_b2, _log_divergence, _thermal_factor
+from .green_homogeneous import (_ROUNDING, GreenValue, _bad_tol, _line_plus_modes, _log_divergence, _mode_stop,
+                                _thermal_factor)
 from .legendre import _NODES, _nu_real, _p_quad, p_poly_table
 from .model import (
     WINDOW_FACTOR,
@@ -84,20 +85,10 @@ __all__ = [
 # its logarithmic singularity.
 BOUNDARY_EPS = 1e-6
 
-# rounding of an assembled frequency sum, per unit of the sum of its terms'
-# magnitudes: cos and the product in each term, the exactly rounded fsum, the
-# zero mode's addition and the division by beta; the mode sum of
-# ``lowT_legendre_series`` takes the same allowance
-_ASSEMBLY_ROUNDING = 4.0 * sys.float_info.epsilon
-
 # rounding of ``_zero_mode``, per unit of its value: five roundings in the
 # argument of log1p, which passes them on at most once (its condition number
 # w/((1 + w) log1p w) is at most 1), log1p's own ulp and the product with K
 _ZERO_MODE_ROUNDING = 5.0 * sys.float_info.epsilon
-
-# the most modes ``lowT_legendre_series`` sums, about 0.5 s a pair; a pair
-# whose tail bound needs more is an AccuracyError
-_MODE_CAP = 2**20
 
 # the frequencies of one kernel pass of ``matsubara_assemble_many``: the pairs
 # of a table share passes of at most this many, or one pair's own where it
@@ -178,11 +169,6 @@ def _angle_difference(lo, hi):
     sin_d = s_lo * hi - lo * s_hi
     np.divide((hi - lo) * (hi + lo), s_lo * hi + lo * s_hi, out=sin_d, where=lo * hi > 0.0)
     return np.arctan2(sin_d, lo * hi + s_lo * s_hi)
-
-
-def _bad_tol(tol: float):
-    """The DomainError of a tolerance that is not positive and finite, or None."""
-    return None if 0.0 < tol < math.inf else DomainError(f"tolerance must be positive and finite, got {tol}")
 
 
 def _density_parts(omegas, us, ups, d: DerivedScales, k: float, tol: float, sizes=()) -> tuple:
@@ -610,11 +596,13 @@ def _assemble_pass(pairs, out, p: PhysicalParams, d: DerivedScales, k: float, l_
             out[i] = _bound_error(float(omegas[row]), q.x1, q.x2, float(errs[row]), float(scale[row]), tol)
             continue
         # cos is even: |dtau| and the exactly rounded fsum keep the value bitwise
-        # symmetric under swapping the two points
+        # symmetric under swapping the two points; cos and the product in each
+        # term, the fsum, the zero mode's addition and the division by beta
+        # round as a mode sum does
         zero = _zero_mode(u, up, k)
         terms = np.cos(omegas[s] * abs(q.dtau)) * re[s]
         total = zero + 2.0 * math.fsum(terms)
-        rounding = _ASSEMBLY_ROUNDING * (abs(zero) + 2.0 * float(np.sum(np.abs(terms))))
+        rounding = _ROUNDING * (abs(zero) + 2.0 * float(np.sum(np.abs(terms))))
         err = (_ZERO_MODE_ROUNDING * zero + 2.0 * float(np.sum(errs[s])) + rounding) / p.beta
         out[i] = GreenValue(
             value=total / p.beta,
@@ -658,9 +646,6 @@ def lowT_legendre_series(
     |tau - tau'| > beta, and at t = 0, where the sum converges only
     conditionally.
     """
-    bad = _bad_tol(tol)
-    if bad:
-        raise bad
     u, up = _clamped_u(x, d), _clamped_u(xp, d)
     dtau = abs(tau - taup)
     if not dtau <= p.beta:
@@ -679,25 +664,17 @@ def lowT_legendre_series(
         phi = float(_thermal_factor(math.sqrt(m * (m + 1.0)) / d.alpha, t, p.beta))
         return amp * (2.0 * m + 1.0) / m * phi / gap if gap else math.inf
 
-    # the bound falls with N: bisect for the first N that meets tol, past the cap only to name it
-    last = bisect.bisect_left(range(_MODE_CAP if tail(_MODE_CAP) <= tol else 2**62), True, key=lambda n: tail(n) <= tol)
-    if last > _MODE_CAP:
-        raise AccuracyError(f"lowT_legendre_series needs {'more than ' * (tail(last) > tol)}{last} modes to bound "
-                            f"its tail by tol = {tol:g} at t = {t!r}, beyond the cap of {_MODE_CAP}",
-                            achieved=tail(_MODE_CAP))
+    last = _mode_stop(tail, tol, "lowT_legendre_series", t)
     pn_u = p_poly_table(last, u)
     pn_up = pn_u if up == u else p_poly_table(last, up)
     n = np.arange(1.0, last + 1)
     weights = (2.0 * n + 1.0) * _thermal_factor(np.sqrt(n * (n + 1.0)) / d.alpha, t, p.beta)
     terms = (pn_u[1:] * pn_up[1:]) * weights
-    theta = t / p.beta
-    line = (p.beta / 2.0) * _bernoulli_b2(theta)
+    total, rounding = _line_plus_modes(p.beta, t / p.beta, terms)
     env_u, env_up = (np.minimum(1.0, np.sqrt(2.0 / (math.pi * n * s))) for s in (sin_th, sin_thp))
     recurrence = (1.0 / math.sqrt(sin_th) + 1.0 / math.sqrt(sin_thp)) * float(np.sum(n * weights * env_u * env_up))
-    magnitudes = (p.beta / 2.0) * (theta * theta + theta + 1.0 / 6.0) + float(np.sum(np.abs(terms)))
-    rounding = pref * (_ASSEMBLY_ROUNDING * magnitudes + sys.float_info.epsilon * recurrence)
-    return GreenValue(-pref * (line + math.fsum(terms)), "trapped-lowT-series", tail(last) + rounding,
-                      meta={"modes": last})
+    rounding = pref * (rounding + sys.float_info.epsilon * recurrence)
+    return GreenValue(-pref * total, "trapped-series", tail(last) + rounding, meta={"modes": last})
 
 
 # ----------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import json
 import math
 import pickle
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -56,6 +57,18 @@ def read_csv(path):
     return meta, header, rows
 
 
+def _without_the_logarithm(series):
+    """``series`` with the logarithm of its zero-temperature sum read as 0 while it runs, and the
+    other routes left as they are."""
+    from trapgas import green_homogeneous
+
+    def broken(*args, **kwargs):
+        with mock.patch.object(green_homogeneous, "_log_abs_1_minus_exp", lambda z: 0.0):
+            return series(*args, **kwargs)
+
+    return broken
+
+
 class TestConfig:
     def test_defaults_resolve(self):
         cfg = load_config(None)
@@ -69,10 +82,12 @@ class TestConfig:
             # removed keys are unknown too: the k=0 line has no tail_mode to
             # choose, the low-T series has no crossover index and no warning
             # threshold (a proven bound stops it at truncation.tol), and the
-            # regime thresholds are model.WINDOW_FACTOR and its inverse
+            # regime thresholds are model.WINDOW_FACTOR and its inverse; the
+            # homogeneous series has no wavenumber cutoff (it stops at truncation.tol)
             ("truncation.tail_mode", "bernoulli", "unknown config key truncation.tail_mode"),
             ("truncation.n0", "20", "unknown config key truncation.n0"),
             ("truncation.min_dtau", "1e-3", "unknown config key truncation.min_dtau"),
+            ("truncation.n_max", "8", "unknown config key truncation.n_max"),
             ("regime.r_lo", "0.1", "unknown config section [regime]"),
             # --format and --out are the only way to choose a table's format and destination
             ("output.format", "json", "unknown config section [output]"),
@@ -126,7 +141,6 @@ class TestConfig:
             ("truncation.tol", "nan"),
             ("truncation.tol", "inf"),
             ("truncation.l_max", "-1"),
-            ("truncation.n_max", "0"),
             ("grid.x_count", "-3"),
             ("grid.tau_count", "-1"),
             ("grid.sep_count", "-1"),
@@ -332,7 +346,6 @@ class TestGreenCommand:
     def test_homog_series_coincident_row_divergent(self, tmp_path):
         cfg = write_config(
             tmp_path,
-            "[truncation]\nn_max = 8\n"
             "[grid]\nx_ref = 0.0\ntau_ref = 0.0\nx_min = 0.0\nx_max = 0.4\nx_count = 2\n",
         )
         out = tmp_path / "green.csv"
@@ -818,14 +831,15 @@ class TestRouteMap:
             g = lowT_legendre_series(*pair, p, d, tol=1e-6)
             assert (row["G_re"], row["trunc_err"], row["status"]) == ("%.17g" % g.value, "%.17g" % g.trunc_err, "ok")
 
-    def test_homog_series_takes_n_max(self, tmp_path):
-        # l_max caps the spectral assembly alone: the series sums every frequency
+    def test_homog_series_takes_tol(self, tmp_path):
+        # l_max caps the spectral assembly alone: the series sums every frequency,
+        # and truncation.tol stops its mode sum, at dtau = 0 as elsewhere
         p = PhysicalParams(m=1, g=1, Omega=1, Lambda=1, beta=1.0)
         d = derive_scales(p)
-        cfg = write_config(tmp_path, "[truncation]\nl_max = 1\nn_max = 40\n[grid]\nx_count = 5\ntau_max = 0.3\n"
+        cfg = write_config(tmp_path, "[truncation]\nl_max = 1\ntol = 1e-6\n[grid]\nx_count = 5\ntau_max = 0.3\n"
                                      "tau_count = 2\n")
         for *pair, row in self.table(tmp_path, ["green", "--mode", "homog-series"], cfg):
-            g = homog_series(*pair, p, d, n_max=40)
+            g = homog_series(*pair, p, d, tol=1e-6)
             assert (row["G_re"], row["trunc_err"], row["status"]) == ("%.17g" % g.value, "%.17g" % g.trunc_err, "ok")
 
     def test_closed_form_is_the_exact_correlator(self, tmp_path):
@@ -1171,6 +1185,8 @@ class TestValidateCommand:
             # the sinh form's prefactor 5% high: about 0.048 against 0.02
             ("06-homog-regime-match", "homog_asymptotic_highT",
              lambda f: lambda *a, **k: dataclasses.replace(f(*a, **k), value=1.05 * f(*a, **k).value), True),
+            # the series without its zero-temperature logarithm: about 0.18 against 0.02
+            ("06-homog-regime-match", "homog_series", lambda f: _without_the_logarithm(f), True),
             # the assembly stopped at l_max = 1 instead of 14: about 2.3e-3 against 1e-4
             ("07-trapped-highT-match", "matsubara_assemble",
              lambda f: lambda *a, l_max, **k: f(*a, l_max=1, **k), True),
@@ -1184,7 +1200,7 @@ class TestValidateCommand:
              lambda f: lambda *a, **k: dataclasses.replace(f(*a, **k), value=1.1 * f(*a, **k).value), True),
         ],
         ids=["02-density-frequency-off", "02-density-strength-off", "03-oracle-frequency-off",
-             "03-closed-form-frequency-off", "06-sinh-prefactor-off", "07-assembly-truncated",
+             "03-closed-form-frequency-off", "06-sinh-prefactor-off", "06-series-log-dropped", "07-assembly-truncated",
              "07-liouville-green-off", "09-homog-gamma-power-off", "09-lowT-series-off"],
     )
     def test_a_broken_route_fails_its_check(self, monkeypatch, name, target, broken, figure_fails):

@@ -1,4 +1,6 @@
+import functools
 import math
+import random
 from functools import partial
 
 import mpmath as mp
@@ -7,6 +9,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from trapgas import (
+    AccuracyError,
     CorrelatorQuery,
     DomainError,
     PhysicalParams,
@@ -17,7 +20,14 @@ from trapgas import (
     homog_asymptotic_lowT,
     homog_series,
 )
-from trapgas.green_homogeneous import log_2sin_abs, log_2sinh_abs
+from trapgas.green_homogeneous import (
+    _MODE_CAP,
+    _bernoulli_b2,
+    _log_abs_1_minus_exp,
+    _thermal_factor,
+    log_2sin_abs,
+    log_2sinh_abs,
+)
 from trapgas.oracle import brute_frequency_sum
 
 
@@ -43,37 +53,93 @@ class TestStableLogHelpers:
 
     def test_divergence_at_zero(self):
         assert log_2sinh_abs(0j) == -math.inf
+        assert _log_abs_1_minus_exp(0j) == -math.inf
+
+    def test_against_mpmath_at_small_and_large_z(self):
+        # ln|1 - e^{-z}| and ln(2 |sinh z|) within 2 ulp of max(1, |reference|) of 40-digit mpmath:
+        # at z = 1e-9 and 1e-12 (1 + i), where 1 - e^{-z} cancels, and at 400 random z with |Re z|
+        # from 1e-14 to 100
+        rng = random.Random(41)
+        zs = [1e-9 + 0j, 1e-12 * (1 + 1j), 1e-300 + 0j, 0.5 + 3.0j, 700.0 - 2.0j]
+        zs += [complex(10.0 ** rng.uniform(-14, 2), rng.uniform(-8.0, 8.0) * 10.0 ** rng.choice((-12, -4, 0)))
+               for _ in range(400)]
+        with mp.workdps(40):
+            for z in zs:
+                for got, want in ((_log_abs_1_minus_exp(z), mp.log(abs(mp.expm1(-mp.mpc(z))))),
+                                  (log_2sinh_abs(z / 2.0), mp.log(2 * abs(mp.sinh(mp.mpc(z / 2.0)))))):
+                    assert abs(got - want) <= 2.0 * np.spacing(max(1.0, abs(float(want)))), z
+
+
+def _unsplit_reference(dx: float, t: float, p, d):
+    """-(g/(2 R_c)) [(beta/2) B_2(t/beta) + sum_{n>=1} 2 cos(k_n dx) phi(E_n)] at 40 digits, 0 < t <=
+    beta/2.  phi's Bose factor 1/(1 - e^{-beta E}) is expanded as a geometric series, so that each
+    image s = t + j beta or (j + 1) beta - t contributes sum_n cos(k_n dx) e^{-E_n s}/E_n =
+    -ln|1 - e^{-(E_1 s - i k_1 dx)}| / E_1; the images are added until they fall below 1e-30."""
+    with mp.workdps(40):
+        beta, t = mp.mpf(p.beta), mp.mpf(t)
+        e_1 = mp.mpf(p.hbar) * mp.mpf(d.v) * mp.pi / mp.mpf(d.R_c)
+        sin2 = mp.sin(mp.pi * mp.mpf(dx) / (2 * mp.mpf(d.R_c))) ** 2
+        theta = t / beta
+        acc = beta / 2 * (theta * theta - theta + mp.mpf(1) / 6)
+        for j in range(10**6):
+            add = 0
+            for s in (t + j * beta, (j + 1) * beta - t):
+                w = mp.exp(-e_1 * s)
+                add -= mp.log((1 - w) ** 2 + 4 * w * sin2) / (2 * e_1)
+            acc += add
+            if abs(add) < mp.mpf(10) ** -30 * (1 + abs(acc)):
+                break
+        return -mp.mpf(p.g) / (2 * mp.mpf(d.R_c)) * acc
+
+
+@functools.lru_cache(maxsize=None)
+def _series_reference(beta_over_alpha: float, dx_over_rc: float, dtau_over_beta: float) -> float:
+    """The unsplit series at (dx, dtau); at dtau = 0, where it converges only conditionally, its
+    Richardson limit from dtau = h, h/2 and h/4, h = 1e-3 of the time scale of the nearest image's
+    separation, with the h^2 and h^4 terms of the even, smooth G removed."""
+    p, d = setup_params(beta=beta_over_alpha * math.sqrt(2.0))
+    dx = dx_over_rc * d.R_c
+    t = abs(math.remainder(dtau_over_beta * p.beta, p.beta))
+    if t > 0.0:
+        return float(_unsplit_reference(dx, t, p, d))
+    h = 1e-3 * min(abs(math.remainder(dx, 2.0 * d.R_c)) / (p.hbar * d.v), p.beta)
+    g1, g2, g4 = (_unsplit_reference(dx, h / k, p, d) for k in (1, 2, 4))
+    with mp.workdps(40):
+        return float((64 * g4 - 20 * g2 + g1) / 45)
+
+
+_B2_ZERO = 0.5 - 0.5 / math.sqrt(3.0)
 
 
 class TestHomogSeries:
     def test_depends_only_on_separations_bit_identical(self):
         p, d = setup_params()
-        a = homog_series(0.25, 0.25, -0.5, 0.125, p, d, n_max=32)
+        a = homog_series(0.25, 0.25, -0.5, 0.125, p, d)
         shift_x, shift_t = 0.125, 0.0625  # dyadic: separations unchanged exactly
-        b = homog_series(0.25 + shift_x, 0.25 + shift_t, -0.5 + shift_x, 0.125 + shift_t, p, d, n_max=32)
+        b = homog_series(0.25 + shift_x, 0.25 + shift_t, -0.5 + shift_x, 0.125 + shift_t, p, d)
         assert a.value == b.value
 
     def test_value_is_real_and_tau_reflection_symmetric(self):
         p, d = setup_params()
-        g1 = homog_series(0.3, 0.4, 0.1, 0.1, p, d, n_max=48)
-        g2 = homog_series(0.3, 0.1, 0.1, 0.4, p, d, n_max=48)  # dtau -> -dtau
+        g1 = homog_series(0.3, 0.4, 0.1, 0.1, p, d)
+        g2 = homog_series(0.3, 0.1, 0.1, 0.4, p, d)  # dtau -> -dtau
         assert g1.value.imag == 0.0
         assert g1.value == g2.value.conjugate() == g2.value
 
     def test_periodicity(self):
         p, d = setup_params()
-        base = homog_series(0.3, 0.2, 0.1, 0.0, p, d, n_max=48)
-        tau_shift = homog_series(0.3, 0.2 + p.beta, 0.1, 0.0, p, d, n_max=48)
-        x_shift = homog_series(0.3 + 2.0 * d.R_c, 0.2, 0.1, 0.0, p, d, n_max=48)
+        base = homog_series(0.3, 0.2, 0.1, 0.0, p, d)
+        tau_shift = homog_series(0.3, 0.2 + p.beta, 0.1, 0.0, p, d)
+        x_shift = homog_series(0.3 + 2.0 * d.R_c, 0.2, 0.1, 0.0, p, d)
         assert_allclose(tau_shift.value.real, base.value.real, rtol=1e-9)
         assert_allclose(x_shift.value.real, base.value.real, rtol=1e-9)
 
     def test_tiny_negative_dtau_is_dtau_zero(self):
-        # (dtau/beta) % 1.0 rounds dtau = -1e-300 to t = beta; the mode factor
-        # is even under t <-> beta - t, so the row is the dtau = 0 row
+        # dtau = -1e-300 folds to t = 1e-300, which moves neither B_2 nor the
+        # logarithm nor the thermal remainder: the row is the dtau = 0 row
         p, d = setup_params()
-        at_zero = homog_series(0.3, 0.0, 0.1, 0.0, p, d, n_max=48)
-        below = homog_series(0.3, -1e-300, 0.1, 0.0, p, d, n_max=48)
+        at_zero = homog_series(0.3, 0.0, 0.1, 0.0, p, d)
+        below = homog_series(0.3, -1e-300, 0.1, 0.0, p, d)
         assert below.value == at_zero.value and below.trunc_err == at_zero.trunc_err
 
     def test_bernoulli_tail_reproduces_frequency_identity(self):
@@ -84,60 +150,68 @@ class TestHomogSeries:
         brute = 2.0 * (p.beta / (2 * math.pi)) ** 2 * brute_frequency_sum(theta, 2_000_000)
         assert abs(closed - brute) < 1e-8 * max(1.0, abs(closed))
 
-    @pytest.mark.parametrize("beta, dx, theta", [(1.0, 0.3, 0.0), (1.0, 0.3, 0.3), (0.05 * math.sqrt(2.0), 0.7, 0.27)])
-    def test_each_wavenumber_is_its_whole_frequency_sum(self, beta, dx, theta):
-        # every wavenumber's Matsubara sum, and the k=0 line, by mpmath.nsum
-        # over all l: the partial sums over n <= n_max agree to 1e-13
+    @pytest.mark.parametrize("beta, theta", [(1.0, 0.0), (1.0, 0.3), (0.05 * math.sqrt(2.0), 0.27)])
+    def test_each_wavenumber_is_its_whole_frequency_sum(self, beta, theta):
+        # the k = 0 line, (beta/2) B_2, and each wavenumber's thermal factor
+        # phi(E_n) are their Matsubara sums over all l, by mpmath.nsum, to 1e-13
         p, d = setup_params(beta=beta)
         with mp.workdps(30):
-            b, th, r_c = mp.mpf(p.beta), mp.mpf(theta), mp.mpf(d.R_c)
+            b, th = mp.mpf(p.beta), mp.mpf(theta)
 
             def frequency_sum(e, lo):
                 return mp.nsum(lambda l: mp.cos(2 * mp.pi * l * th) / ((2 * mp.pi * l / b) ** 2 + e**2), [lo, mp.inf])
 
-            pref = -mp.mpf(p.g) / (2 * b * r_c)
-            acc = 2 * frequency_sum(0, 1)
+            line = (p.beta / 2.0) * _bernoulli_b2(theta)
+            assert abs(line - float(2 * frequency_sum(0, 1) / b)) < 1e-13 * max(1.0, abs(line))
             for n in range(1, 9):
-                e = mp.mpf(p.hbar) * mp.mpf(d.v) * mp.pi * n / r_c
-                acc += 2 * mp.cos(mp.pi * n * mp.mpf(dx) / r_c) * frequency_sum(e, -mp.inf)
-                g = homog_series(dx, theta * p.beta, 0.0, 0.0, p, d, n_max=n)
-                assert abs(g.value - float(pref * acc)) < 1e-13, n
+                e = p.hbar * d.v * math.pi * n / d.R_c
+                phi = float(_thermal_factor(e, theta * p.beta, p.beta))
+                assert abs(phi - float(frequency_sum(mp.mpf(e), -mp.inf) / b)) < 1e-13 * phi, n
 
-    @pytest.mark.parametrize("beta_over_alpha", [0.05, 1.0, 100.0])
-    @pytest.mark.parametrize("n_max", [1, 8, 256, 1600])
-    def test_trunc_err_bounds_the_distance_to_a_far_cutoff(self, beta_over_alpha, n_max):
-        # dtau = 0, dtau != 0, and dtau past beta and below 0; the first row
-        # is the default green grid's x1 = 0.1 R_c, x2 = 0.08 R_c
+    @pytest.mark.parametrize("tol", [1e-6, 1e-12])
+    @pytest.mark.parametrize("beta_over_alpha", [0.05, 0.707, 1.0, 10.0, 100.0, 300.0])
+    def test_trunc_err_bounds_the_unsplit_series(self, beta_over_alpha, tol):
+        # against a 40-digit sum of the series as written, phi unsplit: at dtau = 0, at B_2's two zeros
+        # to within 1e-10, at beta/2, beyond beta and below 0, from the folded dx = 1e-6 R_c to the
+        # image-near 1.9 R_c.  Dropping the logarithm, summing phi for r, counting B_2's rounding as
+        # |B_2| or leaving the tail bound's 1/(1 - e^{-E_1 (beta - t)}) out each fails a cell
         p, d = setup_params(beta=beta_over_alpha * math.sqrt(2.0))
-        x2 = float(np.linspace(-0.8 * d.R_c, 0.8 * d.R_c, 41)[22])
-        rows = [(0.1 * d.R_c, x2, 0.0), (0.3, 0.0, 0.0), (0.7, 0.0, 0.3 * p.beta), (0.2, 0.0, 1.4 * p.beta),
-                (1.3 * d.R_c, 0.0, -0.1 * p.beta), (0.02, 0.0, 1e-3 * p.beta)]
-        for x, xp, dtau in rows:
-            g = homog_series(x, dtau, xp, 0.0, p, d, n_max=n_max)
-            far = homog_series(x, dtau, xp, 0.0, p, d, n_max=400_000)
-            assert abs(g.value - far.value) <= g.trunc_err, (x, xp, dtau)
+        for dx_over_rc in (1e-6, 0.01, 0.1, 0.7, 1.9):
+            for dtau_over_beta in (0.0, _B2_ZERO + 1e-10, 1.0 - _B2_ZERO - 1e-10, 0.5, 1.3, -0.3):
+                g = homog_series(dx_over_rc * d.R_c, dtau_over_beta * p.beta, 0.0, 0.0, p, d, tol=tol)
+                want = _series_reference(beta_over_alpha, dx_over_rc, dtau_over_beta)
+                assert abs(g.value - want) <= g.trunc_err, (dx_over_rc, dtau_over_beta)
+                assert 0.0 < g.trunc_err <= tol + 1e-13 * max(1.0, abs(want))
 
     def test_coincident_arguments_flagged(self):
-        # the Bernoulli form resums only the k=0 line; the mode sum still
-        # diverges with n_max, so the value is flagged and its bound infinite
+        # at dx = 0 and dtau = 0 mod beta the logarithm diverges: the value is
+        # -inf, flagged divergent, and its bound infinite
         p, d = setup_params()
         for tau in (0.5, 0.5 + p.beta):
-            g = homog_series(0.2, tau, 0.2, 0.5, p, d, n_max=8)
-            assert g.divergent and g.warning is not None and g.trunc_err == math.inf
+            g = homog_series(0.2, tau, 0.2, 0.5, p, d)
+            assert g.divergent and g.warning is not None and g.trunc_err == math.inf and g.value == -math.inf
 
-    def test_truncation_estimate_shrinks_with_cutoffs(self):
+    def test_modes_grow_as_tol_falls(self):
+        p, d = setup_params(beta=0.05 * math.sqrt(2.0))
+        loose = homog_series(0.4, 0.02, -0.1, 0.0, p, d, tol=1e-4)
+        tight = homog_series(0.4, 0.02, -0.1, 0.0, p, d, tol=1e-12)
+        assert 0 < loose.meta["modes"] < tight.meta["modes"] and tight.trunc_err < loose.trunc_err
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+    def test_bad_tol_is_a_domain_error(self, tol):
         p, d = setup_params()
-        small = homog_series(0.4, 0.2, -0.1, 0.0, p, d, n_max=16)
-        large = homog_series(0.4, 0.2, -0.1, 0.0, p, d, n_max=128)
-        assert 0.0 < large.trunc_err < small.trunc_err
+        with pytest.raises(DomainError, match="tolerance must be positive and finite"):
+            homog_series(0.4, 0.2, -0.1, 0.0, p, d, tol=tol)
 
-    def test_n_max_validation(self):
-        p, d = setup_params()
-        with pytest.raises(DomainError, match="n_max must be >= 1, got 0"):
-            homog_series(0.4, 0.2, -0.1, 0.0, p, d, n_max=0)
+    def test_refuses_past_the_mode_cap(self):
+        # at beta/alpha = 1e-6 the thermal remainder falls by e^{-pi 1e-6 / 2} a mode at dtau = 0.5 beta:
+        # about 1.7e7 modes would meet tol, beyond the cap
+        p, d = setup_params(beta=1e-6 * math.sqrt(2.0))
+        with pytest.raises(AccuracyError, match=f"homog_series needs .* modes .* beyond the cap of {_MODE_CAP}"):
+            homog_series(0.4, 0.5 * p.beta, -0.1, 0.0, p, d, tol=1e-12)
 
-    @pytest.mark.parametrize("keyword", [{"ctl": None}, {"l_max": 64}])
-    def test_takes_no_frequency_cutoff(self, keyword):
+    @pytest.mark.parametrize("keyword", [{"ctl": None}, {"l_max": 64}, {"n_max": 256}])
+    def test_takes_no_cutoff(self, keyword):
         p, d = setup_params()
         with pytest.raises(TypeError):
             homog_series(0.4, 0.2, -0.1, 0.0, p, d, **keyword)
@@ -202,7 +276,7 @@ class TestGreenDifference:
     def test_identical_pairs_cancel_exactly(self):
         p, d = setup_params()
         pair = CorrelatorQuery(0.3, 0.2, -0.1, 0.0)
-        diff = green_difference(partial(homog_series, p=p, d=d, n_max=32), pair, pair)
+        diff = green_difference(partial(homog_series, p=p, d=d), pair, pair)
         assert diff.value == 0.0
 
     def test_method_mismatch_rejected(self):
@@ -212,7 +286,7 @@ class TestGreenDifference:
         def alternating(x, tau, xp, taup):
             toggle["n"] += 1
             if toggle["n"] % 2:
-                return homog_series(x, tau, xp, taup, p, d, n_max=8)
+                return homog_series(x, tau, xp, taup, p, d)
             return homog_asymptotic_highT(x, tau, xp, taup, p, d)
 
         with pytest.raises(UsageError):

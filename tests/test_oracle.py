@@ -411,7 +411,7 @@ def test_repeat_validate_sums_fault_in_no_memory(fresh_python):
         "from trapgas import PhysicalParams, brute_frequency_sum, derive_scales, homog_series\n"
         "p = PhysicalParams(m=1.0, g=1.0, Omega=math.sqrt(2.0) / 20.0, Lambda=1.0, beta=1.0)\n"
         "d = derive_scales(p)\n"
-        "for call in (lambda: homog_series(0.75, 0.0, -0.75, 0.0, p, d, n_max=1600),\n"
+        "for call in (lambda: homog_series(0.75, 0.0, -0.75, 0.0, p, d, tol=1e-12),\n"
         "             lambda: brute_frequency_sum(0.1, 10**6)):\n"
         "    call()\n"
         "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
@@ -427,8 +427,8 @@ def test_repeat_brute_sum_faults_in_little_with_thresholds_pinned(fresh_python):
     # MALLOC_TRIM_THRESHOLD_ would, so a large free no longer raises them.
     # The brute sum's cosine table is built once a call, and only the few
     # 64 KiB temporaries alive at once are faulted in again; check 06's
-    # homog_series, with validate's modules loaded, reuses its 12.5 KiB
-    # temporaries from the heap
+    # homog_series, with validate's modules loaded, reuses its 1.2 KiB
+    # temporaries (149 modes) from the heap
     faults = fresh_python(
         "import ctypes, math, resource\n"
         "mallopt = ctypes.CDLL(None).mallopt\n"
@@ -439,7 +439,7 @@ def test_repeat_brute_sum_faults_in_little_with_thresholds_pinned(fresh_python):
         "from trapgas import PhysicalParams, brute_frequency_sum, derive_scales, homog_series\n"
         "p = PhysicalParams(m=1.0, g=1.0, Omega=math.sqrt(2.0) / 20.0, Lambda=1.0, beta=1.0)\n"
         "args = (0.75, 0.0, -0.75, 0.0, p, derive_scales(p))\n"
-        "for call in (lambda: brute_frequency_sum(0.1, 10**6), lambda: homog_series(*args, n_max=1600)):\n"
+        "for call in (lambda: brute_frequency_sum(0.1, 10**6), lambda: homog_series(*args, tol=1e-12)):\n"
         "    call()\n"
         "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
         "    call()\n"
