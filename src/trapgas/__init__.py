@@ -29,6 +29,7 @@ from .green_trapped import (
     asympt_green_lowT,
     closed_form_green,
     lowT_legendre_series,
+    lowT_legendre_series_many,
     matsubara_assemble,
     matsubara_assemble_many,
     spectral_densities,

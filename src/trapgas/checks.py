@@ -22,7 +22,6 @@ import numpy as np
 
 from . import green_homogeneous
 from .correlator import extract_exponent, gamma_d1_exact, gamma_from_green, gamma_homog
-from .errors import TrapGasError
 from .green_homogeneous import (
     green_difference,
     homog_asymptotic_highT,
@@ -31,9 +30,10 @@ from .green_homogeneous import (
 from .green_trapped import (
     _density_parts,
     _k_coeff,
+    _values,
     asympt_green_highT,
     asympt_green_lowT,
-    lowT_legendre_series,
+    lowT_legendre_series_many,
     matsubara_assemble,
     matsubara_assemble_many,
     spectral_densities,
@@ -99,14 +99,6 @@ def check_zero_mode_identity():
               f"(G_lambda - G_0)/(lambda G_0) at lambda = 1e-4 and 1e-6 agrees to {spread:.1e} (< 1e-3 required) "
               "at 3 pairs")
     return worst, detail, spread < 1e-3
-
-
-def _values(out) -> list:
-    """``out``, the entries of one batched call, with its first error raised."""
-    for entry in out:
-        if isinstance(entry, TrapGasError):
-            raise entry
-    return out
 
 
 def _ode_residual_scale(omega, h, samples, gs, p, d):
@@ -210,8 +202,8 @@ def check_frequency_sum():
     """
     l_max = 1_000_000
     worst = 0.0
-    for theta in (0.0, 0.1, 0.5):
-        brute = brute_frequency_sum(theta, l_max)
+    thetas = (0.0, 0.1, 0.5)
+    for theta, brute in zip(thetas, brute_frequency_sum(thetas, l_max)):
         if theta == 0.0:
             brute += 1.0 / l_max - 1.0 / (2.0 * l_max**2) + 1.0 / (6.0 * l_max**3)
         closed = math.pi**2 * green_homogeneous._bernoulli_b2(theta)  # looked up when the check runs
@@ -223,16 +215,18 @@ def check_frequency_sum():
     return worst, detail, True
 
 
-def _max_difference_deviation(route, reference, pairs) -> float:
+def _max_difference_deviation(route, reference, pairs) -> tuple:
     """Max relative deviation of ``route`` from ``reference`` in difference
-    mode, G(a) - G(b), over consecutive ``pairs``, each query evaluated once."""
+    mode, G(a) - G(b), over consecutive ``pairs``, each query evaluated once,
+    and the largest trunc_err/|G(a) - G(b)| of ``route``."""
     route, reference = cache(route), cache(reference)
-    worst = 0.0
+    worst = bound = 0.0
     for a, b in zip(pairs[:-1], pairs[1:]):
-        got = green_difference(route, a, b).value
+        got = green_difference(route, a, b)
         want = green_difference(reference, a, b).value
-        worst = max(worst, abs(got - want) / max(abs(want), 1e-300))
-    return worst
+        worst = max(worst, abs(got.value - want) / max(abs(want), 1e-300))
+        bound = max(bound, got.trunc_err / max(abs(got.value), 1e-300))
+    return worst, bound
 
 
 def check_homog_regime_match():
@@ -243,10 +237,8 @@ def check_homog_regime_match():
     d = derive_scales(p)  # R_c = 20, lambda_T = 1
     pairs = [CorrelatorQuery(dx / 2.0, 0.0, -dx / 2.0, 0.0) for dx in (1.5, 2.5, 3.5, 4.5)]
     pairs.append(CorrelatorQuery(1.0, 0.3 * p.beta, -1.0, 0.0))
-    series = cache(partial(homog_series, p=p, d=d, tol=1e-12))
-    worst = _max_difference_deviation(series, partial(homog_asymptotic_highT, p=p, d=d), pairs)
-    diffs = [green_difference(series, a, b) for a, b in zip(pairs[:-1], pairs[1:])]
-    bound = max(g.trunc_err / abs(g.value) for g in diffs)
+    worst, bound = _max_difference_deviation(partial(homog_series, p=p, d=d, tol=1e-12),
+                                             partial(homog_asymptotic_highT, p=p, d=d), pairs)
     detail = (f"max relative difference-mode deviation, series (tol = 1e-12) vs closed form (lambda_T/R_c = 0.05); "
               f"series' trunc_err/|difference| up to {bound:.3e}")
     return worst, detail, True
@@ -265,7 +257,7 @@ def check_trapped_highT_match():
         dx = f * lam_t
         pairs.append(CorrelatorQuery(s_half + dx / 2.0, 0.0, s_half - dx / 2.0, 0.0))
     pairs.append(CorrelatorQuery(s_half + 0.6 * lam_t, 0.25 * p.beta, s_half - 0.6 * lam_t, 0.0))
-    worst = _max_difference_deviation(
+    worst, _ = _max_difference_deviation(
         partial(matsubara_assemble, p=p, d=d, l_max=l_max),
         partial(asympt_green_highT, p=p, d=d),
         pairs,
@@ -275,8 +267,8 @@ def check_trapped_highT_match():
 
 def check_trapped_lowT_match():
     """Thermal Legendre mode sum vs the leading-log form at beta/alpha = 100,
-    in difference mode; the series stops at tol = 1e-5, and its
-    trunc_err must stay below 2% of each difference."""
+    in difference mode; the series, one batched call, stops at tol = 1e-5,
+    and its trunc_err must stay below 2% of each difference."""
     alpha = math.sqrt(2.0)
     p = PhysicalParams(m=1.0, g=1.0, Omega=1.0, Lambda=1.0, beta=100.0 * alpha)
     d = derive_scales(p)
@@ -286,10 +278,11 @@ def check_trapped_lowT_match():
         CorrelatorQuery(s_half + f * d.R_c / 2.0, dtau, s_half - f * d.R_c / 2.0, 0.0)
         for f in (0.01, 0.02, 0.03, 0.04)
     ]
-    series = cache(partial(lowT_legendre_series, p=p, d=d, tol=1e-5))
-    worst = _max_difference_deviation(series, partial(asympt_green_lowT, p=p, d=d), pairs)
-    diffs = [green_difference(series, a, b) for a, b in zip(pairs[:-1], pairs[1:])]
-    bound = max(g.trunc_err / abs(g.value) for g in diffs)
+    values = dict(zip(pairs, _values(lowT_legendre_series_many(pairs, p, d, tol=1e-5))))
+
+    def series(*pair):
+        return values[CorrelatorQuery(*pair)]
+    worst, bound = _max_difference_deviation(series, partial(asympt_green_lowT, p=p, d=d), pairs)
     detail = (f"max relative difference-mode deviation, series (tol = 1e-5) vs leading log; "
               f"series' trunc_err/|difference| up to {bound:.3e} (< 0.02 required)")
     return worst, detail, bound < 0.02
@@ -314,12 +307,10 @@ def check_exponent_extraction():
     s_point = 0.5
     hv = p2.hbar * d2.v
     dtaus = np.geomspace(0.004, 0.03, 10) * d2.R_c / hv
-    gam2 = []
     rho_s = rho_tf(s_point, p2, d2)
-    for dt in dtaus:
-        gval = lowT_legendre_series(s_point, dt, s_point, 0.0, p2, d2, tol=1e-5)
-        q = CorrelatorQuery(s_point, dt, s_point, 0.0)
-        gam2.append(gamma_from_green(q, gval, p2, d2))
+    queries = [CorrelatorQuery(s_point, dt, s_point, 0.0) for dt in dtaus]  # one recurrence serves all ten
+    series = _values(lowT_legendre_series_many(queries, p2, d2, tol=1e-5))
+    gam2 = [gamma_from_green(q, gval, p2, d2) for q, gval in zip(queries, series)]
     fit_s = extract_exponent(hv * dtaus, gam2, rho_products=np.full(len(dtaus), rho_s))
     inv_theta_s_true = 1.0 / theta_at(s_point, p2, d2)
     err_s = abs(fit_s.inv_theta - inv_theta_s_true) / inv_theta_s_true

@@ -41,7 +41,7 @@ from .green_trapped import (
     asympt_green_highT,
     asympt_green_lowT,
     closed_form_green,
-    lowT_legendre_series,
+    lowT_legendre_series_many,
     matsubara_assemble_many,
     spectral_densities,
     spectral_density,
@@ -156,6 +156,8 @@ def load_config(path: str | None) -> RunConfig:
         raise ConfigError(str(exc)) from exc
     try:
         d = derive_scales(params)
+        if not all(0.0 < s < math.inf for s in (d.v, d.R_c, d.alpha, d.lambda_T)):  # one rounded to 0 or inf
+            raise ArithmeticError
     except ArithmeticError as exc:  # e.g. Omega**2 overflowing or underflowing to 0
         given = ", ".join(f"{key} = {getattr(params, key)!r}" for key in _SCHEMA["params"])
         raise ConfigError(f"[params] {given}: the trap scales leave the float range") from exc
@@ -298,33 +300,36 @@ _ROW_ERRORS = (RegimeError, DomainError, AccuracyError)
 
 
 def _route(mode, cfg: RunConfig, p, d):
-    """G(x1, tau1, x2, tau2) -> GreenValue of one per-point green or
-    correlator mode, its controls and regime resolved once per table; None
-    where the regime has no asymptotic form."""
-    if mode in ("homog-series", "trapped-series", "series"):
-        series = homog_series if mode == "homog-series" else lowT_legendre_series
-        return partial(series, p=p, d=d, tol=cfg["truncation.tol"])
-    if mode == "closed-form":
-        return partial(closed_form_green, p=p, d=d)
+    """queries -> the GreenValue of each, the row error that refused it, or
+    None where the regime has no asymptotic form, under one per-point green
+    or correlator mode, its controls and regime resolved once per table; the
+    thermal mode sum takes the whole table in one call."""
+    if mode in ("trapped-series", "series"):
+        return partial(lowT_legendre_series_many, p=p, d=d, tol=cfg["truncation.tol"])
     regime = classify_regime(d)
-    if mode == "homog-asympt":
+    if mode == "homog-series":
+        form = partial(homog_series, tol=cfg["truncation.tol"])
+    elif mode == "closed-form":
+        form = closed_form_green
+    elif mode == "homog-asympt":
         form = {Regime.HIGH_T: homog_asymptotic_highT, Regime.LOW_T: homog_asymptotic_lowT}.get(regime)
     elif mode in ("trapped-asympt", "asymptotic-auto"):
         form = {Regime.HIGH_T: asympt_green_highT, Regime.LOW_T: asympt_green_lowT}.get(regime)
     else:
         raise ConfigError(f"unknown mode {mode!r}")
-    return form and partial(form, p=p, d=d)
+    return partial(_evaluate, form and partial(form, p=p, d=d))
 
 
-def _evaluate(evaluate, x1, tau1, x2, tau2):
-    """The GreenValue of ``evaluate`` at the pair, the row error it raised,
+def _evaluate(evaluate, queries) -> list:
+    """The GreenValue of ``evaluate`` at each query, the row error it raised,
     or None where there is no evaluator."""
-    if evaluate is None:
-        return None
-    try:
-        return evaluate(x1, tau1, x2, tau2)
-    except _ROW_ERRORS as exc:
-        return exc
+    out = []
+    for q in queries:
+        try:
+            out.append(evaluate and evaluate(q.x1, q.tau1, q.x2, q.tau2))
+        except _ROW_ERRORS as exc:
+            out.append(exc)
+    return out
 
 
 def _green_row(x1, tau1, x2, tau2, g, mode, regime_tag) -> tuple:
@@ -376,13 +381,13 @@ def cmd_green(cfg: RunConfig, args) -> tuple:
             for x2, sd in zip(xs, spectral_densities(omega, xs, x1, p, d, tol=cfg["truncation.tol"]))
         ], extra
 
-    evaluate = _route(mode, cfg, p, d)
     # tau_count = 0 gives no rows, 1 the row at tau_ref, from 2 on tau_min..tau_max
     count = cfg["grid.tau_count"]
     taus = ([tau1] * count if count <= 1
             else [float(t) for t in np.linspace(cfg["grid.tau_min"], cfg["grid.tau_max"], count)])
-    return columns, [_green_row(x1, tau1, x2, tau2, _evaluate(evaluate, x1, tau1, x2, tau2), mode, regime_tag)
-                     for tau2 in taus for x2 in xs], extra
+    queries = [CorrelatorQuery(x1, tau1, x2, tau2) for tau2 in taus for x2 in xs]
+    return columns, [_green_row(q.x1, q.tau1, q.x2, q.tau2, g, mode, regime_tag)
+                     for q, g in zip(queries, _route(mode, cfg, p, d)(queries))], extra
 
 
 def _sep_grid(cfg: RunConfig) -> np.ndarray:
@@ -406,27 +411,26 @@ def _correlator_queries(cfg: RunConfig) -> list:
 def _correlator_rows(mode, cfg: RunConfig, p, d) -> list:
     """The correlator table's row of each pair of the separation grid; an
     evaluation failure is its row's status.  A row reads theta(S) and xi(S)
-    before its Green value.  The spectral route serves every pair in
-    ``spectral`` and, in ``asymptotic-auto``, each pair that has no
-    asymptotic form or whose form raises RegimeError, all of them by one
-    ``matsubara_assemble_many`` call."""
+    before its Green value, which one ``_route`` call gives for every pair.
+    The spectral route serves every pair in ``spectral`` and, in
+    ``asymptotic-auto``, each pair that has no asymptotic form or whose form
+    raises RegimeError, all of them by one ``matsubara_assemble_many`` call."""
     queries = _correlator_queries(cfg)
-    evaluate = None if mode == "spectral" else _route(mode, cfg, p, d)
     route = mode if mode == "spectral" else f"{mode}:fallback-spectral"
-    rows = []
-    spectral = []  # (row index, theta(S), xi(S)) of each pair the spectral route serves
+    rows, served = [], []  # served: (row index, theta(S), xi(S)) of each pair whose theta(S) and xi(S) are in
     for q in queries:
         try:
-            theta_s, xi_s = theta_at(q.S, p, d), xi_at(q.S, p, d)
+            served.append((len(rows), theta_at(q.S, p, d), xi_at(q.S, p, d)))
+            rows.append(None)  # until its Green value is in
         except _ROW_ERRORS as exc:
             rows.append(_correlator_error_row(q, mode, exc))
-            continue
-        g = _evaluate(evaluate, q.x1, q.tau1, q.x2, q.tau2)
+    greens = [None] * len(served) if mode == "spectral" else _route(mode, cfg, p, d)([queries[i] for i, *_ in served])
+    spectral = []  # (row index, theta(S), xi(S)) of each pair the spectral route serves
+    for (i, theta_s, xi_s), g in zip(served, greens):
         if g is None or (mode == "asymptotic-auto" and isinstance(g, RegimeError)):
-            spectral.append((len(rows), theta_s, xi_s))
-            rows.append(None)  # until the assembly is in
+            spectral.append((i, theta_s, xi_s))
         else:
-            rows.append(_correlator_row(q, theta_s, xi_s, g, mode, mode, p, d))
+            rows[i] = _correlator_row(queries[i], theta_s, xi_s, g, mode, mode, p, d)
     assembled = matsubara_assemble_many([queries[i] for i, *_ in spectral], p, d,
                                         cfg["truncation.l_max"], cfg["truncation.tol"])
     for (i, theta_s, xi_s), g in zip(spectral, assembled):

@@ -32,9 +32,9 @@ interpolant in 1/mu at each point (``_far_interp``).
 
 Beside the assembly stand the equal-time closed form ``closed_form_green``,
 the zero mode alone, G_0/beta, and two frequency-summed forms.
-``lowT_legendre_series`` sums the discrete modes P_n(x/R_c), each over every
-frequency in closed form, exact at any temperature where tau != tau', and
-stops where a proven bound on the omitted modes meets its tolerance.  At
+``lowT_legendre_series_many`` sums the discrete modes P_n(x/R_c), each over
+every frequency in closed form, exact at any temperature where tau != tau',
+and stops where a proven bound on the omitted modes meets its tolerance.  At
 high temperature ``asympt_green_highT`` adds to the exact zero mode the
 Liouville-Green (WKB) density of every other frequency, written in the
 optical distance X = R_c |arcsin u - arcsin u'|, and sums them in closed
@@ -45,7 +45,6 @@ condensate, where the lowest frequency's WKB phase mu_1 arccos|u| is large.
 from __future__ import annotations
 
 import bisect
-import cmath
 import math
 import sys
 from typing import NamedTuple
@@ -53,8 +52,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import AccuracyError, DomainError, RegimeError, TrapGasError
-from .green_homogeneous import (_ROUNDING, GreenValue, _bad_tol, _line_plus_modes, _log_divergence, _mode_stop,
-                                _thermal_factor)
+from .green_homogeneous import (_ROUNDING, GreenValue, _bad_tol, _line_plus_modes, _log_abs_1_minus_exp,
+                                _log_divergence, _mode_stop, _thermal_factor)
 from .legendre import _NODES, _nu_real, _p_quad, p_poly_table
 from .model import (
     WINDOW_FACTOR,
@@ -77,6 +76,7 @@ __all__ = [
     "matsubara_assemble",
     "matsubara_assemble_many",
     "lowT_legendre_series",
+    "lowT_legendre_series_many",
     "asympt_green_highT",
     "asympt_green_lowT",
 ]
@@ -111,6 +111,14 @@ class SpectralDensity(NamedTuple):
     xp: float
     re_part: float
     err_bound: float
+
+
+def _values(out) -> list:
+    """``out``, the entries of one batched call, with its first error raised."""
+    for entry in out:
+        if isinstance(entry, TrapGasError):
+            raise entry
+    return out
 
 
 def _clamped_u(x: float, d: DerivedScales) -> float:
@@ -397,10 +405,7 @@ def spectral_density(
     tol: float = 1e-13,
 ) -> SpectralDensity:
     """Evaluate the closed-form spectral density at one Matsubara frequency."""
-    (sd,) = spectral_densities(omega, [x], xp, p, d, tol)
-    if isinstance(sd, TrapGasError):
-        raise sd
-    return sd
+    return _values(spectral_densities(omega, [x], xp, p, d, tol))[0]
 
 
 def spectral_densities(
@@ -487,21 +492,11 @@ def _frequency_stop(q: CorrelatorQuery, p: PhysicalParams, d: DerivedScales, l_m
 
 
 def matsubara_assemble(
-    x: float,
-    tau: float,
-    xp: float,
-    taup: float,
-    p: PhysicalParams,
-    d: DerivedScales,
-    l_max: int,
-    tol: float = 1e-13,
+    x: float, tau: float, xp: float, taup: float, p: PhysicalParams, d: DerivedScales, l_max: int, tol: float = 1e-13
 ) -> GreenValue:
     """G(x,tau;x',tau') of one pair: ``matsubara_assemble_many`` of the
     query (x, tau; x', tau'), whose DomainError or AccuracyError it raises."""
-    (g,) = matsubara_assemble_many([CorrelatorQuery(x, tau, xp, taup)], p, d, l_max, tol)
-    if isinstance(g, TrapGasError):
-        raise g
-    return g
+    return _values(matsubara_assemble_many([CorrelatorQuery(x, tau, xp, taup)], p, d, l_max, tol))[0]
 
 
 def matsubara_assemble_many(queries, p: PhysicalParams, d: DerivedScales, l_max: int, tol: float = 1e-13) -> list:
@@ -621,8 +616,14 @@ def _assemble_pass(pairs, out, p: PhysicalParams, d: DerivedScales, k: float, l_
 def lowT_legendre_series(
     x: float, tau: float, xp: float, taup: float, p: PhysicalParams, d: DerivedScales, *, tol: float = 1e-12
 ) -> GreenValue:
-    """The thermal Legendre mode sum, exact at any temperature where
-    t = min(|tau - tau'|, beta - |tau - tau'|) > 0:
+    """G(x,tau;x',tau') of one pair: ``lowT_legendre_series_many`` of the
+    query (x, tau; x', tau'), whose DomainError or AccuracyError it raises."""
+    return _values(lowT_legendre_series_many([CorrelatorQuery(x, tau, xp, taup)], p, d, tol=tol))[0]
+
+
+def lowT_legendre_series_many(queries, p: PhysicalParams, d: DerivedScales, *, tol: float = 1e-12) -> list:
+    """The thermal Legendre mode sum of each CorrelatorQuery of ``queries``,
+    exact at any temperature where t = min(|tau - tau'|, beta - |tau - tau'|) > 0:
 
         G = -(g/(2 R_c)) [(beta/2) B_2(t/beta) + sum_{n=1}^{N} (2n+1) P_n(u) P_n(u') phi(E_n)],
 
@@ -630,7 +631,11 @@ def lowT_legendre_series(
     summed over every frequency by ``_thermal_factor``; the (omega, n) =
     (0, 0) term is omitted.  P_n(u) P_n(u') is formed before it is weighted
     and fsum adds the terms, so that the value is bitwise symmetric in the
-    two points; at u = u' one recurrence serves both.
+    two points.  ``p_poly_table`` runs once for each distinct point of the
+    list, to the largest N any pair there needs, and each pair slices its
+    P_n from those tables: as P_n depends only on the P_m before it, entry i
+    is the GreenValue that pair alone gives, bitwise, or its DomainError or
+    AccuracyError, word for word.
 
     By Bernstein's inequality |P_m(cos theta)| < e_m = sqrt(2/(pi m sin theta))
     (Szego, Orthogonal Polynomials, 7.3), term m is at most M_m = (g/(2 R_c))
@@ -641,20 +646,43 @@ def lowT_legendre_series(
     before they cancel, and the recurrence's error, which grows with n: n eps
     min(1, e_n)/sqrt(sin theta) for each factor P_n, at least 2.6 times what a
     40-digit recurrence finds to n = 20 000 at 12 |u| up to 1 - ``BOUNDARY_EPS``.
-    Past ``_MODE_CAP`` modes it raises AccuracyError, before any recurrence
-    runs; DomainError at a bad ``tol``, at the boundary clamp, where
-    |tau - tau'| > beta, and at t = 0, where the sum converges only
-    conditionally.
+    A pair's checks run in the order: the boundary clamp, |tau - tau'| >
+    beta and t = 0 (DomainErrors; at t = 0 the sum converges only
+    conditionally), then ``_mode_stop``'s bad ``tol`` and its AccuracyError
+    past ``_MODE_CAP`` modes, all before any recurrence runs.
     """
-    u, up = _clamped_u(x, d), _clamped_u(xp, d)
-    dtau = abs(tau - taup)
+    pref = p.g / (2.0 * d.R_c)
+    out, pairs = [], []  # pairs: (index of its entry, u, u', t, sin theta, sin theta', N, tail bound at N)
+    for q in queries:
+        try:
+            pairs.append((len(out), *_series_stop(q, p, d, pref, tol)))
+            out.append(None)  # until the tables are in
+        except (DomainError, AccuracyError) as exc:
+            out.append(exc)
+    # each distinct point's largest N: sorted, the last (u, N) of a point sets its entry
+    need = dict(sorted((u, pair[6]) for pair in pairs for u in pair[1:3]))
+    tables = {u: p_poly_table(last, u) for u, last in need.items()}
+    for i, u, up, t, sin_th, sin_thp, last, tail in pairs:
+        n = np.arange(1.0, last + 1)
+        weights = (2.0 * n + 1.0) * _thermal_factor(np.sqrt(n * (n + 1.0)) / d.alpha, t, p.beta)
+        terms = (tables[u][1:last + 1] * tables[up][1:last + 1]) * weights
+        total, rounding = _line_plus_modes(p.beta, t / p.beta, terms)
+        env_u, env_up = (np.minimum(1.0, np.sqrt(2.0 / (math.pi * n * s))) for s in (sin_th, sin_thp))
+        recurrence = (1.0 / math.sqrt(sin_th) + 1.0 / math.sqrt(sin_thp)) * float(np.sum(n * weights * env_u * env_up))
+        rounding = pref * (rounding + sys.float_info.epsilon * recurrence)
+        out[i] = GreenValue(-pref * total, "trapped-series", tail + rounding, meta={"modes": last})
+    return out
+
+
+def _series_stop(q: CorrelatorQuery, p: PhysicalParams, d: DerivedScales, pref: float, tol: float) -> tuple:
+    """(u, u', t, sin theta, sin theta', N, the tail bound at N) of ``q``'s mode sum; raises its error."""
+    u, up = _clamped_u(q.x1, d), _clamped_u(q.x2, d)
+    dtau = abs(q.dtau)
     if not dtau <= p.beta:
         raise DomainError(f"|tau - tau'| = {dtau} exceeds beta = {p.beta}")
     t = min(dtau, p.beta - dtau)
     if t == 0.0:
         raise DomainError("lowT_legendre_series requires tau != tau'")
-
-    pref = p.g / (2.0 * d.R_c)
     sin_th, sin_thp = math.sqrt((1.0 - u) * (1.0 + u)), math.sqrt((1.0 - up) * (1.0 + up))
     amp = pref * 2.0 / (math.pi * math.sqrt(sin_th * sin_thp))
     gap = -math.expm1(-t / d.alpha)  # 0 only where t/alpha underflows
@@ -665,16 +693,7 @@ def lowT_legendre_series(
         return amp * (2.0 * m + 1.0) / m * phi / gap if gap else math.inf
 
     last = _mode_stop(tail, tol, "lowT_legendre_series", t)
-    pn_u = p_poly_table(last, u)
-    pn_up = pn_u if up == u else p_poly_table(last, up)
-    n = np.arange(1.0, last + 1)
-    weights = (2.0 * n + 1.0) * _thermal_factor(np.sqrt(n * (n + 1.0)) / d.alpha, t, p.beta)
-    terms = (pn_u[1:] * pn_up[1:]) * weights
-    total, rounding = _line_plus_modes(p.beta, t / p.beta, terms)
-    env_u, env_up = (np.minimum(1.0, np.sqrt(2.0 / (math.pi * n * s))) for s in (sin_th, sin_thp))
-    recurrence = (1.0 / math.sqrt(sin_th) + 1.0 / math.sqrt(sin_thp)) * float(np.sum(n * weights * env_u * env_up))
-    rounding = pref * (rounding + sys.float_info.epsilon * recurrence)
-    return GreenValue(-pref * total, "trapped-series", tail(last) + rounding, meta={"modes": last})
+    return u, up, t, sin_th, sin_thp, last, tail(last)
 
 
 # ----------------------------------------------------------------------------
@@ -726,11 +745,11 @@ def asympt_green_highT(
         raise RegimeError(f"Liouville-Green gate mu_1 arccos|u| >> 1 failed in the edge layer of the "
                           f"condensate (got {edge:.3g} < {1.0 / WINDOW_FACTOR:g})")
     z = (math.pi / d.lambda_T) * complex(d.R_c * abs(math.asin(u) - math.asin(up)), p.hbar * d.v * (tau - taup))
-    mag = abs(1.0 - cmath.exp(-2.0 * z))
-    if mag == 0.0:
+    log_mag = _log_abs_1_minus_exp(2.0 * z)
+    if log_mag == -math.inf:
         return _log_divergence("trapped-asympt-highT")
     amp = ((1.0 - u * u) * (1.0 - up * up)) ** -0.25 / theta_homogeneous(p, d)
-    value = closed_form_green(x, 0.0, xp, 0.0, p, d).value + amp * math.log(mag)
+    value = closed_form_green(x, 0.0, xp, 0.0, p, d).value + amp * log_mag
     return GreenValue(value=value, method="trapped-asympt-highT", meta={"S": 0.5 * (x + xp)})
 
 

@@ -190,23 +190,25 @@ def fdm_eigensolve(p: PhysicalParams, d: DerivedScales, grid: FdmGrid, n_levels:
     return np.sort(np.concatenate(levels))
 
 
-def brute_frequency_sum(theta: float, l_max: int) -> float:
-    """Partial sum of sum_{l>=1} cos(2 pi l theta)/l^2 (compare pi^2 B_2(theta)).
+def brute_frequency_sum(thetas, l_max: int) -> list:
+    """Partial sums of sum_{l>=1} cos(2 pi l theta)/l^2 (compare pi^2 B_2(theta)), one for each theta of ``thetas``.
 
     Every term is added, 8 192 to a chunk (64 KiB temporaries reuse the heap):
     with a = 2 pi theta and w = 1/l^2, the chunk from s adds, by angle addition,
     cos(a s) C.w - sin(a s) S.w, C and S holding cos(a k) and sin(a k) at offsets k.
+    A chunk's w serves every theta, and each sum is bitwise the one its theta gives alone.
     """
     if l_max < 1:
         raise DomainError("l_max must be >= 1")
-    chunk, a, total = 8_192, 2.0 * math.pi * theta, 0.0
+    chunk, totals = 8_192, [0.0] * len(thetas)
     k = np.arange(min(chunk, l_max), dtype=float)
-    cos_k, sin_k = np.cos(a * k), np.sin(a * k)
+    tables = [(a, np.cos(a * k), np.sin(a * k)) for a in (2.0 * math.pi * theta for theta in thetas)]
     for start in range(1, l_max + 1, chunk):
         n = l_max + 1 - start  # the slices stop at the chunk
         w = 1.0 / (k[:n] + start) ** 2
-        total += math.cos(a * start) * float(cos_k[:n] @ w) - math.sin(a * start) * float(sin_k[:n] @ w)
-    return total
+        for j, (a, cos_k, sin_k) in enumerate(tables):
+            totals[j] += math.cos(a * start) * float(cos_k[:n] @ w) - math.sin(a * start) * float(sin_k[:n] @ w)
+    return totals
 
 
 def brute_legendre_tail(

@@ -123,6 +123,18 @@ class TestConfig:
         assert err.startswith("config error: [params] ")
         assert f"Omega = {float(omega)!r}" in err and "beta = 1.0" in err
 
+    @pytest.mark.parametrize("params", ["beta = 1e-300\nLambda = 1e-300\n", "m = 1e-300\nLambda = 1e300\n"],
+                             ids=["lambda_T-rounds-to-0", "v-overflows"])
+    def test_degenerate_trap_scales_exit_naming_params(self, tmp_path, capsys, params):
+        # lambda_T = hbar beta v rounds to 0 at beta = Lambda = 1e-300, where the Liouville-Green form
+        # divided by it (a ZeroDivisionError traceback); v = sqrt(Lambda/m) is inf at m = 1e-300,
+        # Lambda = 1e300: each config is refused, with no traceback
+        path = write_config(tmp_path, f"[params]\n{params}")
+        assert main(["correlator", "--mode", "asymptotic-auto", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: [params] ") and err.endswith(": the trap scales leave the float range\n")
+        assert "Traceback" not in err
+
     def test_values_parsed(self, tmp_path):
         path = write_config(
             tmp_path,
@@ -831,6 +843,26 @@ class TestRouteMap:
             g = lowT_legendre_series(*pair, p, d, tol=1e-6)
             assert (row["G_re"], row["trunc_err"], row["status"]) == ("%.17g" % g.value, "%.17g" % g.trunc_err, "ok")
 
+    @pytest.mark.parametrize("argv, rows, points", [(["green", "--mode", "trapped-series"], 15, 6),
+                                                    (["correlator", "--mode", "series"], 3, 6)])
+    def test_series_tables_run_one_recurrence_per_point(self, tmp_path, monkeypatch, argv, rows, points):
+        # one mode-sum call a table, and one recurrence for each distinct point: x_ref and the 5 grid
+        # points of the green table (not two for each of its 15 rows), the 6 ends of the 3 pairs
+        from trapgas import cli, green_trapped
+
+        calls, recurrences = [], []
+        many, table = cli.lowT_legendre_series_many, green_trapped.p_poly_table
+        monkeypatch.setattr(cli, "lowT_legendre_series_many", lambda *a, **k: calls.append(a) or many(*a, **k))
+        monkeypatch.setattr(green_trapped, "p_poly_table", lambda n, u: recurrences.append(u) or table(n, u))
+        cfg = write_config(tmp_path, "[params]\nbeta = 28.284271247461902\n[grid]\nx_count = 5\ntau_min = 0.1\n"
+                                     "tau_max = 0.3\ntau_count = 3\ndtau = 0.05\nsep_count = 3\n")
+        out = tmp_path / "table.csv"
+        assert main([*argv, "--config", cfg, "--out", str(out)]) == 0
+        _, header, body = read_csv(str(out))
+        assert [row[-1] for row in body] == ["ok"] * rows
+        assert [len(a[0]) for a in calls] == [rows]
+        assert len(recurrences) == len(set(recurrences)) == points
+
     def test_homog_series_takes_tol(self, tmp_path):
         # l_max caps the spectral assembly alone: the series sums every frequency,
         # and truncation.tol stops its mode sum, at dtau = 0 as elsewhere
@@ -1054,13 +1086,12 @@ class TestValidateCommand:
         # check 08 also requires the series' trunc_err below 2% of each difference, whatever its figure
         from trapgas import checks
 
-        series = checks.lowT_legendre_series
+        series = checks.lowT_legendre_series_many
 
         def drifting(*args, **kwargs):
-            g = series(*args, **kwargs)
-            return dataclasses.replace(g, trunc_err=abs(g.value))
+            return [dataclasses.replace(g, trunc_err=abs(g.value)) for g in series(*args, **kwargs)]
 
-        monkeypatch.setattr(checks, "lowT_legendre_series", drifting)
+        monkeypatch.setattr(checks, "lowT_legendre_series_many", drifting)
         out = tmp_path / "report.json"
         assert main(["validate", "--out", str(out)]) == 3
         by_name = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
@@ -1196,8 +1227,8 @@ class TestValidateCommand:
             # the homogeneous Gamma to the power 1.1: its exponent 10% off, the fit about 0.10 against 0.05
             ("09-exponent-extraction", "gamma_homog", lambda f: lambda *a: f(*a) ** 1.1, True),
             # the low-T series 10% high: the trapped exponent off, the fit about 0.066
-            ("09-exponent-extraction", "lowT_legendre_series",
-             lambda f: lambda *a, **k: dataclasses.replace(f(*a, **k), value=1.1 * f(*a, **k).value), True),
+            ("09-exponent-extraction", "lowT_legendre_series_many",
+             lambda f: lambda *a, **k: [dataclasses.replace(g, value=1.1 * g.value) for g in f(*a, **k)], True),
         ],
         ids=["02-density-frequency-off", "02-density-strength-off", "03-oracle-frequency-off",
              "03-closed-form-frequency-off", "06-sinh-prefactor-off", "06-series-log-dropped", "07-assembly-truncated",
@@ -1281,10 +1312,17 @@ class TestValidateCommand:
              {"checks.homog_series": 5, "checks.homog_asymptotic_highT": 5}),
             ("07-trapped-highT-match", ("checks.matsubara_assemble", "checks.asympt_green_highT"),
              {"checks.matsubara_assemble": 6, "checks.asympt_green_highT": 6}),
-            ("08-trapped-lowT-match", ("checks.lowT_legendre_series", "checks.asympt_green_lowT"),
-             {"checks.lowT_legendre_series": 4, "checks.asympt_green_lowT": 4}),
+            # the mode sum in one call over 4 queries, one recurrence for each of their 8 distinct points
+            ("08-trapped-lowT-match",
+             ("checks.lowT_legendre_series_many", "green_trapped.p_poly_table", "checks.asympt_green_lowT"),
+             {"checks.lowT_legendre_series_many": 1, "green_trapped.p_poly_table": 8, "checks.asympt_green_lowT": 4}),
+            # ten dtau at one point: one call and one recurrence, not ten of each
+            ("09-exponent-extraction", ("checks.lowT_legendre_series_many", "green_trapped.p_poly_table"),
+             {"checks.lowT_legendre_series_many": 1, "green_trapped.p_poly_table": 1}),
+            # three theta in one sweep of the weights 1/l^2
+            ("05-frequency-sum-identity", ("checks.brute_frequency_sum",), {"checks.brute_frequency_sum": 1}),
         ],
-        ids=["01", "10", "06", "07", "08"],
+        ids=["01", "10", "06", "07", "08", "09", "05"],
     )
     def test_checks_evaluate_once_per_pass(self, monkeypatch, name, counted, expected):
         from trapgas import checks, green_trapped

@@ -147,7 +147,7 @@ class TestHomogSeries:
         p, d = setup_params(beta=1.3)
         theta = 0.27
         closed = (p.beta**2 / 2.0) * (theta**2 - theta + 1.0 / 6.0)
-        brute = 2.0 * (p.beta / (2 * math.pi)) ** 2 * brute_frequency_sum(theta, 2_000_000)
+        brute = 2.0 * (p.beta / (2 * math.pi)) ** 2 * brute_frequency_sum([theta], 2_000_000)[0]
         assert abs(closed - brute) < 1e-8 * max(1.0, abs(closed))
 
     @pytest.mark.parametrize("beta, theta", [(1.0, 0.0), (1.0, 0.3), (0.05 * math.sqrt(2.0), 0.27)])

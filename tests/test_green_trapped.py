@@ -28,12 +28,14 @@ from trapgas import (
     green_difference,
     homog_series,
     lowT_legendre_series,
+    lowT_legendre_series_many,
     matsubara_assemble,
     matsubara_assemble_many,
     rho_tf,
     spectral_densities,
     spectral_density,
     theta_at,
+    theta_homogeneous,
 )
 from trapgas import green_trapped, legendre
 from trapgas.cli import cmd_green, load_config
@@ -1033,6 +1035,49 @@ class TestLowTSeries:
         lowT_legendre_series(0.1, 0.05, 0.2, 0.0, p, d, tol=1e-6)
         assert calls == [0.1 / d.R_c, 0.1 / d.R_c, 0.2 / d.R_c]
 
+    @staticmethod
+    def _entry(entry):
+        """A GreenValue or its error in a form compared bitwise and word for word."""
+        if isinstance(entry, (DomainError, AccuracyError)):
+            return type(entry), str(entry), getattr(entry, "achieved", None)
+        return entry.value.hex(), entry.trunc_err.hex(), entry.warning, repr(entry.meta), entry.method
+
+    @pytest.mark.parametrize("ratio", [0.05, 1.0, 100.0])
+    @pytest.mark.parametrize("tol", [1e-8, 1e-12, 0.0])
+    def test_many_pairs_equal_one_pair_calls(self, monkeypatch, ratio, tol):
+        # one call over pairs that share, repeat and mirror their points, beside a pair each check
+        # refuses (the clamp, |dtau| > beta, t = 0, the mode cap): each entry is what its pair gives
+        # alone, bitwise and word for word, and the recurrence runs once for each distinct point of
+        # the pairs that pass, to the most modes any of them needs; a bad tol refuses every pair that
+        # passes the checks before it, and runs none
+        p, d = self._lowT(ratio)
+        points = [0.3, -0.3, 0.0, 0.7, -0.7, 0.95]
+        queries = [CorrelatorQuery(u * d.R_c, f * p.beta, up * d.R_c, 0.0)
+                   for u, up, f in zip(points, points[1:] + points[:1], (0.05, 0.3, 0.7, 0.05, 0.5, 0.9))]
+        queries += [queries[0], CorrelatorQuery(0.3 * d.R_c, 0.0, 0.3 * d.R_c, 0.1 * p.beta),
+                    CorrelatorQuery(-0.3 * d.R_c, 0.3 * p.beta, 0.3 * d.R_c, 0.0),
+                    CorrelatorQuery(d.R_c, 0.3 * p.beta, 0.0, 0.0), CorrelatorQuery(0.0, 2.0 * p.beta, 0.1, 0.0),
+                    CorrelatorQuery(0.1, p.beta, 0.2, 0.0), CorrelatorQuery(0.1, 1e-9 * d.alpha, 0.2, 0.0)]
+        alone = []
+        for q in queries:
+            try:
+                alone.append(lowT_legendre_series(q.x1, q.tau1, q.x2, q.tau2, p, d, tol=tol))
+            except (DomainError, AccuracyError) as exc:
+                alone.append(exc)
+        calls, table = [], green_trapped.p_poly_table
+        monkeypatch.setattr(green_trapped, "p_poly_table", lambda n, u: calls.append((u, n)) or table(n, u))
+        many = lowT_legendre_series_many(queries, p, d, tol=tol)
+        assert list(map(self._entry, many)) == list(map(self._entry, alone))
+        kinds = [type(g).__name__ for g in many[-4:]]
+        assert kinds == ["DomainError"] * 3 + ["DomainError" if tol == 0.0 else "AccuracyError"]
+        need = {}
+        for q, g in zip(queries, many):
+            if isinstance(g, GreenValue):
+                for u in (q.x1 / d.R_c, q.x2 / d.R_c):
+                    need[u] = max(need.get(u, 0), g.meta["modes"])
+        assert sorted(calls) == sorted(need.items()) and len(calls) == (0 if tol == 0.0 else len(points))
+        assert lowT_legendre_series_many([], p, d, tol=tol) == []
+
     @pytest.mark.parametrize("tol", [0.0, -1e-12, math.inf, math.nan])
     def test_bad_tol_is_a_domain_error(self, tol):
         p, d = self._lowT()
@@ -1162,6 +1207,26 @@ class TestTrappedAsymptotics:
                     exact = matsubara_assemble(x, dtau, xp, 0.0, p, d, l_max=400).value
                     worst = max(worst, abs(g.value - exact))
         assert worst < 5e-6  # 2.6e-6 at S = 0.7 R_c, separation 0.01 R_c
+
+    @pytest.mark.parametrize("z_target", [1e-9 + 0j, 1e-12 * (1 + 1j)])
+    def test_green_highT_logarithm_at_small_z(self, z_target):
+        # near coincident points 1 - e^{-2z} cancels: the form takes ln|1 - e^{-2z}| from the homogeneous
+        # series' helper, within a few ulp of 40-digit mpmath, where ln|1 - exp(-2z)| written out was off
+        # by 2.7e-8 at z = 1e-9 and by 1.1e-5 at z = 1e-12 (1 + i)
+        p, d = self._highT()
+        x = 0.2 * d.R_c
+        xp = d.R_c * math.sin(math.asin(0.2) - z_target.real * d.lambda_T / (math.pi * d.R_c))
+        dtau = z_target.imag * d.lambda_T / (math.pi * p.hbar * d.v)
+        g = asympt_green_highT(x, dtau, xp, 0.0, p, d)
+        u, up = x / d.R_c, xp / d.R_c  # z, the amplitude and the zero mode as the form takes them
+        z = (math.pi / d.lambda_T) * complex(d.R_c * abs(math.asin(u) - math.asin(up)), p.hbar * d.v * dtau)
+        assert abs(z - z_target) < 1e-3 * abs(z_target)
+        zero = closed_form_green(x, 0.0, xp, 0.0, p, d).value
+        amp = ((1.0 - u * u) * (1.0 - up * up)) ** -0.25 / theta_homogeneous(p, d)
+        with mp.workdps(40):
+            log_ref = float(mp.log(abs(mp.expm1(-2 * mp.mpc(z)))))
+        eps = np.finfo(float).eps
+        assert abs(g.value - (zero + amp * log_ref)) <= 4.0 * eps * (abs(zero) + abs(amp) * max(1.0, abs(log_ref)))
 
     def test_green_highT_is_the_summed_lg_density(self):
         # (1/beta) sum_{l != 0} e^{i omega dtau} G_LG(omega), summed term by term

@@ -33,21 +33,32 @@ def setup_params(**over):
 
 class TestBruteFrequencySum:
     def test_basel_value(self):
-        total = brute_frequency_sum(0.0, 200_000)
+        (total,) = brute_frequency_sum([0.0], 200_000)
         assert_allclose(total, math.pi**2 / 6.0, atol=1e-5)
 
     def test_half_argument(self):
-        total = brute_frequency_sum(0.5, 1_000_000)
+        (total,) = brute_frequency_sum([0.5], 1_000_000)
         assert_allclose(total, -(math.pi**2) / 12.0, atol=2e-6)
 
     def test_bernoulli_identity_generic_theta(self):
         theta = 0.3
         closed = math.pi**2 * (theta**2 - theta + 1.0 / 6.0)
-        assert abs(brute_frequency_sum(theta, 1_000_000) - closed) < 1e-6
+        assert abs(brute_frequency_sum([theta], 1_000_000)[0] - closed) < 1e-6
 
     def test_l_max_validated(self):
-        with pytest.raises(DomainError):
-            brute_frequency_sum(0.1, 0)
+        for thetas in ([0.1], [0.1, 0.5], []):
+            with pytest.raises(DomainError, match=r"^l_max must be >= 1$"):
+                brute_frequency_sum(thetas, 0)
+
+    @pytest.mark.parametrize("l_max", [1, 8191, 8192, 8193, 100_003])
+    def test_each_theta_sums_alone_as_beside_others(self, l_max):
+        # a chunk's weights 1/l^2 are built once for every theta, and each theta keeps its own
+        # dots and running sum: its sum is bitwise the same alone, beside others, repeated or reordered
+        thetas = [0.0, 0.1, 0.5, 0.123456789, 0.1, 0.3]
+        together = list(map(float.hex, brute_frequency_sum(thetas, l_max)))
+        assert together == [float.hex(brute_frequency_sum([theta], l_max)[0]) for theta in thetas]
+        assert together[::-1] == list(map(float.hex, brute_frequency_sum(thetas[::-1], l_max)))
+        assert brute_frequency_sum([], l_max) == []
 
     @pytest.mark.parametrize("theta", [0.0, 0.1, 0.3, 0.5, 0.123456789])
     @pytest.mark.parametrize("l_max", [1, 8191, 8192, 8193, 100_003])
@@ -56,7 +67,7 @@ class TestBruteFrequencySum:
         # holds, and many chunks ending in a partial one
         l_arr = np.arange(1, l_max + 1, dtype=float)
         head_on = float(np.sum(np.cos(2.0 * math.pi * theta * l_arr) / l_arr**2))
-        assert abs(brute_frequency_sum(theta, l_max) - head_on) < 1e-14
+        assert abs(brute_frequency_sum([theta], l_max)[0] - head_on) < 1e-14
 
 
 class TestFdmSpectralSolve:
@@ -412,7 +423,7 @@ def test_repeat_validate_sums_fault_in_no_memory(fresh_python):
         "p = PhysicalParams(m=1.0, g=1.0, Omega=math.sqrt(2.0) / 20.0, Lambda=1.0, beta=1.0)\n"
         "d = derive_scales(p)\n"
         "for call in (lambda: homog_series(0.75, 0.0, -0.75, 0.0, p, d, tol=1e-12),\n"
-        "             lambda: brute_frequency_sum(0.1, 10**6)):\n"
+        "             lambda: brute_frequency_sum([0.1], 10**6)):\n"
         "    call()\n"
         "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
         "    call()\n"
@@ -439,7 +450,7 @@ def test_repeat_brute_sum_faults_in_little_with_thresholds_pinned(fresh_python):
         "from trapgas import PhysicalParams, brute_frequency_sum, derive_scales, homog_series\n"
         "p = PhysicalParams(m=1.0, g=1.0, Omega=math.sqrt(2.0) / 20.0, Lambda=1.0, beta=1.0)\n"
         "args = (0.75, 0.0, -0.75, 0.0, p, derive_scales(p))\n"
-        "for call in (lambda: brute_frequency_sum(0.1, 10**6), lambda: homog_series(*args, tol=1e-12)):\n"
+        "for call in (lambda: brute_frequency_sum([0.1], 10**6), lambda: homog_series(*args, tol=1e-12)):\n"
         "    call()\n"
         "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
         "    call()\n"
