@@ -361,9 +361,9 @@ def check_symmetry_positivity():
         if not (ga > 0.0) or ga != gb:
             failures.append(f"trial {trial}: closed-form Gamma symmetry/positivity broken")
 
-        # assembled route: swap symmetry and positivity
+        # assembled route: swap symmetry and positivity, to a tol that every trial meets below its cap
         g12, g21 = _values(matsubara_assemble_many(
-            [CorrelatorQuery(x1, tau, x2, 0.0), CorrelatorQuery(x2, 0.0, x1, tau)], p, d, 6))
+            [CorrelatorQuery(x1, tau, x2, 0.0), CorrelatorQuery(x2, 0.0, x1, tau)], p, d, 16, 1e-4))
         if g12.value != g21.value:
             failures.append(f"trial {trial}: assembly not symmetric under swapping its points")
         if not (gamma_from_green(CorrelatorQuery(x1, tau, x2, 0.0), g12, p, d) > 0.0):

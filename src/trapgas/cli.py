@@ -38,6 +38,7 @@ from .correlator import MIN_FIT_SAMPLES, _sqrt_rho_pair, extract_exponent, gamma
 from .errors import AccuracyError, ConfigError, DataError, DomainError, RegimeError, TrapGasError
 from .green_homogeneous import GreenValue, homog_asymptotic_highT, homog_asymptotic_lowT, homog_series
 from .green_trapped import (
+    _k_coeff,
     asympt_green_highT,
     asympt_green_lowT,
     closed_form_green,
@@ -91,7 +92,7 @@ _SCHEMA = {
         "beta": _Key(float, 1.0),
     },
     "truncation": {
-        "l_max": _Key(int, 64, least=0),
+        "l_max": _Key(int, 2**17, least=0),
         "tol": _Key(float, 1e-12, positive=True),
     },
     "grid": {
@@ -156,9 +157,9 @@ def load_config(path: str | None) -> RunConfig:
         raise ConfigError(str(exc)) from exc
     try:
         d = derive_scales(params)
-        if not all(0.0 < s < math.inf for s in (d.v, d.R_c, d.alpha, d.lambda_T)):  # one rounded to 0 or inf
-            raise ArithmeticError
-    except ArithmeticError as exc:  # e.g. Omega**2 overflowing or underflowing to 0
+        if not all(0.0 < s < math.inf for s in (d.v, d.R_c, d.alpha, d.lambda_T, _k_coeff(params, d))):
+            raise ArithmeticError  # one rounded to 0 or inf, the trapped routes' coupling K among them
+    except ArithmeticError as exc:  # e.g. Omega**2 overflowing, or (hbar v)^2 underflowing to 0 in K
         given = ", ".join(f"{key} = {getattr(params, key)!r}" for key in _SCHEMA["params"])
         raise ConfigError(f"[params] {given}: the trap scales leave the float range") from exc
 
@@ -281,17 +282,12 @@ def cmd_density(cfg: RunConfig, args) -> tuple:
 
 
 def cmd_spectrum(cfg: RunConfig, args) -> tuple:
-    p, d = cfg.params, cfg.scales
+    d = cfg.scales
     if args.levels < 0:
         raise ConfigError(f"--levels must be >= 0, got {args.levels}")
-    rows = []
-    for n in range(args.levels):
-        e_n = energy_level(n, p, d)
-        de = energy_level(n + 1, p, d) - e_n
-        if n > 1:
-            rows.append((n, e_n, de, level_spacing_expansion(n, d), "ok"))
-        else:
-            rows.append((n, e_n, de, None, "expansion-defined-for-n>1"))
+    e = energy_level(np.arange(args.levels + 1), d).tolist()
+    rows = [(n, e[n], e[n + 1] - e[n], *((level_spacing_expansion(n, d), "ok") if n > 1
+                                         else (None, "expansion-defined-for-n>1"))) for n in range(args.levels)]
     return ["n", "E_n", "dE", "dE_expansion", "status"], rows, {}
 
 
@@ -332,17 +328,26 @@ def _evaluate(evaluate, queries) -> list:
     return out
 
 
+def _not_finite(source: str, **cells):
+    """The AccuracyError naming the first of ``cells`` that is not finite, or None: no ok row holds nan or inf."""
+    for name, value in cells.items():
+        if not math.isfinite(value):
+            return AccuracyError(f"{name} = {value!r} from {source} is not finite", achieved=math.inf)
+    return None
+
+
 def _green_row(x1, tau1, x2, tau2, g, mode, regime_tag) -> tuple:
     """One row of a green table from a GreenValue, the row error that
     refused it, or None where the regime has no asymptotic form."""
+    if isinstance(g, GreenValue) and not g.divergent:
+        g = _not_finite(g.method, G=g.value, trunc_err=g.trunc_err) or g
     if g is None:
         return (x1, tau1, x2, tau2, None, "", None, regime_tag, False, "intermediate-regime: no asymptotic form")
     if isinstance(g, TrapGasError):
         return (x1, tau1, x2, tau2, None, mode, None, regime_tag, False, f"{type(g).__name__}: {g}")
     if g.divergent:
         return (x1, tau1, x2, tau2, None, g.method, g.trunc_err, regime_tag, g.const_free, "divergent")
-    status = "ok" if g.warning is None else f"warning: {g.warning}"
-    return (x1, tau1, x2, tau2, g.value, g.method, g.trunc_err, regime_tag, g.const_free, status)
+    return (x1, tau1, x2, tau2, g.value, g.method, g.trunc_err, regime_tag, g.const_free, "ok")
 
 
 def cmd_green(cfg: RunConfig, args) -> tuple:
@@ -373,10 +378,12 @@ def cmd_green(cfg: RunConfig, args) -> tuple:
         return columns, rows, extra
 
     if mode == "trapped-spectral":
-        # ok rows are built straight from their SpectralDensity: a GreenValue a row is a measurable share of a sweep
+        # a finite density's ok row is built straight from it: a GreenValue a row is a measurable share of a sweep
         return columns, [
-            _green_row(x1, tau1, x2, tau1, sd, mode, regime_tag) if isinstance(sd, _ROW_ERRORS)
-            else (x1, tau1, x2, tau1, sd.re_part, mode, sd.err_bound, regime_tag, False, "ok")
+            (x1, tau1, x2, tau1, sd.re_part, mode, sd.err_bound, regime_tag, False, "ok")
+            if not isinstance(sd, _ROW_ERRORS) and math.isfinite(sd.re_part) and math.isfinite(sd.err_bound)
+            else _green_row(x1, tau1, x2, tau1, sd if isinstance(sd, _ROW_ERRORS)
+                            else GreenValue(sd.re_part, mode, sd.err_bound), mode, regime_tag)
             for omega in cfg["grid.omegas"]
             for x2, sd in zip(xs, spectral_densities(omega, xs, x1, p, d, tol=cfg["truncation.tol"]))
         ], extra
@@ -452,8 +459,11 @@ def _correlator_row(q: CorrelatorQuery, theta_s, xi_s, g, method, mode, p, d) ->
         gamma = gamma_from_green(q, g, p, d)
     except _ROW_ERRORS as exc:
         return _correlator_error_row(q, mode, exc)
-    if math.isinf(gamma):
+    if g.divergent:
         return (q.x1, q.tau1, q.x2, q.tau2, q.S, None, theta_s, xi_s, method, "divergent")
+    bad = _not_finite(method, gamma=gamma, theta_S=theta_s, xi_S=xi_s, trunc_err=g.trunc_err)
+    if bad:
+        return _correlator_error_row(q, mode, bad)
     return (q.x1, q.tau1, q.x2, q.tau2, q.S, gamma, theta_s, xi_s, method, "ok")
 
 

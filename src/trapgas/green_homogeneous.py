@@ -62,7 +62,6 @@ class GreenValue:
     trunc_err: float = 0.0
     divergent: bool = False
     const_free: bool = False
-    warning: str | None = None
     meta: dict = field(default_factory=dict)
 
 
@@ -102,18 +101,18 @@ def _thermal_factor(e, t: float, beta: float):
     return (np.exp(-e * t) + np.exp(-e * (beta - t))) / (-np.expm1(-beta * e) * 2.0 * e)
 
 
-def _mode_stop(tail, tol: float, route: str, t: float) -> int:
-    """The first mode count N whose bound ``tail(N)`` on the modes after the first N is at most
-    ``tol``, bisected as the bound falls with N; DomainError at a bad ``tol``, and past
-    ``_MODE_CAP`` an AccuracyError that names the count."""
+def _mode_stop(tail, tol: float, route: str, at: str, cap: int = _MODE_CAP) -> int:
+    """The first term count N whose bound ``tail(N)`` on the terms after the first N is at most
+    ``tol``, bisected as the bound falls with N; DomainError at a bad ``tol``, and past ``cap`` an
+    AccuracyError that names the count, ``tol``, the cap and the bound there."""
     bad = _bad_tol(tol)
     if bad:
         raise bad
-    last = bisect.bisect_left(range(_MODE_CAP if tail(_MODE_CAP) <= tol else 2**62), True, key=lambda n: tail(n) <= tol)
-    if last > _MODE_CAP:
-        raise AccuracyError(f"{route} needs {'more than ' * (tail(last) > tol)}{last} modes to bound "
-                            f"its tail by tol = {tol:g} at t = {t!r}, beyond the cap of {_MODE_CAP}",
-                            achieved=tail(_MODE_CAP))
+    last = bisect.bisect_left(range(cap if tail(cap) <= tol else 2**62), True, key=lambda n: tail(n) <= tol)
+    if last > cap:
+        raise AccuracyError(f"{route} needs {'more than ' * (tail(last) > tol)}{last} terms to bound its tail "
+                            f"by tol = {tol:g} at {at}: the bound at the cap of {cap} terms is {tail(cap):.3e}",
+                            achieved=tail(cap))
     return last
 
 
@@ -156,7 +155,7 @@ def homog_series(
     def tail(n: int) -> float:  # the bound on the modes after the first n
         return pref * 2.0 * float(remainder_factor((n + 1.0) * e_1)) / gap if gap else math.inf
 
-    last = _mode_stop(tail, tol, "homog_series", t)
+    last = _mode_stop(tail, tol, "homog_series", f"t = {t!r}")
     log_zero_t = _log_abs_1_minus_exp(complex(e_1 * t, a))
     if log_zero_t == -math.inf:
         return _log_divergence("homog-series", math.inf, const_free=False)
@@ -169,7 +168,7 @@ def homog_series(
 
 def _log_divergence(method: str, trunc_err: float = 0.0, const_free: bool = True) -> GreenValue:
     """Marker returned at coincident arguments, where a logarithm diverges."""
-    return GreenValue(-math.inf, method, trunc_err, True, const_free, "log divergence at coincident arguments")
+    return GreenValue(-math.inf, method, trunc_err, True, const_free)
 
 
 def _check_window(dx: float, dtau: float, p: PhysicalParams, d: DerivedScales):

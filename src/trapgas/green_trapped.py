@@ -44,7 +44,6 @@ condensate, where the lowest frequency's WKB phase mu_1 arccos|u| is large.
 
 from __future__ import annotations
 
-import bisect
 import math
 import sys
 from typing import NamedTuple
@@ -62,6 +61,7 @@ from .model import (
     PhysicalParams,
     Regime,
     classify_regime,
+    energy_level,
     theta_at,
     theta_homogeneous,
     zeta_of,
@@ -474,21 +474,18 @@ def closed_form_green(x: float, tau: float, xp: float, taup: float, p: PhysicalP
 
 
 def _frequency_stop(q: CorrelatorQuery, p: PhysicalParams, d: DerivedScales, l_max: int, tol: float) -> tuple:
-    """The stop L of the pair ``q``'s frequency sum, the truncation estimate
-    at L and whether the envelope is flat (dx = 0), as
-    ``matsubara_assemble_many`` describes them."""
+    """(L, the truncation estimate at L) of the pair ``q``'s frequency sum, or ``_mode_stop``'s error."""
     hv = p.hbar * d.v
     envelope_amp = math.pi / theta_at(q.S, p, d)
     decay = math.exp(-2.0 * math.pi * abs(q.dx) / (hv * p.beta))
 
-    def truncation(last: int) -> float:
+    def truncation(last: int) -> float:  # inf at dx = 0, where the envelope does not decay
         omega_next = 2.0 * math.pi * (last + 1) / p.beta
         first_omitted = (2.0 / p.beta) * envelope_amp * math.exp(-omega_next * abs(q.dx) / hv) / omega_next
-        return first_omitted / (1.0 - decay) if decay < 1.0 else first_omitted
+        return first_omitted / (1.0 - decay) if decay < 1.0 else math.inf
 
-    # the estimate falls with L: bisect for the first L that meets tol
-    last = l_max if decay == 1.0 else bisect.bisect_left(range(l_max), True, key=lambda n: truncation(n) <= tol)
-    return last, truncation(last), decay == 1.0
+    last = _mode_stop(truncation, tol, "matsubara_assemble", f"dx = {q.dx!r}", l_max)
+    return last, truncation(last)
 
 
 def matsubara_assemble(
@@ -510,52 +507,43 @@ def matsubara_assemble_many(queries, p: PhysicalParams, d: DerivedScales, l_max:
     The zero mode is kept (finite for the trap).  The physical real spectral
     densities are even in omega, so folding +-l gives an exactly real value:
     (1/beta) [G_0 + 2 sum_{l=1}^{L} cos(omega_l dtau) G_omega].  Each pair's
-    sum stops at the first L <= ``l_max`` whose truncation estimate is at
-    most ``tol``: the first omitted term of the large-omega envelope
-    exp(-|omega||dx|/hbar v)/|omega|, over 1 - e^{-2 pi |dx|/(hbar v beta)}
-    for the geometric decay of the terms after it.  G is dimensionless and
-    Gamma goes as e^{-G}, so ``tol`` bounds the relative error of Gamma.  At
-    dx = 0 the envelope does not decay and the sum runs to ``l_max``.  A
-    conical frequency that ``_far_rows`` proves far (all past the first few,
-    unless a point is near the boundary) reads only the two P_nu of its term
-    b, as G_omega = a - b rounds to -b bit for bit, from ``_far_interp``'s
-    interpolants where the pair has many.  ``trunc_err`` adds the truncation
-    estimate at L to the densities' own absolute error bounds, the zero
-    mode's among them, and to the rounding of the assembled sum, a few eps
-    times (|G_0| + 2 sum |cos(omega dtau) G_omega|)/beta.  ``meta`` carries
-    the cap ``l_max``, the integrand evaluations of the kernel rows that ran
-    (59 a row: four a frequency, two at a far one, and the interpolants'
-    rows) and the frequencies summed, the zero mode included.
+    sum stops, through ``_mode_stop`` with ``l_max`` as its cap, at the first
+    L whose truncation estimate is at most ``tol``: the first omitted term of
+    the large-omega envelope exp(-|omega||dx|/hbar v)/|omega|, over 1 -
+    e^{-2 pi |dx|/(hbar v beta)} for the geometric decay of the terms after
+    it, inf at dx = 0, where the envelope does not decay.  G is dimensionless
+    and Gamma goes as e^{-G}, so ``tol`` bounds the relative error of Gamma.
+    ``trunc_err`` adds the truncation estimate at L to the densities' own
+    absolute error bounds (``_density_parts``), the zero mode's among them,
+    and to the rounding of the assembled sum, a few eps times (|G_0| + 2 sum
+    |cos(omega dtau) G_omega|)/beta.  ``meta`` carries the cap ``l_max``, the
+    integrand evaluations of the kernel rows that ran (59 a row: four a
+    frequency, two at a far one, and the interpolants' rows) and the
+    frequencies summed, the zero mode included.
 
     Entry i is the GreenValue of queries[i], or its DomainError or
     AccuracyError; each is the one that pair alone gives, bitwise and word
     for word, as no kernel row or interpolant depends on the pairs beside
-    it.  A pair's
-    checks run in the order: ``l_max``, coincident points (an AccuracyError,
-    the frequency series being log-divergent), the boundary clamp, its top
-    frequency 2 pi L/beta (``_checked_lambda``; the pair's others lie below
-    it), then ``tol`` and the first frequency whose density bound exceeds
-    ``tol`` times the magnitude of its terms.  A bad ``tol`` gives every
-    pair that passes those checks the same DomainError; a list with no such
-    pair makes no kernel call.
+    it.  A pair's checks run in the order: ``l_max``, the boundary clamp,
+    ``tol`` and the cap (an AccuracyError naming the cap, the estimate there
+    and ``tol``, as at every pair with dx = 0), its top frequency 2 pi L/beta
+    (``_checked_lambda``; the pair's others lie below it), all before any
+    pass, then the first frequency whose density bound exceeds ``tol`` times
+    the magnitude of its terms.
     """
     if l_max < 0:
         return [DomainError("l_max must be >= 0")] * len(queries)
     k = _k_coeff(p, d)
-    out, pairs = [], []  # pairs: (index of its entry, query, u, u', L, truncation estimate at L, flat envelope)
+    out, pairs = [], []  # pairs: (index of its entry, query, u, u', L, truncation estimate at L)
     for q in queries:
-        if q.dx == 0.0 and (q.dtau % p.beta) == 0.0:
-            out.append(AccuracyError("matsubara_assemble at coincident points: frequency series is log-divergent",
-                                     achieved=math.inf))
-            continue
         try:
             u, up = _clamped_u(q.x1, d), _clamped_u(q.x2, d)
-            last, truncated, flat = _frequency_stop(q, p, d, l_max, tol)
+            last, truncated = _frequency_stop(q, p, d, l_max, tol)
             _checked_lambda(2.0 * math.pi * last / p.beta, d)  # the top frequency bounds the others
-        except DomainError as exc:
+        except (DomainError, AccuracyError) as exc:
             out.append(exc)
             continue
-        pairs.append((len(out), q, u, up, last, truncated, flat))
+        pairs.append((len(out), q, u, up, last, truncated))
         out.append(None)  # until the pass is in
     # pairs join a pass while its frequencies stay within _PASS_FREQUENCIES
     passes, size = [], 0
@@ -565,9 +553,6 @@ def matsubara_assemble_many(queries, p: PhysicalParams, d: DerivedScales, l_max:
             size = 0
         passes[-1].append(pair)
         size += pair[4]
-    bad = _bad_tol(tol) if pairs else None
-    if bad:  # before any pass, so that each entry gets it, not the call
-        return [bad if g is None else g for g in out]
     for run in passes:
         _assemble_pass(run, out, p, d, k, l_max, tol)
     return out
@@ -575,14 +560,14 @@ def matsubara_assemble_many(queries, p: PhysicalParams, d: DerivedScales, l_max:
 
 def _assemble_pass(pairs, out, p: PhysicalParams, d: DerivedScales, k: float, l_max: int, tol: float) -> None:
     """Set the entry ``out[i]`` of each pair (i, query, u, u', L, truncation
-    estimate at L, flat envelope) of ``pairs`` from one ``_density_parts``
-    call over all their frequencies."""
-    _, _, us, ups, lasts, _, _ = zip(*pairs)
+    estimate at L) of ``pairs`` from one ``_density_parts`` call over all
+    their frequencies."""
+    _, _, us, ups, lasts, _ = zip(*pairs)
     omegas = np.concatenate([2.0 * math.pi * np.arange(1, last + 1) / p.beta for last in lasts])
     re, errs, scale, rows = _density_parts(omegas, np.repeat(us, lasts), np.repeat(ups, lasts), d, k, tol, lasts)
     beyond = errs > tol * scale
     end = 0
-    for i, q, u, up, last, truncated, flat in pairs:
+    for i, q, u, up, last, truncated in pairs:
         s = slice(end, end + last)
         end += last
         refused = np.flatnonzero(beyond[s])
@@ -603,7 +588,6 @@ def _assemble_pass(pairs, out, p: PhysicalParams, d: DerivedScales, k: float, l_
             value=total / p.beta,
             method="trapped-assembled",
             trunc_err=truncated + err,
-            warning="dx = 0: oscillatory frequency tail, truncation estimate is first omitted term" if flat else None,
             meta={"l_max": l_max, "S": q.S, "terms": _NODES.size * int(rows[s].sum()), "frequencies": last + 1},
         )
 
@@ -664,7 +648,7 @@ def lowT_legendre_series_many(queries, p: PhysicalParams, d: DerivedScales, *, t
     tables = {u: p_poly_table(last, u) for u, last in need.items()}
     for i, u, up, t, sin_th, sin_thp, last, tail in pairs:
         n = np.arange(1.0, last + 1)
-        weights = (2.0 * n + 1.0) * _thermal_factor(np.sqrt(n * (n + 1.0)) / d.alpha, t, p.beta)
+        weights = (2.0 * n + 1.0) * _thermal_factor(energy_level(n, d), t, p.beta)
         terms = (tables[u][1:last + 1] * tables[up][1:last + 1]) * weights
         total, rounding = _line_plus_modes(p.beta, t / p.beta, terms)
         env_u, env_up = (np.minimum(1.0, np.sqrt(2.0 / (math.pi * n * s))) for s in (sin_th, sin_thp))
@@ -689,10 +673,10 @@ def _series_stop(q: CorrelatorQuery, p: PhysicalParams, d: DerivedScales, pref: 
 
     def tail(n: int) -> float:  # the bound on the modes after the first n
         m = n + 1.0
-        phi = float(_thermal_factor(math.sqrt(m * (m + 1.0)) / d.alpha, t, p.beta))
+        phi = float(_thermal_factor(energy_level(m, d), t, p.beta))
         return amp * (2.0 * m + 1.0) / m * phi / gap if gap else math.inf
 
-    last = _mode_stop(tail, tol, "lowT_legendre_series", t)
+    last = _mode_stop(tail, tol, "lowT_legendre_series", f"t = {t!r}")
     return u, up, t, sin_th, sin_thp, last, tail(last)
 
 

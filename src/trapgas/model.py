@@ -168,12 +168,18 @@ def xi_at(S: float, p: PhysicalParams, d: DerivedScales) -> float:
     return (p.hbar * p.beta * d.v / math.pi) * theta_at(S, p, d)
 
 
-def energy_level(n: int, p: PhysicalParams, d: DerivedScales) -> float:
-    """Energy of the n-th low-lying collective mode, hbar*Omega*sqrt(n(n+1)/2)."""
-    if n != int(n) or n < 0:
+def energy_level(n, d: DerivedScales):
+    """Energy E_n = sqrt(n(n+1))/alpha = hbar Omega sqrt(n(n+1)/2) of the
+    collective mode P_n(x/R_c), at a mode index n >= 0 or at each of an
+    array of them."""
+    if type(n) in (float, int):  # checked without numpy: a mode sum's tail bound calls this in a bisection
+        m, ok = n, n >= 0 and n % 1 == 0
+    else:
+        m = np.asarray(n, dtype=float)
+        ok = ((m >= 0.0) & (m == np.floor(m))).all()
+    if not ok:
         raise DomainError(f"mode index must be an integer >= 0, got {n!r}")
-    n = int(n)
-    return p.hbar * p.Omega * math.sqrt(n * (n + 1) / 2.0)
+    return np.sqrt(m * (m + 1.0)) / d.alpha
 
 
 def level_spacing_expansion(n: int, d: DerivedScales) -> float:

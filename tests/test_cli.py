@@ -123,12 +123,16 @@ class TestConfig:
         assert err.startswith("config error: [params] ")
         assert f"Omega = {float(omega)!r}" in err and "beta = 1.0" in err
 
-    @pytest.mark.parametrize("params", ["beta = 1e-300\nLambda = 1e-300\n", "m = 1e-300\nLambda = 1e300\n"],
-                             ids=["lambda_T-rounds-to-0", "v-overflows"])
+    @pytest.mark.parametrize("params", ["beta = 1e-300\nLambda = 1e-300\n", "m = 1e-300\nLambda = 1e300\n",
+                                        "hbar = 1e-300\nbeta = 1e-20\n", "g = 1e300\nLambda = 1e300\n"],
+                             ids=["lambda_T-rounds-to-0", "v-overflows", "K-divides-by-0", "K-overflows"])
     def test_degenerate_trap_scales_exit_naming_params(self, tmp_path, capsys, params):
         # lambda_T = hbar beta v rounds to 0 at beta = Lambda = 1e-300, where the Liouville-Green form
         # divided by it (a ZeroDivisionError traceback); v = sqrt(Lambda/m) is inf at m = 1e-300,
-        # Lambda = 1e300: each config is refused, with no traceback
+        # Lambda = 1e300.  The coupling K = g R_c/(2 (hbar v)^2) of the trapped routes divides by
+        # (hbar v)^2 = 0 at hbar = 1e-300, beta = 1e-20, where the spectral fallback died with a
+        # ZeroDivisionError, and g R_c overflows at g = Lambda = 1e300, where every row printed
+        # gamma = nan as ok, with all four scales finite: each config is refused, with no traceback
         path = write_config(tmp_path, f"[params]\n{params}")
         assert main(["correlator", "--mode", "asymptotic-auto", "--config", path]) == 2
         err = capsys.readouterr().err
@@ -522,6 +526,32 @@ class TestGreenCommand:
         assert len(ok) == (6 if mode == "homog-series" else 3)
         assert all(math.isfinite(float(row[header.index("G_re")])) for row in ok)
 
+    def test_non_finite_green_value_is_a_typed_row(self, tmp_path):
+        # beta = 1e300, Lambda = 1e-300: the series' logarithm gives G = -inf with trunc_err = inf at
+        # points that are not coincident, which printed as ok
+        cfg = write_config(tmp_path, "[params]\nbeta = 1e300\nLambda = 1e-300\n[grid]\nx_count = 3\n")
+        out = tmp_path / "green.csv"
+        assert main(["green", "--mode", "homog-series", "--config", cfg, "--out", str(out)]) == 0
+        _, header, rows = read_csv(str(out))
+        assert [(r[header.index("G_re")], r[header.index("status")]) for r in rows] == [
+            ("", "AccuracyError: G = -inf from homog-series is not finite")] * 3
+
+    def test_non_finite_density_is_a_typed_row(self, monkeypatch):
+        # the trapped-spectral table builds a finite density's row straight from it; one that is not
+        # finite takes the same check as every other green row
+        cfg = load_config(None)
+        densities = cli.spectral_densities
+
+        def spoiled(*a, **k):
+            out = densities(*a, **k)
+            return [out[0]._replace(re_part=math.inf), out[1]._replace(err_bound=math.nan), *out[2:]]
+
+        monkeypatch.setattr(cli, "spectral_densities", spoiled)
+        _, rows, _ = cli.cmd_green(cfg, argparse.Namespace(mode="trapped-spectral"))
+        assert [r[-1] for r in rows[:3]] == ["AccuracyError: G = inf from trapped-spectral is not finite",
+                                            "AccuracyError: trunc_err = nan from trapped-spectral is not finite", "ok"]
+        assert rows[0][4] is rows[0][6] is rows[1][4] is None
+
 
 class TestCorrelatorCommand:
     def test_closed_form_profile(self, tmp_path):
@@ -580,7 +610,7 @@ class TestCorrelatorCommand:
     def test_asymptotic_auto_falls_back_to_spectral_outside_windows(self, tmp_path):
         # the default beta/alpha is intermediate: no closed form applies, so
         # every row comes from the spectral route, bit for bit
-        cfg = write_config(tmp_path, "[truncation]\nl_max = 4\n[grid]\nsep_count = 3\n")
+        cfg = write_config(tmp_path, "[grid]\nsep_count = 3\n")
         tables = {}
         for mode in ("asymptotic-auto", "spectral"):
             out = tmp_path / f"{mode}.csv"
@@ -681,12 +711,14 @@ class TestCorrelatorCommand:
 
     @pytest.mark.parametrize(
         "mode, g, overflowing, cause",
-        [("series", 500, 9, "exp(-G) at G = -2366.46"), ("asymptotic-auto", 2000, 8, "exp(-G) at G = -1490.61")],
+        [("series", 500, 9, "exp(-G) at G = -2366.46"), ("asymptotic-auto", 2000, 9, "exp(-G) at G = -1490.61")],
         ids=["series-g500", "asymptotic-auto-g2000"],
     )
     def test_overflowing_gamma_is_a_typed_row(self, tmp_path, mode, g, overflowing, cause):
         # a strong coupling makes 1/theta large, so Gamma ~ |zeta|^(-1/theta)
-        # exceeds the largest float at the smallest separations
+        # exceeds the largest float at the smallest separations; at g = 2000
+        # the widest pair falls back to the spectral route, whose sum to its
+        # stop overflows too (capped at 64 frequencies it printed 2.65e296 as ok)
         cfg = write_config(tmp_path, f"[params]\ng = {g}\nbeta = 141.4213562373095\n[grid]\ndtau = 0.007\n")
         out = tmp_path / "corr.csv"
         assert main(["correlator", "--mode", mode, "--config", cfg, "--out", str(out)]) == 0
@@ -731,29 +763,40 @@ class TestCorrelatorCommand:
             asymptotic = gamma_from_green(q, asympt_green_highT(q.x1, q.tau1, q.x2, q.tau2, p, d), p, d)
             assert abs(math.log(float(row["gamma"])) / math.log(asymptotic) - 1.0) < 1e-3
 
-    def test_spectral_pair_whose_top_frequency_overflows_is_a_domain_error_row(self, tmp_path):
-        # beta = 1e-160: the first pair, at dx = 0, sums to l_max = 64, where
-        # (alpha omega)^2 overflows a float; it used to print gamma = nan as
-        # ok.  The other two pairs keep their rows: a Gamma that underflows
+    def test_spectral_pair_at_equal_positions_is_an_accuracy_error_row(self, tmp_path):
+        # beta = 1e-160: the first pair, at dx = 0, has no decaying envelope
+        # and refuses at the cap; it once summed to l_max = 64, where
+        # (alpha omega)^2 overflows a float, and printed gamma = nan as ok.
+        # The other two pairs keep their rows: a Gamma that underflows
         cfg = write_config(tmp_path, "[params]\nbeta = 1e-160\n[grid]\nsep_spacing = linear\nsep_min = 0\n"
                                      "sep_count = 3\ndtau = 3e-161\n")
         out = tmp_path / "corr.csv"
         assert main(["correlator", "--mode", "spectral", "--config", cfg, "--out", str(out)]) == 0
         _, header, rows = read_csv(str(out))
         rows = [dict(zip(header, cells)) for cells in rows]
-        d = derive_scales(PhysicalParams(m=1, g=1, Omega=1, Lambda=1, beta=1e-160))
-        omega = 2.0 * math.pi * 64 / 1e-160
         assert rows[0]["gamma"] == ""
-        assert rows[0]["status"] == (f"DomainError: omega = {omega!r}: (alpha omega)^2 overflows a float "
-                                     f"(alpha omega = {d.alpha * omega!r})")
+        assert rows[0]["status"] == (f"AccuracyError: matsubara_assemble needs more than {2**62} terms to bound its "
+                                     "tail by tol = 1e-12 at dx = 0.0: the bound at the cap of 131072 terms is inf")
         underflow = "AccuracyError: Gamma = 0.0 underflows below the smallest normal float 2.2250738585072014e-308"
         assert [row["status"] for row in rows[1:]] == [f"{underflow} (G = 3.683780729943742e+158)",
                                                       f"{underflow} (G = 7.373170412222344e+158)"]
 
+    def test_nan_gamma_is_a_typed_row(self, tmp_path):
+        # hbar = 1e-5, m = Lambda = 1e160: the density product rho rho' ~ 1e320 overflows, so Gamma
+        # = sqrt(rho rho') e^{-G} is inf times 0 on every row, which printed gamma = nan as ok
+        cfg = write_config(tmp_path, "[params]\nhbar = 1e-5\nm = 1e160\nLambda = 1e160\n[grid]\nsep_count = 3\n"
+                                     "[truncation]\ntol = 1e-16\n")
+        out = tmp_path / "corr.csv"
+        assert main(["correlator", "--mode", "spectral", "--config", cfg, "--out", str(out)]) == 0
+        _, header, rows = read_csv(str(out))
+        assert [(r[header.index("gamma")], r[header.index("status")]) for r in rows] == [
+            ("", "AccuracyError: gamma = nan from spectral is not finite")] * 3
+
     def test_spectral_rows_at_beta_1e170_are_finite_or_typed_errors(self, tmp_path):
-        # beta = 1e170: every pair sums to l_max, and every frequency's lambda
-        # underflows to 0, where the real branch's nu/sin(pi nu) is 0/0; each
-        # row printed gamma = nan as ok.  They are the zero mode's
+        # beta = 1e170: every pair once summed to l_max, where every
+        # frequency's lambda underflows to 0 and the real branch's nu/sin(pi
+        # nu) is 0/0, and printed gamma = nan as ok.  The envelope's decay per
+        # frequency now rounds to 1, so that every pair refuses at the cap
         cfg = write_config(tmp_path, "[params]\nbeta = 1e170\n")
         out = tmp_path / "corr.csv"
         assert main(["correlator", "--mode", "spectral", "--config", cfg, "--out", str(out)]) == 0
@@ -762,8 +805,8 @@ class TestCorrelatorCommand:
         assert len(rows) == 9
         for row in rows:
             assert "nan" not in ",".join(row.values())
-            ok = row["status"] == "ok" and math.isfinite(float(row["gamma"]))
-            assert ok or re.match(r"\w+Error: ", row["status"])
+            assert row["status"].startswith("AccuracyError: matsubara_assemble needs more than ")
+            assert row["status"].endswith(": the bound at the cap of 131072 terms is inf")
 
     def test_spectral_table_takes_few_kernel_calls(self, tmp_path, monkeypatch):
         # the correlator-precise benchmark's config: the far frequencies of all
@@ -792,7 +835,7 @@ class TestCorrelatorCommand:
         # the two orders must agree bitwise and reproduce the row
         cfg = write_config(
             tmp_path,
-            "[params]\nbeta = 2.5\n[truncation]\nl_max = 6\n[grid]\ns_center = 0.35\nsep_count = 3\ndtau = 0.3\n",
+            "[params]\nbeta = 2.5\n[truncation]\nl_max = 1024\n[grid]\ns_center = 0.35\nsep_count = 3\ndtau = 0.3\n",
         )
         out = tmp_path / "corr.csv"
         assert main(["correlator", "--mode", "spectral", "--config", cfg, "--out", str(out)]) == 0
@@ -802,8 +845,8 @@ class TestCorrelatorCommand:
         for cells in rows:
             row = dict(zip(header, cells))
             x1, tau1, x2, tau2 = (float(row[k]) for k in ("x1", "tau1", "x2", "tau2"))
-            g12 = matsubara_assemble(x1, tau1, x2, tau2, p, d, 6, tol=1e-12)  # the default truncation.tol
-            g21 = matsubara_assemble(x2, tau2, x1, tau1, p, d, 6, tol=1e-12)
+            g12 = matsubara_assemble(x1, tau1, x2, tau2, p, d, 1024, tol=1e-12)  # the default truncation.tol
+            g21 = matsubara_assemble(x2, tau2, x1, tau1, p, d, 1024, tol=1e-12)
             assert g12.value == g21.value
             gamma = gamma_from_green(CorrelatorQuery(x1, tau1, x2, tau2), g12, p, d)
             assert row["status"] == "ok" and row["gamma"] == "%.17g" % gamma
@@ -1218,9 +1261,10 @@ class TestValidateCommand:
              lambda f: lambda *a, **k: dataclasses.replace(f(*a, **k), value=1.05 * f(*a, **k).value), True),
             # the series without its zero-temperature logarithm: about 0.18 against 0.02
             ("06-homog-regime-match", "homog_series", lambda f: _without_the_logarithm(f), True),
-            # the assembly stopped at l_max = 1 instead of 14: about 2.3e-3 against 1e-4
+            # the assembly stopped at tol = 1e-3 instead of 1e-13, after one or two frequencies: about 2.3e-3
+            # against 1e-4
             ("07-trapped-highT-match", "matsubara_assemble",
-             lambda f: lambda *a, l_max, **k: f(*a, l_max=1, **k), True),
+             lambda f: lambda *a, **k: f(*a, tol=1e-3, **k), True),
             # the Liouville-Green form 1e-3 high: about 1e-3
             ("07-trapped-highT-match", "asympt_green_highT",
              lambda f: lambda *a, **k: dataclasses.replace(f(*a, **k), value=(1.0 + 1e-3) * f(*a, **k).value), True),

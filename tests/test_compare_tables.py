@@ -67,7 +67,10 @@ def test_spectral_error_block_mixes_error_rows_with_ok_rows():
         statuses[name.split("/")[0].removeprefix("spectral-errors-")] = [r[columns.index("status")] for r in rows]
     assert statuses["correlator-edge"][:8] == ["ok"] * 8
     assert statuses["correlator-edge"][8].startswith("DomainError: |x|/R_c = 1 exceeds the boundary clamp")
-    assert all(s.startswith("AccuracyError: spectral density at omega = ") for s in statuses["correlator-tol1e-15"])
+    # at tol = 1e-15 the first pair needs 330 frequencies, beyond the cap of 256, and every other
+    # pair's first density bound is refused
+    assert statuses["correlator-tol1e-15"][0].startswith("AccuracyError: matsubara_assemble needs 330 terms to bound")
+    assert all(s.startswith("AccuracyError: spectral density at omega = ") for s in statuses["correlator-tol1e-15"][1:])
     assert len(statuses["correlator-tol1e-15"]) == 9
     assert statuses["correlator-beta1e-4"][:8] == ["ok"] * 8
     assert re.match(r"AccuracyError: Gamma = .* underflows", statuses["correlator-beta1e-4"][8])

@@ -317,7 +317,7 @@ class TestTrappedAsymptoticCorrelator:
         lg = extract_exponent(seps, [lg_gamma(q, p, d) for q in queries], rhos)
         exact = extract_exponent(
             seps,
-            [gamma_from_green(q, matsubara_assemble(q.x1, q.tau1, q.x2, q.tau2, p, d, l_max=2000), p, d)
+            [gamma_from_green(q, matsubara_assemble(q.x1, q.tau1, q.x2, q.tau2, p, d, l_max=4096), p, d)
              for q in queries],
             rhos,
         )

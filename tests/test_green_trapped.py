@@ -440,19 +440,22 @@ class TestSpectralDensities:
 
 
 def _fold_cases() -> list:
-    """(params, [(x, x', dtau)], l_max) of the assembly-versus-fold test: three
-    pairs at each of three temperatures, and one pair at each of 12 random
-    parameter sets, drawn as check 10 draws its trials, to l_max = 6."""
+    """(params, [(x, x', dtau)], l_max, tol) of the assembly-versus-fold test:
+    three pairs at each of three temperatures, to tol = 1e-13 and at beta/alpha
+    = 100 to 1e-3 (stops 612, 106 and 424 below the cap of 1024), and one pair
+    at each of 12 random parameter sets, drawn as check 10 draws its trials,
+    to tol = 1e-4 below the cap of 16, as check 10 sums them."""
     cases = [pytest.param(setup_params(beta=beta), [(0.45, 0.31, 0.0), (-0.2, 0.6, 0.13 * beta),
-                                                    (0.3, 0.1, -0.4 * beta)], 40, id=repr(beta))
-             for beta in (0.05 * math.sqrt(2.0), 1.0, 100.0 * math.sqrt(2.0))]
+                                                    (0.3, 0.1, -0.4 * beta)], l_max, tol, id=repr(beta))
+             for beta, l_max, tol in ((0.05 * math.sqrt(2.0), 40, 1e-13), (1.0, 40, 1e-13),
+                                      (100.0 * math.sqrt(2.0), 1024, 1e-3))]
     rng = np.random.default_rng(777)
     for trial in range(12):
         p, d = setup_params(**{key: float(rng.uniform(0.5, 2.0)) for key in ("m", "g", "Omega", "Lambda", "beta")})
         x1, x2 = rng.uniform(-0.6 * d.R_c, 0.6 * d.R_c, size=2)
         if abs(x1 - x2) < 0.05 * d.R_c:
             x2 = x1 + 0.1 * d.R_c
-        cases.append(pytest.param((p, d), [(x1, x2, float(rng.uniform(0.05, 0.45)) * p.beta)], 6,
+        cases.append(pytest.param((p, d), [(x1, x2, float(rng.uniform(0.05, 0.45)) * p.beta)], 16, 1e-4,
                                   id=f"check10-trial{trial}"))
     return cases
 
@@ -482,21 +485,25 @@ class TestClosedFormZeroMode:
 
 class TestMatsubaraAssemble:
     def test_single_term_is_zero_mode(self):
+        # at tol = 0.1 the estimate at L = 0, 0.065, meets tol, and the sum is the zero mode alone; at the
+        # default tol the cap l_max = 0 refuses
         p, d = setup_params()
-        g = matsubara_assemble(0.3, 0.2, 0.1, 0.0, p, d, l_max=0)
+        g = matsubara_assemble(0.3, 0.2, 0.1, 0.0, p, d, l_max=0, tol=0.1)
         assert_allclose(g.value.real, spectral_density(0.0, 0.3, 0.1, p, d).re_part / p.beta, rtol=1e-12)
-        assert g.value.imag == 0.0
+        assert g.value.imag == 0.0 and g.meta["frequencies"] == 1
+        with pytest.raises(AccuracyError, match=r"the bound at the cap of 0 terms is 6\.461e-02$"):
+            matsubara_assemble(0.3, 0.2, 0.1, 0.0, p, d, l_max=0)
 
     def test_tau_reflection_conjugation(self):
         p, d = setup_params()
-        g1 = matsubara_assemble(0.3, 0.35, 0.1, 0.0, p, d, l_max=6)
-        g2 = matsubara_assemble(0.3, 0.0, 0.1, 0.35, p, d, l_max=6)
+        g1 = matsubara_assemble(0.3, 0.35, 0.1, 0.0, p, d, l_max=6, tol=1e-4)
+        g2 = matsubara_assemble(0.3, 0.0, 0.1, 0.35, p, d, l_max=6, tol=1e-4)
         assert g1.value == g2.value.conjugate()
 
     def test_depends_on_dtau_mod_beta(self):
         p, d = setup_params()
-        g1 = matsubara_assemble(0.3, 0.25, 0.1, 0.0, p, d, l_max=5)
-        g2 = matsubara_assemble(0.3, 0.25 + p.beta, 0.1, 0.0, p, d, l_max=5)
+        g1 = matsubara_assemble(0.3, 0.25, 0.1, 0.0, p, d, l_max=5, tol=1e-4)
+        g2 = matsubara_assemble(0.3, 0.25 + p.beta, 0.1, 0.0, p, d, l_max=5, tol=1e-4)
         assert_allclose(g1.value.real, g2.value.real, rtol=1e-10)
 
     @pytest.mark.parametrize("x, xp, l_max", [(math.nan, 0.1, 0), (0.1, math.nan, 0), (math.nan, 0.1, 8)])
@@ -516,7 +523,7 @@ class TestMatsubaraAssemble:
         # magnitude of its terms, |a| + |b| on the conical line
         p, d = setup_params()
         with pytest.raises(AccuracyError) as err:
-            matsubara_assemble(0.45, 0.2, 0.31, 0.0, p, d, l_max=8, tol=1e-15)
+            matsubara_assemble(0.45, 0.2, 0.31, 0.0, p, d, l_max=256, tol=1e-15)
         omega = 2.0 * math.pi / p.beta
         sd = spectral_density(omega, 0.45, 0.31, p, d)
         assert str(err.value).startswith(f"spectral density at omega = {omega:.6g}, x = 0.45, x' = 0.31:")
@@ -538,12 +545,12 @@ class TestMatsubaraAssemble:
             for dtau in (0.0, 0.13 * beta, -0.4 * beta):
                 if x == xp and dtau == 0.0:
                     continue
-                g12 = matsubara_assemble(x, 0.07 + dtau, xp, 0.07, p, d, l_max=12)
-                g21 = matsubara_assemble(xp, 0.07, x, 0.07 + dtau, p, d, l_max=12)
+                g12 = matsubara_assemble(x, 0.07 + dtau, xp, 0.07, p, d, l_max=4096, tol=1e-6)
+                g21 = matsubara_assemble(xp, 0.07, x, 0.07 + dtau, p, d, l_max=4096, tol=1e-6)
                 assert g12.value == g21.value
 
-    @pytest.mark.parametrize("params, points, l_max", _fold_cases())
-    def test_matches_fold_of_spectral_densities(self, params, points, l_max, monkeypatch):
+    @pytest.mark.parametrize("params, points, l_max, tol", _fold_cases())
+    def test_matches_fold_of_spectral_densities(self, params, points, l_max, tol, monkeypatch):
         # the batched pass against one spectral_density call per frequency;
         # at beta = 100 sqrt(2) the first frequencies lie on the real branch
         p, d = params
@@ -559,7 +566,7 @@ class TestMatsubaraAssemble:
             rows.clear()
             with monkeypatch.context() as scope:
                 scope.setattr(legendre, "_quad_rows", counted)
-                g = matsubara_assemble(x, dtau, xp, 0.0, p, d, l_max=l_max)
+                g = matsubara_assemble(x, dtau, xp, 0.0, p, d, l_max=l_max, tol=tol)
             # the fold runs over the frequencies the assembly summed
             sds = [spectral_density(2.0 * math.pi * l / beta, x, xp, p, d) for l in range(g.meta["frequencies"])]
             fold = sds[0].re_part + sum(2.0 * math.cos(sd.omega * dtau) * sd.re_part for sd in sds[1:])
@@ -576,7 +583,7 @@ class TestMatsubaraAssemble:
             g = call()
         except (DomainError, AccuracyError) as exc:
             return type(exc), str(exc)
-        return g.value.hex(), g.trunc_err.hex(), g.warning, repr(g.meta), g.method
+        return g.value.hex(), g.trunc_err.hex(), repr(g.meta), g.method
 
     @settings(max_examples=40, deadline=None)
     @example(ratio=1.0, pairs=[(0.2, 0.1, 0.0), (0.2, 0.0, 0.3), (0.95, 0.2, 0.0), (0.1, 0.0, 0.0)], l_max=256,
@@ -610,8 +617,8 @@ class TestMatsubaraAssemble:
         for q, g in zip(queries, many):
             alone = self._entry(lambda: matsubara_assemble(q.x1, q.tau1, q.x2, q.tau2, p, d, l_max, tol))
             assert self._entry(lambda: g if isinstance(g, GreenValue) else _raise(g)) == alone
-        # a bad tol is one DomainError for every pair inside the clamp
-        refused = {id(g) for g in many if "tolerance must be positive" in str(g)}
+        # a bad tol is one DomainError text for every pair inside the clamp
+        refused = {str(g) for g in many if "tolerance must be positive" in str(g)}
         assert len(refused) <= 1
 
     def test_pairs_the_pass_never_reaches_make_no_kernel_call(self, monkeypatch):
@@ -620,33 +627,37 @@ class TestMatsubaraAssemble:
         monkeypatch.setattr(green_trapped, "_p_quad", lambda *a: calls.append(a))
         assert matsubara_assemble_many([], p, d, 8) == []
         beyond, coincident = CorrelatorQuery(1.2 * d.R_c, 0.0, 0.1, 0.0), CorrelatorQuery(0.3, 0.2, 0.3, 0.2)
-        out = matsubara_assemble_many([beyond, coincident], p, d, 8)
-        assert [type(g) for g in out] == [DomainError, AccuracyError]
+        # a pair at dx = 0, and one whose estimate at the cap is above tol, refuse before any pass
+        flat, capped = CorrelatorQuery(0.3, 0.2, 0.3, 0.0), CorrelatorQuery(0.3, 0.2, 0.29, 0.0)
+        out = matsubara_assemble_many([beyond, coincident, flat, capped], p, d, 8)
+        assert [type(g) for g in out] == [DomainError, AccuracyError, AccuracyError, AccuracyError]
+        assert all(str(g).endswith(f"the bound at the cap of 8 terms is {g.achieved:.3e}") for g in out[2:])
         assert [type(g) for g in matsubara_assemble_many([beyond], p, d, -1)] == [DomainError]
         assert not calls
 
     def test_pair_whose_top_frequency_overflows_is_a_domain_error(self):
-        # beta = 1e-160: the pair at dx = 0 sums to the cap of 64 frequencies,
-        # where (alpha omega)^2 overflows a float, and used to give G = nan;
-        # it is the DomainError naming its top frequency, and the pairs beside
-        # it stop at a lower frequency and keep the bits they have alone
+        # beta = 1e-160: a pair at dx = 1e-162 stops past its first frequency, where (alpha omega)^2
+        # overflows a float, and used to give G = nan; it is the DomainError naming its top frequency,
+        # before any pass.  The pair at dx = 0 refuses at the cap, and the pairs beside them stop at
+        # L = 0 and keep the bits they have alone
         p, d = setup_params(beta=1e-160)
-        queries = [CorrelatorQuery(0.3, 3e-161, 0.3, 0.0), CorrelatorQuery(0.32, 3e-161, 0.25, 0.0),
-                   CorrelatorQuery(0.35, 3e-161, 0.2, 0.0)]
-        many = matsubara_assemble_many(queries, p, d, 64, 1e-12)
-        omega = 2.0 * math.pi * 64 / p.beta
+        queries = [CorrelatorQuery(1e-162, 3e-161, 0.0, 0.0), CorrelatorQuery(0.3, 3e-161, 0.3, 0.0),
+                   CorrelatorQuery(0.32, 3e-161, 0.25, 0.0), CorrelatorQuery(0.35, 3e-161, 0.2, 0.0)]
+        many = matsubara_assemble_many(queries, p, d, 2**17, 1e-12)
         assert type(many[0]) is DomainError
-        assert str(many[0]) == (f"omega = {omega!r}: (alpha omega)^2 overflows a float "
-                                f"(alpha omega = {d.alpha * omega!r})")
-        for g, alone in zip(many[1:], matsubara_assemble_many(queries[1:], p, d, 64, 1e-12)):
-            assert isinstance(g, GreenValue) and math.isfinite(g.value)
+        assert re.fullmatch(r"omega = (\S+): \(alpha omega\)\^2 overflows a float \(alpha omega = \S+\)", str(many[0]))
+        omega = float(str(many[0]).split()[2].rstrip(":"))
+        assert omega > 2.0 * math.pi / p.beta
+        assert type(many[1]) is AccuracyError and many[1].achieved == math.inf
+        assert "at dx = 0.0: the bound at the cap of 131072 terms is inf" in str(many[1])
+        for g, alone in zip(many[2:], matsubara_assemble_many(queries[2:], p, d, 2**17, 1e-12)):
+            assert isinstance(g, GreenValue) and math.isfinite(g.value) and g.meta["frequencies"] == 1
             assert (g.value.hex(), g.trunc_err, g.meta) == (alone.value.hex(), alone.trunc_err, alone.meta)
 
     def test_long_tables_take_bounded_passes(self, monkeypatch):
-        # pairs at dx = 0 run to the cap of 2 500 frequencies: the table
-        # takes passes of at most _PASS_FREQUENCIES frequencies, or one pair's
-        # own, not one of them all, and each entry keeps the bits of its pair
-        # alone
+        # pairs 1.8e-3 and 1.5e-3 apart stop after about 2 200 and 2 600 frequencies, and one 8e-4 apart
+        # after about 5 000: the table takes passes of at most _PASS_FREQUENCIES frequencies, or one
+        # pair's own, not one of them all, and each entry keeps the bits of its pair alone
         p, d = setup_params()
         parts, passes = green_trapped._density_parts, []
 
@@ -654,28 +665,64 @@ class TestMatsubaraAssemble:
             passes.append(len(omegas))
             return parts(omegas, *a)
 
-        queries = [CorrelatorQuery(0.3 * d.R_c, 0.2, 0.3 * d.R_c, 0.0), CorrelatorQuery(0.2, 0.0, 0.1, 0.0),
-                   CorrelatorQuery(-0.4 * d.R_c, 0.1, -0.4 * d.R_c, 0.0), CorrelatorQuery(0.5, 0.1, 0.5, 0.3)]
+        queries = [CorrelatorQuery(0.3 * d.R_c + 1.8e-3, 0.2, 0.3 * d.R_c, 0.0), CorrelatorQuery(0.2, 0.0, 0.1, 0.0),
+                   CorrelatorQuery(-0.4 * d.R_c + 1.8e-3, 0.1, -0.4 * d.R_c, 0.0),
+                   CorrelatorQuery(0.5 + 1.5e-3, 0.1, 0.5, 0.3)]
         monkeypatch.setattr(green_trapped, "_density_parts", counted)
-        many = matsubara_assemble_many(queries, p, d, 2500)
+        many = matsubara_assemble_many(queries, p, d, 2**17)
         monkeypatch.undo()
         lasts = [g.meta["frequencies"] - 1 for g in many]
-        assert lasts[0] == lasts[2] == lasts[3] == 2500 and 0 < lasts[1] < 4096 - 2500
-        assert passes == [lasts[0] + lasts[1], 2500, 2500]
+        assert 0 < lasts[1] < 4096 - lasts[0] and lasts[0] + lasts[1] + lasts[2] > 4096 < lasts[2] + lasts[3]
+        assert min(lasts[0], lasts[2], lasts[3]) > 1900
+        assert passes == [lasts[0] + lasts[1], lasts[2], lasts[3]]
         assert max(passes) <= green_trapped._PASS_FREQUENCIES
         for q, g in zip(queries, many):
-            alone = matsubara_assemble(q.x1, q.tau1, q.x2, q.tau2, p, d, 2500)
+            alone = matsubara_assemble(q.x1, q.tau1, q.x2, q.tau2, p, d, 2**17)
             assert (g.value.hex(), g.trunc_err.hex(), g.meta) == (alone.value.hex(), alone.trunc_err.hex(), alone.meta)
-        # a pair longer than a pass takes one of its own
+        # a pair longer than a pass, 8e-4 apart, takes one of its own
         passes.clear()
+        longer = CorrelatorQuery(0.3 + 8e-4, 0.1, 0.3, 0.0)
         monkeypatch.setattr(green_trapped, "_density_parts", counted)
-        matsubara_assemble_many(queries[1:3], p, d, 5000)
-        assert passes == [lasts[1], 5000]
+        longest = matsubara_assemble_many([queries[1], longer], p, d, 2**17)[1].meta["frequencies"] - 1
+        assert passes == [lasts[1], longest] and longest > 4096
+
+    @pytest.mark.parametrize("beta, refused", [(1.0, 5), (math.sqrt(2.0), 6), (10.0 * math.sqrt(2.0), 9),
+                                               (100.0 * math.sqrt(2.0), 9)], ids=["0.707", "1", "10", "100"])
+    def test_every_pair_meets_tol_or_refuses_at_its_cap(self, beta, refused):
+        # the default grid, S = 0.2 R_c and 9 separations from 0.01 to 0.1 R_c, at beta/alpha = 0.707,
+        # 1, 10 and 100, dtau = 0 at beta/alpha <= 1 and 0.007 alpha above: at tol = 1e-12 each pair
+        # is an AccuracyError naming the cap and its estimate there, above tol, or a value whose
+        # trunc_err meets tol (its estimate plus the densities' bounds), within the sum of its own
+        # and the reference's trunc_err of a reference at tol = 1e-14 and cap 2^18.  At the cap of
+        # 64 the narrowest pairs refuse; at 2^17 none does
+        p, d = setup_params(beta=beta)
+        dtau = 0.0 if d.regime_ratio <= 1.0 else 0.007 * d.alpha
+        s = 0.2 * d.R_c
+        queries = [CorrelatorQuery(s + sep / 2.0, dtau, s - sep / 2.0, 0.0)
+                   for sep in np.geomspace(0.01, 0.1, 9) * d.R_c]
+        reference = matsubara_assemble_many(queries, p, d, 2**18, 1e-14)
+        assert all(isinstance(g, GreenValue) for g in reference)
+        for cap, count in ((64, refused), (2**17, 0)):
+            out = matsubara_assemble_many(queries, p, d, cap, 1e-12)
+            assert sum(isinstance(g, AccuracyError) for g in out) == count
+            for g, ref in zip(out, reference):
+                if isinstance(g, AccuracyError):
+                    assert str(g).startswith("matsubara_assemble needs ") and " by tol = 1e-12 at dx = " in str(g)
+                    assert str(g).endswith(f": the bound at the cap of {cap} terms is {g.achieved:.3e}")
+                    assert g.achieved > 1e-12
+                else:
+                    assert g.meta["frequencies"] <= cap + 1 and g.trunc_err < 2e-12
+                    assert abs(g.value - ref.value) <= g.trunc_err + ref.trunc_err
 
     def test_truncation_estimate_decays(self):
+        # the estimate at the cap, which each refusal reports, falls as the cap rises
         p, d = setup_params()
-        est = [matsubara_assemble(0.4, 0.1, 0.1, 0.0, p, d, l_max=l).trunc_err for l in (2, 6, 12)]
-        assert est[0] > est[1] > est[2] > 0.0
+        est = []
+        for l_max in (2, 6, 12):
+            with pytest.raises(AccuracyError, match=f"the bound at the cap of {l_max} terms is ") as err:
+                matsubara_assemble(0.4, 0.1, 0.1, 0.0, p, d, l_max=l_max)
+            est.append(err.value.achieved)
+        assert est[0] > est[1] > est[2] > 1e-13
 
     @settings(max_examples=25, deadline=None)
     @example(beta=0.1, s=0.0, sep=0.125, dtau=0.0, tol=1e-12)  # the two sums round one ulp apart, within trunc_err
@@ -695,7 +742,11 @@ class TestMatsubaraAssemble:
         x, xp = (s + sep / 2.0) * d.R_c, (s - sep / 2.0) * d.R_c
         assume(max(abs(x), abs(xp)) < 0.999 * d.R_c)
         l_max = 3000
-        g = matsubara_assemble(x, dtau * beta, xp, 0.0, p, d, l_max=l_max, tol=tol)
+        try:
+            g = matsubara_assemble(x, dtau * beta, xp, 0.0, p, d, l_max=l_max, tol=tol)
+        except AccuracyError as exc:  # its estimate at the cap is above tol
+            assert f"the bound at the cap of {l_max} terms is" in str(exc) and exc.achieved > tol
+            return
         u, up, k = x / d.R_c, xp / d.R_c, _k_coeff(p, d)
         omegas = 2.0 * math.pi * np.arange(1, l_max + 1) / beta
         re = _density_parts(omegas, u, up, d, k, tol)[0]
@@ -835,14 +886,23 @@ class TestMatsubaraAssemble:
         same, near = spectral_densities(omega, [x, x + 1e-9 * d.R_c], x, p, d, 1e-13)
         assert isinstance(same, SpectralDensity) and isinstance(near, SpectralDensity)
         assert same.re_part == 0.0 and same.err_bound > 0.0
-        g = matsubara_assemble(x, 0.3 * p.beta, x, 0.0, p, d, l_max=64)
-        assert math.isfinite(g.value) and g.trunc_err > 0.0
 
-    def test_frequency_stop_at_equal_positions_runs_to_the_cap(self):
+    @pytest.mark.parametrize("l_max", [0, 40, 2**17])
+    def test_frequency_sum_at_equal_positions_refuses(self, l_max, monkeypatch):
+        # at dx = 0 the envelope does not decay: the estimate is inf at every cap, and the pair
+        # refuses before any kernel call
         p, d = setup_params()
-        g = matsubara_assemble(0.3, 0.2, 0.3, 0.0, p, d, l_max=40, tol=1e-8)
-        assert g.meta["frequencies"] == 41
-        assert g.warning.startswith("dx = 0")
+        monkeypatch.setattr(green_trapped, "_p_quad", lambda *a: pytest.fail("kernel ran"))
+        with pytest.raises(AccuracyError) as err:
+            matsubara_assemble(0.3, 0.2, 0.3, 0.0, p, d, l_max=l_max, tol=1e-8)
+        assert str(err.value) == (f"matsubara_assemble needs more than {2**62} terms to bound its tail by tol = 1e-08 "
+                                  f"at dx = 0.0: the bound at the cap of {l_max} terms is inf")
+        assert err.value.achieved == math.inf
+
+    def test_negative_cap_is_a_domain_error(self):
+        p, d = setup_params()
+        with pytest.raises(DomainError, match=r"^l_max must be >= 0$"):
+            matsubara_assemble(0.3, 0.2, 0.1, 0.0, p, d, l_max=-1)
 
     def test_homogeneous_limit_degenerates_to_flat_series(self):
         # 1/R_c -> 0 at fixed separations: trapped differences approach the
@@ -850,7 +910,7 @@ class TestMatsubaraAssemble:
         p, d = setup_params(Omega=math.sqrt(2.0) / 25.0, beta=0.5)  # R_c = 25
         pair_a = CorrelatorQuery(0.175, 0.1 * p.beta, -0.175, 0.0)
         pair_b = CorrelatorQuery(0.1, 0.0, -0.1, 0.0)
-        d_trap = green_difference(partial(matsubara_assemble, p=p, d=d, l_max=8), pair_a, pair_b)
+        d_trap = green_difference(partial(matsubara_assemble, p=p, d=d, l_max=64), pair_a, pair_b)
         d_hom = green_difference(partial(homog_series, p=p, d=d), pair_a, pair_b)
         assert abs(d_trap.value - d_hom.value) < 0.02 * abs(d_hom.value)
 
@@ -924,15 +984,15 @@ class TestFarInterp:
                 assert (np.abs(value[side] - v) <= (rel[side] + r) * v).all()
 
     def test_pairs_with_few_far_rows_keep_the_direct_path(self):
-        # checks 07 and 10 assemble to l_max = 14 and 6: fewer far frequencies
-        # than the interpolant rule's 17, so their pairs keep the direct path;
-        # at l_max = 40 they interpolate
+        # a pair 0.007 apart stops at L = 6, 12 and 40 at tol = 1e-3, 1e-5 and 1e-13: below the
+        # interpolant rule's 17 far frequencies it keeps the direct path, and at 40 it interpolates
         p, d = setup_params(beta=0.05 * math.sqrt(2.0))
-        for l_max in (6, 14, 40):
-            g = matsubara_assemble(0.4, 0.3 * p.beta, 0.4, 0.0, p, d, l_max=l_max)
+        for tol, last in ((1e-3, 6), (1e-5, 12), (1e-13, 40)):
+            g = matsubara_assemble(0.4, 0.3 * p.beta, 0.393, 0.0, p, d, l_max=64, tol=tol)
             with patch.object(green_trapped, "_TERP_MIN", math.inf):
-                direct = matsubara_assemble(0.4, 0.3 * p.beta, 0.4, 0.0, p, d, l_max=l_max)
-            assert ((g.value.hex(), g.meta) == (direct.value.hex(), direct.meta)) == (l_max < 40)
+                direct = matsubara_assemble(0.4, 0.3 * p.beta, 0.393, 0.0, p, d, l_max=64, tol=tol)
+            assert g.meta["frequencies"] == last + 1
+            assert ((g.value.hex(), g.meta) == (direct.value.hex(), direct.meta)) == (last < 17)
 
 
 class TestLowTSeries:
@@ -1015,16 +1075,18 @@ class TestLowTSeries:
         for ratio, args in ((0.707, (0.1, 0.2, 0.0, 0.0)), (100.0, (0.3, 0.3, -0.3, 0.0)), (0.05, (0.2, 0.01, 0.1, 0.0))):
             p, d = self._lowT(ratio)
             g = lowT_legendre_series(*args, p, d)
-            assert math.isfinite(g.value) and g.trunc_err < 2e-12 and g.warning is None
+            assert math.isfinite(g.value) and g.trunc_err < 2e-12
 
     def test_mode_cap_is_an_accuracy_error_before_any_recurrence(self, monkeypatch):
         p, d = self._lowT()
         monkeypatch.setattr(green_trapped, "p_poly_table", lambda *a: pytest.fail("recurrence ran"))
-        with pytest.raises(AccuracyError, match=r"^lowT_legendre_series needs \d+ modes to bound its tail by tol = "
-                                                 r"1e-12 at t = 1e-05, beyond the cap of 1048576$") as err:
+        with pytest.raises(AccuracyError, match=r"^lowT_legendre_series needs \d+ terms to bound its tail by tol = "
+                                                 r"1e-12 at t = 1e-05: the bound at the cap of 1048576 terms "
+                                                 r"is \d\.\d{3}e-\d\d$") as err:
             lowT_legendre_series(0.1, 1e-5, 0.0, 0.0, p, d)
         needed = int(str(err.value).split()[2])
         assert 2**20 < needed < 2**22 and err.value.achieved > 1e-12
+        assert str(err.value).endswith(f"is {err.value.achieved:.3e}")
 
     def test_one_recurrence_at_equal_positions(self, monkeypatch):
         p, d = self._lowT()
@@ -1040,7 +1102,7 @@ class TestLowTSeries:
         """A GreenValue or its error in a form compared bitwise and word for word."""
         if isinstance(entry, (DomainError, AccuracyError)):
             return type(entry), str(entry), getattr(entry, "achieved", None)
-        return entry.value.hex(), entry.trunc_err.hex(), entry.warning, repr(entry.meta), entry.method
+        return entry.value.hex(), entry.trunc_err.hex(), repr(entry.meta), entry.method
 
     @pytest.mark.parametrize("ratio", [0.05, 1.0, 100.0])
     @pytest.mark.parametrize("tol", [1e-8, 1e-12, 0.0])
@@ -1279,7 +1341,7 @@ class TestTrappedAsymptotics:
         for u in (0.99, math.cos(10.01 / mu_1)):
             for sep in (1e-4, 1e-3):
                 x, xp = u * d.R_c, (u - sep) * d.R_c
-                exact = matsubara_assemble(x, 0.0, xp, 0.0, p, d, l_max=2000).value
+                exact = matsubara_assemble(x, 0.0, xp, 0.0, p, d, l_max=4096).value
                 assert abs(asympt_green_highT(x, 0.0, xp, 0.0, p, d).value - exact) < 3e-3
         for u in (0.9999, 0.999999):
             with pytest.raises(RegimeError, match=r"edge layer"):

@@ -126,23 +126,36 @@ class TestRhoTF:
 class TestSpectrum:
     def test_zero_mode(self):
         p = unit_params()
-        assert energy_level(0, p, derive_scales(p)) == 0.0
+        assert energy_level(0, derive_scales(p)) == 0.0
 
     def test_first_levels(self):
         p = unit_params()
         d = derive_scales(p)
-        assert_allclose(energy_level(1, p, d), 1.0, rtol=1e-15)
-        assert_allclose(energy_level(2, p, d), math.sqrt(3.0), rtol=1e-15)
+        assert_allclose(energy_level(1, d), 1.0, rtol=1e-15)
+        assert_allclose(energy_level(2, d), math.sqrt(3.0), rtol=1e-15)
 
     def test_negative_index_rejected(self):
         p = unit_params()
         with pytest.raises(DomainError):
-            energy_level(-1, p, derive_scales(p))
+            energy_level(-1, derive_scales(p))
+
+    def test_array_of_levels_is_each_level(self):
+        # one vectorized form serves the spectrum table and the thermal mode sum's weights and tail bound
+        p = unit_params(Omega=1.3)
+        d = derive_scales(p)
+        n = np.arange(50)
+        levels = energy_level(n, d)
+        assert levels.tobytes() == np.array([energy_level(k, d) for k in n]).tobytes()
+        assert levels.tobytes() == (np.sqrt(n * (n + 1.0)) / d.alpha).tobytes()
+        assert_allclose(levels, p.hbar * p.Omega * np.sqrt(n * (n + 1) / 2.0), rtol=4e-16, atol=0.0)
+        for bad in (2.5, [0, -1], math.nan):
+            with pytest.raises(DomainError, match="mode index must be an integer >= 0"):
+                energy_level(bad, d)
 
     def test_strictly_increasing_and_linear_limit(self):
         p = unit_params()
         d = derive_scales(p)
-        levels = [energy_level(n, p, d) for n in range(200)]
+        levels = [energy_level(n, d) for n in range(200)]
         assert all(b > a for a, b in zip(levels, levels[1:]))
         n = 150
         assert_allclose(levels[n] / (n / d.alpha), 1.0, rtol=1e-2)
@@ -161,20 +174,20 @@ class TestSpacingExpansion:
         p = unit_params(m=0.5)
         d = derive_scales(p)
         assert_allclose(d.alpha, math.sqrt(2.0), rtol=1e-15)
-        exact = energy_level(3, p, d) - energy_level(2, p, d)
+        exact = energy_level(3, d) - energy_level(2, d)
         assert_allclose(exact, (math.sqrt(12.0) - math.sqrt(6.0)) / d.alpha, rtol=1e-14)
 
     def test_large_n_limit(self):
         p = unit_params()
         d = derive_scales(p)
-        exact = energy_level(10_001, p, d) - energy_level(10_000, p, d)
+        exact = energy_level(10_001, d) - energy_level(10_000, d)
         assert_allclose(exact, 1.0 / d.alpha, rtol=1e-8)
         assert_allclose(level_spacing_expansion(10_000, d), 1.0 / d.alpha, rtol=1e-8)
 
     def test_expansion_accuracy_n10(self):
         p = unit_params(Omega=math.sqrt(2.0))  # alpha = 1
         d = derive_scales(p)
-        exact = energy_level(11, p, d) - energy_level(10, p, d)
+        exact = energy_level(11, d) - energy_level(10, d)
         assert abs(exact - level_spacing_expansion(10, d)) < 2e-4
 
     def test_small_n_rejected(self):

@@ -29,8 +29,9 @@ The matrix is
 * the spectral error-row block: ``correlator``/``exponent --mode spectral``
   at s_center = 0.95 R_c, where the widest pair reaches beyond the boundary
   clamp (a DomainError row beside 8 ok rows), at tol = 1e-15 and
-  l_max = 256, where every pair's first density bound is refused (9
-  AccuracyError rows), and at beta = 1e-4, where the widest pair's Gamma
+  l_max = 256, where the narrowest pair needs more frequencies than the cap
+  and every other pair's first density bound is refused (9 AccuracyError
+  rows), and at beta = 1e-4, where the widest pair's Gamma
   underflows (an AccuracyError row beside 8 ok rows);
 * the profile block: ``density`` on the default grid and on a grid out to
   +-1.2 R_c, where the clipped density reads 0, and ``spectrum --levels 30``;
