@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import partial
 
 import numpy as np
 
@@ -29,12 +29,12 @@ from .green_homogeneous import (
 )
 from .green_trapped import (
     _density_parts,
+    _evaluate,
     _k_coeff,
     _values,
     asympt_green_highT,
     asympt_green_lowT,
     lowT_legendre_series_many,
-    matsubara_assemble,
     matsubara_assemble_many,
     spectral_densities,
 )
@@ -183,13 +183,13 @@ def check_oracle_equivalence():
 
 def check_eigenvalue_law():
     """The spectrum is n(n+1)/R_c^2 exactly at every N (see ``fdm_eigensolve``), so the figure is the
-    bisection's rounding; N = 255 and 256 cover both of its parity-block layouts."""
+    bisection's rounding of the whole operator at N = 256."""
     p, d = _unit_setup()
     n = np.arange(21)
     target = n * (n + 1) / d.R_c**2
-    lam = np.array([fdm_eigensolve(p, d, FdmGrid(N=n_cells), n_levels=21) for n_cells in (255, 256)])
+    lam = fdm_eigensolve(p, d, FdmGrid(N=256), n_levels=21)
     worst = float(np.max(np.abs(lam - target) / np.maximum(target, 1.0 / d.R_c**2)))  # constant mode: |lambda_0| R_c^2
-    return worst, "max relative eigenvalue error for n <= 20, N = 255 and 256", True
+    return worst, "max relative eigenvalue error for n <= 20, N = 256", True
 
 
 def check_frequency_sum():
@@ -215,17 +215,17 @@ def check_frequency_sum():
     return worst, detail, True
 
 
-def _max_difference_deviation(route, reference, pairs) -> tuple:
-    """Max relative deviation of ``route`` from ``reference`` in difference
-    mode, G(a) - G(b), over consecutive ``pairs``, each query evaluated once,
-    and the largest trunc_err/|G(a) - G(b)| of ``route``."""
-    route, reference = cache(route), cache(reference)
+def _max_difference_deviation(got, want) -> tuple:
+    """Max relative deviation of the route's values ``got`` from the
+    reference's ``want`` in difference mode, G(a) - G(b), over consecutive
+    queries a, b of both lists, and the largest trunc_err/|G(a) - G(b)| of
+    the route."""
     worst = bound = 0.0
-    for a, b in zip(pairs[:-1], pairs[1:]):
-        got = green_difference(route, a, b)
-        want = green_difference(reference, a, b).value
-        worst = max(worst, abs(got.value - want) / max(abs(want), 1e-300))
-        bound = max(bound, got.trunc_err / max(abs(got.value), 1e-300))
+    for i in range(len(got) - 1):
+        diff = green_difference(got[i], got[i + 1])
+        ref = green_difference(want[i], want[i + 1]).value
+        worst = max(worst, abs(diff.value - ref) / max(abs(ref), 1e-300))
+        bound = max(bound, diff.trunc_err / max(abs(diff.value), 1e-300))
     return worst, bound
 
 
@@ -237,31 +237,27 @@ def check_homog_regime_match():
     d = derive_scales(p)  # R_c = 20, lambda_T = 1
     pairs = [CorrelatorQuery(dx / 2.0, 0.0, -dx / 2.0, 0.0) for dx in (1.5, 2.5, 3.5, 4.5)]
     pairs.append(CorrelatorQuery(1.0, 0.3 * p.beta, -1.0, 0.0))
-    worst, bound = _max_difference_deviation(partial(homog_series, p=p, d=d, tol=1e-12),
-                                             partial(homog_asymptotic_highT, p=p, d=d), pairs)
+    worst, bound = _max_difference_deviation(_values(_evaluate(partial(homog_series, p=p, d=d, tol=1e-12), pairs)),
+                                             _values(_evaluate(partial(homog_asymptotic_highT, p=p, d=d), pairs)))
     detail = (f"max relative difference-mode deviation, series (tol = 1e-12) vs closed form (lambda_T/R_c = 0.05); "
               f"series' trunc_err/|difference| up to {bound:.3e}")
     return worst, detail, True
 
 
 def check_trapped_highT_match():
-    """Matsubara assembly vs the summed Liouville-Green form at beta/alpha = 0.05."""
+    """Matsubara assembly, one batched call, vs the summed Liouville-Green
+    form at beta/alpha = 0.05."""
     alpha = math.sqrt(2.0)
     p = PhysicalParams(m=1.0, g=1.0, Omega=1.0, Lambda=1.0, beta=0.05 * alpha)
     d = derive_scales(p)
     s_half = 0.2 * d.R_c
     lam_t = d.lambda_T
     l_max = 14
-    pairs = []
-    for f in (0.4, 0.8, 1.2, 1.6, 2.0):
-        dx = f * lam_t
-        pairs.append(CorrelatorQuery(s_half + dx / 2.0, 0.0, s_half - dx / 2.0, 0.0))
+    pairs = [CorrelatorQuery(s_half + f * lam_t / 2.0, 0.0, s_half - f * lam_t / 2.0, 0.0)
+             for f in (0.4, 0.8, 1.2, 1.6, 2.0)]
     pairs.append(CorrelatorQuery(s_half + 0.6 * lam_t, 0.25 * p.beta, s_half - 0.6 * lam_t, 0.0))
-    worst, _ = _max_difference_deviation(
-        partial(matsubara_assemble, p=p, d=d, l_max=l_max),
-        partial(asympt_green_highT, p=p, d=d),
-        pairs,
-    )
+    worst, _ = _max_difference_deviation(_values(matsubara_assemble_many(pairs, p, d, l_max)),
+                                         _values(_evaluate(partial(asympt_green_highT, p=p, d=d), pairs)))
     return worst, f"max relative difference-mode deviation, assembly (l_max={l_max}) vs Liouville-Green form", True
 
 
@@ -278,11 +274,8 @@ def check_trapped_lowT_match():
         CorrelatorQuery(s_half + f * d.R_c / 2.0, dtau, s_half - f * d.R_c / 2.0, 0.0)
         for f in (0.01, 0.02, 0.03, 0.04)
     ]
-    values = dict(zip(pairs, _values(lowT_legendre_series_many(pairs, p, d, tol=1e-5))))
-
-    def series(*pair):
-        return values[CorrelatorQuery(*pair)]
-    worst, bound = _max_difference_deviation(series, partial(asympt_green_lowT, p=p, d=d), pairs)
+    worst, bound = _max_difference_deviation(_values(lowT_legendre_series_many(pairs, p, d, tol=1e-5)),
+                                             _values(_evaluate(partial(asympt_green_lowT, p=p, d=d), pairs)))
     detail = (f"max relative difference-mode deviation, series (tol = 1e-5) vs leading log; "
               f"series' trunc_err/|difference| up to {bound:.3e} (< 0.02 required)")
     return worst, detail, bound < 0.02

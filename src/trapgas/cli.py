@@ -38,6 +38,8 @@ from .correlator import MIN_FIT_SAMPLES, _sqrt_rho_pair, extract_exponent, gamma
 from .errors import AccuracyError, ConfigError, DataError, DomainError, RegimeError, TrapGasError
 from .green_homogeneous import GreenValue, homog_asymptotic_highT, homog_asymptotic_lowT, homog_series
 from .green_trapped import (
+    _ROW_ERRORS,
+    _evaluate,
     _k_coeff,
     asympt_green_highT,
     asympt_green_lowT,
@@ -291,10 +293,6 @@ def cmd_spectrum(cfg: RunConfig, args) -> tuple:
     return ["n", "E_n", "dE", "dE_expansion", "status"], rows, {}
 
 
-# evaluation failures reported in a row's status; anything else aborts the run
-_ROW_ERRORS = (RegimeError, DomainError, AccuracyError)
-
-
 def _route(mode, cfg: RunConfig, p, d):
     """queries -> the GreenValue of each, the row error that refused it, or
     None where the regime has no asymptotic form, under one per-point green
@@ -314,18 +312,6 @@ def _route(mode, cfg: RunConfig, p, d):
     else:
         raise ConfigError(f"unknown mode {mode!r}")
     return partial(_evaluate, form and partial(form, p=p, d=d))
-
-
-def _evaluate(evaluate, queries) -> list:
-    """The GreenValue of ``evaluate`` at each query, the row error it raised,
-    or None where there is no evaluator."""
-    out = []
-    for q in queries:
-        try:
-            out.append(evaluate and evaluate(q.x1, q.tau1, q.x2, q.tau2))
-        except _ROW_ERRORS as exc:
-            out.append(exc)
-    return out
 
 
 def _not_finite(source: str, **cells):

@@ -12,7 +12,7 @@ omega and its zero-temperature part over k in closed form, and stops the
 rest at ``tol`` by pieces that the trapped mode sum shares.  Two closed
 asymptotic forms exist, one per temperature regime; both carry an
 undetermined additive constant, so every cross-method comparison in this
-package goes through ``green_difference``.
+package differences two values of one route through ``green_difference``.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AccuracyError, DomainError, UsageError
-from .model import CorrelatorQuery, DerivedScales, PhysicalParams, theta_homogeneous, zeta_of
+from .model import DerivedScales, PhysicalParams, theta_homogeneous, zeta_of
 
 __all__ = [
     "GreenValue",
@@ -118,11 +118,15 @@ def _mode_stop(tail, tol: float, route: str, at: str, cap: int = _MODE_CAP) -> i
 
 def _line_plus_modes(beta: float, theta: float, terms) -> tuple:
     """(beta/2) B_2(theta) plus the exactly rounded sum of ``terms``, and its rounding allowance:
-    ``_ROUNDING`` times the magnitudes summed, B_2's parts before they cancel."""
+    ``_ROUNDING`` times the magnitudes summed, B_2's parts before they cancel.  AccuracyError where
+    those magnitudes overflow a float or a term is nan."""
     magnitudes = (beta / 2.0) * (theta * theta + theta + 1.0 / 6.0) + float(np.sum(np.abs(terms)))
+    if not magnitudes < math.inf:
+        raise AccuracyError(f"the mode sum overflows a float: its magnitudes sum to {magnitudes!r}", achieved=math.inf)
     return (beta / 2.0) * _bernoulli_b2(theta) + math.fsum(terms), _ROUNDING * magnitudes
 
 
+@np.errstate(all="ignore")  # a term that overflows is _line_plus_modes' AccuracyError
 def homog_series(
     x: float, tau: float, xp: float, taup: float, p: PhysicalParams, d: DerivedScales, *, tol: float = 1e-12
 ) -> GreenValue:
@@ -139,7 +143,8 @@ def homog_series(
     bound meets ``tol`` (absolute in G).  ``trunc_err`` adds 4 eps of the
     magnitudes summed and 4 eps / E_1, the logarithm's argument's relative
     rounding.  At coincident arguments G is -inf, divergent, with an infinite
-    bound; ``_mode_stop`` raises at a bad ``tol`` and past its cap.
+    bound; ``_mode_stop`` raises at a bad ``tol`` and past its cap, and
+    ``_line_plus_modes`` where the terms overflow a float.
     """
     # dx folded into [-R_c, R_c] and dtau into [-beta/2, beta/2], both exact, so
     # that the sum is periodic and even in each bit for bit
@@ -176,6 +181,8 @@ def _check_window(dx: float, dtau: float, p: PhysicalParams, d: DerivedScales):
         raise DomainError(f"|x - x'| = {abs(dx)} exceeds the asymptotic window bound 2 R_c = {2 * d.R_c}")
     if abs(dtau) > p.beta:
         raise DomainError(f"|tau - tau'| = {abs(dtau)} exceeds the asymptotic window bound beta = {p.beta}")
+    if 4.0 * p.beta * d.R_c == 0.0:  # the homogeneous forms' curvature term divides by it
+        raise DomainError(f"4 beta R_c underflows to 0 at beta = {p.beta!r}, R_c = {d.R_c!r}")
 
 
 def homog_asymptotic_highT(
@@ -214,21 +221,13 @@ def homog_asymptotic_lowT(
     return GreenValue(value=value, method="homog-asympt-lowT", const_free=True)
 
 
-def green_difference(evaluate, pair_a: CorrelatorQuery, pair_b: CorrelatorQuery) -> GreenValue:
-    """G(pair_a) - G(pair_b) under one evaluator; additive constants cancel.
-
-    The difference of two real Green values is real; its truncation error is
-    the sum of the two endpoints' estimates.
-
-    ``evaluate(x, tau, xp, taup)`` returns a :class:`GreenValue`, like the
-    Green functions themselves with their remaining arguments bound (e.g.
-    ``partial(homog_series, p=p, d=d, tol=tol)``); it is called at
-    (x1, tau1, x2, tau2) of each pair.  Both evaluations must come back
-    tagged with the same method, otherwise the difference would silently
-    mix conventions.
+def green_difference(ga: GreenValue, gb: GreenValue) -> GreenValue:
+    """G(pair_a) - G(pair_b) from the values ``ga`` and ``gb`` of one route
+    at two pairs, in which additive constants cancel; its truncation error
+    is the sum of the two endpoints' estimates.  Raises UsageError where the
+    two come from different methods, which would silently mix conventions,
+    or where either is divergent.
     """
-    ga = evaluate(pair_a.x1, pair_a.tau1, pair_a.x2, pair_a.tau2)
-    gb = evaluate(pair_b.x1, pair_b.tau1, pair_b.x2, pair_b.tau2)
     if ga.method != gb.method:
         raise UsageError(f"green_difference mixes methods {ga.method!r} and {gb.method!r}")
     if ga.divergent or gb.divergent:

@@ -51,8 +51,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import AccuracyError, DomainError, RegimeError, TrapGasError
-from .green_homogeneous import (_ROUNDING, GreenValue, _bad_tol, _line_plus_modes, _log_abs_1_minus_exp,
-                                _log_divergence, _mode_stop, _thermal_factor)
+from .green_homogeneous import (_ROUNDING, GreenValue, _bad_tol, _check_window, _line_plus_modes,
+                                _log_abs_1_minus_exp, _log_divergence, _mode_stop, _thermal_factor)
 from .legendre import _NODES, _nu_real, _p_quad, p_poly_table
 from .model import (
     WINDOW_FACTOR,
@@ -118,6 +118,22 @@ def _values(out) -> list:
     for entry in out:
         if isinstance(entry, TrapGasError):
             raise entry
+    return out
+
+
+# evaluation failures that a batched call returns as a pair's entry
+_ROW_ERRORS = (RegimeError, DomainError, AccuracyError)
+
+
+def _evaluate(evaluate, queries) -> list:
+    """The entries of a batched call from the per-point form ``evaluate``: its GreenValue at each
+    query, the row error it raised, or None where there is no form."""
+    out = []
+    for q in queries:
+        try:
+            out.append(evaluate and evaluate(q.x1, q.tau1, q.x2, q.tau2))
+        except _ROW_ERRORS as exc:
+            out.append(exc)
     return out
 
 
@@ -605,6 +621,7 @@ def lowT_legendre_series(
     return _values(lowT_legendre_series_many([CorrelatorQuery(x, tau, xp, taup)], p, d, tol=tol))[0]
 
 
+@np.errstate(all="ignore")  # a pair whose terms overflow gets _line_plus_modes' AccuracyError
 def lowT_legendre_series_many(queries, p: PhysicalParams, d: DerivedScales, *, tol: float = 1e-12) -> list:
     """The thermal Legendre mode sum of each CorrelatorQuery of ``queries``,
     exact at any temperature where t = min(|tau - tau'|, beta - |tau - tau'|) > 0:
@@ -633,7 +650,8 @@ def lowT_legendre_series_many(queries, p: PhysicalParams, d: DerivedScales, *, t
     A pair's checks run in the order: the boundary clamp, |tau - tau'| >
     beta and t = 0 (DomainErrors; at t = 0 the sum converges only
     conditionally), then ``_mode_stop``'s bad ``tol`` and its AccuracyError
-    past ``_MODE_CAP`` modes, all before any recurrence runs.
+    past ``_MODE_CAP`` modes, all before any recurrence runs, and last the
+    AccuracyError of ``_line_plus_modes`` where its terms overflow a float.
     """
     pref = p.g / (2.0 * d.R_c)
     out, pairs = [], []  # pairs: (index of its entry, u, u', t, sin theta, sin theta', N, tail bound at N)
@@ -650,7 +668,11 @@ def lowT_legendre_series_many(queries, p: PhysicalParams, d: DerivedScales, *, t
         n = np.arange(1.0, last + 1)
         weights = (2.0 * n + 1.0) * _thermal_factor(energy_level(n, d), t, p.beta)
         terms = (tables[u][1:last + 1] * tables[up][1:last + 1]) * weights
-        total, rounding = _line_plus_modes(p.beta, t / p.beta, terms)
+        try:
+            total, rounding = _line_plus_modes(p.beta, t / p.beta, terms)
+        except AccuracyError as exc:
+            out[i] = exc
+            continue
         env_u, env_up = (np.minimum(1.0, np.sqrt(2.0 / (math.pi * n * s))) for s in (sin_th, sin_thp))
         recurrence = (1.0 / math.sqrt(sin_th) + 1.0 / math.sqrt(sin_thp)) * float(np.sum(n * weights * env_u * env_up))
         rounding = pref * (rounding + sys.float_info.epsilon * recurrence)
@@ -717,7 +739,8 @@ def asympt_green_highT(
     without bound while the exact density stays finite.  Raises RegimeError
     unless beta/alpha < WINDOW_FACTOR and mu_1 arccos(max(|u|, |u'|)) >= 1 /
     WINDOW_FACTOR, where |G - G_exact| measured at most 3e-3 at beta/alpha =
-    0.05 and 0.099 (1e-5 for |u| <= 0.8 at 0.05).  Returns the divergence
+    0.05 and 0.099 (1e-5 for |u| <= 0.8 at 0.05), and DomainError at
+    |tau - tau'| > beta, as ``_check_window`` gives.  Returns the divergence
     marker at coincident points.
     """
     if classify_regime(d) is not Regime.HIGH_T:
@@ -728,6 +751,7 @@ def asympt_green_highT(
     if edge < 1.0 / WINDOW_FACTOR:
         raise RegimeError(f"Liouville-Green gate mu_1 arccos|u| >> 1 failed in the edge layer of the "
                           f"condensate (got {edge:.3g} < {1.0 / WINDOW_FACTOR:g})")
+    _check_window(x - xp, tau - taup, p, d)
     z = (math.pi / d.lambda_T) * complex(d.R_c * abs(math.asin(u) - math.asin(up)), p.hbar * d.v * (tau - taup))
     log_mag = _log_abs_1_minus_exp(2.0 * z)
     if log_mag == -math.inf:

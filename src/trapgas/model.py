@@ -156,11 +156,14 @@ def theta_homogeneous(p: PhysicalParams, d: DerivedScales) -> float:
 
 
 def theta_at(S: float, p: PhysicalParams, d: DerivedScales) -> float:
-    """Position-dependent exponent theta(S) = 2 pi hbar rho_TF(S) / (m v)."""
+    """theta(S) = 2 pi hbar rho_TF(S) / (m v); DomainError outside the condensate or the float range."""
     rho = rho_tf(S, p, d)
     if rho <= 0.0:
         raise DomainError(f"theta(S) undefined outside the condensate: rho_TF({S}) = 0")
-    return 2.0 * math.pi * p.hbar * rho / (p.m * d.v)
+    theta = 2.0 * math.pi * p.hbar * rho / (p.m * d.v)
+    if not 0.0 < theta < math.inf:
+        raise DomainError(f"theta(S) = {theta!r} at S = {S!r} leaves the float range")
+    return theta
 
 
 def xi_at(S: float, p: PhysicalParams, d: DerivedScales) -> float:

@@ -95,7 +95,7 @@ def _assemble_and_solve(omega: float, xp: float, p: PhysicalParams, d: DerivedSc
     ab = np.zeros((2, n_cells))
     ab[0, 1:] = off
     ab[1, :] = diag + (omega / (p.hbar * d.v)) ** 2
-    if omega != 0.0:
+    if ab[1, 0] != diag[0]:  # else (omega/hbar v)^2 is below the diagonal's rounding: omega = 0's system
         return xc, solveh_banded(ab, -s), xc[j], 0.0
 
     # omega = 0: the zero-flux operator annihilates constants (K 1 = 0) and
@@ -142,15 +142,20 @@ def fdm_spectral_solve(
     scheme the true fine-grid error is about a third of the reported
     difference; that span, |x| <= R_c - h, is ``estimate_span``.  At omega = 0
     the solution is mean-zero, with the boundary flux of ``_assemble_and_solve``.
+    A solve that overflows a float, or is singular in floating point, is a DomainError.
     """
     if abs(xp) >= d.R_c:
         raise DomainError(f"source point must be interior, got x' = {xp} with R_c = {d.R_c}")
-    xc, g, xs, mult = _assemble_and_solve(omega, xp, p, d, grid.N)
-    xc2, g2, _, _ = _assemble_and_solve(omega, xp, p, d, grid.N // 2)
-    coarse = np.interp(xc, xc2, g2)
-    h2 = 2.0 * d.R_c / (grid.N // 2)
-    compared = (np.abs(xc - xs) > 4.0 * h2) & (xc >= xc2[0]) & (xc <= xc2[-1])  # never empty at N >= 100
-    est = float(np.max(np.abs(g - coarse)[compared]))
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            xc, g, xs, mult = _assemble_and_solve(omega, xp, p, d, grid.N)
+            xc2, g2, _, _ = _assemble_and_solve(omega, xp, p, d, grid.N // 2)
+            coarse = np.interp(xc, xc2, g2)
+            h2 = 2.0 * d.R_c / (grid.N // 2)
+            compared = (np.abs(xc - xs) > 4.0 * h2) & (xc >= xc2[0]) & (xc <= xc2[-1])  # never empty at N >= 100
+            est = float(np.max(np.abs(g - coarse)[compared]))
+    except (ArithmeticError, ValueError) as exc:  # FloatingPointError, OverflowError, LinAlgError, inf in a solve
+        raise DomainError(f"the FDM solve at omega = {omega!r} fails in floating point: {exc}") from exc
     return FdmSolution(
         x_nodes=xc,
         g_values=g,
@@ -170,24 +175,12 @@ def fdm_eigensolve(p: PhysicalParams, d: DerivedScales, grid: FdmGrid, n_levels:
     a polynomial of degree k on the nodes to one of degree <= k with x^k
     coefficient k(k+1)/R_c^2, end cells included.  The levels carry only the
     bisection's rounding, about eps 4/h^2; the eigenvectors are discrete
-    orthogonal polynomials, not the sampled P_n.  By mirror symmetry
-    its lowest ceil(n/2) even and floor(n/2) odd levels come from two
-    half-length blocks: for even N the left half, the centre coupling c added
-    to (even) or subtracted from (odd) its last diagonal entry; for odd N the
-    left half (odd) and that plus the centre node coupled by sqrt(2) c (even).
+    orthogonal polynomials, not the sampled P_n.
     """
     if n_levels > grid.N // 10:
         raise DomainError(f"n_levels = {n_levels} too large for N = {grid.N} (need n_levels <= N/10)")
     _, _, diag, off = _flux_operator(d, grid.N)
-    m = grid.N // 2
-    half, off_half, c = diag[:m], off[: m - 1], off[m - 1]
-    if grid.N % 2:
-        blocks = ((diag[: m + 1], np.append(off_half, math.sqrt(2.0) * c)), (half, off_half))
-    else:
-        blocks = ((np.append(half[:-1], half[-1] + c), off_half), (np.append(half[:-1], half[-1] - c), off_half))
-    counts = ((n_levels + 1) // 2, n_levels // 2)
-    levels = [eigvalsh_tridiagonal(*b, select="i", select_range=(0, k - 1)) for b, k in zip(blocks, counts) if k]
-    return np.sort(np.concatenate(levels))
+    return eigvalsh_tridiagonal(diag, off, select="i", select_range=(0, n_levels - 1))
 
 
 def brute_frequency_sum(thetas, l_max: int) -> list:

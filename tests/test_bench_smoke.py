@@ -3,7 +3,8 @@ untraced run of each of ``spectral-sweep`` and ``correlator-precise``.
 
 The traced run rebinds the package's public functions from outside (see
 ``bench/tracer.py``), so a change to how ``checks`` calls the routes, or to
-``green_difference``'s evaluator, shows up here as a failed or incorrect run.
+how ``green_difference`` differences their values, shows up here as a failed
+or incorrect run.
 The sweep checks every row of the batched ``trapped-spectral`` route against
 its stored reference, and the precise correlator every row of the batched
 Matsubara assembly against its own.  No timing is asserted.

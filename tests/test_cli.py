@@ -1,4 +1,5 @@
 import argparse
+import contextlib
 import csv
 import dataclasses
 import io
@@ -10,7 +11,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from trapgas import (
@@ -1099,6 +1100,104 @@ class TestEntryPoint:
         assert calls == ["cmd_green", "cmd_correlator"]
 
 
+def _ini(sections) -> str:
+    return "".join(f"[{name}]\n" + "".join(f"{key} = {value if isinstance(value, str) else repr(value)}\n"
+                                        for key, value in keys.items())
+                   for name, keys in sections.items() if keys)
+
+
+def _run_quietly(path, argv) -> tuple:
+    """(exit code, stdout, stderr) of ``main`` on ``argv`` with the config at ``path``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv + ["--config", str(path)])
+    return code, out.getvalue(), err.getvalue()
+
+
+# hostile configs that once ended in a traceback: (params, grid, argv, exit code, the message that
+# each row's status or stderr now holds)
+_THETA_0 = {"hbar": 1e-100, "m": 1e-300, "Lambda": 1e-300}
+_THETA_0_LOWT = {"hbar": 2.013056477087485, "m": 1.982975340784168e+60, "g": 1e300, "Omega": 1e100}
+_MODES_OVERFLOW = {"hbar": 1e-160, "m": 1e-160, "g": 1e-300, "Omega": 1e5}
+_THETA_INF = {"hbar": 1e-160, "g": 1e-300, "Lambda": 1e20}
+_E1_BETA_0 = {"g": 8.922262808634506e-196, "Omega": 1e-20, "beta": 1e-300}
+_HIGHT_WIDE = {"g": 1e-300, "beta": 1e-300}
+_BETA_RC_0 = {"hbar": 1e100, "g": 1e-20, "Lambda": 1e-160, "beta": 1e-300}
+_OMEGA_HUGE = {"hbar": 1e-100, "g": 1e-100}
+_FDM_OVERFLOW = {"m": 4.553017541190372e+59, "Lambda": 1.6878873513327637e-246}
+_HOSTILE = [
+    (_THETA_0, {}, ["correlator", "--mode", "spectral"], 0, "DomainError: theta(S) = 0.0 at S = "),
+    (_THETA_0, {}, ["exponent", "--mode", "spectral"], 2, "error: theta(S) = 0.0 at S = "),
+    (_THETA_0_LOWT, {}, ["exponent", "--mode", "asymptotic-auto"], 2, "error: theta(S) = 0.0 at S = "),
+    (_MODES_OVERFLOW, {"dtau": 0.3}, ["green", "--mode", "homog-series"], 0,
+     "AccuracyError: the mode sum overflows a float: its magnitudes sum to inf"),
+    (_MODES_OVERFLOW, {"dtau": 0.3}, ["correlator", "--mode", "series"], 0,
+     "AccuracyError: the mode sum overflows a float: its magnitudes sum to inf"),
+    (_THETA_INF, {"dtau": 0.3}, ["correlator", "--mode", "series"], 0, "DomainError: theta(S) = inf at S = "),
+    (_E1_BETA_0, {}, ["green", "--mode", "homog-series"], 0, "AccuracyError: homog_series needs more than "),
+    (_HIGHT_WIDE, {"dtau": 1e300}, ["correlator", "--mode", "asymptotic-auto"], 0,
+     "DomainError: |tau - tau'| = 1e+300 exceeds the asymptotic window bound beta = 1e-300"),
+    (_BETA_RC_0, {}, ["green", "--mode", "homog-asympt"], 0, "DomainError: 4 beta R_c underflows to 0 at beta = "),
+    ({"beta": 1e300}, {"omega_list": "1e-300"}, ["green", "--mode", "oracle"], 0, "ok"),
+    ({}, {"omega_list": "1e300"}, ["green", "--mode", "oracle"], 2,
+     "error: the FDM solve at omega = 1e+300 fails in floating point: "),
+    (_OMEGA_HUGE, {"omega_list": "1e300"}, ["green", "--mode", "oracle"], 2,
+     "error: the FDM solve at omega = 1e+300 fails in floating point: "),
+    (_FDM_OVERFLOW, {}, ["green", "--mode", "oracle"], 2,
+     "error: the FDM solve at omega = 0.0 fails in floating point: "),
+]
+_MAGNITUDES = st.builds(lambda mantissa, exponent: float(f"{mantissa}e{exponent}"),
+                        st.integers(1, 9), st.integers(-300, 299))
+_COMMANDS = ([["green", "--mode", mode] for mode in GREEN_MODES]
+             + [[command, "--mode", mode] for command in ("correlator", "exponent") for mode in CORRELATOR_MODES])
+
+
+
+def _with_the_repros(test):
+    """``test`` with each config of ``_HOSTILE`` as an explicit example."""
+    for params, grid, argv, _, _ in _HOSTILE:
+        test = example(params=params, grid={"x_count": 3, "sep_count": 3, **grid}, truncation={}, argv=argv)(test)
+    return test
+
+
+class TestHostileConfigs:
+    """A config anywhere in the float range ends in exit 0 with typed row
+    errors, or in exit 2, never in a traceback or an ok row holding nan or
+    inf; RuntimeWarnings are errors here, as in the whole suite."""
+
+    @pytest.mark.parametrize("params, grid, argv, code, message", _HOSTILE,
+                             ids=[f"{argv[0]}-{argv[2]}-{i}" for i, (_, _, argv, _, _) in enumerate(_HOSTILE)])
+    def test_a_repro_ends_typed(self, tmp_path, params, grid, argv, code, message):
+        path = tmp_path / "hostile.ini"
+        path.write_text(_ini({"params": params, "grid": {"x_count": 3, "sep_count": 3, **grid}}))
+        got, out, err = _run_quietly(path, argv)
+        assert got == code, err
+        if code:
+            assert err.startswith(message)
+        else:
+            lines = [line for line in out.splitlines() if not line.startswith("#")]
+            statuses = [row[-1] for row in csv.reader(lines[1:])]
+            assert statuses and all(status.startswith(message) for status in statuses), statuses
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @_with_the_repros
+    @given(params=st.fixed_dictionaries({}, optional={key: _MAGNITUDES
+                                                      for key in ("hbar", "m", "g", "Omega", "Lambda", "beta")}),
+           grid=st.fixed_dictionaries({"x_count": st.integers(0, 3), "sep_count": st.integers(0, 3)},
+                                      optional={"dtau": st.sampled_from([0.0, 0.3, 1e-300, 1e300]),
+                                                "omega_list": st.sampled_from(["0", "1e-300", "1e300", "0, 1"])}),
+           truncation=st.fixed_dictionaries({}, optional={"tol": st.sampled_from([1e-16, 1e-3, 1e-300]),
+                                                          "l_max": st.integers(0, 4096)}),
+           argv=st.sampled_from(_COMMANDS))
+    def test_no_config_ends_in_a_traceback(self, tmp_path_factory, params, grid, truncation, argv):
+        path = tmp_path_factory.getbasetemp() / "hostile-property.ini"
+        path.write_text(_ini({"params": params, "grid": grid, "truncation": truncation}))
+        code, out, err = _run_quietly(path, argv)
+        assert code in (0, 2), err
+        ok = [line for line in out.splitlines() if not line.startswith("#") and line.endswith(",ok")]
+        assert not [line for line in ok if "nan" in line or "inf" in line], ok
+
+
 class TestValidateCommand:
     @pytest.mark.parametrize("flag", [["--config", "run.ini"], ["--format", "csv"],
                                       ["--override", "03-oracle-equivalence=1e-15"]])
@@ -1263,7 +1362,7 @@ class TestValidateCommand:
             ("06-homog-regime-match", "homog_series", lambda f: _without_the_logarithm(f), True),
             # the assembly stopped at tol = 1e-3 instead of 1e-13, after one or two frequencies: about 2.3e-3
             # against 1e-4
-            ("07-trapped-highT-match", "matsubara_assemble",
+            ("07-trapped-highT-match", "matsubara_assemble_many",
              lambda f: lambda *a, **k: f(*a, tol=1e-3, **k), True),
             # the Liouville-Green form 1e-3 high: about 1e-3
             ("07-trapped-highT-match", "asympt_green_highT",
@@ -1354,8 +1453,10 @@ class TestValidateCommand:
             # each route once a distinct query: 5, 6 and 4 queries, where every inner one ran twice
             ("06-homog-regime-match", ("checks.homog_series", "checks.homog_asymptotic_highT"),
              {"checks.homog_series": 5, "checks.homog_asymptotic_highT": 5}),
-            ("07-trapped-highT-match", ("checks.matsubara_assemble", "checks.asympt_green_highT"),
-             {"checks.matsubara_assemble": 6, "checks.asympt_green_highT": 6}),
+            # the assembly's 6 queries in one call and one kernel pass, not six of each
+            ("07-trapped-highT-match",
+             ("checks.matsubara_assemble_many", "green_trapped._assemble_pass", "checks.asympt_green_highT"),
+             {"checks.matsubara_assemble_many": 1, "green_trapped._assemble_pass": 1, "checks.asympt_green_highT": 6}),
             # the mode sum in one call over 4 queries, one recurrence for each of their 8 distinct points
             ("08-trapped-lowT-match",
              ("checks.lowT_legendre_series_many", "green_trapped.p_poly_table", "checks.asympt_green_lowT"),

@@ -1,7 +1,6 @@
 import functools
 import math
 import random
-from functools import partial
 
 import mpmath as mp
 import numpy as np
@@ -10,7 +9,6 @@ from numpy.testing import assert_allclose
 
 from trapgas import (
     AccuracyError,
-    CorrelatorQuery,
     DomainError,
     PhysicalParams,
     UsageError,
@@ -236,6 +234,13 @@ class TestAsymptoticForms:
         p, d = setup_params()
         assert homog_asymptotic_lowT(0.0, 0.0, 0.0, 0.0, p, d).divergent
 
+    @pytest.mark.parametrize("form", [homog_asymptotic_highT, homog_asymptotic_lowT])
+    def test_forms_refuse_where_4_beta_rc_underflows(self, form):
+        # the curvature term g dx^2/(4 beta R_c) divided by 0 once 4 beta R_c underflowed
+        p, d = setup_params(hbar=1e100, g=1e-20, Lambda=1e-160, beta=1e-300)
+        with pytest.raises(DomainError, match=r"^4 beta R_c underflows to 0 at beta = 1e-300, R_c = "):
+            form(0.5 * d.R_c, 0.0, 0.0, 0.0, p, d)
+
     def test_quadratic_term_growth_dominates_at_large_separation(self):
         # growth-rate comparison: the increment of the quadratic term between
         # two large separations exceeds the increment of the log term
@@ -276,25 +281,19 @@ class TestAsymptoticForms:
 class TestGreenDifference:
     def test_identical_pairs_cancel_exactly(self):
         p, d = setup_params()
-        pair = CorrelatorQuery(0.3, 0.2, -0.1, 0.0)
-        diff = green_difference(partial(homog_series, p=p, d=d), pair, pair)
-        assert diff.value == 0.0
+        g = homog_series(0.3, 0.2, -0.1, 0.0, p, d)
+        diff = green_difference(g, g)
+        assert diff.value == 0.0 and diff.trunc_err == 2.0 * g.trunc_err
 
     def test_method_mismatch_rejected(self):
         p, d = setup_params()
-        toggle = {"n": 0}
-
-        def alternating(x, tau, xp, taup):
-            toggle["n"] += 1
-            if toggle["n"] % 2:
-                return homog_series(x, tau, xp, taup, p, d)
-            return homog_asymptotic_highT(x, tau, xp, taup, p, d)
-
         with pytest.raises(UsageError):
-            green_difference(alternating, CorrelatorQuery(0.3, 0.2, -0.1, 0.0), CorrelatorQuery(0.4, 0.1, 0.0, 0.0))
+            green_difference(homog_series(0.3, 0.2, -0.1, 0.0, p, d), homog_asymptotic_highT(0.4, 0.1, 0.0, 0.0, p, d))
 
     def test_divergent_endpoint_rejected(self):
         p, d = setup_params()
-        f = partial(homog_asymptotic_highT, p=p, d=d)
-        with pytest.raises(UsageError):
-            green_difference(f, CorrelatorQuery(0.1, 0.0, 0.1, 0.0), CorrelatorQuery(0.3, 0.0, 0.0, 0.0))
+        coincident, separated = (homog_asymptotic_highT(*q, p, d) for q in ((0.1, 0.0, 0.1, 0.0), (0.3, 0.0, 0.0, 0.0)))
+        assert coincident.divergent and coincident.method == separated.method
+        for ga, gb in ((coincident, separated), (separated, coincident)):
+            with pytest.raises(UsageError):
+                green_difference(ga, gb)

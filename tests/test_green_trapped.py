@@ -1,6 +1,5 @@
 import math
 import re
-from functools import partial
 from types import SimpleNamespace
 from unittest.mock import patch
 
@@ -910,8 +909,8 @@ class TestMatsubaraAssemble:
         p, d = setup_params(Omega=math.sqrt(2.0) / 25.0, beta=0.5)  # R_c = 25
         pair_a = CorrelatorQuery(0.175, 0.1 * p.beta, -0.175, 0.0)
         pair_b = CorrelatorQuery(0.1, 0.0, -0.1, 0.0)
-        d_trap = green_difference(partial(matsubara_assemble, p=p, d=d, l_max=64), pair_a, pair_b)
-        d_hom = green_difference(partial(homog_series, p=p, d=d), pair_a, pair_b)
+        d_trap = green_difference(*matsubara_assemble_many([pair_a, pair_b], p, d, 64))
+        d_hom = green_difference(*(homog_series(q.x1, q.tau1, q.x2, q.tau2, p, d) for q in (pair_a, pair_b)))
         assert abs(d_trap.value - d_hom.value) < 0.02 * abs(d_hom.value)
 
 
@@ -1104,6 +1103,19 @@ class TestLowTSeries:
             return type(entry), str(entry), getattr(entry, "achieved", None)
         return entry.value.hex(), entry.trunc_err.hex(), repr(entry.meta), entry.method
 
+    def test_a_pair_whose_terms_overflow_refuses_alone(self, monkeypatch):
+        # P_n = inf at one point: the pair through it is an AccuracyError naming the overflow, and
+        # the pair beside it keeps the value it has alone, bitwise
+        p, d = self._lowT(1.0)
+        kept, hot = (CorrelatorQuery(u * d.R_c, 0.3 * p.beta, 0.2 * d.R_c, 0.0) for u in (0.1, 0.5))
+        alone = lowT_legendre_series_many([kept], p, d)
+        table = green_trapped.p_poly_table
+        monkeypatch.setattr(green_trapped, "p_poly_table",
+                            lambda n, u: np.full(n + 1, np.inf) if u == hot.x1 / d.R_c else table(n, u))
+        got = lowT_legendre_series_many([kept, hot], p, d)
+        assert self._entry(got[0]) == self._entry(alone[0])
+        assert isinstance(got[1], AccuracyError) and str(got[1]).startswith("the mode sum overflows a float")
+
     @pytest.mark.parametrize("ratio", [0.05, 1.0, 100.0])
     @pytest.mark.parametrize("tol", [1e-8, 1e-12, 0.0])
     def test_many_pairs_equal_one_pair_calls(self, monkeypatch, ratio, tol):
@@ -1211,6 +1223,15 @@ def lg_density(omegas, x, xp, p, d):
 class TestTrappedAsymptotics:
     def _highT(self):
         return setup_params(beta=0.05 * math.sqrt(2.0))
+
+    def test_highT_refuses_a_time_separation_beyond_beta(self):
+        # the window of the homogeneous forms, |tau - tau'| <= beta; at 1e300 beta the closed form's
+        # logarithm died of a math domain error
+        p, d = self._highT()
+        for dtau in (math.nextafter(p.beta, math.inf), 1e300 * p.beta):
+            with pytest.raises(DomainError, match=r"exceeds the asymptotic window bound beta = "):
+                asympt_green_highT(0.1, dtau, 0.0, 0.0, p, d)
+        assert asympt_green_highT(0.1, p.beta, 0.0, 0.0, p, d).method == "trapped-asympt-highT"
 
     @pytest.mark.parametrize(
         "form, boundary, inside, text",

@@ -14,6 +14,7 @@ from trapgas import (
     energy_level,
     level_spacing_expansion,
     rho_tf,
+    theta_at,
 )
 
 
@@ -69,6 +70,18 @@ class TestDeriveScales:
             unit_params(**{field: 0.0})
         with pytest.raises(DomainError, match=field):
             unit_params(**{field: -1.0})
+
+
+class TestTheta:
+    @pytest.mark.parametrize("over, text", [({"hbar": 1e-100, "m": 1e-300, "Lambda": 1e-300}, "0.0"),
+                                            ({"hbar": 1e-160, "g": 1e-300, "Lambda": 1e20}, "inf")])
+    def test_a_theta_that_leaves_the_float_range_is_a_domain_error(self, over, text):
+        # 2 pi hbar rho/(m v) underflows to 0, or overflows, inside the condensate: every route that
+        # divides by theta(S) or multiplies by it gets one DomainError where theta is made
+        p = unit_params(**over)
+        d = derive_scales(p)
+        with pytest.raises(DomainError, match=rf"^theta\(S\) = {text} at S = .* leaves the float range$"):
+            theta_at(0.2 * d.R_c, p, d)
 
 
 class TestRhoTF:

@@ -178,6 +178,13 @@ class TestFdmSpectralSolve:
         p, d = setup_params()
         with pytest.raises(DomainError):
             fdm_spectral_solve(0.0, 2.0 * d.R_c, p, d, FdmGrid(N=1000))
+
+    def test_a_frequency_whose_square_underflows_is_the_zero_mode_solve(self):
+        # (omega/hbar v)^2 = 0 leaves the omega = 0 system, singular unless pinned: the solve is
+        # omega = 0's, bitwise, where it once raised LinAlgError
+        p, d = setup_params()
+        zero, tiny = (fdm_spectral_solve(w, 0.1 * d.R_c, p, d, FdmGrid(N=1000)) for w in (0.0, 1e-300))
+        assert tiny.g_values.tobytes() == zero.g_values.tobytes()
         with pytest.raises(DomainError):
             FdmGrid(N=50)
 
@@ -288,9 +295,8 @@ class TestEigensolve:
     @pytest.mark.parametrize("n_cells", [200, 201])
     @pytest.mark.parametrize("n_levels", [1, 19, 20])
     def test_parity_blocks_match_the_full_matrix(self, n_cells, n_levels):
-        # the whole flux-form matrix, diagonalized densely: a centre coupling
-        # of the wrong sign, or an odd-N centre node coupled by c instead of
-        # sqrt(2) c, moves its levels by far more than rounding
+        # the whole flux-form matrix, diagonalized densely: the bisection's
+        # lowest levels are its own to within rounding, at odd and even N
         p, d = setup_params()
         h = 2.0 * d.R_c / n_cells
         pf = 1.0 - ((-d.R_c + np.arange(n_cells + 1) * h) / d.R_c) ** 2

@@ -14,7 +14,8 @@ The matrix is
 
 * ``green`` (every mode), ``correlator`` and ``exponent`` (every mode) at
   beta in {0.05 sqrt2, 1, 100 sqrt2}, at the default and an off-centre
-  geometry, and at dtau in {0, 0.3 beta};
+  geometry, and at dtau in {0, 0.3 beta}, all at the default cap l_max, so
+  that the spectral rows stop at tol and are compared converged;
 * the low-temperature block: ``correlator``/``exponent --mode series`` and
   ``green --mode trapped-series`` at beta in {20, 100, 1000} sqrt2, s_center
   in {0, 0.2, -0.5} R_c, dtau in {0.001, 0.005, 0.02} sqrt2 and 12
@@ -98,7 +99,7 @@ def matrix_invocations(r_c: float) -> list:
                         "omega_list": f"0, {2.0 * math.pi!r}, {20.0 * math.pi!r}", **geo}
                 if dtau:
                     grid.update(tau_min=0.0, tau_max=dtau, tau_count=2)
-                text = _ini({"params": {"beta": beta}, "truncation": {"l_max": 16}, "grid": grid})
+                text = _ini({"params": {"beta": beta}, "grid": grid})
                 for command, mode in commands:
                     name = f"{command}-{mode}-beta{beta:.6g}-{geo_name}-dtau{dtau_frac:g}"
                     out.append((name, [command, "--mode", mode], text))
