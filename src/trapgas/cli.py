@@ -341,8 +341,7 @@ def cmd_green(cfg: RunConfig, args) -> tuple:
     mode = args.mode
     regime_tag = classify_regime(d).value
     columns = ["x1", "tau1", "x2", "tau2", "G_re", "method", "trunc_err", "regime", "const_free", "status"]
-    x1 = cfg["grid.x_ref"]
-    tau1 = cfg["grid.tau_ref"]
+    x1, tau1 = cfg["grid.x_ref"], cfg["grid.tau_ref"]
     xs = [float(x) for x in np.linspace(cfg["grid.x_min"], cfg["grid.x_max"], cfg["grid.x_count"])]
     extra = {"mode": mode}
 
@@ -384,21 +383,15 @@ def cmd_green(cfg: RunConfig, args) -> tuple:
 
 
 def _sep_grid(cfg: RunConfig) -> np.ndarray:
-    lo, hi, count = cfg["grid.sep_min"], cfg["grid.sep_max"], cfg["grid.sep_count"]
-    if cfg["grid.sep_spacing"] == "log":
-        return np.geomspace(lo, hi, count)
-    return np.linspace(lo, hi, count)
+    spacing = np.geomspace if cfg["grid.sep_spacing"] == "log" else np.linspace
+    return spacing(cfg["grid.sep_min"], cfg["grid.sep_max"], cfg["grid.sep_count"])
 
 
 def _correlator_queries(cfg: RunConfig) -> list:
     """Pairs (S + sep/2, tau_ref + dtau; S - sep/2, tau_ref) over the separation grid."""
-    s_center = cfg["grid.s_center"]
-    tau_ref = cfg["grid.tau_ref"]
-    dtau = cfg["grid.dtau"]
-    return [
-        CorrelatorQuery(s_center + sep / 2.0, tau_ref + dtau, s_center - sep / 2.0, tau_ref)
-        for sep in map(float, _sep_grid(cfg))
-    ]
+    s_center, tau_ref, dtau = cfg["grid.s_center"], cfg["grid.tau_ref"], cfg["grid.dtau"]
+    return [CorrelatorQuery(s_center + sep / 2.0, tau_ref + dtau, s_center - sep / 2.0, tau_ref)
+            for sep in map(float, _sep_grid(cfg))]
 
 
 def _correlator_rows(mode, cfg: RunConfig, p, d) -> list:
@@ -447,8 +440,7 @@ def _correlator_row(q: CorrelatorQuery, theta_s, xi_s, g, method, mode, p, d) ->
         return _correlator_error_row(q, mode, exc)
     if g.divergent:
         return (q.x1, q.tau1, q.x2, q.tau2, q.S, None, theta_s, xi_s, method, "divergent")
-    bad = _not_finite(method, gamma=gamma, theta_S=theta_s, xi_S=xi_s, trunc_err=g.trunc_err)
-    if bad:
+    if bad := _not_finite(method, gamma=gamma, theta_S=theta_s, xi_S=xi_s, trunc_err=g.trunc_err):
         return _correlator_error_row(q, mode, bad)
     return (q.x1, q.tau1, q.x2, q.tau2, q.S, gamma, theta_s, xi_s, method, "ok")
 

@@ -101,18 +101,22 @@ def _thermal_factor(e, t: float, beta: float):
     return (np.exp(-e * t) + np.exp(-e * (beta - t))) / (-np.expm1(-beta * e) * 2.0 * e)
 
 
-def _mode_stop(tail, tol: float, route: str, at: str, cap: int = _MODE_CAP) -> int:
-    """The first term count N whose bound ``tail(N)`` on the terms after the first N is at most
-    ``tol``, bisected as the bound falls with N; DomainError at a bad ``tol``, and past ``cap`` an
-    AccuracyError that names the count, ``tol``, the cap and the bound there."""
-    bad = _bad_tol(tol)
-    if bad:
+def _mode_stop(tail, tol: float, route: str, at: str, cap: int = _MODE_CAP, bounded: bool = False) -> int:
+    """The first term count N whose bound ``tail(N)`` on the terms after the first N is at most ``tol``,
+    bisected as the bound falls with N; DomainError at a bad ``tol``, AccuracyError where a bound ``bounded``
+    in exact arithmetic overflows a float at the cap, and past ``cap`` one that names the count, ``tol``,
+    the cap and the bound there."""
+    if bad := _bad_tol(tol):
         raise bad
-    last = bisect.bisect_left(range(cap if tail(cap) <= tol else 2**62), True, key=lambda n: tail(n) <= tol)
+    at_cap = tail(cap)
+    if bounded and not at_cap < math.inf:
+        raise AccuracyError(f"the tail bound of {route} overflows a float at {at}: it is {at_cap!r} at the cap of "
+                            f"{cap} terms", achieved=math.inf)
+    last = bisect.bisect_left(range(cap if at_cap <= tol else 2**62), True, key=lambda n: tail(n) <= tol)
     if last > cap:
         raise AccuracyError(f"{route} needs {'more than ' * (tail(last) > tol)}{last} terms to bound its tail "
-                            f"by tol = {tol:g} at {at}: the bound at the cap of {cap} terms is {tail(cap):.3e}",
-                            achieved=tail(cap))
+                            f"by tol = {tol:g} at {at}: the bound at the cap of {cap} terms is {at_cap:.3e}",
+                            achieved=at_cap)
     return last
 
 
@@ -126,7 +130,7 @@ def _line_plus_modes(beta: float, theta: float, terms) -> tuple:
     return (beta / 2.0) * _bernoulli_b2(theta) + math.fsum(terms), _ROUNDING * magnitudes
 
 
-@np.errstate(all="ignore")  # a term that overflows is _line_plus_modes' AccuracyError
+@np.errstate(all="ignore")  # an overflow is _mode_stop's or _line_plus_modes' AccuracyError
 def homog_series(
     x: float, tau: float, xp: float, taup: float, p: PhysicalParams, d: DerivedScales, *, tol: float = 1e-12
 ) -> GreenValue:
@@ -143,8 +147,8 @@ def homog_series(
     bound meets ``tol`` (absolute in G).  ``trunc_err`` adds 4 eps of the
     magnitudes summed and 4 eps / E_1, the logarithm's argument's relative
     rounding.  At coincident arguments G is -inf, divergent, with an infinite
-    bound; ``_mode_stop`` raises at a bad ``tol`` and past its cap, and
-    ``_line_plus_modes`` where the terms overflow a float.
+    bound; ``_mode_stop`` raises at a bad ``tol``, where r(E) overflows a
+    float and past its cap, and ``_line_plus_modes`` where the terms overflow.
     """
     # dx folded into [-R_c, R_c] and dtau into [-beta/2, beta/2], both exact, so
     # that the sum is periodic and even in each bit for bit
@@ -160,7 +164,7 @@ def homog_series(
     def tail(n: int) -> float:  # the bound on the modes after the first n
         return pref * 2.0 * float(remainder_factor((n + 1.0) * e_1)) / gap if gap else math.inf
 
-    last = _mode_stop(tail, tol, "homog_series", f"t = {t!r}")
+    last = _mode_stop(tail, tol, "homog_series", f"t = {t!r}", bounded=gap != 0.0)
     log_zero_t = _log_abs_1_minus_exp(complex(e_1 * t, a))
     if log_zero_t == -math.inf:
         return _log_divergence("homog-series", math.inf, const_free=False)

@@ -698,7 +698,7 @@ def _series_stop(q: CorrelatorQuery, p: PhysicalParams, d: DerivedScales, pref: 
         phi = float(_thermal_factor(energy_level(m, d), t, p.beta))
         return amp * (2.0 * m + 1.0) / m * phi / gap if gap else math.inf
 
-    last = _mode_stop(tail, tol, "lowT_legendre_series", f"t = {t!r}")
+    last = _mode_stop(tail, tol, "lowT_legendre_series", f"t = {t!r}", bounded=gap != 0.0)
     return u, up, t, sin_th, sin_thp, last, tail(last)
 
 

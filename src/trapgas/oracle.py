@@ -84,7 +84,7 @@ def _flux_operator(d: DerivedScales, n_cells: int):
 
 
 def _assemble_and_solve(omega: float, xp: float, p: PhysicalParams, d: DerivedScales, n_cells: int):
-    hv2 = (p.hbar * d.v) ** 2
+    hv2 = (np.float64(p.hbar) * d.v) ** 2  # numpy scalars: a float failure raises under the caller's errstate
     h, xc, diag, off = _flux_operator(d, n_cells)
     j = int(np.argmin(np.abs(xc - xp)))
     s = np.zeros(n_cells)
@@ -94,8 +94,10 @@ def _assemble_and_solve(omega: float, xp: float, p: PhysicalParams, d: DerivedSc
     # omega != 0 it is positive definite
     ab = np.zeros((2, n_cells))
     ab[0, 1:] = off
-    ab[1, :] = diag + (omega / (p.hbar * d.v)) ** 2
-    if ab[1, 0] != diag[0]:  # else (omega/hbar v)^2 is below the diagonal's rounding: omega = 0's system
+    ab[1, :] = diag + (np.float64(omega) / (p.hbar * d.v)) ** 2
+    if omega != 0.0:
+        if ab[1, 0] == diag[0]:  # the system is omega = 0's, singular unless pinned
+            raise FloatingPointError("(omega/hbar v)^2 underflows below the rounding of the operator's diagonal")
         return xc, solveh_banded(ab, -s), xc[j], 0.0
 
     # omega = 0: the zero-flux operator annihilates constants (K 1 = 0) and
@@ -115,14 +117,14 @@ def _assemble_and_solve(omega: float, xp: float, p: PhysicalParams, d: DerivedSc
     rhs = s.copy()
     rhs[0] -= flux / h
     rhs[-1] -= flux / h
-    mult = float(np.sum(rhs)) / (n_cells * h)
+    mult = np.sum(rhs) / (n_cells * h)
     b = mult * h - rhs
     k = n_cells // 2
     ab[0, k : k + 2] = 0.0
     ab[1, k] = 1.0
     b[k] = 0.0
     g = solveh_banded(ab, b)
-    return xc, g - np.mean(g), xc[j], mult
+    return xc, g - np.mean(g), xc[j], float(mult)
 
 
 def fdm_spectral_solve(
@@ -142,7 +144,8 @@ def fdm_spectral_solve(
     scheme the true fine-grid error is about a third of the reported
     difference; that span, |x| <= R_c - h, is ``estimate_span``.  At omega = 0
     the solution is mean-zero, with the boundary flux of ``_assemble_and_solve``.
-    A solve that overflows a float, or is singular in floating point, is a DomainError.
+    A solve that overflows a float, or is singular in floating point, is a DomainError,
+    as is an omega != 0 whose (omega/hbar v)^2 is lost in the diagonal's rounding.
     """
     if abs(xp) >= d.R_c:
         raise DomainError(f"source point must be interior, got x' = {xp} with R_c = {d.R_c}")
@@ -150,12 +153,14 @@ def fdm_spectral_solve(
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             xc, g, xs, mult = _assemble_and_solve(omega, xp, p, d, grid.N)
             xc2, g2, _, _ = _assemble_and_solve(omega, xp, p, d, grid.N // 2)
-            coarse = np.interp(xc, xc2, g2)
-            h2 = 2.0 * d.R_c / (grid.N // 2)
-            compared = (np.abs(xc - xs) > 4.0 * h2) & (xc >= xc2[0]) & (xc <= xc2[-1])  # never empty at N >= 100
-            est = float(np.max(np.abs(g - coarse)[compared]))
-    except (ArithmeticError, ValueError) as exc:  # FloatingPointError, OverflowError, LinAlgError, inf in a solve
+        if not (np.isfinite(g).all() and np.isfinite(g2).all()):  # LAPACK overflows without a flag
+            raise FloatingPointError("the solution overflows a float")
+    except (ArithmeticError, np.linalg.LinAlgError) as exc:  # FloatingPointError, OverflowError, a singular solve
         raise DomainError(f"the FDM solve at omega = {omega!r} fails in floating point: {exc}") from exc
+    coarse = np.interp(xc, xc2, g2)
+    h2 = 2.0 * d.R_c / (grid.N // 2)
+    compared = (np.abs(xc - xs) > 4.0 * h2) & (xc >= xc2[0]) & (xc <= xc2[-1])  # never empty at N >= 100
+    est = float(np.max(np.abs(g - coarse)[compared]))
     return FdmSolution(
         x_nodes=xc,
         g_values=g,

@@ -1120,7 +1120,7 @@ _THETA_0 = {"hbar": 1e-100, "m": 1e-300, "Lambda": 1e-300}
 _THETA_0_LOWT = {"hbar": 2.013056477087485, "m": 1.982975340784168e+60, "g": 1e300, "Omega": 1e100}
 _MODES_OVERFLOW = {"hbar": 1e-160, "m": 1e-160, "g": 1e-300, "Omega": 1e5}
 _THETA_INF = {"hbar": 1e-160, "g": 1e-300, "Lambda": 1e20}
-_E1_BETA_0 = {"g": 8.922262808634506e-196, "Omega": 1e-20, "beta": 1e-300}
+_TAIL_OVERFLOW = {"g": 8.922262808634506e-196, "Omega": 1e-20, "beta": 1e-300}
 _HIGHT_WIDE = {"g": 1e-300, "beta": 1e-300}
 _BETA_RC_0 = {"hbar": 1e100, "g": 1e-20, "Lambda": 1e-160, "beta": 1e-300}
 _OMEGA_HUGE = {"hbar": 1e-100, "g": 1e-100}
@@ -1134,11 +1134,15 @@ _HOSTILE = [
     (_MODES_OVERFLOW, {"dtau": 0.3}, ["correlator", "--mode", "series"], 0,
      "AccuracyError: the mode sum overflows a float: its magnitudes sum to inf"),
     (_THETA_INF, {"dtau": 0.3}, ["correlator", "--mode", "series"], 0, "DomainError: theta(S) = inf at S = "),
-    (_E1_BETA_0, {}, ["green", "--mode", "homog-series"], 0, "AccuracyError: homog_series needs more than "),
+    (_TAIL_OVERFLOW, {}, ["green", "--mode", "homog-series"], 0,
+     "AccuracyError: the tail bound of homog_series overflows a float at t = 0.0: it is inf at the cap of "),
+    (_TAIL_OVERFLOW, {"dtau": 5e-301}, ["correlator", "--mode", "series"], 0,
+     "AccuracyError: the tail bound of lowT_legendre_series overflows a float at t = 5e-301: it is inf at the cap "),
     (_HIGHT_WIDE, {"dtau": 1e300}, ["correlator", "--mode", "asymptotic-auto"], 0,
      "DomainError: |tau - tau'| = 1e+300 exceeds the asymptotic window bound beta = 1e-300"),
     (_BETA_RC_0, {}, ["green", "--mode", "homog-asympt"], 0, "DomainError: 4 beta R_c underflows to 0 at beta = "),
-    ({"beta": 1e300}, {"omega_list": "1e-300"}, ["green", "--mode", "oracle"], 0, "ok"),
+    ({"beta": 1e300}, {"omega_list": "0, 1e-300"}, ["green", "--mode", "oracle"], 2,
+     "error: the FDM solve at omega = 1e-300 fails in floating point: (omega/hbar v)^2 underflows below the "),
     ({}, {"omega_list": "1e300"}, ["green", "--mode", "oracle"], 2,
      "error: the FDM solve at omega = 1e+300 fails in floating point: "),
     (_OMEGA_HUGE, {"omega_list": "1e300"}, ["green", "--mode", "oracle"], 2,

@@ -26,6 +26,8 @@ from trapgas.green_homogeneous import (
     log_2sin_abs,
     log_2sinh_abs,
 )
+from trapgas.green_trapped import lowT_legendre_series_many
+from trapgas.model import CorrelatorQuery
 from trapgas.oracle import brute_frequency_sum
 
 
@@ -208,6 +210,20 @@ class TestHomogSeries:
         with pytest.raises(AccuracyError, match=f"^homog_series needs .* terms .* at t = .*: the bound at the cap of "
                                                 f"{_MODE_CAP} terms is " r"\d\.\d{3}e-\d\d$"):
             homog_series(0.4, 0.5 * p.beta, -0.1, 0.0, p, d, tol=1e-12)
+
+    def test_refuses_where_its_tail_bound_overflows(self):
+        # at beta = 1e-300 and R_c = 1.4e20, r(E) ~ 1/(2 beta E^2) overflows a float at every count to
+        # the cap, E_1 beta does not underflow to 0, and the tail bound is inf: the AccuracyError names
+        # the overflow, not a count of terms beyond the cap, and the same holds for the Legendre mode sum
+        p, d = setup_params(g=8.922262808634506e-196, Omega=1e-20, beta=1e-300)
+        with pytest.raises(AccuracyError, match=r"^the tail bound of homog_series overflows a float at t = 0\.0: "
+                                                f"it is inf at the cap of {_MODE_CAP} terms$") as err:
+            homog_series(0.4, 0.0, -0.1, 0.0, p, d)
+        assert err.value.achieved == math.inf
+        [got] = lowT_legendre_series_many([CorrelatorQuery(0.4, 5e-301, -0.1, 0.0)], p, d)
+        assert isinstance(got, AccuracyError) and str(got) == (
+            f"the tail bound of lowT_legendre_series overflows a float at t = 5e-301: it is inf at the cap of "
+            f"{_MODE_CAP} terms")
 
     @pytest.mark.parametrize("keyword", [{"ctl": None}, {"l_max": 64}, {"n_max": 256}])
     def test_takes_no_cutoff(self, keyword):

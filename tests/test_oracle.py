@@ -179,14 +179,29 @@ class TestFdmSpectralSolve:
         with pytest.raises(DomainError):
             fdm_spectral_solve(0.0, 2.0 * d.R_c, p, d, FdmGrid(N=1000))
 
-    def test_a_frequency_whose_square_underflows_is_the_zero_mode_solve(self):
-        # (omega/hbar v)^2 = 0 leaves the omega = 0 system, singular unless pinned: the solve is
-        # omega = 0's, bitwise, where it once raised LinAlgError
+    def test_a_frequency_whose_square_underflows_is_refused(self):
+        # (omega/hbar v)^2 lost in the diagonal's rounding leaves the omega = 0 system, singular unless
+        # pinned: a DomainError that names the underflow, where it once raised LinAlgError; the omega = 0
+        # solve would be in the mean-zero gauge, not omega's
         p, d = setup_params()
-        zero, tiny = (fdm_spectral_solve(w, 0.1 * d.R_c, p, d, FdmGrid(N=1000)) for w in (0.0, 1e-300))
-        assert tiny.g_values.tobytes() == zero.g_values.tobytes()
+        with pytest.raises(DomainError, match=r"at omega = 1e-300 fails in floating point: \(omega/hbar v\)\^2 "
+                                              r"underflows below the rounding of the operator's diagonal"):
+            fdm_spectral_solve(1e-300, 0.1 * d.R_c, p, d, FdmGrid(N=1000))
         with pytest.raises(DomainError):
             FdmGrid(N=50)
+
+    def test_only_float_failures_become_domain_errors(self, monkeypatch):
+        # LAPACK overflows without raising a numpy flag: a solution that is not finite is the DomainError;
+        # a ValueError that is no float failure, as of a shape that does not fit, is not caught
+        p, d = setup_params()
+        monkeypatch.setattr(trapgas.oracle, "solveh_banded", lambda ab, b: np.full(len(b), np.inf))
+        with pytest.raises(DomainError, match=r"^the FDM solve at omega = 1\.0 fails in floating point: the solution "
+                                              r"overflows a float$"):
+            fdm_spectral_solve(1.0, 0.1 * d.R_c, p, d, FdmGrid(N=1000))
+        monkeypatch.setattr(trapgas.oracle, "solveh_banded", lambda ab, b: np.zeros(len(b) + 1))
+        with pytest.raises(ValueError) as err:
+            fdm_spectral_solve(1.0, 0.1 * d.R_c, p, d, FdmGrid(N=1000))
+        assert not isinstance(err.value, DomainError)
 
 
 class TestZeroModeSolve:
