@@ -1141,7 +1141,7 @@ _HOSTILE = [
     (_HIGHT_WIDE, {"dtau": 1e300}, ["correlator", "--mode", "asymptotic-auto"], 0,
      "DomainError: |tau - tau'| = 1e+300 exceeds the asymptotic window bound beta = 1e-300"),
     (_BETA_RC_0, {}, ["green", "--mode", "homog-asympt"], 0, "DomainError: 4 beta R_c underflows to 0 at beta = "),
-    ({"beta": 1e300}, {"omega_list": "0, 1e-300"}, ["green", "--mode", "oracle"], 2,
+    ({"beta": 1e300}, {"omega_list": "1e-300"}, ["green", "--mode", "oracle"], 2,
      "error: the FDM solve at omega = 1e-300 fails in floating point: (omega/hbar v)^2 underflows below the "),
     ({}, {"omega_list": "1e300"}, ["green", "--mode", "oracle"], 2,
      "error: the FDM solve at omega = 1e+300 fails in floating point: "),
