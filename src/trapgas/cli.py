@@ -15,8 +15,7 @@ and ``--out`` choose how and where it is written.  ``validate`` reads no
 config and always writes JSON.  Output is deterministic: fixed column order,
 fixed row order, 17-significant-digit numbers, no randomness anywhere.
 
-Exit codes: 0 success, 2 config error, 3 validation failure, 4 numerical
-accuracy failure.
+Exit codes: 0 success, 2 config error or refused evaluation, 3 failed check.
 """
 
 from __future__ import annotations
@@ -179,8 +178,16 @@ def load_config(path: str | None) -> RunConfig:
                 raise ConfigError(f"{name} must be positive, got {value!r}")
             if rule.least is not None and not value >= rule.least:
                 raise ConfigError(f"{name} must be >= {rule.least}, got {value!r}")
-    if values["grid.sep_spacing"] == "log" and not values["grid.sep_min"] > 0:
-        raise ConfigError(f"grid.sep_min must be > 0 under grid.sep_spacing = log, got {values['grid.sep_min']!r}")
+    g = {key: values[f"grid.{key}"] for key in _SCHEMA["grid"]}
+    if bad := [key for key in ("sep_min", "sep_max") if g["sep_spacing"] == "log" and not g[key] > 0]:
+        raise ConfigError(f"grid.{bad[0]} must be > 0 under grid.sep_spacing = log, got {g[bad[0]]!r}")
+    # each grid's span and each correlator point must be a finite float
+    for name, value in (("x_max - x_min", g["x_max"] - g["x_min"]), ("tau_max - tau_min", g["tau_max"] - g["tau_min"]),
+                        ("sep_max - sep_min", g["sep_max"] - g["sep_min"] if g["sep_spacing"] == "linear" else 0.0),
+                        ("|s_center| + |sep|/2", abs(g["s_center"]) + max(abs(g["sep_min"]), abs(g["sep_max"])) / 2.0),
+                        ("tau_ref + dtau", g["tau_ref"] + g["dtau"])):
+        if not math.isfinite(value):
+            raise ConfigError(f"grid: {name} = {value!r} leaves the float range")
     try:
         values["grid.omegas"] = [float(s) for s in str(values["grid.omega_list"]).split(",") if s.strip()]
     except ValueError as exc:
@@ -585,9 +592,6 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except AccuracyError as exc:
-        print(f"numerical accuracy failure: {exc}", file=sys.stderr)
-        return 4
     except TrapGasError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -147,9 +147,11 @@ def homog_series(
     bound meets ``tol`` (absolute in G).  ``trunc_err`` adds 4 eps of the
     magnitudes summed and 4 eps / E_1, the logarithm's argument's relative
     rounding.  At coincident arguments G is -inf, divergent, with an infinite
-    bound; ``_mode_stop`` raises at a bad ``tol``, where r(E) overflows a
-    float and past its cap, and ``_line_plus_modes`` where the terms overflow.
+    bound.  DomainError at a dx or dtau not finite; ``_mode_stop`` raises at a
+    bad ``tol``, on overflow and past its cap; ``_line_plus_modes`` on overflow.
     """
+    if not math.isfinite(x - xp) or not math.isfinite(tau - taup):
+        raise DomainError(f"homog_series needs finite x - x' and tau - tau', got {x - xp!r} and {tau - taup!r}")
     # dx folded into [-R_c, R_c] and dtau into [-beta/2, beta/2], both exact, so
     # that the sum is periodic and even in each bit for bit
     a = math.pi * math.remainder(x - xp, 2.0 * d.R_c) / d.R_c
@@ -181,9 +183,9 @@ def _log_divergence(method: str, trunc_err: float = 0.0, const_free: bool = True
 
 
 def _check_window(dx: float, dtau: float, p: PhysicalParams, d: DerivedScales):
-    if abs(dx) > 2.0 * d.R_c:
+    if not abs(dx) <= 2.0 * d.R_c:  # NaN too
         raise DomainError(f"|x - x'| = {abs(dx)} exceeds the asymptotic window bound 2 R_c = {2 * d.R_c}")
-    if abs(dtau) > p.beta:
+    if not abs(dtau) <= p.beta:
         raise DomainError(f"|tau - tau'| = {abs(dtau)} exceeds the asymptotic window bound beta = {p.beta}")
     if 4.0 * p.beta * d.R_c == 0.0:  # the homogeneous forms' curvature term divides by it
         raise DomainError(f"4 beta R_c underflows to 0 at beta = {p.beta!r}, R_c = {d.R_c!r}")

@@ -456,7 +456,8 @@ def spectral_densities(
     except DomainError as exc:
         up, xp_error = None, exc
     # one compare clamps every point, by _clamped_u's division; a point beyond it takes that call's own error
-    us = np.asarray(xs, dtype=float) / d.R_c
+    with np.errstate(over="ignore"):  # a u that overflows to inf lies beyond the clamp too
+        us = np.asarray(xs, dtype=float) / d.R_c
     inside = np.abs(us) <= 1.0 - BOUNDARY_EPS  # NaN outside
     out = [xp_error] * len(us)  # None until a point's density is in
     for i in np.flatnonzero(~inside).tolist():
@@ -540,12 +541,12 @@ def matsubara_assemble_many(queries, p: PhysicalParams, d: DerivedScales, l_max:
     Entry i is the GreenValue of queries[i], or its DomainError or
     AccuracyError; each is the one that pair alone gives, bitwise and word
     for word, as no kernel row or interpolant depends on the pairs beside
-    it.  A pair's checks run in the order: ``l_max``, the boundary clamp,
-    ``tol`` and the cap (an AccuracyError naming the cap, the estimate there
-    and ``tol``, as at every pair with dx = 0), its top frequency 2 pi L/beta
-    (``_checked_lambda``; the pair's others lie below it), all before any
-    pass, then the first frequency whose density bound exceeds ``tol`` times
-    the magnitude of its terms.
+    it.  A pair's checks run in the order: ``l_max``, the boundary clamp, a
+    tau - tau' not finite, ``tol`` and the cap (an AccuracyError naming the
+    cap, the estimate there and ``tol``, as at every pair with dx = 0), its
+    top frequency 2 pi L/beta (``_checked_lambda``; the pair's others lie
+    below it), all before any pass, then the first frequency whose density
+    bound exceeds ``tol`` times the magnitude of its terms.
     """
     if l_max < 0:
         return [DomainError("l_max must be >= 0")] * len(queries)
@@ -554,6 +555,8 @@ def matsubara_assemble_many(queries, p: PhysicalParams, d: DerivedScales, l_max:
     for q in queries:
         try:
             u, up = _clamped_u(q.x1, d), _clamped_u(q.x2, d)
+            if not math.isfinite(q.dtau):
+                raise DomainError(f"tau - tau' = {q.dtau!r} is not finite")
             last, truncated = _frequency_stop(q, p, d, l_max, tol)
             _checked_lambda(2.0 * math.pi * last / p.beta, d)  # the top frequency bounds the others
         except (DomainError, AccuracyError) as exc:
@@ -771,15 +774,17 @@ def asympt_green_lowT(
 ) -> GreenValue:
     """Low-temperature leading logarithm, up to an additive constant.
 
-    -ln(R_c / |dx + i hbar v dtau|) / theta(S).  Valid for
-    u_* = |zeta|/R_c << 1, read as u_* < WINDOW_FACTOR; raises RegimeError
-    beyond, and unless beta/alpha > 1/WINDOW_FACTOR.
+    -ln(R_c / |dx + i hbar v dtau|) / theta(S).  Valid for u_* = |zeta|/R_c
+    << 1, read as u_* < WINDOW_FACTOR; raises RegimeError beyond, and unless
+    beta/alpha > 1/WINDOW_FACTOR, and DomainError where u_* is not finite.
     """
     if classify_regime(d) is not Regime.LOW_T:
         raise RegimeError(f"beta/alpha > {1.0 / WINDOW_FACTOR:g} violated (beta/alpha = {d.regime_ratio:.3g})")
     _clamped_u(x, d)
     _clamped_u(xp, d)
     u_star = abs(zeta_of(x - xp, abs(tau - taup), p, d)) / d.R_c
+    if not math.isfinite(u_star):
+        raise DomainError(f"|zeta|/R_c = {u_star!r} at tau - tau' = {tau - taup!r} is not finite")
     if u_star == 0.0:
         return _log_divergence("trapped-asympt-lowT")
     if u_star >= WINDOW_FACTOR:

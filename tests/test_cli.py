@@ -1020,12 +1020,15 @@ class TestExponentCommand:
     @pytest.mark.parametrize(
         "mode, params",
         [(m, "") for m in CORRELATOR_MODES]
-        + [("spectral", "[params]\nbeta = 1e-4\n"), ("asymptotic-auto", "[params]\nbeta = 141.4213562373095\n")],
-        ids=[*CORRELATOR_MODES, "spectral-beta-1e-4", "asymptotic-auto-low-T"],
+        + [("spectral", "[params]\nbeta = 1e-4\n"), ("asymptotic-auto", "[params]\nbeta = 141.4213562373095\n"),
+           ("spectral", "[grid]\ns_center = 1.3435028842544403\n")],
+        ids=[*CORRELATOR_MODES, "spectral-beta-1e-4", "asymptotic-auto-low-T", "spectral-s_center-0.95-R_c"],
     )
     def test_fit_is_the_correlator_tables_ok_rows(self, tmp_path, capsys, mode, params):
         # exponent fits exactly the rows the correlator table prints as ok on the
-        # first ok row's route, bit for bit, and counts the others on stderr
+        # first ok row's route, bit for bit, and counts the others on stderr, naming
+        # the first one's cause; at s_center = 0.95 R_c the widest pair is the boundary
+        # clamp's DomainError row
         cfg = write_config(tmp_path, params)
         table, fit_out = tmp_path / "corr.csv", tmp_path / "exp.csv"
         assert main(["correlator", "--mode", mode, "--config", cfg, "--out", str(table)]) == 0
@@ -1033,11 +1036,12 @@ class TestExponentCommand:
         run = load_config(cfg)
         p, d = run.params, run.scales
         _, header, rows = read_csv(str(table))
-        seps, gammas, rhos = [], [], []
+        seps, gammas, rhos, skipped = [], [], [], []
         methods = [r[header.index("method")] for r in rows if r[header.index("status")] == "ok"]
         for cells in rows:
             row = dict(zip(header, cells))
             if row["status"] != "ok" or row["method"] != methods[0]:
+                skipped.append(row["status"] if row["status"] != "ok" else f"method {row['method']}, not {methods[0]}")
                 continue
             q = CorrelatorQuery(*(float(row[k]) for k in ("x1", "tau1", "x2", "tau2")))
             seps.append(abs(zeta_of(q.dx, q.dtau, p, d)))
@@ -1049,11 +1053,8 @@ class TestExponentCommand:
                 extract_exponent(seps, gammas, rhos)
             return
         assert code == 0
-        err, skipped = capsys.readouterr().err, len(rows) - len(seps)
-        if skipped:
-            assert err.startswith(f"exponent: {skipped} of {len(rows)} rows left out of the fit (first: ")
-        else:
-            assert err == ""
+        assert capsys.readouterr().err == (
+            f"exponent: {len(skipped)} of {len(rows)} rows left out of the fit (first: {skipped[0]})\n" if skipped else "")
         fit = extract_exponent(seps, gammas, rhos)
         _, header, rows = read_csv(str(fit_out))
         row = dict(zip(header, rows[0]))
@@ -1114,6 +1115,66 @@ def _run_quietly(path, argv) -> tuple:
     return code, out.getvalue(), err.getvalue()
 
 
+# tables whose statuses are counted: (argv, config text, the number of rows whose status starts with
+# each prefix), every row of the table counted; R_c = sqrt 2 and alpha = sqrt 2 at the default params
+_LOW_T = "[params]\nbeta = 141.4213562373095\n"  # beta/alpha = 100
+_STATUS_COUNTS = [
+    # the oracle's default table, omega = 0 only: every point lies inside the coarse nodes' span
+    pytest.param(["green", "--mode", "oracle"], "", {"ok": 41}, id="oracle-default"),
+    # homog-series sums every Matsubara frequency in closed form and reads no l_max
+    pytest.param(["green", "--mode", "homog-series"], "[truncation]\nl_max = 1\n", {"ok": 41},
+                 id="homog-series-l_max-1"),
+    # a symmetric +-0.995 R_c grid: P_nu(+-u_ref) recurs on every row, and 96 rows at 200 pi and
+    # 2000 pi underflow to 0
+    pytest.param(["green", "--mode", "trapped-spectral"],
+                 "[grid]\nx_min = -1.4071424945612296\nx_max = 1.4071424945612296\nx_count = 81\n"
+                 "omega_list = 0, 6.283185307179586, 628.3185307179587, 6283.185307179586\n", {"ok": 324},
+                 id="trapped-spectral-sweep"),
+    # x_ref and both grid ends at the boundary clamp (1 - 1e-6) R_c, at 2 pi and 4 pi (lambda = 79 and 316),
+    # where P_nu(-(1 - 1e-6)) enters both terms of a density and the Gauss sub-rule's error is largest
+    pytest.param(["green", "--mode", "trapped-spectral"],
+                 "[grid]\nx_ref = 1.4142121481595327\nx_min = -1.4142121481595327\nx_max = 1.4142121481595327\n"
+                 "omega_list = 0, 6.283185307179586, 12.566370614359172\n", {"ok": 123}, id="trapped-spectral-clamp"),
+    # low temperature with x_ref = 0 on the grid: the real-branch densities at 2 pi/beta and 4 pi/beta
+    # are exactly 0 at x = x_ref
+    pytest.param(["green", "--mode", "trapped-spectral"],
+                 f"{_LOW_T}[grid]\nx_ref = 0.0\nomega_list = 0, 0.04442882938158366, 0.08885765876316732\n",
+                 {"ok": 123}, id="trapped-spectral-low-T-x_ref-0"),
+    # the closed form, the zero mode at omega = 0, at the default grid
+    pytest.param(["correlator", "--mode", "closed-form"], "", {"ok": 9}, id="closed-form-default"),
+    # every pair of the default table stops at tol by its 256th frequency, below the default cap
+    pytest.param(["correlator", "--mode", "spectral"], "", {"ok": 9}, id="spectral-default"),
+    # l_max is a cap that refuses, not one that stops the sum: the 5 narrowest pairs need more
+    pytest.param(["correlator", "--mode", "spectral"], "[truncation]\nl_max = 64\n",
+                 {"AccuracyError: matsubara_assemble needs ": 5, "ok": 4}, id="spectral-l_max-64"),
+    # low temperature, dtau = 0.007 alpha: every pair needs 3 615 to 36 146 frequencies and refuses
+    # at the cap of 1 024 before any kernel pass, and stops below the cap of 65 536, each pair in a
+    # pass of its own, its far frequencies from the interpolants of its two points
+    pytest.param(["correlator", "--mode", "spectral"], f"{_LOW_T}[grid]\ndtau = 0.007\n[truncation]\nl_max = 1024\n",
+                 {"AccuracyError: matsubara_assemble needs ": 9}, id="spectral-low-T-l_max-1024"),
+    pytest.param(["correlator", "--mode", "spectral"], f"{_LOW_T}[grid]\ndtau = 0.007\n[truncation]\nl_max = 65536\n",
+                 {"ok": 9}, id="spectral-low-T-l_max-65536"),
+    # tol = 1e-15 at l_max = 256: the narrowest pair needs 330 frequencies, and every other pair's
+    # density bound is refused
+    pytest.param(["correlator", "--mode", "spectral"], "[truncation]\ntol = 1e-15\nl_max = 256\n",
+                 {"AccuracyError: spectral density at omega = ": 8,
+                  "AccuracyError: matsubara_assemble needs 330 terms ": 1},
+                 id="spectral-tol-1e-15"),
+    # the series is the exact thermal mode sum at every temperature, beta/alpha = 0.707 among them
+    pytest.param(["correlator", "--mode", "series"], "[grid]\ndtau = 0.3\n", {"ok": 9}, id="series-dtau-0.3"),
+]
+
+
+@pytest.mark.parametrize("argv, config, counts", _STATUS_COUNTS)
+def test_table_status_counts(tmp_path, argv, config, counts):
+    code, out, err = _run_quietly(write_config(tmp_path, config), argv)
+    assert code == 0, err
+    header, *rows = csv.reader(line for line in out.splitlines() if not line.startswith("#"))
+    statuses = [row[header.index("status")] for row in rows]
+    assert {prefix: sum(status.startswith(prefix) for status in statuses) for prefix in counts} == counts
+    assert len(statuses) == sum(counts.values()), statuses
+
+
 # hostile configs that once ended in a traceback: (params, grid, argv, exit code, the message that
 # each row's status or stderr now holds)
 _THETA_0 = {"hbar": 1e-100, "m": 1e-300, "Lambda": 1e-300}
@@ -1125,6 +1186,9 @@ _HIGHT_WIDE = {"g": 1e-300, "beta": 1e-300}
 _BETA_RC_0 = {"hbar": 1e100, "g": 1e-20, "Lambda": 1e-160, "beta": 1e-300}
 _OMEGA_HUGE = {"hbar": 1e-100, "g": 1e-100}
 _FDM_OVERFLOW = {"m": 4.553017541190372e+59, "Lambda": 1.6878873513327637e-246}
+_TAU_WIDE = {"tau_min": -1.7e308, "tau_max": 1.7e308, "tau_count": 3}
+_X_WIDE = {"x_min": -1.7e308, "x_max": 1.7e308}
+_TAU_FAR = {"tau_ref": 1e308, "dtau": 1e308}
 _HOSTILE = [
     (_THETA_0, {}, ["correlator", "--mode", "spectral"], 0, "DomainError: theta(S) = 0.0 at S = "),
     (_THETA_0, {}, ["exponent", "--mode", "spectral"], 2, "error: theta(S) = 0.0 at S = "),
@@ -1149,9 +1213,26 @@ _HOSTILE = [
      "error: the FDM solve at omega = 1e+300 fails in floating point: "),
     (_FDM_OVERFLOW, {}, ["green", "--mode", "oracle"], 2,
      "error: the FDM solve at omega = 0.0 fails in floating point: "),
+    # grids whose points leave the float range: a ValueError traceback, rows of nan, or numpy's
+    # RuntimeWarning in linspace or cos
+    ({}, _TAU_WIDE, ["green", "--mode", "homog-series"], 2, "config error: grid: tau_max - tau_min = inf leaves "),
+    ({}, _TAU_WIDE, ["green", "--mode", "trapped-series"], 2, "config error: grid: tau_max - tau_min = inf leaves "),
+    ({}, _X_WIDE, ["density"], 2, "config error: grid: x_max - x_min = inf leaves the float range"),
+    ({}, _X_WIDE, ["green", "--mode", "homog-series"], 2, "config error: grid: x_max - x_min = inf leaves "),
+    ({}, {"sep_spacing": "linear", "sep_min": -1.7e308, "sep_max": 1.7e308}, ["correlator", "--mode", "closed-form"],
+     2, "config error: grid: sep_max - sep_min = inf leaves the float range"),
+    ({}, _TAU_FAR, ["correlator", "--mode", "spectral"], 2, "config error: grid: tau_ref + dtau = inf leaves "),
+    ({}, _TAU_FAR, ["correlator", "--mode", "asymptotic-auto"], 2, "config error: grid: tau_ref + dtau = inf "),
+    # a log-spaced grid to sep_max <= 0: numpy's ValueError at 0, rows of nan below it
+    ({}, {"sep_max": 0.0}, ["correlator", "--mode", "closed-form"], 2,
+     "config error: grid.sep_max must be > 0 under grid.sep_spacing = log, got 0.0"),
+    ({}, {"sep_max": -1.0}, ["correlator", "--mode", "closed-form"], 2,
+     "config error: grid.sep_max must be > 0 under grid.sep_spacing = log, got -1.0"),
 ]
 _MAGNITUDES = st.builds(lambda mantissa, exponent: float(f"{mantissa}e{exponent}"),
                         st.integers(1, 9), st.integers(-300, 299))
+_GRID_VALUES = st.sampled_from([0.0, 0.3, -0.3, 1e-300, 1e300, 1.7e308, -1.7e308])
+_GRID_KEYS = ("x_min", "x_max", "x_ref", "tau_min", "tau_max", "tau_ref", "s_center", "sep_min", "sep_max")
 _COMMANDS = ([["green", "--mode", mode] for mode in GREEN_MODES]
              + [[command, "--mode", mode] for command in ("correlator", "exponent") for mode in CORRELATOR_MODES])
 
@@ -1170,7 +1251,7 @@ class TestHostileConfigs:
     inf; RuntimeWarnings are errors here, as in the whole suite."""
 
     @pytest.mark.parametrize("params, grid, argv, code, message", _HOSTILE,
-                             ids=[f"{argv[0]}-{argv[2]}-{i}" for i, (_, _, argv, _, _) in enumerate(_HOSTILE)])
+                             ids=[f"{'-'.join(argv[::2])}-{i}" for i, (_, _, argv, _, _) in enumerate(_HOSTILE)])
     def test_a_repro_ends_typed(self, tmp_path, params, grid, argv, code, message):
         path = tmp_path / "hostile.ini"
         path.write_text(_ini({"params": params, "grid": {"x_count": 3, "sep_count": 3, **grid}}))
@@ -1189,7 +1270,10 @@ class TestHostileConfigs:
                                                       for key in ("hbar", "m", "g", "Omega", "Lambda", "beta")}),
            grid=st.fixed_dictionaries({"x_count": st.integers(0, 3), "sep_count": st.integers(0, 3)},
                                       optional={"dtau": st.sampled_from([0.0, 0.3, 1e-300, 1e300]),
-                                                "omega_list": st.sampled_from(["0", "1e-300", "1e300", "0, 1"])}),
+                                                "omega_list": st.sampled_from(["0", "1e-300", "1e300", "0, 1"]),
+                                                "tau_count": st.integers(0, 3),
+                                                "sep_spacing": st.sampled_from(["log", "linear"]),
+                                                **dict.fromkeys(_GRID_KEYS, _GRID_VALUES)}),
            truncation=st.fixed_dictionaries({}, optional={"tol": st.sampled_from([1e-16, 1e-3, 1e-300]),
                                                           "l_max": st.integers(0, 4096)}),
            argv=st.sampled_from(_COMMANDS))
@@ -1226,6 +1310,23 @@ class TestValidateCommand:
         by_name = {c["name"]: c for c in report["checks"]}
         assert by_name.pop(name)["passed"] is False
         assert not report["all_passed"]
+        assert len(by_name) == 10 and all(c["passed"] for c in by_name.values())
+
+    def test_a_check_whose_route_raises_fails_alone(self, tmp_path, monkeypatch):
+        # a TrapGasError inside check 07 is that check's failure, with the error as its detail: the
+        # report is written, the checks after it still run, the other ten pass, and validate exits 3
+        from trapgas import checks
+        from trapgas.errors import AccuracyError
+
+        def refusing(*args, **kwargs):
+            raise AccuracyError("the Liouville-Green form refused", achieved=math.inf)
+
+        monkeypatch.setattr(checks, "asympt_green_highT", refusing)
+        out = tmp_path / "report.json"
+        assert main(["validate", "--out", str(out)]) == 3
+        by_name = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+        failed = by_name.pop("07-trapped-highT-match")
+        assert failed["passed"] is False and failed["detail"] == "AccuracyError: the Liouville-Green form refused"
         assert len(by_name) == 10 and all(c["passed"] for c in by_name.values())
 
     def test_a_failed_condition_fails_check_08(self, tmp_path, monkeypatch):

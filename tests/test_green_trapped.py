@@ -1,5 +1,6 @@
 import math
 import re
+from functools import partial
 from types import SimpleNamespace
 from unittest.mock import patch
 
@@ -25,6 +26,8 @@ from trapgas import (
     closed_form_green,
     derive_scales,
     green_difference,
+    homog_asymptotic_highT,
+    homog_asymptotic_lowT,
     homog_series,
     lowT_legendre_series,
     lowT_legendre_series_many,
@@ -1418,3 +1421,32 @@ class TestTrappedAsymptotics:
         p, d = setup_params(beta=100.0 * math.sqrt(2.0))
         with pytest.raises(DomainError, match="exceeds the boundary clamp"):
             asympt_green_lowT(x * d.R_c, 0.001, xp * d.R_c, 0.0, p, d)
+
+
+# every route of a pair, at a beta/alpha where it applies and a point (x/R_c, tau/beta, x'/R_c, tau'/beta)
+# where it returns a value
+_ROUTES = [
+    (homog_series, 0.05, (0.3, 0.01, 0.2, 0.0)),
+    (homog_asymptotic_highT, 0.05, (0.3, 0.01, 0.2, 0.0)),
+    (homog_asymptotic_lowT, 100.0, (0.3, 0.01, 0.2, 0.0)),
+    (closed_form_green, 0.05, (0.3, 0.0, 0.2, 0.0)),
+    (asympt_green_highT, 0.05, (0.3, 0.01, 0.2, 0.0)),
+    (asympt_green_lowT, 100.0, (0.21, 1e-4, 0.2, 0.0)),
+    (lowT_legendre_series, 100.0, (0.3, 0.01, 0.2, 0.0)),
+    (partial(matsubara_assemble, l_max=2**17), 0.05, (0.3, 0.01, 0.2, 0.0)),
+]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("arg", range(4), ids=["x", "tau", "xp", "taup"])
+@pytest.mark.parametrize("route, beta_over_alpha, point", _ROUTES,
+                         ids=[getattr(r, "func", r).__name__ for r, _, _ in _ROUTES])
+def test_every_route_refuses_a_non_finite_argument(route, beta_over_alpha, point, arg, bad):
+    # a nan or inf in any of x, tau, x' and tau' is a DomainError: not G = nan as a value, nor the
+    # divergence marker, nor a ValueError, an overflow AccuracyError or numpy's RuntimeWarning
+    p, d = setup_params(beta=beta_over_alpha * math.sqrt(2.0))
+    args = [scale * c for scale, c in zip((d.R_c, p.beta, d.R_c, p.beta), point)]
+    assert math.isfinite(route(*args, p, d).value)
+    args[arg] = bad
+    with pytest.raises(DomainError):
+        route(*args, p, d)
