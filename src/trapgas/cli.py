@@ -516,7 +516,7 @@ def cmd_validate(args, out) -> int:
         "checks": [
             {
                 "name": r.name,
-                "value": r.value,
+                "value": r.value if math.isfinite(r.value) else None,
                 "tol": r.tol,
                 "passed": r.passed,
                 "seconds": round(r.seconds, 6),

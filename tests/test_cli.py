@@ -830,6 +830,11 @@ class TestCorrelatorCommand:
         assert calls == [18 * 17, 9 * 4]
         _, header, rows = read_csv(str(out))
         assert [r[header.index("status")] for r in rows] == ["ok"] * 9
+        # l_max caps the sum and changes no value: at the default cap the table body is the same text
+        default = tmp_path / "default.csv"
+        assert main(["correlator", "--mode", "spectral", "--out", str(default)]) == 0
+        bodies = [[line for line in path.read_text().splitlines() if not line.startswith("#")] for path in (out, default)]
+        assert bodies[0] == bodies[1]
 
     def test_spectral_row_equals_symmetrized_pair(self, tmp_path):
         # the table evaluates G once, which stands for both G(1;2) and G(2;1):
@@ -1121,9 +1126,6 @@ _LOW_T = "[params]\nbeta = 141.4213562373095\n"  # beta/alpha = 100
 _STATUS_COUNTS = [
     # the oracle's default table, omega = 0 only: every point lies inside the coarse nodes' span
     pytest.param(["green", "--mode", "oracle"], "", {"ok": 41}, id="oracle-default"),
-    # homog-series sums every Matsubara frequency in closed form and reads no l_max
-    pytest.param(["green", "--mode", "homog-series"], "[truncation]\nl_max = 1\n", {"ok": 41},
-                 id="homog-series-l_max-1"),
     # a symmetric +-0.995 R_c grid: P_nu(+-u_ref) recurs on every row, and 96 rows at 200 pi and
     # 2000 pi underflow to 0
     pytest.param(["green", "--mode", "trapped-spectral"],
@@ -1142,8 +1144,6 @@ _STATUS_COUNTS = [
                  {"ok": 123}, id="trapped-spectral-low-T-x_ref-0"),
     # the closed form, the zero mode at omega = 0, at the default grid
     pytest.param(["correlator", "--mode", "closed-form"], "", {"ok": 9}, id="closed-form-default"),
-    # every pair of the default table stops at tol by its 256th frequency, below the default cap
-    pytest.param(["correlator", "--mode", "spectral"], "", {"ok": 9}, id="spectral-default"),
     # l_max is a cap that refuses, not one that stops the sum: the 5 narrowest pairs need more
     pytest.param(["correlator", "--mode", "spectral"], "[truncation]\nl_max = 64\n",
                  {"AccuracyError: matsubara_assemble needs ": 5, "ok": 4}, id="spectral-l_max-64"),
@@ -1327,6 +1327,7 @@ class TestValidateCommand:
         by_name = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
         failed = by_name.pop("07-trapped-highT-match")
         assert failed["passed"] is False and failed["detail"] == "AccuracyError: the Liouville-Green form refused"
+        assert failed["value"] is None  # no figure, written as JSON's null
         assert len(by_name) == 10 and all(c["passed"] for c in by_name.values())
 
     def test_a_failed_condition_fails_check_08(self, tmp_path, monkeypatch):
