@@ -4,9 +4,11 @@ validation suite, and CSV/JSON emission for plotting pipelines.
 ``_COMMANDS`` declares the subcommands: the parser is built from it once, on
 the first ``main`` call, and ``main`` runs ``cmd_<name>``, looked up at call
 time.  ``_SCHEMA`` gives each config key its parser, default and admissible
-range.  ``exponent`` fits the ok rows of the ``correlator`` table's own row
-function that share the first ok row's route, and names on stderr the rows
-it leaves out.
+range.  ``_route`` maps every spacetime mode, ``spectral`` and
+``asymptotic-auto`` included, to one batch evaluator of a table's pairs;
+``asymptotic-auto`` is a fallback of two.  ``exponent`` fits the ok rows of
+the ``correlator`` table's own row function that share the first ok row's
+route, and names on stderr the rows it leaves out.
 
 Config documents are flat INI text (``key = value`` under section headers);
 unknown sections or keys are rejected.  Every table echoes the fully
@@ -302,11 +304,17 @@ def cmd_spectrum(cfg: RunConfig, args) -> tuple:
 
 def _route(mode, cfg: RunConfig, p, d):
     """queries -> the GreenValue of each, the row error that refused it, or
-    None where the regime has no asymptotic form, under one per-point green
-    or correlator mode, its controls and regime resolved once per table; the
-    thermal mode sum takes the whole table in one call."""
+    None where the regime has no asymptotic form, under one spacetime green
+    or correlator mode, its controls and regime resolved once per table.
+    The thermal mode sum and the Matsubara assembly take the whole table in
+    one call, the other forms one pair at a time; ``asymptotic-auto`` is the
+    ``trapped-asympt`` form falling back to ``spectral``."""
     if mode in ("trapped-series", "series"):
         return partial(lowT_legendre_series_many, p=p, d=d, tol=cfg["truncation.tol"])
+    if mode == "spectral":
+        return partial(matsubara_assemble_many, p=p, d=d, l_max=cfg["truncation.l_max"], tol=cfg["truncation.tol"])
+    if mode == "asymptotic-auto":
+        return _fallback(_route("trapped-asympt", cfg, p, d), _route("spectral", cfg, p, d))
     regime = classify_regime(d)
     if mode == "homog-series":
         form = partial(homog_series, tol=cfg["truncation.tol"])
@@ -314,11 +322,24 @@ def _route(mode, cfg: RunConfig, p, d):
         form = closed_form_green
     elif mode == "homog-asympt":
         form = {Regime.HIGH_T: homog_asymptotic_highT, Regime.LOW_T: homog_asymptotic_lowT}.get(regime)
-    elif mode in ("trapped-asympt", "asymptotic-auto"):
+    elif mode == "trapped-asympt":
         form = {Regime.HIGH_T: asympt_green_highT, Regime.LOW_T: asympt_green_lowT}.get(regime)
     else:
         raise ConfigError(f"unknown mode {mode!r}")
     return partial(_evaluate, form and partial(form, p=p, d=d))
+
+
+def _fallback(primary, secondary):
+    """The evaluator that gives ``primary``'s entry of each query, but
+    ``secondary``'s, from one call over them all, of each query that
+    ``primary`` leaves None or refuses with RegimeError."""
+    def evaluate(queries) -> list:
+        out = primary(queries)
+        refused = [i for i, g in enumerate(out) if g is None or isinstance(g, RegimeError)]
+        for i, g in zip(refused, secondary([queries[i] for i in refused])):
+            out[i] = g
+        return out
+    return evaluate
 
 
 def _not_finite(source: str, **cells):
@@ -402,53 +423,30 @@ def _correlator_queries(cfg: RunConfig) -> list:
 
 
 def _correlator_rows(mode, cfg: RunConfig, p, d) -> list:
-    """The correlator table's row of each pair of the separation grid; an
-    evaluation failure is its row's status.  A row reads theta(S) and xi(S)
-    before its Green value, which one ``_route`` call gives for every pair.
-    The spectral route serves every pair in ``spectral`` and, in
-    ``asymptotic-auto``, each pair that has no asymptotic form or whose form
-    raises RegimeError, all of them by one ``matsubara_assemble_many`` call."""
+    """The correlator table's row of each pair of the separation grid, from
+    one ``_route`` call over them all; an evaluation failure is its row's
+    status."""
     queries = _correlator_queries(cfg)
-    route = mode if mode == "spectral" else f"{mode}:fallback-spectral"
-    rows, served = [], []  # served: (row index, theta(S), xi(S)) of each pair whose theta(S) and xi(S) are in
-    for q in queries:
-        try:
-            served.append((len(rows), theta_at(q.S, p, d), xi_at(q.S, p, d)))
-            rows.append(None)  # until its Green value is in
-        except _ROW_ERRORS as exc:
-            rows.append(_correlator_error_row(q, mode, exc))
-    greens = [None] * len(served) if mode == "spectral" else _route(mode, cfg, p, d)([queries[i] for i, *_ in served])
-    spectral = []  # (row index, theta(S), xi(S)) of each pair the spectral route serves
-    for (i, theta_s, xi_s), g in zip(served, greens):
-        if g is None or (mode == "asymptotic-auto" and isinstance(g, RegimeError)):
-            spectral.append((i, theta_s, xi_s))
-        else:
-            rows[i] = _correlator_row(queries[i], theta_s, xi_s, g, mode, mode, p, d)
-    assembled = matsubara_assemble_many([queries[i] for i, *_ in spectral], p, d,
-                                        cfg["truncation.l_max"], cfg["truncation.tol"])
-    for (i, theta_s, xi_s), g in zip(spectral, assembled):
-        rows[i] = _correlator_row(queries[i], theta_s, xi_s, g, route, mode, p, d)
-    return rows
+    return [_correlator_row(q, g, mode, p, d) for q, g in zip(queries, _route(mode, cfg, p, d)(queries))]
 
 
-def _correlator_error_row(q: CorrelatorQuery, mode, exc) -> tuple:
-    """The correlator table's row of a pair whose evaluation raised ``exc``."""
-    return (q.x1, q.tau1, q.x2, q.tau2, q.S, None, None, None, mode, f"{type(exc).__name__}: {exc}")
-
-
-def _correlator_row(q: CorrelatorQuery, theta_s, xi_s, g, method, mode, p, d) -> tuple:
+def _correlator_row(q: CorrelatorQuery, g, mode, p, d) -> tuple:
     """One row of the correlator table from the pair's Green value ``g``, or
-    the error that refused it, which is then the row's status."""
-    if isinstance(g, TrapGasError):
-        return _correlator_error_row(q, mode, g)
+    the error that refused it.  theta(S) and xi(S) are read first, so an
+    error of theirs is the row's status before ``g``'s; a row of the
+    spectral fallback names it in its method."""
     try:
+        theta_s, xi_s = theta_at(q.S, p, d), xi_at(q.S, p, d)
+        if isinstance(g, _ROW_ERRORS):
+            raise g
         gamma = gamma_from_green(q, g, p, d)
+        method = f"{mode}:fallback-spectral" if mode == "asymptotic-auto" and g.method == "trapped-assembled" else mode
+        if g.divergent:
+            return (q.x1, q.tau1, q.x2, q.tau2, q.S, None, theta_s, xi_s, method, "divergent")
+        if bad := _not_finite(method, gamma=gamma, theta_S=theta_s, xi_S=xi_s, trunc_err=g.trunc_err):
+            raise bad
     except _ROW_ERRORS as exc:
-        return _correlator_error_row(q, mode, exc)
-    if g.divergent:
-        return (q.x1, q.tau1, q.x2, q.tau2, q.S, None, theta_s, xi_s, method, "divergent")
-    if bad := _not_finite(method, gamma=gamma, theta_S=theta_s, xi_S=xi_s, trunc_err=g.trunc_err):
-        return _correlator_error_row(q, mode, bad)
+        return (q.x1, q.tau1, q.x2, q.tau2, q.S, None, None, None, mode, f"{type(exc).__name__}: {exc}")
     return (q.x1, q.tau1, q.x2, q.tau2, q.S, gamma, theta_s, xi_s, method, "ok")
 
 

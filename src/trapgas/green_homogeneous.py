@@ -41,6 +41,9 @@ __all__ = [
 # magnitudes: each term's products, the exactly rounded fsum, line and prefactor
 _ROUNDING = 4.0 * sys.float_info.epsilon
 
+# largest |x| whose square is a finite float
+_SQRT_FLOAT_MAX = math.sqrt(sys.float_info.max)
+
 # the most modes a mode sum adds, about 0.5 s a pair for the trapped one; a
 # pair whose tail bound needs more is an AccuracyError
 _MODE_CAP = 2**20
@@ -203,7 +206,7 @@ def homog_asymptotic_highT(
     _check_window(dx, dtau, p, d)
     hv = p.hbar * d.v
     log_term = log_2sinh_abs((math.pi / (p.hbar * p.beta * d.v)) * zeta_of(dx, dtau, p, d))
-    if math.isinf(log_term):
+    if log_term == -math.inf:  # an overflowed +inf is no divergence: the caller's finite check reports it
         return _log_divergence("homog-asympt-highT")
     value = log_term / theta_homogeneous(p, d) - (p.g / (4.0 * p.beta * d.R_c)) * dx**2 / hv**2
     return GreenValue(value=value, method="homog-asympt-highT", const_free=True)
@@ -220,8 +223,10 @@ def homog_asymptotic_lowT(
     """
     dx, dtau = x - xp, tau - taup
     _check_window(dx, dtau, p, d)
+    if not abs(dtau) <= _SQRT_FLOAT_MAX:
+        raise DomainError(f"|tau - tau'| = {abs(dtau)!r}: its square in the curvature term overflows a float")
     log_term = log_2sin_abs((math.pi / (2.0 * d.R_c)) * zeta_of(dx, dtau, p, d))
-    if math.isinf(log_term):
+    if log_term == -math.inf:
         return _log_divergence("homog-asympt-lowT")
     value = log_term / theta_homogeneous(p, d) - (p.g / (4.0 * p.beta * d.R_c)) * dtau**2
     return GreenValue(value=value, method="homog-asympt-lowT", const_free=True)

@@ -51,7 +51,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import AccuracyError, DomainError, RegimeError, TrapGasError
-from .green_homogeneous import (_ROUNDING, GreenValue, _bad_tol, _check_window, _line_plus_modes,
+from .green_homogeneous import (_ROUNDING, _SQRT_FLOAT_MAX, GreenValue, _bad_tol, _check_window, _line_plus_modes,
                                 _log_abs_1_minus_exp, _log_divergence, _mode_stop, _thermal_factor)
 from .legendre import _NODES, _nu_real, _p_quad, p_poly_table
 from .model import (
@@ -145,10 +145,6 @@ def _clamped_u(x: float, d: DerivedScales) -> float:
             "trapped evaluations require interior points"
         )
     return u
-
-
-# largest |x| whose square is a finite float
-_SQRT_FLOAT_MAX = math.sqrt(sys.float_info.max)
 
 
 def _checked_lambda(omega: float, d: DerivedScales) -> float:

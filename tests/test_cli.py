@@ -1205,6 +1205,13 @@ _HOSTILE = [
     (_HIGHT_WIDE, {"dtau": 1e300}, ["correlator", "--mode", "asymptotic-auto"], 0,
      "DomainError: |tau - tau'| = 1e+300 exceeds the asymptotic window bound beta = 1e-300"),
     (_BETA_RC_0, {}, ["green", "--mode", "homog-asympt"], 0, "DomainError: 4 beta R_c underflows to 0 at beta = "),
+    ({"beta": 1e155}, {"tau_min": 5e154, "tau_max": 5e154, "tau_count": 2}, ["green", "--mode", "homog-asympt"], 0,
+     "DomainError: |tau - tau'| = 5e+154: its square in the curvature term overflows a float"),
+    ({"beta": 3e227}, {"tau_min": 1e227, "tau_max": 1e227, "tau_count": 2}, ["green", "--mode", "homog-asympt"], 0,
+     "DomainError: |tau - tau'| = 1e+227: its square in the curvature term overflows a float"),
+    # a log that overflows to +inf at separated points is no divergence
+    ({"Omega": 1e-150, "beta": 1e-300}, {}, ["green", "--mode", "homog-asympt"], 0,
+     "AccuracyError: G = nan from homog-asympt-highT is not finite"),
     ({"beta": 1e300}, {"omega_list": "1e-300"}, ["green", "--mode", "oracle"], 2,
      "error: the FDM solve at omega = 1e-300 fails in floating point: (omega/hbar v)^2 underflows below the "),
     ({}, {"omega_list": "1e300"}, ["green", "--mode", "oracle"], 2,

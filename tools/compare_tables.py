@@ -34,6 +34,12 @@ The matrix is
   and every other pair's first density bound is refused (9 AccuracyError
   rows), and at beta = 1e-4, where the widest pair's Gamma
   underflows (an AccuracyError row beside 8 ok rows);
+* the fallback block: ``correlator``/``exponent --mode asymptotic-auto`` at
+  beta = 0.05 sqrt2, l_max = 400, s_center = 0.995 R_c and 9 separations
+  from 0.002 to 0.008 R_c, where the narrower pairs take the
+  high-temperature form and the wider ones reach its edge layer and fall
+  back to the spectral route (4 form rows beside 5 fallback rows; the
+  ``exponent`` exits 2);
 * the profile block: ``density`` on the default grid and on a grid out to
   +-1.2 R_c, where the clipped density reads 0, and ``spectrum --levels 30``;
 * ``validate``, with its timings dropped;
@@ -152,6 +158,15 @@ def spectral_error_invocations(r_c: float) -> list:
             for name, sections in configs.items() for command in ("correlator", "exponent")]
 
 
+def fallback_invocations(r_c: float) -> list:
+    """(name, argv, config text) of the ``asymptotic-auto`` tables whose rows
+    mix the high-temperature form's with the spectral fallback's."""
+    text = _ini({"params": {"beta": 0.05 * SQRT2}, "truncation": {"l_max": 400},
+                 "grid": {"s_center": 0.995 * r_c, "sep_min": 0.002 * r_c, "sep_max": 0.008 * r_c, "sep_count": 9}})
+    return [(f"fallback-{command}-mixed", [command, "--mode", "asymptotic-auto"], text)
+            for command in ("correlator", "exponent")]
+
+
 def profile_invocations(r_c: float) -> list:
     """(name, argv, config text) of the ``density`` and ``spectrum`` tables."""
     wide = _ini({"grid": {"x_min": -1.2 * r_c, "x_max": 1.2 * r_c, "x_count": 25}})
@@ -207,7 +222,7 @@ def cmd_run(tree: str, out_path: str) -> int:
     tg = _import_tree(tree)
     r_c = tg.derive_scales(tg.PhysicalParams(m=1.0, g=1.0, Omega=1.0, Lambda=1.0, beta=1.0)).R_c
     records = run_invocations(matrix_invocations(r_c) + lowt_invocations(r_c) + spectral_invocations(r_c)
-                              + spectral_error_invocations(r_c) + profile_invocations(r_c))
+                              + spectral_error_invocations(r_c) + fallback_invocations(r_c) + profile_invocations(r_c))
     records["validate"] = _validate_record()
     with open(out_path, "w", encoding="utf-8") as fh:
         json.dump(records, fh, indent=0, sort_keys=True)
