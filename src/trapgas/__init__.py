@@ -51,8 +51,8 @@ from .model import (
     xi_at,
 )
 
-# The oracle is the only module that needs scipy, and only `validate` and
-# `green --mode oracle` run it, so its names load on first use (PEP 562).
+# Only `validate` and `green --mode oracle` run the oracle, so its names load
+# on first use (PEP 562) and no other command pays for importing it.
 _ORACLE_NAMES = (
     "FdmGrid",
     "FdmSolution",

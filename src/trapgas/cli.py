@@ -374,7 +374,7 @@ def cmd_green(cfg: RunConfig, args) -> tuple:
     extra = {"mode": mode}
 
     if mode == "oracle":
-        from .oracle import FdmGrid, fdm_spectral_solve  # the only table that loads scipy
+        from .oracle import FdmGrid, fdm_spectral_solve  # the only table that runs the oracle
 
         rows = []
         for omega in cfg["grid.omegas"]:
@@ -501,7 +501,7 @@ def cmd_exponent(cfg: RunConfig, args) -> tuple:
 
 
 def cmd_validate(args, out) -> int:
-    from .checks import run_all  # the checks run the oracle, which loads scipy
+    from .checks import run_all  # imported when run: the checks load the oracle
 
     results = run_all()
     for res in results:

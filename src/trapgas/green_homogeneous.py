@@ -205,8 +205,11 @@ def homog_asymptotic_highT(
     dx, dtau = x - xp, tau - taup
     _check_window(dx, dtau, p, d)
     hv = p.hbar * d.v
-    log_term = log_2sinh_abs((math.pi / (p.hbar * p.beta * d.v)) * zeta_of(dx, dtau, p, d))
-    if log_term == -math.inf:  # an overflowed +inf is no divergence: the caller's finite check reports it
+    z = (math.pi / (p.hbar * p.beta * d.v)) * zeta_of(dx, dtau, p, d)
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        raise DomainError(f"pi zeta/(hbar beta v) = {z!r}: the argument of the log overflows a float")
+    log_term = log_2sinh_abs(z)
+    if log_term == -math.inf:
         return _log_divergence("homog-asympt-highT")
     value = log_term / theta_homogeneous(p, d) - (p.g / (4.0 * p.beta * d.R_c)) * dx**2 / hv**2
     return GreenValue(value=value, method="homog-asympt-highT", const_free=True)

@@ -160,9 +160,9 @@ _NODES, _WEIGHTS, _GAUSS_WEIGHTS = _gauss_kronrod(_GAUSS)
 # float64 temporary is at most 64 KiB.  A block has up to 4 of them alive.
 # At 128 KiB each, glibc's default mmap and trim threshold, free() gives the
 # heap back to the kernel and the next block faults it in again: about 570
-# minor faults an assembly at l_max = 256, unless an earlier large free
-# (importing scipy makes one) has raised glibc's dynamic threshold.  At 64 KiB
-# the blocks reuse the heap.
+# minor faults an assembly at l_max = 256, unless an earlier large free (as
+# in importing scipy, which trapgas never does) has raised glibc's dynamic
+# threshold.  At 64 KiB the blocks reuse the heap.
 _ROWS = 64 * 1024 // (8 * _NODES.size)
 # exp(-mu s^2) is below e^-40 past s^2 = 40/mu, where the conical rows stop
 _GAUSS_CUT = 40.0

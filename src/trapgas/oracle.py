@@ -8,11 +8,10 @@ closed forms is the package's primary correctness evidence.
 
 The discretized operator is a symmetric tridiagonal matrix, built once by
 ``_flux_operator`` for both the solve (which adds (omega/hbar v)^2 to its
-diagonal) and the eigensolve; scipy.linalg's banded LAPACK routines solve
-and diagonalize it.  At omega = 0 it annihilates constants; the solver pins
-one interior node, which makes the system positive definite, and fixes the
-gauge afterwards.  Its eigenvalues are n(n+1)/R_c^2 exactly at every N (see
-``fdm_eigensolve``): its discretization error lies in the eigenvectors alone.
+diagonal) and the eigensolve, in numpy alone.  At omega = 0 it annihilates
+constants, and the solve is its exact first integral in the mean-zero gauge.
+Its eigenvalues are n(n+1)/R_c^2 exactly at every N (see ``fdm_eigensolve``):
+its discretization error lies in the eigenvectors alone.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigvalsh_tridiagonal, solveh_banded
 
 from .errors import DomainError
 from .model import DerivedScales, PhysicalParams
@@ -83,6 +81,25 @@ def _flux_operator(d: DerivedScales, n_cells: int):
     return h, xc, (pf[1:] + pf[:-1]) / h**2, -pf[1:-1] / h**2
 
 
+def _cyclic_reduction(diag: np.ndarray, off: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve the positive definite tridiagonal system with diagonal ``diag`` and off-diagonal ``off`` for ``rhs``
+    by cyclic reduction (Buzbee, Golub and Nielson, SIAM J. Numer. Anal. 7, 627 (1970)): the odd unknowns' Schur
+    complement is again such a system, of half the size.  Numpy ufuncs alone: a float failure raises under errstate."""
+    n = diag.size
+    if n == 1:
+        return rhs / diag
+    if n % 2 == 0:  # a decoupled unit row makes the size odd
+        return _cyclic_reduction(np.append(diag, 1.0), np.append(off, 0.0), np.append(rhs, 0.0))[:n]
+    de, fe, left, right = diag[::2], rhs[::2], off[::2], off[1::2]
+    rl, rr = left / de[:-1], right / de[1:]  # an odd row's multipliers of its left and right even rows
+    odd = _cyclic_reduction(diag[1::2] - rl * left - rr * right, -rr[:-1] * left[1:],
+                            rhs[1::2] - rl * fe[:-1] - rr * fe[1:])
+    x = np.empty(n)
+    x[1::2] = odd
+    x[::2] = (fe - np.append(left * odd, 0.0) - np.append(0.0, right * odd)) / de  # each even from its odd neighbours
+    return x
+
+
 def _assemble_and_solve(omega: float, xp: float, p: PhysicalParams, d: DerivedScales, n_cells: int):
     hv2 = (np.float64(p.hbar) * d.v) ** 2  # numpy scalars: a float failure raises under the caller's errstate
     h, xc, diag, off = _flux_operator(d, n_cells)
@@ -92,38 +109,23 @@ def _assemble_and_solve(omega: float, xp: float, p: PhysicalParams, d: DerivedSc
 
     # K g = -s is the sign-flipped system, tridiagonal and symmetric; for
     # omega != 0 it is positive definite
-    ab = np.zeros((2, n_cells))
-    ab[0, 1:] = off
-    ab[1, :] = diag + (np.float64(omega) / (p.hbar * d.v)) ** 2
     if omega != 0.0:
-        if ab[1, 0] == diag[0]:  # the system is omega = 0's, singular unless pinned
+        shifted = diag + (np.float64(omega) / (p.hbar * d.v)) ** 2
+        if shifted[0] == diag[0]:  # the system is omega = 0's, which is singular
             raise FloatingPointError("(omega/hbar v)^2 underflows below the rounding of the operator's diagonal")
-        return xc, solveh_banded(ab, -s), xc[j], 0.0
+        return xc, _cyclic_reduction(shifted, off, -s), xc[j], 0.0
 
     # omega = 0: the zero-flux operator annihilates constants (K 1 = 0) and
     # cannot carry the source mass; release it through equal and opposite
     # boundary fluxes p G' = -+ g/(2 hbar^2 v^2) (the parity-symmetric split of
     # the closed forms) and fix the remaining constant by the mean-zero gauge.
     # That is the bordered system -K g + mu e = rhs, e^T g = 0 with e = h 1.
-    # Summing its rows gives mu = sum(rhs)/(N h), so g is the mean-zero
-    # solution of the singular but consistent K g = mu e - rhs.  Pinning the
-    # centre node to 0 (its row and column become the identity) leaves two
-    # positive definite chains; the pinned row holds by consistency, and the
-    # mean is subtracted after.  The pin is interior because p -> 0 at the
-    # ends: an end node hangs on its neighbour by a coupling of order 1/N, and
-    # pinning it makes the error about 200 times larger (4.8e-9 against
-    # 2.3e-11 at N = 10^4, with |g| up to 3).
+    # Summing its rows gives mu = sum(rhs)/(N h), and the first k + 1 rows of
+    # K g = mu e - rhs sum to off_k (g_{k+1} - g_k), the flux through face k + 1.
     flux = p.g / (2.0 * hv2)
-    rhs = s.copy()
-    rhs[0] -= flux / h
-    rhs[-1] -= flux / h
-    mult = np.sum(rhs) / (n_cells * h)
-    b = mult * h - rhs
-    k = n_cells // 2
-    ab[0, k : k + 2] = 0.0
-    ab[1, k] = 1.0
-    b[k] = 0.0
-    g = solveh_banded(ab, b)
+    s[[0, -1]] -= flux / h
+    mult = np.sum(s) / (n_cells * h)
+    g = np.concatenate(([0.0], np.cumsum(np.cumsum(mult * h - s)[:-1] / off)))
     return xc, g - np.mean(g), xc[j], float(mult)
 
 
@@ -144,8 +146,8 @@ def fdm_spectral_solve(
     scheme the true fine-grid error is about a third of the reported
     difference; that span, |x| <= R_c - h, is ``estimate_span``.  At omega = 0
     the solution is mean-zero, with the boundary flux of ``_assemble_and_solve``.
-    A solve that overflows a float, or is singular in floating point, is a DomainError,
-    as is an omega != 0 whose (omega/hbar v)^2 is lost in the diagonal's rounding.
+    A solve that overflows a float, or divides by zero, is a DomainError, as is
+    an omega != 0 whose (omega/hbar v)^2 is lost in the diagonal's rounding.
     """
     if abs(xp) >= d.R_c:
         raise DomainError(f"source point must be interior, got x' = {xp} with R_c = {d.R_c}")
@@ -153,9 +155,7 @@ def fdm_spectral_solve(
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             xc, g, xs, mult = _assemble_and_solve(omega, xp, p, d, grid.N)
             xc2, g2, _, _ = _assemble_and_solve(omega, xp, p, d, grid.N // 2)
-        if not (np.isfinite(g).all() and np.isfinite(g2).all()):  # LAPACK overflows without a flag
-            raise FloatingPointError("the solution overflows a float")
-    except (ArithmeticError, np.linalg.LinAlgError) as exc:  # FloatingPointError, OverflowError, a singular solve
+    except ArithmeticError as exc:  # FloatingPointError, OverflowError
         raise DomainError(f"the FDM solve at omega = {omega!r} fails in floating point: {exc}") from exc
     coarse = np.interp(xc, xc2, g2)
     h2 = 2.0 * d.R_c / (grid.N // 2)
@@ -178,14 +178,20 @@ def fdm_eigensolve(p: PhysicalParams, d: DerivedScales, grid: FdmGrid, n_levels:
     The discrete flux form has the continuum spectrum n(n+1)/R_c^2 exactly at
     every N: with p = 1 - x^2/R_c^2 on the faces and 0 on the end faces, it maps
     a polynomial of degree k on the nodes to one of degree <= k with x^k
-    coefficient k(k+1)/R_c^2, end cells included.  The levels carry only the
-    bisection's rounding, about eps 4/h^2; the eigenvectors are discrete
-    orthogonal polynomials, not the sampled P_n.
+    coefficient k(k+1)/R_c^2, end cells included.  Its even and odd parity
+    blocks, on the left half of the nodes, are diagonalized densely from their
+    lower triangles, and the levels carry only that rounding, about eps 4/h^2;
+    the eigenvectors are discrete orthogonal polynomials, not the sampled P_n.
     """
     if n_levels > grid.N // 10:
         raise DomainError(f"n_levels = {n_levels} too large for N = {grid.N} (need n_levels <= N/10)")
     _, _, diag, off = _flux_operator(d, grid.N)
-    return eigvalsh_tridiagonal(diag, off, select="i", select_range=(0, n_levels - 1))
+    m = grid.N // 2
+    if grid.N % 2:  # odd N: odd vectors vanish at the centre node m; even ones couple it to m - 1 twice, made sqrt 2
+        blocks = [(diag[:m + 1], np.append(off[:m - 1], math.sqrt(2.0) * off[m - 1])), (diag[:m], off[:m - 1])]
+    else:  # even N: the nodes m - 1 and m are mirror images across the centre face
+        blocks = [(np.append(diag[:m - 1], diag[m - 1] + sign * off[m - 1]), off[:m - 1]) for sign in (1.0, -1.0)]
+    return np.sort(np.concatenate([np.linalg.eigvalsh(np.diag(a) + np.diag(b, -1)) for a, b in blocks]))[:n_levels]
 
 
 def brute_frequency_sum(thetas, l_max: int) -> list:

@@ -257,6 +257,15 @@ class TestAsymptoticForms:
         with pytest.raises(DomainError, match=r"^4 beta R_c underflows to 0 at beta = 1e-300, R_c = "):
             form(0.5 * d.R_c, 0.0, 0.0, 0.0, p, d)
 
+    def test_highT_refuses_where_the_log_argument_overflows(self):
+        # pi/(hbar beta v) = 3.1e300 at beta = 1e-300: at |dx| = 0.5 R_c = 7e149 the log's argument is inf, where
+        # it once made G = inf - inf; at |dx| = 1 it is finite, and so is G
+        p, d = setup_params(Omega=1e-150, beta=1e-300)
+        with pytest.raises(DomainError, match=r"^pi zeta/\(hbar beta v\) = \(inf\+0j\): the argument of the log "
+                                              r"overflows a float$"):
+            homog_asymptotic_highT(0.5 * d.R_c, 0.0, 0.0, 0.0, p, d)
+        assert math.isfinite(homog_asymptotic_highT(1.0, 0.0, 0.0, 0.0, p, d).value)
+
     def test_quadratic_term_growth_dominates_at_large_separation(self):
         # growth-rate comparison: the increment of the quadratic term between
         # two large separations exceeds the increment of the log term

@@ -535,8 +535,9 @@ class TestSeriesKernel:
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads Linux minor-fault counts")
     def test_repeat_assembly_faults_in_no_memory(self, fresh_python):
         # a row block's temporaries are reused from the heap, not handed back
-        # to the kernel and faulted in again block after block; without scipy,
-        # whose import raises glibc's trim threshold and hides that
+        # to the kernel and faulted in again block after block.  No scipy is
+        # loaded, as trapgas imports none: importing it would raise glibc's
+        # trim threshold and hide the faults
         faults, scipy_loaded = fresh_python(
             "import resource, sys\n"
             "from trapgas import PhysicalParams, derive_scales, matsubara_assemble\n"

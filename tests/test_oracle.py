@@ -180,9 +180,9 @@ class TestFdmSpectralSolve:
             fdm_spectral_solve(0.0, 2.0 * d.R_c, p, d, FdmGrid(N=1000))
 
     def test_a_frequency_whose_square_underflows_is_refused(self):
-        # (omega/hbar v)^2 lost in the diagonal's rounding leaves the omega = 0 system, singular unless
-        # pinned: a DomainError that names the underflow, where it once raised LinAlgError; the omega = 0
-        # solve would be in the mean-zero gauge, not omega's
+        # (omega/hbar v)^2 lost in the diagonal's rounding leaves the omega = 0 system, which is singular:
+        # a DomainError that names the underflow, and no solve; the omega = 0 solve would be in the
+        # mean-zero gauge, not omega's
         p, d = setup_params()
         with pytest.raises(DomainError, match=r"at omega = 1e-300 fails in floating point: \(omega/hbar v\)\^2 "
                                               r"underflows below the rounding of the operator's diagonal"):
@@ -191,17 +191,64 @@ class TestFdmSpectralSolve:
             FdmGrid(N=50)
 
     def test_only_float_failures_become_domain_errors(self, monkeypatch):
-        # LAPACK overflows without raising a numpy flag: a solution that is not finite is the DomainError;
-        # a ValueError that is no float failure, as of a shape that does not fit, is not caught
+        # the solve is numpy ufuncs alone, so a float failure in it raises under its errstate and is the
+        # DomainError, an overflow or a zero pivot; a ValueError that is no float failure, as of a shape that
+        # does not fit, is not caught
         p, d = setup_params()
-        monkeypatch.setattr(trapgas.oracle, "solveh_banded", lambda ab, b: np.full(len(b), np.inf))
-        with pytest.raises(DomainError, match=r"^the FDM solve at omega = 1\.0 fails in floating point: the solution "
-                                              r"overflows a float$"):
-            fdm_spectral_solve(1.0, 0.1 * d.R_c, p, d, FdmGrid(N=1000))
-        monkeypatch.setattr(trapgas.oracle, "solveh_banded", lambda ab, b: np.zeros(len(b) + 1))
+        prefix = r"^the FDM solve at omega = 1\.0 fails in floating point: "
+        for solve, message in ((lambda diag, off, rhs: rhs * np.float64(1e308) * 10.0, "overflow encountered "),
+                               (lambda diag, off, rhs: 1.0 / (0.0 * diag), "divide by zero encountered ")):
+            monkeypatch.setattr(trapgas.oracle, "_cyclic_reduction", solve)
+            with pytest.raises(DomainError, match=prefix + message):
+                fdm_spectral_solve(1.0, 0.1 * d.R_c, p, d, FdmGrid(N=1000))
+        monkeypatch.setattr(trapgas.oracle, "_cyclic_reduction", lambda diag, off, rhs: rhs + np.zeros(len(rhs) + 1))
         with pytest.raises(ValueError) as err:
             fdm_spectral_solve(1.0, 0.1 * d.R_c, p, d, FdmGrid(N=1000))
         assert not isinstance(err.value, DomainError)
+
+
+class TestCyclicReduction:
+    """``_cyclic_reduction`` against numpy's dense solve of the same system, at odd and even sizes, and at
+    sizes whose halvings reach an even size."""
+
+    @staticmethod
+    def _dense(diag, off):
+        return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 64, 65, 1001])
+    def test_matches_a_dense_solve(self, n):
+        # a random diagonally dominant system, positive definite, at odd, even and power-of-two sizes
+        rng = np.random.default_rng(n)
+        off = rng.uniform(-1.0, 1.0, n - 1)
+        diag = np.abs(np.append(off, 0.0)) + np.abs(np.append(0.0, off)) + rng.uniform(0.1, 1.0, n)
+        rhs = rng.standard_normal(n)
+        x = trapgas.oracle._cyclic_reduction(diag, off, rhs)
+        assert x.shape == (n,)
+        assert_allclose(x, np.linalg.solve(self._dense(diag, off), rhs), rtol=0.0, atol=1e-13 * np.max(np.abs(x)))
+
+    @pytest.mark.parametrize("n", [2, 3, 64, 65, 1001])
+    def test_matches_a_dense_solve_of_decoupled_blocks(self, n):
+        # zero off-diagonals split the system into independent blocks, each solved as if alone
+        rng = np.random.default_rng(n)
+        off = rng.uniform(-1.0, 1.0, n - 1)
+        off[rng.integers(0, n - 1, size=max(1, n // 8))] = 0.0
+        diag = np.abs(np.append(off, 0.0)) + np.abs(np.append(0.0, off)) + rng.uniform(0.1, 1.0, n)
+        rhs = rng.standard_normal(n)
+        x = trapgas.oracle._cyclic_reduction(diag, off, rhs)
+        assert_allclose(x, np.linalg.solve(self._dense(diag, off), rhs), rtol=0.0, atol=1e-13 * np.max(np.abs(x)))
+        cut = int(np.flatnonzero(off == 0.0)[0]) + 1
+        assert_allclose(x[:cut], trapgas.oracle._cyclic_reduction(diag[:cut], off[:cut - 1], rhs[:cut]),
+                        rtol=0.0, atol=1e-14 * np.max(np.abs(x)))
+
+    def test_matches_a_dense_solve_of_the_flux_operator(self):
+        # the oracle's own system at omega = 2 pi: conditioned as N^2, so the bound is relative to the solution
+        p, d = setup_params()
+        _, _, diag, off = trapgas.oracle._flux_operator(d, 1001)
+        diag = diag + (2.0 * math.pi / (p.hbar * d.v)) ** 2
+        rhs = np.zeros(1001)
+        rhs[600] = -1.0
+        x = trapgas.oracle._cyclic_reduction(diag, off, rhs)
+        assert_allclose(x, np.linalg.solve(self._dense(diag, off), rhs), rtol=0.0, atol=1e-12 * np.max(np.abs(x)))
 
 
 class TestZeroModeSolve:
@@ -211,7 +258,8 @@ class TestZeroModeSolve:
     That system is -K g + mu h 1 = rhs with sum(g) = 0, where K is the
     flux-form operator with K 1 = 0 and rhs is the source load less the two
     boundary fluxes.  It is built here in float64 from its definition, as the
-    oracle builds it, and only the solve differs.
+    oracle builds it, and solved by the same first integral in long double:
+    the difference is the float64 solve's rounding.
     """
 
     N = 10_000
@@ -242,34 +290,17 @@ class TestZeroModeSolve:
         g = np.concatenate([[np.longdouble(0.0)], np.cumsum(flux / pf[1:-1])])
         return g - np.mean(g)
 
-    # x' = R_c/N is the centre of cell N/2, the node the solver pins
+    # x' = R_c/N is the centre of cell N/2, beside the centre face
     @pytest.mark.parametrize("xp_over_rc", [0.1, 1.0 / N])
     def test_matches_long_double_reference(self, xp_over_rc):
         p, d, h, pf, rhs = self._system(xp_over_rc)
         sol = fdm_spectral_solve(0.0, xp_over_rc * d.R_c, p, d, FdmGrid(N=self.N))
         g = sol.g_values
-        assert float(np.max(np.abs(g - self._reference(h, pf, rhs)))) <= 1e-10
+        assert float(np.max(np.abs(g - self._reference(h, pf, rhs)))) <= 1e-13
         assert abs(np.mean(g)) <= 1e-14 * np.max(np.abs(g))
         # mu = sum(rhs)/(N h), where the load and the boundary fluxes cancel
         eps = np.finfo(float).eps
         assert abs(sol.meta["gauge_multiplier"]) <= 4.0 * eps * np.sum(np.abs(rhs)) / (self.N * h)
-
-    def test_pinning_an_end_node_fails_the_reference(self):
-        # the same singular system pinned at node 0, not at an interior node:
-        # p -> 0 at the ends, so node 0 hangs on node 1 by a coupling of order
-        # 1/N and the banded solve loses two more orders of magnitude
-        from scipy.linalg import solveh_banded
-
-        _, _, h, pf, rhs = self._system(0.1)
-        ab = np.zeros((2, self.N))
-        ab[0, 1:] = -pf[1:-1] / h**2
-        ab[1] = (pf[1:] + pf[:-1]) / h**2
-        load = np.sum(rhs) / (self.N * h) * h - rhs
-        ab[0, 1] = 0.0
-        ab[1, 0] = 1.0
-        load[0] = 0.0
-        g = solveh_banded(ab, load)
-        assert float(np.max(np.abs(g - np.mean(g) - self._reference(h, pf, rhs)))) > 1e-10
 
 
 class TestEigensolve:
@@ -282,8 +313,9 @@ class TestEigensolve:
     def test_spectrum_is_exact_at_every_grid(self, n_cells):
         # the flux form maps a polynomial of degree k on the nodes to one of
         # degree <= k with x^k coefficient k(k+1)/R_c^2, so the levels carry
-        # no h^2 term: they are the continuum's to within the bisection's
-        # default tolerance, eps times the matrix norm 4/h^2, at odd and even N
+        # no h^2 term: they are the continuum's to within the dense
+        # eigensolver's rounding, under 2 eps times the matrix norm 4/h^2, at
+        # odd and even N
         p, d = setup_params()
         lam = fdm_eigensolve(p, d, FdmGrid(N=n_cells), n_levels=21)
         n = np.arange(21)
@@ -310,7 +342,7 @@ class TestEigensolve:
     @pytest.mark.parametrize("n_cells", [200, 201])
     @pytest.mark.parametrize("n_levels", [1, 19, 20])
     def test_parity_blocks_match_the_full_matrix(self, n_cells, n_levels):
-        # the whole flux-form matrix, diagonalized densely: the bisection's
+        # the whole flux-form matrix, diagonalized densely: the parity blocks'
         # lowest levels are its own to within rounding, at odd and even N
         p, d = setup_params()
         h = 2.0 * d.R_c / n_cells
@@ -382,8 +414,8 @@ def test_oracle_imports_none_of_the_routes_it_checks():
     assert [r for r in ROUTES if _imports(PACKAGE / "oracle.py", f"trapgas.{r}")] == []
 
 
-def test_oracle_is_the_only_module_that_imports_scipy():
-    assert sorted(p.stem for p in PACKAGE.glob("*.py") if _imports(p, "scipy")) == ["oracle"]
+def test_no_module_imports_scipy():
+    assert [p.stem for p in PACKAGE.glob("*.py") if _imports(p, "scipy")] == []
     # nor does a route load the oracle, or the checks that run it
     for route in (*ROUTES, "model"):
         assert not _imports(PACKAGE / f"{route}.py", "trapgas.oracle")
@@ -407,11 +439,11 @@ def test_no_module_calls_numpy_leggauss():
 
 
 @pytest.mark.parametrize("module", ["trapgas", "trapgas.cli"])
-def test_importing_the_package_loads_no_scipy(module, fresh_python):
-    scipy_modules = "[m for m in sys.modules if m.split('.')[0] == 'scipy']"
-    assert fresh_python(f"import sys, {module}; print({scipy_modules})") == "[]\n"
+def test_importing_the_package_loads_no_oracle(module, fresh_python):
+    loaded = "print('trapgas.oracle' in sys.modules)"
+    assert fresh_python(f"import sys, {module}; {loaded}") == "False\n"
     # the first oracle name loads it
-    assert fresh_python(f"import sys, {module}, trapgas; trapgas.FdmGrid; print(bool({scipy_modules}))") == "True\n"
+    assert fresh_python(f"import sys, {module}, trapgas; trapgas.FdmGrid; {loaded}") == "True\n"
 
 
 def test_importing_the_cli_loads_no_numpy_polynomial(fresh_python):
@@ -421,36 +453,40 @@ def test_importing_the_cli_loads_no_numpy_polynomial(fresh_python):
     assert fresh_python(f"import sys, trapgas.cli; print({loaded})") == "[]\n"
 
 
-def test_validate_loads_no_scipy_sparse(fresh_python):
-    # the oracle's solves are all banded LAPACK, scipy.linalg only
+@pytest.mark.parametrize("argv", [["validate"], ["green", "--mode", "oracle"]])
+def test_running_the_oracle_loads_no_scipy(argv, fresh_python):
     assert fresh_python(
         "import contextlib, io, sys, trapgas.cli\n"
         "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
-        "    code = trapgas.cli.main(['validate'])\n"
-        "print(code, 'scipy.linalg' in sys.modules, [m for m in sys.modules if m.startswith('scipy.sparse')])\n"
+        f"    code = trapgas.cli.main({argv!r})\n"
+        "print(code, 'trapgas.oracle' in sys.modules, [m for m in sys.modules if m.split('.')[0] == 'scipy'])\n"
     ) == "0 True []\n"
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads Linux minor-fault counts")
 def test_repeat_validate_sums_fault_in_no_memory(fresh_python):
-    # check 06's series and the chunks of check 05's brute sum keep each
-    # temporary within 64 KiB, so a repeat call reuses the heap.  Larger
-    # ones are handed back to the kernel on free and
-    # faulted in again on every call, unless an earlier large free (a sparse
-    # LU factorization made one) has raised glibc's dynamic threshold
-    faults = fresh_python(
-        "import math, resource\n"
+    # check 06's series, the chunks of check 05's brute sum and those of check
+    # 10's normalization integral (run as check 10, whole) keep each temporary
+    # within 64 KiB, so a repeat call reuses the heap.  Larger ones are handed
+    # back to the kernel on free and faulted in again on every call, unless an
+    # earlier large free has raised glibc's dynamic threshold; with no scipy
+    # loaded, none has
+    out = fresh_python(
+        "import math, resource, sys\n"
         "from trapgas import PhysicalParams, brute_frequency_sum, derive_scales, homog_series\n"
+        "from trapgas.checks import check_symmetry_positivity\n"
         "p = PhysicalParams(m=1.0, g=1.0, Omega=math.sqrt(2.0) / 20.0, Lambda=1.0, beta=1.0)\n"
         "d = derive_scales(p)\n"
         "for call in (lambda: homog_series(0.75, 0.0, -0.75, 0.0, p, d, tol=1e-12),\n"
-        "             lambda: brute_frequency_sum([0.1], 10**6)):\n"
+        "             lambda: brute_frequency_sum([0.1], 10**6), check_symmetry_positivity):\n"
         "    call()\n"
         "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
         "    call()\n"
         "    print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
-    ).split()
-    assert [int(f) < 100 for f in faults] == [True, True], faults
+        "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])\n"
+    ).splitlines()
+    assert [int(f) < 100 for f in out[:3]] == [True, True, True], out
+    assert out[3] == "[]"
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="pins glibc's malloc thresholds")
