@@ -24,7 +24,6 @@ from .green_homogeneous import (
 )
 from .green_trapped import (
     BOUNDARY_EPS,
-    SpectralDensity,
     asympt_green_highT,
     asympt_green_lowT,
     closed_form_green,

@@ -139,7 +139,7 @@ def check_ode_residual_and_jump():
         h = min(2e-3, max(1e-6, (45.0 * _EPS / mu_eff**6) ** (1.0 / 6.0)))
         xs = [(u0 + k * h) * d.R_c for u0 in samples for k in (-2, -1, 0, 1, 2)]
         batch = xs + (jump_xs if omega == omega_jump else [])
-        gs = [sd.re_part for sd in _values(spectral_densities(omega, batch, xp, p, d))]
+        gs = [sd.value for sd in _values(spectral_densities(omega, batch, xp, p, d))]
         stencils = [gs[i:i + 5] for i in range(0, len(xs), 5)]
         worst_resid = max(worst_resid, _ode_residual_scale(omega, h, samples, stencils, p, d))
         if omega == omega_jump:
@@ -173,7 +173,7 @@ def check_oracle_equivalence():
     for omega in (0.0, 2.0 * math.pi / p.beta, 10.0 * math.pi / p.beta):
         sol = fdm_spectral_solve(omega, xp, p, d, grid)
         snapped = [sol.x_nodes[int(np.argmin(np.abs(sol.x_nodes - xt)))] for xt in targets]
-        closed = [sd.re_part for sd in _values(spectral_densities(omega, snapped, sol.x_source, p, d))]
+        closed = [sd.value for sd in _values(spectral_densities(omega, snapped, sol.x_source, p, d))]
         fdm = [float(sol.interp(xs)) for xs in snapped]
         for (ia, ib) in ((0, 1), (2, 3), (0, 3)):
             d_fdm = fdm[ia] - fdm[ib]

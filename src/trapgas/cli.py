@@ -6,9 +6,11 @@ the first ``main`` call, and ``main`` runs ``cmd_<name>``, looked up at call
 time.  ``_SCHEMA`` gives each config key its parser, default and admissible
 range.  ``_route`` maps every spacetime mode, ``spectral`` and
 ``asymptotic-auto`` included, to one batch evaluator of a table's pairs;
-``asymptotic-auto`` is a fallback of two.  ``exponent`` fits the ok rows of
-the ``correlator`` table's own row function that share the first ok row's
-route, and names on stderr the rows it leaves out.
+``asymptotic-auto`` is a fallback of two.  The frequency modes
+``trapped-spectral`` and ``oracle`` evaluate one column of G_omega a
+frequency, and ``_green_row`` builds every green row.  ``exponent`` fits
+the ok rows of the ``correlator`` table's own row function that share the
+first ok row's route, and names on stderr the rows it leaves out.
 
 Config documents are flat INI text (``key = value`` under section headers);
 unknown sections or keys are rejected.  Every table echoes the fully
@@ -352,16 +354,35 @@ def _not_finite(source: str, **cells):
 
 def _green_row(x1, tau1, x2, tau2, g, mode, regime_tag) -> tuple:
     """One row of a green table from a GreenValue, the row error that
-    refused it, or None where the regime has no asymptotic form."""
+    refused it, or None where the regime has no asymptotic form.  A finite
+    value's ok row is taken first; a value that is not finite is an
+    AccuracyError row."""
     if isinstance(g, GreenValue) and not g.divergent:
-        g = _not_finite(g.method, G=g.value, trunc_err=g.trunc_err) or g
+        if math.isfinite(g.value) and math.isfinite(g.trunc_err):
+            return (x1, tau1, x2, tau2, g.value, g.method, g.trunc_err, regime_tag, g.const_free, "ok")
+        g = _not_finite(g.method, G=g.value, trunc_err=g.trunc_err)
     if g is None:
         return (x1, tau1, x2, tau2, None, "", None, regime_tag, False, "intermediate-regime: no asymptotic form")
     if isinstance(g, TrapGasError):
         return (x1, tau1, x2, tau2, None, mode, None, regime_tag, False, f"{type(g).__name__}: {g}")
-    if g.divergent:
-        return (x1, tau1, x2, tau2, None, g.method, g.trunc_err, regime_tag, g.const_free, "divergent")
-    return (x1, tau1, x2, tau2, g.value, g.method, g.trunc_err, regime_tag, g.const_free, "ok")
+    return (x1, tau1, x2, tau2, None, g.method, g.trunc_err, regime_tag, g.const_free, "divergent")
+
+
+def _oracle_column(omega, xs, xp, p, d) -> list:
+    """``spectral_densities(omega, xs, xp)`` from the FDM oracle, one solve
+    for all points: the GreenValue at each x of ``xs``, or the DomainError
+    that refuses it."""
+    from .oracle import FdmGrid, fdm_spectral_solve  # the only table that runs the oracle
+
+    sol = fdm_spectral_solve(omega, xp, p, d, FdmGrid(N=10_000))
+    # at omega = 0, align the mean-zero gauge with the zero mode's convention at the first grid
+    # point the error estimate covers, which lies inside the boundary clamp
+    x0 = next((x for x in xs if sol.outside_estimate(x) is None), None) if omega == 0.0 else None
+    shift = 0.0 if x0 is None else spectral_density(0.0, x0, sol.x_source, p, d).value - float(sol.interp(x0))
+    # the solve spans the condensate, its error estimate the coarse nodes' span
+    return [sol.outside_estimate(x) or GreenValue(float(sol.interp(x)) + shift, "oracle", sol.disc_error_est)
+            if abs(x) < d.R_c else DomainError(f"x = {x!r} is outside the condensate |x| < R_c = {d.R_c!r}")
+            for x in xs]
 
 
 def cmd_green(cfg: RunConfig, args) -> tuple:
@@ -373,33 +394,10 @@ def cmd_green(cfg: RunConfig, args) -> tuple:
     xs = [float(x) for x in np.linspace(cfg["grid.x_min"], cfg["grid.x_max"], cfg["grid.x_count"])]
     extra = {"mode": mode}
 
-    if mode == "oracle":
-        from .oracle import FdmGrid, fdm_spectral_solve  # the only table that runs the oracle
-
-        rows = []
-        for omega in cfg["grid.omegas"]:
-            sol = fdm_spectral_solve(omega, x1, p, d, FdmGrid(N=10_000))
-            # at omega = 0, align the mean-zero gauge with the zero mode's convention at the first grid
-            # point the error estimate covers, which lies inside the boundary clamp
-            x0 = next((x for x in xs if sol.outside_estimate(x) is None), None) if omega == 0.0 else None
-            shift = 0.0 if x0 is None else spectral_density(0.0, x0, sol.x_source, p, d).re_part - float(sol.interp(x0))
-            for x2 in xs:
-                # the solve spans the condensate, its error estimate the coarse nodes' span
-                g = (sol.outside_estimate(x2) or GreenValue(float(sol.interp(x2)) + shift, mode, sol.disc_error_est)
-                     if abs(x2) < d.R_c else DomainError(f"x = {x2!r} is outside the condensate |x| < R_c = {d.R_c!r}"))
-                rows.append(_green_row(x1, tau1, x2, tau1, g, mode, regime_tag))
-        return columns, rows, extra
-
-    if mode == "trapped-spectral":
-        # a finite density's ok row is built straight from it: a GreenValue a row is a measurable share of a sweep
-        return columns, [
-            (x1, tau1, x2, tau1, sd.re_part, mode, sd.err_bound, regime_tag, False, "ok")
-            if not isinstance(sd, _ROW_ERRORS) and math.isfinite(sd.re_part) and math.isfinite(sd.err_bound)
-            else _green_row(x1, tau1, x2, tau1, sd if isinstance(sd, _ROW_ERRORS)
-                            else GreenValue(sd.re_part, mode, sd.err_bound), mode, regime_tag)
-            for omega in cfg["grid.omegas"]
-            for x2, sd in zip(xs, spectral_densities(omega, xs, x1, p, d, tol=cfg["truncation.tol"]))
-        ], extra
+    if mode in ("trapped-spectral", "oracle"):  # one column of G_omega(x, x_ref) a frequency
+        column = _oracle_column if mode == "oracle" else partial(spectral_densities, tol=cfg["truncation.tol"])
+        return columns, [_green_row(x1, tau1, x2, tau1, g, mode, regime_tag)
+                         for omega in cfg["grid.omegas"] for x2, g in zip(xs, column(omega, xs, x1, p, d))], extra
 
     # tau_count = 0 gives no rows, 1 the row at tau_ref, from 2 on tau_min..tau_max
     count = cfg["grid.tau_count"]

@@ -20,7 +20,7 @@ from __future__ import annotations
 import bisect
 import math
 import sys
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,15 +49,16 @@ _SQRT_FLOAT_MAX = math.sqrt(sys.float_info.max)
 _MODE_CAP = 2**20
 
 
-@dataclass(frozen=True)
-class GreenValue:
+class GreenValue(NamedTuple):
     """A Green-function value, or the difference of two, plus evaluation
-    metadata.
+    metadata; an immutable record, cheap to build.
 
     ``value`` is the real phase correlator G(1;2).  Every route returns it
     symmetric under swapping its two spacetime points, so it also stands for
     G(2;1).  From ``green_difference`` it is G(pair_a) - G(pair_b), in which
-    the undetermined additive constant cancels.
+    the undetermined additive constant cancels.  From ``spectral_densities``
+    it is one Matsubara component G_omega(x, x'), method "trapped-spectral".
+    ``meta`` is None where a route records nothing.
     """
 
     value: float
@@ -65,7 +66,7 @@ class GreenValue:
     trunc_err: float = 0.0
     divergent: bool = False
     const_free: bool = False
-    meta: dict = field(default_factory=dict)
+    meta: dict | None = None
 
 
 def _log_abs_1_minus_exp(z: complex) -> float:

@@ -23,12 +23,12 @@ cancellation-free real combination of the positive P_nu(+-u_<),
 P_nu(+-u_>), from the fixed-cost Mehler-Dirichlet quadrature of
 ``legendre._p_quad`` with their exponents combined before one exp; on the
 real branch they come as (P_nu - 1)/nu, so that the O(nu) differences of the
-closed form do not cancel.  This real part is the physical (real,
-symmetric) spectral density of the spectral tables and of the Matsubara
-assembly, which evaluates the frequencies of the pairs of a correlator
-table together, in passes of up to ``_PASS_FREQUENCIES``; a pair's far
-frequencies past mu = 9 read P_nu(-u_<) and P_nu(u_>) from a Chebyshev
-interpolant in 1/mu at each point (``_far_interp``).
+closed form do not cancel.  This real part is the physical spectral
+density, a GreenValue of method "trapped-spectral" in the spectral tables,
+and the term of the Matsubara assembly, which evaluates the frequencies of
+a correlator table's pairs together, in passes of up to
+``_PASS_FREQUENCIES``; a pair's far frequencies past mu = 9 read P_nu(-u_<)
+and P_nu(u_>) from a Chebyshev interpolant in 1/mu (``_far_interp``).
 
 Beside the assembly stand the equal-time closed form ``closed_form_green``,
 the zero mode alone, G_0/beta, and two frequency-summed forms.
@@ -46,7 +46,6 @@ from __future__ import annotations
 
 import math
 import sys
-from typing import NamedTuple
 
 import numpy as np
 
@@ -69,7 +68,6 @@ from .model import (
 
 __all__ = [
     "BOUNDARY_EPS",
-    "SpectralDensity",
     "closed_form_green",
     "spectral_density",
     "spectral_densities",
@@ -95,22 +93,6 @@ _ZERO_MODE_ROUNDING = 5.0 * sys.float_info.epsilon
 # has more, so that a pass's arrays grow with the longest pair's stop L and
 # not with the table's size
 _PASS_FREQUENCIES = 4096
-
-
-class SpectralDensity(NamedTuple):
-    """G_omega(x, x') at one Matsubara frequency, a record cheap to build.
-
-    ``re_part`` is the density, the real part of the closed form;
-    ``err_bound`` bounds its quadrature error, not the rounding of its
-    conical exponent (a few eps times the exponent), and at the zero mode
-    the rounding of its elementary form, a few eps times its value.
-    """
-
-    omega: float
-    x: float
-    xp: float
-    re_part: float
-    err_bound: float
 
 
 def _values(out) -> list:
@@ -415,7 +397,7 @@ def spectral_density(
     p: PhysicalParams,
     d: DerivedScales,
     tol: float = 1e-13,
-) -> SpectralDensity:
+) -> GreenValue:
     """Evaluate the closed-form spectral density at one Matsubara frequency."""
     return _values(spectral_densities(omega, [x], xp, p, d, tol))[0]
 
@@ -433,9 +415,14 @@ def spectral_densities(
     that pass integrates each distinct (lambda, u) row once, so P_nu(+-u')
     once for all points; nothing is kept across calls.
 
-    Entry i is the SpectralDensity at xs[i], or the DomainError or
-    AccuracyError that ``spectral_density`` raises there; each is the one the
-    single point gives, bitwise and word for word.  A point beyond the
+    Entry i is the GreenValue of G_omega(xs[i], xp), method
+    "trapped-spectral": its value is the density, the real part of the
+    closed form, and its trunc_err bounds the quadrature error, not the
+    rounding of the conical exponent (a few eps times the exponent), and at
+    the zero mode the rounding of the elementary form, a few eps times its
+    value.  Or it is the DomainError or AccuracyError that
+    ``spectral_density`` raises there; each entry is the one the single
+    point gives, bitwise and word for word.  A point beyond the
     boundary clamp is set aside before the pass, with its own error ahead of
     that of an xp beyond it.  A point whose error bound exceeds ``tol`` times
     the magnitude of its terms gets its own AccuracyError, and the other
@@ -471,13 +458,13 @@ def spectral_densities(
     beyond = err > tol * scale
     for i, re_i, err_i, scale_i, bad in zip(points, re.tolist(), err.tolist(), scale.tolist(), beyond.tolist()):
         out[i] = (_bound_error(omega, xs[i], xp, err_i, scale_i, tol) if bad
-                  else SpectralDensity(omega, xs[i], xp, re_i, err_i))
+                  else GreenValue(re_i, "trapped-spectral", err_i))
     return out
 
 
 def closed_form_green(x: float, tau: float, xp: float, taup: float, p: PhysicalParams, d: DerivedScales) -> GreenValue:
     """Equal-time G(x, tau; x', tau) = G_0/beta, the zero mode alone, which
-    is ``spectral_density(0.0, x, x').re_part / beta`` bit for bit.  Raises
+    is ``spectral_density(0.0, x, x').value / beta`` bit for bit.  Raises
     DomainError at tau != tau', then the boundary clamp's at x, then at x'."""
     if tau != taup:
         raise DomainError(f"closed-form correlator is equal-time; got tau - tau' = {tau - taup!r}")

@@ -1,7 +1,6 @@
 import argparse
 import contextlib
 import csv
-import dataclasses
 import io
 import json
 import math
@@ -483,7 +482,7 @@ class TestGreenCommand:
         sol = fdm_spectral_solve(0.0, float(rows[0]["x1"]), p, d, FdmGrid(N=10_000))
         x2 = float(rows[anchor]["x2"])
         assert rows[anchor]["status"] == "ok" and all(abs(float(r["x2"])) >= 0.999999 * d.R_c for r in rows[:anchor])
-        assert float(rows[anchor]["G_re"]) == pytest.approx(spectral_density(0.0, x2, sol.x_source, p, d).re_part,
+        assert float(rows[anchor]["G_re"]) == pytest.approx(spectral_density(0.0, x2, sol.x_source, p, d).value,
                                                             rel=1e-12)
 
     @pytest.mark.parametrize("mode", ["homog-series", "homog-asympt", "trapped-series", "trapped-asympt"])
@@ -537,21 +536,23 @@ class TestGreenCommand:
         assert [(r[header.index("G_re")], r[header.index("status")]) for r in rows] == [
             ("", "AccuracyError: G = -inf from homog-series is not finite")] * 3
 
-    def test_non_finite_density_is_a_typed_row(self, monkeypatch):
-        # the trapped-spectral table builds a finite density's row straight from it; one that is not
-        # finite takes the same check as every other green row
+    @pytest.mark.parametrize("mode, column", [("trapped-spectral", "spectral_densities"), ("oracle", "_oracle_column")])
+    def test_non_finite_density_is_a_typed_row(self, monkeypatch, mode, column):
+        # a frequency mode's column goes through _green_row as every other green row does: a value
+        # that is not finite is an AccuracyError row with empty cells, and the next entry stays ok
         cfg = load_config(None)
-        densities = cli.spectral_densities
+        evaluate = getattr(cli, column)
 
         def spoiled(*a, **k):
-            out = densities(*a, **k)
-            return [out[0]._replace(re_part=math.inf), out[1]._replace(err_bound=math.nan), *out[2:]]
+            out = evaluate(*a, **k)
+            return [out[0]._replace(value=math.inf), out[1]._replace(trunc_err=math.nan), *out[2:]]
 
-        monkeypatch.setattr(cli, "spectral_densities", spoiled)
-        _, rows, _ = cli.cmd_green(cfg, argparse.Namespace(mode="trapped-spectral"))
-        assert [r[-1] for r in rows[:3]] == ["AccuracyError: G = inf from trapped-spectral is not finite",
-                                            "AccuracyError: trunc_err = nan from trapped-spectral is not finite", "ok"]
-        assert rows[0][4] is rows[0][6] is rows[1][4] is None
+        monkeypatch.setattr(cli, column, spoiled)
+        _, rows, _ = cli.cmd_green(cfg, argparse.Namespace(mode=mode))
+        assert [r[-1] for r in rows[:3]] == [f"AccuracyError: G = inf from {mode} is not finite",
+                                            f"AccuracyError: trunc_err = nan from {mode} is not finite", "ok"]
+        assert rows[0][4] is rows[0][6] is rows[1][4] is rows[1][6] is None
+        assert rows[0][5] == rows[1][5] == rows[2][5] == mode
 
 
 class TestCorrelatorCommand:
@@ -1344,7 +1345,7 @@ class TestValidateCommand:
         series = checks.lowT_legendre_series_many
 
         def drifting(*args, **kwargs):
-            return [dataclasses.replace(g, trunc_err=abs(g.value)) for g in series(*args, **kwargs)]
+            return [g._replace(trunc_err=abs(g.value)) for g in series(*args, **kwargs)]
 
         monkeypatch.setattr(checks, "lowT_legendre_series_many", drifting)
         out = tmp_path / "report.json"
@@ -1363,7 +1364,7 @@ class TestValidateCommand:
              "closed-form Gamma symmetry/positivity broken"),
             ("gamma_d1_exact", lambda f: lambda *a: -f(*a), "closed-form Gamma symmetry/positivity broken"),
             ("matsubara_assemble_many", lambda f: lambda queries, *a: [
-                dataclasses.replace(g, value=math.nextafter(g.value, math.inf)) if q.x1 < q.x2 else g
+                g._replace(value=math.nextafter(g.value, math.inf)) if q.x1 < q.x2 else g
                 for q, g in zip(queries, f(queries, *a))], "assembly not symmetric"),
             ("gamma_from_green", lambda f: lambda *a: -f(*a), "assembled-route Gamma not positive"),
         ],
@@ -1461,7 +1462,7 @@ class TestValidateCommand:
              lambda f: lambda omega, *a, **k: f(omega * (1.0 + 1e-3), *a, **k), True),
             # the density 10% too strong satisfies the ODE, but its slope jump misses g/(hbar v)^2
             ("02-ode-residual-and-jump", "spectral_densities",
-             lambda f: lambda *a, **k: [sd._replace(re_part=1.1 * sd.re_part) for sd in f(*a, **k)], False),
+             lambda f: lambda *a, **k: [sd._replace(value=1.1 * sd.value) for sd in f(*a, **k)], False),
             # the finite-difference oracle at (1 + 1e-2) omega: about 0.15 against 1e-3
             ("03-oracle-equivalence", "fdm_spectral_solve",
              lambda f: lambda omega, *a, **k: f(omega * (1.0 + 1e-2), *a, **k), True),
@@ -1470,7 +1471,7 @@ class TestValidateCommand:
              lambda f: lambda omega, *a, **k: f(omega * (1.0 + 1e-2), *a, **k), True),
             # the sinh form's prefactor 5% high: about 0.048 against 0.02
             ("06-homog-regime-match", "homog_asymptotic_highT",
-             lambda f: lambda *a, **k: dataclasses.replace(f(*a, **k), value=1.05 * f(*a, **k).value), True),
+             lambda f: lambda *a, **k: f(*a, **k)._replace(value=1.05 * f(*a, **k).value), True),
             # the series without its zero-temperature logarithm: about 0.18 against 0.02
             ("06-homog-regime-match", "homog_series", lambda f: _without_the_logarithm(f), True),
             # the assembly stopped at tol = 1e-3 instead of 1e-13, after one or two frequencies: about 2.3e-3
@@ -1479,12 +1480,12 @@ class TestValidateCommand:
              lambda f: lambda *a, **k: f(*a, tol=1e-3, **k), True),
             # the Liouville-Green form 1e-3 high: about 1e-3
             ("07-trapped-highT-match", "asympt_green_highT",
-             lambda f: lambda *a, **k: dataclasses.replace(f(*a, **k), value=(1.0 + 1e-3) * f(*a, **k).value), True),
+             lambda f: lambda *a, **k: f(*a, **k)._replace(value=(1.0 + 1e-3) * f(*a, **k).value), True),
             # the homogeneous Gamma to the power 1.1: its exponent 10% off, the fit about 0.10 against 0.05
             ("09-exponent-extraction", "gamma_homog", lambda f: lambda *a: f(*a) ** 1.1, True),
             # the low-T series 10% high: the trapped exponent off, the fit about 0.066
             ("09-exponent-extraction", "lowT_legendre_series_many",
-             lambda f: lambda *a, **k: [dataclasses.replace(g, value=1.1 * g.value) for g in f(*a, **k)], True),
+             lambda f: lambda *a, **k: [g._replace(value=1.1 * g.value) for g in f(*a, **k)], True),
         ],
         ids=["02-density-frequency-off", "02-density-strength-off", "03-oracle-frequency-off",
              "03-closed-form-frequency-off", "06-sinh-prefactor-off", "06-series-log-dropped", "07-assembly-truncated",
@@ -1551,8 +1552,8 @@ class TestValidateCommand:
         assert np.count_nonzero(zero) == 203 and lam.size == 2 * 203 + 6
         np.testing.assert_allclose(np.unique(lam[~zero]), [2.0**-50, 1e-6, 1e-4], rtol=1e-15)
         p, _ = checks._unit_setup()
-        for u, up, re_part in zip(us[zero], ups[zero], re[zero]):
-            assert spectral_density(0.0, u * d.R_c, up * d.R_c, p, d).re_part == re_part
+        for u, up, density in zip(us[zero], ups[zero], re[zero]):
+            assert spectral_density(0.0, u * d.R_c, up * d.R_c, p, d).value == density
 
     @pytest.mark.parametrize(
         "name, counted, expected",

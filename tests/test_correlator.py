@@ -130,7 +130,7 @@ class TestClosedFormCorrelator:
         # the closed form is gamma_from_green of the equal-time zero mode, bit for bit
         p, d = setup_params(beta=0.7)
         q = CorrelatorQuery(0.35, 0.0, 0.1, 0.0)
-        g = spectral_density(0.0, q.x1, q.x2, p, d).re_part / p.beta
+        g = spectral_density(0.0, q.x1, q.x2, p, d).value / p.beta
         via_green = gamma_from_green(q, GreenValue(g, "closed-form-zero-mode"), p, d)
         assert via_green == gamma_d1_exact(q.x1, q.x2, p, d)
 

@@ -10,6 +10,7 @@ from numpy.testing import assert_allclose
 from trapgas import (
     AccuracyError,
     DomainError,
+    GreenValue,
     PhysicalParams,
     UsageError,
     derive_scales,
@@ -301,6 +302,19 @@ class TestAsymptoticForms:
             z_low = (math.pi / (2.0 * d.R_c)) * complex(dx, dtau)
             assert_allclose(log_2sin_abs(z_low), log_2sinh_abs(complex(z_low.imag, z_low.real)), rtol=1e-12)
             assert_allclose(log_2sinh_abs(z_high), log_2sin_abs(complex(z_high.imag, z_high.real)), rtol=1e-12)
+
+
+class TestGreenValue:
+    def test_is_immutable_and_shares_no_default(self):
+        # a field cannot be assigned, and a value built without meta holds no mutable default
+        # that another value built the same way could change under it
+        a, b = GreenValue(1.0, "homog-series"), GreenValue(2.0, "homog-series")
+        with pytest.raises(AttributeError):
+            a.value = 3.0
+        with pytest.raises(AttributeError):
+            a.meta = {}
+        assert a.meta is None and b.meta is None
+        assert [v for v in (*a, *b) if not isinstance(v, (float, str, bool, type(None)))] == []
 
 
 class TestGreenDifference:

@@ -19,7 +19,6 @@ from trapgas import (
     GreenValue,
     PhysicalParams,
     RegimeError,
-    SpectralDensity,
     asympt_green_highT,
     asympt_green_lowT,
     classify_regime,
@@ -109,11 +108,11 @@ class TestCheckedLambda:
         assert calls == []
 
 
-class TestSpectralDensity:
+class TestDensityAtOnePoint:
     def test_zero_mode_reference_value(self):
         p, d = unit_radius_params()
         sd = spectral_density(0.0, 0.2, 0.1, p, d)
-        assert_allclose(sd.re_part, 0.25 * math.log(27.0 / 22.0), rtol=1e-13)
+        assert_allclose(sd.value, 0.25 * math.log(27.0 / 22.0), rtol=1e-13)
 
     def test_closed_form_refusal_names_its_arguments(self):
         # a library caller has no grid: the refusal names tau - tau', not a config key
@@ -131,7 +130,7 @@ class TestSpectralDensity:
             half_d, half_s = abs(x - xp) / (2.0 * d.R_c), (x + xp) / (2.0 * d.R_c)
             ratio = ((1.0 + half_d) ** 2 - half_s**2) / ((1.0 - half_d) ** 2 - half_s**2)
             paper = p.g * d.R_c / (p.beta * (2.0 * p.hbar * d.v) ** 2) * math.log(ratio)
-            assert_allclose(spectral_density(0.0, x, xp, p, d).re_part / p.beta, paper, rtol=1e-10)
+            assert_allclose(spectral_density(0.0, x, xp, p, d).value / p.beta, paper, rtol=1e-10)
 
     def test_zero_mode_within_its_bound_of_40_digits(self):
         # G_0 = K |atanh u - atanh u'| at 40 digits: same-sign pairs 1e-4,
@@ -163,14 +162,14 @@ class TestSpectralDensity:
         p, d = setup_params()
         for omega in (0.0, 2.0 * math.pi):
             sd = spectral_density(omega, 0.3, 0.3, p, d)
-            assert math.isfinite(sd.re_part)
+            assert math.isfinite(sd.value)
 
     def test_symmetric_in_arguments(self):
         p, d = setup_params()
         for omega in (0.0, 0.3, 2.0 * math.pi):
             a = spectral_density(omega, 0.4, -0.2, p, d)
             b = spectral_density(omega, -0.2, 0.4, p, d)
-            assert a.re_part == b.re_part
+            assert a.value == b.value
 
     def test_derivative_jump_strength(self):
         p, d = setup_params()
@@ -178,9 +177,9 @@ class TestSpectralDensity:
         xp = 0.1 * d.R_c
         up = xp / d.R_c
         step = 1e-4 * d.R_c
-        g0 = spectral_density(omega, xp, xp, p, d).re_part
-        gp = spectral_density(omega, xp + step, xp, p, d).re_part
-        gm = spectral_density(omega, xp - step, xp, p, d).re_part
+        g0 = spectral_density(omega, xp, xp, p, d).value
+        gp = spectral_density(omega, xp + step, xp, p, d).value
+        gm = spectral_density(omega, xp - step, xp, p, d).value
         jump = (1.0 - up * up) * ((gp - g0) / step - (g0 - gm) / step)
         target = p.g / (p.hbar * d.v) ** 2
         assert abs(jump - target) < 5e-4 * target
@@ -191,7 +190,7 @@ class TestSpectralDensity:
         omega = 0.2 / d.alpha
         lam = _checked_lambda(omega, d)
         assert lam <= 0.25 and -0.5 < _nu_real(lam) < 0.0
-        assert math.isfinite(spectral_density(omega, 0.3, 0.1, p, d).re_part)
+        assert math.isfinite(spectral_density(omega, 0.3, 0.1, p, d).value)
 
     @pytest.mark.parametrize("omega", [1e-170, -1e-170, 1e-20, 2e-9])
     def test_degree_below_half_an_ulp_of_a_quarter_is_the_zero_mode(self, omega):
@@ -203,7 +202,7 @@ class TestSpectralDensity:
         xs = [-0.6 * d.R_c, 0.3 * d.R_c]
         zero = spectral_densities(0.0, xs, 0.1 * d.R_c, p, d)
         tiny = spectral_densities(omega, xs, 0.1 * d.R_c, p, d)
-        assert [(sd.re_part.hex(), sd.err_bound) for sd in tiny] == [(sd.re_part.hex(), sd.err_bound) for sd in zero]
+        assert [(sd.value.hex(), sd.trunc_err) for sd in tiny] == [(sd.value.hex(), sd.trunc_err) for sd in zero]
 
     def test_boundary_clamp_enforced(self):
         p, d = setup_params()
@@ -246,7 +245,7 @@ class TestSpectralDensity:
         for x, xp in ((0.3, -0.2), (0.65, 0.7), (-0.5, -0.8)):
             sd = spectral_density(omega, x, xp, p, d)
             ref = self._w_bracket(omega, x, xp, p, d)
-            assert abs(sd.re_part - ref) < 1e-13 * abs(ref)
+            assert abs(sd.value - ref) < 1e-13 * abs(ref)
 
     @pytest.mark.parametrize("beta", [1e4, 1e6, 1e8])
     @pytest.mark.parametrize("x, xp", [(0.3, 0.1), (-1.2, 0.5), (1.35, -1.38)])
@@ -257,8 +256,8 @@ class TestSpectralDensity:
         omega = 2.0 * math.pi / beta
         sd = spectral_density(omega, x, xp, p, d)
         ref = self._w_bracket(omega, x, xp, p, d)
-        assert abs(sd.re_part - ref) <= 1e-13 * abs(ref)
-        assert abs(sd.re_part - ref) <= sd.err_bound
+        assert abs(sd.value - ref) <= 1e-13 * abs(ref)
+        assert abs(sd.value - ref) <= sd.trunc_err
 
     @pytest.mark.parametrize("omega", [2.0 * math.pi, 4.0 * math.pi])
     def test_next_to_the_clamp_matches_w_bracket_product(self, omega):
@@ -267,13 +266,13 @@ class TestSpectralDensity:
         x, xp = 0.99999 * d.R_c, 0.1 * d.R_c
         sd = spectral_density(omega, x, xp, p, d)
         ref = self._w_bracket(omega, x, xp, p, d)
-        assert abs(sd.re_part - ref) <= 1e-13 * abs(ref)
+        assert abs(sd.value - ref) <= 1e-13 * abs(ref)
 
     def test_value_stays_finite_at_large_degree(self):
         p, d = setup_params(beta=0.05 * math.sqrt(2.0))
         omega = 10.0 * math.pi / p.beta  # alpha*omega ~ 2800
         sd = spectral_density(omega, 0.31, 0.3, p, d)
-        assert math.isfinite(sd.re_part)
+        assert math.isfinite(sd.value)
 
 
 def test_angle_difference_is_relatively_accurate():
@@ -313,9 +312,9 @@ class TestSpectralDensities:
             if isinstance(s, Exception):
                 assert type(b) is type(s) and str(b) == str(s)
             else:
-                assert type(b) is SpectralDensity
-                assert np.array([b.re_part, b.err_bound]).tobytes() == np.array([s.re_part, s.err_bound]).tobytes()
-                assert (b.omega, b.x, b.xp) == (s.omega, s.x, s.xp)
+                assert type(b) is GreenValue and b.method == "trapped-spectral"
+                assert np.array([b.value, b.trunc_err]).tobytes() == np.array([s.value, s.trunc_err]).tobytes()
+                assert b._replace(value=None, trunc_err=None) == s._replace(value=None, trunc_err=None)
 
     @pytest.mark.parametrize("omega", [0.0, 2.0 * math.pi, 20.0 * math.pi, 200.0 * math.pi])
     def test_sweep_geometry_equals_single_points(self, omega):
@@ -380,7 +379,7 @@ class TestSpectralDensities:
         xs = [-0.6 * d.R_c, math.nan, 0.3 * d.R_c]
         batch = spectral_densities(omega, xs, 0.1 * d.R_c, p, d)
         self.assert_same(batch, _per_point(omega, xs, 0.1 * d.R_c, p, d, 1e-13))
-        assert [type(b) for b in batch] == [SpectralDensity, DomainError, SpectralDensity]
+        assert [type(b) for b in batch] == [GreenValue, DomainError, GreenValue]
 
     @pytest.mark.parametrize("omega", [0.0, 2.0 * math.pi])
     @pytest.mark.parametrize("as_array", [False, True])
@@ -398,7 +397,7 @@ class TestSpectralDensities:
         batch = spectral_densities(omega, xs, 0.1 * d.R_c, p, d)
         self.assert_same(batch, _per_point(omega, xs, 0.1 * d.R_c, p, d, 1e-13))
         inside = [True, True, False, False, False, False, False, True, True, True, False, True]
-        assert [isinstance(b, SpectralDensity) for b in batch] == inside
+        assert [isinstance(b, GreenValue) for b in batch] == inside
         assert all("exceeds the boundary clamp" in str(b) for b, ok in zip(batch, inside) if not ok)
 
     def test_one_pass_clamp_keeps_an_xp_beyond_it_behind_the_points_own_errors(self):
@@ -434,7 +433,7 @@ class TestSpectralDensities:
                     expected.append((x1, tau1, x2, tau1, None, "trapped-spectral", None, regime, False,
                                      f"{type(sd).__name__}: {sd}"))
                 else:
-                    expected.append((x1, tau1, x2, tau1, sd.re_part, "trapped-spectral", sd.err_bound,
+                    expected.append((x1, tau1, x2, tau1, sd.value, "trapped-spectral", sd.trunc_err,
                                      regime, False, "ok"))
         assert rows == expected
         assert sum(r[-1].startswith("DomainError") for r in rows) == 2
@@ -466,13 +465,13 @@ class TestClosedFormZeroMode:
     def test_equal_points(self):
         p, d = setup_params()
         sd = spectral_density(0.0, 0.3, 0.3, p, d)
-        assert (sd.re_part, sd.err_bound) == (0.0, 0.0)
+        assert (sd.value, sd.trunc_err) == (0.0, 0.0)
 
     def test_quasi_homogeneous_linear_reduction(self):
         p, d = setup_params()
         s_half = 0.3 * d.R_c
         dx = 0.01 * d.R_c
-        value = spectral_density(0.0, s_half + dx / 2.0, s_half - dx / 2.0, p, d).re_part / p.beta
+        value = spectral_density(0.0, s_half + dx / 2.0, s_half - dx / 2.0, p, d).value / p.beta
         linear = p.Lambda * dx / (2.0 * p.beta * (p.hbar * d.v) ** 2 * rho_tf(s_half, p, d))
         assert abs(value - linear) < 0.03 * abs(linear)
 
@@ -491,7 +490,7 @@ class TestMatsubaraAssemble:
         # default tol the cap l_max = 0 refuses
         p, d = setup_params()
         g = matsubara_assemble(0.3, 0.2, 0.1, 0.0, p, d, l_max=0, tol=0.1)
-        assert_allclose(g.value.real, spectral_density(0.0, 0.3, 0.1, p, d).re_part / p.beta, rtol=1e-12)
+        assert_allclose(g.value.real, spectral_density(0.0, 0.3, 0.1, p, d).value / p.beta, rtol=1e-12)
         assert g.value.imag == 0.0 and g.meta["frequencies"] == 1
         with pytest.raises(AccuracyError, match=r"the bound at the cap of 0 terms is 6\.461e-02$"):
             matsubara_assemble(0.3, 0.2, 0.1, 0.0, p, d, l_max=0)
@@ -536,7 +535,7 @@ class TestMatsubaraAssemble:
             a = mp.exp(-mp.pi * mp.im(nu)) * big[0.31] * big[-0.45]
             b = mp.exp(mp.pi * mp.im(nu)) * big[-0.31] * big[0.45]
             scale = float((k * mp.pi / 2) * (a + b) / mp.cosh(mp.pi * mp.im(nu)) ** 2)
-        assert err.value.achieved == pytest.approx(sd.err_bound / scale, rel=1e-12)
+        assert err.value.achieved == pytest.approx(sd.trunc_err / scale, rel=1e-12)
         assert err.value.achieved > 1e-15
 
     @pytest.mark.parametrize("beta", [0.05 * math.sqrt(2.0), 1.0, 100.0 * math.sqrt(2.0)])
@@ -570,8 +569,9 @@ class TestMatsubaraAssemble:
                 scope.setattr(legendre, "_quad_rows", counted)
                 g = matsubara_assemble(x, dtau, xp, 0.0, p, d, l_max=l_max, tol=tol)
             # the fold runs over the frequencies the assembly summed
-            sds = [spectral_density(2.0 * math.pi * l / beta, x, xp, p, d) for l in range(g.meta["frequencies"])]
-            fold = sds[0].re_part + sum(2.0 * math.cos(sd.omega * dtau) * sd.re_part for sd in sds[1:])
+            omegas = [2.0 * math.pi * l / beta for l in range(g.meta["frequencies"])]
+            sds = [spectral_density(omega, x, xp, p, d) for omega in omegas]
+            fold = sds[0].value + sum(2.0 * math.cos(omega * dtau) * sd.value for omega, sd in zip(omegas[1:], sds[1:]))
             assert abs(g.value.real - fold / beta) <= 1e-14 * abs(fold / beta)
             # terms counts the kernel rows that ran: two at a far frequency,
             # four at any other, and the rows of any interpolants
@@ -838,8 +838,8 @@ class TestMatsubaraAssemble:
         with patch.object(green_trapped, "_far_rows", _no_far_rows):
             four = spectral_densities(*args)
         two = spectral_densities(*args)
-        assert [type(sd) for sd in two] == [type(sd) for sd in four] == [SpectralDensity] * 81
-        assert [sd.re_part.hex() for sd in two] == [sd.re_part.hex() for sd in four]
+        assert [type(sd) for sd in two] == [type(sd) for sd in four] == [GreenValue] * 81
+        assert [sd.value.hex() for sd in two] == [sd.value.hex() for sd in four]
         # no point is far at 2 pi, and every point is at 20 pi and beyond
         rows = _density_parts(omega, np.array(xs) / d.R_c, 0.1, d, _k_coeff(p, d), 1e-12)[3]
         assert rows.tolist() == [4 if omega == 2.0 * math.pi else 2] * 81
@@ -886,8 +886,8 @@ class TestMatsubaraAssemble:
         omega, x = 2.0 * math.pi / p.beta, 0.3 * d.R_c
         assert (d.alpha * omega) ** 2 <= 0.25
         same, near = spectral_densities(omega, [x, x + 1e-9 * d.R_c], x, p, d, 1e-13)
-        assert isinstance(same, SpectralDensity) and isinstance(near, SpectralDensity)
-        assert same.re_part == 0.0 and same.err_bound > 0.0
+        assert isinstance(same, GreenValue) and isinstance(near, GreenValue)
+        assert same.value == 0.0 and same.trunc_err > 0.0
 
     @pytest.mark.parametrize("l_max", [0, 40, 2**17])
     def test_frequency_sum_at_equal_positions_refuses(self, l_max, monkeypatch):
@@ -1274,7 +1274,7 @@ class TestTrappedAsymptotics:
         omega = alpha_omega / d.alpha
         for s_half in (0.1, 0.5):
             x, xp = (s_half + 0.01) * d.R_c, (s_half - 0.01) * d.R_c
-            exact = spectral_density(omega, x, xp, p, d).re_part
+            exact = spectral_density(omega, x, xp, p, d).value
             approx = lg_density(omega, x, xp, p, d)
             assert abs(approx / exact - 1.0) < 0.5 / alpha_omega**2
 
@@ -1320,7 +1320,7 @@ class TestTrappedAsymptotics:
         x, xp, dtau = 0.35 * d.R_c, 0.3 * d.R_c, 0.2 * p.beta
         omegas = 2.0 * math.pi * np.arange(1, 201) / p.beta
         g_lg = lg_density(omegas, x, xp, p, d)
-        zero_mode = spectral_density(0.0, x, xp, p, d).re_part / p.beta
+        zero_mode = spectral_density(0.0, x, xp, p, d).value / p.beta
         direct = zero_mode + (2.0 / p.beta) * math.fsum(np.cos(omegas * dtau) * g_lg)
         assert_allclose(asympt_green_highT(x, dtau, xp, 0.0, p, d).value, direct, rtol=1e-13)
 
@@ -1335,7 +1335,7 @@ class TestTrappedAsymptotics:
                 g = asympt_green_highT(dx / 2.0, dtau, -dx / 2.0, 0.0, p, d).value
                 z = (math.pi / d.lambda_T) * complex(dx, hv * dtau)
                 homogeneous = (p.g / (2.0 * math.pi * hv)) * (log_2sinh_abs(z) - z.real)
-                zero = spectral_density(0.0, dx / 2.0, -dx / 2.0, p, d).re_part / p.beta
+                zero = spectral_density(0.0, dx / 2.0, -dx / 2.0, p, d).value / p.beta
                 assert_allclose(g - zero, homogeneous, rtol=2e-5)
 
     def test_green_highT_even_about_half_beta(self):

@@ -228,8 +228,8 @@ class TestLegendrePairValues:
         args = (math.sqrt(_lam(-0.5 + 0.8j)) / d.alpha, 0.3 * d.R_c, 0.1 * d.R_c, p, d)
         sd = spectral_density(*args)
         _, err, scale, _ = _density_parts(args[0], np.array([0.3]), 0.1, d, _k_coeff(p, d), 1e-13)
-        assert err[0] == sd.err_bound and scale[0] >= abs(sd.re_part)
-        bound = sd.err_bound / scale[0]
+        assert err[0] == sd.trunc_err and scale[0] >= abs(sd.value)
+        bound = sd.trunc_err / scale[0]
         with pytest.raises(AccuracyError, match=r"quadrature bound .* > tol = 1e-16") as err:
             spectral_density(*args, tol=1e-16)
         assert err.value.achieved == bound > 1e-16

@@ -93,8 +93,8 @@ class TestFdmSpectralSolve:
         xs = [0.3 * d.R_c, 0.45 * d.R_c, -0.25 * d.R_c]
         snapped = [sol.x_nodes[int(np.argmin(np.abs(sol.x_nodes - x)))] for x in xs]
         fdm_diff = sol.interp(snapped[0]) - sol.interp(snapped[1])
-        cf_diff = (spectral_density(0.0, snapped[0], sol.x_source, p, d).re_part
-                   - spectral_density(0.0, snapped[1], sol.x_source, p, d).re_part)
+        cf_diff = (spectral_density(0.0, snapped[0], sol.x_source, p, d).value
+                   - spectral_density(0.0, snapped[1], sol.x_source, p, d).value)
         assert abs(fdm_diff - cf_diff) < 1e-3 * abs(cf_diff)
 
     def test_large_omega_exponential_envelope(self):
@@ -125,7 +125,7 @@ class TestFdmSpectralSolve:
         # any N
         p, d = setup_params()
         sol = fdm_spectral_solve(0.0, 0.1 * d.R_c, p, d, FdmGrid(N=10_000))
-        exact = np.array([sd.re_part for sd in spectral_densities(0.0, sol.x_nodes[1:-1], sol.x_source, p, d)])
+        exact = np.array([sd.value for sd in spectral_densities(0.0, sol.x_nodes[1:-1], sol.x_source, p, d)])
         error = sol.g_values[1:-1] - exact
         error -= np.median(error)  # the gauges' constant
         assert np.max(np.abs(error)) <= sol.disc_error_est < 0.05
@@ -157,7 +157,7 @@ class TestFdmSpectralSolve:
         omega = 2.0 * math.pi / p.beta
         sol = fdm_spectral_solve(omega, 0.1 * d.R_c, p, d, FdmGrid(N=10_000))
         x_eval = sol.x_nodes[int(np.argmin(np.abs(sol.x_nodes - 0.35 * d.R_c)))]
-        exact = spectral_density(omega, float(x_eval), sol.x_source, p, d).re_part
+        exact = spectral_density(omega, float(x_eval), sol.x_source, p, d).value
         assert abs(float(sol.interp(x_eval)) - exact) < 1e-3 * abs(exact)
 
     @pytest.mark.parametrize("turns", [1, 5])
@@ -170,7 +170,7 @@ class TestFdmSpectralSolve:
         assert plus.g_values.tobytes() == minus.g_values.tobytes()
         assert (plus.x_source, plus.disc_error_est) == (minus.x_source, minus.disc_error_est)
         xs = [0.3 * d.R_c, 0.45 * d.R_c, -0.25 * d.R_c, 0.6 * d.R_c]
-        plus, minus = ([(sd.re_part, sd.err_bound) for sd in spectral_densities(w, xs, plus.x_source, p, d)]
+        plus, minus = ([(sd.value, sd.trunc_err) for sd in spectral_densities(w, xs, plus.x_source, p, d)]
                        for w in (omega, -omega))
         assert np.array(plus).tobytes() == np.array(minus).tobytes()
 
