@@ -6,9 +6,10 @@ check function takes no arguments and returns ``(value, detail,
 conditions_met)``: its figure of merit, a one-line description, and whether
 its requirements other than ``value < tol`` hold.  ``run_check`` is the one
 place that times a check and builds its :class:`CheckResult` against the
-pinned tolerance; ``run_all`` runs the registry in order.  No tolerance is a
-setting: Tier-1 tests break the routes behind every check and see each of
-them fail.
+pinned tolerance; ``run_all`` runs the registry in order.  Checks 06-10
+take their routes from ``green_trapped._route``, the mode map of the tables,
+so a wrong regime dispatch there fails them.  No tolerance is a setting:
+Tier-1 tests break the routes behind every check and see each of them fail.
 """
 
 from __future__ import annotations
@@ -16,29 +17,14 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
-from . import green_homogeneous
+from . import green_homogeneous, green_trapped
 from .correlator import extract_exponent, gamma_d1_exact, gamma_from_green, gamma_homog
 from .errors import TrapGasError
-from .green_homogeneous import (
-    green_difference,
-    homog_asymptotic_highT,
-    homog_series,
-)
-from .green_trapped import (
-    _density_parts,
-    _evaluate,
-    _k_coeff,
-    _values,
-    asympt_green_highT,
-    asympt_green_lowT,
-    lowT_legendre_series_many,
-    matsubara_assemble_many,
-    spectral_densities,
-)
+from .green_homogeneous import green_difference
+from .green_trapped import _density_parts, _k_coeff, _values, spectral_densities
 from .model import CorrelatorQuery, PhysicalParams, derive_scales, rho_tf, theta_at, theta_homogeneous
 from .oracle import FdmGrid, brute_frequency_sum, fdm_eigensolve, fdm_spectral_solve
 
@@ -216,6 +202,13 @@ def check_frequency_sum():
     return worst, detail, True
 
 
+def _routes(modes, queries, p, d, *, tol: float, l_max: int | None = None) -> list:
+    """Each mode's entries at ``queries`` from ``green_trapped._route``, the
+    map the tables read, looked up when the check runs, with its first error
+    raised; ``l_max`` caps the ``spectral`` assembly alone."""
+    return [_values(green_trapped._route(mode, p, d, tol=tol, l_max=l_max)(queries)) for mode in modes]
+
+
 def _max_difference_deviation(got, want) -> tuple:
     """Max relative deviation of the route's values ``got`` from the
     reference's ``want`` in difference mode, G(a) - G(b), over consecutive
@@ -238,8 +231,7 @@ def check_homog_regime_match():
     d = derive_scales(p)  # R_c = 20, lambda_T = 1
     pairs = [CorrelatorQuery(dx / 2.0, 0.0, -dx / 2.0, 0.0) for dx in (1.5, 2.5, 3.5, 4.5)]
     pairs.append(CorrelatorQuery(1.0, 0.3 * p.beta, -1.0, 0.0))
-    worst, bound = _max_difference_deviation(_values(_evaluate(partial(homog_series, p=p, d=d, tol=1e-12), pairs)),
-                                             _values(_evaluate(partial(homog_asymptotic_highT, p=p, d=d), pairs)))
+    worst, bound = _max_difference_deviation(*_routes(("homog-series", "homog-asympt"), pairs, p, d, tol=1e-12))
     detail = (f"max relative difference-mode deviation, series (tol = 1e-12) vs closed form (lambda_T/R_c = 0.05); "
               f"series' trunc_err/|difference| up to {bound:.3e}")
     return worst, detail, True
@@ -257,8 +249,7 @@ def check_trapped_highT_match():
     pairs = [CorrelatorQuery(s_half + f * lam_t / 2.0, 0.0, s_half - f * lam_t / 2.0, 0.0)
              for f in (0.4, 0.8, 1.2, 1.6, 2.0)]
     pairs.append(CorrelatorQuery(s_half + 0.6 * lam_t, 0.25 * p.beta, s_half - 0.6 * lam_t, 0.0))
-    worst, _ = _max_difference_deviation(_values(matsubara_assemble_many(pairs, p, d, l_max)),
-                                         _values(_evaluate(partial(asympt_green_highT, p=p, d=d), pairs)))
+    worst, _ = _max_difference_deviation(*_routes(("spectral", "trapped-asympt"), pairs, p, d, tol=1e-13, l_max=l_max))
     return worst, f"max relative difference-mode deviation, assembly (l_max={l_max}) vs Liouville-Green form", True
 
 
@@ -275,8 +266,7 @@ def check_trapped_lowT_match():
         CorrelatorQuery(s_half + f * d.R_c / 2.0, dtau, s_half - f * d.R_c / 2.0, 0.0)
         for f in (0.01, 0.02, 0.03, 0.04)
     ]
-    worst, bound = _max_difference_deviation(_values(lowT_legendre_series_many(pairs, p, d, tol=1e-5)),
-                                             _values(_evaluate(partial(asympt_green_lowT, p=p, d=d), pairs)))
+    worst, bound = _max_difference_deviation(*_routes(("series", "trapped-asympt"), pairs, p, d, tol=1e-5))
     detail = (f"max relative difference-mode deviation, series (tol = 1e-5) vs leading log; "
               f"series' trunc_err/|difference| up to {bound:.3e} (< 0.02 required)")
     return worst, detail, bound < 0.02
@@ -303,7 +293,7 @@ def check_exponent_extraction():
     dtaus = np.geomspace(0.004, 0.03, 10) * d2.R_c / hv
     rho_s = rho_tf(s_point, p2, d2)
     queries = [CorrelatorQuery(s_point, dt, s_point, 0.0) for dt in dtaus]  # one recurrence serves all ten
-    series = _values(lowT_legendre_series_many(queries, p2, d2, tol=1e-5))
+    (series,) = _routes(("series",), queries, p2, d2, tol=1e-5)
     gam2 = [gamma_from_green(q, gval, p2, d2) for q, gval in zip(queries, series)]
     fit_s = extract_exponent(hv * dtaus, gam2, rho_products=np.full(len(dtaus), rho_s))
     inv_theta_s_true = 1.0 / theta_at(s_point, p2, d2)
@@ -356,8 +346,8 @@ def check_symmetry_positivity():
             failures.append(f"trial {trial}: closed-form Gamma symmetry/positivity broken")
 
         # assembled route: swap symmetry and positivity, to a tol that every trial meets below its cap
-        g12, g21 = _values(matsubara_assemble_many(
-            [CorrelatorQuery(x1, tau, x2, 0.0), CorrelatorQuery(x2, 0.0, x1, tau)], p, d, 16, 1e-4))
+        ((g12, g21),) = _routes(("spectral",), [CorrelatorQuery(x1, tau, x2, 0.0), CorrelatorQuery(x2, 0.0, x1, tau)],
+                                p, d, tol=1e-4, l_max=16)
         if g12.value != g21.value:
             failures.append(f"trial {trial}: assembly not symmetric under swapping its points")
         if not (gamma_from_green(CorrelatorQuery(x1, tau, x2, 0.0), g12, p, d) > 0.0):

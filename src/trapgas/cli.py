@@ -4,11 +4,12 @@ validation suite, and CSV/JSON emission for plotting pipelines.
 ``_COMMANDS`` declares the subcommands: the parser is built from it once, on
 the first ``main`` call, and ``main`` runs ``cmd_<name>``, looked up at call
 time.  ``_SCHEMA`` gives each config key its parser, default and admissible
-range.  ``_route`` maps every spacetime mode, ``spectral`` and
-``asymptotic-auto`` included, to one batch evaluator of a table's pairs;
-``asymptotic-auto`` is a fallback of two.  The frequency modes
-``trapped-spectral`` and ``oracle`` evaluate one column of G_omega a
-frequency, and ``_green_row`` builds every green row.  ``exponent`` fits
+range.  ``green_trapped._route``, the map that checks 06-10 of ``validate``
+read too, takes every spacetime mode, ``spectral`` and ``asymptotic-auto``
+included, to one batch evaluator of a table's pairs under the config's
+``truncation`` controls.  The frequency modes ``trapped-spectral`` and
+``oracle`` evaluate one column of G_omega a frequency here, and
+``_green_row`` builds every green row.  ``exponent`` fits
 the ok rows of the ``correlator`` table's own row function that share the
 first ok row's route, and names on stderr the rows it leaves out.
 
@@ -19,7 +20,8 @@ and ``--out`` choose how and where it is written.  ``validate`` reads no
 config and always writes JSON.  Output is deterministic: fixed column order,
 fixed row order, 17-significant-digit numbers, no randomness anywhere.
 
-Exit codes: 0 success, 2 config error or refused evaluation, 3 failed check.
+Exit codes: 0 success, 2 config error, refused evaluation or refused
+allocation, 3 failed check.
 """
 
 from __future__ import annotations
@@ -38,25 +40,13 @@ import numpy as np
 
 from . import __version__
 from .correlator import MIN_FIT_SAMPLES, _sqrt_rho_pair, extract_exponent, gamma_from_green
-from .errors import AccuracyError, ConfigError, DataError, DomainError, RegimeError, TrapGasError
-from .green_homogeneous import GreenValue, homog_asymptotic_highT, homog_asymptotic_lowT, homog_series
-from .green_trapped import (
-    _ROW_ERRORS,
-    _evaluate,
-    _k_coeff,
-    asympt_green_highT,
-    asympt_green_lowT,
-    closed_form_green,
-    lowT_legendre_series_many,
-    matsubara_assemble_many,
-    spectral_densities,
-    spectral_density,
-)
+from .errors import AccuracyError, ConfigError, DataError, DomainError, TrapGasError
+from .green_homogeneous import GreenValue
+from .green_trapped import _ROW_ERRORS, _k_coeff, _route, spectral_densities, spectral_density
 from .model import (
     CorrelatorQuery,
     DerivedScales,
     PhysicalParams,
-    Regime,
     classify_regime,
     derive_scales,
     energy_level,
@@ -304,46 +294,6 @@ def cmd_spectrum(cfg: RunConfig, args) -> tuple:
     return ["n", "E_n", "dE", "dE_expansion", "status"], rows, {}
 
 
-def _route(mode, cfg: RunConfig, p, d):
-    """queries -> the GreenValue of each, the row error that refused it, or
-    None where the regime has no asymptotic form, under one spacetime green
-    or correlator mode, its controls and regime resolved once per table.
-    The thermal mode sum and the Matsubara assembly take the whole table in
-    one call, the other forms one pair at a time; ``asymptotic-auto`` is the
-    ``trapped-asympt`` form falling back to ``spectral``."""
-    if mode in ("trapped-series", "series"):
-        return partial(lowT_legendre_series_many, p=p, d=d, tol=cfg["truncation.tol"])
-    if mode == "spectral":
-        return partial(matsubara_assemble_many, p=p, d=d, l_max=cfg["truncation.l_max"], tol=cfg["truncation.tol"])
-    if mode == "asymptotic-auto":
-        return _fallback(_route("trapped-asympt", cfg, p, d), _route("spectral", cfg, p, d))
-    regime = classify_regime(d)
-    if mode == "homog-series":
-        form = partial(homog_series, tol=cfg["truncation.tol"])
-    elif mode == "closed-form":
-        form = closed_form_green
-    elif mode == "homog-asympt":
-        form = {Regime.HIGH_T: homog_asymptotic_highT, Regime.LOW_T: homog_asymptotic_lowT}.get(regime)
-    elif mode == "trapped-asympt":
-        form = {Regime.HIGH_T: asympt_green_highT, Regime.LOW_T: asympt_green_lowT}.get(regime)
-    else:
-        raise ConfigError(f"unknown mode {mode!r}")
-    return partial(_evaluate, form and partial(form, p=p, d=d))
-
-
-def _fallback(primary, secondary):
-    """The evaluator that gives ``primary``'s entry of each query, but
-    ``secondary``'s, from one call over them all, of each query that
-    ``primary`` leaves None or refuses with RegimeError."""
-    def evaluate(queries) -> list:
-        out = primary(queries)
-        refused = [i for i, g in enumerate(out) if g is None or isinstance(g, RegimeError)]
-        for i, g in zip(refused, secondary([queries[i] for i in refused])):
-            out[i] = g
-        return out
-    return evaluate
-
-
 def _not_finite(source: str, **cells):
     """The AccuracyError naming the first of ``cells`` that is not finite, or None: no ok row holds nan or inf."""
     for name, value in cells.items():
@@ -404,8 +354,9 @@ def cmd_green(cfg: RunConfig, args) -> tuple:
     taus = ([tau1] * count if count <= 1
             else [float(t) for t in np.linspace(cfg["grid.tau_min"], cfg["grid.tau_max"], count)])
     queries = [CorrelatorQuery(x1, tau1, x2, tau2) for tau2 in taus for x2 in xs]
+    evaluate = _route(mode, p, d, tol=cfg["truncation.tol"], l_max=cfg["truncation.l_max"])
     return columns, [_green_row(q.x1, q.tau1, q.x2, q.tau2, g, mode, regime_tag)
-                     for q, g in zip(queries, _route(mode, cfg, p, d)(queries))], extra
+                     for q, g in zip(queries, evaluate(queries))], extra
 
 
 def _sep_grid(cfg: RunConfig) -> np.ndarray:
@@ -425,7 +376,8 @@ def _correlator_rows(mode, cfg: RunConfig, p, d) -> list:
     one ``_route`` call over them all; an evaluation failure is its row's
     status."""
     queries = _correlator_queries(cfg)
-    return [_correlator_row(q, g, mode, p, d) for q, g in zip(queries, _route(mode, cfg, p, d)(queries))]
+    evaluate = _route(mode, p, d, tol=cfg["truncation.tol"], l_max=cfg["truncation.l_max"])
+    return [_correlator_row(q, g, mode, p, d) for q, g in zip(queries, evaluate(queries))]
 
 
 def _correlator_row(q: CorrelatorQuery, g, mode, p, d) -> tuple:
@@ -590,6 +542,9 @@ def main(argv=None) -> int:
         return 2
     except TrapGasError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # e.g. a grid count past the address space, which numpy refuses before allocating
+        print(f"error: {exc or 'out of memory'}", file=sys.stderr)
         return 2
 
 

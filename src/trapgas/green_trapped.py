@@ -46,12 +46,14 @@ from __future__ import annotations
 
 import math
 import sys
+from functools import partial
 
 import numpy as np
 
-from .errors import AccuracyError, DomainError, RegimeError, TrapGasError
+from .errors import AccuracyError, ConfigError, DomainError, RegimeError, TrapGasError
 from .green_homogeneous import (_ROUNDING, _SQRT_FLOAT_MAX, GreenValue, _bad_tol, _check_window, _line_plus_modes,
-                                _log_abs_1_minus_exp, _log_divergence, _mode_stop, _thermal_factor)
+                                _log_abs_1_minus_exp, _log_divergence, _mode_stop, _thermal_factor,
+                                homog_asymptotic_highT, homog_asymptotic_lowT, homog_series)
 from .legendre import _NODES, _nu_real, _p_quad, p_poly_table
 from .model import (
     WINDOW_FACTOR,
@@ -117,6 +119,47 @@ def _evaluate(evaluate, queries) -> list:
         except _ROW_ERRORS as exc:
             out.append(exc)
     return out
+
+
+def _route(mode, p: PhysicalParams, d: DerivedScales, *, tol: float, l_max: int):
+    """queries -> the GreenValue of each, the row error that refused it, or
+    None where the regime has no asymptotic form, under one spacetime green
+    or correlator mode, its controls and regime resolved once per table.
+    The thermal mode sum and the Matsubara assembly take the whole table in
+    one call, the other forms one pair at a time; ``asymptotic-auto`` is the
+    ``trapped-asympt`` form falling back to ``spectral``.  The tables and
+    checks 06-10 of ``validate`` read this one map."""
+    if mode in ("trapped-series", "series"):
+        return partial(lowT_legendre_series_many, p=p, d=d, tol=tol)
+    if mode == "spectral":
+        return partial(matsubara_assemble_many, p=p, d=d, l_max=l_max, tol=tol)
+    if mode == "asymptotic-auto":
+        return _fallback(*(_route(form, p, d, tol=tol, l_max=l_max) for form in ("trapped-asympt", "spectral")))
+    regime = classify_regime(d)
+    if mode == "homog-series":
+        form = partial(homog_series, tol=tol)
+    elif mode == "closed-form":
+        form = closed_form_green
+    elif mode == "homog-asympt":
+        form = {Regime.HIGH_T: homog_asymptotic_highT, Regime.LOW_T: homog_asymptotic_lowT}.get(regime)
+    elif mode == "trapped-asympt":
+        form = {Regime.HIGH_T: asympt_green_highT, Regime.LOW_T: asympt_green_lowT}.get(regime)
+    else:
+        raise ConfigError(f"unknown mode {mode!r}")
+    return partial(_evaluate, form and partial(form, p=p, d=d))
+
+
+def _fallback(primary, secondary):
+    """The evaluator that gives ``primary``'s entry of each query, but
+    ``secondary``'s, from one call over them all, of each query that
+    ``primary`` leaves None or refuses with RegimeError."""
+    def evaluate(queries) -> list:
+        out = primary(queries)
+        refused = [i for i, g in enumerate(out) if g is None or isinstance(g, RegimeError)]
+        for i, g in zip(refused, secondary([queries[i] for i in refused])):
+            out[i] = g
+        return out
+    return evaluate
 
 
 def _clamped_u(x: float, d: DerivedScales) -> float:

@@ -4,8 +4,14 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 import trapgas
+
+# Every run of the suite draws the same examples, from no stored database, so that its outcome and its
+# time do not depend on the draw; a test's own @settings keeps its max_examples and deadline
+settings.register_profile("trapgas", derandomize=True, database=None)
+settings.load_profile("trapgas")
 
 
 @pytest.fixture

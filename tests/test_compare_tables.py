@@ -130,3 +130,31 @@ def test_diff_reports_metadata_changes_of_csv_and_json_tables(tmp_path, capsys):
         "u/json: G_re 0.33, metadata",
         "largest relative change per column: G_re 0.333",
     ]
+
+
+def test_diff_prints_each_validate_figure(tmp_path, capsys):
+    # the validate records of A and B: a figure bitwise equal, one moved by an ulp, and a check only
+    # B holds, each with its passed on both sides, after the summary of the differing invocation
+    harness = _harness()
+
+    def record(checks):
+        report = {"version": "0.1.0", "all_passed": True,
+                  "checks": [{"name": name, "value": value, "tol": 1.0, "passed": passed, "detail": ""}
+                             for name, value, passed in checks]}
+        return {"validate": {"code": 0, "stdout": json.dumps(report, indent=1) + "\n", "stderr": ""}}
+
+    paths = [tmp_path / "a.json", tmp_path / "b.json"]
+    paths[0].write_text(json.dumps(record([("01-a", 0.5, True), ("02-b", 1e-3, True)])))
+    paths[1].write_text(json.dumps(record([("01-a", 0.5, True), ("02-b", 1.0000000000000002e-3, False),
+                                           ("03-c", None, False)])))
+    assert harness.main(["diff", *map(str, paths)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[:4] == ["0 of 1 invocations identical", "0 of 1 differing invocations differ in metadata only",
+                       "validate: value 2.2e-16, passed text x1, rows 2 -> 3",
+                       "largest relative change per column: value 2.17e-16"]
+    assert [line.split() for line in out[4:]] == [
+        ["check", "A", "figure", "B", "figure", "bitwise", "passed", "(A/B)"],
+        ["01-a", "0.5", "0.5", "True", "True/True"],
+        ["02-b", "0.001", "0.0010000000000000002", "False", "True/False"],
+        ["03-c", "-", "None", "False", "-/False"],
+    ]

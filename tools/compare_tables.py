@@ -50,8 +50,10 @@ each table in csv and json.
 differ in their metadata alone (a csv table's ``#`` lines, a json table's
 ``meta`` list), and, for each one that differs, the largest relative change
 per numeric column, the columns only one side has, the count of changed text
-cells and whether its metadata changed.  It exits 0 when every invocation is
-identical and 1 otherwise.
+cells and whether its metadata changed.  Where both files hold ``validate``,
+it then prints each check's figure in A and in B, whether the two are
+bitwise equal, and the check's ``passed`` in A and in B.  It exits 0 when
+every invocation is identical and 1 otherwise.
 """
 
 from __future__ import annotations
@@ -345,7 +347,23 @@ def cmd_diff(path_a: str, path_b: str) -> int:
     if overall:
         print("largest relative change per column: "
               + ", ".join(f"{col} {change:.3g}" for col, change in sorted(overall.items())))
+    if "validate" in common:
+        print("\n".join(validate_figures(recs_a["validate"], recs_b["validate"])))
     return 0 if not differing and not missing else 1
+
+
+def validate_figures(a: dict, b: dict) -> list:
+    """One line per check of the ``validate`` records ``a`` and ``b``: its
+    figure in each, whether the two are bitwise equal, and its ``passed`` in
+    each; "-" where one side lacks the check."""
+    checks_a, checks_b = ({c["name"]: c for c in json.loads(r["stdout"])["checks"]} for r in (a, b))
+    lines = [f"{'check':30} {'A figure':>24} {'B figure':>24}  bitwise  passed (A/B)"]
+    for name in sorted(checks_a.keys() | checks_b.keys()):
+        ca, cb = checks_a.get(name, {}), checks_b.get(name, {})
+        va, vb = (repr(c["value"]) if c else "-" for c in (ca, cb))
+        lines.append(f"{name:30} {va:>24} {vb:>24}  {str(bool(ca and cb) and va == vb):7}  "
+                     f"{ca.get('passed', '-')}/{cb.get('passed', '-')}")
+    return lines
 
 
 def main(argv=None) -> int:
