@@ -6,9 +6,9 @@ check function takes no arguments and returns ``(value, detail,
 conditions_met)``: its figure of merit, a one-line description, and whether
 its requirements other than ``value < tol`` hold.  ``run_check`` is the one
 place that times a check and builds its :class:`CheckResult` against the
-pinned tolerance; ``run_all`` runs the registry in order.  Checks 06-10
-take their routes from ``green_trapped._route``, the mode map of the tables,
-so a wrong regime dispatch there fails them.  No tolerance is a setting:
+pinned tolerance; ``run_all`` runs the registry in order.  Checks 02, 03
+and 06-10 take their routes from ``modes._route``, the mode map of the
+tables, so a wrong dispatch there fails them.  No tolerance is a setting:
 Tier-1 tests break the routes behind every check and see each of them fail.
 """
 
@@ -20,11 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import green_homogeneous, green_trapped
+from . import green_homogeneous, modes
 from .correlator import extract_exponent, gamma_d1_exact, gamma_from_green, gamma_homog
 from .errors import TrapGasError
 from .green_homogeneous import green_difference
-from .green_trapped import _density_parts, _k_coeff, _values, spectral_densities
+from .green_trapped import _density_parts, _k_coeff, _values
 from .model import CorrelatorQuery, PhysicalParams, derive_scales, rho_tf, theta_at, theta_homogeneous
 from .oracle import FdmGrid, brute_frequency_sum, fdm_eigensolve, fdm_spectral_solve
 
@@ -118,6 +118,7 @@ def check_ode_residual_and_jump():
     omega_jump = 2.0 * math.pi / p.beta
     step = 1e-3 * d.R_c
     jump_xs = [xp, xp + step, xp - step, xp + step / 2.0, xp - step / 2.0]
+    density = modes._route("trapped-spectral", p, d, tol=1e-13, l_max=None)
 
     worst_resid = 0.0
     for omega in (omega_jump, 10.0 * math.pi / p.beta, 0.0):
@@ -125,7 +126,7 @@ def check_ode_residual_and_jump():
         h = min(2e-3, max(1e-6, (45.0 * _EPS / mu_eff**6) ** (1.0 / 6.0)))
         xs = [(u0 + k * h) * d.R_c for u0 in samples for k in (-2, -1, 0, 1, 2)]
         batch = xs + (jump_xs if omega == omega_jump else [])
-        gs = [sd.value for sd in _values(spectral_densities(omega, batch, xp, p, d))]
+        gs = [sd.value for sd in _values(density(omega, batch, xp))]
         stencils = [gs[i:i + 5] for i in range(0, len(xs), 5)]
         worst_resid = max(worst_resid, _ode_residual_scale(omega, h, samples, stencils, p, d))
         if omega == omega_jump:
@@ -155,11 +156,12 @@ def check_oracle_equivalence():
     xp = 0.1 * d.R_c
     grid = FdmGrid(N=10_000)
     targets = [0.3 * d.R_c, 0.45 * d.R_c, -0.25 * d.R_c, 0.6 * d.R_c]
+    density = modes._route("trapped-spectral", p, d, tol=1e-13, l_max=None)
     worst = 0.0
     for omega in (0.0, 2.0 * math.pi / p.beta, 10.0 * math.pi / p.beta):
         sol = fdm_spectral_solve(omega, xp, p, d, grid)
         snapped = [sol.x_nodes[int(np.argmin(np.abs(sol.x_nodes - xt)))] for xt in targets]
-        closed = [sd.value for sd in _values(spectral_densities(omega, snapped, sol.x_source, p, d))]
+        closed = [sd.value for sd in _values(density(omega, snapped, sol.x_source))]
         fdm = [float(sol.interp(xs)) for xs in snapped]
         for (ia, ib) in ((0, 1), (2, 3), (0, 3)):
             d_fdm = fdm[ia] - fdm[ib]
@@ -202,11 +204,11 @@ def check_frequency_sum():
     return worst, detail, True
 
 
-def _routes(modes, queries, p, d, *, tol: float, l_max: int | None = None) -> list:
-    """Each mode's entries at ``queries`` from ``green_trapped._route``, the
+def _routes(names, queries, p, d, *, tol: float, l_max: int | None = None) -> list:
+    """Each named mode's entries at ``queries`` from ``modes._route``, the
     map the tables read, looked up when the check runs, with its first error
     raised; ``l_max`` caps the ``spectral`` assembly alone."""
-    return [_values(green_trapped._route(mode, p, d, tol=tol, l_max=l_max)(queries)) for mode in modes]
+    return [_values(modes._route(mode, p, d, tol=tol, l_max=l_max)(queries)) for mode in names]
 
 
 def _max_difference_deviation(got, want) -> tuple:

@@ -4,14 +4,12 @@ validation suite, and CSV/JSON emission for plotting pipelines.
 ``_COMMANDS`` declares the subcommands: the parser is built from it once, on
 the first ``main`` call, and ``main`` runs ``cmd_<name>``, looked up at call
 time.  ``_SCHEMA`` gives each config key its parser, default and admissible
-range.  ``green_trapped._route``, the map that checks 06-10 of ``validate``
-read too, takes every spacetime mode, ``spectral`` and ``asymptotic-auto``
-included, to one batch evaluator of a table's pairs under the config's
-``truncation`` controls.  The frequency modes ``trapped-spectral`` and
-``oracle`` evaluate one column of G_omega a frequency here, and
-``_green_row`` builds every green row.  ``exponent`` fits
-the ok rows of the ``correlator`` table's own row function that share the
-first ok row's route, and names on stderr the rows it leaves out.
+range.  ``modes._route``, the map that checks 02, 03 and 06-10 of
+``validate`` read too, gives every table its evaluator under the config's
+``truncation`` controls, and ``_green_row`` builds every green row.
+``exponent`` fits the ok rows of the ``correlator`` table's own row
+function that share the first ok row's route, and names on stderr the rows
+it leaves out.
 
 Config documents are flat INI text (``key = value`` under section headers);
 unknown sections or keys are rejected.  Every table echoes the fully
@@ -33,7 +31,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import cache
 from typing import NamedTuple
 
 import numpy as np
@@ -42,7 +40,7 @@ from . import __version__
 from .correlator import MIN_FIT_SAMPLES, _sqrt_rho_pair, extract_exponent, gamma_from_green
 from .errors import AccuracyError, ConfigError, DataError, DomainError, TrapGasError
 from .green_homogeneous import GreenValue
-from .green_trapped import _ROW_ERRORS, _k_coeff, _route, spectral_densities, spectral_density
+from .green_trapped import _k_coeff
 from .model import (
     CorrelatorQuery,
     DerivedScales,
@@ -57,6 +55,7 @@ from .model import (
     xi_at,
     zeta_of,
 )
+from .modes import _ROW_ERRORS, _route
 
 GREEN_MODES = ("homog-series", "homog-asympt", "trapped-spectral", "trapped-series", "trapped-asympt", "oracle")
 CORRELATOR_MODES = ("closed-form", "series", "spectral", "asymptotic-auto")
@@ -318,45 +317,24 @@ def _green_row(x1, tau1, x2, tau2, g, mode, regime_tag) -> tuple:
     return (x1, tau1, x2, tau2, None, g.method, g.trunc_err, regime_tag, g.const_free, "divergent")
 
 
-def _oracle_column(omega, xs, xp, p, d) -> list:
-    """``spectral_densities(omega, xs, xp)`` from the FDM oracle, one solve
-    for all points: the GreenValue at each x of ``xs``, or the DomainError
-    that refuses it."""
-    from .oracle import FdmGrid, fdm_spectral_solve  # the only table that runs the oracle
-
-    sol = fdm_spectral_solve(omega, xp, p, d, FdmGrid(N=10_000))
-    # at omega = 0, align the mean-zero gauge with the zero mode's convention at the first grid
-    # point the error estimate covers, which lies inside the boundary clamp
-    x0 = next((x for x in xs if sol.outside_estimate(x) is None), None) if omega == 0.0 else None
-    shift = 0.0 if x0 is None else spectral_density(0.0, x0, sol.x_source, p, d).value - float(sol.interp(x0))
-    # the solve spans the condensate, its error estimate the coarse nodes' span
-    return [sol.outside_estimate(x) or GreenValue(float(sol.interp(x)) + shift, "oracle", sol.disc_error_est)
-            if abs(x) < d.R_c else DomainError(f"x = {x!r} is outside the condensate |x| < R_c = {d.R_c!r}")
-            for x in xs]
-
-
 def cmd_green(cfg: RunConfig, args) -> tuple:
-    p, d = cfg.params, cfg.scales
-    mode = args.mode
+    p, d, mode = cfg.params, cfg.scales, args.mode
     regime_tag = classify_regime(d).value
     columns = ["x1", "tau1", "x2", "tau2", "G_re", "method", "trunc_err", "regime", "const_free", "status"]
     x1, tau1 = cfg["grid.x_ref"], cfg["grid.tau_ref"]
     xs = [float(x) for x in np.linspace(cfg["grid.x_min"], cfg["grid.x_max"], cfg["grid.x_count"])]
-    extra = {"mode": mode}
-
+    evaluate = _route(mode, p, d, tol=cfg["truncation.tol"], l_max=cfg["truncation.l_max"])
     if mode in ("trapped-spectral", "oracle"):  # one column of G_omega(x, x_ref) a frequency
-        column = _oracle_column if mode == "oracle" else partial(spectral_densities, tol=cfg["truncation.tol"])
-        return columns, [_green_row(x1, tau1, x2, tau1, g, mode, regime_tag)
-                         for omega in cfg["grid.omegas"] for x2, g in zip(xs, column(omega, xs, x1, p, d))], extra
+        return columns, [_green_row(x1, tau1, x2, tau1, g, mode, regime_tag) for omega in cfg["grid.omegas"]
+                         for x2, g in zip(xs, evaluate(omega, xs, x1))], {"mode": mode}
 
     # tau_count = 0 gives no rows, 1 the row at tau_ref, from 2 on tau_min..tau_max
     count = cfg["grid.tau_count"]
     taus = ([tau1] * count if count <= 1
             else [float(t) for t in np.linspace(cfg["grid.tau_min"], cfg["grid.tau_max"], count)])
     queries = [CorrelatorQuery(x1, tau1, x2, tau2) for tau2 in taus for x2 in xs]
-    evaluate = _route(mode, p, d, tol=cfg["truncation.tol"], l_max=cfg["truncation.l_max"])
     return columns, [_green_row(q.x1, q.tau1, q.x2, q.tau2, g, mode, regime_tag)
-                     for q, g in zip(queries, evaluate(queries))], extra
+                     for q, g in zip(queries, evaluate(queries))], {"mode": mode}
 
 
 def _sep_grid(cfg: RunConfig) -> np.ndarray:

@@ -15,8 +15,8 @@ xi(S) = (hbar beta v / pi) theta(S).
 Every route gives Gamma through ``gamma_from_green``, the one place a Green
 value is exponentiated: the closed form ``gamma_d1_exact`` from the
 equal-time zero mode of ``closed_form_green``, and the spectral, series and
-asymptotic Green values.  ``green_trapped._route``, the route map of the
-tables and of ``validate``'s checks 06-10, maps the regime to its
+asymptotic Green values.  ``modes._route``, the route map of the tables
+and of ``validate``'s checks 02, 03 and 06-10, maps the regime to its
 asymptotic form; a library caller passes ``asympt_green_highT`` or
 ``asympt_green_lowT`` itself.  The high-temperature form, the summed Liouville-Green form, needs
 only points outside the edge layer of the condensate and carries its

@@ -30,7 +30,7 @@ from trapgas import (
     rho_tf,
     theta_at,
 )
-from trapgas import cli
+from trapgas import cli, modes
 from trapgas.cli import CORRELATOR_MODES, GREEN_MODES, load_config, main
 from trapgas.errors import ConfigError, DataError
 from trapgas.model import Regime, classify_regime, zeta_of
@@ -558,13 +558,13 @@ class TestGreenCommand:
         # a frequency mode's column goes through _green_row as every other green row does: a value
         # that is not finite is an AccuracyError row with empty cells, and the next entry stays ok
         cfg = load_config(None)
-        evaluate = getattr(cli, column)
+        evaluate = getattr(modes, column)
 
         def spoiled(*a, **k):
             out = evaluate(*a, **k)
             return [out[0]._replace(value=math.inf), out[1]._replace(trunc_err=math.nan), *out[2:]]
 
-        monkeypatch.setattr(cli, column, spoiled)
+        monkeypatch.setattr(modes, column, spoiled)
         _, rows, _ = cli.cmd_green(cfg, argparse.Namespace(mode=mode))
         assert [r[-1] for r in rows[:3]] == [f"AccuracyError: G = inf from {mode} is not finite",
                                             f"AccuracyError: trunc_err = nan from {mode} is not finite", "ok"]
@@ -918,9 +918,8 @@ class TestRouteMap:
         from trapgas import green_trapped
 
         calls, recurrences = [], []
-        many, table = green_trapped.lowT_legendre_series_many, green_trapped.p_poly_table
-        monkeypatch.setattr(green_trapped, "lowT_legendre_series_many",
-                            lambda *a, **k: calls.append(a) or many(*a, **k))
+        many, table = modes.lowT_legendre_series_many, green_trapped.p_poly_table
+        monkeypatch.setattr(modes, "lowT_legendre_series_many", lambda *a, **k: calls.append(a) or many(*a, **k))
         monkeypatch.setattr(green_trapped, "p_poly_table", lambda n, u: recurrences.append(u) or table(n, u))
         cfg = write_config(tmp_path, "[params]\nbeta = 28.284271247461902\n[grid]\nx_count = 5\ntau_min = 0.1\n"
                                      "tau_max = 0.3\ntau_count = 3\ndtau = 0.05\nsep_count = 3\n")
@@ -930,6 +929,15 @@ class TestRouteMap:
         assert [row[-1] for row in body] == ["ok"] * rows
         assert [len(a[0]) for a in calls] == [rows]
         assert len(recurrences) == len(set(recurrences)) == points
+
+    def test_every_mode_resolves(self):
+        # every green and correlator mode takes its evaluator from the one map, and a name
+        # outside it is refused
+        cfg = load_config(None)
+        for mode in (*GREEN_MODES, *CORRELATOR_MODES):
+            assert callable(modes._route(mode, cfg.params, cfg.scales, tol=1e-12, l_max=16))
+        with pytest.raises(ConfigError, match="unknown mode 'exact'"):
+            modes._route("exact", cfg.params, cfg.scales, tol=1e-12, l_max=16)
 
     def test_homog_series_takes_tol(self, tmp_path):
         # l_max caps the spectral assembly alone: the series sums every frequency,
@@ -1241,6 +1249,12 @@ _HOSTILE = [
      "error: the FDM solve at omega = 1e+300 fails in floating point: "),
     (_FDM_OVERFLOW, {}, ["green", "--mode", "oracle"], 2,
      "error: the FDM solve at omega = 0.0 fails in floating point: "),
+    # a source outside the condensate (R_c = sqrt 2): every row of either frequency column holds the
+    # source's error
+    ({}, {"x_ref": 1.5}, ["green", "--mode", "oracle"], 0,
+     "DomainError: source point must be interior, got x' = 1.5 with R_c = 1.4142135623730951"),
+    ({}, {"x_ref": 1.5}, ["green", "--mode", "trapped-spectral"], 0,
+     "DomainError: |x|/R_c = 1.06066017 exceeds the boundary clamp 1 - 1e-06"),
     # grids whose points leave the float range: a ValueError traceback, rows of nan, or numpy's
     # RuntimeWarning in linspace or cos
     ({}, _TAU_WIDE, ["green", "--mode", "homog-series"], 2, "config error: grid: tau_max - tau_min = inf leaves "),
@@ -1350,13 +1364,12 @@ class TestValidateCommand:
     def test_a_check_whose_route_raises_fails_alone(self, tmp_path, monkeypatch):
         # a TrapGasError inside check 07 is that check's failure, with the error as its detail: the
         # report is written, the checks after it still run, the other ten pass, and validate exits 3
-        from trapgas import green_trapped
         from trapgas.errors import AccuracyError
 
         def refusing(*args, **kwargs):
             raise AccuracyError("the Liouville-Green form refused", achieved=math.inf)
 
-        monkeypatch.setattr(green_trapped, "asympt_green_highT", refusing)
+        monkeypatch.setattr(modes, "asympt_green_highT", refusing)
         out = tmp_path / "report.json"
         assert main(["validate", "--out", str(out)]) == 3
         by_name = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
@@ -1367,14 +1380,12 @@ class TestValidateCommand:
 
     def test_a_failed_condition_fails_check_08(self, tmp_path, monkeypatch):
         # check 08 also requires the series' trunc_err below 2% of each difference, whatever its figure
-        from trapgas import green_trapped
-
-        series = green_trapped.lowT_legendre_series_many
+        series = modes.lowT_legendre_series_many
 
         def drifting(*args, **kwargs):
             return [g._replace(trunc_err=abs(g.value)) for g in series(*args, **kwargs)]
 
-        monkeypatch.setattr(green_trapped, "lowT_legendre_series_many", drifting)
+        monkeypatch.setattr(modes, "lowT_legendre_series_many", drifting)
         out = tmp_path / "report.json"
         assert main(["validate", "--out", str(out)]) == 3
         by_name = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
@@ -1392,7 +1403,7 @@ class TestValidateCommand:
              lambda f: lambda x1, x2, *a: math.nextafter(f(x1, x2, *a), math.inf if x1 < x2 else 0.0),
              "closed-form Gamma symmetry/positivity broken"),
             ("checks.gamma_d1_exact", lambda f: lambda *a: -f(*a), "closed-form Gamma symmetry/positivity broken"),
-            ("green_trapped.matsubara_assemble_many", lambda f: lambda queries, *a, **k: [
+            ("modes.matsubara_assemble_many", lambda f: lambda queries, *a, **k: [
                 g._replace(value=math.nextafter(g.value, math.inf)) if q.x1 < q.x2 else g
                 for q, g in zip(queries, f(queries, *a, **k))], "assembly not symmetric"),
             ("checks.gamma_from_green", lambda f: lambda *a: -f(*a), "assembled-route Gamma not positive"),
@@ -1487,33 +1498,33 @@ class TestValidateCommand:
         "name, target, broken, figure_fails",
         [
             # the density at (1 + 1e-3) omega: the ODE residual reads about 2
-            ("02-ode-residual-and-jump", "checks.spectral_densities",
+            ("02-ode-residual-and-jump", "modes.spectral_densities",
              lambda f: lambda omega, *a, **k: f(omega * (1.0 + 1e-3), *a, **k), True),
             # the density 10% too strong satisfies the ODE, but its slope jump misses g/(hbar v)^2
-            ("02-ode-residual-and-jump", "checks.spectral_densities",
+            ("02-ode-residual-and-jump", "modes.spectral_densities",
              lambda f: lambda *a, **k: [sd._replace(value=1.1 * sd.value) for sd in f(*a, **k)], False),
             # the finite-difference oracle at (1 + 1e-2) omega: about 0.15 against 1e-3
             ("03-oracle-equivalence", "checks.fdm_spectral_solve",
              lambda f: lambda omega, *a, **k: f(omega * (1.0 + 1e-2), *a, **k), True),
             # the closed form at (1 + 1e-2) omega: about 0.18
-            ("03-oracle-equivalence", "checks.spectral_densities",
+            ("03-oracle-equivalence", "modes.spectral_densities",
              lambda f: lambda omega, *a, **k: f(omega * (1.0 + 1e-2), *a, **k), True),
             # the sinh form's prefactor 5% high: about 0.048 against 0.02
-            ("06-homog-regime-match", "green_trapped.homog_asymptotic_highT",
+            ("06-homog-regime-match", "modes.homog_asymptotic_highT",
              lambda f: lambda *a, **k: f(*a, **k)._replace(value=1.05 * f(*a, **k).value), True),
             # the series without its zero-temperature logarithm: about 0.18 against 0.02
-            ("06-homog-regime-match", "green_trapped.homog_series", lambda f: _without_the_logarithm(f), True),
+            ("06-homog-regime-match", "modes.homog_series", lambda f: _without_the_logarithm(f), True),
             # the assembly stopped at tol = 1e-3 instead of 1e-13, after one or two frequencies: about 2.3e-3
             # against 1e-4
-            ("07-trapped-highT-match", "green_trapped.matsubara_assemble_many",
+            ("07-trapped-highT-match", "modes.matsubara_assemble_many",
              lambda f: lambda *a, **k: f(*a, **{**k, "tol": 1e-3}), True),
             # the Liouville-Green form 1e-3 high: about 1e-3
-            ("07-trapped-highT-match", "green_trapped.asympt_green_highT",
+            ("07-trapped-highT-match", "modes.asympt_green_highT",
              lambda f: lambda *a, **k: f(*a, **k)._replace(value=(1.0 + 1e-3) * f(*a, **k).value), True),
             # the homogeneous Gamma to the power 1.1: its exponent 10% off, the fit about 0.10 against 0.05
             ("09-exponent-extraction", "checks.gamma_homog", lambda f: lambda *a: f(*a) ** 1.1, True),
             # the low-T series 10% high: the trapped exponent off, the fit about 0.066
-            ("09-exponent-extraction", "green_trapped.lowT_legendre_series_many",
+            ("09-exponent-extraction", "modes.lowT_legendre_series_many",
              lambda f: lambda *a, **k: [g._replace(value=1.1 * g.value) for g in f(*a, **k)], True),
         ],
         ids=["02-density-frequency-off", "02-density-strength-off", "03-oracle-frequency-off",
@@ -1591,26 +1602,22 @@ class TestValidateCommand:
             ("01-zero-mode-identity", ("checks._density_parts", "green_trapped._density_parts"),
              {"checks._density_parts": 1}),
             # both point orders of a trial are one assembly call, one pass: 12 each, not 24
-            ("10-symmetry-positivity", ("green_trapped.matsubara_assemble_many", "green_trapped._assemble_pass"),
-             {"green_trapped.matsubara_assemble_many": 12, "green_trapped._assemble_pass": 12}),
+            ("10-symmetry-positivity", ("modes.matsubara_assemble_many", "green_trapped._assemble_pass"),
+             {"modes.matsubara_assemble_many": 12, "green_trapped._assemble_pass": 12}),
             # each route once a distinct query: 5, 6 and 4 queries, where every inner one ran twice
-            ("06-homog-regime-match", ("green_trapped.homog_series", "green_trapped.homog_asymptotic_highT"),
-             {"green_trapped.homog_series": 5, "green_trapped.homog_asymptotic_highT": 5}),
+            ("06-homog-regime-match", ("modes.homog_series", "modes.homog_asymptotic_highT"),
+             {"modes.homog_series": 5, "modes.homog_asymptotic_highT": 5}),
             # the assembly's 6 queries in one call and one kernel pass, not six of each
             ("07-trapped-highT-match",
-             ("green_trapped.matsubara_assemble_many", "green_trapped._assemble_pass",
-              "green_trapped.asympt_green_highT"),
-             {"green_trapped.matsubara_assemble_many": 1, "green_trapped._assemble_pass": 1,
-              "green_trapped.asympt_green_highT": 6}),
+             ("modes.matsubara_assemble_many", "green_trapped._assemble_pass", "modes.asympt_green_highT"),
+             {"modes.matsubara_assemble_many": 1, "green_trapped._assemble_pass": 1, "modes.asympt_green_highT": 6}),
             # the mode sum in one call over 4 queries, one recurrence for each of their 8 distinct points
             ("08-trapped-lowT-match",
-             ("green_trapped.lowT_legendre_series_many", "green_trapped.p_poly_table",
-              "green_trapped.asympt_green_lowT"),
-             {"green_trapped.lowT_legendre_series_many": 1, "green_trapped.p_poly_table": 8,
-              "green_trapped.asympt_green_lowT": 4}),
+             ("modes.lowT_legendre_series_many", "green_trapped.p_poly_table", "modes.asympt_green_lowT"),
+             {"modes.lowT_legendre_series_many": 1, "green_trapped.p_poly_table": 8, "modes.asympt_green_lowT": 4}),
             # ten dtau at one point: one call and one recurrence, not ten of each
-            ("09-exponent-extraction", ("green_trapped.lowT_legendre_series_many", "green_trapped.p_poly_table"),
-             {"green_trapped.lowT_legendre_series_many": 1, "green_trapped.p_poly_table": 1}),
+            ("09-exponent-extraction", ("modes.lowT_legendre_series_many", "green_trapped.p_poly_table"),
+             {"modes.lowT_legendre_series_many": 1, "green_trapped.p_poly_table": 1}),
             # three theta in one sweep of the weights 1/l^2
             ("05-frequency-sum-identity", ("checks.brute_frequency_sum",), {"checks.brute_frequency_sum": 1}),
         ],
@@ -1619,7 +1626,7 @@ class TestValidateCommand:
     def test_checks_evaluate_once_per_pass(self, monkeypatch, name, counted, expected):
         from trapgas import checks, green_trapped
 
-        modules = {"checks": checks, "green_trapped": green_trapped}
+        modules = {"checks": checks, "green_trapped": green_trapped, "modes": modes}
         calls = dict.fromkeys(counted, 0)
         for key in counted:
             module, attr = key.split(".")
@@ -1635,20 +1642,29 @@ class TestValidateCommand:
     def test_checks_read_the_tables_route_map(self, monkeypatch):
         # the route map answering homog-asympt and trapped-asympt at high temperature with their
         # low-temperature forms, as a wrong regime dispatch of the tables would: checks 06 and 07,
-        # whose references are those two modes at high temperature, fail, and the others pass
-        from trapgas import checks, green_trapped
+        # whose references are those two modes at high temperature, fail, and the others pass.  And
+        # the map answering trapped-spectral with the density at (1 + 1e-3) omega: checks 02 and 03,
+        # which read that column, fail, and the others pass
+        from trapgas import checks
 
-        route, low_t = green_trapped._route, {"homog-asympt": green_trapped.homog_asymptotic_lowT,
-                                              "trapped-asympt": green_trapped.asympt_green_lowT}
+        route, low_t = modes._route, {"homog-asympt": modes.homog_asymptotic_lowT,
+                                      "trapped-asympt": modes.asympt_green_lowT}
 
         def dispatching_low_t(mode, p, d, **controls):
             if mode in low_t and classify_regime(d) is Regime.HIGH_T:
-                return partial(green_trapped._evaluate, partial(low_t[mode], p=p, d=d))
+                return partial(modes._evaluate, partial(low_t[mode], p=p, d=d))
             return route(mode, p, d, **controls)
 
-        monkeypatch.setattr(green_trapped, "_route", dispatching_low_t)
-        assert [name for name in checks.CHECKS if not checks.run_check(name).passed] == [
-            "06-homog-regime-match", "07-trapped-highT-match"]
+        def detuning_the_density(mode, p, d, **controls):
+            evaluate = route(mode, p, d, **controls)
+            if mode == "trapped-spectral":
+                return lambda omega, *a: evaluate(omega * (1.0 + 1e-3), *a)
+            return evaluate
+
+        for wrong, failing in ((dispatching_low_t, ["06-homog-regime-match", "07-trapped-highT-match"]),
+                               (detuning_the_density, ["02-ode-residual-and-jump", "03-oracle-equivalence"])):
+            monkeypatch.setattr(modes, "_route", wrong)
+            assert [name for name in checks.CHECKS if not checks.run_check(name).passed] == failing
 
     def test_report_values_stable_across_runs(self):
         from trapgas.checks import run_check

@@ -1,7 +1,7 @@
 """Smoke test of ``tools/compare_tables.py``, the table byte-compare harness:
 its low-temperature block must reach ok ``series`` rows, which the mode
-matrix alone never produces, its ``trapped-spectral`` block must reach
-both ok rows and the error rows of clamped points, its spectral
+matrix alone never produces, its frequency block must reach both ok rows
+and the error rows of clamped points under both frequency modes, its spectral
 correlator tables must mix error rows with ok rows, and its profile block
 must hold the density and spectrum tables."""
 
@@ -46,14 +46,16 @@ def test_spectral_block_reaches_ok_and_error_rows():
     harness = _harness()
     r_c = derive_scales(PhysicalParams(m=1.0, g=1.0, Omega=1.0, Lambda=1.0, beta=1.0)).R_c
     records = harness.run_invocations(harness.spectral_invocations(r_c), formats=("csv",))
-    assert len(records) == 3
+    assert len(records) == 4
     statuses = []
     for rec in records.values():
         assert rec["code"] == 0
         columns, rows = harness.parse_table(rec["stdout"])
         statuses += [r[columns.index("status")] for r in rows]
-    assert statuses.count("ok") == 2 * 5 * 81 + 16
-    assert sum(s.startswith("DomainError") for s in statuses) == 2
+    # the clamp grid: 8 ok rows a frequency under trapped-spectral, 7 under the oracle, which also
+    # refuses the point beyond its coarse nodes' span
+    assert statuses.count("ok") == 2 * 5 * 81 + 16 + 14
+    assert sum(s.startswith("DomainError") for s in statuses) == 2 + 4
 
 
 def test_spectral_error_block_mixes_error_rows_with_ok_rows():

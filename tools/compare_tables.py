@@ -26,7 +26,9 @@ The matrix is
   off-centre x_ref in {0.1, -0.35} R_c, which reaches the Thomas-Fermi edge
   and large degrees; and at omega in {0, 2} pi over 9 points from -R_c
   (beyond the boundary clamp) to 0.99999 R_c (next to the logarithmic
-  singularity of P_nu(-u)), which gives error rows beside ok rows;
+  singularity of P_nu(-u)), which gives error rows beside ok rows, and the
+  same grid under ``green --mode oracle``, whose two error rows a frequency
+  lie outside the condensate and beyond the coarse nodes' span;
 * the spectral error-row block: ``correlator``/``exponent --mode spectral``
   at s_center = 0.95 R_c, where the widest pair reaches beyond the boundary
   clamp (a DomainError row beside 8 ok rows), at tol = 1e-15 and
@@ -134,8 +136,8 @@ def lowt_invocations(r_c: float) -> list:
 
 def spectral_invocations(r_c: float) -> list:
     """(name, argv, config text) of the ``trapped-spectral`` block: the sweep
-    over the condensate and the grid with a clamped point and one next to
-    the edge."""
+    over the condensate, and the grid with a clamped point and one next to
+    the edge under both frequency modes."""
     argv = ["green", "--mode", "trapped-spectral"]
     out = []
     for x_ref in SPECTRAL_X_REFS:
@@ -145,6 +147,7 @@ def spectral_invocations(r_c: float) -> list:
     grid = {"omega_list": ", ".join(repr(w) for w in SPECTRAL_OMEGAS[:2]), "x_ref": 0.1 * r_c,
             "x_min": -r_c, "x_max": 0.99999 * r_c, "x_count": 9}
     out.append(("spectral-clamp-cap", argv, _ini({"grid": grid})))
+    out.append(("oracle-clamp-cap", ["green", "--mode", "oracle"], _ini({"grid": grid})))
     return out
 
 
