@@ -126,7 +126,7 @@ def check_ode_residual_and_jump():
         h = min(2e-3, max(1e-6, (45.0 * _EPS / mu_eff**6) ** (1.0 / 6.0)))
         xs = [(u0 + k * h) * d.R_c for u0 in samples for k in (-2, -1, 0, 1, 2)]
         batch = xs + (jump_xs if omega == omega_jump else [])
-        gs = [sd.value for sd in _values(density(omega, batch, xp))]
+        gs = [sd.value for sd in _values(density([omega], batch, xp)[0])]
         stencils = [gs[i:i + 5] for i in range(0, len(xs), 5)]
         worst_resid = max(worst_resid, _ode_residual_scale(omega, h, samples, stencils, p, d))
         if omega == omega_jump:
@@ -150,18 +150,20 @@ def check_ode_residual_and_jump():
 
 def check_oracle_equivalence():
     """Finite-difference BVP solves agree with the Legendre closed form in
-    difference mode at omega in {0, 2pi/beta, 10pi/beta}; both routes square
-    omega first, so -omega would repeat +omega's bits (a Tier-1 test)."""
+    difference mode at omega in {0, 2pi/beta, 10pi/beta}, on one grid, whose
+    snapped points take the three closed-form columns in one call; both routes
+    square omega first, so -omega would repeat +omega's bits (a Tier-1 test)."""
     p, d = _unit_setup()
     xp = 0.1 * d.R_c
     grid = FdmGrid(N=10_000)
     targets = [0.3 * d.R_c, 0.45 * d.R_c, -0.25 * d.R_c, 0.6 * d.R_c]
+    omegas = (0.0, 2.0 * math.pi / p.beta, 10.0 * math.pi / p.beta)
+    sols = [fdm_spectral_solve(omega, xp, p, d, grid) for omega in omegas]
+    snapped = [sols[0].x_nodes[int(np.argmin(np.abs(sols[0].x_nodes - xt)))] for xt in targets]
     density = modes._route("trapped-spectral", p, d, tol=1e-13, l_max=None)
     worst = 0.0
-    for omega in (0.0, 2.0 * math.pi / p.beta, 10.0 * math.pi / p.beta):
-        sol = fdm_spectral_solve(omega, xp, p, d, grid)
-        snapped = [sol.x_nodes[int(np.argmin(np.abs(sol.x_nodes - xt)))] for xt in targets]
-        closed = [sd.value for sd in _values(density(omega, snapped, sol.x_source))]
+    for sol, column in zip(sols, density(omegas, snapped, sols[0].x_source)):
+        closed = [sd.value for sd in _values(column)]
         fdm = [float(sol.interp(xs)) for xs in snapped]
         for (ia, ib) in ((0, 1), (2, 3), (0, 3)):
             d_fdm = fdm[ia] - fdm[ib]
@@ -369,7 +371,7 @@ def check_wronskian_conical():
     three conical ones, mu = 40 of Matsubara size among them, at 17 sources;
     each side's slope is a one-sided 5-point derivative at step
     h = 1e-3 (1 - u'^2) R_c / max(1, mu), and the 9 points of every source
-    go in one call per degree.  The zero mode's junction is check 01's.
+    at every degree go in one call.  The zero mode's junction is check 01's.
     """
     p, d = _unit_setup()
     k = _k_coeff(p, d)
@@ -379,11 +381,13 @@ def check_wronskian_conical():
     ups = np.repeat(up, 9)
     # d/dx at the source from the right, on f(x' + j h), j = 0..4; from the left, minus the same at -h
     stencil = np.array([-25.0, 48.0, -36.0, 16.0, -3.0])
+    lams = (0.05, 0.2, 0.25 + 0.8**2, 0.25 + 5.0**2, 0.25 + 40.0**2)
+    hs = [1e-3 * (1.0 - up * up) * d.R_c / max(1.0, math.sqrt(max(lam - 0.25, 0.0))) for lam in lams]
+    us = np.concatenate([(xp[:, None] + np.arange(-4, 5) * h[:, None]).ravel() / d.R_c for h in hs])
+    omegas = np.repeat([math.sqrt(lam) / d.alpha for lam in lams], ups.size)
+    res = _density_parts(omegas, us, np.tile(ups, len(lams)), d, k, 1e-13)[0].reshape(len(lams), xp.size, 9)
     worst = 0.0
-    for lam in (0.05, 0.2, 0.25 + 0.8**2, 0.25 + 5.0**2, 0.25 + 40.0**2):
-        h = 1e-3 * (1.0 - up * up) * d.R_c / max(1.0, math.sqrt(max(lam - 0.25, 0.0)))
-        us = (xp[:, None] + np.arange(-4, 5) * h[:, None]).ravel() / d.R_c
-        re = _density_parts(math.sqrt(lam) / d.alpha, us, ups, d, k, 1e-13)[0].reshape(xp.size, 9)
+    for h, re in zip(hs, res):
         jump = (re[:, 4:] + re[:, 4::-1]) @ stencil / (12.0 * h)
         worst = max(worst, float(np.max(np.abs((1.0 - up * up) * jump - target))) / target)
     detail = ("max relative deviation of (1 - u'^2) times the jump of d Re G_omega/dx from g/(hbar v)^2, "

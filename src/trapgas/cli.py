@@ -324,9 +324,9 @@ def cmd_green(cfg: RunConfig, args) -> tuple:
     x1, tau1 = cfg["grid.x_ref"], cfg["grid.tau_ref"]
     xs = [float(x) for x in np.linspace(cfg["grid.x_min"], cfg["grid.x_max"], cfg["grid.x_count"])]
     evaluate = _route(mode, p, d, tol=cfg["truncation.tol"], l_max=cfg["truncation.l_max"])
-    if mode in ("trapped-spectral", "oracle"):  # one column of G_omega(x, x_ref) a frequency
-        return columns, [_green_row(x1, tau1, x2, tau1, g, mode, regime_tag) for omega in cfg["grid.omegas"]
-                         for x2, g in zip(xs, evaluate(omega, xs, x1))], {"mode": mode}
+    if mode in ("trapped-spectral", "oracle"):  # one column of G_omega(x, x_ref) a frequency, from one call
+        return columns, [_green_row(x1, tau1, x2, tau1, g, mode, regime_tag)
+                         for col in evaluate(cfg["grid.omegas"], xs, x1) for x2, g in zip(xs, col)], {"mode": mode}
 
     # tau_count = 0 gives no rows, 1 the row at tau_ref, from 2 on tau_min..tau_max
     count = cfg["grid.tau_count"]

@@ -25,10 +25,10 @@ P_nu(+-u_>), from the fixed-cost Mehler-Dirichlet quadrature of
 real branch they come as (P_nu - 1)/nu, so that the O(nu) differences of the
 closed form do not cancel.  This real part is the physical spectral
 density, a GreenValue of method "trapped-spectral" in the spectral tables,
-and the term of the Matsubara assembly, which evaluates the frequencies of
-a correlator table's pairs together, in passes of up to
-``_PASS_FREQUENCIES``; a pair's far frequencies past mu = 9 read P_nu(-u_<)
-and P_nu(u_>) from a Chebyshev interpolant in 1/mu (``_far_interp``).
+and the term of the Matsubara assembly; both evaluate a table's densities
+together, in passes of up to ``_PASS_ROWS``.  A pair's far frequencies past
+mu = 9 read P_nu(-u_<) and P_nu(u_>) from a Chebyshev interpolant in 1/mu
+(``_far_interp``).
 
 Beside the assembly stand the equal-time closed form ``closed_form_green``,
 the zero mode alone, G_0/beta, and two frequency-summed forms.
@@ -88,11 +88,23 @@ BOUNDARY_EPS = 1e-6
 # w/((1 + w) log1p w) is at most 1), log1p's own ulp and the product with K
 _ZERO_MODE_ROUNDING = 5.0 * sys.float_info.epsilon
 
-# the frequencies of one kernel pass of ``matsubara_assemble_many``: the pairs
-# of a table share passes of at most this many, or one pair's own where it
-# has more, so that a pass's arrays grow with the longest pair's stop L and
-# not with the table's size
-_PASS_FREQUENCIES = 4096
+# the densities of one kernel pass: the pairs of a Matsubara assembly, one a
+# frequency, and the columns of a spectral table, one a point, share passes of
+# at most this many, or one pair's or column's own where it has more, so that
+# a pass's arrays grow with the longest of them and not with the table's size
+_PASS_ROWS = 4096
+
+
+def _passes(sizes) -> list:
+    """Runs of consecutive indices whose ``sizes`` add up to at most ``_PASS_ROWS``, or one alone past it."""
+    runs, total = [], 0
+    for i, size in enumerate(sizes):
+        if not runs or total + size > _PASS_ROWS:
+            runs.append([])
+            total = 0
+        runs[-1].append(i)
+        total += size
+    return runs
 
 
 def _values(out) -> list:
@@ -383,67 +395,69 @@ def spectral_density(
     tol: float = 1e-13,
 ) -> GreenValue:
     """Evaluate the closed-form spectral density at one Matsubara frequency."""
-    return _values(spectral_densities(omega, [x], xp, p, d, tol))[0]
+    return _values(spectral_densities([omega], [x], xp, p, d, tol)[0])[0]
 
 
 def spectral_densities(
-    omega: float,
+    omegas,
     xs,
     xp: float,
     p: PhysicalParams,
     d: DerivedScales,
     tol: float = 1e-13,
 ) -> list:
-    """``spectral_density(omega, x, xp)`` at every x of ``xs``, the P_nu of
-    all points evaluated in one pass of the kernel.  For two points or more
-    that pass integrates each distinct (lambda, u) row once, so P_nu(+-u')
-    once for all points; nothing is kept across calls.
+    """The column of each omega of ``omegas``, ``spectral_density(omega, x,
+    xp)`` at every x of ``xs``, all from one pass of the kernel (or runs of
+    whole columns, ``_passes``), which integrates each distinct (lambda, u)
+    row once, so P_nu(+-u') once a frequency; nothing is kept across calls.
 
-    Entry i is the GreenValue of G_omega(xs[i], xp), method
+    Entry i of a column is the GreenValue of G_omega(xs[i], xp), method
     "trapped-spectral": its value is the density, the real part of the
     closed form, and its trunc_err bounds the quadrature error, not the
     rounding of the conical exponent (a few eps times the exponent), and at
     the zero mode the rounding of the elementary form, a few eps times its
     value.  Or it is the DomainError or AccuracyError that
     ``spectral_density`` raises there; each entry is the one the single
-    point gives, bitwise and word for word.  A point beyond the
+    frequency and point give, bitwise and word for word.  A point beyond the
     boundary clamp is set aside before the pass, with its own error ahead of
     that of an xp beyond it.  A point whose error bound exceeds ``tol`` times
     the magnitude of its terms gets its own AccuracyError, and the other
     points keep their values from the same pass; a bad ``tol`` gives every
     point inside the clamp the same DomainError.  A far point integrates two
-    rows, as in the Matsubara assembly.  An omega that ``_checked_lambda``
-    refuses raises its DomainError first.
+    rows, as in the Matsubara assembly.  The first omega, in list order, that
+    ``_checked_lambda`` refuses raises its DomainError before anything else.
     """
-    omega = float(omega)
-    lam = _checked_lambda(omega, d)
+    omegas = [float(omega) for omega in omegas]
+    for omega in omegas:
+        _checked_lambda(omega, d)
     k = _k_coeff(p, d)
-    try:
-        up, xp_error = _clamped_u(xp, d), None
+    try:  # a bad tol is read before the pass, so that each point gets it, not the call
+        up, fill = _clamped_u(xp, d), _bad_tol(tol)
     except DomainError as exc:
-        up, xp_error = None, exc
+        up, fill = None, exc
     # one compare clamps every point, by _clamped_u's division; a point beyond it takes that call's own error
     with np.errstate(over="ignore"):  # a u that overflows to inf lies beyond the clamp too
         us = np.asarray(xs, dtype=float) / d.R_c
     inside = np.abs(us) <= 1.0 - BOUNDARY_EPS  # NaN outside
-    out = [xp_error] * len(us)  # None until a point's density is in
+    out = [fill] * len(us)  # None until a point's density is in
     for i in np.flatnonzero(~inside).tolist():
         try:
             _clamped_u(xs[i], d)
         except DomainError as exc:
             out[i] = exc
     points = np.flatnonzero(inside).tolist()
-    if xp_error is not None or not points:
-        return out
-    bad = _bad_tol(tol)
-    if bad:  # before the pass, so that each point gets it, not the call
-        return [bad if g is None else g for g in out]
-    re, err, scale, _ = _density_parts(omega, us[inside], up, d, k, tol)
-    beyond = err > tol * scale
-    for i, re_i, err_i, scale_i, bad in zip(points, re.tolist(), err.tolist(), scale.tolist(), beyond.tolist()):
-        out[i] = (_bound_error(omega, xs[i], xp, err_i, scale_i, tol) if bad
-                  else GreenValue(re_i, "trapped-spectral", err_i))
-    return out
+    columns = [list(out) for _ in omegas]
+    if fill is not None or not points:
+        return columns
+    for run in _passes([len(points)] * len(omegas)):
+        re, err, scale, _ = _density_parts(np.repeat([omegas[j] for j in run], len(points)),
+                                           np.tile(us[inside], len(run)), up, d, k, tol)
+        rows = zip(re.tolist(), err.tolist(), scale.tolist(), (err > tol * scale).tolist())
+        for j in run:  # the column's rows, in the order of its points
+            for i, (re_i, err_i, scale_i, refused) in zip(points, rows):
+                columns[j][i] = (_bound_error(omegas[j], xs[i], xp, err_i, scale_i, tol) if refused
+                                 else GreenValue(re_i, "trapped-spectral", err_i))
+    return columns
 
 
 def closed_form_green(x: float, tau: float, xp: float, taup: float, p: PhysicalParams, d: DerivedScales) -> GreenValue:
@@ -484,7 +498,7 @@ def matsubara_assemble_many(queries, p: PhysicalParams, d: DerivedScales, l_max:
     """G(x1,tau1;x2,tau2) = (1/beta) sum_l e^{i omega dtau} G_omega of each
     CorrelatorQuery of ``queries``, the frequencies of the pairs evaluated
     together in passes of the quadrature kernel: one pass for a table whose
-    stops L add up to at most ``_PASS_FREQUENCIES``, and otherwise runs of
+    stops L add up to at most ``_PASS_ROWS``, and otherwise runs of
     consecutive pairs within that many, or one pair alone where its own L
     exceeds it.
 
@@ -531,16 +545,8 @@ def matsubara_assemble_many(queries, p: PhysicalParams, d: DerivedScales, l_max:
             continue
         pairs.append((len(out), q, u, up, last, truncated))
         out.append(None)  # until the pass is in
-    # pairs join a pass while its frequencies stay within _PASS_FREQUENCIES
-    passes, size = [], 0
-    for pair in pairs:
-        if not passes or size + pair[4] > _PASS_FREQUENCIES:
-            passes.append([])
-            size = 0
-        passes[-1].append(pair)
-        size += pair[4]
-    for run in passes:
-        _assemble_pass(run, out, p, d, k, l_max, tol)
+    for run in _passes([pair[4] for pair in pairs]):  # a pair's densities: one a frequency
+        _assemble_pass([pairs[i] for i in run], out, p, d, k, l_max, tol)
     return out
 
 

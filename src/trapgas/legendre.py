@@ -284,15 +284,15 @@ def _p_quad(lam, u) -> tuple:
     nested Gauss rule plus the rounding of the sum.  Every row takes the same
     ``_NODES.size`` = 59 integrand evaluations, in groups of up to ``_ROWS``
     rows of one branch, each row on its own, so that it does not depend on the
-    rows beside it.  So a call whose rows share one lambda, as a spectral
-    table's frequency does at every point, where P_nu(+-u') recurs, integrates
-    each distinct u once and copies the result to the rows that repeat it;
-    nothing is kept across calls.  Rows of several lambdas, as in a Matsubara
-    sum, do not repeat, and four rows or fewer (one point's four P_nu, or two
-    at a far frequency) seldom do, so those calls skip the sort, which costs
-    more than it saves there.  u = -0.0 and u = 0.0 share a row: the integral
-    sees u only through arccos u, 1 -+ u and u sin h beside a nonzero term, so
-    both get the same bits.  u = 1 gives P_nu = 1 exactly.
+    rows beside it.  So a call whose rows come in runs of one lambda, fewer
+    than half of them starting a new one, as a spectral table's frequencies
+    do, where P_nu(+-u') recurs at every point, integrates each distinct
+    (lambda, u) once and copies the result to the rows that repeat it;
+    nothing is kept across calls.  Where lambda changes from row to row, as
+    in a Matsubara sum, or in four rows or fewer, rows seldom repeat, and the
+    sort would cost more than it saves.  u = -0.0 and u = 0.0 share a row:
+    the integral sees u only through arccos u, 1 -+ u and u sin h beside a
+    nonzero term, so both get the same bits.  u = 1 gives P_nu = 1 exactly.
     """
     lam = np.asarray(lam, dtype=float)
     u = np.broadcast_to(np.asarray(u, dtype=float), lam.shape)
@@ -300,9 +300,9 @@ def _p_quad(lam, u) -> tuple:
     if outside.any():
         raise DomainError(f"P_nu argument must lie in (-1, 1], got {float(u[outside][0])}")
     row = slice(None)
-    if lam.size > 4 and (lam == lam[0]).all():
-        u, row = np.unique(u, return_inverse=True)
-        lam = np.full(u.size, lam[0])
+    if lam.size > 4 and 2 * np.count_nonzero(lam[1:] != lam[:-1]) < lam.size:
+        key, row = np.unique(lam + 1j * u, return_inverse=True)  # exact parts: by lambda, then u
+        lam, u = key.real.copy(), key.imag.copy()
     conical = lam > 0.25
     kappa = np.sqrt(np.abs(lam - 0.25))  # mu on the conical line
     theta = np.arccos(u)

@@ -1,7 +1,7 @@
 """The mode map: ``_route`` takes each ``green`` and ``correlator`` mode to
 its evaluator, the one that the tables of ``cli`` and checks 02, 03 and
 06-10 of ``validate`` read.  The formula modules hold no map, and the FDM
-oracle is loaded only when its column runs.
+oracle is loaded only when its columns run.
 """
 
 from __future__ import annotations
@@ -34,12 +34,12 @@ def _route(mode, p: PhysicalParams, d: DerivedScales, *, tol: float, l_max: int)
     """The evaluator of ``mode`` under its controls, its regime resolved once per table.  A
     spacetime mode's takes queries to the entry of each, the mode sum and the assembly in one call
     over them all; ``asymptotic-auto`` is ``trapped-asympt`` falling back to ``spectral``.  A
-    frequency mode's, ``trapped-spectral`` or ``oracle``, takes (omega, xs, xp) to the entry at each
-    x of ``xs``: its GreenValue, the row error that refused it, or None where there is no form."""
+    frequency mode's, ``trapped-spectral`` or ``oracle``, takes (omegas, xs, xp) to a column for each
+    omega, the entry at each x of ``xs``: its GreenValue or the row error that refused it."""
     if mode == "trapped-spectral":
         return partial(spectral_densities, p=p, d=d, tol=tol)
-    if mode == "oracle":
-        return partial(_oracle_column, p=p, d=d)
+    if mode == "oracle":  # one solve a frequency
+        return lambda omegas, xs, xp: [_oracle_column(omega, xs, xp, p, d) for omega in omegas]
     if mode in ("trapped-series", "series"):
         return partial(lowT_legendre_series_many, p=p, d=d, tol=tol)
     if mode == "spectral":

@@ -553,18 +553,23 @@ class TestGreenCommand:
         assert [(r[header.index("G_re")], r[header.index("status")]) for r in rows] == [
             ("", "AccuracyError: G = -inf from homog-series is not finite")] * 3
 
-    @pytest.mark.parametrize("mode, column", [("trapped-spectral", "spectral_densities"), ("oracle", "_oracle_column")])
-    def test_non_finite_density_is_a_typed_row(self, monkeypatch, mode, column):
+    @pytest.mark.parametrize("mode", ["trapped-spectral", "oracle"])
+    def test_non_finite_density_is_a_typed_row(self, monkeypatch, mode):
         # a frequency mode's column goes through _green_row as every other green row does: a value
         # that is not finite is an AccuracyError row with empty cells, and the next entry stays ok
         cfg = load_config(None)
-        evaluate = getattr(modes, column)
+        route = cli._route
 
         def spoiled(*a, **k):
-            out = evaluate(*a, **k)
-            return [out[0]._replace(value=math.inf), out[1]._replace(trunc_err=math.nan), *out[2:]]
+            evaluate = route(*a, **k)
 
-        monkeypatch.setattr(modes, column, spoiled)
+            def columns(*b):
+                (out,) = evaluate(*b)  # the default omega_list holds one frequency
+                return [[out[0]._replace(value=math.inf), out[1]._replace(trunc_err=math.nan), *out[2:]]]
+
+            return columns
+
+        monkeypatch.setattr(cli, "_route", spoiled)
         _, rows, _ = cli.cmd_green(cfg, argparse.Namespace(mode=mode))
         assert [r[-1] for r in rows[:3]] == [f"AccuracyError: G = inf from {mode} is not finite",
                                             f"AccuracyError: trunc_err = nan from {mode} is not finite", "ok"]
@@ -1499,16 +1504,17 @@ class TestValidateCommand:
         [
             # the density at (1 + 1e-3) omega: the ODE residual reads about 2
             ("02-ode-residual-and-jump", "modes.spectral_densities",
-             lambda f: lambda omega, *a, **k: f(omega * (1.0 + 1e-3), *a, **k), True),
+             lambda f: lambda omegas, *a, **k: f([omega * (1.0 + 1e-3) for omega in omegas], *a, **k), True),
             # the density 10% too strong satisfies the ODE, but its slope jump misses g/(hbar v)^2
             ("02-ode-residual-and-jump", "modes.spectral_densities",
-             lambda f: lambda *a, **k: [sd._replace(value=1.1 * sd.value) for sd in f(*a, **k)], False),
+             lambda f: lambda *a, **k: [[sd._replace(value=1.1 * sd.value) for sd in column]
+                                        for column in f(*a, **k)], False),
             # the finite-difference oracle at (1 + 1e-2) omega: about 0.15 against 1e-3
             ("03-oracle-equivalence", "checks.fdm_spectral_solve",
              lambda f: lambda omega, *a, **k: f(omega * (1.0 + 1e-2), *a, **k), True),
             # the closed form at (1 + 1e-2) omega: about 0.18
             ("03-oracle-equivalence", "modes.spectral_densities",
-             lambda f: lambda omega, *a, **k: f(omega * (1.0 + 1e-2), *a, **k), True),
+             lambda f: lambda omegas, *a, **k: f([omega * (1.0 + 1e-2) for omega in omegas], *a, **k), True),
             # the sinh form's prefactor 5% high: about 0.048 against 0.02
             ("06-homog-regime-match", "modes.homog_asymptotic_highT",
              lambda f: lambda *a, **k: f(*a, **k)._replace(value=1.05 * f(*a, **k).value), True),
@@ -1620,8 +1626,14 @@ class TestValidateCommand:
              {"modes.lowT_legendre_series_many": 1, "green_trapped.p_poly_table": 1}),
             # three theta in one sweep of the weights 1/l^2
             ("05-frequency-sum-identity", ("checks.brute_frequency_sum",), {"checks.brute_frequency_sum": 1}),
+            # the closed form's three columns at the oracle's one grid in one kernel pass, not three
+            ("03-oracle-equivalence", ("modes.spectral_densities", "green_trapped._density_parts"),
+             {"modes.spectral_densities": 1, "green_trapped._density_parts": 1}),
+            # five degrees at 17 sources in one kernel pass, not five
+            ("11-wronskian-conical-reality", ("checks._density_parts", "green_trapped._density_parts"),
+             {"checks._density_parts": 1}),
         ],
-        ids=["01", "10", "06", "07", "08", "09", "05"],
+        ids=["01", "10", "06", "07", "08", "09", "05", "03", "11"],
     )
     def test_checks_evaluate_once_per_pass(self, monkeypatch, name, counted, expected):
         from trapgas import checks, green_trapped
@@ -1658,7 +1670,7 @@ class TestValidateCommand:
         def detuning_the_density(mode, p, d, **controls):
             evaluate = route(mode, p, d, **controls)
             if mode == "trapped-spectral":
-                return lambda omega, *a: evaluate(omega * (1.0 + 1e-3), *a)
+                return lambda omegas, *a: evaluate([omega * (1.0 + 1e-3) for omega in omegas], *a)
             return evaluate
 
         for wrong, failing in ((dispatching_low_t, ["06-homog-regime-match", "07-trapped-highT-match"]),

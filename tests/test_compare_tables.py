@@ -46,16 +46,16 @@ def test_spectral_block_reaches_ok_and_error_rows():
     harness = _harness()
     r_c = derive_scales(PhysicalParams(m=1.0, g=1.0, Omega=1.0, Lambda=1.0, beta=1.0)).R_c
     records = harness.run_invocations(harness.spectral_invocations(r_c), formats=("csv",))
-    assert len(records) == 4
+    assert len(records) == 6
     statuses = []
     for rec in records.values():
         assert rec["code"] == 0
         columns, rows = harness.parse_table(rec["stdout"])
         statuses += [r[columns.index("status")] for r in rows]
     # the clamp grid: 8 ok rows a frequency under trapped-spectral, 7 under the oracle, which also
-    # refuses the point beyond its coarse nodes' span
-    assert statuses.count("ok") == 2 * 5 * 81 + 16 + 14
-    assert sum(s.startswith("DomainError") for s in statuses) == 2 + 4
+    # refuses the point beyond its coarse nodes' span; 16 and 15 of 17 at each of the mixed 7
+    assert statuses.count("ok") == 2 * 5 * 81 + 16 + 14 + 7 * 16 + 7 * 15
+    assert sum(s.startswith("DomainError") for s in statuses) == 2 + 4 + 7 + 7 * 2
 
 
 def test_spectral_error_block_mixes_error_rows_with_ok_rows():

@@ -104,7 +104,7 @@ class TestCheckedLambda:
         calls = []
         monkeypatch.setattr(green_trapped, "_clamped_u", lambda *a: calls.append(a))
         with pytest.raises(DomainError, match=r"^omega = 1e\+300: \(alpha omega\)\^2 overflows a float"):
-            spectral_densities(1e300, [0.1, 0.2], 0.0, p, d)
+            spectral_densities([2.0, 1e300, math.inf], [0.1, 0.2], 0.0, p, d)
         assert calls == []
 
 
@@ -200,8 +200,7 @@ class TestDensityAtOnePoint:
         p, d = setup_params()
         assert 0.25 - _checked_lambda(omega, d) == 0.25
         xs = [-0.6 * d.R_c, 0.3 * d.R_c]
-        zero = spectral_densities(0.0, xs, 0.1 * d.R_c, p, d)
-        tiny = spectral_densities(omega, xs, 0.1 * d.R_c, p, d)
+        zero, tiny = spectral_densities([0.0, omega], xs, 0.1 * d.R_c, p, d)
         assert [(sd.value.hex(), sd.trunc_err) for sd in tiny] == [(sd.value.hex(), sd.trunc_err) for sd in zero]
 
     def test_boundary_clamp_enforced(self):
@@ -302,6 +301,16 @@ def _per_point(omega, xs, xp, p, d, tol):
     return out
 
 
+def _mixed_omegas(d) -> list:
+    """The zero mode, a real-branch omega (alpha omega < 1/2), lambda = 1/4 -+ 1e-9, a near and a far
+    conical omega, and the near one again."""
+    quarter = [math.sqrt(0.25 + delta) / d.alpha for delta in (-1e-9, 1e-9)]
+    omegas = [0.0, 0.25 / d.alpha, *quarter, 2.0 * math.pi, 2000.0 * math.pi, 2.0 * math.pi]
+    lams = [_checked_lambda(omega, d) for omega in omegas]
+    assert lams[1] < lams[2] < 0.25 < lams[3] < lams[4] == lams[6] < lams[5]
+    return omegas
+
+
 class TestSpectralDensities:
     """The batched table route against one spectral_density call per point."""
 
@@ -323,14 +332,15 @@ class TestSpectralDensities:
         p, d = setup_params()
         xs = [float(x) for x in np.linspace(-0.995 * d.R_c, 0.995 * d.R_c, 81)]
         xp = 0.1 * d.R_c
-        self.assert_same(spectral_densities(omega, xs, xp, p, d, 1e-12), _per_point(omega, xs, xp, p, d, 1e-12))
+        (batch,) = spectral_densities([omega], xs, xp, p, d, 1e-12)
+        self.assert_same(batch, _per_point(omega, xs, xp, p, d, 1e-12))
 
     def test_large_degree_subgrid_equals_single_points(self):
         p, d = setup_params()
         xs = [float(x) for x in np.linspace(-0.995 * d.R_c, 0.995 * d.R_c, 81)[::10]]
         assert xs[0] == -0.995 * d.R_c and xs[-1] == 0.995 * d.R_c and len(xs) == 9
         args = (2000.0 * math.pi, xs, 0.1 * d.R_c, p, d, 1e-12)
-        self.assert_same(spectral_densities(*args), _per_point(*args))
+        self.assert_same(spectral_densities([args[0]], *args[1:])[0], _per_point(*args))
 
     def test_clamped_and_capped_points_keep_their_own_errors(self):
         # x = R_c lies beyond the clamp; at tol = 1e-15, below the rounding
@@ -340,7 +350,7 @@ class TestSpectralDensities:
         p, d = setup_params()
         xs = [-0.6 * d.R_c, d.R_c, 0.3 * d.R_c, 0.99999 * d.R_c, 0.9 * d.R_c]
         for omega in (0.0, 2.0 * math.pi):
-            batch = spectral_densities(omega, xs, 0.1 * d.R_c, p, d, 1e-15)
+            (batch,) = spectral_densities([omega], xs, 0.1 * d.R_c, p, d, 1e-15)
             self.assert_same(batch, _per_point(omega, xs, 0.1 * d.R_c, p, d, 1e-15))
             assert isinstance(batch[1], DomainError)
             inside = batch[:1] + batch[2:]
@@ -367,7 +377,7 @@ class TestSpectralDensities:
             return kernel(*a, **kw)
 
         monkeypatch.setattr(green_trapped, "_p_quad", counted)
-        batch = spectral_densities(*args)
+        (batch,) = spectral_densities([args[0]], *args[1:])
         assert len(calls) == 1
         monkeypatch.undo()
         self.assert_same(batch, _per_point(*args))
@@ -377,7 +387,7 @@ class TestSpectralDensities:
     def test_nan_point_gets_its_own_error(self, omega):
         p, d = setup_params()
         xs = [-0.6 * d.R_c, math.nan, 0.3 * d.R_c]
-        batch = spectral_densities(omega, xs, 0.1 * d.R_c, p, d)
+        (batch,) = spectral_densities([omega], xs, 0.1 * d.R_c, p, d)
         self.assert_same(batch, _per_point(omega, xs, 0.1 * d.R_c, p, d, 1e-13))
         assert [type(b) for b in batch] == [GreenValue, DomainError, GreenValue]
 
@@ -394,7 +404,7 @@ class TestSpectralDensities:
         xs = [edge, -edge, beyond, -beyond, math.nan, math.inf, -math.inf, 1, -1, 0, 2, 0.3 * d.R_c]
         if as_array:
             xs = np.array(xs, dtype=float)
-        batch = spectral_densities(omega, xs, 0.1 * d.R_c, p, d)
+        (batch,) = spectral_densities([omega], xs, 0.1 * d.R_c, p, d)
         self.assert_same(batch, _per_point(omega, xs, 0.1 * d.R_c, p, d, 1e-13))
         inside = [True, True, False, False, False, False, False, True, True, True, False, True]
         assert [isinstance(b, GreenValue) for b in batch] == inside
@@ -403,17 +413,101 @@ class TestSpectralDensities:
     def test_one_pass_clamp_keeps_an_xp_beyond_it_behind_the_points_own_errors(self):
         p, d = setup_params()
         xs = [0.2 * d.R_c, math.nan, 1]
-        batch = spectral_densities(2.0 * math.pi, xs, d.R_c, p, d)
+        (batch,) = spectral_densities([2.0 * math.pi], xs, d.R_c, p, d)
         self.assert_same(batch, _per_point(2.0 * math.pi, xs, d.R_c, p, d, 1e-13))
         assert str(batch[0]) == str(batch[2]) != str(batch[1])
 
     def test_bad_tol_gives_every_point_the_kernel_error(self):
         p, d = setup_params()
         xs = [-0.6 * d.R_c, d.R_c, 0.3 * d.R_c]
-        batch = spectral_densities(2.0 * math.pi, xs, 0.1 * d.R_c, p, d, math.nan)
+        (batch,) = spectral_densities([2.0 * math.pi], xs, 0.1 * d.R_c, p, d, math.nan)
         self.assert_same(batch, _per_point(2.0 * math.pi, xs, 0.1 * d.R_c, p, d, math.nan))
         assert "tolerance must be positive and finite, got nan" in str(batch[0])
         assert "boundary clamp" in str(batch[1])
+
+    @pytest.mark.parametrize("case", ["mixed", "xp-beyond-clamp", "bad-tol", "no-omegas", "no-points"])
+    def test_columns_equal_single_frequency_calls(self, case, monkeypatch):
+        # every column of one call is bitwise the single-frequency, single-point call at each of its
+        # points, errors word for word, from one kernel pass: over the zero mode, a real-branch omega,
+        # lambda = 1/4 -+ 1e-9, a near and a far conical omega and a repeated omega, at the sweep's
+        # points and points beyond the clamp
+        p, d = setup_params()
+        omegas = _mixed_omegas(d)
+        xs = [float(x) for x in np.linspace(-0.995 * d.R_c, 0.995 * d.R_c, 81)] + [d.R_c, -1.5 * d.R_c, math.nan]
+        xp, tol = 0.1 * d.R_c, 1e-12
+        if case == "xp-beyond-clamp":
+            xp = d.R_c
+        elif case == "bad-tol":
+            tol = math.nan
+        elif case == "no-omegas":
+            omegas = []
+        elif case == "no-points":
+            xs = []
+        parts, passes = green_trapped._density_parts, []
+
+        def counted(omegas, *a):
+            passes.append(len(omegas))
+            return parts(omegas, *a)
+
+        monkeypatch.setattr(green_trapped, "_density_parts", counted)
+        columns = spectral_densities(omegas, xs, xp, p, d, tol)
+        monkeypatch.undo()
+        assert passes == ([len(omegas) * 81] if case == "mixed" else [])
+        assert len(columns) == len(omegas)
+        for omega, column in zip(omegas, columns):
+            self.assert_same(column, _per_point(omega, xs, xp, p, d, tol))
+        if case == "mixed":
+            assert [type(g) for g in columns[0]] == [GreenValue] * 81 + [DomainError] * 3
+            assert [g.value for g in columns[4][:81]] == [g.value for g in columns[6][:81]]
+
+    def test_sweep_table_integrates_each_distinct_row_once(self, monkeypatch):
+        # the spectral-sweep benchmark's table, 5 frequencies x 81 points: one kernel pass whose
+        # 810 rows hold 328 distinct (lambda, u), each integrated once, in one _quad_rows call
+        p, d = setup_params()
+        xs = [float(x) for x in np.linspace(-0.995 * d.R_c, 0.995 * d.R_c, 81)]
+        omegas = [2.0 * math.pi * f for f in (0.0, 1.0, 10.0, 100.0, 1000.0)]
+        p_quad, quad_rows, asked, integrated = green_trapped._p_quad, legendre._quad_rows, [], []
+
+        def asking(lam, u):
+            asked.extend(zip(lam.tolist(), (np.asarray(u) + 0.0).tolist()))  # -0.0 and 0.0 share a row
+            return p_quad(lam, u)
+
+        def integrating(lam, *a):
+            integrated.append(lam.size)
+            return quad_rows(lam, *a)
+
+        monkeypatch.setattr(green_trapped, "_p_quad", asking)
+        monkeypatch.setattr(legendre, "_quad_rows", integrating)
+        spectral_densities(omegas, xs, 0.1 * d.R_c, p, d, 1e-12)
+        assert len(asked) == 810 and len(set(asked)) == 328
+        assert integrated == [328]
+
+    def test_long_tables_take_bounded_column_passes(self, monkeypatch):
+        # 1 500 points a column: five columns take passes of at most _PASS_ROWS densities, two, two
+        # and one, and two columns of 4 500 points one pass each; every entry keeps the bits of the
+        # table in one pass
+        p, d = setup_params()
+        parts, passes = green_trapped._density_parts, []
+        assert 2 * 1500 <= green_trapped._PASS_ROWS < min(3 * 1500, 4500)
+
+        def counted(omegas, *a):
+            passes.append(len(omegas))
+            return parts(omegas, *a)
+
+        for count, omegas, split in ((1500, _mixed_omegas(d)[2:], [3000, 3000, 1500]),
+                                     (4500, [2.0 * math.pi, 20.0 * math.pi], [4500, 4500])):
+            xs = [float(x) for x in np.linspace(-0.995 * d.R_c, 0.995 * d.R_c, count)]
+            monkeypatch.setattr(green_trapped, "_density_parts", counted)
+            passes.clear()
+            columns = spectral_densities(omegas, xs, 0.1 * d.R_c, p, d, 1e-12)
+            assert passes == split
+            monkeypatch.setattr(green_trapped, "_PASS_ROWS", 10**9)
+            passes.clear()
+            whole = spectral_densities(omegas, xs, 0.1 * d.R_c, p, d, 1e-12)
+            assert passes == [len(omegas) * count]
+            monkeypatch.undo()
+            for column, one in zip(columns, whole):
+                self.assert_same(column, one)
 
     def test_green_table_rows_equal_the_per_point_path(self, tmp_path):
         # the rows trapped-spectral printed from one spectral_density call per point
@@ -658,7 +752,7 @@ class TestMatsubaraAssemble:
 
     def test_long_tables_take_bounded_passes(self, monkeypatch):
         # pairs 1.8e-3 and 1.5e-3 apart stop after about 2 200 and 2 600 frequencies, and one 8e-4 apart
-        # after about 5 000: the table takes passes of at most _PASS_FREQUENCIES frequencies, or one
+        # after about 5 000: the table takes passes of at most _PASS_ROWS frequencies, or one
         # pair's own, not one of them all, and each entry keeps the bits of its pair alone
         p, d = setup_params()
         parts, passes = green_trapped._density_parts, []
@@ -677,7 +771,7 @@ class TestMatsubaraAssemble:
         assert 0 < lasts[1] < 4096 - lasts[0] and lasts[0] + lasts[1] + lasts[2] > 4096 < lasts[2] + lasts[3]
         assert min(lasts[0], lasts[2], lasts[3]) > 1900
         assert passes == [lasts[0] + lasts[1], lasts[2], lasts[3]]
-        assert max(passes) <= green_trapped._PASS_FREQUENCIES
+        assert max(passes) <= green_trapped._PASS_ROWS
         for q, g in zip(queries, many):
             alone = matsubara_assemble(q.x1, q.tau1, q.x2, q.tau2, p, d, 2**17)
             assert (g.value.hex(), g.trunc_err.hex(), g.meta) == (alone.value.hex(), alone.trunc_err.hex(), alone.meta)
@@ -834,10 +928,10 @@ class TestMatsubaraAssemble:
         # point, is bitwise the four-row value, and as many points are ok
         p, d = setup_params()
         xs = [float(x) for x in np.linspace(-0.995 * d.R_c, 0.995 * d.R_c, 81)]
-        args = (omega, xs, 0.1 * d.R_c, p, d, 1e-12)
+        args = ([omega], xs, 0.1 * d.R_c, p, d, 1e-12)
         with patch.object(green_trapped, "_far_rows", _no_far_rows):
-            four = spectral_densities(*args)
-        two = spectral_densities(*args)
+            (four,) = spectral_densities(*args)
+        (two,) = spectral_densities(*args)
         assert [type(sd) for sd in two] == [type(sd) for sd in four] == [GreenValue] * 81
         assert [sd.value.hex() for sd in two] == [sd.value.hex() for sd in four]
         # no point is far at 2 pi, and every point is at 20 pi and beyond
@@ -885,7 +979,7 @@ class TestMatsubaraAssemble:
         p, d = setup_params(beta=100.0 * math.sqrt(2.0))
         omega, x = 2.0 * math.pi / p.beta, 0.3 * d.R_c
         assert (d.alpha * omega) ** 2 <= 0.25
-        same, near = spectral_densities(omega, [x, x + 1e-9 * d.R_c], x, p, d, 1e-13)
+        ((same, near),) = spectral_densities([omega], [x, x + 1e-9 * d.R_c], x, p, d, 1e-13)
         assert isinstance(same, GreenValue) and isinstance(near, GreenValue)
         assert same.value == 0.0 and same.trunc_err > 0.0
 

@@ -125,7 +125,7 @@ class TestFdmSpectralSolve:
         # any N
         p, d = setup_params()
         sol = fdm_spectral_solve(0.0, 0.1 * d.R_c, p, d, FdmGrid(N=10_000))
-        exact = np.array([sd.value for sd in spectral_densities(0.0, sol.x_nodes[1:-1], sol.x_source, p, d)])
+        exact = np.array([sd.value for sd in spectral_densities([0.0], sol.x_nodes[1:-1], sol.x_source, p, d)[0]])
         error = sol.g_values[1:-1] - exact
         error -= np.median(error)  # the gauges' constant
         assert np.max(np.abs(error)) <= sol.disc_error_est < 0.05
@@ -170,7 +170,7 @@ class TestFdmSpectralSolve:
         assert plus.g_values.tobytes() == minus.g_values.tobytes()
         assert (plus.x_source, plus.disc_error_est) == (minus.x_source, minus.disc_error_est)
         xs = [0.3 * d.R_c, 0.45 * d.R_c, -0.25 * d.R_c, 0.6 * d.R_c]
-        plus, minus = ([(sd.value, sd.trunc_err) for sd in spectral_densities(w, xs, plus.x_source, p, d)]
+        plus, minus = ([(sd.value, sd.trunc_err) for sd in spectral_densities([w], xs, plus.x_source, p, d)[0]]
                        for w in (omega, -omega))
         assert np.array(plus).tobytes() == np.array(minus).tobytes()
 

@@ -28,7 +28,11 @@ The matrix is
   (beyond the boundary clamp) to 0.99999 R_c (next to the logarithmic
   singularity of P_nu(-u)), which gives error rows beside ok rows, and the
   same grid under ``green --mode oracle``, whose two error rows a frequency
-  lie outside the condensate and beyond the coarse nodes' span;
+  lie outside the condensate and beyond the coarse nodes' span; and both
+  frequency modes over 17 points on that span at x_ref = -0.35 R_c, at an
+  omega_list that mixes the zero mode, a real-branch omega (alpha omega =
+  1/4), (alpha omega)^2 = 1/4 -+ 1e-9, a near and a far conical omega (2 pi
+  and 2000 pi) and the near one again;
 * the spectral error-row block: ``correlator``/``exponent --mode spectral``
   at s_center = 0.95 R_c, where the widest pair reaches beyond the boundary
   clamp (a DomainError row beside 8 ok rows), at tol = 1e-15 and
@@ -137,7 +141,8 @@ def lowt_invocations(r_c: float) -> list:
 def spectral_invocations(r_c: float) -> list:
     """(name, argv, config text) of the ``trapped-spectral`` block: the sweep
     over the condensate, and the grid with a clamped point and one next to
-    the edge under both frequency modes."""
+    the edge under both frequency modes, at two frequencies and at the mixed
+    omega_list."""
     argv = ["green", "--mode", "trapped-spectral"]
     out = []
     for x_ref in SPECTRAL_X_REFS:
@@ -148,6 +153,12 @@ def spectral_invocations(r_c: float) -> list:
             "x_min": -r_c, "x_max": 0.99999 * r_c, "x_count": 9}
     out.append(("spectral-clamp-cap", argv, _ini({"grid": grid})))
     out.append(("oracle-clamp-cap", ["green", "--mode", "oracle"], _ini({"grid": grid})))
+    # alpha = R_c/(hbar v) is R_c at the default params
+    mixed = [0.0, 0.25 / r_c, *(math.sqrt(0.25 + delta) / r_c for delta in (-1e-9, 1e-9)),
+             2.0 * math.pi, 2000.0 * math.pi, 2.0 * math.pi]
+    grid.update(omega_list=", ".join(repr(w) for w in mixed), x_ref=-0.35 * r_c, x_count=17)
+    out += [(f"{mode}-mixed-frequencies", ["green", "--mode", mode], _ini({"grid": grid}))
+            for mode in ("trapped-spectral", "oracle")]
     return out
 
 
