@@ -553,7 +553,8 @@ class TestGreenCommand:
         assert [(r[header.index("G_re")], r[header.index("status")]) for r in rows] == [
             ("", "AccuracyError: G = -inf from homog-series is not finite")] * 3
 
-    @pytest.mark.parametrize("mode", ["trapped-spectral", "oracle"])
+    @pytest.mark.parametrize("mode", [pytest.param("trapped-spectral", id="trapped-spectral-spectral_densities"),
+                                      pytest.param("oracle", id="oracle-_oracle_column")])
     def test_non_finite_density_is_a_typed_row(self, monkeypatch, mode):
         # a frequency mode's column goes through _green_row as every other green row does: a value
         # that is not finite is an AccuracyError row with empty cells, and the next entry stays ok

@@ -569,13 +569,13 @@ class TestSeriesKernel:
             # each distinct u < 1 (0.3, -0.3, 0, -0.7) is integrated once
             ([9.0] * 10, ONE_LAMBDA_U, 4),
             ([0.1] * 10, ONE_LAMBDA_U, 4),
-            # runs of one lambda on each branch, as a spectral table's
-            # frequencies give: each distinct (lambda, u < 1) once, 3 + 4
-            ([9.0] * 5 + [0.1] * 5, ONE_LAMBDA_U, 7),
             # lambda changing from row to row, as in a Matsubara sum, one u
             # at several lambdas and one lambda at several u: no sort, and
             # every row is integrated, (9.0, 0.3) twice
             ([9.0, 0.1, 9.0, 2.0, 9.0, 0.1], [0.3, 0.3, 0.3, 0.3, -0.3, 0.3], 6),
+            # runs of one lambda on each branch, as a spectral table's
+            # frequencies give: each distinct (lambda, u < 1) once, 3 + 4
+            ([9.0] * 5 + [0.1] * 5, ONE_LAMBDA_U, 7),
         ],
     )
     def test_repeated_rows_equal_single_rows(self, lam, u, integrated, monkeypatch):
